@@ -15,14 +15,18 @@ GOVULNCHECK_VERSION ?= latest
 BENCH_GATE = ^(BenchmarkTopKQuery|BenchmarkShardedBuild|BenchmarkBM25Query|BenchmarkSuggest|BenchmarkSnippets|BenchmarkColdOpen|BenchmarkSelectiveAND|BenchmarkWANDTopK)$$
 BENCH_GATE_FLAGS = -run '^$$' -bench '$(BENCH_GATE)' -benchtime=10x -count=3
 
-.PHONY: build test vet fmt lint vuln bench bench-check bench-baseline docs-check load-smoke ci
+.PHONY: build test vet fmt lint vuln bench bench-check bench-baseline bench-selftest docs-check load-smoke ci
 
 build:
 	$(GO) build ./...
 
 # -shuffle=on matches CI: randomized test order within each package.
+# -short skips the Table 2-4 sweeps of internal/experiments under the race
+# detector only (21 s plain, minutes with -race); the second line runs them
+# plain, as the tier-1 `go test ./...` does.
 test:
-	$(GO) test -race -shuffle=on ./...
+	$(GO) test -race -shuffle=on -short ./...
+	$(GO) test ./internal/experiments/
 
 vet:
 	$(GO) vet ./...
@@ -83,8 +87,16 @@ bench-check:
 bench-baseline:
 	$(GO) test $(BENCH_GATE_FLAGS) . | $(GO) run ./cmd/benchcheck -baseline bench_baseline.json -update
 
-# The doc-drift gate: the DSIX version constants in internal/index/codec.go
-# must match the version history documented in docs/FORMAT.md.
+# bench-selftest vets and tests bench/, the repo benchmark's nested module.
+# `go build ./...` does not see it, yet it imports internal packages
+# directly, so an internal deletion that breaks it must fail here, before
+# the benchmark is run.
+bench-selftest:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
+# The doc-drift gate: every DSIX version constant in internal/index/codec.go
+# has a section in docs/FORMAT.md, and the spec has none the codec lacks.
 docs-check:
 	$(GO) run ./cmd/docscheck
 
@@ -94,4 +106,4 @@ docs-check:
 load-smoke:
 	$(GO) run ./cmd/loadgen -smoke -out /dev/null
 
-ci: build vet fmt lint vuln docs-check test bench bench-check load-smoke
+ci: build bench-selftest vet fmt lint vuln docs-check test bench bench-check load-smoke

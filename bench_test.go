@@ -391,25 +391,33 @@ func BenchmarkAblationParallelSearch(b *testing.B) {
 	multiPar := search.NewEngine(res.Files, index.Partitions(res.Replicas)...)
 
 	// Warm the per-engine universes outside the timed region.
-	singleEngine.Search(query)
-	multiSeq.Search(query)
-	multiPar.Search(query)
+	engineSearch(b, singleEngine, query)
+	engineSearch(b, multiSeq, query)
+	engineSearch(b, multiPar, query)
 
 	b.Run("joined-single", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			singleEngine.Search(query)
+			engineSearch(b, singleEngine, query)
 		}
 	})
 	b.Run("replicas-sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			multiSeq.Search(query)
+			engineSearch(b, multiSeq, query)
 		}
 	})
 	b.Run("replicas-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			multiPar.Search(query)
+			engineSearch(b, multiPar, query)
 		}
 	})
+}
+
+// engineSearch runs query on e with the zero controls: every hit,
+// coordination ranking, no per-hit term metadata.
+func engineSearch(b *testing.B, e *search.Engine, query *search.Query) {
+	if _, err := e.Query(context.Background(), search.Request{Query: query, OmitTerms: true}); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // ---- sharded fan-out search and codec ----
@@ -455,10 +463,10 @@ func BenchmarkShardedSearch(b *testing.B) {
 		b.Run(fmt.Sprintf("shards-%d", n), func(b *testing.B) {
 			res := buildShards(b, n)
 			eng := search.NewEngine(res.Files, index.Partitions(res.Shards.Shards())...)
-			eng.Search(query) // warm the per-shard universes
+			engineSearch(b, eng, query) // warm the per-shard universes
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.Search(query)
+				engineSearch(b, eng, query)
 			}
 		})
 	}

@@ -27,13 +27,12 @@
 //
 // Retrieval runs through the Query API: -n and -offset page through the
 // ranked results with bounded top-k retrieval per partition, -rank picks
-// the scoring mode by name (count, tf, or bm25 — bm25 needs an index that
-// records document lengths, which every fresh build does), -prefix
-// restricts hits to a path prefix, -snippets prints a highlighted context
-// window per hit (positional indexes only), and -timeout bounds the query
-// via context cancellation. A trailing-wildcard term (repor*) matches every
-// indexed term with that prefix; -suggest lists matching dictionary terms
-// instead of searching.
+// the scoring mode by name (count, tf, or bm25), -prefix restricts hits to
+// a path prefix, -snippets prints a highlighted context window per hit
+// (positional indexes only), and -timeout bounds the query via context
+// cancellation. A trailing-wildcard term (repor*) matches every indexed
+// term with that prefix; -suggest lists matching dictionary terms instead
+// of searching.
 package main
 
 import (

@@ -155,7 +155,6 @@ func main() {
 	opts := desksearch.Options{
 		Formats:         *formats,
 		Shards:          shardCount,
-		Lazy:            *lazy,
 		BlockCacheBytes: *blockCache,
 	}
 	var cat *desksearch.Catalog
@@ -164,7 +163,7 @@ func main() {
 	case len(shardSubset) > 0:
 		cat, err = desksearch.OpenDirShards(*indexPath, shardSubset, opts)
 	case *indexPath != "":
-		cat, err = loadIndex(*indexPath, opts)
+		cat, err = loadIndex(*indexPath, *lazy, opts)
 	default:
 		cat, err = desksearch.IndexDir(*root, opts)
 	}
@@ -326,17 +325,20 @@ func parseWorkerGroups(v string) [][]string {
 
 // loadIndex reads a catalog from path: a sharded index directory when path
 // is a directory, a single index file otherwise. The build options ride
-// along so incremental updates re-extract consistently; with Options.Lazy
-// a directory is opened in place rather than materialized.
-func loadIndex(path string, opts desksearch.Options) (*desksearch.Catalog, error) {
+// along so incremental updates re-extract consistently; with lazy a
+// directory is opened in place rather than materialized.
+func loadIndex(path string, lazy bool, opts desksearch.Options) (*desksearch.Catalog, error) {
 	info, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
 	if info.IsDir() {
+		if lazy {
+			return desksearch.OpenDir(path, opts)
+		}
 		return desksearch.LoadDir(path, opts)
 	}
-	if opts.Lazy {
+	if lazy {
 		return nil, fmt.Errorf("-lazy needs a sharded index directory, and %s is a file", path)
 	}
 	f, err := os.Open(path)

@@ -9,7 +9,7 @@
 //
 // With -positions every term occurrence's token position is recorded,
 // enabling quoted phrase queries ('"annual report"') at the cost of a
-// larger index; positional catalogs persist as DSIX v8 (docs/FORMAT.md)
+// larger index; the saved files record it in a flags bit (docs/FORMAT.md)
 // and -update re-extracts positionally without restating the flag.
 //
 // With -shards N the index is partitioned into N document shards and
@@ -51,7 +51,7 @@ func main() {
 		z       = flag.Int("z", 0, "index-join threads (join only)")
 		shards  = flag.Int("shards", 0, "partition the index into N document shards (0 = off)")
 		formats = flag.Bool("formats", false, "strip HTML/WP markup before indexing")
-		pos     = flag.Bool("positions", false, "record token positions (enables quoted phrase queries; larger index, DSIX v8 single-file / v10 segments)")
+		pos     = flag.Bool("positions", false, "record token positions (enables quoted phrase queries; larger index)")
 		save    = flag.String("save", "", "write the built index to this path (a directory with -shards)")
 		stages  = flag.Bool("stages", false, "measure isolated sequential stage times (paper Table 1) and exit")
 		update  = flag.Bool("update", false, "incrementally update the saved catalog under -save against -root instead of rebuilding")

@@ -60,22 +60,16 @@ type Options struct {
 	Shards int
 	// Positions records each term occurrence's token position in the
 	// index, enabling quoted phrase queries ("annual report") at the cost
-	// of a larger index; positional catalogs persist in the DSIX v8 format
+	// of a larger index; the persisted files record it in a flags bit
 	// (docs/FORMAT.md). Phrase queries against a catalog built without
 	// positions fail with a clear error instead of guessing adjacency.
 	Positions bool
-	// Lazy, honored only by LoadDir, opens the directory lazily (see
-	// OpenDir) instead of materializing it: queries read posting data
-	// straight off the segment files, so startup is proportional to the
-	// term dictionaries, not the postings, and the catalog is read-only.
-	// Ignored by the indexing entry points.
-	Lazy bool
 	// BlockCacheBytes bounds the shared posting-block cache of lazily
-	// opened catalogs (OpenDir, OpenDirShards, LoadDir with Lazy): decoded
-	// posting blocks of hot terms are kept up to this many estimated
-	// bytes, shared across all partitions. Non-positive falls back to the
-	// package default (segment.DefaultCacheBytes, 64 MiB). Ignored by
-	// eager loads and the indexing entry points.
+	// opened catalogs (OpenDir, OpenDirShards): decoded posting blocks of
+	// hot terms are kept up to this many estimated bytes, shared across
+	// all partitions. Non-positive falls back to the package default
+	// (segment.DefaultCacheBytes, 64 MiB). Ignored by eager loads and the
+	// indexing entry points.
 	BlockCacheBytes int64
 }
 
@@ -155,9 +149,6 @@ var (
 	// ErrNoPositions reports a phrase query or snippet request against a
 	// catalog built without Options.Positions.
 	ErrNoPositions = search.ErrNoPositions
-	// ErrNoDocLengths reports a BM25-ranked request against a catalog
-	// whose file table carries no document lengths (pre-v9 DSIX).
-	ErrNoDocLengths = search.ErrNoDocLengths
 	// ErrPrefixTooBroad reports a prefix operator that expanded to more
 	// dictionary terms than the request's MaxPrefixTerms cap.
 	ErrPrefixTooBroad = search.ErrPrefixTooBroad
@@ -171,16 +162,14 @@ type QueryErrorCode string
 const (
 	// CodeNoPositions: phrase or snippet request, position-free catalog.
 	CodeNoPositions QueryErrorCode = "no_positions"
-	// CodeNoDocLengths: BM25 request, catalog without document lengths.
-	CodeNoDocLengths QueryErrorCode = "no_doc_lengths"
 	// CodePrefixTooBroad: prefix operator over the expansion cap.
 	CodePrefixTooBroad QueryErrorCode = "prefix_too_broad"
 )
 
 // QueryError is a typed, deterministic query rejection: the same request
 // against the same catalog state fails the same way on every replica.
-// Err is the underlying sentinel (ErrNoPositions, ErrNoDocLengths,
-// ErrPrefixTooBroad), so errors.Is sees through the wrapper; Code is the
+// Err is the underlying sentinel (ErrNoPositions, ErrPrefixTooBroad), so
+// errors.Is sees through the wrapper; Code is the
 // stable name transports key status mappings on — internal/server owns
 // the one code→HTTP table.
 type QueryError struct {
@@ -202,8 +191,6 @@ func wrapQueryError(err error) error {
 		return nil
 	case errors.Is(err, search.ErrNoPositions):
 		return &QueryError{Code: CodeNoPositions, Err: err}
-	case errors.Is(err, search.ErrNoDocLengths):
-		return &QueryError{Code: CodeNoDocLengths, Err: err}
 	case errors.Is(err, search.ErrPrefixTooBroad):
 		return &QueryError{Code: CodePrefixTooBroad, Err: err}
 	default:
@@ -224,9 +211,7 @@ const (
 	RankTF
 	// RankBM25 scores a hit by Okapi BM25 relevance: rarer terms weigh
 	// more, repeated occurrences saturate, and long documents are
-	// normalized by their token length. Requires a catalog that records
-	// document lengths — every fresh build does; catalogs loaded from
-	// pre-v9 DSIX files fail with a clear error (rebuild to enable).
+	// normalized by their token length, which every build records.
 	// Sharding never changes BM25 scores: statistics aggregate across
 	// partitions first, so a sharded catalog scores bit-identically to
 	// the same corpus unsharded.
@@ -480,8 +465,7 @@ type Catalog struct {
 	result *core.Result
 	engine *search.Engine
 	// lazy, when non-nil, is the open segment-reader set behind a catalog
-	// opened with OpenDir (or LoadDir with Options.Lazy). Such a catalog
-	// is read-only: the mutating surface (Save, SaveDir, Apply, Update)
+	// opened with OpenDir or OpenDirShards. Such a catalog is read-only: the mutating surface (Save, SaveDir, Apply, Update)
 	// returns ErrReadOnly, and Close must be called to release the
 	// mappings.
 	lazy *shard.LazySet
@@ -761,16 +745,21 @@ func (c *Catalog) Shards() int {
 // names every shard consistently across workers.
 func (c *Catalog) PartitionIDs() []int {
 	var out []int
+	lazy := false
 	c.engine.View(func() {
-		if c.lazy != nil {
+		if lazy = c.lazy != nil; lazy {
 			out = append(out, c.lazy.ShardIDs()...)
-			return
-		}
-		out = make([]int, c.engine.Indices())
-		for i := range out {
-			out[i] = i
 		}
 	})
+	if lazy {
+		return out
+	}
+	// Indices takes the engine's read lock itself, so it runs outside View:
+	// a nested read lock deadlocks behind a waiting Maintain or Swap.
+	out = make([]int, c.engine.Indices())
+	for i := range out {
+		out[i] = i
+	}
 	return out
 }
 
@@ -892,7 +881,7 @@ func Load(r io.Reader, opt ...Options) (*Catalog, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Positional-ness is persisted in the frame version (DSIX v8) and is
+	// Positional-ness is persisted in the frame's flags byte and is
 	// authoritative in both directions: a loaded positional catalog keeps
 	// re-extracting positionally without the caller restating the option,
 	// and Options.Positions cannot turn a non-positional catalog
@@ -953,9 +942,6 @@ func (c *Catalog) SaveDir(dir string) error {
 // dirtied. Like Load, pass the build's Options if it used non-default
 // extraction, so updates re-extract consistently.
 func LoadDir(dir string, opt ...Options) (*Catalog, error) {
-	if len(opt) > 0 && opt[0].Lazy {
-		return OpenDir(dir, opt...)
-	}
 	cfg, err := loadedConfig(opt)
 	if err != nil {
 		return nil, err
@@ -964,7 +950,7 @@ func LoadDir(dir string, opt ...Options) (*Catalog, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Like Load: the segments' frame version decides positional-ness in
+	// Like Load: the segments' flags decide positional-ness in
 	// both directions (see Load), overriding Options.Positions.
 	cfg.Extract.Positions = set.Positional()
 	return newCatalog(&core.Result{
@@ -987,33 +973,8 @@ func LoadDir(dir string, opt ...Options) (*Catalog, error) {
 // The returned catalog is read-only — Save, SaveDir, Apply, and Update
 // return ErrReadOnly — and holds open file mappings until Close (Swap to a
 // replacement catalog also releases them, which is how dsearchd reloads).
-// Directories whose segments predate the DSIX v10 lazy format cannot be
-// served in place; OpenDir falls back to an eager LoadDir of them
-// (Catalog.Lazy reports which mode resulted), and a re-save from any
-// writable catalog upgrades the directory.
 func OpenDir(dir string, opt ...Options) (*Catalog, error) {
-	cfg, err := loadedConfig(opt)
-	if err != nil {
-		return nil, err
-	}
-	var cacheBytes int64
-	if len(opt) > 0 {
-		cacheBytes = opt[0].BlockCacheBytes
-	}
-	set, err := shard.OpenDir(dir, cacheBytes)
-	if err != nil {
-		if errors.Is(err, shard.ErrNotLazy) {
-			var eager []Options
-			if len(opt) > 0 {
-				o := opt[0]
-				o.Lazy = false
-				eager = []Options{o}
-			}
-			return LoadDir(dir, eager...)
-		}
-		return nil, err
-	}
-	return lazyCatalog(cfg, set), nil
+	return OpenDirShards(dir, nil, opt...)
 }
 
 // OpenDirShards is OpenDir restricted to a subset of the directory's
@@ -1027,10 +988,7 @@ func OpenDir(dir string, opt ...Options) (*Catalog, error) {
 // with Options.Shards. Directories saved from pipeline replicas are not
 // hash-routed and fail with a descriptive error (rebuild with a shard
 // count), because without the routing the workers of one directory could
-// not partition NOT-query responsibility among themselves. Unlike
-// OpenDir, a pre-v10 directory is an error here, never an eager
-// fallback: a worker that silently materialized every shard would defeat
-// the deployment's point.
+// not partition NOT-query responsibility among themselves.
 //
 // The catalog answers queries exactly as the full directory would for
 // its own documents: merged across a disjoint worker set (and, for BM25,

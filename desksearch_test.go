@@ -346,6 +346,22 @@ func TestSaveDirLoadDirRoundTrip(t *testing.T) {
 		if _, err := cat.Query(context.Background(), Query{Text: "report"}); err != nil {
 			t.Errorf("catalog broken after SaveDir: %v", err)
 		}
+		// A catalog that remembers dir may skip clean segments only when
+		// saving back into dir: a save elsewhere — from the catalog that
+		// wrote dir or from one loaded out of it — writes the manifest and
+		// every segment, byte for byte what dir holds.
+		for name, src := range map[string]*Catalog{"saved": cat, "loaded": loaded} {
+			other := t.TempDir()
+			if err := src.SaveDir(other); err != nil {
+				t.Fatalf("%+v: %s catalog SaveDir to a second directory: %v", opt, name, err)
+			}
+			if got, want := dirDigest(t, other), dirDigest(t, dir); got != want {
+				t.Errorf("%+v: %s catalog saved %s to a second directory, first holds %s", opt, name, got, want)
+			}
+			if _, err := LoadDir(other); err != nil {
+				t.Errorf("%+v: second directory of the %s catalog does not load: %v", opt, name, err)
+			}
+		}
 	}
 }
 

@@ -36,7 +36,7 @@
 // per-partition timings. The context cancels or bounds the query.
 // Evaluation failures are typed: errors.As against *QueryError exposes a
 // stable machine-readable Code alongside the sentinel the error wraps
-// (ErrNoPositions, ErrNoDocLengths, ErrPrefixTooBroad). The v1 Search
+// (ErrNoPositions, ErrPrefixTooBroad). The v1 Search
 // wrapper is gone — a zero-control Query reproduces it exactly (every
 // hit, coordination-ranked).
 //
@@ -44,7 +44,7 @@
 // parentheses, and quoted phrases: `"annual report" -draft` matches files
 // containing the words annual and report at consecutive positions and not
 // containing draft. Phrase queries need a catalog built with
-// Options.Positions (persisted as DSIX v8 — see docs/FORMAT.md); against
+// Options.Positions (persisted as a flags bit — see docs/FORMAT.md); against
 // a position-free catalog they fail with a clear error. The README's
 // query-syntax reference documents the full grammar.
 //

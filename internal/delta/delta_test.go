@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -135,15 +136,22 @@ func applyAll(t *testing.T, fs vfs.FS, res *core.Result) Stats {
 	return plan.Commit(Target{Files: res.Files, Partitions: res.Indexes()})
 }
 
+// searchAll returns every hit for query, through the engine's one entry
+// point.
+func searchAll(t *testing.T, e *search.Engine, query string) []search.Hit {
+	t.Helper()
+	resp, err := e.Query(context.Background(), search.Request{Query: search.MustParse(query)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.Hits
+}
+
 // searchSet canonicalizes results for cross-catalog comparison: FileIDs
 // differ between an updated and a rebuilt index, paths and scores must not.
 func searchSet(t *testing.T, files *index.FileTable, parts []*index.Index, query string) []string {
 	t.Helper()
-	e := search.NewEngine(files, index.Partitions(parts)...)
-	hits, err := e.SearchString(query)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hits := searchAll(t, search.NewEngine(files, index.Partitions(parts)...), query)
 	out := make([]string, len(hits))
 	for i, h := range hits {
 		out[i] = fmt.Sprintf("%s=%g", h.Path, h.Score)

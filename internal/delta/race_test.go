@@ -95,13 +95,13 @@ func TestApplyDuringConcurrentQuery(t *testing.T) {
 	// 50 rounds end on i=49, a delete, so churn.txt must be gone: its
 	// last content (round48) and its churn marker must both have left the
 	// index, while the untouched seed files still answer.
-	if hits := engine.Search(search.MustParse("round48")); len(hits) != 0 {
+	if hits := searchAll(t, engine, "round48"); len(hits) != 0 {
 		t.Fatalf("stale content still indexed: %+v", hits)
 	}
-	if hits := engine.Search(search.MustParse("churn")); len(hits) != 0 {
+	if hits := searchAll(t, engine, "churn"); len(hits) != 0 {
 		t.Fatalf("deleted file still indexed: %+v", hits)
 	}
-	if hits := engine.Search(search.MustParse("alpha")); len(hits) != 2 {
+	if hits := searchAll(t, engine, "alpha"); len(hits) != 2 {
 		t.Fatalf("seed files damaged by churn: alpha hits = %+v", hits)
 	}
 	if engine.Generation() == 0 {

@@ -106,11 +106,23 @@ func TestTable1Render(t *testing.T) {
 	}
 }
 
-func TestRunBestConfigsTable4Shape(t *testing.T) {
-	res, err := RunBestConfigs(platform.Manycore32(), paperShape(), fastSweep())
+// bestConfigs runs one Table 2–4 sweep on the fast grid. Each takes ~3 s —
+// together most of the tier-1 run — so -short (the race job) skips them;
+// the plain tier-1 run keeps them.
+func bestConfigs(t *testing.T, p platform.Profile) BestConfigResult {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("Table 2–4 sweep")
+	}
+	res, err := RunBestConfigs(p, paperShape(), fastSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestRunBestConfigsTable4Shape(t *testing.T) {
+	res := bestConfigs(t, platform.Manycore32())
 	if res.TableNo != 4 {
 		t.Fatalf("TableNo = %d", res.TableNo)
 	}
@@ -141,10 +153,7 @@ func TestRunBestConfigsTable4Shape(t *testing.T) {
 }
 
 func TestRunBestConfigsTable2Equivalence(t *testing.T) {
-	res, err := RunBestConfigs(platform.QuadCore(), paperShape(), fastSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := bestConfigs(t, platform.QuadCore())
 	if res.TableNo != 2 {
 		t.Fatalf("TableNo = %d", res.TableNo)
 	}
@@ -170,10 +179,7 @@ func TestRunBestConfigsTable2Equivalence(t *testing.T) {
 }
 
 func TestRunBestConfigsTable3Ordering(t *testing.T) {
-	res, err := RunBestConfigs(platform.Xeon8(), paperShape(), fastSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := bestConfigs(t, platform.Xeon8())
 	c1, c2, c3 := res.Cells[0], res.Cells[1], res.Cells[2]
 	if !(c1.Exec >= c2.Exec && c2.Exec >= c3.Exec) {
 		t.Errorf("8-core ordering: %.1f / %.1f / %.1f", c1.Exec, c2.Exec, c3.Exec)
@@ -187,10 +193,7 @@ func TestRunBestConfigsTable3Ordering(t *testing.T) {
 }
 
 func TestBestConfigRender(t *testing.T) {
-	res, err := RunBestConfigs(platform.Manycore32(), paperShape(), fastSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := bestConfigs(t, platform.Manycore32())
 	out := res.Render()
 	for _, want := range []string{"Table 4", "Sequential", "Implementation 1", "Implementation 3", "speed-up", "variance", "("} {
 		if !strings.Contains(out, want) {

@@ -12,120 +12,88 @@ import (
 	"desksearch/internal/postings"
 )
 
-// The DSIX on-disk family. The authoritative format specification —
-// including the full v1–v8 version history, the varint delta coding of IDs
-// and positions, the frequency- and positions-section markers, and the
-// corruption-detection guarantees — lives in docs/FORMAT.md; keep the two
-// in sync (CI's docs-check gate compares the version constants below
-// against the spec).
+// The DSIX on-disk family. The authoritative format specification — the
+// varint delta coding of IDs and positions, the frequency- and
+// positions-section markers, and the corruption-detection guarantees —
+// lives in docs/FORMAT.md; keep the two in sync (CI's docs-check gate
+// compares the version constants below against the spec).
 //
-// All forms share the frame
+// Two layouts are live. The frame, written and read here,
 //
-//	magic "DSIX" | u16 version | payload | u64 FNV-1 checksum of everything above
+//	magic "DSIX" | u16 version 9 | u8 kind | u8 flags | payload |
+//	u64 FNV-1 checksum of everything above
 //
-// and differ in the payload:
+// carries either a full index (kind 0: file table | doc-length section |
+// term section, posting lists positional iff flags bit 0) or a shard
+// manifest (kind 2: file table | doc-length section | segment directory,
+// flags 0; internal/shard writes it over this package's exported frame
+// helpers). Shard segments use the version 10 lazy layout of
+// internal/segment, which is not a single-checksum frame.
 //
-//	version 6 (full index):     file table | term section
-//	version 7 (shard segment):  term section only — the file table lives in
-//	                            the shard manifest (see internal/shard)
-//	version 5 (shard manifest): file table | segment directory, written and
-//	                            read by internal/shard over this package's
-//	                            exported frame helpers
-//	version 8 (positional):     u8 kind | same payload as version 6 (kind 0,
-//	                            full index) or version 7 (kind 1, shard
-//	                            segment), with every posting list in the
-//	                            positional encoding (positions section after
-//	                            the frequency section)
-//	version 9 (doc lengths):    u8 kind | u8 flags | payload. Kind 0 (full
-//	                            index): file table | doc-length section |
-//	                            term section, positional iff flags bit 0.
-//	                            Kind 2 (shard manifest): file table |
-//	                            doc-length section | segment directory,
-//	                            flags 0. The doc-length section records each
-//	                            file's token length for BM25; segments stay
-//	                            v7/v8 (lengths live with the file table).
-//
-// where the file table is
+// The file table is
 //
 //	uvarint fileCount | fileCount × (uvarint pathLen | path bytes |
 //	                                 uvarint size | uvarint mtime | u8 flags)
 //
 // (flags bit 0 set = live; clear = tombstone of a deleted file whose ID is
-// retired but never reused), and the term section is
+// retired but never reused), the doc-length section records each file's
+// token length for BM25, and the term section is
 //
 //	uvarint termCount | termCount × (uvarint termLen | term bytes | posting-list varint encoding)
 //
-// Versions 1 and 3 were the pre-incremental forms of the full index and the
-// manifest, whose file tables carried neither modification stamps nor
-// tombstones; versions 4 and 2 were their successors whose posting lists
-// carried no term frequencies. Each bump retires the older form rather than
-// guessing at the missing state (the manifest carries no posting lists, so
-// version 5 survives the frequency bump unchanged). Version 8 is opt-in
-// rather than a retirement: a build without Options.Positions still writes
-// versions 6/7, byte-identical to the pre-positions codec. Version 9 is
-// likewise opt-in by provenance: every fresh build records token lengths
-// and persists v9, while an index loaded from a pre-v9 file has no lengths
-// to save and re-persists in its original form, byte-identical.
+// Versions 1–8 are retired: their files are rejected by version number,
+// after the checksum, with advice to rebuild.
 //
 // A desktop search tool persists its index between sessions; this codec is
 // that persistence layer for cmd/indexgen and cmd/dsearch.
 
 const (
 	codecMagic = "DSIX"
-	// codecVersion is the full single-file form: file table + term section.
-	codecVersion = 6
-	// SegmentVersion is the shard segment form: the term section alone.
-	SegmentVersion = 7
-	// ManifestVersion is the shard manifest form (internal/shard).
-	ManifestVersion = 5
-	// PositionalVersion is the positional form: a kind byte (full index or
-	// shard segment) followed by the corresponding v6/v7 payload with
-	// posting lists in the positional encoding.
-	PositionalVersion = 8
-	// DocLengthVersion is the doc-length form: a kind byte (full index or
-	// shard manifest), a flags byte (bit 0 = positional posting lists), and
-	// the corresponding payload with a doc-length section — each file's
-	// token length, which BM25 ranking normalizes by — directly after the
-	// file table.
-	DocLengthVersion = 9
+	// FrameVersion is the checksummed frame form: a kind byte (full index
+	// or shard manifest), a flags byte (bit 0 = positional posting lists),
+	// and the corresponding payload, whose doc-length section — each
+	// file's token length, which BM25 ranking normalizes by — directly
+	// follows the file table.
+	FrameVersion = 9
 	// LazySegmentVersion is the lazy shard-segment form (internal/segment):
 	// a sorted, checksummed term dictionary pointing into per-term posting
 	// blocks, openable in O(dictionary) and decoded on demand. It is not a
-	// single-checksum frame like the versions above — see docs/FORMAT.md.
+	// single-checksum frame like the version above — see docs/FORMAT.md.
 	LazySegmentVersion = 10
 	// maxCount bounds file/term/posting counts against corrupt headers.
 	maxCount = 1 << 31
 )
 
-// Frame kind bytes: the first payload byte of a PositionalVersion or
-// DocLengthVersion frame says which payload shape follows.
+// Frame kind bytes: the byte after the version says which payload shape
+// follows the flags byte. KindManifest is exported for internal/shard,
+// which writes and reads that payload. (Kind 1 is the shard segment, whose
+// header internal/segment owns.)
 const (
 	kindFullIndex = 0
-	kindSegment   = 1
-	kindManifest  = 2
+	KindManifest  = 2
 )
 
-// flagPositional marks a DocLengthVersion full-index frame whose posting
-// lists use the positional encoding. All other flag bits must be zero.
+// flagPositional marks a full-index frame whose posting lists use the
+// positional encoding. All other flag bits must be zero.
 const flagPositional = 1
 
-// versionKind names each known version for error messages.
-func versionKind(v uint16) string {
-	switch v {
-	case codecVersion:
-		return "a full index file"
-	case SegmentVersion:
-		return "a shard segment"
-	case ManifestVersion:
-		return "a shard manifest"
-	case PositionalVersion:
-		return "a positional index"
-	case DocLengthVersion:
-		return "a doc-length index"
-	case LazySegmentVersion:
-		return "a lazy shard segment"
+// VersionError is the one rejection of a DSIX file whose version is not
+// the live one for the place it was found in — a retired version (1–8),
+// a frame where a lazy segment belongs (or the reverse), or a version
+// newer than this build. Only the retired ones are told to rebuild.
+// DecodeFrame raises it only after the frame checksum held; LoadDir reaches
+// a segment's only after the manifest's whole-file checksum held.
+func VersionError(found, want uint16) error {
+	switch {
+	case found < FrameVersion:
+		return fmt.Errorf("index: DSIX version %d, want %d (versions 1-%d are retired): rebuild the index",
+			found, want, FrameVersion-1)
+	case found > LazySegmentVersion:
+		return fmt.Errorf("index: DSIX version %d, want %d: the file is newer than this build", found, want)
+	case found == FrameVersion:
+		return fmt.Errorf("index: DSIX version %d is an index file or manifest, want a version %d shard segment", found, want)
 	default:
-		return "unsupported"
+		return fmt.Errorf("index: DSIX version %d is a shard segment, want a version %d index file or manifest", found, want)
 	}
 }
 
@@ -160,20 +128,14 @@ func finishPayload(w io.Writer, bw *bufio.Writer, h hash.Hash64) error {
 	return err
 }
 
-// DecodeFrame verifies data's checksum trailer, magic, and version, and
-// returns a reader positioned at the payload body plus the full payload
-// slice (posting lists decode zero-copy from it).
-func DecodeFrame(data []byte, wantVersion uint16) (*bytes.Reader, []byte, error) {
-	br, payload, _, err := DecodeFrameAny(data, wantVersion)
-	return br, payload, err
-}
-
-// DecodeFrameAny is DecodeFrame accepting any of several versions — the
-// hook readers use when a payload shape exists in both a legacy and a
-// positional form (v6/v8 full indexes, v7/v8 segments). It returns the
-// frame's actual version alongside the payload reader.
-func DecodeFrameAny(data []byte, wantVersions ...uint16) (*bytes.Reader, []byte, uint16, error) {
-	if len(data) < len(codecMagic)+2+8 {
+// DecodeFrame verifies data's checksum trailer, magic, version, and kind —
+// in that order, so nothing is parsed before the checksum holds — and
+// returns a reader positioned after the flags byte, the full payload slice
+// (posting lists decode zero-copy from it), and the flags for the caller
+// to validate.
+func DecodeFrame(data []byte, kind byte) (*bytes.Reader, []byte, byte, error) {
+	const versionEnd = len(codecMagic) + 2
+	if len(data) < versionEnd+8 {
 		return nil, nil, 0, fmt.Errorf("index: truncated (%d bytes)", len(data))
 	}
 	payload, trailer := data[:len(data)-8], data[len(data)-8:]
@@ -185,32 +147,24 @@ func DecodeFrameAny(data []byte, wantVersions ...uint16) (*bytes.Reader, []byte,
 		// checksum complaint into the version mismatch it actually is.
 		if string(data[:len(codecMagic)]) == codecMagic {
 			if v := binary.LittleEndian.Uint16(data[len(codecMagic):]); v == LazySegmentVersion {
-				return nil, nil, 0, fmt.Errorf("index: version %d is %s, want %s",
-					v, versionKind(v), versionKind(wantVersions[0]))
+				return nil, nil, 0, VersionError(v, FrameVersion)
 			}
 		}
 		return nil, nil, 0, fmt.Errorf("index: checksum mismatch: file %#x, computed %#x", want, got)
 	}
-	br := bytes.NewReader(payload)
-	magic := make([]byte, len(codecMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, nil, 0, fmt.Errorf("index: reading magic: %w", err)
-	}
-	if string(magic) != codecMagic {
+	if magic := payload[:len(codecMagic)]; string(magic) != codecMagic {
 		return nil, nil, 0, fmt.Errorf("index: bad magic %q", magic)
 	}
-	verBuf := make([]byte, 2)
-	if _, err := io.ReadFull(br, verBuf); err != nil {
-		return nil, nil, 0, fmt.Errorf("index: reading version: %w", err)
+	if v := binary.LittleEndian.Uint16(payload[len(codecMagic):]); v != FrameVersion {
+		return nil, nil, 0, VersionError(v, FrameVersion)
 	}
-	v := binary.LittleEndian.Uint16(verBuf)
-	for _, w := range wantVersions {
-		if v == w {
-			return br, payload, v, nil
-		}
+	if len(payload) < versionEnd+2 {
+		return nil, nil, 0, fmt.Errorf("index: truncated before the frame kind and flags")
 	}
-	return nil, nil, 0, fmt.Errorf("index: version %d is %s, want %s",
-		v, versionKind(v), versionKind(wantVersions[0]))
+	if got := payload[versionEnd]; got != kind {
+		return nil, nil, 0, fmt.Errorf("index: frame kind %d, want %d", got, kind)
+	}
+	return bytes.NewReader(payload[versionEnd+2:]), payload, payload[versionEnd+1], nil
 }
 
 // WriteUvarint writes v in varint form.
@@ -278,9 +232,9 @@ func WriteFileTable(bw *bufio.Writer, files *FileTable) error {
 	return nil
 }
 
-// WriteDocLengths writes the doc-length payload section of a
-// DocLengthVersion frame: the table's per-file token lengths, tombstoned
-// slots included so the section stays parallel to the file table.
+// WriteDocLengths writes the doc-length payload section of a frame: the
+// table's per-file token lengths, tombstoned slots included so the section
+// stays parallel to the file table.
 //
 //	uvarint fileCount | fileCount × uvarint tokens
 //
@@ -299,8 +253,7 @@ func WriteDocLengths(bw *bufio.Writer, files *FileTable) error {
 }
 
 // ReadDocLengths reads the doc-length payload section into files, which
-// must be the table read immediately before it, and marks the table as
-// carrying token lengths.
+// must be the table read immediately before it.
 func ReadDocLengths(br *bytes.Reader, files *FileTable) error {
 	count, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -319,39 +272,11 @@ func ReadDocLengths(br *bytes.Reader, files *FileTable) error {
 		}
 		files.SetTokens(postings.FileID(id), uint32(n))
 	}
-	files.hasTokens = true
 	return nil
 }
 
-// WriteManifestHeader writes the kind and flags bytes that open a
-// DocLengthVersion shard-manifest frame (internal/shard writes the rest of
-// the payload through this package's exported helpers).
-func WriteManifestHeader(bw *bufio.Writer) error {
-	if err := bw.WriteByte(kindManifest); err != nil {
-		return err
-	}
-	return bw.WriteByte(0)
-}
-
-// ReadManifestHeader consumes and validates the kind and flags bytes of a
-// DocLengthVersion shard-manifest frame.
-func ReadManifestHeader(br *bytes.Reader) error {
-	if err := readKind(br, kindManifest); err != nil {
-		return err
-	}
-	flags, err := br.ReadByte()
-	if err != nil {
-		return fmt.Errorf("index: reading manifest flags: %w", err)
-	}
-	if flags != 0 {
-		return fmt.Errorf("index: unknown manifest flags %#x", flags)
-	}
-	return nil
-}
-
-// ReadFileTable reads the file-table payload section. The returned table
-// reports HasTokens false until a doc-length section is read into it —
-// pre-v9 files never recorded token lengths.
+// ReadFileTable reads the file-table payload section; token lengths stay
+// zero until ReadDocLengths fills them in from the section that follows.
 func ReadFileTable(br *bytes.Reader) (*FileTable, error) {
 	fileCount, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -361,7 +286,6 @@ func ReadFileTable(br *bytes.Reader) (*FileTable, error) {
 		return nil, fmt.Errorf("index: absurd file count %d", fileCount)
 	}
 	files := NewFileTable()
-	files.hasTokens = false
 	for i := uint64(0); i < fileCount; i++ {
 		path, err := ReadString(br)
 		if err != nil {
@@ -388,7 +312,7 @@ func ReadFileTable(br *bytes.Reader) (*FileTable, error) {
 }
 
 // writeTermSection writes the term→postings payload section. positional
-// selects the positional posting-list encoding (v8 frames only).
+// selects the positional posting-list encoding.
 func writeTermSection(bw *bufio.Writer, ix *Index, positional bool) error {
 	if err := WriteUvarint(bw, uint64(ix.NumTerms())); err != nil {
 		return err
@@ -414,7 +338,7 @@ func writeTermSection(bw *bufio.Writer, ix *Index, positional bool) error {
 
 // readTermSection reads the term→postings payload section. payload is the
 // backing slice br reads from; posting lists decode zero-copy from it.
-// positional selects the positional posting-list decoding (v8 frames).
+// positional selects the positional posting-list decoding.
 func readTermSection(br *bytes.Reader, payload []byte, positional bool) (*Index, error) {
 	termCount, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -456,106 +380,55 @@ func readTermSection(br *bytes.Reader, payload []byte, positional bool) (*Index,
 	return ix, nil
 }
 
-// readKind consumes and validates the kind byte of a v8/v9 frame.
-func readKind(br *bytes.Reader, want byte) error {
-	kind, err := br.ReadByte()
-	if err != nil {
-		return fmt.Errorf("index: reading frame kind: %w", err)
-	}
-	if kind != want {
-		return fmt.Errorf("index: frame kind %d, want %d", kind, want)
-	}
-	return nil
-}
-
-// Save writes the index and its file table to w. A table carrying token
-// lengths (every fresh build) persists as version 9 with the doc-length
-// section; otherwise the legacy forms apply — version 8 when the index
-// carries token positions, version 6 when not — so an index loaded from a
-// pre-v9 file re-saves byte-identically.
+// Save writes the index and its file table to w as a full-index frame;
+// the flags byte records whether the posting lists carry token positions.
 func Save(w io.Writer, ix *Index, files *FileTable) error {
-	if files.HasTokens() {
-		return EncodeFrame(w, DocLengthVersion, func(bw *bufio.Writer) error {
-			if err := bw.WriteByte(kindFullIndex); err != nil {
-				return err
-			}
-			var flags byte
-			if ix.Positional() {
-				flags |= flagPositional
-			}
-			if err := bw.WriteByte(flags); err != nil {
-				return err
-			}
-			if err := WriteFileTable(bw, files); err != nil {
-				return err
-			}
-			if err := WriteDocLengths(bw, files); err != nil {
-				return err
-			}
-			return writeTermSection(bw, ix, ix.Positional())
-		})
-	}
-	if ix.Positional() {
-		return EncodeFrame(w, PositionalVersion, func(bw *bufio.Writer) error {
-			if err := bw.WriteByte(kindFullIndex); err != nil {
-				return err
-			}
-			if err := WriteFileTable(bw, files); err != nil {
-				return err
-			}
-			return writeTermSection(bw, ix, true)
-		})
-	}
-	return EncodeFrame(w, codecVersion, func(bw *bufio.Writer) error {
+	return EncodeFrame(w, FrameVersion, func(bw *bufio.Writer) error {
+		if err := bw.WriteByte(kindFullIndex); err != nil {
+			return err
+		}
+		var flags byte
+		if ix.Positional() {
+			flags |= flagPositional
+		}
+		if err := bw.WriteByte(flags); err != nil {
+			return err
+		}
 		if err := WriteFileTable(bw, files); err != nil {
 			return err
 		}
-		return writeTermSection(bw, ix, false)
+		if err := WriteDocLengths(bw, files); err != nil {
+			return err
+		}
+		return writeTermSection(bw, ix, ix.Positional())
 	})
 }
 
-// Load reads an index written by Save — the v6, positional v8, or
-// doc-length v9 full-index form; the loaded index remembers which
-// (Positional, FileTable.HasTokens), so a catalog loaded from a positional
-// file keeps updating positionally and one loaded from a pre-v9 file keeps
-// re-saving in its original form. It reads the whole stream into memory
-// first so the checksum can be verified over the exact payload before any
-// of it is trusted.
+// Load reads an index written by Save; the loaded index remembers whether
+// it is positional, so a catalog loaded from a positional file keeps
+// updating positionally. It reads the whole stream into memory first so
+// the checksum can be verified over the exact payload before any of it is
+// trusted.
 func Load(r io.Reader) (*Index, *FileTable, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, nil, fmt.Errorf("index: reading: %w", err)
 	}
-	br, payload, version, err := DecodeFrameAny(data, codecVersion, PositionalVersion, DocLengthVersion)
+	br, payload, flags, err := DecodeFrame(data, kindFullIndex)
 	if err != nil {
 		return nil, nil, err
 	}
-	positional := version == PositionalVersion
-	if version == PositionalVersion || version == DocLengthVersion {
-		if err := readKind(br, kindFullIndex); err != nil {
-			return nil, nil, err
-		}
-	}
-	if version == DocLengthVersion {
-		flags, err := br.ReadByte()
-		if err != nil {
-			return nil, nil, fmt.Errorf("index: reading frame flags: %w", err)
-		}
-		if flags&^flagPositional != 0 {
-			return nil, nil, fmt.Errorf("index: unknown frame flags %#x", flags)
-		}
-		positional = flags&flagPositional != 0
+	if flags&^flagPositional != 0 {
+		return nil, nil, fmt.Errorf("index: unknown frame flags %#x", flags)
 	}
 	files, err := ReadFileTable(br)
 	if err != nil {
 		return nil, nil, err
 	}
-	if version == DocLengthVersion {
-		if err := ReadDocLengths(br, files); err != nil {
-			return nil, nil, err
-		}
+	if err := ReadDocLengths(br, files); err != nil {
+		return nil, nil, err
 	}
-	ix, err := readTermSection(br, payload, positional)
+	ix, err := readTermSection(br, payload, flags&flagPositional != 0)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -22,7 +22,7 @@ func frameVersion(t *testing.T, data []byte) uint16 {
 }
 
 // buildTokenIndex is buildSampleIndex plus a deterministic token length per
-// file — the fresh-build shape whose provenance selects the v9 frame.
+// file — the fresh-build shape.
 func buildTokenIndex(rng *rand.Rand, nFiles, vocab int) (*Index, *FileTable) {
 	ix, ft := buildSampleIndex(rng, nFiles, vocab)
 	for id := 0; id < ft.Len(); id++ {
@@ -44,8 +44,8 @@ func TestDocLengthSaveLoadRoundTrip(t *testing.T) {
 	if err := Save(&buf, ix, ft); err != nil {
 		t.Fatal(err)
 	}
-	if v := frameVersion(t, buf.Bytes()); v != DocLengthVersion {
-		t.Fatalf("frame version = %d, want %d", v, DocLengthVersion)
+	if v := frameVersion(t, buf.Bytes()); v != FrameVersion {
+		t.Fatalf("frame version = %d, want %d", v, FrameVersion)
 	}
 
 	loadedIx, loadedFt, err := Load(bytes.NewReader(buf.Bytes()))
@@ -54,9 +54,6 @@ func TestDocLengthSaveLoadRoundTrip(t *testing.T) {
 	}
 	if !loadedIx.Equal(ix) {
 		t.Error("loaded index differs")
-	}
-	if !loadedFt.HasTokens() {
-		t.Fatal("loaded table lost HasTokens")
 	}
 	for id := 0; id < ft.Len(); id++ {
 		fid := postings.FileID(id)
@@ -74,8 +71,8 @@ func TestDocLengthSaveLoadRoundTrip(t *testing.T) {
 	if err := Save(&again, loadedIx, loadedFt); err != nil {
 		t.Fatal(err)
 	}
-	if v := frameVersion(t, again.Bytes()); v != DocLengthVersion {
-		t.Errorf("re-saved frame version = %d, want %d", v, DocLengthVersion)
+	if v := frameVersion(t, again.Bytes()); v != FrameVersion {
+		t.Errorf("re-saved frame version = %d, want %d", v, FrameVersion)
 	}
 }
 
@@ -92,8 +89,8 @@ func TestDocLengthPositionalFlag(t *testing.T) {
 	if err := Save(&buf, ix, ft); err != nil {
 		t.Fatal(err)
 	}
-	if v := frameVersion(t, buf.Bytes()); v != DocLengthVersion {
-		t.Fatalf("frame version = %d, want %d", v, DocLengthVersion)
+	if v := frameVersion(t, buf.Bytes()); v != FrameVersion {
+		t.Fatalf("frame version = %d, want %d", v, FrameVersion)
 	}
 	loadedIx, loadedFt, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -102,44 +99,8 @@ func TestDocLengthPositionalFlag(t *testing.T) {
 	if !loadedIx.Positional() {
 		t.Error("positional-ness lost through the v9 flags byte")
 	}
-	if !loadedFt.HasTokens() || loadedFt.Tokens(id) != 3 {
-		t.Errorf("tokens = %d (HasTokens %v), want 3", loadedFt.Tokens(id), loadedFt.HasTokens())
-	}
-}
-
-// TestLegacyResaveStaysLegacy: an index loaded from a pre-v9 file has no
-// token lengths, so it must re-save in its original v6 form with identical
-// semantics — the acceptance guarantee that existing catalogs never
-// silently migrate formats.
-func TestLegacyResaveStaysLegacy(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	ix, ft := buildSampleIndex(rng, 30, 20)
-	ft.hasTokens = false // pre-v9 provenance
-
-	var legacy bytes.Buffer
-	if err := Save(&legacy, ix, ft); err != nil {
-		t.Fatal(err)
-	}
-	if v := frameVersion(t, legacy.Bytes()); v != codecVersion {
-		t.Fatalf("legacy frame version = %d, want %d", v, codecVersion)
-	}
-
-	loadedIx, loadedFt, err := Load(bytes.NewReader(legacy.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loadedFt.HasTokens() {
-		t.Fatal("pre-v9 file loaded with HasTokens set")
-	}
-	var resaved bytes.Buffer
-	if err := Save(&resaved, loadedIx, loadedFt); err != nil {
-		t.Fatal(err)
-	}
-	if v := frameVersion(t, resaved.Bytes()); v != codecVersion {
-		t.Errorf("pre-v9 catalog re-saved as version %d, want %d", v, codecVersion)
-	}
-	if !loadedIx.Equal(ix) {
-		t.Error("loaded legacy index differs")
+	if loadedFt.Tokens(id) != 3 {
+		t.Errorf("tokens = %d, want 3", loadedFt.Tokens(id))
 	}
 }
 
@@ -153,7 +114,7 @@ func docLengthFrame(t *testing.T, flags byte, lengthCount int) []byte {
 	ft.Add("a.txt", 1, 1)
 	ft.Add("b.txt", 2, 2)
 	var buf bytes.Buffer
-	err := EncodeFrame(&buf, DocLengthVersion, func(bw *bufio.Writer) error {
+	err := EncodeFrame(&buf, FrameVersion, func(bw *bufio.Writer) error {
 		if err := bw.WriteByte(kindFullIndex); err != nil {
 			return err
 		}
@@ -215,13 +176,10 @@ func TestDocLengthCorruptionRejected(t *testing.T) {
 	}
 }
 
-// TestFileTableTokenBookkeeping pins the in-memory half: fresh tables carry
-// lengths, Add preallocates a slot, and LiveTokens skips tombstones.
+// TestFileTableTokenBookkeeping pins the in-memory half: Add preallocates
+// a slot, and LiveTokens skips tombstones.
 func TestFileTableTokenBookkeeping(t *testing.T) {
 	ft := NewFileTable()
-	if !ft.HasTokens() {
-		t.Fatal("fresh table must carry token lengths")
-	}
 	var ids []postings.FileID
 	for i := 0; i < 4; i++ {
 		ids = append(ids, ft.Add(fmt.Sprintf("f%d", i), 1, 1))

@@ -32,24 +32,16 @@ type FileTable struct {
 	sizes  []int64
 	mtimes []int64
 	// tokens[id] is the file's token length (total emitted term
-	// occurrences) — the document length BM25 normalizes by. Meaningful
-	// only while hasTokens is set.
+	// occurrences) — the document length BM25 normalizes by.
 	tokens []uint32
 	dead   []bool // tombstones; nil-safe via Live
 	nDead  int
 	byPath map[string]postings.FileID // live paths only
-
-	// hasTokens records whether the tokens column carries real lengths.
-	// Fresh tables always do (extraction fills them in); a table loaded
-	// from a pre-v9 DSIX file never does — and never will, even across
-	// incremental updates, so BM25 fails consistently instead of scoring
-	// a mix of known and unknown lengths.
-	hasTokens bool
 }
 
 // NewFileTable returns an empty table.
 func NewFileTable() *FileTable {
-	return &FileTable{byPath: make(map[string]postings.FileID), hasTokens: true}
+	return &FileTable{byPath: make(map[string]postings.FileID)}
 }
 
 // Add appends a live file and returns its ID. mtime is the modification
@@ -88,13 +80,8 @@ func (t *FileTable) SetTokens(id postings.FileID, n uint32) {
 	t.tokens[id] = n
 }
 
-// Tokens returns the recorded token length for id (0 when unknown).
+// Tokens returns the recorded token length for id.
 func (t *FileTable) Tokens(id postings.FileID) uint32 { return t.tokens[id] }
-
-// HasTokens reports whether the table carries real token lengths — true
-// for every freshly built table, false for one loaded from a pre-v9 DSIX
-// file, whose lengths were never recorded. BM25 requires it.
-func (t *FileTable) HasTokens() bool { return t.hasTokens }
 
 // LiveTokens sums the token lengths of all live files — the corpus size
 // BM25's average document length derives from.
@@ -161,8 +148,8 @@ type Index struct {
 	// nPostings counts (term, file) pairs for Stats.
 	nPostings int64
 	// positional records that this index was built (or loaded) with
-	// per-posting token positions. It decides which DSIX frame version the
-	// codec writes (v8 vs v6/v7 — see docs/FORMAT.md) and whether
+	// per-posting token positions. It decides which posting-list encoding
+	// the codec writes (a flags bit — see docs/FORMAT.md) and whether
 	// incremental updates re-extract changed files positionally.
 	positional bool
 
@@ -218,7 +205,7 @@ func (ix *Index) AddBlockPositional(id postings.FileID, terms []string, position
 }
 
 // Positional reports whether the index carries per-posting token positions
-// (phrase queries need them; the codec persists them as DSIX v8).
+// (phrase queries need them; the codec persists the fact in a flags bit).
 func (ix *Index) Positional() bool { return ix.positional }
 
 // SetPositional marks a (typically fresh) index as positional, so an empty

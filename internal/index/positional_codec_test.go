@@ -43,7 +43,7 @@ func buildPositionalIndex(rng *rand.Rand, nFiles, vocab int) (*Index, *FileTable
 		}
 		ix.AddBlockPositional(id, terms, positions)
 	}
-	// A few deletions exercise tombstones in the v8 file table too.
+	// A few deletions exercise tombstones in the file table too.
 	if nFiles > 4 {
 		victim := postings.FileID(rng.Intn(nFiles))
 		ix.RemoveFiles(postings.FromIDs([]postings.FileID{victim}))
@@ -55,16 +55,9 @@ func buildPositionalIndex(rng *rand.Rand, nFiles, vocab int) (*Index, *FileTable
 func TestPositionalSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ix, ft := buildPositionalIndex(rng, 40, 25)
-	// A table without recorded token lengths (pre-v9 provenance) must keep
-	// persisting in the legacy positional form.
-	ft.hasTokens = false
 	var buf bytes.Buffer
 	if err := Save(&buf, ix, ft); err != nil {
 		t.Fatal(err)
-	}
-	// The frame must be v8: version bytes follow the 4-byte magic.
-	if got := buf.Bytes()[4]; got != PositionalVersion {
-		t.Fatalf("frame version = %d, want %d", got, PositionalVersion)
 	}
 	loaded, loadedFt, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -79,45 +72,6 @@ func TestPositionalSaveLoadRoundTrip(t *testing.T) {
 	if loadedFt.Len() != ft.Len() || loadedFt.LiveCount() != ft.LiveCount() {
 		t.Fatalf("file table: %d/%d live, want %d/%d",
 			loadedFt.LiveCount(), loadedFt.Len(), ft.LiveCount(), ft.Len())
-	}
-}
-
-func TestPositionalSegmentRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	ix, _ := buildPositionalIndex(rng, 25, 12)
-	var buf bytes.Buffer
-	if err := SaveSegment(&buf, ix); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.Bytes()[4]; got != PositionalVersion {
-		t.Fatalf("segment frame version = %d, want %d", got, PositionalVersion)
-	}
-	loaded, err := LoadSegment(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !loaded.Positional() || !loaded.Equal(ix) {
-		t.Fatal("positional segment round trip mismatch")
-	}
-}
-
-func TestPositionalKindBytesDisjoint(t *testing.T) {
-	// A positional full index must not load as a segment or vice versa:
-	// the kind byte keeps the two v8 payload shapes apart.
-	rng := rand.New(rand.NewSource(23))
-	ix, ft := buildPositionalIndex(rng, 10, 8)
-	var full, seg bytes.Buffer
-	if err := Save(&full, ix, ft); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveSegment(&seg, ix); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSegment(bytes.NewReader(full.Bytes())); err == nil {
-		t.Error("full index accepted as segment")
-	}
-	if _, _, err := Load(bytes.NewReader(seg.Bytes())); err == nil {
-		t.Error("segment accepted as full index")
 	}
 }
 
@@ -149,8 +103,9 @@ func TestPositionalLoadRejectsCorruption(t *testing.T) {
 	pristine := buf.Bytes()
 
 	// Flip every byte in turn: the checksum (or, for trailer flips, the
-	// mismatch against the recomputed sum) must reject each one — v8
-	// payloads get exactly the corruption detection v6 has.
+	// mismatch against the recomputed sum) must reject each one —
+	// positional payloads get exactly the corruption detection plain ones
+	// have.
 	for pos := range pristine {
 		corrupt := append([]byte(nil), pristine...)
 		corrupt[pos] ^= 0x40
@@ -162,22 +117,6 @@ func TestPositionalLoadRejectsCorruption(t *testing.T) {
 		if _, _, err := Load(bytes.NewReader(pristine[:n])); err == nil {
 			t.Errorf("truncation to %d bytes not detected", n)
 		}
-	}
-}
-
-func TestNonPositionalStaysV6(t *testing.T) {
-	// The byte-identical guarantee: an index built without positions — and
-	// loaded from a file predating doc lengths — still writes a v6 frame
-	// even though the codec knows v8 and v9.
-	rng := rand.New(rand.NewSource(25))
-	ix, ft := buildSampleIndex(rng, 10, 5)
-	ft.hasTokens = false
-	var buf bytes.Buffer
-	if err := Save(&buf, ix, ft); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.Bytes()[4]; got != codecVersion {
-		t.Fatalf("non-positional frame version = %d, want %d", got, codecVersion)
 	}
 }
 

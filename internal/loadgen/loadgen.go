@@ -127,17 +127,33 @@ func (g *Generator) terms(n int) []string {
 	return out
 }
 
+// boolTerms draws n words for a boolean expression. The vocabulary may
+// hold the grammar's own keywords; those go out quoted — the parser's
+// canonical form for a keyword used as a term — so they parse as terms
+// instead of operators. (Inside a phrase, before a '*' and in a suggest
+// prefix they need no quoting.)
+func (g *Generator) boolTerms(n int) []string {
+	out := g.terms(n)
+	for i, t := range out {
+		switch strings.ToLower(t) {
+		case "and", "or", "not":
+			out[i] = `"` + t + `"`
+		}
+	}
+	return out
+}
+
 // Next returns the stream's next operation.
 func (g *Generator) Next() Op {
 	class := g.mix[g.rng.Intn(len(g.mix))]
 	limit := 10 + g.rng.Intn(40)
 	switch class {
 	case ClassAnd:
-		return Op{Class: class, Query: strings.Join(g.terms(2+g.rng.Intn(2)), " "), Limit: limit}
+		return Op{Class: class, Query: strings.Join(g.boolTerms(2+g.rng.Intn(2)), " "), Limit: limit}
 	case ClassOr:
-		return Op{Class: class, Query: strings.Join(g.terms(2+g.rng.Intn(2)), " OR "), Limit: limit}
+		return Op{Class: class, Query: strings.Join(g.boolTerms(2+g.rng.Intn(2)), " OR "), Limit: limit}
 	case ClassNot:
-		ts := g.terms(2)
+		ts := g.boolTerms(2)
 		return Op{Class: class, Query: ts[0] + " -" + ts[1], Limit: limit}
 	case ClassPhrase:
 		return Op{Class: class, Query: `"` + strings.Join(g.terms(2), " ") + `"`, Limit: limit}
@@ -149,7 +165,7 @@ func (g *Generator) Next() Op {
 		}
 		return Op{Class: class, Query: t[:cut] + "*", Rank: "bm25", Limit: limit}
 	case ClassBM25:
-		return Op{Class: class, Query: strings.Join(g.terms(1+g.rng.Intn(3)), " "), Rank: "bm25", Limit: limit}
+		return Op{Class: class, Query: strings.Join(g.boolTerms(1+g.rng.Intn(3)), " "), Rank: "bm25", Limit: limit}
 	default: // ClassSuggest
 		t := g.term()
 		cut := 2

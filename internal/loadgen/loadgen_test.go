@@ -9,6 +9,7 @@ import (
 
 	"desksearch"
 	"desksearch/internal/corpus"
+	"desksearch/internal/search"
 	"desksearch/internal/server"
 	"desksearch/internal/vfs"
 )
@@ -60,15 +61,18 @@ func TestGeneratorDeterminism(t *testing.T) {
 }
 
 // TestGeneratorCoversEveryClass: the default mix reaches all classes and
-// every op is well-formed for its class.
+// every op is well-formed for its class — including over a vocabulary
+// holding the grammar's keywords, which must come out as terms (the
+// generator once emitted "or OR ykorg", a parse error counted as a failed
+// op).
 func TestGeneratorCoversEveryClass(t *testing.T) {
-	vocab := []string{"alpha", "beta", "gamma", "delta"}
+	vocab := []string{"and", "alpha", "or", "beta", "not", "gamma", "delta"}
 	g, err := NewGenerator(3, vocab, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[Class]int)
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < 20000; i++ {
 		op := g.Next()
 		seen[op.Class]++
 		if op.Query == "" {
@@ -77,10 +81,16 @@ func TestGeneratorCoversEveryClass(t *testing.T) {
 		if op.Limit <= 0 {
 			t.Fatalf("op %d (%s): limit %d", i, op.Class, op.Limit)
 		}
+		if op.Class == ClassSuggest {
+			continue // a bare prefix, never parsed
+		}
+		if _, err := search.Parse(op.Query); err != nil {
+			t.Fatalf("op %d (%s): %q does not parse: %v", i, op.Class, op.Query, err)
+		}
 	}
 	for _, c := range Classes {
 		if seen[c] == 0 {
-			t.Errorf("class %s never generated in 2000 ops", c)
+			t.Errorf("class %s never generated in 20000 ops", c)
 		}
 	}
 }

@@ -196,8 +196,8 @@ func TestDecodePositionalRejectsCorruption(t *testing.T) {
 }
 
 // TestEncodeBytesStable pins the non-positional encoding byte for byte:
-// the positional feature must leave v6/v7 output byte-identical, so this
-// golden value must never change.
+// the positional feature must leave non-positional output byte-identical,
+// so this golden value must never change.
 func TestEncodeBytesStable(t *testing.T) {
 	l := FromSortedIDCounts([]FileID{3, 5, 300}, []uint32{1, 4, 1})
 	got := l.Encode(nil)

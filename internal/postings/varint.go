@@ -14,8 +14,7 @@ const (
 )
 
 // Positions-section markers, used only by the positional encoding
-// (EncodePositional / DecodePositional, DSIX v8 frames — see
-// docs/FORMAT.md): posAbsent means the list carries no positions and no
+// (EncodePositional / DecodePositional — see docs/FORMAT.md): posAbsent means the list carries no positions and no
 // position bytes follow; posPresent means each posting is followed by its
 // delta-coded position run, whose length is that posting's frequency from
 // the frequency section.
@@ -85,9 +84,8 @@ func (l *List) encodeFreqs(dst []byte) []byte {
 // returns it: the base Encode form followed by a positions section — a
 // posAbsent/posPresent marker and, when present, each posting's positions
 // delta-coded (first absolute, then gaps, exactly like the ID section),
-// with the run length implied by the posting's frequency. Only DSIX v8
-// frames use this form; v6/v7 frames keep the base encoding, which is why
-// non-positional indexes stay byte-identical on disk.
+// with the run length implied by the posting's frequency. Only positional
+// indexes use this form; the rest keep the base encoding.
 func (l *List) EncodePositional(dst []byte) []byte {
 	dst = l.Encode(dst)
 	if l.positions == nil {

@@ -1,18 +1,11 @@
 package search
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"desksearch/internal/postings"
 )
-
-// ErrNoDocLengths reports a BM25-ranked request against a catalog whose
-// file table carries no document lengths — one loaded from a pre-v9 DSIX
-// file. Length normalization cannot be faked; rebuild the catalog (or
-// re-save a fresh build, which always records lengths) to rank with BM25.
-var ErrNoDocLengths = errors.New("search: index built without document lengths (rebuild to run BM25 ranking)")
 
 // BM25 free parameters: the standard Robertson–Walker defaults. k1 bounds
 // term-frequency saturation, b sets how strongly scores are normalized by

@@ -180,31 +180,6 @@ func (e *Engine) Invalidate() {
 	e.mu.Unlock()
 }
 
-// Search evaluates q and returns every hit sorted by descending score,
-// then ascending file ID — the v1 entry point, now a thin wrapper over
-// Query with no limit, no offset, coordination ranking, and no per-hit
-// term metadata (v1 hits never carried it).
-func (e *Engine) Search(q *Query) []Hit {
-	resp, err := e.Query(context.Background(), Request{Query: q, OmitTerms: true})
-	if err != nil {
-		// A background context never cancels and a bare query request is
-		// always valid, so the only failures are a nil/empty query — which
-		// matches nothing — and a phrase over a position-free index, which
-		// the v1 API can only report as no hits (use Query for the error).
-		return nil
-	}
-	return resp.Hits
-}
-
-// SearchString parses and evaluates a query in one step.
-func (e *Engine) SearchString(text string) ([]Hit, error) {
-	q, err := Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	return e.Search(q), nil
-}
-
 // lockShared acquires the engine's read lock with the universe cache
 // filled, returning the cached universes. The caller must RUnlock.
 func (e *Engine) lockShared() []*postings.List {

@@ -38,7 +38,7 @@ func TestNotExcludesRemovedFile(t *testing.T) {
 	e := NewEngine(files, ix)
 
 	// Prime the universe cache with a NOT query that matches doc3.
-	hits, err := e.SearchString("-alpha")
+	hits, err := searchString(e, "-alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestNotExcludesRemovedFile(t *testing.T) {
 		files.Tombstone(victim)
 	})
 
-	hits, err = e.SearchString("-alpha")
+	hits, err = searchString(e, "-alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestNotExcludesRemovedFile(t *testing.T) {
 	}
 
 	// A tombstoned term-free file must not reappear through any negation.
-	if hits, _ := e.SearchString("-beta"); len(hits) != 1 {
+	if hits, _ := searchString(e, "-beta"); len(hits) != 1 {
 		t.Errorf("-beta after removal: %v, want just doc2", hits)
 	}
 }
@@ -83,7 +83,7 @@ func TestNotExcludesRemovedFileAcrossReplicas(t *testing.T) {
 		replicas[i%2].AddBlock(id, terms, nil)
 	}
 	e := NewEngine(files, index.Partitions(replicas)...)
-	if hits, _ := e.SearchString("-alpha"); len(hits) != 2 {
+	if hits, _ := searchString(e, "-alpha"); len(hits) != 2 {
 		t.Fatalf("-alpha before removal: %v", hits)
 	}
 	victim := postings.FileID(1) // lives in replica 1
@@ -93,7 +93,7 @@ func TestNotExcludesRemovedFileAcrossReplicas(t *testing.T) {
 		}
 		files.Tombstone(victim)
 	})
-	hits, _ := e.SearchString("-alpha")
+	hits, _ := searchString(e, "-alpha")
 	if len(hits) != 1 || hits[0].File != 3 {
 		t.Errorf("-alpha after removal: %v, want only r3", hits)
 	}
@@ -104,13 +104,13 @@ func TestNotExcludesRemovedFileAcrossReplicas(t *testing.T) {
 func TestInvalidateAlone(t *testing.T) {
 	files, ix := maintFixture()
 	e := NewEngine(files, ix)
-	if hits, _ := e.SearchString("-delta"); len(hits) != 3 {
+	if hits, _ := searchString(e, "-delta"); len(hits) != 3 {
 		t.Fatal("universe not primed as expected")
 	}
 	ix.RemoveFile(0)
 	files.Tombstone(0)
 	e.Invalidate()
-	if hits, _ := e.SearchString("-delta"); len(hits) != 2 {
+	if hits, _ := searchString(e, "-delta"); len(hits) != 2 {
 		t.Errorf("stale universe survived Invalidate")
 	}
 }
@@ -137,7 +137,7 @@ func TestConcurrentSearchAndUpdate(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := e.SearchString(queries[(i+w)%len(queries)]); err != nil {
+				if _, err := searchString(e, queries[(i+w)%len(queries)]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -165,7 +165,7 @@ func TestConcurrentSearchAndUpdate(t *testing.T) {
 func TestSwapReplacesPartitions(t *testing.T) {
 	files, ix := maintFixture()
 	e := NewEngine(files, ix)
-	e.SearchString("-alpha") // prime the universe cache
+	searchString(e, "-alpha") // prime the universe cache
 	g0 := e.Generation()
 
 	freshFiles := index.NewFileTable()
@@ -184,15 +184,15 @@ func TestSwapReplacesPartitions(t *testing.T) {
 	if e.Indices() != 1 {
 		t.Errorf("Indices = %d after swap", e.Indices())
 	}
-	if hits, _ := e.SearchString("alpha"); len(hits) != 0 {
+	if hits, _ := searchString(e, "alpha"); len(hits) != 0 {
 		t.Errorf("old partition still answering: %v", hits)
 	}
-	hits, _ := e.SearchString("omega")
+	hits, _ := searchString(e, "omega")
 	if len(hits) != 1 || hits[0].Path != "new.txt" {
 		t.Errorf("new partition not answering: %v", hits)
 	}
 	// The universe must have been rebuilt for the new file table.
-	if hits, _ := e.SearchString("-omega"); len(hits) != 0 {
+	if hits, _ := searchString(e, "-omega"); len(hits) != 0 {
 		t.Errorf("stale universe after swap: %v", hits)
 	}
 }

@@ -121,7 +121,7 @@ func TestPhraseSearch(t *testing.T) {
 				"a.txt", "c.txt", "d.txt",
 			},
 		} {
-			hits, err := e.SearchString(query)
+			hits, err := searchString(e, query)
 			if err != nil {
 				t.Fatalf("parts=%d %s: %v", parts, query, err)
 			}
@@ -147,7 +147,7 @@ func TestPhraseRepeatedWord(t *testing.T) {
 		"x.txt": "well well well then",
 		"y.txt": "well then well",
 	}, 1)
-	hits, err := e.SearchString(`"well well"`)
+	hits, err := searchString(e, `"well well"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestPhraseWithoutPositions(t *testing.T) {
 	ix.AddBlock(id, []string{"annual", "report"}, nil)
 	e := NewEngine(table, ix)
 
-	if hits, err := e.SearchString("annual report"); err != nil || len(hits) != 1 {
+	if hits, err := searchString(e, "annual report"); err != nil || len(hits) != 1 {
 		t.Fatalf("term query: %v, %v", hits, err)
 	}
 	// Every phrase query errors on a position-free partition, regardless

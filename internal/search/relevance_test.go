@@ -1,8 +1,6 @@
 package search
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -116,38 +114,6 @@ func TestBM25ShardsMatchSingleExactly(t *testing.T) {
 					qs, i, a.Hits[i].File, a.Hits[i].Score, b.Hits[i].File, b.Hits[i].Score)
 			}
 		}
-	}
-}
-
-// TestBM25RequiresDocLengths: a file table loaded from pre-v9 bytes (no
-// token lengths) fails BM25 requests with ErrNoDocLengths instead of
-// scoring garbage.
-func TestBM25RequiresDocLengths(t *testing.T) {
-	files, single, _ := fixture()
-
-	// Launder the table through the raw pre-v9 section codec, which
-	// clears the token-length provenance bit.
-	var raw bytes.Buffer
-	bw := bufio.NewWriter(&raw)
-	if err := index.WriteFileTable(bw, files); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := index.ReadFileTable(bytes.NewReader(raw.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	e := NewEngine(legacy, single)
-	_, err = e.Query(context.Background(), Request{Query: MustParse("cat"), Ranking: RankBM25})
-	if !errors.Is(err, ErrNoDocLengths) {
-		t.Errorf("err = %v, want ErrNoDocLengths", err)
-	}
-	// Other rankings keep working on the same catalog.
-	if _, err := e.Query(context.Background(), Request{Query: MustParse("cat"), Ranking: RankTF}); err != nil {
-		t.Errorf("RankTF on legacy catalog: %v", err)
 	}
 }
 

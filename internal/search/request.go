@@ -25,11 +25,10 @@ const (
 	// RankBM25 scores a hit by Okapi BM25: per positive term (and per
 	// prefix operator, as one pseudo-term), an inverse-document-frequency
 	// weight from corpus-global document frequencies times a saturated,
-	// length-normalized term frequency. Requires a catalog whose file
-	// table records document lengths (every fresh build; DSIX v9 on disk)
-	// — ErrNoDocLengths otherwise. Sharded and unsharded catalogs over
-	// the same corpus produce bit-identical BM25 scores: document
-	// frequencies aggregate across partitions before scoring starts.
+	// length-normalized term frequency (the file table's document
+	// lengths). Sharded and unsharded catalogs over the same corpus
+	// produce bit-identical BM25 scores: document frequencies aggregate
+	// across partitions before scoring starts.
 	RankBM25
 )
 
@@ -263,10 +262,6 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 
 	unis := e.lockShared()
 	defer e.mu.RUnlock()
-
-	if req.Ranking == RankBM25 && !e.files.HasTokens() {
-		return nil, ErrNoDocLengths
-	}
 
 	// Prefix operators expand before evaluation fans out: the cap error
 	// must not depend on boolean short-circuiting, and BM25 needs every

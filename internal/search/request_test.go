@@ -60,9 +60,12 @@ func TestQueryPagedMatchesSearch(t *testing.T) {
 				t.Fatal(err)
 			}
 			full := fullResp.Hits
-			// The v1 wrapper returns the same ranking, minus the term
-			// metadata v1 hits never carried.
-			v1 := e.Search(q)
+			// OmitTerms returns the same ranking, minus the term metadata.
+			bare, err := e.Query(context.Background(), Request{Query: q, OmitTerms: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v1 := bare.Hits
 			if len(v1) != len(full) {
 				t.Fatalf("%s %q: Search %d hits, Query %d", engines.name, qs, len(v1), len(full))
 			}
@@ -271,12 +274,15 @@ func (c *countdownCtx) Err() error {
 func TestQueryCanceledMidFanout(t *testing.T) {
 	files, _, replicas := bigFixture(200, 4)
 	e := NewEngine(files, index.Partitions(replicas)...)
-	e.Search(MustParse("alpha")) // warm universes
+	searchString(e, "alpha") // warm universes
 	q := MustParse("alpha OR beta OR gamma OR delta OR epsilon")
 	// Trip cancellation at a spread of depths: the query must either
 	// complete in full or fail with context.Canceled — never a partial
 	// result presented as complete.
-	full := e.Search(q)
+	full, err := searchString(e, q.String())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for n := int64(1); n < 40; n += 3 {
 		resp, err := e.Query(newCountdownCtx(n), Request{Query: q, Limit: 10})
 		if err == nil {
@@ -298,7 +304,7 @@ func TestQueryCanceledMidFanout(t *testing.T) {
 func TestQueryCancelPrompt(t *testing.T) {
 	files, _, replicas := bigFixture(400, 4)
 	e := NewEngine(files, index.Partitions(replicas)...)
-	e.Search(MustParse("alpha")) // warm universes
+	searchString(e, "alpha") // warm universes
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"testing"
@@ -48,6 +49,21 @@ func ids(hits []Hit) []postings.FileID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// searchString parses text and evaluates it through Query with the zero
+// controls — every hit, coordination ranking — the one-call form most
+// tests here want. Parse and evaluation errors both come back.
+func searchString(e *Engine, text string) ([]Hit, error) {
+	q, err := Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := e.Query(context.Background(), Request{Query: q})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Hits, nil
 }
 
 func TestParseAndString(t *testing.T) {
@@ -131,7 +147,7 @@ func TestSingleIndexQueries(t *testing.T) {
 		{"NOT (cat OR dog OR fish OR bird)", []postings.FileID{9}},
 	}
 	for _, tc := range tests {
-		hits, err := e.SearchString(tc.query)
+		hits, err := searchString(e, tc.query)
 		if err != nil {
 			t.Fatalf("%q: %v", tc.query, err)
 		}
@@ -155,11 +171,11 @@ func TestReplicasMatchSingle(t *testing.T) {
 		"zebra", "cat -cat",
 	}
 	for _, q := range queries {
-		sh, err := se.SearchString(q)
+		sh, err := searchString(se, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rh, err := re.SearchString(q)
+		rh, err := searchString(re, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,8 +191,8 @@ func TestSequentialEqualsParallel(t *testing.T) {
 	seq := NewEngine(files, index.Partitions(replicas)...)
 	seq.Parallel = false
 	for _, q := range []string{"cat", "NOT dog", "cat OR fish"} {
-		a, _ := par.SearchString(q)
-		b, _ := seq.SearchString(q)
+		a, _ := searchString(par, q)
+		b, _ := searchString(seq, q)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%q: parallel and sequential disagree", q)
 		}
@@ -186,7 +202,7 @@ func TestSequentialEqualsParallel(t *testing.T) {
 func TestScoring(t *testing.T) {
 	files, single, _ := fixture()
 	e := NewEngine(files, single)
-	hits, err := e.SearchString("cat OR dog OR fish")
+	hits, err := searchString(e, "cat OR dog OR fish")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +217,7 @@ func TestScoring(t *testing.T) {
 		}
 	}
 	// Conjunctions score uniformly: every hit has both terms.
-	hits2, _ := e.SearchString("cat dog")
+	hits2, _ := searchString(e, "cat dog")
 	for _, h := range hits2 {
 		if h.Score != 2 {
 			t.Errorf("conjunction hit score = %g", h.Score)
@@ -212,7 +228,7 @@ func TestScoring(t *testing.T) {
 func TestHitPaths(t *testing.T) {
 	files, single, _ := fixture()
 	e := NewEngine(files, single)
-	hits, _ := e.SearchString("bird")
+	hits, _ := searchString(e, "bird")
 	for _, h := range hits {
 		if h.Path != files.Path(h.File) {
 			t.Errorf("hit path %q != table path %q", h.Path, files.Path(h.File))
@@ -233,7 +249,7 @@ func TestEngineIndices(t *testing.T) {
 func TestSearchStringParseError(t *testing.T) {
 	files, single, _ := fixture()
 	e := NewEngine(files, single)
-	if _, err := e.SearchString("((("); err == nil {
+	if _, err := searchString(e, "((("); err == nil {
 		t.Error("bad query accepted")
 	}
 }
@@ -275,8 +291,8 @@ func TestReplicaEquivalenceQuick(t *testing.T) {
 		se := NewEngine(files, single)
 		re := NewEngine(files, index.Partitions(replicas)...)
 		for _, q := range queries {
-			a, err1 := se.SearchString(q)
-			b, err2 := re.SearchString(q)
+			a, err1 := searchString(se, q)
+			b, err2 := searchString(re, q)
 			if err1 != nil || err2 != nil {
 				return false
 			}
@@ -296,7 +312,7 @@ func BenchmarkSearchSingle(b *testing.B) {
 	q := MustParse("cat OR dog OR fish")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Search(q)
+		e.Query(context.Background(), Request{Query: q, OmitTerms: true})
 	}
 }
 
@@ -304,10 +320,10 @@ func BenchmarkSearchReplicasParallel(b *testing.B) {
 	files, _, replicas := fixture()
 	e := NewEngine(files, index.Partitions(replicas)...)
 	q := MustParse("cat OR dog OR fish")
-	e.Search(q) // warm universes
+	e.Query(context.Background(), Request{Query: q}) // warm universes
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Search(q)
+		e.Query(context.Background(), Request{Query: q, OmitTerms: true})
 	}
 }
 

@@ -1,11 +1,10 @@
 // Package segment implements the DSIX v10 lazy segment: an on-disk posting
 // layout a server can open and query without materializing it.
 //
-// A v10 segment file holds one document partition of a catalog, like the
-// v7/v8 segments internal/shard writes — but where those are a stream the
-// reader must fully decode before answering anything, v10 separates a
-// small, eagerly verified term dictionary from the posting blocks it
-// points into:
+// A v10 segment file holds one document partition of a catalog. Where a
+// frame's term section is a stream the reader must fully decode before
+// answering anything, v10 separates a small, eagerly verified term
+// dictionary from the posting blocks it points into:
 //
 //	magic "DSIX" | u16 version = 10 | u8 kind = 1 | u8 flags | u64 dictLen
 //	dictionary region (dictLen bytes):
@@ -36,7 +35,6 @@ package segment
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -49,7 +47,7 @@ import (
 
 const (
 	segMagic = "DSIX" // shared with internal/index's frame magic
-	segKind  = 1      // kind byte: shard segment, as in v8/v9 frames
+	segKind  = 1      // kind byte: shard segment (frames use 0 and 2)
 
 	// headerLen is the fixed prefix: magic, version, kind, flags, dictLen.
 	headerLen = 4 + 2 + 1 + 1 + 8
@@ -105,11 +103,6 @@ type Reader struct {
 	corrupt   error
 }
 
-// ErrLegacyVersion reports that a file is a valid pre-v10 DSIX segment —
-// loadable by the eager codec (index.LoadSegment) but not lazily openable.
-// Callers that can fall back to eager loading test for it with errors.Is.
-var ErrLegacyVersion = errors.New("segment predates the lazy format")
-
 // OpenBytes opens an in-memory segment image, same contract as Open. The
 // eager loading path uses it to materialize v10 files it has already read
 // and whole-file-verified; data must not be modified while the reader
@@ -148,13 +141,7 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 		return nil, fmt.Errorf("segment: %s: bad magic %q", path, hdr[:4])
 	}
 	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != index.LazySegmentVersion {
-		if v < index.LazySegmentVersion {
-			// A valid pre-v10 DSIX frame: loadable eagerly, not lazily.
-			// Callers use the sentinel to fall back (shard.OpenDir).
-			return nil, fmt.Errorf("segment: %s: version %d predates lazy segments (want %d): %w",
-				path, v, index.LazySegmentVersion, ErrLegacyVersion)
-		}
-		return nil, fmt.Errorf("segment: %s: version %d, want %d", path, v, index.LazySegmentVersion)
+		return nil, fmt.Errorf("segment: %s: %w", path, index.VersionError(v, index.LazySegmentVersion))
 	}
 	if hdr[6] != segKind {
 		return nil, fmt.Errorf("segment: %s: frame kind %d, want %d", path, hdr[6], segKind)

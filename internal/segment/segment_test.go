@@ -2,7 +2,6 @@ package segment
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -264,23 +263,6 @@ func TestTruncationRejected(t *testing.T) {
 		if err == nil {
 			t.Fatalf("truncation to %d of %d bytes went undetected", n, len(orig))
 		}
-	}
-}
-
-func TestLegacyVersionSentinel(t *testing.T) {
-	// A legacy frame (v7/v8) must be reported via ErrLegacyVersion so
-	// callers can fall back to eager loading.
-	ix := buildIndex(t, 10, false)
-	var buf bytes.Buffer
-	if err := index.SaveSegment(&buf, ix); err != nil {
-		t.Fatal(err)
-	}
-	_, err := OpenBytes("legacy", buf.Bytes(), nil)
-	if err == nil {
-		t.Fatal("legacy segment opened lazily")
-	}
-	if !errors.Is(err, ErrLegacyVersion) {
-		t.Fatalf("legacy segment error = %v, want ErrLegacyVersion", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -17,29 +16,22 @@ import (
 
 // The sharded on-disk layout: one directory holding
 //
-//	manifest.dsix   DSIX version 5 or 9 — file table + segment directory
-//	shard-0000.dsix DSIX version 10 (lazy segment; internal/segment) for
-//	                fresh saves, or the version 7/8 term-section frame a
-//	                pre-v10 directory was loaded with
+//	manifest.dsix   DSIX version 9 frame — file table + segment directory
+//	shard-0000.dsix DSIX version 10 (lazy segment; internal/segment)
 //	shard-0001.dsix ...
 //
 // The manifest payload, inside the standard DSIX frame, is
 //
-//	u8 kind (manifest) | u8 flags     (version 9 frames only)
+//	u8 kind (manifest) | u8 flags
 //	file table (shared by all shards)
-//	doc-length section                (version 9 frames only)
+//	doc-length section (the token lengths BM25 needs, once per set)
 //	uvarint shardCount
 //	shardCount × (uvarint nameLen | segment file name | u64 FNV-1 checksum
 //	              of the segment file's entire contents)
 //
-// A file table carrying token lengths (every fresh build) persists as
-// version 9 with the doc-length section BM25 needs; a set loaded from a
-// pre-v9 manifest has no lengths and re-saves as version 5, byte-identical.
-// Segments are unaffected either way — doc lengths live with the file
-// table, once per set.
-//
-// Every file carries its own checksum trailer; the manifest's per-segment
-// checksums additionally pin the exact segment bytes, so a segment that was
+// Every file carries its own checksums (the manifest a trailer, a segment
+// its dictionary and per-block sums); the manifest's per-segment checksums
+// additionally pin the exact segment bytes, so a segment that was
 // swapped with another (internally valid) one, regenerated, or truncated is
 // rejected before its postings are trusted. Segments are written and read
 // with one goroutine per shard.
@@ -78,7 +70,6 @@ func SaveDir(dir string, s *Set) error {
 	written := make([]bool, s.Len())
 	errs := make([]error, s.Len())
 	clean := s.cleanSums(dir)
-	lazy := !s.legacySegments
 	var wg sync.WaitGroup
 	for i, ix := range s.shards {
 		if clean[i] != nil {
@@ -89,7 +80,7 @@ func SaveDir(dir string, s *Set) error {
 		wg.Add(1)
 		go func(i int, ix *index.Index) {
 			defer wg.Done()
-			sums[i], errs[i] = saveSegmentFile(filepath.Join(dir, SegmentName(i)+stage), ix, lazy)
+			sums[i], errs[i] = saveSegmentFile(filepath.Join(dir, SegmentName(i)+stage), ix)
 		}(i, ix)
 	}
 	wg.Wait()
@@ -143,22 +134,14 @@ func removeStaleSegments(dir string, n int) {
 }
 
 // saveSegmentFile writes one segment and returns the FNV-1 checksum of the
-// complete file contents. Fresh sets write the v10 lazy form; sets loaded
-// from pre-v10 directories keep the legacy v7/v8 frame (lazy false), so
-// old catalogs round-trip byte-identically.
-func saveSegmentFile(path string, ix *index.Index, lazy bool) (uint64, error) {
+// complete file contents.
+func saveSegmentFile(path string, ix *index.Index) (uint64, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
 	}
 	h := fnv.New64()
-	w := io.MultiWriter(f, h)
-	if lazy {
-		err = segment.Write(w, ix)
-	} else {
-		err = index.SaveSegment(w, ix)
-	}
-	if err != nil {
+	if err := segment.Write(io.MultiWriter(f, h), ix); err != nil {
 		f.Close()
 		return 0, err
 	}
@@ -173,23 +156,15 @@ func saveManifest(path string, s *Set, sums []uint64) error {
 	if err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
-	version := uint16(index.ManifestVersion)
-	if s.files.HasTokens() {
-		version = index.DocLengthVersion
-	}
-	err = index.EncodeFrame(f, version, func(bw *bufio.Writer) error {
-		if version == index.DocLengthVersion {
-			if err := index.WriteManifestHeader(bw); err != nil {
-				return err
-			}
+	err = index.EncodeFrame(f, index.FrameVersion, func(bw *bufio.Writer) error {
+		if _, err := bw.Write([]byte{index.KindManifest, 0}); err != nil { // kind, flags
+			return err
 		}
 		if err := index.WriteFileTable(bw, s.files); err != nil {
 			return err
 		}
-		if version == index.DocLengthVersion {
-			if err := index.WriteDocLengths(bw, s.files); err != nil {
-				return err
-			}
+		if err := index.WriteDocLengths(bw, s.files); err != nil {
+			return err
 		}
 		if err := index.WriteUvarint(bw, uint64(s.Len())); err != nil {
 			return err
@@ -224,23 +199,19 @@ type manifest struct {
 }
 
 func parseManifest(data []byte) (*manifest, error) {
-	br, _, version, err := index.DecodeFrameAny(data, index.ManifestVersion, index.DocLengthVersion)
+	br, _, flags, err := index.DecodeFrame(data, index.KindManifest)
 	if err != nil {
 		return nil, fmt.Errorf("shard: manifest: %w", err)
 	}
-	if version == index.DocLengthVersion {
-		if err := index.ReadManifestHeader(br); err != nil {
-			return nil, fmt.Errorf("shard: manifest: %w", err)
-		}
+	if flags != 0 {
+		return nil, fmt.Errorf("shard: manifest: unknown flags %#x", flags)
 	}
 	files, err := index.ReadFileTable(br)
 	if err != nil {
 		return nil, fmt.Errorf("shard: manifest: %w", err)
 	}
-	if version == index.DocLengthVersion {
-		if err := index.ReadDocLengths(br, files); err != nil {
-			return nil, fmt.Errorf("shard: manifest: %w", err)
-		}
+	if err := index.ReadDocLengths(br, files); err != nil {
+		return nil, fmt.Errorf("shard: manifest: %w", err)
 	}
 	shardCount, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -280,8 +251,8 @@ func parseManifest(data []byte) (*manifest, error) {
 // LoadDir reads a sharded index directory written by SaveDir: the manifest
 // first (checksum-verified before anything in it is trusted), then every
 // segment concurrently, one goroutine per shard, each segment checked
-// against the manifest's whole-file checksum and then against its own
-// trailer by the segment codec.
+// against the manifest's whole-file checksum and then fully decoded,
+// which checks its dictionary and every posting block.
 func LoadDir(dir string) (*Set, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -292,14 +263,13 @@ func LoadDir(dir string) (*Set, error) {
 		return nil, err
 	}
 	shards := make([]*index.Index, len(m.names))
-	legacy := make([]bool, len(m.names))
 	errs := make([]error, len(m.names))
 	var wg sync.WaitGroup
 	for i, name := range m.names {
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
-			shards[i], legacy[i], errs[i] = loadSegmentFile(filepath.Join(dir, name), m.sums[i])
+			shards[i], errs[i] = loadSegmentFile(filepath.Join(dir, name), m.sums[i])
 		}(i, name)
 	}
 	wg.Wait()
@@ -309,12 +279,6 @@ func LoadDir(dir string) (*Set, error) {
 		}
 	}
 	set := New(m.files, shards)
-	for _, l := range legacy {
-		if l {
-			set.legacySegments = true
-			break
-		}
-	}
 	// Remember where the segments live and their checksums, so a later
 	// SaveDir back into the same directory rewrites only dirty ones. Only
 	// canonically named segments qualify: SaveDir writes SegmentName(i),
@@ -332,35 +296,21 @@ func LoadDir(dir string) (*Set, error) {
 	return set, nil
 }
 
-// loadSegmentFile eagerly loads one segment of either vintage, reporting
-// whether it was a legacy (pre-v10) frame. A v10 file is opened in place
+// loadSegmentFile eagerly loads one segment: the file is opened in place
 // over the already-read bytes and fully materialized — the eager path
 // through the lazy format.
-func loadSegmentFile(path string, wantSum uint64) (*index.Index, bool, error) {
+func loadSegmentFile(path string, wantSum uint64) (*index.Index, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if got := fnv.Hash64Bytes(data); got != wantSum {
-		return nil, false, fmt.Errorf("file checksum mismatch: manifest %#x, computed %#x", wantSum, got)
+		return nil, fmt.Errorf("file checksum mismatch: manifest %#x, computed %#x", wantSum, got)
 	}
-	if segmentVersion(data) == index.LazySegmentVersion {
-		r, err := segment.OpenBytes(path, data, nil)
-		if err != nil {
-			return nil, false, err
-		}
-		ix, err := r.Materialize()
-		r.Close()
-		return ix, false, err
+	r, err := segment.OpenBytes(path, data, nil)
+	if err != nil {
+		return nil, err
 	}
-	ix, err := index.LoadSegment(bytes.NewReader(data))
-	return ix, err == nil, err
-}
-
-// segmentVersion peeks a DSIX file's version field (0 if too short).
-func segmentVersion(data []byte) uint16 {
-	if len(data) < 6 {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(data[4:6])
+	defer r.Close()
+	return r.Materialize()
 }

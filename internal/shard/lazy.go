@@ -37,11 +37,6 @@ type LazySet struct {
 	universes []*postings.List
 }
 
-// ErrNotLazy reports that a directory's segments predate the v10 lazy
-// format, so it can only be loaded eagerly (LoadDir). errors.Is-able;
-// wraps segment.ErrLegacyVersion context per offending file.
-var ErrNotLazy = errors.New("shard: directory predates lazy segments (re-save to upgrade, or load eagerly)")
-
 // ErrNotHashRouted reports a shard-subset open of a directory whose
 // segments do not follow the ShardFor hash routing — one saved from
 // pipeline replicas rather than built with a shard count. Subset serving
@@ -62,7 +57,6 @@ var ErrNotHashRouted = errors.New("shard: directory is not hash-routed (rebuild 
 // O(postings) again. Integrity instead comes from the v10 layout itself:
 // the dictionary region is checksum-verified at open, and every posting
 // block is checked against its dictionary checksum before first use.
-// Directories whose segments predate v10 return ErrNotLazy.
 func OpenDir(dir string, cacheBytes int64) (*LazySet, error) {
 	return OpenDirShards(dir, cacheBytes, nil)
 }
@@ -108,9 +102,6 @@ func OpenDirShards(dir string, cacheBytes int64, shardIDs []int) (*LazySet, erro
 		r, err := segment.Open(filepath.Join(dir, m.names[id]), cache)
 		if err != nil {
 			s.Close()
-			if errors.Is(err, segment.ErrLegacyVersion) {
-				return nil, fmt.Errorf("%w: %v", ErrNotLazy, err)
-			}
 			return nil, fmt.Errorf("shard: segment %s: %w", m.names[id], err)
 		}
 		s.readers[i] = r

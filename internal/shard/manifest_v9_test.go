@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -26,7 +24,7 @@ func manifestVersion(t *testing.T, dir string) uint16 {
 
 // TestManifestCarriesDocLengths: a fresh corpus (whose file table carries
 // token lengths) persists a v9 manifest, and LoadDir restores every
-// per-file length plus the HasTokens provenance bit.
+// per-file length.
 func TestManifestCarriesDocLengths(t *testing.T) {
 	files, ix, blocks := buildCorpus(t)
 	for i := range blocks {
@@ -38,62 +36,18 @@ func TestManifestCarriesDocLengths(t *testing.T) {
 	if err := SaveDir(dir, set); err != nil {
 		t.Fatal(err)
 	}
-	if v := manifestVersion(t, dir); v != index.DocLengthVersion {
-		t.Fatalf("manifest version = %d, want %d", v, index.DocLengthVersion)
+	if v := manifestVersion(t, dir); v != index.FrameVersion {
+		t.Fatalf("manifest version = %d, want %d", v, index.FrameVersion)
 	}
 
 	loaded, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !loaded.Files().HasTokens() {
-		t.Fatal("loaded manifest lost HasTokens")
 	}
 	for i := range blocks {
 		fid := postings.FileID(i)
 		if got, want := loaded.Files().Tokens(fid), files.Tokens(fid); got != want {
 			t.Errorf("file %d: tokens = %d, want %d", i, got, want)
 		}
-	}
-}
-
-// TestLegacyManifestStaysV5: a file table loaded from pre-v9 bytes has no
-// token lengths, so SaveDir must keep writing the v5 manifest existing
-// deployments expect.
-func TestLegacyManifestStaysV5(t *testing.T) {
-	files, ix, _ := buildCorpus(t)
-
-	// Round-trip the table through the raw file-table section: ReadFileTable
-	// is the pre-v9 load path and clears the HasTokens provenance bit.
-	var raw bytes.Buffer
-	bw := bufio.NewWriter(&raw)
-	if err := index.WriteFileTable(bw, files); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := index.ReadFileTable(bytes.NewReader(raw.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.HasTokens() {
-		t.Fatal("ReadFileTable produced a table with HasTokens set")
-	}
-
-	set := Distribute(legacy, []*index.Index{ix}, 2)
-	dir := t.TempDir()
-	if err := SaveDir(dir, set); err != nil {
-		t.Fatal(err)
-	}
-	if v := manifestVersion(t, dir); v != index.ManifestVersion {
-		t.Fatalf("legacy manifest version = %d, want %d", v, index.ManifestVersion)
-	}
-	loaded, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Files().HasTokens() {
-		t.Error("v5 manifest loaded with HasTokens set")
 	}
 }

@@ -46,13 +46,6 @@ type Set struct {
 	savedDir  string
 	savedSums []uint64
 	dirty     []bool
-
-	// legacySegments records that the set was loaded from pre-v10 (v7/v8)
-	// segment files. SaveDir then keeps writing that legacy form, so a
-	// load/save cycle on an old directory never silently upgrades it —
-	// the same provenance rule the v9 manifest gating follows. Fresh sets
-	// persist as v10 lazy segments.
-	legacySegments bool
 }
 
 // New returns a set over the given partitions. The caller guarantees the
@@ -119,10 +112,6 @@ func (s *Set) markSaved(dir string, sums []uint64) {
 	s.dirty = make([]bool, len(s.shards))
 }
 
-// LegacySegments reports whether the set came from pre-v10 segment files
-// (and will re-save in that form).
-func (s *Set) LegacySegments() bool { return s.legacySegments }
-
 // Files returns the shared file table.
 func (s *Set) Files() *index.FileTable { return s.files }
 
@@ -133,8 +122,9 @@ func (s *Set) Shards() []*index.Index { return s.shards }
 func (s *Set) Len() int { return len(s.shards) }
 
 // Positional reports whether the set carries token positions: a set built
-// or loaded positionally has every shard flagged (segments persist as DSIX
-// v8), and the flag decides how incremental updates re-extract.
+// or loaded positionally has every shard flagged (each segment's header
+// flags persist it), and the flag decides how incremental updates
+// re-extract.
 func (s *Set) Positional() bool {
 	for _, ix := range s.shards {
 		if ix.Positional() {

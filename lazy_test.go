@@ -311,31 +311,6 @@ func TestLazyCatalogIsReadOnly(t *testing.T) {
 	}
 }
 
-// TestLoadDirLazyOption checks the Options.Lazy delegation and the legacy
-// fallback: OpenDir on a pre-v10 directory loads eagerly but still works.
-func TestLoadDirLazyOption(t *testing.T) {
-	fs := corpusFS(t, 30)
-	built, err := IndexFS(fs, ".", Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := built.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	cat, err := LoadDir(dir, Options{Lazy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cat.Close()
-	if !cat.Lazy() {
-		t.Fatal("LoadDir(Options{Lazy:true}) produced a heap catalog")
-	}
-	if len(queryAll(t, cat, "report")) == 0 {
-		t.Fatal("lazy catalog found nothing for a common term")
-	}
-}
-
 // TestLazySwap exercises dsearchd's full-reload path on a lazy catalog:
 // swapping in a fresh heap catalog must retire the mappings and serve the
 // new contents.

@@ -121,7 +121,7 @@ func TestPhraseMatchesNaiveScan(t *testing.T) {
 	}
 	cats := map[string]*Catalog{"batch": batch, "sharded": sharded}
 
-	// Persistence round trips: single-file v8 and sharded v8 segments.
+	// Persistence round trips: single file and sharded segments.
 	b := &bytesBuffer{}
 	if err := batch.Save(b); err != nil {
 		t.Fatal(err)
