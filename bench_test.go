@@ -439,7 +439,9 @@ func buildShards(b *testing.B, n int) *core.Result {
 
 // BenchmarkShardedBuild measures end-to-end index construction into a
 // 4-shard catalog — the bench-regression gate's build-side canary (see
-// bench_baseline.json and make bench-check).
+// bench_baseline.json and make bench-check): a fixed (4, 4, 0) tuple, one
+// owning updater per shard, and the path users get — the facade with its
+// machine-sized default tuple, positions on.
 func BenchmarkShardedBuild(b *testing.B) {
 	fs := liveCorpus(b)
 	b.Run("shards-4", func(b *testing.B) {
@@ -447,6 +449,13 @@ func BenchmarkShardedBuild(b *testing.B) {
 			if _, err := core.Run(fs, ".", core.Config{
 				Implementation: core.ReplicatedSearch, Extractors: 4, Updaters: 4, Shards: 4,
 			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("facade-default", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := IndexFS(fs, ".", Options{Positions: true, Shards: 4}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -106,14 +106,16 @@ func main() {
 	}
 
 	s := cat.Stats()
-	fGen, eu, join, shardT, total := cat.Timings()
+	// The fourth value, a shard phase, is always 0: sharding happens inside
+	// extract+update.
+	fGen, eu, join, _, total := cat.Timings()
 	fmt.Printf("indexed %d files: %d terms, %d postings (%d indices, %d skipped)\n",
 		s.Files, s.Terms, s.Postings, cat.Indices(), s.Skipped)
 	if n := cat.Shards(); n > 0 {
 		fmt.Printf("sharded into %d document partitions\n", n)
 	}
-	fmt.Printf("filename generation: %.3fs   extract+update: %.3fs   join: %.3fs   shard: %.3fs   total: %.3fs\n",
-		fGen, eu, join, shardT, total)
+	fmt.Printf("filename generation: %.3fs   extract+update: %.3fs   join: %.3fs   total: %.3fs\n",
+		fGen, eu, join, total)
 
 	if *save != "" {
 		if *shards > 0 {

@@ -804,8 +804,9 @@ func (c *Catalog) Positional() bool {
 }
 
 // Timings returns the pipeline phase durations of the build, in seconds:
-// filename generation, extraction+update, join, shard-set construction,
-// and total.
+// filename generation, extraction+update, join, shard and total. shard is
+// always 0 — a sharded build routes term blocks to their shards inside
+// extraction+update — and stays in the signature for existing callers.
 func (c *Catalog) Timings() (filenameGen, extractUpdate, join, shard, total float64) {
 	var t core.Timings
 	c.engine.View(func() {
@@ -928,7 +929,7 @@ func (c *Catalog) SaveDir(dir string) error {
 		}
 		set := c.result.Shards
 		if set == nil {
-			set = shard.FromReplicas(c.result.Files, c.result.Indexes())
+			set = shard.New(c.result.Files, c.result.Indexes())
 		}
 		err = shard.SaveDir(dir, set)
 	})

@@ -69,7 +69,8 @@ type Config struct {
 	// the end (ReplicatedJoin only). Zero or one joins single-threaded.
 	Joiners int
 	// Buffer is the capacity of the term-block channel between extractors
-	// and updaters. Zero selects 8 blocks per extractor.
+	// and updaters (split across the per-updater channels of a sharded
+	// replicated run). Zero selects 8 blocks per extractor.
 	Buffer int
 	// Distribution selects how filenames are dealt to extractors.
 	// The default, round-robin, is the paper's measured winner.
@@ -77,12 +78,14 @@ type Config struct {
 	// WorkStealing replaces the static distribution with per-extractor
 	// deques and stealing (the paper's fourth considered option).
 	WorkStealing bool
-	// Shards, when positive, partitions the run's output into that many
-	// document shards (a shard.Set in Result.Shards) instead of a single
-	// index or replica slice. ReplicatedSearch replicas whose count equals
-	// Shards become shards directly, with no join or redistribution pass;
-	// every other combination splits by FileID hash. For ReplicatedJoin
-	// the shard build replaces the join phase entirely.
+	// Shards, when positive, makes that many document shards the sinks of
+	// Stage 3 (a shard.Set in Result.Shards) instead of a single index or
+	// replica slice: every term block goes to the shard.ShardFor shard of
+	// its file as it leaves Stage 2, under every implementation, so no
+	// join or redistribution pass follows. The implementation still
+	// decides who inserts — Sequential's one thread, lock-striped shards
+	// for SharedIndex and for extractors updating directly, one owning
+	// updater per shard for the replicated designs.
 	Shards int
 	// Extract configures term extraction.
 	Extract extract.Options

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,8 @@ import (
 	"desksearch/internal/distribute"
 	"desksearch/internal/extract"
 	"desksearch/internal/index"
+	"desksearch/internal/postings"
+	"desksearch/internal/shard"
 	"desksearch/internal/tokenize"
 	"desksearch/internal/vfs"
 )
@@ -359,40 +362,78 @@ func TestMeasureStagesMissingRoot(t *testing.T) {
 }
 
 // TestShardedRunsAgreeWithReference checks Config.Shards across every
-// implementation: joining the shard set back together must reproduce the
-// sequential reference index exactly, whichever path built the shards
-// (replica adoption, replica redistribution, or single-index hash split).
+// implementation, thread tuple and shard count: whichever goroutines
+// inserted — one thread, extractors into locked shards, or owning updaters
+// behind lanes — shard i must equal shard i of shard.Distribute applied to
+// the unsharded reference (so the saved bytes cannot depend on the build
+// path), hold only postings ShardFor routes to it, and cost no shard phase.
 func TestShardedRunsAgreeWithReference(t *testing.T) {
-	want := reference(t).Index
-	configs := []Config{
-		{Implementation: Sequential, Shards: 4},
-		{Implementation: SharedIndex, Extractors: 4, Shards: 4},
-		{Implementation: ReplicatedJoin, Extractors: 4, Updaters: 3, Shards: 4},
-		{Implementation: ReplicatedSearch, Extractors: 4, Updaters: 4, Shards: 4}, // adoption
-		{Implementation: ReplicatedSearch, Extractors: 4, Updaters: 3, Shards: 8}, // redistribution
-		{Implementation: ReplicatedSearch, Extractors: 2, Shards: 1},
+	ref := reference(t)
+	fs := failingFS{FS: corpusFS(t), failPath: "large-0.txt"}
+	tuples := []Config{
+		{Implementation: Sequential},
+		{Implementation: SharedIndex, Extractors: 3},
+		{Implementation: SharedIndex, Extractors: 3, Updaters: 2},
+		{Implementation: ReplicatedJoin, Extractors: 3},
+		{Implementation: ReplicatedJoin, Extractors: 4, Updaters: 3, Joiners: 2},
+		{Implementation: ReplicatedSearch, Extractors: 3},
+		{Implementation: ReplicatedSearch, Extractors: 1},
+		{Implementation: ReplicatedSearch, Extractors: 1, Updaters: 2},
+		{Implementation: ReplicatedSearch, Extractors: 4, Updaters: 4},
+		{Implementation: ReplicatedSearch, Extractors: 4, Updaters: 3, Buffer: 2},
+		{Implementation: ReplicatedSearch, Extractors: 2, Updaters: 5, WorkStealing: true},
 	}
-	for _, cfg := range configs {
-		res, err := Run(corpusFS(t), ".", cfg)
-		if err != nil {
-			t.Fatalf("%v %s shards=%d: %v", cfg.Implementation, cfg.Tuple(), cfg.Shards, err)
-		}
-		if res.Shards == nil || res.Shards.Len() != cfg.Shards {
-			t.Fatalf("%v shards=%d: Shards = %v", cfg.Implementation, cfg.Shards, res.Shards)
-		}
-		if res.Index != nil {
-			t.Errorf("%v shards=%d: Index should be nil on sharded runs", cfg.Implementation, cfg.Shards)
-		}
-		if got := len(res.Indexes()); got != cfg.Shards {
-			t.Errorf("%v shards=%d: Indexes() returned %d", cfg.Implementation, cfg.Shards, got)
-		}
-		clones := make([]*index.Index, res.Shards.Len())
-		for i, s := range res.Shards.Shards() {
-			clones[i] = s.Clone()
-		}
-		if !index.JoinAll(clones).Equal(want) {
-			t.Errorf("%v %s shards=%d: shard union differs from sequential reference",
-				cfg.Implementation, cfg.Tuple(), cfg.Shards)
+	for _, n := range []int{1, 4, 8} {
+		want := shard.Distribute(ref.Files, []*index.Index{ref.Index}, n).Shards()
+		for _, cfg := range tuples {
+			cfg.Shards = n
+			name := fmt.Sprintf("%v %s shards=%d", cfg.Implementation, cfg.Tuple(), n)
+			res, err := Run(corpusFS(t), ".", cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if res.Shards == nil || res.Shards.Len() != n {
+				t.Fatalf("%s: Shards = %v", name, res.Shards)
+			}
+			if res.Index != nil || res.Replicas != nil {
+				t.Errorf("%s: Index and Replicas should be nil on sharded runs", name)
+			}
+			if got := len(res.Indexes()); got != n {
+				t.Errorf("%s: Indexes() returned %d", name, got)
+			}
+			if res.Timings.Shard != 0 || res.Timings.Join != 0 {
+				t.Errorf("%s: sharded run timed a shard or join phase: %+v", name, res.Timings)
+			}
+			if len(res.SkippedFiles) != 0 {
+				t.Errorf("%s: skipped %d files", name, len(res.SkippedFiles))
+			}
+			for i, got := range res.Shards.Shards() {
+				if !got.Equal(want[i]) {
+					t.Errorf("%s: shard %d differs from Distribute of the reference", name, i)
+				}
+				got.Range(func(term string, l *postings.List) bool {
+					for _, id := range l.IDs() {
+						if shard.ShardFor(id, n) != i {
+							t.Errorf("%s: shard %d holds %q for file %d, which routes to shard %d",
+								name, i, term, id, shard.ShardFor(id, n))
+							return false
+						}
+					}
+					return true
+				})
+			}
+
+			// An unreadable file is reported, not fatal, on every path.
+			if n != 4 {
+				continue
+			}
+			res, err = Run(fs, ".", cfg)
+			if err != nil {
+				t.Fatalf("%s with a failing file: %v", name, err)
+			}
+			if len(res.SkippedFiles) != 1 || res.SkippedFiles[0].Path != fs.failPath {
+				t.Errorf("%s: skipped = %+v, want %s", name, res.SkippedFiles, fs.failPath)
+			}
 		}
 	}
 }

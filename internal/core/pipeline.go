@@ -23,8 +23,9 @@ type Timings struct {
 	ExtractUpdate time.Duration
 	// Join is the final replica merge (ReplicatedJoin only).
 	Join time.Duration
-	// Shard is the shard-set build (Config.Shards > 0 only); zero when
-	// replicas were adopted as shards without a redistribution pass.
+	// Shard is always zero: a sharded run routes term blocks to their
+	// shards inside ExtractUpdate, so no shard-set build follows Stage 3.
+	// The field remains for callers that report the five phases.
 	Shard time.Duration
 	// Total is end-to-end wall time.
 	Total time.Duration
@@ -122,62 +123,47 @@ func Run(fsys vfs.FS, root string, cfg Config) (*Result, error) {
 	res.Files = table
 	res.Timings.FilenameGen = time.Since(startTotal)
 
-	// Stages 2+3.
+	// Stages 2+3. A sharded run's sinks are its shards — every term block
+	// is hash-routed as it crosses the Stage 2→3 boundary — so whichever
+	// implementation runs, nothing is joined or re-split afterwards.
 	start23 := time.Now()
-	switch cfg.Implementation {
-	case Sequential:
-		ix := index.New(1 << 12)
-		markPositional(cfg, ix)
-		runDirect(fsys, cfg, jobs, directSink{ix: ix}, res)
-		res.Index = ix
-		res.Timings.ExtractUpdate = time.Since(start23)
-	case SharedIndex:
+	var replicas []*index.Index
+	switch {
+	case cfg.Shards > 0:
+		res.Shards = shard.New(table, runSharded(fsys, cfg, jobs, res))
+	case cfg.Implementation == Sequential:
+		res.Index = index.New(1 << 12)
+		markPositional(cfg, res.Index)
+		runDirect(fsys, cfg, jobs, directSink{ix: res.Index}, res)
+	case cfg.Implementation == SharedIndex:
 		shared := index.NewShared(1 << 12)
 		markPositional(cfg, shared.Unwrap())
 		runPipeline(fsys, cfg, jobs, func(int) blockSink { return shared }, res)
 		res.Index = shared.Unwrap()
-		res.Timings.ExtractUpdate = time.Since(start23)
-	case ReplicatedJoin, ReplicatedSearch:
-		replicas := make([]*index.Index, cfg.Replicas())
+	default: // ReplicatedJoin, ReplicatedSearch
+		replicas = make([]*index.Index, cfg.Replicas())
 		for i := range replicas {
 			replicas[i] = index.New(1 << 10)
 			markPositional(cfg, replicas[i])
 		}
 		runPipeline(fsys, cfg, jobs, func(i int) blockSink { return directSink{ix: replicas[i]} }, res)
-		res.Timings.ExtractUpdate = time.Since(start23)
-		switch {
-		case cfg.Shards > 0:
-			// Sharding subsumes the join: shards build straight from the
-			// replicas, so ReplicatedJoin skips its merge pass entirely,
-			// and a replica count matching the shard count is adopted
-			// as-is — the zero-cost path ReplicatedSearch was built for.
-			if len(replicas) == cfg.Shards {
-				res.Shards = shard.FromReplicas(table, replicas)
-			} else {
-				startShard := time.Now()
-				res.Shards = shard.Distribute(table, replicas, cfg.Shards)
-				res.Timings.Shard = time.Since(startShard)
-			}
-		case cfg.Implementation == ReplicatedJoin:
-			startJoin := time.Now()
-			if cfg.Joiners > 1 {
-				res.Index = index.ParallelJoin(replicas, cfg.Joiners)
-			} else {
-				res.Index = index.JoinAll(replicas)
-			}
-			res.Timings.Join = time.Since(startJoin)
-		case len(replicas) == 1:
-			res.Index = replicas[0]
-		default:
-			res.Replicas = replicas
-		}
 	}
-	if cfg.Shards > 0 && res.Shards == nil {
-		// Sequential and SharedIndex built one index; hash-split it.
-		startShard := time.Now()
-		res.Shards = shard.Distribute(table, []*index.Index{res.Index}, cfg.Shards)
-		res.Index = nil
-		res.Timings.Shard = time.Since(startShard)
+	res.Timings.ExtractUpdate = time.Since(start23)
+
+	switch {
+	case replicas == nil:
+	case cfg.Implementation == ReplicatedJoin:
+		startJoin := time.Now()
+		if cfg.Joiners > 1 {
+			res.Index = index.ParallelJoin(replicas, cfg.Joiners)
+		} else {
+			res.Index = index.JoinAll(replicas)
+		}
+		res.Timings.Join = time.Since(startJoin)
+	case len(replicas) == 1:
+		res.Index = replicas[0]
+	default:
+		res.Replicas = replicas
 	}
 	res.Timings.Total = time.Since(startTotal)
 	return res, nil
@@ -208,6 +194,47 @@ func feed(sink blockSink, block extract.TermBlock) {
 		return
 	}
 	sink.AddBlock(block.File, block.Terms, block.Counts)
+}
+
+// shardRouter is the sink of a sharded run: it hands each term block to the
+// sink of its file's shard.
+type shardRouter []blockSink
+
+func (r shardRouter) AddBlock(id postings.FileID, terms []string, counts []uint32) {
+	r[shard.ShardFor(id, len(r))].AddBlock(id, terms, counts)
+}
+
+func (r shardRouter) AddBlockPositional(id postings.FileID, terms []string, positions [][]uint32) {
+	r[shard.ShardFor(id, len(r))].AddBlockPositional(id, terms, positions)
+}
+
+// runSharded executes Stages 2 and 3 with the cfg.Shards shard indices as
+// the sinks and returns them. Where several goroutines can feed one shard —
+// SharedIndex, or extractors updating directly — each shard is locked per
+// block (Implementation 1 striped cfg.Shards ways). Sequential's one thread
+// and the updaters of the replicated designs, which runPipeline feeds
+// through per-updater lanes so that every shard has one owner, insert
+// without locks (Implementation 3 with a routing rule).
+func runSharded(fsys vfs.FS, cfg Config, jobs []job, res *Result) []*index.Index {
+	shards := make([]*index.Index, cfg.Shards)
+	router := make(shardRouter, cfg.Shards)
+	locked := cfg.Implementation == SharedIndex || (cfg.Updaters == 0 && cfg.Extractors > 1)
+	for i := range shards {
+		if locked {
+			shared := index.NewShared(1 << 10)
+			shards[i], router[i] = shared.Unwrap(), shared
+		} else {
+			shards[i] = index.New(1 << 10)
+			router[i] = directSink{ix: shards[i]}
+		}
+		markPositional(cfg, shards[i])
+	}
+	if cfg.Implementation == Sequential {
+		runDirect(fsys, cfg, jobs, router, res)
+	} else {
+		runPipeline(fsys, cfg, jobs, func(int) blockSink { return router }, res)
+	}
+	return shards
 }
 
 // runDirect executes jobs on the calling goroutine (the sequential
@@ -307,8 +334,18 @@ func runPipeline(fsys vfs.FS, cfg Config, jobs []job, sinkFor func(int) blockSin
 		return
 	}
 
-	// Extractors feed updaters through a bounded buffer.
-	blocks := make(chan extract.TermBlock, cfg.Buffer)
+	// Extractors feed updaters through a bounded buffer: one channel every
+	// updater drains or — on a sharded run of a replicated design — one lane
+	// per updater, with updater u the single owner of the shards
+	// s ≡ u (mod y). The lanes split cfg.Buffer between them.
+	n := 1
+	if cfg.Shards > 0 && cfg.Implementation != SharedIndex {
+		n = cfg.Updaters
+	}
+	lanes := make([]chan extract.TermBlock, n)
+	for i := range lanes {
+		lanes[i] = make(chan extract.TermBlock, (cfg.Buffer+n-1)/n)
+	}
 	var extractors sync.WaitGroup
 	for w := 0; w < cfg.Extractors; w++ {
 		extractors.Add(1)
@@ -327,7 +364,7 @@ func runPipeline(fsys vfs.FS, cfg Config, jobs []job, sinkFor func(int) blockSin
 					continue
 				}
 				res.Files.SetTokens(block.File, block.Tokens)
-				blocks <- block
+				lanes[shard.ShardFor(block.File, cfg.Shards)%n] <- block
 			}
 		}(w)
 	}
@@ -338,14 +375,16 @@ func runPipeline(fsys vfs.FS, cfg Config, jobs []job, sinkFor func(int) blockSin
 		go func(u int) {
 			defer updaters.Done()
 			sink := sinkFor(replicaSlot(cfg, -1, u))
-			for block := range blocks {
+			for block := range lanes[u%n] {
 				feed(sink, block)
 			}
 		}(u)
 	}
 
 	extractors.Wait()
-	close(blocks)
+	for _, lane := range lanes {
+		close(lane)
+	}
 	updaters.Wait()
 }
 

@@ -244,14 +244,14 @@ func (s Stats) String() string {
 // independent — but mutates the file table single-threaded.
 //
 // Removal scans every partition rather than only the hash-owning one
-// because partitions built from ReplicatedSearch replicas follow the
-// pipeline's distribution order, not the FNV split; membership is the only
-// universal owner test, and the batched scan costs one pass per partition
-// regardless of how many files the changeset touches. New blocks — for
-// added and modified files alike — are routed by shard.ShardFor, so
-// hash-split sets keep their invariant and replica-adopted sets stay
-// document-disjoint (the old copy of a modified file is gone from every
-// partition before the new block lands in exactly one).
+// because unjoined ReplicatedSearch replicas (an unsharded build) follow
+// the pipeline's distribution order, not the FNV split; membership is the
+// only universal owner test, and the batched scan costs one pass per
+// partition regardless of how many files the changeset touches. New blocks
+// — for added and modified files alike — are routed by shard.ShardFor, the
+// rule a sharded build routes by, so shard sets keep their invariant and
+// replicas stay document-disjoint (the old copy of a modified file is gone
+// from every partition before the new block lands in exactly one).
 //
 // Commit is idempotent and safe on stale changesets: before applying, the
 // plan is normalized against the live file table — an add whose path is
@@ -313,10 +313,11 @@ func (p *Plan) Commit(t Target) Stats {
 	// Phase 2: file-table bookkeeping and en-bloc insertion of the fresh
 	// term blocks, each routed to its FNV-owning partition. Files whose
 	// re-extraction failed are left pending rather than finalized: a
-	// failed modify keeps its stale metadata (so the next Diff still sees
-	// the file as changed and retries — its old postings are gone, which
-	// is what a rebuild skipping an unreadable file would show), and a
-	// failed add is not registered at all (the next Diff re-adds it).
+	// failed modify keeps its stale size and stamp (so the next Diff still
+	// sees the file as changed and retries) but records zero tokens — its
+	// old postings are gone, which is what a rebuild skipping an
+	// unreadable file would show — and a failed add is not registered at
+	// all (the next Diff re-adds it).
 	for _, s := range steps {
 		c := s.c
 		switch c.Op {
@@ -326,6 +327,7 @@ func (p *Plan) Commit(t Target) Stats {
 		case OpModify:
 			block, ok := p.blocks[s.pos]
 			if !ok {
+				t.Files.SetTokens(c.ID, 0)
 				continue
 			}
 			t.Files.SetMeta(c.ID, c.Size, c.ModTime)

@@ -334,6 +334,12 @@ func TestFailedModifyExtractionRetries(t *testing.T) {
 	if st.Modified != 0 {
 		t.Errorf("failed modify counted as applied: %+v", st)
 	}
+	// No postings, so no document length either — what a rebuild that
+	// skipped the file records, and what the shard-subset routing check
+	// reads as "holds nothing".
+	if id, _ := res.Files.Lookup("docs/a.txt"); res.Files.Tokens(id) != 0 {
+		t.Errorf("failed modify left %d tokens on a file with no postings", res.Files.Tokens(id))
+	}
 
 	// The file's old postings are gone (its content is stale) but the
 	// change is still pending: a fresh Diff must re-report it.

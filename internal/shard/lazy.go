@@ -143,18 +143,21 @@ func normalizeShardIDs(shardIDs []int, total int) ([]int, error) {
 // buildSubsetUniverses computes the per-reader NOT complement bases of a
 // subset set from the hash routing: reader i's universe is every live
 // file whose ShardFor shard is ids[i]. Each segment's persisted doc set is
-// checked against the routing on the way — a single out-of-place posting
-// proves the directory is not hash-routed and fails the open, because the
-// universes of the workers collectively would then double-count or drop
-// documents.
+// checked against the routing both ways on the way: it must hold no file
+// that routes elsewhere and every live file with tokens that routes to it
+// (so an empty segment of a replica-saved directory does not pass). Either
+// violation proves the directory is not hash-routed and fails the open,
+// because the universes of the workers collectively would then
+// double-count or drop documents.
 func (s *LazySet) buildSubsetUniverses() error {
 	mine := make(map[int]int, len(s.ids)) // global shard id -> reader index
 	for i, id := range s.ids {
 		mine[id] = i
 	}
+	docs := make([]*postings.List, len(s.readers))
 	for i, r := range s.readers {
-		docs := r.Docs()
-		for _, id := range docs.IDs() {
+		docs[i] = r.Docs()
+		for _, id := range docs[i].IDs() {
 			if got := ShardFor(id, s.total); got != s.ids[i] {
 				return fmt.Errorf("%w: segment %d holds file %d, which hash-routes to shard %d",
 					ErrNotHashRouted, s.ids[i], id, got)
@@ -163,9 +166,15 @@ func (s *LazySet) buildSubsetUniverses() error {
 	}
 	perReader := make([][]postings.FileID, len(s.readers))
 	for _, id := range s.files.LiveIDs(nil) {
-		if i, ok := mine[ShardFor(id, s.total)]; ok {
-			perReader[i] = append(perReader[i], id)
+		i, ok := mine[ShardFor(id, s.total)]
+		if !ok {
+			continue
 		}
+		if s.files.Tokens(id) > 0 && !docs[i].Contains(id) {
+			return fmt.Errorf("%w: file %d hash-routes to segment %d, which does not hold it",
+				ErrNotHashRouted, id, s.ids[i])
+		}
+		perReader[i] = append(perReader[i], id)
 	}
 	s.universes = make([]*postings.List, len(s.readers))
 	for i, ids := range perReader {

@@ -5,10 +5,11 @@
 //
 // Sharding is the production step the paper's ReplicatedSearch design hints
 // at: its unjoined replicas already are document partitions (each file's
-// term block goes to exactly one replica), so replicas become shards for
-// free. Every other pipeline implementation reaches the same shape by
-// splitting on a hash of the FileID, the standard document-partitioning
-// rule of parallel search engines.
+// term block goes to exactly one replica). A sharded build keeps that shape
+// and fixes the rule — core.Run sends every term block to the ShardFor shard
+// of its file, a hash of the FileID, the standard document-partitioning rule
+// of parallel search engines — so every built set is hash-routed, can be
+// served as worker subsets, and takes updates where the build put them.
 package shard
 
 import (
@@ -48,8 +49,11 @@ type Set struct {
 	dirty     []bool
 }
 
-// New returns a set over the given partitions. The caller guarantees the
-// partitions are document-disjoint; FromReplicas and Distribute both do.
+// New returns a set over the given partitions without copying them. The
+// caller guarantees the partitions are document-disjoint: the ShardFor-routed
+// shards of a sharded build or of Distribute, or an unsharded catalog's own
+// partitions being saved as they are (not hash-routed, so such a directory
+// cannot be opened as a subset).
 func New(files *index.FileTable, shards []*index.Index) *Set {
 	return &Set{files: files, shards: shards}
 }
@@ -159,18 +163,10 @@ func ShardFor(id postings.FileID, n int) int {
 	return int(fnv.Hash32Bytes(b[:]) % uint32(n))
 }
 
-// FromReplicas turns ReplicatedSearch replicas into shards directly — no
-// join pass and no copying. Each file was extracted into exactly one
-// replica, so the replicas already satisfy the document-disjointness Set
-// requires; the partition rule is whatever the pipeline's distribution
-// strategy produced rather than ShardFor.
-func FromReplicas(files *index.FileTable, replicas []*index.Index) *Set {
-	return New(files, replicas)
-}
-
-// Distribute builds an n-shard set from any document-disjoint source
-// indices (a single joined index, or unjoined replicas when their count
-// does not match n), routing every posting to ShardFor of its file. One
+// Distribute re-shards already-built indices: it builds an n-shard set from
+// any document-disjoint sources (a single index, unjoined replicas, the
+// shards of another set), routing every posting to ShardFor of its file. A
+// sharded build does not need it — core.Run routes at insert. One
 // goroutine per destination shard scans the sources — which are only read —
 // so shard construction parallelizes without locks; each file's shard is
 // hashed once up front (every FileID comes from files, so the table covers

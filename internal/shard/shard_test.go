@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"testing"
 
 	"desksearch/internal/index"
@@ -129,18 +130,34 @@ func TestDistributeClampsShardCount(t *testing.T) {
 	checkPartition(t, set, ix, false)
 }
 
-func TestFromReplicas(t *testing.T) {
-	files, ix, blocks := buildCorpus(t)
-	replicas := []*index.Index{index.New(8), index.New(8)}
+// TestOpenDirShardsRejectsEmptyReplicaSegment: segment 0 of a directory
+// saved from replicas {empty, full, full} holds no misrouted posting, yet
+// files that hash-route to shard 0 are indexed in the other two. Opening it
+// as a subset must fail — its NOT universe would claim those files — and
+// the whole directory must still open.
+func TestOpenDirShardsRejectsEmptyReplicaSegment(t *testing.T) {
+	files, _, blocks := buildCorpus(t)
+	replicas := []*index.Index{index.New(8), index.New(8), index.New(8)}
+	routedToZero := false
 	for i, terms := range blocks {
-		replicas[i%2].AddBlock(postings.FileID(i), terms, nil)
+		id := postings.FileID(i)
+		files.SetTokens(id, uint32(len(terms)))
+		replicas[1+i%2].AddBlock(id, terms, nil)
+		routedToZero = routedToZero || (len(terms) > 0 && ShardFor(id, len(replicas)) == 0)
 	}
-	set := FromReplicas(files, replicas)
-	if set.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", set.Len())
+	if !routedToZero {
+		t.Fatal("corpus routes no file to shard 0; the test would prove nothing")
 	}
-	if set.Shards()[0] != replicas[0] || set.Shards()[1] != replicas[1] {
-		t.Error("FromReplicas must adopt the replicas without copying")
+	dir := t.TempDir()
+	if err := SaveDir(dir, New(files, replicas)); err != nil {
+		t.Fatal(err)
 	}
-	checkPartition(t, set, ix, false)
+	if _, err := OpenDirShards(dir, 0, []int{0}); !errors.Is(err, ErrNotHashRouted) {
+		t.Fatalf("subset open of an empty replica segment = %v, want ErrNotHashRouted", err)
+	}
+	set, err := OpenDirShards(dir, 0, nil)
+	if err != nil {
+		t.Fatalf("whole-directory open failed: %v", err)
+	}
+	set.Close()
 }
