@@ -445,6 +445,7 @@ func buildShards(b *testing.B, n int) *core.Result {
 func BenchmarkShardedBuild(b *testing.B) {
 	fs := liveCorpus(b)
 	b.Run("shards-4", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := core.Run(fs, ".", core.Config{
 				Implementation: core.ReplicatedSearch, Extractors: 4, Updaters: 4, Shards: 4,
@@ -454,6 +455,7 @@ func BenchmarkShardedBuild(b *testing.B) {
 		}
 	})
 	b.Run("facade-default", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := IndexFS(fs, ".", Options{Positions: true, Shards: 4}); err != nil {
 				b.Fatal(err)
@@ -1082,6 +1084,7 @@ func BenchmarkWANDTopK(b *testing.B) {
 func BenchmarkIndexFS(b *testing.B) {
 	fs := liveCorpus(b)
 	b.Run("auto", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := IndexFS(fs, ".", Options{}); err != nil {
 				b.Fatal(err)

@@ -2,139 +2,160 @@ package container
 
 import "desksearch/internal/fnv"
 
-// Counter is a multiset of strings with open addressing and linear probing:
-// HashSet's layout plus an occurrence count per entry. A term extractor
-// uses one Counter per file (reset between files) to collapse duplicate
-// terms while remembering how often each occurred — the per-posting term
-// frequency that TF ranking consumes.
+// counterMaxRetained bounds the entries a Counter carries from file to
+// file. The table holds the current file's terms plus those of earlier
+// files (kept so their key strings are reused); once it holds more than
+// this many, the next Reset drops them all, so a Counter's memory is
+// bounded by max(counterMaxRetained, one file's vocabulary).
+const counterMaxRetained = 1 << 16
+
+// Counter is a term extractor's term table: an open-addressing, linearly
+// probed multiset of terms that is filled from byte views (Add), reset
+// between files, and turned into one file's term block by Counts or
+// Positions. It allocates per file, not per term occurrence:
+//
+//   - the probe compares a stored key with the byte view in place, so a
+//     term already in the table costs no allocation;
+//   - entries carry the epoch (file) that last saw them, so Reset is a
+//     counter increment, and a term met in an earlier file keeps its key
+//     string — every block an extractor emits shares one string per term;
+//   - positions are not gathered per term while scanning: the counter
+//     records which term each token was, and Positions cuts one buffer
+//     into per-term windows afterwards.
 type Counter struct {
 	entries []counterEntry
-	n       int // live entries
-	// total counts every recorded occurrence, duplicates included — the
-	// file's token length, which BM25 normalizes document scores by.
+	n       int    // occupied slots: the current file's terms and stale ones
+	epoch   uint32 // the current file; never 0
+	// live lists the slots of the current file's terms in first-occurrence
+	// order; a term's index in it is its ordinal.
+	live []uint32
+	// seq[p] is the ordinal of the term at token position p. Only a
+	// positional counter records it.
+	seq        []uint32
+	positional bool
+	// total counts every occurrence recorded since Reset — the file's
+	// token length, which BM25 normalizes document scores by.
 	total uint32
 }
 
 type counterEntry struct {
 	key   string
-	count uint32 // 0 = empty slot
-	// positions holds the occurrence positions recorded by AddAt, in
-	// arrival order (ascending, since extractors scan a file front to
-	// back). nil when the counter is used position-free via Add.
-	positions []uint32
+	hash  uint32 // fnv.Hash32 of key: probes compare it first, grow reuses it
+	epoch uint32 // file that last saw the term; 0 = empty slot
+	ord   uint32 // index in live, valid while epoch is current
+	count uint32 // occurrences in that file
 }
 
-// NewCounter returns a counter sized for about capacity distinct elements.
-func NewCounter(capacity int) *Counter {
+// NewCounter returns a counter sized for about capacity distinct terms.
+// A positional counter also records each occurrence's token position (its
+// ordinal among the Adds since Reset) for Positions to return.
+func NewCounter(capacity int, positional bool) *Counter {
 	buckets := setInitialBuckets
 	for buckets*setMaxLoadNum/setMaxLoadDen < capacity {
 		buckets *= 2
 	}
-	return &Counter{entries: make([]counterEntry, buckets)}
+	return &Counter{entries: make([]counterEntry, buckets), epoch: 1, positional: positional}
 }
-
-// Len returns the number of distinct elements.
-func (c *Counter) Len() int { return c.n }
 
 // Total returns the number of occurrences recorded since the last Reset,
 // duplicates included — the sum of all counts.
 func (c *Counter) Total() uint32 { return c.total }
 
-// Add records one occurrence of key and reports whether it was absent.
-func (c *Counter) Add(key string) bool {
-	if (c.n+1)*setMaxLoadDen > len(c.entries)*setMaxLoadNum {
-		c.grow()
-	}
-	c.total++
-	i := c.probe(key)
-	if c.entries[i].count > 0 {
-		c.entries[i].count++
-		return false
-	}
-	c.entries[i] = counterEntry{key: key, count: 1}
-	c.n++
-	return true
-}
-
-// AddAt records one occurrence of key at token position pos and reports
-// whether the key was absent — Add's positional twin, used by extractors
-// building a positional index. All occurrences of one key must arrive in
-// ascending position order (a front-to-back scan guarantees it).
-func (c *Counter) AddAt(key string, pos uint32) bool {
-	if (c.n+1)*setMaxLoadDen > len(c.entries)*setMaxLoadNum {
-		c.grow()
-	}
-	c.total++
-	i := c.probe(key)
-	if c.entries[i].count > 0 {
-		c.entries[i].count++
-		c.entries[i].positions = append(c.entries[i].positions, pos)
-		return false
-	}
-	c.entries[i] = counterEntry{key: key, count: 1, positions: append(make([]uint32, 0, 4), pos)}
-	c.n++
-	return true
-}
-
-// Count returns the number of occurrences recorded for key.
-func (c *Counter) Count(key string) uint32 {
-	return c.entries[c.probe(key)].count
-}
-
-// Reset empties the counter, retaining the allocated buckets for reuse.
+// Reset starts the next file. Blocks already returned stay valid: they
+// share only immutable key strings with the counter.
 func (c *Counter) Reset() {
-	clear(c.entries)
-	c.n = 0
-	c.total = 0
-}
-
-// Pairs appends the distinct elements and their parallel occurrence counts
-// (in unspecified order) and returns both slices.
-func (c *Counter) Pairs(keys []string, counts []uint32) ([]string, []uint32) {
-	for i := range c.entries {
-		if c.entries[i].count > 0 {
-			keys = append(keys, c.entries[i].key)
-			counts = append(counts, c.entries[i].count)
-		}
+	c.epoch++
+	if c.n > counterMaxRetained || c.epoch == 0 {
+		clear(c.entries)
+		c.n, c.epoch = 0, 1
 	}
-	return keys, counts
+	c.live, c.seq, c.total = c.live[:0], c.seq[:0], 0
 }
 
-// PairsPositions appends the distinct elements and their parallel position
-// lists (in unspecified element order; each position list ascending) and
-// returns both slices. Ownership of the position slices transfers to the
-// caller — the next Reset releases the counter's references, so the slices
-// stay valid while the counter is reused for the next file.
-func (c *Counter) PairsPositions(keys []string, positions [][]uint32) ([]string, [][]uint32) {
-	for i := range c.entries {
-		if c.entries[i].count > 0 {
-			keys = append(keys, c.entries[i].key)
-			positions = append(positions, c.entries[i].positions)
-		}
-	}
-	return keys, positions
-}
-
-// probe returns the index of key's entry, or of the empty slot where it
-// would be inserted.
-func (c *Counter) probe(key string) int {
+// Add records one occurrence of term, which is only read: the view may be
+// reused by the caller as soon as Add returns.
+func (c *Counter) Add(term []byte) {
 	mask := uint32(len(c.entries) - 1)
-	i := fnv.Hash32(key) & mask
-	for {
-		e := &c.entries[i]
-		if e.count == 0 || e.key == key {
-			return int(i)
-		}
+	h := fnv.Hash32Bytes(term)
+	i := h & mask
+	e := &c.entries[i]
+	for e.epoch != 0 && (e.hash != h || e.key != string(term)) {
 		i = (i + 1) & mask
+		e = &c.entries[i]
+	}
+	if e.epoch != c.epoch {
+		if e.epoch == 0 {
+			if (c.n+1)*setMaxLoadDen > len(c.entries)*setMaxLoadNum {
+				c.grow()
+				c.Add(term)
+				return
+			}
+			e.key, e.hash = string(term), h
+			c.n++
+		}
+		e.epoch, e.ord, e.count = c.epoch, uint32(len(c.live)), 0
+		c.live = append(c.live, i)
+	}
+	e.count++
+	c.total++
+	if c.positional {
+		c.seq = append(c.seq, e.ord)
 	}
 }
 
+// Counts returns the current file's distinct terms in first-occurrence
+// order and, parallel to them, how often each occurred. Both slices are
+// freshly allocated and the caller's to keep.
+func (c *Counter) Counts() (terms []string, counts []uint32) {
+	terms = make([]string, len(c.live))
+	counts = make([]uint32, len(c.live))
+	for ord, i := range c.live {
+		terms[ord], counts[ord] = c.entries[i].key, c.entries[i].count
+	}
+	return terms, counts
+}
+
+// Positions returns the current file's distinct terms in first-occurrence
+// order and, parallel to them, each term's ascending token positions. The
+// position lists are exact-capacity windows of one freshly allocated
+// buffer: the caller owns them all, and appending to one reallocates it
+// rather than overrunning its neighbour. Only for a positional counter.
+func (c *Counter) Positions() (terms []string, positions [][]uint32) {
+	terms = make([]string, len(c.live))
+	positions = make([][]uint32, len(c.live))
+	flat := make([]uint32, len(c.seq))
+	start := uint32(0)
+	for ord, i := range c.live {
+		e := &c.entries[i]
+		end := start + e.count
+		terms[ord], positions[ord] = e.key, flat[start:start:end]
+		start = end
+	}
+	// Each window was cut empty with its term's count as capacity, so
+	// these appends fill it exactly and never reallocate.
+	for pos, ord := range c.seq {
+		positions[ord] = append(positions[ord], uint32(pos))
+	}
+	return terms, positions
+}
+
+// grow doubles the table. Stale entries move along with the live ones;
+// Reset is what drops them.
 func (c *Counter) grow() {
 	old := c.entries
 	c.entries = make([]counterEntry, len(old)*2)
-	for i := range old {
-		if old[i].count > 0 {
-			c.entries[c.probe(old[i].key)] = old[i]
+	mask := uint32(len(c.entries) - 1)
+	for _, e := range old {
+		if e.epoch == 0 {
+			continue
+		}
+		i := e.hash & mask
+		for c.entries[i].epoch != 0 {
+			i = (i + 1) & mask
+		}
+		c.entries[i] = e
+		if e.epoch == c.epoch {
+			c.live[e.ord] = i
 		}
 	}
 }

@@ -64,6 +64,17 @@ func (s *HashSet) Contains(key string) bool {
 	return s.entries[s.probe(key)].used
 }
 
+// ContainsBytes is Contains for a key held as bytes; it does not allocate.
+func (s *HashSet) ContainsBytes(key []byte) bool {
+	mask := uint32(len(s.entries) - 1)
+	for i := fnv.Hash32Bytes(key) & mask; s.entries[i].used; i = (i + 1) & mask {
+		if s.entries[i].key == string(key) {
+			return true
+		}
+	}
+	return false
+}
+
 // Reset empties the set, retaining the allocated buckets for reuse.
 func (s *HashSet) Reset() {
 	clear(s.entries)

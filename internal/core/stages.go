@@ -12,7 +12,9 @@ import (
 )
 
 // StageTimes holds the paper's Table 1 measurements: the isolated
-// sequential cost of each pipeline component.
+// sequential cost of each pipeline component. Their sum is below a
+// sequential Run: ReadExtract covers scanning only, so eliminating each
+// file's duplicate terms and building its term block appear in no row.
 type StageTimes struct {
 	// FilenameGen is the directory traversal alone.
 	FilenameGen time.Duration
@@ -20,7 +22,8 @@ type StageTimes struct {
 	// extraction — the paper's probe for whether the program is I/O bound.
 	ReadFiles time.Duration
 	// ReadExtract is reading plus term extraction, still without updating
-	// any index.
+	// any index. It times extract.Extractor.ScanOnly: every file read and
+	// tokenized, the tokens only counted — no term table, no term block.
 	ReadExtract time.Duration
 	// IndexUpdate is inserting pre-extracted term blocks into a fresh
 	// index, isolating Stage 3.

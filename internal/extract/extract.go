@@ -1,6 +1,6 @@
 // Package extract implements Stage 2 of the index generator: term
 // extraction. An extractor reads a file, converts it to plain text,
-// tokenizes it, and eliminates duplicate terms with a private hash set,
+// tokenizes it, and eliminates duplicate terms with a private term table,
 // producing one en-bloc TermBlock per file.
 //
 // Per-file duplicate elimination is the design the paper settles by
@@ -23,8 +23,17 @@ import (
 // updaters: one file's distinct terms and, parallel to them, how many
 // times each occurred in the file (the term frequency TF ranking scores
 // with).
+//
+// Ownership: a block's slices are allocated for it and pass to whoever
+// receives the block — the extractor keeps no reference and never writes
+// to them again; the term strings are immutable and shared between the
+// blocks of one extractor. The Positions lists are exact-capacity windows
+// of a single buffer. The index stores them as given, so that buffer
+// lives as long as any of the file's postings does; holders may sort a
+// window in place but must never append to one.
 type TermBlock struct {
-	File  postings.FileID
+	File postings.FileID
+	// Terms are the file's distinct terms in order of first occurrence.
 	Terms []string
 	// Counts[i] is the number of occurrences of Terms[i]; nil means every
 	// term occurred exactly once. Counts is nil whenever Positions is set —
@@ -61,8 +70,9 @@ type Options struct {
 }
 
 // Extractor turns files into TermBlocks. Each extractor goroutine owns one
-// Extractor; the duplicate-elimination counter is reused across files to
-// avoid per-file allocation, so an Extractor must not be shared.
+// Extractor; the term table is reused across files — its buckets, and the
+// key string of every term an earlier file already contained — so an
+// Extractor must not be shared.
 type Extractor struct {
 	fs   vfs.FS
 	opts Options
@@ -71,49 +81,50 @@ type Extractor struct {
 
 // New returns an Extractor reading from fs.
 func New(fs vfs.FS, opts Options) *Extractor {
-	return &Extractor{fs: fs, opts: opts, seen: container.NewCounter(1024)}
+	return &Extractor{fs: fs, opts: opts, seen: container.NewCounter(1024, opts.Positions)}
 }
 
-// File extracts the duplicate-free term block of the named file, counting
-// each term's occurrences as the duplicates collapse.
-func (e *Extractor) File(path string, id postings.FileID) (TermBlock, error) {
+// text reads the named file and, with Options.Formats, strips its markup.
+func (e *Extractor) text(path string) ([]byte, error) {
 	data, err := e.fs.ReadFile(path)
 	if err != nil {
-		return TermBlock{}, fmt.Errorf("extract: %s: %w", path, err)
+		return nil, fmt.Errorf("extract: %s: %w", path, err)
 	}
 	if e.opts.Formats {
 		data = docfmt.Extract(path, data)
 	}
-	e.seen.Reset()
-	if e.opts.Positions {
-		pos := uint32(0)
-		tokenize.Scan(data, e.opts.Tokenize, func(term string) {
-			e.seen.AddAt(term, pos)
-			pos++
-		})
-		terms, positions := e.seen.PairsPositions(make([]string, 0, e.seen.Len()), make([][]uint32, 0, e.seen.Len()))
-		return TermBlock{File: id, Terms: terms, Positions: positions, Tokens: e.seen.Total()}, nil
+	return data, nil
+}
+
+// File extracts the duplicate-free term block of the named file, counting
+// each term's occurrences as the duplicates collapse. It allocates the
+// block's slices and nothing per token.
+func (e *Extractor) File(path string, id postings.FileID) (TermBlock, error) {
+	data, err := e.text(path)
+	if err != nil {
+		return TermBlock{}, err
 	}
-	tokenize.Scan(data, e.opts.Tokenize, func(term string) {
-		e.seen.Add(term)
-	})
-	terms, counts := e.seen.Pairs(make([]string, 0, e.seen.Len()), make([]uint32, 0, e.seen.Len()))
-	return TermBlock{File: id, Terms: terms, Counts: counts, Tokens: e.seen.Total()}, nil
+	e.seen.Reset()
+	tokenize.ScanBytes(data, e.opts.Tokenize, e.seen.Add)
+	block := TermBlock{File: id, Tokens: e.seen.Total()}
+	if e.opts.Positions {
+		block.Terms, block.Positions = e.seen.Positions()
+	} else {
+		block.Terms, block.Counts = e.seen.Counts()
+	}
+	return block, nil
 }
 
 // ScanOnly reads and tokenizes the file without collecting terms — the
 // paper's "empty scanner plus extraction" measurement (Table 1, "read files
 // and extract terms"). It returns the number of term occurrences seen.
 func (e *Extractor) ScanOnly(path string) (int, error) {
-	data, err := e.fs.ReadFile(path)
+	data, err := e.text(path)
 	if err != nil {
-		return 0, fmt.Errorf("extract: %s: %w", path, err)
-	}
-	if e.opts.Formats {
-		data = docfmt.Extract(path, data)
+		return 0, err
 	}
 	n := 0
-	tokenize.Scan(data, e.opts.Tokenize, func(string) { n++ })
+	tokenize.ScanBytes(data, e.opts.Tokenize, func([]byte) { n++ })
 	return n, nil
 }
 
@@ -138,13 +149,10 @@ func (e *Extractor) ReadOnly(path string) (int64, error) {
 // calls emit for each — the paper's rejected immediate-insertion
 // alternative, used by the en-bloc ablation benchmark.
 func (e *Extractor) Occurrences(path string, id postings.FileID, emit func(term string, id postings.FileID)) error {
-	data, err := e.fs.ReadFile(path)
+	data, err := e.text(path)
 	if err != nil {
-		return fmt.Errorf("extract: %s: %w", path, err)
+		return err
 	}
-	if e.opts.Formats {
-		data = docfmt.Extract(path, data)
-	}
-	tokenize.Scan(data, e.opts.Tokenize, func(term string) { emit(term, id) })
+	tokenize.ScanBytes(data, e.opts.Tokenize, func(term []byte) { emit(string(term), id) })
 	return nil
 }

@@ -2,7 +2,13 @@ package extract
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"desksearch/internal/postings"
@@ -261,6 +267,180 @@ func TestFilePositionsSkipDropped(t *testing.T) {
 			if block.Positions[i][k] != w[k] {
 				t.Fatalf("positions(%q) = %v, want %v", term, block.Positions[i], w)
 			}
+		}
+	}
+}
+
+// genText writes about n tokens drawn from vocab — random case, random
+// separators, and now and then a digit run, a one-letter word, a stopword
+// or a run longer than any MaxLen in use — and, with fresh > 0, that many
+// words no earlier file contained.
+func genText(rng *rand.Rand, n int, vocab []string, fresh int) []byte {
+	const seps = " \n\t.,;-_<>/"
+	var buf []byte
+	for i := 0; i < n+fresh; i++ {
+		var w string
+		switch r := rng.Intn(20); {
+		case i >= n:
+			w = fmt.Sprintf("fresh%dx%d", rng.Int63(), i)
+		case r == 0:
+			w = strconv.Itoa(rng.Intn(1000))
+		case r == 1:
+			w = string(rune('a' + rng.Intn(26)))
+		case r == 2:
+			w = []string{"the", "And", "OF"}[rng.Intn(3)]
+		case r == 3 && rng.Intn(4) == 0:
+			w = strings.Repeat("long", 17+rng.Intn(3))
+		default:
+			w = vocab[rng.Intn(len(vocab))]
+		}
+		for _, c := range []byte(w) {
+			if rng.Intn(6) == 0 && c >= 'a' && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			buf = append(buf, c)
+		}
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			buf = append(buf, seps[rng.Intn(len(seps))])
+		}
+	}
+	return buf
+}
+
+// wantBlock is the naive reference: tokenize.Terms and a Go map.
+func wantBlock(data []byte, opts tokenize.Options) (order []string, positions map[string][]uint32) {
+	positions = map[string][]uint32{}
+	for pos, term := range tokenize.Terms(data, opts) {
+		if _, seen := positions[term]; !seen {
+			order = append(order, term)
+		}
+		positions[term] = append(positions[term], uint32(pos))
+	}
+	return order, positions
+}
+
+func cloneBlock(b TermBlock) TermBlock {
+	c := b
+	c.Terms, c.Counts, c.Positions = slices.Clone(b.Terms), slices.Clone(b.Counts), slices.Clone(b.Positions)
+	for i, p := range c.Positions {
+		c.Positions[i] = slices.Clone(p)
+	}
+	return c
+}
+
+// TestReusedExtractorMatchesNaive: one Extractor, reused for a few hundred
+// random files, yields for every file what a fresh map over tokenize.Terms
+// yields — terms in first-occurrence order, positions (or counts), Tokens —
+// and a block is still what it was a hundred files later: the extractor
+// reuses its table, its ordinal sequence and the scanner its scratch, and
+// none of that may reach a block already handed out.
+func TestReusedExtractorMatchesNaive(t *testing.T) {
+	stop := tokenize.NewStopSet([]string{"the", "and", "of"})
+	optSets := []tokenize.Options{
+		tokenize.Default,
+		{MinLen: 2, MaxLen: 10, Stopwords: stop},
+		{MinLen: 3, DropDigits: true},
+	}
+	vocab := make([]string, 400)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("w%dq%d", i, i*i)
+	}
+	for oi, tok := range optSets {
+		for _, positional := range []bool{true, false} {
+			rng := rand.New(rand.NewSource(int64(19 + oi)))
+			fs := vfs.NewMemFS()
+			e := New(fs, Options{Tokenize: tok, Positions: positional})
+			type kept struct{ block, copy TermBlock }
+			var history []kept
+			for file := 0; file < 260; file++ {
+				n, fresh := rng.Intn(400), 0
+				switch {
+				case file%37 == 5:
+					n = 0 // empty file
+				case file%50 == 20:
+					// More new terms than the table has free slots,
+					// once early and again when it is full of stale ones.
+					n, fresh = 3000, 5000
+				}
+				data := genText(rng, n, vocab, fresh)
+				name := fmt.Sprintf("f%d.txt", file)
+				if err := fs.WriteFile(name, data); err != nil {
+					t.Fatal(err)
+				}
+				block, err := e.File(name, postings.FileID(file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				order, want := wantBlock(data, tok)
+				if !slices.Equal(block.Terms, order) {
+					t.Fatalf("opts %d positional=%v file %d: %d terms, want %d in first-occurrence order", oi, positional, file, len(block.Terms), len(order))
+				}
+				tokens := uint32(0)
+				for i, term := range block.Terms {
+					tokens += uint32(len(want[term]))
+					if !positional {
+						if block.Counts[i] != uint32(len(want[term])) {
+							t.Fatalf("file %d: count(%q) = %d, want %d", file, term, block.Counts[i], len(want[term]))
+						}
+						continue
+					}
+					p := block.Positions[i]
+					if !reflect.DeepEqual(p, want[term]) {
+						t.Fatalf("file %d: positions(%q) = %v, want %v", file, term, p, want[term])
+					}
+					if cap(p) != len(p) {
+						t.Fatalf("file %d: positions(%q) has cap %d, len %d", file, term, cap(p), len(p))
+					}
+					for k := 1; k < len(p); k++ {
+						if p[k] <= p[k-1] {
+							t.Fatalf("file %d: positions(%q) not strictly ascending: %v", file, term, p)
+						}
+					}
+				}
+				if block.Tokens != tokens {
+					t.Fatalf("file %d: Tokens = %d, want %d", file, block.Tokens, tokens)
+				}
+				if positional == (block.Counts != nil) || positional != (block.Positions != nil) {
+					t.Fatalf("file %d: positional=%v but Counts=%v Positions=%v", file, positional, block.Counts != nil, block.Positions != nil)
+				}
+				history = append(history, kept{block, cloneBlock(block)})
+				if k := file - 100; k >= 0 && !reflect.DeepEqual(history[k].block, history[k].copy) {
+					t.Fatalf("opts %d positional=%v: block of file %d changed while files %d..%d were extracted", oi, positional, k, k+1, file)
+				}
+			}
+		}
+	}
+}
+
+// TestFileAllocationsConstant is the machine-independent form of the
+// build-speed claim: on a warm extractor File allocates the block's
+// slices and a fixed handful besides — the same number for a file of a
+// hundred tokens as for one of a hundred thousand.
+func TestFileAllocationsConstant(t *testing.T) {
+	vocab := make([]string, 2000)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("w%dq%d", i, i*i)
+	}
+	rng := rand.New(rand.NewSource(19))
+	fs := vfs.NewMemFS()
+	for name, n := range map[string]int{"small.txt": 100, "large.txt": 100_000} {
+		if err := fs.WriteFile(name, genText(rng, n, vocab, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, positional := range []bool{true, false} {
+		e := New(fs, Options{Tokenize: tokenize.Default, Positions: positional})
+		measure := func(name string) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := e.File(name, 0); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		measure("large.txt") // warm: table, key strings, ordinal sequence
+		small, large := measure("small.txt"), measure("large.txt")
+		if small != large || large > 6 {
+			t.Errorf("positional=%v: %v allocations for 100 tokens, %v for 100000; want equal and <= 6", positional, small, large)
 		}
 	}
 }

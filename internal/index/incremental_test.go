@@ -99,6 +99,43 @@ func TestRemoveFilesMatchesSequentialRemoves(t *testing.T) {
 	}
 }
 
+// TestRemoveFilesKeepsUntouchedLists: an update that touches none of a
+// term's files must leave that term's list alone — same *postings.List,
+// not an equal copy — so an update's allocation follows the lists it
+// changes, not the size of the dictionary.
+func TestRemoveFilesKeepsUntouchedLists(t *testing.T) {
+	ix := New(16)
+	ix.AddBlockPositional(0, []string{"a", "b"}, [][]uint32{{0}, {1}})
+	ix.AddBlockPositional(1, []string{"b", "c"}, [][]uint32{{0}, {1}})
+	ix.AddBlockPositional(2, []string{"c", "d"}, [][]uint32{{0, 2}, {1}})
+	before := map[string]*postings.List{}
+	for _, term := range []string{"a", "b", "c", "d"} {
+		before[term] = ix.Lookup(term)
+	}
+	if got := ix.RemoveFiles(postings.FromIDs([]postings.FileID{2, 7})); got != 2 {
+		t.Fatalf("removed %d postings, want 2", got)
+	}
+	for _, term := range []string{"a", "b"} {
+		if ix.Lookup(term) != before[term] {
+			t.Errorf("term %q: untouched list was replaced", term)
+		}
+	}
+	if l := ix.Lookup("c"); l == before["c"] || l.Len() != 1 || !l.Contains(1) {
+		t.Errorf("term c: touched list not rebuilt correctly: %v", l.IDs())
+	}
+	if ix.Lookup("d") != nil {
+		t.Error("emptied term d survived")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		ix.RemoveFiles(postings.FromSortedIDs([]postings.FileID{7, 9}))
+	})
+	// One for the victims list's ids, one for the list itself: none per
+	// term scanned.
+	if allocs > 2 {
+		t.Errorf("a removal that hits nothing allocated %v times", allocs)
+	}
+}
+
 // TestTopTermsAcrossMatchesJoin: aggregation over document-disjoint
 // partitions must equal TopTerms over their join, without building one.
 func TestTopTermsAcrossMatchesJoin(t *testing.T) {

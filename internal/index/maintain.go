@@ -35,12 +35,13 @@ func (ix *Index) RemoveFiles(victims *postings.List) int {
 	removed := 0
 	var emptied []string
 	ix.terms.Range(func(term string, l *postings.List) bool {
-		rest := postings.Difference(l, victims)
-		hit := l.Len() - rest.Len()
-		if hit == 0 {
+		if !postings.Intersects(l, victims) {
+			// Most terms in most updates: the list, and every pointer
+			// to it, stays as it is.
 			return true
 		}
-		removed += hit
+		rest := postings.Difference(l, victims)
+		removed += l.Len() - rest.Len()
 		if rest.Len() == 0 {
 			emptied = append(emptied, term)
 			return true

@@ -604,6 +604,24 @@ func Intersect(a, b *List) *List {
 	return out
 }
 
+// Intersects reports whether a and b share a posting. It allocates
+// nothing and stops at the first common ID.
+func Intersects(a, b *List) bool {
+	i, j := 0, 0
+	for i < len(a.ids) && j < len(b.ids) {
+		x, y := a.ids[i], b.ids[j]
+		switch {
+		case x < y:
+			i++
+		case y < x:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
+}
+
 // IntersectEach calls f for every posting common to a and b, in ascending
 // ID order, with b's frequency for it — the ranking walk: a is a match
 // set, b a term's posting list whose frequencies score the match.

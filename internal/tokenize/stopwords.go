@@ -20,6 +20,10 @@ func NewStopSet(words []string) *StopSet {
 // Contains reports whether term is a stop word.
 func (s *StopSet) Contains(term string) bool { return s.set.Contains(term) }
 
+// ContainsBytes is Contains for the scanner's byte views; it does not
+// allocate.
+func (s *StopSet) ContainsBytes(term []byte) bool { return s.set.ContainsBytes(term) }
+
 // Len returns the number of stop words.
 func (s *StopSet) Len() int { return s.set.Len() }
 

@@ -3,16 +3,10 @@
 //
 // A term is a maximal run of ASCII letters and digits; letters are folded to
 // lower case so that "Index" and "index" hit the same posting list. The
-// scanner works either over a byte slice (the fast path used by extractors,
-// which read whole files) or incrementally over an io.Reader.
+// scanner works over a byte slice: extractors read whole files.
 package tokenize
 
-import (
-	"bufio"
-	"io"
-)
-
-// Options configure a Scanner.
+// Options configure the scanner.
 type Options struct {
 	// MinLen drops terms shorter than this many bytes. Zero means 1.
 	MinLen int
@@ -50,17 +44,19 @@ func init() {
 	}
 }
 
-// Scan splits data into terms and calls emit for each one. The string passed
-// to emit is freshly allocated and may be retained.
-//
-// Scan is the hot loop of term extraction: it makes one pass over data and
-// allocates only for emitted terms.
-func Scan(data []byte, opts Options, emit func(term string)) {
+// ScanBytes splits data into terms and calls emit for each one. It is the
+// package's one scanning loop and the hot loop of term extraction: a single
+// pass over data that allocates nothing per term. The slice passed to emit
+// is a view — of data itself, or, when the term had upper-case letters, of
+// a scratch buffer the next term overwrites — valid only until emit
+// returns; emit must copy what it keeps and must not modify it.
+func ScanBytes(data []byte, opts Options, emit func(term []byte)) {
 	minLen := opts.MinLen
 	if minLen < 1 {
 		minLen = 1
 	}
 	digitOK := !opts.DropDigits
+	var scratch []byte
 	i := 0
 	n := len(data)
 	for i < n {
@@ -85,21 +81,28 @@ func Scan(data []byte, opts Options, emit func(term string)) {
 		if length < minLen || (opts.MaxLen > 0 && length > opts.MaxLen) {
 			continue
 		}
-		var term string
-		if lower {
-			term = string(data[start:i])
-		} else {
-			buf := make([]byte, length)
-			for j := 0; j < length; j++ {
-				buf[j] = toLower[data[start+j]]
+		term := data[start:i]
+		if !lower {
+			if cap(scratch) < length {
+				scratch = make([]byte, max(64, 2*length))
 			}
-			term = string(buf)
+			scratch = scratch[:length]
+			for j, c := range term {
+				scratch[j] = toLower[c]
+			}
+			term = scratch
 		}
-		if opts.Stopwords != nil && opts.Stopwords.Contains(term) {
+		if opts.Stopwords != nil && opts.Stopwords.ContainsBytes(term) {
 			continue
 		}
 		emit(term)
 	}
+}
+
+// Scan is ScanBytes with each term copied into a fresh string, which emit
+// may retain.
+func Scan(data []byte, opts Options, emit func(term string)) {
+	ScanBytes(data, opts, func(term []byte) { emit(string(term)) })
 }
 
 // Terms returns all terms in data, in order of appearance (with duplicates).
@@ -107,98 +110,4 @@ func Terms(data []byte, opts Options) []string {
 	var out []string
 	Scan(data, opts, func(t string) { out = append(out, t) })
 	return out
-}
-
-// Scanner tokenizes an io.Reader incrementally. It is used when files are
-// too large to slurp, e.g. the five large files of the paper's benchmark
-// when memory is tight.
-type Scanner struct {
-	r    *bufio.Reader
-	opts Options
-	term []byte
-	err  error
-}
-
-// NewScanner returns a Scanner reading from r.
-func NewScanner(r io.Reader, opts Options) *Scanner {
-	return &Scanner{r: bufio.NewReaderSize(r, 64<<10), opts: opts, term: make([]byte, 0, 64)}
-}
-
-// Next returns the next term, or "" and io.EOF when input is exhausted.
-// Other errors from the underlying reader are returned as-is.
-func (s *Scanner) Next() (string, error) {
-	if s.err != nil {
-		return "", s.err
-	}
-	minLen := s.opts.MinLen
-	if minLen < 1 {
-		minLen = 1
-	}
-	digitOK := !s.opts.DropDigits
-	for {
-		s.term = s.term[:0]
-		// Skip separators.
-		var c byte
-		var err error
-		for {
-			c, err = s.r.ReadByte()
-			if err != nil {
-				s.err = err
-				return "", err
-			}
-			if isTermByte[c] && (digitOK || c < '0' || c > '9') {
-				break
-			}
-		}
-		// Accumulate the term.
-		s.term = append(s.term, toLower[c])
-		for {
-			c, err = s.r.ReadByte()
-			if err != nil {
-				if err == io.EOF {
-					break
-				}
-				s.err = err
-				return "", err
-			}
-			if !isTermByte[c] || (!digitOK && c >= '0' && c <= '9') {
-				break
-			}
-			s.term = append(s.term, toLower[c])
-		}
-		if len(s.term) < minLen || (s.opts.MaxLen > 0 && len(s.term) > s.opts.MaxLen) {
-			if err == io.EOF {
-				s.err = io.EOF
-				return "", io.EOF
-			}
-			continue
-		}
-		term := string(s.term)
-		if s.opts.Stopwords != nil && s.opts.Stopwords.Contains(term) {
-			if err == io.EOF {
-				s.err = io.EOF
-				return "", io.EOF
-			}
-			continue
-		}
-		if err == io.EOF {
-			s.err = io.EOF // delivered on the next call
-		}
-		return term, nil
-	}
-}
-
-// All drains the scanner and returns the remaining terms.
-func (s *Scanner) All() ([]string, error) {
-	var out []string
-	for {
-		t, err := s.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
-	}
 }
