@@ -9,13 +9,7 @@ STATICCHECK_VERSION ?= 2025.1
 # govulncheck version, matching .github/workflows/ci.yml.
 GOVULNCHECK_VERSION ?= latest
 
-# The bench-regression gate: which benchmarks are compared against
-# bench_baseline.json, and how they are run. -count=3 with benchcheck's
-# min-of-runs parsing keeps single noisy runs from tripping the gate.
-BENCH_GATE = ^(BenchmarkTopKQuery|BenchmarkShardedBuild|BenchmarkBM25Query|BenchmarkSuggest|BenchmarkSnippets|BenchmarkColdOpen|BenchmarkSelectiveAND|BenchmarkWANDTopK)$$
-BENCH_GATE_FLAGS = -run '^$$' -bench '$(BENCH_GATE)' -benchtime=10x -count=3
-
-.PHONY: build test vet fmt lint vuln bench bench-check bench-baseline bench-selftest docs-check load-smoke ci
+.PHONY: build test vet fmt lint vuln bench bench-selftest docs-check ci
 
 build:
 	$(GO) build ./...
@@ -71,22 +65,6 @@ bench:
 	$(GO) test -run='^$$' -bench='^BenchmarkTopKQuery$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# bench-check fails when any gated benchmark (the top-k query path and the
-# 4-shard build) regressed past bench_baseline.json's tolerance, or when a
-# machine-independent ratio gate (bounded heap vs full sort) breaks.
-# BENCH_TOLERANCE overrides the file's absolute tolerance — CI uses a
-# looser one because its runners are not the baseline's hardware; the
-# ratio gates hold at full strength everywhere.
-BENCH_TOLERANCE ?=
-bench-check:
-	$(GO) test $(BENCH_GATE_FLAGS) . | $(GO) run ./cmd/benchcheck -baseline bench_baseline.json $(if $(BENCH_TOLERANCE),-tolerance $(BENCH_TOLERANCE))
-
-# bench-baseline re-records bench_baseline.json from this machine. Run it
-# after an intentional perf change (or on new reference hardware) and
-# commit the result.
-bench-baseline:
-	$(GO) test $(BENCH_GATE_FLAGS) . | $(GO) run ./cmd/benchcheck -baseline bench_baseline.json -update
-
 # bench-selftest vets and tests bench/, the repo benchmark's nested module.
 # `go build ./...` does not see it, yet it imports internal packages
 # directly, so an internal deletion that breaks it must fail here, before
@@ -100,10 +78,4 @@ bench-selftest:
 docs-check:
 	$(GO) run ./cmd/docscheck
 
-# load-smoke replays cmd/loadgen's CI preset — a tiny in-process corpus,
-# 300 mixed queries, exit 1 on any error — proving the load harness and
-# the query surface it drives end to end.
-load-smoke:
-	$(GO) run ./cmd/loadgen -smoke -out /dev/null
-
-ci: build bench-selftest vet fmt lint vuln docs-check test bench bench-check load-smoke
+ci: build bench-selftest vet fmt lint vuln docs-check test bench

@@ -413,9 +413,9 @@ func BenchmarkAblationParallelSearch(b *testing.B) {
 }
 
 // engineSearch runs query on e with the zero controls: every hit,
-// coordination ranking, no per-hit term metadata.
+// coordination ranking.
 func engineSearch(b *testing.B, e *search.Engine, query *search.Query) {
-	if _, err := e.Query(context.Background(), search.Request{Query: query, OmitTerms: true}); err != nil {
+	if _, err := e.Query(context.Background(), search.Request{Query: query}); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -438,10 +438,9 @@ func buildShards(b *testing.B, n int) *core.Result {
 }
 
 // BenchmarkShardedBuild measures end-to-end index construction into a
-// 4-shard catalog — the bench-regression gate's build-side canary (see
-// bench_baseline.json and make bench-check): a fixed (4, 4, 0) tuple, one
-// owning updater per shard, and the path users get — the facade with its
-// machine-sized default tuple, positions on.
+// 4-shard catalog: a fixed (4, 4, 0) tuple, one owning updater per shard,
+// and the path users get — the facade with its machine-sized default
+// tuple, positions on. The gated number is bench/'s build_mb_per_s.
 func BenchmarkShardedBuild(b *testing.B) {
 	fs := liveCorpus(b)
 	b.Run("shards-4", func(b *testing.B) {
@@ -550,8 +549,7 @@ func coldOpenDir(b *testing.B) string {
 // directory: LoadDir decodes and materializes every posting list up
 // front, OpenDir reads only the term dictionaries and maps posting data
 // for on-demand decode (DSIX v10). The gap is the lazy backend's reason
-// to exist; the bench gate pins both arms and their ratio (see
-// bench_baseline.json).
+// to exist; bench/ gates it as open_ms of query-lazy against query-heap.
 func BenchmarkColdOpen(b *testing.B) {
 	dir := coldOpenDir(b)
 	b.Run("load-dir", func(b *testing.B) {
@@ -713,7 +711,7 @@ var (
 // (≈1600 files) plus a broad OR query matching most of it — the workload
 // where bounded top-k retrieval should beat materializing and sorting
 // every hit.
-func topkCatalog(b *testing.B) (*Catalog, string) {
+func topkCatalog(b testing.TB) (*Catalog, string) {
 	b.Helper()
 	topkOnce.Do(func() {
 		fs := vfs.NewMemFS()
@@ -1017,8 +1015,8 @@ func lazyBlockDecodes(cat *Catalog) uint64 {
 // benchSkewQuery runs one skewed-corpus query on the eager and lazy
 // backends plus the full-lists baseline — decoding every queried term's
 // entire posting list, the work the pre-streaming evaluator did per
-// query — reporting blocks/op on the lazy-backend arms. The bench gate
-// holds lazy blocks/op under half of full-lists (see bench_baseline.json).
+// query — reporting blocks/op on the lazy-backend arms. The counts are
+// pinned exactly by TestLazyEvaluationDecodesFewerBlocks (lazy_test.go).
 func benchSkewQuery(b *testing.B, req Query, terms []string) {
 	eager, lazy := skewCatalogs(b)
 	ctx := context.Background()

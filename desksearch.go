@@ -274,12 +274,11 @@ func ParseQuery(text string) (*Expr, error) {
 // String renders the expression in canonical form.
 func (e *Expr) String() string { return e.q.String() }
 
-// Query is a v2 search request: the query itself plus retrieval controls.
-// The zero controls return every hit, coordination-ranked — exactly what
-// the v1 Search returned.
+// Query is a search request: the query itself plus retrieval controls.
+// The zero controls return every hit, coordination-ranked.
 type Query struct {
-	// Text is the boolean query string, parsed with the same grammar as
-	// Search. Ignored when Expr is set.
+	// Text is the boolean query string, in ParseQuery's grammar. Ignored
+	// when Expr is set.
 	Text string
 	// Expr is an optional pre-parsed expression (ParseQuery), letting hot
 	// paths skip re-parsing. Takes precedence over Text.
@@ -457,7 +456,7 @@ type Stats struct {
 
 // Catalog is a built index (or replica set) ready to answer queries.
 //
-// A catalog is safe for concurrent Search calls, and Search is safe
+// A catalog is safe for concurrent Query calls, and Query is safe
 // against a concurrent Update/Apply: incremental updates commit under the
 // engine's maintenance lock, so a query sees the catalog either before or
 // after a changeset, never mid-apply.
@@ -520,7 +519,7 @@ func (c *Catalog) partitionsLocked() []index.Partition {
 // goroutine per partition; each keeps only its local top Limit+Offset
 // hits in a bounded min-heap, and the per-partition ranked lists are
 // merged just until the page is full — on multi-partition catalogs a
-// Limit-10 query does a fraction of the work a full Search does. ctx
+// Limit-10 query does a fraction of the work an unlimited one does. ctx
 // cancellation is honored between evaluation steps: a canceled context
 // aborts in-flight partitions and returns ctx.Err().
 func (c *Catalog) Query(ctx context.Context, q Query) (*Response, error) {

@@ -36,9 +36,8 @@
 // per-partition timings. The context cancels or bounds the query.
 // Evaluation failures are typed: errors.As against *QueryError exposes a
 // stable machine-readable Code alongside the sentinel the error wraps
-// (ErrNoPositions, ErrPrefixTooBroad). The v1 Search
-// wrapper is gone — a zero-control Query reproduces it exactly (every
-// hit, coordination-ranked).
+// (ErrNoPositions, ErrPrefixTooBroad). A zero-control Query returns every
+// hit, coordination-ranked.
 //
 // The query grammar supports implicit AND, OR, NOT (or a leading '-'),
 // parentheses, and quoted phrases: `"annual report" -draft` matches files

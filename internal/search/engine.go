@@ -66,9 +66,9 @@ type Engine struct {
 	// here is an orphan of partition 0" rule would wrongly claim every
 	// remote document for NOT queries. Set via SetUniverses.
 	universeFn func() []*postings.List
-	// gen counts committed mutations: every Maintain, Invalidate, or Swap
-	// increments it, so a cache keyed on (generation, query) can never
-	// serve a result computed before an update as if it were current.
+	// gen counts committed mutations: every Maintain or Swap increments
+	// it, so a cache keyed on (generation, query) can never serve a result
+	// computed before an update as if it were current.
 	gen uint64
 }
 
@@ -101,10 +101,10 @@ func (e *Engine) Maintain(f func()) {
 }
 
 // Generation returns the engine's mutation generation: a counter that
-// advances every time an update commits (Maintain), the caches are dropped
-// (Invalidate), or the partition set is replaced (Swap). Two queries that
-// observe the same generation ran against the same index state, which is
-// what makes the generation a safe component of a result-cache key.
+// advances every time an update commits (Maintain) or the partition set is
+// replaced (Swap). Two queries that observe the same generation ran
+// against the same index state, which is what makes the generation a safe
+// component of a result-cache key.
 func (e *Engine) Generation() uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -137,8 +137,8 @@ func (e *Engine) Swap(files *index.FileTable, parts []index.Partition, then func
 // serving a shard subset use it to claim exactly their own documents; the
 // default computation (every partition's docs, orphans assigned to
 // partition 0) covers whole catalogs. The provider's result is cached
-// like the computed universes and re-requested after every Maintain,
-// Invalidate, or Swap.
+// like the computed universes and re-requested after every Maintain or
+// Swap.
 func (e *Engine) SetUniverses(f func() []*postings.List) {
 	e.mu.Lock()
 	e.universeFn = f
@@ -167,17 +167,6 @@ func (e *Engine) View(f func()) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	f()
-}
-
-// Invalidate drops the cached universes so the next query recomputes them.
-// Callers that mutate the indices without going through Maintain (and
-// therefore accept the concurrency hazard) must at least Invalidate, or
-// NOT queries keep matching deleted files.
-func (e *Engine) Invalidate() {
-	e.mu.Lock()
-	e.universes = nil
-	e.gen++
-	e.mu.Unlock()
 }
 
 // lockShared acquires the engine's read lock with the universe cache

@@ -99,22 +99,6 @@ func TestNotExcludesRemovedFileAcrossReplicas(t *testing.T) {
 	}
 }
 
-// TestInvalidateAlone covers the escape hatch for callers that mutate
-// without Maintain.
-func TestInvalidateAlone(t *testing.T) {
-	files, ix := maintFixture()
-	e := NewEngine(files, ix)
-	if hits, _ := searchString(e, "-delta"); len(hits) != 3 {
-		t.Fatal("universe not primed as expected")
-	}
-	ix.RemoveFile(0)
-	files.Tombstone(0)
-	e.Invalidate()
-	if hits, _ := searchString(e, "-delta"); len(hits) != 2 {
-		t.Errorf("stale universe survived Invalidate")
-	}
-}
-
 // TestConcurrentSearchAndUpdate exercises queries racing incremental
 // updates through the engine's lock; run under -race it is the ISSUE's
 // aliasing regression test. Without the read-write discipline (and the

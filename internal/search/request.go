@@ -46,9 +46,8 @@ func (r Ranking) String() string {
 	}
 }
 
-// Request is a v2 query: a parsed boolean expression plus retrieval
-// controls. The zero controls reproduce v1 Search exactly — every hit,
-// coordination-ranked.
+// Request is a query: a parsed boolean expression plus retrieval
+// controls. The zero controls return every hit, coordination-ranked.
 type Request struct {
 	// Query is the parsed boolean expression to evaluate.
 	Query *Query
@@ -66,10 +65,6 @@ type Request struct {
 	// it (a cheap directory filter); filtered-out matches do not count
 	// toward Response.Total.
 	PathPrefix string
-	// OmitTerms skips the per-hit matched-term metadata — the v1
-	// compatibility path, whose callers discard it, uses this to keep the
-	// full-result Search as allocation-lean as before the redesign.
-	OmitTerms bool
 	// Snippets asks for a per-hit context window (Hit.Snippet) built from
 	// the index's token positions. Requires a positional catalog
 	// (ErrNoPositions otherwise, exactly like phrase queries) and a
@@ -162,36 +157,65 @@ func (e *Engine) DocFreqs(ctx context.Context, q *Query, maxPrefixTerms int) (*D
 			out.Terms[i] += ix.DocFreq(term)
 		}
 	}
-	if len(q.prefixes) > 0 {
-		expansions := make([][]*postings.List, len(e.indices))
-		expErrs := make([]error, len(e.indices))
-		if e.Parallel && len(e.indices) > 1 {
-			var wg sync.WaitGroup
-			for i, ix := range e.indices {
-				wg.Add(1)
-				go func(i int, ix index.Partition) {
-					defer wg.Done()
-					expansions[i], expErrs[i] = expandPrefixes(ix, q, maxPrefixTerms)
-				}(i, ix)
-			}
-			wg.Wait()
-		} else {
-			for i, ix := range e.indices {
-				expansions[i], expErrs[i] = expandPrefixes(ix, q, maxPrefixTerms)
-			}
-		}
-		for _, err := range expErrs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		for j, ord := range q.scorePrefixes {
-			for _, exp := range expansions {
-				out.Prefixes[j] += exp[ord].Len()
-			}
+	expansions, err := e.expandAll(ctx, q, maxPrefixTerms)
+	if err != nil {
+		return nil, err
+	}
+	for j, ord := range q.scorePrefixes {
+		for _, exp := range expansions {
+			out.Prefixes[j] += exp[ord].Len()
 		}
 	}
 	return out, nil
+}
+
+// eachPartition calls fn once per partition and returns when every call
+// has: on one goroutine each when the engine is Parallel and has several
+// partitions, otherwise in partition order, stopping once ctx is done.
+// The caller holds e.mu.
+func (e *Engine) eachPartition(ctx context.Context, fn func(i int, ix index.Partition)) {
+	if e.Parallel && len(e.indices) > 1 {
+		var wg sync.WaitGroup
+		for i, ix := range e.indices {
+			wg.Add(1)
+			go func(i int, ix index.Partition) {
+				defer wg.Done()
+				fn(i, ix)
+			}(i, ix)
+		}
+		wg.Wait()
+		return
+	}
+	for i, ix := range e.indices {
+		if ctx.Err() != nil {
+			return
+		}
+		fn(i, ix)
+	}
+}
+
+// expandAll expands q's prefix operators on every partition, under the
+// maxPrefixTerms cap; the result is nil when q has none. On failure it
+// reports the first failing partition in partition order, so the reported
+// prefix does not vary with goroutine scheduling.
+func (e *Engine) expandAll(ctx context.Context, q *Query, maxPrefixTerms int) ([][]*postings.List, error) {
+	if len(q.prefixes) == 0 {
+		return nil, nil
+	}
+	expansions := make([][]*postings.List, len(e.indices))
+	errs := make([]error, len(e.indices))
+	e.eachPartition(ctx, func(i int, ix index.Partition) {
+		expansions[i], errs[i] = expandPrefixes(ix, q, maxPrefixTerms)
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return expansions, nil
 }
 
 // PartitionStat is one partition's share of a query's work.
@@ -266,36 +290,12 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	// Prefix operators expand before evaluation fans out: the cap error
 	// must not depend on boolean short-circuiting, and BM25 needs every
 	// partition's expansion to aggregate global document frequencies.
-	var expansions [][]*postings.List
-	if len(req.Query.prefixes) > 0 {
-		expansions = make([][]*postings.List, len(e.indices))
-		expErrs := make([]error, len(e.indices))
-		if e.Parallel && len(e.indices) > 1 {
-			var wg sync.WaitGroup
-			for i, ix := range e.indices {
-				wg.Add(1)
-				go func(i int, ix index.Partition) {
-					defer wg.Done()
-					expansions[i], expErrs[i] = expandPrefixes(ix, req.Query, req.MaxPrefixTerms)
-				}(i, ix)
-			}
-			wg.Wait()
-		} else {
-			for i, ix := range e.indices {
-				expansions[i], expErrs[i] = expandPrefixes(ix, req.Query, req.MaxPrefixTerms)
-			}
-		}
-		// First failing partition in partition order, so the reported
-		// prefix does not vary with goroutine scheduling.
-		for _, err := range expErrs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	expansions, err := e.expandAll(ctx, req.Query, req.MaxPrefixTerms)
+	if err != nil {
+		return nil, err
 	}
 	var bm *bm25Stats
 	if req.Ranking == RankBM25 {
-		var err error
 		bm, err = e.computeBM25Stats(req.Query, expansions, req.GlobalDF)
 		if err != nil {
 			return nil, err
@@ -308,31 +308,14 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	if req.Limit > 0 {
 		k = req.Limit + req.Offset
 	}
-	exp := func(i int) []*postings.List {
-		if expansions == nil {
-			return nil
-		}
-		return expansions[i]
-	}
 	parts := make([]partResult, len(e.indices))
-	if e.Parallel && len(e.indices) > 1 {
-		var wg sync.WaitGroup
-		for i, ix := range e.indices {
-			wg.Add(1)
-			go func(i int, ix index.Partition) {
-				defer wg.Done()
-				parts[i] = e.queryOne(ctx, ix, unis[i], req, k, exp(i), bm)
-			}(i, ix)
+	e.eachPartition(ctx, func(i int, ix index.Partition) {
+		var exp []*postings.List
+		if expansions != nil {
+			exp = expansions[i]
 		}
-		wg.Wait()
-	} else {
-		for i, ix := range e.indices {
-			if ctx.Err() != nil {
-				break
-			}
-			parts[i] = e.queryOne(ctx, ix, unis[i], req, k, exp(i), bm)
-		}
-	}
+		parts[i] = e.queryOne(ctx, ix, unis[i], req, k, exp, bm)
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -521,7 +504,7 @@ func (e *Engine) queryOne(ctx context.Context, ix index.Partition, universe *pos
 	}
 	if len(all) > 0 {
 		labels := req.Query.positive
-		if !req.OmitTerms && len(req.Query.scorePrefixes) > 0 {
+		if len(req.Query.scorePrefixes) > 0 {
 			labels = make([]string, 0, len(req.Query.positive)+len(req.Query.scorePrefixes))
 			labels = append(labels, req.Query.positive...)
 			for _, ord := range req.Query.scorePrefixes {
@@ -530,11 +513,8 @@ func (e *Engine) queryOne(ctx context.Context, ix index.Partition, universe *pos
 		}
 		res.hits = make([]Hit, len(all))
 		for i, s := range all {
-			h := s.hit
-			if !req.OmitTerms {
-				h.Terms = termsFromMask(labels, s.mask)
-			}
-			res.hits[i] = h
+			res.hits[i] = s.hit
+			res.hits[i].Terms = termsFromMask(labels, s.mask)
 		}
 		if req.Snippets {
 			buildSnippets(ix, req.Query, exp, res.hits)

@@ -83,6 +83,11 @@ func TestParseAndString(t *testing.T) {
 		{"not cat", "(NOT cat)"},       // keyword case-insensitive
 		{"e-mail", "(e AND mail)"},     // intra-word '-' splits like indexing
 		{"cat OR dog OR fish", "(cat OR dog OR fish)"},
+		// A quoted keyword is an ordinary term, in every boolean form.
+		{`"or" cat`, `("or" AND cat)`},
+		{`"and" "not"`, `("and" AND "not")`},
+		{`"or" OR "and"`, `("or" OR "and")`},
+		{`cat -"not"`, `(cat AND (NOT "not"))`},
 	}
 	for _, tc := range tests {
 		q, err := Parse(tc.in)
@@ -312,7 +317,7 @@ func BenchmarkSearchSingle(b *testing.B) {
 	q := MustParse("cat OR dog OR fish")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Query(context.Background(), Request{Query: q, OmitTerms: true})
+		e.Query(context.Background(), Request{Query: q})
 	}
 }
 
@@ -323,7 +328,7 @@ func BenchmarkSearchReplicasParallel(b *testing.B) {
 	e.Query(context.Background(), Request{Query: q}) // warm universes
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Query(context.Background(), Request{Query: q, OmitTerms: true})
+		e.Query(context.Background(), Request{Query: q})
 	}
 }
 

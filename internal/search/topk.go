@@ -7,7 +7,7 @@ import "sort"
 // O(1) when it does not beat the current worst — the overwhelmingly common
 // case once the heap warms up — and O(log k) otherwise, so a partition
 // ranks its page contribution in O(m log k) instead of the O(m log m) full
-// sort the v1 engine paid per query.
+// sort an unlimited query pays.
 type topK struct {
 	k int
 	h []scored

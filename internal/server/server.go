@@ -439,10 +439,10 @@ func writeQueryError(w http.ResponseWriter, err error, timeout time.Duration) {
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	req, status, err := s.parseSearch(r)
+	req, err := ParseSearchQuery(r.URL.Query(), s.maxLim)
 	if err != nil {
 		s.metrics.observeRequest("search", "bad_request", start)
-		writeError(w, status, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	req, key, err := req.Normalize()
@@ -592,15 +592,6 @@ func (s *Server) cachedQuery(ctx context.Context, gen uint64, key string, req de
 		}
 		return resp, responseSize(resp), nil
 	})
-}
-
-// parseSearch maps query parameters onto a desksearch.Query.
-func (s *Server) parseSearch(r *http.Request) (desksearch.Query, int, error) {
-	req, err := ParseSearchQuery(r.URL.Query(), s.maxLim)
-	if err != nil {
-		return req, http.StatusBadRequest, err
-	}
-	return req, 0, nil
 }
 
 // ParseSearchQuery maps /search-style URL parameters (q, limit, offset,

@@ -109,6 +109,32 @@ func TestQueryPaginationMatchesSearch(t *testing.T) {
 	}
 }
 
+// TestTopKAllocatesLessThanFullResult is the bounded-heap claim as a count:
+// on the top-k benchmark's corpus (≈1600 hits over 4 shards) a page of ten
+// retains ten hits per partition, so it allocates at most half of what the
+// unlimited query does to materialize every hit.
+func TestTopKAllocatesLessThanFullResult(t *testing.T) {
+	cat, q := topkCatalog(t)
+	ctx := context.Background()
+	expr, err := ParseQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rank := range []Ranking{RankCount, RankBM25} {
+		allocs := func(limit int) float64 {
+			req := Query{Expr: expr, Limit: limit, Ranking: rank}
+			return testing.AllocsPerRun(10, func() {
+				if _, err := cat.Query(ctx, req); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if page, full := allocs(10), allocs(0); page > full/2 {
+			t.Errorf("ranking %v: limit 10 allocates %.0f times, limit 0 %.0f; want at most half", rank, page, full)
+		}
+	}
+}
+
 func TestQueryCancellation(t *testing.T) {
 	fs := syntheticFS(t, 300)
 	cat := shardedCatalog(t, fs, 4)
