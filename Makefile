@@ -73,8 +73,9 @@ bench-selftest:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# The doc-drift gate: every DSIX version constant in internal/index/codec.go
-# has a section in docs/FORMAT.md, and the spec has none the codec lacks.
+# The doc-drift gate: every DSIX version and frame-kind constant in
+# internal/index/codec.go has a section or heading in docs/FORMAT.md, and
+# the spec has none the codec lacks.
 docs-check:
 	$(GO) run ./cmd/docscheck
 

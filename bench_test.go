@@ -309,16 +309,25 @@ func buildReplicas(b *testing.B, n int) []*index.Index {
 	return res.Replicas
 }
 
+// copyIndexes deep-copies replicas: a join consumes its inputs, and
+// MergeTerm only reads the list it is handed.
+func copyIndexes(source []*index.Index) []*index.Index {
+	out := make([]*index.Index, len(source))
+	for i, r := range source {
+		c := index.New(r.NumTerms())
+		r.Range(func(term string, l *postings.List) bool {
+			c.MergeTerm(term, l)
+			return true
+		})
+		out[i] = c
+	}
+	return out
+}
+
 func BenchmarkAblationJoin(b *testing.B) {
 	const replicas = 8
 	source := buildReplicas(b, replicas)
-	clone := func() []*index.Index {
-		out := make([]*index.Index, len(source))
-		for i, r := range source {
-			out[i] = r.Clone()
-		}
-		return out
-	}
+	clone := func() []*index.Index { return copyIndexes(source) }
 	b.Run("single-joiner", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -374,13 +383,7 @@ func BenchmarkAblationParallelSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	joined := index.JoinAll(func() []*index.Index {
-		out := make([]*index.Index, len(res.Replicas))
-		for i, r := range res.Replicas {
-			out[i] = r.Clone()
-		}
-		return out
-	}())
+	joined := index.JoinAll(copyIndexes(res.Replicas))
 
 	vocab := corpus.BuildVocabulary(corpus.PaperSpec().Scale(1.0 / 128))
 	query := search.MustParse(fmt.Sprintf("%s OR %s OR (%s -%s)", vocab[0], vocab[1], vocab[2], vocab[3]))

@@ -1,7 +1,7 @@
 // Command docscheck is the CI doc-drift gate for the DSIX format spec:
-// it verifies that the codec version constants declared in
-// internal/index/codec.go agree with the versions documented in
-// docs/FORMAT.md, so the spec cannot silently rot as the codec evolves.
+// it verifies that the codec version and frame-kind constants declared in
+// internal/index/codec.go agree with what docs/FORMAT.md documents, so the
+// spec cannot silently rot as the codec evolves.
 //
 // Checks:
 //
@@ -10,7 +10,10 @@
 //     spec;
 //  2. the spec has no "### vN" section for a version the codec lacks
 //     (retired versions get a table row, not a section);
-//  3. the spec names the frame magic ("DSIX").
+//  3. every frame-kind constant in the codec (KindManifest) has a matching
+//     "**Kind N — ..." heading in the spec, and the spec has no such
+//     heading for a kind the codec lacks (a retired kind gets a table row);
+//  4. the spec names the frame magic ("DSIX").
 //
 // Usage (normally via `make docs-check`):
 //
@@ -29,16 +32,78 @@ import (
 	"strings"
 )
 
-// constRe matches the codec's version constant declarations, e.g.
-// "FrameVersion = 9", inside the const block.
-var constRe = regexp.MustCompile(`(?m)^\t([A-Za-z]*[Vv]ersion)\s*=\s*(\d+)\b`)
+// pairing is one family of numbered things the codec declares as constants
+// and the spec documents under headings.
+type pairing struct {
+	what      string         // "version", "frame kind"
+	constRe   *regexp.Regexp // codec constant: name, number
+	headingRe *regexp.Regexp // spec heading: number
+	heading   string         // heading shape, for messages
+}
 
-// headingRe matches the spec's version section headings:
-// "### v9 — the frame".
-var headingRe = regexp.MustCompile(`(?m)^### v(\d+)\b`)
+var pairings = []pairing{
+	{
+		what: "version",
+		// "FrameVersion = 9", inside the const block.
+		constRe: regexp.MustCompile(`(?m)^\t([A-Za-z]*[Vv]ersion)\s*=\s*(\d+)\b`),
+		// "### v9 — the frame"
+		headingRe: regexp.MustCompile(`(?m)^### v(\d+)\b`),
+		heading:   "### v%d",
+	},
+	{
+		what: "frame kind",
+		// "const KindManifest = 2", alone or inside a const block.
+		constRe: regexp.MustCompile(`(?m)^(?:const |\t)([Kk]ind[A-Za-z]*)\s*=\s*(\d+)\b`),
+		// "**Kind 2 — shard manifest.**"
+		headingRe: regexp.MustCompile(`(?m)^\*\*Kind (\d+)\b`),
+		heading:   "**Kind %d",
+	},
+}
+
+// check returns one finding per disagreement between the codec source and
+// the spec, sorted; none when they agree.
+func check(codecPath, specPath, codec, spec string) []string {
+	var problems []string
+	for _, p := range pairings {
+		consts := map[int]string{} // number → constant name
+		for _, m := range p.constRe.FindAllStringSubmatch(codec, -1) {
+			if n, err := strconv.Atoi(m[2]); err == nil {
+				consts[n] = m[1]
+			}
+		}
+		if len(consts) == 0 {
+			problems = append(problems,
+				fmt.Sprintf("%s: no %s constants found (pattern %q)", codecPath, p.what, p.constRe))
+		}
+		documented := map[int]bool{}
+		for _, m := range p.headingRe.FindAllStringSubmatch(spec, -1) {
+			if n, err := strconv.Atoi(m[1]); err == nil {
+				documented[n] = true
+			}
+		}
+		for n, name := range consts {
+			if !documented[n] {
+				problems = append(problems,
+					fmt.Sprintf("%s: %s = %d has no '"+p.heading+"' heading in %s", codecPath, name, n, n, specPath))
+			}
+		}
+		for n := range documented {
+			if _, live := consts[n]; !live {
+				problems = append(problems,
+					fmt.Sprintf("%s: has a '"+p.heading+"' heading, but %s declares no %s %d", specPath, n, codecPath, p.what, n))
+			}
+		}
+	}
+	if !strings.Contains(spec, `"DSIX"`) {
+		problems = append(problems,
+			fmt.Sprintf("%s: does not name the frame magic %q", specPath, "DSIX"))
+	}
+	sort.Strings(problems)
+	return problems
+}
 
 func main() {
-	codecPath := flag.String("codec", "internal/index/codec.go", "codec source file declaring the version constants")
+	codecPath := flag.String("codec", "internal/index/codec.go", "codec source file declaring the version and kind constants")
 	specPath := flag.String("spec", "docs/FORMAT.md", "format specification to check against")
 	flag.Parse()
 
@@ -50,60 +115,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	consts := map[int]string{} // version → constant name
-	for _, m := range constRe.FindAllStringSubmatch(string(codec), -1) {
-		v, err := strconv.Atoi(m[2])
-		if err != nil {
-			continue
-		}
-		consts[v] = m[1]
-	}
-	if len(consts) == 0 {
-		fatal(fmt.Errorf("no version constants found in %s (pattern %q)", *codecPath, constRe))
-	}
-
-	documented := map[int]bool{}
-	for _, m := range headingRe.FindAllStringSubmatch(string(spec), -1) {
-		v, err := strconv.Atoi(m[1])
-		if err != nil {
-			continue
-		}
-		documented[v] = true
-	}
-
-	var problems []string
-	for v, name := range consts {
-		if !documented[v] {
-			problems = append(problems,
-				fmt.Sprintf("%s: %s = %d has no '### v%d' section in %s", *codecPath, name, v, v, *specPath))
-		}
-	}
-	for v := range documented {
-		if _, live := consts[v]; !live {
-			problems = append(problems,
-				fmt.Sprintf("%s: has a '### v%d' section, but %s declares no version %d", *specPath, v, *codecPath, v))
-		}
-	}
-	if !strings.Contains(string(spec), `"DSIX"`) {
-		problems = append(problems,
-			fmt.Sprintf("%s: does not name the frame magic %q", *specPath, "DSIX"))
-	}
-
-	if len(problems) > 0 {
-		sort.Strings(problems)
+	if problems := check(*codecPath, *specPath, string(codec), string(spec)); len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "docscheck:", p)
 		}
-		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s) — internal/index/codec.go and docs/FORMAT.md have drifted apart\n", len(problems))
+		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s) — %s and %s have drifted apart\n", len(problems), *codecPath, *specPath)
 		os.Exit(1)
 	}
-	versions := make([]string, 0, len(consts))
-	for v, name := range consts {
-		versions = append(versions, fmt.Sprintf("%s=%d", name, v))
-	}
-	sort.Strings(versions)
-	fmt.Printf("docscheck: ok — %s documented in %s\n", strings.Join(versions, " "), *specPath)
+	fmt.Printf("docscheck: ok — %s and %s agree on every version and frame kind\n", *codecPath, *specPath)
 }
 
 func fatal(err error) {

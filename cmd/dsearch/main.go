@@ -3,16 +3,16 @@
 //
 // Usage:
 //
-//	dsearch -index PATH  QUERY...
+//	dsearch -index DIR [-lazy]  QUERY...
 //	dsearch -root DIR [-shards N] [-formats]  QUERY...
 //
-// -index accepts either a single index file or a sharded index directory
-// (a manifest plus segments, as written by indexgen -shards); -shards
-// partitions an on-the-fly index for parallel fan-out search. With a
-// sharded directory, -lazy opens the index in place (OpenDir) instead of
-// materializing it: posting blocks decode on first touch only, so a
-// selective query over a large index starts answering without paying the
-// full load. Results are bit-identical either way.
+// -index names an index directory (a manifest plus segments, as written by
+// indexgen -save DIR); a regular file there is a usage error. -shards
+// partitions an on-the-fly index for parallel fan-out search. -lazy opens
+// the index in place (OpenDir) instead of materializing it: posting blocks
+// decode on first touch only, so a selective query over a large index
+// starts answering without paying the full load. Results are bit-identical
+// either way.
 //
 // Queries are boolean: terms AND together, OR/NOT (or a leading '-'),
 // parentheses, and quoted phrases work as expected:
@@ -50,7 +50,7 @@ import (
 
 func main() {
 	var (
-		indexPath = flag.String("index", "", "read a saved index from this file or sharded directory")
+		indexPath = flag.String("index", "", "read a saved index from this directory")
 		root      = flag.String("root", "", "index this directory before searching")
 		shards    = flag.Int("shards", 0, "with -root, partition the index into N document shards")
 		formats   = flag.Bool("formats", false, "strip HTML/WP markup while indexing")
@@ -68,7 +68,11 @@ func main() {
 	)
 	flag.Parse()
 	if (flag.NArg() == 0 && *top == 0) || (*indexPath == "") == (*root == "") {
-		fmt.Fprintln(os.Stderr, "usage: dsearch (-index PATH | -root DIR) [-top N] QUERY...")
+		fmt.Fprintln(os.Stderr, "usage: dsearch (-index DIR | -root DIR) [-top N] QUERY...")
+		os.Exit(2)
+	}
+	if err := checkIndexDir(*indexPath); err != nil {
+		fmt.Fprintln(os.Stderr, "dsearch:", err)
 		os.Exit(2)
 	}
 
@@ -199,29 +203,22 @@ func highlightSnippet(sn *desksearch.Snippet) string {
 	return b.String()
 }
 
-// loadIndex reads a catalog from path: a sharded index directory when path
-// is a directory (opened in place when lazy), a single index file
-// otherwise.
+// checkIndexDir rejects an -index path that is a regular file: an index is
+// a directory, and a file there is most likely a single-file index an
+// earlier version wrote.
+func checkIndexDir(path string) error {
+	if info, err := os.Stat(path); err == nil && !info.IsDir() {
+		return fmt.Errorf("-index %s is a regular file; an index is a directory (manifest.dsix + segments): rebuild it with indexgen -save DIR", path)
+	}
+	return nil
+}
+
+// loadIndex reads the index directory at path, in place when lazy.
 func loadIndex(path string, lazy bool) (*desksearch.Catalog, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if info.IsDir() {
-		if lazy {
-			return desksearch.OpenDir(path)
-		}
-		return desksearch.LoadDir(path)
-	}
 	if lazy {
-		return nil, fmt.Errorf("-lazy requires a sharded index directory, not a single index file")
+		return desksearch.OpenDir(path)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return desksearch.Load(f)
+	return desksearch.LoadDir(path)
 }
 
 func fatal(err error) {

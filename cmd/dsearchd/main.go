@@ -5,19 +5,19 @@
 // Usage:
 //
 //	dsearchd -root DIR [-shards N] [-formats] [flags]
-//	dsearchd -index PATH [-root DIR] [flags]
+//	dsearchd -index DIR [-root DIR] [flags]
 //	dsearchd -index DIR -lazy [flags]
 //	dsearchd -index DIR -worker [-shards 0,2] [flags]
 //	dsearchd -broker -workers URLS [flags]
 //
-// -root builds the index at startup; -index loads a saved one (a single
-// index file or a sharded directory as written by indexgen). With both,
-// the saved index is loaded and then kept in step with DIR: -watch polls
-// it on an interval, and POST /reload updates on demand — both run the
-// incremental delta pipeline and atomically invalidate the query cache,
-// so no request is ever answered from a stale generation.
+// -root builds the index at startup; -index loads a saved one (the
+// directory written by indexgen -save; a regular file is a usage error).
+// With both, the saved index is loaded and then kept in step with DIR:
+// -watch polls it on an interval, and POST /reload updates on demand —
+// both run the incremental delta pipeline and atomically invalidate the
+// query cache, so no request is ever answered from a stale generation.
 //
-// -lazy serves a sharded directory without materializing it: startup reads
+// -lazy serves the directory without materializing it: startup reads
 // only the term dictionaries, and posting data is mapped and decoded per
 // query (see desksearch.OpenDir). The catalog is read-only — -lazy
 // conflicts with -root and -watch — and /stats reports open_mode "lazy"
@@ -80,7 +80,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7700", "listen address")
-		indexPath    = flag.String("index", "", "load a saved index from this file or sharded directory")
+		indexPath    = flag.String("index", "", "load a saved index from this directory")
 		root         = flag.String("root", "", "directory to index at startup (and to watch for changes)")
 		shards       = flag.String("shards", "", "with -root, partition the index into N document shards; with -worker, the comma-separated list of shard numbers to serve (empty = all)")
 		formats      = flag.Bool("formats", false, "strip HTML/WP markup while indexing")
@@ -115,7 +115,11 @@ func main() {
 	}
 
 	if *indexPath == "" && *root == "" {
-		fmt.Fprintln(os.Stderr, "usage: dsearchd (-root DIR | -index PATH | -broker -workers URLS) [flags]")
+		fmt.Fprintln(os.Stderr, "usage: dsearchd (-root DIR | -index DIR | -broker -workers URLS) [flags]")
+		os.Exit(2)
+	}
+	if err := checkIndexDir(*indexPath); err != nil {
+		fmt.Fprintln(os.Stderr, "dsearchd:", err)
 		os.Exit(2)
 	}
 	if *watch > 0 && *root == "" {
@@ -159,12 +163,9 @@ func main() {
 	}
 	var cat *desksearch.Catalog
 	start := time.Now()
-	switch {
-	case len(shardSubset) > 0:
-		cat, err = desksearch.OpenDirShards(*indexPath, shardSubset, opts)
-	case *indexPath != "":
-		cat, err = loadIndex(*indexPath, *lazy, opts)
-	default:
+	if *indexPath != "" {
+		cat, err = loadIndex(*indexPath, *lazy, shardSubset, opts)
+	} else {
 		cat, err = desksearch.IndexDir(*root, opts)
 	}
 	if err != nil {
@@ -323,28 +324,23 @@ func parseWorkerGroups(v string) [][]string {
 	return groups
 }
 
-// loadIndex reads a catalog from path: a sharded index directory when path
-// is a directory, a single index file otherwise. The build options ride
-// along so incremental updates re-extract consistently; with lazy a
-// directory is opened in place rather than materialized.
-func loadIndex(path string, lazy bool, opts desksearch.Options) (*desksearch.Catalog, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, err
+// checkIndexDir rejects an -index path that is a regular file: an index is
+// a directory, and a file there is most likely a single-file index an
+// earlier version wrote.
+func checkIndexDir(path string) error {
+	if info, err := os.Stat(path); err == nil && !info.IsDir() {
+		return fmt.Errorf("-index %s is a regular file; an index is a directory (manifest.dsix + segments): rebuild it with indexgen -save DIR", path)
 	}
-	if info.IsDir() {
-		if lazy {
-			return desksearch.OpenDir(path, opts)
-		}
-		return desksearch.LoadDir(path, opts)
+	return nil
+}
+
+// loadIndex reads the index directory at path: in place when lazy or when
+// only the shards in subset are wanted (a worker's share), materialized
+// otherwise. The build options ride along so incremental updates re-extract
+// consistently.
+func loadIndex(path string, lazy bool, subset []int, opts desksearch.Options) (*desksearch.Catalog, error) {
+	if lazy || len(subset) > 0 {
+		return desksearch.OpenDirShards(path, subset, opts)
 	}
-	if lazy {
-		return nil, fmt.Errorf("-lazy needs a sharded index directory, and %s is a file", path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return desksearch.Load(f, opts)
+	return desksearch.LoadDir(path, opts)
 }

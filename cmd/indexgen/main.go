@@ -4,7 +4,7 @@
 // Usage:
 //
 //	indexgen -root DIR [-impl seq|shared|join|nojoin] [-x N -y N -z N]
-//	         [-shards N] [-formats] [-positions] [-save PATH] [-stages]
+//	         [-shards N] [-formats] [-positions] [-save DIR] [-stages]
 //	indexgen -root DIR -update -save DIR [-formats] [-x N]
 //
 // With -positions every term occurrence's token position is recorded,
@@ -12,16 +12,15 @@
 // larger index; the saved files record it in a flags bit (docs/FORMAT.md)
 // and -update re-extracts positionally without restating the flag.
 //
-// With -shards N the index is partitioned into N document shards and
-// -save PATH writes the sharded layout (a checksummed manifest plus one
-// segment file per shard) into the directory PATH; without -shards, -save
-// writes a single index file.
+// -save DIR writes the index into the directory DIR: a checksummed
+// manifest plus one segment file per partition — the N document shards of
+// -shards N, otherwise the build's own indices (one, or the unjoined
+// replicas). An existing regular file at DIR is a usage error.
 //
-// With -update the catalog saved under -save (the sharded directory
-// layout) is loaded, diffed against the live tree under -root, patched in
-// place — added, modified, and deleted files only, no full rebuild — and
-// written back, rewriting only the segment files the changeset dirtied
-// plus the manifest. Pass the same -formats (and optionally -x) the build
+// With -update the catalog saved under -save is loaded, diffed against
+// the live tree under -root, patched in place — added, modified, and
+// deleted files only, no full rebuild — and written back, rewriting only
+// the segment files the changeset dirtied plus the manifest. Pass the same -formats (and optionally -x) the build
 // used: extraction options are not persisted in the catalog.
 //
 // With -stages it instead reproduces the paper's Table 1 methodology on
@@ -52,13 +51,17 @@ func main() {
 		shards  = flag.Int("shards", 0, "partition the index into N document shards (0 = off)")
 		formats = flag.Bool("formats", false, "strip HTML/WP markup before indexing")
 		pos     = flag.Bool("positions", false, "record token positions (enables quoted phrase queries; larger index)")
-		save    = flag.String("save", "", "write the built index to this path (a directory with -shards)")
+		save    = flag.String("save", "", "write the built index into this directory (manifest + one segment per partition)")
 		stages  = flag.Bool("stages", false, "measure isolated sequential stage times (paper Table 1) and exit")
 		update  = flag.Bool("update", false, "incrementally update the saved catalog under -save against -root instead of rebuilding")
 	)
 	flag.Parse()
 	if *root == "" {
 		flag.Usage()
+		os.Exit(2)
+	}
+	if err := checkSaveDir(*save); err != nil {
+		fmt.Fprintln(os.Stderr, "indexgen:", err)
 		os.Exit(2)
 	}
 
@@ -68,8 +71,8 @@ func main() {
 		}
 		// Build options are not persisted in the catalog, so the update
 		// must be told the original extraction flags to re-extract changed
-		// files the same way. Positions are the exception: the DSIX frame
-		// version records them, so LoadDir re-enables them automatically.
+		// files the same way. Positions are the exception: the segments'
+		// flags record them, so LoadDir re-enables them automatically.
 		runUpdate(*root, *save, desksearch.Options{Formats: *formats, Extractors: *x, Positions: *pos})
 		return
 	}
@@ -118,25 +121,21 @@ func main() {
 		fGen, eu, join, total)
 
 	if *save != "" {
-		if *shards > 0 {
-			if err := cat.SaveDir(*save); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("index saved to %s/ (manifest + %d segments)\n", *save, cat.Shards())
-			return
-		}
-		f, err := os.Create(*save)
-		if err != nil {
+		if err := cat.SaveDir(*save); err != nil {
 			fatal(err)
 		}
-		if err := cat.Save(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("index saved to %s\n", *save)
+		fmt.Printf("index saved to %s/ (manifest + %d segments)\n", *save, cat.Indices())
 	}
+}
+
+// checkSaveDir rejects a -save target that exists as a regular file: an
+// index is saved as a directory, and a file there is most likely a
+// single-file index an earlier version wrote.
+func checkSaveDir(path string) error {
+	if info, err := os.Stat(path); err == nil && !info.IsDir() {
+		return fmt.Errorf("-save %s is a regular file; an index is saved as a directory (manifest.dsix + segments): name a directory", path)
+	}
+	return nil
 }
 
 // runUpdate loads the catalog under saveDir, applies the changes found

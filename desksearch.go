@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"desksearch/internal/core"
 	"desksearch/internal/delta"
@@ -369,77 +367,30 @@ func (q Query) Normalize() (Query, string, error) {
 	return q, key, nil
 }
 
-// Hit is one search hit of the Query API.
-type Hit struct {
-	// Path is the matched file, relative to the indexed root.
-	Path string
-	// File is the hit's catalog-internal document ID — the ascending
-	// half of the tie-break rule (see Score). It is stable for the life
-	// of a saved catalog and shared by every worker serving the same
-	// directory, which is what lets a distributed merge reproduce the
-	// single-node order exactly.
-	File uint32
-	// Score ranks the hit under the request's Ranking mode. Count and TF
-	// scores are small integers represented exactly; BM25 scores are real
-	// relevance weights. Ties break by indexing order, deterministically:
-	// hits are ordered by descending Score under exact float64 comparison,
-	// then ascending file identity, and scores are never NaN.
-	Score float64
-	// Terms lists the positive query terms the file contains, in query
-	// order, followed by any matched prefix operators in their canonical
-	// "repor*" form (the first 64 are tracked).
-	Terms []string
-	// Snippet is the hit's context window; non-nil only when the request
-	// set Snippets and the file had an anchorable match.
-	Snippet *Snippet
-}
+// Hit is one search hit of the Query API. Its fields — and those of the
+// result types below — are documented on the internal search types they
+// alias, which every layer from the engine to the wire shares.
+type Hit = search.Hit
 
 // Span is a half-open byte range [Start, End) into a Snippet's Text.
-type Span struct {
-	Start int
-	End   int
-}
+type Span = search.Span
 
 // Snippet is a hit's context window, reconstructed from the positional
-// index: the indexed (normalized) tokens around the hit's first matched
-// position, joined by single spaces. Highlights lists the byte spans of
-// Text covered by tokens that matched the query, in ascending order. The
-// window comes from the index alone — the original file is never re-read,
-// so snippets work on catalogs loaded far from their corpus.
-type Snippet struct {
-	Text       string
-	Highlights []Span
-}
+// index alone — the original file is never re-read, so snippets work on
+// catalogs loaded far from their corpus.
+type Snippet = search.Snippet
 
 // Suggestion is one autocomplete candidate: an indexed term and the number
 // of files containing it.
-type Suggestion struct {
-	Term  string
-	Files int
-}
+type Suggestion = search.Suggestion
 
-// PartitionTiming is one partition's share of a query's work.
-type PartitionTiming struct {
-	// Partition is the partition's position in the catalog.
-	Partition int
-	// Matched counts the partition's matches (after path filtering,
-	// before top-k truncation); partition counts sum to Response.Total.
-	Matched int
-	// Duration is the partition's evaluation wall time.
-	Duration time.Duration
-}
+// PartitionTiming is one partition's share of a query's work: its match
+// count and evaluation wall time.
+type PartitionTiming = search.PartitionStat
 
-// Response is the result of a v2 query.
-type Response struct {
-	// Hits is the requested page, ordered by descending score then by
-	// indexing order.
-	Hits []Hit
-	// Total is the number of matches across the whole catalog — the count
-	// pagination pages through, independent of Limit/Offset.
-	Total int
-	// Partitions reports per-partition match counts and timings.
-	Partitions []PartitionTiming
-}
+// Response is the result of a v2 query: the requested page of Hits, the
+// Total match count pagination pages through, and per-partition timings.
+type Response = search.Response
 
 // Stats summarizes a catalog.
 type Stats struct {
@@ -464,9 +415,9 @@ type Catalog struct {
 	result *core.Result
 	engine *search.Engine
 	// lazy, when non-nil, is the open segment-reader set behind a catalog
-	// opened with OpenDir or OpenDirShards. Such a catalog is read-only: the mutating surface (Save, SaveDir, Apply, Update)
-	// returns ErrReadOnly, and Close must be called to release the
-	// mappings.
+	// opened with OpenDir or OpenDirShards. Such a catalog is read-only:
+	// the mutating surface (SaveDir, Apply, Update) returns ErrReadOnly,
+	// and Close must be called to release the mappings.
 	lazy *shard.LazySet
 	// updateMu serializes Update/Apply against each other; the engine's
 	// read-write lock already serializes them against queries.
@@ -555,26 +506,7 @@ func (c *Catalog) Query(ctx context.Context, q Query) (*Response, error) {
 	if err != nil {
 		return nil, wrapQueryError(err)
 	}
-	out := &Response{
-		Hits:       make([]Hit, len(resp.Hits)),
-		Total:      resp.Total,
-		Partitions: make([]PartitionTiming, len(resp.Partitions)),
-	}
-	for i, h := range resp.Hits {
-		hit := Hit{Path: h.Path, File: uint32(h.File), Score: h.Score, Terms: h.Terms}
-		if h.Snippet != nil {
-			spans := make([]Span, len(h.Snippet.Highlights))
-			for j, s := range h.Snippet.Highlights {
-				spans[j] = Span{Start: s.Start, End: s.End}
-			}
-			hit.Snippet = &Snippet{Text: h.Snippet.Text, Highlights: spans}
-		}
-		out.Hits[i] = hit
-	}
-	for i, p := range resp.Partitions {
-		out.Partitions[i] = PartitionTiming{Partition: p.Partition, Matched: p.Matched, Duration: p.Duration}
-	}
-	return out, nil
+	return resp, nil
 }
 
 // DocFreqs computes the catalog's local document-frequency vector for q:
@@ -609,15 +541,7 @@ func (c *Catalog) DocFreqs(ctx context.Context, q Query) (*DocFreqs, error) {
 // default of 10. Suggestions reflect the catalog's committed state: the
 // call takes the same read lock queries do.
 func (c *Catalog) Suggest(ctx context.Context, prefix string, n int) ([]Suggestion, error) {
-	sugs, err := c.engine.Suggest(ctx, prefix, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Suggestion, len(sugs))
-	for i, s := range sugs {
-		out[i] = Suggestion{Term: s.Term, Files: s.Files}
-	}
-	return out, nil
+	return c.engine.Suggest(ctx, prefix, n)
 }
 
 // Stats summarizes the catalog. Files counts live files only: a file
@@ -744,21 +668,18 @@ func (c *Catalog) Shards() int {
 // names every shard consistently across workers.
 func (c *Catalog) PartitionIDs() []int {
 	var out []int
-	lazy := false
 	c.engine.View(func() {
-		if lazy = c.lazy != nil; lazy {
+		if c.lazy != nil {
 			out = append(out, c.lazy.ShardIDs()...)
+			return
+		}
+		// Counted here, not with Indices: that takes the engine's read lock
+		// again, and a nested read lock deadlocks behind a waiting Maintain.
+		out = make([]int, len(c.result.Indexes()))
+		for i := range out {
+			out[i] = i
 		}
 	})
-	if lazy {
-		return out
-	}
-	// Indices takes the engine's read lock itself, so it runs outside View:
-	// a nested read lock deadlocks behind a waiting Maintain or Swap.
-	out = make([]int, c.engine.Indices())
-	for i := range out {
-		out[i] = i
-	}
 	return out
 }
 
@@ -816,10 +737,7 @@ func (c *Catalog) Timings() (filenameGen, extractUpdate, join, shard, total floa
 }
 
 // TermCount is a term with the number of files containing it.
-type TermCount struct {
-	Term  string
-	Files int
-}
+type TermCount = index.TermCount
 
 // TopTerms returns the catalog's n most frequent terms by document count.
 // For partitioned catalogs (replicas or shards) the per-partition counts
@@ -832,88 +750,30 @@ func (c *Catalog) TopTerms(n int) []TermCount {
 		return nil
 	}
 	var out []TermCount
-	c.engine.View(func() {
-		top := index.TopTermsAcross(c.partitionsLocked(), n)
-		out = make([]TermCount, len(top))
-		for i, tc := range top {
-			out[i] = TermCount{Term: tc.Term, Files: tc.Files}
-		}
-	})
+	c.engine.View(func() { out = index.TopTermsAcross(c.partitionsLocked(), n) })
 	return out
 }
 
-// Save writes the catalog to w in the single-file binary index format.
-// Replica and shard sets are joined first — on copies, so the live catalog
-// stays queryable — and a saved catalog always reloads as a single index.
-// Use SaveDir to persist the partitions instead.
-func (c *Catalog) Save(w io.Writer) error {
-	var err error
-	c.engine.View(func() {
-		if c.lazy != nil {
-			err = ErrReadOnly
-			return
-		}
-		ix := c.result.Index
-		if ix == nil {
-			parts := c.result.Indexes()
-			clones := make([]*index.Index, len(parts))
-			for i, p := range parts {
-				clones[i] = p.Clone()
-			}
-			ix = index.JoinAll(clones)
-		}
-		err = index.Save(w, ix, c.result.Files)
-	})
-	return err
-}
-
-// Load reads a catalog previously written by Save. Loaded catalogs accept
-// incremental updates; build options are not persisted, so a catalog built
-// with non-default extraction (Formats, Stopwords, MinTermLen) must be
-// given the same Options again here or updates will re-extract changed
-// files differently than the original build did.
-func Load(r io.Reader, opt ...Options) (*Catalog, error) {
-	cfg, err := loadedConfig(opt)
-	if err != nil {
-		return nil, err
-	}
-	ix, files, err := index.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	// Positional-ness is persisted in the frame's flags byte and is
-	// authoritative in both directions: a loaded positional catalog keeps
-	// re-extracting positionally without the caller restating the option,
-	// and Options.Positions cannot turn a non-positional catalog
-	// positional — only re-extracted files would ever carry positions,
-	// leaving the index half-positional. Rebuild to change it.
-	cfg.Extract.Positions = ix.Positional()
-	return newCatalog(&core.Result{
-		Implementation: core.Sequential,
-		Config:         cfg,
-		Files:          files,
-		Index:          ix,
-	}), nil
-}
-
-// loadedConfig is the pipeline configuration assumed for catalogs loaded
-// from disk, whose build options were not persisted: the caller's Options
-// when given, defaults otherwise.
-func loadedConfig(opts []Options) (core.Config, error) {
+// loadedOptions resolves the options of a catalog read from disk, whose
+// build options were not persisted — the caller's when given, defaults
+// otherwise — and the pipeline configuration they imply.
+func loadedOptions(opts []Options) (Options, core.Config, error) {
 	var o Options
 	if len(opts) > 0 {
 		o = opts[0]
 	}
 	// coreConfig always bases extraction on tokenize.Default, so the zero
 	// Options value yields the pipeline's default extraction.
-	return o.coreConfig()
+	cfg, err := o.coreConfig()
+	return o, cfg, err
 }
 
-// SaveDir writes the catalog under dir in the sharded layout: a checksummed
-// manifest plus one segment file per shard, written in parallel. Catalogs
-// built without Options.Shards are saved with their existing partitions as
-// shards — replicas are document-disjoint, and a single index becomes a
-// one-segment layout — so any catalog can be saved this way.
+// SaveDir writes the catalog under dir — the one persisted form: a
+// checksummed manifest plus one segment file per shard, written in
+// parallel. Catalogs built without Options.Shards are saved with their
+// existing partitions as shards — replicas are document-disjoint, and a
+// single index becomes a one-segment directory — so any catalog is saved
+// this way, and none is ever joined to be saved.
 func (c *Catalog) SaveDir(dir string) error {
 	// updateMu keeps two saves from staging the same temporary files; the
 	// engine's read lock keeps the indices stable while segments stream
@@ -939,10 +799,12 @@ func (c *Catalog) SaveDir(dir string) error {
 // and verifying all segments in parallel. Queries fan out over the loaded
 // shards. A loaded catalog remembers its directory: after an incremental
 // Update, SaveDir back to it rewrites only the segments the update
-// dirtied. Like Load, pass the build's Options if it used non-default
-// extraction, so updates re-extract consistently.
+// dirtied. Build options are not persisted, so a catalog built with
+// non-default extraction (Formats, Stopwords, MinTermLen) must be given the
+// same Options again here or updates will re-extract changed files
+// differently than the original build did.
 func LoadDir(dir string, opt ...Options) (*Catalog, error) {
-	cfg, err := loadedConfig(opt)
+	_, cfg, err := loadedOptions(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -950,8 +812,12 @@ func LoadDir(dir string, opt ...Options) (*Catalog, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Like Load: the segments' flags decide positional-ness in
-	// both directions (see Load), overriding Options.Positions.
+	// Positional-ness is persisted in the segments' flags byte and is
+	// authoritative in both directions: a loaded positional catalog keeps
+	// re-extracting positionally without the caller restating the option,
+	// and Options.Positions cannot turn a non-positional catalog
+	// positional — only re-extracted files would ever carry positions,
+	// leaving the index half-positional. Rebuild to change it.
 	cfg.Extract.Positions = set.Positional()
 	return newCatalog(&core.Result{
 		Implementation: core.ReplicatedSearch,
@@ -970,8 +836,8 @@ func LoadDir(dir string, opt ...Options) (*Catalog, error) {
 // Every query answers bit-identically to the same catalog loaded with
 // LoadDir.
 //
-// The returned catalog is read-only — Save, SaveDir, Apply, and Update
-// return ErrReadOnly — and holds open file mappings until Close (Swap to a
+// The returned catalog is read-only — SaveDir, Apply, and Update return
+// ErrReadOnly — and holds open file mappings until Close (Swap to a
 // replacement catalog also releases them, which is how dsearchd reloads).
 func OpenDir(dir string, opt ...Options) (*Catalog, error) {
 	return OpenDirShards(dir, nil, opt...)
@@ -995,25 +861,14 @@ func OpenDir(dir string, opt ...Options) (*Catalog, error) {
 // scored via the Query.GlobalDF protocol), responses are bit-identical
 // to a single-node catalog over the whole directory.
 func OpenDirShards(dir string, shardIDs []int, opt ...Options) (*Catalog, error) {
-	cfg, err := loadedConfig(opt)
+	o, cfg, err := loadedOptions(opt)
 	if err != nil {
 		return nil, err
 	}
-	var cacheBytes int64
-	if len(opt) > 0 {
-		cacheBytes = opt[0].BlockCacheBytes
-	}
-	set, err := shard.OpenDirShards(dir, cacheBytes, shardIDs)
+	set, err := shard.OpenDirShards(dir, o.BlockCacheBytes, shardIDs)
 	if err != nil {
 		return nil, err
 	}
-	return lazyCatalog(cfg, set), nil
-}
-
-// lazyCatalog wraps an open lazy set as a read-only catalog, installing
-// the subset-aware NOT universes when the set holds only part of its
-// directory.
-func lazyCatalog(cfg core.Config, set *shard.LazySet) *Catalog {
 	cfg.Extract.Positions = set.Positional()
 	res := &core.Result{
 		Implementation: core.ReplicatedSearch,
@@ -1022,13 +877,11 @@ func lazyCatalog(cfg core.Config, set *shard.LazySet) *Catalog {
 	}
 	engine := search.NewEngine(set.Files(), set.Partitions()...)
 	if set.Subset() {
+		// A set holding only part of its directory complements NOT against
+		// its own shards' share of the documents.
 		engine.SetUniverses(set.Universes)
 	}
-	return &Catalog{
-		result: res,
-		engine: engine,
-		lazy:   set,
-	}
+	return &Catalog{result: res, engine: engine, lazy: set}, nil
 }
 
 // Changeset is a tree diff computed by Catalog.Diff and consumed by
@@ -1038,11 +891,10 @@ type Changeset = delta.Changeset
 
 // UpdateStats summarizes an applied incremental update.
 type UpdateStats struct {
-	// Added, Modified, and Deleted count the files in the changeset.
-	Added, Modified, Deleted int
-	// PostingsRemoved and PostingsAdded count the (term, file) pairs the
-	// update dropped and inserted.
-	PostingsRemoved, PostingsAdded int64
+	// Stats counts the files in the changeset (Added, Modified, Deleted)
+	// and the (term, file) pairs the update dropped and inserted
+	// (PostingsRemoved, PostingsAdded).
+	delta.Stats
 	// SkippedFiles counts changed files that could not be re-extracted;
 	// like the batch pipeline, they stay registered without postings.
 	SkippedFiles int
@@ -1113,14 +965,7 @@ func (c *Catalog) applyLocked(fsys vfs.FS, cs *Changeset) (UpdateStats, error) {
 	c.engine.Maintain(func() {
 		st = plan.Commit(target)
 	})
-	return UpdateStats{
-		Added:           st.Added,
-		Modified:        st.Modified,
-		Deleted:         st.Deleted,
-		PostingsRemoved: st.PostingsRemoved,
-		PostingsAdded:   st.PostingsAdded,
-		SkippedFiles:    len(plan.Skipped),
-	}, nil
+	return UpdateStats{Stats: st, SkippedFiles: len(plan.Skipped)}, nil
 }
 
 // updateWorkers sizes the re-extraction pool: the build's extractor count

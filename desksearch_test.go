@@ -1,8 +1,9 @@
 package desksearch
 
 import (
-	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -164,11 +165,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := cat.Save(&buf); err != nil {
+		dir := t.TempDir()
+		if err := cat.SaveDir(dir); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := Load(&buf)
+		loaded, err := LoadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,16 +180,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				t.Errorf("impl %d %q: %v vs %v", impl, q, paths(a), paths(b))
 			}
 		}
-		// Saving a replica catalog must leave it queryable (copies joined).
+		// Saving a replica catalog must leave it queryable (nothing is joined).
 		if _, err := cat.Query(context.Background(), Query{Text: "report"}); err != nil {
-			t.Errorf("catalog broken after Save: %v", err)
+			t.Errorf("catalog broken after SaveDir: %v", err)
 		}
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not an index at all, sorry!"))); err == nil {
-		t.Error("garbage accepted")
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "manifest.dsix"), []byte("not an index at all, sorry!"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadDir(dir); err == nil {
+		t.Error("LoadDir accepted garbage")
+	}
+	if _, err := OpenDir(dir); err == nil {
+		t.Error("OpenDir accepted garbage")
 	}
 }
 

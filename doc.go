@@ -56,8 +56,15 @@
 // so a sharded build pays no join or redistribution pass. Queries fan
 // out with one goroutine per shard and merge the per-shard ranked hits, so
 // a sharded catalog answers exactly like the equivalent single index.
-// Catalog.SaveDir persists the shards as a checksummed manifest plus one
-// segment file per shard, written and reloaded (LoadDir) in parallel.
+//
+// # Persistence
+//
+// Catalog.SaveDir is the one way a catalog is persisted: a directory
+// holding a checksummed manifest plus one segment file per partition —
+// the shards, or for an unsharded catalog its own indices, unjoined —
+// written and reloaded in parallel. LoadDir materializes a directory on
+// the heap (the form that accepts Update); OpenDir and OpenDirShards serve
+// it in place, read-only, decoding posting blocks on demand.
 //
 // # Serving
 //

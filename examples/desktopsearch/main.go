@@ -87,25 +87,15 @@ func main() {
 		keep = cat
 	}
 
-	// Persist and reload, as a desktop tool does between sessions.
-	idxPath := filepath.Join(dir, "desksearch.idx")
-	f, err := os.Create(idxPath)
-	if err != nil {
+	// Persist and reload, as a desktop tool does between sessions. The
+	// unjoined replicas are saved as they are, one segment each.
+	idxDir := filepath.Join(dir, "desksearch.idx")
+	if err := keep.SaveDir(idxDir); err != nil {
 		log.Fatal(err)
 	}
-	if err := keep.Save(f); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	info, _ := os.Stat(idxPath)
-	fmt.Printf("\nindex persisted: %s (%.1f KB)\n", idxPath, float64(info.Size())/1024)
+	fmt.Printf("\nindex persisted: %s/ (manifest + %d segments)\n", idxDir, keep.Indices())
 
-	f, err = os.Open(idxPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	loaded, err := desksearch.Load(f)
-	f.Close()
+	loaded, err := desksearch.LoadDir(idxDir, desksearch.Options{Formats: true})
 	if err != nil {
 		log.Fatal(err)
 	}

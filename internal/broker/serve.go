@@ -180,20 +180,13 @@ func (b *Broker) query(ctx context.Context, req desksearch.Query) (*server.Searc
 		partStats = append(partStats, p.Partitions...)
 		hits := make([]search.Hit, len(p.Hits))
 		for i, h := range p.Hits {
-			hit := search.Hit{
-				File:  postings.FileID(h.File),
-				Path:  h.Path,
-				Score: math.Float64frombits(h.ScoreBits),
-				Terms: h.Terms,
+			hits[i] = search.Hit{
+				File:    postings.FileID(h.File),
+				Path:    h.Path,
+				Score:   math.Float64frombits(h.ScoreBits),
+				Terms:   h.Terms,
+				Snippet: h.Snippet,
 			}
-			if h.Snippet != nil {
-				sn := &search.Snippet{Text: h.Snippet.Text}
-				for _, sp := range h.Snippet.Highlights {
-					sn.Highlights = append(sn.Highlights, search.Span{Start: sp.Start, End: sp.End})
-				}
-				hit.Snippet = sn
-			}
-			hits[i] = hit
 		}
 		parts[gi] = hits
 	}
@@ -217,15 +210,7 @@ func (b *Broker) query(ctx context.Context, req desksearch.Query) (*server.Searc
 		Partitions: partStats,
 	}
 	for i, h := range merged {
-		sh := server.SearchHit{Path: h.Path, Score: h.Score, Terms: h.Terms}
-		if h.Snippet != nil {
-			snip := &server.SnippetJSON{Text: h.Snippet.Text}
-			for _, sp := range h.Snippet.Highlights {
-				snip.Highlights = append(snip.Highlights, server.SpanJSON{Start: sp.Start, End: sp.End})
-			}
-			sh.Snippet = snip
-		}
-		out.Hits[i] = sh
+		out.Hits[i] = server.SearchHit{Path: h.Path, Score: h.Score, Terms: h.Terms, Snippet: h.Snippet}
 	}
 	return out, nil
 }
@@ -369,9 +354,9 @@ func (b *Broker) handleSuggest(w http.ResponseWriter, r *http.Request) {
 			counts[sg.Term] += sg.Files
 		}
 	}
-	merged := make([]server.SuggestionJSON, 0, len(counts))
+	merged := make([]desksearch.Suggestion, 0, len(counts))
 	for term, files := range counts {
-		merged = append(merged, server.SuggestionJSON{Term: term, Files: files})
+		merged = append(merged, desksearch.Suggestion{Term: term, Files: files})
 	}
 	sort.Slice(merged, func(i, j int) bool {
 		if merged[i].Files != merged[j].Files {

@@ -1,18 +1,16 @@
 // Package distribute implements the work-distribution strategies the paper
 // considers for handing filenames to term extractors: round-robin (the
-// measured winner), size-aware assignment, a shared locked queue, and work
+// measured winner), size-aware assignment, contiguous chunks, and work
 // stealing.
 //
 // Round-robin pre-fills k private vectors so extractors run with no
-// interference or synchronization at all; the shared queue pays "a pair of
-// lock operations for every filename generated and consumed", which the
-// paper measured to be highly inefficient. Both are here so the ablation
-// benchmark can show the difference.
+// interference or synchronization at all; the shared locked queue the paper
+// measured and rejected ("a pair of lock operations for every filename
+// generated and consumed") is not implemented.
 package distribute
 
 import (
 	"sort"
-	"sync"
 
 	"desksearch/internal/walk"
 )
@@ -96,89 +94,4 @@ func Partition(files []walk.FileRef, k int, strategy Strategy) [][]walk.FileRef 
 		}
 	}
 	return parts
-}
-
-// Imbalance returns max/mean of per-worker byte loads, a measure of how
-// uneven a partition is (1.0 is perfect). Empty partitions return 0.
-func Imbalance(parts [][]walk.FileRef) float64 {
-	var total int64
-	var maxLoad int64
-	n := 0
-	for _, p := range parts {
-		var load int64
-		for _, f := range p {
-			load += f.Size
-		}
-		total += load
-		if load > maxLoad {
-			maxLoad = load
-		}
-		n++
-	}
-	if n == 0 || total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(n)
-	return float64(maxLoad) / mean
-}
-
-// Queue is the shared locked work queue — the strategy the paper measured
-// and rejected for Stage 1/Stage 2 coupling ("a pair of lock operations for
-// every filename generated and consumed"). It remains useful as an ablation
-// and for dynamic workloads where file costs are unpredictable.
-type Queue struct {
-	mu     sync.Mutex
-	items  []walk.FileRef
-	closed bool
-	cond   *sync.Cond
-}
-
-// NewQueue returns an empty open queue.
-func NewQueue() *Queue {
-	q := &Queue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// Push appends a file to the queue. Push after Close panics.
-func (q *Queue) Push(f walk.FileRef) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		panic("distribute: Push on closed Queue")
-	}
-	q.items = append(q.items, f)
-	q.mu.Unlock()
-	q.cond.Signal()
-}
-
-// Close marks the end of input; blocked and future Pops drain the remaining
-// items and then report done.
-func (q *Queue) Close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-// Pop removes the next file. ok is false when the queue is closed and empty.
-func (q *Queue) Pop() (f walk.FileRef, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
-		return walk.FileRef{}, false
-	}
-	f = q.items[0]
-	q.items = q.items[1:]
-	return f, true
-}
-
-// Len returns the current queue length.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
 }

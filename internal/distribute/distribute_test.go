@@ -71,11 +71,19 @@ func TestChunkedContiguous(t *testing.T) {
 func TestBySizeBalancesSkewedLoad(t *testing.T) {
 	// One huge file plus many small: LPT must isolate the huge file.
 	files := mkFiles(1000, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10)
+	// Same files over the same worker count: the lighter heaviest worker
+	// is the better balance.
+	maxLoad := func(parts [][]walk.FileRef) (max int64) {
+		for _, p := range parts {
+			if load := walk.TotalBytes(p); load > max {
+				max = load
+			}
+		}
+		return max
+	}
 	parts := Partition(files, 2, BySize)
-	imb := Imbalance(parts)
-	rrImb := Imbalance(Partition(files, 2, RoundRobin))
-	if imb >= rrImb {
-		t.Errorf("BySize imbalance %.3f not better than round-robin %.3f", imb, rrImb)
+	if by, rr := maxLoad(parts), maxLoad(Partition(files, 2, RoundRobin)); by >= rr {
+		t.Errorf("BySize heaviest worker %d bytes, not lighter than round-robin's %d", by, rr)
 	}
 	// The huge file's worker should carry (about) only it.
 	for _, p := range parts {
@@ -127,94 +135,6 @@ func TestPartitionDegenerateInputs(t *testing.T) {
 	if total != 1 {
 		t.Error("single file distributed wrongly")
 	}
-}
-
-func TestImbalance(t *testing.T) {
-	perfect := [][]walk.FileRef{mkFiles(10), mkFiles(10)}
-	if got := Imbalance(perfect); got != 1.0 {
-		t.Errorf("perfect imbalance = %v", got)
-	}
-	skewed := [][]walk.FileRef{mkFiles(30), mkFiles(10)}
-	if got := Imbalance(skewed); got != 1.5 {
-		t.Errorf("skewed imbalance = %v", got)
-	}
-	if got := Imbalance(nil); got != 0 {
-		t.Errorf("nil imbalance = %v", got)
-	}
-}
-
-func TestQueueSequential(t *testing.T) {
-	q := NewQueue()
-	files := mkFiles(1, 2, 3)
-	for _, f := range files {
-		q.Push(f)
-	}
-	if q.Len() != 3 {
-		t.Errorf("Len = %d", q.Len())
-	}
-	q.Close()
-	var got []walk.FileRef
-	for {
-		f, ok := q.Pop()
-		if !ok {
-			break
-		}
-		got = append(got, f)
-	}
-	if !reflect.DeepEqual(got, files) {
-		t.Errorf("FIFO violated: %v", got)
-	}
-	// Pop after drain keeps returning done.
-	if _, ok := q.Pop(); ok {
-		t.Error("Pop on drained queue returned ok")
-	}
-}
-
-func TestQueueConcurrentProducerConsumers(t *testing.T) {
-	q := NewQueue()
-	const n = 1000
-	go func() {
-		for i := 0; i < n; i++ {
-			q.Push(walk.FileRef{Path: fmt.Sprintf("f%04d", i), Size: 1})
-		}
-		q.Close()
-	}()
-	var mu sync.Mutex
-	seen := map[string]bool{}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				f, ok := q.Pop()
-				if !ok {
-					return
-				}
-				mu.Lock()
-				if seen[f.Path] {
-					t.Errorf("duplicate delivery of %s", f.Path)
-				}
-				seen[f.Path] = true
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if len(seen) != n {
-		t.Errorf("delivered %d files, want %d", len(seen), n)
-	}
-}
-
-func TestQueuePushAfterClosePanics(t *testing.T) {
-	q := NewQueue()
-	q.Close()
-	defer func() {
-		if recover() == nil {
-			t.Error("Push after Close did not panic")
-		}
-	}()
-	q.Push(walk.FileRef{})
 }
 
 func TestStealingPoolDrainsEverything(t *testing.T) {
@@ -333,22 +253,5 @@ func BenchmarkPartitionBySize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Partition(files, 8, BySize)
-	}
-}
-
-func BenchmarkQueueThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		q := NewQueue()
-		go func() {
-			for j := 0; j < 1000; j++ {
-				q.Push(walk.FileRef{Size: 1})
-			}
-			q.Close()
-		}()
-		for {
-			if _, ok := q.Pop(); !ok {
-				break
-			}
-		}
 	}
 }

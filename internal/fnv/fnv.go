@@ -1,5 +1,5 @@
-// Package fnv implements the Fowler–Noll–Vo hash functions FNV-1 and
-// FNV-1a in 32-bit and 64-bit widths.
+// Package fnv implements the Fowler–Noll–Vo hash function FNV-1 in 32-bit
+// and 64-bit widths.
 //
 // The paper's index generator hashes terms with FNV1 for both the inverted
 // index (a hash map) and the per-file duplicate-elimination set (a hash set);
@@ -41,16 +41,6 @@ func Hash32Bytes(b []byte) uint32 {
 	return h
 }
 
-// Hash32a returns the FNV-1a 32-bit hash of s (XOR before multiply).
-func Hash32a(s string) uint32 {
-	h := uint32(offset32)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime32
-	}
-	return h
-}
-
 // Hash64 returns the FNV-1 64-bit hash of s.
 func Hash64(s string) uint64 {
 	h := uint64(offset64)
@@ -70,44 +60,6 @@ func Hash64Bytes(b []byte) uint64 {
 	}
 	return h
 }
-
-// Hash64a returns the FNV-1a 64-bit hash of s.
-func Hash64a(s string) uint64 {
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
-
-// digest32 is a streaming FNV-1 32-bit hash implementing hash.Hash32.
-type digest32 struct {
-	sum uint32
-}
-
-// New32 returns a streaming FNV-1 32-bit hash.Hash32.
-func New32() hash.Hash32 { return &digest32{sum: offset32} }
-
-func (d *digest32) Write(p []byte) (int, error) {
-	h := d.sum
-	for _, c := range p {
-		h *= prime32
-		h ^= uint32(c)
-	}
-	d.sum = h
-	return len(p), nil
-}
-
-func (d *digest32) Sum(b []byte) []byte {
-	s := d.sum
-	return append(b, byte(s>>24), byte(s>>16), byte(s>>8), byte(s))
-}
-
-func (d *digest32) Reset()         { d.sum = offset32 }
-func (d *digest32) Size() int      { return 4 }
-func (d *digest32) BlockSize() int { return 1 }
-func (d *digest32) Sum32() uint32  { return d.sum }
 
 // digest64 is a streaming FNV-1 64-bit hash implementing hash.Hash64.
 type digest64 struct {

@@ -1,6 +1,7 @@
 package fnv
 
 import (
+	"encoding/binary"
 	stdfnv "hash/fnv"
 	"testing"
 	"testing/quick"
@@ -44,27 +45,6 @@ func TestHash64Vectors(t *testing.T) {
 	}
 }
 
-func TestHash32aMatchesStdlib(t *testing.T) {
-	// The standard library implements FNV-1a; our 1a variants must agree.
-	if err := quick.Check(func(b []byte) bool {
-		h := stdfnv.New32a()
-		h.Write(b)
-		return Hash32a(string(b)) == h.Sum32()
-	}, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHash64aMatchesStdlib(t *testing.T) {
-	if err := quick.Check(func(b []byte) bool {
-		h := stdfnv.New64a()
-		h.Write(b)
-		return Hash64a(string(b)) == h.Sum64()
-	}, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestHash32MatchesStdlibFNV1(t *testing.T) {
 	// hash/fnv's New32 is plain FNV-1, same as ours.
 	if err := quick.Check(func(b []byte) bool {
@@ -95,18 +75,6 @@ func TestBytesAndStringFormsAgree(t *testing.T) {
 	}
 }
 
-func TestStreaming32EqualsOneShot(t *testing.T) {
-	if err := quick.Check(func(a, b []byte) bool {
-		d := New32()
-		d.Write(a)
-		d.Write(b)
-		whole := append(append([]byte{}, a...), b...)
-		return d.Sum32() == Hash32Bytes(whole)
-	}, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestStreaming64EqualsOneShot(t *testing.T) {
 	if err := quick.Check(func(a, b []byte) bool {
 		d := New64()
@@ -120,12 +88,6 @@ func TestStreaming64EqualsOneShot(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	d := New32()
-	d.Write([]byte("polluted state"))
-	d.Reset()
-	if d.Sum32() != Hash32("") {
-		t.Errorf("Reset did not restore offset basis: %#x", d.Sum32())
-	}
 	d64 := New64()
 	d64.Write([]byte("polluted state"))
 	d64.Reset()
@@ -135,29 +97,18 @@ func TestReset(t *testing.T) {
 }
 
 func TestSumAppends(t *testing.T) {
-	d := New32()
+	d := New64()
 	d.Write([]byte("a"))
 	out := d.Sum([]byte{0xff})
-	if len(out) != 5 || out[0] != 0xff {
+	if len(out) != 9 || out[0] != 0xff {
 		t.Fatalf("Sum should append to prefix, got % x", out)
 	}
-	want := Hash32("a")
-	got := uint32(out[1])<<24 | uint32(out[2])<<16 | uint32(out[3])<<8 | uint32(out[4])
-	if got != want {
+	if got, want := binary.BigEndian.Uint64(out[1:]), Hash64("a"); got != want {
 		t.Errorf("Sum bytes = %#x, want %#x", got, want)
-	}
-	d64 := New64()
-	d64.Write([]byte("a"))
-	out64 := d64.Sum(nil)
-	if len(out64) != 8 {
-		t.Fatalf("Sum64 length = %d, want 8", len(out64))
 	}
 }
 
 func TestSizeBlockSize(t *testing.T) {
-	if New32().Size() != 4 || New32().BlockSize() != 1 {
-		t.Error("unexpected 32-bit Size/BlockSize")
-	}
 	if New64().Size() != 8 || New64().BlockSize() != 1 {
 		t.Error("unexpected 64-bit Size/BlockSize")
 	}

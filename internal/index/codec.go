@@ -16,18 +16,17 @@ import (
 // varint delta coding of IDs and positions, the frequency- and
 // positions-section markers, and the corruption-detection guarantees —
 // lives in docs/FORMAT.md; keep the two in sync (CI's docs-check gate
-// compares the version constants below against the spec).
+// compares the version and kind constants below against the spec).
 //
-// Two layouts are live. The frame, written and read here,
+// A catalog persists as a directory in two layouts. The frame, written and
+// read here,
 //
 //	magic "DSIX" | u16 version 9 | u8 kind | u8 flags | payload |
 //	u64 FNV-1 checksum of everything above
 //
-// carries either a full index (kind 0: file table | doc-length section |
-// term section, posting lists positional iff flags bit 0) or a shard
-// manifest (kind 2: file table | doc-length section | segment directory,
-// flags 0; internal/shard writes it over this package's exported frame
-// helpers). Shard segments use the version 10 lazy layout of
+// carries the shard manifest (kind 2: file table | doc-length section |
+// segment directory, flags 0; internal/shard writes it over this package's
+// exported frame helpers). Shard segments use the version 10 lazy layout of
 // internal/segment, which is not a single-checksum frame.
 //
 // The file table is
@@ -36,22 +35,17 @@ import (
 //	                                 uvarint size | uvarint mtime | u8 flags)
 //
 // (flags bit 0 set = live; clear = tombstone of a deleted file whose ID is
-// retired but never reused), the doc-length section records each file's
-// token length for BM25, and the term section is
+// retired but never reused), and the doc-length section records each
+// file's token length for BM25.
 //
-//	uvarint termCount | termCount × (uvarint termLen | term bytes | posting-list varint encoding)
-//
-// Versions 1–8 are retired: their files are rejected by version number,
-// after the checksum, with advice to rebuild.
-//
-// A desktop search tool persists its index between sessions; this codec is
-// that persistence layer for cmd/indexgen and cmd/dsearch.
+// Versions 1–8 and the version 9 single-file index (kind 0) are retired:
+// their files are rejected by version or kind number, after the checksum,
+// with advice to rebuild.
 
 const (
 	codecMagic = "DSIX"
-	// FrameVersion is the checksummed frame form: a kind byte (full index
-	// or shard manifest), a flags byte (bit 0 = positional posting lists),
-	// and the corresponding payload, whose doc-length section — each
+	// FrameVersion is the checksummed frame form: a kind byte, a flags
+	// byte, and the manifest payload, whose doc-length section — each
 	// file's token length, which BM25 ranking normalizes by — directly
 	// follows the file table.
 	FrameVersion = 9
@@ -60,22 +54,20 @@ const (
 	// blocks, openable in O(dictionary) and decoded on demand. It is not a
 	// single-checksum frame like the version above — see docs/FORMAT.md.
 	LazySegmentVersion = 10
-	// maxCount bounds file/term/posting counts against corrupt headers.
+	// maxCount bounds file counts against corrupt headers.
 	maxCount = 1 << 31
 )
 
-// Frame kind bytes: the byte after the version says which payload shape
-// follows the flags byte. KindManifest is exported for internal/shard,
-// which writes and reads that payload. (Kind 1 is the shard segment, whose
-// header internal/segment owns.)
-const (
-	kindFullIndex = 0
-	KindManifest  = 2
-)
+// KindManifest is the one live frame kind: the byte after the version says
+// which payload shape follows the flags byte, and internal/shard writes and
+// reads the manifest's. (Kind 1 is the shard segment, whose header
+// internal/segment owns.)
+const KindManifest = 2
 
-// flagPositional marks a full-index frame whose posting lists use the
-// positional encoding. All other flag bits must be zero.
-const flagPositional = 1
+// retiredSingleFile is the kind byte of the single-file index earlier
+// revisions wrote (file table | doc lengths | every term's posting list in
+// one frame). Nothing parses it; DecodeFrame names it and advises a rebuild.
+const retiredSingleFile = 0
 
 // VersionError is the one rejection of a DSIX file whose version is not
 // the live one for the place it was found in — a retired version (1–8),
@@ -91,9 +83,9 @@ func VersionError(found, want uint16) error {
 	case found > LazySegmentVersion:
 		return fmt.Errorf("index: DSIX version %d, want %d: the file is newer than this build", found, want)
 	case found == FrameVersion:
-		return fmt.Errorf("index: DSIX version %d is an index file or manifest, want a version %d shard segment", found, want)
+		return fmt.Errorf("index: DSIX version %d is a manifest, want a version %d shard segment", found, want)
 	default:
-		return fmt.Errorf("index: DSIX version %d is a shard segment, want a version %d index file or manifest", found, want)
+		return fmt.Errorf("index: DSIX version %d is a shard segment, want a version %d manifest", found, want)
 	}
 }
 
@@ -130,9 +122,8 @@ func finishPayload(w io.Writer, bw *bufio.Writer, h hash.Hash64) error {
 
 // DecodeFrame verifies data's checksum trailer, magic, version, and kind —
 // in that order, so nothing is parsed before the checksum holds — and
-// returns a reader positioned after the flags byte, the full payload slice
-// (posting lists decode zero-copy from it), and the flags for the caller
-// to validate.
+// returns a reader positioned after the flags byte, the full payload slice,
+// and the flags for the caller to validate.
 func DecodeFrame(data []byte, kind byte) (*bytes.Reader, []byte, byte, error) {
 	const versionEnd = len(codecMagic) + 2
 	if len(data) < versionEnd+8 {
@@ -161,7 +152,12 @@ func DecodeFrame(data []byte, kind byte) (*bytes.Reader, []byte, byte, error) {
 	if len(payload) < versionEnd+2 {
 		return nil, nil, 0, fmt.Errorf("index: truncated before the frame kind and flags")
 	}
-	if got := payload[versionEnd]; got != kind {
+	switch got := payload[versionEnd]; {
+	case got == kind:
+	case got == retiredSingleFile:
+		return nil, nil, 0, fmt.Errorf("index: DSIX version %d frame kind %d (the single-file index) is retired, an index is saved as a directory: rebuild the index",
+			FrameVersion, got)
+	default:
 		return nil, nil, 0, fmt.Errorf("index: frame kind %d, want %d", got, kind)
 	}
 	return bytes.NewReader(payload[versionEnd+2:]), payload, payload[versionEnd+1], nil
@@ -309,131 +305,4 @@ func ReadFileTable(br *bytes.Reader) (*FileTable, error) {
 		}
 	}
 	return files, nil
-}
-
-// writeTermSection writes the term→postings payload section. positional
-// selects the positional posting-list encoding.
-func writeTermSection(bw *bufio.Writer, ix *Index, positional bool) error {
-	if err := WriteUvarint(bw, uint64(ix.NumTerms())); err != nil {
-		return err
-	}
-	var saveErr error
-	var buf []byte
-	ix.Range(func(term string, l *postings.List) bool {
-		if saveErr = WriteString(bw, term); saveErr != nil {
-			return false
-		}
-		if positional {
-			buf = l.EncodePositional(buf[:0])
-		} else {
-			buf = l.Encode(buf[:0])
-		}
-		if _, saveErr = bw.Write(buf); saveErr != nil {
-			return false
-		}
-		return true
-	})
-	return saveErr
-}
-
-// readTermSection reads the term→postings payload section. payload is the
-// backing slice br reads from; posting lists decode zero-copy from it.
-// positional selects the positional posting-list decoding.
-func readTermSection(br *bytes.Reader, payload []byte, positional bool) (*Index, error) {
-	termCount, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("index: reading term count: %w", err)
-	}
-	if termCount > maxCount {
-		return nil, fmt.Errorf("index: absurd term count %d", termCount)
-	}
-	ix := New(int(termCount))
-	ix.positional = positional
-	for i := uint64(0); i < termCount; i++ {
-		term, err := ReadString(br)
-		if err != nil {
-			return nil, fmt.Errorf("index: term %d: %w", i, err)
-		}
-		// Decode the posting list directly from the remaining payload.
-		rest := payload[len(payload)-br.Len():]
-		var (
-			l *postings.List
-			n int
-		)
-		if positional {
-			l, n, err = postings.DecodePositional(rest)
-		} else {
-			l, n, err = postings.Decode(rest)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("index: term %q: %w", term, err)
-		}
-		if _, err := br.Seek(int64(n), io.SeekCurrent); err != nil {
-			return nil, err
-		}
-		if _, dup := ix.terms.Get(term); dup {
-			return nil, fmt.Errorf("index: duplicate term %q", term)
-		}
-		ix.terms.Put(term, l)
-		ix.nPostings += int64(l.Len())
-	}
-	return ix, nil
-}
-
-// Save writes the index and its file table to w as a full-index frame;
-// the flags byte records whether the posting lists carry token positions.
-func Save(w io.Writer, ix *Index, files *FileTable) error {
-	return EncodeFrame(w, FrameVersion, func(bw *bufio.Writer) error {
-		if err := bw.WriteByte(kindFullIndex); err != nil {
-			return err
-		}
-		var flags byte
-		if ix.Positional() {
-			flags |= flagPositional
-		}
-		if err := bw.WriteByte(flags); err != nil {
-			return err
-		}
-		if err := WriteFileTable(bw, files); err != nil {
-			return err
-		}
-		if err := WriteDocLengths(bw, files); err != nil {
-			return err
-		}
-		return writeTermSection(bw, ix, ix.Positional())
-	})
-}
-
-// Load reads an index written by Save; the loaded index remembers whether
-// it is positional, so a catalog loaded from a positional file keeps
-// updating positionally. It reads the whole stream into memory first so
-// the checksum can be verified over the exact payload before any of it is
-// trusted.
-func Load(r io.Reader) (*Index, *FileTable, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("index: reading: %w", err)
-	}
-	br, payload, flags, err := DecodeFrame(data, kindFullIndex)
-	if err != nil {
-		return nil, nil, err
-	}
-	if flags&^flagPositional != 0 {
-		return nil, nil, fmt.Errorf("index: unknown frame flags %#x", flags)
-	}
-	files, err := ReadFileTable(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ReadDocLengths(br, files); err != nil {
-		return nil, nil, err
-	}
-	ix, err := readTermSection(br, payload, flags&flagPositional != 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	if br.Len() != 0 {
-		return nil, nil, fmt.Errorf("index: %d trailing payload bytes", br.Len())
-	}
-	return ix, files, nil
 }

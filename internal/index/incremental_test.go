@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -150,7 +149,11 @@ func TestTopTermsAcrossMatchesJoin(t *testing.T) {
 	for i, terms := range blocks {
 		parts[i%len(parts)].AddBlock(postings.FileID(i), terms, nil)
 	}
-	joined := JoinAll([]*Index{parts[0].Clone(), parts[1].Clone(), parts[2].Clone()})
+	// The join is built from the same blocks: JoinAll would consume parts.
+	joined := New(8)
+	for i, terms := range blocks {
+		joined.AddBlock(postings.FileID(i), terms, nil)
+	}
 
 	for _, n := range []int{1, 3, 10} {
 		got := TopTermsAcross(Partitions(parts), n)
@@ -173,19 +176,12 @@ func TestTopTermsAcrossMatchesJoin(t *testing.T) {
 // and re-extract everything on its first update.
 func TestSaveLoadPreservesTombstones(t *testing.T) {
 	ft := NewFileTable()
-	ix := New(4)
-	a := ft.Add("a.txt", 10, 100)
+	ft.Add("a.txt", 10, 100)
 	b := ft.Add("b.txt", 20, 200)
 	c := ft.Add("c.txt", 30, 300)
-	ix.AddBlock(a, []string{"keep"}, nil)
-	ix.AddBlock(c, []string{"keep", "tail"}, nil)
 	ft.Tombstone(b)
 
-	var buf bytes.Buffer
-	if err := Save(&buf, ix, ft); err != nil {
-		t.Fatal(err)
-	}
-	_, got, err := Load(&buf)
+	got, err := loadTables(savedTables(t, ft))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -411,19 +411,6 @@ func (ix *Index) MergeTerm(term string, l *postings.List) {
 	ix.nPostings += int64(existing.Len() - before)
 }
 
-// Clone returns a deep copy: posting lists are duplicated, so mutating or
-// joining the clone leaves the original untouched.
-func (ix *Index) Clone() *Index {
-	out := New(ix.NumTerms())
-	ix.terms.Range(func(term string, l *postings.List) bool {
-		out.terms.Put(term, l.Clone())
-		return true
-	})
-	out.nPostings = ix.nPostings
-	out.positional = ix.positional
-	return out
-}
-
 // Equal reports whether two indices contain identical term→postings maps.
 func (ix *Index) Equal(other *Index) bool {
 	if ix.NumTerms() != other.NumTerms() {

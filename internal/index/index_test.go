@@ -105,6 +105,15 @@ func TestJoinMergesPostings(t *testing.T) {
 	a.Join(nil) // must not panic
 }
 
+func TestJoinPropagatesPositional(t *testing.T) {
+	a, b := New(0), New(0)
+	b.AddBlockPositional(1, []string{"cat", "dog"}, [][]uint32{{0, 2}, {1}})
+	a.Join(b)
+	if !a.Positional() {
+		t.Error("join lost the positional flag")
+	}
+}
+
 func TestJoinOverlappingPostingsCountsOnce(t *testing.T) {
 	a := New(0)
 	a.AddBlock(3, []string{"t"}, nil)

@@ -61,14 +61,6 @@ func (ix *Index) RemoveFiles(victims *postings.List) int {
 	return removed
 }
 
-// UpdateFile replaces a file's postings with a fresh duplicate-free term
-// block (remove + en-bloc insert), the re-index path for a modified file.
-// counts follows AddBlock's convention (nil = every frequency 1).
-func (ix *Index) UpdateFile(id postings.FileID, terms []string, counts []uint32) {
-	ix.RemoveFile(id)
-	ix.AddBlock(id, terms, counts)
-}
-
 // TermCount is a term with its document frequency.
 type TermCount struct {
 	Term string

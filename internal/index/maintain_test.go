@@ -44,22 +44,6 @@ func TestRemoveFileAbsent(t *testing.T) {
 	}
 }
 
-func TestUpdateFile(t *testing.T) {
-	ix := New(0)
-	ix.AddBlock(1, []string{"old", "stays"}, nil)
-	ix.AddBlock(2, []string{"stays"}, nil)
-	ix.UpdateFile(1, []string{"new", "stays"}, nil)
-	if ix.Lookup("old") != nil {
-		t.Error("stale term survived update")
-	}
-	if l := ix.Lookup("new"); !reflect.DeepEqual(l.IDs(), []postings.FileID{1}) {
-		t.Errorf("new -> %v", l)
-	}
-	if l := ix.Lookup("stays"); !reflect.DeepEqual(l.IDs(), []postings.FileID{1, 2}) {
-		t.Errorf("stays -> %v", l.IDs())
-	}
-}
-
 // Property: removing every file one at a time empties the index, and after
 // each removal the index equals one built from scratch without that file.
 func TestRemoveFileMatchesRebuild(t *testing.T) {

@@ -212,32 +212,6 @@ func (cv *CounterVec) write(w io.Writer) {
 	}
 }
 
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	nm, help string
-	bits     atomic.Uint64 // Float64bits
-}
-
-// NewGauge registers and returns a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{nm: name, help: help}
-	r.register(g)
-	return g
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) name() string { return g.nm }
-
-func (g *Gauge) write(w io.Writer) {
-	header(w, g.nm, g.help, "gauge")
-	fmt.Fprintf(w, "%s %s\n", g.nm, formatValue(g.Value()))
-}
-
 // funcMetric samples its source at scrape time — the bridge to state the
 // serving stack already maintains (atomic counters, cache statistics),
 // where a second write path would drift from the first.

@@ -79,20 +79,6 @@ func TestDifferencePreservesCounts(t *testing.T) {
 	}
 }
 
-func TestIntersectEach(t *testing.T) {
-	matched := FromSortedIDs([]FileID{1, 3, 5, 7})
-	term := FromSortedIDCounts([]FileID{3, 4, 7, 9}, []uint32{6, 1, 2, 8})
-	var ids []FileID
-	var counts []uint32
-	IntersectEach(matched, term, func(id FileID, c uint32) {
-		ids = append(ids, id)
-		counts = append(counts, c)
-	})
-	if !reflect.DeepEqual(ids, []FileID{3, 7}) || !reflect.DeepEqual(counts, []uint32{6, 2}) {
-		t.Errorf("IntersectEach = %v / %v", ids, counts)
-	}
-}
-
 func TestEncodeDecodeCounts(t *testing.T) {
 	cases := []*List{
 		{},

@@ -61,7 +61,7 @@ func TestAddPositionsDuplicateIDMergesPositions(t *testing.T) {
 func TestMergePositional(t *testing.T) {
 	a := positional(map[FileID][]uint32{1: {0}, 5: {2, 4}}, []FileID{1, 5})
 	b := positional(map[FileID][]uint32{3: {1}, 8: {0, 9}}, []FileID{3, 8})
-	merged := Union(a, b)
+	merged := a.Clone().Merge(b)
 	if !merged.HasPositions() {
 		t.Fatal("union of positional lists dropped positions")
 	}
@@ -73,7 +73,7 @@ func TestMergePositional(t *testing.T) {
 
 	// Overlapping posting: position sets union.
 	c := positional(map[FileID][]uint32{5: {1, 4}}, []FileID{5})
-	overlap := Union(a, c)
+	overlap := a.Clone().Merge(c)
 	i := 1 // id 5 is the second posting
 	if got := overlap.PositionsAt(i); !reflect.DeepEqual(got, []uint32{1, 2, 4}) {
 		t.Fatalf("overlap positions = %v", got)
@@ -83,7 +83,7 @@ func TestMergePositional(t *testing.T) {
 func TestMergeMixedDemotesToCounts(t *testing.T) {
 	a := positional(map[FileID][]uint32{1: {0, 3}}, []FileID{1})
 	b := FromSortedIDCounts([]FileID{2}, []uint32{5})
-	merged := Union(a, b)
+	merged := a.Clone().Merge(b)
 	if merged.HasPositions() {
 		t.Fatal("mixed merge kept positions for a list that cannot have them uniformly")
 	}

@@ -622,32 +622,6 @@ func Intersects(a, b *List) bool {
 	return false
 }
 
-// IntersectEach calls f for every posting common to a and b, in ascending
-// ID order, with b's frequency for it — the ranking walk: a is a match
-// set, b a term's posting list whose frequencies score the match.
-func IntersectEach(a, b *List, f func(id FileID, bCount uint32)) {
-	i, j := 0, 0
-	for i < len(a.ids) && j < len(b.ids) {
-		x, y := a.ids[i], b.ids[j]
-		switch {
-		case x < y:
-			i++
-		case y < x:
-			j++
-		default:
-			f(x, b.CountAt(j))
-			i++
-			j++
-		}
-	}
-}
-
-// Union returns all postings in a or b (boolean OR), with Merge's
-// frequency discipline on postings present in both.
-func Union(a, b *List) *List {
-	return a.Clone().Merge(b)
-}
-
 // Difference returns the postings in a but not in b (boolean AND NOT),
 // keeping a's frequencies — and, for a positional a, its positions — for
 // the survivors. Position slices are shared with a, not copied; the

@@ -11,9 +11,14 @@ import (
 
 // Hit is one search result.
 type Hit struct {
-	// File is the matched file's ID.
+	// File is the matched file's document ID — the ascending half of the
+	// tie-break rule: hits order by descending Score under exact float64
+	// comparison (scores are never NaN), then ascending File. It is stable
+	// for the life of a saved catalog and shared by every worker serving
+	// the same directory, which is what lets a distributed merge reproduce
+	// the single-node order exactly.
 	File postings.FileID
-	// Path is the matched file's path.
+	// Path is the matched file's path, relative to the indexed root.
 	Path string
 	// Score ranks the hit: under RankCoordination it counts how many
 	// distinct positive query terms the file contains (for pure

@@ -134,7 +134,8 @@ func TestConcurrentSearchAndUpdate(t *testing.T) {
 		blocks := [][]string{{"alpha", "epsilon"}, {"beta"}, {"alpha", "beta", "gamma"}}
 		for i := 0; i < 200; i++ {
 			e.Maintain(func() {
-				ix.UpdateFile(postings.FileID(i%3), blocks[i%len(blocks)], nil)
+				ix.RemoveFile(postings.FileID(i % 3))
+				ix.AddBlock(postings.FileID(i%3), blocks[i%len(blocks)], nil)
 			})
 		}
 		close(stop)

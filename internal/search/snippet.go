@@ -10,8 +10,8 @@ import (
 
 // Span is a half-open byte range [Start, End) into a Snippet's Text.
 type Span struct {
-	Start int
-	End   int
+	Start int `json:"start"`
+	End   int `json:"end"`
 }
 
 // Snippet is a hit's context window, reconstructed from the positional
@@ -23,8 +23,8 @@ type Span struct {
 // access to. Highlights lists the byte spans of Text occupied by tokens
 // that matched the query's positive terms or prefix operators, ascending.
 type Snippet struct {
-	Text       string
-	Highlights []Span
+	Text       string `json:"text"`
+	Highlights []Span `json:"highlights,omitempty"`
 }
 
 // snippetRadius is the context half-window: how many token positions on

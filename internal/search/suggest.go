@@ -13,11 +13,11 @@ import (
 // document frequency.
 type Suggestion struct {
 	// Term is the indexed term, in normalized form.
-	Term string
+	Term string `json:"term"`
 	// Files is the number of live files containing the term, summed
 	// across partitions (partitions are document-disjoint, so the sum is
 	// the true corpus document frequency).
-	Files int
+	Files int `json:"files"`
 }
 
 // Suggest returns up to n dictionary terms starting with prefix, ranked by
@@ -25,7 +25,9 @@ type Suggestion struct {
 // completion surface behind Catalog.Suggest and the server's /suggest
 // endpoint. The prefix normalizes through the index's tokenizer (a
 // trailing '*' is tolerated, so "Repor*" suggests like "repor") and must
-// yield exactly one term. n <= 0 applies a default of 10.
+// yield exactly one term. n <= 0 applies a default of 10. On success the
+// result is never nil — no completions is an empty slice — which is what
+// keeps /suggest's "suggestions" a JSON array.
 //
 // Suggest seeks each partition's sorted term dictionary to the prefix and
 // walks only the matching range; it takes the engine's read lock, so it

@@ -162,6 +162,14 @@ func TestSuggestEndpoint(t *testing.T) {
 		t.Errorf("n=1 returned %d suggestions", len(capped.Suggestions))
 	}
 
+	// No completions is an empty JSON array, never null.
+	var none struct {
+		Suggestions json.RawMessage `json:"suggestions"`
+	}
+	if code := f.get(t, "/suggest?q=zzzz", &none); code != http.StatusOK || string(none.Suggestions) != "[]" {
+		t.Errorf("no completions: status %d, suggestions = %s, want []", code, none.Suggestions)
+	}
+
 	var er struct {
 		Error string `json:"error"`
 	}

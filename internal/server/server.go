@@ -267,20 +267,7 @@ type SearchHit struct {
 	Terms []string `json:"terms,omitempty"`
 	// Snippet is present only when the request asked for snippets and the
 	// hit produced one.
-	Snippet *SnippetJSON `json:"snippet,omitempty"`
-}
-
-// SnippetJSON is the wire form of a hit's context window. Highlights are
-// half-open [start, end) byte ranges into Text.
-type SnippetJSON struct {
-	Text       string     `json:"text"`
-	Highlights []SpanJSON `json:"highlights,omitempty"`
-}
-
-// SpanJSON is one highlighted byte range of a snippet.
-type SpanJSON struct {
-	Start int `json:"start"`
-	End   int `json:"end"`
+	Snippet *desksearch.Snippet `json:"snippet,omitempty"`
 }
 
 // PartitionStat is one partition's share of a query's work.
@@ -488,15 +475,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Partitions: make([]PartitionStat, len(resp.Partitions)),
 	}
 	for i, h := range resp.Hits {
-		hit := SearchHit{Path: h.Path, Score: h.Score, Terms: h.Terms}
-		if h.Snippet != nil {
-			snip := &SnippetJSON{Text: h.Snippet.Text}
-			for _, sp := range h.Snippet.Highlights {
-				snip.Highlights = append(snip.Highlights, SpanJSON{Start: sp.Start, End: sp.End})
-			}
-			hit.Snippet = snip
-		}
-		out.Hits[i] = hit
+		out.Hits[i] = SearchHit{Path: h.Path, Score: h.Score, Terms: h.Terms, Snippet: h.Snippet}
 	}
 	for i, p := range resp.Partitions {
 		out.Partitions[i] = PartitionStat{
@@ -517,13 +496,7 @@ type SuggestResponse struct {
 	// TookMS is the server-side handling time in milliseconds.
 	TookMS float64 `json:"took_ms"`
 	// Suggestions are ranked by descending document frequency, then term.
-	Suggestions []SuggestionJSON `json:"suggestions"`
-}
-
-// SuggestionJSON is one autocomplete candidate of /suggest.
-type SuggestionJSON struct {
-	Term  string `json:"term"`
-	Files int    `json:"files"`
+	Suggestions []desksearch.Suggestion `json:"suggestions"`
 }
 
 func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
@@ -564,10 +537,7 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		Prefix:      strings.TrimRight(prefix, "*"),
 		Generation:  gen,
 		TookMS:      float64(time.Since(start).Microseconds()) / 1e3,
-		Suggestions: make([]SuggestionJSON, len(sugs)),
-	}
-	for i, sg := range sugs {
-		out.Suggestions[i] = SuggestionJSON{Term: sg.Term, Files: sg.Files}
+		Suggestions: sugs,
 	}
 	writeJSON(w, http.StatusOK, out)
 }

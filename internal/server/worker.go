@@ -134,7 +134,7 @@ type InternalHit struct {
 	Terms []string `json:"terms,omitempty"`
 	// Snippet is present when the request asked for snippets and the hit
 	// produced one.
-	Snippet *SnippetJSON `json:"snippet,omitempty"`
+	Snippet *desksearch.Snippet `json:"snippet,omitempty"`
 }
 
 // handleWorkerMeta serves GET /internal/meta.
@@ -255,20 +255,13 @@ func (s *Server) handleWorkerSearch(w http.ResponseWriter, r *http.Request) {
 		Partitions: make([]PartitionStat, len(resp.Partitions)),
 	}
 	for i, h := range resp.Hits {
-		hit := InternalHit{
-			File:      h.File,
+		out.Hits[i] = InternalHit{
+			File:      uint32(h.File),
 			Path:      h.Path,
 			ScoreBits: math.Float64bits(h.Score),
 			Terms:     h.Terms,
+			Snippet:   h.Snippet,
 		}
-		if h.Snippet != nil {
-			snip := &SnippetJSON{Text: h.Snippet.Text}
-			for _, sp := range h.Snippet.Highlights {
-				snip.Highlights = append(snip.Highlights, SpanJSON{Start: sp.Start, End: sp.End})
-			}
-			hit.Snippet = snip
-		}
-		out.Hits[i] = hit
 	}
 	// Partition indexes are catalog-local; report global shard numbers so
 	// the broker's per-shard view is consistent across workers.

@@ -148,16 +148,14 @@ func TestLoadDirRejectsMissingManifest(t *testing.T) {
 }
 
 func TestLoadRejectsSegmentFile(t *testing.T) {
-	// Feeding a segment to the full-index loader (and vice versa) must
-	// fail with a version complaint, not decode garbage.
-	dir := savedDir(t)
-	f, err := os.Open(filepath.Join(dir, SegmentName(0)))
+	// Feeding a segment to the frame reader must fail with a version
+	// complaint, not decode garbage.
+	data, err := os.ReadFile(filepath.Join(savedDir(t), SegmentName(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if _, _, err := index.Load(f); err == nil || !strings.Contains(err.Error(), "segment") {
-		t.Errorf("Load(segment) = %v, want segment version error", err)
+	if _, err := parseManifest(data); err == nil || !strings.Contains(err.Error(), "segment") {
+		t.Errorf("parseManifest(segment) = %v, want segment version error", err)
 	}
 }
 

@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"desksearch/internal/index"
@@ -49,5 +52,21 @@ func TestManifestCarriesDocLengths(t *testing.T) {
 		if got, want := loaded.Files().Tokens(fid), files.Tokens(fid); got != want {
 			t.Errorf("file %d: tokens = %d, want %d", i, got, want)
 		}
+	}
+}
+
+// TestManifestUnknownFlagsRejected: a manifest has no posting lists, so its
+// flags byte must be zero; a checksummed frame with any bit set is refused.
+func TestManifestUnknownFlagsRejected(t *testing.T) {
+	var buf bytes.Buffer
+	err := index.EncodeFrame(&buf, index.FrameVersion, func(bw *bufio.Writer) error {
+		_, err := bw.Write([]byte{index.KindManifest, 0x4})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parseManifest(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "flags") {
+		t.Errorf("unknown flags: err = %v", err)
 	}
 }

@@ -2,101 +2,8 @@ package vfs
 
 import (
 	"io"
-	"sync/atomic"
 	"time"
 )
-
-// Meter wraps an FS and counts operations. It answers the paper's first
-// question — "is the program I/O bound?" — with data: bytes read, files
-// opened, and directory listings performed.
-type Meter struct {
-	fs FS
-
-	opens     atomic.Int64
-	readDirs  atomic.Int64
-	stats     atomic.Int64
-	bytesRead atomic.Int64
-	readCalls atomic.Int64
-}
-
-// NewMeter returns a metering wrapper around fs.
-func NewMeter(fs FS) *Meter { return &Meter{fs: fs} }
-
-// Counts is a snapshot of meter state.
-type Counts struct {
-	Opens     int64
-	ReadDirs  int64
-	Stats     int64
-	BytesRead int64
-	ReadCalls int64
-}
-
-// Counts returns the current counters.
-func (m *Meter) Counts() Counts {
-	return Counts{
-		Opens:     m.opens.Load(),
-		ReadDirs:  m.readDirs.Load(),
-		Stats:     m.stats.Load(),
-		BytesRead: m.bytesRead.Load(),
-		ReadCalls: m.readCalls.Load(),
-	}
-}
-
-// Reset zeroes the counters.
-func (m *Meter) Reset() {
-	m.opens.Store(0)
-	m.readDirs.Store(0)
-	m.stats.Store(0)
-	m.bytesRead.Store(0)
-	m.readCalls.Store(0)
-}
-
-// Open implements FS.
-func (m *Meter) Open(name string) (io.ReadCloser, error) {
-	m.opens.Add(1)
-	rc, err := m.fs.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &meteredReader{rc: rc, m: m}, nil
-}
-
-// ReadFile implements FS.
-func (m *Meter) ReadFile(name string) ([]byte, error) {
-	m.opens.Add(1)
-	data, err := m.fs.ReadFile(name)
-	if err == nil {
-		m.readCalls.Add(1)
-		m.bytesRead.Add(int64(len(data)))
-	}
-	return data, err
-}
-
-// ReadDir implements FS.
-func (m *Meter) ReadDir(name string) ([]DirEntry, error) {
-	m.readDirs.Add(1)
-	return m.fs.ReadDir(name)
-}
-
-// Stat implements FS.
-func (m *Meter) Stat(name string) (DirEntry, error) {
-	m.stats.Add(1)
-	return m.fs.Stat(name)
-}
-
-type meteredReader struct {
-	rc io.ReadCloser
-	m  *Meter
-}
-
-func (r *meteredReader) Read(p []byte) (int, error) {
-	n, err := r.rc.Read(p)
-	r.m.readCalls.Add(1)
-	r.m.bytesRead.Add(int64(n))
-	return n, err
-}
-
-func (r *meteredReader) Close() error { return r.rc.Close() }
 
 // DiskModel describes a simple disk for DelayFS: a fixed per-open seek cost
 // and a transfer bandwidth. It is the live-run analogue of the simulator's
@@ -248,7 +155,6 @@ func (r *limitedReader) Read(p []byte) (int, error) {
 func (r *limitedReader) Close() error { return r.rc.Close() }
 
 var (
-	_ FS = (*Meter)(nil)
 	_ FS = (*DelayFS)(nil)
 	_ FS = (*Limited)(nil)
 )

@@ -23,105 +23,6 @@ func newPopulatedMem(t *testing.T) *MemFS {
 	return fs
 }
 
-func TestMeterCountsReads(t *testing.T) {
-	m := NewMeter(newPopulatedMem(t))
-	if _, err := m.ReadFile("a.txt"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.ReadFile("dir/b.txt"); err != nil {
-		t.Fatal(err)
-	}
-	c := m.Counts()
-	if c.Opens != 2 {
-		t.Errorf("Opens = %d, want 2", c.Opens)
-	}
-	if c.BytesRead != 26 {
-		t.Errorf("BytesRead = %d, want 26", c.BytesRead)
-	}
-	if c.ReadCalls != 2 {
-		t.Errorf("ReadCalls = %d, want 2", c.ReadCalls)
-	}
-}
-
-func TestMeterCountsOpenStream(t *testing.T) {
-	m := NewMeter(newPopulatedMem(t))
-	rc, err := m.Open("dir/b.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 7)
-	total := 0
-	for {
-		n, err := rc.Read(buf)
-		total += n
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	rc.Close()
-	c := m.Counts()
-	if c.BytesRead != 16 || total != 16 {
-		t.Errorf("BytesRead = %d (read %d), want 16", c.BytesRead, total)
-	}
-	if c.Opens != 1 {
-		t.Errorf("Opens = %d", c.Opens)
-	}
-}
-
-func TestMeterCountsDirsAndStats(t *testing.T) {
-	m := NewMeter(newPopulatedMem(t))
-	m.ReadDir(".")
-	m.ReadDir("dir")
-	m.Stat("a.txt")
-	c := m.Counts()
-	if c.ReadDirs != 2 || c.Stats != 1 {
-		t.Errorf("counts = %+v", c)
-	}
-}
-
-func TestMeterErrorPathsNotCountedAsBytes(t *testing.T) {
-	m := NewMeter(newPopulatedMem(t))
-	m.ReadFile("missing.txt")
-	c := m.Counts()
-	if c.BytesRead != 0 {
-		t.Errorf("failed read counted bytes: %+v", c)
-	}
-	if c.Opens != 1 {
-		t.Errorf("failed read should still count the open attempt: %+v", c)
-	}
-}
-
-func TestMeterReset(t *testing.T) {
-	m := NewMeter(newPopulatedMem(t))
-	m.ReadFile("a.txt")
-	m.Reset()
-	if c := m.Counts(); c != (Counts{}) {
-		t.Errorf("after Reset: %+v", c)
-	}
-}
-
-func TestMeterConcurrent(t *testing.T) {
-	m := NewMeter(newPopulatedMem(t))
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				m.ReadFile("a.txt")
-			}
-		}()
-	}
-	wg.Wait()
-	c := m.Counts()
-	if c.Opens != 400 || c.BytesRead != 4000 {
-		t.Errorf("concurrent counts = %+v", c)
-	}
-}
-
 func TestDiskModelTransferTime(t *testing.T) {
 	d := DiskModel{Seek: time.Millisecond, BytesPerSecond: 1000}
 	if got := d.TransferTime(500); got != 500*time.Millisecond {

@@ -3,14 +3,14 @@
 // The paper's experiments depend heavily on filesystem behaviour (directory
 // traversal cost, read bandwidth, OS caching). To make the reproduction
 // hermetic and deterministic this package abstracts the filesystem behind a
-// small interface with four implementations:
+// small interface with these implementations:
 //
 //   - MemFS: an in-memory tree with deterministic traversal order, used by
 //     tests, examples, and live benchmarks;
 //   - OSFS: a passthrough to the host filesystem for the real tool;
-//   - Meter: a wrapper counting opens, reads, and bytes for measurements;
 //   - DelayFS: a wrapper injecting modelled per-open seek and per-byte
-//     transfer delays, used to emulate a slow disk on fast hardware.
+//     transfer delays, used to emulate a slow disk on fast hardware;
+//   - Limited: a wrapper capping in-flight operations (a disk queue depth).
 package vfs
 
 import (

@@ -4,15 +4,11 @@
 //
 // The paper measured this stage at 2–5 % of total runtime and concluded
 // that parallelizing it was unnecessary; the sequential List is therefore
-// the pipeline's default. A concurrent walker is provided for the ablation
-// experiment (and because it is the natural baseline a parallelization
-// effort would reach for first).
+// the pipeline's only walker.
 package walk
 
 import (
 	"path"
-	"sort"
-	"sync"
 
 	"desksearch/internal/vfs"
 )
@@ -54,113 +50,6 @@ func walkDir(fsys vfs.FS, dir string, out *[]FileRef) error {
 	return nil
 }
 
-// ListParallel traverses with up to workers concurrent directory readers.
-// Directory trees are unbalanced, so work is distributed through a shared
-// frontier; the result is sorted afterwards to restore the deterministic
-// order List guarantees.
-//
-// The paper found this not worth doing for index generation (Stage 1 is
-// 2–5 % of runtime and the synchronization has real cost); it exists to
-// let the benchmarks demonstrate exactly that.
-func ListParallel(fsys vfs.FS, root string, workers int) ([]FileRef, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		mu       sync.Mutex
-		out      []FileRef
-		firstErr error
-		pending  sync.WaitGroup
-	)
-	dirs := make(chan string, 1024)
-	// pending counts unprocessed directories; when it reaches zero the
-	// channel can close.
-	pending.Add(1)
-	dirs <- root
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for dir := range dirs {
-				entries, err := fsys.ReadDir(dir)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					pending.Done()
-					continue
-				}
-				var files []FileRef
-				for _, e := range entries {
-					child := path.Join(dir, e.Name)
-					if e.IsDir {
-						pending.Add(1)
-						// Non-blocking feed with synchronous fallback:
-						// if the frontier channel is full, recurse inline
-						// rather than deadlocking all workers on send.
-						select {
-						case dirs <- child:
-						default:
-							walkInline(fsys, child, &mu, &out, &firstErr, &pending)
-						}
-						continue
-					}
-					files = append(files, FileRef{Path: child, Size: e.Size, ModTime: e.ModTime})
-				}
-				if len(files) > 0 {
-					mu.Lock()
-					out = append(out, files...)
-					mu.Unlock()
-				}
-				pending.Done()
-			}
-		}()
-	}
-	pending.Wait()
-	close(dirs)
-	wg.Wait()
-
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// walkInline processes a directory synchronously when the frontier is full.
-// pending has already been incremented for dir.
-func walkInline(fsys vfs.FS, dir string, mu *sync.Mutex, out *[]FileRef, firstErr *error, pending *sync.WaitGroup) {
-	defer pending.Done()
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		mu.Lock()
-		if *firstErr == nil {
-			*firstErr = err
-		}
-		mu.Unlock()
-		return
-	}
-	var files []FileRef
-	for _, e := range entries {
-		child := path.Join(dir, e.Name)
-		if e.IsDir {
-			pending.Add(1)
-			walkInline(fsys, child, mu, out, firstErr, pending)
-			continue
-		}
-		files = append(files, FileRef{Path: child, Size: e.Size})
-	}
-	if len(files) > 0 {
-		mu.Lock()
-		*out = append(*out, files...)
-		mu.Unlock()
-	}
-}
-
 // TotalBytes sums the sizes of the listed files.
 func TotalBytes(files []FileRef) int64 {
 	var total int64
@@ -168,12 +57,4 @@ func TotalBytes(files []FileRef) int64 {
 		total += f.Size
 	}
 	return total
-}
-
-// IsSorted reports whether files are in ascending path order — the order
-// ListParallel guarantees, and List produces on corpus-shaped trees (a
-// file can sort between a directory and its children only with exotic
-// names such as "foo.txt" next to "foo/").
-func IsSorted(files []FileRef) bool {
-	return sort.SliceIsSorted(files, func(i, j int) bool { return files[i].Path < files[j].Path })
 }

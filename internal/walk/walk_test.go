@@ -3,7 +3,6 @@ package walk
 import (
 	"errors"
 	"reflect"
-	"sort"
 	"testing"
 
 	"desksearch/internal/corpus"
@@ -90,45 +89,6 @@ func TestListMissingRoot(t *testing.T) {
 	}
 }
 
-func TestListParallelMatchesSequential(t *testing.T) {
-	// Use a realistic corpus tree: hundreds of files over nested dirs.
-	fs := vfs.NewMemFS()
-	spec := corpus.SmallSpec()
-	spec.Files = 300
-	if _, err := corpus.Generate(spec, fs); err != nil {
-		t.Fatal(err)
-	}
-	seq, err := List(fs, ".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortedSeq := append([]FileRef{}, seq...)
-	sort.Slice(sortedSeq, func(i, j int) bool { return sortedSeq[i].Path < sortedSeq[j].Path })
-	for _, workers := range []int{1, 2, 4, 8} {
-		par, err := ListParallel(fs, ".", workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(par, sortedSeq) {
-			t.Fatalf("workers=%d: parallel walk differs (%d vs %d files)",
-				workers, len(par), len(sortedSeq))
-		}
-	}
-}
-
-func TestListParallelMissingRoot(t *testing.T) {
-	if _, err := ListParallel(buildTree(t), "nope", 4); err == nil {
-		t.Error("missing root not reported")
-	}
-}
-
-func TestListParallelZeroWorkers(t *testing.T) {
-	files, err := ListParallel(buildTree(t), ".", 0)
-	if err != nil || len(files) != 6 {
-		t.Errorf("clamped workers: %d files, %v", len(files), err)
-	}
-}
-
 func TestTotalBytes(t *testing.T) {
 	files, _ := List(buildTree(t), ".")
 	if got := TotalBytes(files); got != 105 {
@@ -136,15 +96,6 @@ func TestTotalBytes(t *testing.T) {
 	}
 	if TotalBytes(nil) != 0 {
 		t.Error("TotalBytes(nil) != 0")
-	}
-}
-
-func TestIsSorted(t *testing.T) {
-	if !IsSorted([]FileRef{{Path: "a"}, {Path: "b"}}) {
-		t.Error("sorted reported unsorted")
-	}
-	if IsSorted([]FileRef{{Path: "b"}, {Path: "a"}}) {
-		t.Error("unsorted reported sorted")
 	}
 }
 
@@ -174,21 +125,6 @@ func BenchmarkListSequential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := List(fs, "."); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkListParallel4(b *testing.B) {
-	fs := vfs.NewMemFS()
-	spec := corpus.PaperSpec().Scale(1.0 / 64)
-	spec.TotalBytes = 1 << 20
-	if _, err := corpus.Generate(spec, fs); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ListParallel(fs, ".", 4); err != nil {
 			b.Fatal(err)
 		}
 	}

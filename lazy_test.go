@@ -296,9 +296,6 @@ func TestLazyCatalogIsReadOnly(t *testing.T) {
 	if err := cat.SaveDir(t.TempDir()); !errors.Is(err, ErrReadOnly) {
 		t.Errorf("SaveDir = %v, want ErrReadOnly", err)
 	}
-	if err := cat.Save(&strings.Builder{}); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("Save = %v, want ErrReadOnly", err)
-	}
 	if _, err := cat.Update(fs, "."); !errors.Is(err, ErrReadOnly) {
 		t.Errorf("Update = %v, want ErrReadOnly", err)
 	}

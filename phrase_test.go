@@ -121,25 +121,18 @@ func TestPhraseMatchesNaiveScan(t *testing.T) {
 	}
 	cats := map[string]*Catalog{"batch": batch, "sharded": sharded}
 
-	// Persistence round trips: single file and sharded segments.
-	b := &bytesBuffer{}
-	if err := batch.Save(b); err != nil {
-		t.Fatal(err)
+	// Persistence round trips: a one-segment directory and a sharded one.
+	for kind, cat := range map[string]*Catalog{"loaded": batch, "loaded-dir": sharded} {
+		dir := t.TempDir()
+		if err := cat.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cats[kind] = loaded
 	}
-	loaded, err := Load(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cats["loaded"] = loaded
-	dir := t.TempDir()
-	if err := sharded.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	loadedDir, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cats["loaded-dir"] = loadedDir
 
 	for q := 0; q < 25; q++ {
 		phrase := randomPhrase(rng, tokens, names)
@@ -255,7 +248,7 @@ func TestPhraseWithoutPositionsErrors(t *testing.T) {
 }
 
 // TestPositionsNotRetrofittedOnLoad pins the loaded-catalog policy: the
-// DSIX frame version decides positional-ness in both directions, so
+// segments' flags decide positional-ness in both directions, so
 // passing Options.Positions when loading a non-positional catalog must
 // not produce a half-positional index — updates keep extracting without
 // positions, the catalog stays saveable/reloadable, and phrase queries
@@ -274,13 +267,13 @@ func TestPositionsNotRetrofittedOnLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &bytesBuffer{}
-	if err := built.Save(b); err != nil {
+	dir := t.TempDir()
+	if err := built.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	// Load with Positions erroneously enabled, then churn the tree through
 	// an incremental update.
-	cat, err := Load(strings.NewReader(b.String()), Options{Positions: true})
+	cat, err := LoadDir(dir, Options{Positions: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,12 +287,11 @@ func TestPositionsNotRetrofittedOnLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The updated catalog must save and reload cleanly (the original bug
-	// persisted a desynced frame that failed to decode)...
-	b2 := &bytesBuffer{}
-	if err := cat.Save(b2); err != nil {
+	// persisted a desynced file that failed to decode)...
+	if err := cat.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := Load(strings.NewReader(b2.String()))
+	reloaded, err := LoadDir(dir)
 	if err != nil {
 		t.Fatalf("reloading the updated catalog: %v", err)
 	}
@@ -353,10 +345,3 @@ func equalStrings(a, b []string) bool {
 	}
 	return true
 }
-
-// bytesBuffer is a minimal io.Writer + String, avoiding a bytes import
-// clash with the package's other tests.
-type bytesBuffer struct{ b strings.Builder }
-
-func (w *bytesBuffer) Write(p []byte) (int, error) { return w.b.Write(p) }
-func (w *bytesBuffer) String() string              { return w.b.String() }

@@ -127,23 +127,24 @@ func TestBM25ShardInvariance(t *testing.T) {
 	assertBM25Identical(t, "updated", flat, loaded)
 }
 
-// TestBM25SurvivesSingleFileRoundTrip: the v9 single-file codec preserves
-// document lengths, so a Save/Load round trip scores identically too.
-func TestBM25SurvivesSingleFileRoundTrip(t *testing.T) {
+// TestBM25SurvivesUnshardedRoundTrip: a catalog built without Shards saves
+// its own indices as the directory's segments, and the manifest preserves
+// document lengths, so its round trip scores identically too.
+func TestBM25SurvivesUnshardedRoundTrip(t *testing.T) {
 	fs := bm25FS(t)
 	cat, err := IndexFS(fs, ".", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	if err := cat.Save(&buf); err != nil {
+	dir := t.TempDir()
+	if err := cat.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(strings.NewReader(buf.String()))
+	loaded, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBM25Identical(t, "single-file", cat, loaded)
+	assertBM25Identical(t, "unsharded", cat, loaded)
 }
 
 // TestSuggestPublicAPI exercises Catalog.Suggest end to end: document-
