@@ -9,7 +9,7 @@ STATICCHECK_VERSION ?= 2025.1
 # govulncheck version, matching .github/workflows/ci.yml.
 GOVULNCHECK_VERSION ?= latest
 
-.PHONY: build test vet fmt lint vuln bench bench-selftest docs-check ci
+.PHONY: build test vet fmt lint vuln bench bench-selftest docs-check fuzz ci
 
 build:
 	$(GO) build ./...
@@ -79,4 +79,10 @@ bench-selftest:
 docs-check:
 	$(GO) run ./cmd/docscheck
 
-ci: build bench-selftest vet fmt lint vuln docs-check test bench
+# Ten seconds of fuzzing on the one decoder that reads another process's
+# bytes (a worker's partial, at the broker): long enough to shake out a
+# panic or an unbounded allocation, short enough to run on every push.
+fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzPartialDecode -fuzztime=10s ./internal/server/
+
+ci: build bench-selftest vet fmt lint vuln docs-check test fuzz bench

@@ -272,6 +272,15 @@ func ParseQuery(text string) (*Expr, error) {
 // String renders the expression in canonical form.
 func (e *Expr) String() string { return e.q.String() }
 
+// DFKeys names what a DocFreqs vector for the expression counts:
+// DocFreqs.Terms[i] is the document frequency of terms[i] and
+// DocFreqs.Prefixes[j] that of the prefix operator prefixes[j] (given
+// without its '*'). Neither frequency depends on the rest of the query, so
+// a broker may keep them per key between queries.
+func (e *Expr) DFKeys() (terms, prefixes []string) {
+	return e.q.Terms(), e.q.ScorePrefixes()
+}
+
 // Query is a search request: the query itself plus retrieval controls.
 // The zero controls return every hit, coordination-ranked.
 type Query struct {
@@ -512,12 +521,15 @@ func (c *Catalog) Query(ctx context.Context, q Query) (*Response, error) {
 // DocFreqs computes the catalog's local document-frequency vector for q:
 // the live-document and token counts plus, per positive query term and
 // per scoring prefix operator, the number of this catalog's documents
-// matching it. It is phase one of the distributed BM25 protocol: a broker
+// matching it. It is the statistics half of distributed BM25: a broker
 // gathers every worker catalog's vector, sums them with DocFreqs.Add
 // (worker catalogs are document-disjoint, so frequencies add exactly),
 // and passes the total back through Query.GlobalDF — after which every
 // worker scores with corpus-global statistics and the merged result is
-// bit-identical to a single-node evaluation. Term frequencies are
+// bit-identical to a single-node evaluation. A BM25 Query reports the
+// same local vector in Response.DF, read under the evaluation's own view
+// of the index, so a broker that kept sums from earlier queries can check
+// them against the answer instead of asking first. Term frequencies are
 // answered from the term dictionaries (no posting blocks are decoded);
 // prefix operators are expanded under the same cap as evaluation, so an
 // over-broad prefix fails here first.

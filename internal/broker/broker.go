@@ -19,12 +19,20 @@
 //     loop has marked down;
 //   - failover: a retryable failure (connection error, 5xx, per-attempt
 //     timeout) immediately starts the next replica, so one dead worker
-//     costs one RTT, not a user-visible error;
+//     costs one RTT, not a user-visible error; a group's last candidate
+//     has no per-attempt timeout — there is nobody left to fail over to —
+//     and runs to the request's deadline;
 //   - hedging: if the primary has not answered after the group's hedge
 //     delay — the 95th percentile of its recent latencies, or a fixed
 //     -hedge value — the same request is issued to the next replica and
 //     the first answer wins. Requests are read-only and idempotent, so
 //     the duplicate work is pure insurance against stragglers.
+//
+// Workers answer query traffic in one binary layout (server.Partial), and
+// BM25 over several groups is verify-then-return: the broker scatters with
+// corpus-wide statistics from a small table it never invalidates, and
+// returns a page only after the workers' own statistics, carried in their
+// partials, confirm the ones it sent (see query and dfTable).
 //
 // Only deterministic worker rejections (HTTP 4xx: parse errors, unknown
 // rankings, over-broad prefixes) stop a request early — a replica would
@@ -37,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -119,6 +128,13 @@ type Broker struct {
 	queries, queryErrors         atomic.Uint64
 	hedges, hedgeWins, failovers atomic.Uint64
 
+	// df remembers corpus-wide document frequencies between queries, and
+	// the counters say how it fared: a hit saved the /internal/df round, a
+	// miss paid it, and stale counts the times the workers' own vectors
+	// contradicted what a query had been scored with and it was re-issued.
+	df                        dfTable
+	dfHits, dfMisses, dfStale atomic.Uint64
+
 	// metrics is the /metrics exposition surface, built at the end of New
 	// over the counters above (see metrics.go).
 	metrics *brokerMetrics
@@ -196,7 +212,7 @@ func (b *Broker) CheckTopology(ctx context.Context) error {
 				first = &groupMeta{meta: m, from: r.url}
 				continue
 			}
-			if !equalInts(m.Shards, first.meta.Shards) || m.TotalShards != first.meta.TotalShards {
+			if !slices.Equal(m.Shards, first.meta.Shards) || m.TotalShards != first.meta.TotalShards {
 				return fmt.Errorf("broker: group %d replicas disagree: %s serves shards %v/%d, %s serves %v/%d",
 					gi, first.from, first.meta.Shards, first.meta.TotalShards, r.url, m.Shards, m.TotalShards)
 			}
@@ -308,46 +324,24 @@ func (g *group) candidates() []*replica {
 	return append(healthy, down...)
 }
 
-// hedgeDelay is how long a group's primary attempt runs before the same
-// request is hedged to the next replica.
-func (b *Broker) hedgeDelay(g *group) time.Duration {
+// policy turns one summary of a group's recent latencies into the two
+// delays a request against it runs under: how long the primary attempt
+// runs before the same request is hedged to the next replica, and how long
+// any attempt that still has a replica to fail over to may take —
+// generously above the recent p95 so normal variance never trips it, but
+// far enough inside the request deadline that a hung worker leaves time to
+// fail over. A cold window (ok false) hedges after defaultHedgeDelay and
+// gives an attempt the full request budget.
+func (b *Broker) policy(s timing.Summary, ok bool) (hedgeAfter, attemptTimeout time.Duration) {
+	hedgeAfter, attemptTimeout = defaultHedgeDelay, b.timeout
+	if ok {
+		hedgeAfter = s.P95
+		attemptTimeout = min(max(8*s.P95, 50*time.Millisecond), b.timeout)
+	}
 	if b.hedge > 0 {
-		return b.hedge
+		hedgeAfter = b.hedge
+	} else if hedgeAfter < MinHedgeDelay {
+		hedgeAfter = MinHedgeDelay
 	}
-	d := g.window.P95(defaultHedgeDelay)
-	if d < MinHedgeDelay {
-		d = MinHedgeDelay
-	}
-	return d
-}
-
-// attemptTimeout bounds one replica attempt: generously above the
-// group's recent p95 so normal variance never trips it, but far enough
-// inside the request deadline that a hung worker leaves time to fail
-// over. Cold windows get the full request budget.
-func (b *Broker) attemptTimeout(g *group) time.Duration {
-	s, ok := g.window.Snapshot()
-	if !ok {
-		return b.timeout
-	}
-	d := 8 * s.P95
-	if d < 50*time.Millisecond {
-		d = 50 * time.Millisecond
-	}
-	if d > b.timeout {
-		d = b.timeout
-	}
-	return d
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return hedgeAfter, attemptTimeout
 }

@@ -45,6 +45,12 @@ func (b *Broker) initMetrics() {
 		func() float64 { return float64(b.hedgeWins.Load()) })
 	reg.NewCounterFunc("ds_failovers_total", "Replica attempts restarted on another replica after a failure.",
 		func() float64 { return float64(b.failovers.Load()) })
+	reg.NewCounterFunc("ds_df_hits_total", "Multi-group BM25 queries scattered at once with statistics from the df table.",
+		func() float64 { return float64(b.dfHits.Load()) })
+	reg.NewCounterFunc("ds_df_misses_total", "Multi-group BM25 queries that asked the workers for statistics first.",
+		func() float64 { return float64(b.dfMisses.Load()) })
+	reg.NewCounterFunc("ds_df_stale_total", "Scatters re-issued because the workers' own statistics contradicted the ones sent.",
+		func() float64 { return float64(b.dfStale.Load()) })
 	reg.NewGaugeFunc("ds_uptime_seconds", "Seconds since the broker started.",
 		func() float64 { return time.Since(b.start).Seconds() })
 

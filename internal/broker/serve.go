@@ -5,16 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"desksearch"
-	"desksearch/internal/postings"
 	"desksearch/internal/search"
 	"desksearch/internal/server"
 )
@@ -52,9 +51,10 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // writeQueryError maps a scatter-gather failure onto the front door:
 // deterministic worker rejections keep their status (the client's query
-// is at fault), deadline and cancellation map as on a single node, and
-// anything else — unreachable groups, malformed worker responses — is
-// the fleet's fault, a 502.
+// is at fault), deadline and cancellation map as on a single node, an
+// index that would not hold still is a retryable 503, and anything else —
+// unreachable groups, malformed worker responses — is the fleet's fault, a
+// 502.
 func writeQueryError(w http.ResponseWriter, err error, timeout time.Duration) {
 	var we *WorkerError
 	switch {
@@ -64,6 +64,8 @@ func writeQueryError(w http.ResponseWriter, err error, timeout time.Duration) {
 		writeError(w, http.StatusGatewayTimeout, "query timed out after %s", timeout)
 	case errors.Is(err, context.Canceled):
 		writeError(w, http.StatusServiceUnavailable, "query canceled")
+	case errors.Is(err, errIndexChanging):
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
 		writeError(w, http.StatusBadGateway, "%v", err)
 	}
@@ -107,67 +109,90 @@ func (b *Broker) handleSearch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// query runs the two-phase scatter-gather protocol for one normalized
-// request and merges the partials into a single-node-identical response.
+// errIndexChanging reports a query whose statistics failed verification
+// twice in a row: the index changed under it, then changed again under the
+// re-issue. Nothing is wrong with the fleet or the query, so the front
+// door answers 503 and the client retries.
+var errIndexChanging = errors.New("the index changed twice while the query ran; retry")
+
+// query answers one normalized request: scatter it to every group, merge
+// the partials into a single-node-identical response.
 //
-// Phase one (BM25 over more than one group only): gather every group's
-// local document-frequency vector and sum them. The sums are integer
-// element-wise additions — exact and order-independent — and Docs/Tokens
-// come from the shared manifest, so they are verified equal rather than
-// summed. A single group skips the phase: its local statistics already
-// are the global ones.
-//
-// Phase two: scatter the query with the global statistics attached; each
-// worker returns its local top-(limit+offset) with scores as raw
+// Each worker returns its local top-(limit+offset) with scores as raw
 // Float64bits. The partials merge under the same total order the engine
 // uses (score descending, file ID ascending — file IDs are global because
 // the file table is shared), which makes the distributed merge reproduce
 // the single-node ranking bit for bit; the offset is applied after the
 // merge, on the globally ranked list.
+//
+// BM25 over more than one group also needs every worker to score with the
+// corpus-wide document frequencies, not its own. (A single group's
+// statistics already are the global ones.) The protocol is verify-then-
+// return:
+//
+//  1. Take the query's vector from the df table; on a miss, ask every
+//     group for its local vector (GET /internal/df, answered as a partial
+//     with no page) and sum them. The sums are integer element-wise
+//     additions — exact and order-independent.
+//  2. Scatter the query with that vector attached. Every partial carries
+//     its worker's own vector, read under the same view of the index as
+//     the evaluation it came from.
+//  3. Sum those and compare with what was sent. Equal: every worker scored
+//     with exactly the statistics of the state it evaluated, which is what
+//     asking first would have produced — return the page. Unequal: the
+//     table was stale, or a worker reloaded between 1 and 2; the sums just
+//     computed are the true ones, so store them, scatter once more with
+//     them, and verify again. A second mismatch is errIndexChanging.
+//
+// So a table hit costs one round trip, a miss two, a stale entry two, and
+// no page is returned unverified.
 func (b *Broker) query(ctx context.Context, req desksearch.Query) (*server.SearchResponse, error) {
-	canonical := req.Expr.String()
 	k := req.Limit + req.Offset
-
-	var df *server.DFPayload
-	if req.Ranking == desksearch.RankBM25 && len(b.groups) > 1 {
-		var err error
-		if df, err = b.gatherDF(ctx, canonical, req.MaxPrefixTerms); err != nil {
-			return nil, err
-		}
-	}
-
-	body, err := json.Marshal(server.InternalSearchRequest{
-		Query:          canonical,
+	in := server.InternalSearchRequest{
+		Query:          req.Expr.String(),
 		Limit:          k,
 		Rank:           req.Ranking.String(),
 		PathPrefix:     req.PathPrefix,
 		Snippets:       req.Snippets,
 		MaxPrefixTerms: req.MaxPrefixTerms,
-		DF:             df,
-	})
+	}
+	verify := req.Ranking == desksearch.RankBM25 && len(b.groups) > 1
+	var terms, prefixes []string
+	if verify {
+		terms, prefixes = req.Expr.DFKeys()
+		if in.DF = b.df.lookup(terms, prefixes); in.DF != nil {
+			b.dfHits.Add(1)
+		} else {
+			b.dfMisses.Add(1)
+			var err error
+			if in.DF, err = b.gatherDF(ctx, in.Query, req.MaxPrefixTerms); err != nil {
+				return nil, err
+			}
+			b.df.store(terms, prefixes, in.DF)
+		}
+	}
+
+	partials, err := b.scatter(ctx, &in)
 	if err != nil {
 		return nil, err
 	}
-
-	partials := make([]*server.InternalSearchResponse, len(b.groups))
-	errs := make([]error, len(b.groups))
-	var wg sync.WaitGroup
-	for gi, g := range b.groups {
-		wg.Add(1)
-		go func(gi int, g *group) {
-			defer wg.Done()
-			var out server.InternalSearchResponse
-			if err := b.doGroup(ctx, g, http.MethodPost, "/internal/search", body, &out); err != nil {
-				errs[gi] = err
-				return
-			}
-			g.generation.Store(out.Generation)
-			partials[gi] = &out
-		}(gi, g)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
-		return nil, err
+	for reissued := false; verify; reissued = true {
+		sum, err := sumDF(partials)
+		if err != nil {
+			return nil, err
+		}
+		if equalDF(sum, in.DF) {
+			break
+		}
+		b.dfStale.Add(1)
+		b.df.store(terms, prefixes, sum)
+		if reissued {
+			return nil, errIndexChanging
+		}
+		in.DF = sum
+		if partials, err = b.scatter(ctx, &in); err != nil {
+			return nil, err
+		}
 	}
 
 	parts := make([][]search.Hit, len(partials))
@@ -178,17 +203,7 @@ func (b *Broker) query(ctx context.Context, req desksearch.Query) (*server.Searc
 		total += p.Total
 		gen += p.Generation
 		partStats = append(partStats, p.Partitions...)
-		hits := make([]search.Hit, len(p.Hits))
-		for i, h := range p.Hits {
-			hits[i] = search.Hit{
-				File:    postings.FileID(h.File),
-				Path:    h.Path,
-				Score:   math.Float64frombits(h.ScoreBits),
-				Terms:   h.Terms,
-				Snippet: h.Snippet,
-			}
-		}
-		parts[gi] = hits
+		parts[gi] = p.Hits
 	}
 	merged := search.MergeRankedPage(parts, k)
 	if req.Offset < len(merged) {
@@ -215,59 +230,85 @@ func (b *Broker) query(ctx context.Context, req desksearch.Query) (*server.Searc
 	return out, nil
 }
 
-// gatherDF fans phase one out to every group and sums the local
-// document-frequency vectors into the corpus-global payload phase two
-// attaches. The client's prefix-expansion cap rides along so phase one
-// rejects an over-broad prefix at the same threshold phase two would.
+// scatter posts in to every group's /internal/search.
+func (b *Broker) scatter(ctx context.Context, in *server.InternalSearchRequest) ([]*server.Partial, error) {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return nil, err
+	}
+	return b.gatherPartials(ctx, http.MethodPost, "/internal/search", body)
+}
+
+// gatherDF asks every group for its local document-frequency vector and
+// sums them into the corpus-wide one. The client's prefix-expansion cap
+// rides along so the round rejects an over-broad prefix at the same
+// threshold the search would.
 func (b *Broker) gatherDF(ctx context.Context, canonical string, maxPrefixTerms int) (*server.DFPayload, error) {
 	path := "/internal/df?q=" + url.QueryEscape(canonical)
 	if maxPrefixTerms > 0 {
 		path += "&max_prefix_terms=" + strconv.Itoa(maxPrefixTerms)
 	}
-	dfs := make([]*server.DFResponse, len(b.groups))
+	partials, err := b.gatherPartials(ctx, http.MethodGet, path, nil)
+	if err != nil {
+		return nil, err
+	}
+	return sumDF(partials)
+}
+
+// gatherPartials sends one request to every group at once and returns
+// their partials in group order.
+func (b *Broker) gatherPartials(ctx context.Context, method, path string, body []byte) ([]*server.Partial, error) {
+	partials := make([]*server.Partial, len(b.groups))
 	errs := make([]error, len(b.groups))
 	var wg sync.WaitGroup
 	for gi, g := range b.groups {
 		wg.Add(1)
 		go func(gi int, g *group) {
 			defer wg.Done()
-			var out server.DFResponse
-			if err := b.doGroup(ctx, g, http.MethodGet, path, nil, &out); err != nil {
-				errs[gi] = err
-				return
+			errs[gi] = b.doGroup(ctx, g, method, path, body, func(data []byte) (err error) {
+				partials[gi], err = server.DecodePartial(data)
+				return err
+			})
+			if errs[gi] == nil {
+				g.generation.Store(partials[gi].Generation)
 			}
-			dfs[gi] = &out
 		}(gi, g)
 	}
 	wg.Wait()
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}
+	return partials, nil
+}
 
-	first := dfs[0]
+// sumDF adds the local vectors the groups' partials carry into the
+// corpus-wide vector. Docs and Tokens come from the shared manifest: every
+// worker of one directory reports the same values, so they are checked
+// equal rather than summed, and a mismatch means the groups are serving
+// different index states and no merge of their partials is meaningful.
+func sumDF(partials []*server.Partial) (*server.DFPayload, error) {
+	first := &partials[0].DF
 	sum := &desksearch.DocFreqs{
 		Docs:     first.Docs,
 		Tokens:   first.Tokens,
 		Terms:    append([]int(nil), first.Terms...),
 		Prefixes: append([]int(nil), first.Prefixes...),
 	}
-	for _, d := range dfs[1:] {
-		if d.Query != first.Query {
-			return nil, fmt.Errorf("broker: groups normalized the query differently (%q vs %q)", first.Query, d.Query)
-		}
-		// Docs and Tokens come from the shared manifest: every worker of
-		// one directory reports the same values, so a mismatch means the
-		// groups are serving different index states and no merge of their
-		// partials is meaningful.
+	for _, p := range partials[1:] {
+		d := &p.DF
 		if d.Docs != first.Docs || d.Tokens != first.Tokens {
 			return nil, fmt.Errorf("broker: corpus statistics disagree across groups (%d docs/%d tokens vs %d/%d) — workers are serving different index states",
 				first.Docs, first.Tokens, d.Docs, d.Tokens)
 		}
-		if !sum.Add(&desksearch.DocFreqs{Docs: d.Docs, Tokens: d.Tokens, Terms: d.Terms, Prefixes: d.Prefixes}) {
+		if !sum.Add(d) {
 			return nil, fmt.Errorf("broker: document-frequency vectors disagree in shape across groups")
 		}
 	}
-	return &server.DFPayload{Docs: sum.Docs, Tokens: sum.Tokens, Terms: sum.Terms, Prefixes: sum.Prefixes}, nil
+	return (*server.DFPayload)(sum), nil
+}
+
+func equalDF(a, b *server.DFPayload) bool {
+	return a.Docs == b.Docs && a.Tokens == b.Tokens && slices.Equal(a.Terms, b.Terms) && slices.Equal(a.Prefixes, b.Prefixes)
 }
 
 // firstError prefers a deterministic WorkerError — it tells the client
@@ -322,19 +363,16 @@ func (b *Broker) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	// missed — the classic distributed top-k approximation, acceptable
 	// for autocomplete.
 	path := "/suggest?q=" + url.QueryEscape(prefix) + "&n=" + strconv.Itoa(n)
-	resps := make([]*server.SuggestResponse, len(b.groups))
+	resps := make([]server.SuggestResponse, len(b.groups))
 	errs := make([]error, len(b.groups))
 	var wg sync.WaitGroup
 	for gi, g := range b.groups {
 		wg.Add(1)
 		go func(gi int, g *group) {
 			defer wg.Done()
-			var out server.SuggestResponse
-			if err := b.doGroup(ctx, g, http.MethodGet, path, nil, &out); err != nil {
-				errs[gi] = err
-				return
-			}
-			resps[gi] = &out
+			errs[gi] = b.doGroup(ctx, g, http.MethodGet, path, nil, func(data []byte) error {
+				return json.Unmarshal(data, &resps[gi])
+			})
 		}(gi, g)
 	}
 	wg.Wait()
@@ -390,6 +428,13 @@ type StatsResponse struct {
 	Hedges    uint64 `json:"hedges"`
 	HedgeWins uint64 `json:"hedge_wins"`
 	Failovers uint64 `json:"failovers"`
+	// DFHits counts multi-group BM25 queries scattered at once with
+	// statistics from the broker's df table, DFMisses those that asked the
+	// workers first, and DFStale the scatters re-issued because the
+	// workers' own vectors contradicted the statistics sent.
+	DFHits   uint64 `json:"df_hits"`
+	DFMisses uint64 `json:"df_misses"`
+	DFStale  uint64 `json:"df_stale"`
 
 	Groups []GroupStats `json:"groups"`
 }
@@ -433,19 +478,24 @@ func (b *Broker) handleStats(w http.ResponseWriter, r *http.Request) {
 		Hedges:      b.hedges.Load(),
 		HedgeWins:   b.hedgeWins.Load(),
 		Failovers:   b.failovers.Load(),
+		DFHits:      b.dfHits.Load(),
+		DFMisses:    b.dfMisses.Load(),
+		DFStale:     b.dfStale.Load(),
 		Groups:      make([]GroupStats, len(b.groups)),
 	}
 	for gi, g := range b.groups {
+		s, ok := g.window.Snapshot()
+		hedgeAfter, _ := b.policy(s, ok)
 		gs := GroupStats{
 			Shards:       g.shards,
 			Generation:   g.generation.Load(),
-			HedgeDelayUS: float64(b.hedgeDelay(g).Nanoseconds()) / 1e3,
+			HedgeDelayUS: float64(hedgeAfter.Nanoseconds()) / 1e3,
 			Replicas:     make([]ReplicaStatus, len(g.replicas)),
 		}
 		for ri, rep := range g.replicas {
 			gs.Replicas[ri] = ReplicaStatus{URL: rep.url, Healthy: rep.healthy.Load()}
 		}
-		if s, ok := g.window.Snapshot(); ok {
+		if ok {
 			gs.Latency = &LatencyStats{
 				Requests: s.Count,
 				MinUS:    float64(s.Min.Nanoseconds()) / 1e3,

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"time"
 
 	"desksearch/internal/server"
@@ -27,11 +29,21 @@ type httpDoer interface {
 	Do(*http.Request) (*http.Response, error)
 }
 
-// newHTTPClient returns the broker's transport. No client-level timeout:
-// every request carries a context deadline, and a fixed client timeout
-// would fight the per-attempt budgets.
+// maxIdleConnsPerWorker is how many idle keep-alive connections the broker
+// holds to each worker. Every front-door request in flight uses one per
+// group; http.DefaultTransport keeps two per host, so a third concurrent
+// request dialled anew on every call.
+const maxIdleConnsPerWorker = 64
+
+// newHTTPClient returns the broker's own transport, shared with nothing
+// else in the process. No client-level timeout: every request carries a
+// context deadline, and a fixed client timeout would fight the per-attempt
+// budgets.
 func newHTTPClient() httpDoer {
-	return &http.Client{}
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0 // the per-worker bound is the one that matters
+	t.MaxIdleConnsPerHost = maxIdleConnsPerWorker
+	return &http.Client{Transport: t}
 }
 
 // WorkerError is a deterministic worker rejection (HTTP 4xx) surfaced
@@ -51,8 +63,10 @@ func (e *WorkerError) Error() string {
 	return fmt.Sprintf("worker rejected request (HTTP %d): %s", e.Status, e.Message)
 }
 
-// do issues one HTTP request and buffers the response.
-func (b *Broker) do(ctx context.Context, method, url string, body []byte) (status int, respBody []byte, err error) {
+// do issues one HTTP request and buffers the response in a pooled buffer,
+// which the caller hands back with server.PutBuffer once it holds no slice
+// of it.
+func (b *Broker) do(ctx context.Context, method, url string, body []byte) (status int, respBody *bytes.Buffer, err error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -69,11 +83,12 @@ func (b *Broker) do(ctx context.Context, method, url string, body []byte) (statu
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-	if err != nil {
+	buf := server.GetBuffer()
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBytes)); err != nil {
+		server.PutBuffer(buf)
 		return 0, nil, err
 	}
-	return resp.StatusCode, data, nil
+	return resp.StatusCode, buf, nil
 }
 
 // decodeErrorBody extracts the server's {"error": ..., "code": ...}
@@ -101,11 +116,12 @@ func (b *Broker) fetchMeta(ctx context.Context, base string) (WorkerMetaView, er
 	if err != nil {
 		return m, err
 	}
+	defer server.PutBuffer(body)
 	if status != http.StatusOK {
-		msg, _ := decodeErrorBody(body)
+		msg, _ := decodeErrorBody(body.Bytes())
 		return m, fmt.Errorf("HTTP %d: %s", status, msg)
 	}
-	if err := json.Unmarshal(body, &m); err != nil {
+	if err := json.Unmarshal(body.Bytes(), &m); err != nil {
 		return m, fmt.Errorf("malformed meta: %w", err)
 	}
 	return m, nil
@@ -113,12 +129,17 @@ func (b *Broker) fetchMeta(ctx context.Context, base string) (WorkerMetaView, er
 
 // probeHealth reports whether a worker's /healthz answers 200.
 func (b *Broker) probeHealth(ctx context.Context, base string) bool {
-	status, _, err := b.do(ctx, http.MethodGet, base+"/healthz", nil)
-	return err == nil && status == http.StatusOK
+	status, body, err := b.do(ctx, http.MethodGet, base+"/healthz", nil)
+	if err != nil {
+		return false
+	}
+	server.PutBuffer(body)
+	return status == http.StatusOK
 }
 
 // doGroup runs one request against a replica group with rotation,
-// failover, and hedging, decoding the winning 200 response into out.
+// failover, and hedging, and hands the winning 200 response's body to
+// decode, which must keep no slice of it.
 //
 // The primary attempt goes to the group's next healthy replica. Two
 // things bring the next replica into play: a retryable failure
@@ -128,7 +149,14 @@ func (b *Broker) probeHealth(ctx context.Context, base string) bool {
 // first wins; the rest are cancelled by the shared context when the
 // caller's request completes. A 4xx stops everything at once: it is the
 // request that is broken, not the replica.
-func (b *Broker) doGroup(ctx context.Context, g *group, method, path string, body []byte, out any) error {
+//
+// Every attempt but the last is bounded by the group's attempt timeout, so
+// a hung replica leaves time to fail over. The last candidate has nobody
+// to fail over to: cutting it short could only turn a slow answer into an
+// error, so it runs to the request's own deadline. Either way the worker
+// is told the attempt's remaining budget (timeout=), and stops evaluating
+// when the broker has stopped listening.
+func (b *Broker) doGroup(ctx context.Context, g *group, method, path string, body []byte, decode func([]byte) error) error {
 	cands := g.candidates()
 	gctx, gcancel := context.WithCancel(ctx)
 	defer gcancel()
@@ -136,25 +164,40 @@ func (b *Broker) doGroup(ctx context.Context, g *group, method, path string, bod
 	type result struct {
 		idx    int
 		status int
-		body   []byte
+		body   *bytes.Buffer
 		err    error
 		took   time.Duration
 	}
 	results := make(chan result, len(cands))
-	attemptTO := b.attemptTimeout(g)
+	hedgeAfter, attemptTO := b.policy(g.window.Snapshot())
+	sep := "?"
+	if strings.Contains(path, "?") {
+		sep = "&"
+	}
 	launch := func(i int) {
 		go func() {
-			actx, acancel := context.WithTimeout(gctx, attemptTO)
-			defer acancel()
+			actx := gctx
+			if i < len(cands)-1 {
+				var acancel context.CancelFunc
+				actx, acancel = context.WithTimeout(gctx, attemptTO)
+				defer acancel()
+			}
+			url := cands[i].url + path
+			if deadline, ok := actx.Deadline(); ok {
+				// Nanoseconds keep the value ASCII (time.Duration prints µ);
+				// an already-spent budget still has to parse as positive.
+				left := max(time.Until(deadline), time.Nanosecond)
+				url += sep + "timeout=" + strconv.FormatInt(left.Nanoseconds(), 10) + "ns"
+			}
 			start := time.Now()
-			status, respBody, err := b.do(actx, method, cands[i].url+path, body)
+			status, respBody, err := b.do(actx, method, url, body)
 			results <- result{idx: i, status: status, body: respBody, err: err, took: time.Since(start)}
 		}()
 	}
 	launch(0)
 	inflight, next := 1, 1
 
-	hedge := time.NewTimer(b.hedgeDelay(g))
+	hedge := time.NewTimer(hedgeAfter)
 	defer hedge.Stop()
 
 	var lastErr error
@@ -177,19 +220,21 @@ func (b *Broker) doGroup(ctx context.Context, g *group, method, path string, bod
 				if res.idx > 0 {
 					b.hedgeWins.Add(1)
 				}
-				if out != nil {
-					if err := json.Unmarshal(res.body, out); err != nil {
-						return fmt.Errorf("broker: %s: malformed response: %w", cands[res.idx].url, err)
-					}
+				err := decode(res.body.Bytes())
+				server.PutBuffer(res.body)
+				if err != nil {
+					return fmt.Errorf("broker: %s: malformed response: %w", cands[res.idx].url, err)
 				}
 				return nil
 			case res.err == nil && res.status >= 400 && res.status < 500:
-				msg, code := decodeErrorBody(res.body)
+				msg, code := decodeErrorBody(res.body.Bytes())
+				server.PutBuffer(res.body)
 				return &WorkerError{Status: res.status, Message: msg, Code: code}
 			default:
 				err := res.err
 				if err == nil {
-					msg, _ := decodeErrorBody(res.body)
+					msg, _ := decodeErrorBody(res.body.Bytes())
+					server.PutBuffer(res.body)
 					err = fmt.Errorf("HTTP %d: %s", res.status, msg)
 				}
 				lastErr = fmt.Errorf("%s: %w", cands[res.idx].url, err)

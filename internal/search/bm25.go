@@ -69,63 +69,58 @@ func (s *bm25Stats) maxScore(idf float64, maxTF uint32) float64 {
 	return idf * (t * (bm25K1 + 1)) / (t + bm25K1*(1-bm25B))
 }
 
-// computeBM25Stats aggregates document frequencies across the engine's
-// partitions and derives the request's IDFs and average document length.
-// expansions are the per-partition prefix expansion unions (nil when the
-// query has none). The caller must hold the engine's read lock.
-//
-// When global is non-nil — the distributed-serving path, where this
-// engine's partitions are only a subset of the corpus — the aggregation is
-// skipped entirely and the supplied corpus-wide statistics are used
-// instead. Document frequencies are integers, so a broker that sums
-// per-worker DocFreqs vectors hands every worker the exact numbers a
-// single-node engine would have aggregated itself, in any summation order,
-// and the derived IDFs (and so every score) come out bit-identical.
-func (e *Engine) computeBM25Stats(q *Query, expansions [][]*postings.List, global *DocFreqs) (*bm25Stats, error) {
-	st := &bm25Stats{avgdl: 1}
-	if global != nil {
-		if len(global.Terms) != len(q.positive) || len(global.Prefixes) != len(q.scorePrefixes) {
-			return nil, fmt.Errorf("search: document-frequency vector shape (%d terms, %d prefixes) does not match query (%d terms, %d prefixes)",
-				len(global.Terms), len(global.Prefixes), len(q.positive), len(q.scorePrefixes))
-		}
-		n := global.Docs
-		if n > 0 && global.Tokens > 0 {
-			st.avgdl = float64(global.Tokens) / float64(n)
-		}
-		st.idfTerm = make([]float64, len(q.positive))
-		for i, df := range global.Terms {
-			st.idfTerm[i] = bm25IDF(df, n)
-		}
-		if len(q.scorePrefixes) > 0 {
-			st.idfPrefix = make([]float64, len(q.scorePrefixes))
-			for j, df := range global.Prefixes {
-				st.idfPrefix[j] = bm25IDF(df, n)
-			}
-		}
-		return st, nil
+// localDF aggregates the engine's own document-frequency vector for q:
+// per positive term the DocFreq summed over the partitions (answered from
+// the term dictionaries — a lazy partition decodes no posting block for
+// it), per scoring prefix operator the summed size of its expansion
+// unions. expansions are the per-partition prefix expansion unions (nil
+// when the query has none). The caller must hold the engine's read lock.
+func (e *Engine) localDF(q *Query, expansions [][]*postings.List) *DocFreqs {
+	df := &DocFreqs{
+		Docs:     e.files.LiveCount(),
+		Tokens:   e.files.LiveTokens(),
+		Terms:    make([]int, len(q.positive)),
+		Prefixes: make([]int, len(q.scorePrefixes)),
 	}
-	n := e.files.LiveCount()
-	if total := e.files.LiveTokens(); n > 0 && total > 0 {
-		st.avgdl = float64(total) / float64(n)
-	}
-	st.idfTerm = make([]float64, len(q.positive))
 	for i, term := range q.positive {
-		df := 0
 		for _, ix := range e.indices {
-			// DocFreq, not Lookup().Len(): a lazy partition answers it
-			// from the term dictionary without decoding the posting block.
-			df += ix.DocFreq(term)
+			df.Terms[i] += ix.DocFreq(term)
 		}
-		st.idfTerm[i] = bm25IDF(df, n)
 	}
-	if len(q.scorePrefixes) > 0 {
-		st.idfPrefix = make([]float64, len(q.scorePrefixes))
-		for j, ord := range q.scorePrefixes {
-			df := 0
-			for _, exp := range expansions {
-				df += exp[ord].Len()
-			}
-			st.idfPrefix[j] = bm25IDF(df, n)
+	for j, ord := range q.scorePrefixes {
+		for _, exp := range expansions {
+			df.Prefixes[j] += exp[ord].Len()
+		}
+	}
+	return df
+}
+
+// newBM25Stats derives a request's IDFs and average document length from
+// a document-frequency vector: the engine's own (localDF) on a single
+// node, or — the distributed-serving path, where this engine's partitions
+// are only a subset of the corpus — the corpus-wide vector a broker
+// supplies. Document frequencies are integers, so a broker that sums
+// per-worker vectors hands every worker the exact numbers a single-node
+// engine would have aggregated itself, in any summation order, and the
+// derived IDFs (and so every score) come out bit-identical.
+func newBM25Stats(q *Query, df *DocFreqs) (*bm25Stats, error) {
+	if len(df.Terms) != len(q.positive) || len(df.Prefixes) != len(q.scorePrefixes) {
+		return nil, fmt.Errorf("search: document-frequency vector shape (%d terms, %d prefixes) does not match query (%d terms, %d prefixes)",
+			len(df.Terms), len(df.Prefixes), len(q.positive), len(q.scorePrefixes))
+	}
+	st := &bm25Stats{avgdl: 1}
+	n := df.Docs
+	if n > 0 && df.Tokens > 0 {
+		st.avgdl = float64(df.Tokens) / float64(n)
+	}
+	st.idfTerm = make([]float64, len(df.Terms))
+	for i, f := range df.Terms {
+		st.idfTerm[i] = bm25IDF(f, n)
+	}
+	if len(df.Prefixes) > 0 {
+		st.idfPrefix = make([]float64, len(df.Prefixes))
+		for j, f := range df.Prefixes {
+			st.idfPrefix[j] = bm25IDF(f, n)
 		}
 	}
 	return st, nil

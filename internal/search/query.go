@@ -112,6 +112,18 @@ func (q *Query) String() string {
 // appearance.
 func (q *Query) Terms() []string { return q.positive }
 
+// ScorePrefixes returns the text of the query's scoring prefix operators
+// (without the trailing '*') in scoring order. Terms followed by
+// ScorePrefixes name, entry for entry, what a DocFreqs vector for the
+// query counts.
+func (q *Query) ScorePrefixes() []string {
+	out := make([]string, len(q.scorePrefixes))
+	for i, ord := range q.scorePrefixes {
+		out[i] = q.prefixes[ord]
+	}
+	return out
+}
+
 // Parse builds a Query from text. Grammar (also documented in the README's
 // query-syntax reference):
 //

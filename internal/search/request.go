@@ -79,8 +79,9 @@ type Request struct {
 	// GlobalDF, when non-nil, supplies corpus-wide document-frequency
 	// statistics for BM25 ranking in place of the engine's own aggregation
 	// — the distributed-serving hook. A broker that fans a query out over
-	// workers each holding a subset of the corpus first gathers every
-	// worker's DocFreqs, sums them, and attaches the total here, so each
+	// workers each holding a subset of the corpus sums every worker's
+	// DocFreqs (asked for first, or kept from earlier answers and checked
+	// against Response.DF) and attaches the total here, so each
 	// worker scores with the exact statistics a single-node evaluation
 	// would have used. Ignored by the other ranking modes. The vector must
 	// match the query's shape (one entry per positive term and per scoring
@@ -94,7 +95,7 @@ type Request struct {
 // the query's canonical order. Partitions are document-disjoint, so the
 // vectors of two engines serving disjoint partition subsets sum
 // element-wise to the vector of the whole corpus — the invariant the
-// distributed broker's pre-aggregation phase rides. Docs and Tokens are
+// distributed broker's statistics ride. Docs and Tokens are
 // corpus-wide properties of the shared file table, identical on every
 // worker of one catalog; a broker verifies rather than sums them.
 type DocFreqs struct {
@@ -132,8 +133,9 @@ func (d *DocFreqs) Add(other *DocFreqs) bool {
 // per positive term, the DocFreq summed over the engine's partitions
 // (answered from term dictionaries, no posting blocks decoded); per
 // scoring prefix operator, the summed size of its expansion unions. It is
-// phase one of the distributed BM25 protocol — cheap enough to run as a
-// separate round-trip before the query itself. Expansion obeys the same
+// what a distributed broker sums across workers for BM25 — cheap enough to
+// run as a separate round-trip before the query itself, and the same
+// vector a BM25 Query reports in Response.DF. Expansion obeys the same
 // prefix-expansion cap as evaluation — maxPrefixTerms, with 0 meaning the
 // MaxPrefixTerms default — so an over-broad prefix fails here, before any
 // worker evaluates anything.
@@ -146,27 +148,11 @@ func (e *Engine) DocFreqs(ctx context.Context, q *Query, maxPrefixTerms int) (*D
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := &DocFreqs{
-		Docs:     e.files.LiveCount(),
-		Tokens:   e.files.LiveTokens(),
-		Terms:    make([]int, len(q.positive)),
-		Prefixes: make([]int, len(q.scorePrefixes)),
-	}
-	for i, term := range q.positive {
-		for _, ix := range e.indices {
-			out.Terms[i] += ix.DocFreq(term)
-		}
-	}
 	expansions, err := e.expandAll(ctx, q, maxPrefixTerms)
 	if err != nil {
 		return nil, err
 	}
-	for j, ord := range q.scorePrefixes {
-		for _, exp := range expansions {
-			out.Prefixes[j] += exp[ord].Len()
-		}
-	}
-	return out, nil
+	return e.localDF(q, expansions), nil
 }
 
 // eachPartition calls fn once per partition and returns when every call
@@ -241,6 +227,14 @@ type Response struct {
 	// Partitions reports per-partition match counts and timings, in
 	// partition order.
 	Partitions []PartitionStat
+	// DF is the engine's own document-frequency vector for the query, read
+	// under the same view of the index as the evaluation; nil unless the
+	// request ranked by BM25. Without Request.GlobalDF it is what the scores
+	// were computed from. With it, it is this engine's share of those
+	// statistics: a broker sums the shares of its workers and, when the sum
+	// equals the vector it sent, knows the page is the one a single node
+	// would have produced.
+	DF *DocFreqs
 }
 
 // partResult is one partition's contribution to a query.
@@ -295,9 +289,14 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		return nil, err
 	}
 	var bm *bm25Stats
+	var local *DocFreqs
 	if req.Ranking == RankBM25 {
-		bm, err = e.computeBM25Stats(req.Query, expansions, req.GlobalDF)
-		if err != nil {
+		local = e.localDF(req.Query, expansions)
+		df := local
+		if req.GlobalDF != nil {
+			df = req.GlobalDF
+		}
+		if bm, err = newBM25Stats(req.Query, df); err != nil {
 			return nil, err
 		}
 	}
@@ -325,7 +324,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		}
 	}
 
-	resp := &Response{Partitions: make([]PartitionStat, len(parts))}
+	resp := &Response{Partitions: make([]PartitionStat, len(parts)), DF: local}
 	ranked := make([][]Hit, len(parts))
 	for i, p := range parts {
 		resp.Total += p.matched

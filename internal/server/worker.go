@@ -1,19 +1,54 @@
 // Worker endpoints: the internal surface a scatter-gather broker fans
 // queries out to, enabled by Config.Worker (dsearchd -worker). Three
-// routes, mirroring the two-phase distributed query protocol:
+// routes:
 //
 //	GET  /internal/meta    which global shards this worker serves, out of
-//	                       how many — the broker's topology check
+//	                       how many — the broker's topology check (JSON)
 //	GET  /internal/df      the worker's local document-frequency vector
-//	                       for a query (phase one of distributed BM25)
-//	POST /internal/search  evaluate a query, optionally under broker-
-//	                       supplied global document frequencies, and
-//	                       return the local top-k with bit-exact scores
+//	                       for a query, as a partial with no page — what a
+//	                       broker asks when its df table does not know the
+//	                       query's terms
+//	POST /internal/search  evaluate a query (JSON request), optionally
+//	                       under broker-supplied global document
+//	                       frequencies, and return the local top-k as a
+//	                       partial
 //
-// Scores travel as math.Float64bits integers, not JSON floats: the
-// invariant the broker maintains — distributed results bit-identical to a
-// single-node evaluation — must not hinge on any JSON library's float
-// formatting, so the wire carries the exact bit pattern.
+// A partial (Partial, AppendPartial, DecodePartial in partial.go) is the
+// one shape a worker answers a broker's query traffic in. Scores are the
+// 8 raw bytes of math.Float64bits, so the invariant the broker maintains —
+// distributed results bit-identical to a single-node evaluation — hinges on
+// no library's float formatting, and decoding one costs the broker no
+// reflection. Layout, in order; "uvarint" is encoding/binary's, "bytes" a
+// uvarint length followed by that many raw bytes, "f64" the IEEE-754 bits,
+// little-endian:
+//
+//	field            encoding    meaning
+//	version          1 byte      partialVersion (1); anything else is refused
+//	total            uvarint     this worker's match count
+//	generation       uvarint     the worker's catalog generation
+//	df.docs          uvarint     live documents in the corpus (manifest-wide)
+//	df.tokens        uvarint     their summed token length
+//	df.terms         uvarint n   then n x uvarint: the worker's LOCAL document
+//	                             frequency per positive query term
+//	df.prefixes      uvarint n   then n x uvarint: the same per scoring prefix
+//	partitions       uvarint n   then n x { shard uvarint, matched uvarint,
+//	                             duration_us f64 }
+//	hits             uvarint n   then n x hit, in merged rank order
+//	  hit.file       uvarint     directory-wide document ID (merge tie-break)
+//	  hit.score      f64
+//	  hit.path       bytes
+//	  hit.terms      uvarint n   then n x bytes
+//	  hit.snippet    1 byte      0 = none; 1 = { text bytes, highlights
+//	                             uvarint n then n x { start, end uvarint } }
+//
+// The df block is all zeros unless the request ranked by bm25 (or is a
+// /internal/df call). It is read under the same view of the index as the
+// evaluation, and it is the worker's own vector even when the request
+// carried the broker's: the broker sums the blocks of every group and
+// returns a page only when the sum equals what the page was scored with
+// (verify-then-return, see broker.query). A partial must fill its body
+// exactly; the decoder checks every count against the bytes left, so a
+// truncated or forged one is an error, not an allocation.
 //
 // Worker search responses bypass the public result cache. The broker has
 // its own view of result identity (generation vector across workers), and
@@ -24,7 +59,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"math"
 	"net/http"
 	"strconv"
 
@@ -47,28 +81,6 @@ type WorkerMeta struct {
 	Generation uint64 `json:"generation"`
 	// Positional reports whether phrase queries and snippets work here.
 	Positional bool `json:"positional"`
-}
-
-// DFResponse is the JSON shape of GET /internal/df?q=...: the worker's
-// local document-frequency vector for the normalized query, in the shape
-// desksearch.DocFreqs defines. Brokers sum these integer vectors across
-// shard groups — integer addition is exact and order-independent, which
-// is what keeps the downstream BM25 scores bit-identical.
-type DFResponse struct {
-	// Query is the canonical form of the normalized expression the vector
-	// was computed for; the broker cross-checks it against its own parse.
-	Query string `json:"query"`
-	// Docs and Tokens are corpus-wide (from the shared file table):
-	// identical on every worker of one directory, verified by the broker
-	// rather than summed.
-	Docs   int    `json:"docs"`
-	Tokens uint64 `json:"tokens"`
-	// Terms and Prefixes are this worker's local df counts per positive
-	// term and per scored prefix, in normalized query order.
-	Terms    []int `json:"terms"`
-	Prefixes []int `json:"prefixes"`
-	// Generation is the worker's catalog generation at computation time.
-	Generation uint64 `json:"generation"`
 }
 
 // InternalSearchRequest is the JSON body of POST /internal/search.
@@ -96,45 +108,13 @@ type InternalSearchRequest struct {
 	DF *DFPayload `json:"df,omitempty"`
 }
 
-// DFPayload is a document-frequency vector on the wire — the summed
-// global statistics a broker attaches to phase-two search requests.
+// DFPayload is a document-frequency vector in a search request — the
+// summed global statistics a broker attaches for bm25.
 type DFPayload struct {
 	Docs     int    `json:"docs"`
 	Tokens   uint64 `json:"tokens"`
 	Terms    []int  `json:"terms"`
 	Prefixes []int  `json:"prefixes"`
-}
-
-// InternalSearchResponse is the JSON shape of POST /internal/search.
-type InternalSearchResponse struct {
-	// Total counts this worker's matches (its partitions' share of the
-	// corpus-wide total; workers are document-disjoint, so totals add).
-	Total int `json:"total"`
-	// Generation is the worker's catalog generation for this evaluation.
-	Generation uint64 `json:"generation"`
-	// Hits is the worker-local top-k page, in merged rank order.
-	Hits []InternalHit `json:"hits"`
-	// Partitions reports per-partition match counts and evaluation times,
-	// keyed by global shard number — the timing feed for the broker's
-	// adaptive timeouts and hedging delays.
-	Partitions []PartitionStat `json:"partitions"`
-}
-
-// InternalHit is one candidate hit of a worker's partial result.
-type InternalHit struct {
-	// File is the directory-wide document ID — the merge tie-break key,
-	// comparable across workers because the file table is shared.
-	File uint32 `json:"file"`
-	// Path is the file's path relative to the indexed root.
-	Path string `json:"path"`
-	// ScoreBits is math.Float64bits of the hit's score: the exact bit
-	// pattern, immune to any float formatting on the wire.
-	ScoreBits uint64 `json:"score_bits"`
-	// Terms lists the matched query terms, as in the public API.
-	Terms []string `json:"terms,omitempty"`
-	// Snippet is present when the request asked for snippets and the hit
-	// produced one.
-	Snippet *desksearch.Snippet `json:"snippet,omitempty"`
 }
 
 // handleWorkerMeta serves GET /internal/meta.
@@ -149,8 +129,8 @@ func (s *Server) handleWorkerMeta(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleWorkerDF serves GET /internal/df?q=... — phase one of a
-// distributed BM25 query.
+// handleWorkerDF serves GET /internal/df?q=...: the local vector a broker
+// sums when its df table cannot supply a query's statistics.
 func (s *Server) handleWorkerDF(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	if q == "" {
@@ -171,7 +151,12 @@ func (s *Server) handleWorkerDF(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+	timeout, err := ParseTimeout(r.URL.Query(), s.timeout)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	gen := s.cat.Generation()
 	df, err := s.cat.DocFreqs(ctx, req)
@@ -179,21 +164,31 @@ func (s *Server) handleWorkerDF(w http.ResponseWriter, r *http.Request) {
 		s.writeWorkerError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, DFResponse{
-		Query:      req.Expr.String(),
-		Docs:       df.Docs,
-		Tokens:     df.Tokens,
-		Terms:      df.Terms,
-		Prefixes:   df.Prefixes,
-		Generation: gen,
-	})
+	writePartial(w, &Partial{Generation: gen, DF: *df})
 }
 
-// handleWorkerSearch serves POST /internal/search — phase two: evaluate
-// under (possibly broker-global) statistics and return the local top-k.
+// writePartial answers 200 with p's wire form.
+func writePartial(w http.ResponseWriter, p *Partial) {
+	buf := GetBuffer()
+	defer PutBuffer(buf)
+	// Writing the appended bytes back keeps any growth with the pooled buffer.
+	buf.Write(AppendPartial(buf.AvailableBuffer(), p))
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(buf.Bytes()) // a failed write means the broker has gone; nothing to do
+}
+
+// handleWorkerSearch serves POST /internal/search: evaluate under the
+// broker's statistics (or, with none attached, the worker's own) and
+// answer with the local top-k as a binary Partial.
 func (s *Server) handleWorkerSearch(w http.ResponseWriter, r *http.Request) {
 	var in InternalSearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
+	buf := GetBuffer()
+	_, err := buf.ReadFrom(r.Body)
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), &in) // copies what it keeps
+	}
+	PutBuffer(buf)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
@@ -216,8 +211,7 @@ func (s *Server) handleWorkerSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		req.Ranking = rank
 	}
-	req, _, err := req.Normalize()
-	if err != nil {
+	if req, _, err = req.Normalize(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -248,20 +242,14 @@ func (s *Server) handleWorkerSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.observePartitions(resp.Partitions)
 
-	out := InternalSearchResponse{
+	out := Partial{
 		Total:      resp.Total,
 		Generation: gen,
-		Hits:       make([]InternalHit, len(resp.Hits)),
+		Hits:       resp.Hits,
 		Partitions: make([]PartitionStat, len(resp.Partitions)),
 	}
-	for i, h := range resp.Hits {
-		out.Hits[i] = InternalHit{
-			File:      uint32(h.File),
-			Path:      h.Path,
-			ScoreBits: math.Float64bits(h.Score),
-			Terms:     h.Terms,
-			Snippet:   h.Snippet,
-		}
+	if resp.DF != nil {
+		out.DF = *resp.DF
 	}
 	// Partition indexes are catalog-local; report global shard numbers so
 	// the broker's per-shard view is consistent across workers.
@@ -277,7 +265,7 @@ func (s *Server) handleWorkerSearch(w http.ResponseWriter, r *http.Request) {
 			DurationUS: float64(p.Duration.Nanoseconds()) / 1e3,
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	writePartial(w, &out)
 }
 
 // writeWorkerError maps an evaluation error onto the status a broker can

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -68,11 +69,9 @@ func TestWorkerEndpoints(t *testing.T) {
 		t.Fatal("meta.Positional = false for a positional directory")
 	}
 
-	var df DFResponse
-	mustGetJSON(t, fx.ts.URL+"/internal/df?q=report+forecast", &df)
-	if df.Query != "(report AND forecast)" {
-		t.Fatalf("df.Query = %q, want the canonical expression", df.Query)
-	}
+	// /internal/df answers in the partial's layout too: a partial with no
+	// page, only the vector.
+	df := mustGetPartial(t, fx.ts.URL+"/internal/df?q=report+forecast").DF
 	if df.Docs != 6 {
 		t.Fatalf("df.Docs = %d, want corpus-wide 6", df.Docs)
 	}
@@ -80,26 +79,23 @@ func TestWorkerEndpoints(t *testing.T) {
 		t.Fatalf("df.Terms = %v, want one count per positive term", df.Terms)
 	}
 
-	body, _ := json.Marshal(InternalSearchRequest{Query: "report", Rank: "bm25", Limit: 10})
-	resp, err := http.Post(fx.ts.URL+"/internal/search", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/internal/search status %d", resp.StatusCode)
-	}
-	var out InternalSearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
+	status, out := postSearch(t, fx.ts.URL, InternalSearchRequest{Query: "report", Rank: "bm25", Limit: 10})
+	if status != http.StatusOK {
+		t.Fatalf("/internal/search status %d", status)
 	}
 	if len(out.Hits) == 0 {
 		t.Fatal("worker found nothing for a common term")
 	}
 	for _, h := range out.Hits {
-		if s := math.Float64frombits(h.ScoreBits); s <= 0 || math.IsNaN(s) {
-			t.Fatalf("hit %s: bad score bits %x", h.Path, h.ScoreBits)
+		if h.Score <= 0 || math.IsNaN(h.Score) {
+			t.Fatalf("hit %s: bad score bits %x", h.Path, math.Float64bits(h.Score))
 		}
+	}
+	// The partial carries the worker's own vector for the query, the same
+	// one /internal/df reports.
+	local := mustGetPartial(t, fx.ts.URL+"/internal/df?q=report").DF
+	if out.DF.Docs != local.Docs || out.DF.Tokens != local.Tokens || fmt.Sprint(out.DF.Terms) != fmt.Sprint(local.Terms) {
+		t.Fatalf("partial df = %+v, /internal/df = %+v", out.DF, local)
 	}
 	for _, p := range out.Partitions {
 		if p.Partition != 0 && p.Partition != 2 {
@@ -136,26 +132,21 @@ func TestWorkerEndpoints(t *testing.T) {
 func TestWorkerSearchWithGlobalDF(t *testing.T) {
 	fx, _ := workerFixture(t)
 
-	post := func(req InternalSearchRequest) (int, InternalSearchResponse) {
-		body, _ := json.Marshal(req)
-		resp, err := http.Post(fx.ts.URL+"/internal/search", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out InternalSearchResponse
-		json.NewDecoder(resp.Body).Decode(&out)
-		return resp.StatusCode, out
-	}
+	post := func(req InternalSearchRequest) (int, *Partial) { return postSearch(t, fx.ts.URL, req) }
 
 	// A df vector matching the query shape is accepted; corpus-global
 	// values equal to the local ones reproduce the local scores.
-	status, _ := post(InternalSearchRequest{
+	status, out := post(InternalSearchRequest{
 		Query: "report", Rank: "bm25", Limit: 5,
 		DF: &DFPayload{Docs: 6, Tokens: 24, Terms: []int{4}},
 	})
 	if status != http.StatusOK {
 		t.Fatalf("well-shaped GlobalDF rejected: %d", status)
+	}
+	// The vector that comes back is the worker's own, not an echo of the
+	// one it was handed: shards 0 and 2 hold fewer than all four "report"s.
+	if len(out.DF.Terms) != 1 || out.DF.Terms[0] >= 4 || out.DF.Docs != 6 {
+		t.Fatalf("partial df under GlobalDF = %+v, want the local vector", out.DF)
 	}
 
 	// Wrong arity for the query → deterministic client error.
@@ -180,6 +171,49 @@ func TestWorkerRoutesGated(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("/internal/meta on a non-worker = %d, want 404", resp.StatusCode)
 	}
+}
+
+// postSearch posts req to a worker's /internal/search and decodes the
+// partial a 200 carries.
+func postSearch(t *testing.T, base string, req InternalSearchRequest) (int, *Partial) {
+	t.Helper()
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(base+"/internal/search", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, nil
+	}
+	return resp.StatusCode, readPartial(t, resp)
+}
+
+// mustGetPartial fetches a URL, requires 200, and decodes the partial.
+func mustGetPartial(t *testing.T, url string) *Partial {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	return readPartial(t, resp)
+}
+
+func readPartial(t *testing.T, resp *http.Response) *Partial {
+	t.Helper()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := DecodePartial(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // mustGetJSON fetches a URL, requires 200, and decodes the body.

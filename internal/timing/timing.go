@@ -13,9 +13,15 @@ import (
 )
 
 // DefaultWindowSize is the observation capacity NewWindow uses for a
-// non-positive size: large enough for stable p95 estimates, small enough
-// that a snapshot's sort is negligible next to a query.
+// non-positive size: large enough for stable p95 estimates.
 const DefaultWindowSize = 256
+
+// resortEvery is how many observations a computed Summary stands for
+// before Snapshot sorts again. Sorting a full default window on every
+// call — the broker asks once per worker request — measured 5.75% of a
+// serving fleet's CPU; order statistics over 256 entries barely move in
+// 32 observations.
+const resortEvery = 32
 
 // Window is a fixed-capacity ring of the most recent duration
 // observations. Safe for concurrent use.
@@ -26,10 +32,14 @@ type Window struct {
 	full  bool
 	count uint64
 	// scratch is Snapshot's reusable sort buffer, allocated once at the
-	// window's capacity. Snapshot sorts under mu (a window is at most a
-	// few hundred entries, so the sort is cheap next to the allocation it
-	// replaces), which also keeps the buffer exclusive.
+	// window's capacity. Snapshot sorts under mu, which keeps the buffer
+	// exclusive.
 	scratch []time.Duration
+	// sum is the last computed Summary and sumAt the value of count it was
+	// computed at; zero means none yet, so a window's first Snapshot is
+	// always exact.
+	sum   Summary
+	sumAt uint64
 }
 
 // NewWindow returns a window retaining the last size observations
@@ -75,33 +85,26 @@ type Summary struct {
 }
 
 // Snapshot summarizes the window. ok is false when nothing has been
-// observed yet — the zero Summary carries no information then.
+// observed yet — the zero Summary carries no information then. The order
+// statistics are exact on a window's first Snapshot and afterwards lag by
+// fewer than resortEvery observations; Count is always current.
 func (w *Window) Snapshot() (s Summary, ok bool) {
 	w.mu.Lock()
-	n := w.next
-	if w.full {
-		n = len(w.buf)
-	}
-	if n == 0 {
-		w.mu.Unlock()
+	defer w.mu.Unlock()
+	if w.count == 0 {
 		return Summary{}, false
 	}
-	obs := append(w.scratch[:0], w.buf[:n]...)
-	s.Count = w.count
-	slices.Sort(obs)
-	s.Min = obs[0]
-	s.Max = obs[n-1]
-	s.Median = obs[(n-1)/2]
-	s.P95 = obs[(n-1)*95/100]
-	w.mu.Unlock()
-	return s, true
-}
-
-// P95 returns the window's 95th-percentile observation, or fallback when
-// nothing has been observed — the broker's hedge-delay convenience.
-func (w *Window) P95(fallback time.Duration) time.Duration {
-	if s, ok := w.Snapshot(); ok {
-		return s.P95
+	if w.sumAt == 0 || w.count-w.sumAt >= resortEvery {
+		n := w.next
+		if w.full {
+			n = len(w.buf)
+		}
+		obs := append(w.scratch[:0], w.buf[:n]...)
+		slices.Sort(obs)
+		w.sum = Summary{Min: obs[0], Median: obs[(n-1)/2], P95: obs[(n-1)*95/100], Max: obs[n-1]}
+		w.sumAt = w.count
 	}
-	return fallback
+	s = w.sum
+	s.Count = w.count
+	return s, true
 }

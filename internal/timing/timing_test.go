@@ -11,9 +11,6 @@ func TestEmptyWindow(t *testing.T) {
 	if _, ok := w.Snapshot(); ok {
 		t.Fatal("empty window reported a snapshot")
 	}
-	if got := w.P95(42 * time.Millisecond); got != 42*time.Millisecond {
-		t.Fatalf("empty P95 = %v, want fallback", got)
-	}
 }
 
 func TestOrderStatistics(t *testing.T) {
@@ -38,6 +35,27 @@ func TestOrderStatistics(t *testing.T) {
 	}
 	if s.P95 != 95*time.Millisecond {
 		t.Fatalf("P95 = %v, want 95ms", s.P95)
+	}
+}
+
+// TestSnapshotMemoized pins the re-sort policy: after the exact first
+// Snapshot the order statistics stand for resortEvery observations, then
+// catch up in one sort; Count never lags.
+func TestSnapshotMemoized(t *testing.T) {
+	w := NewWindow(0)
+	w.Observe(time.Millisecond)
+	if s, _ := w.Snapshot(); s.Max != time.Millisecond || s.Count != 1 {
+		t.Fatalf("first snapshot = %+v, want exact", s)
+	}
+	for i := 1; i < resortEvery; i++ {
+		w.Observe(time.Second)
+	}
+	if s, _ := w.Snapshot(); s.Max != time.Millisecond || s.Count != resortEvery {
+		t.Fatalf("snapshot %d observations on = %+v, want the memoized statistics and a current Count", resortEvery-1, s)
+	}
+	w.Observe(time.Second)
+	if s, _ := w.Snapshot(); s.Max != time.Second || s.Min != time.Millisecond {
+		t.Fatalf("snapshot %d observations on = %+v, want a fresh sort", resortEvery, s)
 	}
 }
 
