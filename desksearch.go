@@ -152,84 +152,46 @@ var (
 	ErrPrefixTooBroad = search.ErrPrefixTooBroad
 )
 
-// QueryErrorCode is the stable, wire-safe name of a query failure class.
-// Codes are part of the API: transports map them to statuses and clients
-// may switch on them, so existing values never change meaning.
-type QueryErrorCode string
+// The request vocabulary — like the result types further down — aliases
+// the internal search types every layer from the engine to the wire
+// shares, where the field and value semantics are documented.
+type (
+	// QueryErrorCode is the stable, wire-safe name of a query failure class.
+	QueryErrorCode = search.QueryErrorCode
+	// QueryError is a typed, deterministic query rejection, raised by the
+	// engine where it detects the condition: Err is the sentinel above
+	// (errors.Is sees through), Code the stable name transports key on.
+	QueryError = search.QueryError
+	// Ranking selects how Query scores hits; its String is the wire name.
+	Ranking = search.Ranking
+	// Expr is a parsed query expression, reusable across Query calls.
+	// String renders it in canonical form; DFKeys names what a DocFreqs
+	// vector for it counts.
+	Expr = search.Query
+	// DocFreqs is a query's corpus-global document-frequency vector — the
+	// statistics half of BM25 scoring as plain, transportable data. See
+	// Catalog.DocFreqs and Query.GlobalDF.
+	DocFreqs = search.DocFreqs
+)
 
 const (
 	// CodeNoPositions: phrase or snippet request, position-free catalog.
-	CodeNoPositions QueryErrorCode = "no_positions"
+	CodeNoPositions = search.CodeNoPositions
 	// CodePrefixTooBroad: prefix operator over the expansion cap.
-	CodePrefixTooBroad QueryErrorCode = "prefix_too_broad"
-)
+	CodePrefixTooBroad = search.CodePrefixTooBroad
 
-// QueryError is a typed, deterministic query rejection: the same request
-// against the same catalog state fails the same way on every replica.
-// Err is the underlying sentinel (ErrNoPositions, ErrPrefixTooBroad), so
-// errors.Is sees through the wrapper; Code is the
-// stable name transports key status mappings on — internal/server owns
-// the one code→HTTP table.
-type QueryError struct {
-	Code QueryErrorCode
-	Err  error
-}
-
-func (e *QueryError) Error() string { return e.Err.Error() }
-
-// Unwrap exposes the sentinel to errors.Is/errors.As.
-func (e *QueryError) Unwrap() error { return e.Err }
-
-// wrapQueryError attaches the stable code to a recognized deterministic
-// evaluation error; anything else (context cancellation, validation)
-// passes through untouched.
-func wrapQueryError(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, search.ErrNoPositions):
-		return &QueryError{Code: CodeNoPositions, Err: err}
-	case errors.Is(err, search.ErrPrefixTooBroad):
-		return &QueryError{Code: CodePrefixTooBroad, Err: err}
-	default:
-		return err
-	}
-}
-
-// Ranking selects how Query scores hits.
-type Ranking int
-
-const (
 	// RankCount scores a hit by how many distinct positive query terms
-	// the file contains (coordination ranking, the Search default).
-	RankCount Ranking = iota
+	// the file contains (coordination ranking, the default).
+	RankCount = search.RankCount
 	// RankTF scores a hit by the summed occurrence counts of the positive
-	// query terms in the file, so a file mentioning a term many times
-	// outranks one mentioning it once.
-	RankTF
-	// RankBM25 scores a hit by Okapi BM25 relevance: rarer terms weigh
-	// more, repeated occurrences saturate, and long documents are
-	// normalized by their token length, which every build records.
-	// Sharding never changes BM25 scores: statistics aggregate across
-	// partitions first, so a sharded catalog scores bit-identically to
-	// the same corpus unsharded.
-	RankBM25
+	// query terms in the file.
+	RankTF = search.RankTF
+	// RankBM25 scores a hit by Okapi BM25 relevance. Sharding never
+	// changes BM25 scores: statistics aggregate across partitions first,
+	// so a sharded catalog scores bit-identically to the same corpus
+	// unsharded.
+	RankBM25 = search.RankBM25
 )
-
-// String returns the ranking's wire name — the value the HTTP rank=
-// parameter and the dsearch -rank flag accept.
-func (r Ranking) String() string {
-	switch r {
-	case RankCount:
-		return "count"
-	case RankTF:
-		return "tf"
-	case RankBM25:
-		return "bm25"
-	default:
-		return fmt.Sprintf("Ranking(%d)", int(r))
-	}
-}
 
 // ParseRanking resolves a ranking's wire name ("count", "tf", "bm25",
 // case-insensitively) to its Ranking value. The pre-v3 integer forms ("0",
@@ -253,33 +215,12 @@ func ParseRanking(s string) (Ranking, error) {
 	return 0, fmt.Errorf("desksearch: unknown ranking %q (want count, tf, or bm25)", s)
 }
 
-// Expr is a parsed query expression, reusable across Query calls.
-type Expr struct{ q *search.Query }
-
 // ParseQuery parses a boolean query ("cat dog", "cat OR dog",
 // "report -draft", parentheses allowed, quoted phrases like
 // `"annual report" -draft` — see the README's query-syntax reference) into
 // a reusable expression. Evaluating a multi-word phrase requires a catalog
 // built with Options.Positions.
-func ParseQuery(text string) (*Expr, error) {
-	q, err := search.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	return &Expr{q: q}, nil
-}
-
-// String renders the expression in canonical form.
-func (e *Expr) String() string { return e.q.String() }
-
-// DFKeys names what a DocFreqs vector for the expression counts:
-// DocFreqs.Terms[i] is the document frequency of terms[i] and
-// DocFreqs.Prefixes[j] that of the prefix operator prefixes[j] (given
-// without its '*'). Neither frequency depends on the rest of the query, so
-// a broker may keep them per key between queries.
-func (e *Expr) DFKeys() (terms, prefixes []string) {
-	return e.q.Terms(), e.q.ScorePrefixes()
-}
+func ParseQuery(text string) (*Expr, error) { return search.Parse(text) }
 
 // Query is a search request: the query itself plus retrieval controls.
 // The zero controls return every hit, coordination-ranked.
@@ -310,8 +251,8 @@ type Query struct {
 	// operator ("repor*") may expand to before the request fails with
 	// ErrPrefixTooBroad (code prefix_too_broad); 0 applies the default of
 	// 1024. The cap is per operator and per partition, bounds both
-	// evaluation and DocFreqs, and is part of the Normalize cache key —
-	// the same text under a different cap is a different request.
+	// evaluation and DocFreqs, and is part of the cache key — the same
+	// text under a different cap is a different request.
 	MaxPrefixTerms int
 	// GlobalDF, when non-nil with RankBM25, supplies the corpus-wide
 	// document-frequency statistics to score with instead of aggregating
@@ -322,48 +263,56 @@ type Query struct {
 	// with exactly the statistics the whole corpus would have produced,
 	// keeping BM25 scores bit-identical to a single-node evaluation. The
 	// vector must come from DocFreqs on the same normalized query.
-	// Ignored by the other rankings; not part of the Normalize cache key
-	// (transports attach it per request, after normalization).
+	// Ignored by the other rankings; not part of the cache key (transports
+	// attach it per request, after normalization).
 	GlobalDF *DocFreqs
 }
 
-// DocFreqs is a query's corpus-global document-frequency vector — the
-// statistics half of BM25 scoring as plain, transportable data. See
-// Catalog.DocFreqs and Query.GlobalDF; the field semantics are documented
-// on the internal search type this aliases.
-type DocFreqs = search.DocFreqs
+// request returns q in the engine's form, parsing Text unless Expr is set.
+func (q Query) request() (search.Request, error) {
+	expr := q.Expr
+	if expr == nil {
+		var err error
+		if expr, err = search.Parse(q.Text); err != nil {
+			return search.Request{}, err
+		}
+	}
+	return search.Request{
+		Query:          expr,
+		Limit:          q.Limit,
+		Offset:         q.Offset,
+		Ranking:        q.Ranking,
+		PathPrefix:     q.PathPrefix,
+		Snippets:       q.Snippets,
+		MaxPrefixTerms: q.MaxPrefixTerms,
+		GlobalDF:       q.GlobalDF,
+	}, nil
+}
 
-// Normalize parses the query (when Expr is unset) and returns a copy with
-// Expr populated plus the canonical cache key identifying the request:
-// the parsed expression rendered in canonical form — so "cat  dog",
+// Normalize parses the query (when Expr is unset), checks the retrieval
+// controls with the engine's own validation, and returns a copy with Expr
+// populated. Invalid requests (unparseable text, negative limit or offset,
+// unknown ranking, snippets without a limit) are rejected here, at the
+// edge — before they can occupy a cache slot or cross a network hop.
+func (q Query) Normalize() (Query, error) {
+	req, err := q.request()
+	if err == nil {
+		err = req.Validate()
+	}
+	if err != nil {
+		return q, err
+	}
+	q.Expr = req.Query
+	return q, nil
+}
+
+// CacheKey returns the canonical key identifying a normalized request (Expr
+// set): the parsed expression rendered in canonical form — so "cat  dog",
 // "cat AND dog", and "(cat) dog" collapse to one key — joined with the
 // retrieval controls that change the response. Two requests with equal
 // keys evaluated at the same catalog generation produce identical
-// responses, which is what makes the key safe to cache on; invalid
-// requests (unparseable text, negative limit or offset, unknown ranking)
-// are rejected here, before they can occupy a cache slot.
-func (q Query) Normalize() (Query, string, error) {
-	if q.Limit < 0 {
-		return q, "", fmt.Errorf("desksearch: negative limit %d", q.Limit)
-	}
-	if q.Offset < 0 {
-		return q, "", fmt.Errorf("desksearch: negative offset %d", q.Offset)
-	}
-	if q.MaxPrefixTerms < 0 {
-		return q, "", fmt.Errorf("desksearch: negative max prefix terms %d", q.MaxPrefixTerms)
-	}
-	switch q.Ranking {
-	case RankCount, RankTF, RankBM25:
-	default:
-		return q, "", fmt.Errorf("desksearch: unknown ranking mode %d", int(q.Ranking))
-	}
-	if q.Expr == nil {
-		expr, err := ParseQuery(q.Text)
-		if err != nil {
-			return q, "", err
-		}
-		q.Expr = expr
-	}
+// responses, which is what makes the key safe to cache on.
+func (q Query) CacheKey() string {
 	// PathPrefix is the one free-form field (an HTTP ?prefix= parameter can
 	// carry any byte, the \x00 field separator included), so it is
 	// length-prefixed AND kept last: the key stays injective in its fields
@@ -371,9 +320,8 @@ func (q Query) Normalize() (Query, string, error) {
 	// after the fixed-form ones can be impersonated by a crafted prefix.
 	// The ranking is keyed by wire name, not integer, so the key survives
 	// any renumbering of the enum.
-	key := fmt.Sprintf("%s\x00limit=%d\x00offset=%d\x00rank=%s\x00snippets=%t\x00maxprefix=%d\x00prefix=%d:%s",
+	return fmt.Sprintf("%s\x00limit=%d\x00offset=%d\x00rank=%s\x00snippets=%t\x00maxprefix=%d\x00prefix=%d:%s",
 		q.Expr.String(), q.Limit, q.Offset, q.Ranking, q.Snippets, q.MaxPrefixTerms, len(q.PathPrefix), q.PathPrefix)
-	return q, key, nil
 }
 
 // Hit is one search hit of the Query API. Its fields — and those of the
@@ -483,39 +431,11 @@ func (c *Catalog) partitionsLocked() []index.Partition {
 // cancellation is honored between evaluation steps: a canceled context
 // aborts in-flight partitions and returns ctx.Err().
 func (c *Catalog) Query(ctx context.Context, q Query) (*Response, error) {
-	expr := q.Expr
-	if expr == nil {
-		parsed, err := ParseQuery(q.Text)
-		if err != nil {
-			return nil, err
-		}
-		expr = parsed
-	}
-	var ranking search.Ranking
-	switch q.Ranking {
-	case RankCount:
-		ranking = search.RankCoordination
-	case RankTF:
-		ranking = search.RankTF
-	case RankBM25:
-		ranking = search.RankBM25
-	default:
-		return nil, fmt.Errorf("desksearch: unknown ranking mode %d", int(q.Ranking))
-	}
-	resp, err := c.engine.Query(ctx, search.Request{
-		Query:          expr.q,
-		Limit:          q.Limit,
-		Offset:         q.Offset,
-		Ranking:        ranking,
-		PathPrefix:     q.PathPrefix,
-		Snippets:       q.Snippets,
-		MaxPrefixTerms: q.MaxPrefixTerms,
-		GlobalDF:       q.GlobalDF,
-	})
+	req, err := q.request()
 	if err != nil {
-		return nil, wrapQueryError(err)
+		return nil, err
 	}
-	return resp, nil
+	return c.engine.Query(ctx, req)
 }
 
 // DocFreqs computes the catalog's local document-frequency vector for q:
@@ -534,15 +454,11 @@ func (c *Catalog) Query(ctx context.Context, q Query) (*Response, error) {
 // prefix operators are expanded under the same cap as evaluation, so an
 // over-broad prefix fails here first.
 func (c *Catalog) DocFreqs(ctx context.Context, q Query) (*DocFreqs, error) {
-	q, _, err := q.Normalize()
+	q, err := q.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	df, err := c.engine.DocFreqs(ctx, q.Expr.q, q.MaxPrefixTerms)
-	if err != nil {
-		return nil, wrapQueryError(err)
-	}
-	return df, nil
+	return c.engine.DocFreqs(ctx, q.Expr, q.MaxPrefixTerms)
 }
 
 // Suggest returns up to n indexed terms starting with prefix — the

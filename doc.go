@@ -37,7 +37,10 @@
 // Evaluation failures are typed: errors.As against *QueryError exposes a
 // stable machine-readable Code alongside the sentinel the error wraps
 // (ErrNoPositions, ErrPrefixTooBroad). A zero-control Query returns every
-// hit, coordination-ranked.
+// hit, coordination-ranked. The request and result vocabulary (Ranking,
+// Expr, DocFreqs, QueryError, Hit, Snippet, Response) aliases the types of
+// the engine underneath, so the same values travel from the engine to the
+// wire without a copy.
 //
 // The query grammar supports implicit AND, OR, NOT (or a leading '-'),
 // parentheses, and quoted phrases: `"annual report" -draft` matches files
@@ -75,7 +78,10 @@
 // invalidate stale results), single-flight de-duplication of identical
 // concurrent queries, and a -watch mode that polls the indexed root
 // through the incremental delta pipeline. Catalog.Swap supports full
-// rebuilds cut over atomically under load.
+// rebuilds cut over atomically under load. With -broker the same daemon
+// fronts a fleet of -worker daemons instead of a catalog; /search and
+// /suggest are one front door (internal/server.FrontDoor) that a node and
+// a broker both stand behind, so clients cannot tell them apart.
 //
 // The experiment harness that regenerates the paper's Tables 1–4 on
 // simulated 4-, 8-, and 32-core machines lives in cmd/experiments; see

@@ -12,6 +12,13 @@
 // -workers=...) and verified against every reachable worker's
 // /internal/meta before the broker serves.
 //
+// The broker has no public query surface of its own: /search and /suggest
+// are the node's front door (server.FrontDoor) over a Backend whose Search
+// is the scatter-gather below, whose Suggest merges the workers' local
+// suggestions, and whose ErrorStatus passes a worker's rejection through
+// and blames everything else on the fleet (502). Parsing, validation,
+// error bodies and request metrics are therefore a node's by construction.
+//
 // Three mechanisms keep tail latency in check, in escalating order:
 //
 //   - rotation: each request starts at the next healthy replica of a
@@ -51,6 +58,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"desksearch/internal/metrics"
+	"desksearch/internal/server"
 	"desksearch/internal/timing"
 )
 
@@ -64,9 +73,10 @@ type Config struct {
 	// Timeout bounds each front-door request end to end; zero falls back
 	// to 10 s. A request's own timeout parameter may shorten it.
 	Timeout time.Duration
-	// MaxLimit caps the per-request limit parameter; zero falls back to
-	// 1000. It should not exceed the workers' own -max-limit, or deep
-	// pages will come back truncated.
+	// MaxLimit caps the per-request limit parameter (and /suggest's n);
+	// zero falls back to 1000. Workers never clamp the limit a broker
+	// sends to /internal/search, so deep pages are safe whatever the
+	// workers' own -max-limit; only /suggest's n is clamped worker-side.
 	MaxLimit int
 	// HedgeAfter, when positive, is a fixed delay before a straggling
 	// worker request is hedged to the next replica. Zero selects the
@@ -112,20 +122,22 @@ type group struct {
 // fleet with CheckTopology, serve Handler, and run Watch for health
 // rotation.
 type Broker struct {
-	groups  []*group
-	client  httpDoer
-	timeout time.Duration
-	maxLim  int
-	hedge   time.Duration
-	logf    func(string, ...any)
-	start   time.Time
+	groups []*group
+	client httpDoer
+	hedge  time.Duration
+	logf   func(string, ...any)
+	start  time.Time
+
+	// door serves /search and /suggest — the node's own front door over
+	// this broker's scatter-gather — and owns the request timeout ceiling
+	// and the queries/query-errors counters.
+	door *server.FrontDoor
 
 	// Fleet facts established by CheckTopology.
 	totalShards int
 	files       int
 	positional  bool
 
-	queries, queryErrors         atomic.Uint64
 	hedges, hedgeWins, failovers atomic.Uint64
 
 	// df remembers corpus-wide document frequencies between queries, and
@@ -135,9 +147,9 @@ type Broker struct {
 	df                        dfTable
 	dfHits, dfMisses, dfStale atomic.Uint64
 
-	// metrics is the /metrics exposition surface, built at the end of New
-	// over the counters above (see metrics.go).
-	metrics *brokerMetrics
+	// reg is the /metrics exposition surface, built at the end of New over
+	// the front door's instruments and the counters above (see metrics.go).
+	reg *metrics.Registry
 }
 
 // New returns a broker over cfg. The worker fleet is not contacted —
@@ -147,19 +159,12 @@ func New(cfg Config) (*Broker, error) {
 		return nil, errors.New("broker: no worker groups configured")
 	}
 	b := &Broker{
-		groups:  make([]*group, len(cfg.Groups)),
-		client:  newHTTPClient(),
-		timeout: cfg.Timeout,
-		maxLim:  cfg.MaxLimit,
-		hedge:   cfg.HedgeAfter,
-		logf:    cfg.Logf,
-		start:   time.Now(),
-	}
-	if b.timeout == 0 {
-		b.timeout = 10 * time.Second
-	}
-	if b.maxLim == 0 {
-		b.maxLim = 1000
+		groups: make([]*group, len(cfg.Groups)),
+		client: newHTTPClient(),
+		hedge:  cfg.HedgeAfter,
+		logf:   cfg.Logf,
+		start:  time.Now(),
+		reg:    metrics.NewRegistry(),
 	}
 	if b.logf == nil {
 		b.logf = func(string, ...any) {}
@@ -180,7 +185,9 @@ func New(cfg Config) (*Broker, error) {
 		}
 		b.groups[gi] = g
 	}
-	b.initMetrics()
+	b.door = server.NewFrontDoor(server.Backend{Search: b.query, Suggest: b.suggest, ErrorStatus: errorStatus},
+		cfg.Timeout, cfg.MaxLimit, b.reg)
+	b.registerMetrics()
 	return b, nil
 }
 
@@ -333,10 +340,10 @@ func (g *group) candidates() []*replica {
 // fail over. A cold window (ok false) hedges after defaultHedgeDelay and
 // gives an attempt the full request budget.
 func (b *Broker) policy(s timing.Summary, ok bool) (hedgeAfter, attemptTimeout time.Duration) {
-	hedgeAfter, attemptTimeout = defaultHedgeDelay, b.timeout
+	hedgeAfter, attemptTimeout = defaultHedgeDelay, b.door.Timeout
 	if ok {
 		hedgeAfter = s.P95
-		attemptTimeout = min(max(8*s.P95, 50*time.Millisecond), b.timeout)
+		attemptTimeout = min(max(8*s.P95, 50*time.Millisecond), b.door.Timeout)
 	}
 	if b.hedge > 0 {
 		hedgeAfter = b.hedge

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -201,6 +202,74 @@ func TestBrokerEqualsSingleNode(t *testing.T) {
 	}
 	if fmt.Sprint(wantSug.Suggestions) != fmt.Sprint(gotSug.Suggestions) {
 		t.Fatalf("suggest: broker %v vs single-node %v", gotSug.Suggestions, wantSug.Suggestions)
+	}
+}
+
+// TestFrontDoorSameOnNodeAndBroker: a node and a broker over the same
+// directory stand behind one front door, so a request the door itself
+// refuses — bad /search and /suggest input — gets the same status and the
+// same error body from both, and a request it admits gets the same body
+// byte for byte once the clocks (took_ms, duration_us) are masked.
+func TestFrontDoorSameOnNodeAndBroker(t *testing.T) {
+	dir := buildDir(t, 60, true)
+	single := startSingle(t, dir)
+	w1 := startWorker(t, dir, []int{0, 2})
+	w2 := startWorker(t, dir, []int{1, 3})
+	_, bts := newTestBroker(t, [][]string{{w1.URL}, {w2.URL}}, 0)
+
+	get := func(base, path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		return resp.StatusCode, string(body)
+	}
+
+	for _, path := range []string{
+		"/search",                              // missing q
+		"/search?q=",                           // empty q
+		"/search?q=report&limit=x",             // bad limit
+		"/search?q=report&limit=-1",            // negative limit
+		"/search?q=report&offset=-2",           // negative offset
+		"/search?q=report&rank=best",           // unknown rank
+		"/search?q=%28report",                  // unbalanced paren
+		"/search?q=report&timeout=x",           // bad timeout
+		"/search?q=report&snippets=maybe",      // bad snippets
+		"/search?q=report&max_prefix_terms=-1", // bad prefix cap
+		"/search?q=r*&max_prefix_terms=1",      // over-broad prefix: a worker's typed rejection
+		"/suggest",                             // missing q
+		"/suggest?q=",                          // empty q
+		"/suggest?q=re&n=0",                    // zero n
+		"/suggest?q=re&n=x",                    // bad n
+		"/suggest?q=two+words",                 // multi-term prefix: a worker's rejection
+	} {
+		ns, nb := get(single.URL, path)
+		bs, bb := get(bts.URL, path)
+		if ns != http.StatusBadRequest || bs != ns || bb != nb || !strings.Contains(nb, `"error":"`) {
+			t.Errorf("%s:\n  node   %d %s  broker %d %s", path, ns, nb, bs, bb)
+		}
+	}
+
+	clock := regexp.MustCompile(`"(took_ms|duration_us)":[0-9.e+-]+`)
+	for _, path := range []string{
+		"/search?q=report&rank=bm25&limit=5&snippets=true",
+		"/search?q=flour+OR+-report&limit=100", // pure-NOT hits carry no terms
+		"/search?q=nosuchterm",                 // no hits is [], not null
+		"/suggest?q=re&n=5000",                 // n above the cap is clamped, not refused
+		"/suggest?q=zz",                        // no suggestions is [], not null
+	} {
+		ns, nb := get(single.URL, path)
+		bs, bb := get(bts.URL, path)
+		nb, bb = clock.ReplaceAllString(nb, `"$1":0`), clock.ReplaceAllString(bb, `"$1":0`)
+		if ns != http.StatusOK || bs != ns || bb != nb {
+			t.Errorf("%s:\n  node   %d %s  broker %d %s", path, ns, nb, bs, bb)
+		}
 	}
 }
 

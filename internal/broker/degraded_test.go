@@ -74,7 +74,7 @@ func TestBrokerDegradedGroup(t *testing.T) {
 	if b.failovers.Load() == 0 {
 		t.Fatal("no failover recorded while both replicas of the group were tried")
 	}
-	if b.queryErrors.Load() == 0 {
+	if b.door.QueryErrors.Load() == 0 {
 		t.Fatal("query error not counted")
 	}
 

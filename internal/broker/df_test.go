@@ -231,8 +231,8 @@ func TestBrokerNeverReturnsUnverifiedPage(t *testing.T) {
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("the scatter ran %d times, want 2: the original and exactly one re-issue", got)
 	}
-	if b.dfStale.Load() != 2 || b.queryErrors.Load() != 1 {
-		t.Fatalf("df_stale=%d query_errors=%d, want 2 and 1", b.dfStale.Load(), b.queryErrors.Load())
+	if b.dfStale.Load() != 2 || b.door.QueryErrors.Load() != 1 {
+		t.Fatalf("df_stale=%d query_errors=%d, want 2 and 1", b.dfStale.Load(), b.door.QueryErrors.Load())
 	}
 
 	// Rankings that use no corpus statistics have nothing to verify.
@@ -324,7 +324,7 @@ func TestDFTableIsBounded(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < maxDFEntries; i++ {
 				terms, prefixes := []string{fmt.Sprintf("t%d-%d", g, i)}, []string{fmt.Sprintf("p%d-%d", g, i)}
-				tab.store(terms, prefixes, &server.DFPayload{Docs: 9, Tokens: 99, Terms: []int{i}, Prefixes: []int{i + 1}})
+				tab.store(terms, prefixes, &desksearch.DocFreqs{Docs: 9, Tokens: 99, Terms: []int{i}, Prefixes: []int{i + 1}})
 				got := tab.lookup(terms, prefixes)
 				// Another goroutine's store may have emptied the table in
 				// between; what a lookup does return must be what was stored.

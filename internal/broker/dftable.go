@@ -3,7 +3,7 @@ package broker
 import (
 	"sync"
 
-	"desksearch/internal/server"
+	"desksearch/internal/search"
 )
 
 // maxDFEntries bounds the table; a full table is emptied, not grown or
@@ -33,13 +33,13 @@ type dfTable struct {
 
 // lookup returns the vector for a query with these keys, or nil when any
 // of them is unknown.
-func (t *dfTable) lookup(terms, prefixes []string) *server.DFPayload {
+func (t *dfTable) lookup(terms, prefixes []string) *search.DocFreqs {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.terms == nil {
 		return nil // nothing stored yet, not even the corpus counts
 	}
-	df := &server.DFPayload{
+	df := &search.DocFreqs{
 		Docs:     t.docs,
 		Tokens:   t.tokens,
 		Terms:    make([]int, len(terms)),
@@ -64,7 +64,7 @@ func (t *dfTable) lookup(terms, prefixes []string) *server.DFPayload {
 
 // store records df, the summed vector of a query with these keys,
 // overwriting what it knew of them.
-func (t *dfTable) store(terms, prefixes []string, df *server.DFPayload) {
+func (t *dfTable) store(terms, prefixes []string, df *search.DocFreqs) {
 	if len(terms)+len(prefixes) > maxDFEntries {
 		return
 	}

@@ -3,42 +3,16 @@ package broker
 import (
 	"strconv"
 	"time"
-
-	"desksearch/internal/metrics"
 )
 
-// brokerMetrics is the broker's /metrics surface. As in internal/server,
-// counters the broker already keeps as atomics — queries, hedges,
-// failovers — are exposed as function-backed metrics sampled at scrape
-// time; only the per-endpoint request/latency instruments write anew.
-type brokerMetrics struct {
-	reg      *metrics.Registry
-	requests *metrics.CounterVec // by endpoint and outcome
-	latency  map[string]*metrics.Histogram
-}
-
-// initMetrics builds the registry over the broker's existing state. It
-// runs after New has populated b.groups, so the per-group gauges can
-// close over the final topology.
-func (b *Broker) initMetrics() {
-	reg := metrics.NewRegistry()
-	m := &brokerMetrics{
-		reg:      reg,
-		requests: reg.NewCounterVec("ds_requests_total", "HTTP requests by endpoint and outcome.", "endpoint", "outcome"),
-		latency:  make(map[string]*metrics.Histogram),
-	}
-	for _, ep := range []string{"search", "suggest"} {
-		m.latency[ep] = reg.NewHistogram(
-			"ds_"+ep+"_duration_seconds",
-			"Front-door handling time of /"+ep+" requests.",
-			nil,
-		)
-	}
-
-	reg.NewCounterFunc("ds_queries_total", "Queries accepted across /search and /suggest.",
-		func() float64 { return float64(b.queries.Load()) })
-	reg.NewCounterFunc("ds_query_errors_total", "Queries that failed scatter-gather.",
-		func() float64 { return float64(b.queryErrors.Load()) })
+// registerMetrics adds the broker's own families to the /metrics
+// registry, after the front door's (requests, latency histograms, queries,
+// query errors). Counters the broker already keeps as atomics are exposed
+// as function-backed metrics sampled at scrape time. It runs after New has
+// populated b.groups, so the per-group gauges can close over the final
+// topology.
+func (b *Broker) registerMetrics() {
+	reg := b.reg
 	reg.NewCounterFunc("ds_hedges_total", "Speculative duplicate requests issued against straggling replicas.",
 		func() float64 { return float64(b.hedges.Load()) })
 	reg.NewCounterFunc("ds_hedge_wins_total", "Hedged requests that answered before the primary.",
@@ -73,13 +47,4 @@ func (b *Broker) initMetrics() {
 			func() float64 { return float64(g.generation.Load()) })
 	}
 
-	b.metrics = m
-}
-
-// observeRequest records one finished front-door request.
-func (m *brokerMetrics) observeRequest(endpoint, outcome string, start time.Time) {
-	m.requests.With(endpoint, outcome).Inc()
-	if h, ok := m.latency[endpoint]; ok {
-		h.Observe(time.Since(start).Seconds())
-	}
 }

@@ -19,94 +19,34 @@ import (
 )
 
 // Handler returns the broker's route table: the same public surface a
-// single dsearchd exposes (/search, /suggest, /stats, /healthz,
-// /metrics), so clients cannot tell a broker from a node — minus
-// /reload, which is a per-worker operation.
+// single dsearchd exposes, minus /reload, which is a per-worker operation.
+// /search and /suggest are the node's own front door (server.FrontDoor)
+// over the broker's scatter-gather, so clients cannot tell a broker from a
+// node; /stats, /healthz and /metrics report the fleet.
 func (b *Broker) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /search", b.handleSearch)
-	mux.HandleFunc("GET /suggest", b.handleSuggest)
+	b.door.Register(mux)
 	mux.HandleFunc("GET /stats", b.handleStats)
 	mux.HandleFunc("GET /healthz", b.handleHealthz)
-	mux.Handle("GET /metrics", b.metrics.reg.Handler())
+	mux.Handle("GET /metrics", b.reg.Handler())
 	return mux
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeQueryError maps a scatter-gather failure onto the front door:
-// deterministic worker rejections keep their status (the client's query
-// is at fault), deadline and cancellation map as on a single node, an
-// index that would not hold still is a retryable 503, and anything else —
-// unreachable groups, malformed worker responses — is the fleet's fault, a
-// 502.
-func writeQueryError(w http.ResponseWriter, err error, timeout time.Duration) {
+// errorStatus is the broker's server.Backend.ErrorStatus: deterministic
+// worker rejections keep their status, message and code (the client's
+// query is at fault), an index that would not hold still is a retryable
+// 503, and anything else — unreachable groups, malformed worker responses
+// — is the fleet's fault, a 502.
+func errorStatus(err error) (status int, msg, code string) {
 	var we *WorkerError
 	switch {
 	case errors.As(err, &we):
-		writeJSON(w, we.Status, errorResponse{Error: we.Message, Code: we.Code})
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, "query timed out after %s", timeout)
-	case errors.Is(err, context.Canceled):
-		writeError(w, http.StatusServiceUnavailable, "query canceled")
+		return we.Status, we.Message, we.Code
 	case errors.Is(err, errIndexChanging):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		return http.StatusServiceUnavailable, err.Error(), ""
 	default:
-		writeError(w, http.StatusBadGateway, "%v", err)
+		return http.StatusBadGateway, err.Error(), ""
 	}
-}
-
-func (b *Broker) handleSearch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	params := r.URL.Query()
-	q, err := server.ParseSearchQuery(params, b.maxLim)
-	if err != nil {
-		b.metrics.observeRequest("search", "bad_request", start)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	req, _, err := q.Normalize()
-	if err != nil {
-		b.metrics.observeRequest("search", "bad_request", start)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	timeout, err := server.ParseTimeout(params, b.timeout)
-	if err != nil {
-		b.metrics.observeRequest("search", "bad_request", start)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	b.queries.Add(1)
-	resp, err := b.query(ctx, req)
-	if err != nil {
-		b.queryErrors.Add(1)
-		b.metrics.observeRequest("search", "error", start)
-		writeQueryError(w, err, timeout)
-		return
-	}
-	b.metrics.observeRequest("search", "ok", start)
-	resp.Query = req.Expr.String()
-	resp.TookMS = float64(time.Since(start).Microseconds()) / 1e3
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // errIndexChanging reports a query whose statistics failed verification
@@ -115,8 +55,9 @@ func (b *Broker) handleSearch(w http.ResponseWriter, r *http.Request) {
 // door answers 503 and the client retries.
 var errIndexChanging = errors.New("the index changed twice while the query ran; retry")
 
-// query answers one normalized request: scatter it to every group, merge
-// the partials into a single-node-identical response.
+// query is the broker's server.Backend.Search: scatter one normalized
+// request to every group, merge the partials into a single-node-identical
+// response.
 //
 // Each worker returns its local top-(limit+offset) with scores as raw
 // Float64bits. The partials merge under the same total order the engine
@@ -156,7 +97,7 @@ func (b *Broker) query(ctx context.Context, req desksearch.Query) (*server.Searc
 		Snippets:       req.Snippets,
 		MaxPrefixTerms: req.MaxPrefixTerms,
 	}
-	verify := req.Ranking == desksearch.RankBM25 && len(b.groups) > 1
+	verify := req.Ranking == search.RankBM25 && len(b.groups) > 1
 	var terms, prefixes []string
 	if verify {
 		terms, prefixes = req.Expr.DFKeys()
@@ -218,16 +159,7 @@ func (b *Broker) query(ctx context.Context, req desksearch.Query) (*server.Searc
 		return partStats[i].Partition < partStats[j].Partition
 	})
 
-	out := &server.SearchResponse{
-		Generation: gen,
-		Total:      total,
-		Hits:       make([]server.SearchHit, len(merged)),
-		Partitions: partStats,
-	}
-	for i, h := range merged {
-		out.Hits[i] = server.SearchHit{Path: h.Path, Score: h.Score, Terms: h.Terms, Snippet: h.Snippet}
-	}
-	return out, nil
+	return &server.SearchResponse{Generation: gen, Total: total, Hits: merged, Partitions: partStats}, nil
 }
 
 // scatter posts in to every group's /internal/search.
@@ -243,7 +175,7 @@ func (b *Broker) scatter(ctx context.Context, in *server.InternalSearchRequest) 
 // sums them into the corpus-wide one. The client's prefix-expansion cap
 // rides along so the round rejects an over-broad prefix at the same
 // threshold the search would.
-func (b *Broker) gatherDF(ctx context.Context, canonical string, maxPrefixTerms int) (*server.DFPayload, error) {
+func (b *Broker) gatherDF(ctx context.Context, canonical string, maxPrefixTerms int) (*search.DocFreqs, error) {
 	path := "/internal/df?q=" + url.QueryEscape(canonical)
 	if maxPrefixTerms > 0 {
 		path += "&max_prefix_terms=" + strconv.Itoa(maxPrefixTerms)
@@ -286,9 +218,9 @@ func (b *Broker) gatherPartials(ctx context.Context, method, path string, body [
 // worker of one directory reports the same values, so they are checked
 // equal rather than summed, and a mismatch means the groups are serving
 // different index states and no merge of their partials is meaningful.
-func sumDF(partials []*server.Partial) (*server.DFPayload, error) {
+func sumDF(partials []*server.Partial) (*search.DocFreqs, error) {
 	first := &partials[0].DF
-	sum := &desksearch.DocFreqs{
+	sum := &search.DocFreqs{
 		Docs:     first.Docs,
 		Tokens:   first.Tokens,
 		Terms:    append([]int(nil), first.Terms...),
@@ -304,10 +236,10 @@ func sumDF(partials []*server.Partial) (*server.DFPayload, error) {
 			return nil, fmt.Errorf("broker: document-frequency vectors disagree in shape across groups")
 		}
 	}
-	return (*server.DFPayload)(sum), nil
+	return sum, nil
 }
 
-func equalDF(a, b *server.DFPayload) bool {
+func equalDF(a, b *search.DocFreqs) bool {
 	return a.Docs == b.Docs && a.Tokens == b.Tokens && slices.Equal(a.Terms, b.Terms) && slices.Equal(a.Prefixes, b.Prefixes)
 }
 
@@ -331,37 +263,12 @@ func firstError(errs []error) error {
 	return fallback
 }
 
-func (b *Broker) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	params := r.URL.Query()
-	prefix := params.Get("q")
-	if prefix == "" {
-		b.metrics.observeRequest("suggest", "bad_request", start)
-		writeError(w, http.StatusBadRequest, "missing q parameter")
-		return
-	}
-	n := 10
-	if v := params.Get("n"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed <= 0 {
-			b.metrics.observeRequest("suggest", "bad_request", start)
-			writeError(w, http.StatusBadRequest, "invalid n %q", v)
-			return
-		}
-		n = parsed
-	}
-	if n > b.maxLim {
-		n = b.maxLim
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), b.timeout)
-	defer cancel()
-	b.queries.Add(1)
-
-	// Each worker returns its local top-n; summing document-disjoint
-	// per-term counts gives exact global frequencies for every term that
-	// surfaces. A term ranked below every worker's local cutoff can be
-	// missed — the classic distributed top-k approximation, acceptable
-	// for autocomplete.
+// suggest is the broker's server.Backend.Suggest. Each worker returns its
+// local top-n; summing document-disjoint per-term counts gives exact
+// global frequencies for every term that surfaces. A term ranked below
+// every worker's local cutoff can be missed — the classic distributed
+// top-k approximation, acceptable for autocomplete.
+func (b *Broker) suggest(ctx context.Context, prefix string, n int) (*server.SuggestResponse, error) {
 	path := "/suggest?q=" + url.QueryEscape(prefix) + "&n=" + strconv.Itoa(n)
 	resps := make([]server.SuggestResponse, len(b.groups))
 	errs := make([]error, len(b.groups))
@@ -377,12 +284,8 @@ func (b *Broker) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	if err := firstError(errs); err != nil {
-		b.queryErrors.Add(1)
-		b.metrics.observeRequest("suggest", "error", start)
-		writeQueryError(w, err, b.timeout)
-		return
+		return nil, err
 	}
-	b.metrics.observeRequest("suggest", "ok", start)
 
 	counts := make(map[string]int)
 	var gen uint64
@@ -392,9 +295,9 @@ func (b *Broker) handleSuggest(w http.ResponseWriter, r *http.Request) {
 			counts[sg.Term] += sg.Files
 		}
 	}
-	merged := make([]desksearch.Suggestion, 0, len(counts))
+	merged := make([]search.Suggestion, 0, len(counts))
 	for term, files := range counts {
-		merged = append(merged, desksearch.Suggestion{Term: term, Files: files})
+		merged = append(merged, search.Suggestion{Term: term, Files: files})
 	}
 	sort.Slice(merged, func(i, j int) bool {
 		if merged[i].Files != merged[j].Files {
@@ -405,12 +308,7 @@ func (b *Broker) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	if len(merged) > n {
 		merged = merged[:n]
 	}
-	writeJSON(w, http.StatusOK, server.SuggestResponse{
-		Prefix:      resps[0].Prefix,
-		Generation:  gen,
-		TookMS:      float64(time.Since(start).Microseconds()) / 1e3,
-		Suggestions: merged,
-	})
+	return &server.SuggestResponse{Prefix: resps[0].Prefix, Generation: gen, Suggestions: merged}, nil
 }
 
 // StatsResponse is the JSON shape of the broker's /stats.
@@ -473,8 +371,8 @@ func (b *Broker) handleStats(w http.ResponseWriter, r *http.Request) {
 		TotalShards: b.totalShards,
 		Files:       b.files,
 		Positional:  b.positional,
-		Queries:     b.queries.Load(),
-		QueryErrors: b.queryErrors.Load(),
+		Queries:     b.door.Queries.Load(),
+		QueryErrors: b.door.QueryErrors.Load(),
 		Hedges:      b.hedges.Load(),
 		HedgeWins:   b.hedgeWins.Load(),
 		Failovers:   b.failovers.Load(),
@@ -506,7 +404,7 @@ func (b *Broker) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Groups[gi] = gs
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleHealthz reports 200 while every group has at least one healthy
@@ -527,11 +425,11 @@ func (b *Broker) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(dark) > 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":      "degraded",
 			"dark_groups": dark,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 }

@@ -9,7 +9,9 @@ import (
 	"desksearch/internal/postings"
 )
 
-// Hit is one search result.
+// Hit is one search result. Every layer shares it, from the engine to the
+// wire: the json tags are the hit's form in a /search body, where File —
+// an internal ID — does not travel.
 type Hit struct {
 	// File is the matched file's document ID — the ascending half of the
 	// tie-break rule: hits order by descending Score under exact float64
@@ -17,10 +19,10 @@ type Hit struct {
 	// for the life of a saved catalog and shared by every worker serving
 	// the same directory, which is what lets a distributed merge reproduce
 	// the single-node order exactly.
-	File postings.FileID
+	File postings.FileID `json:"-"`
 	// Path is the matched file's path, relative to the indexed root.
-	Path string
-	// Score ranks the hit: under RankCoordination it counts how many
+	Path string `json:"path"`
+	// Score ranks the hit: under RankCount it counts how many
 	// distinct positive query terms the file contains (for pure
 	// conjunctions every hit scores the same, for OR queries broader
 	// matches rank higher); under RankTF it sums the positive terms'
@@ -28,16 +30,16 @@ type Hit struct {
 	// relevance score (see RankBM25). Coordination and TF scores are small
 	// integers represented exactly in a float64, so the v3 float widening
 	// loses nothing for them.
-	Score float64
+	Score float64 `json:"score"`
 	// Terms lists the positive query terms the file contains, in the
 	// query's term order, followed by matched prefix operators rendered in
 	// their canonical "repor*" form — the matched-term metadata of the v2
 	// API. Only the first 64 positive terms of a query are tracked; nil
 	// when none matched (pure NOT queries).
-	Terms []string
+	Terms []string `json:"terms,omitempty"`
 	// Snippet is the hit's context window, present only when the request
 	// set Snippets and the file yielded one (see Snippet). nil otherwise.
-	Snippet *Snippet
+	Snippet *Snippet `json:"snippet,omitempty"`
 }
 
 // Engine executes queries over one or more indices sharing a file table —
@@ -207,76 +209,24 @@ func hitLess(a, b Hit) bool {
 	return a.File < b.File
 }
 
-// mergeRanked merges per-partition ranked hit lists into one ranked list by
-// pairwise reduction. Files live in exactly one partition, so the merge is
-// a disjoint union; only ordering remains.
-func mergeRanked(parts [][]Hit) []Hit {
-	live := parts[:0]
-	for _, p := range parts {
-		if len(p) > 0 {
-			live = append(live, p)
-		}
-	}
-	for len(live) > 1 {
-		merged := make([][]Hit, 0, (len(live)+1)/2)
-		for i := 0; i+1 < len(live); i += 2 {
-			merged = append(merged, mergeTwo(live[i], live[i+1]))
-		}
-		if len(live)%2 == 1 {
-			merged = append(merged, live[len(live)-1])
-		}
-		live = merged
-	}
-	if len(live) == 0 {
-		return nil
-	}
-	return live[0]
-}
-
-// mergeTwo merges two ranked hit lists in linear time.
-func mergeTwo(a, b []Hit) []Hit {
-	out := make([]Hit, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if hitLess(b[j], a[i]) {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
 // MergeRankedPage k-way merges already-ranked hit lists from disjoint
-// document partitions into one ranked list, stopping after k hits (k <= 0
-// merges everything). It is the engine's own per-partition merge exported
-// for the distributed broker: each worker returns its local top-k merged
-// under the same total order (hitLess), and because top-k of top-k lists
-// equals the global top-k under a total order, merging worker pages here
-// reproduces the single-node page exactly.
-func MergeRankedPage(parts [][]Hit, k int) []Hit {
-	if k > 0 {
-		return mergePage(parts, k)
-	}
-	return mergeRanked(parts)
-}
-
-// mergePage k-way merges per-partition ranked hit lists, stopping as soon
-// as n hits are collected — the page-bounded counterpart of mergeRanked.
-// Partition counts are small, so a linear scan over the heads beats heap
-// bookkeeping.
-func mergePage(parts [][]Hit, n int) []Hit {
+// document partitions into one ranked list, stopping after n hits (n <= 0
+// merges everything). Files live in exactly one partition, so the merge is
+// a disjoint union and only ordering remains; partition counts are small,
+// so a linear scan over the heads beats heap bookkeeping. It is the
+// engine's own per-partition merge, exported for the distributed broker:
+// each worker returns its local top-n merged under the same total order
+// (hitLess), and because top-n of top-n lists equals the global top-n
+// under a total order, merging worker pages here reproduces the
+// single-node page exactly.
+func MergeRankedPage(parts [][]Hit, n int) []Hit {
 	// n comes from user-supplied Limit+Offset; never allocate past what
 	// the partitions actually hold.
 	avail := 0
 	for _, p := range parts {
 		avail += len(p)
 	}
-	if n > avail {
+	if n <= 0 || n > avail {
 		n = avail
 	}
 	heads := make([]int, len(parts))

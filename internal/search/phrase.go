@@ -37,7 +37,7 @@ func evalPhrase(ix index.Partition, terms []string) (*postings.List, error) {
 	}
 	for _, l := range lists {
 		if !l.HasPositions() {
-			return nil, ErrNoPositions
+			return nil, errNoPositions
 		}
 	}
 	cand := lists[0]

@@ -19,8 +19,7 @@ import (
 const MaxPrefixTerms = 1024
 
 // effectivePrefixCap resolves a request's prefix-expansion cap: 0 means
-// the MaxPrefixTerms default (negative values are rejected upstream by
-// request validation).
+// the MaxPrefixTerms default (Request.Validate rejects negative values).
 func effectivePrefixCap(cap int) int {
 	if cap <= 0 {
 		return MaxPrefixTerms
@@ -64,8 +63,8 @@ func expandPrefixes(ix index.Partition, q *Query, maxTerms int) ([]*postings.Lis
 			}
 			matches++
 			if matches > limit {
-				broad = fmt.Errorf("%w: %q matches over %d terms in one partition (lengthen the prefix or raise the cap)",
-					ErrPrefixTooBroad, p+"*", limit)
+				broad = &QueryError{Code: CodePrefixTooBroad, Err: fmt.Errorf("%w: %q matches over %d terms in one partition (lengthen the prefix or raise the cap)",
+					ErrPrefixTooBroad, p+"*", limit)}
 				return false
 			}
 			u.Merge(ix.Lookup(term))

@@ -20,7 +20,8 @@ import (
 	"desksearch/internal/tokenize"
 )
 
-// Query is a parsed boolean query.
+// Query is a parsed boolean query, reusable across requests (the facade
+// exports it as desksearch.Expr).
 type Query struct {
 	root node
 	// positive lists the non-negated terms, used for ranking.
@@ -112,16 +113,17 @@ func (q *Query) String() string {
 // appearance.
 func (q *Query) Terms() []string { return q.positive }
 
-// ScorePrefixes returns the text of the query's scoring prefix operators
-// (without the trailing '*') in scoring order. Terms followed by
-// ScorePrefixes name, entry for entry, what a DocFreqs vector for the
-// query counts.
-func (q *Query) ScorePrefixes() []string {
-	out := make([]string, len(q.scorePrefixes))
+// DFKeys names what a DocFreqs vector for the query counts:
+// DocFreqs.Terms[i] is the document frequency of terms[i] (the positive
+// terms) and DocFreqs.Prefixes[j] that of the scoring prefix operator
+// prefixes[j] (given without its '*'). Neither frequency depends on the
+// rest of the query, so a broker may keep them per key between queries.
+func (q *Query) DFKeys() (terms, prefixes []string) {
+	prefixes = make([]string, len(q.scorePrefixes))
 	for i, ord := range q.scorePrefixes {
-		out[i] = q.prefixes[ord]
+		prefixes[i] = q.prefixes[ord]
 	}
-	return out
+	return q.positive, prefixes
 }
 
 // Parse builds a Query from text. Grammar (also documented in the README's

@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -15,9 +16,10 @@ import (
 type Ranking int
 
 const (
-	// RankCoordination scores a hit by how many distinct positive query
-	// terms the file contains — the v1 behavior and the default.
-	RankCoordination Ranking = iota
+	// RankCount scores a hit by how many distinct positive query terms the
+	// file contains (coordination ranking) — the v1 behavior and the
+	// default.
+	RankCount Ranking = iota
 	// RankTF scores a hit by the summed occurrence counts (term
 	// frequencies) of the positive query terms in the file, so a file
 	// that mentions a term many times outranks one that mentions it once.
@@ -32,11 +34,12 @@ const (
 	RankBM25
 )
 
-// String names the ranking mode.
+// String returns the ranking's wire name — the value the HTTP rank=
+// parameter, the worker request body and the dsearch -rank flag carry.
 func (r Ranking) String() string {
 	switch r {
-	case RankCoordination:
-		return "coordination"
+	case RankCount:
+		return "count"
 	case RankTF:
 		return "tf"
 	case RankBM25:
@@ -73,8 +76,7 @@ type Request struct {
 	Snippets bool
 	// MaxPrefixTerms caps how many dictionary terms one prefix operator
 	// may expand to within a single partition; 0 applies the
-	// MaxPrefixTerms package default. Negative values are rejected by the
-	// public API before a Request is ever built.
+	// MaxPrefixTerms package default.
 	MaxPrefixTerms int
 	// GlobalDF, when non-nil, supplies corpus-wide document-frequency
 	// statistics for BM25 ranking in place of the engine's own aggregation
@@ -89,6 +91,28 @@ type Request struct {
 	GlobalDF *DocFreqs
 }
 
+// Validate is the one check of a request's retrieval controls, shared by
+// every entry point that accepts them (the facade's Query.Normalize at the
+// edge, Engine.Query for direct callers): a request it passes cannot fail
+// evaluation for its shape, only for what the index holds.
+func (r *Request) Validate() error {
+	switch {
+	case r.Query == nil || r.Query.root == nil:
+		return errors.New("search: request has no query")
+	case r.Limit < 0:
+		return fmt.Errorf("search: negative limit %d", r.Limit)
+	case r.Offset < 0:
+		return fmt.Errorf("search: negative offset %d", r.Offset)
+	case r.MaxPrefixTerms < 0:
+		return fmt.Errorf("search: negative max prefix terms %d", r.MaxPrefixTerms)
+	case r.Ranking < RankCount || r.Ranking > RankBM25:
+		return fmt.Errorf("search: unknown ranking mode %d", int(r.Ranking))
+	case r.Snippets && r.Limit <= 0:
+		return errors.New("search: snippets require a positive limit")
+	}
+	return nil
+}
+
 // DocFreqs is the corpus-global half of BM25 scoring as plain data: the
 // live-document count, the total live token count, and one document
 // frequency per positive query term and per scoring prefix operator, in
@@ -97,19 +121,21 @@ type Request struct {
 // element-wise to the vector of the whole corpus — the invariant the
 // distributed broker's statistics ride. Docs and Tokens are
 // corpus-wide properties of the shared file table, identical on every
-// worker of one catalog; a broker verifies rather than sums them.
+// worker of one catalog; a broker verifies rather than sums them. The json
+// tags are the vector's form in a worker request body (the df field of
+// POST /internal/search).
 type DocFreqs struct {
 	// Docs is the number of live documents (BM25's N).
-	Docs int
+	Docs int `json:"docs"`
 	// Tokens is the summed token length of the live documents; Tokens/Docs
 	// is BM25's average document length.
-	Tokens uint64
+	Tokens uint64 `json:"tokens"`
 	// Terms[i] is the document frequency of the query's i-th positive
 	// term, summed over this engine's partitions.
-	Terms []int
+	Terms []int `json:"terms"`
 	// Prefixes[j] is the document frequency of the query's j-th scoring
 	// prefix operator — the total size of its expansion unions.
-	Prefixes []int
+	Prefixes []int `json:"prefixes"`
 }
 
 // Add accumulates other into d element-wise: document frequencies sum
@@ -257,22 +283,8 @@ type partResult struct {
 // canceled mid-fan-out aborts the in-flight partitions at their next step
 // boundary and Query returns ctx.Err() with no goroutines left behind.
 func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
-	if req.Query == nil || req.Query.root == nil {
-		return nil, fmt.Errorf("search: request has no query")
-	}
-	if req.Limit < 0 {
-		return nil, fmt.Errorf("search: negative limit %d", req.Limit)
-	}
-	if req.Offset < 0 {
-		return nil, fmt.Errorf("search: negative offset %d", req.Offset)
-	}
-	switch req.Ranking {
-	case RankCoordination, RankTF, RankBM25:
-	default:
-		return nil, fmt.Errorf("search: unknown ranking mode %d", int(req.Ranking))
-	}
-	if req.Snippets && req.Limit <= 0 {
-		return nil, fmt.Errorf("search: snippets require a positive limit")
+	if err := req.Validate(); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -331,12 +343,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		resp.Partitions[i] = PartitionStat{Partition: i, Matched: p.matched, Duration: p.dur}
 		ranked[i] = p.hits
 	}
-	var merged []Hit
-	if k > 0 {
-		merged = mergePage(ranked, k)
-	} else {
-		merged = mergeRanked(ranked)
-	}
+	merged := MergeRankedPage(ranked, k)
 	if req.Offset > 0 {
 		if req.Offset >= len(merged) {
 			merged = nil
@@ -372,7 +379,7 @@ func (e *Engine) queryOne(ctx context.Context, ix index.Partition, universe *pos
 	// term list, which covers partially positional lists inside a
 	// positional index.)
 	if (req.Query.hasPhrase || req.Snippets) && !ix.Positional() {
-		return partResult{err: ErrNoPositions, dur: time.Since(start)}
+		return partResult{err: errNoPositions, dur: time.Since(start)}
 	}
 	env := &evalEnv{ctx: ctx, ix: ix, universe: universe, prefixes: exp}
 	matched, err := env.eval(req.Query.root)

@@ -349,24 +349,24 @@ func TestMergePage(t *testing.T) {
 	}
 	fullWant := []Hit{h(1, 3), h(2, 3), h(3, 3), h(4, 2), h(0, 1)}
 	for n := 1; n <= len(fullWant)+2; n++ {
-		got := mergePage(parts, n)
+		got := MergeRankedPage(parts, n)
 		want := fullWant
 		if len(want) > n {
 			want = want[:n]
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("mergePage(n=%d) = %v, want %v", n, got, want)
+			t.Errorf("MergeRankedPage(n=%d) = %v, want %v", n, got, want)
 		}
 	}
-	if mergePage(nil, 5) != nil {
-		t.Error("mergePage(nil) != nil")
+	if MergeRankedPage(nil, 5) != nil {
+		t.Error("MergeRankedPage(nil) != nil")
 	}
-	// A full-page merge agrees with the unbounded pairwise merge.
+	// A full-page merge agrees with the unbounded one.
 	sameParts := [][]Hit{
 		{h(0, 5), h(1, 4), h(2, 3), h(3, 2), h(4, 1)},
 		{h(5, 3)},
 	}
-	if got, want := mergePage(sameParts, 100), mergeRanked(sameParts); !reflect.DeepEqual(got, want) {
-		t.Errorf("mergePage full = %v, mergeRanked = %v", got, want)
+	if got, want := MergeRankedPage(sameParts, 100), MergeRankedPage(sameParts, 0); !reflect.DeepEqual(got, want) {
+		t.Errorf("full-page merge = %v, unbounded merge = %v", got, want)
 	}
 }

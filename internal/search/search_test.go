@@ -363,8 +363,8 @@ func TestMergeRanked(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		if got := mergeRanked(tc.parts); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: mergeRanked = %v, want %v", tc.name, got, tc.want)
+		if got := MergeRankedPage(tc.parts, 0); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: unbounded merge = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -22,7 +22,7 @@
 //
 // Opening a segment reads and verifies only the header and dictionary —
 // O(dictionary + docs), never O(postings). Posting blocks are mmap'd on
-// linux (internal/platform) or pread on demand elsewhere, verified against
+// linux (mmap_linux.go) or pread on demand elsewhere, verified against
 // their dictionary checksum and decoded lazily per term into a bounded
 // shared cache. The Reader implements index.Partition, so the whole query
 // stack — boolean, phrase, prefix, BM25, snippets, suggestions — runs on a

@@ -1,15 +1,19 @@
 package segment
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
-
-	"desksearch/internal/platform"
 )
 
+// errNoMmap reports that memory mapping is unavailable — the platform has
+// no support or the file cannot be mapped. openSource treats it, like any
+// other mapping failure, as "use positioned reads", never as a failure.
+var errNoMmap = errors.New("segment: memory mapping unavailable")
+
 // source abstracts how a Reader gets at segment bytes: a read-only memory
-// mapping where the platform supports one (linux — internal/platform), a
+// mapping where the platform supports one (linux — mmap_linux.go), a
 // pread-per-request file handle elsewhere. Decoders never retain returned
 // slices (postings.Decode copies), so mapped reads are zero-copy and the
 // fallback's allocations are short-lived.
@@ -42,7 +46,7 @@ func openSource(path string) (*source, error) {
 		return nil, err
 	}
 	size := st.Size()
-	if data, unmap, err := platform.MapFile(f, size); err == nil {
+	if data, unmap, err := mapFile(f, size); err == nil {
 		// The mapping outlives the descriptor; no reason to hold the fd.
 		f.Close()
 		return &source{size: size, data: data, unmap: unmap}, nil

@@ -1,43 +1,15 @@
 package server
 
-import (
-	"time"
+import "time"
 
-	"desksearch/internal/metrics"
-)
-
-// serverMetrics is the daemon's /metrics surface. Counters the server
-// already maintains as atomics (queries, errors, reloads) and state
-// other subsystems own (cache statistics, block-cache bytes, the
-// catalog generation) are exposed as function-backed metrics sampled at
-// scrape time, so there is exactly one source of truth per number; only
-// the per-endpoint request/latency instruments are new write paths.
-type serverMetrics struct {
-	reg      *metrics.Registry
-	requests *metrics.CounterVec // by endpoint and outcome
-	latency  map[string]*metrics.Histogram
-}
-
-// initMetrics builds the registry over the server's existing state.
-func (s *Server) initMetrics() {
-	reg := metrics.NewRegistry()
-	m := &serverMetrics{
-		reg:      reg,
-		requests: reg.NewCounterVec("ds_requests_total", "HTTP requests by endpoint and outcome.", "endpoint", "outcome"),
-		latency:  make(map[string]*metrics.Histogram),
-	}
-	for _, ep := range []string{"search", "suggest"} {
-		m.latency[ep] = reg.NewHistogram(
-			"ds_"+ep+"_duration_seconds",
-			"Server-side handling time of /"+ep+" requests.",
-			nil,
-		)
-	}
-
-	reg.NewCounterFunc("ds_queries_total", "Queries accepted across /search and /suggest.",
-		func() float64 { return float64(s.queries.Load()) })
-	reg.NewCounterFunc("ds_query_errors_total", "Queries that failed evaluation.",
-		func() float64 { return float64(s.queryErrors.Load()) })
+// registerMetrics adds the node's own families to the /metrics registry,
+// after the front door's (requests, latency histograms, queries, query
+// errors). State other subsystems own (cache statistics, block-cache
+// bytes, the catalog generation) is exposed as function-backed metrics
+// sampled at scrape time, so there is exactly one source of truth per
+// number.
+func (s *Server) registerMetrics() {
+	reg := s.reg
 	reg.NewCounterFunc("ds_reloads_total", "Completed reloads (incremental and full).",
 		func() float64 { return float64(s.reloads.Load()) })
 	reg.NewGaugeFunc("ds_generation", "Current catalog generation.",
@@ -80,14 +52,4 @@ func (s *Server) initMetrics() {
 			return float64(budget)
 		})
 
-	s.metrics = m
-}
-
-// observeRequest records one finished request: the outcome-labeled
-// counter and, for instrumented endpoints, the latency histogram.
-func (m *serverMetrics) observeRequest(endpoint, outcome string, start time.Time) {
-	m.requests.With(endpoint, outcome).Inc()
-	if h, ok := m.latency[endpoint]; ok {
-		h.Observe(time.Since(start).Seconds())
-	}
 }

@@ -2,8 +2,10 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"testing"
 
 	"desksearch"
@@ -260,5 +262,56 @@ func TestMaxPrefixTermsOverHTTP(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/search?q=zz%2A&max_prefix_terms=-1", &bad); code != http.StatusBadRequest {
 		t.Errorf("negative cap: status %d, want 400", code)
+	}
+}
+
+// TestWireBodiesPinned pins the bytes of /search and /suggest success
+// bodies — field names and order, terms and snippet omitted when absent,
+// [] rather than null for no hits and no suggestions — so the hit type the
+// engine, the cache, the partial and the JSON encoder all share cannot
+// drift on the wire. Only took_ms and duration_us vary run to run.
+func TestWireBodiesPinned(t *testing.T) {
+	fs := vfs.NewMemFS()
+	for name, content := range map[string]string{
+		"docs/a.txt": "annual report report",
+		"docs/b.txt": "report drafts",
+		"docs/c.txt": "nothing",
+	} {
+		if err := fs.WriteFile(name, []byte(content)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat, err := desksearch.IndexFS(fs, ".", desksearch.Options{Implementation: desksearch.Sequential, Positions: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(Config{Catalog: cat}).Handler())
+	defer ts.Close()
+
+	clock := regexp.MustCompile(`"(took_ms|duration_us)":[0-9.e+-]+`)
+	for path, want := range map[string]string{
+		"/search?q=report&rank=tf&snippets=true": `{"query":"report","generation":0,"cached":false,"took_ms":0,"total":2,"hits":[` +
+			`{"path":"docs/a.txt","score":2,"terms":["report"],"snippet":{"text":"annual report report","highlights":[{"start":7,"end":13},{"start":14,"end":20}]}},` +
+			`{"path":"docs/b.txt","score":1,"terms":["report"],"snippet":{"text":"report drafts","highlights":[{"start":0,"end":6}]}}],` +
+			`"partitions":[{"partition":0,"matched":2,"duration_us":0}]}`,
+		"/search?q=-report": `{"query":"(NOT report)","generation":0,"cached":false,"took_ms":0,"total":1,"hits":[` +
+			`{"path":"docs/c.txt","score":0}],"partitions":[{"partition":0,"matched":1,"duration_us":0}]}`,
+		"/search?q=absent": `{"query":"absent","generation":0,"cached":false,"took_ms":0,"total":0,"hits":[],` +
+			`"partitions":[{"partition":0,"matched":0,"duration_us":0}]}`,
+		"/suggest?q=r":   `{"prefix":"r","generation":0,"took_ms":0,"suggestions":[{"term":"report","files":2}]}`,
+		"/suggest?q=zzz": `{"prefix":"zzz","generation":0,"took_ms":0,"suggestions":[]}`,
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, err %v", path, resp.StatusCode, err)
+		}
+		if got := clock.ReplaceAllString(string(body), `"$1":0`); got != want+"\n" {
+			t.Errorf("%s:\n got %s\nwant %s", path, got, want)
+		}
 	}
 }

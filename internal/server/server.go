@@ -27,6 +27,12 @@
 //	POST /reload         run an incremental update (or a full rebuild
 //	                     with ?mode=full) and invalidate the cache
 //
+// /search and /suggest are served by the FrontDoor (frontdoor.go), the one
+// copy of the public query surface — parsing, validation, error bodies,
+// request counters and latency histograms — that a node and a broker
+// (internal/broker) both stand behind; the Server supplies only how a
+// normalized query and a suggest are answered from its catalog.
+//
 // Results are cached keyed on (catalog generation, normalized query).
 // Reloads commit through the catalog's maintenance path, which advances
 // the generation — so the instant a reload completes, every cached result
@@ -36,13 +42,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
-	"net/url"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,6 +51,7 @@ import (
 
 	"desksearch"
 	"desksearch/internal/cache"
+	"desksearch/internal/metrics"
 	"desksearch/internal/timing"
 )
 
@@ -93,16 +95,17 @@ type Server struct {
 	update  func() (desksearch.UpdateStats, error)
 	rebuild func() (*desksearch.Catalog, error)
 	cache   *cache.Cache[*desksearch.Response]
-	timeout time.Duration
-	maxLim  int
 	logf    func(string, ...any)
 	start   time.Time
 	worker  bool
 
+	// door serves /search and /suggest and owns what every query endpoint
+	// shares: the timeout ceiling and the queries/query-errors counters.
+	door *FrontDoor
+
 	// partMu guards partTimings: one sliding window of evaluation wall
 	// times per global partition ID, fed by every fresh (uncached) query
-	// and summarized in /stats — the observability brokers tune their
-	// per-worker timeouts from.
+	// and summarized in /stats.
 	partMu      sync.Mutex
 	partTimings map[int]*timing.Window
 
@@ -119,11 +122,11 @@ type Server struct {
 	statsOK   bool
 	statsSnap desksearch.Stats
 
-	queries, queryErrors, reloads atomic.Uint64
+	reloads atomic.Uint64
 
-	// metrics is the /metrics exposition surface, built once in New over
-	// the counters and caches above (see metrics.go).
-	metrics *serverMetrics
+	// reg is the /metrics exposition surface, built once in New over the
+	// front door's instruments and the state above (see metrics.go).
+	reg *metrics.Registry
 }
 
 // New returns a server over cfg. It panics when cfg.Catalog is nil — the
@@ -143,14 +146,6 @@ func New(cfg Config) *Server {
 	if entries > 0 {
 		c = cache.New[*desksearch.Response](entries, bytes)
 	}
-	timeout := cfg.Timeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
-	maxLim := cfg.MaxLimit
-	if maxLim == 0 {
-		maxLim = 1000
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -160,25 +155,25 @@ func New(cfg Config) *Server {
 		update:      cfg.Update,
 		rebuild:     cfg.Rebuild,
 		cache:       c,
-		timeout:     timeout,
-		maxLim:      maxLim,
 		logf:        logf,
 		start:       time.Now(),
 		worker:      cfg.Worker,
 		partTimings: make(map[int]*timing.Window),
+		reg:         metrics.NewRegistry(),
 	}
-	s.initMetrics()
+	s.door = NewFrontDoor(Backend{Search: s.search, Suggest: s.suggest, ErrorStatus: nodeErrorStatus},
+		cfg.Timeout, cfg.MaxLimit, s.reg)
+	s.registerMetrics()
 	return s
 }
 
 // Handler returns the daemon's route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /search", s.handleSearch)
-	mux.HandleFunc("GET /suggest", s.handleSuggest)
+	s.door.Register(mux)
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.Handle("GET /metrics", s.metrics.reg.Handler())
+	mux.Handle("GET /metrics", s.reg.Handler())
 	mux.HandleFunc("POST /reload", s.handleReload)
 	if s.worker {
 		mux.HandleFunc("GET /internal/meta", s.handleWorkerMeta)
@@ -188,20 +183,24 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// observePartitions feeds one fresh evaluation's per-partition wall times
-// into the server's sliding windows, keyed by global partition ID (shard
-// numbers for a subset worker), so /stats summarizes them.
-func (s *Server) observePartitions(parts []desksearch.PartitionTiming) {
-	if len(parts) == 0 {
-		return
+// globalID maps a catalog-local partition index to its global partition
+// ID (a shard number, for a subset worker) under ids, the catalog's
+// PartitionIDs.
+func globalID(ids []int, local int) int {
+	if local < len(ids) {
+		return ids[local]
 	}
-	ids := s.cat.PartitionIDs()
+	return local
+}
+
+// observePartitions feeds one fresh evaluation's per-partition wall times
+// into the server's sliding windows, keyed by global partition ID, so
+// /stats summarizes them. ids is the catalog's PartitionIDs, which the
+// caller reads once per request.
+func (s *Server) observePartitions(parts []desksearch.PartitionTiming, ids []int) {
 	s.partMu.Lock()
 	for _, p := range parts {
-		id := p.Partition
-		if p.Partition < len(ids) {
-			id = ids[p.Partition]
-		}
+		id := globalID(ids, p.Partition)
 		w := s.partTimings[id]
 		if w == nil {
 			w = timing.NewWindow(0)
@@ -210,6 +209,21 @@ func (s *Server) observePartitions(parts []desksearch.PartitionTiming) {
 		w.Observe(p.Duration)
 	}
 	s.partMu.Unlock()
+}
+
+// wirePartitions renders an evaluation's per-partition counts and wall
+// times, labelled by catalog-local index — or, given the catalog's
+// PartitionIDs, by global ID.
+func wirePartitions(parts []desksearch.PartitionTiming, ids []int) []PartitionStat {
+	out := make([]PartitionStat, len(parts))
+	for i, p := range parts {
+		out[i] = PartitionStat{
+			Partition:  globalID(ids, p.Partition),
+			Matched:    p.Matched,
+			DurationUS: float64(p.Duration.Nanoseconds()) / 1e3,
+		}
+	}
+	return out
 }
 
 // partitionTimingStats summarizes the per-partition windows for /stats,
@@ -252,22 +266,13 @@ type SearchResponse struct {
 	TookMS float64 `json:"took_ms"`
 	// Total counts matches across the whole catalog.
 	Total int `json:"total"`
-	// Hits is the requested page.
-	Hits []SearchHit `json:"hits"`
+	// Hits is the requested page; the front door sends no hits as an empty
+	// array, never null.
+	Hits []desksearch.Hit `json:"hits"`
 	// Partitions reports per-partition match counts and evaluation times.
 	// For a cached response these are the timings of the original
 	// evaluation, not of this request.
 	Partitions []PartitionStat `json:"partitions"`
-}
-
-// SearchHit is one hit of /search.
-type SearchHit struct {
-	Path  string   `json:"path"`
-	Score float64  `json:"score"`
-	Terms []string `json:"terms,omitempty"`
-	// Snippet is present only when the request asked for snippets and the
-	// hit produced one.
-	Snippet *desksearch.Snippet `json:"snippet,omitempty"`
 }
 
 // PartitionStat is one partition's share of a query's work.
@@ -310,8 +315,10 @@ type StatsResponse struct {
 	// PartitionTimings summarizes recent per-partition evaluation wall
 	// times (a sliding window of the last few hundred fresh queries),
 	// keyed by global partition ID — shard numbers for a worker serving a
-	// subset. This is the signal a broker derives its per-worker timeouts
-	// and hedging delays from. Absent until the first uncached query.
+	// subset — where evaluation time goes inside this node. (A broker sets
+	// its hedge delays and attempt timeouts from its own window of
+	// round-trip times, not from this.) Absent until the first uncached
+	// query.
 	PartitionTimings []PartitionTimingStat `json:"partition_timings,omitempty"`
 
 	// Worker, when present, describes the worker's place in a distributed
@@ -368,123 +375,27 @@ type ReloadResponse struct {
 	SkippedFiles    int   `json:"skipped_files"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-	// Code is the stable machine-readable code of a typed query error
-	// (desksearch.QueryErrorCode), empty for every other failure. Clients
-	// branch on it instead of parsing Error's prose.
-	Code string `json:"code,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// queryErrorStatus is the one place evaluation errors become wire
-// statuses, shared by the daemon's /search and /suggest handlers and the
-// worker endpoints (the broker passes worker statuses through unchanged).
-// Timeouts and cancellations are retryable against a replica (504/503);
-// everything else is deterministic — a replica would fail the same way —
-// and maps to 400, with typed query errors contributing their stable
-// desksearch code for the response body.
-func queryErrorStatus(err error) (status int, code string) {
-	var qe *desksearch.QueryError
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, ""
-	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable, ""
-	case errors.As(err, &qe):
-		return http.StatusBadRequest, string(qe.Code)
-	default:
-		return http.StatusBadRequest, ""
-	}
-}
-
-// writeQueryError writes an evaluation failure through the shared status
-// mapping, rewriting the retryable statuses to their conventional prose
-// and attaching the stable code when the error carries one.
-func writeQueryError(w http.ResponseWriter, err error, timeout time.Duration) {
-	status, code := queryErrorStatus(err)
-	msg := err.Error()
-	switch status {
-	case http.StatusGatewayTimeout:
-		msg = fmt.Sprintf("query timed out after %s", timeout)
-	case http.StatusServiceUnavailable:
-		msg = "query canceled"
-	}
-	writeJSON(w, status, errorResponse{Error: msg, Code: code})
-}
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	req, err := ParseSearchQuery(r.URL.Query(), s.maxLim)
-	if err != nil {
-		s.metrics.observeRequest("search", "bad_request", start)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	req, key, err := req.Normalize()
-	if err != nil {
-		s.metrics.observeRequest("search", "bad_request", start)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	timeout, err := ParseTimeout(r.URL.Query(), s.timeout)
-	if err != nil {
-		s.metrics.observeRequest("search", "bad_request", start)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
+// search is the node's Backend.Search: answer from the catalog, through
+// the result cache when enabled.
+func (s *Server) search(ctx context.Context, q desksearch.Query) (*SearchResponse, error) {
 	// The generation is read before evaluation: if a reload commits while
 	// this query runs, the result is stored under the pre-reload
 	// generation and post-reload requests can never see it.
 	gen := s.cat.Generation()
-	s.queries.Add(1)
-	resp, cached, err := s.cachedQuery(ctx, gen, key, req)
+	resp, cached, err := s.cachedQuery(ctx, gen, q)
 	if err != nil {
-		s.queryErrors.Add(1)
-		s.metrics.observeRequest("search", "error", start)
-		writeQueryError(w, err, timeout)
-		return
+		return nil, err
 	}
 	if !cached {
-		s.observePartitions(resp.Partitions)
+		s.observePartitions(resp.Partitions, s.cat.PartitionIDs())
 	}
-	s.metrics.observeRequest("search", "ok", start)
-
-	out := SearchResponse{
-		Query:      req.Expr.String(),
+	return &SearchResponse{
 		Generation: gen,
 		Cached:     cached,
-		TookMS:     float64(time.Since(start).Microseconds()) / 1e3,
 		Total:      resp.Total,
-		Hits:       make([]SearchHit, len(resp.Hits)),
-		Partitions: make([]PartitionStat, len(resp.Partitions)),
-	}
-	for i, h := range resp.Hits {
-		out.Hits[i] = SearchHit{Path: h.Path, Score: h.Score, Terms: h.Terms, Snippet: h.Snippet}
-	}
-	for i, p := range resp.Partitions {
-		out.Partitions[i] = PartitionStat{
-			Partition:  p.Partition,
-			Matched:    p.Matched,
-			DurationUS: float64(p.Duration.Nanoseconds()) / 1e3,
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
+		Hits:       resp.Hits,
+		Partitions: wirePartitions(resp.Partitions, nil),
+	}, nil
 }
 
 // SuggestResponse is the JSON shape of /suggest.
@@ -499,47 +410,18 @@ type SuggestResponse struct {
 	Suggestions []desksearch.Suggestion `json:"suggestions"`
 }
 
-func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	params := r.URL.Query()
-	prefix := params.Get("q")
-	if prefix == "" {
-		s.metrics.observeRequest("suggest", "bad_request", start)
-		writeError(w, http.StatusBadRequest, "missing q parameter")
-		return
-	}
-	n := 10
-	if v := params.Get("n"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed <= 0 {
-			s.metrics.observeRequest("suggest", "bad_request", start)
-			writeError(w, http.StatusBadRequest, "invalid n %q", v)
-			return
-		}
-		n = parsed
-	}
-	if n > s.maxLim {
-		n = s.maxLim
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
+// suggest is the node's Backend.Suggest.
+func (s *Server) suggest(ctx context.Context, prefix string, n int) (*SuggestResponse, error) {
 	gen := s.cat.Generation()
-	s.queries.Add(1)
 	sugs, err := s.cat.Suggest(ctx, prefix, n)
 	if err != nil {
-		s.queryErrors.Add(1)
-		s.metrics.observeRequest("suggest", "error", start)
-		writeQueryError(w, err, s.timeout)
-		return
+		return nil, err
 	}
-	s.metrics.observeRequest("suggest", "ok", start)
-	out := SuggestResponse{
+	return &SuggestResponse{
 		Prefix:      strings.TrimRight(prefix, "*"),
 		Generation:  gen,
-		TookMS:      float64(time.Since(start).Microseconds()) / 1e3,
 		Suggestions: sugs,
-	}
-	writeJSON(w, http.StatusOK, out)
+	}, nil
 }
 
 // cachedQuery evaluates req through the cache (when enabled), de-duplicated
@@ -548,13 +430,13 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 // server-owned context bounded by the server's timeout ceiling, so one
 // impatient or disconnected client can neither fail the flight for every
 // coalesced request behind it nor hold a follower past its own deadline.
-func (s *Server) cachedQuery(ctx context.Context, gen uint64, key string, req desksearch.Query) (*desksearch.Response, bool, error) {
+func (s *Server) cachedQuery(ctx context.Context, gen uint64, req desksearch.Query) (*desksearch.Response, bool, error) {
 	if s.cache == nil {
 		resp, err := s.cat.Query(ctx, req)
 		return resp, false, err
 	}
-	return s.cache.Do(ctx, gen, key, func() (*desksearch.Response, int64, error) {
-		evalCtx, cancel := context.WithTimeout(context.Background(), s.timeout)
+	return s.cache.Do(ctx, gen, req.CacheKey(), func() (*desksearch.Response, int64, error) {
+		evalCtx, cancel := context.WithTimeout(context.Background(), s.door.Timeout)
 		defer cancel()
 		resp, err := s.cat.Query(evalCtx, req)
 		if err != nil {
@@ -562,84 +444,6 @@ func (s *Server) cachedQuery(ctx context.Context, gen uint64, key string, req de
 		}
 		return resp, responseSize(resp), nil
 	})
-}
-
-// ParseSearchQuery maps /search-style URL parameters (q, limit, offset,
-// rank, snippets, prefix, max_prefix_terms) onto a desksearch.Query. It
-// is exported so the
-// distributed broker's front door accepts exactly the same dialect as a
-// single-node daemon — every error it returns is the client's mistake and
-// maps to 400. maxLimit caps the limit parameter and replaces an
-// unbounded limit=0.
-func ParseSearchQuery(params url.Values, maxLimit int) (desksearch.Query, error) {
-	var req desksearch.Query
-	req.Text = params.Get("q")
-	if req.Text == "" {
-		return req, fmt.Errorf("missing q parameter")
-	}
-	req.Limit = 10
-	if v := params.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return req, fmt.Errorf("invalid limit %q", v)
-		}
-		req.Limit = n
-	}
-	if req.Limit == 0 || req.Limit > maxLimit {
-		req.Limit = maxLimit
-	}
-	if v := params.Get("offset"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return req, fmt.Errorf("invalid offset %q", v)
-		}
-		req.Offset = n
-	}
-	if v := params.Get("rank"); v != "" {
-		// ParseRanking resolves the wire names (count, tf, bm25) and the
-		// legacy integer forms; anything else is the client's mistake, so
-		// it maps to 400, never 500.
-		rank, err := desksearch.ParseRanking(v)
-		if err != nil {
-			return req, err
-		}
-		req.Ranking = rank
-	}
-	if v := params.Get("snippets"); v != "" {
-		on, err := strconv.ParseBool(v)
-		if err != nil {
-			return req, fmt.Errorf("invalid snippets %q (want a boolean)", v)
-		}
-		req.Snippets = on
-	}
-	if v := params.Get("max_prefix_terms"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return req, fmt.Errorf("invalid max_prefix_terms %q", v)
-		}
-		req.MaxPrefixTerms = n
-	}
-	req.PathPrefix = params.Get("prefix")
-	return req, nil
-}
-
-// ParseTimeout resolves a request's timeout parameter against a ceiling:
-// the parameter may shorten the ceiling but never exceed it, and an
-// unparseable or non-positive value is a client error. Shared by the
-// daemon's /search handler and the broker.
-func ParseTimeout(params url.Values, ceiling time.Duration) (time.Duration, error) {
-	t := params.Get("timeout")
-	if t == "" {
-		return ceiling, nil
-	}
-	d, err := time.ParseDuration(t)
-	if err != nil || d <= 0 {
-		return 0, fmt.Errorf("invalid timeout %q", t)
-	}
-	if d < ceiling {
-		return d, nil
-	}
-	return ceiling, nil
 }
 
 // catalogStats returns Catalog.Stats memoized per generation. A snapshot
@@ -678,8 +482,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		UptimeS:        time.Since(s.start).Seconds(),
 		OpenMode:       mode,
 		PartitionBytes: s.cat.PartitionBytes(),
-		Queries:        s.queries.Load(),
-		QueryErrors:    s.queryErrors.Load(),
+		Queries:        s.door.Queries.Load(),
+		QueryErrors:    s.door.QueryErrors.Load(),
 		Reloads:        s.reloads.Load(),
 	}
 	if s.cache != nil {
@@ -703,11 +507,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			TotalShards: s.cat.TotalShards(),
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":     "ok",
 		"generation": s.cat.Generation(),
 	})
@@ -727,7 +531,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "reload: %v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, ReloadResponse{
+		WriteJSON(w, http.StatusOK, ReloadResponse{
 			Mode:            "update",
 			Generation:      s.cat.Generation(),
 			TookMS:          float64(time.Since(start).Microseconds()) / 1e3,
@@ -748,7 +552,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "rebuild: %v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, ReloadResponse{
+		WriteJSON(w, http.StatusOK, ReloadResponse{
 			Mode:       "full",
 			Generation: s.cat.Generation(),
 			TookMS:     float64(time.Since(start).Microseconds()) / 1e3,

@@ -60,7 +60,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"strconv"
 
 	"desksearch"
 )
@@ -105,22 +104,13 @@ type InternalSearchRequest struct {
 	MaxPrefixTerms int `json:"max_prefix_terms,omitempty"`
 	// DF, when present with bm25, carries the broker's pre-aggregated
 	// corpus-global document frequencies (desksearch.Query.GlobalDF).
-	DF *DFPayload `json:"df,omitempty"`
-}
-
-// DFPayload is a document-frequency vector in a search request — the
-// summed global statistics a broker attaches for bm25.
-type DFPayload struct {
-	Docs     int    `json:"docs"`
-	Tokens   uint64 `json:"tokens"`
-	Terms    []int  `json:"terms"`
-	Prefixes []int  `json:"prefixes"`
+	DF *desksearch.DocFreqs `json:"df,omitempty"`
 }
 
 // handleWorkerMeta serves GET /internal/meta.
 func (s *Server) handleWorkerMeta(w http.ResponseWriter, r *http.Request) {
 	cs, gen := s.catalogStats()
-	writeJSON(w, http.StatusOK, WorkerMeta{
+	WriteJSON(w, http.StatusOK, WorkerMeta{
 		Shards:      s.cat.PartitionIDs(),
 		TotalShards: s.cat.TotalShards(),
 		Files:       cs.Files,
@@ -132,26 +122,18 @@ func (s *Server) handleWorkerMeta(w http.ResponseWriter, r *http.Request) {
 // handleWorkerDF serves GET /internal/df?q=...: the local vector a broker
 // sums when its df table cannot supply a query's statistics.
 func (s *Server) handleWorkerDF(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
+	params := r.URL.Query()
+	query := desksearch.Query{Text: params.Get("q")}
+	if query.Text == "" {
 		writeError(w, http.StatusBadRequest, "missing q parameter")
 		return
 	}
-	query := desksearch.Query{Text: q}
-	if v := r.URL.Query().Get("max_prefix_terms"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "invalid max_prefix_terms %q", v)
-			return
-		}
-		query.MaxPrefixTerms = n
-	}
-	req, _, err := query.Normalize()
-	if err != nil {
+	var err error
+	if query.MaxPrefixTerms, err = parseMaxPrefixTerms(params); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	timeout, err := ParseTimeout(r.URL.Query(), s.timeout)
+	timeout, err := parseTimeout(params, s.door.Timeout)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -159,9 +141,9 @@ func (s *Server) handleWorkerDF(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	gen := s.cat.Generation()
-	df, err := s.cat.DocFreqs(ctx, req)
+	df, err := s.cat.DocFreqs(ctx, query) // parses and validates; both are 400s
 	if err != nil {
-		s.writeWorkerError(w, err)
+		writeQueryError(w, err, s.door.Timeout, nodeErrorStatus)
 		return
 	}
 	writePartial(w, &Partial{Generation: gen, DF: *df})
@@ -202,29 +184,19 @@ func (s *Server) handleWorkerSearch(w http.ResponseWriter, r *http.Request) {
 		PathPrefix:     in.PathPrefix,
 		Snippets:       in.Snippets,
 		MaxPrefixTerms: in.MaxPrefixTerms,
+		GlobalDF:       in.DF,
 	}
 	if in.Rank != "" {
-		rank, err := desksearch.ParseRanking(in.Rank)
-		if err != nil {
+		if req.Ranking, err = desksearch.ParseRanking(in.Rank); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		req.Ranking = rank
 	}
-	if req, _, err = req.Normalize(); err != nil {
+	if req, err = req.Normalize(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if in.DF != nil {
-		req.GlobalDF = &desksearch.DocFreqs{
-			Docs:     in.DF.Docs,
-			Tokens:   in.DF.Tokens,
-			Terms:    in.DF.Terms,
-			Prefixes: in.DF.Prefixes,
-		}
-	}
-
-	timeout, err := ParseTimeout(r.URL.Query(), s.timeout)
+	timeout, err := parseTimeout(r.URL.Query(), s.door.Timeout)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -233,46 +205,26 @@ func (s *Server) handleWorkerSearch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	gen := s.cat.Generation()
-	s.queries.Add(1)
+	s.door.Queries.Add(1)
 	resp, err := s.cat.Query(ctx, req)
 	if err != nil {
-		s.queryErrors.Add(1)
-		s.writeWorkerError(w, err)
+		s.door.QueryErrors.Add(1)
+		writeQueryError(w, err, s.door.Timeout, nodeErrorStatus)
 		return
 	}
-	s.observePartitions(resp.Partitions)
-
+	// Partition indexes are catalog-local; the windows and the partial both
+	// go by global shard number, so the broker's per-shard view is
+	// consistent across workers.
+	ids := s.cat.PartitionIDs()
+	s.observePartitions(resp.Partitions, ids)
 	out := Partial{
 		Total:      resp.Total,
 		Generation: gen,
 		Hits:       resp.Hits,
-		Partitions: make([]PartitionStat, len(resp.Partitions)),
+		Partitions: wirePartitions(resp.Partitions, ids),
 	}
 	if resp.DF != nil {
 		out.DF = *resp.DF
 	}
-	// Partition indexes are catalog-local; report global shard numbers so
-	// the broker's per-shard view is consistent across workers.
-	ids := s.cat.PartitionIDs()
-	for i, p := range resp.Partitions {
-		id := p.Partition
-		if p.Partition < len(ids) {
-			id = ids[p.Partition]
-		}
-		out.Partitions[i] = PartitionStat{
-			Partition:  id,
-			Matched:    p.Matched,
-			DurationUS: float64(p.Duration.Nanoseconds()) / 1e3,
-		}
-	}
 	writePartial(w, &out)
-}
-
-// writeWorkerError maps an evaluation error onto the status a broker can
-// act on, through the same queryErrorStatus mapping the public handlers
-// use: timeouts and cancellations are retryable against a replica
-// (504/503); everything else is deterministic — a replica would fail the
-// same way — and maps to 400 with the typed error's code when present.
-func (s *Server) writeWorkerError(w http.ResponseWriter, err error) {
-	writeQueryError(w, err, s.timeout)
 }

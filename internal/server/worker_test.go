@@ -138,7 +138,7 @@ func TestWorkerSearchWithGlobalDF(t *testing.T) {
 	// values equal to the local ones reproduce the local scores.
 	status, out := post(InternalSearchRequest{
 		Query: "report", Rank: "bm25", Limit: 5,
-		DF: &DFPayload{Docs: 6, Tokens: 24, Terms: []int{4}},
+		DF: &desksearch.DocFreqs{Docs: 6, Tokens: 24, Terms: []int{4}},
 	})
 	if status != http.StatusOK {
 		t.Fatalf("well-shaped GlobalDF rejected: %d", status)
@@ -152,7 +152,7 @@ func TestWorkerSearchWithGlobalDF(t *testing.T) {
 	// Wrong arity for the query → deterministic client error.
 	status, _ = post(InternalSearchRequest{
 		Query: "report", Rank: "bm25", Limit: 5,
-		DF: &DFPayload{Docs: 6, Tokens: 24, Terms: []int{4, 9}},
+		DF: &desksearch.DocFreqs{Docs: 6, Tokens: 24, Terms: []int{4, 9}},
 	})
 	if status != http.StatusBadRequest {
 		t.Fatalf("mis-shaped GlobalDF = %d, want 400", status)

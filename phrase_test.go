@@ -242,7 +242,7 @@ func TestPhraseWithoutPositionsErrors(t *testing.T) {
 	// The error surfaces through Normalize-based paths (the daemon) too:
 	// the request itself is valid, so it must normalize fine and fail only
 	// at evaluation.
-	if _, _, err := (Query{Text: `"annual report"`}).Normalize(); err != nil {
+	if _, err := (Query{Text: `"annual report"`}).Normalize(); err != nil {
 		t.Fatalf("phrase request failed to normalize: %v", err)
 	}
 }

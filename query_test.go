@@ -406,19 +406,30 @@ func TestQueryDefaults(t *testing.T) {
 	}
 }
 
+// normalizedKey is the daemon's cached /search path in two lines: normalize
+// the request, then key it.
+func normalizedKey(q Query) (string, error) {
+	q, err := q.Normalize()
+	if err != nil {
+		return "", err
+	}
+	return q.CacheKey(), nil
+}
+
 // TestQueryNormalize covers the daemon's cache key: equivalent spellings
 // collapse to one key, different retrieval controls do not, and invalid
 // requests are rejected before they can occupy a cache slot.
 func TestQueryNormalize(t *testing.T) {
-	base, key, err := Query{Text: "cat dog"}.Normalize()
+	base, err := Query{Text: "cat dog"}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Expr == nil {
 		t.Fatal("Normalize did not populate Expr")
 	}
+	key := base.CacheKey()
 	for _, same := range []string{"cat AND dog", "  cat   dog ", "(cat dog)", "Cat Dog!"} {
-		_, k, err := (Query{Text: same}).Normalize()
+		k, err := normalizedKey(Query{Text: same})
 		if err != nil {
 			t.Fatalf("%q: %v", same, err)
 		}
@@ -432,11 +443,11 @@ func TestQueryNormalize(t *testing.T) {
 		"offset":          {Text: "cat dog", Offset: 5},
 		"ranking":         {Text: "cat dog", Ranking: RankTF},
 		"bm25 ranking":    {Text: "cat dog", Ranking: RankBM25},
-		"snippets":        {Text: "cat dog", Snippets: true},
+		"snippets":        {Text: "cat dog", Limit: 10, Snippets: true}, // snippets need a limit
 		"prefix":          {Text: "cat dog", PathPrefix: "docs/"},
 		"prefix cap":      {Text: "cat dog", MaxPrefixTerms: 64},
 	} {
-		_, k, err := other.Normalize()
+		k, err := normalizedKey(other)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -449,7 +460,7 @@ func TestQueryNormalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, k, err := (Query{Text: "ignored", Expr: expr}).Normalize()
+	k, err := normalizedKey(Query{Text: "ignored", Expr: expr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,8 +474,9 @@ func TestQueryNormalize(t *testing.T) {
 		"bad offset":     {Text: "cat", Offset: -2},
 		"bad ranking":    {Text: "cat", Ranking: Ranking(9)},
 		"bad prefix cap": {Text: "cat", MaxPrefixTerms: -3},
+		"no page":        {Text: "cat", Snippets: true},
 	} {
-		if _, _, err := bad.Normalize(); err == nil {
+		if _, err := bad.Normalize(); err == nil {
 			t.Errorf("%s request normalized without error", name)
 		}
 	}
@@ -488,21 +500,21 @@ func TestNormalizeKeyInjective(t *testing.T) {
 		{Text: "cat dog", PathPrefix: "a\x00prefix=1:a"},
 		{Text: "cat dog", Limit: 10, Offset: 5, PathPrefix: "p\x00rank=1"},
 		{Text: "cat dog", Limit: 10, Offset: 5, Ranking: RankTF, PathPrefix: "p"},
-		{Text: `"cat dog"`},                                 // phrase ≠ conjunction in the key
-		{Text: "cat dog", Ranking: RankBM25},                // each rank name keys separately
-		{Text: "cat dog", Snippets: true, Limit: 1},         // snippet flag keys separately
-		{Text: "cat dog", Limit: 1},                         // ...from the plain limited request
-		{Text: "cat do*"},                                   // prefix operator ≠ the term
-		{Text: "cat dog", PathPrefix: "p\x00snippets=true"}, // crafted prefix can't fake the flag
-		{Text: "cat dog", Snippets: true, PathPrefix: "p"},
-		{Text: "cat dog", MaxPrefixTerms: 64},              // explicit cap keys separately
-		{Text: "cat dog", MaxPrefixTerms: 1024},            // ...even when equal to the default
-		{Text: "cat dog", PathPrefix: "p\x00maxprefix=64"}, // crafted prefix can't fake the cap
+		{Text: `"cat dog"`},                                           // phrase ≠ conjunction in the key
+		{Text: "cat dog", Ranking: RankBM25},                          // each rank name keys separately
+		{Text: "cat dog", Snippets: true, Limit: 1},                   // snippet flag keys separately
+		{Text: "cat dog", Limit: 1},                                   // ...from the plain limited request
+		{Text: "cat do*"},                                             // prefix operator ≠ the term
+		{Text: "cat dog", Limit: 2, PathPrefix: "p\x00snippets=true"}, // crafted prefix can't fake the flag
+		{Text: "cat dog", Limit: 2, Snippets: true, PathPrefix: "p"},  // (snippets need a limit)
+		{Text: "cat dog", MaxPrefixTerms: 64},                         // explicit cap keys separately
+		{Text: "cat dog", MaxPrefixTerms: 1024},                       // ...even when equal to the default
+		{Text: "cat dog", PathPrefix: "p\x00maxprefix=64"},            // crafted prefix can't fake the cap
 		{Text: "cat dog", MaxPrefixTerms: 64, PathPrefix: "p"},
 	}
 	keys := map[string]int{}
 	for i, q := range requests {
-		_, key, err := q.Normalize()
+		key, err := normalizedKey(q)
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
@@ -512,7 +524,7 @@ func TestNormalizeKeyInjective(t *testing.T) {
 		keys[key] = i
 	}
 	// The prefix field must be length-delimited, not merely separated.
-	_, key, err := (Query{Text: "cat", PathPrefix: "docs/"}).Normalize()
+	key, err := normalizedKey(Query{Text: "cat", PathPrefix: "docs/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +536,7 @@ func TestNormalizeKeyInjective(t *testing.T) {
 	if !strings.Contains(key, "rank=count") || !strings.Contains(key, "snippets=false") {
 		t.Errorf("key %q does not carry the rank name and snippet flag", key)
 	}
-	_, key, err = (Query{Text: "cat", Ranking: RankBM25, Snippets: true, Limit: 3}).Normalize()
+	key, err = normalizedKey(Query{Text: "cat", Ranking: RankBM25, Snippets: true, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
