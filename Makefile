@@ -76,11 +76,14 @@ bench-selftest:
 docs-check:
 	$(GO) run ./cmd/docscheck
 
-# Ten seconds of fuzzing on the one decoder that reads another process's
-# bytes (a worker's partial, at the broker): long enough to shake out a
-# panic or an unbounded allocation, short enough to run on every push.
+# Ten seconds of fuzzing on each decoder that reads bytes this process did
+# not write — a worker's partial at the broker, and a segment file's
+# posting blocks under a lazy reader (both decode tiers and the streaming
+# iterator): long enough to shake out a panic or an unbounded allocation,
+# short enough to run on every push.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPartialDecode -fuzztime=10s ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzBlockDecode -fuzztime=10s ./internal/segment/
 
 # The size figures ROADMAP's State paragraph and every CHANGES entry
 # restate: Go lines outside the nested bench/ module split into product and

@@ -150,6 +150,10 @@ var (
 	// ErrPrefixTooBroad reports a prefix operator that expanded to more
 	// dictionary terms than the request's MaxPrefixTerms cap.
 	ErrPrefixTooBroad = search.ErrPrefixTooBroad
+	// ErrSegmentCorrupt reports a query that read a posting block of a
+	// lazily opened catalog that failed verification: the answer would
+	// have been incomplete, so the query fails instead.
+	ErrSegmentCorrupt = search.ErrSegmentCorrupt
 )
 
 // The request vocabulary — like the result types further down — aliases
@@ -179,6 +183,9 @@ const (
 	CodeNoPositions = search.CodeNoPositions
 	// CodePrefixTooBroad: prefix operator over the expansion cap.
 	CodePrefixTooBroad = search.CodePrefixTooBroad
+	// CodeSegmentCorrupt: a posting block failed verification while the
+	// query read it — the index's fault, not the request's.
+	CodeSegmentCorrupt = search.CodeSegmentCorrupt
 
 	// RankCount scores a hit by how many distinct positive query terms
 	// the file contains (coordination ranking, the default).
@@ -639,6 +646,20 @@ func (c *Catalog) BlockCache() (budget, used int64, ok bool) {
 		budget, used, ok = cache.MaxBytes(), cache.Bytes(), true
 	})
 	return budget, used, ok
+}
+
+// SegmentCorruptions counts the posting-block reads of a lazily opened
+// catalog that failed verification since it was opened; every query that
+// ran into one failed with ErrSegmentCorrupt. Always 0 for eager
+// catalogs, which verify everything at load.
+func (c *Catalog) SegmentCorruptions() uint64 {
+	var n uint64
+	c.engine.View(func() {
+		if c.lazy != nil {
+			n = c.lazy.Corruptions()
+		}
+	})
+	return n
 }
 
 // Positional reports whether the catalog carries token positions — the

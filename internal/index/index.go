@@ -238,6 +238,10 @@ func (ix *Index) Lookup(term string) *postings.List {
 	return l
 }
 
+// Counts is Lookup: the heap holds one list per term and hands it out
+// whatever the caller reads of it.
+func (ix *Index) Counts(term string) *postings.List { return ix.Lookup(term) }
+
 // Iterator returns a streaming cursor over term's in-memory posting
 // list, or nil if the term is absent. The cursor reads the index's own
 // storage: valid only while the index is unmutated (the engine's read

@@ -17,9 +17,20 @@ import (
 // implementation supports it at all, is excluded by the search engine's
 // maintenance lock, exactly as for *Index.
 type Partition interface {
-	// Lookup returns the posting list for term, or nil if absent. The
-	// returned list is shared storage — callers must not modify it.
+	// Lookup returns the full posting list for term — IDs, frequencies
+	// and, on a positional partition, token positions — or nil if absent.
+	// The returned list is shared storage — callers must not modify it.
+	// Only what reads positions calls it: phrase walks and snippets.
 	Lookup(term string) *postings.List
+
+	// Counts returns term's IDs and frequencies, or nil if absent, and
+	// promises nothing about positions: a heap index hands out its own
+	// list, a lazy segment stops decoding where the block's positions
+	// section starts and never reads it. Every consumer of a match set or
+	// a frequency — a term under OR or NOT, a single-term query, a prefix
+	// expansion — asks here, so a query decodes what it reads. Shared
+	// storage, like Lookup's.
+	Counts(term string) *postings.List
 
 	// Iterator returns a streaming cursor over term's postings, or nil
 	// when the term is absent — or, on a lazy backend, when its block is

@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -161,4 +162,58 @@ func TestFromSortedIDCountsClampsZero(t *testing.T) {
 	if _, _, err := Decode(l.Encode(nil)); err != nil {
 		t.Errorf("round trip after clamp: %v", err)
 	}
+}
+
+// TestMergeCountedSums pins what a prefix expansion relies on: whatever
+// form the operands are stored in — boolean, counted, positional — a
+// posting present in both ends with the sum of its two frequencies, and
+// the accumulator never carries positions.
+func TestMergeCountedSums(t *testing.T) {
+	boolA := FromSortedIDs([]FileID{1, 3, 5})
+	boolB := FromSortedIDs([]FileID{3, 4})
+	counted := FromSortedIDCounts([]FileID{2, 3}, []uint32{4, 2})
+	posA := FromSortedIDPositions([]FileID{1, 3, 5}, [][]uint32{{7}, {2}, {9}})
+	posB := FromSortedIDPositions([]FileID{3, 4}, [][]uint32{{5}, {1}})
+	posC := FromSortedIDPositions([]FileID{2, 3}, [][]uint32{{0, 1, 2, 3}, {8, 11}})
+
+	want := FromSortedIDCounts([]FileID{1, 2, 3, 4, 5}, []uint32{1, 4, 4, 1, 1})
+	for name, ops := range map[string][]*List{
+		"position-free": {boolA, boolB, counted},
+		"positional":    {posA, posB, posC},
+		"mixed":         {posA, boolB, posC},
+	} {
+		u := &List{}
+		for _, l := range ops {
+			u.MergeCounted(l)
+		}
+		if u.HasPositions() || !u.Equal(want) {
+			t.Errorf("%s: union = %v with counts %v (positions %v), want %v with %v",
+				name, u.IDs(), countsOf(u), u.HasPositions(), want.IDs(), countsOf(want))
+		}
+	}
+	// The positional merge the snippet path keeps arrives at the same
+	// frequencies, as run lengths.
+	p := &List{}
+	for _, l := range []*List{posA, posB, posC} {
+		p.Merge(l)
+	}
+	if fmt.Sprint(countsOf(p)) != fmt.Sprint(countsOf(want)) {
+		t.Errorf("positional Merge counts %v, MergeCounted %v", countsOf(p), countsOf(want))
+	}
+	// Merge's set semantics for two boolean lists is what MergeCounted
+	// exists to avoid.
+	if got := (&List{}).Merge(boolA).Merge(boolB).CountOf(3); got != 1 {
+		t.Errorf("Merge of boolean lists gives file 3 frequency %d, want 1", got)
+	}
+	if boolA.Len() != 3 || posA.CountAt(1) != 1 {
+		t.Error("MergeCounted modified an operand")
+	}
+}
+
+func countsOf(l *List) []uint32 {
+	out := make([]uint32, l.Len())
+	for i := range out {
+		out[i] = l.CountAt(i)
+	}
+	return out
 }

@@ -195,6 +195,75 @@ func TestDecodePositionalRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodePositionalAllocations is the flat-decode claim as a count:
+// however many postings and positions a list has, decoding it allocates
+// the list, its IDs, the per-posting subslice headers and one flat
+// position slice — not one slice per posting.
+func TestDecodePositionalAllocations(t *testing.T) {
+	for _, counted := range []bool{false, true} {
+		l := &List{}
+		for f := 0; f < 500; f++ {
+			pos := []uint32{uint32(f)}
+			if counted {
+				pos = append(pos, uint32(f)+3, uint32(f)+9)
+			}
+			l.AddPositions(FileID(2*f+1), pos)
+		}
+		buf := l.EncodePositional(nil)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := DecodePositional(buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("counted=%v: DecodePositional of a 500-posting list allocates %.0f times, want <= 4", counted, allocs)
+		}
+	}
+}
+
+// TestDecodePositionalRunsAreCapped checks the subslices handed out over
+// the flat position slice cannot grow into each other: a merge that
+// appends to one posting's run must leave the next posting's intact.
+func TestDecodePositionalRunsAreCapped(t *testing.T) {
+	l := positional(map[FileID][]uint32{1: {0, 2}, 7: {1, 5}}, []FileID{1, 7})
+	got, _, err := DecodePositional(l.EncodePositional(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < got.Len(); i++ {
+		if p := got.PositionsAt(i); cap(p) != len(p) {
+			t.Fatalf("posting %d: run has len %d cap %d", i, len(p), cap(p))
+		}
+	}
+	_ = append(got.PositionsAt(0), 99)
+	if p := got.PositionsAt(1); p[0] != 1 || p[1] != 5 {
+		t.Fatalf("append through posting 0 overwrote posting 1: %v", p)
+	}
+}
+
+// TestDecodeStopsBeforePositions pins what the counts tier of a lazy
+// segment rides: Decode on a positional encoding returns the IDs and
+// frequencies and consumes nothing of the positions section.
+func TestDecodeStopsBeforePositions(t *testing.T) {
+	l := positional(map[FileID][]uint32{2: {0, 4, 8}, 9: {1}}, []FileID{2, 9})
+	buf := l.EncodePositional(nil)
+	got, n, err := Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(l.Encode(nil)); n != want {
+		t.Fatalf("Decode consumed %d bytes, the base encoding is %d", n, want)
+	}
+	if got.HasPositions() {
+		t.Fatal("Decode returned positions")
+	}
+	for i, id := range l.IDs() {
+		if got.IDs()[i] != id || got.CountAt(i) != l.CountAt(i) {
+			t.Fatalf("posting %d: got (%d, %d), want (%d, %d)", i, got.IDs()[i], got.CountAt(i), id, l.CountAt(i))
+		}
+	}
+}
+
 // TestEncodeBytesStable pins the non-positional encoding byte for byte:
 // the positional feature must leave non-positional output byte-identical,
 // so this golden value must never change.

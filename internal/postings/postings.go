@@ -119,6 +119,11 @@ func (l *List) normalize() {
 // positional intersection.
 func (l *List) HasPositions() bool { return l.positions != nil }
 
+// HasCounts reports whether the list stores an explicit frequency per
+// posting. A boolean list (every frequency 1) and a positional list (whose
+// frequencies are its run lengths) store none.
+func (l *List) HasCounts() bool { return l.counts != nil }
+
 // PositionsAt returns the ascending token positions of the posting at
 // position i, or nil for a non-positional list. The returned slice is the
 // list's backing storage; callers must not modify it.
@@ -505,6 +510,33 @@ func (l *List) Merge(other *List) *List {
 		l.positions = positions
 	}
 	return l
+}
+
+// MergeCounted merges other into l like Merge, for an accumulator that
+// wants frequencies and nothing else: the result never carries positions,
+// and the frequencies of a posting present in both always sum — also when
+// both sides are boolean lists, where Merge keeps set semantics. It is how
+// a prefix operator's expansion adds up a file's occurrences over the
+// matched terms, and it reads the same numbers from a positional list (its
+// run lengths) as from the position-free decode of the same block.
+func (l *List) MergeCounted(other *List) *List {
+	if other == nil || len(other.ids) == 0 {
+		return l
+	}
+	l.demotePositions()
+	if len(l.ids) == 0 {
+		l.ids = append(l.ids, other.ids...)
+		l.counts = nil
+		if other.counts != nil || other.positions != nil {
+			l.counts = make([]uint32, len(other.ids))
+			for i := range l.counts {
+				l.counts[i] = other.CountAt(i)
+			}
+		}
+		return l
+	}
+	l.materializeCounts()
+	return l.Merge(other)
 }
 
 // WithoutCounts returns a frequency- and position-free view of the list:

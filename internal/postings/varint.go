@@ -107,8 +107,47 @@ func (l *List) EncodePositional(dst []byte) []byte {
 }
 
 // Decode parses a list encoded by Encode from buf, returning the list and
-// the number of bytes consumed.
+// the number of bytes consumed. It stops at the end of the frequency
+// section: handed a positional encoding it returns the IDs and
+// frequencies and leaves the positions section unread, which is what lets
+// a reader that needs no positions skip the largest part of a block.
 func Decode(buf []byte) (*List, int, error) {
+	ids, off, err := decodeIDs(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	l := &List{ids: ids}
+	if off >= len(buf) {
+		return nil, 0, fmt.Errorf("postings: missing frequency marker")
+	}
+	marker := buf[off]
+	off++
+	switch marker {
+	case listBoolean:
+	case listCounted:
+		l.counts = make([]uint32, 0, len(ids))
+		for i := range ids {
+			c, n := binary.Uvarint(buf[off:])
+			if n <= 0 {
+				return nil, 0, fmt.Errorf("postings: corrupt frequency at %d", i)
+			}
+			if c > 0xFFFF_FFFE {
+				return nil, 0, fmt.Errorf("postings: frequency %d overflows at %d", c, i)
+			}
+			off += n
+			l.counts = append(l.counts, uint32(c)+1)
+		}
+		l.normalize()
+	default:
+		return nil, 0, fmt.Errorf("postings: unknown frequency marker %d", marker)
+	}
+	return l, off, nil
+}
+
+// decodeIDs parses the count and the delta-coded ID section every
+// encoding starts with, returning the IDs and the offset of the frequency
+// marker.
+func decodeIDs(buf []byte) ([]FileID, int, error) {
 	count, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("postings: corrupt count")
@@ -117,7 +156,7 @@ func Decode(buf []byte) (*List, int, error) {
 		return nil, 0, fmt.Errorf("postings: count %d exceeds buffer", count)
 	}
 	off := n
-	l := &List{ids: make([]FileID, 0, count)}
+	ids := make([]FileID, 0, count)
 	var prev uint64
 	for i := uint64(0); i < count; i++ {
 		delta, n := binary.Uvarint(buf[off:])
@@ -137,19 +176,42 @@ func Decode(buf []byte) (*List, int, error) {
 		if id > 0xFFFF_FFFF {
 			return nil, 0, fmt.Errorf("postings: id %d overflows FileID", id)
 		}
-		l.ids = append(l.ids, FileID(id))
+		ids = append(ids, FileID(id))
 		prev = id
+	}
+	return ids, off, nil
+}
+
+// DecodePositional parses a list encoded by EncodePositional from buf,
+// returning the list and the number of bytes consumed. Position runs are
+// validated like the ID section: strictly ascending (a zero delta after
+// the first is a duplicate), bounded, and capped against the buffer so a
+// corrupt frequency section cannot force an absurd allocation.
+//
+// All positions land in one flat slice and each posting gets a capped
+// subslice of it, so a decoded list costs four allocations (the list, its
+// IDs, the subslice headers, the positions) however many postings it has.
+// The frequency section is read twice — once to size the flat slice, once
+// as the run lengths while the positions stream — instead of being
+// materialized: a positional list derives its frequencies from its runs.
+func DecodePositional(buf []byte) (*List, int, error) {
+	ids, off, err := decodeIDs(buf)
+	if err != nil {
+		return nil, 0, err
 	}
 	if off >= len(buf) {
 		return nil, 0, fmt.Errorf("postings: missing frequency marker")
 	}
 	marker := buf[off]
 	off++
-	switch marker {
-	case listBoolean:
-	case listCounted:
-		l.counts = make([]uint32, 0, count)
-		for i := uint64(0); i < count; i++ {
+	if marker != listBoolean && marker != listCounted {
+		return nil, 0, fmt.Errorf("postings: unknown frequency marker %d", marker)
+	}
+	freqOff := off
+	total := uint64(len(ids))
+	if marker == listCounted {
+		total = 0
+		for i := range ids {
 			c, n := binary.Uvarint(buf[off:])
 			if n <= 0 {
 				return nil, 0, fmt.Errorf("postings: corrupt frequency at %d", i)
@@ -158,78 +220,63 @@ func Decode(buf []byte) (*List, int, error) {
 				return nil, 0, fmt.Errorf("postings: frequency %d overflows at %d", c, i)
 			}
 			off += n
-			l.counts = append(l.counts, uint32(c)+1)
+			total += c + 1
+			if total > uint64(len(buf)) { // each position takes ≥1 byte
+				return nil, 0, fmt.Errorf("postings: position count %d at posting %d exceeds buffer", total, i)
+			}
 		}
-		l.normalize()
-	default:
-		return nil, 0, fmt.Errorf("postings: unknown frequency marker %d", marker)
-	}
-	return l, off, nil
-}
-
-// DecodePositional parses a list encoded by EncodePositional from buf,
-// returning the list and the number of bytes consumed. Position runs are
-// validated like the ID section: strictly ascending (a zero delta after
-// the first is a duplicate), bounded, and capped against the buffer so a
-// corrupt frequency section cannot force an absurd allocation.
-func DecodePositional(buf []byte) (*List, int, error) {
-	l, off, err := Decode(buf)
-	if err != nil {
-		return nil, 0, err
 	}
 	if off >= len(buf) {
 		return nil, 0, fmt.Errorf("postings: missing positions marker")
 	}
-	marker := buf[off]
+	posMarker := buf[off]
 	off++
-	switch marker {
+	switch posMarker {
 	case posAbsent:
-		return l, off, nil
+		l, _, err := Decode(buf)
+		return l, off, err
 	case posPresent:
-		// Snapshot the frequencies before installing position storage:
-		// CountAt derives from positions once they exist, and the slots are
-		// still empty here.
-		counts := make([]int, len(l.ids))
-		for i := range l.ids {
-			counts[i] = int(l.CountAt(i))
-		}
-		l.positions = make([][]uint32, len(l.ids))
-		for i := range l.ids {
-			count := counts[i]
-			if count > len(buf)-off { // each position takes ≥1 byte
-				return nil, 0, fmt.Errorf("postings: position count %d at posting %d exceeds buffer", count, i)
-			}
-			p := make([]uint32, 0, count)
-			var prev uint64
-			for k := 0; k < count; k++ {
-				delta, n := binary.Uvarint(buf[off:])
-				if n <= 0 {
-					return nil, 0, fmt.Errorf("postings: corrupt position at posting %d", i)
-				}
-				off += n
-				var v uint64
-				if k == 0 {
-					v = delta
-				} else {
-					if delta == 0 {
-						return nil, 0, fmt.Errorf("postings: zero position delta at posting %d (duplicate position)", i)
-					}
-					v = prev + delta
-				}
-				if v > 0xFFFF_FFFF {
-					return nil, 0, fmt.Errorf("postings: position %d overflows at posting %d", v, i)
-				}
-				p = append(p, uint32(v))
-				prev = v
-			}
-			l.positions[i] = p
-		}
-		// Positions are authoritative for frequencies from here on.
-		l.counts = nil
-		return l, off, nil
 	default:
-		return nil, 0, fmt.Errorf("postings: unknown positions marker %d", marker)
+		return nil, 0, fmt.Errorf("postings: unknown positions marker %d", posMarker)
 	}
+	if total > uint64(len(buf)-off) {
+		return nil, 0, fmt.Errorf("postings: position count %d exceeds buffer", total)
+	}
+	flat := make([]uint32, 0, total)
+	positions := make([][]uint32, len(ids))
+	for i := range ids {
+		count := 1
+		if marker == listCounted {
+			c, n := binary.Uvarint(buf[freqOff:]) // validated by the sizing pass
+			freqOff += n
+			count = int(c) + 1
+		}
+		start := len(flat)
+		var prev uint64
+		for k := 0; k < count; k++ {
+			delta, n := binary.Uvarint(buf[off:])
+			if n <= 0 {
+				return nil, 0, fmt.Errorf("postings: corrupt position at posting %d", i)
+			}
+			off += n
+			v := delta
+			if k > 0 {
+				if delta == 0 {
+					return nil, 0, fmt.Errorf("postings: zero position delta at posting %d (duplicate position)", i)
+				}
+				v = prev + delta
+			}
+			if v > 0xFFFF_FFFF {
+				return nil, 0, fmt.Errorf("postings: position %d overflows at posting %d", v, i)
+			}
+			flat = append(flat, uint32(v))
+			prev = v
+		}
+		// Capped, so an append through one posting's run (AddPositions,
+		// a merge) reallocates instead of overwriting its neighbour's.
+		positions[i] = flat[start:len(flat):len(flat)]
+	}
+	return &List{ids: ids, positions: positions}, off, nil
 }
 
 // EncodedSize returns the exact number of bytes Encode will produce.

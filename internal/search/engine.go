@@ -319,14 +319,16 @@ type evalEnv struct {
 // inside queryOne while Query still holds the engine's read lock (updates
 // commit under the write lock), and the hits handed back to the caller are
 // independent structs — so the lookup stays allocation-free on the hot
-// path.
+// path. A term is a match set here — IDs under OR and NOT and for a
+// single-term query, frequencies never — so it asks the partition for
+// Counts, not Lookup: a lazy segment then decodes no position.
 func (env *evalEnv) eval(n node) (*postings.List, error) {
 	if env.ctx.Err() != nil {
 		return &postings.List{}, nil
 	}
 	switch v := n.(type) {
 	case termNode:
-		l := env.ix.Lookup(v.term)
+		l := env.ix.Counts(v.term)
 		if l == nil {
 			return &postings.List{}, nil
 		}
@@ -428,7 +430,8 @@ func (env *evalEnv) evalAnd(v andNode) (*postings.List, error) {
 		it := env.ix.Iterator(g.term)
 		if it == nil {
 			// DocFreq saw the term but the iterator did not: the block
-			// is corrupt, and corrupt means absent, as for Lookup.
+			// is corrupt, and corrupt means absent, as for Lookup. The
+			// partition counted the fault, so Query fails on its way out.
 			return &postings.List{}, nil
 		}
 		its[i] = it

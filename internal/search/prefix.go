@@ -47,7 +47,15 @@ var ErrPrefixTooBroad = errors.New("search: prefix matches too many terms")
 // posting blocks are decoded. Sorted term order (a Partition guarantee)
 // makes the union's construction order, and hence positional merges,
 // identical across backends.
-func expandPrefixes(ix index.Partition, q *Query, maxTerms int) ([]*postings.List, error) {
+//
+// positions says the caller reads the unions' positions — a request for
+// snippets anchors its windows on them — and makes each union a positional
+// merge of the terms' full lists (Lookup). Everything else wants a match
+// set and the summed frequencies, and gets them from Counts: the numbers
+// are the same (a file's occurrences under two terms are disjoint
+// positions, so the merged run is as long as the counts' sum), and a lazy
+// segment decodes no position for them.
+func expandPrefixes(ix index.Partition, q *Query, maxTerms int, positions bool) ([]*postings.List, error) {
 	if len(q.prefixes) == 0 {
 		return nil, nil
 	}
@@ -67,7 +75,11 @@ func expandPrefixes(ix index.Partition, q *Query, maxTerms int) ([]*postings.Lis
 					ErrPrefixTooBroad, p+"*", limit)}
 				return false
 			}
-			u.Merge(ix.Lookup(term))
+			if positions {
+				u.Merge(ix.Lookup(term))
+			} else {
+				u.MergeCounted(ix.Counts(term))
+			}
 			return true
 		})
 		if broad != nil {

@@ -349,6 +349,43 @@ func TestSnippets(t *testing.T) {
 	}
 }
 
+// TestPrefixFrequenciesSumAcrossTerms pins a prefix operator's frequency
+// as the file's occurrences summed over the matched terms, whatever form
+// the terms' lists are stored in: a file with one "report" and one
+// "reports" scores repor* as 2 under RankTF on a positional index, on a
+// position-free one (where both lists are boolean and a set union would
+// say 1), and with snippets on, where the union is a positional merge.
+func TestPrefixFrequenciesSumAcrossTerms(t *testing.T) {
+	docs := [][]string{
+		strings.Fields("report reports filed"),
+		strings.Fields("reports only"),
+	}
+	files, positional := positionalFixture(docs)
+	plain := index.New(0)
+	for i, tokens := range docs {
+		plain.AddBlock(postings.FileID(i), tokens, nil)
+	}
+	for _, tc := range []struct {
+		name     string
+		ix       *index.Index
+		snippets bool
+	}{
+		{"positional", positional, false},
+		{"positional with snippets", positional, true},
+		{"position-free", plain, false},
+	} {
+		res, err := NewEngine(files, tc.ix).Query(context.Background(), Request{
+			Query: MustParse("repor*"), Ranking: RankTF, Limit: 5, Snippets: tc.snippets,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(res.Hits) != 2 || res.Hits[0].Path != "f0" || res.Hits[0].Score != 2 || res.Hits[1].Score != 1 {
+			t.Errorf("%s: hits = %+v, want f0 with score 2 then f1 with score 1", tc.name, res.Hits)
+		}
+	}
+}
+
 func TestSnippetPrefixHighlight(t *testing.T) {
 	files, ix := positionalFixture([][]string{
 		strings.Fields("alpha reporting beta gamma"),

@@ -174,11 +174,57 @@ func (e *Engine) DocFreqs(ctx context.Context, q *Query, maxPrefixTerms int) (*D
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	expansions, err := e.expandAll(ctx, q, maxPrefixTerms)
+	marks := e.corruptionMarks()
+	expansions, err := e.expandAll(ctx, q, maxPrefixTerms, false)
 	if err != nil {
 		return nil, err
 	}
+	if err := e.corruptedSince(marks); err != nil {
+		return nil, err
+	}
 	return e.localDF(q, expansions), nil
+}
+
+// verifier is what a partition that verifies its posting data as it reads
+// it (segment.Reader) offers beyond index.Partition. Such a read has no
+// error return: a block that fails its checksum reads as an absent term,
+// which would make the answer silently incomplete. The engine therefore
+// brackets every evaluation with Corruptions and fails the query when the
+// count moved. A concurrent query that hit a bad block fails this one too;
+// it is the partition that is unfit, not the query.
+type verifier interface {
+	Corruptions() uint64
+	Err() error
+}
+
+// corruptionMarks reads every verifying partition's corruption count; nil
+// when there is none (a heap engine). The caller holds e.mu.
+func (e *Engine) corruptionMarks() []uint64 {
+	var marks []uint64
+	for i, ix := range e.indices {
+		if v, ok := ix.(verifier); ok {
+			if marks == nil {
+				marks = make([]uint64, len(e.indices))
+			}
+			marks[i] = v.Corruptions()
+		}
+	}
+	return marks
+}
+
+// corruptedSince reports, as a typed QueryError, the first partition whose
+// corruption count moved since marks were taken.
+func (e *Engine) corruptedSince(marks []uint64) error {
+	if marks == nil {
+		return nil
+	}
+	for i, ix := range e.indices {
+		if v, ok := ix.(verifier); ok && v.Corruptions() != marks[i] {
+			return &QueryError{Code: CodeSegmentCorrupt,
+				Err: fmt.Errorf("%w: partition %d (first fault: %v)", ErrSegmentCorrupt, i, v.Err())}
+		}
+	}
+	return nil
 }
 
 // eachPartition calls fn once per partition and returns when every call
@@ -207,17 +253,18 @@ func (e *Engine) eachPartition(ctx context.Context, fn func(i int, ix index.Part
 }
 
 // expandAll expands q's prefix operators on every partition, under the
-// maxPrefixTerms cap; the result is nil when q has none. On failure it
+// maxPrefixTerms cap; the result is nil when q has none. positions asks
+// for unions that carry positions (see expandPrefixes). On failure it
 // reports the first failing partition in partition order, so the reported
 // prefix does not vary with goroutine scheduling.
-func (e *Engine) expandAll(ctx context.Context, q *Query, maxPrefixTerms int) ([][]*postings.List, error) {
+func (e *Engine) expandAll(ctx context.Context, q *Query, maxPrefixTerms int, positions bool) ([][]*postings.List, error) {
 	if len(q.prefixes) == 0 {
 		return nil, nil
 	}
 	expansions := make([][]*postings.List, len(e.indices))
 	errs := make([]error, len(e.indices))
 	e.eachPartition(ctx, func(i int, ix index.Partition) {
-		expansions[i], errs[i] = expandPrefixes(ix, q, maxPrefixTerms)
+		expansions[i], errs[i] = expandPrefixes(ix, q, maxPrefixTerms, positions)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -293,10 +340,13 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	unis := e.lockShared()
 	defer e.mu.RUnlock()
 
+	marks := e.corruptionMarks()
+
 	// Prefix operators expand before evaluation fans out: the cap error
 	// must not depend on boolean short-circuiting, and BM25 needs every
 	// partition's expansion to aggregate global document frequencies.
-	expansions, err := e.expandAll(ctx, req.Query, req.MaxPrefixTerms)
+	// Snippet anchors are the one reader of an expansion's positions.
+	expansions, err := e.expandAll(ctx, req.Query, req.MaxPrefixTerms, req.Snippets)
 	if err != nil {
 		return nil, err
 	}
@@ -328,6 +378,9 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		parts[i] = e.queryOne(ctx, ix, unis[i], req, k, exp, bm)
 	})
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := e.corruptedSince(marks); err != nil {
 		return nil, err
 	}
 	for _, p := range parts {

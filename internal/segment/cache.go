@@ -14,8 +14,12 @@ const DefaultCacheBytes = 64 << 20
 
 // Cache is a bounded LRU of decoded posting blocks, shared by every lazy
 // Reader of a catalog so the memory budget is global, not per-segment.
-// Entries are keyed by (reader, term ordinal); closing a reader drops its
-// entries. Safe for concurrent use.
+// Entries are keyed by (reader, term ordinal) and there is one per block,
+// at the richest tier decoded so far: a counts-only list (IDs and
+// frequencies, what Reader.Counts decodes) is replaced by the full list
+// the first time Reader.Lookup wants the term's positions, and never the
+// other way round. Closing a reader drops its entries. Safe for
+// concurrent use.
 type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -32,11 +36,12 @@ type cacheKey struct {
 type cacheEntry struct {
 	key   cacheKey
 	l     *postings.List
+	pos   bool // l is the full decode of a positional block
 	bytes int64
 }
 
-// NewCache returns a cache holding at most maxBytes of decoded postings
-// (estimated); non-positive means DefaultCacheBytes.
+// NewCache returns a cache holding at most maxBytes of decoded postings,
+// counted as listBytes counts them; non-positive means DefaultCacheBytes.
 func NewCache(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
@@ -63,18 +68,28 @@ func (c *Cache) MaxBytes() int64 {
 	return c.maxBytes
 }
 
-func (c *Cache) get(owner *Reader, ord int) (*postings.List, bool) {
+// get returns the cached list of (owner, ord). With needPos only a full
+// decode answers; a counts-only entry is then a miss, and the put that
+// follows the caller's decode replaces it.
+func (c *Cache) get(owner *Reader, ord int, needPos bool) (*postings.List, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[cacheKey{owner, ord}]
 	if !ok {
 		return nil, false
 	}
+	e := el.Value.(*cacheEntry)
+	if needPos && !e.pos {
+		return nil, false
+	}
 	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).l, true
+	return e.l, true
 }
 
-func (c *Cache) put(owner *Reader, ord int, l *postings.List) {
+// put caches l as the decode of (owner, ord); pos says it carries the
+// block's positions. An entry already there stays unless l is the richer
+// tier, in which case l takes its place and the bytes are re-accounted.
+func (c *Cache) put(owner *Reader, ord int, l *postings.List, pos bool) {
 	size := listBytes(l)
 	if size > c.maxBytes {
 		return // would evict everything and still not fit
@@ -82,13 +97,20 @@ func (c *Cache) put(owner *Reader, ord int, l *postings.List) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := cacheKey{owner, ord}
-	if el, ok := c.entries[key]; ok { // lost a race with a concurrent miss
+	if el, ok := c.entries[key]; ok {
+		e := el.Value.(*cacheEntry)
 		c.lru.MoveToFront(el)
-		return
+		if e.pos || !pos {
+			return // lost a race with a concurrent miss of the same tier
+		}
+		c.bytes += size - e.bytes
+		owner.cached.Add(size - e.bytes)
+		e.l, e.pos, e.bytes = l, true, size
+	} else {
+		c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, l: l, pos: pos, bytes: size})
+		c.bytes += size
+		owner.cached.Add(size)
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, l: l, bytes: size})
-	c.bytes += size
-	owner.cached.Add(size)
 	for c.bytes > c.maxBytes {
 		c.evictOldest()
 	}
@@ -125,16 +147,29 @@ func (c *Cache) dropOwner(r *Reader) {
 	}
 }
 
-// listBytes estimates a decoded list's heap footprint.
+// entryOverhead is what one cached block costs beside its posting data:
+// the postings.List struct (80 B), the cacheEntry (48), the LRU's
+// list.Element (48) and the entry's slot in the map (24 B of key and value,
+// about 40 at the map's average load). Charged per entry, so a cache full of
+// one-posting lists holds what MaxBytes says, not several times that.
+const entryOverhead = 80 + 48 + 48 + 40
+
+// listBytes is a decoded list's heap footprint as the cache charges it:
+// the fixed per-entry overhead, four bytes per ID, four per explicit
+// frequency when the list stores any (a boolean list does not), and for
+// a positional list one slice header per posting plus four bytes per
+// position — exact since DecodePositional lays positions out flat.
 func listBytes(l *postings.List) int64 {
-	b := int64(64) // List struct + slice headers
-	b += int64(l.Len()) * 4
-	if l.HasPositions() {
+	n := int64(l.Len())
+	b := entryOverhead + 4*n
+	switch {
+	case l.HasPositions():
+		b += 24 * n
 		for i := 0; i < l.Len(); i++ {
-			b += 24 + int64(len(l.PositionsAt(i)))*4
+			b += 4 * int64(len(l.PositionsAt(i)))
 		}
-	} else {
-		b += int64(l.Len()) * 4 // counts slice upper bound
+	case l.HasCounts():
+		b += 4 * n
 	}
 	return b
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"desksearch/internal/fnv"
 	"desksearch/internal/postings"
 )
 
@@ -76,19 +75,15 @@ func (r *Reader) Iter(term string) (*Iter, error) {
 // iterAt builds the streaming iterator for term ordinal ord.
 func (r *Reader) iterAt(ord int) (*Iter, error) {
 	e := &r.entries[ord]
-	blk, err := r.src.slice(r.blocksOff+e.off, e.blen)
+	blk, err := r.block(e)
 	if err != nil {
-		return nil, fmt.Errorf("segment: %s: term %q: %w", r.path, e.term, err)
-	}
-	if got := fnv.Hash64Bytes(blk); got != e.sum {
-		return nil, fmt.Errorf("segment: %s: term %q: block checksum mismatch: dictionary %#x, computed %#x",
-			r.path, e.term, e.sum, got)
+		return nil, err
 	}
 
 	c := &cursor{b: blk}
-	skipN := c.uvarint()
-	if want := uint64(maxSkips(e.df)); skipN != want {
-		return nil, fmt.Errorf("segment: %s: term %q: %d skip entries, want %d", r.path, e.term, skipN, want)
+	skipN, err := skipCount(c, e.df)
+	if err != nil {
+		return nil, fmt.Errorf("segment: %s: term %q: %w", r.path, e.term, err)
 	}
 	skips := make([]skipEntry, 0, skipN)
 	var sid uint64

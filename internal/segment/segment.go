@@ -28,6 +28,23 @@
 // stack — boolean, phrase, prefix, BM25, snippets, suggestions — runs on a
 // lazily opened catalog bit-identically to a heap-loaded one.
 //
+// A block is decoded as far as its caller reads. The posting-list encoding
+// puts IDs first, frequencies second and positions last, and positions
+// are most of a positional block, so the Partition seam has two list
+// reads: Counts decodes IDs and frequencies and stops (postings.Decode),
+// Lookup decodes everything (postings.DecodePositional). Iterator streams
+// the raw bytes and decodes nothing up front. All three verify the block's
+// checksum and skip table first, every time the block is not served from
+// the cache. The Cache keeps one entry per block at the richest tier
+// decoded so far — a counts-only entry answers Counts and Iterator, the
+// first Lookup replaces it with the full list — and charges each entry
+// what it costs the heap, bookkeeping included. BlockDecodes counts
+// decodes of either tier, PositionDecodes those that read positions. A
+// block that fails verification reads as an absent term, since none of
+// the reads can return an error; Err keeps the first such fault and
+// Corruptions counts them, which is how the search engine knows to fail
+// the query instead of answering without the term.
+//
 // docs/FORMAT.md is the authoritative spec of the layout, including why
 // v10 departs from the single-frame whole-file-checksum shape (verifying a
 // trailer over all postings would make open O(file) again).
@@ -90,17 +107,21 @@ type Reader struct {
 	blocksOff  int64 // file offset of the block region
 
 	cache *Cache
-	// decodes counts posting-block decodes (cache misses) — the lazy
-	// contract's observable: Open performs none.
-	decodes atomic.Uint64
+	// decodes counts posting-block decodes of either tier (cache misses) —
+	// the lazy contract's observable: Open performs none. posDecodes
+	// counts the ones that went on into a positions section.
+	decodes    atomic.Uint64
+	posDecodes atomic.Uint64
 	// cached tracks the estimated bytes this reader holds in the shared
 	// cache (the cache decrements it on eviction).
 	cached atomic.Int64
 
-	// corrupt records the first posting-block corruption found by a
-	// lazy Lookup, which has no error return. Err surfaces it.
-	corruptMu sync.Mutex
-	corrupt   error
+	// corrupt records the first posting-block corruption found by a lazy
+	// read, none of which has an error return, and corruptions counts
+	// them all. Err and Corruptions surface them.
+	corruptMu   sync.Mutex
+	corrupt     error
+	corruptions atomic.Uint64
 }
 
 // OpenBytes opens an in-memory segment image, same contract as Open. The
@@ -263,17 +284,28 @@ func (r *Reader) Close() error {
 func (r *Reader) Path() string { return r.path }
 
 // BlockDecodes returns how many posting-block decodes the reader has
-// performed — 0 right after Open, by the lazy contract.
+// performed, of either tier — 0 right after Open, by the lazy contract.
 func (r *Reader) BlockDecodes() uint64 { return r.decodes.Load() }
 
-// Err returns the first posting-block corruption a lazy Lookup ran into
-// (Lookup has no error return; it reports the term absent and records the
-// fault here), or nil.
+// PositionDecodes returns how many of those decodes read a positions
+// section. Only Lookup on a positional segment does; a query that reads
+// no positions must leave it where it was.
+func (r *Reader) PositionDecodes() uint64 { return r.posDecodes.Load() }
+
+// Err returns the first posting-block corruption a lazy read ran into
+// (Lookup, Counts and Iterator have no error return; they report the term
+// absent and record the fault here), or nil.
 func (r *Reader) Err() error {
 	r.corruptMu.Lock()
 	defer r.corruptMu.Unlock()
 	return r.corrupt
 }
+
+// Corruptions returns how many reads have failed verification so far. A
+// corrupt block is never cached, so every read of it counts again: a
+// caller that sees the count move across an evaluation knows the
+// evaluation ran over an incomplete partition.
+func (r *Reader) Corruptions() uint64 { return r.corruptions.Load() }
 
 func (r *Reader) noteCorruption(err error) {
 	r.corruptMu.Lock()
@@ -281,6 +313,7 @@ func (r *Reader) noteCorruption(err error) {
 		r.corrupt = err
 	}
 	r.corruptMu.Unlock()
+	r.corruptions.Add(1)
 }
 
 // find returns the ordinal of term in the dictionary, or -1.
@@ -292,27 +325,40 @@ func (r *Reader) find(term string) int {
 	return -1
 }
 
-// Lookup returns the posting list for term, decoding (and caching) its
-// block on first use, or nil if the term is absent. A corrupt block also
-// reports absent and records the fault for Err — queries cannot return a
-// partial list.
-func (r *Reader) Lookup(term string) *postings.List {
+// Lookup returns the full posting list for term — with positions on a
+// positional segment — decoding (and caching) its block on first use, or
+// nil if the term is absent. A corrupt block also reports absent and
+// records the fault for Err — queries cannot return a partial list.
+func (r *Reader) Lookup(term string) *postings.List { return r.list(term, r.positional) }
+
+// Counts returns term's IDs and frequencies and never reads a position:
+// on a positional segment the decode stops where the block's positions
+// section starts. The block's checksum, skip table and document frequency
+// are verified exactly as for Lookup. A block Lookup has already decoded
+// is served from the cache as it is, positions and all.
+func (r *Reader) Counts(term string) *postings.List { return r.list(term, false) }
+
+// list serves Lookup (pos on a positional segment) and Counts from the
+// shared cache, which keeps one entry per block at the richest tier
+// decoded so far: a counts-only entry answers Counts and Iterator, and
+// the first Lookup of that term decodes the block in full and replaces it.
+func (r *Reader) list(term string, pos bool) *postings.List {
 	ord := r.find(term)
 	if ord < 0 {
 		return nil
 	}
 	if r.cache != nil {
-		if l, ok := r.cache.get(r, ord); ok {
+		if l, ok := r.cache.get(r, ord, pos); ok {
 			return l
 		}
 	}
-	l, err := r.decodeBlock(ord)
+	l, err := r.decodeBlock(ord, pos)
 	if err != nil {
 		r.noteCorruption(err)
 		return nil
 	}
 	if r.cache != nil {
-		r.cache.put(r, ord, l)
+		r.cache.put(r, ord, l, pos)
 	}
 	return l
 }
@@ -320,8 +366,9 @@ func (r *Reader) Lookup(term string) *postings.List {
 // Iterator returns a streaming cursor over term's postings, or nil when
 // the term is absent or its block corrupt (recorded for Err, mirroring
 // Lookup's corrupt-means-absent contract). When the block is already
-// decoded in the shared cache the cursor rides the decoded list — a
-// strict improvement, no re-streaming; otherwise it streams the raw
+// decoded in the shared cache, at either tier, the cursor rides the
+// decoded list — a strict improvement, no re-streaming; otherwise it
+// streams the raw
 // block bytes and no decode is counted: evaluation that visits a
 // fraction of the postings reads a fraction of the block and
 // BlockDecodes stays untouched.
@@ -331,7 +378,7 @@ func (r *Reader) Iterator(term string) index.PostingIterator {
 		return nil
 	}
 	if r.cache != nil {
-		if l, ok := r.cache.get(r, ord); ok {
+		if l, ok := r.cache.get(r, ord, false); ok {
 			return postings.NewIterator(l)
 		}
 	}
@@ -406,16 +453,14 @@ func (r *Reader) ResidentBytes() int64 {
 }
 
 // decodeBlock reads, verifies, and decodes term ordinal ord's posting
-// block, bypassing the cache.
-func (r *Reader) decodeBlock(ord int) (*postings.List, error) {
+// block, bypassing the cache. Without pos the decode of a positional
+// block ends with its frequency section; the verification before it — the
+// checksum over every byte of the block, the skip table — is the same.
+func (r *Reader) decodeBlock(ord int, pos bool) (*postings.List, error) {
 	e := &r.entries[ord]
-	blk, err := r.src.slice(r.blocksOff+e.off, e.blen)
+	blk, err := r.block(e)
 	if err != nil {
-		return nil, fmt.Errorf("segment: %s: term %q: %w", r.path, e.term, err)
-	}
-	if got := fnv.Hash64Bytes(blk); got != e.sum {
-		return nil, fmt.Errorf("segment: %s: term %q: block checksum mismatch: dictionary %#x, computed %#x",
-			r.path, e.term, e.sum, got)
+		return nil, err
 	}
 	enc, err := skipEncoded(blk, e.df)
 	if err != nil {
@@ -425,7 +470,7 @@ func (r *Reader) decodeBlock(ord int) (*postings.List, error) {
 		l *postings.List
 		n int
 	)
-	if r.positional {
+	if pos {
 		l, n, err = postings.DecodePositional(enc)
 	} else {
 		l, n, err = postings.Decode(enc)
@@ -433,7 +478,9 @@ func (r *Reader) decodeBlock(ord int) (*postings.List, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segment: %s: term %q: %w", r.path, e.term, err)
 	}
-	if n != len(enc) {
+	// What the counts tier leaves unread of a positional block is its
+	// positions section; any other decode must have consumed the block.
+	if stopsEarly := r.positional && !pos; n != len(enc) && !stopsEarly {
 		return nil, fmt.Errorf("segment: %s: term %q: %d trailing block bytes", r.path, e.term, len(enc)-n)
 	}
 	if l.Len() != e.df {
@@ -441,16 +488,35 @@ func (r *Reader) decodeBlock(ord int) (*postings.List, error) {
 			r.path, e.term, l.Len(), e.df)
 	}
 	r.decodes.Add(1)
+	if pos {
+		r.posDecodes.Add(1)
+	}
 	return l, nil
+}
+
+// block returns e's posting block, read and checked against the checksum
+// the dictionary holds for it. Every read of a block that is not served
+// from the cache — either decode tier, a streaming iterator — starts here:
+// no byte of a block is parsed before the whole block has verified.
+func (r *Reader) block(e *entry) ([]byte, error) {
+	blk, err := r.src.slice(r.blocksOff+e.off, e.blen)
+	if err != nil {
+		return nil, fmt.Errorf("segment: %s: term %q: %w", r.path, e.term, err)
+	}
+	if got := fnv.Hash64Bytes(blk); got != e.sum {
+		return nil, fmt.Errorf("segment: %s: term %q: block checksum mismatch: dictionary %#x, computed %#x",
+			r.path, e.term, e.sum, got)
+	}
+	return blk, nil
 }
 
 // skipEncoded validates a block's skip table and returns the posting-list
 // encoding that follows it. df bounds the plausible entry count.
 func skipEncoded(blk []byte, df int) ([]byte, error) {
 	c := &cursor{b: blk}
-	skipN := c.uvarint()
-	if want := uint64(maxSkips(df)); skipN != want {
-		return nil, fmt.Errorf("%d skip entries, want %d", skipN, want)
+	skipN, err := skipCount(c, df)
+	if err != nil {
+		return nil, err
 	}
 	for i := uint64(0); i < skipN; i++ {
 		c.uvarint() // idDelta
@@ -460,6 +526,21 @@ func skipEncoded(blk []byte, df int) ([]byte, error) {
 		return nil, fmt.Errorf("corrupt skip table: %w", c.err)
 	}
 	return blk[c.off:], nil
+}
+
+// skipCount reads the skip-entry count a block opens with and holds it to
+// what a df-posting block carries and to the block's own size — an entry
+// takes at least two bytes — so no loop or allocation is sized by a
+// number the block cannot back.
+func skipCount(c *cursor, df int) (uint64, error) {
+	skipN := c.uvarint()
+	if want := uint64(maxSkips(df)); skipN != want {
+		return 0, fmt.Errorf("%d skip entries, want %d", skipN, want)
+	}
+	if skipN > uint64(len(c.b))/2 {
+		return 0, fmt.Errorf("%d skip entries exceed the %d-byte block", skipN, len(c.b))
+	}
+	return skipN, nil
 }
 
 // maxSkips returns the number of skip entries a df-posting block carries:
@@ -473,7 +554,7 @@ func maxSkips(df int) int { return (df - 1) / skipInterval }
 // it decodes every block, so it costs what an eager load does.
 func (r *Reader) Verify() error {
 	for ord := range r.entries {
-		if _, err := r.decodeBlock(ord); err != nil {
+		if _, err := r.decodeBlock(ord, r.positional); err != nil {
 			return err
 		}
 	}
@@ -489,7 +570,7 @@ func (r *Reader) Materialize() (*index.Index, error) {
 		ix.SetPositional()
 	}
 	for ord := range r.entries {
-		l, err := r.decodeBlock(ord)
+		l, err := r.decodeBlock(ord, r.positional)
 		if err != nil {
 			return nil, err
 		}

@@ -15,7 +15,7 @@ import (
 // buildIndex makes a deterministic index: nFiles files over a vocabulary
 // sized so several terms are dense (present in most files, exercising skip
 // tables) and several are rare.
-func buildIndex(t *testing.T, nFiles int, positional bool) *index.Index {
+func buildIndex(t testing.TB, nFiles int, positional bool) *index.Index {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	ix := index.New(64)

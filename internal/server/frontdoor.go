@@ -297,13 +297,20 @@ func writeQueryError(w http.ResponseWriter, err error, timeout time.Duration, cl
 }
 
 // nodeErrorStatus is a node's Backend.ErrorStatus, shared with its worker
-// endpoints: an evaluation error that is not a timeout is deterministic —
-// a replica would fail the same way — and maps to 400, with typed query
-// errors contributing their stable code.
+// endpoints, and the one table from query-error code to status. An
+// evaluation error that is not a timeout is deterministic — a replica
+// would fail the same way — and maps to 400, with typed query errors
+// contributing their stable code; the exception is segment_corrupt, which
+// is this node's files failing verification: a 500, so a broker fails
+// over to a replica instead of passing a rejection through.
 func nodeErrorStatus(err error) (status int, msg, code string) {
+	status = http.StatusBadRequest
 	var qe *desksearch.QueryError
 	if errors.As(err, &qe) {
 		code = string(qe.Code)
+		if qe.Code == desksearch.CodeSegmentCorrupt {
+			status = http.StatusInternalServerError
+		}
 	}
-	return http.StatusBadRequest, err.Error(), code
+	return status, err.Error(), code
 }

@@ -51,5 +51,6 @@ func (s *Server) registerMetrics() {
 			}
 			return float64(budget)
 		})
-
+	reg.NewCounterFunc("ds_segment_corruptions_total", "Posting-block reads of a lazy catalog that failed verification; each failed its query (0 for heap catalogs).",
+		func() float64 { return float64(s.cat.SegmentCorruptions()) })
 }

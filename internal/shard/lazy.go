@@ -263,15 +263,14 @@ func (s *LazySet) Verify() error {
 	return nil
 }
 
-// Err returns the first posting-block corruption any shard ran into while
-// serving queries, or nil.
-func (s *LazySet) Err() error {
+// Corruptions sums the shards' counts of posting-block reads that failed
+// verification.
+func (s *LazySet) Corruptions() uint64 {
+	var n uint64
 	for _, r := range s.readers {
-		if err := r.Err(); err != nil {
-			return err
-		}
+		n += r.Corruptions()
 	}
-	return nil
+	return n
 }
 
 // Close releases every reader's mapping or file handle. Queries must have

@@ -83,18 +83,27 @@ func equalResponses(t *testing.T, label string, r1, r2 *Response) {
 }
 
 // TestLazyBackendEquality is the refactor's property test: every query
-// shape, against heap-loaded and lazily opened views of the same saved
-// catalog, must answer identically down to the score bits — across
-// catalogs saved fresh, sharded, and positional.
+// shape, with and without snippets, against heap-loaded and lazily opened
+// views of the same saved catalog, must answer identically down to the
+// score bits — across catalogs saved fresh, sharded, and positional. One
+// lazy view has room for every block; the other's cache holds a handful,
+// so the same stream evicts, re-decodes and upgrades counts-only entries
+// to full ones under it, and must not answer differently for that.
 func TestLazyBackendEquality(t *testing.T) {
 	queries := []Query{
 		{Text: "report"},
+		{Text: "report", Ranking: RankBM25, Limit: 10},
 		{Text: "quarterly report -draft"},
+		{Text: "quarterly report -draft", Ranking: RankTF, Limit: 10},
 		{Text: "milk OR flour", Ranking: RankTF},
+		{Text: "milk OR flour OR repor*", Ranking: RankBM25, Limit: 12},
+		{Text: "-draft", Limit: 10},
 		{Text: "repor*", Ranking: RankBM25, Limit: 25},
+		{Text: "repor*", Ranking: RankTF},
 		{Text: "(annual OR quarterly) report", Ranking: RankBM25, Limit: 10, Offset: 5},
 		{Text: `"annual report"`, Ranking: RankBM25, Limit: 20},
 		{Text: `"annual report" -flour`, Ranking: RankCount},
+		{Text: `"annual report" OR pancake`, Ranking: RankTF, Limit: 10},
 		{Text: "report", PathPrefix: "dir2/", Ranking: RankBM25, Limit: 50},
 		{Text: "rev* forecast", Ranking: RankBM25, Limit: 15},
 		{Text: "report -nonexistentterm", Limit: 30, Ranking: RankTF},
@@ -129,20 +138,55 @@ func TestLazyBackendEquality(t *testing.T) {
 			if !lazy.Lazy() || heap.Lazy() {
 				t.Fatalf("Lazy() = %v/%v, want true/false", lazy.Lazy(), heap.Lazy())
 			}
+			const tightBudget = 8 << 10
+			tightOpt := opt
+			tightOpt.BlockCacheBytes = tightBudget
+			tight, err := OpenDir(dir, tightOpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tight.Close()
 
-			for _, q := range queries {
-				wantSnips := q.Limit > 0
-				q.Snippets = wantSnips
-				label := fmt.Sprintf("%q rank=%s", q.Text, q.Ranking)
-				rh, err := heap.Query(context.Background(), q)
-				if err != nil {
-					t.Fatalf("%s heap: %v", label, err)
+			// Two rounds: the second meets what the first left in the
+			// caches — full entries where it wants counts, counts-only
+			// entries where it wants positions, and under the tight budget
+			// mostly neither.
+			for round := 0; round < 2; round++ {
+				for _, q := range queries {
+					for _, snippets := range []bool{false, true} {
+						if snippets && q.Limit == 0 {
+							continue // snippets need a page
+						}
+						q.Snippets = snippets
+						label := fmt.Sprintf("round %d %q rank=%s snippets=%v", round, q.Text, q.Ranking, snippets)
+						rh, err := heap.Query(context.Background(), q)
+						if err != nil {
+							t.Fatalf("%s heap: %v", label, err)
+						}
+						for _, view := range []struct {
+							name string
+							cat  *Catalog
+						}{{"lazy", lazy}, {"tight", tight}} {
+							rl, err := view.cat.Query(context.Background(), q)
+							if err != nil {
+								t.Fatalf("%s %s: %v", label, view.name, err)
+							}
+							equalResponses(t, label+" "+view.name, rh, rl)
+						}
+					}
 				}
-				rl, err := lazy.Query(context.Background(), q)
-				if err != nil {
-					t.Fatalf("%s lazy: %v", label, err)
-				}
-				equalResponses(t, label, rh, rl)
+			}
+			roomyBlocks, roomyPositions := lazyDecodes(lazy)
+			tightBlocks, tightPositions := lazyDecodes(tight)
+			if tightBlocks <= roomyBlocks || tightPositions <= roomyPositions {
+				t.Fatalf("the %d-byte cache decoded %d blocks (%d with positions), the roomy one %d (%d): nothing was evicted",
+					tightBudget, tightBlocks, tightPositions, roomyBlocks, roomyPositions)
+			}
+			if roomyPositions == 0 || roomyPositions == roomyBlocks {
+				t.Fatalf("roomy cache: %d of %d decodes read positions; the stream should exercise both tiers", roomyPositions, roomyBlocks)
+			}
+			if _, used, _ := tight.BlockCache(); used > tightBudget {
+				t.Fatalf("tight cache holds %d bytes, budget %d", used, tightBudget)
 			}
 
 			// Suggestions are dictionary walks — must agree exactly too.
@@ -172,6 +216,16 @@ func TestLazyBackendEquality(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lazyDecodes sums the block-decode counters of a lazy catalog's readers:
+// every decode, and those that read a positions section.
+func lazyDecodes(c *Catalog) (blocks, positions uint64) {
+	for _, r := range c.lazy.Readers() {
+		blocks += r.BlockDecodes()
+		positions += r.PositionDecodes()
+	}
+	return blocks, positions
 }
 
 // TestOpenDirIsLazy pins the cold-start contract at the API level: opening
