@@ -79,11 +79,14 @@ docs-check:
 # Ten seconds of fuzzing on each decoder that reads bytes this process did
 # not write — a worker's partial at the broker, and a segment file's
 # posting blocks under a lazy reader (both decode tiers and the streaming
-# iterator): long enough to shake out a panic or an unbounded allocation,
+# iterator) — and on the phrase walk's per-file position check against a
+# naive scan (cursor arithmetic at both ends of the uint32 range): long
+# enough to shake out a panic, an unbounded allocation or a wrong answer,
 # short enough to run on every push.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPartialDecode -fuzztime=10s ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzBlockDecode -fuzztime=10s ./internal/segment/
+	$(GO) test -run='^$$' -fuzz=FuzzPhraseWalk -fuzztime=10s ./internal/search/
 
 # The size figures ROADMAP's State paragraph and every CHANGES entry
 # restate: Go lines outside the nested bench/ module split into product and

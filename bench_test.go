@@ -901,8 +901,8 @@ func phraseCatalog(b *testing.B) (*Catalog, string) {
 	return phraseCat, phraseText
 }
 
-// BenchmarkPhraseQuery measures quoted-phrase evaluation — candidate
-// intersection plus the positional adjacency walk — against the same
+// BenchmarkPhraseQuery measures quoted-phrase evaluation — the
+// rarest-first walk over files and positions — against the same
 // catalog's plain conjunction of the phrase words (the work a phrase
 // query does on top of AND is the positional part).
 func BenchmarkPhraseQuery(b *testing.B) {

@@ -1,6 +1,6 @@
 package postings
 
-import "sort"
+import "cmp"
 
 // NoMaxCount is the MaxCount sentinel of iterators that cannot bound
 // their per-posting frequencies without doing the decoding work they
@@ -8,14 +8,44 @@ import "sort"
 // bound (for BM25, the tf→∞ saturation limit).
 const NoMaxCount = ^uint32(0)
 
+// Gallop returns the index of the first element of s at or after from
+// that is >= target, or len(s) when there is none; s must ascend from
+// from on, and 0 <= from <= len(s). It probes 0, 1, 3, 7, … places ahead
+// of from until a probe brackets target, then binary-searches the
+// bracket, so an answer d places ahead costs O(log d) comparisons: a run
+// of calls from a forward-only cursor costs O(Σ log gap) however the gaps
+// fall — one comparison when the cursor does not move, logarithmic per
+// call when it leaps. It is the one search of every forward cursor over
+// sorted postings: Iterator.SeekGE's and the phrase walk's (file IDs and
+// positions).
+//
+// It is written to fit the compiler's inlining budget (no early return,
+// no helper), so every caller's step compiles in place; a call per step
+// measured up to 15% slower on a seek.
+func Gallop[S ~[]E, E cmp.Ordered](s S, from int, target E) int {
+	n, bound := len(s), 0
+	for from+bound < n && s[from+bound] < target {
+		bound = 2*bound + 1
+	}
+	// The probe before the last was below target (or there was none), and
+	// the last is len(s) or an element >= target: search between them.
+	lo, hi := from+(bound+1)/2, min(from+bound, n)
+	for lo < hi {
+		if m := (lo + hi) >> 1; s[m] < target {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // Iterator is a forward-only streaming cursor over a decoded posting
-// list. SeekGE gallops — an exponential probe from the current position
-// bracketing the target, then a binary search inside the bracket — so a
-// run of seeks costs O(Σ log gap) comparisons no matter how the gaps are
-// distributed: near-linear when the driven list interleaves tightly with
-// the driver, logarithmic per seek when it is jumped over in large
-// strides. The iterator reads the list in place; the list must not be
-// mutated while a cursor is live.
+// list. SeekGE gallops (Gallop), so a run of seeks costs O(Σ log gap)
+// comparisons no matter how the gaps are distributed: near-linear when
+// the driven list interleaves tightly with the driver, logarithmic per
+// seek when it is jumped over in large strides. The iterator reads the
+// list in place; the list must not be mutated while a cursor is live.
 type Iterator struct {
 	l        *List
 	i        int    // current posting index; -1 before the first Next/SeekGE
@@ -43,36 +73,16 @@ func (it *Iterator) Next() bool {
 }
 
 // SeekGE advances to the first posting with ID >= id — never moving
-// backwards — and reports whether one exists.
+// backwards — and reports whether one exists. A cursor already there
+// stays without a search; one that must move gallops from the next
+// posting.
 func (it *Iterator) SeekGE(id FileID) bool {
-	ids := it.l.ids
-	n := len(ids)
-	i := it.i
-	if i < 0 {
-		i = 0
+	ids, i := it.l.ids, max(it.i, 0)
+	if i < len(ids) && ids[i] < id {
+		i = Gallop(ids, i+1, id)
 	}
-	if i >= n {
-		it.i = n
-		return false
-	}
-	if ids[i] >= id {
-		it.i = i
-		return true
-	}
-	// Gallop: double the probe distance until it brackets the target,
-	// then binary-search the half-open bracket. Entering here ids[i] < id.
-	bound := 1
-	for i+bound < n && ids[i+bound] < id {
-		bound <<= 1
-	}
-	lo := i + bound/2 + 1 // ids[i+bound/2] < id held on the prior probe
-	hi := i + bound
-	if hi > n-1 {
-		hi = n - 1
-	}
-	j := lo + sort.Search(hi+1-lo, func(k int) bool { return ids[lo+k] >= id })
-	it.i = j
-	return j < n
+	it.i = i
+	return i < len(ids)
 }
 
 // ID returns the current posting's file ID; valid only after a true

@@ -115,8 +115,7 @@ func (l *List) normalize() {
 }
 
 // HasPositions reports whether the list carries per-posting positions —
-// the capability probe phrase evaluation uses before attempting a
-// positional intersection.
+// the capability probe phrase evaluation uses before walking positions.
 func (l *List) HasPositions() bool { return l.positions != nil }
 
 // HasCounts reports whether the list stores an explicit frequency per
@@ -592,48 +591,6 @@ func (l *List) Equal(other *List) bool {
 		}
 	}
 	return true
-}
-
-// Intersect returns the postings common to a and b (boolean AND). The
-// result carries no frequencies: an intersection is a match set, and
-// ranking reads frequencies from the term lists themselves.
-func Intersect(a, b *List) *List {
-	small, large := a, b
-	if small.Len() > large.Len() {
-		small, large = large, small
-	}
-	out := &List{}
-	// Galloping search pays off when sizes are skewed, the common case for
-	// query terms of very different frequency.
-	if large.Len() > 8*small.Len() {
-		lo := 0
-		for _, id := range small.ids {
-			i := lo + sort.Search(len(large.ids)-lo, func(i int) bool { return large.ids[lo+i] >= id })
-			if i < len(large.ids) && large.ids[i] == id {
-				out.ids = append(out.ids, id)
-			}
-			lo = i
-			if lo >= len(large.ids) {
-				break
-			}
-		}
-		return out
-	}
-	i, j := 0, 0
-	for i < len(small.ids) && j < len(large.ids) {
-		a, b := small.ids[i], large.ids[j]
-		switch {
-		case a < b:
-			i++
-		case b < a:
-			j++
-		default:
-			out.ids = append(out.ids, a)
-			i++
-			j++
-		}
-	}
-	return out
 }
 
 // Intersects reports whether a and b share a posting. It allocates

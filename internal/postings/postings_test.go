@@ -149,7 +149,7 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-// Property: Intersect/Intersects/Merge/Difference match set semantics.
+// Property: Intersects/Merge/Difference match set semantics.
 func TestBooleanOpsMatchModel(t *testing.T) {
 	if err := quick.Check(func(a, b []uint32) bool {
 		la, lb := fromRaw(a), fromRaw(b)
@@ -176,29 +176,10 @@ func TestBooleanOpsMatchModel(t *testing.T) {
 		eq := func(got *List, want []FileID) bool {
 			return reflect.DeepEqual(got.IDs(), want) || (got.Len() == 0 && len(want) == 0)
 		}
-		return eq(Intersect(la, lb), wantI) && eq(la.Clone().Merge(lb), wantU) && eq(Difference(la, lb), wantD) &&
+		return eq(la.Clone().Merge(lb), wantU) && eq(Difference(la, lb), wantD) &&
 			Intersects(la, lb) == (len(wantI) > 0) && Intersects(lb, la) == (len(wantI) > 0)
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIntersectGallopingPath(t *testing.T) {
-	// Force the galloping branch: one tiny and one huge list.
-	large := &List{}
-	for i := FileID(0); i < 10_000; i++ {
-		large.Add(i * 2) // evens
-	}
-	small := FromIDs([]FileID{4, 5, 19998, 19999})
-	got := Intersect(small, large)
-	want := []FileID{4, 19998}
-	if !reflect.DeepEqual(got.IDs(), want) {
-		t.Errorf("galloping intersect = %v, want %v", got.IDs(), want)
-	}
-	// Symmetric argument order.
-	got2 := Intersect(large, small)
-	if !got.Equal(got2) {
-		t.Error("Intersect not symmetric")
 	}
 }
 
@@ -304,20 +285,5 @@ func BenchmarkMergeInterleaved(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Clone().Merge(c)
-	}
-}
-
-func BenchmarkIntersect(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	a, c := &List{}, &List{}
-	for i := 0; i < 10000; i++ {
-		a.Add(FileID(rng.Intn(100000)))
-	}
-	for i := 0; i < 100; i++ {
-		c.Add(FileID(rng.Intn(100000)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Intersect(a, c)
 	}
 }

@@ -2,6 +2,7 @@ package search
 
 import (
 	"errors"
+	"math"
 
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
@@ -13,18 +14,26 @@ import (
 var ErrNoPositions = errors.New("search: index built without positions (rebuild with positions enabled to run phrase queries)")
 
 // evalPhrase computes the files in which terms occur at consecutive token
-// positions within one partition: the candidate set is the plain
-// intersection of the terms' posting lists, and each candidate is kept
-// only if some occurrence of terms[0] at position p is followed by
-// terms[k] at position p+k for every k — the classic positional-index
-// phrase walk, run per partition exactly like every other per-file
-// predicate (a file's positions live in its owning partition).
+// positions within one partition — the positional-index phrase walk, run
+// per partition exactly like every other per-file predicate (a file's
+// positions live in its owning partition).
+//
+// The walk starts from what is rarest, so the time goes where a match is
+// possible. Across files the term with the smallest document frequency
+// drives: every other slot's cursor gallops to each driver ID, and a miss
+// moves on to the driver's next ID, so a common term's postings between
+// two rare IDs are jumped rather than scanned and no candidate list is
+// built. Inside a candidate file phraseIn does the same with positions.
+// Every slot has its own cursors, so a repeated word ("a b a") is just
+// another slot. Scratch is allocated once per call and no position run is
+// copied.
 //
 // A term missing from the partition yields an empty result; a term present
 // without positions yields ErrNoPositions, since adjacency would otherwise
 // be guessed.
 func evalPhrase(ix index.Partition, terms []string) (*postings.List, error) {
-	lists := make([]*postings.List, len(terms))
+	n := len(terms)
+	lists := make([]*postings.List, n)
 	for i, t := range terms {
 		l := ix.Lookup(t)
 		if l == nil {
@@ -32,71 +41,93 @@ func evalPhrase(ix index.Partition, terms []string) (*postings.List, error) {
 		}
 		lists[i] = l
 	}
-	if len(lists) == 1 {
+	if n == 1 {
 		return lists[0], nil
 	}
-	for _, l := range lists {
+	driver := 0
+	for k, l := range lists {
 		if !l.HasPositions() {
 			return nil, errNoPositions
 		}
-	}
-	cand := lists[0]
-	for _, l := range lists[1:] {
-		cand = postings.Intersect(cand, l)
-		if cand.Len() == 0 {
-			return cand, nil
+		if l.Len() < lists[driver].Len() {
+			driver = k
 		}
 	}
 
-	// Candidates ascend, and so do the posting lists, so one forward-only
-	// cursor per list finds each candidate's posting without re-searching.
-	cursors := make([]int, len(lists))
+	cursors := make([]int, 2*n)
+	docs, pos := cursors[:n], cursors[n:] // per slot: posting index, phraseIn's scratch
+	runs := make([][]uint32, n)
 	var hits []postings.FileID
-	var run []uint32 // scratch: surviving start positions
-	for _, id := range cand.IDs() {
-		first := true
+next:
+	for i, id := range lists[driver].IDs() {
 		for k, l := range lists {
-			j := cursors[k]
-			ids := l.IDs()
-			for ids[j] < id {
-				j++
-			}
-			cursors[k] = j
-			pos := l.PositionsAt(j)
-			if first {
-				run = append(run[:0], pos...)
-				first = false
+			if k == driver {
 				continue
 			}
-			run = shiftIntersect(run, pos, uint32(k))
-			if len(run) == 0 {
-				break
+			ids := l.IDs()
+			j := postings.Gallop(ids, docs[k], id)
+			if j == len(ids) {
+				break next // every later driver ID is larger still
+			}
+			docs[k] = j
+			if ids[j] != id {
+				continue next
 			}
 		}
-		if len(run) > 0 {
+		docs[driver] = i
+		for k, l := range lists {
+			runs[k] = l.PositionsAt(docs[k])
+		}
+		if phraseIn(runs, pos) {
 			hits = append(hits, id)
 		}
 	}
 	return postings.FromSortedIDs(hits), nil
 }
 
-// shiftIntersect keeps the start positions p in run for which p+k occurs
-// in pos, writing the survivors over run's prefix. Both inputs ascend, so
-// a single forward pass suffices.
-func shiftIntersect(run, pos []uint32, k uint32) []uint32 {
-	out := run[:0]
-	j := 0
-	for _, p := range run {
-		target := p + k
-		for j < len(pos) && pos[j] < target {
-			j++
-		}
-		if j == len(pos) {
-			break
-		}
-		if pos[j] == target {
-			out = append(out, p)
+// phraseIn reports whether one file's ascending position runs hold the
+// phrase: a start s with s+k in runs[k] for every slot k. The anchor is
+// the slot a with the shortest run; each anchor position p names the start
+// p−a, and every other slot gallops a forward-only cursor to s+k — the
+// targets ascend with p, so no run is read twice and a long run is jumped,
+// not scanned. The first full match ends the walk. cur is scratch of
+// len(runs).
+func phraseIn(runs [][]uint32, cur []int) bool {
+	a := 0
+	for k, r := range runs {
+		cur[k] = 0
+		if len(r) < len(runs[a]) {
+			a = k
 		}
 	}
-	return out
+	// A start must leave room for the whole phrase on both sides: p ≥ a
+	// (no underflow below position 0) and s+len(runs)−1 ≤ MaxUint32 (no
+	// wrap past the last representable position).
+	off, last := uint32(a), math.MaxUint32-uint32(len(runs)-1)
+next:
+	for _, p := range runs[a] {
+		if p < off {
+			continue
+		}
+		s := p - off
+		if s > last {
+			return false
+		}
+		for k, r := range runs {
+			if k == a {
+				continue
+			}
+			t := s + uint32(k)
+			j := postings.Gallop(r, cur[k], t)
+			if j == len(r) {
+				return false // every later start needs a larger position still
+			}
+			cur[k] = j
+			if r[j] != t {
+				continue next
+			}
+		}
+		return true
+	}
+	return false
 }

@@ -6,6 +6,7 @@ import (
 
 	"desksearch/internal/extract"
 	"desksearch/internal/index"
+	"desksearch/internal/postings"
 	"desksearch/internal/tokenize"
 	"desksearch/internal/vfs"
 )
@@ -199,5 +200,34 @@ func TestPhraseRankingUsesTermFrequencies(t *testing.T) {
 	// c.txt contains both words twice (TF score 4), a.txt once each (2).
 	if len(resp.Hits) != 2 || resp.Hits[0].Path != "c.txt" || resp.Hits[0].Score != 4 {
 		t.Fatalf("TF-ranked phrase hits = %+v", resp.Hits)
+	}
+}
+
+// TestPhraseWalkAllocationsConstant: a phrase whose words share every file
+// but never stand next to each other walks every candidate and matches
+// none, and allocates the same small number of times — the walk's scratch
+// and the empty result — whether it crosses 1 000 files of one occurrence
+// each or 4 000 of 16: no candidate list, no copied position run.
+func TestPhraseWalkAllocationsConstant(t *testing.T) {
+	allocs := func(files, reps int) float64 {
+		ix := index.New(0)
+		ix.SetPositional()
+		for f := 0; f < files; f++ {
+			// "x z y", reps times: x and y in every file, never adjacent.
+			var xs, zs, ys []uint32
+			for r := uint32(0); r < uint32(reps); r++ {
+				xs, zs, ys = append(xs, 3*r), append(zs, 3*r+1), append(ys, 3*r+2)
+			}
+			ix.AddBlockPositional(postings.FileID(f), []string{"x", "z", "y"}, [][]uint32{xs, zs, ys})
+		}
+		return testing.AllocsPerRun(20, func() {
+			if l, err := evalPhrase(ix, []string{"x", "y"}); err != nil || l.Len() != 0 {
+				t.Fatalf(`"x y" = %v, %v; want no match`, l, err)
+			}
+		})
+	}
+	small, large := allocs(1000, 1), allocs(4000, 16)
+	if small != large || large > 4 {
+		t.Errorf("phrase walk allocates %.0f times over 1 000 candidates, %.0f over 4 000 × 16 positions; want the same, at most 4", small, large)
 	}
 }

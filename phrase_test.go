@@ -345,3 +345,120 @@ func equalStrings(a, b []string) bool {
 	}
 	return true
 }
+
+// TestPhraseWalkMatchesNaiveScanSkewed holds the rarest-term phrase walk
+// to a naive scan on the inputs it is built for: one word is ~45% of all
+// tokens and three files hold over a thousand of its positions each;
+// phrases run 2–5 words, repeats ("hot hot", "hot alpha hot") included; a
+// rare word opens files, so a non-first phrase word sits at position 0;
+// and a word found only at the start of the first file and the end of the
+// last puts candidates at both ends of every other list. Batch, sharded,
+// LoadDir and OpenDir catalogs must all answer what the scan finds — the
+// last with a block cache small enough that it keeps evicting.
+func TestPhraseWalkMatchesNaiveScanSkewed(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
+	const nFiles = 48
+	fs := vfs.NewMemFS()
+	tokens := make(map[string][]string, nFiles)
+	names := make([]string, 0, nFiles)
+	for f := 0; f < nFiles; f++ {
+		n := 20 + rng.Intn(120)
+		if f%16 == 5 {
+			n = 3000
+		}
+		words := make([]string, n)
+		for i := range words {
+			if rng.Intn(100) < 45 {
+				words[i] = "hot"
+			} else {
+				words[i] = vocab[rng.Intn(len(vocab))]
+			}
+		}
+		switch {
+		case f == 0:
+			words[0], words[1] = "edge", "hot"
+		case f == nFiles-1:
+			words[n-2], words[n-1] = "hot", "edge"
+		case f == 7:
+			words[10], words[11] = "hot", "opener"
+		case f%5 == 1:
+			words[0] = "opener"
+		}
+		name := fmt.Sprintf("f%03d.txt", f) // walk order = FileID order
+		if err := fs.WriteFile(name, []byte(strings.Join(words, " "))); err != nil {
+			t.Fatal(err)
+		}
+		tokens[name] = words
+		names = append(names, name)
+	}
+
+	batch, err := IndexFS(fs, ".", Options{Positions: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := IndexFS(fs, ".", Options{Positions: true, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := sharded.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := OpenDir(dir, Options{BlockCacheBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	cats := map[string]*Catalog{"batch": batch, "sharded": sharded, "LoadDir": loaded, "OpenDir": opened}
+
+	phrases := [][]string{
+		{"edge", "hot"}, {"hot", "edge"}, {"hot", "opener"}, {"opener", "hot"},
+		{"hot", "hot"}, {"hot", "hot", "hot"}, {"hot", "alpha", "hot"},
+		{"hot", "hot", "hot", "hot", "hot"}, {"alpha", "alpha"}, {"edge", "opener"},
+	}
+	for q := 0; q < 40; q++ { // sampled from the files: mostly matches
+		words := tokens[names[rng.Intn(len(names))]]
+		n := 2 + rng.Intn(4)
+		start := rng.Intn(len(words) - n)
+		phrases = append(phrases, words[start:start+n])
+	}
+	all := append([]string{"hot"}, vocab...)
+	for q := 0; q < 10; q++ { // drawn from the vocabulary: mostly misses
+		phrase := make([]string, 2+rng.Intn(4))
+		for i := range phrase {
+			phrase[i] = all[rng.Intn(len(all))]
+		}
+		phrases = append(phrases, phrase)
+	}
+	matched := 0
+	for _, phrase := range phrases {
+		query := `"` + strings.Join(phrase, " ") + `"`
+		want := naivePhraseScan(t, fs, phrase)
+		if len(want) > 0 {
+			matched++
+		}
+		for kind, cat := range cats {
+			if got := queryPaths(t, cat, query); !equalStrings(got, want) {
+				t.Errorf("%s: %s → %v, want %v", kind, query, got, want)
+			}
+		}
+	}
+	if matched < len(phrases)/2 {
+		t.Errorf("only %d of %d phrases match anywhere; the property needs matches to compare", matched, len(phrases))
+	}
+
+	// The OpenDir catalog's cache cannot keep what one phrase reads: the
+	// same phrase again decodes its blocks again.
+	before, _ := lazyDecodes(opened)
+	queryPaths(t, opened, `"hot alpha"`)
+	mid, _ := lazyDecodes(opened)
+	queryPaths(t, opened, `"hot alpha"`)
+	if after, _ := lazyDecodes(opened); mid == before || after == mid {
+		t.Errorf("block decodes %d → %d → %d: the tight cache kept a phrase's blocks", before, mid, after)
+	}
+}
