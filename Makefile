@@ -72,7 +72,8 @@ bench-selftest:
 
 # The doc-drift gate: every DSIX version and frame-kind constant in
 # internal/index/codec.go has a section or heading in docs/FORMAT.md, and
-# the spec has none the codec lacks.
+# the spec has none the codec lacks; docs/ARCHITECTURE.md's package map
+# names every directory under internal/, and none that is gone.
 docs-check:
 	$(GO) run ./cmd/docscheck
 

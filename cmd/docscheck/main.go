@@ -1,7 +1,7 @@
-// Command docscheck is the CI doc-drift gate for the DSIX format spec:
-// it verifies that the codec version and frame-kind constants declared in
-// internal/index/codec.go agree with what docs/FORMAT.md documents, so the
-// spec cannot silently rot as the codec evolves.
+// Command docscheck is the CI doc-drift gate: it verifies that the DSIX
+// version and frame-kind constants in internal/index/codec.go agree with
+// docs/FORMAT.md, and that docs/ARCHITECTURE.md's package map names exactly
+// the packages under internal/, so neither document silently rots.
 //
 // Checks:
 //
@@ -13,18 +13,21 @@
 //  3. every frame-kind constant in the codec (KindManifest) has a matching
 //     "**Kind N — ..." heading in the spec, and the spec has no such
 //     heading for a kind the codec lacks (a retired kind gets a table row);
-//  4. the spec names the frame magic ("DSIX").
+//  4. the spec names the frame magic ("DSIX");
+//  5. the first column of the "## Package map" table names every directory
+//     under internal/, and no internal/ package that does not exist.
 //
-// Usage (normally via `make docs-check`):
+// Usage (normally via `make docs-check`, from the repository root):
 //
 //	docscheck [-codec internal/index/codec.go] [-spec docs/FORMAT.md]
 //
-// Exits non-zero with one line per finding when the two drift apart.
+// Exits non-zero with one line per finding when the docs drift from the code.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"regexp"
 	"sort"
@@ -102,10 +105,46 @@ func check(codecPath, specPath, codec, spec string) []string {
 	return problems
 }
 
+// mappedRe matches a package the package map names: `internal/NAME`.
+var mappedRe = regexp.MustCompile("`internal/([A-Za-z0-9_]+)`")
+
+// checkPackageMap returns, sorted, one finding per package that is either a
+// directory among internal (the entries of internal/) or named in the first
+// column of arch's "## Package map" table, but not both.
+func checkPackageMap(archPath, arch string, internal []fs.DirEntry) []string {
+	_, section, _ := strings.Cut(arch, "\n## Package map\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	seen := map[string]int{} // 1: a directory, 2: mapped, 3: both
+	for _, e := range internal {
+		if e.IsDir() {
+			seen[e.Name()] |= 1
+		}
+	}
+	for _, line := range strings.Split(section, "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 2 {
+			for _, m := range mappedRe.FindAllStringSubmatch(cells[1], -1) {
+				seen[m[1]] |= 2
+			}
+		}
+	}
+	var problems []string
+	for name, s := range seen {
+		switch s {
+		case 1:
+			problems = append(problems, fmt.Sprintf("internal/%s: not named in the package map of %s", name, archPath))
+		case 2:
+			problems = append(problems, fmt.Sprintf("%s: the package map names internal/%s, which does not exist", archPath, name))
+		}
+	}
+	sort.Strings(problems)
+	return problems
+}
+
 func main() {
 	codecPath := flag.String("codec", "internal/index/codec.go", "codec source file declaring the version and kind constants")
 	specPath := flag.String("spec", "docs/FORMAT.md", "format specification to check against")
 	flag.Parse()
+	const archPath = "docs/ARCHITECTURE.md"
 
 	codec, err := os.ReadFile(*codecPath)
 	if err != nil {
@@ -115,14 +154,23 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if problems := check(*codecPath, *specPath, string(codec), string(spec)); len(problems) > 0 {
+	arch, err := os.ReadFile(archPath)
+	if err != nil {
+		fatal(err)
+	}
+	internal, err := os.ReadDir("internal")
+	if err != nil {
+		fatal(err)
+	}
+	problems := append(check(*codecPath, *specPath, string(codec), string(spec)), checkPackageMap(archPath, string(arch), internal)...)
+	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "docscheck:", p)
 		}
-		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s) — %s and %s have drifted apart\n", len(problems), *codecPath, *specPath)
+		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s) — the docs have drifted from the code\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: ok — %s and %s agree on every version and frame kind\n", *codecPath, *specPath)
+	fmt.Printf("docscheck: ok — %s and %s agree on every version and frame kind; %s maps every package under internal/\n", *codecPath, *specPath, archPath)
 }
 
 func fatal(err error) {

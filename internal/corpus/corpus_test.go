@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"desksearch/internal/container"
 	"desksearch/internal/docfmt"
 	"desksearch/internal/tokenize"
 	"desksearch/internal/vfs"
@@ -149,9 +148,9 @@ func TestGeneratedContentIsIndexable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vocabSet := container.NewHashSet(spec.VocabSize)
+	vocabSet := make(map[string]bool, spec.VocabSize)
 	for _, w := range BuildVocabulary(spec) {
-		vocabSet.Add(w)
+		vocabSet[w] = true
 	}
 	checked := 0
 	for _, f := range stats.Files {
@@ -170,7 +169,7 @@ func TestGeneratedContentIsIndexable(t *testing.T) {
 		// Every term must come from the vocabulary (formats may split a
 		// trailing truncated word; allow the last term to be arbitrary).
 		for _, term := range terms[:len(terms)-1] {
-			if !vocabSet.Contains(term) && !isFormatArtifact(term) {
+			if !vocabSet[term] && !isFormatArtifact(term) {
 				t.Fatalf("%s: term %q not in vocabulary", f.Path, term)
 			}
 		}
@@ -208,9 +207,9 @@ func TestHeapsApproxTracksMeasured(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		set := container.NewHashSet(1024)
-		tokenize.Scan(data, tokenize.Default, func(term string) { set.Add(term) })
-		measured := set.Len()
+		set := make(map[string]bool, 1024)
+		tokenize.Scan(data, tokenize.Default, func(term string) { set[term] = true })
+		measured := len(set)
 		if measured == 0 {
 			t.Fatalf("%s: no terms", f.Path)
 		}

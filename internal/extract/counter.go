@@ -1,18 +1,27 @@
-package container
+package extract
 
 import "desksearch/internal/fnv"
 
-// counterMaxRetained bounds the entries a Counter carries from file to
-// file. The table holds the current file's terms plus those of earlier
-// files (kept so their key strings are reused); once it holds more than
-// this many, the next Reset drops them all, so a Counter's memory is
-// bounded by max(counterMaxRetained, one file's vocabulary).
-const counterMaxRetained = 1 << 16
+const (
+	// counterInitialSlots must be a power of two so the probe mask works.
+	counterInitialSlots = 16
+	// counterMaxLoadNum/counterMaxLoadDen is the load factor above which
+	// the table grows (7/8 keeps probes short while wasting little memory).
+	counterMaxLoadNum = 7
+	counterMaxLoadDen = 8
+	// counterMaxRetained bounds the entries a counter carries from file to
+	// file. The table holds the current file's terms plus those of earlier
+	// files (kept so their key strings are reused); once it holds more
+	// than this many, the next Reset drops them all, so a counter's memory
+	// is bounded by max(counterMaxRetained, one file's vocabulary).
+	counterMaxRetained = 1 << 16
+)
 
-// Counter is a term extractor's term table: an open-addressing, linearly
-// probed multiset of terms that is filled from byte views (Add), reset
-// between files, and turned into one file's term block by Counts or
-// Positions. It allocates per file, not per term occurrence:
+// counter is an extractor's term table, the paper's per-file
+// duplicate-elimination set: an open-addressing, linearly probed multiset
+// of terms, keyed by FNV-1 as the paper's was, that is filled from byte
+// views (Add), reset between files, and turned into one file's term block
+// by Counts or Positions. It allocates per file, not per term occurrence:
 //
 //   - the probe compares a stored key with the byte view in place, so a
 //     term already in the table costs no allocation;
@@ -22,7 +31,7 @@ const counterMaxRetained = 1 << 16
 //   - positions are not gathered per term while scanning: the counter
 //     records which term each token was, and Positions cuts one buffer
 //     into per-term windows afterwards.
-type Counter struct {
+type counter struct {
 	entries []counterEntry
 	n       int    // occupied slots: the current file's terms and stale ones
 	epoch   uint32 // the current file; never 0
@@ -46,24 +55,24 @@ type counterEntry struct {
 	count uint32 // occurrences in that file
 }
 
-// NewCounter returns a counter sized for about capacity distinct terms.
+// newCounter returns a counter sized for about capacity distinct terms.
 // A positional counter also records each occurrence's token position (its
 // ordinal among the Adds since Reset) for Positions to return.
-func NewCounter(capacity int, positional bool) *Counter {
-	buckets := setInitialBuckets
-	for buckets*setMaxLoadNum/setMaxLoadDen < capacity {
-		buckets *= 2
+func newCounter(capacity int, positional bool) *counter {
+	slots := counterInitialSlots
+	for slots*counterMaxLoadNum/counterMaxLoadDen < capacity {
+		slots *= 2
 	}
-	return &Counter{entries: make([]counterEntry, buckets), epoch: 1, positional: positional}
+	return &counter{entries: make([]counterEntry, slots), epoch: 1, positional: positional}
 }
 
 // Total returns the number of occurrences recorded since the last Reset,
 // duplicates included — the sum of all counts.
-func (c *Counter) Total() uint32 { return c.total }
+func (c *counter) Total() uint32 { return c.total }
 
 // Reset starts the next file. Blocks already returned stay valid: they
 // share only immutable key strings with the counter.
-func (c *Counter) Reset() {
+func (c *counter) Reset() {
 	c.epoch++
 	if c.n > counterMaxRetained || c.epoch == 0 {
 		clear(c.entries)
@@ -74,7 +83,7 @@ func (c *Counter) Reset() {
 
 // Add records one occurrence of term, which is only read: the view may be
 // reused by the caller as soon as Add returns.
-func (c *Counter) Add(term []byte) {
+func (c *counter) Add(term []byte) {
 	mask := uint32(len(c.entries) - 1)
 	h := fnv.Hash32Bytes(term)
 	i := h & mask
@@ -85,7 +94,7 @@ func (c *Counter) Add(term []byte) {
 	}
 	if e.epoch != c.epoch {
 		if e.epoch == 0 {
-			if (c.n+1)*setMaxLoadDen > len(c.entries)*setMaxLoadNum {
+			if (c.n+1)*counterMaxLoadDen > len(c.entries)*counterMaxLoadNum {
 				c.grow()
 				c.Add(term)
 				return
@@ -106,7 +115,7 @@ func (c *Counter) Add(term []byte) {
 // Counts returns the current file's distinct terms in first-occurrence
 // order and, parallel to them, how often each occurred. Both slices are
 // freshly allocated and the caller's to keep.
-func (c *Counter) Counts() (terms []string, counts []uint32) {
+func (c *counter) Counts() (terms []string, counts []uint32) {
 	terms = make([]string, len(c.live))
 	counts = make([]uint32, len(c.live))
 	for ord, i := range c.live {
@@ -120,7 +129,7 @@ func (c *Counter) Counts() (terms []string, counts []uint32) {
 // position lists are exact-capacity windows of one freshly allocated
 // buffer: the caller owns them all, and appending to one reallocates it
 // rather than overrunning its neighbour. Only for a positional counter.
-func (c *Counter) Positions() (terms []string, positions [][]uint32) {
+func (c *counter) Positions() (terms []string, positions [][]uint32) {
 	terms = make([]string, len(c.live))
 	positions = make([][]uint32, len(c.live))
 	flat := make([]uint32, len(c.seq))
@@ -141,7 +150,7 @@ func (c *Counter) Positions() (terms []string, positions [][]uint32) {
 
 // grow doubles the table. Stale entries move along with the live ones;
 // Reset is what drops them.
-func (c *Counter) grow() {
+func (c *counter) grow() {
 	old := c.entries
 	c.entries = make([]counterEntry, len(old)*2)
 	mask := uint32(len(c.entries) - 1)

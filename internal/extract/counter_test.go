@@ -1,4 +1,4 @@
-package container
+package extract
 
 import (
 	"fmt"
@@ -7,14 +7,14 @@ import (
 	"unsafe"
 )
 
-func addAll(c *Counter, words ...string) {
+func addAll(c *counter, words ...string) {
 	for _, w := range words {
 		c.Add([]byte(w))
 	}
 }
 
 func TestCounterBasics(t *testing.T) {
-	c := NewCounter(4, false)
+	c := newCounter(4, false)
 	addAll(c, "cat", "cat", "dog", "cat")
 	if c.Total() != 4 {
 		t.Errorf("Total = %d, want 4", c.Total())
@@ -35,7 +35,7 @@ func TestCounterBasics(t *testing.T) {
 }
 
 func TestCounterGrowAndReset(t *testing.T) {
-	c := NewCounter(2, false)
+	c := newCounter(2, false)
 	want := map[string]uint32{}
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("term%03d", i%100)
@@ -78,7 +78,7 @@ func TestCounterGrowAndReset(t *testing.T) {
 // position; Positions hands them out as exact-capacity windows of one
 // buffer, surviving growth in mid-file and a Reset.
 func TestCounterAddAt(t *testing.T) {
-	c := NewCounter(2, true)
+	c := newCounter(2, true)
 	addAll(c, "a", "b", "a", "c", "a", "b")
 	terms, positions := c.Positions()
 	if !reflect.DeepEqual(terms, []string{"a", "b", "c"}) ||
@@ -126,7 +126,7 @@ func TestCounterAddAt(t *testing.T) {
 // next Reset empties the table, so a long run of files with disjoint
 // vocabularies cannot grow it without bound.
 func TestCounterDropsStaleEntries(t *testing.T) {
-	c := NewCounter(16, false)
+	c := newCounter(16, false)
 	const perFile = 1000
 	maxSlots := 0
 	for file := 0; file*perFile < 4*counterMaxRetained; file++ {

@@ -12,7 +12,6 @@ package extract
 import (
 	"fmt"
 
-	"desksearch/internal/container"
 	"desksearch/internal/docfmt"
 	"desksearch/internal/postings"
 	"desksearch/internal/tokenize"
@@ -76,12 +75,12 @@ type Options struct {
 type Extractor struct {
 	fs   vfs.FS
 	opts Options
-	seen *container.Counter
+	seen *counter
 }
 
 // New returns an Extractor reading from fs.
 func New(fs vfs.FS, opts Options) *Extractor {
-	return &Extractor{fs: fs, opts: opts, seen: container.NewCounter(1024, opts.Positions)}
+	return &Extractor{fs: fs, opts: opts, seen: newCounter(1024, opts.Positions)}
 }
 
 // text reads the named file and, with Options.Formats, strips its markup.

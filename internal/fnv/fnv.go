@@ -1,12 +1,12 @@
 // Package fnv implements the Fowler–Noll–Vo hash function FNV-1 in 32-bit
 // and 64-bit widths.
 //
-// The paper's index generator hashes terms with FNV1 for both the inverted
-// index (a hash map) and the per-file duplicate-elimination set (a hash set);
-// this package is the shared hashing substrate for internal/container.
-// Unlike the standard library's hash/fnv, it exposes allocation-free
-// one-shot string and byte-slice forms, which is what the hot indexing path
-// needs.
+// The paper's index generator hashes terms with FNV1. Here FNV-1 keys the
+// extractor's per-file duplicate-elimination table (internal/extract),
+// routes files to shards (shard.ShardFor), and checksums every persisted
+// frame (the manifest), segment and posting block. Unlike the standard
+// library's hash/fnv, it exposes allocation-free one-shot byte-slice forms,
+// which is what the hot extraction path needs.
 package fnv
 
 import "hash"
@@ -18,20 +18,10 @@ const (
 	prime64  = 1099511628211
 )
 
-// Hash32 returns the FNV-1 32-bit hash of s.
+// Hash32Bytes returns the FNV-1 32-bit hash of b.
 //
 // FNV-1 multiplies before XORing each byte; it is the variant named by the
 // paper ("FNV1 hash function [3]").
-func Hash32(s string) uint32 {
-	h := uint32(offset32)
-	for i := 0; i < len(s); i++ {
-		h *= prime32
-		h ^= uint32(s[i])
-	}
-	return h
-}
-
-// Hash32Bytes is Hash32 for a byte slice, avoiding a string conversion.
 func Hash32Bytes(b []byte) uint32 {
 	h := uint32(offset32)
 	for _, c := range b {
@@ -41,17 +31,7 @@ func Hash32Bytes(b []byte) uint32 {
 	return h
 }
 
-// Hash64 returns the FNV-1 64-bit hash of s.
-func Hash64(s string) uint64 {
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h *= prime64
-		h ^= uint64(s[i])
-	}
-	return h
-}
-
-// Hash64Bytes is Hash64 for a byte slice.
+// Hash64Bytes returns the FNV-1 64-bit hash of b.
 func Hash64Bytes(b []byte) uint64 {
 	h := uint64(offset64)
 	for _, c := range b {

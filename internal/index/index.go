@@ -3,10 +3,10 @@
 // single-threaded updates, lock-guarded shared updates (Implementation 1),
 // and replica indices merged by "Join Forces" (Implementations 2 and 3).
 //
-// The index maps each term to a posting list of the files containing it.
-// Updates arrive as per-file term blocks without duplicates (Stage 2
-// eliminates them), so insertion needs no duplicate scan — the design
-// decision the paper reaches by analysis in Section 3.
+// The index is a Go map from each term to a posting list of the files
+// containing it. The paper's Section 3 decision is how it is filled: en
+// bloc, one duplicate-free term block per file (Stage 2 eliminates the
+// duplicates), so insertion needs no duplicate scan.
 package index
 
 import (
@@ -14,7 +14,6 @@ import (
 	"sort"
 	"sync"
 
-	"desksearch/internal/container"
 	"desksearch/internal/postings"
 )
 
@@ -140,11 +139,12 @@ func (t *FileTable) LiveIDs(dst []postings.FileID) []postings.FileID {
 // Callers must not modify the returned slice.
 func (t *FileTable) Paths() []string { return t.paths }
 
-// Index is an inverted index. It is not safe for concurrent mutation; use
-// Shared for Implementation 1, or one Index per updater for
+// Index is an inverted index: a map from term to posting list, filled one
+// duplicate-free term block at a time. It is not safe for concurrent
+// mutation; use Shared for Implementation 1, or one Index per updater for
 // Implementations 2 and 3.
 type Index struct {
-	terms *container.HashMap[*postings.List]
+	terms map[string]*postings.List
 	// nPostings counts (term, file) pairs for Stats.
 	nPostings int64
 	// positional records that this index was built (or loaded) with
@@ -167,7 +167,17 @@ type Index struct {
 
 // New returns an empty index sized for about capacity terms.
 func New(capacity int) *Index {
-	return &Index{terms: container.NewHashMap[*postings.List](capacity)}
+	return &Index{terms: make(map[string]*postings.List, capacity)}
+}
+
+// list returns term's posting list, inserting an empty one if it is absent.
+func (ix *Index) list(term string) *postings.List {
+	l, ok := ix.terms[term]
+	if !ok {
+		l = &postings.List{}
+		ix.terms[term] = l
+	}
+	return l
 }
 
 // AddBlock inserts a file's duplicate-free term block. This is the en-bloc
@@ -176,9 +186,9 @@ func New(capacity int) *Index {
 // non-nil, carries the per-term occurrence frequency parallel to terms
 // (extract.TermBlock.Counts); nil records every term with frequency 1.
 func (ix *Index) AddBlock(id postings.FileID, terms []string, counts []uint32) {
-	defer ix.invalidateSortedOnGrowth(ix.terms.Len())
+	defer ix.invalidateSortedOnGrowth(len(ix.terms))
 	for i, term := range terms {
-		l := ix.terms.GetOrPut(term, func() *postings.List { return &postings.List{} })
+		l := ix.list(term)
 		if counts == nil {
 			l.Add(id)
 		} else {
@@ -195,11 +205,10 @@ func (ix *Index) AddBlock(id postings.FileID, terms []string, counts []uint32) {
 // derived from it, so TF ranking needs no separate count. Marks the index
 // positional.
 func (ix *Index) AddBlockPositional(id postings.FileID, terms []string, positions [][]uint32) {
-	defer ix.invalidateSortedOnGrowth(ix.terms.Len())
+	defer ix.invalidateSortedOnGrowth(len(ix.terms))
 	ix.positional = true
 	for i, term := range terms {
-		l := ix.terms.GetOrPut(term, func() *postings.List { return &postings.List{} })
-		l.AddPositions(id, positions[i])
+		ix.list(term).AddPositions(id, positions[i])
 	}
 	ix.nPostings += int64(len(terms))
 }
@@ -219,8 +228,8 @@ func (ix *Index) SetPositional() { ix.positional = true }
 // the posting list's sorted insert performs the duplicate check the paper's
 // analysis wanted to avoid.
 func (ix *Index) AddTermOccurrence(term string, id postings.FileID) {
-	defer ix.invalidateSortedOnGrowth(ix.terms.Len())
-	l := ix.terms.GetOrPut(term, func() *postings.List { return &postings.List{} })
+	defer ix.invalidateSortedOnGrowth(len(ix.terms))
+	l := ix.list(term)
 	before := l.Len()
 	l.Add(id)
 	if l.Len() > before {
@@ -230,13 +239,7 @@ func (ix *Index) AddTermOccurrence(term string, id postings.FileID) {
 
 // Lookup returns the posting list for term, or nil if absent. The returned
 // list is the index's own storage; callers must not modify it.
-func (ix *Index) Lookup(term string) *postings.List {
-	l, ok := ix.terms.Get(term)
-	if !ok {
-		return nil
-	}
-	return l
-}
+func (ix *Index) Lookup(term string) *postings.List { return ix.terms[term] }
 
 // Counts is Lookup: the heap holds one list per term and hands it out
 // whatever the caller reads of it.
@@ -264,7 +267,7 @@ func (ix *Index) DocFreq(term string) int {
 }
 
 // NumTerms returns the number of distinct terms.
-func (ix *Index) NumTerms() int { return ix.terms.Len() }
+func (ix *Index) NumTerms() int { return len(ix.terms) }
 
 // NumPostings returns the number of (term, file) pairs.
 func (ix *Index) NumPostings() int64 { return ix.nPostings }
@@ -274,7 +277,7 @@ func (ix *Index) NumPostings() int64 { return ix.nPostings }
 // Mutators that only rewrite posting lists of existing terms keep the
 // cache; ones that add or drop terms invalidate it.
 func (ix *Index) invalidateSortedOnGrowth(before int) {
-	if ix.terms.Len() == before {
+	if len(ix.terms) == before {
 		return
 	}
 	ix.invalidateSorted()
@@ -298,21 +301,18 @@ func (ix *Index) sortedDict() ([]string, []*postings.List) {
 	ix.sortMu.Lock()
 	defer ix.sortMu.Unlock()
 	if ix.sorted == nil {
-		keys := ix.terms.Keys(make([]string, 0, ix.terms.Len()))
+		keys := make([]string, 0, len(ix.terms))
+		for term := range ix.terms {
+			keys = append(keys, term)
+		}
 		sort.Strings(keys)
 		lists := make([]*postings.List, len(keys))
 		for i, term := range keys {
-			lists[i], _ = ix.terms.Get(term)
+			lists[i] = ix.terms[term]
 		}
 		ix.sorted, ix.sortedLists = keys, lists
 	}
 	return ix.sorted, ix.sortedLists
-}
-
-// sortedTerms returns the ascending term list of sortedDict.
-func (ix *Index) sortedTerms() []string {
-	terms, _ := ix.sortedDict()
-	return terms
 }
 
 // Range calls f for every (term, postings) pair in ascending term order
@@ -345,7 +345,8 @@ func (ix *Index) TermsFrom(from string, yield func(term string, df int) bool) {
 
 // Terms appends all terms to dst in ascending order and returns it.
 func (ix *Index) Terms(dst []string) []string {
-	return append(dst, ix.sortedTerms()...)
+	terms, _ := ix.sortedDict()
+	return append(dst, terms...)
 }
 
 // Docs returns the set of files this index holds postings for, as a fresh
@@ -353,10 +354,9 @@ func (ix *Index) Terms(dst []string) []string {
 // consumer, reads only IDs).
 func (ix *Index) Docs() *postings.List {
 	u := &postings.List{}
-	ix.terms.Range(func(_ string, l *postings.List) bool {
+	for _, l := range ix.terms {
 		u.Merge(postings.FromSortedIDs(l.IDs()))
-		return true
-	})
+	}
 	return u
 }
 
@@ -365,7 +365,7 @@ func (ix *Index) Docs() *postings.List {
 // estimate, not an allocator measurement.
 func (ix *Index) ResidentBytes() int64 {
 	var b int64
-	ix.terms.Range(func(term string, l *postings.List) bool {
+	for term, l := range ix.terms {
 		b += int64(len(term)) + 48 // entry, header, list overheads
 		b += int64(l.Len()) * 8    // id + count columns
 		if l.HasPositions() {
@@ -373,8 +373,7 @@ func (ix *Index) ResidentBytes() int64 {
 				b += int64(len(l.PositionsAt(i))) * 4
 			}
 		}
-		return true
-	})
+	}
 	return b
 }
 
@@ -384,20 +383,19 @@ func (ix *Index) Join(other *Index) {
 	if other == nil {
 		return
 	}
-	defer ix.invalidateSortedOnGrowth(ix.terms.Len())
+	defer ix.invalidateSortedOnGrowth(len(ix.terms))
 	ix.positional = ix.positional || other.positional
-	other.terms.Range(func(term string, l *postings.List) bool {
-		existing, ok := ix.terms.Get(term)
+	for term, l := range other.terms {
+		existing, ok := ix.terms[term]
 		if !ok {
-			ix.terms.Put(term, l)
+			ix.terms[term] = l
 			ix.nPostings += int64(l.Len())
-			return true
+			continue
 		}
 		before := existing.Len()
 		existing.Merge(l)
 		ix.nPostings += int64(existing.Len() - before)
-		return true
-	})
+	}
 }
 
 // MergeTerm unions l into term's posting list, creating the term if absent.
@@ -408,8 +406,8 @@ func (ix *Index) MergeTerm(term string, l *postings.List) {
 	if l == nil || l.Len() == 0 {
 		return
 	}
-	defer ix.invalidateSortedOnGrowth(ix.terms.Len())
-	existing := ix.terms.GetOrPut(term, func() *postings.List { return &postings.List{} })
+	defer ix.invalidateSortedOnGrowth(len(ix.terms))
+	existing := ix.list(term)
 	before := existing.Len()
 	existing.Merge(l)
 	ix.nPostings += int64(existing.Len() - before)
@@ -420,16 +418,13 @@ func (ix *Index) Equal(other *Index) bool {
 	if ix.NumTerms() != other.NumTerms() {
 		return false
 	}
-	equal := true
-	ix.terms.Range(func(term string, l *postings.List) bool {
-		ol, ok := other.terms.Get(term)
+	for term, l := range ix.terms {
+		ol, ok := other.terms[term]
 		if !ok || !l.Equal(ol) {
-			equal = false
 			return false
 		}
-		return true
-	})
-	return equal
+	}
+	return true
 }
 
 // Stats summarizes an index.

@@ -34,26 +34,26 @@ func (ix *Index) RemoveFiles(victims *postings.List) int {
 	}
 	removed := 0
 	var emptied []string
-	ix.terms.Range(func(term string, l *postings.List) bool {
+	for term, l := range ix.terms {
 		if !postings.Intersects(l, victims) {
 			// Most terms in most updates: the list, and every pointer
 			// to it, stays as it is.
-			return true
+			continue
 		}
 		rest := postings.Difference(l, victims)
 		removed += l.Len() - rest.Len()
 		if rest.Len() == 0 {
 			emptied = append(emptied, term)
-			return true
+			continue
 		}
-		ix.terms.Put(term, rest)
-		return true
-	})
+		// Assigning to an existing key during range is defined.
+		ix.terms[term] = rest
+	}
 	for _, term := range emptied {
-		ix.terms.Delete(term)
+		delete(ix.terms, term)
 	}
 	if removed > 0 {
-		// Not just on emptied terms: the Put above swaps surviving
+		// Not just on emptied terms: the assignment above swaps surviving
 		// terms' list pointers, which the sorted dictionary cache holds.
 		ix.invalidateSorted()
 	}
@@ -76,10 +76,9 @@ func (ix *Index) TopTerms(n int) []TermCount {
 		return nil
 	}
 	all := make([]TermCount, 0, ix.NumTerms())
-	ix.terms.Range(func(term string, l *postings.List) bool {
+	for term, l := range ix.terms {
 		all = append(all, TermCount{Term: term, Files: l.Len()})
-		return true
-	})
+	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Files != all[j].Files {
 			return all[i].Files > all[j].Files

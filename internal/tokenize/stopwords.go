@@ -1,31 +1,27 @@
 package tokenize
 
-import "desksearch/internal/container"
-
 // StopSet is an immutable set of stop words (terms excluded from the index).
 type StopSet struct {
-	set *container.HashSet
+	set map[string]struct{}
 }
 
 // NewStopSet builds a StopSet from the given words. Words are expected in
 // lower case, matching the scanner's output.
 func NewStopSet(words []string) *StopSet {
-	s := container.NewHashSet(len(words))
+	s := make(map[string]struct{}, len(words))
 	for _, w := range words {
-		s.Add(w)
+		s[w] = struct{}{}
 	}
 	return &StopSet{set: s}
 }
 
-// Contains reports whether term is a stop word.
-func (s *StopSet) Contains(term string) bool { return s.set.Contains(term) }
-
-// ContainsBytes is Contains for the scanner's byte views; it does not
-// allocate.
-func (s *StopSet) ContainsBytes(term []byte) bool { return s.set.ContainsBytes(term) }
-
-// Len returns the number of stop words.
-func (s *StopSet) Len() int { return s.set.Len() }
+// ContainsBytes reports whether the scanner's byte view term is a stop
+// word. It does not allocate: the compiler indexes a map by string(term)
+// without a copy.
+func (s *StopSet) ContainsBytes(term []byte) bool {
+	_, ok := s.set[string(term)]
+	return ok
+}
 
 // EnglishStopwords is a conventional small English stop-word list. The
 // paper's generator indexes every term; the list is provided for the

@@ -70,11 +70,30 @@ func TestScanStopwords(t *testing.T) {
 
 func TestStopSet(t *testing.T) {
 	s := NewStopSet(EnglishStopwords)
-	if s.Len() != len(EnglishStopwords) {
-		t.Errorf("Len = %d, want %d", s.Len(), len(EnglishStopwords))
-	}
-	if !s.Contains("the") || s.Contains("zebra") {
+	if !s.ContainsBytes([]byte("the")) || s.ContainsBytes([]byte("zebra")) {
 		t.Error("StopSet membership wrong")
+	}
+	text := []byte(strings.Join(EnglishStopwords, " ") + " zebra")
+	if got := Terms(text, Options{Stopwords: s}); !reflect.DeepEqual(got, []string{"zebra"}) {
+		t.Errorf("every English stopword should be dropped, got %q", got)
+	}
+}
+
+// TestScanBytesStopwordsAllocFree: the stopword probe looks a byte view up
+// without copying it, so a scan over lower-case text allocates nothing,
+// whether a term is dropped or emitted.
+func TestScanBytesStopwordsAllocFree(t *testing.T) {
+	data := bytes.Repeat([]byte("the index of the files and a search over them "), 100)
+	opts := Options{Stopwords: NewStopSet(EnglishStopwords)}
+	emitted := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		ScanBytes(data, opts, func([]byte) { emitted++ })
+	})
+	if allocs != 0 {
+		t.Errorf("ScanBytes with a StopSet allocated %v times per call, want 0", allocs)
+	}
+	if want := 11 * 500; emitted != want {
+		t.Errorf("emitted %d terms over 11 calls, want %d", emitted, want)
 	}
 }
 
