@@ -70,22 +70,24 @@ bench-selftest:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# The doc-drift gate: every DSIX version and frame-kind constant in
-# internal/index/codec.go has a section or heading in docs/FORMAT.md, and
-# the spec has none the codec lacks; docs/ARCHITECTURE.md's package map
+# The doc-drift gate: every DSIX version and kind constant in
+# internal/index/codec.go has a section or heading in docs/FORMAT.md, the
+# spec has none the codec lacks, and every version below the live one has
+# a row in its retired-versions table; docs/ARCHITECTURE.md's package map
 # names every directory under internal/, and none that is gone.
 docs-check:
 	$(GO) run ./cmd/docscheck
 
 # Ten seconds of fuzzing on each decoder that reads bytes this process did
-# not write — a worker's partial at the broker, and a segment file's
-# posting blocks under a lazy reader (both decode tiers and the streaming
-# iterator) — and on the phrase walk's per-file position check against a
+# not write — a worker's partial at the broker, a segment file's header and
+# dictionary at open, and its posting blocks under a lazy reader (both
+# decode tiers and the streaming iterator) — and on the phrase walk's per-file position check against a
 # naive scan (cursor arithmetic at both ends of the uint32 range): long
 # enough to shake out a panic, an unbounded allocation or a wrong answer,
 # short enough to run on every push.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPartialDecode -fuzztime=10s ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzSegmentOpen -fuzztime=10s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz=FuzzBlockDecode -fuzztime=10s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz=FuzzPhraseWalk -fuzztime=10s ./internal/search/
 

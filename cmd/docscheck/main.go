@@ -1,20 +1,21 @@
 // Command docscheck is the CI doc-drift gate: it verifies that the DSIX
-// version and frame-kind constants in internal/index/codec.go agree with
+// version and kind constants in internal/index/codec.go agree with
 // docs/FORMAT.md, and that docs/ARCHITECTURE.md's package map names exactly
 // the packages under internal/, so neither document silently rots.
 //
 // Checks:
 //
-//  1. every version constant in the codec (FrameVersion,
-//     LazySegmentVersion) has a matching "### vN — ..." section in the
-//     spec;
+//  1. every version constant in the codec (Version) has a matching
+//     "### vN — ..." section in the spec;
 //  2. the spec has no "### vN" section for a version the codec lacks
 //     (retired versions get a table row, not a section);
-//  3. every frame-kind constant in the codec (KindManifest) has a matching
-//     "**Kind N — ..." heading in the spec, and the spec has no such
-//     heading for a kind the codec lacks (a retired kind gets a table row);
-//  4. the spec names the frame magic ("DSIX");
-//  5. the first column of the "## Package map" table names every directory
+//  3. every version below the newest live one has a row in the spec's
+//     "## Retired versions" table;
+//  4. every kind constant in the codec (KindSegment, KindManifest) has a
+//     matching "**Kind N — ..." heading in the spec, and the spec has no
+//     such heading for a kind the codec lacks;
+//  5. the spec names the frame magic ("DSIX");
+//  6. the first column of the "## Package map" table names every directory
 //     under internal/, and no internal/ package that does not exist.
 //
 // Usage (normally via `make docs-check`, from the repository root):
@@ -47,15 +48,15 @@ type pairing struct {
 var pairings = []pairing{
 	{
 		what: "version",
-		// "FrameVersion = 9", inside the const block.
+		// "Version = 11", inside the const block.
 		constRe: regexp.MustCompile(`(?m)^\t([A-Za-z]*[Vv]ersion)\s*=\s*(\d+)\b`),
-		// "### v9 — the frame"
+		// "### v11 — the manifest and the shard segment"
 		headingRe: regexp.MustCompile(`(?m)^### v(\d+)\b`),
 		heading:   "### v%d",
 	},
 	{
 		what: "frame kind",
-		// "const KindManifest = 2", alone or inside a const block.
+		// "KindManifest = 2", inside a const block or alone.
 		constRe: regexp.MustCompile(`(?m)^(?:const |\t)([Kk]ind[A-Za-z]*)\s*=\s*(\d+)\b`),
 		// "**Kind 2 — shard manifest.**"
 		headingRe: regexp.MustCompile(`(?m)^\*\*Kind (\d+)\b`),
@@ -63,16 +64,23 @@ var pairings = []pairing{
 	},
 }
 
+// retiredRowRe matches the leading number of a table row: "| 9 | ...".
+var retiredRowRe = regexp.MustCompile(`(?m)^\|\s*(\d+)\b`)
+
 // check returns one finding per disagreement between the codec source and
 // the spec, sorted; none when they agree.
 func check(codecPath, specPath, codec, spec string) []string {
 	var problems []string
+	var versions map[int]string // pairings[0]'s constants
 	for _, p := range pairings {
 		consts := map[int]string{} // number → constant name
 		for _, m := range p.constRe.FindAllStringSubmatch(codec, -1) {
 			if n, err := strconv.Atoi(m[2]); err == nil {
 				consts[n] = m[1]
 			}
+		}
+		if versions == nil {
+			versions = consts
 		}
 		if len(consts) == 0 {
 			problems = append(problems,
@@ -95,6 +103,24 @@ func check(codecPath, specPath, codec, spec string) []string {
 				problems = append(problems,
 					fmt.Sprintf("%s: has a '"+p.heading+"' heading, but %s declares no %s %d", specPath, n, codecPath, p.what, n))
 			}
+		}
+	}
+	_, retired, _ := strings.Cut(spec, "\n## Retired versions\n")
+	retired, _, _ = strings.Cut(retired, "\n## ")
+	rows := map[int]bool{}
+	for _, m := range retiredRowRe.FindAllStringSubmatch(retired, -1) {
+		if n, err := strconv.Atoi(m[1]); err == nil {
+			rows[n] = true
+		}
+	}
+	newest := 0
+	for n := range versions {
+		newest = max(newest, n)
+	}
+	for n := 1; n < newest; n++ {
+		if _, live := versions[n]; !live && !rows[n] {
+			problems = append(problems,
+				fmt.Sprintf("%s: version %d, below the live %d, has no row in the 'Retired versions' table", specPath, n, newest))
 		}
 	}
 	if !strings.Contains(spec, `"DSIX"`) {

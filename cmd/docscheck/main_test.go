@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io/fs"
 	"strings"
 	"testing"
@@ -10,18 +11,25 @@ import (
 // TestCheck drives the gate over small codec/spec pairs: each way the two
 // can drift apart yields exactly one finding that names it.
 func TestCheck(t *testing.T) {
-	const codec = "const (\n\tFrameVersion = 9\n\tLazySegmentVersion = 10\n)\n\nconst KindManifest = 2\n"
-	const spec = "magic \"DSIX\"\n### v9 — the frame\n**Kind 2 — shard manifest.**\n### v10 — the lazy shard segment\n"
+	const codec = "const (\n\tVersion = 11\n\tKindSegment = 1\n\tKindManifest = 2\n)\n"
+	retired := "## Retired versions\n\n| version | what |\n|---|---|\n"
+	for v := 1; v <= 10; v++ {
+		retired += fmt.Sprintf("| %d | old |\n", v)
+	}
+	spec := "magic \"DSIX\"\n## Live versions\n### v11 — both kinds\n**Kind 1 — shard segment.**\n" +
+		"**Kind 2 — shard manifest.**\n" + retired + "\n## Corruption\n| 12 | a later table |\n"
 	for _, tc := range []struct {
 		name, codec, spec string
 		want              string // substring of the one finding; "" for none
 	}{
-		{"agree", codec, spec, ""},
-		{"kind block form", strings.Replace(codec, "const KindManifest = 2", "const (\n\tkindOther = 2\n)", 1), spec, ""},
+		{"agree: one version constant pairs with one section", codec, spec, ""},
+		{"kind alone form", strings.Replace(codec, "\tKindManifest = 2\n)\n", ")\n\nconst KindManifest = 2\n", 1), spec, ""},
 		{"spec describes a kind the codec dropped", codec, spec + "**Kind 0 — full index.**\n", "'**Kind 0' heading"},
 		{"codec kind missing from the spec", codec + "const kindFull = 0\n", spec, "kindFull = 0 has no '**Kind 0'"},
 		{"spec describes a version the codec dropped", codec, spec + "### v8 — old\n", "'### v8' heading"},
-		{"codec version missing from the spec", codec + "const (\n\tNextVersion = 11\n)\n", spec, "NextVersion = 11 has no '### v11'"},
+		{"codec version missing from the spec", codec + "const (\n\tNextVersion = 12\n)\n", spec, "NextVersion = 12 has no '### v12'"},
+		{"retired version without a row", codec, strings.Replace(spec, "| 10 | old |\n", "", 1), "version 10, below the live 11, has no row"},
+		{"a row outside the retired table does not count", codec, strings.Replace(spec, "| 7 | old |\n", "", 1) + "| 7 | elsewhere |\n", "version 7, below the live 11"},
 		{"magic not named", codec, strings.Replace(spec, `"DSIX"`, "DSIX", 1), "frame magic"},
 	} {
 		wantOne(t, tc.name, check("codec.go", "FORMAT.md", tc.codec, tc.spec), tc.want)

@@ -62,10 +62,11 @@
 //
 // # Persistence
 //
-// Catalog.SaveDir is the one way a catalog is persisted: a directory
-// holding a checksummed manifest plus one segment file per partition —
+// Catalog.SaveDir is the one way a catalog is persisted: a directory of
+// DSIX version 11 files, a manifest plus one segment file per partition —
 // the shards, or for an unsharded catalog its own indices, unjoined —
-// written and reloaded in parallel. LoadDir materializes a directory on
+// written and reloaded in parallel. Every byte is covered by a CRC-32C
+// checksum, verified before it is parsed. LoadDir materializes a directory on
 // the heap (the form that accepts Update); OpenDir and OpenDirShards serve
 // it in place, read-only, decoding posting blocks on demand.
 //

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	stdfnv "hash/fnv"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"desksearch/internal/fnv"
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
 	"desksearch/internal/shard"
@@ -84,9 +84,9 @@ func dirDigest(t *testing.T, dir string) string {
 }
 
 // TestGoldenFormatBytes pins every byte a fresh build persists. The
-// digests were recorded at the commit before the retired DSIX versions
-// were deleted (PR 12): a mismatch means the on-disk format changed, which
-// needs a version bump and a docs/FORMAT.md entry, not a new digest.
+// digests were recorded when DSIX v11 replaced the v9 manifest and the v10
+// segment: a mismatch means the on-disk format changed, which needs a
+// version bump and a docs/FORMAT.md entry, not a new digest.
 func TestGoldenFormatBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -94,13 +94,13 @@ func TestGoldenFormatBytes(t *testing.T) {
 		dir  string
 	}{
 		{"plain-1", Options{Shards: 1},
-			"d3ce6dbe47cd7d3d32d18a87f57002cae2c6d63db05d3dd34dd562f3b8c9e0ce"},
+			"c7582efb16f47e5f419143bc1b6cec021432e3fdd3d47ac15b08f641238a745a"},
 		{"plain-3", Options{Shards: 3},
-			"5bf04b3723d9c03862d1ff210bf964d6566b1697f29b1ea1f1195ef47f54aecc"},
+			"d70b4fcc836958dc44ab2fe055394a0bf33c23370bc355149735e7ebf6760902"},
 		{"positional-1", Options{Shards: 1, Positions: true},
-			"a0e3dbcb621aec4629b3c76c78b8014bd6221d4d3dcc5a818aecfff1a1005be4"},
+			"abdef213480ef7d456a17db95362326881f83d1b6d6c1cac6e26de07b50f8337"},
 		{"positional-3", Options{Shards: 3, Positions: true},
-			"03f04de9bed7afd3454766661605dc9e7c128e607c220dbbe6bf8e06333e0786"},
+			"c82a75e5b9fe3cf523bc65857caceddc84a9818fc971911961124c931a26c0f7"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cat := goldenCatalog(t, tc.opt)
@@ -125,9 +125,47 @@ func dsixFrame(t *testing.T, version uint16, body func(*bufio.Writer) error) []b
 	return buf.Bytes()
 }
 
+// fnv1 is the 64-bit FNV-1 checksum every file of DSIX versions 9 and 10
+// carried (hash/fnv's New64 is FNV-1, not FNV-1a).
+func fnv1(b []byte) []byte {
+	h := stdfnv.New64()
+	h.Write(b)
+	return binary.LittleEndian.AppendUint64(nil, h.Sum64())
+}
+
+// v9Frame hand-writes a frame as version 9 wrote it: magic, version, the
+// body, and a u64 FNV-1 trailer over everything before it.
+func v9Frame(t *testing.T, body func(*bufio.Writer) error) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	bw.WriteString("DSIX\x09\x00")
+	if err := body(bw); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return append(buf.Bytes(), fnv1(buf.Bytes())...)
+}
+
+// v10Segment hand-writes the version 10 shard segment of one term in file
+// 0: the v11 layout with u64 FNV-1 block and dictionary sums.
+func v10Segment() []byte {
+	block := append([]byte{0}, postings.FromSortedIDs([]postings.FileID{0}).Encode(nil)...) // no skips
+	dict := []byte{1, 0, byte(len(block)), 1, byte(len("quarterly"))}                       // docs {0}, blocksLen, one term
+	dict = append(dict, "quarterly"...)
+	dict = append(dict, 1, byte(len(block))) // df, blockLen
+	dict = append(dict, fnv1(block)...)
+	img := append([]byte("DSIX\x0a\x00\x01\x00"), binary.LittleEndian.AppendUint64(nil, uint64(len(dict)))...)
+	img = append(img, dict...)
+	img = append(img, fnv1(img)...)
+	return append(img, block...)
+}
+
 // writeManifestBody writes a manifest frame's kind, flags and payload: files
-// and one segment entry vouching for segment's bytes.
-func writeManifestBody(bw *bufio.Writer, files *index.FileTable, segment []byte) error {
+// and one segment entry whose whole-file checksum is sum.
+func writeManifestBody(bw *bufio.Writer, files *index.FileTable, sum []byte) error {
 	if _, err := bw.Write([]byte{index.KindManifest, 0}); err != nil { // kind, flags
 		return err
 	}
@@ -143,15 +181,17 @@ func writeManifestBody(bw *bufio.Writer, files *index.FileTable, segment []byte)
 	if err := index.WriteString(bw, shard.SegmentName(0)); err != nil {
 		return err
 	}
-	return binary.Write(bw, binary.LittleEndian, fnv.Hash64Bytes(segment))
+	_, err := bw.Write(sum)
+	return err
 }
 
 // TestRetiredVersionsRejected feeds every open path well-formed files of
 // the retired DSIX versions — checksums valid, so only the version check
-// stands between them and a misparse — and frames of a future version or
-// the wrong kind, the retired single-file index (v9 kind 0) among them.
-// Each must fail naming what it found, only the retired ones with advice
-// to rebuild; none may return a catalog.
+// stands between them and a misparse — a directory exactly as versions 9
+// and 10 saved it, whose FNV-1 checksums the live CRC-32C check cannot
+// read, and files of a future version or the wrong kind. Each must fail
+// naming what it found, never as a checksum mismatch, only the retired
+// ones with advice to rebuild; none may return a catalog.
 func TestRetiredVersionsRejected(t *testing.T) {
 	// Zero files and zero terms: a plausible payload in every old layout.
 	empty := func(bw *bufio.Writer) error {
@@ -164,7 +204,7 @@ func TestRetiredVersionsRejected(t *testing.T) {
 		want []string          // substrings of every error
 	}
 	var inputs []input
-	for v := uint16(1); v < index.FrameVersion; v++ {
+	for v := uint16(1); v < index.Version; v++ {
 		inputs = append(inputs, input{
 			name: fmt.Sprintf("v%d", v),
 			dir:  map[string][]byte{shard.ManifestName: dsixFrame(t, v, empty)},
@@ -186,14 +226,18 @@ func TestRetiredVersionsRejected(t *testing.T) {
 		return err
 	})
 	manifestFor := func(segment []byte) []byte {
-		return dsixFrame(t, index.FrameVersion, func(bw *bufio.Writer) error {
-			return writeManifestBody(bw, files, segment)
+		return dsixFrame(t, index.Version, func(bw *bufio.Writer) error {
+			return writeManifestBody(bw, files, binary.LittleEndian.AppendUint32(nil, index.Checksum(segment)))
 		})
 	}
 	manifest := manifestFor(segment)
+	// The directory versions 9 and 10 saved: a v9 manifest with an FNV-1
+	// trailer pinning the v10 segment's bytes with FNV-1.
+	v10 := v10Segment()
+	v9Manifest := v9Frame(t, func(bw *bufio.Writer) error { return writeManifestBody(bw, files, fnv1(v10)) })
 	// What Catalog.Save used to write: a v9 frame of kind 0, here with a
 	// payload no reader could parse — it must be refused before that matters.
-	singleFile := dsixFrame(t, index.FrameVersion, func(bw *bufio.Writer) error {
+	singleFile := v9Frame(t, func(bw *bufio.Writer) error {
 		_, err := bw.Write([]byte{0, 1, 0xde, 0xad}) // kind, flags (positional), payload
 		return err
 	})
@@ -204,19 +248,29 @@ func TestRetiredVersionsRejected(t *testing.T) {
 			want: []string{"DSIX version 7,", "rebuild the index"},
 		},
 		input{
-			name: "v11",
-			dir:  map[string][]byte{shard.ManifestName: dsixFrame(t, 11, empty)},
-			want: []string{"DSIX version 11,", "newer than this build"},
+			name: "v9-v10-directory",
+			dir:  map[string][]byte{shard.ManifestName: v9Manifest, shard.SegmentName(0): v10},
+			want: []string{"DSIX version 9,", "rebuild the index"},
+		},
+		input{
+			name: "v10-segment",
+			dir:  map[string][]byte{shard.ManifestName: manifestFor(v10), shard.SegmentName(0): v10},
+			want: []string{"DSIX version 10,", "rebuild the index"},
+		},
+		input{
+			name: "v12",
+			dir:  map[string][]byte{shard.ManifestName: dsixFrame(t, 12, empty)},
+			want: []string{"DSIX version 12,", "newer than this build"},
 		},
 		input{
 			name: "frame-as-segment",
 			dir:  map[string][]byte{shard.ManifestName: manifestFor(manifest), shard.SegmentName(0): manifest},
-			want: []string{"DSIX version 9 is a manifest"},
+			want: []string{"DSIX kind 2 (a manifest), want kind 1 (a shard segment)"},
 		},
 		input{
 			name: "index-as-manifest",
 			dir:  map[string][]byte{shard.ManifestName: singleFile},
-			want: []string{"DSIX version 9 frame kind 0", "rebuild the index"},
+			want: []string{"DSIX version 9,", "rebuild the index"},
 		},
 	)
 
@@ -235,6 +289,9 @@ func TestRetiredVersionsRejected(t *testing.T) {
 				const advice = "rebuild the index"
 				if strings.Contains(err.Error(), advice) && !slices.Contains(in.want, advice) {
 					t.Errorf("%s error %q advises a rebuild that would not help", opener, err)
+				}
+				if strings.Contains(err.Error(), "checksum") {
+					t.Errorf("%s error %q blames a checksum, not the version or kind", opener, err)
 				}
 			}
 			dir := t.TempDir()

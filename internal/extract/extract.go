@@ -46,7 +46,7 @@ type TermBlock struct {
 	// Tokens is the file's token length: the total number of emitted term
 	// occurrences, duplicates included (the sum of Counts, or of the
 	// Positions list lengths). BM25 normalizes scores by it; the file table
-	// persists it as the DSIX v9 doc-length section.
+	// persists it as the DSIX manifest's doc-length section.
 	Tokens uint32
 }
 

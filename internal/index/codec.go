@@ -6,9 +6,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
+	"hash/crc32"
 	"io"
 
-	"desksearch/internal/fnv"
 	"desksearch/internal/postings"
 )
 
@@ -18,16 +18,18 @@ import (
 // lives in docs/FORMAT.md; keep the two in sync (CI's docs-check gate
 // compares the version and kind constants below against the spec).
 //
-// A catalog persists as a directory in two layouts. The frame, written and
-// read here,
+// A catalog persists as a directory of version 11 files, told apart by the
+// kind byte after the version. The manifest is a frame, written and read
+// here,
 //
-//	magic "DSIX" | u16 version 9 | u8 kind | u8 flags | payload |
-//	u64 FNV-1 checksum of everything above
+//	magic "DSIX" | u16 version 11 | u8 kind 2 | u8 flags | payload |
+//	u32 CRC-32C of everything above
 //
-// carries the shard manifest (kind 2: file table | doc-length section |
-// segment directory, flags 0; internal/shard writes it over this package's
-// exported frame helpers). Shard segments use the version 10 lazy layout of
-// internal/segment, which is not a single-checksum frame.
+// whose payload is the file table | doc-length section | segment directory
+// (flags 0; internal/shard writes it over this package's exported frame
+// helpers). Shard segments (kind 1) use the lazy layout of internal/segment,
+// which is not a single-checksum frame. Every checksum in every file is
+// Checksum's CRC-32C.
 //
 // The file table is
 //
@@ -38,61 +40,66 @@ import (
 // retired but never reused), and the doc-length section records each
 // file's token length for BM25.
 //
-// Versions 1–8 and the version 9 single-file index (kind 0) are retired:
-// their files are rejected by version or kind number, after the checksum,
+// Versions 1–10 are retired: their files are rejected by version number
 // with advice to rebuild.
 
 const (
 	codecMagic = "DSIX"
-	// FrameVersion is the checksummed frame form: a kind byte, a flags
-	// byte, and the manifest payload, whose doc-length section — each
-	// file's token length, which BM25 ranking normalizes by — directly
-	// follows the file table.
-	FrameVersion = 9
-	// LazySegmentVersion is the lazy shard-segment form (internal/segment):
-	// a sorted, checksummed term dictionary pointing into per-term posting
-	// blocks, openable in O(dictionary) and decoded on demand. It is not a
-	// single-checksum frame like the version above — see docs/FORMAT.md.
-	LazySegmentVersion = 10
+	// Version is the one live DSIX version, of the manifest and of the
+	// shard segment alike.
+	Version = 11
+	// KindSegment is the lazy shard segment (internal/segment): a sorted,
+	// checksummed term dictionary pointing into per-term posting blocks,
+	// openable in O(dictionary) and decoded on demand.
+	KindSegment = 1
+	// KindManifest is the shard manifest frame: file table, doc lengths
+	// (each file's token length, which BM25 ranking normalizes by) and the
+	// segment directory (internal/shard).
+	KindManifest = 2
 	// maxCount bounds file counts against corrupt headers.
 	maxCount = 1 << 31
 )
 
-// KindManifest is the one live frame kind: the byte after the version says
-// which payload shape follows the flags byte, and internal/shard writes and
-// reads the manifest's. (Kind 1 is the shard segment, whose header
-// internal/segment owns.)
-const KindManifest = 2
+// castagnoli selects CRC-32C, which hash/crc32 computes in hardware on
+// amd64 and arm64.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// retiredSingleFile is the kind byte of the single-file index earlier
-// revisions wrote (file table | doc lengths | every term's posting list in
-// one frame). Nothing parses it; DecodeFrame names it and advises a rebuild.
-const retiredSingleFile = 0
+// Checksum returns the CRC-32C of b: the block and dictionary sums of a
+// segment, the manifest's whole-file segment sums and the frame trailer.
+func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
+
+// NewChecksum returns Checksum in streaming form.
+func NewChecksum() hash.Hash32 { return crc32.New(castagnoli) }
 
 // VersionError is the one rejection of a DSIX file whose version is not
-// the live one for the place it was found in — a retired version (1–8),
-// a frame where a lazy segment belongs (or the reverse), or a version
-// newer than this build. Only the retired ones are told to rebuild.
-// DecodeFrame raises it only after the frame checksum held; LoadDir reaches
-// a segment's only after the manifest's whole-file checksum held.
-func VersionError(found, want uint16) error {
-	switch {
-	case found < FrameVersion:
+// Version: a retired one, told to rebuild, or one newer than this build.
+func VersionError(found uint16) error {
+	if found < Version {
 		return fmt.Errorf("index: DSIX version %d, want %d (versions 1-%d are retired): rebuild the index",
-			found, want, FrameVersion-1)
-	case found > LazySegmentVersion:
-		return fmt.Errorf("index: DSIX version %d, want %d: the file is newer than this build", found, want)
-	case found == FrameVersion:
-		return fmt.Errorf("index: DSIX version %d is a manifest, want a version %d shard segment", found, want)
-	default:
-		return fmt.Errorf("index: DSIX version %d is a shard segment, want a version %d manifest", found, want)
+			found, Version, Version-1)
 	}
+	return fmt.Errorf("index: DSIX version %d, want %d: the file is newer than this build", found, Version)
+}
+
+// KindError rejects a live-version DSIX file of one kind found where
+// another belongs.
+func KindError(found, want byte) error {
+	name := func(kind byte) string {
+		switch kind {
+		case KindSegment:
+			return "a shard segment"
+		case KindManifest:
+			return "a manifest"
+		}
+		return "unknown"
+	}
+	return fmt.Errorf("index: DSIX kind %d (%s), want kind %d (%s)", found, name(found), want, name(want))
 }
 
 // EncodeFrame writes a DSIX frame to w: magic, version, the payload written
-// by body, and the FNV-1 checksum trailer over everything before it.
+// by body, and the checksum trailer over everything before it.
 func EncodeFrame(w io.Writer, version uint16, body func(*bufio.Writer) error) error {
-	h := fnv.New64()
+	h := NewChecksum()
 	bw := bufio.NewWriter(io.MultiWriter(w, h))
 	if _, err := bw.WriteString(codecMagic); err != nil {
 		return err
@@ -105,18 +112,10 @@ func EncodeFrame(w io.Writer, version uint16, body func(*bufio.Writer) error) er
 	if err := body(bw); err != nil {
 		return err
 	}
-	return finishPayload(w, bw, h)
-}
-
-// finishPayload flushes the buffered payload into the hash and appends the
-// checksum trailer directly to w.
-func finishPayload(w io.Writer, bw *bufio.Writer, h hash.Hash64) error {
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], h.Sum64())
-	_, err := w.Write(b[:])
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, h.Sum32()))
 	return err
 }
 
@@ -126,19 +125,23 @@ func finishPayload(w io.Writer, bw *bufio.Writer, h hash.Hash64) error {
 // and the flags for the caller to validate.
 func DecodeFrame(data []byte, kind byte) (*bytes.Reader, []byte, byte, error) {
 	const versionEnd = len(codecMagic) + 2
-	if len(data) < versionEnd+8 {
+	if len(data) < versionEnd+4 {
 		return nil, nil, 0, fmt.Errorf("index: truncated (%d bytes)", len(data))
 	}
-	payload, trailer := data[:len(data)-8], data[len(data)-8:]
-	want := binary.LittleEndian.Uint64(trailer)
-	if got := fnv.Hash64Bytes(payload); got != want {
-		// A LazySegmentVersion file is not a trailer-checksummed frame, so
-		// it lands here rather than at the version check below; peeking the
-		// header (without trusting anything in it) turns a baffling
-		// checksum complaint into the version mismatch it actually is.
+	payload, trailer := data[:len(data)-4], data[len(data)-4:]
+	want := binary.LittleEndian.Uint32(trailer)
+	if got := Checksum(payload); got != want {
+		// A file of another version (a retired manifest has an FNV-1
+		// trailer) or a segment (no trailer at all) lands here rather than
+		// at the checks below; peeking the header, without trusting
+		// anything in it, turns a baffling checksum complaint into the
+		// mismatch it actually is.
 		if string(data[:len(codecMagic)]) == codecMagic {
-			if v := binary.LittleEndian.Uint16(data[len(codecMagic):]); v == LazySegmentVersion {
-				return nil, nil, 0, VersionError(v, FrameVersion)
+			if v := binary.LittleEndian.Uint16(data[len(codecMagic):]); v != Version {
+				return nil, nil, 0, VersionError(v)
+			}
+			if got := data[versionEnd]; got != kind {
+				return nil, nil, 0, KindError(got, kind)
 			}
 		}
 		return nil, nil, 0, fmt.Errorf("index: checksum mismatch: file %#x, computed %#x", want, got)
@@ -146,19 +149,14 @@ func DecodeFrame(data []byte, kind byte) (*bytes.Reader, []byte, byte, error) {
 	if magic := payload[:len(codecMagic)]; string(magic) != codecMagic {
 		return nil, nil, 0, fmt.Errorf("index: bad magic %q", magic)
 	}
-	if v := binary.LittleEndian.Uint16(payload[len(codecMagic):]); v != FrameVersion {
-		return nil, nil, 0, VersionError(v, FrameVersion)
+	if v := binary.LittleEndian.Uint16(payload[len(codecMagic):]); v != Version {
+		return nil, nil, 0, VersionError(v)
 	}
 	if len(payload) < versionEnd+2 {
 		return nil, nil, 0, fmt.Errorf("index: truncated before the frame kind and flags")
 	}
-	switch got := payload[versionEnd]; {
-	case got == kind:
-	case got == retiredSingleFile:
-		return nil, nil, 0, fmt.Errorf("index: DSIX version %d frame kind %d (the single-file index) is retired, an index is saved as a directory: rebuild the index",
-			FrameVersion, got)
-	default:
-		return nil, nil, 0, fmt.Errorf("index: frame kind %d, want %d", got, kind)
+	if got := payload[versionEnd]; got != kind {
+		return nil, nil, 0, KindError(got, kind)
 	}
 	return bytes.NewReader(payload[versionEnd+2:]), payload, payload[versionEnd+1], nil
 }

@@ -30,7 +30,7 @@ func buildFileTable(nFiles int) *FileTable {
 // corruption checks are that package's TestRoundTrip, TestMaterializeEqualsSource,
 // TestCorruptionEveryByte and TestTruncationRejected).
 func saveTables(w io.Writer, ft *FileTable) error {
-	return EncodeFrame(w, FrameVersion, func(bw *bufio.Writer) error {
+	return EncodeFrame(w, Version, func(bw *bufio.Writer) error {
 		if _, err := bw.Write([]byte{KindManifest, 0}); err != nil {
 			return err
 		}
@@ -129,18 +129,44 @@ func TestSaveLoadQuick(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsCorruption flips every byte of a frame in turn: each must
-// be caught by the checksum (or, for trailer flips, by the mismatch against
-// the recomputed sum) before anything is parsed.
+// TestLoadRejectsCorruption flips every bit of a frame in turn, then
+// inverts a 4-byte burst at every offset: CRC-32C detects every error burst
+// of up to 32 bits, so each must be caught by the checksum (or, for trailer
+// flips, by the mismatch against the recomputed sum) before anything is
+// parsed.
 func TestLoadRejectsCorruption(t *testing.T) {
 	ft := buildFileTable(20)
 	pristine := savedTables(t, ft)
 	for pos := range pristine {
-		corrupt := append([]byte(nil), pristine...)
-		corrupt[pos] ^= 0x40
-		if _, err := loadTables(corrupt); err == nil {
-			t.Fatalf("corruption at byte %d not detected", pos)
+		for bit := range 8 {
+			corrupt := append([]byte(nil), pristine...)
+			corrupt[pos] ^= 1 << bit
+			if _, err := loadTables(corrupt); err == nil {
+				t.Fatalf("flipping bit %d of byte %d not detected", bit, pos)
+			}
 		}
+		corrupt := append([]byte(nil), pristine...)
+		for i := pos; i < min(pos+4, len(corrupt)); i++ {
+			corrupt[i] ^= 0xff
+		}
+		if _, err := loadTables(corrupt); err == nil {
+			t.Fatalf("a 4-byte burst at byte %d not detected", pos)
+		}
+	}
+}
+
+// TestChecksumKnownAnswer pins the algorithm every DSIX checksum uses:
+// CRC-32C's check value, in the one-shot and the streaming form.
+func TestChecksumKnownAnswer(t *testing.T) {
+	const check = 0xE3069283
+	if got := Checksum([]byte("123456789")); got != check {
+		t.Errorf("Checksum(%q) = %#x, want %#x", "123456789", got, check)
+	}
+	h := NewChecksum()
+	h.Write([]byte("1234"))
+	h.Write([]byte("56789"))
+	if got := h.Sum32(); got != check {
+		t.Errorf("NewChecksum over %q = %#x, want %#x", "123456789", got, check)
 	}
 }
 

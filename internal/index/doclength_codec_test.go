@@ -46,7 +46,7 @@ func docLengthFrame(t *testing.T, lengthCount int) []byte {
 	ft.Add("a.txt", 1, 1)
 	ft.Add("b.txt", 2, 2)
 	var buf bytes.Buffer
-	err := EncodeFrame(&buf, FrameVersion, func(bw *bufio.Writer) error {
+	err := EncodeFrame(&buf, Version, func(bw *bufio.Writer) error {
 		if _, err := bw.Write([]byte{KindManifest, 0}); err != nil {
 			return err
 		}

@@ -7,7 +7,7 @@ import (
 // Partition is the read-side contract query evaluation runs against: the
 // exact set of operations internal/search needs from one document
 // partition of the corpus, and nothing more. The heap-resident *Index is
-// the first implementation; internal/segment's lazy DSIX v10 reader is the
+// the first implementation; internal/segment's lazy DSIX segment reader is the
 // second. Everything above this seam — boolean evaluation, phrase walks,
 // prefix expansion, BM25, snippets, suggestions — is backend-agnostic, and
 // the two backends must be observationally identical: the backend-equality

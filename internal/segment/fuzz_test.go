@@ -2,10 +2,11 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"runtime/metrics"
 	"testing"
 
-	"desksearch/internal/fnv"
+	"desksearch/internal/index"
 	"desksearch/internal/postings"
 )
 
@@ -18,7 +19,7 @@ func blockReader(blk []byte, df int) *Reader {
 		path:       "fuzz",
 		src:        newByteSource(blk),
 		positional: true,
-		entries:    []entry{{term: "t", df: df, blen: int64(len(blk)), sum: fnv.Hash64Bytes(blk)}},
+		entries:    []entry{{term: "t", df: df, blen: int64(len(blk)), sum: index.Checksum(blk)}},
 	}
 }
 
@@ -27,6 +28,25 @@ func allocatedBytes() uint64 {
 	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	metrics.Read(s)
 	return s[0].Value.Uint64()
+}
+
+// allocLimit fails t when run, repeated up to five times, never stays
+// within limit bytes of heap allocation. The count is the whole process's,
+// and the fuzzing engine allocates beside us now and then: an overrun that
+// is ours repeats.
+func allocLimit(t *testing.T, limit uint64, run func()) {
+	t.Helper()
+	for try := 1; ; try++ {
+		before := allocatedBytes()
+		run()
+		grown := allocatedBytes() - before
+		if grown <= limit {
+			return
+		}
+		if try == 5 {
+			t.Fatalf("allocated %d bytes, limit %d", grown, limit)
+		}
+	}
 }
 
 // FuzzBlockDecode feeds arbitrary block bytes and an arbitrary dictionary
@@ -83,21 +103,8 @@ func FuzzBlockDecode(f *testing.F) {
 		}
 		// A posting takes at least a byte and decodes to an ID, a slice
 		// header and a position. The constant covers error text, the fixed
-		// structs and the span granularity the runtime counts bytes at. The
-		// count is the whole process's, and the fuzzing engine allocates
-		// beside us now and then: an overrun that is ours repeats.
-		limit := uint64(64*len(blk) + 1<<16)
-		for try := 1; ; try++ {
-			before := allocatedBytes()
-			run()
-			grown := allocatedBytes() - before
-			if grown <= limit {
-				break
-			}
-			if try == 5 {
-				t.Fatalf("decoding a %d-byte block (df %d) allocated %d bytes, limit %d", len(blk), df, grown, limit)
-			}
-		}
+		// structs and the span granularity the runtime counts bytes at.
+		allocLimit(t, uint64(64*len(blk)+1<<16), run)
 		if ferr == nil && cerr != nil {
 			t.Fatalf("the full decode accepts a block the counts tier refuses: %v", cerr)
 		}
@@ -107,5 +114,46 @@ func FuzzBlockDecode(f *testing.F) {
 		if !countsEqual(counts, full) {
 			t.Fatal("counts tier and full decode disagree on IDs or frequencies")
 		}
+	})
+}
+
+// segmentImage frames dict and blocks as a segment file whose header and
+// dictionary checksum are right, whatever the dictionary holds.
+func segmentImage(flags byte, dict, blocks []byte) []byte {
+	img := append([]byte(segMagic), 0, 0, index.KindSegment, flags)
+	binary.LittleEndian.PutUint16(img[4:], index.Version)
+	img = binary.LittleEndian.AppendUint64(img, uint64(len(dict)))
+	img = append(img, dict...)
+	img = binary.LittleEndian.AppendUint32(img, index.Checksum(img))
+	return append(img, blocks...)
+}
+
+// FuzzSegmentOpen feeds arbitrary dictionary bytes — what a segment whose
+// dictionary checksum someone recomputed would hold — and block bytes
+// through Open and, when it accepts them, Verify. Neither may panic or
+// allocate out of proportion to the file: every count Open sizes an
+// allocation by is one the dictionary's own bytes must back.
+func FuzzSegmentOpen(f *testing.F) {
+	var img bytes.Buffer
+	if err := Write(&img, buildIndex(f, 60, true)); err != nil {
+		f.Fatal(err)
+	}
+	dictLen := binary.LittleEndian.Uint64(img.Bytes()[8:headerLen])
+	f.Add(byte(flagPositional), img.Bytes()[headerLen:headerLen+dictLen], img.Bytes()[headerLen+dictLen+4:])
+	maxVarint := []byte{0xff, 0xff, 0xff, 0xff, 0x07}               // 2³¹−1
+	f.Add(byte(0), maxVarint, []byte(nil))                          // the doc count
+	f.Add(byte(0), append([]byte{0, 0}, maxVarint...), []byte(nil)) // the term count
+
+	f.Fuzz(func(t *testing.T, flags byte, dict, blocks []byte) {
+		file := segmentImage(flags, dict, blocks)
+		// The dictionary's IDs and entries cost a few words each, and each
+		// takes at least a byte of it; Verify decodes the blocks, whose
+		// budget is FuzzBlockDecode's.
+		allocLimit(t, uint64(64*len(file)+1<<16), func() {
+			if r, err := OpenBytes("fuzz", file, nil); err == nil {
+				r.Verify()
+				r.Close()
+			}
+		})
 	})
 }

@@ -1,32 +1,34 @@
-// Package segment implements the DSIX v10 lazy segment: an on-disk posting
-// layout a server can open and query without materializing it.
+// Package segment implements the DSIX v11 lazy segment (kind 1): an
+// on-disk posting layout a server can open and query without materializing
+// it.
 //
-// A v10 segment file holds one document partition of a catalog. Where a
-// frame's term section is a stream the reader must fully decode before
-// answering anything, v10 separates a small, eagerly verified term
-// dictionary from the posting blocks it points into:
+// A segment file holds one document partition of a catalog. Where a frame
+// is a stream the reader must verify in full before answering anything, a
+// segment separates a small, eagerly verified term dictionary from the
+// posting blocks it points into:
 //
-//	magic "DSIX" | u16 version = 10 | u8 kind = 1 | u8 flags | u64 dictLen
+//	magic "DSIX" | u16 version = 11 | u8 kind = 1 | u8 flags | u64 dictLen
 //	dictionary region (dictLen bytes):
 //	    uvarint docCount | docCount delta-coded doc IDs
 //	    uvarint blocksLen
 //	    uvarint termCount
 //	    termCount × { string term (strictly ascending) | uvarint df |
-//	                  uvarint blockLen | u64 blockSum }
-//	u64 dictSum — FNV-1 over everything from offset 0 through the dictionary
+//	                  uvarint blockLen | u32 blockSum }
+//	u32 dictSum — over everything from offset 0 through the dictionary
 //	posting-block region (blocksLen bytes): termCount blocks, contiguous,
 //	    in term order — term i's offset is the sum of the blockLens before it
 //	each block: uvarint skipN | skipN × { uvarint idDelta, uvarint offDelta }
 //	            | standard posting-list varint encoding (positional iff
 //	              flags bit 0)
 //
-// Opening a segment reads and verifies only the header and dictionary —
-// O(dictionary + docs), never O(postings). Posting blocks are mmap'd on
-// linux (mmap_linux.go) or pread on demand elsewhere, verified against
-// their dictionary checksum and decoded lazily per term into a bounded
-// shared cache. The Reader implements index.Partition, so the whole query
-// stack — boolean, phrase, prefix, BM25, snippets, suggestions — runs on a
-// lazily opened catalog bit-identically to a heap-loaded one.
+// Every sum is index.Checksum's CRC-32C. Opening a segment reads and
+// verifies only the header and dictionary — O(dictionary + docs), never
+// O(postings). Posting blocks are mmap'd on linux (mmap_linux.go) or pread
+// on demand elsewhere, verified against their dictionary checksum and
+// decoded lazily per term into a bounded shared cache. The Reader
+// implements index.Partition, so the whole query stack — boolean, phrase,
+// prefix, BM25, snippets, suggestions — runs on a lazily opened catalog
+// bit-identically to a heap-loaded one.
 //
 // A block is decoded as far as its caller reads. The posting-list encoding
 // puts IDs first, frequencies second and positions last, and positions
@@ -45,8 +47,8 @@
 // Corruptions counts them, which is how the search engine knows to fail
 // the query instead of answering without the term.
 //
-// docs/FORMAT.md is the authoritative spec of the layout, including why
-// v10 departs from the single-frame whole-file-checksum shape (verifying a
+// docs/FORMAT.md is the authoritative spec of the layout, including why a
+// segment departs from the frame's whole-file-checksum shape (verifying a
 // trailer over all postings would make open O(file) again).
 package segment
 
@@ -57,14 +59,12 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"desksearch/internal/fnv"
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
 )
 
 const (
 	segMagic = "DSIX" // shared with internal/index's frame magic
-	segKind  = 1      // kind byte: shard segment (frames use 0 and 2)
 
 	// headerLen is the fixed prefix: magic, version, kind, flags, dictLen.
 	headerLen = 4 + 2 + 1 + 1 + 8
@@ -83,6 +83,9 @@ const (
 	maxCount = 1 << 31
 	// maxTermLen matches the codec's string cap.
 	maxTermLen = 1 << 20
+	// minEntryLen is the smallest encoded dictionary entry: a term length,
+	// df and blockLen of one byte each, and the u32 blockSum.
+	minEntryLen = 3 + 4
 )
 
 // entry is one in-memory term-dictionary entry.
@@ -91,10 +94,10 @@ type entry struct {
 	df   int
 	off  int64 // into the block region (derived: blocks are contiguous)
 	blen int64
-	sum  uint64 // FNV-1 of the block bytes
+	sum  uint32 // index.Checksum of the block bytes
 }
 
-// Reader is an open v10 segment: the verified dictionary in memory, the
+// Reader is an open segment: the verified dictionary in memory, the
 // posting blocks on disk. It implements index.Partition. Methods are safe
 // for concurrent use; the segment file must not change underneath it.
 type Reader struct {
@@ -125,18 +128,18 @@ type Reader struct {
 }
 
 // OpenBytes opens an in-memory segment image, same contract as Open. The
-// eager loading path uses it to materialize v10 files it has already read
-// and whole-file-verified; data must not be modified while the reader
+// eager loading path uses it to materialize segment files it has already
+// read and whole-file-verified; data must not be modified while the reader
 // lives.
 func OpenBytes(name string, data []byte, cache *Cache) (*Reader, error) {
 	return open(name, newByteSource(data), cache)
 }
 
-// Open opens path as a v10 segment, verifying the header and dictionary
+// Open opens path as a segment, verifying the header and dictionary
 // (never the posting blocks — Verify does that on demand; each block is
-// also checked against its dictionary checksum on first decode). cache,
-// which may be shared across the readers of a directory, bounds decoded
-// posting blocks; nil disables caching.
+// also checked against its dictionary checksum on every read the cache
+// does not serve). cache, which may be shared across the readers of a
+// directory, bounds decoded posting blocks; nil disables caching.
 func Open(path string, cache *Cache) (*Reader, error) {
 	src, err := openSource(path)
 	if err != nil {
@@ -151,7 +154,7 @@ func Open(path string, cache *Cache) (*Reader, error) {
 }
 
 func open(path string, src *source, cache *Cache) (*Reader, error) {
-	if src.size < headerLen+8 {
+	if src.size < headerLen+4 {
 		return nil, fmt.Errorf("segment: %s: truncated (%d bytes)", path, src.size)
 	}
 	hdr, err := src.slice(0, headerLen)
@@ -161,18 +164,18 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 	if string(hdr[:4]) != segMagic {
 		return nil, fmt.Errorf("segment: %s: bad magic %q", path, hdr[:4])
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != index.LazySegmentVersion {
-		return nil, fmt.Errorf("segment: %s: %w", path, index.VersionError(v, index.LazySegmentVersion))
+	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != index.Version {
+		return nil, fmt.Errorf("segment: %s: %w", path, index.VersionError(v))
 	}
-	if hdr[6] != segKind {
-		return nil, fmt.Errorf("segment: %s: frame kind %d, want %d", path, hdr[6], segKind)
+	if hdr[6] != index.KindSegment {
+		return nil, fmt.Errorf("segment: %s: %w", path, index.KindError(hdr[6], index.KindSegment))
 	}
 	flags := hdr[7]
 	if flags&^byte(flagPositional) != 0 {
 		return nil, fmt.Errorf("segment: %s: unknown flags %#x", path, flags)
 	}
 	dictLen := binary.LittleEndian.Uint64(hdr[8:16])
-	if dictLen > uint64(src.size-headerLen-8) {
+	if dictLen > uint64(src.size-headerLen-4) {
 		return nil, fmt.Errorf("segment: %s: dictionary length %d exceeds file", path, dictLen)
 	}
 
@@ -184,11 +187,11 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segment: %s: %w", path, err)
 	}
-	sumBuf, err := src.slice(headerLen+int64(dictLen), 8)
+	sumBuf, err := src.slice(headerLen+int64(dictLen), 4)
 	if err != nil {
 		return nil, fmt.Errorf("segment: %s: %w", path, err)
 	}
-	if want, got := binary.LittleEndian.Uint64(sumBuf), fnv.Hash64Bytes(region); got != want {
+	if want, got := binary.LittleEndian.Uint32(sumBuf), index.Checksum(region); got != want {
 		return nil, fmt.Errorf("segment: %s: dictionary checksum mismatch: file %#x, computed %#x", path, want, got)
 	}
 
@@ -196,15 +199,17 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 		path:       path,
 		src:        src,
 		positional: flags&flagPositional != 0,
-		blocksOff:  headerLen + int64(dictLen) + 8,
+		blocksOff:  headerLen + int64(dictLen) + 4,
 		cache:      cache,
 	}
 	c := &cursor{b: region[headerLen:]}
 
 	// Doc-ID set: the partition's NOT-universe base, delta-coded like a
-	// posting-list ID section.
+	// posting-list ID section. Each ID takes at least a byte, so the count
+	// the allocation is sized by is held to the bytes that could back it;
+	// the entries below are held the same way.
 	docCount := c.uvarint()
-	if docCount > maxCount {
+	if docCount > maxCount || docCount > uint64(c.left()) {
 		return nil, fmt.Errorf("segment: %s: absurd doc count %d", path, docCount)
 	}
 	ids := make([]postings.FileID, 0, docCount)
@@ -230,7 +235,7 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 		return nil, fmt.Errorf("segment: %s: block region is %d bytes, dictionary says %d", path, got, blocksLen)
 	}
 	termCount := c.uvarint()
-	if termCount > maxCount {
+	if termCount > maxCount || termCount > uint64(c.left()/minEntryLen) {
 		return nil, fmt.Errorf("segment: %s: absurd term count %d", path, termCount)
 	}
 	r.entries = make([]entry, 0, termCount)
@@ -253,7 +258,7 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 		if blen > blocksLen || uint64(off)+blen > blocksLen {
 			return nil, fmt.Errorf("segment: %s: term %q: block overruns region", path, term)
 		}
-		sum := c.u64()
+		sum := c.u32()
 		r.entries = append(r.entries, entry{term: term, df: int(df), off: off, blen: int64(blen), sum: sum})
 		off += int64(blen)
 		r.nPostings += int64(df)
@@ -503,7 +508,7 @@ func (r *Reader) block(e *entry) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segment: %s: term %q: %w", r.path, e.term, err)
 	}
-	if got := fnv.Hash64Bytes(blk); got != e.sum {
+	if got := index.Checksum(blk); got != e.sum {
 		return nil, fmt.Errorf("segment: %s: term %q: block checksum mismatch: dictionary %#x, computed %#x",
 			r.path, e.term, e.sum, got)
 	}
@@ -562,8 +567,8 @@ func (r *Reader) Verify() error {
 }
 
 // Materialize fully decodes the segment into a heap index — the eager
-// loading path (shard.LoadDir) applied to a v10 file, and the bridge that
-// keeps v10 catalogs loadable by every API that predates lazy open.
+// loading path (shard.LoadDir) applied to a segment file, and the bridge
+// that keeps directories loadable by every API that predates lazy open.
 func (r *Reader) Materialize() (*index.Index, error) {
 	ix := index.New(len(r.entries))
 	if r.positional {
@@ -600,18 +605,21 @@ func (c *cursor) uvarint() uint64 {
 	return v
 }
 
-func (c *cursor) u64() uint64 {
+func (c *cursor) u32() uint32 {
 	if c.err != nil {
 		return 0
 	}
-	if len(c.b)-c.off < 8 {
-		c.err = fmt.Errorf("truncated u64 at offset %d", c.off)
+	if len(c.b)-c.off < 4 {
+		c.err = fmt.Errorf("truncated u32 at offset %d", c.off)
 		return 0
 	}
-	v := binary.LittleEndian.Uint64(c.b[c.off:])
-	c.off += 8
+	v := binary.LittleEndian.Uint32(c.b[c.off:])
+	c.off += 4
 	return v
 }
+
+// left returns how many bytes remain unread.
+func (c *cursor) left() int { return len(c.b) - c.off }
 
 func (c *cursor) str() string {
 	n := c.uvarint()

@@ -218,9 +218,11 @@ func TestMaterializeEqualsSource(t *testing.T) {
 	}
 }
 
-// TestCorruptionEveryByte flips each byte of the segment in turn and
-// requires that either Open or Verify rejects the file — no single-byte
-// corruption can go unnoticed once the postings are actually read.
+// TestCorruptionEveryByte flips each bit of the segment in turn, then
+// inverts a 4-byte burst at every offset, and requires that either Open or
+// Verify rejects the file. Every byte lies in exactly one CRC-32C-covered
+// region, and CRC-32C detects every error burst of up to 32 bits, so no
+// such corruption can go unnoticed once the postings are actually read.
 func TestCorruptionEveryByte(t *testing.T) {
 	ix := buildIndex(t, 60, true)
 	path := writeSegment(t, ix)
@@ -228,17 +230,29 @@ func TestCorruptionEveryByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range orig {
-		mut := bytes.Clone(orig)
-		mut[i] ^= 0x01
+	rejected := func(mut []byte) bool {
 		r, err := OpenBytes("mut", mut, nil)
 		if err != nil {
-			continue // rejected at open: good
+			return true // rejected at open: good
 		}
 		err = r.Verify()
 		r.Close()
-		if err == nil {
-			t.Fatalf("flipping byte %d of %d went undetected by Open and Verify", i, len(orig))
+		return err != nil
+	}
+	for i := range orig {
+		for bit := range 8 {
+			mut := bytes.Clone(orig)
+			mut[i] ^= 1 << bit
+			if !rejected(mut) {
+				t.Fatalf("flipping bit %d of byte %d of %d went undetected by Open and Verify", bit, i, len(orig))
+			}
+		}
+		mut := bytes.Clone(orig)
+		for k := i; k < min(i+4, len(mut)); k++ {
+			mut[k] ^= 0xff
+		}
+		if !rejected(mut) {
+			t.Fatalf("a 4-byte burst at byte %d of %d went undetected by Open and Verify", i, len(orig))
 		}
 	}
 }

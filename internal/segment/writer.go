@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"io"
 
-	"desksearch/internal/fnv"
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
 )
 
-// Write serializes ix as a DSIX v10 lazy segment (see the package comment
+// Write serializes ix as a DSIX v11 lazy segment (see the package comment
 // and docs/FORMAT.md for the layout). The term dictionary is emitted in
 // sorted order with one checksummed posting block per term, each block
 // prefixed by a skip table; a reader can open the result in O(dictionary)
@@ -29,7 +28,7 @@ func Write(w io.Writer, ix *index.Index) error {
 		term string
 		df   int
 		blen int
-		sum  uint64
+		sum  uint32
 	}
 	dict := make([]dictEnt, 0, len(terms))
 	var blocks []byte
@@ -48,7 +47,7 @@ func Write(w io.Writer, ix *index.Index) error {
 			term: term,
 			df:   l.Len(),
 			blen: len(blocks) - start,
-			sum:  fnv.Hash64Bytes(blocks[start:]),
+			sum:  index.Checksum(blocks[start:]),
 		})
 	}
 
@@ -72,7 +71,7 @@ func Write(w io.Writer, ix *index.Index) error {
 		buf = append(buf, e.term...)
 		buf = binary.AppendUvarint(buf, uint64(e.df))
 		buf = binary.AppendUvarint(buf, uint64(e.blen))
-		buf = binary.LittleEndian.AppendUint64(buf, e.sum)
+		buf = binary.LittleEndian.AppendUint32(buf, e.sum)
 	}
 
 	// Header + dictionary + their checksum, then the blocks. The checksum
@@ -81,17 +80,16 @@ func Write(w io.Writer, ix *index.Index) error {
 	// rule scoped down to the eagerly read region.
 	hdr := make([]byte, 0, headerLen)
 	hdr = append(hdr, segMagic...)
-	hdr = binary.LittleEndian.AppendUint16(hdr, index.LazySegmentVersion)
-	hdr = append(hdr, segKind, flags)
+	hdr = binary.LittleEndian.AppendUint16(hdr, index.Version)
+	hdr = append(hdr, index.KindSegment, flags)
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(buf)))
 
-	h := fnv.New64()
+	h := index.NewChecksum()
 	h.Write(hdr)
 	h.Write(buf)
-	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], h.Sum64())
+	sum := binary.LittleEndian.AppendUint32(nil, h.Sum32())
 
-	for _, part := range [][]byte{hdr, buf, sum[:], blocks} {
+	for _, part := range [][]byte{hdr, buf, sum, blocks} {
 		if _, err := w.Write(part); err != nil {
 			return err
 		}

@@ -9,15 +9,14 @@ import (
 	"path/filepath"
 	"sync"
 
-	"desksearch/internal/fnv"
 	"desksearch/internal/index"
 	"desksearch/internal/segment"
 )
 
 // The sharded on-disk layout: one directory holding
 //
-//	manifest.dsix   DSIX version 9 frame — file table + segment directory
-//	shard-0000.dsix DSIX version 10 (lazy segment; internal/segment)
+//	manifest.dsix   DSIX version 11 kind 2 frame — file table + segment directory
+//	shard-0000.dsix DSIX version 11 kind 1 (lazy segment; internal/segment)
 //	shard-0001.dsix ...
 //
 // The manifest payload, inside the standard DSIX frame, is
@@ -26,15 +25,15 @@ import (
 //	file table (shared by all shards)
 //	doc-length section (the token lengths BM25 needs, once per set)
 //	uvarint shardCount
-//	shardCount × (uvarint nameLen | segment file name | u64 FNV-1 checksum
+//	shardCount × (uvarint nameLen | segment file name | u32 checksum
 //	              of the segment file's entire contents)
 //
 // Every file carries its own checksums (the manifest a trailer, a segment
-// its dictionary and per-block sums); the manifest's per-segment checksums
-// additionally pin the exact segment bytes, so a segment that was
-// swapped with another (internally valid) one, regenerated, or truncated is
-// rejected before its postings are trusted. Segments are written and read
-// with one goroutine per shard.
+// its dictionary and per-block sums), all index.Checksum's CRC-32C; the
+// manifest's per-segment checksums additionally pin the exact segment
+// bytes, so a segment that was swapped with another (internally valid)
+// one, regenerated, or truncated is rejected before its postings are
+// trusted. Segments are written and read with one goroutine per shard.
 
 // ManifestName is the manifest's file name inside a sharded index directory.
 const ManifestName = "manifest.dsix"
@@ -66,7 +65,7 @@ func SaveDir(dir string, s *Set) error {
 		return fmt.Errorf("shard: %w", err)
 	}
 	const stage = ".tmp"
-	sums := make([]uint64, s.Len())
+	sums := make([]uint32, s.Len())
 	written := make([]bool, s.Len())
 	errs := make([]error, s.Len())
 	clean := s.cleanSums(dir)
@@ -133,14 +132,14 @@ func removeStaleSegments(dir string, n int) {
 	}
 }
 
-// saveSegmentFile writes one segment and returns the FNV-1 checksum of the
+// saveSegmentFile writes one segment and returns the checksum of the
 // complete file contents.
-func saveSegmentFile(path string, ix *index.Index) (uint64, error) {
+func saveSegmentFile(path string, ix *index.Index) (uint32, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
 	}
-	h := fnv.New64()
+	h := index.NewChecksum()
 	if err := segment.Write(io.MultiWriter(f, h), ix); err != nil {
 		f.Close()
 		return 0, err
@@ -148,15 +147,15 @@ func saveSegmentFile(path string, ix *index.Index) (uint64, error) {
 	if err := f.Close(); err != nil {
 		return 0, err
 	}
-	return h.Sum64(), nil
+	return h.Sum32(), nil
 }
 
-func saveManifest(path string, s *Set, sums []uint64) error {
+func saveManifest(path string, s *Set, sums []uint32) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
-	err = index.EncodeFrame(f, index.FrameVersion, func(bw *bufio.Writer) error {
+	err = index.EncodeFrame(f, index.Version, func(bw *bufio.Writer) error {
 		if _, err := bw.Write([]byte{index.KindManifest, 0}); err != nil { // kind, flags
 			return err
 		}
@@ -169,12 +168,12 @@ func saveManifest(path string, s *Set, sums []uint64) error {
 		if err := index.WriteUvarint(bw, uint64(s.Len())); err != nil {
 			return err
 		}
-		var b [8]byte
+		var b [4]byte
 		for i := range s.shards {
 			if err := index.WriteString(bw, SegmentName(i)); err != nil {
 				return err
 			}
-			binary.LittleEndian.PutUint64(b[:], sums[i])
+			binary.LittleEndian.PutUint32(b[:], sums[i])
 			if _, err := bw.Write(b[:]); err != nil {
 				return err
 			}
@@ -195,7 +194,7 @@ func saveManifest(path string, s *Set, sums []uint64) error {
 type manifest struct {
 	files *index.FileTable
 	names []string
-	sums  []uint64
+	sums  []uint32
 }
 
 func parseManifest(data []byte) (*manifest, error) {
@@ -223,9 +222,9 @@ func parseManifest(data []byte) (*manifest, error) {
 	m := &manifest{
 		files: files,
 		names: make([]string, shardCount),
-		sums:  make([]uint64, shardCount),
+		sums:  make([]uint32, shardCount),
 	}
-	sumBuf := make([]byte, 8)
+	sumBuf := make([]byte, 4)
 	for i := range m.names {
 		name, err := index.ReadString(br)
 		if err != nil {
@@ -240,7 +239,7 @@ func parseManifest(data []byte) (*manifest, error) {
 		if _, err := io.ReadFull(br, sumBuf); err != nil {
 			return nil, fmt.Errorf("shard: manifest: segment %d checksum: %w", i, err)
 		}
-		m.sums[i] = binary.LittleEndian.Uint64(sumBuf)
+		m.sums[i] = binary.LittleEndian.Uint32(sumBuf)
 	}
 	if br.Len() != 0 {
 		return nil, fmt.Errorf("shard: manifest: %d trailing payload bytes", br.Len())
@@ -299,12 +298,12 @@ func LoadDir(dir string) (*Set, error) {
 // loadSegmentFile eagerly loads one segment: the file is opened in place
 // over the already-read bytes and fully materialized — the eager path
 // through the lazy format.
-func loadSegmentFile(path string, wantSum uint64) (*index.Index, error) {
+func loadSegmentFile(path string, wantSum uint32) (*index.Index, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if got := fnv.Hash64Bytes(data); got != wantSum {
+	if got := index.Checksum(data); got != wantSum {
 		return nil, fmt.Errorf("file checksum mismatch: manifest %#x, computed %#x", wantSum, got)
 	}
 	r, err := segment.OpenBytes(path, data, nil)

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,8 +121,31 @@ func TestLoadDirRejectsMissingSegment(t *testing.T) {
 	}
 }
 
+// TestLoadDirRejectsCorruptManifest flips every bit of a saved manifest,
+// and inverts a 4-byte burst at every offset, each of which the CRC-32C
+// trailer detects; one such file is also fed to LoadDir whole.
 func TestLoadDirRejectsCorruptManifest(t *testing.T) {
 	dir := savedDir(t)
+	pristine, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos := range pristine {
+		for bit := range 8 {
+			corrupt := bytes.Clone(pristine)
+			corrupt[pos] ^= 1 << bit
+			if _, err := parseManifest(corrupt); err == nil {
+				t.Fatalf("flipping bit %d of manifest byte %d not detected", bit, pos)
+			}
+		}
+		corrupt := bytes.Clone(pristine)
+		for i := pos; i < min(pos+4, len(corrupt)); i++ {
+			corrupt[i] ^= 0xff
+		}
+		if _, err := parseManifest(corrupt); err == nil {
+			t.Fatalf("a 4-byte burst at manifest byte %d not detected", pos)
+		}
+	}
 	corruptFile(t, filepath.Join(dir, ManifestName), func(b []byte) []byte {
 		b[len(b)/3] ^= 0x01
 		return b

@@ -54,9 +54,10 @@ var ErrNotHashRouted = errors.New("shard: directory is not hash-routed (rebuild 
 //
 // Unlike LoadDir, the manifest's whole-file segment checksums are NOT
 // verified — doing so would read every posting byte and make open
-// O(postings) again. Integrity instead comes from the v10 layout itself:
-// the dictionary region is checksum-verified at open, and every posting
-// block is checked against its dictionary checksum before first use.
+// O(postings) again. Integrity instead comes from the segment layout
+// itself: the dictionary region is checksum-verified at open, and every
+// posting block is checked against its dictionary checksum on every read
+// the cache does not serve.
 func OpenDir(dir string, cacheBytes int64) (*LazySet, error) {
 	return OpenDirShards(dir, cacheBytes, nil)
 }

@@ -26,7 +26,7 @@ func manifestVersion(t *testing.T, dir string) uint16 {
 }
 
 // TestManifestCarriesDocLengths: a fresh corpus (whose file table carries
-// token lengths) persists a v9 manifest, and LoadDir restores every
+// token lengths) persists a v11 manifest, and LoadDir restores every
 // per-file length.
 func TestManifestCarriesDocLengths(t *testing.T) {
 	files, ix, blocks := buildCorpus(t)
@@ -39,8 +39,8 @@ func TestManifestCarriesDocLengths(t *testing.T) {
 	if err := SaveDir(dir, set); err != nil {
 		t.Fatal(err)
 	}
-	if v := manifestVersion(t, dir); v != index.FrameVersion {
-		t.Fatalf("manifest version = %d, want %d", v, index.FrameVersion)
+	if v := manifestVersion(t, dir); v != index.Version {
+		t.Fatalf("manifest version = %d, want %d", v, index.Version)
 	}
 
 	loaded, err := LoadDir(dir)
@@ -59,7 +59,7 @@ func TestManifestCarriesDocLengths(t *testing.T) {
 // flags byte must be zero; a checksummed frame with any bit set is refused.
 func TestManifestUnknownFlagsRejected(t *testing.T) {
 	var buf bytes.Buffer
-	err := index.EncodeFrame(&buf, index.FrameVersion, func(bw *bufio.Writer) error {
+	err := index.EncodeFrame(&buf, index.Version, func(bw *bufio.Writer) error {
 		_, err := bw.Write([]byte{index.KindManifest, 0x4})
 		return err
 	})

@@ -45,7 +45,7 @@ type Set struct {
 	// modified-since flags. dirty == nil means everything is dirty (a
 	// freshly built set).
 	savedDir  string
-	savedSums []uint64
+	savedSums []uint32
 	dirty     []bool
 }
 
@@ -90,10 +90,10 @@ func (s *Set) DirtyCount() int {
 // whose on-disk files are already current (nil entries mean "rewrite").
 // The snapshot is taken under the persistence lock so a concurrent
 // MarkDirty cannot tear it mid-save.
-func (s *Set) cleanSums(dir string) []*uint64 {
+func (s *Set) cleanSums(dir string) []*uint32 {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
-	out := make([]*uint64, len(s.shards))
+	out := make([]*uint32, len(s.shards))
 	if s.dirty == nil || s.savedDir == "" || s.savedDir != dir {
 		return out
 	}
@@ -108,7 +108,7 @@ func (s *Set) cleanSums(dir string) []*uint64 {
 
 // markSaved records a successful save of every segment under dir with the
 // given checksums.
-func (s *Set) markSaved(dir string, sums []uint64) {
+func (s *Set) markSaved(dir string, sums []uint32) {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
 	s.savedDir = dir
