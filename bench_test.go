@@ -8,13 +8,14 @@ package desksearch
 //   - BenchmarkTable4Manycore32     — Table 4 (32-core best configurations)
 //   - BenchmarkLiveImplementations  — Tables 2–4 analogue with real goroutines on this host
 //
-// and the ablations for the design decisions the paper discusses:
+// and the ablations for the design knobs that remain live:
 //
-//   - BenchmarkAblationDistribution     — round-robin vs size-aware vs chunked vs stealing (§3)
-//   - BenchmarkAblationEnBloc           — en-bloc block insert vs immediate per-term insert (§3)
-//   - BenchmarkAblationJoin             — single-threaded vs parallel reduction join (§2.3)
-//   - BenchmarkAblationConcurrentStage1 — up-front vs overlapped filename generation (§3)
-//   - BenchmarkAblationParallelSearch   — multi-index parallel query (§5, future work)
+//   - BenchmarkAblationJoin           — single-threaded vs parallel reduction join (§2.3)
+//   - BenchmarkAblationParallelSearch — multi-index parallel query (§5, future work)
+//
+// The designs the paper measured and rejected (other dealing rules, work
+// stealing, per-term insertion, a concurrent Stage 1) are not kept, so
+// they have no ablation.
 //
 // Simulated benches report model output as custom metrics (exec-s,
 // speedup); live benches measure this machine.
@@ -27,13 +28,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"desksearch/internal/core"
 	"desksearch/internal/corpus"
-	"desksearch/internal/distribute"
 	"desksearch/internal/experiments"
-	"desksearch/internal/extract"
 	"desksearch/internal/index"
 	"desksearch/internal/platform"
 	"desksearch/internal/postings"
@@ -165,136 +163,6 @@ func BenchmarkLiveImplementations(b *testing.B) {
 	}
 }
 
-// BenchmarkLiveDiskBound reproduces the paper's 8-core finding on real
-// goroutines: behind a depth-1 disk (vfs.Limited over vfs.DelayFS), no
-// thread count beats the serialized read floor, so the parallel speed-up
-// collapses toward the paper's ≈2× — while the same corpus without the
-// disk limit parallelizes freely.
-func BenchmarkLiveDiskBound(b *testing.B) {
-	mem := vfs.NewMemFS()
-	if _, err := corpus.Generate(corpus.PaperSpec().Scale(1.0/1024), mem); err != nil {
-		b.Fatal(err)
-	}
-	slow := vfs.NewLimited(vfs.NewDelayFS(mem, vfs.DiskModel{
-		Seek:           50 * time.Microsecond,
-		BytesPerSecond: 64 << 20,
-	}), 1)
-	x := runtime.NumCPU() - 1
-	if x < 2 {
-		x = 2
-	}
-	cases := []struct {
-		name string
-		fs   vfs.FS
-		cfg  core.Config
-	}{
-		{"fast-disk/sequential", mem, core.Config{Implementation: core.Sequential}},
-		{"fast-disk/impl3", mem, core.Config{Implementation: core.ReplicatedSearch, Extractors: x, Updaters: 2}},
-		{"slow-disk/sequential", slow, core.Config{Implementation: core.Sequential}},
-		{"slow-disk/impl3", slow, core.Config{Implementation: core.ReplicatedSearch, Extractors: x, Updaters: 2}},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Run(tc.fs, ".", tc.cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---- Ablation A1: work distribution strategies (§3) ----
-
-func BenchmarkAblationDistribution(b *testing.B) {
-	fs := liveCorpus(b)
-	x := runtime.NumCPU() - 1
-	if x < 2 {
-		x = 2
-	}
-	cases := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"round-robin", core.Config{Implementation: core.ReplicatedSearch, Extractors: x, Distribution: distribute.RoundRobin}},
-		{"by-size", core.Config{Implementation: core.ReplicatedSearch, Extractors: x, Distribution: distribute.BySize}},
-		{"chunked", core.Config{Implementation: core.ReplicatedSearch, Extractors: x, Distribution: distribute.Chunked}},
-		{"work-stealing", core.Config{Implementation: core.ReplicatedSearch, Extractors: x, WorkStealing: true}},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Run(fs, ".", tc.cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---- Ablation A2: en-bloc vs immediate insertion (§3) ----
-
-func BenchmarkAblationEnBloc(b *testing.B) {
-	fs := liveCorpus(b)
-	files, err := walk.List(fs, ".")
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := runtime.NumCPU() - 1
-	if x < 2 {
-		x = 2
-	}
-	parts := distribute.Partition(files, x, distribute.RoundRobin)
-
-	b.Run("en-bloc", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			shared := index.NewShared(1 << 12)
-			var wg sync.WaitGroup
-			for w := 0; w < x; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					ex := extract.New(fs, extract.Options{Tokenize: tokenize.Default})
-					for j, f := range parts[w] {
-						block, err := ex.File(f.Path, postings.FileID(w*len(files)+j))
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						shared.AddBlock(block.File, block.Terms, nil)
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
-	})
-
-	b.Run("immediate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			shared := index.NewShared(1 << 12)
-			var wg sync.WaitGroup
-			for w := 0; w < x; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					ex := extract.New(fs, extract.Options{Tokenize: tokenize.Default})
-					for j, f := range parts[w] {
-						id := postings.FileID(w*len(files) + j)
-						err := ex.Occurrences(f.Path, id, func(term string, id postings.FileID) {
-							shared.AddTermOccurrence(term, id)
-						})
-						if err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
-	})
-}
-
 // ---- Ablation A3: join strategies (§2.3) ----
 
 func buildReplicas(b *testing.B, n int) []*index.Index {
@@ -346,31 +214,6 @@ func BenchmarkAblationJoin(b *testing.B) {
 			}
 		})
 	}
-}
-
-// ---- Ablation A4: concurrent Stage 1 (§3) ----
-
-func BenchmarkAblationConcurrentStage1(b *testing.B) {
-	fs := liveCorpus(b)
-	x := runtime.NumCPU() - 1
-	if x < 2 {
-		x = 2
-	}
-	b.Run("upfront", func(b *testing.B) {
-		cfg := core.Config{Implementation: core.SharedIndex, Extractors: x}
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(fs, ".", cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("concurrent", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.RunConcurrentStage1(fs, ".", x, extract.Options{Tokenize: tokenize.Default}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // ---- Ablation A5: parallel search over replicas (§5) ----

@@ -11,7 +11,6 @@ import (
 
 	"desksearch/internal/core"
 	"desksearch/internal/delta"
-	"desksearch/internal/distribute"
 	"desksearch/internal/extract"
 	"desksearch/internal/index"
 	"desksearch/internal/search"
@@ -54,7 +53,8 @@ type Options struct {
 	MinTermLen int
 	// Shards, when positive, partitions the catalog into that many
 	// document shards, searched with parallel fan-out and saved with
-	// SaveDir as a manifest plus one segment file per shard.
+	// SaveDir as a manifest plus one segment file per shard. At most
+	// 65 536, the most segments one index directory holds.
 	Shards int
 	// Positions records each term occurrence's token position in the
 	// index, enabling quoted phrase queries ("annual report") at the cost
@@ -96,11 +96,10 @@ func (o Options) coreConfig() (core.Config, error) {
 		return core.Config{}, err
 	}
 	cfg := core.Config{
-		Extractors:   o.Extractors,
-		Updaters:     o.Updaters,
-		Joiners:      o.Joiners,
-		Shards:       o.Shards,
-		Distribution: distribute.RoundRobin,
+		Extractors: o.Extractors,
+		Updaters:   o.Updaters,
+		Joiners:    o.Joiners,
+		Shards:     o.Shards,
 	}
 	tok := tokenize.Default
 	if o.MinTermLen > 0 {

@@ -20,8 +20,8 @@ package core
 import (
 	"fmt"
 
-	"desksearch/internal/distribute"
 	"desksearch/internal/extract"
+	"desksearch/internal/shard"
 )
 
 // Implementation selects one of the paper's index-interaction designs.
@@ -57,6 +57,12 @@ func (im Implementation) String() string {
 
 // Config describes one pipeline run. The zero value runs sequentially; use
 // Default for a sensible parallel starting point.
+//
+// How filenames reach the extractors is fixed, not configured: Stage 1
+// lists them all up front and deals them round-robin into one private
+// vector per extractor (file i to extractor i mod x). The paper measured
+// that fastest, against size-aware and chunked dealing, work stealing, and
+// a Stage 1 running concurrently with extraction.
 type Config struct {
 	// Implementation selects the index-interaction design.
 	Implementation Implementation
@@ -72,12 +78,6 @@ type Config struct {
 	// and updaters (split across the per-updater channels of a sharded
 	// replicated run). Zero selects 8 blocks per extractor.
 	Buffer int
-	// Distribution selects how filenames are dealt to extractors.
-	// The default, round-robin, is the paper's measured winner.
-	Distribution distribute.Strategy
-	// WorkStealing replaces the static distribution with per-extractor
-	// deques and stealing (the paper's fourth considered option).
-	WorkStealing bool
 	// Shards, when positive, makes that many document shards the sinks of
 	// Stage 3 (a shard.Set in Result.Shards) instead of a single index or
 	// replica slice: every term block goes to the shard.ShardFor shard of
@@ -93,7 +93,8 @@ type Config struct {
 
 // Default returns the paper's default parallel configuration for the given
 // implementation on a machine with cores cores: extractors fill the
-// machine, one updater, single-threaded join.
+// machine, one updater, single-threaded join. The tuple is all it chooses:
+// every Config deals filenames round-robin.
 func Default(im Implementation, cores int) Config {
 	if cores < 1 {
 		cores = 1
@@ -115,11 +116,13 @@ func (c Config) Tuple() string {
 	return fmt.Sprintf("(%d, %d, %d)", c.Extractors, c.Updaters, c.Joiners)
 }
 
-// normalized returns a copy with defaults filled in and nonsense clamped.
-func (c Config) normalized() Config {
+// Normalized returns a copy with defaults filled in and nonsense clamped:
+// the configuration Run executes. The simulator (internal/simmodel) reads
+// zero-valued configurations through it too, so a simulated and a live run
+// of one Config agree on its thread tuple and buffer size.
+func (c Config) Normalized() Config {
 	if c.Implementation == Sequential {
 		c.Extractors, c.Updaters, c.Joiners = 1, 0, 0
-		c.WorkStealing = false
 	}
 	if c.Extractors < 1 {
 		c.Extractors = 1
@@ -152,10 +155,8 @@ func (c Config) Validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("core: negative shard count %d", c.Shards)
 	}
-	switch c.Distribution {
-	case distribute.RoundRobin, distribute.BySize, distribute.Chunked:
-	default:
-		return fmt.Errorf("core: unknown distribution strategy %d", int(c.Distribution))
+	if c.Shards > shard.MaxShards {
+		return fmt.Errorf("core: shard count %d is above the limit of %d", c.Shards, shard.MaxShards)
 	}
 	return nil
 }
@@ -164,7 +165,7 @@ func (c Config) Validate() error {
 // one per updater, or one per extractor when updaters are absent. The
 // SharedIndex and Sequential designs always have exactly one.
 func (c Config) Replicas() int {
-	c = c.normalized()
+	c = c.Normalized()
 	switch c.Implementation {
 	case ReplicatedJoin, ReplicatedSearch:
 		if c.Updaters > 0 {

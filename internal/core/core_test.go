@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"desksearch/internal/corpus"
-	"desksearch/internal/distribute"
 	"desksearch/internal/extract"
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
@@ -74,9 +73,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (Config{Extractors: -1}).Validate(); err == nil {
 		t.Error("negative extractors accepted")
-	}
-	if err := (Config{Distribution: distribute.Strategy(9)}).Validate(); err == nil {
-		t.Error("bad distribution accepted")
 	}
 }
 
@@ -149,10 +145,7 @@ func TestAllImplementationsAgree(t *testing.T) {
 		{Implementation: ReplicatedJoin, Extractors: 2, Updaters: 4, Joiners: 2},
 		{Implementation: ReplicatedSearch, Extractors: 3, Updaters: 2},
 		{Implementation: ReplicatedSearch, Extractors: 4},
-		{Implementation: SharedIndex, Extractors: 4, Distribution: distribute.BySize},
-		{Implementation: SharedIndex, Extractors: 4, Distribution: distribute.Chunked},
-		{Implementation: ReplicatedJoin, Extractors: 4, WorkStealing: true},
-		{Implementation: SharedIndex, Extractors: 4, WorkStealing: true},
+		{Implementation: ReplicatedJoin, Extractors: 4},
 	}
 	for _, cfg := range configs {
 		res, err := Run(corpusFS(t), ".", cfg)
@@ -175,21 +168,18 @@ func TestAllImplementationsAgree(t *testing.T) {
 }
 
 // TestRandomConfigsAgreeWithReference drives the pipeline with randomized
-// configurations (implementation, thread counts, buffer size, distribution
-// strategy, stealing) and checks every run produces the reference index.
+// configurations (implementation, thread counts, buffer size) and checks
+// every run produces the reference index.
 func TestRandomConfigsAgreeWithReference(t *testing.T) {
 	want := reference(t).Index
-	if err := quick.Check(func(implRaw, x, y, z, buf uint8, distRaw uint8, stealing bool) bool {
+	if err := quick.Check(func(implRaw, x, y, z, buf uint8) bool {
 		impls := []Implementation{SharedIndex, ReplicatedJoin, ReplicatedSearch}
-		dists := []distribute.Strategy{distribute.RoundRobin, distribute.BySize, distribute.Chunked}
 		cfg := Config{
 			Implementation: impls[int(implRaw)%len(impls)],
 			Extractors:     int(x%6) + 1,
 			Updaters:       int(y % 5),
 			Joiners:        int(z % 4),
 			Buffer:         int(buf % 16),
-			Distribution:   dists[int(distRaw)%len(dists)],
-			WorkStealing:   stealing,
 		}
 		res, err := Run(corpusFS(t), ".", cfg)
 		if err != nil {
@@ -324,37 +314,6 @@ func TestMeasureStages(t *testing.T) {
 	}
 }
 
-func TestRunConcurrentStage1MatchesReference(t *testing.T) {
-	want := reference(t).Index
-	res, err := RunConcurrentStage1(corpusFS(t), ".", 4, extract.Options{Tokenize: tokenize.Default})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Index.Equal(want) {
-		t.Error("concurrent stage-1 index differs from reference")
-	}
-	if res.Files.Len() != 120 {
-		t.Errorf("file table has %d entries", res.Files.Len())
-	}
-}
-
-func TestRunConcurrentStage1MissingRoot(t *testing.T) {
-	if _, err := RunConcurrentStage1(corpusFS(t), "gone", 2, extract.Options{}); err == nil {
-		t.Error("missing root not reported")
-	}
-}
-
-func TestRunConcurrentStage1SkipsUnreadable(t *testing.T) {
-	fs := failingFS{FS: corpusFS(t), failPath: "large-0.txt"}
-	res, err := RunConcurrentStage1(fs, ".", 3, extract.Options{Tokenize: tokenize.Default})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.SkippedFiles) != 1 {
-		t.Errorf("skipped = %+v", res.SkippedFiles)
-	}
-}
-
 func TestMeasureStagesMissingRoot(t *testing.T) {
 	if _, err := MeasureStages(corpusFS(t), "gone", extract.Options{}); err == nil {
 		t.Error("missing root not reported")
@@ -381,7 +340,7 @@ func TestShardedRunsAgreeWithReference(t *testing.T) {
 		{Implementation: ReplicatedSearch, Extractors: 1, Updaters: 2},
 		{Implementation: ReplicatedSearch, Extractors: 4, Updaters: 4},
 		{Implementation: ReplicatedSearch, Extractors: 4, Updaters: 3, Buffer: 2},
-		{Implementation: ReplicatedSearch, Extractors: 2, Updaters: 5, WorkStealing: true},
+		{Implementation: ReplicatedSearch, Extractors: 2, Updaters: 5},
 	}
 	for _, n := range []int{1, 4, 8} {
 		want := shard.Distribute(ref.Files, []*index.Index{ref.Index}, n).Shards()
@@ -441,5 +400,44 @@ func TestShardedRunsAgreeWithReference(t *testing.T) {
 func TestConfigValidateRejectsNegativeShards(t *testing.T) {
 	if err := (Config{Shards: -1}).Validate(); err == nil {
 		t.Error("negative shard count accepted")
+	}
+}
+
+// TestConfigValidateBoundsShards: a shard count LoadDir would refuse to
+// read back is refused before anything is built, naming the limit.
+func TestConfigValidateBoundsShards(t *testing.T) {
+	if err := (Config{Implementation: ReplicatedSearch, Shards: shard.MaxShards}).Validate(); err != nil {
+		t.Errorf("shard count at the limit rejected: %v", err)
+	}
+	err := (Config{Implementation: ReplicatedSearch, Shards: shard.MaxShards + 1}).Validate()
+	if err == nil {
+		t.Fatal("shard count above the limit accepted")
+	}
+	if !strings.Contains(err.Error(), fmt.Sprint(shard.MaxShards)) {
+		t.Errorf("error %q does not name the limit %d", err, shard.MaxShards)
+	}
+}
+
+// TestRoundRobinDealing pins the Stage 1→2 dealing rule: job i goes to
+// extractor i mod x. With no updaters each extractor fills its own
+// replica, so replica w of a (3, 0, 0) ReplicatedSearch run holds exactly
+// the files whose IDs are ≡ w (mod 3).
+func TestRoundRobinDealing(t *testing.T) {
+	const x = 3
+	res, err := Run(corpusFS(t), ".", Config{Implementation: ReplicatedSearch, Extractors: x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Replicas) != x {
+		t.Fatalf("got %d replicas, want %d", len(res.Replicas), x)
+	}
+	for w, r := range res.Replicas {
+		var want []postings.FileID
+		for id := w; id < res.Files.Len(); id += x {
+			want = append(want, postings.FileID(id))
+		}
+		if got := r.Docs().IDs(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("replica %d holds files %v, want %v", w, got, want)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"desksearch/internal/distribute"
 	"desksearch/internal/extract"
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
@@ -104,7 +103,7 @@ func Run(fsys vfs.FS, root string, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 
 	res := &Result{Implementation: cfg.Implementation, Config: cfg}
 	startTotal := time.Now()
@@ -256,6 +255,9 @@ func runDirect(fsys vfs.FS, cfg Config, jobs []job, sink blockSink, res *Result)
 // goroutines and, when cfg.Updaters > 0, separate updater goroutines fed
 // through a bounded channel. sinkFor(i) returns the block sink for updater
 // slot i (or extractor slot i when there are no updaters).
+//
+// Stage 1's list is dealt round-robin: extractor w owns jobs w, w+x,
+// w+2x, … of it, a private vector read with no synchronization at all.
 func runPipeline(fsys vfs.FS, cfg Config, jobs []job, sinkFor func(int) blockSink, res *Result) {
 	var (
 		skippedMu sync.Mutex
@@ -264,42 +266,6 @@ func runPipeline(fsys vfs.FS, cfg Config, jobs []job, sinkFor func(int) blockSin
 		skippedMu.Lock()
 		res.SkippedFiles = append(res.SkippedFiles, Skipped{Path: path, Err: err})
 		skippedMu.Unlock()
-	}
-
-	// nextJob yields each extractor's work: a static private vector
-	// (round-robin/by-size/chunked) or a stealing pool.
-	var jobSource func(worker int) func() (job, bool)
-	if cfg.WorkStealing {
-		refs := make([]walk.FileRef, len(jobs))
-		idByPath := make(map[string]postings.FileID, len(jobs))
-		for i, j := range jobs {
-			refs[i] = j.ref
-			idByPath[j.ref.Path] = j.id
-		}
-		pool := distribute.NewStealingPool(refs, cfg.Extractors)
-		jobSource = func(worker int) func() (job, bool) {
-			return func() (job, bool) {
-				ref, ok := pool.Next(worker)
-				if !ok {
-					return job{}, false
-				}
-				return job{ref: ref, id: idByPath[ref.Path]}, true
-			}
-		}
-	} else {
-		parts := partitionJobs(jobs, cfg.Extractors, cfg.Distribution)
-		jobSource = func(worker int) func() (job, bool) {
-			i := 0
-			part := parts[worker]
-			return func() (job, bool) {
-				if i >= len(part) {
-					return job{}, false
-				}
-				j := part[i]
-				i++
-				return j, true
-			}
-		}
 	}
 
 	if cfg.Updaters == 0 {
@@ -312,12 +278,8 @@ func runPipeline(fsys vfs.FS, cfg Config, jobs []job, sinkFor func(int) blockSin
 				defer wg.Done()
 				ex := extract.New(fsys, cfg.Extract)
 				sink := sinkFor(replicaSlot(cfg, w, -1))
-				next := jobSource(w)
-				for {
-					j, ok := next()
-					if !ok {
-						return
-					}
+				for i := w; i < len(jobs); i += cfg.Extractors {
+					j := jobs[i]
 					block, err := ex.File(j.ref.Path, j.id)
 					if err != nil {
 						skip(j.ref.Path, err)
@@ -352,12 +314,8 @@ func runPipeline(fsys vfs.FS, cfg Config, jobs []job, sinkFor func(int) blockSin
 		go func(w int) {
 			defer extractors.Done()
 			ex := extract.New(fsys, cfg.Extract)
-			next := jobSource(w)
-			for {
-				j, ok := next()
-				if !ok {
-					return
-				}
+			for i := w; i < len(jobs); i += cfg.Extractors {
+				j := jobs[i]
 				block, err := ex.File(j.ref.Path, j.id)
 				if err != nil {
 					skip(j.ref.Path, err)
@@ -395,24 +353,4 @@ func replicaSlot(cfg Config, extractor, updater int) int {
 		return updater
 	}
 	return extractor
-}
-
-// partitionJobs splits jobs into k private vectors with the configured
-// strategy, preserving each job's pre-assigned FileID.
-func partitionJobs(jobs []job, k int, strategy distribute.Strategy) [][]job {
-	refs := make([]walk.FileRef, len(jobs))
-	idByPath := make(map[string]postings.FileID, len(jobs))
-	for i, j := range jobs {
-		refs[i] = j.ref
-		idByPath[j.ref.Path] = j.id
-	}
-	refParts := distribute.Partition(refs, k, strategy)
-	parts := make([][]job, len(refParts))
-	for w, rp := range refParts {
-		parts[w] = make([]job, len(rp))
-		for i, ref := range rp {
-			parts[w][i] = job{ref: ref, id: idByPath[ref.Path]}
-		}
-	}
-	return parts
 }

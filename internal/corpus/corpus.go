@@ -145,7 +145,7 @@ func (s Spec) normalize() Spec {
 }
 
 // FileStat is the metadata of one corpus file, used directly by the
-// simulator and by work-distribution tests.
+// simulator.
 type FileStat struct {
 	// Path is the slash-separated file path within the corpus root.
 	Path string

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"desksearch/internal/autotune"
 	"desksearch/internal/core"
@@ -205,27 +204,4 @@ func (r Table1Result) RenderComparison() string {
 			pair(row.Insert, row.Paper.Insert))
 	}
 	return tb.String()
-}
-
-// RunAll reproduces every table on the simulator and renders a full
-// report, the body of cmd/experiments and the source of EXPERIMENTS.md's
-// measured numbers.
-func RunAll(cs corpus.Stats, o SweepOptions) (string, error) {
-	var sb strings.Builder
-	t1 := RunTable1(cs)
-	sb.WriteString(t1.Render())
-	sb.WriteString("\n")
-	sb.WriteString(t1.RenderComparison())
-	sb.WriteString("\n")
-	for _, p := range platform.All() {
-		res, err := RunBestConfigs(p, cs, o)
-		if err != nil {
-			return "", err
-		}
-		sb.WriteString(res.Render())
-		sb.WriteString("\n")
-		sb.WriteString(res.RenderComparison())
-		sb.WriteString("\n")
-	}
-	return sb.String(), nil
 }

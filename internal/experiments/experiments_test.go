@@ -249,21 +249,3 @@ func TestScalingCurveShapes(t *testing.T) {
 		}
 	}
 }
-
-func TestRunAllProducesFullReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full report sweep")
-	}
-	o := fastSweep()
-	o.MaxExtractors = 6
-	o.MaxUpdaters = 3
-	report, err := RunAll(paperShape(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Table 1", "Table 2", "Table 3", "Table 4", "model vs paper"} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q", want)
-		}
-	}
-}

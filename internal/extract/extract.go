@@ -143,15 +143,3 @@ func (e *Extractor) ReadOnly(path string) (int64, error) {
 	_ = sink
 	return int64(len(data)), nil
 }
-
-// Occurrences extracts every term occurrence (duplicates included) and
-// calls emit for each — the paper's rejected immediate-insertion
-// alternative, used by the en-bloc ablation benchmark.
-func (e *Extractor) Occurrences(path string, id postings.FileID, emit func(term string, id postings.FileID)) error {
-	data, err := e.text(path)
-	if err != nil {
-		return err
-	}
-	tokenize.ScanBytes(data, e.opts.Tokenize, func(term []byte) { emit(string(term), id) })
-	return nil
-}

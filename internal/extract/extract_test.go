@@ -154,29 +154,6 @@ func TestReadOnlyCountsBytes(t *testing.T) {
 	}
 }
 
-func TestOccurrencesKeepsDuplicates(t *testing.T) {
-	e := New(testFS(t), Options{Tokenize: tokenize.Default})
-	var got []string
-	err := e.Occurrences("plain.txt", 3, func(term string, id postings.FileID) {
-		if id != 3 {
-			t.Errorf("id = %d", id)
-		}
-		got = append(got, term)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 8 {
-		t.Errorf("got %d occurrences, want 8: %v", len(got), got)
-	}
-	if _, err := e.File("plain.txt", 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Occurrences("nope", 0, func(string, postings.FileID) {}); err == nil {
-		t.Error("missing file not reported")
-	}
-}
-
 func BenchmarkFile(b *testing.B) {
 	fs := vfs.NewMemFS()
 	body := make([]byte, 0, 64<<10)

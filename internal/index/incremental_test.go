@@ -74,7 +74,8 @@ func TestRemoveFilesMatchesSequentialRemoves(t *testing.T) {
 	removedBatch := batched.RemoveFiles(victims)
 
 	oneByOne := build()
-	removedSeq := oneByOne.RemoveFile(1) + oneByOne.RemoveFile(3)
+	removedSeq := oneByOne.RemoveFiles(postings.FromIDs([]postings.FileID{1}))
+	removedSeq += oneByOne.RemoveFiles(postings.FromIDs([]postings.FileID{3}))
 
 	if removedBatch != removedSeq {
 		t.Errorf("removed %d postings batched, %d sequentially", removedBatch, removedSeq)

@@ -222,21 +222,6 @@ func (ix *Index) Positional() bool { return ix.positional }
 // re-extracting positionally through incremental updates.
 func (ix *Index) SetPositional() { ix.positional = true }
 
-// AddTermOccurrence inserts a single (term, file) occurrence, tolerating
-// duplicates. It is the paper's rejected alternative — terms inserted
-// immediately and potentially repeatedly — kept for the ablation benchmark;
-// the posting list's sorted insert performs the duplicate check the paper's
-// analysis wanted to avoid.
-func (ix *Index) AddTermOccurrence(term string, id postings.FileID) {
-	defer ix.invalidateSortedOnGrowth(len(ix.terms))
-	l := ix.list(term)
-	before := l.Len()
-	l.Add(id)
-	if l.Len() > before {
-		ix.nPostings++
-	}
-}
-
 // Lookup returns the posting list for term, or nil if absent. The returned
 // list is the index's own storage; callers must not modify it.
 func (ix *Index) Lookup(term string) *postings.List { return ix.terms[term] }
@@ -400,8 +385,8 @@ func (ix *Index) Join(other *Index) {
 
 // MergeTerm unions l into term's posting list, creating the term if absent.
 // l is read but not retained, so callers may keep using it. Sharding uses
-// MergeTerm to route posting sublists between indices without the per-ID
-// lookup cost of AddTermOccurrence.
+// MergeTerm to route a whole posting sublist between indices in one merge,
+// where per-file AddBlock calls would cost a term lookup per posting.
 func (ix *Index) MergeTerm(term string, l *postings.List) {
 	if l == nil || l.Len() == 0 {
 		return
@@ -466,13 +451,6 @@ func (s *Shared) AddBlock(id postings.FileID, terms []string, counts []uint32) {
 func (s *Shared) AddBlockPositional(id postings.FileID, terms []string, positions [][]uint32) {
 	s.mu.Lock()
 	s.ix.AddBlockPositional(id, terms, positions)
-	s.mu.Unlock()
-}
-
-// AddTermOccurrence inserts one occurrence under the lock (ablation path).
-func (s *Shared) AddTermOccurrence(term string, id postings.FileID) {
-	s.mu.Lock()
-	s.ix.AddTermOccurrence(term, id)
 	s.mu.Unlock()
 }
 

@@ -52,23 +52,6 @@ func TestAddBlockAndLookup(t *testing.T) {
 	}
 }
 
-func TestAddTermOccurrenceDeduplicates(t *testing.T) {
-	ix := New(0)
-	// The immediate-insertion path sees duplicates (same term repeatedly in
-	// one file); the index must end up identical to the en-bloc path.
-	for _, term := range []string{"dup", "dup", "other", "dup"} {
-		ix.AddTermOccurrence(term, 7)
-	}
-	if ix.NumPostings() != 2 {
-		t.Errorf("NumPostings = %d, want 2", ix.NumPostings())
-	}
-	en := New(0)
-	en.AddBlock(7, []string{"dup", "other"}, nil)
-	if !ix.Equal(en) {
-		t.Error("immediate insertion diverged from en-bloc insertion")
-	}
-}
-
 func TestRangeAndTerms(t *testing.T) {
 	ix := New(0)
 	ix.AddBlock(0, []string{"a", "b", "c"}, nil)
@@ -467,23 +450,5 @@ func TestSharedConcurrentAddBlock(t *testing.T) {
 		if got := ix.Lookup(fmt.Sprintf("w%d", w)).Len(); got != filesPerWorker {
 			t.Errorf("w%d has %d postings", w, got)
 		}
-	}
-}
-
-func TestSharedConcurrentAddTermOccurrence(t *testing.T) {
-	s := NewShared(0)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				s.AddTermOccurrence("hot", postings.FileID(i%10))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := s.Unwrap().Lookup("hot").Len(); got != 10 {
-		t.Errorf("hot has %d postings, want 10", got)
 	}
 }

@@ -10,24 +10,18 @@ import (
 // a desktop search tool must follow the user's filesystem, removing and
 // re-indexing files as they change between full rebuilds.
 
-// RemoveFile deletes every posting of the given file and returns the
-// number of postings removed. Terms whose posting lists become empty are
-// dropped from the index.
+// RemoveFiles deletes every posting of every file in victims and returns
+// the number of postings removed. Terms whose posting lists become empty
+// are dropped from the index.
 //
 // The inverted mapping makes removal a full scan (the index has no
 // file → terms direction); that is the structural price of the paper's
-// design and the reason desktop search tools batch deletions.
-func (ix *Index) RemoveFile(id postings.FileID) int {
-	return ix.RemoveFiles(postings.FromIDs([]postings.FileID{id}))
-}
-
-// RemoveFiles deletes every posting of every file in victims and returns
-// the number of postings removed. One scan over the term map handles the
-// whole batch, which is how the incremental update path (internal/delta)
-// amortizes the full-scan price of removal across a changeset; it is also
-// why removing files absent from this index — routine when a catalog's
-// partitions are scanned in parallel and only one owns the file — costs
-// only the scan.
+// design and the reason desktop search tools batch deletions. One scan
+// over the term map handles the whole batch, which is how the incremental
+// update path (internal/delta) amortizes the full-scan price of removal
+// across a changeset; it is also why removing files absent from this
+// index — routine when a catalog's partitions are scanned in parallel and
+// only one owns the file — costs only the scan.
 func (ix *Index) RemoveFiles(victims *postings.List) int {
 	if victims == nil || victims.Len() == 0 {
 		return 0

@@ -15,7 +15,7 @@ func TestRemoveFile(t *testing.T) {
 	ix.AddBlock(1, []string{"shared", "only1"}, nil)
 	ix.AddBlock(2, []string{"shared", "only2"}, nil)
 
-	removed := ix.RemoveFile(1)
+	removed := ix.RemoveFiles(postings.FromIDs([]postings.FileID{1}))
 	if removed != 2 {
 		t.Errorf("removed %d postings, want 2", removed)
 	}
@@ -36,7 +36,7 @@ func TestRemoveFile(t *testing.T) {
 func TestRemoveFileAbsent(t *testing.T) {
 	ix := New(0)
 	ix.AddBlock(1, []string{"a"}, nil)
-	if got := ix.RemoveFile(99); got != 0 {
+	if got := ix.RemoveFiles(postings.FromIDs([]postings.FileID{99})); got != 0 {
 		t.Errorf("removed %d from absent file", got)
 	}
 	if ix.NumPostings() != 1 {
@@ -69,7 +69,7 @@ func TestRemoveFileMatchesRebuild(t *testing.T) {
 			ix.AddBlock(postings.FileID(f), blocks[postings.FileID(f)], nil)
 		}
 		victim := postings.FileID(rng.Intn(nFiles))
-		ix.RemoveFile(victim)
+		ix.RemoveFiles(postings.FromIDs([]postings.FileID{victim}))
 
 		rebuilt := New(0)
 		for f := 0; f < nFiles; f++ {
@@ -90,7 +90,7 @@ func TestRemoveAllFilesEmptiesIndex(t *testing.T) {
 		ix.AddBlock(f, []string{"common", fmt.Sprintf("f%d", f)}, nil)
 	}
 	for f := postings.FileID(0); f < 20; f++ {
-		ix.RemoveFile(f)
+		ix.RemoveFiles(postings.FromIDs([]postings.FileID{f}))
 	}
 	if ix.NumTerms() != 0 || ix.NumPostings() != 0 {
 		t.Errorf("index not empty: %v", ix.Stats())

@@ -19,7 +19,7 @@ func TestSortedTermIteration(t *testing.T) {
 	want := map[string]bool{}
 	for i := 0; i < 300; i++ {
 		term := fmt.Sprintf("t%02d", rng.Intn(60))
-		ix.AddTermOccurrence(term, postings.FileID(i))
+		ix.AddBlock(postings.FileID(i), []string{term}, nil)
 		want[term] = true
 
 		if i%37 == 0 { // interleave iteration with mutation
@@ -84,8 +84,8 @@ func TestSortedTermIteration(t *testing.T) {
 // TestPartitionsAdapter checks the []*Index → []Partition bridge.
 func TestPartitionsAdapter(t *testing.T) {
 	a, b := New(4), New(4)
-	a.AddTermOccurrence("alpha", 1)
-	b.AddTermOccurrence("beta", 2)
+	a.AddBlock(1, []string{"alpha"}, nil)
+	b.AddBlock(2, []string{"beta"}, nil)
 	parts := Partitions([]*Index{a, b})
 	if len(parts) != 2 {
 		t.Fatalf("Partitions len %d, want 2", len(parts))

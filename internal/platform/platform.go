@@ -132,23 +132,6 @@ func (p Profile) UnitCosts(cs corpus.Stats) Costs {
 	return c
 }
 
-// Scaled returns a copy of the profile whose Table 1 targets and
-// sequential baseline are scaled by f.
-//
-// The targets are absolute seconds for the paper's 869 MB benchmark; when
-// simulating a corpus scaled by f, scale the profile by the same factor so
-// the derived per-byte and per-posting costs — physical constants of the
-// machine — stay put. Speed-ups and implementation orderings are invariant
-// under this scaling.
-func (p Profile) Scaled(f float64) Profile {
-	p.TFilename *= f
-	p.TRead *= f
-	p.TReadExtract *= f
-	p.TInsert *= f
-	p.PaperSequential *= f
-	return p
-}
-
 // SeqFactor returns the calibration multiplier applied to the modeled
 // sequential run so that it lands on the paper's reported sequential time.
 // The paper's sequential implementation is slower than the sum of its

@@ -156,30 +156,6 @@ func TestSeqFactor(t *testing.T) {
 	}
 }
 
-func TestScaledPreservesRatios(t *testing.T) {
-	p := Xeon8()
-	s := p.Scaled(0.25)
-	if math.Abs(s.TRead-p.TRead/4) > 1e-9 || math.Abs(s.PaperSequential-p.PaperSequential/4) > 1e-9 {
-		t.Errorf("Scaled targets wrong: %+v", s)
-	}
-	// SeqFactor (a ratio) is scale-invariant.
-	if math.Abs(s.SeqFactor()-p.SeqFactor()) > 1e-9 {
-		t.Errorf("SeqFactor changed under scaling: %v vs %v", s.SeqFactor(), p.SeqFactor())
-	}
-	// Unit costs derived from a matching scaled corpus are unchanged:
-	// per-byte and per-posting costs are machine constants.
-	full := corpus.Describe(corpus.PaperSpec())
-	quarter := corpus.Describe(corpus.PaperSpec().Scale(0.25))
-	cFull := p.UnitCosts(full)
-	cQuarter := s.UnitCosts(quarter)
-	if math.Abs(cFull.ReadCPUPerByte-cQuarter.ReadCPUPerByte)/maxF(cFull.ReadCPUPerByte, 1e-18) > 0.15 {
-		t.Errorf("per-byte read cost drifted: %v vs %v", cFull.ReadCPUPerByte, cQuarter.ReadCPUPerByte)
-	}
-	if math.Abs(cFull.InsertPerUnique-cQuarter.InsertPerUnique)/cFull.InsertPerUnique > 0.15 {
-		t.Errorf("per-posting cost drifted: %v vs %v", cFull.InsertPerUnique, cQuarter.InsertPerUnique)
-	}
-}
-
 func TestByName(t *testing.T) {
 	for name, cores := range map[string]int{"4core": 4, "8core": 8, "32core": 32, "quadcore": 4, "xeon8": 8, "manycore32": 32} {
 		p, err := ByName(name)

@@ -307,8 +307,7 @@ func (l *List) Contains(id FileID) bool {
 
 // Add inserts id with frequency 1, keeping the list sorted and
 // duplicate-free. On a boolean (implicit-frequency) list, re-adding a
-// present id is a no-op — the set semantics the immediate-insertion
-// ablation path relies on; on a list with materialized frequencies it
+// present id is a no-op; on a list with materialized frequencies it
 // records one more occurrence, like AddN(id, 1). The common fast path —
 // id greater than every present posting — is O(1) amortized.
 func (l *List) Add(id FileID) { l.AddN(id, 1) }

@@ -49,7 +49,7 @@ func TestNotExcludesRemovedFile(t *testing.T) {
 	// Remove doc3 through the maintenance path.
 	victim := postings.FileID(3)
 	e.Maintain(func() {
-		ix.RemoveFile(victim)
+		ix.RemoveFiles(postings.FromIDs([]postings.FileID{victim}))
 		files.Tombstone(victim)
 	})
 
@@ -89,7 +89,7 @@ func TestNotExcludesRemovedFileAcrossReplicas(t *testing.T) {
 	victim := postings.FileID(1) // lives in replica 1
 	e.Maintain(func() {
 		for _, r := range replicas {
-			r.RemoveFile(victim)
+			r.RemoveFiles(postings.FromIDs([]postings.FileID{victim}))
 		}
 		files.Tombstone(victim)
 	})
@@ -134,7 +134,7 @@ func TestConcurrentSearchAndUpdate(t *testing.T) {
 		blocks := [][]string{{"alpha", "epsilon"}, {"beta"}, {"alpha", "beta", "gamma"}}
 		for i := 0; i < 200; i++ {
 			e.Maintain(func() {
-				ix.RemoveFile(postings.FileID(i % 3))
+				ix.RemoveFiles(postings.FromIDs([]postings.FileID{postings.FileID(i % 3)}))
 				ix.AddBlock(postings.FileID(i%3), blocks[i%len(blocks)], nil)
 			})
 		}

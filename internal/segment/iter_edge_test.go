@@ -24,9 +24,7 @@ func edgeIndex(t *testing.T) *index.Index {
 			ix.AddBlock(id, []string{"pair"}, []uint32{2})
 		}
 		if f%3 == 0 {
-			for k := 0; k <= (f/3)%4; k++ {
-				ix.AddTermOccurrence("dense", id)
-			}
+			ix.AddBlock(id, []string{"dense"}, []uint32{uint32(1 + (f/3)%4)})
 		}
 	}
 	return ix

@@ -285,7 +285,7 @@ func TestIterSeekGE(t *testing.T) {
 	ix := index.New(4)
 	var want []postings.FileID
 	for f := 0; f < 3000; f += 3 {
-		ix.AddTermOccurrence("dense", postings.FileID(f))
+		ix.AddBlock(postings.FileID(f), []string{"dense"}, nil)
 		want = append(want, postings.FileID(f))
 	}
 	r, err := Open(writeSegment(t, ix), nil)

@@ -38,8 +38,10 @@ import (
 // ManifestName is the manifest's file name inside a sharded index directory.
 const ManifestName = "manifest.dsix"
 
-// maxShards bounds the shard count against corrupt manifests.
-const maxShards = 1 << 16
+// MaxShards is the most segments one index directory may hold. A manifest
+// claiming more is refused as corrupt, so SaveDir refuses to write one and
+// core.Config.Validate refuses to build one.
+const MaxShards = 1 << 16
 
 // SegmentName returns the file name of shard i's segment.
 func SegmentName(i int) string { return fmt.Sprintf("shard-%04d.dsix", i) }
@@ -59,7 +61,13 @@ func SegmentName(i int) string { return fmt.Sprintf("shard-%04d.dsix", i) }
 // manifest itself — file table plus segment directory — is always
 // rewritten. That is the incremental-update fast path: a small changeset
 // dirties few shards, so most segment bytes are never touched.
+//
+// A set of more than MaxShards partitions is refused before anything is
+// written: LoadDir could not read it back.
 func SaveDir(dir string, s *Set) error {
+	if s.Len() > MaxShards {
+		return fmt.Errorf("shard: %d partitions is above the limit of %d segments per directory", s.Len(), MaxShards)
+	}
 	dir = filepath.Clean(dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shard: %w", err)
@@ -216,7 +224,7 @@ func parseManifest(data []byte) (*manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: manifest: reading shard count: %w", err)
 	}
-	if shardCount == 0 || shardCount > maxShards {
+	if shardCount == 0 || shardCount > MaxShards {
 		return nil, fmt.Errorf("shard: manifest: absurd shard count %d", shardCount)
 	}
 	m := &manifest{

@@ -206,3 +206,20 @@ func TestSaveDirRemovesStaleSegments(t *testing.T) {
 		t.Errorf("loaded %d shards, want 2", loaded.Len())
 	}
 }
+
+// TestSaveDirRefusesTooManyPartitions: a set LoadDir would refuse as an
+// absurd shard count is refused by SaveDir before a single file is written.
+func TestSaveDirRefusesTooManyPartitions(t *testing.T) {
+	dir := t.TempDir()
+	set := New(index.NewFileTable(), make([]*index.Index, MaxShards+1))
+	if err := SaveDir(dir, set); err == nil {
+		t.Fatal("SaveDir accepted more partitions than LoadDir reads")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("refused save left %d entries behind, first %q", len(entries), entries[0].Name())
+	}
+}

@@ -93,8 +93,6 @@ type Resource struct {
 	capacity int
 	inUse    int
 	waiters  []func()
-	// peakUse tracks the high-water mark for tests and utilization stats.
-	peakUse int
 	// busy accumulates holder-seconds for utilization reporting.
 	busy       float64
 	lastChange float64
@@ -121,9 +119,6 @@ func (r *Resource) Acquire(cont func()) {
 func (r *Resource) grant(cont func()) {
 	r.accumulate()
 	r.inUse++
-	if r.inUse > r.peakUse {
-		r.peakUse = r.inUse
-	}
 	r.eng.After(0, cont)
 }
 
@@ -162,9 +157,6 @@ func (r *Resource) Capacity() int { return r.capacity }
 
 // QueueLen returns the number of blocked Acquires.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
-
-// PeakUse returns the maximum concurrent holders observed.
-func (r *Resource) PeakUse() int { return r.peakUse }
 
 // BusySeconds returns accumulated holder-seconds up to the current time.
 func (r *Resource) BusySeconds() float64 {

@@ -16,10 +16,8 @@ import (
 
 	"desksearch/internal/core"
 	"desksearch/internal/corpus"
-	"desksearch/internal/distribute"
 	"desksearch/internal/platform"
 	"desksearch/internal/sim"
-	"desksearch/internal/walk"
 )
 
 // Options control model fidelity.
@@ -84,7 +82,7 @@ func Simulate(p platform.Profile, cs corpus.Stats, cfg core.Config, opt Options)
 		return RunResult{}, fmt.Errorf("simmodel: empty corpus")
 	}
 	opt = opt.normalized()
-	cfg = normalizeConfig(cfg)
+	cfg = cfg.Normalized()
 
 	m := &model{
 		p:     p,
@@ -139,31 +137,6 @@ func StageTimes(p platform.Profile, cs corpus.Stats) (filename, read, readExtrac
 	return filename, read, readExtract, insert
 }
 
-// normalizeConfig mirrors core's private normalization so the model
-// interprets zero-valued configs exactly as core.Run does.
-func normalizeConfig(cfg core.Config) core.Config {
-	if cfg.Implementation == core.Sequential {
-		cfg.Extractors, cfg.Updaters, cfg.Joiners = 1, 0, 0
-		cfg.WorkStealing = false
-	}
-	if cfg.Extractors < 1 {
-		cfg.Extractors = 1
-	}
-	if cfg.Updaters < 0 {
-		cfg.Updaters = 0
-	}
-	if cfg.Joiners < 0 {
-		cfg.Joiners = 0
-	}
-	if cfg.Implementation != core.ReplicatedJoin {
-		cfg.Joiners = 0
-	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 8 * cfg.Extractors
-	}
-	return cfg
-}
-
 type model struct {
 	p     platform.Profile
 	costs platform.Costs
@@ -194,29 +167,19 @@ func (m *model) jitter(x float64) float64 {
 	return x * (1 + m.opt.Jitter*(2*m.rng.Float64()-1))
 }
 
-// buildBatches partitions the corpus across extractors with the configured
-// strategy and coalesces each share into batches. Work stealing is
-// approximated by round-robin: with costs proportional to bytes and sizes
-// known up front, the steady-state steal distribution matches the dealt
-// one (measured live by BenchmarkAblationDistribution).
+// buildBatches deals the corpus to the extractors the way core.Run does —
+// file i to extractor i mod x, round-robin — and coalesces each
+// extractor's share into batches.
 func (m *model) buildBatches(cs corpus.Stats) {
-	refs := make([]walk.FileRef, len(cs.Files))
-	byPath := make(map[string]*corpus.FileStat, len(cs.Files))
-	for i := range cs.Files {
-		f := &cs.Files[i]
-		refs[i] = walk.FileRef{Path: f.Path, Size: f.Size}
-		byPath[f.Path] = f
-	}
-	m.fileCount = len(refs)
-	parts := distribute.Partition(refs, m.cfg.Extractors, m.cfg.Distribution)
-
-	m.batches = make([][]batch, len(parts))
-	for w, part := range parts {
+	x := m.cfg.Extractors
+	m.fileCount = len(cs.Files)
+	m.batches = make([][]batch, x)
+	for w := range m.batches {
 		var bs []batch
 		var cur batch
 		n := 0
-		for _, ref := range part {
-			f := byPath[ref.Path]
+		for i := w; i < len(cs.Files); i += x {
+			f := &cs.Files[i]
 			cur.disk += m.p.DiskSeek + float64(f.Size)/m.p.DiskBW
 			cur.scan += float64(f.Size) * (m.costs.ReadCPUPerByte + m.costs.ExtractCPUPerByte)
 			cur.insert += float64(f.Unique) * m.costs.InsertPerUnique
@@ -282,7 +245,7 @@ func (m *model) startStage23() {
 	useBuffer := m.cfg.Updaters > 0
 
 	// Replica posting totals for join sizing.
-	replicas := make([]float64, replicaCount(m.cfg))
+	replicas := make([]float64, m.cfg.Replicas())
 
 	onStage23Done := func() {
 		m.extractEnd = m.eng.Now()
@@ -312,18 +275,6 @@ func (m *model) startStage23() {
 	}
 	for u := 0; u < m.cfg.Updaters; u++ {
 		m.updater(u, slots, items, &queue, &claimed, replicas, wgUpd)
-	}
-}
-
-func replicaCount(cfg core.Config) int {
-	switch cfg.Implementation {
-	case core.ReplicatedJoin, core.ReplicatedSearch:
-		if cfg.Updaters > 0 {
-			return cfg.Updaters
-		}
-		return cfg.Extractors
-	default:
-		return 1
 	}
 }
 

@@ -103,9 +103,6 @@ func (s *Sample) Median() float64 {
 	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
 
-// Values returns a copy of the measurements in insertion order.
-func (s *Sample) Values() []float64 { return append([]float64(nil), s.values...) }
-
 // Speedup returns baseline/measured — the paper's speed-up definition
 // (sequential time over parallel time). It returns 0 when measured is 0.
 func Speedup(baseline, measured float64) float64 {
@@ -123,22 +120,6 @@ func RelDiff(v, ref float64) float64 {
 		return 0
 	}
 	return (v - ref) / ref
-}
-
-// Measure runs f once and returns the wall-clock duration.
-func Measure(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
-}
-
-// MeasureN runs f reps times and returns the sample of durations in seconds.
-func MeasureN(reps int, f func()) *Sample {
-	s := &Sample{}
-	for i := 0; i < reps; i++ {
-		s.AddDuration(Measure(f))
-	}
-	return s
 }
 
 // FormatSeconds renders a duration in seconds with one decimal, the paper's

@@ -7,10 +7,10 @@
 //
 //   - MemFS: an in-memory tree with deterministic traversal order, used by
 //     tests, examples, and live benchmarks;
-//   - OSFS: a passthrough to the host filesystem for the real tool;
-//   - DelayFS: a wrapper injecting modelled per-open seek and per-byte
-//     transfer delays, used to emulate a slow disk on fast hardware;
-//   - Limited: a wrapper capping in-flight operations (a disk queue depth).
+//   - OSFS: a passthrough to the host filesystem for the real tool.
+//
+// Disk timing is not emulated here: the simulator (internal/simmodel)
+// models the disk as a resource with a queue depth.
 package vfs
 
 import (

@@ -13,9 +13,9 @@ import (
 	"desksearch/internal/vfs"
 )
 
-// FileRef names one file to be indexed, with the size used by size-aware
-// work distribution strategies and the modification stamp used by
-// incremental change detection (internal/delta).
+// FileRef names one file to be indexed, with the size and modification
+// stamp recorded in the file table and compared by incremental change
+// detection (internal/delta).
 type FileRef struct {
 	Path    string
 	Size    int64
@@ -48,13 +48,4 @@ func walkDir(fsys vfs.FS, dir string, out *[]FileRef) error {
 		*out = append(*out, FileRef{Path: child, Size: e.Size, ModTime: e.ModTime})
 	}
 	return nil
-}
-
-// TotalBytes sums the sizes of the listed files.
-func TotalBytes(files []FileRef) int64 {
-	var total int64
-	for _, f := range files {
-		total += f.Size
-	}
-	return total
 }

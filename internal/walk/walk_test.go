@@ -89,16 +89,6 @@ func TestListMissingRoot(t *testing.T) {
 	}
 }
 
-func TestTotalBytes(t *testing.T) {
-	files, _ := List(buildTree(t), ".")
-	if got := TotalBytes(files); got != 105 {
-		t.Errorf("TotalBytes = %d, want 105", got)
-	}
-	if TotalBytes(nil) != 0 {
-		t.Error("TotalBytes(nil) != 0")
-	}
-}
-
 func TestListOnCorpusCountsMatchSpec(t *testing.T) {
 	fs := vfs.NewMemFS()
 	spec := corpus.SmallSpec()
