@@ -80,15 +80,17 @@ docs-check:
 
 # Ten seconds of fuzzing on each decoder that reads bytes this process did
 # not write — a worker's partial at the broker, a segment file's header and
-# dictionary at open, and its posting blocks under a lazy reader (both
-# decode tiers and the streaming iterator) — and on the phrase walk's per-file position check against a
-# naive scan (cursor arithmetic at both ends of the uint32 range): long
+# dictionary at open, its posting blocks under a lazy reader (both decode
+# tiers and the streaming iterator) and the snippet window pass that reads
+# them in place — and on the phrase walk's per-file position check against
+# a naive scan (cursor arithmetic at both ends of the uint32 range): long
 # enough to shake out a panic, an unbounded allocation or a wrong answer,
 # short enough to run on every push.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPartialDecode -fuzztime=10s ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentOpen -fuzztime=10s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz=FuzzBlockDecode -fuzztime=10s ./internal/segment/
+	$(GO) test -run='^$$' -fuzz=FuzzWindowDecode -fuzztime=10s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz=FuzzPhraseWalk -fuzztime=10s ./internal/search/
 
 # The size figures ROADMAP's State paragraph and every CHANGES entry

@@ -154,7 +154,7 @@ type Index struct {
 	positional bool
 
 	// sortMu guards the lazily built sorted dictionary cache backing
-	// Range/Terms/TermsFrom: the ascending term list plus, parallel to
+	// Range/Window/Terms/TermsFrom: the ascending term list plus, parallel to
 	// it, each term's posting-list pointer — so a dictionary walk costs
 	// no per-term hash lookup. Concurrent readers may race to build it
 	// (the engine's read lock admits many queries at once); mutators
@@ -301,16 +301,29 @@ func (ix *Index) sortedDict() ([]string, []*postings.List) {
 }
 
 // Range calls f for every (term, postings) pair in ascending term order
-// until f returns false. Sorted order is a documented guarantee (since the
-// Partition refactor): it makes prefix expansion, suggestions, and the
-// on-disk term section deterministic across runs and identical across
-// storage backends. The index must not gain or lose terms during Range.
+// until f returns false — the whole-index walk sharding copies lists by.
+// Sorted order is a documented guarantee, as for Terms and TermsFrom, so
+// the walk is deterministic across runs. The index must not gain or lose
+// terms during Range.
 func (ix *Index) Range(f func(term string, l *postings.List) bool) {
 	terms, lists := ix.sortedDict()
 	for i, term := range terms {
 		if !f(term, lists[i]) {
 			return
 		}
+	}
+}
+
+// Window emits every occurrence, at a position in [lo[i], hi[i]], of any
+// term in file files[i] (see Partition). It walks the sorted dictionary's
+// parallel slices, not the map, and lets each list skip itself
+// (postings.List.Window): a list whose IDs miss the files' range costs
+// two comparisons.
+func (ix *Index) Window(files []postings.FileID, lo, hi []uint32, emit func(i int, term string, pos uint32)) {
+	terms, lists := ix.sortedDict()
+	for t, l := range lists {
+		term := terms[t]
+		l.Window(files, lo, hi, func(i int, pos uint32) { emit(i, term, pos) })
 	}
 }
 

@@ -53,15 +53,21 @@ type Partition interface {
 	// ascending byte order, with the term's document frequency, until
 	// yield returns false. Prefix expansion seeks to the prefix and stops
 	// at the first non-matching term, so a broad dictionary costs only
-	// the matched range. TermsFrom("") walks the whole dictionary.
+	// the matched range. TermsFrom("") walks the whole dictionary; no
+	// posting is read, so a caller that needs the postings themselves
+	// asks Lookup per term, or Window for the tokens around a page's hits.
 	TermsFrom(from string, yield func(term string, df int) bool)
 
-	// Range calls f for every (term, posting list) pair in ascending
-	// term order until f returns false — TermsFrom plus the lists, for
-	// the passes that genuinely need every term's postings (snippet
-	// window recovery). On a lazy backend this decodes every posting
-	// block; prefer TermsFrom when the document frequency suffices.
-	Range(f func(term string, l *postings.List) bool)
+	// Window calls emit(i, term, pos) for every occurrence, at a position
+	// in [lo[i], hi[i]], of any term in file files[i]: files strictly
+	// ascending, lo and hi parallel to it. Terms come in ascending order,
+	// and each term's occurrences in ascending file then position order.
+	// It is how snippets recover the tokens around a page's hits without
+	// materializing a list: the heap gallops its lists, a lazy segment
+	// makes one verified pass over its raw blocks, decodes in place only
+	// the runs the windows reach, and neither reads nor fills its block
+	// cache. A position-free partition emits nothing.
+	Window(files []postings.FileID, lo, hi []uint32, emit func(i int, term string, pos uint32))
 
 	// NumTerms returns the number of distinct terms.
 	NumTerms() int

@@ -233,6 +233,8 @@ func TestDecodeCorruptInputs(t *testing.T) {
 		{0xFF},             // truncated uvarint
 		{0x02, 0x01, 0x00}, // zero delta = duplicate
 		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, // absurd count
+		// IDs 5 then 5 + (2⁶⁴−3), which wraps to 2: not ascending.
+		{0x02, 0x05, 0xFD, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x00},
 	}
 	for _, buf := range cases {
 		if _, _, err := Decode(buf); err == nil {

@@ -173,7 +173,8 @@ func decodeIDs(buf []byte) ([]FileID, int, error) {
 				return nil, 0, fmt.Errorf("postings: zero delta at %d (duplicate id)", i)
 			}
 		}
-		if id > 0xFFFF_FFFF {
+		// A delta past the ID range would wrap the sum into it.
+		if delta > 0xFFFF_FFFF || id > 0xFFFF_FFFF {
 			return nil, 0, fmt.Errorf("postings: id %d overflows FileID", id)
 		}
 		ids = append(ids, FileID(id))
@@ -266,7 +267,7 @@ func DecodePositional(buf []byte) (*List, int, error) {
 				}
 				v = prev + delta
 			}
-			if v > 0xFFFF_FFFF {
+			if delta > 0xFFFF_FFFF || v > 0xFFFF_FFFF {
 				return nil, 0, fmt.Errorf("postings: position %d overflows at posting %d", v, i)
 			}
 			flat = append(flat, uint32(v))

@@ -220,6 +220,14 @@ func hitLess(a, b Hit) bool {
 // under a total order, merging worker pages here reproduces the
 // single-node page exactly.
 func MergeRankedPage(parts [][]Hit, n int) []Hit {
+	out, _ := mergeRanked(parts, n)
+	return out
+}
+
+// mergeRanked is MergeRankedPage that also returns, parallel to the merged
+// hits, the index of the list each came from — the owning partition the
+// engine builds a hit's snippet in.
+func mergeRanked(parts [][]Hit, n int) ([]Hit, []int) {
 	// n comes from user-supplied Limit+Offset; never allocate past what
 	// the partitions actually hold.
 	avail := 0
@@ -231,6 +239,7 @@ func MergeRankedPage(parts [][]Hit, n int) []Hit {
 	}
 	heads := make([]int, len(parts))
 	out := make([]Hit, 0, n)
+	from := make([]int, 0, n)
 	for len(out) < n {
 		best := -1
 		for i, p := range parts {
@@ -245,12 +254,13 @@ func MergeRankedPage(parts [][]Hit, n int) []Hit {
 			break
 		}
 		out = append(out, parts[best][heads[best]])
+		from = append(from, best)
 		heads[best]++
 	}
 	if len(out) == 0 {
-		return nil
+		return nil, nil
 	}
-	return out
+	return out, from
 }
 
 // computeUniverses builds, per index, the posting list of files that index

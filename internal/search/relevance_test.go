@@ -289,8 +289,18 @@ func TestSuggest(t *testing.T) {
 // positionalFixture indexes one file per token slice with positions, so
 // snippets can be reconstructed.
 func positionalFixture(docs [][]string) (*index.FileTable, *index.Index) {
+	files, ixs := positionalParts(docs, 1)
+	return files, ixs[0]
+}
+
+// positionalParts is positionalFixture over n partitions, dealing file i to
+// partition i mod n.
+func positionalParts(docs [][]string, n int) (*index.FileTable, []*index.Index) {
 	files := index.NewFileTable()
-	ix := index.New(0)
+	ixs := make([]*index.Index, n)
+	for i := range ixs {
+		ixs[i] = index.New(0)
+	}
 	for i, tokens := range docs {
 		id := files.Add(fmt.Sprintf("f%d", i), int64(len(tokens)), 1)
 		files.SetTokens(id, uint32(len(tokens)))
@@ -306,9 +316,9 @@ func positionalFixture(docs [][]string) (*index.FileTable, *index.Index) {
 		for j, term := range terms {
 			positions[j] = pos[term]
 		}
-		ix.AddBlockPositional(id, terms, positions)
+		ixs[i%n].AddBlockPositional(id, terms, positions)
 	}
-	return files, ix
+	return files, ixs
 }
 
 func TestSnippets(t *testing.T) {

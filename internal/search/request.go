@@ -326,9 +326,11 @@ type partResult struct {
 // partition; each evaluates, scores, and keeps its local top Limit+Offset
 // hits in a bounded min-heap (its full hit list when unbounded), and the
 // per-partition ranked lists are k-way merged only until the page is
-// full. Cancellation is honored between evaluation steps: a context
-// canceled mid-fan-out aborts the in-flight partitions at their next step
-// boundary and Query returns ctx.Err() with no goroutines left behind.
+// full. Snippets are built after the merge, for the page's hits alone,
+// each in its owning partition. Cancellation is honored between
+// evaluation steps: a context canceled mid-fan-out aborts the in-flight
+// partitions at their next step boundary and Query returns ctx.Err() with
+// no goroutines left behind.
 func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -396,19 +398,50 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		resp.Partitions[i] = PartitionStat{Partition: i, Matched: p.matched, Duration: p.dur}
 		ranked[i] = p.hits
 	}
-	merged := MergeRankedPage(ranked, k)
+	merged, owners := mergeRanked(ranked, k)
 	if req.Offset > 0 {
 		if req.Offset >= len(merged) {
-			merged = nil
+			merged, owners = nil, nil
 		} else {
-			merged = merged[req.Offset:]
+			merged, owners = merged[req.Offset:], owners[req.Offset:]
 		}
 	}
 	if req.Limit > 0 && len(merged) > req.Limit {
-		merged = merged[:req.Limit]
+		merged, owners = merged[:req.Limit], owners[:req.Limit]
+	}
+	if req.Snippets && len(merged) > 0 {
+		if err := e.snippetPage(ctx, req.Query, expansions, merged, owners, marks); err != nil {
+			return nil, err
+		}
 	}
 	resp.Hits = merged
 	return resp, nil
+}
+
+// snippetPage builds the Snippets of page, the returned hits only, each in
+// the partition owners names: the page's hits are grouped by owner and
+// every owner runs one buildSnippets over its group, fanned out like the
+// evaluation. A block found corrupt on the way fails the query, as during
+// evaluation.
+func (e *Engine) snippetPage(ctx context.Context, q *Query, expansions [][]*postings.List, page []Hit, owners []int, marks []uint64) error {
+	groups := make([][]*Hit, len(e.indices))
+	for i := range page {
+		groups[owners[i]] = append(groups[owners[i]], &page[i])
+	}
+	e.eachPartition(ctx, func(i int, ix index.Partition) {
+		if len(groups[i]) == 0 {
+			return
+		}
+		var exp []*postings.List
+		if expansions != nil {
+			exp = expansions[i]
+		}
+		buildSnippets(ix, q, exp, groups[i])
+	})
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return e.corruptedSince(marks)
 }
 
 // scored is a hit plus the bitmask of positive query terms it matched
@@ -574,9 +607,6 @@ func (e *Engine) queryOne(ctx context.Context, ix index.Partition, universe *pos
 		for i, s := range all {
 			res.hits[i] = s.hit
 			res.hits[i].Terms = termsFromMask(labels, s.mask)
-		}
-		if req.Snippets {
-			buildSnippets(ix, req.Query, exp, res.hits)
 		}
 	}
 	res.dur = time.Since(start)

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"sort"
 	"strings"
 
@@ -22,6 +23,8 @@ type Span struct {
 // without re-reading the file, which a loaded catalog may not even have
 // access to. Highlights lists the byte spans of Text occupied by tokens
 // that matched the query's positive terms or prefix operators, ascending.
+// Only the hits of the returned page get one, each from its owning
+// partition's Window pass.
 type Snippet struct {
 	Text       string `json:"text"`
 	Highlights []Span `json:"highlights,omitempty"`
@@ -48,65 +51,62 @@ func positionsOf(l *postings.List, id postings.FileID) []uint32 {
 	return l.PositionsAt(i)
 }
 
-// buildSnippets fills in the Snippet of each hit from one partition's
-// positional postings (every hit's positions live in its owning
+// buildSnippets fills in the Snippet of each of hits, page hits whose
+// files partition ix holds (every hit's positions live in its owning
 // partition). Per hit, the anchor is the smallest position at which any
 // positive term or scored prefix occurs in the file; the window spans
-// snippetRadius tokens to each side, and one scan of the partition's term
-// dictionary recovers the window's tokens by position. Hits with no
-// anchored match — pure NOT or phrase-free matches of negated-only
-// structure — keep a nil Snippet.
-func buildSnippets(ix index.Partition, q *Query, prefixes []*postings.List, hits []Hit) {
-	if len(hits) == 0 {
-		return
-	}
-
+// snippetRadius tokens to each side, clamped to the position range, and
+// one ix.Window pass recovers the windows' tokens by position. The anchor
+// lookups of the query's own terms are the only lists it reads. Hits with
+// no anchored match — pure NOT or phrase-free matches of negated-only
+// structure — keep a nil Snippet. It reorders hits.
+func buildSnippets(ix index.Partition, q *Query, prefixes []*postings.List, hits []*Hit) {
 	// Anchor pass: cheap per-hit lookups in the matched terms' own lists,
-	// each list looked up once for the whole page.
+	// each list looked up once for the page. Window wants ascending files.
+	sort.Slice(hits, func(a, b int) bool { return hits[a].File < hits[b].File })
 	positive := make([]*postings.List, len(q.positive))
 	for j, term := range q.positive {
 		positive[j] = ix.Lookup(term)
 	}
-	lo := make([]uint32, len(hits))
-	hi := make([]uint32, len(hits))
-	anchored := make([]bool, len(hits))
-	anchorOne := func(i int, l *postings.List) {
-		pos := positionsOf(l, hits[i].File)
-		if len(pos) == 0 {
-			return
+	var (
+		anchored []*Hit
+		files    []postings.FileID
+		lo, hi   []uint32
+	)
+	for _, h := range hits {
+		anchor, ok := uint32(0), false
+		anchorOn := func(l *postings.List) {
+			if pos := positionsOf(l, h.File); len(pos) > 0 && (!ok || pos[0] < anchor) {
+				anchor, ok = pos[0], true
+			}
 		}
-		if !anchored[i] || pos[0] < lo[i] {
-			anchored[i] = true
-			lo[i] = pos[0]
-		}
-	}
-	for i := range hits {
 		for _, l := range positive {
-			anchorOne(i, l)
+			anchorOn(l)
 		}
 		for _, ord := range q.scorePrefixes {
-			anchorOne(i, prefixes[ord])
+			anchorOn(prefixes[ord])
 		}
-		if anchored[i] {
-			anchor := lo[i]
-			if anchor > snippetRadius {
-				lo[i] = anchor - snippetRadius
-			} else {
-				lo[i] = 0
-			}
-			hi[i] = anchor + snippetRadius
+		if !ok {
+			continue
 		}
+		anchored = append(anchored, h)
+		files = append(files, h.File)
+		lo = append(lo, anchor-min(anchor, snippetRadius))
+		hi = append(hi, anchor+min(math.MaxUint32-anchor, snippetRadius))
+	}
+	if len(anchored) == 0 {
+		return
 	}
 
-	// Window pass: one dictionary scan recovers (position → term) for
-	// every anchored hit's window. Each emitted token position belongs to
-	// exactly one term, so the windows reassemble without conflicts.
+	// Window pass: (position → term) for every anchored hit's window. Each
+	// emitted token position belongs to exactly one term, so the windows
+	// reassemble without conflicts.
 	type snipTok struct {
 		pos     uint32
 		term    string
 		matched bool
 	}
-	toks := make([][]snipTok, len(hits))
+	toks := make([][]snipTok, len(anchored))
 	positiveSet := make(map[string]bool, len(q.positive))
 	for _, t := range q.positive {
 		positiveSet[t] = true
@@ -122,40 +122,23 @@ func buildSnippets(ix index.Partition, q *Query, prefixes []*postings.List, hits
 		}
 		return false
 	}
-	// The only pass in the query stack that touches every term's list.
-	// On a lazy partition Range decodes (and caches) every block;
-	// snippets on lazy catalogs trade that cost for not holding the
-	// index in memory.
-	ix.Range(func(term string, l *postings.List) bool {
-		if !l.HasPositions() {
-			return true
+	// A term's occurrences arrive together, so its match is decided once.
+	var last string
+	var matched, seen bool
+	ix.Window(files, lo, hi, func(i int, term string, pos uint32) {
+		if !seen || term != last {
+			last, matched, seen = term, termMatches(term), true
 		}
-		var matched, matchChecked bool
-		for i := range hits {
-			if !anchored[i] {
-				continue
-			}
-			pos := positionsOf(l, hits[i].File)
-			for _, p := range pos {
-				if p < lo[i] || p > hi[i] {
-					continue
-				}
-				if !matchChecked {
-					matched, matchChecked = termMatches(term), true
-				}
-				toks[i] = append(toks[i], snipTok{pos: p, term: term, matched: matched})
-			}
-		}
-		return true
+		toks[i] = append(toks[i], snipTok{pos: pos, term: term, matched: matched})
 	})
 
 	// Assembly pass: order each window by position, join, and record the
 	// byte spans of the matched tokens.
-	for i := range hits {
-		if !anchored[i] || len(toks[i]) == 0 {
+	for i, h := range anchored {
+		w := toks[i]
+		if len(w) == 0 {
 			continue
 		}
-		w := toks[i]
 		sort.Slice(w, func(a, b int) bool { return w[a].pos < w[b].pos })
 		var b strings.Builder
 		var spans []Span
@@ -169,6 +152,6 @@ func buildSnippets(ix index.Partition, q *Query, prefixes []*postings.List, hits
 				spans = append(spans, Span{Start: start, End: b.Len()})
 			}
 		}
-		hits[i].Snippet = &Snippet{Text: b.String(), Highlights: spans}
+		h.Snippet = &Snippet{Text: b.String(), Highlights: spans}
 	}
 }

@@ -3,7 +3,9 @@ package segment
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"runtime/metrics"
+	"slices"
 	"testing"
 
 	"desksearch/internal/index"
@@ -113,6 +115,109 @@ func FuzzBlockDecode(f *testing.F) {
 		}
 		if !countsEqual(counts, full) {
 			t.Fatal("counts tier and full decode disagree on IDs or frequencies")
+		}
+	})
+}
+
+// fuzzWindows reads up to eight windows from spec, six bytes each: a gap
+// to the next file (files strictly ascend), a little-endian lo and a
+// width, 255 meaning to the top of the position range.
+func fuzzWindows(spec []byte) (files []postings.FileID, lo, hi []uint32) {
+	next := uint64(0)
+	for ; len(spec) >= 6 && len(files) < 8; spec = spec[6:] {
+		f := next + uint64(spec[0])
+		if f > math.MaxUint32 {
+			break
+		}
+		a := binary.LittleEndian.Uint32(spec[1:5])
+		b := uint32(math.MaxUint32)
+		if w := uint32(spec[5]); w != 255 {
+			b = a + min(w, math.MaxUint32-a)
+		}
+		files, lo, hi = append(files, postings.FileID(f)), append(lo, a), append(hi, b)
+		next = f + 1
+	}
+	return files, lo, hi
+}
+
+// windowBlock frames a positional list as a block of at most 128
+// postings: an empty skip table, then the list's encoding.
+func windowBlock(l *postings.List) []byte {
+	return l.EncodePositional([]byte{0})
+}
+
+// FuzzWindowDecode feeds arbitrary block bytes, a dictionary df and a few
+// ascending files with their windows through Reader.Window, the snippet
+// pass that reads blocks in place. It may not panic, and allocates nothing
+// unless it reports a fault (then only that fault's error). Whenever the
+// full decode accepts the block, the pass reports no fault and emits
+// exactly what postings.List.Window over the decoded list emits, in the
+// same order.
+func FuzzWindowDecode(f *testing.F) {
+	var img bytes.Buffer
+	if err := Write(&img, buildIndex(f, 300, true)); err != nil {
+		f.Fatal(err)
+	}
+	r, err := OpenBytes("seed", img.Bytes(), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	e := r.entries[r.find("common")] // 300 postings: a skip table
+	skipped, err := r.block(&e)
+	if err != nil {
+		f.Fatal(err)
+	}
+	window := func(file byte, lo uint32, width byte) []byte {
+		return append(binary.LittleEndian.AppendUint32([]byte{file}, lo), width)
+	}
+	f.Add(append([]byte(nil), skipped...), e.df,
+		slices.Concat(window(3, 0, 40), window(90, 10, 255), window(150, 0, 255)))
+	boolean := postings.FromSortedIDPositions([]postings.FileID{1, 5, 9}, [][]uint32{{3}, {7}, {2}})
+	f.Add(windowBlock(boolean), 3, slices.Concat(window(1, 0, 10), window(3, 5, 5), window(3, 0, 255)))
+	// A counted block whose first asked-for run passes its window's end
+	// with positions to spare, ahead of a second asked-for run.
+	counted := postings.FromSortedIDPositions([]postings.FileID{1, 2, 4}, [][]uint32{{1, 5, 9}, {2, 4}, {3, 6, 8}})
+	f.Add(windowBlock(counted), 3, slices.Concat(window(1, 0, 2), window(2, 0, 255)))
+	top := postings.FromSortedIDPositions([]postings.FileID{2}, [][]uint32{{math.MaxUint32 - 3, math.MaxUint32}})
+	f.Add(windowBlock(top), 1, window(2, math.MaxUint32-5, 255))
+
+	f.Fuzz(func(t *testing.T, blk []byte, df int, spec []byte) {
+		if df < 1 || df > maxCount {
+			return // Open refuses such a dictionary entry
+		}
+		files, lo, hi := fuzzWindows(spec)
+		r := blockReader(blk, df)
+		var got []uint64
+		r.Window(files, lo, hi, func(i int, term string, pos uint32) {
+			got = append(got, uint64(i)<<32|uint64(pos))
+		})
+		faulted := r.Corruptions() != 0
+		for try := 1; ; try++ {
+			allocs := testing.AllocsPerRun(1, func() { r.Window(files, lo, hi, func(int, string, uint32) {}) })
+			if allocs == 0 || faulted && allocs <= 16 {
+				break
+			}
+			// The count is the whole process's, and the fuzzing engine
+			// allocates beside us now and then: an overrun that is ours
+			// repeats.
+			if try == 5 {
+				t.Fatalf("Window allocated %.0f times (fault reported: %v)", allocs, faulted)
+			}
+		}
+
+		l, err := r.decodeBlock(0, true)
+		if err != nil {
+			return
+		}
+		if faulted {
+			t.Fatalf("Window reported a fault in a block the decode accepts: %v", r.Err())
+		}
+		var want []uint64
+		l.Window(files, lo, hi, func(i int, pos uint32) {
+			want = append(want, uint64(i)<<32|uint64(pos))
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("Window emitted %v, the decoded list %v", got, want)
 		}
 	})
 }

@@ -35,9 +35,10 @@
 // are most of a positional block, so the Partition seam has two list
 // reads: Counts decodes IDs and frequencies and stops (postings.Decode),
 // Lookup decodes everything (postings.DecodePositional). Iterator streams
-// the raw bytes and decodes nothing up front. All three verify the block's
-// checksum and skip table first, every time the block is not served from
-// the cache. The Cache keeps one entry per block at the richest tier
+// the raw bytes and decodes nothing up front, and Window — the snippet
+// pass — reads every block in place for the runs of a page's files and
+// bypasses the cache entirely. All of them verify the block's checksum and
+// skip table first, every time the block is not served from the cache. The Cache keeps one entry per block at the richest tier
 // decoded so far — a counts-only entry answers Counts and Iterator, the
 // first Lookup replaces it with the full list — and charges each entry
 // what it costs the heap, bookkeeping included. BlockDecodes counts
@@ -414,21 +415,43 @@ func (r *Reader) TermsFrom(from string, yield func(term string, df int) bool) {
 	}
 }
 
-// Range walks the dictionary in ascending order with each term's decoded
-// posting list — the expensive full-materialization pass of the Partition
-// interface: every block is decoded (and cached) on the way through.
-// Terms whose blocks fail their checksum are skipped, with the error
-// recorded as for Lookup.
-func (r *Reader) Range(f func(term string, l *postings.List) bool) {
-	for i := range r.entries {
-		l := r.Lookup(r.entries[i].term)
-		if l == nil {
-			continue
-		}
-		if !f(r.entries[i].term, l) {
-			return
+// Window makes one pass over the posting blocks in dictionary order and
+// emits every occurrence, at a position in [lo[i], hi[i]], of any term in
+// file files[i] (see index.Partition). Each block is verified like any
+// uncached read — checksum, skip table, posting count — and then read in
+// place by postings.WindowEncoded, which allocates nothing and stops
+// where the windows end. The pass neither reads nor fills the block
+// cache and decodes no list, so BlockDecodes does not move. A block that
+// fails is skipped with the fault recorded, as for Lookup.
+func (r *Reader) Window(files []postings.FileID, lo, hi []uint32, emit func(i int, term string, pos uint32)) {
+	if !r.positional || len(files) == 0 {
+		return
+	}
+	for ord := range r.entries {
+		if err := r.windowBlock(&r.entries[ord], files, lo, hi, emit); err != nil {
+			r.noteCorruption(err)
 		}
 	}
+}
+
+// windowBlock verifies e's block and emits its term's occurrences in the
+// windows.
+func (r *Reader) windowBlock(e *entry, files []postings.FileID, lo, hi []uint32, emit func(i int, term string, pos uint32)) error {
+	blk, err := r.block(e)
+	if err != nil {
+		return err
+	}
+	enc, err := skipEncoded(blk, e.df)
+	if err != nil {
+		return fmt.Errorf("segment: %s: term %q: %w", r.path, e.term, err)
+	}
+	if count, n := binary.Uvarint(enc); n <= 0 || count != uint64(e.df) {
+		return fmt.Errorf("segment: %s: term %q: block count disagrees with dictionary", r.path, e.term)
+	}
+	if err := postings.WindowEncoded(enc, files, lo, hi, func(i int, pos uint32) { emit(i, e.term, pos) }); err != nil {
+		return fmt.Errorf("segment: %s: term %q: %w", r.path, e.term, err)
+	}
+	return nil
 }
 
 // NumTerms returns the number of dictionary terms.
@@ -501,7 +524,8 @@ func (r *Reader) decodeBlock(ord int, pos bool) (*postings.List, error) {
 
 // block returns e's posting block, read and checked against the checksum
 // the dictionary holds for it. Every read of a block that is not served
-// from the cache — either decode tier, a streaming iterator — starts here:
+// from the cache — either decode tier, a streaming iterator, the window
+// pass — starts here:
 // no byte of a block is parsed before the whole block has verified.
 func (r *Reader) block(e *entry) ([]byte, error) {
 	blk, err := r.src.slice(r.blocksOff+e.off, e.blen)

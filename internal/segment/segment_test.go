@@ -359,6 +359,48 @@ func TestIterSeekGE(t *testing.T) {
 	}
 }
 
+// TestWindowAllocationsConstant: the window pass over a segment allocates
+// the same number of times, none, whether it reads 100 blocks or 10 000,
+// and it neither decodes a list nor touches the block cache.
+func TestWindowAllocationsConstant(t *testing.T) {
+	files := []postings.FileID{1, 4, 8, 20} // 20 is absent
+	lo := []uint32{0, 5, 990, 0}
+	hi := []uint32{10, 50, 1010, 100}
+	allocs := func(terms int) float64 {
+		ix := index.New(terms)
+		ix.SetPositional()
+		for k := 0; k < terms; k++ {
+			ids := []postings.FileID{1, 2, 4, 8, 9}
+			runs := make([][]uint32, len(ids))
+			for i := range runs {
+				runs[i] = []uint32{uint32(k % 1000), uint32(1000 + k)}
+			}
+			ix.MergeTerm(fmt.Sprintf("t%05d", k), postings.FromSortedIDPositions(ids, runs))
+		}
+		cache := NewCache(0)
+		r, err := Open(writeSegment(t, ix), cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		emitted := 0
+		n := testing.AllocsPerRun(5, func() {
+			r.Window(files, lo, hi, func(int, string, uint32) { emitted++ })
+		})
+		if emitted == 0 {
+			t.Fatalf("%d terms: nothing emitted; the count is vacuous", terms)
+		}
+		if r.BlockDecodes() != 0 || cache.Bytes() != 0 || r.Corruptions() != 0 {
+			t.Fatalf("%d terms: the window pass decoded %d blocks, cached %d bytes, found %d faults; want none",
+				terms, r.BlockDecodes(), cache.Bytes(), r.Corruptions())
+		}
+		return n
+	}
+	if small, large := allocs(100), allocs(10_000); small != large || large != 0 {
+		t.Errorf("Window allocates %.0f times over 100 blocks, %.0f over 10 000; want 0 for both", small, large)
+	}
+}
+
 func TestCacheEviction(t *testing.T) {
 	ix := buildIndex(t, 400, false)
 	cache := NewCache(2048) // tiny: forces eviction

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,10 +128,12 @@ func TestPrefixSnippetHighlightsMatchedToken(t *testing.T) {
 // TestCorruptBlockFailsTheQuery flips one byte inside a posting block of a
 // saved segment. The directory still opens — blocks are verified when
 // read — and from then on every way a query can reach that block (Counts
-// under a single term and OR, Lookup under a phrase and snippets, the
-// streaming iterator under AND, prefix expansion) fails with the typed
-// error instead of answering without the term's postings, each time, while
-// queries that stay off the block answer as before.
+// under a single term and OR, Lookup under a phrase, the window pass of a
+// snippet page that shows the term without naming it, the streaming
+// iterator under AND, prefix expansion) fails with the typed error instead
+// of answering without the term's postings, each time, while queries that
+// stay off the block — that page without snippets among them — answer as
+// before.
 func TestCorruptBlockFailsTheQuery(t *testing.T) {
 	built, err := IndexFS(corpusFS(t, 120), ".", Options{Shards: 2, Positions: true})
 	if err != nil {
@@ -151,6 +154,36 @@ func TestCorruptBlockFailsTheQuery(t *testing.T) {
 	}
 	defer cat.Close()
 
+	// A snippet page reads the block of a term the query does not name when
+	// that term lies inside a hit's window: find such a page, one with a hit
+	// in the corrupted shard whose window (on the intact built catalog)
+	// shows the corrupt term.
+	var windowed Query
+	shard0 := cat.lazy.Readers()[0].Docs()
+	for _, text := range []string{"milk", "report", "draft", "budget", "flour"} {
+		q := Query{Text: text, Limit: 10, Snippets: true}
+		resp, err := built.Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range resp.Hits {
+			if shard0.Contains(h.File) && h.Snippet != nil && slices.Contains(strings.Fields(h.Snippet.Text), bad) {
+				windowed = q
+			}
+		}
+		if windowed.Text != "" {
+			break
+		}
+	}
+	if windowed.Text == "" {
+		t.Fatalf("no snippet page shows %q in a window of the corrupted shard; the snippet case is vacuous", bad)
+	}
+	plain := windowed
+	plain.Snippets = false
+	if _, err := cat.Query(context.Background(), plain); err != nil {
+		t.Fatalf("%q without snippets reads no corrupt block, yet: %v", plain.Text, err)
+	}
+
 	for _, tc := range []struct {
 		path string
 		q    Query
@@ -159,7 +192,7 @@ func TestCorruptBlockFailsTheQuery(t *testing.T) {
 		{"Counts (OR)", Query{Text: bad + " OR milk", Ranking: RankTF}},
 		{"Counts (prefix expansion)", Query{Text: bad[:3] + "*", Ranking: RankBM25, Limit: 5}},
 		{"Lookup (phrase)", Query{Text: `"` + bad + ` report"`, Limit: 5}},
-		{"Lookup (snippets)", Query{Text: "milk", Limit: 3, Snippets: true}},
+		{"Window (snippets)", windowed},
 		{"Iterator (AND)", Query{Text: bad + " report", Limit: 5}},
 		{"Iterator (scoring)", Query{Text: "milk OR " + bad, Ranking: RankBM25, Limit: 5}},
 	} {
