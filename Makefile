@@ -15,12 +15,8 @@ build:
 	$(GO) build ./...
 
 # -shuffle=on matches CI: randomized test order within each package.
-# -short skips the Table 2-4 sweeps of internal/experiments under the race
-# detector only (21 s plain, minutes with -race); the second line runs them
-# plain, as the tier-1 `go test ./...` does.
 test:
-	$(GO) test -race -shuffle=on -short ./...
-	$(GO) test ./internal/experiments/
+	$(GO) test -race -shuffle=on ./...
 
 vet:
 	$(GO) vet ./...
@@ -74,7 +70,9 @@ bench-selftest:
 # internal/index/codec.go has a section or heading in docs/FORMAT.md, the
 # spec has none the codec lacks, and every version below the live one has
 # a row in its retired-versions table; docs/ARCHITECTURE.md's package map
-# names every directory under internal/, and none that is gone.
+# names every directory under internal/, and none that is gone; and every
+# cmd/, internal/ or examples/ directory that README.md, doc.go or
+# docs/ARCHITECTURE.md names exists.
 docs-check:
 	$(GO) run ./cmd/docscheck
 

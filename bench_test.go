@@ -1,12 +1,8 @@
 package desksearch
 
-// The benchmark harness regenerating the paper's evaluation:
+// The paper's evaluation, run live on the machine running the benchmark:
 //
-//   - BenchmarkTable1StageTimes     — Table 1 (sequential stage times, simulated)
-//   - BenchmarkTable2QuadCore       — Table 2 (4-core best configurations)
-//   - BenchmarkTable3Xeon8          — Table 3 (8-core best configurations)
-//   - BenchmarkTable4Manycore32     — Table 4 (32-core best configurations)
-//   - BenchmarkLiveImplementations  — Tables 2–4 analogue with real goroutines on this host
+//   - BenchmarkLiveImplementations  — Tables 2–4 analogue with real goroutines
 //
 // and the ablations for the design knobs that remain live:
 //
@@ -16,9 +12,6 @@ package desksearch
 // The designs the paper measured and rejected (other dealing rules, work
 // stealing, per-term insertion, a concurrent Stage 1) are not kept, so
 // they have no ablation.
-//
-// Simulated benches report model output as custom metrics (exec-s,
-// speedup); live benches measure this machine.
 
 import (
 	"context"
@@ -31,13 +24,10 @@ import (
 
 	"desksearch/internal/core"
 	"desksearch/internal/corpus"
-	"desksearch/internal/experiments"
 	"desksearch/internal/index"
-	"desksearch/internal/platform"
 	"desksearch/internal/postings"
 	"desksearch/internal/search"
 	"desksearch/internal/shard"
-	"desksearch/internal/simmodel"
 	"desksearch/internal/tokenize"
 	"desksearch/internal/vfs"
 	"desksearch/internal/walk"
@@ -46,17 +36,9 @@ import (
 // ---- shared fixtures ----
 
 var (
-	paperOnce  sync.Once
-	paperStats corpus.Stats
-
 	liveOnce sync.Once
 	liveFS   *vfs.MemFS
 )
-
-func paperShape() corpus.Stats {
-	paperOnce.Do(func() { paperStats = corpus.Describe(corpus.PaperSpec()) })
-	return paperStats
-}
 
 // liveCorpus returns a 1/128-scale corpus (≈400 files, ≈7 MB) in memory for
 // live goroutine benchmarks.
@@ -71,72 +53,6 @@ func liveCorpus(b *testing.B) *vfs.MemFS {
 	})
 	return liveFS
 }
-
-// ---- Table 1 ----
-
-func BenchmarkTable1StageTimes(b *testing.B) {
-	cs := paperShape()
-	for _, p := range platform.All() {
-		b.Run(p.Name, func(b *testing.B) {
-			var f, r, re, ins float64
-			for i := 0; i < b.N; i++ {
-				f, r, re, ins = simmodel.StageTimes(p, cs)
-			}
-			b.ReportMetric(f, "filename-s")
-			b.ReportMetric(r, "read-s")
-			b.ReportMetric(re, "read+extract-s")
-			b.ReportMetric(ins, "insert-s")
-		})
-	}
-}
-
-// ---- Tables 2–4 ----
-
-// benchTable simulates the paper's best configuration per implementation
-// on the given platform and reports exec time and speed-up as metrics.
-func benchTable(b *testing.B, p platform.Profile) {
-	cs := paperShape()
-	no, err := experiments.TableNumber(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq, err := simmodel.SequentialBaseline(p, cs, simmodel.Options{Batch: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("Sequential", func(b *testing.B) {
-		b.ReportMetric(seq, "exec-s")
-	})
-	for _, im := range []core.Implementation{core.SharedIndex, core.ReplicatedJoin, core.ReplicatedSearch} {
-		ref := experiments.PaperBest[no][im]
-		cfg := configFromTuple(im, ref.Tuple)
-		b.Run(fmt.Sprintf("%s@%s", im, ref.Tuple), func(b *testing.B) {
-			var res simmodel.RunResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = simmodel.Simulate(p, cs, cfg, simmodel.Options{Batch: 16})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.Exec, "exec-s")
-			b.ReportMetric(seq/res.Exec, "speedup")
-			b.ReportMetric(ref.Exec, "paper-exec-s")
-			b.ReportMetric(ref.Speedup, "paper-speedup")
-		})
-	}
-}
-
-// configFromTuple parses the paper's "(x, y, z)" notation.
-func configFromTuple(im core.Implementation, tuple string) core.Config {
-	var x, y, z int
-	fmt.Sscanf(tuple, "(%d, %d, %d)", &x, &y, &z)
-	return core.Config{Implementation: im, Extractors: x, Updaters: y, Joiners: z}
-}
-
-func BenchmarkTable2QuadCore(b *testing.B)   { benchTable(b, platform.QuadCore()) }
-func BenchmarkTable3Xeon8(b *testing.B)      { benchTable(b, platform.Xeon8()) }
-func BenchmarkTable4Manycore32(b *testing.B) { benchTable(b, platform.Manycore32()) }
 
 // ---- live host runs ----
 

@@ -56,11 +56,8 @@ func main() {
 }
 
 func report(stats corpus.Stats) {
-	fmt.Printf("files:           %d (%d large)\n", len(stats.Files), stats.Spec.LargeFiles)
-	fmt.Printf("total bytes:     %.1f MB\n", float64(stats.TotalBytes)/(1<<20))
-	fmt.Printf("term occurrences %d\n", stats.TotalTerms)
-	fmt.Printf("postings:        %d\n", stats.TotalUnique)
-	fmt.Printf("vocabulary est.: %d distinct terms\n", stats.VocabEstimate)
+	fmt.Printf("files:       %d (%d large)\n", len(stats.Files), stats.Spec.LargeFiles)
+	fmt.Printf("total bytes: %.1f MB\n", float64(stats.TotalBytes)/(1<<20))
 }
 
 func fatal(err error) {

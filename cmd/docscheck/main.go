@@ -1,7 +1,8 @@
 // Command docscheck is the CI doc-drift gate: it verifies that the DSIX
 // version and kind constants in internal/index/codec.go agree with
-// docs/FORMAT.md, and that docs/ARCHITECTURE.md's package map names exactly
-// the packages under internal/, so neither document silently rots.
+// docs/FORMAT.md, that docs/ARCHITECTURE.md's package map names exactly
+// the packages under internal/, and that every directory the top-level
+// docs name exists, so no document silently rots.
 //
 // Checks:
 //
@@ -16,7 +17,10 @@
 //     such heading for a kind the codec lacks;
 //  5. the spec names the frame magic ("DSIX");
 //  6. the first column of the "## Package map" table names every directory
-//     under internal/, and no internal/ package that does not exist.
+//     under internal/, and no internal/ package that does not exist;
+//  7. every cmd/NAME, internal/NAME or examples/NAME that README.md, doc.go
+//     or docs/ARCHITECTURE.md names is a directory (an HTTP route such as
+//     /internal/df is not a path).
 //
 // Usage (normally via `make docs-check`, from the repository root):
 //
@@ -166,6 +170,33 @@ func checkPackageMap(archPath, arch string, internal []fs.DirEntry) []string {
 	return problems
 }
 
+// pathRe matches a directory a document names: cmd/NAME, internal/NAME or
+// examples/NAME at the start of a word or after "./". After any other slash
+// it is part of a longer path or an HTTP route (/internal/df), not a
+// directory of this repository.
+var pathRe = regexp.MustCompile(`(?m)(?:^|[^A-Za-z0-9_./-]|\./)((?:cmd|internal|examples)/[A-Za-z0-9_]+)`)
+
+// checkPaths returns, sorted, one finding per directory that one of docs
+// (document name → text) names and that is not a directory in root.
+func checkPaths(docs map[string]string, root fs.FS) []string {
+	var problems []string
+	for name, text := range docs {
+		seen := map[string]bool{}
+		for _, m := range pathRe.FindAllStringSubmatch(text, -1) {
+			dir := m[1]
+			if seen[dir] {
+				continue
+			}
+			seen[dir] = true
+			if info, err := fs.Stat(root, dir); err != nil || !info.IsDir() {
+				problems = append(problems, fmt.Sprintf("%s: names %s, which is not a directory", name, dir))
+			}
+		}
+	}
+	sort.Strings(problems)
+	return problems
+}
+
 func main() {
 	codecPath := flag.String("codec", "internal/index/codec.go", "codec source file declaring the version and kind constants")
 	specPath := flag.String("spec", "docs/FORMAT.md", "format specification to check against")
@@ -188,7 +219,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	docs := map[string]string{archPath: string(arch)}
+	for _, name := range []string{"README.md", "doc.go"} {
+		text, err := os.ReadFile(name)
+		if err != nil {
+			fatal(err)
+		}
+		docs[name] = string(text)
+	}
 	problems := append(check(*codecPath, *specPath, string(codec), string(spec)), checkPackageMap(archPath, string(arch), internal)...)
+	problems = append(problems, checkPaths(docs, os.DirFS("."))...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "docscheck:", p)
@@ -196,7 +236,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s) — the docs have drifted from the code\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: ok — %s and %s agree on every version and frame kind; %s maps every package under internal/\n", *codecPath, *specPath, archPath)
+	fmt.Printf("docscheck: ok — %s and %s agree on every version and frame kind; %s maps every package under internal/; every directory the docs name exists\n", *codecPath, *specPath, archPath)
 }
 
 func fatal(err error) {

@@ -34,6 +34,16 @@ func TestCheck(t *testing.T) {
 	} {
 		wantOne(t, tc.name, check("codec.go", "FORMAT.md", tc.codec, tc.spec), tc.want)
 	}
+	// The directories a document names: a stale one is a finding, an HTTP
+	// route under /internal/ is not a path.
+	root := fstest.MapFS{"cmd/indexgen/main.go": {}, "internal/index/index.go": {}, "examples/quickstart/main.go": {}}
+	for _, tc := range []struct{ name, doc, want string }{
+		{"named directories exist", "Run `go run ./examples/quickstart`;\ncmd/indexgen builds (internal/index.Index).\n", ""},
+		{"stale path", "`cmd/indexgen` and `cmd/gone` build indexes.\n", "README.md: names cmd/gone"},
+		{"route", "A broker asks `/internal/df`, then http://w:1/internal/search.\n", ""},
+	} {
+		wantOne(t, tc.name, checkPaths(map[string]string{"README.md": tc.doc}, root), tc.want)
+	}
 }
 
 // TestCheckPackageMap: a package directory the map leaves out, and a map

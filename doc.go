@@ -84,8 +84,11 @@
 // /suggest are one front door (internal/server.FrontDoor) that a node and
 // a broker both stand behind, so clients cannot tell them apart.
 //
-// The experiment harness that regenerates the paper's Tables 1–4 on
-// simulated 4-, 8-, and 32-core machines lives in cmd/experiments; see
-// DESIGN.md for the system inventory and EXPERIMENTS.md for
-// paper-vs-measured results.
+// # Measuring against the paper
+//
+// `indexgen -stages` measures the paper's Table 1, the sequential stage
+// times, on the running machine (core.MeasureStages). The benchmark in
+// bench/ reports the same stages for every build it times when run with
+// --trace 1 (walk.list_ms, extract.read_ms, extract.scan_ms,
+// index.insert_ms). docs/ARCHITECTURE.md lists what the paper measured.
 package desksearch

@@ -116,11 +116,9 @@ func (c Config) Tuple() string {
 	return fmt.Sprintf("(%d, %d, %d)", c.Extractors, c.Updaters, c.Joiners)
 }
 
-// Normalized returns a copy with defaults filled in and nonsense clamped:
-// the configuration Run executes. The simulator (internal/simmodel) reads
-// zero-valued configurations through it too, so a simulated and a live run
-// of one Config agree on its thread tuple and buffer size.
-func (c Config) Normalized() Config {
+// normalized returns a copy with defaults filled in and nonsense clamped:
+// the configuration Run executes.
+func (c Config) normalized() Config {
 	if c.Implementation == Sequential {
 		c.Extractors, c.Updaters, c.Joiners = 1, 0, 0
 	}
@@ -165,7 +163,7 @@ func (c Config) Validate() error {
 // one per updater, or one per extractor when updaters are absent. The
 // SharedIndex and Sequential designs always have exactly one.
 func (c Config) Replicas() int {
-	c = c.Normalized()
+	c = c.normalized()
 	switch c.Implementation {
 	case ReplicatedJoin, ReplicatedSearch:
 		if c.Updaters > 0 {

@@ -103,7 +103,7 @@ func Run(fsys vfs.FS, root string, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.Normalized()
+	cfg = cfg.normalized()
 
 	res := &Result{Implementation: cfg.Implementation, Config: cfg}
 	startTotal := time.Now()

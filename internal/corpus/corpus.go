@@ -9,10 +9,9 @@
 //
 // Two products are offered from the same Spec and seed:
 //
-//   - Generate materializes real files (into any vfs.WriteFS) for live runs;
-//   - Describe produces metadata only (per-file sizes and term statistics)
-//     so the discrete-event simulator can model the full 869 MB corpus
-//     without allocating it.
+//   - Generate materializes real files (into any vfs.WriteFS);
+//   - Describe lays out the same files (paths, sizes, formats) without
+//     writing any content.
 package corpus
 
 import (
@@ -144,90 +143,39 @@ func (s Spec) normalize() Spec {
 	return s
 }
 
-// FileStat is the metadata of one corpus file, used directly by the
-// simulator.
+// FileStat is the layout of one corpus file.
 type FileStat struct {
 	// Path is the slash-separated file path within the corpus root.
 	Path string
 	// Size is the file's byte length.
 	Size int64
-	// Terms is the (modelled) number of term occurrences in the file.
-	Terms int
-	// Unique is the (modelled) number of distinct terms in the file.
-	Unique int
 	// Format is the docfmt extension used ("txt", "html", "wp").
 	Format string
 }
 
-// Stats is the metadata-only description of a corpus.
+// Stats is the layout of a corpus: its files and their total size.
 type Stats struct {
 	Spec       Spec
 	Files      []FileStat
 	TotalBytes int64
-	// TotalTerms is the sum of per-file term counts.
-	TotalTerms int64
-	// TotalUnique is the sum of per-file unique counts (the number of
-	// (term, file) postings the index will hold).
-	TotalUnique int64
-	// VocabEstimate approximates the number of distinct terms corpus-wide
-	// (the final index size).
-	VocabEstimate int
 }
 
-// avgTermBytes returns the expected generated word length including its
-// separator, used to convert byte budgets to term counts.
-func (s Spec) avgTermBytes() float64 {
-	return (float64(s.MinTermLen)+float64(s.MaxTermLen))/2 + 1
-}
-
-// heapsUnique models the number of distinct terms among n Zipfian draws
-// (Heaps' law with parameters matching the generator's Zipf skew; validated
-// against measured corpora in the tests at small scale).
-func heapsUnique(n int, vocab int) int {
-	if n <= 0 {
-		return 0
-	}
-	u := int(math.Ceil(2.2 * math.Pow(float64(n), 0.62)))
-	if u > n {
-		u = n
-	}
-	if u > vocab {
-		u = vocab
-	}
-	return u
-}
-
-// Describe computes per-file metadata for the spec without generating any
-// content. The same seed yields file sizes identical to Generate's.
+// Describe lays out the spec's files without generating any content. The
+// same seed yields file sizes identical to Generate's.
 func Describe(spec Spec) Stats {
 	spec = spec.normalize()
 	rng := rand.New(rand.NewSource(spec.Seed))
 	sizes, formats := layoutSizes(spec, rng)
 	stats := Stats{Spec: spec, Files: make([]FileStat, len(sizes))}
-	atb := spec.avgTermBytes()
 	for i, size := range sizes {
-		terms := int(float64(size) / atb)
-		unique := heapsUnique(terms, spec.VocabSize)
 		stats.Files[i] = FileStat{
 			Path:   filePath(spec, i, formats[i]),
 			Size:   size,
-			Terms:  terms,
-			Unique: unique,
 			Format: formats[i],
 		}
 		stats.TotalBytes += size
-		stats.TotalTerms += int64(terms)
-		stats.TotalUnique += int64(unique)
 	}
-	stats.VocabEstimate = heapsUnique(int(minI64(stats.TotalTerms, 1<<31-1)), spec.VocabSize)
 	return stats
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // layoutSizes draws the per-file sizes and formats. Index 0..LargeFiles-1
@@ -298,9 +246,8 @@ func filePath(spec Spec, i int, format string) string {
 	return fmt.Sprintf("%sfile-%06d.%s", path, n, format)
 }
 
-// Generate materializes the corpus into fs. It returns the same metadata as
-// Describe (sizes match exactly; term statistics in the metadata remain the
-// model's, while file content is the ground truth).
+// Generate materializes the corpus into fs. It returns the same layout as
+// Describe.
 func Generate(spec Spec, fs vfs.WriteFS) (Stats, error) {
 	spec = spec.normalize()
 	stats := Describe(spec)

@@ -1,10 +1,8 @@
 // Package sim is a deterministic discrete-event simulation engine.
 //
-// It is the hardware substitute of this reproduction: the paper's three
-// evaluation machines (4-, 8-, and 32-core Intel systems with their disks)
-// are modelled as simulator resources with calibrated service times, so the
-// full 51,000-file experiment grid runs in seconds of host time and yields
-// identical results on every machine.
+// It was the engine under the simulated model of the paper's 4-, 8- and
+// 32-core hosts. That model is gone and nothing in the module imports this
+// package any more; ROADMAP item 9(a) tracks its removal.
 //
 // The engine is continuation-passing: model code never blocks. A simulated
 // thread is a chain of callbacks; waiting is expressed by passing the rest

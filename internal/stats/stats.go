@@ -1,11 +1,14 @@
-// Package stats provides the measurement utilities behind the experiment
-// harness: repeated-run samples, summary statistics, speed-up computation,
-// and the fixed-width text tables all experiment output is rendered with.
+// Package stats provides repeated-run samples, summary statistics,
+// speed-up computation, and fixed-width text tables.
 //
 // The paper runs every configuration five times per platform and reports
 // averages plus a relative "variance" column (relative difference of an
 // implementation's speed-up to Implementation 1's); Sample and RelDiff
 // implement exactly those computations.
+//
+// Its one caller, the simulated-host experiment harness, is gone and
+// nothing in the module imports this package any more; ROADMAP item 9(a)
+// tracks its removal.
 package stats
 
 import (

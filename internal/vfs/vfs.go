@@ -9,8 +9,8 @@
 //     tests, examples, and live benchmarks;
 //   - OSFS: a passthrough to the host filesystem for the real tool.
 //
-// Disk timing is not emulated here: the simulator (internal/simmodel)
-// models the disk as a resource with a queue depth.
+// Disk timing is not emulated: a build reads at the speed of the file
+// system behind the FS, and `indexgen -stages` measures it on the host.
 package vfs
 
 import (
