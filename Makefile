@@ -70,9 +70,10 @@ bench-selftest:
 # internal/index/codec.go has a section or heading in docs/FORMAT.md, the
 # spec has none the codec lacks, and every version below the live one has
 # a row in its retired-versions table; docs/ARCHITECTURE.md's package map
-# names every directory under internal/, and none that is gone; and every
+# names every directory under internal/, and none that is gone; every
 # cmd/, internal/ or examples/ directory that README.md, doc.go or
-# docs/ARCHITECTURE.md names exists.
+# docs/ARCHITECTURE.md names exists; and every directory under internal/
+# is imported by a non-test .go file outside it (bench/ included).
 docs-check:
 	$(GO) run ./cmd/docscheck
 

@@ -1,8 +1,9 @@
 // Command docscheck is the CI doc-drift gate: it verifies that the DSIX
 // version and kind constants in internal/index/codec.go agree with
 // docs/FORMAT.md, that docs/ARCHITECTURE.md's package map names exactly
-// the packages under internal/, and that every directory the top-level
-// docs name exists, so no document silently rots.
+// the packages under internal/, that every directory the top-level docs
+// name exists, and that every package under internal/ has an importer, so
+// no document silently rots and no package outlives its last reader.
 //
 // Checks:
 //
@@ -20,7 +21,10 @@
 //     under internal/, and no internal/ package that does not exist;
 //  7. every cmd/NAME, internal/NAME or examples/NAME that README.md, doc.go
 //     or docs/ARCHITECTURE.md names is a directory (an HTTP route such as
-//     /internal/df is not a path).
+//     /internal/df is not a path);
+//  8. every directory under internal/ is imported by a non-test .go file
+//     outside it (files under bench/ count; _test.go files do not), so no
+//     package stays in the tree without a reader.
 //
 // Usage (normally via `make docs-check`, from the repository root):
 //
@@ -32,6 +36,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"regexp"
@@ -197,6 +203,64 @@ func checkPaths(docs map[string]string, root fs.FS) []string {
 	return problems
 }
 
+// internalPrefix is the import-path prefix of the packages under internal/
+// (go.mod's module path is desksearch).
+const internalPrefix = "desksearch/internal/"
+
+// checkImporters returns, sorted, one finding per directory under root's
+// internal/ that no non-test .go file outside it imports. Every .go file
+// under root counts, the nested bench/ module's included; directories the
+// go tool ignores (testdata, names starting with "." or "_") are skipped.
+func checkImporters(root fs.FS) ([]string, error) {
+	entries, err := fs.ReadDir(root, "internal")
+	if err != nil {
+		return nil, err
+	}
+	imported := map[string]bool{}
+	for _, e := range entries {
+		if e.IsDir() {
+			imported[e.Name()] = false
+		}
+	}
+	err = fs.WalkDir(root, ".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if name := d.Name(); d.IsDir() && p != "." && (name == "testdata" || name[0] == '.' || name[0] == '_') {
+			return fs.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		src, err := fs.ReadFile(root, p)
+		if err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), p, src, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			pkg, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), internalPrefix)
+			if pkg, _, _ = strings.Cut(pkg, "/"); ok && !strings.HasPrefix(p, "internal/"+pkg+"/") {
+				imported[pkg] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	for pkg, ok := range imported {
+		if !ok {
+			problems = append(problems, fmt.Sprintf("internal/%s: imported by no non-test .go file outside it; delete it", pkg))
+		}
+	}
+	sort.Strings(problems)
+	return problems, nil
+}
+
 func main() {
 	codecPath := flag.String("codec", "internal/index/codec.go", "codec source file declaring the version and kind constants")
 	specPath := flag.String("spec", "docs/FORMAT.md", "format specification to check against")
@@ -229,6 +293,11 @@ func main() {
 	}
 	problems := append(check(*codecPath, *specPath, string(codec), string(spec)), checkPackageMap(archPath, string(arch), internal)...)
 	problems = append(problems, checkPaths(docs, os.DirFS("."))...)
+	unimported, err := checkImporters(os.DirFS("."))
+	if err != nil {
+		fatal(err)
+	}
+	problems = append(problems, unimported...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "docscheck:", p)
@@ -236,7 +305,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s) — the docs have drifted from the code\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: ok — %s and %s agree on every version and frame kind; %s maps every package under internal/; every directory the docs name exists\n", *codecPath, *specPath, archPath)
+	fmt.Printf("docscheck: ok — %s and %s agree on every version and frame kind; %s maps every package under internal/; every directory the docs name exists; every internal package has an importer\n", *codecPath, *specPath, archPath)
 }
 
 func fatal(err error) {

@@ -86,6 +86,36 @@ func TestCheckPackageMap(t *testing.T) {
 	}
 }
 
+// TestCheckImporters: a package under internal/ needs a non-test importer
+// outside itself; one under bench/ counts, a _test.go file does not.
+func TestCheckImporters(t *testing.T) {
+	// file is a Go source file importing the named internal packages.
+	file := func(imports ...string) *fstest.MapFile {
+		src := "package p\n"
+		for _, p := range imports {
+			src += "import _ \"desksearch/internal/" + p + "\"\n"
+		}
+		return &fstest.MapFile{Data: []byte(src)}
+	}
+	for _, tc := range []struct {
+		name string
+		tree fstest.MapFS
+		want string // substring of the one finding; "" for none
+	}{
+		{"imported", fstest.MapFS{"bench/run.go": file("lexer")}, ""},
+		{"imported only by tests", fstest.MapFS{"cmd/tool/main.go": file(), "cmd/tool/main_test.go": file("lexer")}, "internal/lexer: imported by no"},
+		{"not imported", fstest.MapFS{"cmd/tool/main.go": file()}, "internal/lexer: imported by no"},
+	} {
+		tc.tree["internal/lexer/lexer.go"] = file()
+		tc.tree["internal/lexer/sub/sub.go"] = file("lexer") // its own subdirectory is not an importer
+		got, err := checkImporters(tc.tree)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		wantOne(t, tc.name, got, tc.want)
+	}
+}
+
 // wantOne fails unless got is empty when want is "", or holds exactly one
 // finding containing want.
 func wantOne(t *testing.T, name string, got []string, want string) {

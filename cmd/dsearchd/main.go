@@ -192,9 +192,9 @@ func main() {
 		Worker:       *worker,
 	}
 	if *root != "" {
-		dir := *root
+		dir, rebuild := *root, rebuildOptions(cat, opts)
 		cfg.Update = func() (desksearch.UpdateStats, error) { return cat.UpdateDir(dir) }
-		cfg.Rebuild = func() (*desksearch.Catalog, error) { return desksearch.IndexDir(dir, opts) }
+		cfg.Rebuild = func() (*desksearch.Catalog, error) { return desksearch.IndexDir(dir, rebuild) }
 	}
 	srv := server.New(cfg)
 
@@ -332,6 +332,17 @@ func checkIndexDir(path string) error {
 		return fmt.Errorf("-index %s is a regular file; an index is a directory (manifest.dsix + segments): rebuild it with indexgen -save DIR", path)
 	}
 	return nil
+}
+
+// rebuildOptions returns the options /reload?mode=full rebuilds cat with:
+// opts, carrying cat's positions and, unless -shards gave a count, its
+// shard count, so a rebuild of a loaded directory has the loaded shape.
+func rebuildOptions(cat *desksearch.Catalog, opts desksearch.Options) desksearch.Options {
+	opts.Positions = cat.Positional()
+	if opts.Shards == 0 {
+		opts.Shards = cat.Shards()
+	}
+	return opts
 }
 
 // loadIndex reads the index directory at path: in place when lazy or when

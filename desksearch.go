@@ -298,8 +298,9 @@ func (q Query) request() (search.Request, error) {
 // Normalize parses the query (when Expr is unset), checks the retrieval
 // controls with the engine's own validation, and returns a copy with Expr
 // populated. Invalid requests (unparseable text, negative limit or offset,
-// unknown ranking, snippets without a limit) are rejected here, at the
-// edge — before they can occupy a cache slot or cross a network hop.
+// a limit plus offset past int, unknown ranking, snippets without a limit,
+// a negative count in GlobalDF) are rejected here, at the edge — before
+// they can occupy a cache slot or cross a network hop.
 func (q Query) Normalize() (Query, error) {
 	req, err := q.request()
 	if err == nil {
@@ -482,21 +483,20 @@ func (c *Catalog) Suggest(ctx context.Context, prefix string, n int) ([]Suggesti
 // deleted by an incremental update keeps its FileID slot as a tombstone
 // but no longer counts. Terms is exact for every catalog shape: distinct
 // terms are counted once across partitions with the same single-pass
-// counter TopTerms aggregates with, not summed per partition.
+// counter TopTerms aggregates with, not summed per partition. Postings
+// sum per partition (partitions are document-disjoint) and, like Terms,
+// come from the dictionaries alone: no posting block is decoded.
 func (c *Catalog) Stats() Stats {
 	var out Stats
 	c.engine.View(func() {
-		var postings int64
-		if c.lazy != nil {
-			postings = c.lazy.Stats().Postings
-		} else {
-			postings = c.result.Stats().Postings
-		}
+		parts := c.partitionsLocked()
 		out = Stats{
-			Files:    c.result.Files.LiveCount(),
-			Terms:    index.DistinctTermsAcross(c.partitionsLocked()),
-			Postings: postings,
-			Skipped:  len(c.result.SkippedFiles),
+			Files:   c.result.Files.LiveCount(),
+			Terms:   index.DistinctTermsAcross(parts),
+			Skipped: len(c.result.SkippedFiles),
+		}
+		for _, p := range parts {
+			out.Postings += p.NumPostings()
 		}
 	})
 	return out

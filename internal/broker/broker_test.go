@@ -248,6 +248,8 @@ func TestFrontDoorSameOnNodeAndBroker(t *testing.T) {
 		"/suggest?q=re&n=0",                    // zero n
 		"/suggest?q=re&n=x",                    // bad n
 		"/suggest?q=two+words",                 // multi-term prefix: a worker's rejection
+		// limit+offset overflows int: refused before the cache and any scatter
+		"/search?q=report&limit=10&offset=9223372036854775800",
 	} {
 		ns, nb := get(single.URL, path)
 		bs, bb := get(bts.URL, path)

@@ -72,17 +72,6 @@ func (r *Result) Indexes() []*index.Index {
 	return r.Replicas
 }
 
-// Stats aggregates index statistics across the result's indices.
-func (r *Result) Stats() index.Stats {
-	var s index.Stats
-	for _, ix := range r.Indexes() {
-		st := ix.Stats()
-		s.Terms += st.Terms // replicas may share terms; this is an upper bound
-		s.Postings += st.Postings
-	}
-	return s
-}
-
 // job is one unit of Stage 2 work: a file and its pre-assigned ID.
 type job struct {
 	ref walk.FileRef

@@ -10,7 +10,6 @@
 package index
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -423,22 +422,6 @@ func (ix *Index) Equal(other *Index) bool {
 		}
 	}
 	return true
-}
-
-// Stats summarizes an index.
-type Stats struct {
-	Terms    int
-	Postings int64
-}
-
-// Stats returns summary statistics.
-func (ix *Index) Stats() Stats {
-	return Stats{Terms: ix.NumTerms(), Postings: ix.NumPostings()}
-}
-
-// String implements fmt.Stringer.
-func (s Stats) String() string {
-	return fmt.Sprintf("%d terms, %d postings", s.Terms, s.Postings)
 }
 
 // Shared wraps an Index with a mutex: the paper's Implementation 1 ("use a

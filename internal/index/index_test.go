@@ -128,18 +128,6 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-func TestStatsString(t *testing.T) {
-	ix := New(0)
-	ix.AddBlock(0, []string{"a"}, nil)
-	s := ix.Stats()
-	if s.Terms != 1 || s.Postings != 1 {
-		t.Errorf("Stats = %+v", s)
-	}
-	if s.String() != "1 terms, 1 postings" {
-		t.Errorf("String = %q", s.String())
-	}
-}
-
 // referenceIndex builds an index sequentially from (file, terms) pairs.
 func referenceIndex(blocks map[postings.FileID][]string) *Index {
 	ix := New(0)

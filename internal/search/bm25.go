@@ -35,10 +35,12 @@ type bm25Stats struct {
 	idfPrefix []float64
 }
 
-// bm25IDF is the non-negative Lucene variant of the BM25 inverse document
-// frequency: ln(1 + (N − df + 0.5) / (df + 0.5)).
+// bm25IDF is the Lucene variant of the BM25 inverse document frequency,
+// non-negative whenever df <= N: ln(1 + (N − df + 0.5) / (df + 0.5)). It
+// is finite for every df, n >= 0: a df past 2^53 rounds the ratio to −1,
+// and the floor at the smallest positive float keeps ln from reaching −Inf.
 func bm25IDF(df, n int) float64 {
-	return math.Log(1 + (float64(n)-float64(df)+0.5)/(float64(df)+0.5))
+	return math.Log(max(1+(float64(n)-float64(df)+0.5)/(float64(df)+0.5), math.SmallestNonzeroFloat64))
 }
 
 // score returns one term's BM25 contribution to a document with term

@@ -84,6 +84,33 @@ func TestBM25HandComputed(t *testing.T) {
 	}
 }
 
+// TestBM25StatsFinite: every vector with non-negative counts — a frequency
+// above Docs (a stale broker table after deletions) and the extremes of
+// int included — yields finite IDFs and average length, so no score is NaN
+// or infinite. Request.Validate refuses the negative ones.
+func TestBM25StatsFinite(t *testing.T) {
+	q := MustParse("cat dog*")
+	counts := []int{0, 1, 2, 3, 7, 1 << 32, 1<<53 + 1, math.MaxInt}
+	for _, docs := range counts {
+		for _, tokens := range []uint64{0, 1, 12, math.MaxUint64} {
+			for _, term := range counts {
+				for _, prefix := range counts {
+					df := &DocFreqs{Docs: docs, Tokens: tokens, Terms: []int{term}, Prefixes: []int{prefix}}
+					st, err := newBM25Stats(q, df)
+					if err != nil {
+						t.Fatalf("%+v: %v", df, err)
+					}
+					for _, v := range []float64{st.avgdl, st.idfTerm[0], st.idfPrefix[0]} {
+						if math.IsNaN(v) || math.IsInf(v, 0) {
+							t.Fatalf("%+v: stats %+v not finite", df, st)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBM25ShardsMatchSingleExactly: the core invariant — BM25 scores from
 // a sharded engine are bit-for-bit the scores from the same corpus in one
 // partition, because document frequencies aggregate globally before the

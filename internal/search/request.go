@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -103,12 +105,18 @@ func (r *Request) Validate() error {
 		return fmt.Errorf("search: negative limit %d", r.Limit)
 	case r.Offset < 0:
 		return fmt.Errorf("search: negative offset %d", r.Offset)
+	case r.Limit > 0 && r.Offset > math.MaxInt-r.Limit:
+		// A partition keeps its local top Limit+Offset; a sum that wraps
+		// would read as "unlimited" and materialise every match.
+		return fmt.Errorf("search: limit %d plus offset %d overflows", r.Limit, r.Offset)
 	case r.MaxPrefixTerms < 0:
 		return fmt.Errorf("search: negative max prefix terms %d", r.MaxPrefixTerms)
 	case r.Ranking < RankCount || r.Ranking > RankBM25:
 		return fmt.Errorf("search: unknown ranking mode %d", int(r.Ranking))
 	case r.Snippets && r.Limit <= 0:
 		return errors.New("search: snippets require a positive limit")
+	case r.GlobalDF != nil && r.GlobalDF.negative():
+		return errors.New("search: negative document frequency in global statistics")
 	}
 	return nil
 }
@@ -153,6 +161,14 @@ func (d *DocFreqs) Add(other *DocFreqs) bool {
 		d.Prefixes[j] += v
 	}
 	return true
+}
+
+// negative reports whether any count in d is below zero. A frequency above
+// Docs is allowed: after deletions a broker's cached sums can exceed the
+// live count, and verify-then-return corrects them.
+func (d *DocFreqs) negative() bool {
+	neg := func(v int) bool { return v < 0 }
+	return d.Docs < 0 || slices.ContainsFunc(d.Terms, neg) || slices.ContainsFunc(d.Prefixes, neg)
 }
 
 // DocFreqs computes the engine's local document-frequency vector for q:

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
@@ -215,6 +216,8 @@ func TestQueryValidation(t *testing.T) {
 		{Query: q, Limit: -1},           // negative limit
 		{Query: q, Offset: -2},          // negative offset
 		{Query: q, Ranking: Ranking(9)}, // unknown ranking
+		{Query: q, Limit: 10, Offset: math.MaxInt - 7},                                            // limit+offset overflows
+		{Query: q, Ranking: RankBM25, GlobalDF: &DocFreqs{Docs: 3, Tokens: 12, Terms: []int{-1}}}, // negative df
 	}
 	for i, req := range cases {
 		if _, err := e.Query(context.Background(), req); err == nil {

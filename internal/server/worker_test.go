@@ -157,6 +157,30 @@ func TestWorkerSearchWithGlobalDF(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Fatalf("mis-shaped GlobalDF = %d, want 400", status)
 	}
+
+	// A negative count would score NaN → client error, not a 200 partial.
+	for _, df := range []*desksearch.DocFreqs{
+		{Docs: 6, Tokens: 24, Terms: []int{-1}},
+		{Docs: -6, Tokens: 24, Terms: []int{4}},
+	} {
+		if status, _ = post(InternalSearchRequest{Query: "report", Rank: "bm25", Limit: 5, DF: df}); status != http.StatusBadRequest {
+			t.Fatalf("negative GlobalDF %+v = %d, want 400", df, status)
+		}
+	}
+	// A frequency above Docs is what a stale broker table sends after
+	// deletions; it is scored (finitely), and verify-then-return fixes it.
+	status, out = post(InternalSearchRequest{
+		Query: "report", Rank: "bm25", Limit: 5,
+		DF: &desksearch.DocFreqs{Docs: 6, Tokens: 24, Terms: []int{9}},
+	})
+	if status != http.StatusOK {
+		t.Fatalf("GlobalDF above Docs = %d, want 200", status)
+	}
+	for _, h := range out.Hits {
+		if math.IsNaN(h.Score) || math.IsInf(h.Score, 0) {
+			t.Fatalf("hit %s: score %v under GlobalDF above Docs", h.Path, h.Score)
+		}
+	}
 }
 
 // TestWorkerRoutesGated: without Config.Worker the internal surface does

@@ -242,17 +242,6 @@ func (s *LazySet) Positional() bool {
 	return false
 }
 
-// Stats aggregates index statistics across the shards from their
-// dictionaries alone. Terms is an upper bound, as for Set.Stats.
-func (s *LazySet) Stats() index.Stats {
-	var agg index.Stats
-	for _, r := range s.readers {
-		agg.Terms += r.NumTerms()
-		agg.Postings += r.NumPostings()
-	}
-	return agg
-}
-
 // Verify decodes and checks every posting block of every shard — the full
 // integrity pass lazy open deliberately skips.
 func (s *LazySet) Verify() error {

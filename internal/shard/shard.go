@@ -138,18 +138,6 @@ func (s *Set) Positional() bool {
 	return false
 }
 
-// Stats aggregates index statistics across the shards. Terms is an upper
-// bound: a term present in several shards is counted once per shard.
-func (s *Set) Stats() index.Stats {
-	var agg index.Stats
-	for _, ix := range s.shards {
-		st := ix.Stats()
-		agg.Terms += st.Terms
-		agg.Postings += st.Postings
-	}
-	return agg
-}
-
 // ShardFor maps a file to its shard: FNV-1 over the FileID's little-endian
 // bytes, modulo the shard count. Hashing (rather than id % n) decorrelates
 // shard assignment from Stage 1's traversal order, so directory-clustered

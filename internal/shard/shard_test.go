@@ -106,8 +106,12 @@ func TestDistributeSingleSource(t *testing.T) {
 			t.Error("file table not shared")
 		}
 		checkPartition(t, set, ix, true)
-		if got, want := set.Stats().Postings, ix.NumPostings(); got != want {
-			t.Errorf("n=%d: Stats().Postings = %d, want %d", n, got, want)
+		var got int64
+		for _, sh := range set.Shards() {
+			got += sh.NumPostings()
+		}
+		if want := ix.NumPostings(); got != want {
+			t.Errorf("n=%d: shards hold %d postings, want %d", n, got, want)
 		}
 	}
 }

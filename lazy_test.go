@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"desksearch/internal/shard"
 	"desksearch/internal/vfs"
 )
 
@@ -242,23 +241,19 @@ func TestOpenDirIsLazy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	set, err := shard.OpenDir(dir, 0)
+	cat, err := OpenDir(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer set.Close()
-	decodes := func() (n uint64) {
-		for _, r := range set.Readers() {
-			n += r.BlockDecodes()
-		}
-		return
-	}
-	if n := decodes(); n != 0 {
+	defer cat.Close()
+	if n, _ := lazyDecodes(cat); n != 0 {
 		t.Fatalf("OpenDir decoded %d posting blocks, want 0", n)
 	}
 	// Statistics come from the dictionaries alone.
-	set.Stats()
-	if n := decodes(); n != 0 {
+	if s := cat.Stats(); s.Postings == 0 {
+		t.Fatalf("Stats = %+v, want postings", s)
+	}
+	if n, _ := lazyDecodes(cat); n != 0 {
 		t.Fatalf("Stats decoded %d posting blocks, want 0", n)
 	}
 }
