@@ -72,8 +72,9 @@ bench-selftest:
 # a row in its retired-versions table; docs/ARCHITECTURE.md's package map
 # names every directory under internal/, and none that is gone; every
 # cmd/, internal/ or examples/ directory that README.md, doc.go or
-# docs/ARCHITECTURE.md names exists; and every directory under internal/
-# is imported by a non-test .go file outside it (bench/ included).
+# docs/ARCHITECTURE.md names exists; every backticked internal pkg.Name
+# they or docs/FORMAT.md cite is declared; and every directory under
+# internal/ is imported by a non-test .go file outside it (bench/ included).
 docs-check:
 	$(GO) run ./cmd/docscheck
 

@@ -1,9 +1,10 @@
 // Command docscheck is the CI doc-drift gate: it verifies that the DSIX
 // version and kind constants in internal/index/codec.go agree with
 // docs/FORMAT.md, that docs/ARCHITECTURE.md's package map names exactly
-// the packages under internal/, that every directory the top-level docs
-// name exists, and that every package under internal/ has an importer, so
-// no document silently rots and no package outlives its last reader.
+// the packages under internal/, that every directory and internal
+// identifier the top-level docs name exists, and that every package under
+// internal/ has an importer, so no document silently rots and no package
+// outlives its last reader.
 //
 // Checks:
 //
@@ -24,7 +25,12 @@
 //     /internal/df is not a path);
 //  8. every directory under internal/ is imported by a non-test .go file
 //     outside it (files under bench/ count; _test.go files do not), so no
-//     package stays in the tree without a reader.
+//     package stays in the tree without a reader;
+//  9. every backticked pkg.Name in README.md, doc.go, docs/ARCHITECTURE.md
+//     or docs/FORMAT.md whose pkg is a directory under internal/ names a
+//     top-level identifier declared in that package (_test.go files count,
+//     so the docs may cite tests). Only exported-looking names are read:
+//     `walk.list_ms` is a metric, not a selector.
 //
 // Usage (normally via `make docs-check`, from the repository root):
 //
@@ -36,11 +42,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
+	"path"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -261,6 +271,67 @@ func checkImporters(root fs.FS) ([]string, error) {
 	return problems, nil
 }
 
+// spanRe matches a backticked span on one line; selectorRe a pkg.Name in
+// it that is not the tail of a path or a longer selector
+// (internal/index/index.go, a.b.C).
+var (
+	spanRe     = regexp.MustCompile("`([^`\n]+)`")
+	selectorRe = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./])([a-z][a-z0-9_]*)\.([A-Z][A-Za-z0-9_]*)`)
+)
+
+// checkIdents returns, sorted, one finding per backticked pkg.Name in docs
+// (document name → text) whose pkg is a package under root's internal/
+// that declares no top-level Name in any of its .go files.
+func checkIdents(docs map[string]string, root fs.FS) ([]string, error) {
+	srcs, err := fs.Glob(root, "internal/*/*.go")
+	if err != nil {
+		return nil, err
+	}
+	packages, declared := map[string]bool{}, map[string]bool{} // "index"; "index.Index"
+	for _, p := range srcs {
+		src, err := fs.ReadFile(root, p)
+		if err != nil {
+			return nil, err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), p, src, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		pkg := path.Base(path.Dir(p))
+		packages[pkg] = true
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					declared[pkg+"."+decl.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						declared[pkg+"."+spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							declared[pkg+"."+n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	found := map[string]bool{}
+	for doc, text := range docs {
+		for _, span := range spanRe.FindAllStringSubmatch(text, -1) {
+			for _, m := range selectorRe.FindAllStringSubmatch(span[1], -1) {
+				if name := m[1] + "." + m[2]; packages[m[1]] && !declared[name] {
+					found[fmt.Sprintf("%s: names %s, which internal/%s does not declare", doc, name, m[1])] = true
+				}
+			}
+		}
+	}
+	return slices.Sorted(maps.Keys(found)), nil
+}
+
 func main() {
 	codecPath := flag.String("codec", "internal/index/codec.go", "codec source file declaring the version and kind constants")
 	specPath := flag.String("spec", "docs/FORMAT.md", "format specification to check against")
@@ -298,6 +369,13 @@ func main() {
 		fatal(err)
 	}
 	problems = append(problems, unimported...)
+	identDocs := maps.Clone(docs)
+	identDocs[*specPath] = string(spec)
+	undeclared, err := checkIdents(identDocs, os.DirFS("."))
+	if err != nil {
+		fatal(err)
+	}
+	problems = append(problems, undeclared...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "docscheck:", p)
@@ -305,7 +383,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s) — the docs have drifted from the code\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: ok — %s and %s agree on every version and frame kind; %s maps every package under internal/; every directory the docs name exists; every internal package has an importer\n", *codecPath, *specPath, archPath)
+	fmt.Printf("docscheck: ok — %s and %s agree on every version and frame kind; %s maps every package under internal/; every directory and internal identifier the docs name exists; every internal package has an importer\n", *codecPath, *specPath, archPath)
 }
 
 func fatal(err error) {

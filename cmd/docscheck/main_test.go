@@ -44,6 +44,25 @@ func TestCheck(t *testing.T) {
 	} {
 		wantOne(t, tc.name, checkPaths(map[string]string{"README.md": tc.doc}, root), tc.want)
 	}
+	// The internal identifiers a document names: one its package no longer
+	// declares is a finding; a test counts, and what is not a backticked
+	// selector into an internal package is not read.
+	src := fstest.MapFS{
+		"internal/index/index.go":      {Data: []byte("package index\n\ntype Index struct{}\n\nfunc (Index) Lookup() {}\n\nfunc Checksum() {}\n\nfunc (Index) Checksum() {}\n\nconst (\n\tVersion, KindSegment = 11, 1\n)\n")},
+		"internal/index/index_test.go": {Data: []byte("package index\n\nfunc TestCodec() {}\n")},
+	}
+	for _, tc := range []struct{ name, doc, want string }{
+		{"declared", "`index.Index`, `*index.Index`, `index.Checksum(data)`, `index.KindSegment` and `index.TestCodec`.\n", ""},
+		{"gone", "`index.ErrGone` is refused.\n", "FORMAT.md: names index.ErrGone, which internal/index does not declare"},
+		{"method is not top-level", "`index.Lookup` is a method.\n", "names index.Lookup"},
+		{"not a selector into internal/", "index.ErrGone in prose; `desksearch.OpenDir`, `walk.list_ms`, `internal/index/index.go`, `a.index.ErrGone`.\n", ""},
+	} {
+		got, err := checkIdents(map[string]string{"FORMAT.md": tc.doc}, src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		wantOne(t, tc.name, got, tc.want)
+	}
 }
 
 // TestCheckPackageMap: a package directory the map leaves out, and a map

@@ -28,8 +28,9 @@
 // scatter-gather endpoints (/internal/meta, /internal/df,
 // /internal/search) come up next to the public ones. With -shards as a
 // comma-separated list of shard numbers ("0,2"), only those segments of
-// the -index directory are opened (lazily, per shard subset); the
-// directory must be hash-routed, i.e. built with a shard count.
+// the -index directory are opened (lazily, per shard subset). Any saved
+// directory serves this way: each segment answers for the documents it
+// holds, and the worker serving shard 0 also for the term-free files.
 //
 // -broker runs the scatter-gather front end instead of serving an index:
 // -workers declares the replica topology as comma-separated groups of
@@ -132,8 +133,8 @@ func main() {
 		os.Exit(2)
 	}
 	if len(shardSubset) > 0 {
-		// A shard subset only makes sense against a saved, hash-routed
-		// directory; it forces the lazy per-segment open path.
+		// A shard subset only makes sense against a saved directory; it
+		// forces the lazy per-segment open path.
 		switch {
 		case *indexPath == "":
 			fmt.Fprintln(os.Stderr, "dsearchd: -worker -shards needs -index DIR (a sharded index directory)")

@@ -524,12 +524,8 @@ func (c *Catalog) Swap(other *Catalog) {
 	c.updateMu.Lock()
 	defer c.updateMu.Unlock()
 	res, lz := other.result, other.lazy
-	parts := index.Partitions(res.Indexes())
-	if lz != nil {
-		parts = lz.Partitions()
-	}
 	var old *shard.LazySet
-	c.engine.Swap(res.Files, parts, func() {
+	c.engine.Swap(res.Files, other.partitionsLocked(), other.engine.ShardIDs(), func() {
 		old = c.lazy
 		c.result = res
 		c.lazy = lz
@@ -600,22 +596,7 @@ func (c *Catalog) Shards() int {
 // local; this is the mapping a distributed worker applies before
 // reporting per-partition statistics to its broker, so the broker's view
 // names every shard consistently across workers.
-func (c *Catalog) PartitionIDs() []int {
-	var out []int
-	c.engine.View(func() {
-		if c.lazy != nil {
-			out = append(out, c.lazy.ShardIDs()...)
-			return
-		}
-		// Counted here, not with Indices: that takes the engine's read lock
-		// again, and a nested read lock deadlocks behind a waiting Maintain.
-		out = make([]int, len(c.result.Indexes()))
-		for i := range out {
-			out[i] = i
-		}
-	})
-	return out
-}
+func (c *Catalog) PartitionIDs() []int { return c.engine.ShardIDs() }
 
 // TotalShards returns the shard count of the directory behind the
 // catalog, which for a subset catalog (OpenDirShards) exceeds Shards —
@@ -797,12 +778,9 @@ func OpenDir(dir string, opt ...Options) (*Catalog, error) {
 // mapped, so the worker's startup cost and memory footprint track its
 // share of the corpus, not the whole directory. shardIDs lists global
 // shard numbers; nil or empty opens every shard, identically to OpenDir.
-//
-// A true subset requires a hash-routed directory — any directory built
-// with Options.Shards. Directories saved from pipeline replicas are not
-// hash-routed and fail with a descriptive error (rebuild with a shard
-// count), because without the routing the workers of one directory could
-// not partition NOT-query responsibility among themselves.
+// Any saved directory opens this way, one saved from pipeline replicas
+// included: each shard answers for the documents it holds, and the
+// worker serving shard 0 also answers for the term-free files.
 //
 // The catalog answers queries exactly as the full directory would for
 // its own documents: merged across a disjoint worker set (and, for BM25,
@@ -823,12 +801,7 @@ func OpenDirShards(dir string, shardIDs []int, opt ...Options) (*Catalog, error)
 		Config:         cfg,
 		Files:          set.Files(),
 	}
-	engine := search.NewEngine(set.Files(), set.Partitions()...)
-	if set.Subset() {
-		// A set holding only part of its directory complements NOT against
-		// its own shards' share of the documents.
-		engine.SetUniverses(set.Universes)
-	}
+	engine := search.NewSubsetEngine(set.Files(), set.ShardIDs(), set.Partitions()...)
 	return &Catalog{result: res, engine: engine, lazy: set}, nil
 }
 

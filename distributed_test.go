@@ -2,13 +2,10 @@ package desksearch
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"testing"
-
-	"desksearch/internal/shard"
 )
 
 // openSubset opens a shard subset of dir or fails the test.
@@ -228,33 +225,81 @@ func TestGlobalDFShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestOpenDirShardsNotHashRouted: a directory saved from pipeline
-// replicas has no shard routing, so opening a true subset of it must be
-// refused — the workers could not divide NOT-query responsibility.
-func TestOpenDirShardsNotHashRouted(t *testing.T) {
-	fs := corpusFS(t, 60)
+// TestOpenDirShardsReplicaSaved: a directory saved from pipeline replicas
+// follows no hash routing, yet opens as disjoint worker subsets, one per
+// segment. Each answers NOT for the documents it holds, and the worker
+// serving shard 0 also for the term-free files, so together the subsets
+// answer every negated query with exactly the whole directory's files and
+// Total, each file once, and the same per-partition match counts.
+func TestOpenDirShardsReplicaSaved(t *testing.T) {
+	fs := corpusFS(t, 90)
+	termFree := []string{"dir9/empty.txt", "dir9/punctuation.txt", "dir9/blank.txt"}
+	for i, body := range []string{"", "!!! --- ???", "\n\t \n"} {
+		if err := fs.WriteFile(termFree[i], []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	built, err := IndexFS(fs, ".", Options{Implementation: ReplicatedSearch, Extractors: 3, Updaters: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if built.Indices() < 2 {
-		t.Fatalf("want >=2 replicas to form a subset, got %d", built.Indices())
+	if built.Indices() < 3 {
+		t.Fatalf("want >= 3 replicas, got %d", built.Indices())
 	}
 	dir := t.TempDir()
 	if err := built.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	_, err = OpenDirShards(dir, []int{0})
-	if !errors.Is(err, shard.ErrNotHashRouted) {
-		t.Fatalf("OpenDirShards on a replica-saved directory = %v, want ErrNotHashRouted", err)
-	}
-	// The full set of the same directory stays serveable: no subset, no
-	// routing requirement.
-	cat, err := OpenDirShards(dir, nil)
+	whole, err := OpenDirShards(dir, nil)
 	if err != nil {
-		t.Fatalf("whole-directory open of the same directory failed: %v", err)
+		t.Fatalf("whole-directory open: %v", err)
 	}
-	cat.Close()
+	defer whole.Close()
+	var subsets []*Catalog
+	for i := 0; i < whole.Shards(); i++ {
+		subsets = append(subsets, openSubset(t, dir, []int{i}, Options{}))
+	}
+
+	for _, text := range []string{"-report", "flour OR -report", "-(quarterly report)"} {
+		rw, err := whole.Query(context.Background(), Query{Text: text})
+		if err != nil {
+			t.Fatalf("%q whole: %v", text, err)
+		}
+		want := make(map[string]bool, len(rw.Hits))
+		for _, h := range rw.Hits {
+			want[h.Path] = true
+		}
+		for _, p := range termFree {
+			if text != "flour OR -report" && !want[p] {
+				t.Fatalf("%q: whole misses the term-free file %s", text, p)
+			}
+		}
+		seen := make(map[string]bool)
+		total := 0
+		for _, sub := range subsets {
+			rs, err := sub.Query(context.Background(), Query{Text: text})
+			if err != nil {
+				t.Fatalf("%q subset %v: %v", text, sub.PartitionIDs(), err)
+			}
+			total += rs.Total
+			for _, h := range rs.Hits {
+				if seen[h.Path] || !want[h.Path] {
+					t.Fatalf("%q: subset %v serves %s (seen before %v, in the whole's answer %v)",
+						text, sub.PartitionIDs(), h.Path, seen[h.Path], want[h.Path])
+				}
+				seen[h.Path] = true
+			}
+			for _, p := range rs.Partitions {
+				global := sub.PartitionIDs()[p.Partition]
+				if w := rw.Partitions[global].Matched; p.Matched != w {
+					t.Fatalf("%q: shard %d matched %d in its subset, %d in the whole", text, global, p.Matched, w)
+				}
+			}
+		}
+		if total != rw.Total || len(seen) != len(want) {
+			t.Fatalf("%q: subsets total %d over %d files, whole %d over %d", text, total, len(seen), rw.Total, len(want))
+		}
+	}
 }
 
 // TestOpenDirShardsValidation covers the subset argument contract.

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"desksearch/internal/postings"
 	"desksearch/internal/vfs"
 )
 
@@ -59,6 +60,105 @@ func TestUpdateNotQueryRegression(t *testing.T) {
 	}
 	if s := cat.Stats(); s.Files != 7 {
 		t.Errorf("Files = %d after deletion, want 7", s.Files)
+	}
+}
+
+// lockedFS is a MemFS whose files named in locked fail to read.
+type lockedFS struct {
+	*vfs.MemFS
+	locked map[string]bool
+}
+
+func (f lockedFS) ReadFile(name string) ([]byte, error) {
+	if f.locked[name] {
+		return nil, fmt.Errorf("%s is locked", name)
+	}
+	return f.MemFS.ReadFile(name)
+}
+
+// checkTermFree holds cat to the invariant its NOT rule reads: a live file
+// has a token length of 0 exactly when no partition holds it, and no
+// partition holds a deleted file.
+func checkTermFree(t *testing.T, label string, cat *Catalog) {
+	t.Helper()
+	cat.engine.View(func() {
+		files := cat.result.Files
+		held := make([]bool, files.Len())
+		for _, p := range cat.partitionsLocked() {
+			for _, id := range p.Docs().IDs() {
+				held[id] = true
+			}
+		}
+		for i, h := range held {
+			id := postings.FileID(i)
+			switch {
+			case !files.Live(id) && h:
+				t.Errorf("%s: deleted %s is held by a partition", label, files.Path(id))
+			case files.Live(id) && (files.Tokens(id) == 0) == h:
+				t.Errorf("%s: %s has %d tokens; held by a partition: %v", label, files.Path(id), files.Tokens(id), h)
+			}
+		}
+	})
+}
+
+// TestTermFreeInvariant: on every build path, after updates, and through
+// both ways of reading a saved directory, the files no partition holds are
+// exactly the live files with no tokens — an empty file, one whose words
+// are all punctuation, an unreadable one, and one whose re-extraction
+// failed on update.
+func TestTermFreeInvariant(t *testing.T) {
+	for _, impl := range []Implementation{Sequential, SharedIndex, ReplicatedJoin, ReplicatedSearch} {
+		for _, shards := range []int{0, 3} {
+			opt := Options{Implementation: impl, Extractors: 2, Updaters: 2, Shards: shards}
+			t.Run(fmt.Sprintf("impl%d-shards%d", impl, shards), func(t *testing.T) {
+				mem := demoFS(t)
+				for name, body := range map[string]string{"misc/empty.txt": "", "misc/dashes.txt": "--- !!!", "misc/locked.txt": "locked away"} {
+					if err := mem.WriteFile(name, []byte(body)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fs := lockedFS{MemFS: mem, locked: map[string]bool{"misc/locked.txt": true}}
+				cat, err := IndexFS(fs, ".", opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkTermFree(t, "IndexFS", cat)
+
+				if err := mem.Remove("work/report.txt"); err != nil {
+					t.Fatal(err)
+				}
+				for _, name := range []string{"notes/todo.txt", "misc/recipe.txt"} {
+					if err := mem.WriteFile(name, []byte("rewritten report")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fs.locked["misc/recipe.txt"] = true
+				st, err := cat.Update(fs, ".")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Deleted != 1 || st.Modified != 1 || st.SkippedFiles != 1 {
+					t.Fatalf("update = %+v, want one deletion, one modification, one failed re-extraction", st)
+				}
+				checkTermFree(t, "Update", cat)
+
+				dir := t.TempDir()
+				if err := cat.SaveDir(dir); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := LoadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkTermFree(t, "LoadDir", loaded)
+				opened, err := OpenDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer opened.Close()
+				checkTermFree(t, "OpenDir", opened)
+			})
+		}
 	}
 }
 

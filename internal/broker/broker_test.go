@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync/atomic"
@@ -393,6 +395,41 @@ func TestBrokerFailover(t *testing.T) {
 	status, _ = getJSON[map[string]any](t, bts.URL+"/healthz")
 	if status != http.StatusOK {
 		t.Fatalf("/healthz = %d with a live replica remaining, want 200", status)
+	}
+}
+
+// TestHealthSweepDemotesCorruptReplica: a worker whose query read a
+// corrupt posting block answers /healthz 503, so the broker's health sweep
+// marks it unhealthy and its group tries the clean replica first.
+func TestHealthSweepDemotesCorruptReplica(t *testing.T) {
+	clean, flipped := buildDir(t, 40, false), buildDir(t, 40, false)
+	// "thread" sorts last in every shard's dictionary, so its posting
+	// block ends the segment file.
+	seg := filepath.Join(flipped, "shard-0000.dsix")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-2] ^= 0x20
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	good, bad := startWorker(t, clean, nil), startWorker(t, flipped, nil)
+	b, _ := newTestBroker(t, [][]string{{good.URL, bad.URL}}, 0)
+
+	if status, _ := getJSON[map[string]any](t, bad.URL+"/search?q=thread"); status != http.StatusInternalServerError {
+		t.Fatalf("query over the flipped block: status %d, want 500", status)
+	}
+	b.healthSweep(context.Background(), time.Second)
+	for _, r := range b.groups[0].replicas {
+		if want := r.url == good.URL; r.healthy.Load() != want {
+			t.Fatalf("after the sweep %s healthy = %v, want %v", r.url, !want, want)
+		}
+	}
+	for i := 0; i < 2; i++ { // whatever the rotation, the clean replica leads
+		if first := b.groups[0].candidates()[0]; first.url != good.URL {
+			t.Fatalf("candidate order starts with %s, want the clean %s", first.url, good.URL)
+		}
 	}
 }
 

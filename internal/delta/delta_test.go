@@ -344,8 +344,8 @@ func TestFailedModifyExtractionRetries(t *testing.T) {
 		t.Errorf("failed modify counted as applied: %+v", st)
 	}
 	// No postings, so no document length either — what a rebuild that
-	// skipped the file records, and what the shard-subset routing check
-	// reads as "holds nothing".
+	// skipped the file records, and what the engine's NOT rule reads as a
+	// term-free file.
 	if id, _ := res.Files.Lookup("docs/a.txt"); res.Files.Tokens(id) != 0 {
 		t.Errorf("failed modify left %d tokens on a file with no postings", res.Files.Tokens(id))
 	}

@@ -44,8 +44,10 @@ func TestFileTableTombstones(t *testing.T) {
 		t.Error("re-tombstoning a dead ID broke the live path's lookup")
 	}
 
-	if got := ft.LiveIDs(nil); !reflect.DeepEqual(got, []postings.FileID{a, b2}) {
-		t.Errorf("LiveIDs = %v, want [%d %d]", got, a, b2)
+	for id, want := range map[postings.FileID]bool{a: true, b: false, b2: true} {
+		if ft.Live(id) != want {
+			t.Errorf("Live(%d) = %v, want %v", id, !want, want)
+		}
 	}
 }
 

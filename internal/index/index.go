@@ -78,7 +78,9 @@ func (t *FileTable) SetTokens(id postings.FileID, n uint32) {
 	t.tokens[id] = n
 }
 
-// Tokens returns the recorded token length for id.
+// Tokens returns the recorded token length for id. It is 0 exactly for the
+// files no partition holds a posting for — the term-free files, which a
+// NOT query's complement must still find (search.Engine).
 func (t *FileTable) Tokens(id postings.FileID) uint32 { return t.tokens[id] }
 
 // LiveTokens sums the token lengths of all live files — the corpus size
@@ -122,17 +124,6 @@ func (t *FileTable) Len() int { return len(t.paths) }
 
 // LiveCount returns the number of live (non-tombstoned) files.
 func (t *FileTable) LiveCount() int { return len(t.paths) - t.nDead }
-
-// LiveIDs appends the IDs of all live files to dst in ascending order and
-// returns it — the universe a NOT query complements against.
-func (t *FileTable) LiveIDs(dst []postings.FileID) []postings.FileID {
-	for id := range t.paths {
-		if !t.dead[id] {
-			dst = append(dst, postings.FileID(id))
-		}
-	}
-	return dst
-}
 
 // Paths returns all paths indexed by FileID, tombstoned slots included.
 // Callers must not modify the returned slice.
@@ -348,13 +339,29 @@ func (ix *Index) Terms(dst []string) []string {
 
 // Docs returns the set of files this index holds postings for, as a fresh
 // pure-ID list (term frequencies are never copied — NOT evaluation, the
-// consumer, reads only IDs).
+// consumer, reads only IDs). It is one pass over the postings that marks
+// each held ID, then one over the marks: its allocations do not grow with
+// the number of terms.
 func (ix *Index) Docs() *postings.List {
-	u := &postings.List{}
+	n := 0 // one past the largest held ID
 	for _, l := range ix.terms {
-		u.Merge(postings.FromSortedIDs(l.IDs()))
+		if ids := l.IDs(); len(ids) > 0 {
+			n = max(n, int(ids[len(ids)-1])+1)
+		}
 	}
-	return u
+	held := make([]bool, n)
+	for _, l := range ix.terms {
+		for _, id := range l.IDs() {
+			held[id] = true
+		}
+	}
+	ids := make([]postings.FileID, 0, n)
+	for id, h := range held {
+		if h {
+			ids = append(ids, postings.FileID(id))
+		}
+	}
+	return postings.FromSortedIDs(ids)
 }
 
 // ResidentBytes estimates the index's heap footprint: per-term map-entry

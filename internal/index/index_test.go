@@ -404,6 +404,27 @@ func checkAgainstModel(t *testing.T, at string, ix *Index, model map[string][]po
 	}
 }
 
+// TestDocsAllocsIndependentOfTerms: Docs marks the held IDs in one pass
+// over the postings, so 100 terms and 10 000 terms over the same 100 files
+// cost the same number of allocations — no per-term list or merge.
+func TestDocsAllocsIndependentOfTerms(t *testing.T) {
+	const files = 100
+	allocs := func(terms int) float64 {
+		ix := New(terms)
+		for i := 0; i < terms; i++ {
+			a, b := postings.FileID(i%files), postings.FileID((i+1)%files)
+			ix.MergeTerm(fmt.Sprintf("t%05d", i), postings.FromIDs([]postings.FileID{a, b}))
+		}
+		if got := ix.Docs().Len(); got != files {
+			t.Fatalf("%d terms: Docs holds %d files, want %d", terms, got, files)
+		}
+		return testing.AllocsPerRun(10, func() { ix.Docs() })
+	}
+	if few, many := allocs(100), allocs(10_000); few != many {
+		t.Fatalf("Docs allocates %v times over 100 terms and %v over 10 000", few, many)
+	}
+}
+
 func TestJoinAllEmpty(t *testing.T) {
 	if ix := JoinAll(nil); ix.NumTerms() != 0 {
 		t.Error("JoinAll(nil) not empty")

@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 
@@ -43,10 +44,13 @@ type Hit struct {
 }
 
 // Engine executes queries over one or more indices sharing a file table —
-// unjoined replicas or the shards of a shard.Set; both partition the corpus
-// by document, which is all the engine relies on. It is the paper's
-// Implementation 3 made whole: "the search can work with multiple indices
-// in parallel".
+// unjoined replicas, the shards of a shard.Set, or a worker's subset of a
+// saved directory; all partition the corpus by document, which is all the
+// engine relies on. It is the paper's Implementation 3 made whole: "the
+// search can work with multiple indices in parallel".
+//
+// NOT reads the file table's token lengths: 0 must mean that no partition
+// holds the file (see computeUniverses).
 //
 // Queries may run concurrently with each other. Mutating the underlying
 // indices or file table — the incremental-update path — must go through
@@ -56,6 +60,9 @@ type Hit struct {
 type Engine struct {
 	files   *index.FileTable
 	indices []index.Partition
+	// shards[i] is the global shard number of indices[i]: the identity for
+	// a whole catalog, the directory's numbers for a worker's subset.
+	shards []int
 	// Parallel fans query evaluation out with one goroutine per index.
 	// Off, partitions are searched sequentially (the ablation baseline).
 	Parallel bool
@@ -67,12 +74,6 @@ type Engine struct {
 	// responsible for (the complement base for NOT); nil means not yet
 	// computed or invalidated by an update.
 	universes []*postings.List
-	// universeFn, when non-nil, replaces computeUniverses — the hook for
-	// engines whose partitions are a subset of a larger corpus (a
-	// distributed worker), where the default "every live file not covered
-	// here is an orphan of partition 0" rule would wrongly claim every
-	// remote document for NOT queries. Set via SetUniverses.
-	universeFn func() []*postings.List
 	// gen counts committed mutations: every Maintain or Swap increments
 	// it, so a cache keyed on (generation, query) can never serve a result
 	// computed before an update as if it were current.
@@ -80,11 +81,38 @@ type Engine struct {
 }
 
 // NewEngine returns an engine over the given partitions — heap indices,
-// lazy segment readers, or a mix. For a joined or shared index pass
-// exactly one; for Implementation 3 or a shard set pass every partition.
-// (A []*index.Index converts via index.Partitions.)
+// lazy segment readers, or a mix — as global shards 0..len(parts)-1. For a
+// joined or shared index pass exactly one; for Implementation 3 or a shard
+// set pass every partition. (A []*index.Index converts via
+// index.Partitions.)
 func NewEngine(files *index.FileTable, parts ...index.Partition) *Engine {
-	return &Engine{files: files, indices: parts, Parallel: true}
+	return NewSubsetEngine(files, nil, parts...)
+}
+
+// NewSubsetEngine is NewEngine over partitions that serve the given global
+// shard numbers, shardIDs[i] for parts[i]: a distributed worker's share of
+// a saved directory. nil shardIDs means 0..len(parts)-1.
+func NewSubsetEngine(files *index.FileTable, shardIDs []int, parts ...index.Partition) *Engine {
+	return &Engine{files: files, indices: parts, shards: orIdentity(shardIDs, len(parts)), Parallel: true}
+}
+
+// orIdentity returns ids, or 0..n-1 when ids is nil.
+func orIdentity(ids []int, n int) []int {
+	if ids == nil {
+		ids = make([]int, n)
+		for i := range ids {
+			ids[i] = i
+		}
+	}
+	return ids
+}
+
+// ShardIDs returns each partition's global shard number, in partition
+// order, as a fresh slice.
+func (e *Engine) ShardIDs() []int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return slices.Clone(e.shards)
 }
 
 // Indices returns the number of indices the engine consults.
@@ -120,37 +148,21 @@ func (e *Engine) Generation() uint64 {
 
 // Swap atomically replaces the engine's file table and partition set with a
 // freshly built one — the full-reload counterpart of Maintain's in-place
-// mutation. In-flight queries finish against the old partitions; queries
-// arriving after Swap returns see only the new ones, at a new generation.
-// then, when non-nil, runs inside the same exclusive section, so a caller
-// can swap its own bookkeeping (result metadata, shard sets) in the same
-// atomic step a query can never observe half-done.
-func (e *Engine) Swap(files *index.FileTable, parts []index.Partition, then func()) {
+// mutation. shardIDs are the new partitions' global shard numbers, as for
+// NewSubsetEngine. In-flight queries finish against the old partitions;
+// queries arriving after Swap returns see only the new ones, at a new
+// generation. then, when non-nil, runs inside the same exclusive section,
+// so a caller can swap its own bookkeeping (result metadata, shard sets)
+// in the same atomic step a query can never observe half-done.
+func (e *Engine) Swap(files *index.FileTable, parts []index.Partition, shardIDs []int, then func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.files = files
-	e.indices = parts
+	e.files, e.indices, e.shards = files, parts, orIdentity(shardIDs, len(parts))
 	e.universes = nil
 	e.gen++
 	if then != nil {
 		then()
 	}
-}
-
-// SetUniverses installs f as the engine's universe provider: f must
-// return, per partition in partition order, the posting list of files
-// that partition answers NOT queries for, and the lists of one call must
-// partition the files the engine is responsible for. Distributed workers
-// serving a shard subset use it to claim exactly their own documents; the
-// default computation (every partition's docs, orphans assigned to
-// partition 0) covers whole catalogs. The provider's result is cached
-// like the computed universes and re-requested after every Maintain or
-// Swap.
-func (e *Engine) SetUniverses(f func() []*postings.List) {
-	e.mu.Lock()
-	e.universeFn = f
-	e.universes = nil
-	e.mu.Unlock()
 }
 
 // ResidentBytes reports each partition's estimated heap footprint, in
@@ -267,43 +279,45 @@ func mergeRanked(parts [][]Hit, n int) ([]Hit, []int) {
 // is responsible for — the complement base for NOT. The caller must hold
 // e.mu exclusively.
 //
-// With one index that is simply every live file. With replicas, each
-// file's block went to exactly one replica, so replica i's universe is the
-// union of its posting lists; live files that appear in no replica at all
-// (term-free files) are assigned to replica 0 so that "NOT anything" still
-// finds them exactly once. Tombstoned files are excluded throughout —
-// their postings are gone from every partition, and allFiles skips them —
-// so a deleted file can never resurface through a negated query.
+// A partition answers for its own documents (Docs, a pure ID set), so
+// partitions that split the corpus by document split NOT the same way,
+// whatever routed the files to them: replicas, hash-routed shards, or a
+// worker's subset of either. The live files no partition holds are the
+// term-free ones (token length 0: empty, every word filtered out, or
+// unreadable), and the partition serving global shard 0 answers for them,
+// so across a whole catalog — or every worker of one directory — each is
+// found exactly once, and a one-partition catalog's universe is every
+// live file. Tombstoned files are skipped: a deleted file can never
+// resurface through a negated query.
 func (e *Engine) computeUniverses() []*postings.List {
-	if e.universeFn != nil {
-		return e.universeFn()
-	}
 	universes := make([]*postings.List, len(e.indices))
-	if len(e.indices) == 1 {
-		universes[0] = e.allFiles()
-		return universes
-	}
-	covered := &postings.List{}
 	for i, ix := range e.indices {
-		// Docs is a pure ID set by contract — a heap index unions its
-		// posting IDs, a lazy segment decodes its persisted doc list —
-		// so no merge drags term frequencies along just to cache values
-		// NOT evaluation never reads.
-		u := ix.Docs()
-		universes[i] = u
-		covered.Merge(u.Clone())
+		universes[i] = ix.Docs()
 	}
-	orphans := postings.Difference(e.allFiles(), covered)
-	if orphans.Len() > 0 && len(universes) > 0 {
-		universes[0].Merge(orphans)
+	if owner := slices.Index(e.shards, 0); owner >= 0 {
+		universes[owner].Merge(e.termFree(universes))
 	}
 	return universes
 }
 
-// allFiles returns the live files — tombstones of deleted files keep their
-// IDs but must not appear in any query result.
-func (e *Engine) allFiles() *postings.List {
-	return postings.FromSortedIDs(e.files.LiveIDs(nil))
+// termFree returns the live files with a token length of 0 that none of
+// held contains. The lookups cost little per term-free file and keep a
+// hand-built file table that records no lengths from claiming files twice.
+func (e *Engine) termFree(held []*postings.List) *postings.List {
+	var ids []postings.FileID
+next:
+	for id := postings.FileID(0); int(id) < e.files.Len(); id++ {
+		if !e.files.Live(id) || e.files.Tokens(id) != 0 {
+			continue
+		}
+		for _, l := range held {
+			if l.Contains(id) {
+				continue next
+			}
+		}
+		ids = append(ids, id)
+	}
+	return postings.FromSortedIDs(ids)
 }
 
 // evalEnv is one partition's evaluation environment: the partition, its

@@ -159,7 +159,7 @@ func TestSwapReplacesPartitions(t *testing.T) {
 	fresh.AddBlock(id, []string{"omega"}, nil)
 
 	var swappedInside bool
-	e.Swap(freshFiles, []index.Partition{fresh}, func() { swappedInside = true })
+	e.Swap(freshFiles, []index.Partition{fresh}, nil, func() { swappedInside = true })
 	if !swappedInside {
 		t.Fatal("then-callback not run")
 	}

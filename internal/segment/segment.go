@@ -286,9 +286,6 @@ func (r *Reader) Close() error {
 	return r.src.Close()
 }
 
-// Path returns the file the reader serves from.
-func (r *Reader) Path() string { return r.path }
-
 // BlockDecodes returns how many posting-block decodes the reader has
 // performed, of either tier — 0 right after Open, by the lazy contract.
 func (r *Reader) BlockDecodes() uint64 { return r.decodes.Load() }
@@ -465,7 +462,7 @@ func (r *Reader) NumPostings() int64 { return r.nPostings }
 func (r *Reader) Positional() bool { return r.positional }
 
 // Docs returns a fresh copy of the segment's persisted doc-ID set. The
-// engine owns the returned list (it merges orphans into it), so the
+// engine owns the returned list (it merges term-free files into it), so the
 // reader's own copy is never handed out.
 func (r *Reader) Docs() *postings.List { return r.docs.Clone() }
 

@@ -14,17 +14,14 @@ import (
 	"desksearch/internal/vfs"
 )
 
-// TestCorruptSegmentIs500 serves a lazily opened directory one of whose
-// posting blocks has a flipped byte. A query that reads the block is this
-// node's failure, not the client's: 500 with the segment_corrupt code on
-// /search and on the worker's /internal/search (where a broker fails over
-// on it), the corruption counter on /metrics moves, and queries that stay
-// off the block keep answering 200.
-func TestCorruptSegmentIs500(t *testing.T) {
+// corruptCatalog saves a positional two-shard directory of 16 files, flips
+// a byte in the posting block of "zzz" — the last term of every shard, so
+// its block ends every segment file — in shard 0, and opens the directory
+// lazily. It returns the corpus too, for rebuilding a clean catalog.
+func corruptCatalog(t *testing.T) (*vfs.MemFS, *desksearch.Catalog) {
+	t.Helper()
 	fs := vfs.NewMemFS()
 	for i := 0; i < 16; i++ {
-		// "zzz" sorts last in every shard's dictionary, so its block is
-		// the last thing in every segment file.
 		body := fmt.Sprintf("alpha beta w%d zzz", i)
 		if err := fs.WriteFile(fmt.Sprintf("docs/f%02d.txt", i), []byte(body)); err != nil {
 			t.Fatal(err)
@@ -52,6 +49,17 @@ func TestCorruptSegmentIs500(t *testing.T) {
 		t.Fatalf("open after a posting-block flip: %v", err)
 	}
 	t.Cleanup(func() { cat.Close() })
+	return fs, cat
+}
+
+// TestCorruptSegmentIs500 serves a lazily opened directory one of whose
+// posting blocks has a flipped byte. A query that reads the block is this
+// node's failure, not the client's: 500 with the segment_corrupt code on
+// /search and on the worker's /internal/search (where a broker fails over
+// on it), the corruption counter on /metrics moves, and queries that stay
+// off the block keep answering 200.
+func TestCorruptSegmentIs500(t *testing.T) {
+	_, cat := corruptCatalog(t)
 	ts := httptest.NewServer(New(Config{Catalog: cat, Worker: true, CacheEntries: -1}).Handler())
 	t.Cleanup(ts.Close)
 
@@ -88,5 +96,43 @@ func TestCorruptSegmentIs500(t *testing.T) {
 	}
 	if reads < 4 {
 		t.Fatalf("/metrics: ds_segment_corruptions_total = %d after four failed queries", reads)
+	}
+}
+
+// TestCorruptSegmentDegradesHealth: /healthz is 200 until a query reads the
+// flipped block, then 503 "degraded" with the corruption count, and a full
+// reload onto a clean catalog makes it 200 again.
+func TestCorruptSegmentDegradesHealth(t *testing.T) {
+	fs, cat := corruptCatalog(t)
+	rebuild := func() (*desksearch.Catalog, error) {
+		return desksearch.IndexFS(fs, ".", desksearch.Options{Positions: true})
+	}
+	ts := httptest.NewServer(New(Config{Catalog: cat, Rebuild: rebuild, CacheEntries: -1}).Handler())
+	t.Cleanup(ts.Close)
+
+	var hz struct {
+		Status      string `json:"status"`
+		Corruptions uint64 `json:"segment_corruptions"`
+	}
+	if code := getJSON(t, ts.URL+"/healthz", &hz); code != http.StatusOK || hz.Status != "ok" {
+		t.Fatalf("/healthz before any corrupt read: %d %+v", code, hz)
+	}
+	if code := getJSON(t, ts.URL+"/search?q=zzz", &struct{}{}); code != http.StatusInternalServerError {
+		t.Fatalf("query over the flipped block: status %d, want 500", code)
+	}
+	if code := getJSON(t, ts.URL+"/healthz", &hz); code != http.StatusServiceUnavailable || hz.Status != "degraded" || hz.Corruptions == 0 {
+		t.Fatalf("/healthz after a corrupt read: %d %+v, want 503 degraded with a count", code, hz)
+	}
+	resp, err := http.Post(ts.URL+"/reload?mode=full", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("full reload: status %d", resp.StatusCode)
+	}
+	hz.Corruptions = 0
+	if code := getJSON(t, ts.URL+"/healthz", &hz); code != http.StatusOK || hz.Status != "ok" || hz.Corruptions != 0 {
+		t.Fatalf("/healthz after a full reload: %d %+v, want 200 ok", code, hz)
 	}
 }

@@ -20,7 +20,8 @@
 //	                     prefix, ranked by document frequency (n caps
 //	                     the count, default 10)
 //	GET  /stats          catalog, server, and cache counters
-//	GET  /healthz        liveness probe
+//	GET  /healthz        liveness probe: 503 "degraded" once a query
+//	                     has read a corrupt segment block
 //	GET  /metrics        the same counters plus per-endpoint latency
 //	                     histograms in Prometheus text format (see
 //	                     metrics.go and internal/metrics)
@@ -510,11 +511,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, out)
 }
 
+// handleHealthz answers 200 "ok", or 503 "degraded" with the count once a
+// query has read a posting block that failed verification: the node still
+// answers what stays off the bad block, but a broker's health sweep then
+// tries its healthy peers first. A full reload that swaps the catalog
+// clears it, since the count is the serving catalog's.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, map[string]any{
-		"status":     "ok",
-		"generation": s.cat.Generation(),
-	})
+	status, body := http.StatusOK, map[string]any{"status": "ok", "generation": s.cat.Generation()}
+	if n := s.cat.SegmentCorruptions(); n > 0 {
+		status = http.StatusServiceUnavailable
+		body["status"], body["segment_corruptions"] = "degraded", n
+	}
+	WriteJSON(w, status, body)
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {

@@ -233,16 +233,23 @@ func parseManifest(data []byte) (*manifest, error) {
 		sums:  make([]uint32, shardCount),
 	}
 	sumBuf := make([]byte, 4)
+	seen := make(map[string]bool, shardCount)
 	for i := range m.names {
 		name, err := index.ReadString(br)
 		if err != nil {
 			return nil, fmt.Errorf("shard: manifest: segment %d name: %w", i, err)
 		}
 		// Segment names are opaque manifest data; refuse anything that
-		// would escape the index directory.
+		// would escape the index directory, and a segment named twice:
+		// readers assume the segments are document-disjoint, and one
+		// listed twice would serve its documents twice.
 		if name == "" || name != filepath.Base(name) {
 			return nil, fmt.Errorf("shard: manifest: invalid segment name %q", name)
 		}
+		if seen[name] {
+			return nil, fmt.Errorf("shard: manifest: segment %q listed twice", name)
+		}
+		seen[name] = true
 		m.names[i] = name
 		if _, err := io.ReadFull(br, sumBuf); err != nil {
 			return nil, fmt.Errorf("shard: manifest: segment %d checksum: %w", i, err)

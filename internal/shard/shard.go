@@ -8,8 +8,10 @@
 // term block goes to exactly one replica). A sharded build keeps that shape
 // and fixes the rule — core.Run sends every term block to the ShardFor shard
 // of its file, a hash of the FileID, the standard document-partitioning rule
-// of parallel search engines — so every built set is hash-routed, can be
-// served as worker subsets, and takes updates where the build put them.
+// of parallel search engines — so every built set takes updates where the
+// build put them. Serving needs no rule at all: any saved directory, sharded
+// or not, opens as worker subsets, each segment answering for its own
+// documents.
 package shard
 
 import (
@@ -50,10 +52,10 @@ type Set struct {
 }
 
 // New returns a set over the given partitions without copying them. The
-// caller guarantees the partitions are document-disjoint: the ShardFor-routed
-// shards of a sharded build or of Distribute, or an unsharded catalog's own
-// partitions being saved as they are (not hash-routed, so such a directory
-// cannot be opened as a subset).
+// caller guarantees the partitions are document-disjoint — the one thing
+// every reader of a saved directory assumes: the ShardFor-routed shards of
+// a sharded build or of Distribute, or an unsharded catalog's own
+// partitions being saved as they are.
 func New(files *index.FileTable, shards []*index.Index) *Set {
 	return &Set{files: files, shards: shards}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -391,6 +392,44 @@ func TestLazySwap(t *testing.T) {
 	hits := queryAll(t, cat, "pancakes")
 	if len(hits) != 1 || hits[0].Path != "misc/recipe.txt" {
 		t.Fatalf("post-swap query = %v", hits)
+	}
+}
+
+// TestSubsetSwapToWholeCatalog: a worker's one-shard subset swapped for a
+// whole four-shard catalog takes the new catalog's shard numbers with it,
+// so a NOT query answers every file of the new catalog once — where a rule
+// kept from the subset once indexed one universe for four partitions.
+func TestSubsetSwapToWholeCatalog(t *testing.T) {
+	built, err := IndexFS(corpusFS(t, 40), ".", Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := built.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := OpenDirShards(dir, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	queryAll(t, cat, "-report") // fill the subset's universe cache
+
+	fs := demoFS(t)
+	if err := fs.WriteFile("misc/empty.txt", nil); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := IndexFS(fs, ".", Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.Swap(fresh)
+	if got := fmt.Sprint(cat.PartitionIDs()); got != "[0 1 2 3]" {
+		t.Fatalf("PartitionIDs after swap = %s, want [0 1 2 3]", got)
+	}
+	hits := queryAll(t, cat, "-zebra")
+	if len(hits) != 9 || !slices.Contains(paths(hits), "misc/empty.txt") {
+		t.Fatalf("-zebra after swap = %v, want all 9 files", paths(hits))
 	}
 }
 
