@@ -82,8 +82,10 @@ docs-check:
 # not write — a worker's partial at the broker, a segment file's header and
 # dictionary at open, its posting blocks under a lazy reader (both decode
 # tiers and the streaming iterator) and the snippet window pass that reads
-# them in place — and on the phrase walk's per-file position check against
-# a naive scan (cursor arithmetic at both ends of the uint32 range): long
+# them in place — on the phrase walk's per-file position check against
+# a naive scan (cursor arithmetic at both ends of the uint32 range), and on
+# the positional posting list's operations (inserts, merges, removal,
+# demotion, windows, the codec round trip) against a map model: long
 # enough to shake out a panic, an unbounded allocation or a wrong answer,
 # short enough to run on every push.
 fuzz:
@@ -92,6 +94,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzBlockDecode -fuzztime=10s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz=FuzzWindowDecode -fuzztime=10s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz=FuzzPhraseWalk -fuzztime=10s ./internal/search/
+	$(GO) test -run='^$$' -fuzz=FuzzPositionalList -fuzztime=10s ./internal/postings/
 
 # The size figures ROADMAP's State paragraph and every CHANGES entry
 # restate: Go lines outside the nested bench/ module split into product and

@@ -94,13 +94,13 @@ func buildReplicas(b *testing.B, n int) []*index.Index {
 }
 
 // copyIndexes deep-copies replicas: a join consumes its inputs, and
-// MergeTerm only reads the list it is handed.
+// MergeTerm takes the list it is handed.
 func copyIndexes(source []*index.Index) []*index.Index {
 	out := make([]*index.Index, len(source))
 	for i, r := range source {
 		c := index.New(r.NumTerms())
 		r.Range(func(term string, l *postings.List) bool {
-			c.MergeTerm(term, l)
+			c.MergeTerm(term, l.Clone())
 			return true
 		})
 		out[i] = c

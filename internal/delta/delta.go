@@ -14,7 +14,8 @@
 //     independent, so the scans run in parallel), tombstoned FileIDs are
 //     retired, new files register fresh IDs, and each new term block is
 //     routed to its owning partition by the same FNV FileID split
-//     internal/shard uses.
+//     internal/shard uses, staged there with the changeset's other blocks
+//     and joined in one merge per touched posting list.
 //
 // Diff and Extract only read; Commit mutates and must run with queries
 // excluded (search.Engine.Maintain does exactly that for the public
@@ -318,6 +319,14 @@ func (p *Plan) Commit(t Target) Stats {
 	// old postings are gone, which is what a rebuild skipping an
 	// unreadable file would show — and a failed add is not registered at
 	// all (the next Diff re-adds it).
+	//
+	// A modified file keeps its FileID, so its postings land mid-list, and
+	// a positional list moves the positions of every later posting on an
+	// insert there. The blocks are therefore staged in one small index per
+	// partition and joined into it once: each touched list takes one linear
+	// merge per commit, not one insert per file. Partitions are
+	// independent, so they stage and join in parallel.
+	staged := make([][]staging, n)
 	for _, s := range steps {
 		c := s.c
 		switch c.Op {
@@ -332,7 +341,7 @@ func (p *Plan) Commit(t Target) Stats {
 			}
 			t.Files.SetMeta(c.ID, c.Size, c.ModTime)
 			t.Files.SetTokens(c.ID, block.Tokens)
-			commitBlock(t, c.ID, block, &st)
+			stage(staged, c.ID, block, &st)
 			st.Modified++
 		case OpAdd:
 			block, ok := p.blocks[s.pos]
@@ -341,29 +350,51 @@ func (p *Plan) Commit(t Target) Stats {
 			}
 			id := t.Files.Add(c.Path, c.Size, c.ModTime)
 			t.Files.SetTokens(id, block.Tokens)
-			commitBlock(t, id, block, &st)
+			stage(staged, id, block, &st)
 			st.Added++
 		}
 	}
+	var wg sync.WaitGroup
+	for owner, blocks := range staged {
+		if len(blocks) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fresh := index.New(0)
+			for _, b := range blocks {
+				if b.block.Positions != nil {
+					fresh.AddBlockPositional(b.id, b.block.Terms, b.block.Positions)
+				} else {
+					fresh.AddBlock(b.id, b.block.Terms, b.block.Counts)
+				}
+			}
+			t.Partitions[owner].Join(fresh)
+		}()
+		if t.OnDirty != nil {
+			t.OnDirty(owner)
+		}
+	}
+	wg.Wait()
 	return st
 }
 
-// commitBlock routes a fresh term block to id's owning partition, through
-// the positional insertion path when the block was extracted with
-// positions (a positional catalog re-extracts positionally, so updates
-// keep phrase queries answerable).
-func commitBlock(t Target, id postings.FileID, block extract.TermBlock, st *Stats) {
+// staging is a fresh term block waiting for its partition's join.
+type staging struct {
+	id    postings.FileID
+	block extract.TermBlock
+}
+
+// stage queues a fresh term block for id's owning partition. A positional
+// block goes in through the positional insertion path (a positional
+// catalog re-extracts positionally, so updates keep phrase queries
+// answerable).
+func stage(staged [][]staging, id postings.FileID, block extract.TermBlock, st *Stats) {
 	if len(block.Terms) == 0 {
 		return
 	}
-	owner := shard.ShardFor(id, len(t.Partitions))
-	if block.Positions != nil {
-		t.Partitions[owner].AddBlockPositional(id, block.Terms, block.Positions)
-	} else {
-		t.Partitions[owner].AddBlock(id, block.Terms, block.Counts)
-	}
+	owner := shard.ShardFor(id, len(staged))
+	staged[owner] = append(staged[owner], staging{id, block})
 	st.PostingsAdded += int64(len(block.Terms))
-	if t.OnDirty != nil {
-		t.OnDirty(owner)
-	}
 }

@@ -103,8 +103,8 @@ func TestRemoveFilesMatchesSequentialRemoves(t *testing.T) {
 
 // TestRemoveFilesKeepsUntouchedLists: an update that touches none of a
 // term's files must leave that term's list alone — same *postings.List,
-// not an equal copy — so an update's allocation follows the lists it
-// changes, not the size of the dictionary.
+// not an equal copy — and one that touches it edits it in place, so an
+// update allocates nothing per list, touched or not.
 func TestRemoveFilesKeepsUntouchedLists(t *testing.T) {
 	ix := New(16)
 	ix.AddBlockPositional(0, []string{"a", "b"}, [][]uint32{{0}, {1}})
@@ -122,8 +122,8 @@ func TestRemoveFilesKeepsUntouchedLists(t *testing.T) {
 			t.Errorf("term %q: untouched list was replaced", term)
 		}
 	}
-	if l := ix.Lookup("c"); l == before["c"] || l.Len() != 1 || !l.Contains(1) {
-		t.Errorf("term c: touched list not rebuilt correctly: %v", l.IDs())
+	if l := ix.Lookup("c"); l != before["c"] || l.Len() != 1 || !l.Contains(1) || l.CountAt(0) != 1 {
+		t.Errorf("term c: touched list not edited in place correctly: %v", l.IDs())
 	}
 	if ix.Lookup("d") != nil {
 		t.Error("emptied term d survived")

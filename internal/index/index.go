@@ -192,8 +192,9 @@ func (ix *Index) AddBlock(id postings.FileID, terms []string, counts []uint32) {
 // per-term occurrence positions extracted alongside it
 // (extract.TermBlock.Positions): positions[i] lists the ascending token
 // positions of terms[i] in the file, and the per-posting frequency is
-// derived from it, so TF ranking needs no separate count. Marks the index
-// positional.
+// derived from it, so TF ranking needs no separate count. Each run is
+// copied into its term's list, so the index keeps nothing of the block.
+// Marks the index positional.
 func (ix *Index) AddBlockPositional(id postings.FileID, terms []string, positions [][]uint32) {
 	defer ix.invalidateSortedOnGrowth(len(ix.terms))
 	ix.positional = true
@@ -364,54 +365,53 @@ func (ix *Index) Docs() *postings.List {
 	return postings.FromSortedIDs(ids)
 }
 
-// ResidentBytes estimates the index's heap footprint: per-term map-entry
-// and string bytes plus posting and position storage. An observability
-// estimate, not an allocator measurement.
+// termOverhead is what one term costs the index beside its posting
+// storage and its string's bytes: the postings.List struct (72 B, in an
+// 80-byte size class) and the term's map slot (a string header and a list
+// pointer, 24 B, about 40 at the map's average load).
+const termOverhead = 80 + 40
+
+// ResidentBytes estimates the index's heap footprint: per term, its
+// string's bytes, termOverhead and what its list reports of its own
+// storage (postings.List.HeapBytes). An observability estimate, not an
+// allocator measurement.
 func (ix *Index) ResidentBytes() int64 {
 	var b int64
 	for term, l := range ix.terms {
-		b += int64(len(term)) + 48 // entry, header, list overheads
-		b += int64(l.Len()) * 8    // id + count columns
-		if l.HasPositions() {
-			for i := 0; i < l.Len(); i++ {
-				b += int64(len(l.PositionsAt(i))) * 4
-			}
-		}
+		b += int64(len(term)) + termOverhead + l.HeapBytes()
 	}
 	return b
 }
 
 // Join destructively merges other into ix ("Join Forces"): every posting
-// list of other is united with ix's. other must not be used afterwards.
+// list of other is united with ix's, and ix adopts the lists of terms it
+// lacks. other must not be used afterwards.
 func (ix *Index) Join(other *Index) {
 	if other == nil {
 		return
 	}
-	defer ix.invalidateSortedOnGrowth(len(ix.terms))
 	ix.positional = ix.positional || other.positional
 	for term, l := range other.terms {
-		existing, ok := ix.terms[term]
-		if !ok {
-			ix.terms[term] = l
-			ix.nPostings += int64(l.Len())
-			continue
-		}
-		before := existing.Len()
-		existing.Merge(l)
-		ix.nPostings += int64(existing.Len() - before)
+		ix.MergeTerm(term, l)
 	}
 }
 
-// MergeTerm unions l into term's posting list, creating the term if absent.
-// l is read but not retained, so callers may keep using it. Sharding uses
-// MergeTerm to route a whole posting sublist between indices in one merge,
-// where per-file AddBlock calls would cost a term lookup per posting.
+// MergeTerm unions l into term's posting list and takes l: a term the
+// index lacks adopts l as its list, so loading a decoded list copies none
+// of it, and the caller must not use l afterwards. Sharding uses MergeTerm
+// to route a whole posting sublist between indices in one merge, where
+// per-file AddBlock calls would cost a term lookup per posting.
 func (ix *Index) MergeTerm(term string, l *postings.List) {
 	if l == nil || l.Len() == 0 {
 		return
 	}
-	defer ix.invalidateSortedOnGrowth(len(ix.terms))
-	existing := ix.list(term)
+	existing, ok := ix.terms[term]
+	if !ok {
+		ix.terms[term] = l
+		ix.nPostings += int64(l.Len())
+		ix.invalidateSorted()
+		return
+	}
 	before := existing.Len()
 	existing.Merge(l)
 	ix.nPostings += int64(existing.Len() - before)

@@ -26,30 +26,18 @@ func (ix *Index) RemoveFiles(victims *postings.List) int {
 	if victims == nil || victims.Len() == 0 {
 		return 0
 	}
+	defer ix.invalidateSortedOnGrowth(len(ix.terms))
 	removed := 0
-	var emptied []string
 	for term, l := range ix.terms {
 		if !postings.Intersects(l, victims) {
-			// Most terms in most updates: the list, and every pointer
-			// to it, stays as it is.
+			// Most terms in most updates: the list stays as it is.
 			continue
 		}
-		rest := postings.Difference(l, victims)
-		removed += l.Len() - rest.Len()
-		if rest.Len() == 0 {
-			emptied = append(emptied, term)
-			continue
+		removed += l.Remove(victims)
+		if l.Len() == 0 {
+			// Deleting during range is defined.
+			delete(ix.terms, term)
 		}
-		// Assigning to an existing key during range is defined.
-		ix.terms[term] = rest
-	}
-	for _, term := range emptied {
-		delete(ix.terms, term)
-	}
-	if removed > 0 {
-		// Not just on emptied terms: the assignment above swaps surviving
-		// terms' list pointers, which the sorted dictionary cache holds.
-		ix.invalidateSorted()
 	}
 	ix.nPostings -= int64(removed)
 	return removed

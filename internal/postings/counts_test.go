@@ -34,7 +34,7 @@ func TestCountsStayImplicitForBooleanLists(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Add(FileID(i * 2))
 	}
-	if l.counts != nil {
+	if l.vals != nil {
 		t.Error("all-ones list materialized counts")
 	}
 	if l.CountAt(3) != 1 || l.CountOf(4) != 1 {
@@ -48,20 +48,20 @@ func TestMergeSumsCounts(t *testing.T) {
 	a.Merge(b)
 	want := FromSortedIDCounts([]FileID{1, 2, 3, 5, 6}, []uint32{2, 1, 6, 4, 2})
 	if !a.Equal(want) {
-		t.Errorf("merged = %v / %v", a.IDs(), a.counts)
+		t.Errorf("merged = %v / %v", a.IDs(), a.vals)
 	}
 	// Disjoint fast path keeps counts aligned.
 	c := FromSortedIDCounts([]FileID{1, 2}, []uint32{3, 1})
 	d := FromSortedIDCounts([]FileID{10, 11}, []uint32{1, 7})
 	c.Merge(d)
 	if c.CountOf(1) != 3 || c.CountOf(10) != 1 || c.CountOf(11) != 7 {
-		t.Errorf("disjoint merge counts wrong: %v", c.counts)
+		t.Errorf("disjoint merge counts wrong: %v", c.vals)
 	}
 	// Mixed: counted merged into boolean materializes the boolean side.
 	e := FromSortedIDs([]FileID{1, 2})
 	e.Merge(FromSortedIDCounts([]FileID{2, 3}, []uint32{4, 2}))
 	if e.CountOf(1) != 1 || e.CountOf(2) != 5 || e.CountOf(3) != 2 {
-		t.Errorf("mixed merge counts wrong: %v", e.counts)
+		t.Errorf("mixed merge counts wrong: %v", e.vals)
 	}
 }
 
@@ -70,12 +70,12 @@ func TestDifferencePreservesCounts(t *testing.T) {
 	out := Difference(a, FromSortedIDs([]FileID{2, 4}))
 	want := FromSortedIDCounts([]FileID{1, 3}, []uint32{5, 7})
 	if !out.Equal(want) {
-		t.Errorf("difference = %v / %v", out.IDs(), out.counts)
+		t.Errorf("difference = %v / %v", out.IDs(), out.vals)
 	}
 	// Survivors all at frequency 1 normalize back to the implicit form.
 	b := FromSortedIDCounts([]FileID{1, 2, 3}, []uint32{1, 9, 1})
 	out2 := Difference(b, FromSortedIDs([]FileID{2}))
-	if out2.counts != nil {
+	if out2.vals != nil {
 		t.Error("all-ones survivors kept explicit counts")
 	}
 }
@@ -100,7 +100,7 @@ func TestEncodeDecodeCounts(t *testing.T) {
 			t.Errorf("case %d: consumed %d of %d bytes", i, n, len(buf))
 		}
 		if !got.Equal(l) {
-			t.Errorf("case %d: round trip %v/%v != %v/%v", i, got.ids, got.counts, l.ids, l.counts)
+			t.Errorf("case %d: round trip %v/%v != %v/%v", i, got.ids, got.vals, l.ids, l.vals)
 		}
 	}
 	// An all-ones explicit list round-trips into the implicit form.
@@ -109,7 +109,7 @@ func TestEncodeDecodeCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.counts != nil {
+	if got.vals != nil {
 		t.Error("all-ones counts not normalized on decode")
 	}
 }
@@ -156,7 +156,7 @@ func TestFromSortedIDCountsClampsZero(t *testing.T) {
 	// An all-zero (→ all-one) slice normalizes to the implicit form and
 	// the round trip stays loadable.
 	z := FromSortedIDCounts([]FileID{5}, []uint32{0})
-	if z.counts != nil {
+	if z.vals != nil {
 		t.Error("clamped all-ones counts not normalized")
 	}
 	if _, _, err := Decode(l.Encode(nil)); err != nil {

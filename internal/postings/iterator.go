@@ -105,7 +105,7 @@ func (it *Iterator) MaxCount() uint32 {
 		return it.maxCount
 	}
 	max := uint32(1)
-	if it.l.counts != nil || it.l.positions != nil {
+	if it.l.vals != nil {
 		for i := range it.l.ids {
 			if c := it.l.CountAt(i); c > max {
 				max = c

@@ -2,8 +2,10 @@ package postings
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -195,28 +197,102 @@ func TestDecodePositionalRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestDecodePositionalAllocations is the flat-decode claim as a count:
+// sinkList keeps a list allocated in a measurement on the heap.
+var sinkList *List
+
+// allocatedPerRun returns the heap bytes f allocates per call over runs
+// calls, from runtime.MemStats.TotalAlloc: the allocator's bytes, size
+// classes included. Like testing.AllocsPerRun it warms f up with one call
+// and pins GOMAXPROCS to 1 while it measures. Allocations that are not
+// f's (the race detector's, the runtime's) can only add to a round, so it
+// reports the least of five.
+func allocatedPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	least := math.Inf(1)
+	for round := 0; round < 5; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/float64(runs))
+	}
+	return least
+}
+
+// listStructBytes is what the allocator spends on a List struct alone.
+func listStructBytes() float64 {
+	return allocatedPerRun(100, func() { sinkList = new(List) })
+}
+
+// TestDecodePositionalAllocations is the flat-decode claim as counts:
 // however many postings and positions a list has, decoding it allocates
-// the list, its IDs, the per-posting subslice headers and one flat
-// position slice — not one slice per posting.
+// the list, its IDs, its run ends and one flat position slice — not one
+// slice per posting — and four bytes per ID, per run end and per
+// position beside the List struct, where a slice header per posting
+// would add 24. The lists have 512 postings of one or three positions,
+// so every column fills its allocator size class exactly.
 func TestDecodePositionalAllocations(t *testing.T) {
+	structBytes := listStructBytes()
 	for _, counted := range []bool{false, true} {
 		l := &List{}
-		for f := 0; f < 500; f++ {
+		positions := 0
+		for f := 0; f < 512; f++ {
 			pos := []uint32{uint32(f)}
 			if counted {
 				pos = append(pos, uint32(f)+3, uint32(f)+9)
 			}
+			positions += len(pos)
 			l.AddPositions(FileID(2*f+1), pos)
 		}
 		buf := l.EncodePositional(nil)
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, _, err := DecodePositional(buf); err != nil {
+		decode := func() {
+			var err error
+			if sinkList, _, err = DecodePositional(buf); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs > 4 {
-			t.Errorf("counted=%v: DecodePositional of a 500-posting list allocates %.0f times, want <= 4", counted, allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, decode); allocs > 4 {
+			t.Errorf("counted=%v: DecodePositional of a 512-posting list allocates %.0f times, want <= 4", counted, allocs)
+		}
+		bound := structBytes + 4*float64(l.Len()+l.Len()+positions)
+		if bytes := allocatedPerRun(20, decode); bytes > bound {
+			t.Errorf("counted=%v: DecodePositional of a 512-posting list allocates %.0f bytes, want <= %.0f (4 per ID, run end and position, and the List)",
+				counted, bytes, bound)
+		}
+	}
+}
+
+// TestHeapBytesMatchDecode holds HeapBytes to the allocator: what a
+// decoded positional list and a decoded counted list report of their own
+// storage is what their decodes allocate, less the List struct. Each
+// column fills its size class exactly (2048 postings, two positions or a
+// frequency of 2 each), so the figures agree to the byte.
+func TestHeapBytesMatchDecode(t *testing.T) {
+	structBytes := listStructBytes()
+	positional, counted := &List{}, &List{}
+	for f := 0; f < 2048; f++ {
+		positional.AddPositions(FileID(3*f), []uint32{uint32(f), uint32(f) + 5})
+		counted.AddN(FileID(3*f), 2)
+	}
+	for _, tc := range []struct {
+		name   string
+		buf    []byte
+		decode func([]byte) (*List, int, error)
+	}{
+		{"positional", positional.EncodePositional(nil), DecodePositional},
+		{"counted", counted.Encode(nil), Decode},
+	} {
+		l, _, err := tc.decode(tc.buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocated := allocatedPerRun(50, func() { sinkList, _, _ = tc.decode(tc.buf) })
+		if got := float64(l.HeapBytes()); got != allocated-structBytes {
+			t.Errorf("%s: HeapBytes reports %.0f, the decode allocates %.0f beside the %.0f-byte List",
+				tc.name, got, allocated-structBytes, structBytes)
 		}
 	}
 }

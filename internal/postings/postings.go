@@ -15,34 +15,42 @@
 // nothing until a build actually records real counts.
 package postings
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // FileID identifies a file in the indexed corpus. IDs are assigned by
 // Stage 1 (filename generation) in traversal order.
 type FileID uint32
 
 // List is a posting list: a sorted set of FileIDs, each with a term
-// frequency.
+// frequency and, on a positional list, the positions it occurs at.
 //
 // The zero value is an empty list. Lists built exclusively through Add with
 // the generator's one-block-per-file discipline stay sorted for free when
 // IDs arrive in order; Add handles out-of-order arrival (as happens with
 // parallel extractors) by insertion.
+//
+// The storage is three pointer-free columns, whatever the list's kind.
+// Every list owns its columns: no two lists share one, and no list keeps a
+// caller's slice.
 type List struct {
 	ids []FileID
-	// counts holds the per-posting term frequency, parallel to ids. nil
-	// means every frequency is 1 — the representation is normalized so the
-	// common boolean case allocates nothing. counts is never populated
-	// while positions is set: a positional posting's frequency is the
-	// length of its position list.
-	counts []uint32
-	// positions, when non-nil, is parallel to ids: positions[i] holds the
-	// ascending token positions (emission ordinals of the build's
-	// tokenizer) at which the term occurs in file ids[i]. A list is either
-	// uniformly positional (every insertion went through AddPositions /
-	// FromSortedIDPositions) or not positional at all; the two insertion
-	// disciplines must not be mixed within one list.
-	positions [][]uint32
+	// vals is the per-posting column parallel to ids. On a positional list
+	// (pos non-nil) vals[i] is the end of posting i's run in pos, whose
+	// start is vals[i-1] (0 for the first posting), and the frequency is
+	// the run's length. Otherwise vals[i] is posting i's frequency, and vals
+	// is nil when every frequency is 1 — the representation is normalized
+	// so the common boolean case allocates nothing.
+	vals []uint32
+	// pos, when non-nil, holds the ascending token positions (emission
+	// ordinals of the build's tokenizer) of every posting, one run after
+	// another in ID order. A list is either uniformly positional (every
+	// insertion went through AddPositions / FromSortedIDPositions) or not
+	// positional at all; the two insertion disciplines must not be mixed
+	// within one list.
+	pos []uint32
 }
 
 // FromIDs builds a list from ids, sorting and deduplicating as needed.
@@ -69,10 +77,10 @@ func FromSortedIDs(ids []FileID) *List {
 func FromSortedIDCounts(ids []FileID, counts []uint32) *List {
 	l := &List{ids: append([]FileID(nil), ids...)}
 	if counts != nil {
-		l.counts = append([]uint32(nil), counts...)
-		for i, c := range l.counts {
+		l.vals = append([]uint32(nil), counts...)
+		for i, c := range l.vals {
 			if c == 0 {
-				l.counts[i] = 1
+				l.vals[i] = 1
 			}
 		}
 		l.normalize()
@@ -92,94 +100,106 @@ func (l *List) dedupSorted() {
 
 // FromSortedIDPositions builds a positional list from strictly ascending
 // ids and their parallel position lists: positions[i] holds the ascending
-// token positions of the term in file ids[i] and must be non-empty. The
-// outer slices are copied; the inner position slices are shared and must
-// be treated as read-only by the caller afterwards (no code path mutates a
-// stored position slice in place).
+// token positions of the term in file ids[i] and must be non-empty. Every
+// run is copied into the list's one position column, so the caller keeps
+// all of its slices.
 func FromSortedIDPositions(ids []FileID, positions [][]uint32) *List {
-	return &List{
-		ids:       append([]FileID(nil), ids...),
-		positions: append([][]uint32(nil), positions...),
+	if len(ids) == 0 {
+		return &List{}
 	}
+	total := 0
+	for _, p := range positions {
+		total += len(p)
+	}
+	l := &List{
+		ids:  slices.Clone(ids),
+		vals: make([]uint32, 0, len(ids)),
+		pos:  make([]uint32, 0, total),
+	}
+	for _, p := range positions {
+		l.pos = append(l.pos, p...)
+		l.vals = append(l.vals, uint32(len(l.pos)))
+	}
+	return l
 }
 
-// normalize drops an all-ones counts slice so equal lists share one
-// representation regardless of how they were built.
+// normalize drops an all-ones frequency column so equal lists share one
+// representation regardless of how they were built. Only for a
+// non-positional list.
 func (l *List) normalize() {
-	for _, c := range l.counts {
+	for _, c := range l.vals {
 		if c != 1 {
 			return
 		}
 	}
-	l.counts = nil
+	l.vals = nil
 }
 
 // HasPositions reports whether the list carries per-posting positions —
 // the capability probe phrase evaluation uses before walking positions.
-func (l *List) HasPositions() bool { return l.positions != nil }
+func (l *List) HasPositions() bool { return l.pos != nil }
 
 // HasCounts reports whether the list stores an explicit frequency per
 // posting. A boolean list (every frequency 1) and a positional list (whose
 // frequencies are its run lengths) store none.
-func (l *List) HasCounts() bool { return l.counts != nil }
+func (l *List) HasCounts() bool { return l.vals != nil && l.pos == nil }
+
+// HeapBytes returns the heap bytes of the list's own storage: four per
+// ID, per explicit frequency or run end, and per position, over the
+// capacity of each column. The List struct is its holder's to count.
+func (l *List) HeapBytes() int64 {
+	return 4 * int64(cap(l.ids)+cap(l.vals)+cap(l.pos))
+}
+
+// run returns the bounds of posting i's run in pos. Only for a positional
+// list.
+func (l *List) run(i int) (start, end uint32) {
+	if i > 0 {
+		start = l.vals[i-1]
+	}
+	return start, l.vals[i]
+}
 
 // PositionsAt returns the ascending token positions of the posting at
 // position i, or nil for a non-positional list. The returned slice is the
-// list's backing storage; callers must not modify it.
+// list's backing storage, capped at the run's end; callers must not modify
+// it.
 func (l *List) PositionsAt(i int) []uint32 {
-	if l.positions == nil {
+	if l.pos == nil {
 		return nil
 	}
-	return l.positions[i]
+	a, b := l.run(i)
+	return l.pos[a:b:b]
 }
 
 // demotePositions converts a positional list to plain count storage: the
 // per-posting frequencies survive as explicit counts, the positions are
 // dropped. It is the meeting point when a positional and a non-positional
 // list flow into one operator — positions cannot be invented for the
-// non-positional side, so the result keeps only what both sides have.
+// non-positional side, so the result keeps only what both sides have. The
+// run ends become the counts in place, last posting first, so each still
+// reads its predecessor's end.
 func (l *List) demotePositions() {
-	if l.positions == nil {
+	if l.pos == nil {
 		return
 	}
-	l.counts = make([]uint32, len(l.positions))
-	for i, p := range l.positions {
-		if n := len(p); n > 0 {
-			l.counts[i] = uint32(n)
-		} else {
-			l.counts[i] = 1
-		}
+	for i := len(l.vals) - 1; i >= 0; i-- {
+		l.vals[i] = l.CountAt(i)
 	}
-	l.positions = nil
+	l.pos = nil
 	l.normalize()
 }
 
-// materializePositions switches the list to explicit position storage.
-// Pre-existing postings (which should not exist under the uniform-insertion
-// discipline) get nil position lists.
-func (l *List) materializePositions() {
-	if l.positions == nil {
-		l.positions = make([][]uint32, len(l.ids))
-	}
-}
-
-// AddPositions inserts id with the given ascending, non-empty position
-// list, keeping the list sorted and duplicate-free; it is the positional
-// counterpart of AddN (the posting's frequency is len(pos)). The list
-// takes ownership of pos. Re-adding a present id merges the position sets.
-// The common fast path — id greater than every present posting — is O(1)
-// amortized, matching the generator's one-block-per-file discipline.
+// AddPositions inserts id with the given non-empty position run, keeping
+// the list sorted and duplicate-free; it is the positional counterpart of
+// AddN (the posting's frequency is the number of distinct positions). The
+// run is copied into the list's position column, so the caller keeps pos
+// and may reuse it. Re-adding a present id merges the position sets. The
+// common fast path — id greater than every present posting — is an
+// amortized append, matching the generator's one-block-per-file
+// discipline; an insert before the last posting moves the later runs.
 func (l *List) AddPositions(id FileID, pos []uint32) {
 	if len(pos) == 0 {
-		return
-	}
-	if l.positions == nil && len(l.ids) > 0 {
-		// The list already holds position-free postings (a positional
-		// insert into a list built without positions). Positions cannot be
-		// retrofitted onto the existing postings, so record the frequency
-		// and stay non-positional rather than desync the parallel slices —
-		// the mirror of AddN's demotion rule.
-		l.AddN(id, uint32(len(pos)))
 		return
 	}
 	// The codec delta-codes position runs with strictly positive gaps, so
@@ -188,81 +208,78 @@ func (l *List) AddPositions(id FileID, pos []uint32) {
 	// branch per position on the (always-ascending) hot path.
 	for i := 1; i < len(pos); i++ {
 		if pos[i] <= pos[i-1] {
-			pos = sortedDedupPositions(pos)
+			pos = slices.Compact(slices.Sorted(slices.Values(pos)))
 			break
 		}
 	}
-	l.materializePositions()
+	if l.pos == nil && len(l.ids) > 0 {
+		// The list already holds position-free postings (a positional
+		// insert into a list built without positions). Positions cannot be
+		// retrofitted onto the existing postings, so record the frequency
+		// and stay non-positional — the mirror of AddN's demotion rule.
+		l.AddN(id, uint32(len(pos)))
+		return
+	}
 	sz := len(l.ids)
 	if sz == 0 || id > l.ids[sz-1] {
 		l.ids = append(l.ids, id)
-		l.positions = append(l.positions, pos)
+		l.pos = append(l.pos, pos...)
+		l.vals = append(l.vals, uint32(len(l.pos)))
 		return
 	}
 	i := sort.Search(sz, func(i int) bool { return l.ids[i] >= id })
 	if i < sz && l.ids[i] == id {
-		l.positions[i] = unionPositions(l.positions[i], pos)
+		l.spliceRun(i, appendUnion(nil, l.PositionsAt(i), pos))
 		return
 	}
-	l.ids = append(l.ids, 0)
-	copy(l.ids[i+1:], l.ids[i:])
-	l.ids[i] = id
-	l.positions = append(l.positions, nil)
-	copy(l.positions[i+1:], l.positions[i:])
-	l.positions[i] = pos
+	start, _ := l.run(i)
+	l.ids = slices.Insert(l.ids, i, id)
+	l.vals = slices.Insert(l.vals, i, start) // an empty run, filled below
+	l.spliceRun(i, pos)
 }
 
-// sortedDedupPositions returns pos sorted ascending with duplicates
-// removed, mutating pos in place.
-func sortedDedupPositions(pos []uint32) []uint32 {
-	sort.Slice(pos, func(i, j int) bool { return pos[i] < pos[j] })
-	out := pos[:1]
-	for _, p := range pos[1:] {
-		if p != out[len(out)-1] {
-			out = append(out, p)
-		}
+// spliceRun replaces posting i's run with run, which is no shorter, moving
+// the later runs' positions and ends along.
+func (l *List) spliceRun(i int, run []uint32) {
+	a, b := l.run(i)
+	l.pos = slices.Replace(l.pos, int(a), int(b), run...)
+	shift := uint32(len(run)) - (b - a)
+	for k := i; k < len(l.vals); k++ {
+		l.vals[k] += shift
 	}
-	return out
 }
 
-// unionPositions merges two ascending position lists into a fresh ascending
-// duplicate-free slice. Neither input is mutated.
-func unionPositions(a, b []uint32) []uint32 {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]uint32, 0, len(a)+len(b))
+// appendUnion appends the ascending duplicate-free union of the ascending
+// runs a and b to dst and returns it.
+func appendUnion(dst, a, b []uint32) []uint32 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i] < b[j]:
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 		case b[j] < a[i]:
-			out = append(out, b[j])
+			dst = append(dst, b[j])
 			j++
 		default:
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 			j++
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }
 
-// materializeCounts switches the list to explicit count storage.
+// materializeCounts switches a non-positional list to explicit count
+// storage.
 func (l *List) materializeCounts() {
-	if l.counts != nil {
+	if l.vals != nil {
 		return
 	}
-	l.counts = make([]uint32, len(l.ids))
-	for i := range l.counts {
-		l.counts[i] = 1
+	l.vals = make([]uint32, len(l.ids))
+	for i := range l.vals {
+		l.vals[i] = 1
 	}
 }
 
@@ -277,16 +294,14 @@ func (l *List) IDs() []FileID { return l.ids }
 // positional list the frequency is derived — one occurrence per recorded
 // position — so counts and positions can never disagree.
 func (l *List) CountAt(i int) uint32 {
-	if l.positions != nil {
-		if n := len(l.positions[i]); n > 0 {
-			return uint32(n)
-		}
+	if l.pos != nil {
+		a, b := l.run(i)
+		return max(b-a, 1)
+	}
+	if l.vals == nil {
 		return 1
 	}
-	if l.counts == nil {
-		return 1
-	}
-	return l.counts[i]
+	return l.vals[i]
 }
 
 // CountOf returns the term frequency recorded for id, or 0 if id is not in
@@ -322,52 +337,30 @@ func (l *List) AddN(id FileID, n uint32) {
 	}
 	// A position-free insertion into a positional list cannot keep the
 	// positions truthful; demote to plain counts rather than desync the
-	// parallel slices. Uniform build paths never hit this.
+	// columns. Uniform build paths never hit this.
 	l.demotePositions()
+	if n > 1 {
+		l.materializeCounts() // for the postings already there
+	}
 	sz := len(l.ids)
 	if sz == 0 || id > l.ids[sz-1] {
 		l.ids = append(l.ids, id)
-		l.appendCount(n)
+		if l.vals != nil {
+			l.vals = append(l.vals, n)
+		}
 		return
 	}
 	i := sort.Search(sz, func(i int) bool { return l.ids[i] >= id })
 	if i < sz && l.ids[i] == id {
-		if n > 1 || l.counts != nil {
-			l.materializeCounts()
-			l.counts[i] += n
+		if l.vals != nil {
+			l.vals[i] += n
 		}
 		return
 	}
-	l.ids = append(l.ids, 0)
-	copy(l.ids[i+1:], l.ids[i:])
-	l.ids[i] = id
-	if n > 1 {
-		// ids already grew, so materialization covers the inserted slot too;
-		// the shift below then moves all-ones over all-ones harmlessly.
-		l.materializeCounts()
+	l.ids = slices.Insert(l.ids, i, id)
+	if l.vals != nil {
+		l.vals = slices.Insert(l.vals, i, n)
 	}
-	if l.counts != nil {
-		if len(l.counts) < len(l.ids) {
-			l.counts = append(l.counts, 0)
-		}
-		copy(l.counts[i+1:], l.counts[i:])
-		l.counts[i] = n
-	}
-}
-
-// appendCount records the frequency of a posting just appended to ids.
-func (l *List) appendCount(n uint32) {
-	if n == 1 && l.counts == nil {
-		return
-	}
-	if l.counts == nil {
-		// The new id is already in ids; materialize counts for the others.
-		l.counts = make([]uint32, len(l.ids)-1, len(l.ids))
-		for i := range l.counts {
-			l.counts[i] = 1
-		}
-	}
-	l.counts = append(l.counts, n)
 }
 
 // Merge destructively merges other into l (set union) and returns l; other
@@ -381,133 +374,175 @@ func (l *List) appendCount(n uint32) {
 // Positions survive only when both lists carry them (postings present in
 // both merge their position sets); a merge of a positional and a
 // non-positional list demotes to explicit counts, since positions cannot
-// be invented for the non-positional side. The two-pointer merge is linear
-// in the combined length.
+// be invented for the non-positional side. The merge is linear in the
+// combined length. Lists that share no ID — every document-disjoint
+// partition path — merge into l's own columns, grown once and filled from
+// the back, so nothing is allocated while their capacity lasts and a list
+// whose IDs all follow l's is an append; overlapping lists merge into
+// fresh columns.
 func (l *List) Merge(other *List) *List {
 	if other == nil || len(other.ids) == 0 {
 		return l
 	}
 	if len(l.ids) == 0 {
 		l.ids = append(l.ids, other.ids...)
-		l.counts = nil
-		l.positions = nil
-		if other.positions != nil {
-			l.positions = append([][]uint32(nil), other.positions...)
-		} else if other.counts != nil {
-			l.counts = append([]uint32(nil), other.counts...)
-		}
+		l.vals = slices.Clone(other.vals)
+		l.pos = slices.Clone(other.pos)
 		return l
 	}
-	withPos := l.positions != nil && other.positions != nil
+	withPos := l.pos != nil && other.pos != nil
 	if !withPos {
 		// Other's positional frequencies still flow through CountAt below;
 		// only l's own storage needs the demotion.
 		l.demotePositions()
 	}
-	withCounts := !withPos && (l.counts != nil || other.counts != nil || other.positions != nil)
-	// Fast path: disjoint ranges, the usual case when replicas own
-	// round-robin slices of the corpus.
-	if l.ids[len(l.ids)-1] < other.ids[0] {
-		if withPos {
-			l.positions = append(l.positions, other.positions...)
-		} else if withCounts {
-			l.materializeCounts()
-			for i := range other.ids {
-				l.counts = append(l.counts, other.CountAt(i))
-			}
-		}
-		l.ids = append(l.ids, other.ids...)
-		return l
-	}
-	if other.ids[len(other.ids)-1] < l.ids[0] {
-		merged := make([]FileID, 0, len(l.ids)+len(other.ids))
-		merged = append(merged, other.ids...)
-		merged = append(merged, l.ids...)
-		if withPos {
-			positions := make([][]uint32, 0, len(merged))
-			positions = append(positions, other.positions...)
-			positions = append(positions, l.positions...)
-			l.positions = positions
-		} else if withCounts {
-			counts := make([]uint32, 0, len(merged))
-			for i := range other.ids {
-				counts = append(counts, other.CountAt(i))
-			}
-			for i := range l.ids {
-				counts = append(counts, l.CountAt(i))
-			}
-			l.counts = counts
-		}
-		l.ids = merged
-		return l
-	}
-	merged := make([]FileID, 0, len(l.ids)+len(other.ids))
-	var counts []uint32
+	withCounts := !withPos && (l.vals != nil || other.vals != nil)
 	if withCounts {
-		counts = make([]uint32, 0, len(l.ids)+len(other.ids))
+		l.materializeCounts()
 	}
-	var positions [][]uint32
-	if withPos {
-		positions = make([][]uint32, 0, len(l.ids)+len(other.ids))
+	if l.disjoint(other) {
+		l.mergeDisjoint(other)
+		return l
+	}
+	n := len(l.ids) + len(other.ids)
+	m := &List{ids: make([]FileID, 0, n)}
+	switch {
+	case withPos:
+		m.vals = make([]uint32, 0, n)
+		m.pos = make([]uint32, 0, len(l.pos)+len(other.pos))
+	case withCounts:
+		m.vals = make([]uint32, 0, n)
 	}
 	i, j := 0, 0
 	for i < len(l.ids) && j < len(other.ids) {
-		a, b := l.ids[i], other.ids[j]
-		switch {
+		switch a, b := l.ids[i], other.ids[j]; {
 		case a < b:
-			merged = append(merged, a)
-			if withCounts {
-				counts = append(counts, l.CountAt(i))
-			}
-			if withPos {
-				positions = append(positions, l.positions[i])
-			}
-			i++
+			k := Gallop(l.ids, i, b)
+			m.appendRange(l, i, k)
+			i = k
 		case b < a:
-			merged = append(merged, b)
-			if withCounts {
-				counts = append(counts, other.CountAt(j))
-			}
-			if withPos {
-				positions = append(positions, other.positions[j])
-			}
-			j++
+			k := Gallop(other.ids, j, a)
+			m.appendRange(other, j, k)
+			j = k
 		default:
-			merged = append(merged, a)
-			if withCounts {
-				counts = append(counts, l.CountAt(i)+other.CountAt(j))
-			}
-			if withPos {
-				positions = append(positions, unionPositions(l.positions[i], other.positions[j]))
+			m.ids = append(m.ids, a)
+			switch {
+			case withPos:
+				m.pos = appendUnion(m.pos, l.PositionsAt(i), other.PositionsAt(j))
+				m.vals = append(m.vals, uint32(len(m.pos)))
+			case withCounts:
+				m.vals = append(m.vals, l.CountAt(i)+other.CountAt(j))
 			}
 			i++
 			j++
 		}
 	}
-	for ; i < len(l.ids); i++ {
-		merged = append(merged, l.ids[i])
-		if withCounts {
-			counts = append(counts, l.CountAt(i))
-		}
-		if withPos {
-			positions = append(positions, l.positions[i])
-		}
-	}
-	for ; j < len(other.ids); j++ {
-		merged = append(merged, other.ids[j])
-		if withCounts {
-			counts = append(counts, other.CountAt(j))
-		}
-		if withPos {
-			positions = append(positions, other.positions[j])
-		}
-	}
-	l.ids = merged
-	l.counts = counts
-	if withPos {
-		l.positions = positions
-	}
+	m.appendRange(l, i, len(l.ids))
+	m.appendRange(other, j, len(other.ids))
+	*l = *m
 	return l
+}
+
+// disjoint reports whether l and other share no ID, galloping other's IDs
+// through l's: a short list against a long one costs a few searches.
+func (l *List) disjoint(other *List) bool {
+	j := 0
+	for _, id := range other.ids {
+		if j = Gallop(l.ids, j, id); j == len(l.ids) {
+			return true
+		}
+		if l.ids[j] == id {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeDisjoint merges other, which shares no ID with l, into l's columns:
+// they grow once to the union's length, and then, from the back, each
+// stretch of l's postings above other's last unplaced ID moves up to its
+// final slot and the stretch of other's postings above l's last unmoved ID
+// is copied in below it. Every write lands at or above its read, so l's
+// postings below other's first ID never move. l stores counts if either
+// side has frequencies to keep (Merge materializes them).
+func (l *List) mergeDisjoint(other *List) {
+	n, m := len(l.ids), len(other.ids)
+	l.ids = slices.Grow(l.ids, m)[:n+m]
+	if l.vals != nil {
+		l.vals = slices.Grow(l.vals, m)[:n+m]
+	}
+	if l.pos != nil {
+		l.pos = slices.Grow(l.pos, len(other.pos))[:len(l.pos)+len(other.pos)]
+	}
+	i, j := n, m // l's unmoved postings are [0, i), other's unplaced [0, j)
+	w, wp := n+m, uint32(len(l.pos))
+	for j > 0 {
+		last := other.ids[j-1]
+		k := sort.Search(i, func(x int) bool { return l.ids[x] > last })
+		w, wp = l.placeRange(l, k, i, w, wp)
+		i, k = k, 0
+		if i > 0 {
+			first := l.ids[i-1]
+			k = sort.Search(j, func(x int) bool { return other.ids[x] > first })
+		}
+		w, wp = l.placeRange(other, k, j, w, wp)
+		j = k
+	}
+}
+
+// placeRange writes postings [i, j) of src — l itself or the list merging
+// into it — so that they end just below slot w of l's columns and their
+// runs just below position wp, and returns the slot and position where
+// they start. When src is l the stretch moves up: its bounds are read
+// before any write, and the copies run from the top, so every read is
+// ahead of the writes.
+func (l *List) placeRange(src *List, i, j, w int, wp uint32) (int, uint32) {
+	if i >= j {
+		return w, wp
+	}
+	start := w - (j - i)
+	switch {
+	case l.pos != nil:
+		a, _ := src.run(i)
+		b := src.vals[j-1]
+		shift := wp - b // wraps; the sums below wrap back
+		copy(l.pos[wp-(b-a):wp], src.pos[a:b])
+		for k := j - 1; k >= i; k-- {
+			l.vals[start+k-i] = src.vals[k] + shift
+		}
+		wp -= b - a
+	case l.vals != nil:
+		for k := j - 1; k >= i; k-- {
+			l.vals[start+k-i] = src.CountAt(k)
+		}
+	}
+	copy(l.ids[start:w], src.ids[i:j])
+	return start, wp
+}
+
+// appendRange appends postings [i, j) of src to l, in l's kind: with their
+// runs when l is positional (src must be too), with their frequencies when
+// l stores counts, as bare IDs otherwise. src's IDs must all follow l's.
+func (l *List) appendRange(src *List, i, j int) {
+	if i >= j {
+		return
+	}
+	switch {
+	case l.pos != nil:
+		a, _ := src.run(i)
+		// Rebase src's run ends onto l's column; the subtraction wraps when
+		// l's column is the shorter, and the sum wraps back.
+		shift := uint32(len(l.pos)) - a
+		l.pos = append(l.pos, src.pos[a:src.vals[j-1]]...)
+		for _, end := range src.vals[i:j] {
+			l.vals = append(l.vals, end+shift)
+		}
+	case l.vals != nil:
+		for k := i; k < j; k++ {
+			l.vals = append(l.vals, src.CountAt(k))
+		}
+	}
+	l.ids = append(l.ids, src.ids[i:j]...)
 }
 
 // MergeCounted merges other into l like Merge, for an accumulator that
@@ -524,11 +559,11 @@ func (l *List) MergeCounted(other *List) *List {
 	l.demotePositions()
 	if len(l.ids) == 0 {
 		l.ids = append(l.ids, other.ids...)
-		l.counts = nil
-		if other.counts != nil || other.positions != nil {
-			l.counts = make([]uint32, len(other.ids))
-			for i := range l.counts {
-				l.counts[i] = other.CountAt(i)
+		l.vals = nil
+		if other.vals != nil {
+			l.vals = make([]uint32, len(other.ids))
+			for i := range l.vals {
+				l.vals[i] = other.CountAt(i)
 			}
 		}
 		return l
@@ -544,7 +579,7 @@ func (l *List) MergeCounted(other *List) *List {
 // frequencies and positions are not copied through operators that never
 // read them.
 func (l *List) WithoutCounts() *List {
-	if l.counts == nil && l.positions == nil {
+	if l.vals == nil && l.pos == nil {
 		return l
 	}
 	return &List{ids: l.ids}
@@ -552,17 +587,7 @@ func (l *List) WithoutCounts() *List {
 
 // Clone returns an independent copy of the list.
 func (l *List) Clone() *List {
-	out := &List{ids: append([]FileID(nil), l.ids...)}
-	if l.counts != nil {
-		out.counts = append([]uint32(nil), l.counts...)
-	}
-	if l.positions != nil {
-		out.positions = make([][]uint32, len(l.positions))
-		for i, p := range l.positions {
-			out.positions[i] = append([]uint32(nil), p...)
-		}
-	}
-	return out
+	return &List{ids: slices.Clone(l.ids), vals: slices.Clone(l.vals), pos: slices.Clone(l.pos)}
 }
 
 // Equal reports whether two lists hold the same postings with the same
@@ -570,23 +595,16 @@ func (l *List) Clone() *List {
 // either list is positional — the same positions (a positional list never
 // equals a non-positional one).
 func (l *List) Equal(other *List) bool {
-	if l.Len() != other.Len() {
+	if l.Len() != other.Len() || l.HasPositions() != other.HasPositions() {
 		return false
 	}
-	if (l.positions != nil) != (other.positions != nil) {
-		return false
+	if l.pos != nil {
+		// Equal runs everywhere is equal ends and equal positions.
+		return slices.Equal(l.ids, other.ids) && slices.Equal(l.vals, other.vals) && slices.Equal(l.pos, other.pos)
 	}
 	for i, id := range l.ids {
 		if other.ids[i] != id || l.CountAt(i) != other.CountAt(i) {
 			return false
-		}
-		if l.positions != nil {
-			a, b := l.positions[i], other.positions[i]
-			for j := range a {
-				if a[j] != b[j] {
-					return false
-				}
-			}
 		}
 	}
 	return true
@@ -610,40 +628,85 @@ func Intersects(a, b *List) bool {
 	return false
 }
 
+// Remove deletes from l, in place, every posting whose ID victims holds,
+// and returns how many it deleted. Survivors keep their frequencies and
+// runs and move down over the gaps a stretch at a time; nothing before the
+// first victim moves, and the columns keep their capacity for the inserts
+// an update follows a removal with. A list left empty is canonical: it
+// keeps no frequency or position storage, whatever it carried.
+func (l *List) Remove(victims *List) int {
+	n := len(l.ids)
+	w, wp := 0, uint32(0) // postings and positions kept so far
+	r := 0                // next posting not yet kept or deleted
+	removed := 0
+	for _, v := range victims.ids {
+		k := Gallop(l.ids, r, v)
+		if k == n {
+			break
+		}
+		if l.ids[k] != v {
+			continue
+		}
+		if k > r { // adjacent victims leave nothing to move between them
+			w, wp = l.keep(r, k, w, wp)
+		}
+		r = k + 1
+		removed++
+	}
+	if removed == 0 {
+		return 0
+	}
+	w, wp = l.keep(r, n, w, wp)
+	l.ids = l.ids[:w]
+	switch {
+	case w == 0:
+		l.vals, l.pos = nil, nil
+	case l.pos != nil:
+		l.vals, l.pos = l.vals[:w], l.pos[:wp]
+	case l.vals != nil:
+		l.vals = l.vals[:w]
+		l.normalize()
+	}
+	return removed
+}
+
+// keep moves postings [r, k) down to slot w, their runs to position wp,
+// and returns the slot and position after them. w <= r and wp is at most
+// the start of posting r's run, so every write lands at or behind its
+// read.
+func (l *List) keep(r, k, w int, wp uint32) (int, uint32) {
+	if r >= k {
+		return w, wp
+	}
+	var a, b uint32
+	if l.pos != nil {
+		a, _ = l.run(r)
+		b = l.vals[k-1]
+	}
+	if w == r { // nothing deleted yet: the stretch is already in place
+		return k, b
+	}
+	copy(l.ids[w:], l.ids[r:k])
+	switch {
+	case l.pos != nil:
+		copy(l.pos[wp:], l.pos[a:b])
+		shift := wp - a // wraps; the sums below wrap back
+		for i := r; i < k; i++ {
+			l.vals[w+i-r] = l.vals[i] + shift
+		}
+		wp += b - a
+	case l.vals != nil:
+		copy(l.vals[w:], l.vals[r:k])
+	}
+	return w + k - r, wp
+}
+
 // Difference returns the postings in a but not in b (boolean AND NOT),
 // keeping a's frequencies — and, for a positional a, its positions — for
-// the survivors. Position slices are shared with a, not copied; the
-// incremental-update removal scan (index.RemoveFiles) relies on this to
-// keep positional postings intact without re-allocating them.
+// the survivors. It is List.Remove on a copy of a: the result owns its
+// columns, and a is left as it was.
 func Difference(a, b *List) *List {
-	out := &List{ids: make([]FileID, 0, a.Len())}
-	if a.positions != nil {
-		out.positions = make([][]uint32, 0, a.Len())
-	} else if a.counts != nil {
-		out.counts = make([]uint32, 0, a.Len())
-	}
-	i, j := 0, 0
-	for i < len(a.ids) {
-		for j < len(b.ids) && b.ids[j] < a.ids[i] {
-			j++
-		}
-		if j >= len(b.ids) || b.ids[j] != a.ids[i] {
-			out.ids = append(out.ids, a.ids[i])
-			if out.positions != nil {
-				out.positions = append(out.positions, a.positions[i])
-			} else if out.counts != nil {
-				out.counts = append(out.counts, a.counts[i])
-			}
-		}
-		i++
-	}
-	if out.counts != nil {
-		out.normalize()
-	}
-	if len(out.ids) == 0 {
-		// Keep the empty list canonical: no payload storage, regardless of
-		// what a carried.
-		out.counts, out.positions = nil, nil
-	}
+	out := a.Clone()
+	out.Remove(b)
 	return out
 }

@@ -45,36 +45,24 @@ func (l *List) Encode(dst []byte) []byte {
 }
 
 // encodeFreqs appends the frequency section. A positional list derives its
-// frequencies from the position runs (counts is never populated alongside
-// positions); the non-positional paths are byte-for-byte the pre-positions
-// encoding.
+// frequencies from its run lengths; the non-positional paths are
+// byte-for-byte the pre-positions encoding.
 func (l *List) encodeFreqs(dst []byte) []byte {
-	if l.positions != nil {
-		allOnes := true
-		for _, p := range l.positions {
-			if len(p) != 1 {
-				allOnes = false
-				break
-			}
-		}
-		if allOnes {
+	if l.pos != nil {
+		if !l.hasMultiOccurrence() {
 			return append(dst, listBoolean)
 		}
 		dst = append(dst, listCounted)
-		for _, p := range l.positions {
-			n := len(p)
-			if n == 0 {
-				n = 1
-			}
-			dst = binary.AppendUvarint(dst, uint64(n-1))
+		for i := range l.ids {
+			dst = binary.AppendUvarint(dst, uint64(l.CountAt(i)-1))
 		}
 		return dst
 	}
-	if l.counts == nil {
+	if l.vals == nil {
 		return append(dst, listBoolean)
 	}
 	dst = append(dst, listCounted)
-	for _, c := range l.counts {
+	for _, c := range l.vals {
 		dst = binary.AppendUvarint(dst, uint64(c-1))
 	}
 	return dst
@@ -88,11 +76,12 @@ func (l *List) encodeFreqs(dst []byte) []byte {
 // indexes use this form; the rest keep the base encoding.
 func (l *List) EncodePositional(dst []byte) []byte {
 	dst = l.Encode(dst)
-	if l.positions == nil {
+	if l.pos == nil {
 		return append(dst, posAbsent)
 	}
 	dst = append(dst, posPresent)
-	for _, p := range l.positions {
+	for i := range l.ids {
+		p := l.PositionsAt(i)
 		prev := uint32(0)
 		for i, v := range p {
 			delta := uint64(v - prev)
@@ -125,7 +114,7 @@ func Decode(buf []byte) (*List, int, error) {
 	switch marker {
 	case listBoolean:
 	case listCounted:
-		l.counts = make([]uint32, 0, len(ids))
+		l.vals = make([]uint32, 0, len(ids))
 		for i := range ids {
 			c, n := binary.Uvarint(buf[off:])
 			if n <= 0 {
@@ -135,7 +124,7 @@ func Decode(buf []byte) (*List, int, error) {
 				return nil, 0, fmt.Errorf("postings: frequency %d overflows at %d", c, i)
 			}
 			off += n
-			l.counts = append(l.counts, uint32(c)+1)
+			l.vals = append(l.vals, uint32(c)+1)
 		}
 		l.normalize()
 	default:
@@ -189,12 +178,13 @@ func decodeIDs(buf []byte) ([]FileID, int, error) {
 // the first is a duplicate), bounded, and capped against the buffer so a
 // corrupt frequency section cannot force an absurd allocation.
 //
-// All positions land in one flat slice and each posting gets a capped
-// subslice of it, so a decoded list costs four allocations (the list, its
-// IDs, the subslice headers, the positions) however many postings it has.
-// The frequency section is read twice — once to size the flat slice, once
-// as the run lengths while the positions stream — instead of being
-// materialized: a positional list derives its frequencies from its runs.
+// The decode fills the list's columns directly: the IDs, one run end per
+// posting and one flat slice of every position, so a decoded list costs
+// four allocations (those three and the list) and four bytes per ID, run
+// end and position, however many postings it has. The frequency section
+// is read twice — once to size the position column, once as the run
+// lengths while the positions stream — instead of being materialized: a
+// positional list derives its frequencies from its runs.
 func DecodePositional(buf []byte) (*List, int, error) {
 	ids, off, err := decodeIDs(buf)
 	if err != nil {
@@ -221,10 +211,7 @@ func DecodePositional(buf []byte) (*List, int, error) {
 				return nil, 0, fmt.Errorf("postings: frequency %d overflows at %d", c, i)
 			}
 			off += n
-			total += c + 1
-			if total > uint64(len(buf)) { // each position takes ≥1 byte
-				return nil, 0, fmt.Errorf("postings: position count %d at posting %d exceeds buffer", total, i)
-			}
+			total += c + 1 // at most len(buf) postings of at most 2^32: no overflow
 		}
 	}
 	if off >= len(buf) {
@@ -244,7 +231,7 @@ func DecodePositional(buf []byte) (*List, int, error) {
 		return nil, 0, fmt.Errorf("postings: position count %d exceeds buffer", total)
 	}
 	flat := make([]uint32, 0, total)
-	positions := make([][]uint32, len(ids))
+	ends := make([]uint32, len(ids))
 	for i := range ids {
 		count := 1
 		if marker == listCounted {
@@ -252,7 +239,6 @@ func DecodePositional(buf []byte) (*List, int, error) {
 			freqOff += n
 			count = int(c) + 1
 		}
-		start := len(flat)
 		var prev uint64
 		for k := 0; k < count; k++ {
 			delta, n := binary.Uvarint(buf[off:])
@@ -273,11 +259,9 @@ func DecodePositional(buf []byte) (*List, int, error) {
 			flat = append(flat, uint32(v))
 			prev = v
 		}
-		// Capped, so an append through one posting's run (AddPositions,
-		// a merge) reallocates instead of overwriting its neighbour's.
-		positions[i] = flat[start:len(flat):len(flat)]
+		ends[i] = uint32(len(flat))
 	}
-	return &List{ids: ids, positions: positions}, off, nil
+	return &List{ids: ids, vals: ends, pos: flat}, off, nil
 }
 
 // EncodedSize returns the exact number of bytes Encode will produce.
@@ -293,15 +277,15 @@ func (l *List) EncodedSize() int {
 		prev = id
 	}
 	size++ // frequency marker
-	if l.positions != nil {
+	if l.pos != nil {
 		if l.hasMultiOccurrence() {
-			for i := range l.positions {
+			for i := range l.ids {
 				size += uvarintLen(uint64(l.CountAt(i) - 1))
 			}
 		}
 		return size
 	}
-	for _, c := range l.counts {
+	for _, c := range l.vals {
 		size += uvarintLen(uint64(c - 1))
 	}
 	return size
@@ -311,8 +295,8 @@ func (l *List) EncodedSize() int {
 // occurs more than once — the condition under which Encode emits an
 // explicit frequency section.
 func (l *List) hasMultiOccurrence() bool {
-	for _, p := range l.positions {
-		if len(p) > 1 {
+	for i := range l.ids {
+		if l.CountAt(i) > 1 {
 			return true
 		}
 	}

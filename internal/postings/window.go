@@ -15,7 +15,7 @@ import (
 // few searches and a long page over a short list one search per posting.
 func (l *List) Window(files []FileID, lo, hi []uint32, emit func(i int, pos uint32)) {
 	ids := l.ids
-	if l.positions == nil || len(ids) == 0 || len(files) == 0 ||
+	if l.pos == nil || len(ids) == 0 || len(files) == 0 ||
 		ids[len(ids)-1] < files[0] || ids[0] > files[len(files)-1] {
 		return
 	}
@@ -26,7 +26,7 @@ func (l *List) Window(files []FileID, lo, hi []uint32, emit func(i int, pos uint
 				return
 			}
 			if ids[j] == f {
-				windowRun(l.positions[j], i, lo[i], hi[i], emit)
+				windowRun(l.PositionsAt(j), i, lo[i], hi[i], emit)
 			}
 		}
 		return
@@ -37,7 +37,7 @@ func (l *List) Window(files []FileID, lo, hi []uint32, emit func(i int, pos uint
 			return
 		}
 		if files[i] == id {
-			windowRun(l.positions[j], i, lo[i], hi[i], emit)
+			windowRun(l.PositionsAt(j), i, lo[i], hi[i], emit)
 		}
 	}
 }

@@ -147,29 +147,18 @@ func (c *Cache) dropOwner(r *Reader) {
 	}
 }
 
-// entryOverhead is what one cached block costs beside its posting data:
-// the postings.List struct (80 B), the cacheEntry (48), the LRU's
-// list.Element (48) and the entry's slot in the map (24 B of key and value,
-// about 40 at the map's average load). Charged per entry, so a cache full of
-// one-posting lists holds what MaxBytes says, not several times that.
+// entryOverhead is what one cached block costs beside its list's own
+// storage: the postings.List struct (72 B, in an 80-byte size class), the
+// cacheEntry (48), the LRU's list.Element (48) and the entry's slot in the
+// map (24 B of key and value, about 40 at the map's average load). Charged
+// per entry, so a cache full of one-posting lists holds what MaxBytes
+// says, not several times that.
 const entryOverhead = 80 + 48 + 48 + 40
 
 // listBytes is a decoded list's heap footprint as the cache charges it:
-// the fixed per-entry overhead, four bytes per ID, four per explicit
-// frequency when the list stores any (a boolean list does not), and for
-// a positional list one slice header per posting plus four bytes per
-// position — exact since DecodePositional lays positions out flat.
+// entryOverhead plus what the list reports of its own columns
+// (postings.List.HeapBytes) — exact for a decode, whose columns are
+// allocated at their final length.
 func listBytes(l *postings.List) int64 {
-	n := int64(l.Len())
-	b := entryOverhead + 4*n
-	switch {
-	case l.HasPositions():
-		b += 24 * n
-		for i := 0; i < l.Len(); i++ {
-			b += 4 * int64(len(l.PositionsAt(i)))
-		}
-	case l.HasCounts():
-		b += 4 * n
-	}
-	return b
+	return entryOverhead + l.HeapBytes()
 }

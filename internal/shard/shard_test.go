@@ -72,7 +72,7 @@ func checkPartition(t *testing.T, set *Set, original *index.Index, hashed bool) 
 	union := index.New(0)
 	for _, ix := range set.Shards() {
 		ix.Range(func(term string, l *postings.List) bool {
-			union.MergeTerm(term, l) // reads l, so the shards stay intact
+			union.MergeTerm(term, l.Clone()) // MergeTerm takes its list; the shards keep theirs
 			return true
 		})
 	}
