@@ -114,11 +114,8 @@ func (o Options) coreConfig() (core.Config, error) {
 	case Auto:
 		cfg.Implementation = core.ReplicatedSearch
 		if cfg.Extractors == 0 {
-			auto := core.Default(core.ReplicatedSearch, runtime.NumCPU())
+			auto := core.Auto(runtime.NumCPU())
 			cfg.Extractors, cfg.Updaters = auto.Extractors, auto.Updaters
-			if cfg.Updaters < 2 {
-				cfg.Updaters = 2 // replication needs at least two replicas
-			}
 		}
 	case Sequential:
 		cfg.Implementation = core.Sequential
@@ -890,16 +887,13 @@ func (c *Catalog) applyLocked(fsys vfs.FS, cs *Changeset) (UpdateStats, error) {
 }
 
 // updateWorkers sizes the re-extraction pool: the build's extractor count
-// when known, otherwise one per spare CPU.
+// when known (a loaded catalog has none), otherwise the count a default
+// build would use.
 func (c *Catalog) updateWorkers() int {
 	if x := c.result.Config.Extractors; x > 0 {
 		return x
 	}
-	x := runtime.NumCPU() - 1
-	if x < 1 {
-		x = 1
-	}
-	return x
+	return core.Default(core.ReplicatedSearch, runtime.NumCPU()).Extractors
 }
 
 // DirtySegments reports how many segment files the next SaveDir back to

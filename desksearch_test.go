@@ -8,6 +8,8 @@ import (
 	"sort"
 	"testing"
 
+	"desksearch/internal/corpus"
+	"desksearch/internal/postings"
 	"desksearch/internal/vfs"
 )
 
@@ -233,6 +235,72 @@ func TestAutoConfiguration(t *testing.T) {
 	// Auto uses ReplicatedSearch with ≥2 replicas on any multicore host.
 	if cat.Indices() < 1 {
 		t.Errorf("Indices = %d", cat.Indices())
+	}
+}
+
+// TestBuiltListsHaveNoSpareCapacity: a build sizes every posting list's
+// columns exactly, so each list's storage is four bytes per ID, per
+// frequency or run end it keeps, and per position — none spare — whichever
+// design built it, sharded or not.
+func TestBuiltListsHaveNoSpareCapacity(t *testing.T) {
+	fs := vfs.NewMemFS()
+	spec := corpus.SmallSpec()
+	spec.Files, spec.TotalBytes = 60, 1<<19
+	if _, err := corpus.Generate(spec, fs); err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []Options{
+		{},
+		{Positions: true, Shards: 4},
+		{Implementation: Sequential, Positions: true},
+		{Implementation: SharedIndex, Extractors: 3, Updaters: 1},
+		{Implementation: ReplicatedSearch, Extractors: 3, Positions: true, Shards: 2},
+	} {
+		cat, err := IndexFS(fs, ".", opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists := 0
+		for _, ix := range cat.result.Indexes() {
+			ix.Range(func(term string, l *postings.List) bool {
+				size := l.Len()
+				if l.HasPositions() || l.HasCounts() {
+					size += l.Len()
+				}
+				for i := range l.Len() {
+					size += len(l.PositionsAt(i))
+				}
+				if got := l.HeapBytes(); got != 4*int64(size) {
+					t.Fatalf("%+v: %q: HeapBytes %d, want %d", opt, term, got, 4*size)
+				}
+				lists++
+				return true
+			})
+		}
+		if lists == 0 {
+			t.Fatalf("%+v: built no lists", opt)
+		}
+	}
+}
+
+// TestLoadedCatalogUpdatesLikeABuild: a LoadDir catalog has no build tuple,
+// so its updates re-extract with as many workers as a default build has
+// extractors — the one tuple rule, core.Default.
+func TestLoadedCatalogUpdatesLikeABuild(t *testing.T) {
+	cat, err := IndexFS(demoFS(t), ".", Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := cat.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := loaded.updateWorkers(), cat.updateWorkers(); got != want {
+		t.Errorf("a loaded catalog updates with %d workers, a built one with %d", got, want)
 	}
 }
 

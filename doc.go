@@ -55,7 +55,7 @@
 // Options.Shards partitions the catalog into document shards: every
 // posting of a given file lives in exactly one shard, chosen by an FNV-1
 // hash of its FileID. The shards are Stage 3's sinks: every term block is
-// routed to its file's shard as it is inserted, under every implementation,
+// routed to its file's shard as it leaves Stage 2, under every implementation,
 // so a sharded build pays no join or redistribution pass. Queries fan
 // out with one goroutine per shard and merge the per-shard ranked hits, so
 // a sharded catalog answers exactly like the equivalent single index.

@@ -91,22 +91,26 @@ type Config struct {
 	Extract extract.Options
 }
 
-// Default returns the paper's default parallel configuration for the given
-// implementation on a machine with cores cores: extractors fill the
-// machine, one updater, single-threaded join. The tuple is all it chooses:
+// Default returns the default parallel configuration for the given
+// implementation on a machine with cores cores: an extractor per core, one
+// updater, single-threaded join. Stage 3 only logs each block and builds
+// every list once at the end (index.Builder), so it costs a fraction of
+// extraction and needs no core of its own. The tuple is all it chooses:
 // every Config deals filenames round-robin.
 func Default(im Implementation, cores int) Config {
-	if cores < 1 {
-		cores = 1
-	}
-	x := cores - 1
-	if x < 1 {
-		x = 1
-	}
-	cfg := Config{Implementation: im, Extractors: x, Updaters: 1}
+	cfg := Config{Implementation: im, Extractors: max(cores, 1), Updaters: 1}
 	if im == Sequential {
 		cfg.Extractors, cfg.Updaters = 1, 0
 	}
+	return cfg
+}
+
+// Auto returns the configuration the library's Auto implementation runs on
+// a machine with cores cores: Implementation 3 with Default's tuple but at
+// least two updaters, so the build has at least two replicas.
+func Auto(cores int) Config {
+	cfg := Default(ReplicatedSearch, cores)
+	cfg.Updaters = max(cfg.Updaters, 2)
 	return cfg
 }
 

@@ -100,12 +100,20 @@ func TestDefaultConfigs(t *testing.T) {
 		t.Errorf("sequential default = %s", seq.Tuple())
 	}
 	par := Default(SharedIndex, 8)
-	if par.Extractors != 7 || par.Updaters != 1 {
+	if par.Extractors != 8 || par.Updaters != 1 {
 		t.Errorf("parallel default = %s", par.Tuple())
 	}
 	tiny := Default(SharedIndex, 0)
 	if tiny.Extractors < 1 {
 		t.Errorf("degenerate cores gave %s", tiny.Tuple())
+	}
+	// Auto is Implementation 3 with Default's extractors and at least two
+	// updaters.
+	for cores, want := range map[int]string{1: "(1, 2, 0)", 2: "(2, 2, 0)", 8: "(8, 2, 0)"} {
+		auto := Auto(cores)
+		if auto.Implementation != ReplicatedSearch || auto.Tuple() != want {
+			t.Errorf("Auto(%d) = %v %s, want Implementation 3 %s", cores, auto.Implementation, auto.Tuple(), want)
+		}
 	}
 }
 

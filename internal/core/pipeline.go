@@ -78,15 +78,6 @@ type job struct {
 	id  postings.FileID
 }
 
-// markPositional flags a freshly created index as positional when the run
-// extracts token positions, so even an index that ends up empty (or a shard
-// that receives no postings) persists — and later updates — positionally.
-func markPositional(cfg Config, ix *index.Index) {
-	if cfg.Extract.Positions {
-		ix.SetPositional()
-	}
-}
-
 // Run executes the configured pipeline over the files under root in fsys.
 func Run(fsys vfs.FS, root string, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
@@ -113,28 +104,31 @@ func Run(fsys vfs.FS, root string, cfg Config) (*Result, error) {
 
 	// Stages 2+3. A sharded run's sinks are its shards — every term block
 	// is hash-routed as it crosses the Stage 2→3 boundary — so whichever
-	// implementation runs, nothing is joined or re-split afterwards.
+	// implementation runs, nothing is joined or re-split afterwards. Every
+	// sink is an index.Builder, built by the goroutine that owns it once
+	// its input ends.
 	start23 := time.Now()
 	var replicas []*index.Index
+	positional := cfg.Extract.Positions
 	switch {
 	case cfg.Shards > 0:
 		res.Shards = shard.New(table, runSharded(fsys, cfg, jobs, res))
 	case cfg.Implementation == Sequential:
-		res.Index = index.New(1 << 12)
-		markPositional(cfg, res.Index)
-		runDirect(fsys, cfg, jobs, directSink{ix: res.Index}, res)
+		b := index.NewBuilder(positional)
+		runDirect(fsys, cfg, jobs, b, res)
+		res.Index = b.Index()
 	case cfg.Implementation == SharedIndex:
-		shared := index.NewShared(1 << 12)
-		markPositional(cfg, shared.Unwrap())
-		runPipeline(fsys, cfg, jobs, func(int) blockSink { return shared }, res)
-		res.Index = shared.Unwrap()
+		shared := index.NewShared(positional)
+		runPipeline(fsys, cfg, jobs, func(int) blockSink { return shared }, nil, res)
+		res.Index = shared.Index()
 	default: // ReplicatedJoin, ReplicatedSearch
-		replicas = make([]*index.Index, cfg.Replicas())
-		for i := range replicas {
-			replicas[i] = index.New(1 << 10)
-			markPositional(cfg, replicas[i])
+		builders := make([]*index.Builder, cfg.Replicas())
+		for i := range builders {
+			builders[i] = index.NewBuilder(positional)
 		}
-		runPipeline(fsys, cfg, jobs, func(i int) blockSink { return directSink{ix: replicas[i]} }, res)
+		replicas = make([]*index.Index, len(builders))
+		runPipeline(fsys, cfg, jobs, func(i int) blockSink { return builders[i] },
+			func(i int) { replicas[i] = builders[i].Index() }, res)
 	}
 	res.Timings.ExtractUpdate = time.Since(start23)
 
@@ -157,21 +151,18 @@ func Run(fsys vfs.FS, root string, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// blockSink consumes term blocks. index.Shared is one (lock per block);
-// directSink wraps an unshared index for single-owner use.
+// blockSink consumes term blocks: an index.Builder, an index.Shared, or
+// the shardRouter in front of a sharded run's builders.
 type blockSink interface {
 	AddBlock(id postings.FileID, terms []string, counts []uint32)
 	AddBlockPositional(id postings.FileID, terms []string, positions [][]uint32)
 }
 
-type directSink struct{ ix *index.Index }
-
-func (d directSink) AddBlock(id postings.FileID, terms []string, counts []uint32) {
-	d.ix.AddBlock(id, terms, counts)
-}
-
-func (d directSink) AddBlockPositional(id postings.FileID, terms []string, positions [][]uint32) {
-	d.ix.AddBlockPositional(id, terms, positions)
+// sink is a blockSink that builds what it was fed: index.Builder for one
+// owner, index.Shared where several goroutines feed one.
+type sink interface {
+	blockSink
+	Index() *index.Index
 }
 
 // feed routes a term block to the sink's positional or plain insertion
@@ -186,7 +177,7 @@ func feed(sink blockSink, block extract.TermBlock) {
 
 // shardRouter is the sink of a sharded run: it hands each term block to the
 // sink of its file's shard.
-type shardRouter []blockSink
+type shardRouter []sink
 
 func (r shardRouter) AddBlock(id postings.FileID, terms []string, counts []uint32) {
 	r[shard.ShardFor(id, len(r))].AddBlock(id, terms, counts)
@@ -196,31 +187,44 @@ func (r shardRouter) AddBlockPositional(id postings.FileID, terms []string, posi
 	r[shard.ShardFor(id, len(r))].AddBlockPositional(id, terms, positions)
 }
 
-// runSharded executes Stages 2 and 3 with the cfg.Shards shard indices as
-// the sinks and returns them. Where several goroutines can feed one shard —
-// SharedIndex, or extractors updating directly — each shard is locked per
-// block (Implementation 1 striped cfg.Shards ways). Sequential's one thread
-// and the updaters of the replicated designs, which runPipeline feeds
-// through per-updater lanes so that every shard has one owner, insert
-// without locks (Implementation 3 with a routing rule).
+// runSharded executes Stages 2 and 3 with the cfg.Shards shards' builders
+// as the sinks and returns the shards. Where several goroutines can feed
+// one shard — SharedIndex, or extractors updating directly — each shard's
+// builder is locked per block (Implementation 1 striped cfg.Shards ways),
+// and the shards are built once every goroutine is done. Sequential's one
+// thread, and the updaters of the replicated designs, which runPipeline
+// feeds through per-updater lanes so that every shard has one owner, log
+// without locks (Implementation 3 with a routing rule), and each owner
+// builds its shards as soon as its input ends.
 func runSharded(fsys vfs.FS, cfg Config, jobs []job, res *Result) []*index.Index {
 	shards := make([]*index.Index, cfg.Shards)
 	router := make(shardRouter, cfg.Shards)
 	locked := cfg.Implementation == SharedIndex || (cfg.Updaters == 0 && cfg.Extractors > 1)
-	for i := range shards {
+	for i := range router {
 		if locked {
-			shared := index.NewShared(1 << 10)
-			shards[i], router[i] = shared.Unwrap(), shared
+			router[i] = index.NewShared(cfg.Extract.Positions)
 		} else {
-			shards[i] = index.New(1 << 10)
-			router[i] = directSink{ix: shards[i]}
+			router[i] = index.NewBuilder(cfg.Extract.Positions)
 		}
-		markPositional(cfg, shards[i])
 	}
-	if cfg.Implementation == Sequential {
+	// build builds the shards s ≡ owner (mod owners).
+	build := func(owner, owners int) {
+		for s := owner; s < len(shards); s += owners {
+			shards[s] = router[s].Index()
+		}
+	}
+	switch {
+	case cfg.Implementation == Sequential:
 		runDirect(fsys, cfg, jobs, router, res)
-	} else {
-		runPipeline(fsys, cfg, jobs, func(int) blockSink { return router }, res)
+		build(0, 1)
+	case locked:
+		runPipeline(fsys, cfg, jobs, func(int) blockSink { return router }, nil, res)
+		build(0, 1)
+	default:
+		// One owner: the one extractor, or updater u for lane u of y.
+		owners := max(cfg.Updaters, 1)
+		runPipeline(fsys, cfg, jobs, func(int) blockSink { return router },
+			func(u int) { build(u, owners) }, res)
 	}
 	return shards
 }
@@ -243,11 +247,13 @@ func runDirect(fsys vfs.FS, cfg Config, jobs []job, sink blockSink, res *Result)
 // runPipeline executes Stages 2 and 3 with cfg.Extractors extraction
 // goroutines and, when cfg.Updaters > 0, separate updater goroutines fed
 // through a bounded channel. sinkFor(i) returns the block sink for updater
-// slot i (or extractor slot i when there are no updaters).
+// slot i (or extractor slot i when there are no updaters), and seal, when
+// non-nil, is called with that slot by the goroutine that fed it, once its
+// input has ended.
 //
 // Stage 1's list is dealt round-robin: extractor w owns jobs w, w+x,
 // w+2x, … of it, a private vector read with no synchronization at all.
-func runPipeline(fsys vfs.FS, cfg Config, jobs []job, sinkFor func(int) blockSink, res *Result) {
+func runPipeline(fsys vfs.FS, cfg Config, jobs []job, sinkFor func(int) blockSink, seal func(int), res *Result) {
 	var (
 		skippedMu sync.Mutex
 	)
@@ -266,7 +272,7 @@ func runPipeline(fsys vfs.FS, cfg Config, jobs []job, sinkFor func(int) blockSin
 			go func(w int) {
 				defer wg.Done()
 				ex := extract.New(fsys, cfg.Extract)
-				sink := sinkFor(replicaSlot(cfg, w, -1))
+				sink := sinkFor(w)
 				for i := w; i < len(jobs); i += cfg.Extractors {
 					j := jobs[i]
 					block, err := ex.File(j.ref.Path, j.id)
@@ -278,6 +284,9 @@ func runPipeline(fsys vfs.FS, cfg Config, jobs []job, sinkFor func(int) blockSin
 					// extractors write disjoint token-length slots.
 					res.Files.SetTokens(block.File, block.Tokens)
 					feed(sink, block)
+				}
+				if seal != nil {
+					seal(w)
 				}
 			}(w)
 		}
@@ -321,9 +330,12 @@ func runPipeline(fsys vfs.FS, cfg Config, jobs []job, sinkFor func(int) blockSin
 		updaters.Add(1)
 		go func(u int) {
 			defer updaters.Done()
-			sink := sinkFor(replicaSlot(cfg, -1, u))
+			sink := sinkFor(u)
 			for block := range lanes[u%n] {
 				feed(sink, block)
+			}
+			if seal != nil {
+				seal(u)
 			}
 		}(u)
 	}
@@ -333,13 +345,4 @@ func runPipeline(fsys vfs.FS, cfg Config, jobs []job, sinkFor func(int) blockSin
 		close(lane)
 	}
 	updaters.Wait()
-}
-
-// replicaSlot maps a worker to its sink slot: with updaters, slot = updater
-// index; without, slot = extractor index. SharedIndex ignores the slot.
-func replicaSlot(cfg Config, extractor, updater int) int {
-	if cfg.Updaters > 0 {
-		return updater
-	}
-	return extractor
 }

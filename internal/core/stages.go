@@ -25,8 +25,9 @@ type StageTimes struct {
 	// any index. It times extract.Extractor.ScanOnly: every file read and
 	// tokenized, the tokens only counted — no term table, no term block.
 	ReadExtract time.Duration
-	// IndexUpdate is inserting pre-extracted term blocks into a fresh
-	// index, isolating Stage 3.
+	// IndexUpdate is Stage 3 in isolation, as a build runs it: logging
+	// pre-extracted term blocks into a fresh index.Builder and building
+	// the index from them (Builder.Index).
 	IndexUpdate time.Duration
 }
 
@@ -69,15 +70,12 @@ func MeasureStages(fsys vfs.FS, root string, opts extract.Options) (StageTimes, 
 		}
 		blocks = append(blocks, block)
 	}
-	ix := index.New(1 << 12)
+	b := index.NewBuilder(opts.Positions)
 	start = time.Now()
-	for _, b := range blocks {
-		if b.Positions != nil {
-			ix.AddBlockPositional(b.File, b.Terms, b.Positions)
-		} else {
-			ix.AddBlock(b.File, b.Terms, b.Counts)
-		}
+	for _, block := range blocks {
+		feed(b, block)
 	}
+	b.Index()
 	st.IndexUpdate = time.Since(start)
 
 	return st, nil

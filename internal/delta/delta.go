@@ -322,9 +322,9 @@ func (p *Plan) Commit(t Target) Stats {
 	//
 	// A modified file keeps its FileID, so its postings land mid-list, and
 	// a positional list moves the positions of every later posting on an
-	// insert there. The blocks are therefore staged in one small index per
-	// partition and joined into it once: each touched list takes one linear
-	// merge per commit, not one insert per file. Partitions are
+	// insert there. The blocks are therefore staged in one index.Builder per
+	// partition, built, and joined into it once: each touched list takes
+	// one linear merge per commit, not one insert per file. Partitions are
 	// independent, so they stage and join in parallel.
 	staged := make([][]staging, n)
 	for _, s := range steps {
@@ -362,7 +362,7 @@ func (p *Plan) Commit(t Target) Stats {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fresh := index.New(0)
+			fresh := index.NewBuilder(false) // Join keeps the partition's kind
 			for _, b := range blocks {
 				if b.block.Positions != nil {
 					fresh.AddBlockPositional(b.id, b.block.Terms, b.block.Positions)
@@ -370,7 +370,7 @@ func (p *Plan) Commit(t Target) Stats {
 					fresh.AddBlock(b.id, b.block.Terms, b.block.Counts)
 				}
 			}
-			t.Partitions[owner].Join(fresh)
+			t.Partitions[owner].Join(fresh.Index())
 		}()
 		if t.OnDirty != nil {
 			t.OnDirty(owner)

@@ -27,9 +27,9 @@ import (
 // receives the block — the extractor keeps no reference and never writes
 // to them again; the term strings are immutable and shared between the
 // blocks of one extractor. The Positions lists are exact-capacity windows
-// of a single buffer. The index copies each run into its posting list,
-// so that buffer dies with the block; holders may sort a window in place
-// but must never append to one.
+// of a single buffer. Stage 3 (index.Builder) copies each run into its
+// own log, so that buffer dies with the block; holders may sort a window
+// in place but must never append to one.
 type TermBlock struct {
 	File postings.FileID
 	// Terms are the file's distinct terms in order of first occurrence.

@@ -1,0 +1,233 @@
+package index
+
+import (
+	"fmt"
+	"maps"
+	"math"
+	"reflect"
+	"slices"
+	"testing"
+
+	"desksearch/internal/postings"
+)
+
+// TestBuilderOrderings: the blocks' arrival order does not change the
+// index, and each list comes out ascending with its runs intact.
+func TestBuilderOrderings(t *testing.T) {
+	runs := map[postings.FileID][]uint32{2: {0, 7}, 5: {3}, 9: {1, 2, 8}, 11: {4}}
+	build := func(order ...postings.FileID) *Index {
+		b := NewBuilder(false)
+		for _, id := range order {
+			b.AddBlockPositional(id, []string{"t"}, [][]uint32{slices.Clone(runs[id])})
+		}
+		return b.Index()
+	}
+	inOrder, outOfOrder := build(2, 5, 9, 11), build(9, 2, 11, 5)
+	if !inOrder.Equal(outOfOrder) {
+		t.Fatal("arrival order changed the index")
+	}
+	l := outOfOrder.Lookup("t")
+	if got := l.IDs(); !reflect.DeepEqual(got, []postings.FileID{2, 5, 9, 11}) {
+		t.Fatalf("ids = %v", got)
+	}
+	for i, id := range l.IDs() {
+		if got := l.PositionsAt(i); !reflect.DeepEqual(got, runs[id]) {
+			t.Errorf("positions of %d = %v, want %v", id, got, runs[id])
+		}
+	}
+}
+
+// TestBuilderDuplicateIDUnionsPositions: a file logged twice for a term
+// gets the union of its runs, and a non-ascending run is sorted and loses
+// its repeats.
+func TestBuilderDuplicateIDUnionsPositions(t *testing.T) {
+	b := NewBuilder(false)
+	b.AddBlockPositional(4, []string{"t"}, [][]uint32{{5, 1}})
+	b.AddBlockPositional(4, []string{"t"}, [][]uint32{{3, 5, 9, 9}})
+	l := b.Index().Lookup("t")
+	if l.Len() != 1 {
+		t.Fatalf("len = %d", l.Len())
+	}
+	if got := l.PositionsAt(0); !reflect.DeepEqual(got, []uint32{1, 3, 5, 9}) {
+		t.Fatalf("merged positions = %v", got)
+	}
+}
+
+// buildModel is what a built index must hold of one term: the runs of its
+// positional entries, unioned per file, and every entry's frequency,
+// summed per file — the list a term logged by both kinds of block keeps.
+type buildModel struct {
+	runs       map[postings.FileID][]uint32
+	sum        map[postings.FileID]uint32
+	positional bool // no position-free block logged the term
+}
+
+// count is the frequency the built list must report for id.
+func (m *buildModel) count(id postings.FileID) uint32 {
+	if m.positional {
+		return uint32(len(m.runs[id]))
+	}
+	return m.sum[id]
+}
+
+// buildOps reads a FuzzBuild program: bytes past the end read as 0.
+type buildOps struct {
+	b []byte
+	i int
+}
+
+func (r *buildOps) next() byte {
+	if r.i >= len(r.b) {
+		return 0
+	}
+	r.i++
+	return r.b[r.i-1]
+}
+
+// position reads one position; the top bytes map to the top of the uint32
+// range.
+func (r *buildOps) position() uint32 {
+	if b := r.next(); b < 250 {
+		return uint32(b)
+	} else {
+		return math.MaxUint32 - uint32(255-b)
+	}
+}
+
+// FuzzBuild feeds a Builder blocks read from the program — both kinds, file
+// IDs in any order and repeated, empty and unsorted runs, zero and absent
+// frequencies — and holds the index it builds, and the empty one a second
+// build returns, to a term → file → positions model.
+//
+// The program's first byte's low bit is NewBuilder's positional flag. Each
+// block is then a kind byte (bit 0: positional; bit 1: a position-free
+// block without frequencies), a file ID byte (mod 16) and a term mask byte
+// (term k of eight when bit k is set), followed per term by a run length
+// byte (mod 4; 0 is an empty run) and that many positions, or by a
+// frequency byte (mod 4).
+func FuzzBuild(f *testing.F) {
+	// Positional blocks in ID order.
+	f.Add([]byte{1, 1, 0, 0b11, 2, 0, 1, 1, 1, 1, 0b10, 1, 4})
+	// Out of order, a repeated file, an unsorted run with a repeat, an
+	// empty run.
+	f.Add([]byte{0, 1, 9, 0b101, 3, 7, 2, 7, 0, 1, 3, 0b1, 1, 5, 1, 9, 0b101, 2, 1, 251})
+	// Both kinds on one term, frequencies absent, zero and above one.
+	f.Add([]byte{0, 0, 3, 0b11, 2, 0, 1, 5, 0b10, 1, 2, 3, 0b1, 0b10, 0, 0b1})
+	// No blocks, positional.
+	f.Add([]byte{1})
+	f.Fuzz(func(t *testing.T, program []byte) {
+		r := &buildOps{b: program}
+		positional := r.next()&1 == 1
+		b := NewBuilder(positional)
+		model := map[string]*buildModel{}
+		for blocks := 0; r.i < len(r.b) && blocks < 64; blocks++ {
+			kind, id, mask := r.next(), postings.FileID(r.next()%16), r.next()
+			var terms []string
+			for k := 0; k < 8; k++ {
+				if mask&(1<<k) != 0 {
+					terms = append(terms, fmt.Sprintf("t%d", k))
+				}
+			}
+			if kind&1 == 1 {
+				positional = true
+				runs := make([][]uint32, len(terms))
+				for i := range terms {
+					for n := r.next() % 4; n > 0; n-- {
+						runs[i] = append(runs[i], r.position())
+					}
+				}
+				for i, term := range terms {
+					run := slices.Compact(slices.Sorted(slices.Values(runs[i])))
+					if len(run) == 0 {
+						continue
+					}
+					m := modelOf(model, term)
+					m.runs[id] = slices.Compact(slices.Sorted(slices.Values(append(m.runs[id], run...))))
+					m.sum[id] += uint32(len(run))
+				}
+				b.AddBlockPositional(id, terms, runs)
+				continue
+			}
+			var counts []uint32
+			if kind&2 == 0 {
+				counts = make([]uint32, len(terms))
+				for i := range counts {
+					counts[i] = uint32(r.next() % 4)
+				}
+			}
+			for i, term := range terms {
+				m := modelOf(model, term)
+				m.positional = false
+				m.sum[id] += max(1, countAt(counts, i))
+			}
+			b.AddBlock(id, terms, counts)
+		}
+
+		ix := b.Index()
+		checkBuild(t, ix, model, positional)
+		// The builder is empty again and keeps its kind.
+		checkBuild(t, b.Index(), map[string]*buildModel{}, positional)
+	})
+}
+
+func modelOf(model map[string]*buildModel, term string) *buildModel {
+	m, ok := model[term]
+	if !ok {
+		m = &buildModel{runs: map[postings.FileID][]uint32{}, sum: map[postings.FileID]uint32{}, positional: true}
+		model[term] = m
+	}
+	return m
+}
+
+func countAt(counts []uint32, i int) uint32 {
+	if counts == nil {
+		return 1
+	}
+	return counts[i]
+}
+
+// checkBuild fails t unless ix holds exactly the model, through the read
+// API, and every list's columns have no spare capacity.
+func checkBuild(t *testing.T, ix *Index, model map[string]*buildModel, positional bool) {
+	t.Helper()
+	if ix.Positional() != positional {
+		t.Fatalf("Positional = %v, want %v", ix.Positional(), positional)
+	}
+	var postingsWant int64
+	for term, m := range model {
+		postingsWant += int64(len(m.sum))
+		l := ix.Lookup(term)
+		if l == nil {
+			t.Fatalf("term %q missing", term)
+		}
+		ids := slices.Sorted(maps.Keys(m.sum))
+		if !slices.Equal(l.IDs(), ids) {
+			t.Fatalf("%q: IDs %v, model %v", term, l.IDs(), ids)
+		}
+		if l.HasPositions() != m.positional {
+			t.Fatalf("%q: HasPositions %v, model %v", term, l.HasPositions(), m.positional)
+		}
+		size := l.Len()
+		if l.HasPositions() || l.HasCounts() {
+			size += l.Len()
+		}
+		for i, id := range ids {
+			if got := l.CountAt(i); got != m.count(id) {
+				t.Fatalf("%q: file %d frequency %d, model %d", term, id, got, m.count(id))
+			}
+			if m.positional {
+				run := l.PositionsAt(i)
+				if !slices.Equal(run, m.runs[id]) {
+					t.Fatalf("%q: file %d run %v, model %v", term, id, run, m.runs[id])
+				}
+				size += len(run)
+			}
+		}
+		if got := l.HeapBytes(); got != 4*int64(size) {
+			t.Fatalf("%q: HeapBytes %d, want %d: the columns have spare capacity", term, got, 4*size)
+		}
+	}
+	if ix.NumTerms() != len(model) || ix.NumPostings() != postingsWant {
+		t.Fatalf("%d terms, %d postings; model %d, %d", ix.NumTerms(), ix.NumPostings(), len(model), postingsWant)
+	}
+}

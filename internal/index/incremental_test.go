@@ -64,12 +64,12 @@ func TestFileTableSetMeta(t *testing.T) {
 // index exactly as removing the victims one at a time would.
 func TestRemoveFilesMatchesSequentialRemoves(t *testing.T) {
 	build := func() *Index {
-		ix := New(16)
-		ix.AddBlock(0, []string{"a", "b", "c"}, nil)
-		ix.AddBlock(1, []string{"b", "c"}, nil)
-		ix.AddBlock(2, []string{"c", "d"}, nil)
-		ix.AddBlock(3, []string{"d", "e"}, nil)
-		return ix
+		bld := NewBuilder(false)
+		bld.AddBlock(0, []string{"a", "b", "c"}, nil)
+		bld.AddBlock(1, []string{"b", "c"}, nil)
+		bld.AddBlock(2, []string{"c", "d"}, nil)
+		bld.AddBlock(3, []string{"d", "e"}, nil)
+		return bld.Index()
 	}
 	batched := build()
 	victims := postings.FromIDs([]postings.FileID{1, 3})
@@ -106,10 +106,11 @@ func TestRemoveFilesMatchesSequentialRemoves(t *testing.T) {
 // not an equal copy — and one that touches it edits it in place, so an
 // update allocates nothing per list, touched or not.
 func TestRemoveFilesKeepsUntouchedLists(t *testing.T) {
-	ix := New(16)
-	ix.AddBlockPositional(0, []string{"a", "b"}, [][]uint32{{0}, {1}})
-	ix.AddBlockPositional(1, []string{"b", "c"}, [][]uint32{{0}, {1}})
-	ix.AddBlockPositional(2, []string{"c", "d"}, [][]uint32{{0, 2}, {1}})
+	bld := NewBuilder(true)
+	bld.AddBlockPositional(0, []string{"a", "b"}, [][]uint32{{0}, {1}})
+	bld.AddBlockPositional(1, []string{"b", "c"}, [][]uint32{{0}, {1}})
+	bld.AddBlockPositional(2, []string{"c", "d"}, [][]uint32{{0, 2}, {1}})
+	ix := bld.Index()
 	before := map[string]*postings.List{}
 	for _, term := range []string{"a", "b", "c", "d"} {
 		before[term] = ix.Lookup(term)
@@ -141,7 +142,7 @@ func TestRemoveFilesKeepsUntouchedLists(t *testing.T) {
 // TestTopTermsAcrossMatchesJoin: aggregation over document-disjoint
 // partitions must equal TopTerms over their join, without building one.
 func TestTopTermsAcrossMatchesJoin(t *testing.T) {
-	parts := []*Index{New(8), New(8), New(8)}
+	bld := []*Builder{NewBuilder(false), NewBuilder(false), NewBuilder(false)}
 	blocks := [][]string{
 		{"common", "rare"},
 		{"common", "mid"},
@@ -150,13 +151,14 @@ func TestTopTermsAcrossMatchesJoin(t *testing.T) {
 		{"solo"},
 	}
 	for i, terms := range blocks {
-		parts[i%len(parts)].AddBlock(postings.FileID(i), terms, nil)
+		bld[i%len(bld)].AddBlock(postings.FileID(i), terms, nil)
 	}
+	parts := []*Index{bld[0].Index(), bld[1].Index(), bld[2].Index()}
 	// The join is built from the same blocks: JoinAll would consume parts.
-	joined := New(8)
 	for i, terms := range blocks {
-		joined.AddBlock(postings.FileID(i), terms, nil)
+		bld[0].AddBlock(postings.FileID(i), terms, nil)
 	}
+	joined := bld[0].Index()
 
 	for _, n := range []int{1, 3, 10} {
 		got := TopTermsAcross(Partitions(parts), n)

@@ -6,7 +6,8 @@
 // The index is a Go map from each term to a posting list of the files
 // containing it. The paper's Section 3 decision is how it is filled: en
 // bloc, one duplicate-free term block per file (Stage 2 eliminates the
-// duplicates), so insertion needs no duplicate scan.
+// duplicates), so insertion needs no duplicate scan. A Builder logs the
+// blocks and builds every posting list once, in file-ID order.
 package index
 
 import (
@@ -129,10 +130,10 @@ func (t *FileTable) LiveCount() int { return len(t.paths) - t.nDead }
 // Callers must not modify the returned slice.
 func (t *FileTable) Paths() []string { return t.paths }
 
-// Index is an inverted index: a map from term to posting list, filled one
-// duplicate-free term block at a time. It is not safe for concurrent
-// mutation; use Shared for Implementation 1, or one Index per updater for
-// Implementations 2 and 3.
+// Index is an inverted index: a map from term to posting list, built from
+// duplicate-free term blocks by a Builder. It is not safe for concurrent
+// mutation; use Shared for Implementation 1, or one Builder per updater
+// for Implementations 2 and 3.
 type Index struct {
 	terms map[string]*postings.List
 	// nPostings counts (term, file) pairs for Stats.
@@ -160,56 +161,12 @@ func New(capacity int) *Index {
 	return &Index{terms: make(map[string]*postings.List, capacity)}
 }
 
-// list returns term's posting list, inserting an empty one if it is absent.
-func (ix *Index) list(term string) *postings.List {
-	l, ok := ix.terms[term]
-	if !ok {
-		l = &postings.List{}
-		ix.terms[term] = l
-	}
-	return l
-}
-
-// AddBlock inserts a file's duplicate-free term block. This is the en-bloc
-// insertion path the paper chose: one call per file, no per-posting
-// duplicate checks (each file is scanned exactly once). counts, when
-// non-nil, carries the per-term occurrence frequency parallel to terms
-// (extract.TermBlock.Counts); nil records every term with frequency 1.
-func (ix *Index) AddBlock(id postings.FileID, terms []string, counts []uint32) {
-	defer ix.invalidateSortedOnGrowth(len(ix.terms))
-	for i, term := range terms {
-		l := ix.list(term)
-		if counts == nil {
-			l.Add(id)
-		} else {
-			l.AddN(id, counts[i])
-		}
-	}
-	ix.nPostings += int64(len(terms))
-}
-
-// AddBlockPositional inserts a file's duplicate-free term block with the
-// per-term occurrence positions extracted alongside it
-// (extract.TermBlock.Positions): positions[i] lists the ascending token
-// positions of terms[i] in the file, and the per-posting frequency is
-// derived from it, so TF ranking needs no separate count. Each run is
-// copied into its term's list, so the index keeps nothing of the block.
-// Marks the index positional.
-func (ix *Index) AddBlockPositional(id postings.FileID, terms []string, positions [][]uint32) {
-	defer ix.invalidateSortedOnGrowth(len(ix.terms))
-	ix.positional = true
-	for i, term := range terms {
-		ix.list(term).AddPositions(id, positions[i])
-	}
-	ix.nPostings += int64(len(terms))
-}
-
 // Positional reports whether the index carries per-posting token positions
 // (phrase queries need them; the codec persists the fact in a flags bit).
 func (ix *Index) Positional() bool { return ix.positional }
 
 // SetPositional marks a (typically fresh) index as positional, so an empty
-// positional build still persists as a positional catalog and keeps
+// positional partition still persists as a positional catalog and keeps
 // re-extracting positionally through incremental updates.
 func (ix *Index) SetPositional() { ix.positional = true }
 
@@ -400,7 +357,7 @@ func (ix *Index) Join(other *Index) {
 // index lacks adopts l as its list, so loading a decoded list copies none
 // of it, and the caller must not use l afterwards. Sharding uses MergeTerm
 // to route a whole posting sublist between indices in one merge, where
-// per-file AddBlock calls would cost a term lookup per posting.
+// re-adding each file's block would cost a term lookup per posting.
 func (ix *Index) MergeTerm(term string, l *postings.List) {
 	if l == nil || l.Len() == 0 {
 		return
@@ -430,33 +387,3 @@ func (ix *Index) Equal(other *Index) bool {
 	}
 	return true
 }
-
-// Shared wraps an Index with a mutex: the paper's Implementation 1 ("use a
-// single shared index and lock it on update"). Every updater thread calls
-// AddBlock; the lock is held for the whole en-bloc insertion, which is the
-// coarse-grained critical section whose contention the paper measures.
-type Shared struct {
-	mu sync.Mutex
-	ix *Index
-}
-
-// NewShared returns a locked wrapper around a fresh index.
-func NewShared(capacity int) *Shared { return &Shared{ix: New(capacity)} }
-
-// AddBlock inserts a term block under the lock.
-func (s *Shared) AddBlock(id postings.FileID, terms []string, counts []uint32) {
-	s.mu.Lock()
-	s.ix.AddBlock(id, terms, counts)
-	s.mu.Unlock()
-}
-
-// AddBlockPositional inserts a positional term block under the lock.
-func (s *Shared) AddBlockPositional(id postings.FileID, terms []string, positions [][]uint32) {
-	s.mu.Lock()
-	s.ix.AddBlockPositional(id, terms, positions)
-	s.mu.Unlock()
-}
-
-// Unwrap returns the underlying index. Call only after all updaters have
-// finished (the pipeline's barrier guarantees this).
-func (s *Shared) Unwrap() *Index { return s.ix }

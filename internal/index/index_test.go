@@ -32,9 +32,10 @@ func TestFileTable(t *testing.T) {
 }
 
 func TestAddBlockAndLookup(t *testing.T) {
-	ix := New(0)
-	ix.AddBlock(1, []string{"alpha", "beta"}, nil)
-	ix.AddBlock(2, []string{"beta", "gamma"}, nil)
+	bld := NewBuilder(false)
+	bld.AddBlock(1, []string{"alpha", "beta"}, nil)
+	bld.AddBlock(2, []string{"beta", "gamma"}, nil)
+	ix := bld.Index()
 	if ix.NumTerms() != 3 {
 		t.Errorf("NumTerms = %d", ix.NumTerms())
 	}
@@ -53,8 +54,9 @@ func TestAddBlockAndLookup(t *testing.T) {
 }
 
 func TestRangeAndTerms(t *testing.T) {
-	ix := New(0)
-	ix.AddBlock(0, []string{"a", "b", "c"}, nil)
+	bld := NewBuilder(false)
+	bld.AddBlock(0, []string{"a", "b", "c"}, nil)
+	ix := bld.Index()
 	var seen []string
 	ix.Range(func(term string, l *postings.List) bool {
 		seen = append(seen, term)
@@ -72,10 +74,11 @@ func TestRangeAndTerms(t *testing.T) {
 }
 
 func TestJoinMergesPostings(t *testing.T) {
-	a := New(0)
-	a.AddBlock(0, []string{"shared", "onlyA"}, nil)
-	b := New(0)
-	b.AddBlock(1, []string{"shared", "onlyB"}, nil)
+	bld := NewBuilder(false)
+	bld.AddBlock(0, []string{"shared", "onlyA"}, nil)
+	a := bld.Index()
+	bld.AddBlock(1, []string{"shared", "onlyB"}, nil)
+	b := bld.Index()
 	a.Join(b)
 	if a.NumTerms() != 3 {
 		t.Errorf("NumTerms = %d", a.NumTerms())
@@ -90,8 +93,9 @@ func TestJoinMergesPostings(t *testing.T) {
 }
 
 func TestJoinPropagatesPositional(t *testing.T) {
-	a, b := New(0), New(0)
-	b.AddBlockPositional(1, []string{"cat", "dog"}, [][]uint32{{0, 2}, {1}})
+	a, bld := New(0), NewBuilder(false)
+	bld.AddBlockPositional(1, []string{"cat", "dog"}, [][]uint32{{0, 2}, {1}})
+	b := bld.Index()
 	a.Join(b)
 	if !a.Positional() {
 		t.Error("join lost the positional flag")
@@ -99,10 +103,11 @@ func TestJoinPropagatesPositional(t *testing.T) {
 }
 
 func TestJoinOverlappingPostingsCountsOnce(t *testing.T) {
-	a := New(0)
-	a.AddBlock(3, []string{"t"}, nil)
-	b := New(0)
-	b.AddBlock(3, []string{"t"}, nil) // same (term, file) posting in both
+	bld := NewBuilder(false)
+	bld.AddBlock(3, []string{"t"}, nil)
+	a := bld.Index()
+	bld.AddBlock(3, []string{"t"}, nil) // same (term, file) posting in both
+	b := bld.Index()
 	a.Join(b)
 	if a.NumPostings() != 1 {
 		t.Errorf("NumPostings = %d, want 1", a.NumPostings())
@@ -110,19 +115,21 @@ func TestJoinOverlappingPostingsCountsOnce(t *testing.T) {
 }
 
 func TestEqual(t *testing.T) {
-	a := New(0)
-	a.AddBlock(0, []string{"x", "y"}, nil)
-	b := New(0)
-	b.AddBlock(0, []string{"y", "x"}, nil)
+	bld := NewBuilder(false)
+	bld.AddBlock(0, []string{"x", "y"}, nil)
+	a := bld.Index()
+	bld.AddBlock(0, []string{"y", "x"}, nil)
+	b := bld.Index()
 	if !a.Equal(b) {
 		t.Error("order-insensitive indices should be equal")
 	}
-	b.AddBlock(1, []string{"x"}, nil)
-	if a.Equal(b) {
+	bld.AddBlock(0, []string{"y", "x"}, nil)
+	bld.AddBlock(1, []string{"x"}, nil)
+	if a.Equal(bld.Index()) {
 		t.Error("different indices reported equal")
 	}
-	c := New(0)
-	c.AddBlock(0, []string{"x", "z"}, nil)
+	bld.AddBlock(0, []string{"x", "z"}, nil)
+	c := bld.Index()
 	if a.Equal(c) {
 		t.Error("same size, different terms reported equal")
 	}
@@ -130,16 +137,16 @@ func TestEqual(t *testing.T) {
 
 // referenceIndex builds an index sequentially from (file, terms) pairs.
 func referenceIndex(blocks map[postings.FileID][]string) *Index {
-	ix := New(0)
+	bld := NewBuilder(false)
 	ids := make([]postings.FileID, 0, len(blocks))
 	for id := range blocks {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		ix.AddBlock(id, blocks[id], nil)
+		bld.AddBlock(id, blocks[id], nil)
 	}
-	return ix
+	return bld.Index()
 }
 
 func randomBlocks(rng *rand.Rand, nFiles, vocab int) map[postings.FileID][]string {
@@ -170,9 +177,9 @@ func TestJoinEqualsSequentialReference(t *testing.T) {
 		want := referenceIndex(blocks)
 
 		r := int(nReplicas%5) + 1
-		replicas := make([]*Index, r)
-		for i := range replicas {
-			replicas[i] = New(0)
+		builders := make([]*Builder, r)
+		for i := range builders {
+			builders[i] = NewBuilder(false)
 		}
 		// Round-robin distribution, like the pipeline's.
 		i := 0
@@ -182,8 +189,12 @@ func TestJoinEqualsSequentialReference(t *testing.T) {
 		}
 		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 		for _, id := range ids {
-			replicas[i%r].AddBlock(id, blocks[id], nil)
+			builders[i%r].AddBlock(id, blocks[id], nil)
 			i++
+		}
+		replicas := make([]*Index, r)
+		for i, b := range builders {
+			replicas[i] = b.Index()
 		}
 		got := JoinAll(replicas)
 		return got.Equal(want)
@@ -200,9 +211,9 @@ func TestParallelJoinEqualsSequentialJoin(t *testing.T) {
 			want := referenceIndex(blocks)
 
 			build := func() []*Index {
-				replicas := make([]*Index, nReplicas)
-				for i := range replicas {
-					replicas[i] = New(0)
+				builders := make([]*Builder, nReplicas)
+				for i := range builders {
+					builders[i] = NewBuilder(false)
 				}
 				i := 0
 				ids := make([]postings.FileID, 0, len(blocks))
@@ -211,8 +222,12 @@ func TestParallelJoinEqualsSequentialJoin(t *testing.T) {
 				}
 				sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 				for _, id := range ids {
-					replicas[i%nReplicas].AddBlock(id, blocks[id], nil)
+					builders[i%nReplicas].AddBlock(id, blocks[id], nil)
 					i++
+				}
+				replicas := make([]*Index, nReplicas)
+				for i, b := range builders {
+					replicas[i] = b.Index()
 				}
 				return replicas
 			}
@@ -255,9 +270,9 @@ func TestDictionaryMatchesMapModel(t *testing.T) {
 			}
 			return out
 		}
-		// add inserts a block under a fresh ID into dst, which is ix or an
-		// index about to be joined into it.
-		add := func(dst *Index, terms []string) {
+		// add logs a block under a fresh ID into dst, whose index is then
+		// joined into ix.
+		add := func(dst *Builder, terms []string) {
 			id := next
 			next++
 			positions := make([][]uint32, len(terms))
@@ -276,7 +291,9 @@ func TestDictionaryMatchesMapModel(t *testing.T) {
 			switch r := rng.Intn(10); {
 			case r < 4:
 				op = "AddBlock"
-				add(ix, terms())
+				one := NewBuilder(positional)
+				add(one, terms())
+				ix.Join(one.Index())
 			case r < 6:
 				op = "MergeTerm"
 				term := vocab[rng.Intn(len(vocab))]
@@ -288,7 +305,7 @@ func TestDictionaryMatchesMapModel(t *testing.T) {
 						next++
 					}
 					if positional {
-						l.AddPositions(id, []uint32{0})
+						l.Merge(postings.FromSortedIDPositions([]postings.FileID{id}, [][]uint32{{0}}))
 					} else {
 						l.Add(id)
 					}
@@ -322,11 +339,11 @@ func TestDictionaryMatchesMapModel(t *testing.T) {
 				}
 			default:
 				op = "Join"
-				other := New(0)
+				other := NewBuilder(positional)
 				for k := rng.Intn(4); k >= 0; k-- {
 					add(other, terms())
 				}
-				ix.Join(other)
+				ix.Join(other.Index())
 			}
 			checkAgainstModel(t, fmt.Sprintf("seed %d step %d (%s)", seed, step, op), ix, model, absent)
 		}
@@ -435,7 +452,7 @@ func TestJoinAllEmpty(t *testing.T) {
 }
 
 func TestSharedConcurrentAddBlock(t *testing.T) {
-	s := NewShared(0)
+	s := NewShared(false)
 	const workers = 8
 	const filesPerWorker = 50
 	var wg sync.WaitGroup
@@ -450,7 +467,7 @@ func TestSharedConcurrentAddBlock(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	ix := s.Unwrap()
+	ix := s.Index()
 	if got := ix.Lookup("common").Len(); got != workers*filesPerWorker {
 		t.Errorf("common has %d postings, want %d", got, workers*filesPerWorker)
 	}

@@ -11,9 +11,10 @@ import (
 )
 
 func TestRemoveFile(t *testing.T) {
-	ix := New(0)
-	ix.AddBlock(1, []string{"shared", "only1"}, nil)
-	ix.AddBlock(2, []string{"shared", "only2"}, nil)
+	bld := NewBuilder(false)
+	bld.AddBlock(1, []string{"shared", "only1"}, nil)
+	bld.AddBlock(2, []string{"shared", "only2"}, nil)
+	ix := bld.Index()
 
 	removed := ix.RemoveFiles(postings.FromIDs([]postings.FileID{1}))
 	if removed != 2 {
@@ -34,8 +35,9 @@ func TestRemoveFile(t *testing.T) {
 }
 
 func TestRemoveFileAbsent(t *testing.T) {
-	ix := New(0)
-	ix.AddBlock(1, []string{"a"}, nil)
+	bld := NewBuilder(false)
+	bld.AddBlock(1, []string{"a"}, nil)
+	ix := bld.Index()
 	if got := ix.RemoveFiles(postings.FromIDs([]postings.FileID{99})); got != 0 {
 		t.Errorf("removed %d from absent file", got)
 	}
@@ -64,20 +66,20 @@ func TestRemoveFileMatchesRebuild(t *testing.T) {
 			}
 			blocks[postings.FileID(f)] = terms
 		}
-		ix := New(0)
+		bld := NewBuilder(false)
 		for f := 0; f < nFiles; f++ {
-			ix.AddBlock(postings.FileID(f), blocks[postings.FileID(f)], nil)
+			bld.AddBlock(postings.FileID(f), blocks[postings.FileID(f)], nil)
 		}
+		ix := bld.Index()
 		victim := postings.FileID(rng.Intn(nFiles))
 		ix.RemoveFiles(postings.FromIDs([]postings.FileID{victim}))
 
-		rebuilt := New(0)
 		for f := 0; f < nFiles; f++ {
-			if postings.FileID(f) == victim {
-				continue
+			if postings.FileID(f) != victim {
+				bld.AddBlock(postings.FileID(f), blocks[postings.FileID(f)], nil)
 			}
-			rebuilt.AddBlock(postings.FileID(f), blocks[postings.FileID(f)], nil)
 		}
+		rebuilt := bld.Index()
 		return ix.Equal(rebuilt) && ix.NumPostings() == rebuilt.NumPostings()
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -85,10 +87,11 @@ func TestRemoveFileMatchesRebuild(t *testing.T) {
 }
 
 func TestRemoveAllFilesEmptiesIndex(t *testing.T) {
-	ix := New(0)
+	bld := NewBuilder(false)
 	for f := postings.FileID(0); f < 20; f++ {
-		ix.AddBlock(f, []string{"common", fmt.Sprintf("f%d", f)}, nil)
+		bld.AddBlock(f, []string{"common", fmt.Sprintf("f%d", f)}, nil)
 	}
+	ix := bld.Index()
 	for f := postings.FileID(0); f < 20; f++ {
 		ix.RemoveFiles(postings.FromIDs([]postings.FileID{f}))
 	}
@@ -98,10 +101,11 @@ func TestRemoveAllFilesEmptiesIndex(t *testing.T) {
 }
 
 func TestTopTerms(t *testing.T) {
-	ix := New(0)
-	ix.AddBlock(0, []string{"rare", "common", "medium"}, nil)
-	ix.AddBlock(1, []string{"common", "medium"}, nil)
-	ix.AddBlock(2, []string{"common"}, nil)
+	bld := NewBuilder(false)
+	bld.AddBlock(0, []string{"rare", "common", "medium"}, nil)
+	bld.AddBlock(1, []string{"common", "medium"}, nil)
+	bld.AddBlock(2, []string{"common"}, nil)
+	ix := bld.Index()
 	top := ix.TopTerms(2)
 	want := []TermCount{{Term: "common", Files: 3}, {Term: "medium", Files: 2}}
 	if !reflect.DeepEqual(top, want) {
@@ -116,8 +120,9 @@ func TestTopTerms(t *testing.T) {
 }
 
 func TestTopTermsDeterministicTies(t *testing.T) {
-	ix := New(0)
-	ix.AddBlock(0, []string{"zebra", "apple", "mango"}, nil)
+	bld := NewBuilder(false)
+	bld.AddBlock(0, []string{"zebra", "apple", "mango"}, nil)
+	ix := bld.Index()
 	top := ix.TopTerms(3)
 	if top[0].Term != "apple" || top[1].Term != "mango" || top[2].Term != "zebra" {
 		t.Errorf("tie order not alphabetical: %v", top)

@@ -17,9 +17,11 @@ func TestSortedTermIteration(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ix := New(8)
 	want := map[string]bool{}
+	bld := NewBuilder(false)
 	for i := 0; i < 300; i++ {
 		term := fmt.Sprintf("t%02d", rng.Intn(60))
-		ix.AddBlock(postings.FileID(i), []string{term}, nil)
+		bld.AddBlock(postings.FileID(i), []string{term}, nil)
+		ix.Join(bld.Index())
 		want[term] = true
 
 		if i%37 == 0 { // interleave iteration with mutation
@@ -83,9 +85,11 @@ func TestSortedTermIteration(t *testing.T) {
 
 // TestPartitionsAdapter checks the []*Index → []Partition bridge.
 func TestPartitionsAdapter(t *testing.T) {
-	a, b := New(4), New(4)
-	a.AddBlock(1, []string{"alpha"}, nil)
-	b.AddBlock(2, []string{"beta"}, nil)
+	bld := NewBuilder(false)
+	bld.AddBlock(1, []string{"alpha"}, nil)
+	a := bld.Index()
+	bld.AddBlock(2, []string{"beta"}, nil)
+	b := bld.Index()
 	parts := Partitions([]*Index{a, b})
 	if len(parts) != 2 {
 		t.Fatalf("Partitions len %d, want 2", len(parts))

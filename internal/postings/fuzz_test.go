@@ -196,12 +196,18 @@ func (r *fuzzOps) run() []uint32 {
 	return run
 }
 
+// single returns the one-posting positional list of id with run, sorted
+// and without repeats.
+func single(id FileID, run []uint32) *List {
+	return FromSortedIDPositions([]FileID{id}, [][]uint32{slices.Compact(slices.Sorted(slices.Values(run)))})
+}
+
 // The operations of a FuzzPositionalList program. Each opcode is followed
 // by a byte whose low bit picks the receiver (list 0 or 1), then its
 // arguments.
 const (
-	opAddPositions = iota // id, run length-1, positions
-	opAddN                // id, n-1
+	opInsertRun = iota // id, run length-1, positions
+	opAddN             // id, n-1
 	opMerge
 	opDifference
 	opMergeCounted
@@ -212,14 +218,15 @@ const (
 )
 
 // FuzzPositionalList runs programs of list operations on two lists and
-// holds both, after every step, to a map model: AddPositions in any order
-// with duplicate IDs and unsorted, repeated positions; Merge, Difference
-// and MergeCounted between them; demotion through AddN; Clone and Equal;
-// Window; and the EncodePositional/DecodePositional round trip, whose
-// decode the program then keeps mutating.
+// holds both, after every step, to a map model: one-posting positional
+// lists merged in, in any order and with duplicate IDs and unsorted,
+// repeated positions; Merge, Difference and MergeCounted between them;
+// demotion through AddN; Clone and Equal; Window; and the
+// EncodePositional/DecodePositional round trip, whose decode the program
+// then keeps mutating.
 func FuzzPositionalList(f *testing.F) {
 	add := func(x, id byte, run ...byte) []byte {
-		return append([]byte{opAddPositions, x, id, byte(len(run) - 1)}, run...)
+		return append([]byte{opInsertRun, x, id, byte(len(run) - 1)}, run...)
 	}
 	// A mid-list insert: 9, then 2 before it, then 5 between.
 	f.Add(slices.Concat(add(0, 9, 4, 1), add(0, 2, 7), add(0, 5, 3, 3, 0), []byte{opRoundTrip, 0}))
@@ -238,14 +245,13 @@ func FuzzPositionalList(f *testing.F) {
 			l, m := lists[x], models[x]
 			o, om := lists[1-x], models[1-x]
 			switch op {
-			case opAddPositions:
+			case opInsertRun:
 				id, run := r.id(), r.run()
-				if m.len() == 0 || m.positional {
-					m.addRun(id, run)
-				} else {
-					m.addN(id, uint32(len(slices.Compact(slices.Sorted(slices.Values(run))))), l.HasCounts())
-				}
-				l.AddPositions(id, run)
+				one := single(id, run)
+				sm := emptyModel()
+				sm.addRun(id, run)
+				m.merge(l, sm, one)
+				l.Merge(one)
 			case opAddN:
 				id, n := r.id(), uint32(1+r.next()%3)
 				stored := m.storesCounts(l)
@@ -269,7 +275,7 @@ func FuzzPositionalList(f *testing.F) {
 				if got, want := l.Equal(o), m.equal(om); got != want {
 					t.Fatalf("Equal = %v, models equal = %v", got, want)
 				}
-				c.AddPositions(r.id(), []uint32{math.MaxUint32})
+				c.Merge(single(r.id(), []uint32{math.MaxUint32}))
 				c.AddN(r.id(), 2) // l is checked below: neither reached it
 			case opWindow:
 				mask := uint16(r.next()) | uint16(r.next())<<8

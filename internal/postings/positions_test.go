@@ -2,79 +2,40 @@ package postings
 
 import (
 	"bytes"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// positional builds a positional list from (id, positions) pairs given in
-// arbitrary order, exercising AddPositions' insert paths.
-func positional(pairs map[FileID][]uint32, order []FileID) *List {
-	l := &List{}
-	for _, id := range order {
-		l.AddPositions(id, append([]uint32(nil), pairs[id]...))
+// positional builds a positional list from (id, positions) pairs.
+func positional(pairs map[FileID][]uint32) *List {
+	ids := slices.Sorted(maps.Keys(pairs))
+	runs := make([][]uint32, len(ids))
+	for i, id := range ids {
+		runs[i] = pairs[id]
 	}
-	return l
-}
-
-func TestAddPositionsOrderings(t *testing.T) {
-	pairs := map[FileID][]uint32{
-		2:  {0, 7},
-		5:  {3},
-		9:  {1, 2, 8},
-		11: {4},
-	}
-	inOrder := positional(pairs, []FileID{2, 5, 9, 11})
-	outOfOrder := positional(pairs, []FileID{9, 2, 11, 5})
-	if !inOrder.Equal(outOfOrder) {
-		t.Fatal("insertion order changed the list")
-	}
-	if got := inOrder.IDs(); !reflect.DeepEqual(got, []FileID{2, 5, 9, 11}) {
-		t.Fatalf("ids = %v", got)
-	}
-	if !inOrder.HasPositions() {
-		t.Fatal("list lost its positions")
-	}
-	for i, id := range inOrder.IDs() {
-		if got := inOrder.PositionsAt(i); !reflect.DeepEqual(got, pairs[id]) {
-			t.Errorf("positions of %d = %v, want %v", id, got, pairs[id])
-		}
-		if got, want := inOrder.CountAt(i), uint32(len(pairs[id])); got != want {
-			t.Errorf("count of %d = %d, want %d", id, got, want)
-		}
-	}
-}
-
-func TestAddPositionsDuplicateIDMergesPositions(t *testing.T) {
-	l := &List{}
-	l.AddPositions(4, []uint32{1, 5})
-	l.AddPositions(4, []uint32{3, 5, 9})
-	if l.Len() != 1 {
-		t.Fatalf("len = %d", l.Len())
-	}
-	if got := l.PositionsAt(0); !reflect.DeepEqual(got, []uint32{1, 3, 5, 9}) {
-		t.Fatalf("merged positions = %v", got)
-	}
+	return FromSortedIDPositions(ids, runs)
 }
 
 func TestMergePositional(t *testing.T) {
-	a := positional(map[FileID][]uint32{1: {0}, 5: {2, 4}}, []FileID{1, 5})
-	b := positional(map[FileID][]uint32{3: {1}, 8: {0, 9}}, []FileID{3, 8})
+	a := positional(map[FileID][]uint32{1: {0}, 5: {2, 4}})
+	b := positional(map[FileID][]uint32{3: {1}, 8: {0, 9}})
 	merged := a.Clone().Merge(b)
 	if !merged.HasPositions() {
 		t.Fatal("union of positional lists dropped positions")
 	}
-	want := positional(map[FileID][]uint32{1: {0}, 3: {1}, 5: {2, 4}, 8: {0, 9}},
-		[]FileID{1, 3, 5, 8})
+	want := positional(map[FileID][]uint32{1: {0}, 3: {1}, 5: {2, 4}, 8: {0, 9}})
 	if !merged.Equal(want) {
 		t.Fatalf("merged = %v positions mismatch", merged.IDs())
 	}
 
 	// Overlapping posting: position sets union.
-	c := positional(map[FileID][]uint32{5: {1, 4}}, []FileID{5})
+	c := positional(map[FileID][]uint32{5: {1, 4}})
 	overlap := a.Clone().Merge(c)
 	i := 1 // id 5 is the second posting
 	if got := overlap.PositionsAt(i); !reflect.DeepEqual(got, []uint32{1, 2, 4}) {
@@ -83,7 +44,7 @@ func TestMergePositional(t *testing.T) {
 }
 
 func TestMergeMixedDemotesToCounts(t *testing.T) {
-	a := positional(map[FileID][]uint32{1: {0, 3}}, []FileID{1})
+	a := positional(map[FileID][]uint32{1: {0, 3}})
 	b := FromSortedIDCounts([]FileID{2}, []uint32{5})
 	merged := a.Clone().Merge(b)
 	if merged.HasPositions() {
@@ -99,12 +60,12 @@ func TestMergeMixedDemotesToCounts(t *testing.T) {
 }
 
 func TestDifferencePreservesPositions(t *testing.T) {
-	a := positional(map[FileID][]uint32{1: {0}, 2: {1, 2}, 3: {5}}, []FileID{1, 2, 3})
+	a := positional(map[FileID][]uint32{1: {0}, 2: {1, 2}, 3: {5}})
 	rest := Difference(a, FromIDs([]FileID{2}))
 	if !rest.HasPositions() {
 		t.Fatal("difference dropped positions")
 	}
-	want := positional(map[FileID][]uint32{1: {0}, 3: {5}}, []FileID{1, 3})
+	want := positional(map[FileID][]uint32{1: {0}, 3: {5}})
 	if !rest.Equal(want) {
 		t.Fatalf("difference = %v", rest.IDs())
 	}
@@ -116,12 +77,12 @@ func TestDifferencePreservesPositions(t *testing.T) {
 }
 
 func TestCloneAndWithoutCountsPositional(t *testing.T) {
-	a := positional(map[FileID][]uint32{1: {0, 2}}, []FileID{1})
+	a := positional(map[FileID][]uint32{1: {0, 2}})
 	c := a.Clone()
 	if !c.Equal(a) {
 		t.Fatal("clone differs")
 	}
-	c.AddPositions(1, []uint32{7})
+	c.Merge(positional(map[FileID][]uint32{1: {7}}))
 	if a.CountAt(0) != 2 {
 		t.Fatal("mutating the clone changed the original")
 	}
@@ -134,7 +95,8 @@ func TestCloneAndWithoutCountsPositional(t *testing.T) {
 func TestPositionalEncodeDecodeRoundTrip(t *testing.T) {
 	if err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		l := &List{}
+		var ids []FileID
+		var runs [][]uint32
 		id := FileID(0)
 		n := 1 + rng.Intn(20)
 		for f := 0; f < n; f++ {
@@ -145,8 +107,9 @@ func TestPositionalEncodeDecodeRoundTrip(t *testing.T) {
 				p += uint32(1 + rng.Intn(10))
 				pos = append(pos, p)
 			}
-			l.AddPositions(id, pos)
+			ids, runs = append(ids, id), append(runs, pos)
 		}
+		l := FromSortedIDPositions(ids, runs)
 		buf := l.EncodePositional(nil)
 		got, consumed, err := DecodePositional(buf)
 		if err != nil || consumed != len(buf) {
@@ -173,7 +136,7 @@ func TestEncodePositionalAbsentMarker(t *testing.T) {
 }
 
 func TestDecodePositionalRejectsCorruption(t *testing.T) {
-	l := positional(map[FileID][]uint32{1: {0, 2}, 7: {1}}, []FileID{1, 7})
+	l := positional(map[FileID][]uint32{1: {0, 2}, 7: {1}})
 	pristine := l.EncodePositional(nil)
 	// Truncations anywhere must fail (never panic); byte flips must either
 	// fail or at least not panic — some flips produce a different valid
@@ -188,12 +151,6 @@ func TestDecodePositionalRejectsCorruption(t *testing.T) {
 		corrupt := append([]byte(nil), pristine...)
 		corrupt[i] ^= 0xFF
 		DecodePositional(corrupt) // must not panic
-	}
-	// A zero delta in a position run is a duplicate and must be rejected.
-	dup := &List{}
-	dup.AddPositions(1, []uint32{3, 3})
-	if got := dup.PositionsAt(0); len(got) != 1 {
-		t.Fatalf("AddPositions kept duplicate positions: %v", got)
 	}
 }
 
@@ -237,7 +194,7 @@ func listStructBytes() float64 {
 func TestDecodePositionalAllocations(t *testing.T) {
 	structBytes := listStructBytes()
 	for _, counted := range []bool{false, true} {
-		l := &List{}
+		pairs := map[FileID][]uint32{}
 		positions := 0
 		for f := 0; f < 512; f++ {
 			pos := []uint32{uint32(f)}
@@ -245,8 +202,9 @@ func TestDecodePositionalAllocations(t *testing.T) {
 				pos = append(pos, uint32(f)+3, uint32(f)+9)
 			}
 			positions += len(pos)
-			l.AddPositions(FileID(2*f+1), pos)
+			pairs[FileID(2*f+1)] = pos
 		}
+		l := positional(pairs)
 		buf := l.EncodePositional(nil)
 		decode := func() {
 			var err error
@@ -272,9 +230,9 @@ func TestDecodePositionalAllocations(t *testing.T) {
 // frequency of 2 each), so the figures agree to the byte.
 func TestHeapBytesMatchDecode(t *testing.T) {
 	structBytes := listStructBytes()
-	positional, counted := &List{}, &List{}
+	runs, counted := map[FileID][]uint32{}, &List{}
 	for f := 0; f < 2048; f++ {
-		positional.AddPositions(FileID(3*f), []uint32{uint32(f), uint32(f) + 5})
+		runs[FileID(3*f)] = []uint32{uint32(f), uint32(f) + 5}
 		counted.AddN(FileID(3*f), 2)
 	}
 	for _, tc := range []struct {
@@ -282,7 +240,7 @@ func TestHeapBytesMatchDecode(t *testing.T) {
 		buf    []byte
 		decode func([]byte) (*List, int, error)
 	}{
-		{"positional", positional.EncodePositional(nil), DecodePositional},
+		{"positional", positional(runs).EncodePositional(nil), DecodePositional},
 		{"counted", counted.Encode(nil), Decode},
 	} {
 		l, _, err := tc.decode(tc.buf)
@@ -301,7 +259,7 @@ func TestHeapBytesMatchDecode(t *testing.T) {
 // the flat position slice cannot grow into each other: a merge that
 // appends to one posting's run must leave the next posting's intact.
 func TestDecodePositionalRunsAreCapped(t *testing.T) {
-	l := positional(map[FileID][]uint32{1: {0, 2}, 7: {1, 5}}, []FileID{1, 7})
+	l := positional(map[FileID][]uint32{1: {0, 2}, 7: {1, 5}})
 	got, _, err := DecodePositional(l.EncodePositional(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +279,7 @@ func TestDecodePositionalRunsAreCapped(t *testing.T) {
 // segment rides: Decode on a positional encoding returns the IDs and
 // frequencies and consumes nothing of the positions section.
 func TestDecodeStopsBeforePositions(t *testing.T) {
-	l := positional(map[FileID][]uint32{2: {0, 4, 8}, 9: {1}}, []FileID{2, 9})
+	l := positional(map[FileID][]uint32{2: {0, 4, 8}, 9: {1}})
 	buf := l.EncodePositional(nil)
 	got, n, err := Decode(buf)
 	if err != nil {
@@ -364,7 +322,7 @@ func TestEncodeBytesStable(t *testing.T) {
 }
 
 func TestEncodedSizePositional(t *testing.T) {
-	l := positional(map[FileID][]uint32{2: {0, 4}, 9: {1}}, []FileID{2, 9})
+	l := positional(map[FileID][]uint32{2: {0, 4}, 9: {1}})
 	if got, want := l.EncodedSize(), len(l.Encode(nil)); got != want {
 		t.Fatalf("EncodedSize = %d, Encode produced %d", got, want)
 	}

@@ -27,14 +27,13 @@ type FileID uint32
 // List is a posting list: a sorted set of FileIDs, each with a term
 // frequency and, on a positional list, the positions it occurs at.
 //
-// The zero value is an empty list. Lists built exclusively through Add with
-// the generator's one-block-per-file discipline stay sorted for free when
-// IDs arrive in order; Add handles out-of-order arrival (as happens with
-// parallel extractors) by insertion.
+// The zero value is an empty list. A build fills each list once, whole,
+// through FromColumns; Add and AddN append an ID above every present one
+// and insert any other.
 //
 // The storage is three pointer-free columns, whatever the list's kind.
 // Every list owns its columns: no two lists share one, and no list keeps a
-// caller's slice.
+// caller's slice unless FromColumns handed it over.
 type List struct {
 	ids []FileID
 	// vals is the per-posting column parallel to ids. On a positional list
@@ -46,10 +45,9 @@ type List struct {
 	vals []uint32
 	// pos, when non-nil, holds the ascending token positions (emission
 	// ordinals of the build's tokenizer) of every posting, one run after
-	// another in ID order. A list is either uniformly positional (every
-	// insertion went through AddPositions / FromSortedIDPositions) or not
-	// positional at all; the two insertion disciplines must not be mixed
-	// within one list.
+	// another in ID order. A list is either uniformly positional or not
+	// positional at all: a position-free insert (AddN) or merge demotes a
+	// positional list to counts.
 	pos []uint32
 }
 
@@ -123,6 +121,20 @@ func FromSortedIDPositions(ids []FileID, positions [][]uint32) *List {
 	return l
 }
 
+// FromColumns returns a list that takes ids, vals and pos as its columns,
+// copying nothing: the caller must not use them afterwards. ids must be
+// strictly ascending. With pos nil, vals holds each posting's frequency,
+// none of them 0, or is nil when every frequency is 1; otherwise pos holds
+// every posting's ascending, non-empty run back to back and vals[i] is the
+// end of posting i's run.
+func FromColumns(ids []FileID, vals, pos []uint32) *List {
+	l := &List{ids: ids, vals: vals, pos: pos}
+	if pos == nil {
+		l.normalize()
+	}
+	return l
+}
+
 // normalize drops an all-ones frequency column so equal lists share one
 // representation regardless of how they were built. Only for a
 // non-positional list.
@@ -188,65 +200,6 @@ func (l *List) demotePositions() {
 	}
 	l.pos = nil
 	l.normalize()
-}
-
-// AddPositions inserts id with the given non-empty position run, keeping
-// the list sorted and duplicate-free; it is the positional counterpart of
-// AddN (the posting's frequency is the number of distinct positions). The
-// run is copied into the list's position column, so the caller keeps pos
-// and may reuse it. Re-adding a present id merges the position sets. The
-// common fast path — id greater than every present posting — is an
-// amortized append, matching the generator's one-block-per-file
-// discipline; an insert before the last posting moves the later runs.
-func (l *List) AddPositions(id FileID, pos []uint32) {
-	if len(pos) == 0 {
-		return
-	}
-	// The codec delta-codes position runs with strictly positive gaps, so
-	// a non-ascending or duplicated run would be unencodable; sanitize the
-	// rare violation instead of persisting corruption. The check is one
-	// branch per position on the (always-ascending) hot path.
-	for i := 1; i < len(pos); i++ {
-		if pos[i] <= pos[i-1] {
-			pos = slices.Compact(slices.Sorted(slices.Values(pos)))
-			break
-		}
-	}
-	if l.pos == nil && len(l.ids) > 0 {
-		// The list already holds position-free postings (a positional
-		// insert into a list built without positions). Positions cannot be
-		// retrofitted onto the existing postings, so record the frequency
-		// and stay non-positional — the mirror of AddN's demotion rule.
-		l.AddN(id, uint32(len(pos)))
-		return
-	}
-	sz := len(l.ids)
-	if sz == 0 || id > l.ids[sz-1] {
-		l.ids = append(l.ids, id)
-		l.pos = append(l.pos, pos...)
-		l.vals = append(l.vals, uint32(len(l.pos)))
-		return
-	}
-	i := sort.Search(sz, func(i int) bool { return l.ids[i] >= id })
-	if i < sz && l.ids[i] == id {
-		l.spliceRun(i, appendUnion(nil, l.PositionsAt(i), pos))
-		return
-	}
-	start, _ := l.run(i)
-	l.ids = slices.Insert(l.ids, i, id)
-	l.vals = slices.Insert(l.vals, i, start) // an empty run, filled below
-	l.spliceRun(i, pos)
-}
-
-// spliceRun replaces posting i's run with run, which is no shorter, moving
-// the later runs' positions and ends along.
-func (l *List) spliceRun(i int, run []uint32) {
-	a, b := l.run(i)
-	l.pos = slices.Replace(l.pos, int(a), int(b), run...)
-	shift := uint32(len(run)) - (b - a)
-	for k := i; k < len(l.vals); k++ {
-		l.vals[k] += shift
-	}
 }
 
 // appendUnion appends the ascending duplicate-free union of the ascending

@@ -16,7 +16,7 @@ import (
 
 func maintFixture() (*index.FileTable, *index.Index) {
 	files := index.NewFileTable()
-	ix := index.New(16)
+	bld := index.NewBuilder(false)
 	docs := [][]string{
 		{"alpha", "beta"},
 		{"beta", "gamma"},
@@ -25,9 +25,9 @@ func maintFixture() (*index.FileTable, *index.Index) {
 	}
 	for i, terms := range docs {
 		id := files.Add(fmt.Sprintf("doc%d.txt", i), int64(len(terms)), int64(i+1))
-		ix.AddBlock(id, terms, nil)
+		bld.AddBlock(id, terms, nil)
 	}
-	return files, ix
+	return files, bld.Index()
 }
 
 // TestNotExcludesRemovedFile is the ISSUE's regression: index → remove a
@@ -76,12 +76,13 @@ func TestNotExcludesRemovedFile(t *testing.T) {
 // the universe is derived per-partition from posting lists.
 func TestNotExcludesRemovedFileAcrossReplicas(t *testing.T) {
 	files := index.NewFileTable()
-	replicas := []*index.Index{index.New(4), index.New(4)}
+	bld := newBuilders(2, false)
 	docs := [][]string{{"alpha"}, {"beta"}, {"alpha", "beta"}, {"gamma"}}
 	for i, terms := range docs {
 		id := files.Add(fmt.Sprintf("r%d.txt", i), 1, int64(i+1))
-		replicas[i%2].AddBlock(id, terms, nil)
+		bld[i%2].AddBlock(id, terms, nil)
 	}
+	replicas := buildAll(bld)
 	e := NewEngine(files, index.Partitions(replicas)...)
 	if hits, _ := searchString(e, "-alpha"); len(hits) != 2 {
 		t.Fatalf("-alpha before removal: %v", hits)
@@ -135,7 +136,9 @@ func TestConcurrentSearchAndUpdate(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			e.Maintain(func() {
 				ix.RemoveFiles(postings.FromIDs([]postings.FileID{postings.FileID(i % 3)}))
-				ix.AddBlock(postings.FileID(i%3), blocks[i%len(blocks)], nil)
+				one := index.NewBuilder(false)
+				one.AddBlock(postings.FileID(i%3), blocks[i%len(blocks)], nil)
+				ix.Join(one.Index())
 			})
 		}
 		close(stop)
@@ -154,9 +157,10 @@ func TestSwapReplacesPartitions(t *testing.T) {
 	g0 := e.Generation()
 
 	freshFiles := index.NewFileTable()
-	fresh := index.New(4)
+	bld := index.NewBuilder(false)
 	id := freshFiles.Add("new.txt", 1, 1)
-	fresh.AddBlock(id, []string{"omega"}, nil)
+	bld.AddBlock(id, []string{"omega"}, nil)
+	fresh := bld.Index()
 
 	var swappedInside bool
 	e.Swap(freshFiles, []index.Partition{fresh}, nil, func() { swappedInside = true })

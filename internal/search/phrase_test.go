@@ -67,11 +67,7 @@ func positionalEngine(t *testing.T, files map[string]string, parts int) *Engine 
 	t.Helper()
 	fs := vfs.NewMemFS()
 	table := index.NewFileTable()
-	indices := make([]*index.Index, parts)
-	for i := range indices {
-		indices[i] = index.New(0)
-		indices[i].SetPositional()
-	}
+	indices := newBuilders(parts, true)
 	ex := extract.New(fs, extract.Options{Tokenize: tokenize.Default, Positions: true})
 	i := 0
 	for name, content := range files {
@@ -86,7 +82,7 @@ func positionalEngine(t *testing.T, files map[string]string, parts int) *Engine 
 		indices[i%parts].AddBlockPositional(block.File, block.Terms, block.Positions)
 		i++
 	}
-	return NewEngine(table, index.Partitions(indices)...)
+	return NewEngine(table, index.Partitions(buildAll(indices))...)
 }
 
 func phraseCorpus() map[string]string {
@@ -161,10 +157,10 @@ func TestPhraseWithoutPositions(t *testing.T) {
 	// A boolean (position-free) index answers term queries but rejects
 	// phrases with ErrNoPositions instead of guessing adjacency.
 	table := index.NewFileTable()
-	ix := index.New(0)
+	bld := index.NewBuilder(false)
 	id := table.Add("a.txt", 1, 1)
-	ix.AddBlock(id, []string{"annual", "report"}, nil)
-	e := NewEngine(table, ix)
+	bld.AddBlock(id, []string{"annual", "report"}, nil)
+	e := NewEngine(table, bld.Index())
 
 	if hits, err := searchString(e, "annual report"); err != nil || len(hits) != 1 {
 		t.Fatalf("term query: %v, %v", hits, err)
@@ -210,16 +206,16 @@ func TestPhraseRankingUsesTermFrequencies(t *testing.T) {
 // each or 4 000 of 16: no candidate list, no copied position run.
 func TestPhraseWalkAllocationsConstant(t *testing.T) {
 	allocs := func(files, reps int) float64 {
-		ix := index.New(0)
-		ix.SetPositional()
+		bld := index.NewBuilder(true)
 		for f := 0; f < files; f++ {
 			// "x z y", reps times: x and y in every file, never adjacent.
 			var xs, zs, ys []uint32
 			for r := uint32(0); r < uint32(reps); r++ {
 				xs, zs, ys = append(xs, 3*r), append(zs, 3*r+1), append(ys, 3*r+2)
 			}
-			ix.AddBlockPositional(postings.FileID(f), []string{"x", "z", "y"}, [][]uint32{xs, zs, ys})
+			bld.AddBlockPositional(postings.FileID(f), []string{"x", "z", "y"}, [][]uint32{xs, zs, ys})
 		}
+		ix := bld.Index()
 		return testing.AllocsPerRun(20, func() {
 			if l, err := evalPhrase(ix, []string{"x", "y"}); err != nil || l.Len() != 0 {
 				t.Fatalf(`"x y" = %v, %v; want no match`, l, err)

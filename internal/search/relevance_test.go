@@ -20,8 +20,7 @@ import (
 //	f2 (6 tokens): dog dog dog the the the
 func bm25Fixture() (*index.FileTable, *index.Index, []*index.Index) {
 	files := index.NewFileTable()
-	single := index.New(0)
-	shards := []*index.Index{index.New(0), index.New(0)}
+	single, shards := index.NewBuilder(false), newBuilders(2, false)
 	add := func(path string, shard int, terms []string, counts []uint32, tokens uint32) {
 		id := files.Add(path, int64(tokens), 1)
 		files.SetTokens(id, tokens)
@@ -31,7 +30,7 @@ func bm25Fixture() (*index.FileTable, *index.Index, []*index.Index) {
 	add("f0", 0, []string{"cat", "the"}, []uint32{2, 2}, 4)
 	add("f1", 1, []string{"cat", "dog"}, []uint32{1, 1}, 2)
 	add("f2", 0, []string{"dog", "the"}, []uint32{3, 3}, 6)
-	return files, single, shards
+	return files, single.Index(), buildAll(shards)
 }
 
 // refIDF and refScore restate the BM25 formula independently of bm25.go so
@@ -232,14 +231,14 @@ func TestPrefixHitTerms(t *testing.T) {
 
 func TestPrefixTooBroad(t *testing.T) {
 	files := index.NewFileTable()
-	ix := index.New(0)
+	bld := index.NewBuilder(false)
 	id := files.Add("big", 1, 1)
 	terms := make([]string, MaxPrefixTerms+1)
 	for i := range terms {
 		terms[i] = fmt.Sprintf("t%04d", i)
 	}
-	ix.AddBlock(id, terms, nil)
-	e := NewEngine(files, ix)
+	bld.AddBlock(id, terms, nil)
+	e := NewEngine(files, bld.Index())
 
 	_, err := e.Query(context.Background(), Request{Query: MustParse("t*")})
 	if !errors.Is(err, ErrPrefixTooBroad) {
@@ -272,7 +271,7 @@ func TestPrefixTooBroad(t *testing.T) {
 
 func TestSuggest(t *testing.T) {
 	files := index.NewFileTable()
-	ix := index.New(0)
+	bld := index.NewBuilder(false)
 	docs := [][]string{
 		{"app", "apple"},
 		{"app", "apply"},
@@ -281,9 +280,9 @@ func TestSuggest(t *testing.T) {
 	}
 	for i, terms := range docs {
 		id := files.Add(fmt.Sprintf("f%d", i), 1, 1)
-		ix.AddBlock(id, terms, nil)
+		bld.AddBlock(id, terms, nil)
 	}
-	e := NewEngine(files, ix)
+	e := NewEngine(files, bld.Index())
 
 	got, err := e.Suggest(context.Background(), "ap", 0)
 	if err != nil {
@@ -324,10 +323,7 @@ func positionalFixture(docs [][]string) (*index.FileTable, *index.Index) {
 // partition i mod n.
 func positionalParts(docs [][]string, n int) (*index.FileTable, []*index.Index) {
 	files := index.NewFileTable()
-	ixs := make([]*index.Index, n)
-	for i := range ixs {
-		ixs[i] = index.New(0)
-	}
+	ixs := newBuilders(n, true)
 	for i, tokens := range docs {
 		id := files.Add(fmt.Sprintf("f%d", i), int64(len(tokens)), 1)
 		files.SetTokens(id, uint32(len(tokens)))
@@ -345,7 +341,7 @@ func positionalParts(docs [][]string, n int) (*index.FileTable, []*index.Index) 
 		}
 		ixs[i%n].AddBlockPositional(id, terms, positions)
 	}
-	return files, ixs
+	return files, buildAll(ixs)
 }
 
 func TestSnippets(t *testing.T) {
@@ -398,10 +394,11 @@ func TestPrefixFrequenciesSumAcrossTerms(t *testing.T) {
 		strings.Fields("reports only"),
 	}
 	files, positional := positionalFixture(docs)
-	plain := index.New(0)
+	bld := index.NewBuilder(false)
 	for i, tokens := range docs {
-		plain.AddBlock(postings.FileID(i), tokens, nil)
+		bld.AddBlock(postings.FileID(i), tokens, nil)
 	}
+	plain := bld.Index()
 	for _, tc := range []struct {
 		name     string
 		ix       *index.Index

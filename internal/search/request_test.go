@@ -20,11 +20,7 @@ import (
 func bigFixture(n, r int) (*index.FileTable, *index.Index, []*index.Index) {
 	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 	files := index.NewFileTable()
-	single := index.New(0)
-	replicas := make([]*index.Index, r)
-	for i := range replicas {
-		replicas[i] = index.New(0)
-	}
+	single, replicas := index.NewBuilder(false), newBuilders(r, false)
 	for i := 0; i < n; i++ {
 		var terms []string
 		var counts []uint32
@@ -38,7 +34,7 @@ func bigFixture(n, r int) (*index.FileTable, *index.Index, []*index.Index) {
 		single.AddBlock(id, terms, counts)
 		replicas[i%r].AddBlock(id, terms, counts)
 	}
-	return files, single, replicas
+	return files, single.Index(), buildAll(replicas)
 }
 
 // TestQueryPagedMatchesSearch: every (limit, offset) page must be exactly
@@ -121,13 +117,13 @@ func TestQueryPartitionStats(t *testing.T) {
 
 func TestQueryTFRanking(t *testing.T) {
 	files := index.NewFileTable()
-	ix := index.New(0)
+	bld := index.NewBuilder(false)
 	// f0 mentions "cat" 5 times; f1 mentions "cat" once and "dog" once.
 	a := files.Add("f0", 1, 1)
 	b := files.Add("f1", 2, 2)
-	ix.AddBlock(a, []string{"cat"}, []uint32{5})
-	ix.AddBlock(b, []string{"cat", "dog"}, []uint32{1, 1})
-	e := NewEngine(files, ix)
+	bld.AddBlock(a, []string{"cat"}, []uint32{5})
+	bld.AddBlock(b, []string{"cat", "dog"}, []uint32{1, 1})
+	e := NewEngine(files, bld.Index())
 	q := MustParse("cat OR dog")
 
 	coord, err := e.Query(context.Background(), Request{Query: q})

@@ -32,14 +32,32 @@ func fixture() (*index.FileTable, *index.Index, []*index.Index) {
 		{},
 	}
 	files := index.NewFileTable()
-	single := index.New(0)
-	replicas := []*index.Index{index.New(0), index.New(0), index.New(0)}
+	single := index.NewBuilder(false)
+	replicas := newBuilders(3, false)
 	for i, terms := range docs {
 		id := files.Add("doc"+string(rune('0'+i))+".txt", int64(10*i), int64(i+1))
 		single.AddBlock(id, terms, nil)
 		replicas[i%3].AddBlock(id, terms, nil)
 	}
-	return files, single, replicas
+	return files, single.Index(), buildAll(replicas)
+}
+
+// newBuilders returns n empty builders.
+func newBuilders(n int, positional bool) []*index.Builder {
+	bs := make([]*index.Builder, n)
+	for i := range bs {
+		bs[i] = index.NewBuilder(positional)
+	}
+	return bs
+}
+
+// buildAll builds each of bs.
+func buildAll(bs []*index.Builder) []*index.Index {
+	out := make([]*index.Index, len(bs))
+	for i, b := range bs {
+		out[i] = b.Index()
+	}
+	return out
 }
 
 func ids(hits []Hit) []postings.FileID {
@@ -277,11 +295,7 @@ func TestReplicaEquivalenceQuick(t *testing.T) {
 		}
 		r := int(nRep%4) + 2
 		files := index.NewFileTable()
-		single := index.New(0)
-		replicas := make([]*index.Index, r)
-		for i := range replicas {
-			replicas[i] = index.New(0)
-		}
+		single, replicas := index.NewBuilder(false), newBuilders(r, false)
 		for i, bits := range docBits {
 			var terms []string
 			for b, w := range vocab {
@@ -293,8 +307,8 @@ func TestReplicaEquivalenceQuick(t *testing.T) {
 			single.AddBlock(id, terms, nil)
 			replicas[i%r].AddBlock(id, terms, nil)
 		}
-		se := NewEngine(files, single)
-		re := NewEngine(files, index.Partitions(replicas)...)
+		se := NewEngine(files, single.Index())
+		re := NewEngine(files, index.Partitions(buildAll(replicas))...)
 		for _, q := range queries {
 			a, err1 := searchString(se, q)
 			b, err2 := searchString(re, q)

@@ -12,22 +12,22 @@ import (
 // list (every third file of 3000, count 1+(f/3)%4) whose last ID is 2997.
 func edgeIndex(t *testing.T) *index.Index {
 	t.Helper()
-	ix := index.New(4)
+	bld := index.NewBuilder(false)
 	for f := 0; f < 3000; f++ {
 		id := postings.FileID(f)
 		switch f {
 		case 7:
-			ix.AddBlock(id, []string{"single"}, []uint32{3})
+			bld.AddBlock(id, []string{"single"}, []uint32{3})
 		case 10:
-			ix.AddBlock(id, []string{"pair"}, []uint32{1})
+			bld.AddBlock(id, []string{"pair"}, []uint32{1})
 		case 500:
-			ix.AddBlock(id, []string{"pair"}, []uint32{2})
+			bld.AddBlock(id, []string{"pair"}, []uint32{2})
 		}
 		if f%3 == 0 {
-			ix.AddBlock(id, []string{"dense"}, []uint32{uint32(1 + (f/3)%4)})
+			bld.AddBlock(id, []string{"dense"}, []uint32{uint32(1 + (f/3)%4)})
 		}
 	}
-	return ix
+	return bld.Index()
 }
 
 // TestPostingIteratorEdgeCases runs the same edge-case battery against

@@ -18,7 +18,7 @@ import (
 func buildIndex(t testing.TB, nFiles int, positional bool) *index.Index {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
-	ix := index.New(64)
+	bld := index.NewBuilder(positional)
 	for f := 0; f < nFiles; f++ {
 		id := postings.FileID(f)
 		var terms []string
@@ -42,16 +42,16 @@ func buildIndex(t testing.TB, nFiles int, positional bool) *index.Index {
 				}
 				pos[i] = run
 			}
-			ix.AddBlockPositional(id, terms, pos)
+			bld.AddBlockPositional(id, terms, pos)
 		} else {
 			counts := make([]uint32, len(terms))
 			for i := range counts {
 				counts[i] = uint32(1 + rng.Intn(4))
 			}
-			ix.AddBlock(id, terms, counts)
+			bld.AddBlock(id, terms, counts)
 		}
 	}
-	return ix
+	return bld.Index()
 }
 
 func writeSegment(t *testing.T, ix *index.Index) string {
@@ -282,12 +282,13 @@ func TestTruncationRejected(t *testing.T) {
 
 func TestIterSeekGE(t *testing.T) {
 	// A dense term (every file) gets a real skip table at 1000 postings.
-	ix := index.New(4)
+	bld := index.NewBuilder(false)
 	var want []postings.FileID
 	for f := 0; f < 3000; f += 3 {
-		ix.AddBlock(postings.FileID(f), []string{"dense"}, nil)
+		bld.AddBlock(postings.FileID(f), []string{"dense"}, nil)
 		want = append(want, postings.FileID(f))
 	}
+	ix := bld.Index()
 	r, err := Open(writeSegment(t, ix), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -208,8 +208,7 @@ func TestConcurrentTiersShareOneEntry(t *testing.T) {
 // dictionary's are, so the per-entry overhead is most of the sum and an
 // accounting that forgets it is off several times over.
 func TestCacheBytesMatchHeap(t *testing.T) {
-	ix := index.New(1 << 12)
-	ix.SetPositional()
+	bld := index.NewBuilder(true)
 	const terms = 4000
 	for f := 0; f < 64; f++ {
 		var names []string
@@ -226,8 +225,9 @@ func TestCacheBytesMatchHeap(t *testing.T) {
 			}
 			pos = append(pos, run)
 		}
-		ix.AddBlockPositional(postings.FileID(f), names, pos)
+		bld.AddBlockPositional(postings.FileID(f), names, pos)
 	}
+	ix := bld.Index()
 	var buf bytes.Buffer
 	if err := Write(&buf, ix); err != nil {
 		t.Fatal(err)

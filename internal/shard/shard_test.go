@@ -25,12 +25,12 @@ func buildCorpus(t testing.TB) (*index.FileTable, *index.Index, [][]string) {
 		{"alpha"},
 	}
 	files := index.NewFileTable()
-	ix := index.New(16)
+	bld := index.NewBuilder(false)
 	for i, terms := range blocks {
 		id := files.Add("file-"+string(rune('a'+i)), int64(len(terms)), int64(i+1))
-		ix.AddBlock(id, terms, nil)
+		bld.AddBlock(id, terms, nil)
 	}
-	return files, ix, blocks
+	return files, bld.Index(), blocks
 }
 
 func TestShardForBoundsAndDeterminism(t *testing.T) {
@@ -118,10 +118,11 @@ func TestDistributeSingleSource(t *testing.T) {
 func TestDistributeMultipleSources(t *testing.T) {
 	files, ix, blocks := buildCorpus(t)
 	// Split the corpus round-robin into 3 "replicas", then re-shard to 4.
-	replicas := []*index.Index{index.New(8), index.New(8), index.New(8)}
+	bld := []*index.Builder{index.NewBuilder(false), index.NewBuilder(false), index.NewBuilder(false)}
 	for i, terms := range blocks {
-		replicas[i%3].AddBlock(postings.FileID(i), terms, nil)
+		bld[i%3].AddBlock(postings.FileID(i), terms, nil)
 	}
+	replicas := []*index.Index{bld[0].Index(), bld[1].Index(), bld[2].Index()}
 	set := Distribute(files, replicas, 4)
 	checkPartition(t, set, ix, true)
 }
