@@ -85,9 +85,11 @@ docs-check:
 # them in place — on the phrase walk's per-file position check against
 # a naive scan (cursor arithmetic at both ends of the uint32 range), and on
 # the positional posting list's operations (inserts, merges, removal,
-# demotion, windows, the codec round trip) and on the index builder (blocks
-# of both kinds in any order) against map models: long enough to shake out a panic, an unbounded allocation or a wrong answer,
-# short enough to run on every push.
+# demotion, windows, the codec round trip), on the index builder (blocks
+# of both kinds in any order) and on a batch removal from a built index
+# (victims held by no list, past the largest posting, adjacent, every file)
+# against map models: long enough to shake out a panic, an unbounded
+# allocation or a wrong answer, short enough to run on every push.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPartialDecode -fuzztime=10s ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentOpen -fuzztime=10s ./internal/segment/
@@ -96,6 +98,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPhraseWalk -fuzztime=10s ./internal/search/
 	$(GO) test -run='^$$' -fuzz=FuzzPositionalList -fuzztime=10s ./internal/postings/
 	$(GO) test -run='^$$' -fuzz=FuzzBuild -fuzztime=10s ./internal/index/
+	$(GO) test -run='^$$' -fuzz=FuzzRemoveFiles -fuzztime=10s ./internal/index/
 
 # The size figures ROADMAP's State paragraph and every CHANGES entry
 # restate: Go lines outside the nested bench/ module split into product and

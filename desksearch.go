@@ -150,6 +150,9 @@ var (
 	// lazily opened catalog that failed verification: the answer would
 	// have been incomplete, so the query fails instead.
 	ErrSegmentCorrupt = search.ErrSegmentCorrupt
+	// ErrInternal reports a query whose evaluation of some partition
+	// panicked: the query fails, the process goes on serving.
+	ErrInternal = search.ErrInternal
 )
 
 // The request vocabulary — like the result types further down — aliases
@@ -182,6 +185,9 @@ const (
 	// CodeSegmentCorrupt: a posting block failed verification while the
 	// query read it — the index's fault, not the request's.
 	CodeSegmentCorrupt = search.CodeSegmentCorrupt
+	// CodeInternal: evaluating a partition panicked — the serving
+	// process's fault; the query fails and the process serves on.
+	CodeInternal = search.CodeInternal
 
 	// RankCount scores a hit by how many distinct positive query terms
 	// the file contains (coordination ranking, the default).

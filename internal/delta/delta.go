@@ -247,8 +247,12 @@ func (s Stats) String() string {
 // Removal scans every partition rather than only the hash-owning one
 // because unjoined ReplicatedSearch replicas (an unsharded build) follow
 // the pipeline's distribution order, not the FNV split; membership is the
-// only universal owner test, and the batched scan costs one pass per
-// partition regardless of how many files the changeset touches. New blocks
+// only universal owner test. Each partition marks the victims' FileIDs in
+// a bitmap (postings.Mark) and walks its dictionary once: a list wholly
+// outside the marked range is skipped after two comparisons, and any other
+// is scanned once against the marks, so the batch costs the dictionaries
+// plus the postings of the lists the marked range straddles, not
+// victims × lists. New blocks
 // — for added and modified files alike — are routed by shard.ShardFor, the
 // rule a sharded build routes by, so shard sets keep their invariant and
 // replicas stay document-disjoint (the old copy of a modified file is gone

@@ -116,57 +116,127 @@ func FuzzBuild(f *testing.F) {
 	// No blocks, positional.
 	f.Add([]byte{1})
 	f.Fuzz(func(t *testing.T, program []byte) {
-		r := &buildOps{b: program}
-		positional := r.next()&1 == 1
-		b := NewBuilder(positional)
-		model := map[string]*buildModel{}
-		for blocks := 0; r.i < len(r.b) && blocks < 64; blocks++ {
-			kind, id, mask := r.next(), postings.FileID(r.next()%16), r.next()
-			var terms []string
-			for k := 0; k < 8; k++ {
-				if mask&(1<<k) != 0 {
-					terms = append(terms, fmt.Sprintf("t%d", k))
-				}
+		b, model, positional := runBuild(program)
+		checkBuild(t, b.Index(), model, positional)
+		// The builder is empty again and keeps its kind.
+		checkBuild(t, b.Index(), map[string]*buildModel{}, positional)
+	})
+}
+
+// runBuild feeds a Builder the blocks of a FuzzBuild program and returns
+// it, unbuilt, with the model of what it must build and the index's kind.
+func runBuild(program []byte) (*Builder, map[string]*buildModel, bool) {
+	r := &buildOps{b: program}
+	positional := r.next()&1 == 1
+	b := NewBuilder(positional)
+	model := map[string]*buildModel{}
+	for blocks := 0; r.i < len(r.b) && blocks < 64; blocks++ {
+		kind, id, mask := r.next(), postings.FileID(r.next()%16), r.next()
+		var terms []string
+		for k := 0; k < 8; k++ {
+			if mask&(1<<k) != 0 {
+				terms = append(terms, fmt.Sprintf("t%d", k))
 			}
-			if kind&1 == 1 {
-				positional = true
-				runs := make([][]uint32, len(terms))
-				for i := range terms {
-					for n := r.next() % 4; n > 0; n-- {
-						runs[i] = append(runs[i], r.position())
-					}
-				}
-				for i, term := range terms {
-					run := slices.Compact(slices.Sorted(slices.Values(runs[i])))
-					if len(run) == 0 {
-						continue
-					}
-					m := modelOf(model, term)
-					m.runs[id] = slices.Compact(slices.Sorted(slices.Values(append(m.runs[id], run...))))
-					m.sum[id] += uint32(len(run))
-				}
-				b.AddBlockPositional(id, terms, runs)
-				continue
-			}
-			var counts []uint32
-			if kind&2 == 0 {
-				counts = make([]uint32, len(terms))
-				for i := range counts {
-					counts[i] = uint32(r.next() % 4)
+		}
+		if kind&1 == 1 {
+			positional = true
+			runs := make([][]uint32, len(terms))
+			for i := range terms {
+				for n := r.next() % 4; n > 0; n-- {
+					runs[i] = append(runs[i], r.position())
 				}
 			}
 			for i, term := range terms {
+				run := slices.Compact(slices.Sorted(slices.Values(runs[i])))
+				if len(run) == 0 {
+					continue
+				}
 				m := modelOf(model, term)
-				m.positional = false
-				m.sum[id] += max(1, countAt(counts, i))
+				m.runs[id] = slices.Compact(slices.Sorted(slices.Values(append(m.runs[id], run...))))
+				m.sum[id] += uint32(len(run))
 			}
-			b.AddBlock(id, terms, counts)
+			b.AddBlockPositional(id, terms, runs)
+			continue
+		}
+		var counts []uint32
+		if kind&2 == 0 {
+			counts = make([]uint32, len(terms))
+			for i := range counts {
+				counts[i] = uint32(r.next() % 4)
+			}
+		}
+		for i, term := range terms {
+			m := modelOf(model, term)
+			m.positional = false
+			m.sum[id] += max(1, countAt(counts, i))
+		}
+		b.AddBlock(id, terms, counts)
+	}
+	return b, model, positional
+}
+
+// FuzzRemoveFiles builds an index from a FuzzBuild program, removes a
+// victim set in one RemoveFiles, and holds the index to the build's model
+// less the victims: every surviving list with its frequencies and runs,
+// no emptied term, NumPostings and the returned count — and every list
+// that held no victim is the same *postings.List as before the removal.
+//
+// Each victim byte below 240 names file ID byte mod 24, so files 16 to 23
+// are past the largest posting and held by no list; a byte b of 240 or
+// more names file (b-240) << 12, far past it.
+func FuzzRemoveFiles(f *testing.F) {
+	build := []byte{1, 1, 0, 0b11, 2, 0, 1, 1, 1, 1, 0b10, 1, 4, 0, 2, 0b110, 3, 1, 3, 0, 1, 5, 0b1000, 2}
+	// The first file; two adjacent files; a file no list holds and two
+	// past the largest posting; every file; no victims.
+	f.Add(build, []byte{0})
+	f.Add(build, []byte{1, 2})
+	f.Add(build, []byte{3, 20, 250})
+	f.Add(build, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add(build, []byte{})
+	// Both kinds of block on one term, victims in any order and repeated.
+	f.Add([]byte{0, 0, 3, 0b11, 2, 0, 1, 5, 0b10, 1, 2, 3, 0b1, 0b10, 0, 0b1}, []byte{5, 3, 5, 241})
+	f.Fuzz(func(t *testing.T, program, victimBytes []byte) {
+		b, model, positional := runBuild(program)
+		ix := b.Index()
+		victims := make([]postings.FileID, len(victimBytes))
+		isVictim := map[postings.FileID]bool{}
+		for i, v := range victimBytes {
+			victims[i] = postings.FileID(v % 24)
+			if v >= 240 {
+				victims[i] = postings.FileID(v-240) << 12
+			}
+			isVictim[victims[i]] = true
+		}
+		before := map[string]*postings.List{}
+		want := map[string]*buildModel{}
+		removedWant := 0
+		for term, m := range model {
+			before[term] = ix.Lookup(term)
+			kept := &buildModel{runs: map[postings.FileID][]uint32{}, sum: map[postings.FileID]uint32{}, positional: m.positional}
+			for id, sum := range m.sum {
+				if isVictim[id] {
+					removedWant++
+					continue
+				}
+				kept.sum[id] = sum
+				if run, ok := m.runs[id]; ok {
+					kept.runs[id] = run
+				}
+			}
+			if len(kept.sum) > 0 {
+				want[term] = kept
+			}
 		}
 
-		ix := b.Index()
-		checkBuild(t, ix, model, positional)
-		// The builder is empty again and keeps its kind.
-		checkBuild(t, b.Index(), map[string]*buildModel{}, positional)
+		if got := ix.RemoveFiles(postings.FromIDs(victims)); got != removedWant {
+			t.Fatalf("RemoveFiles removed %d postings, model %d", got, removedWant)
+		}
+		checkIndex(t, ix, want, positional)
+		for term, m := range model {
+			if w := want[term]; w != nil && len(w.sum) == len(m.sum) && ix.Lookup(term) != before[term] {
+				t.Fatalf("%q held no victim, yet its list was replaced", term)
+			}
+		}
 	})
 }
 
@@ -190,6 +260,26 @@ func countAt(counts []uint32, i int) uint32 {
 // API, and every list's columns have no spare capacity.
 func checkBuild(t *testing.T, ix *Index, model map[string]*buildModel, positional bool) {
 	t.Helper()
+	checkIndex(t, ix, model, positional)
+	for term := range model {
+		l := ix.Lookup(term)
+		size := l.Len()
+		if l.HasPositions() || l.HasCounts() {
+			size += l.Len()
+		}
+		for i := range l.Len() {
+			size += len(l.PositionsAt(i))
+		}
+		if got := l.HeapBytes(); got != 4*int64(size) {
+			t.Fatalf("%q: HeapBytes %d, want %d: the columns have spare capacity", term, got, 4*size)
+		}
+	}
+}
+
+// checkIndex fails t unless ix holds exactly the model, through the read
+// API.
+func checkIndex(t *testing.T, ix *Index, model map[string]*buildModel, positional bool) {
+	t.Helper()
 	if ix.Positional() != positional {
 		t.Fatalf("Positional = %v, want %v", ix.Positional(), positional)
 	}
@@ -207,24 +297,15 @@ func checkBuild(t *testing.T, ix *Index, model map[string]*buildModel, positiona
 		if l.HasPositions() != m.positional {
 			t.Fatalf("%q: HasPositions %v, model %v", term, l.HasPositions(), m.positional)
 		}
-		size := l.Len()
-		if l.HasPositions() || l.HasCounts() {
-			size += l.Len()
-		}
 		for i, id := range ids {
 			if got := l.CountAt(i); got != m.count(id) {
 				t.Fatalf("%q: file %d frequency %d, model %d", term, id, got, m.count(id))
 			}
 			if m.positional {
-				run := l.PositionsAt(i)
-				if !slices.Equal(run, m.runs[id]) {
+				if run := l.PositionsAt(i); !slices.Equal(run, m.runs[id]) {
 					t.Fatalf("%q: file %d run %v, model %v", term, id, run, m.runs[id])
 				}
-				size += len(run)
 			}
-		}
-		if got := l.HeapBytes(); got != 4*int64(size) {
-			t.Fatalf("%q: HeapBytes %d, want %d: the columns have spare capacity", term, got, 4*size)
 		}
 	}
 	if ix.NumTerms() != len(model) || ix.NumPostings() != postingsWant {

@@ -12,28 +12,31 @@ import (
 
 // RemoveFiles deletes every posting of every file in victims and returns
 // the number of postings removed. Terms whose posting lists become empty
-// are dropped from the index.
+// are dropped from the index; every other list is edited in place, and a
+// list that holds no victim is left as it is.
 //
-// The inverted mapping makes removal a full scan (the index has no
-// file → terms direction); that is the structural price of the paper's
-// design and the reason desktop search tools batch deletions. One scan
-// over the term map handles the whole batch, which is how the incremental
-// update path (internal/delta) amortizes the full-scan price of removal
-// across a changeset; it is also why removing files absent from this
-// index — routine when a catalog's partitions are scanned in parallel and
-// only one owns the file — costs only the scan.
+// The index has no file → terms direction, so removal walks the whole
+// dictionary once per batch, against one bitmap of the victims' IDs
+// (postings.Mark, the batch's one allocation). Beyond that walk it costs
+// the postings of the lists whose ID range straddles a victim: each is
+// scanned once against the marks (List.Remove), and a list wholly below
+// or above the victims' range costs two comparisons. Removing files this
+// index does not hold — routine when a catalog's partitions are scanned
+// in parallel and only one owns the file — costs no more than that.
 func (ix *Index) RemoveFiles(victims *postings.List) int {
 	if victims == nil || victims.Len() == 0 {
 		return 0
 	}
+	marks := postings.Mark(victims.IDs()...)
 	defer ix.invalidateSortedOnGrowth(len(ix.terms))
 	removed := 0
 	for term, l := range ix.terms {
-		if !postings.Intersects(l, victims) {
+		n := l.Remove(&marks)
+		if n == 0 {
 			// Most terms in most updates: the list stays as it is.
 			continue
 		}
-		removed += l.Remove(victims)
+		removed += n
 		if l.Len() == 0 {
 			// Deleting during range is defined.
 			delete(ix.terms, term)

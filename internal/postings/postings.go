@@ -563,41 +563,58 @@ func (l *List) Equal(other *List) bool {
 	return true
 }
 
-// Intersects reports whether a and b share a posting. It allocates
-// nothing and stops at the first common ID.
-func Intersects(a, b *List) bool {
-	i, j := 0, 0
-	for i < len(a.ids) && j < len(b.ids) {
-		x, y := a.ids[i], b.ids[j]
-		switch {
-		case x < y:
-			i++
-		case y < x:
-			j++
-		default:
-			return true
-		}
-	}
-	return false
+// Marks is a set of FileIDs held as a bitmap: one bit per ID between its
+// smallest and largest member. A batch removal marks its victims once and
+// every list it edits tests its own IDs against the marks, so the marks
+// are only read after Mark returns and any number of goroutines may share
+// them. The zero Marks is the empty set.
+type Marks struct {
+	words  []uint64 // bit id-lo of words is set for each member id
+	lo, hi FileID   // smallest and largest member; words is nil when empty
 }
 
-// Remove deletes from l, in place, every posting whose ID victims holds,
-// and returns how many it deleted. Survivors keep their frequencies and
-// runs and move down over the gaps a stretch at a time; nothing before the
-// first victim moves, and the columns keep their capacity for the inserts
-// an update follows a removal with. A list left empty is canonical: it
-// keeps no frequency or position storage, whatever it carried.
-func (l *List) Remove(victims *List) int {
+// Mark returns the set of ids, which may come in any order and repeat. Its
+// one allocation is the bitmap: a bit per ID from the smallest to the
+// largest.
+func Mark(ids ...FileID) Marks {
+	if len(ids) == 0 {
+		return Marks{}
+	}
+	m := Marks{lo: slices.Min(ids), hi: slices.Max(ids)}
+	m.words = make([]uint64, (m.hi-m.lo)/64+1)
+	for _, id := range ids {
+		d := id - m.lo
+		m.words[d/64] |= 1 << (d % 64)
+	}
+	return m
+}
+
+// has reports whether id, which must lie in [m.lo, m.hi], is marked.
+func (m *Marks) has(id FileID) bool {
+	d := id - m.lo
+	return m.words[d/64]&(1<<(d%64)) != 0
+}
+
+// Remove deletes from l, in place, every posting whose ID is marked, and
+// returns how many it deleted. A list whose IDs all lie below or above the
+// marked range returns after two comparisons; any other walks its own IDs
+// from the first one in that range, tests each against the marks, and
+// compacts in the same pass: survivors keep their frequencies and runs and
+// move down over the gaps a stretch at a time, nothing before the first
+// marked posting moves, and the columns keep their capacity for the
+// inserts an update follows a removal with. A list left empty is
+// canonical: it keeps no frequency or position storage, whatever it
+// carried.
+func (l *List) Remove(victims *Marks) int {
 	n := len(l.ids)
+	if n == 0 || victims.words == nil || l.ids[0] > victims.hi || l.ids[n-1] < victims.lo {
+		return 0
+	}
 	w, wp := 0, uint32(0) // postings and positions kept so far
 	r := 0                // next posting not yet kept or deleted
 	removed := 0
-	for _, v := range victims.ids {
-		k := Gallop(l.ids, r, v)
-		if k == n {
-			break
-		}
-		if l.ids[k] != v {
+	for k := Gallop(l.ids, 0, victims.lo); k < n && l.ids[k] <= victims.hi; k++ {
+		if !victims.has(l.ids[k]) {
 			continue
 		}
 		if k > r { // adjacent victims leave nothing to move between them
@@ -656,10 +673,16 @@ func (l *List) keep(r, k, w int, wp uint32) (int, uint32) {
 
 // Difference returns the postings in a but not in b (boolean AND NOT),
 // keeping a's frequencies — and, for a positional a, its positions — for
-// the survivors. It is List.Remove on a copy of a: the result owns its
-// columns, and a is left as it was.
+// the survivors. It marks the IDs of b that fall within a's range, so the
+// bitmap never spans more than a does, and runs List.Remove on a copy of
+// a: the result owns its columns, and a is left as it was.
 func Difference(a, b *List) *List {
 	out := a.Clone()
-	out.Remove(b)
+	if n := len(a.ids); n > 0 {
+		in := b.ids[Gallop(b.ids, 0, a.ids[0]):]
+		in = in[:sort.Search(len(in), func(i int) bool { return in[i] > a.ids[n-1] })]
+		marks := Mark(in...)
+		out.Remove(&marks)
+	}
 	return out
 }

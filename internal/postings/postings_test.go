@@ -3,6 +3,7 @@ package postings
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -149,7 +150,8 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-// Property: Intersects/Merge/Difference match set semantics.
+// Property: Merge, Difference and Remove match set semantics, and so do
+// removals at the edges of Remove's range skip.
 func TestBooleanOpsMatchModel(t *testing.T) {
 	if err := quick.Check(func(a, b []uint32) bool {
 		la, lb := fromRaw(a), fromRaw(b)
@@ -161,26 +163,80 @@ func TestBooleanOpsMatchModel(t *testing.T) {
 		for _, id := range lb.IDs() {
 			inB[id] = true
 		}
-		var wantI, wantU, wantD []FileID
+		var wantU []FileID
 		for id := FileID(0); id < 500; id++ {
-			if inA[id] && inB[id] {
-				wantI = append(wantI, id)
-			}
 			if inA[id] || inB[id] {
 				wantU = append(wantU, id)
 			}
-			if inA[id] && !inB[id] {
-				wantD = append(wantD, id)
-			}
 		}
-		eq := func(got *List, want []FileID) bool {
-			return reflect.DeepEqual(got.IDs(), want) || (got.Len() == 0 && len(want) == 0)
-		}
-		return eq(la.Clone().Merge(lb), wantU) && eq(Difference(la, lb), wantD) &&
-			Intersects(la, lb) == (len(wantI) > 0) && Intersects(lb, la) == (len(wantI) > 0)
+		got := la.Clone().Merge(lb)
+		return (reflect.DeepEqual(got.IDs(), wantU) || (got.Len() == 0 && len(wantU) == 0)) &&
+			removeMatches(la.IDs(), lb.IDs())
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+	for _, tc := range []struct {
+		name          string
+		list, victims []FileID
+	}{
+		{"victims wholly below", []FileID{10, 20, 30}, []FileID{0, 5, 9}},
+		{"victims wholly above", []FileID{10, 20, 30}, []FileID{31, 64, 1000}},
+		{"victim equal to the first ID", []FileID{10, 20, 30}, []FileID{3, 10}},
+		{"victim equal to the last ID", []FileID{10, 20, 30}, []FileID{30, 99}},
+		{"victims straddling, none held", []FileID{10, 20, 30}, []FileID{9, 15, 31}},
+		{"one-posting list, hit", []FileID{7}, []FileID{7}},
+		{"one-posting list, missed around", []FileID{7}, []FileID{6, 8}},
+		{"adjacent victims", []FileID{1, 2, 3, 4, 5}, []FileID{4, 2, 3}},
+		{"every posting", []FileID{1, 2, 3}, []FileID{3, 2, 1}},
+		{"top of the ID range", []FileID{0, 0xFFFF_FFFE, 0xFFFF_FFFF}, []FileID{0xFFFF_FFFF}},
+		{"empty victim set", []FileID{10, 20, 30}, nil},
+		{"empty list", nil, []FileID{1}},
+	} {
+		if !removeMatches(tc.list, tc.victims) {
+			t.Errorf("%s: Remove or Difference of %v from %v diverged from the model", tc.name, tc.victims, tc.list)
+		}
+	}
+}
+
+// removeMatches reports whether Remove of victims' marks from a positional
+// list of the strictly ascending ids, and Difference of the same list and
+// victims, both keep exactly the postings outside victims with their runs,
+// and whether Remove counts the postings it deleted. victims may come in
+// any order and repeat.
+func removeMatches(ids, victims []FileID) bool {
+	runOf := func(id FileID) []uint32 { return []uint32{uint32(id) / 2, uint32(id)/2 + 1} }
+	runs := make([][]uint32, len(ids))
+	for i, id := range ids {
+		runs[i] = runOf(id)
+	}
+	l := FromSortedIDPositions(ids, runs)
+	inV := map[FileID]bool{}
+	for _, id := range victims {
+		inV[id] = true
+	}
+	var want []FileID
+	for _, id := range ids {
+		if !inV[id] {
+			want = append(want, id)
+		}
+	}
+	removed := l.Clone()
+	marks := Mark(victims...)
+	n := removed.Remove(&marks)
+	if n != len(ids)-len(want) || l.Len() != len(ids) {
+		return false
+	}
+	for _, got := range []*List{removed, Difference(l, FromIDs(victims))} {
+		if !slices.Equal(got.IDs(), want) {
+			return false
+		}
+		for i, id := range got.IDs() {
+			if !slices.Equal(got.PositionsAt(i), runOf(id)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Property: encode/decode round-trips every list.

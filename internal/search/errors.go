@@ -16,6 +16,10 @@ const (
 	// query read it. The one code that blames the index, not the request:
 	// a replica holding a good copy answers the same query.
 	CodeSegmentCorrupt QueryErrorCode = "segment_corrupt"
+	// CodeInternal: evaluating a partition panicked. Like
+	// CodeSegmentCorrupt it blames the serving process, not the request;
+	// the query fails and the process goes on serving.
+	CodeInternal QueryErrorCode = "internal"
 )
 
 // ErrSegmentCorrupt reports a query that ran over a partition whose
@@ -24,12 +28,17 @@ const (
 // partition and the fault.
 var ErrSegmentCorrupt = errors.New("search: posting data failed verification")
 
+// ErrInternal reports a query whose evaluation of some partition panicked.
+// Errors wrapping it name the partition and the panic's value.
+var ErrInternal = errors.New("search: internal error")
+
 // QueryError is a typed, deterministic query rejection: the same request
 // against the same catalog state fails the same way — on every replica,
-// except for CodeSegmentCorrupt, which is about one replica's files. The
-// engine raises it where it detects the condition. Err is the underlying
-// sentinel (ErrNoPositions, ErrPrefixTooBroad, ErrSegmentCorrupt, possibly
-// wrapped with detail), so errors.Is sees through; Code is the stable name
+// except for CodeSegmentCorrupt, which is about one replica's files, and
+// CodeInternal, which is about one process. The engine raises it where it
+// detects the condition. Err is the underlying sentinel (ErrNoPositions,
+// ErrPrefixTooBroad, ErrSegmentCorrupt, ErrInternal, possibly wrapped with
+// detail), so errors.Is sees through; Code is the stable name
 // transports key status mappings on — internal/server owns the one
 // code→HTTP table.
 type QueryError struct {

@@ -246,26 +246,50 @@ func (e *Engine) corruptedSince(marks []uint64) error {
 // eachPartition calls fn once per partition and returns when every call
 // has: on one goroutine each when the engine is Parallel and has several
 // partitions, otherwise in partition order, stopping once ctx is done.
-// The caller holds e.mu.
-func (e *Engine) eachPartition(ctx context.Context, fn func(i int, ix index.Partition)) {
+// A panic in fn fails the query, not the process: it is recovered where
+// it was raised and returned as a QueryError with CodeInternal, the first
+// in partition order when several partitions panic (the in-order path
+// stops at the first). The caller holds e.mu.
+func (e *Engine) eachPartition(ctx context.Context, fn func(i int, ix index.Partition)) error {
 	if e.Parallel && len(e.indices) > 1 {
+		errs := make([]error, len(e.indices))
 		var wg sync.WaitGroup
 		for i, ix := range e.indices {
 			wg.Add(1)
 			go func(i int, ix index.Partition) {
 				defer wg.Done()
-				fn(i, ix)
+				errs[i] = callPartition(fn, i, ix)
 			}(i, ix)
 		}
 		wg.Wait()
-		return
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	for i, ix := range e.indices {
 		if ctx.Err() != nil {
-			return
+			return nil
 		}
-		fn(i, ix)
+		if err := callPartition(fn, i, ix); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// callPartition calls fn(i, ix) and turns a panic in it into the query's
+// CodeInternal error.
+func callPartition(fn func(i int, ix index.Partition), i int, ix index.Partition) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &QueryError{Code: CodeInternal, Err: fmt.Errorf("%w: partition %d: %v", ErrInternal, i, v)}
+		}
+	}()
+	fn(i, ix)
+	return nil
 }
 
 // expandAll expands q's prefix operators on every partition, under the
@@ -279,9 +303,12 @@ func (e *Engine) expandAll(ctx context.Context, q *Query, maxPrefixTerms int, po
 	}
 	expansions := make([][]*postings.List, len(e.indices))
 	errs := make([]error, len(e.indices))
-	e.eachPartition(ctx, func(i int, ix index.Partition) {
+	err := e.eachPartition(ctx, func(i int, ix index.Partition) {
 		expansions[i], errs[i] = expandPrefixes(ix, q, maxPrefixTerms, positions)
 	})
+	if err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -388,13 +415,16 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		k = req.Limit + req.Offset
 	}
 	parts := make([]partResult, len(e.indices))
-	e.eachPartition(ctx, func(i int, ix index.Partition) {
+	err = e.eachPartition(ctx, func(i int, ix index.Partition) {
 		var exp []*postings.List
 		if expansions != nil {
 			exp = expansions[i]
 		}
 		parts[i] = e.queryOne(ctx, ix, unis[i], req, k, exp, bm)
 	})
+	if err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -444,7 +474,7 @@ func (e *Engine) snippetPage(ctx context.Context, q *Query, expansions [][]*post
 	for i := range page {
 		groups[owners[i]] = append(groups[owners[i]], &page[i])
 	}
-	e.eachPartition(ctx, func(i int, ix index.Partition) {
+	err := e.eachPartition(ctx, func(i int, ix index.Partition) {
 		if len(groups[i]) == 0 {
 			return
 		}
@@ -454,6 +484,9 @@ func (e *Engine) snippetPage(ctx context.Context, q *Query, expansions [][]*post
 		}
 		buildSnippets(ix, q, exp, groups[i])
 	})
+	if err != nil {
+		return err
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}

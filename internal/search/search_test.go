@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sort"
 	"testing"
@@ -218,6 +219,50 @@ func TestSequentialEqualsParallel(t *testing.T) {
 		b, _ := searchString(seq, q)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%q: parallel and sequential disagree", q)
+		}
+	}
+}
+
+// panicky is a partition whose every read of the term "boom" panics.
+type panicky struct{ *index.Index }
+
+func (p panicky) boom(term string) {
+	if term == "boom" {
+		panic("read of boom")
+	}
+}
+
+func (p panicky) Lookup(term string) *postings.List { p.boom(term); return p.Index.Lookup(term) }
+func (p panicky) Counts(term string) *postings.List { p.boom(term); return p.Index.Counts(term) }
+func (p panicky) Iterator(term string) index.PostingIterator {
+	p.boom(term)
+	return p.Index.Iterator(term)
+}
+
+// TestPartitionPanicFailsOneQuery: a panic while one partition evaluates
+// fails that query with CodeInternal, on the parallel and the in-order
+// path alike, and the engine answers the next query as before.
+func TestPartitionPanicFailsOneQuery(t *testing.T) {
+	files, _, replicas := fixture()
+	want, err := searchString(NewEngine(files, index.Partitions(replicas)...), "cat OR fish")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := index.Partitions(replicas)
+	parts[1] = panicky{replicas[1]}
+	for _, parallel := range []bool{true, false} {
+		e := NewEngine(files, parts...)
+		e.Parallel = parallel
+		for _, q := range []string{"boom", "cat OR boom", "fish -boom"} {
+			_, err := searchString(e, q)
+			var qe *QueryError
+			if !errors.As(err, &qe) || qe.Code != CodeInternal || !errors.Is(err, ErrInternal) {
+				t.Fatalf("parallel=%v %q: error %v, want a QueryError with code %s", parallel, q, err, CodeInternal)
+			}
+		}
+		got, err := searchString(e, "cat OR fish")
+		if err != nil || !reflect.DeepEqual(ids(got), ids(want)) {
+			t.Fatalf("parallel=%v: next query answered %v, %v; want %v", parallel, ids(got), err, ids(want))
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +13,7 @@ import (
 	"testing"
 
 	"desksearch"
+	"desksearch/internal/metrics"
 	"desksearch/internal/vfs"
 )
 
@@ -134,5 +137,58 @@ func TestCorruptSegmentDegradesHealth(t *testing.T) {
 	hz.Corruptions = 0
 	if code := getJSON(t, ts.URL+"/healthz", &hz); code != http.StatusOK || hz.Status != "ok" || hz.Corruptions != 0 {
 		t.Fatalf("/healthz after a full reload: %d %+v, want 200 ok", code, hz)
+	}
+}
+
+// TestInternalErrorIs500: a query whose evaluation panicked — which the
+// engine turns into a QueryError with the internal code — is the node's
+// failure: the front door answers 500 with that code, counts the request
+// under outcome="error", and answers the next request as before.
+func TestInternalErrorIs500(t *testing.T) {
+	reg := metrics.NewRegistry()
+	fd := NewFrontDoor(Backend{
+		Search: func(_ context.Context, q desksearch.Query) (*SearchResponse, error) {
+			if strings.Contains(q.Expr.String(), "boom") {
+				return nil, &desksearch.QueryError{Code: desksearch.CodeInternal,
+					Err: fmt.Errorf("%w: partition 1: read of boom", desksearch.ErrInternal)}
+			}
+			return &SearchResponse{}, nil
+		},
+		ErrorStatus: nodeErrorStatus,
+	}, 0, 0, reg)
+	mux := http.NewServeMux()
+	fd.Register(mux)
+	mux.Handle("GET /metrics", reg.Handler())
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	get := func(q string) (int, errorResponse) {
+		resp, err := http.Get(ts.URL + "/search?q=" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er errorResponse
+		if resp.StatusCode != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, er
+	}
+	if code, er := get("boom"); code != http.StatusInternalServerError || er.Code != string(desksearch.CodeInternal) {
+		t.Fatalf("panicked query: status %d, code %q; want 500, %q", code, er.Code, desksearch.CodeInternal)
+	}
+	if code, _ := get("alpha"); code != http.StatusOK {
+		t.Fatalf("next query: status %d", code)
+	}
+	after := scrape(t, ts.URL)
+	for series, want := range map[string]float64{
+		`ds_requests_total{endpoint="search",outcome="error"}`: 1,
+		`ds_requests_total{endpoint="search",outcome="ok"}`:    1,
+	} {
+		if after[series] != want {
+			t.Errorf("%s = %v, want %v", series, after[series], want)
+		}
 	}
 }

@@ -300,15 +300,16 @@ func writeQueryError(w http.ResponseWriter, err error, timeout time.Duration, cl
 // endpoints, and the one table from query-error code to status. An
 // evaluation error that is not a timeout is deterministic — a replica
 // would fail the same way — and maps to 400, with typed query errors
-// contributing their stable code; the exception is segment_corrupt, which
-// is this node's files failing verification: a 500, so a broker fails
-// over to a replica instead of passing a rejection through.
+// contributing their stable code; the exceptions are segment_corrupt,
+// which is this node's files failing verification, and internal, a panic
+// this node recovered from: a 500, so a broker fails over to a replica
+// instead of passing a rejection through.
 func nodeErrorStatus(err error) (status int, msg, code string) {
 	status = http.StatusBadRequest
 	var qe *desksearch.QueryError
 	if errors.As(err, &qe) {
 		code = string(qe.Code)
-		if qe.Code == desksearch.CodeSegmentCorrupt {
+		if qe.Code == desksearch.CodeSegmentCorrupt || qe.Code == desksearch.CodeInternal {
 			status = http.StatusInternalServerError
 		}
 	}

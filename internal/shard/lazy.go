@@ -43,7 +43,10 @@ type LazySet struct {
 // O(postings) again. Integrity instead comes from the segment layout
 // itself: the dictionary region is checksum-verified at open, and every
 // posting block is checked against its dictionary checksum on every read
-// the cache does not serve.
+// the cache does not serve. What ties a segment to the manifest is one
+// O(1) check per segment: a segment whose doc-ID set holds a FileID past
+// the manifest's file table — a segment saved after its manifest — is
+// refused at open, naming the segment and the ID.
 func OpenDir(dir string, cacheBytes int64) (*LazySet, error) {
 	return OpenDirShards(dir, cacheBytes, nil)
 }
@@ -86,6 +89,13 @@ func OpenDirShards(dir string, cacheBytes int64, shardIDs []int) (*LazySet, erro
 			return nil, fmt.Errorf("shard: segment %s: %w", m.names[id], err)
 		}
 		s.readers[i] = r
+		// The manifest's segment checksums go unread here, so nothing else
+		// catches a segment newer than its manifest; a file it holds past
+		// the table would panic the first query that resolves its path.
+		if last, ok := r.LastDoc(); ok && int(last) >= m.files.Len() {
+			s.Close()
+			return nil, fmt.Errorf("shard: segment %s: file ID %d is past the manifest's file table (%d files)", m.names[id], last, m.files.Len())
+		}
 	}
 	return s, nil
 }

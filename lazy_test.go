@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -355,6 +357,51 @@ func TestLazyCatalogIsReadOnly(t *testing.T) {
 	}
 	if _, err := cat.Apply(fs, cs); !errors.Is(err, ErrReadOnly) {
 		t.Errorf("Apply = %v, want ErrReadOnly", err)
+	}
+}
+
+// TestOpenDirRefusesSegmentNewerThanManifest: a directory whose manifest
+// predates one of its segments — saved, updated with one added file,
+// saved back, and the old manifest put back — holds a FileID past the
+// manifest's file table. OpenDir refuses it at open, naming the segment
+// and the ID, rather than opening it for a query to panic on; LoadDir
+// refuses it through the manifest's whole-file checksums.
+func TestOpenDirRefusesSegmentNewerThanManifest(t *testing.T) {
+	fs := corpusFS(t, 20)
+	cat, err := IndexFS(fs, ".", Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := cat.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dir, "manifest.dsix")
+	old, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("dir0/added.txt", []byte("quarterly report added")); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := cat.Update(fs, "."); err != nil || st.Added != 1 {
+		t.Fatalf("Update = %+v, %v; want one added file", st, err)
+	}
+	if err := cat.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if lazy, err := OpenDir(dir); err == nil {
+		lazy.Close()
+		t.Fatal("OpenDir opened a segment holding a file past its manifest's table")
+	} else if !strings.Contains(err.Error(), "file ID 20 is past the manifest's file table (20 files)") || !strings.Contains(err.Error(), ".dsix") {
+		t.Fatalf("OpenDir: %v; want the segment and the ID named", err)
+	}
+	if _, err := LoadDir(dir); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("LoadDir: %v; want a checksum mismatch", err)
 	}
 }
 
