@@ -90,7 +90,7 @@ func buildReplicas(b *testing.B, n int) []*index.Index {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return res.Replicas
+	return res.Indexes()
 }
 
 // copyIndexes deep-copies replicas: a join consumes its inputs, and
@@ -142,15 +142,15 @@ func BenchmarkAblationParallelSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	joined := index.JoinAll(copyIndexes(res.Replicas))
+	joined := index.JoinAll(copyIndexes(res.Indexes()))
 
 	vocab := corpus.BuildVocabulary(corpus.PaperSpec().Scale(1.0 / 128))
 	query := search.MustParse(fmt.Sprintf("%s OR %s OR (%s -%s)", vocab[0], vocab[1], vocab[2], vocab[3]))
 
 	singleEngine := search.NewEngine(res.Files, joined)
-	multiSeq := search.NewEngine(res.Files, index.Partitions(res.Replicas)...)
+	multiSeq := search.NewEngine(res.Files, index.Partitions(res.Indexes())...)
 	multiSeq.Parallel = false
-	multiPar := search.NewEngine(res.Files, index.Partitions(res.Replicas)...)
+	multiPar := search.NewEngine(res.Files, index.Partitions(res.Indexes())...)
 
 	// Warm the per-engine universes outside the timed region.
 	engineSearch(b, singleEngine, query)
@@ -234,7 +234,7 @@ func BenchmarkShardedSearch(b *testing.B) {
 	for _, n := range shardCounts {
 		b.Run(fmt.Sprintf("shards-%d", n), func(b *testing.B) {
 			res := buildShards(b, n)
-			eng := search.NewEngine(res.Files, index.Partitions(res.Shards.Shards())...)
+			eng := search.NewEngine(res.Files, index.Partitions(res.Indexes())...)
 			engineSearch(b, eng, query) // warm the per-shard universes
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -253,7 +253,7 @@ func BenchmarkShardedSave(b *testing.B) {
 			dir := b.TempDir()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := shard.SaveDir(dir, res.Shards); err != nil {
+				if err := shard.SaveDir(dir, res.Set); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -268,7 +268,7 @@ func BenchmarkShardedLoad(b *testing.B) {
 		b.Run(fmt.Sprintf("shards-%d", n), func(b *testing.B) {
 			res := buildShards(b, n)
 			dir := b.TempDir()
-			if err := shard.SaveDir(dir, res.Shards); err != nil {
+			if err := shard.SaveDir(dir, res.Set); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()

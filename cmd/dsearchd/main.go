@@ -337,11 +337,11 @@ func checkIndexDir(path string) error {
 
 // rebuildOptions returns the options /reload?mode=full rebuilds cat with:
 // opts, carrying cat's positions and, unless -shards gave a count, its
-// shard count, so a rebuild of a loaded directory has the loaded shape.
+// partition count, so a rebuild of a loaded directory has the loaded shape.
 func rebuildOptions(cat *desksearch.Catalog, opts desksearch.Options) desksearch.Options {
 	opts.Positions = cat.Positional()
 	if opts.Shards == 0 {
-		opts.Shards = cat.Shards()
+		opts.Shards = cat.Indices()
 	}
 	return opts
 }

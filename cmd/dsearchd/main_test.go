@@ -60,8 +60,8 @@ func TestRebuildKeepsLoadedShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rebuilt.Positional() || rebuilt.Shards() != 4 {
-		t.Errorf("rebuild: positional %v, %d shards; want positional, 4 shards", rebuilt.Positional(), rebuilt.Shards())
+	if !rebuilt.Positional() || rebuilt.Indices() != 4 {
+		t.Errorf("rebuild: positional %v, %d shards; want positional, 4 shards", rebuilt.Positional(), rebuilt.Indices())
 	}
 	// An explicit -shards count wins over the loaded one.
 	if got := rebuildOptions(loaded, desksearch.Options{Shards: 2}).Shards; got != 2 {

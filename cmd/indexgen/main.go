@@ -13,9 +13,10 @@
 // and -update re-extracts positionally without restating the flag.
 //
 // -save DIR writes the index into the directory DIR: a checksummed
-// manifest plus one segment file per partition — the N document shards of
-// -shards N, otherwise the build's own indices (one, or the unjoined
-// replicas). An existing regular file at DIR is a usage error.
+// manifest plus one segment file per partition. Every build is
+// partitioned by a hash of each file's ID: into the N document shards of
+// -shards N, otherwise one per replica (-impl nojoin's y, or x when y is
+// 0) or one. An existing regular file at DIR is a usage error.
 //
 // With -update the catalog saved under -save is loaded, diffed against
 // the live tree under -root, patched in place — added, modified, and
@@ -48,7 +49,7 @@ func main() {
 		x       = flag.Int("x", 0, "term-extraction threads (0 = auto)")
 		y       = flag.Int("y", 0, "index-update threads")
 		z       = flag.Int("z", 0, "index-join threads (join only)")
-		shards  = flag.Int("shards", 0, "partition the index into N document shards (0 = off)")
+		shards  = flag.Int("shards", 0, "partition the index into N document shards (0 = one per replica)")
 		formats = flag.Bool("formats", false, "strip HTML/WP markup before indexing")
 		pos     = flag.Bool("positions", false, "record token positions (enables quoted phrase queries; larger index)")
 		save    = flag.String("save", "", "write the built index into this directory (manifest + one segment per partition)")
@@ -112,11 +113,8 @@ func main() {
 	// The fourth value, a shard phase, is always 0: sharding happens inside
 	// extract+update.
 	fGen, eu, join, _, total := cat.Timings()
-	fmt.Printf("indexed %d files: %d terms, %d postings (%d indices, %d skipped)\n",
+	fmt.Printf("indexed %d files: %d terms, %d postings (%d partitions, %d skipped)\n",
 		s.Files, s.Terms, s.Postings, cat.Indices(), s.Skipped)
-	if n := cat.Shards(); n > 0 {
-		fmt.Printf("sharded into %d document partitions\n", n)
-	}
 	fmt.Printf("filename generation: %.3fs   extract+update: %.3fs   join: %.3fs   total: %.3fs\n",
 		fGen, eu, join, total)
 
@@ -165,7 +163,7 @@ func runUpdate(root, saveDir string, opt desksearch.Options) {
 	s := cat.Stats()
 	fmt.Printf("updated %s: +%d added, ~%d modified, -%d deleted files (+%d/-%d postings, %d skipped)\n",
 		saveDir, st.Added, st.Modified, st.Deleted, st.PostingsAdded, st.PostingsRemoved, st.SkippedFiles)
-	fmt.Printf("catalog now: %d files, %d terms, %d postings across %d indices\n",
+	fmt.Printf("catalog now: %d files, %d terms, %d postings across %d partitions\n",
 		s.Files, s.Terms, s.Postings, cat.Indices())
 	fmt.Printf("rewrote %d/%d segments + manifest\n", dirty, cat.Indices())
 	fmt.Printf("load: %.3fs   update: %.3fs   save: %.3fs\n",

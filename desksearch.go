@@ -54,7 +54,10 @@ type Options struct {
 	// Shards, when positive, partitions the catalog into that many
 	// document shards, searched with parallel fan-out and saved with
 	// SaveDir as a manifest plus one segment file per shard. At most
-	// 65 536, the most segments one index directory holds.
+	// 65 536, the most segments one index directory holds. Zero leaves the
+	// count to the implementation: one per replica for ReplicatedSearch
+	// and Auto, one for the others. Either way a file's shard is a hash of
+	// its ID.
 	Shards int
 	// Positions records each term occurrence's token position in the
 	// index, enabling quoted phrase queries ("annual report") at the cost
@@ -150,8 +153,8 @@ var (
 	// lazily opened catalog that failed verification: the answer would
 	// have been incomplete, so the query fails instead.
 	ErrSegmentCorrupt = search.ErrSegmentCorrupt
-	// ErrInternal reports a query whose evaluation of some partition
-	// panicked: the query fails, the process goes on serving.
+	// ErrInternal reports a request (Query, DocFreqs, Suggest) whose
+	// evaluation panicked: the request fails, the process goes on serving.
 	ErrInternal = search.ErrInternal
 )
 
@@ -185,8 +188,8 @@ const (
 	// CodeSegmentCorrupt: a posting block failed verification while the
 	// query read it — the index's fault, not the request's.
 	CodeSegmentCorrupt = search.CodeSegmentCorrupt
-	// CodeInternal: evaluating a partition panicked — the serving
-	// process's fault; the query fails and the process serves on.
+	// CodeInternal: evaluating the request panicked — the serving
+	// process's fault; the request fails and the process serves on.
 	CodeInternal = search.CodeInternal
 
 	// RankCount scores a hit by how many distinct positive query terms
@@ -372,7 +375,11 @@ type Stats struct {
 	Skipped int
 }
 
-// Catalog is a built index (or replica set) ready to answer queries.
+// Catalog is a built or loaded index, a set of hash-routed document
+// partitions, ready to answer queries. A version 11 directory saved before
+// every build was hash-routed may hold unrouted partitions, one per
+// replica; it loads and serves alike, and for its sake an update removes
+// a file's old postings from every partition, not only the file's own.
 //
 // A catalog is safe for concurrent Query calls, and Query is safe
 // against a concurrent Update/Apply: incremental updates commit under the
@@ -505,8 +512,10 @@ func (c *Catalog) Stats() Stats {
 	return out
 }
 
-// Indices reports how many indices answer queries (1, or the replica or
-// shard count for partitioned catalogs).
+// Indices reports how many partitions answer queries: the shard count of
+// the build (Options.Shards, or the implementation's own count) or of the
+// directory opened, or for a subset catalog (OpenDirShards) the shards it
+// serves.
 func (c *Catalog) Indices() int { return c.engine.Indices() }
 
 // Generation returns the catalog's mutation generation: a counter that
@@ -576,22 +585,6 @@ func (c *Catalog) PartitionBytes() []int64 {
 	return c.engine.ResidentBytes()
 }
 
-// Shards reports how many document shards the catalog holds; 0 for
-// unsharded catalogs. A lazily opened directory is always sharded — its
-// segment count is the answer.
-func (c *Catalog) Shards() int {
-	var n int
-	c.engine.View(func() {
-		switch {
-		case c.lazy != nil:
-			n = c.lazy.Len()
-		case c.result.Shards != nil:
-			n = c.result.Shards.Len()
-		}
-	})
-	return n
-}
-
 // PartitionIDs returns each query partition's global identity, in
 // partition order: for a catalog opened over a shard subset
 // (OpenDirShards) the directory-wide shard numbers, and the identity
@@ -601,17 +594,16 @@ func (c *Catalog) Shards() int {
 // names every shard consistently across workers.
 func (c *Catalog) PartitionIDs() []int { return c.engine.ShardIDs() }
 
-// TotalShards returns the shard count of the directory behind the
-// catalog, which for a subset catalog (OpenDirShards) exceeds Shards —
-// the local count. Whole catalogs report their own shard count (0 when
-// unsharded).
+// TotalShards returns the shard count of the whole catalog, which for a
+// subset catalog (OpenDirShards) exceeds Indices — the local count. Every
+// other catalog reports Indices.
 func (c *Catalog) TotalShards() int {
 	var n int
 	c.engine.View(func() {
 		if c.lazy != nil {
 			n = c.lazy.TotalShards()
-		} else if c.result.Shards != nil {
-			n = c.result.Shards.Len()
+		} else {
+			n = c.result.Set.Len()
 		}
 	})
 	return n
@@ -657,15 +649,14 @@ func (c *Catalog) Positional() bool {
 
 // Timings returns the pipeline phase durations of the build, in seconds:
 // filename generation, extraction+update, join, shard and total. shard is
-// always 0 — a sharded build routes term blocks to their shards inside
+// always 0 — every build routes term blocks to their shards inside
 // extraction+update — and stays in the signature for existing callers.
 func (c *Catalog) Timings() (filenameGen, extractUpdate, join, shard, total float64) {
 	var t core.Timings
 	c.engine.View(func() {
 		t = c.result.Timings
 	})
-	return t.FilenameGen.Seconds(), t.ExtractUpdate.Seconds(), t.Join.Seconds(),
-		t.Shard.Seconds(), t.Total.Seconds()
+	return t.FilenameGen.Seconds(), t.ExtractUpdate.Seconds(), t.Join.Seconds(), 0, t.Total.Seconds()
 }
 
 // TermCount is a term with the number of files containing it.
@@ -702,10 +693,10 @@ func loadedOptions(opts []Options) (Options, core.Config, error) {
 
 // SaveDir writes the catalog under dir — the one persisted form: a
 // checksummed manifest plus one segment file per shard, written in
-// parallel. Catalogs built without Options.Shards are saved with their
-// existing partitions as shards — replicas are document-disjoint, and a
-// single index becomes a one-segment directory — so any catalog is saved
-// this way, and none is ever joined to be saved.
+// parallel. Every catalog's partitions are its shards, whatever
+// Options.Shards was. Saved back to the directory it was last saved to or
+// loaded from, the catalog rewrites only the segments an update dirtied
+// (DirtySegments) plus the manifest.
 func (c *Catalog) SaveDir(dir string) error {
 	// updateMu keeps two saves from staging the same temporary files; the
 	// engine's read lock keeps the indices stable while segments stream
@@ -718,11 +709,7 @@ func (c *Catalog) SaveDir(dir string) error {
 			err = ErrReadOnly
 			return
 		}
-		set := c.result.Shards
-		if set == nil {
-			set = shard.New(c.result.Files, c.result.Indexes())
-		}
-		err = shard.SaveDir(dir, set)
+		err = shard.SaveDir(dir, c.result.Set)
 	})
 	return err
 }
@@ -755,7 +742,7 @@ func LoadDir(dir string, opt ...Options) (*Catalog, error) {
 		Implementation: core.ReplicatedSearch,
 		Config:         cfg,
 		Files:          set.Files(),
-		Shards:         set,
+		Set:            set,
 	}), nil
 }
 
@@ -781,9 +768,9 @@ func OpenDir(dir string, opt ...Options) (*Catalog, error) {
 // mapped, so the worker's startup cost and memory footprint track its
 // share of the corpus, not the whole directory. shardIDs lists global
 // shard numbers; nil or empty opens every shard, identically to OpenDir.
-// Any saved directory opens this way, one saved from pipeline replicas
-// included: each shard answers for the documents it holds, and the
-// worker serving shard 0 also answers for the term-free files.
+// Any saved directory opens this way: each shard answers for the
+// documents it holds, and the worker serving shard 0 also answers for the
+// term-free files.
 //
 // The catalog answers queries exactly as the full directory would for
 // its own documents: merged across a disjoint worker set (and, for BM25,
@@ -878,13 +865,8 @@ func (c *Catalog) applyLocked(fsys vfs.FS, cs *Changeset) (UpdateStats, error) {
 		return UpdateStats{}, nil
 	}
 	plan := delta.Extract(fsys, cs, c.result.Config.Extract, c.updateWorkers())
-	target := delta.Target{
-		Files:      c.result.Files,
-		Partitions: c.result.Indexes(),
-	}
-	if set := c.result.Shards; set != nil {
-		target.OnDirty = set.MarkDirty
-	}
+	set := c.result.Set
+	target := delta.Target{Files: c.result.Files, Partitions: set.Shards(), OnDirty: set.MarkDirty}
 	var st delta.Stats
 	c.engine.Maintain(func() {
 		st = plan.Commit(target)
@@ -903,15 +885,14 @@ func (c *Catalog) updateWorkers() int {
 }
 
 // DirtySegments reports how many segment files the next SaveDir back to
-// the catalog's directory would rewrite. Catalogs never persisted with
-// SaveDir (or not sharded) count every partition as dirty.
+// the catalog's directory would rewrite: the shards updates changed since
+// it was saved or loaded, or every shard of a catalog never persisted. A
+// lazily opened catalog, read-only, reports 0.
 func (c *Catalog) DirtySegments() int {
 	var n int
 	c.engine.View(func() {
-		if set := c.result.Shards; set != nil {
-			n = set.DirtyCount()
-		} else {
-			n = len(c.result.Indexes())
+		if c.lazy == nil {
+			n = c.result.Set.DirtyCount()
 		}
 	})
 	return n

@@ -350,8 +350,8 @@ func TestShardedSearchMatchesSingleIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sharded.Shards() != 4 || sharded.Indices() != 4 {
-		t.Fatalf("Shards = %d, Indices = %d, want 4", sharded.Shards(), sharded.Indices())
+	if sharded.Indices() != 4 || sharded.TotalShards() != 4 {
+		t.Fatalf("Indices = %d, TotalShards = %d, want 4", sharded.Indices(), sharded.TotalShards())
 	}
 	queries := []string{
 		"report", "milk", "quarterly report -draft", "milk OR report",

@@ -6,6 +6,11 @@ import (
 	"math"
 	"sort"
 	"testing"
+
+	"desksearch/internal/index"
+	"desksearch/internal/postings"
+	"desksearch/internal/shard"
+	"desksearch/internal/vfs"
 )
 
 // openSubset opens a shard subset of dir or fails the test.
@@ -52,11 +57,11 @@ func TestOpenDirShardsSubset(t *testing.T) {
 	if got := subB.PartitionIDs(); fmt.Sprint(got) != "[1 3]" {
 		t.Fatalf("subB.PartitionIDs() = %v (ids normalize sorted), want [1 3]", got)
 	}
-	if subA.TotalShards() != 4 || subA.Shards() != 2 {
-		t.Fatalf("subA topology = %d local of %d total, want 2 of 4", subA.Shards(), subA.TotalShards())
+	if subA.TotalShards() != 4 || subA.Indices() != 2 {
+		t.Fatalf("subA topology = %d local of %d total, want 2 of 4", subA.Indices(), subA.TotalShards())
 	}
-	if whole.TotalShards() != 4 || whole.Shards() != 4 {
-		t.Fatalf("whole topology = %d local of %d total, want 4 of 4", whole.Shards(), whole.TotalShards())
+	if whole.TotalShards() != 4 || whole.Indices() != 4 {
+		t.Fatalf("whole topology = %d local of %d total, want 4 of 4", whole.Indices(), whole.TotalShards())
 	}
 	if budget, _, ok := subA.BlockCache(); !ok || budget != 1<<20 {
 		t.Fatalf("subA.BlockCache() = %d, %v; want the configured 1MiB budget", budget, ok)
@@ -225,9 +230,53 @@ func TestGlobalDFShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestOpenDirShardsReplicaSaved: a directory saved from pipeline replicas
-// follows no hash routing, yet opens as disjoint worker subsets, one per
-// segment. Each answers NOT for the documents it holds, and the worker
+// saveUnrouted saves the files under fsys's root as a directory whose n
+// partitions split the files by FileID mod n, not by shard.ShardFor: the
+// shape of a version 11 directory saved from a replicated build before
+// every build was hash-routed, where a replica held whatever files its
+// updater took. It returns the directory and the saved file table.
+func saveUnrouted(t *testing.T, fsys vfs.FS, n int) (string, *index.FileTable) {
+	t.Helper()
+	seq, err := IndexFS(fsys, ".", Options{Implementation: Sequential})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, files := seq.result.Set.Shards()[0], seq.result.Set.Files()
+	parts := make([]*index.Index, n)
+	for i := range parts {
+		parts[i] = index.New(0)
+	}
+	for _, term := range ix.Terms(nil) {
+		l := ix.Lookup(term)
+		ids, counts := make([][]postings.FileID, n), make([][]uint32, n)
+		for j, id := range l.IDs() {
+			i := int(id) % n
+			ids[i] = append(ids[i], id)
+			counts[i] = append(counts[i], l.CountAt(j))
+		}
+		for i := range parts {
+			parts[i].MergeTerm(term, postings.FromSortedIDCounts(ids[i], counts[i]))
+		}
+	}
+	strays := 0
+	for id := 0; id < files.Len(); id++ {
+		if shard.ShardFor(postings.FileID(id), n) != id%n {
+			strays++
+		}
+	}
+	if strays == 0 {
+		t.Fatal("the mod split coincides with shard.ShardFor")
+	}
+	dir := t.TempDir()
+	if err := shard.SaveDir(dir, shard.New(files, parts)); err != nil {
+		t.Fatal(err)
+	}
+	return dir, files
+}
+
+// TestOpenDirShardsReplicaSaved: a directory whose partitions follow no
+// hash routing (saveUnrouted) still opens as disjoint worker subsets, one
+// per segment. Each answers NOT for the documents it holds, and the worker
 // serving shard 0 also for the term-free files, so together the subsets
 // answer every negated query with exactly the whole directory's files and
 // Total, each file once, and the same per-partition match counts.
@@ -239,24 +288,14 @@ func TestOpenDirShardsReplicaSaved(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	built, err := IndexFS(fs, ".", Options{Implementation: ReplicatedSearch, Extractors: 3, Updaters: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if built.Indices() < 3 {
-		t.Fatalf("want >= 3 replicas, got %d", built.Indices())
-	}
-	dir := t.TempDir()
-	if err := built.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	dir, _ := saveUnrouted(t, fs, 3)
 	whole, err := OpenDirShards(dir, nil)
 	if err != nil {
 		t.Fatalf("whole-directory open: %v", err)
 	}
 	defer whole.Close()
 	var subsets []*Catalog
-	for i := 0; i < whole.Shards(); i++ {
+	for i := 0; i < whole.Indices(); i++ {
 		subsets = append(subsets, openSubset(t, dir, []int{i}, Options{}))
 	}
 

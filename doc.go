@@ -52,19 +52,20 @@
 //
 // # Sharded indexes
 //
-// Options.Shards partitions the catalog into document shards: every
-// posting of a given file lives in exactly one shard, chosen by an FNV-1
-// hash of its FileID. The shards are Stage 3's sinks: every term block is
-// routed to its file's shard as it leaves Stage 2, under every implementation,
-// so a sharded build pays no join or redistribution pass. Queries fan
-// out with one goroutine per shard and merge the per-shard ranked hits, so
-// a sharded catalog answers exactly like the equivalent single index.
+// Every catalog is partitioned into document shards: every posting of a
+// given file lives in exactly one shard, chosen by an FNV-1 hash of its
+// FileID. Options.Shards sets their number; left at 0, ReplicatedSearch
+// (and Auto) has one per replica and the other designs one. The shards
+// are Stage 3's sinks: every term block is routed to its file's shard as
+// it leaves Stage 2, under every implementation, so no build pays a
+// redistribution pass. Queries fan out with one goroutine per shard and
+// merge the per-shard ranked hits, so a sharded catalog answers exactly
+// like the equivalent single index.
 //
 // # Persistence
 //
 // Catalog.SaveDir is the one way a catalog is persisted: a directory of
-// DSIX version 11 files, a manifest plus one segment file per partition —
-// the shards, or for an unsharded catalog its own indices, unjoined —
+// DSIX version 11 files, a manifest plus one segment file per shard,
 // written and reloaded in parallel. Every byte is covered by a CRC-32C
 // checksum, verified before it is parsed. LoadDir materializes a directory on
 // the heap (the form that accepts Update); OpenDir and OpenDirShards serve

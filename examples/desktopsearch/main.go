@@ -88,7 +88,7 @@ func main() {
 	}
 
 	// Persist and reload, as a desktop tool does between sessions. The
-	// unjoined replicas are saved as they are, one segment each.
+	// unjoined replicas are hash-routed shards, saved one segment each.
 	idxDir := filepath.Join(dir, "desksearch.idx")
 	if err := keep.SaveDir(idxDir); err != nil {
 		log.Fatal(err)

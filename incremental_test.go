@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"desksearch/internal/postings"
+	"desksearch/internal/shard"
 	"desksearch/internal/vfs"
 )
 
@@ -361,6 +362,117 @@ func TestSaveDirUpdateRoundTrip(t *testing.T) {
 			t.Errorf("%q: reloaded %v, rebuild %v", q, got, want)
 		}
 	}
+}
+
+// TestUnshardedSaveDirIsIncremental: a catalog built without
+// Options.Shards is hash-routed like any other, so saving it back after a
+// one-file update rewrites that file's segment and the manifest alone, and
+// every other segment file keeps its bytes.
+func TestUnshardedSaveDirIsIncremental(t *testing.T) {
+	fs := demoFS(t)
+	cat, err := IndexFS(fs, ".", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cat.Indices() < 2 {
+		t.Fatalf("Auto built %d partitions, want one per replica, at least 2", cat.Indices())
+	}
+	dir := t.TempDir()
+	if err := cat.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := cat.DirtySegments(); got != 0 {
+		t.Fatalf("after a save, %d segments dirty", got)
+	}
+	before := segmentState(t, dir)
+
+	if err := fs.WriteFile("misc/recipe.txt", []byte("pancakes with oat milk and flour")); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := cat.Update(fs, "."); err != nil || st.Modified != 1 {
+		t.Fatalf("Update = %+v, %v; want one modified file", st, err)
+	}
+	if got := cat.DirtySegments(); got != 1 {
+		t.Fatalf("one-file modify dirtied %d segments, want 1", got)
+	}
+	if err := cat.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	var changed []string
+	for name, sum := range segmentState(t, dir) {
+		if before[name] != sum {
+			changed = append(changed, name)
+		}
+	}
+	sort.Strings(changed)
+	if len(changed) != 2 || changed[0] != "manifest.dsix" {
+		t.Errorf("changed files = %v, want the manifest and one segment", changed)
+	}
+}
+
+// TestUnroutedDirUpdateMatchesRebuild: in a directory whose partitions
+// follow no hash routing (saveUnrouted), a file's postings may sit outside
+// the partition shard.ShardFor routes it to. Update must still drop them
+// wherever they are: a modify moves the file's postings to that partition,
+// dirtying both segments, a delete leaves no trace, and the catalog, and
+// the directory saved back and reloaded, answer like a rebuild.
+func TestUnroutedDirUpdateMatchesRebuild(t *testing.T) {
+	const n = 3
+	fs := corpusFS(t, 60)
+	dir, files := saveUnrouted(t, fs, n)
+	cat, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var strays []postings.FileID
+	for id := postings.FileID(0); int(id) < files.Len() && len(strays) < 2; id++ {
+		if shard.ShardFor(id, n) != int(id)%n {
+			strays = append(strays, id)
+		}
+	}
+	if len(strays) < 2 {
+		t.Fatalf("only %d files outside their routed partition", len(strays))
+	}
+	modified, deleted := strays[0], strays[1]
+	if err := fs.WriteFile(files.Path(modified), []byte("zebra crossing")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Remove(files.Path(deleted)); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := cat.Update(fs, "."); err != nil || st.Modified != 1 || st.Deleted != 1 {
+		t.Fatalf("Update = %+v, %v; want one modified and one deleted file", st, err)
+	}
+	dirty := map[int]bool{int(modified) % n: true, shard.ShardFor(modified, n): true, int(deleted) % n: true}
+	if got := cat.DirtySegments(); got != len(dirty) {
+		t.Fatalf("DirtySegments() = %d, want %d: the partitions that held the two files and the modified file's owner", got, len(dirty))
+	}
+
+	rebuilt, err := IndexFS(fs, ".", Options{Shards: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{"zebra", "-report", "annual report", "flour OR -milk", "-(quarterly budget)"}
+	for _, w := range []string{"report", "quarterly", "draft", "milk", "flour", "budget", "search", "thread"} {
+		queries = append(queries, w)
+	}
+	check := func(label string, got *Catalog) {
+		t.Helper()
+		for _, q := range queries {
+			if g, w := resultSet(t, got, q), resultSet(t, rebuilt, q); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s %q:\nupdated %v\nrebuild %v", label, q, g, w)
+			}
+		}
+	}
+	check("updated", cat)
+	if err := cat.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("saved and reloaded", reloaded)
 }
 
 // TestConcurrentSearchAndCatalogUpdate races queries against incremental

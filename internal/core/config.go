@@ -15,6 +15,12 @@
 // With y = 0 the extractors update the index themselves (no separate
 // updater stage); with y ≥ 1 extractors pass term blocks to updaters
 // through a bounded buffer.
+//
+// Every run yields one kind of output, a shard.Set: each term block goes
+// to the shard.ShardFor partition of its file as it leaves Stage 2, so a
+// routing rule, not the history of the build, says which partition holds
+// a document. The design decides how many partitions there are and who
+// inserts into them; Implementation 3's replicas are its partitions.
 package core
 
 import (
@@ -74,18 +80,22 @@ type Config struct {
 	// Joiners is z: the number of goroutines merging replica indices at
 	// the end (ReplicatedJoin only). Zero or one joins single-threaded.
 	Joiners int
-	// Buffer is the capacity of the term-block channel between extractors
-	// and updaters (split across the per-updater channels of a sharded
-	// replicated run). Zero selects 8 blocks per extractor.
+	// Buffer is the capacity of each term-block buffer between extractors
+	// and updaters: the one channel SharedIndex's updaters share, or every
+	// one of the replicated designs' per-updater lanes. A lane feeds one
+	// owner, so a burst routed to it must fit there or stall every
+	// extractor while the other owners idle. Zero selects 32 blocks per
+	// extractor.
 	Buffer int
-	// Shards, when positive, makes that many document shards the sinks of
-	// Stage 3 (a shard.Set in Result.Shards) instead of a single index or
-	// replica slice: every term block goes to the shard.ShardFor shard of
-	// its file as it leaves Stage 2, under every implementation, so no
-	// join or redistribution pass follows. The implementation still
-	// decides who inserts — Sequential's one thread, lock-striped shards
-	// for SharedIndex and for extractors updating directly, one owning
-	// updater per shard for the replicated designs.
+	// Shards, when positive, is the number of partitions in Result.Set,
+	// under every implementation, with no join. Zero leaves the count to
+	// the design: one per replica for ReplicatedSearch (Replicas), the
+	// replicas joined into one for ReplicatedJoin, and one for Sequential
+	// and SharedIndex. Either way every term block goes to the
+	// shard.ShardFor partition of its file as it leaves Stage 2, and the
+	// implementation decides who inserts — lock-striped partitions for
+	// SharedIndex and for several extractors updating directly, one owner
+	// per partition otherwise.
 	Shards int
 	// Extract configures term extraction.
 	Extract extract.Options
@@ -139,7 +149,7 @@ func (c Config) normalized() Config {
 		c.Joiners = 0
 	}
 	if c.Buffer <= 0 {
-		c.Buffer = 8 * c.Extractors
+		c.Buffer = 32 * c.Extractors
 	}
 	return c
 }
@@ -163,9 +173,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Replicas returns the number of replica indices the configuration builds:
-// one per updater, or one per extractor when updaters are absent. The
-// SharedIndex and Sequential designs always have exactly one.
+// Replicas returns the number of replica indices the configuration builds
+// when Shards is zero: one per updater, or one per extractor when updaters
+// are absent. The SharedIndex and Sequential designs always have exactly
+// one.
 func (c Config) Replicas() int {
 	c = c.normalized()
 	switch c.Implementation {

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -34,7 +39,8 @@ func corpusFS(t *testing.T) *vfs.MemFS {
 	return testCorpusFS
 }
 
-// reference builds the ground-truth index sequentially.
+// reference builds the ground-truth run sequentially; its one partition is
+// the whole index.
 func reference(t *testing.T) *Result {
 	t.Helper()
 	res, err := Run(corpusFS(t), ".", Config{Implementation: Sequential})
@@ -117,15 +123,19 @@ func TestDefaultConfigs(t *testing.T) {
 	}
 }
 
+// joined returns the run's partitions joined into one index. It consumes
+// them.
+func joined(res *Result) *index.Index { return index.JoinAll(res.Indexes()) }
+
 func TestSequentialRun(t *testing.T) {
 	res := reference(t)
-	if res.Index == nil {
-		t.Fatal("sequential run produced no index")
+	if res.Set.Len() != 1 {
+		t.Fatalf("sequential run produced %d partitions, want 1", res.Set.Len())
 	}
 	if res.Files.Len() != 120 {
 		t.Errorf("file table has %d entries", res.Files.Len())
 	}
-	if res.Index.NumTerms() == 0 || res.Index.NumPostings() == 0 {
+	if ix := res.Indexes()[0]; ix.NumTerms() == 0 || ix.NumPostings() == 0 {
 		t.Error("index is empty")
 	}
 	if len(res.SkippedFiles) != 0 {
@@ -138,9 +148,9 @@ func TestSequentialRun(t *testing.T) {
 
 // TestAllImplementationsAgree is the central correctness property: every
 // implementation, under many thread configurations, produces exactly the
-// reference index (after joining replicas where needed).
+// reference index (after joining partitions where needed).
 func TestAllImplementationsAgree(t *testing.T) {
-	want := reference(t).Index
+	want := joined(reference(t))
 	configs := []Config{
 		{Implementation: SharedIndex, Extractors: 1},
 		{Implementation: SharedIndex, Extractors: 4},
@@ -160,12 +170,7 @@ func TestAllImplementationsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v %s: %v", cfg.Implementation, cfg.Tuple(), err)
 		}
-		got := res.Index
-		if got == nil {
-			// ReplicatedSearch: join a copy for comparison.
-			got = index.JoinAll(res.Replicas)
-		}
-		if !got.Equal(want) {
+		if !joined(res).Equal(want) {
 			t.Errorf("%v %s: index differs from sequential reference",
 				cfg.Implementation, cfg.Tuple())
 		}
@@ -179,7 +184,7 @@ func TestAllImplementationsAgree(t *testing.T) {
 // configurations (implementation, thread counts, buffer size) and checks
 // every run produces the reference index.
 func TestRandomConfigsAgreeWithReference(t *testing.T) {
-	want := reference(t).Index
+	want := joined(reference(t))
 	if err := quick.Check(func(implRaw, x, y, z, buf uint8) bool {
 		impls := []Implementation{SharedIndex, ReplicatedJoin, ReplicatedSearch}
 		cfg := Config{
@@ -193,11 +198,7 @@ func TestRandomConfigsAgreeWithReference(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := res.Index
-		if got == nil {
-			got = index.JoinAll(res.Replicas)
-		}
-		return got.Equal(want) && len(res.SkippedFiles) == 0
+		return joined(res).Equal(want) && len(res.SkippedFiles) == 0
 	}, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
@@ -208,14 +209,11 @@ func TestReplicatedSearchKeepsReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Index != nil {
+	if res.Timings.Join != 0 {
 		t.Error("ReplicatedSearch should not join")
 	}
-	if len(res.Replicas) != 3 {
-		t.Errorf("got %d replicas, want 3", len(res.Replicas))
-	}
-	if len(res.Indexes()) != 3 {
-		t.Errorf("Indexes() = %d", len(res.Indexes()))
+	if res.Set.Len() != 3 {
+		t.Errorf("got %d partitions, want one per replica, 3", res.Set.Len())
 	}
 	var postings int64
 	for _, ix := range res.Indexes() {
@@ -231,8 +229,8 @@ func TestReplicatedSearchSingleReplicaIsIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Index == nil || len(res.Replicas) != 0 {
-		t.Error("single-replica run should surface Index directly")
+	if res.Set.Len() != 1 {
+		t.Errorf("single-replica run yielded %d partitions, want 1", res.Set.Len())
 	}
 }
 
@@ -244,8 +242,8 @@ func TestReplicatedJoinTimesJoinPhase(t *testing.T) {
 	if res.Timings.Join <= 0 {
 		t.Errorf("join phase not timed: %+v", res.Timings)
 	}
-	if res.Index == nil {
-		t.Error("join produced no index")
+	if res.Set.Len() != 1 {
+		t.Errorf("join yielded %d partitions, want 1", res.Set.Len())
 	}
 }
 
@@ -276,7 +274,7 @@ func TestSkippedFilesAreReportedNotFatal(t *testing.T) {
 		t.Errorf("skip record = %+v", res.SkippedFiles[0])
 	}
 	// The rest of the corpus must still be indexed.
-	if res.Index.NumPostings() == 0 {
+	if res.Indexes()[0].NumPostings() == 0 {
 		t.Error("index empty after one skipped file")
 	}
 }
@@ -332,14 +330,42 @@ func TestMeasureStagesMissingRoot(t *testing.T) {
 	}
 }
 
-// TestShardedRunsAgreeWithReference checks Config.Shards across every
-// implementation, thread tuple and shard count: whichever goroutines
-// inserted — one thread, extractors into locked shards, or owning updaters
-// behind lanes — shard i must equal shard i of shard.Distribute applied to
-// the unsharded reference (so the saved bytes cannot depend on the build
-// path), hold only postings ShardFor routes to it, and cost no shard phase.
+// routedReference filters the reference index into n partitions posting
+// by posting: partition i keeps exactly the postings of the files
+// shard.ShardFor routes to i, with their frequencies.
+func routedReference(t *testing.T, ref *index.Index, n int) []*index.Index {
+	t.Helper()
+	if ref.Positional() {
+		t.Fatal("routedReference copies frequencies only")
+	}
+	parts := make([]*index.Index, n)
+	for i := range parts {
+		parts[i] = index.New(0)
+	}
+	for _, term := range ref.Terms(nil) {
+		l := ref.Lookup(term)
+		ids, counts := make([][]postings.FileID, n), make([][]uint32, n)
+		for j, id := range l.IDs() {
+			i := shard.ShardFor(id, n)
+			ids[i] = append(ids[i], id)
+			counts[i] = append(counts[i], l.CountAt(j))
+		}
+		for i := range parts {
+			parts[i].MergeTerm(term, postings.FromSortedIDCounts(ids[i], counts[i]))
+		}
+	}
+	return parts
+}
+
+// TestShardedRunsAgreeWithReference checks every run's output across
+// implementation, thread tuple and Config.Shards, 0 included: whichever
+// goroutines inserted — one thread, extractors into locked partitions, or
+// owning updaters behind lanes — the set has Config.Shards partitions, or
+// when that is 0 one per replica for ReplicatedSearch and one otherwise,
+// and partition i equals the reference's postings that shard.ShardFor
+// routes to i (so the saved bytes cannot depend on the build path).
 func TestShardedRunsAgreeWithReference(t *testing.T) {
-	ref := reference(t)
+	ref := joined(reference(t))
 	fs := failingFS{FS: corpusFS(t), failPath: "large-0.txt"}
 	tuples := []Config{
 		{Implementation: Sequential},
@@ -354,48 +380,45 @@ func TestShardedRunsAgreeWithReference(t *testing.T) {
 		{Implementation: ReplicatedSearch, Extractors: 4, Updaters: 3, Buffer: 2},
 		{Implementation: ReplicatedSearch, Extractors: 2, Updaters: 5},
 	}
-	for _, n := range []int{1, 4, 8} {
-		want := shard.Distribute(ref.Files, []*index.Index{ref.Index}, n).Shards()
+	wants := map[int][]*index.Index{}
+	for _, n := range []int{0, 1, 4, 8} {
 		for _, cfg := range tuples {
 			cfg.Shards = n
 			name := fmt.Sprintf("%v %s shards=%d", cfg.Implementation, cfg.Tuple(), n)
+			parts := n
+			if n == 0 {
+				parts = 1
+				if cfg.Implementation == ReplicatedSearch {
+					parts = cfg.Updaters
+					if parts == 0 {
+						parts = cfg.Extractors
+					}
+				}
+			}
+			if wants[parts] == nil {
+				wants[parts] = routedReference(t, ref, parts)
+			}
 			res, err := Run(corpusFS(t), ".", cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if res.Shards == nil || res.Shards.Len() != n {
-				t.Fatalf("%s: Shards = %v", name, res.Shards)
+			if res.Set.Len() != parts {
+				t.Fatalf("%s: %d partitions, want %d", name, res.Set.Len(), parts)
 			}
-			if res.Index != nil || res.Replicas != nil {
-				t.Errorf("%s: Index and Replicas should be nil on sharded runs", name)
-			}
-			if got := len(res.Indexes()); got != n {
-				t.Errorf("%s: Indexes() returned %d", name, got)
-			}
-			if res.Timings.Shard != 0 || res.Timings.Join != 0 {
-				t.Errorf("%s: sharded run timed a shard or join phase: %+v", name, res.Timings)
+			if n > 0 && res.Timings.Join != 0 {
+				t.Errorf("%s: sharded run timed a join phase: %+v", name, res.Timings)
 			}
 			if len(res.SkippedFiles) != 0 {
 				t.Errorf("%s: skipped %d files", name, len(res.SkippedFiles))
 			}
-			for i, got := range res.Shards.Shards() {
-				if !got.Equal(want[i]) {
-					t.Errorf("%s: shard %d differs from Distribute of the reference", name, i)
+			for i, got := range res.Indexes() {
+				if !got.Equal(wants[parts][i]) {
+					t.Errorf("%s: partition %d differs from the reference postings ShardFor routes to it", name, i)
 				}
-				got.Range(func(term string, l *postings.List) bool {
-					for _, id := range l.IDs() {
-						if shard.ShardFor(id, n) != i {
-							t.Errorf("%s: shard %d holds %q for file %d, which routes to shard %d",
-								name, i, term, id, shard.ShardFor(id, n))
-							return false
-						}
-					}
-					return true
-				})
 			}
 
 			// An unreadable file is reported, not fatal, on every path.
-			if n != 4 {
+			if n != 0 && n != 4 {
 				continue
 			}
 			res, err = Run(fs, ".", cfg)
@@ -430,26 +453,69 @@ func TestConfigValidateBoundsShards(t *testing.T) {
 	}
 }
 
+// readerFS records, for each file read, the goroutine that read it.
+type readerFS struct {
+	vfs.FS
+	mu     sync.Mutex
+	reader map[string]uint64
+}
+
+func (f *readerFS) ReadFile(name string) ([]byte, error) {
+	f.mu.Lock()
+	f.reader[name] = goroutineID()
+	f.mu.Unlock()
+	return f.FS.ReadFile(name)
+}
+
+// goroutineID parses the calling goroutine's ID from the header of its
+// stack trace ("goroutine 7 [running]:").
+func goroutineID() uint64 {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id, err := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
 // TestRoundRobinDealing pins the Stage 1→2 dealing rule: job i goes to
-// extractor i mod x. With no updaters each extractor fills its own
-// replica, so replica w of a (3, 0, 0) ReplicatedSearch run holds exactly
-// the files whose IDs are ≡ w (mod 3).
+// extractor i mod x, whatever happens to the blocks afterwards. It
+// watches which goroutine read each file: under every design, there are x
+// readers, and the files one reader read are exactly those whose IDs are
+// ≡ w (mod x) for some w.
 func TestRoundRobinDealing(t *testing.T) {
 	const x = 3
-	res, err := Run(corpusFS(t), ".", Config{Implementation: ReplicatedSearch, Extractors: x})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Replicas) != x {
-		t.Fatalf("got %d replicas, want %d", len(res.Replicas), x)
-	}
-	for w, r := range res.Replicas {
-		var want []postings.FileID
-		for id := w; id < res.Files.Len(); id += x {
-			want = append(want, postings.FileID(id))
+	for _, cfg := range []Config{
+		{Implementation: ReplicatedSearch, Extractors: x},
+		{Implementation: ReplicatedSearch, Extractors: x, Updaters: 2, Shards: 4},
+		{Implementation: SharedIndex, Extractors: x, Updaters: 1},
+	} {
+		fs := &readerFS{FS: corpusFS(t), reader: map[string]uint64{}}
+		res, err := Run(fs, ".", cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := r.Docs().IDs(); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("replica %d holds files %v, want %v", w, got, want)
+		if len(fs.reader) != res.Files.Len() {
+			t.Fatalf("%v %s: read %d files of %d", cfg.Implementation, cfg.Tuple(), len(fs.reader), res.Files.Len())
+		}
+		read := map[uint64][]postings.FileID{}
+		for path, g := range fs.reader {
+			id, _ := res.Files.Lookup(path)
+			read[g] = append(read[g], id)
+		}
+		if len(read) != x {
+			t.Fatalf("%v %s: %d goroutines read files, want %d extractors", cfg.Implementation, cfg.Tuple(), len(read), x)
+		}
+		for _, got := range read {
+			slices.Sort(got)
+			var want []postings.FileID
+			for id := got[0]; int(id) < res.Files.Len(); id += x {
+				want = append(want, id)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%v %s: one extractor read files %v, want %v", cfg.Implementation, cfg.Tuple(), got, want)
+			}
 		}
 	}
 }

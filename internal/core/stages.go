@@ -70,12 +70,12 @@ func MeasureStages(fsys vfs.FS, root string, opts extract.Options) (StageTimes, 
 		}
 		blocks = append(blocks, block)
 	}
-	b := index.NewBuilder(opts.Positions)
+	r := router{index.NewBuilder(opts.Positions)}
 	start = time.Now()
 	for _, block := range blocks {
-		feed(b, block)
+		r.feed(block)
 	}
-	b.Index()
+	r[0].Index()
 	st.IndexUpdate = time.Since(start)
 
 	return st, nil

@@ -216,8 +216,8 @@ func Extract(fsys vfs.FS, cs *Changeset, opts extract.Options, workers int) *Pla
 }
 
 // Target is the mutable index state a plan commits into: the shared file
-// table and the document-disjoint partitions (a single index, unjoined
-// replicas, or the shards of a shard.Set all qualify).
+// table and the document-disjoint partitions, such as the shards of a
+// shard.Set.
 type Target struct {
 	Files      *index.FileTable
 	Partitions []*index.Index
@@ -244,19 +244,20 @@ func (s Stats) String() string {
 // Commit itself parallelizes the removal scans — partitions are
 // independent — but mutates the file table single-threaded.
 //
-// Removal scans every partition rather than only the hash-owning one
-// because unjoined ReplicatedSearch replicas (an unsharded build) follow
-// the pipeline's distribution order, not the FNV split; membership is the
-// only universal owner test. Each partition marks the victims' FileIDs in
-// a bitmap (postings.Mark) and walks its dictionary once: a list wholly
-// outside the marked range is skipped after two comparisons, and any other
-// is scanned once against the marks, so the batch costs the dictionaries
+// Removal scans every partition rather than only the hash-owning one:
+// every build routes by the FNV split, but a version 11 directory saved
+// before that held unjoined ReplicatedSearch replicas in the pipeline's
+// distribution order, and membership is the only owner test that holds
+// for both. Each partition marks the victims' FileIDs in a bitmap
+// (postings.Mark) and walks its dictionary once: a list wholly outside
+// the marked range is skipped after two comparisons, and any other is
+// scanned once against the marks, so the batch costs the dictionaries
 // plus the postings of the lists the marked range straddles, not
-// victims × lists. New blocks
-// — for added and modified files alike — are routed by shard.ShardFor, the
-// rule a sharded build routes by, so shard sets keep their invariant and
-// replicas stay document-disjoint (the old copy of a modified file is gone
-// from every partition before the new block lands in exactly one).
+// victims × lists. New blocks — for added and modified files alike — are
+// routed by shard.ShardFor, the rule every build routes by, so shard sets
+// keep their invariant and older replicas stay document-disjoint (the old
+// copy of a modified file is gone from every partition before the new
+// block lands in exactly one).
 //
 // Commit is idempotent and safe on stale changesets: before applying, the
 // plan is normalized against the live file table — an add whose path is

@@ -22,10 +22,7 @@ func TestApplyDuringConcurrentQuery(t *testing.T) {
 	fs := seedFS(t)
 	res := build(t, fs, 2)
 	engine := search.NewEngine(res.Files, index.Partitions(res.Indexes())...)
-	target := Target{Files: res.Files, Partitions: res.Indexes()}
-	if set := res.Shards; set != nil {
-		target.OnDirty = set.MarkDirty
-	}
+	target := Target{Files: res.Files, Partitions: res.Indexes(), OnDirty: res.Set.MarkDirty}
 
 	queries := []*search.Query{
 		search.MustParse("alpha"),

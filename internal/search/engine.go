@@ -189,21 +189,28 @@ func (e *Engine) View(f func()) {
 }
 
 // lockShared acquires the engine's read lock with the universe cache
-// filled, returning the cached universes. The caller must RUnlock.
+// filled, returning the cached universes. The caller must RUnlock. If
+// filling the cache panics, lockShared holds no lock when it unwinds.
 func (e *Engine) lockShared() []*postings.List {
 	e.mu.RLock()
 	for e.universes == nil {
 		// Upgrade to the write lock to fill the cache, then downgrade and
 		// re-check: an update may have slipped in between the two locks.
 		e.mu.RUnlock()
-		e.mu.Lock()
-		if e.universes == nil {
-			e.universes = e.computeUniverses()
-		}
-		e.mu.Unlock()
+		e.fillUniverses()
 		e.mu.RLock()
 	}
 	return e.universes
+}
+
+// fillUniverses fills the universe cache under the write lock, unless an
+// update or another query got there first.
+func (e *Engine) fillUniverses() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.universes == nil {
+		e.universes = e.computeUniverses()
+	}
 }
 
 // hitLess is the result order and the API's documented tie-break rule:

@@ -16,7 +16,8 @@ const (
 	// query read it. The one code that blames the index, not the request:
 	// a replica holding a good copy answers the same query.
 	CodeSegmentCorrupt QueryErrorCode = "segment_corrupt"
-	// CodeInternal: evaluating a partition panicked. Like
+	// CodeInternal: the engine panicked answering the request, in a
+	// partition's evaluation or on the request's own goroutine. Like
 	// CodeSegmentCorrupt it blames the serving process, not the request;
 	// the query fails and the process goes on serving.
 	CodeInternal QueryErrorCode = "internal"
@@ -28,8 +29,9 @@ const (
 // partition and the fault.
 var ErrSegmentCorrupt = errors.New("search: posting data failed verification")
 
-// ErrInternal reports a query whose evaluation of some partition panicked.
-// Errors wrapping it name the partition and the panic's value.
+// ErrInternal reports a request the engine panicked answering. Errors
+// wrapping it name the panic's value, and the partition when the panic was
+// in one partition's evaluation.
 var ErrInternal = errors.New("search: internal error")
 
 // QueryError is a typed, deterministic query rejection: the same request

@@ -180,14 +180,16 @@ func (d *DocFreqs) negative() bool {
 // vector a BM25 Query reports in Response.DF. Expansion obeys the same
 // prefix-expansion cap as evaluation — maxPrefixTerms, with 0 meaning the
 // MaxPrefixTerms default — so an over-broad prefix fails here, before any
-// worker evaluates anything.
-func (e *Engine) DocFreqs(ctx context.Context, q *Query, maxPrefixTerms int) (*DocFreqs, error) {
+// worker evaluates anything. A panic fails it with CodeInternal, as in
+// Query.
+func (e *Engine) DocFreqs(ctx context.Context, q *Query, maxPrefixTerms int) (_ *DocFreqs, err error) {
 	if q == nil || q.root == nil {
 		return nil, fmt.Errorf("search: request has no query")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	defer recoverInternal(&err)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	marks := e.corruptionMarks()
@@ -292,6 +294,17 @@ func callPartition(fn func(i int, ix index.Partition), i int, ix index.Partition
 	return nil
 }
 
+// recoverInternal, deferred by an entry point before it takes the
+// engine's lock, turns a panic on the request goroutine — outside the
+// fan-out callPartition guards — into the request's CodeInternal error.
+// Deferred first, it runs last, after the entry point's own deferred
+// unlock.
+func recoverInternal(err *error) {
+	if v := recover(); v != nil {
+		*err = &QueryError{Code: CodeInternal, Err: fmt.Errorf("%w: %v", ErrInternal, v)}
+	}
+}
+
 // expandAll expands q's prefix operators on every partition, under the
 // maxPrefixTerms cap; the result is nil when q has none. positions asks
 // for unions that carry positions (see expandPrefixes). On failure it
@@ -373,8 +386,9 @@ type partResult struct {
 // each in its owning partition. Cancellation is honored between
 // evaluation steps: a context canceled mid-fan-out aborts the in-flight
 // partitions at their next step boundary and Query returns ctx.Err() with
-// no goroutines left behind.
-func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
+// no goroutines left behind. A panic anywhere in the evaluation fails the
+// query with CodeInternal and releases the engine's lock.
+func (e *Engine) Query(ctx context.Context, req Request) (_ *Response, err error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -382,6 +396,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		return nil, err
 	}
 
+	defer recoverInternal(&err)
 	unis := e.lockShared()
 	defer e.mu.RUnlock()
 

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
@@ -264,6 +266,90 @@ func TestPartitionPanicFailsOneQuery(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(ids(got), ids(want)) {
 			t.Fatalf("parallel=%v: next query answered %v, %v; want %v", parallel, ids(got), err, ids(want))
 		}
+	}
+}
+
+// outsidePanicky is a partition that panics in the reads the engine makes
+// on the request goroutine, outside the per-partition fan-out: DocFreq of
+// "boom" (BM25 statistics), the dictionary walk from "boom" (Suggest), and
+// Docs (the NOT universes) while docsPanic is set.
+type outsidePanicky struct {
+	*index.Index
+	docsPanic *atomic.Bool
+}
+
+func (p outsidePanicky) DocFreq(term string) int {
+	if term == "boom" {
+		panic("df of boom")
+	}
+	return p.Index.DocFreq(term)
+}
+
+func (p outsidePanicky) TermsFrom(from string, yield func(term string, df int) bool) {
+	if from == "boom" {
+		panic("walk from boom")
+	}
+	p.Index.TermsFrom(from, yield)
+}
+
+func (p outsidePanicky) Docs() *postings.List {
+	if p.docsPanic.Load() {
+		panic("docs")
+	}
+	return p.Index.Docs()
+}
+
+// TestRequestPanicFailsOneQuery: a panic in what Query, DocFreqs and
+// Suggest run on the request goroutine — BM25 statistics, the NOT
+// universes, the suggestion walk — fails that request with CodeInternal,
+// releases the engine's lock, and leaves the next request answering.
+func TestRequestPanicFailsOneQuery(t *testing.T) {
+	files, _, replicas := fixture()
+	var docsPanic atomic.Bool
+	parts := index.Partitions(replicas)
+	parts[1] = outsidePanicky{replicas[1], &docsPanic}
+	e := NewEngine(files, parts...)
+	ctx := context.Background()
+	bm25 := func(text string) (*Response, error) {
+		return e.Query(ctx, Request{Query: MustParse(text), Ranking: RankBM25})
+	}
+	wantInternal := func(what string, err error) {
+		t.Helper()
+		var qe *QueryError
+		if !errors.As(err, &qe) || qe.Code != CodeInternal || !errors.Is(err, ErrInternal) {
+			t.Fatalf("%s: error %v, want a QueryError with code %s", what, err, CodeInternal)
+		}
+		// Maintain takes the write lock: it returns only if the failed
+		// request released its read lock.
+		done := make(chan struct{})
+		go func() { e.Maintain(func() {}); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the engine's lock is still held", what)
+		}
+	}
+
+	_, err := bm25("cat OR boom")
+	wantInternal("BM25 query", err)
+	_, err = e.DocFreqs(ctx, MustParse("cat boom"), 0)
+	wantInternal("DocFreqs", err)
+	_, err = e.Suggest(ctx, "boom", 5)
+	wantInternal("Suggest", err)
+	docsPanic.Store(true)
+	_, err = searchString(e, "-cat")
+	wantInternal("NOT universes", err)
+	docsPanic.Store(false)
+
+	resp, err := bm25("cat")
+	if err != nil || resp.Total != 5 {
+		t.Fatalf("next BM25 query: %v, %v; want 5 hits", resp, err)
+	}
+	if hits, err := searchString(e, "-cat"); err != nil || len(hits) != 5 {
+		t.Fatalf("next NOT query: %v, %v; want 5 hits", ids(hits), err)
+	}
+	if sug, err := e.Suggest(ctx, "ca", 5); err != nil || len(sug) != 1 {
+		t.Fatalf("next Suggest: %v, %v", sug, err)
 	}
 }
 

@@ -33,8 +33,8 @@ type Suggestion struct {
 // walks only the matching range; it takes the engine's read lock, so it
 // sees the same committed state queries do. Sorted dictionary order (a
 // Partition guarantee) makes the result deterministic across backends and
-// runs.
-func (e *Engine) Suggest(ctx context.Context, prefix string, n int) ([]Suggestion, error) {
+// runs. A panic fails it with CodeInternal, as in Query.
+func (e *Engine) Suggest(ctx context.Context, prefix string, n int) (_ []Suggestion, err error) {
 	terms := tokenize.Terms([]byte(strings.TrimRight(prefix, "*")), tokenize.Default)
 	switch {
 	case len(terms) == 0:
@@ -50,6 +50,7 @@ func (e *Engine) Suggest(ctx context.Context, prefix string, n int) ([]Suggestio
 		return nil, err
 	}
 
+	defer recoverInternal(&err)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	df := make(map[string]int)

@@ -290,7 +290,6 @@ type StatsResponse struct {
 	Postings   int64   `json:"postings"`
 	Skipped    int     `json:"skipped"`
 	Indices    int     `json:"indices"`
-	Shards     int     `json:"shards"`
 	Generation uint64  `json:"generation"`
 	UptimeS    float64 `json:"uptime_s"`
 
@@ -478,7 +477,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Postings:       cs.Postings,
 		Skipped:        cs.Skipped,
 		Indices:        s.cat.Indices(),
-		Shards:         s.cat.Shards(),
 		Generation:     gen,
 		UptimeS:        time.Since(s.start).Seconds(),
 		OpenMode:       mode,

@@ -346,7 +346,7 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 	var st StatsResponse
 	f.get(t, "/stats", &st)
-	if st.Files != 3 || st.Indices != 2 || st.Shards != 2 {
+	if st.Files != 3 || st.Indices != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
 	if st.Terms == 0 || st.Postings == 0 {

@@ -5,13 +5,13 @@
 //
 // Sharding is the production step the paper's ReplicatedSearch design hints
 // at: its unjoined replicas already are document partitions (each file's
-// term block goes to exactly one replica). A sharded build keeps that shape
-// and fixes the rule — core.Run sends every term block to the ShardFor shard
-// of its file, a hash of the FileID, the standard document-partitioning rule
-// of parallel search engines — so every built set takes updates where the
-// build put them. Serving needs no rule at all: any saved directory, sharded
-// or not, opens as worker subsets, each segment answering for its own
-// documents.
+// term block goes to exactly one replica). Every build keeps that shape and
+// fixes the rule — core.Run sends every term block to the ShardFor shard of
+// its file, a hash of the FileID, the standard document-partitioning rule
+// of parallel search engines — so a Set is every build's output, and it
+// takes updates where the build put them. Serving needs no rule at all: any
+// saved directory opens as worker subsets, each segment answering for its
+// own documents.
 package shard
 
 import (
@@ -53,9 +53,8 @@ type Set struct {
 
 // New returns a set over the given partitions without copying them. The
 // caller guarantees the partitions are document-disjoint — the one thing
-// every reader of a saved directory assumes: the ShardFor-routed shards of
-// a sharded build or of Distribute, or an unsharded catalog's own
-// partitions being saved as they are.
+// every reader of a saved directory assumes — as the ShardFor-routed
+// partitions of core.Run and of Distribute are.
 func New(files *index.FileTable, shards []*index.Index) *Set {
 	return &Set{files: files, shards: shards}
 }
@@ -154,9 +153,9 @@ func ShardFor(id postings.FileID, n int) int {
 }
 
 // Distribute re-shards already-built indices: it builds an n-shard set from
-// any document-disjoint sources (a single index, unjoined replicas, the
-// shards of another set), routing every posting to ShardFor of its file. A
-// sharded build does not need it — core.Run routes at insert. One
+// any document-disjoint sources (a single index, the partitions of another
+// set), routing every posting to ShardFor of its file. No build needs it —
+// core.Run routes at insert. One
 // goroutine per destination shard scans the sources — which are only read —
 // so shard construction parallelizes without locks; each file's shard is
 // hashed once up front (every FileID comes from files, so the table covers

@@ -209,9 +209,9 @@ func TestLazyBackendEquality(t *testing.T) {
 			if hs.Files != ls.Files || hs.Terms != ls.Terms || hs.Postings != ls.Postings {
 				t.Fatalf("Stats: heap %+v vs lazy %+v", hs, ls)
 			}
-			if heap.Shards() != lazy.Shards() || heap.Indices() != lazy.Indices() {
+			if heap.TotalShards() != lazy.TotalShards() || heap.Indices() != lazy.Indices() {
 				t.Fatalf("shape: heap %d shards/%d indices vs lazy %d/%d",
-					heap.Shards(), heap.Indices(), lazy.Shards(), lazy.Indices())
+					heap.TotalShards(), heap.Indices(), lazy.TotalShards(), lazy.Indices())
 			}
 			if fmt.Sprint(heap.TopTerms(8)) != fmt.Sprint(lazy.TopTerms(8)) {
 				t.Fatalf("TopTerms: heap %v vs lazy %v", heap.TopTerms(8), lazy.TopTerms(8))

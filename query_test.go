@@ -600,7 +600,7 @@ func TestCatalogSwap(t *testing.T) {
 					return
 				}
 				cat.Stats()
-				cat.Shards()
+				cat.TotalShards()
 			}
 		}()
 	}
@@ -619,7 +619,7 @@ func TestCatalogSwap(t *testing.T) {
 	if cat.Generation() == g0 {
 		t.Error("swap did not advance the generation")
 	}
-	if got := cat.Shards(); got != 4 {
+	if got := cat.TotalShards(); got != 4 {
 		t.Errorf("swapped catalog reports %d shards, want 4", got)
 	}
 	resp, err := cat.Query(context.Background(), Query{Text: "omega"})
