@@ -16,6 +16,7 @@ import (
 
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
+	"desksearch/internal/segment"
 	"desksearch/internal/shard"
 	"desksearch/internal/vfs"
 )
@@ -110,6 +111,65 @@ func TestGoldenFormatBytes(t *testing.T) {
 			}
 			if got := dirDigest(t, dir); got != tc.dir {
 				t.Errorf("SaveDir digest\n%s, want\n%s", got, tc.dir)
+			}
+		})
+	}
+}
+
+// skipIndex builds the index TestGoldenSkipTableBytes pins: 300 files
+// whose ID gaps grow from one varint byte to three, holding "all" (300
+// postings, two skip entries), "most" (257, two) and "even" (129, one).
+// kind is "plain" (every frequency 1), "counted" or "positional".
+func skipIndex(kind string) *index.Index {
+	bld := index.NewBuilder(kind == "positional")
+	for f := 0; f < 300; f++ {
+		id := postings.FileID(f*f*150 + f)
+		terms := []string{"all"}
+		if f < 257 {
+			terms = append(terms, "most")
+		}
+		if f%2 == 0 && f < 258 {
+			terms = append(terms, "even")
+		}
+		switch kind {
+		case "plain":
+			bld.AddBlock(id, terms, nil)
+		case "counted":
+			counts := make([]uint32, len(terms))
+			for i := range counts {
+				counts[i] = uint32(1 + (f+i)%3)
+			}
+			bld.AddBlock(id, terms, counts)
+		case "positional":
+			runs := make([][]uint32, len(terms))
+			for i := range runs {
+				for k := 0; k <= (f+i)%3; k++ {
+					runs[i] = append(runs[i], uint32(f*k*k*70+i))
+				}
+			}
+			bld.AddBlockPositional(id, terms, runs)
+		}
+	}
+	return bld.Index()
+}
+
+// TestGoldenSkipTableBytes pins the bytes of posting blocks long enough to
+// carry skip tables, which the eight-file corpus of TestGoldenFormatBytes
+// never reaches. A mismatch means the block layout changed: a version bump
+// and a docs/FORMAT.md entry, not a new digest.
+func TestGoldenSkipTableBytes(t *testing.T) {
+	for _, tc := range []struct{ kind, digest string }{
+		{"plain", "70a88a8703699d44c8d2617679e882936209df96608d919eb794e1955f1bfc8a"},
+		{"counted", "353bd4c0cc484eae517306665e894f084c461700953391c4e8be54fb9fea40be"},
+		{"positional", "53dfd96f4cd871c6df8ec9e06bdb1d4b074fb09951ce554d72cb64cd1840d66f"},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := segment.Write(&buf, skipIndex(tc.kind)); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.digest {
+				t.Errorf("segment digest\n%s, want\n%s", got, tc.digest)
 			}
 		})
 	}

@@ -97,7 +97,8 @@ type Partition interface {
 // can prove irrelevant instead of decoding whole lists. Both backends
 // implement it: the heap index over its in-memory lists
 // (postings.Iterator), the lazy segment straight off the raw block bytes
-// (segment.Iter), where SeekGE jumps via the per-block skip table.
+// (postings.BlockIterator), where SeekGE jumps via the per-block skip
+// table.
 //
 // The cursor starts positioned before the first posting; ID/Count are
 // valid only after a Next or SeekGE returned true. SeekGE never moves

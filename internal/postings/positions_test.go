@@ -320,10 +320,3 @@ func TestEncodeBytesStable(t *testing.T) {
 		t.Fatalf("boolean encoding changed: %#v", gotB)
 	}
 }
-
-func TestEncodedSizePositional(t *testing.T) {
-	l := positional(map[FileID][]uint32{2: {0, 4}, 9: {1}})
-	if got, want := l.EncodedSize(), len(l.Encode(nil)); got != want {
-		t.Fatalf("EncodedSize = %d, Encode produced %d", got, want)
-	}
-}

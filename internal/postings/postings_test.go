@@ -244,9 +244,6 @@ func TestVarintRoundTrip(t *testing.T) {
 	if err := quick.Check(func(raw []uint32) bool {
 		l := fromRaw(raw)
 		buf := l.Encode(nil)
-		if len(buf) != l.EncodedSize() {
-			return false
-		}
 		got, n, err := Decode(buf)
 		if err != nil || n != len(buf) {
 			return false
@@ -313,7 +310,7 @@ func TestEncodedSizeCompression(t *testing.T) {
 	for i := FileID(1000); i < 2000; i++ {
 		l.Add(i)
 	}
-	if size := l.EncodedSize(); size > 1010 {
+	if size := len(l.Encode(nil)); size > 1010 {
 		t.Errorf("dense list encodes to %d bytes, want ≈1002", size)
 	}
 }

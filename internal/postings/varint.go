@@ -114,23 +114,33 @@ func Decode(buf []byte) (*List, int, error) {
 	switch marker {
 	case listBoolean:
 	case listCounted:
-		l.vals = make([]uint32, 0, len(ids))
-		for i := range ids {
-			c, n := binary.Uvarint(buf[off:])
-			if n <= 0 {
-				return nil, 0, fmt.Errorf("postings: corrupt frequency at %d", i)
-			}
-			if c > 0xFFFF_FFFE {
-				return nil, 0, fmt.Errorf("postings: frequency %d overflows at %d", c, i)
-			}
-			off += n
-			l.vals = append(l.vals, uint32(c)+1)
+		if l.vals, off, err = decodeFreqs(buf, off, len(ids)); err != nil {
+			return nil, 0, err
 		}
 		l.normalize()
 	default:
 		return nil, 0, fmt.Errorf("postings: unknown frequency marker %d", marker)
 	}
 	return l, off, nil
+}
+
+// decodeFreqs parses the n uvarint(frequency-1) entries of a counted
+// list's frequency section at off, returning the frequencies and the
+// offset past them.
+func decodeFreqs(buf []byte, off, n int) ([]uint32, int, error) {
+	vals := make([]uint32, n)
+	for i := range vals {
+		c, m := binary.Uvarint(buf[off:])
+		if m <= 0 {
+			return nil, 0, fmt.Errorf("postings: corrupt frequency at %d", i)
+		}
+		if c > 0xFFFF_FFFE {
+			return nil, 0, fmt.Errorf("postings: frequency %d overflows at %d", c, i)
+		}
+		off += m
+		vals[i] = uint32(c) + 1
+	}
+	return vals, off, nil
 }
 
 // decodeIDs parses the count and the delta-coded ID section every
@@ -221,8 +231,14 @@ func DecodePositional(buf []byte) (*List, int, error) {
 	off++
 	switch posMarker {
 	case posAbsent:
-		l, _, err := Decode(buf)
-		return l, off, err
+		l := &List{ids: ids}
+		if marker == listCounted {
+			if l.vals, _, err = decodeFreqs(buf, freqOff, len(ids)); err != nil {
+				return nil, 0, err
+			}
+			l.normalize()
+		}
+		return l, off, nil
 	case posPresent:
 	default:
 		return nil, 0, fmt.Errorf("postings: unknown positions marker %d", posMarker)
@@ -262,33 +278,6 @@ func DecodePositional(buf []byte) (*List, int, error) {
 		ends[i] = uint32(len(flat))
 	}
 	return &List{ids: ids, vals: ends, pos: flat}, off, nil
-}
-
-// EncodedSize returns the exact number of bytes Encode will produce.
-func (l *List) EncodedSize() int {
-	size := uvarintLen(uint64(len(l.ids)))
-	prev := FileID(0)
-	for i, id := range l.ids {
-		delta := uint64(id - prev)
-		if i == 0 {
-			delta = uint64(id)
-		}
-		size += uvarintLen(delta)
-		prev = id
-	}
-	size++ // frequency marker
-	if l.pos != nil {
-		if l.hasMultiOccurrence() {
-			for i := range l.ids {
-				size += uvarintLen(uint64(l.CountAt(i) - 1))
-			}
-		}
-		return size
-	}
-	for _, c := range l.vals {
-		size += uvarintLen(uint64(c - 1))
-	}
-	return size
 }
 
 // hasMultiOccurrence reports whether any posting of a positional list

@@ -49,25 +49,23 @@ func windowRun(run []uint32, i int, lo, hi uint32, emit func(i int, pos uint32))
 	}
 }
 
-// WindowEncoded is Window over the list DecodePositional would decode from
-// buf, read in place: it allocates nothing and parses only what the
+// Window is List.Window over the list the block's full decode would
+// return, read in place: it allocates nothing and parses only what the
 // windows reach. It reads the ID section, merged against files, and stops
 // there when no posting is asked for; otherwise it reads the frequency
 // section, then walks the position runs up to the last asked-for posting,
 // skipping the others' bytes and decoding an asked-for run only up to its
 // window's end. What it parses it validates as DecodePositional does, so
-// whenever DecodePositional accepts buf, WindowEncoded emits exactly what
-// Window over the decoded list emits; a fault in what it reads is its
-// error. Bytes it does not reach are not checked: the caller verifies buf
-// (a segment block's checksum) before handing it over.
-func WindowEncoded(buf []byte, files []FileID, lo, hi []uint32, emit func(i int, pos uint32)) error {
-	if len(files) == 0 {
+// whenever Decode(true) accepts the block, Window emits exactly what
+// List.Window over the decoded list emits; a fault in what it reads is its
+// error. Bytes it does not reach are not checked: the caller verifies the
+// block (a segment block's checksum) before parsing it. A block without
+// positions emits nothing.
+func (b *Block) Window(files []FileID, lo, hi []uint32, emit func(i int, pos uint32)) error {
+	if !b.positional || len(files) == 0 {
 		return nil
 	}
-	count, start := binary.Uvarint(buf)
-	if start <= 0 {
-		return fmt.Errorf("postings: corrupt count")
-	}
+	buf, count, start := b.enc, uint64(b.count), b.start
 
 	// The ID section, merged against files: last becomes the index of the
 	// last posting a window asks for, and off the frequency marker's.
@@ -188,7 +186,8 @@ func WindowEncoded(buf []byte, files []FileID, lo, hi []uint32, emit func(i int,
 // nextID decodes posting j's ID-section varint at off, prev being posting
 // j-1's ID (0 before the first), and returns the offset past it, the ID,
 // and whether the varint is whole and the ID ascends within range, as
-// DecodePositional requires.
+// the decoders require. It is the one ID step of every in-place read: the
+// window pass's and BlockIterator's.
 func nextID(buf []byte, off int, j, prev uint64) (int, uint64, bool) {
 	delta, n := binary.Uvarint(buf[off:])
 	id := prev + delta

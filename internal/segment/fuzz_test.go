@@ -25,6 +25,15 @@ func blockReader(blk []byte, df int) *Reader {
 	}
 }
 
+// rawBlock returns a copy of e's posting block as r's file holds it.
+func rawBlock(f *testing.F, r *Reader, e *entry) []byte {
+	blk, err := r.src.slice(r.blocksOff+e.off, e.blen)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return bytes.Clone(blk)
+}
+
 // allocatedBytes reads the process's cumulative heap allocation.
 func allocatedBytes() uint64 {
 	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
@@ -53,7 +62,8 @@ func allocLimit(t *testing.T, limit uint64, run func()) {
 
 // FuzzBlockDecode feeds arbitrary block bytes and an arbitrary dictionary
 // df — what a segment whose checksums someone recomputed would hold —
-// through both decode tiers and the streaming iterator. None may panic or
+// through both decode tiers and the streaming iterator (Reader.Iterator,
+// which streams the block when there is no cache). None may panic or
 // allocate out of proportion to the block, and whenever both tiers accept
 // a block they agree on every ID and frequency. (The iterator is only
 // driven, not compared: it trusts the skip table for where postings start,
@@ -71,11 +81,7 @@ func FuzzBlockDecode(f *testing.F) {
 	}
 	for _, term := range []string{"common", "even", "rare", "w007"} {
 		e := r.entries[r.find(term)]
-		blk, err := r.block(&e)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(append([]byte(nil), blk...), e.df)
+		f.Add(rawBlock(f, r, &e), e.df)
 	}
 	f.Add([]byte{0, 1, 5, 0, 0}, 1)                   // one boolean posting, positions absent
 	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f}, 7) // a count far past the block
@@ -91,13 +97,13 @@ func FuzzBlockDecode(f *testing.F) {
 		run := func() {
 			counts, cerr = r.decodeBlock(0, false)
 			full, ferr = r.decodeBlock(0, true)
-			if it, err := r.iterAt(0); err == nil {
+			if it := r.Iterator("t"); it != nil {
 				for it.Next() {
 					it.Count()
 				}
 				it.MaxCount()
 			}
-			if it, err := r.iterAt(0); err == nil {
+			if it := r.Iterator("t"); it != nil {
 				for id := postings.FileID(0); it.SeekGE(id); id = it.ID() + 97 {
 					it.Count()
 				}
@@ -163,14 +169,11 @@ func FuzzWindowDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	e := r.entries[r.find("common")] // 300 postings: a skip table
-	skipped, err := r.block(&e)
-	if err != nil {
-		f.Fatal(err)
-	}
+	skipped := rawBlock(f, r, &e)
 	window := func(file byte, lo uint32, width byte) []byte {
 		return append(binary.LittleEndian.AppendUint32([]byte{file}, lo), width)
 	}
-	f.Add(append([]byte(nil), skipped...), e.df,
+	f.Add(skipped, e.df,
 		slices.Concat(window(3, 0, 40), window(90, 10, 255), window(150, 0, 255)))
 	boolean := postings.FromSortedIDPositions([]postings.FileID{1, 5, 9}, [][]uint32{{3}, {7}, {2}})
 	f.Add(windowBlock(boolean), 3, slices.Concat(window(1, 0, 10), window(3, 5, 5), window(3, 0, 255)))

@@ -17,9 +17,13 @@
 //	u32 dictSum — over everything from offset 0 through the dictionary
 //	posting-block region (blocksLen bytes): termCount blocks, contiguous,
 //	    in term order — term i's offset is the sum of the blockLens before it
-//	each block: uvarint skipN | skipN × { uvarint idDelta, uvarint offDelta }
-//	            | standard posting-list varint encoding (positional iff
-//	              flags bit 0)
+//
+// A posting block's bytes — its skip table and the posting-list encoding
+// after it, positional iff flags bit 0 — are internal/postings' to write
+// and read: Write appends each with postings.AppendBlock, and every read
+// verifies the block's checksum and hands it to postings.Block.Parse.
+// This package owns the header, the dictionary, the block checksums, the
+// cache and the corruption accounting.
 //
 // Every sum is index.Checksum's CRC-32C. Opening a segment reads and
 // verifies only the header and dictionary — O(dictionary + docs), never
@@ -33,20 +37,21 @@
 // A block is decoded as far as its caller reads. The posting-list encoding
 // puts IDs first, frequencies second and positions last, and positions
 // are most of a positional block, so the Partition seam has two list
-// reads: Counts decodes IDs and frequencies and stops (postings.Decode),
-// Lookup decodes everything (postings.DecodePositional). Iterator streams
-// the raw bytes and decodes nothing up front, and Window — the snippet
-// pass — reads every block in place for the runs of a page's files and
-// bypasses the cache entirely. All of them verify the block's checksum and
-// skip table first, every time the block is not served from the cache. The Cache keeps one entry per block at the richest tier
-// decoded so far — a counts-only entry answers Counts and Iterator, the
-// first Lookup replaces it with the full list — and charges each entry
-// what it costs the heap, bookkeeping included. BlockDecodes counts
-// decodes of either tier, PositionDecodes those that read positions. A
-// block that fails verification reads as an absent term, since none of
-// the reads can return an error; Err keeps the first such fault and
-// Corruptions counts them, which is how the search engine knows to fail
-// the query instead of answering without the term.
+// reads: Counts decodes IDs and frequencies and stops, Lookup decodes
+// everything (postings.Block.Decode). Iterator streams the raw bytes and
+// decodes nothing up front (postings.BlockIterator), and Window — the
+// snippet pass — reads every block in place for the runs of a page's files
+// (postings.Block.Window) and bypasses the cache entirely. All of them
+// verify the block's checksum and skip table first, every time the block
+// is not served from the cache. The Cache keeps one entry per block at the
+// richest tier decoded so far — a counts-only entry answers Counts and
+// Iterator, the first Lookup replaces it with the full list — and charges
+// each entry what it costs the heap, bookkeeping included. BlockDecodes
+// counts decodes of either tier, PositionDecodes those that read
+// positions. A block that fails verification reads as an absent term,
+// since none of the reads can return an error; Err keeps the first such
+// fault and Corruptions counts them, which is how the search engine knows
+// to fail the query instead of answering without the term.
 //
 // docs/FORMAT.md is the authoritative spec of the layout, including why a
 // segment departs from the frame's whole-file-checksum shape (verifying a
@@ -73,11 +78,6 @@ const (
 	// flagPositional marks a segment whose posting blocks use the
 	// positional encoding. All other flag bits must be zero.
 	flagPositional = 1
-
-	// skipInterval is the posting stride between skip entries: one entry
-	// per skipInterval postings lets a seek land within skipInterval
-	// varints of any target ID.
-	skipInterval = 128
 
 	// maxCount bounds doc/term/posting counts against corrupt headers,
 	// matching internal/index's cap.
@@ -371,9 +371,9 @@ func (r *Reader) list(term string, pos bool) *postings.List {
 // Lookup's corrupt-means-absent contract). When the block is already
 // decoded in the shared cache, at either tier, the cursor rides the
 // decoded list — a strict improvement, no re-streaming; otherwise it
-// streams the raw
-// block bytes and no decode is counted: evaluation that visits a
-// fraction of the postings reads a fraction of the block and
+// streams the raw block bytes (postings.BlockIterator, which records a
+// fault it runs into for Err) and no decode is counted: evaluation that
+// visits a fraction of the postings reads a fraction of the block and
 // BlockDecodes stays untouched.
 func (r *Reader) Iterator(term string) index.PostingIterator {
 	ord := r.find(term)
@@ -385,13 +385,12 @@ func (r *Reader) Iterator(term string) index.PostingIterator {
 			return postings.NewIterator(l)
 		}
 	}
-	it, err := r.iterAt(ord)
-	if err != nil {
+	var b postings.Block
+	if err := r.block(&r.entries[ord], &b); err != nil {
 		r.noteCorruption(err)
 		return nil
 	}
-	it.notify = r.noteCorruption
-	return it
+	return b.Iterator(r.noteCorruption)
 }
 
 // DocFreq answers from the dictionary alone — no block is touched.
@@ -416,7 +415,7 @@ func (r *Reader) TermsFrom(from string, yield func(term string, df int) bool) {
 // emits every occurrence, at a position in [lo[i], hi[i]], of any term in
 // file files[i] (see index.Partition). Each block is verified like any
 // uncached read — checksum, skip table, posting count — and then read in
-// place by postings.WindowEncoded, which allocates nothing and stops
+// place by postings.Block.Window, which allocates nothing and stops
 // where the windows end. The pass neither reads nor fills the block
 // cache and decodes no list, so BlockDecodes does not move. A block that
 // fails is skipped with the fault recorded, as for Lookup.
@@ -424,29 +423,22 @@ func (r *Reader) Window(files []postings.FileID, lo, hi []uint32, emit func(i in
 	if !r.positional || len(files) == 0 {
 		return
 	}
+	var b postings.Block
 	for ord := range r.entries {
-		if err := r.windowBlock(&r.entries[ord], files, lo, hi, emit); err != nil {
+		if err := r.windowBlock(&r.entries[ord], &b, files, lo, hi, emit); err != nil {
 			r.noteCorruption(err)
 		}
 	}
 }
 
-// windowBlock verifies e's block and emits its term's occurrences in the
-// windows.
-func (r *Reader) windowBlock(e *entry, files []postings.FileID, lo, hi []uint32, emit func(i int, term string, pos uint32)) error {
-	blk, err := r.block(e)
-	if err != nil {
+// windowBlock verifies e's block into b and emits its term's occurrences
+// in the windows.
+func (r *Reader) windowBlock(e *entry, b *postings.Block, files []postings.FileID, lo, hi []uint32, emit func(i int, term string, pos uint32)) error {
+	if err := r.block(e, b); err != nil {
 		return err
 	}
-	enc, err := skipEncoded(blk, e.df)
-	if err != nil {
-		return fmt.Errorf("segment: %s: term %q: %w", r.path, e.term, err)
-	}
-	if count, n := binary.Uvarint(enc); n <= 0 || count != uint64(e.df) {
-		return fmt.Errorf("segment: %s: term %q: block count disagrees with dictionary", r.path, e.term)
-	}
-	if err := postings.WindowEncoded(enc, files, lo, hi, func(i int, pos uint32) { emit(i, e.term, pos) }); err != nil {
-		return fmt.Errorf("segment: %s: term %q: %w", r.path, e.term, err)
+	if err := b.Window(files, lo, hi, func(i int, pos uint32) { emit(i, e.term, pos) }); err != nil {
+		return r.fault(e, err)
 	}
 	return nil
 }
@@ -494,34 +486,13 @@ func (r *Reader) ResidentBytes() int64 {
 // checksum over every byte of the block, the skip table — is the same.
 func (r *Reader) decodeBlock(ord int, pos bool) (*postings.List, error) {
 	e := &r.entries[ord]
-	blk, err := r.block(e)
-	if err != nil {
+	var b postings.Block
+	if err := r.block(e, &b); err != nil {
 		return nil, err
 	}
-	enc, err := skipEncoded(blk, e.df)
+	l, err := b.Decode(pos)
 	if err != nil {
-		return nil, fmt.Errorf("segment: %s: term %q: %w", r.path, e.term, err)
-	}
-	var (
-		l *postings.List
-		n int
-	)
-	if pos {
-		l, n, err = postings.DecodePositional(enc)
-	} else {
-		l, n, err = postings.Decode(enc)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("segment: %s: term %q: %w", r.path, e.term, err)
-	}
-	// What the counts tier leaves unread of a positional block is its
-	// positions section; any other decode must have consumed the block.
-	if stopsEarly := r.positional && !pos; n != len(enc) && !stopsEarly {
-		return nil, fmt.Errorf("segment: %s: term %q: %d trailing block bytes", r.path, e.term, len(enc)-n)
-	}
-	if l.Len() != e.df {
-		return nil, fmt.Errorf("segment: %s: term %q: block has %d postings, dictionary says %d",
-			r.path, e.term, l.Len(), e.df)
+		return nil, r.fault(e, err)
 	}
 	r.decodes.Add(1)
 	if pos {
@@ -530,59 +501,30 @@ func (r *Reader) decodeBlock(ord int, pos bool) (*postings.List, error) {
 	return l, nil
 }
 
-// block returns e's posting block, read and checked against the checksum
-// the dictionary holds for it. Every read of a block that is not served
-// from the cache — either decode tier, a streaming iterator, the window
-// pass — starts here:
-// no byte of a block is parsed before the whole block has verified.
-func (r *Reader) block(e *entry) ([]byte, error) {
+// fault names the segment and term a block error belongs to.
+func (r *Reader) fault(e *entry, err error) error {
+	return fmt.Errorf("segment: %s: term %q: %w", r.path, e.term, err)
+}
+
+// block sets b to e's posting block, read, checked against the checksum
+// the dictionary holds for it and parsed against its df
+// (postings.Block.Parse). Every read of a block that is not served from
+// the cache — either decode tier, a streaming iterator, the window pass —
+// starts here: no byte of a block is parsed before the whole block has
+// verified.
+func (r *Reader) block(e *entry, b *postings.Block) error {
 	blk, err := r.src.slice(r.blocksOff+e.off, e.blen)
 	if err != nil {
-		return nil, fmt.Errorf("segment: %s: term %q: %w", r.path, e.term, err)
+		return r.fault(e, err)
 	}
 	if got := index.Checksum(blk); got != e.sum {
-		return nil, fmt.Errorf("segment: %s: term %q: block checksum mismatch: dictionary %#x, computed %#x",
-			r.path, e.term, e.sum, got)
+		return r.fault(e, fmt.Errorf("block checksum mismatch: dictionary %#x, computed %#x", e.sum, got))
 	}
-	return blk, nil
+	if err := b.Parse(blk, e.df, r.positional); err != nil {
+		return r.fault(e, err)
+	}
+	return nil
 }
-
-// skipEncoded validates a block's skip table and returns the posting-list
-// encoding that follows it. df bounds the plausible entry count.
-func skipEncoded(blk []byte, df int) ([]byte, error) {
-	c := &cursor{b: blk}
-	skipN, err := skipCount(c, df)
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < skipN; i++ {
-		c.uvarint() // idDelta
-		c.uvarint() // offDelta
-	}
-	if c.err != nil {
-		return nil, fmt.Errorf("corrupt skip table: %w", c.err)
-	}
-	return blk[c.off:], nil
-}
-
-// skipCount reads the skip-entry count a block opens with and holds it to
-// what a df-posting block carries and to the block's own size — an entry
-// takes at least two bytes — so no loop or allocation is sized by a
-// number the block cannot back.
-func skipCount(c *cursor, df int) (uint64, error) {
-	skipN := c.uvarint()
-	if want := uint64(maxSkips(df)); skipN != want {
-		return 0, fmt.Errorf("%d skip entries, want %d", skipN, want)
-	}
-	if skipN > uint64(len(c.b))/2 {
-		return 0, fmt.Errorf("%d skip entries exceed the %d-byte block", skipN, len(c.b))
-	}
-	return skipN, nil
-}
-
-// maxSkips returns the number of skip entries a df-posting block carries:
-// one per full skipInterval stride past the first posting.
-func maxSkips(df int) int { return (df - 1) / skipInterval }
 
 // Verify checks the whole segment: every posting block's checksum and
 // decodability against its dictionary entry. Open already verified the

@@ -3,6 +3,7 @@ package segment
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -296,13 +297,10 @@ func TestIterSeekGE(t *testing.T) {
 	defer r.Close()
 
 	// Full scan via Next matches the ID sequence.
-	it, err := r.Iter("dense")
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := r.Iterator("dense")
 	for i, id := range want {
 		if !it.Next() {
-			t.Fatalf("Next() exhausted at %d of %d: %v", i, len(want), it.Err())
+			t.Fatalf("Next() exhausted at %d of %d: %v", i, len(want), r.Err())
 		}
 		if it.ID() != id {
 			t.Fatalf("Next()[%d] = %d, want %d", i, it.ID(), id)
@@ -316,10 +314,7 @@ func TestIterSeekGE(t *testing.T) {
 	// skip-boundary neighbourhoods and past-the-end.
 	targets := []uint32{0, 1, 2, 3, 383, 384, 385, 1151, 1152, 1153, 2997, 2998, 5000}
 	for _, tgt := range targets {
-		it, err := r.Iter("dense")
-		if err != nil {
-			t.Fatal(err)
-		}
+		it := r.Iterator("dense")
 		got := it.SeekGE(postings.FileID(tgt))
 		// Expected: first multiple of 3 >= tgt, if < 3000.
 		exp := (tgt + 2) / 3 * 3
@@ -335,10 +330,7 @@ func TestIterSeekGE(t *testing.T) {
 	}
 
 	// Monotone seeks on one iterator never go backwards.
-	it, err = r.Iter("dense")
-	if err != nil {
-		t.Fatal(err)
-	}
+	it = r.Iterator("dense")
 	prev := postings.FileID(0)
 	for _, tgt := range []uint32{5, 5, 300, 301, 1500, 1500, 2997} {
 		if !it.SeekGE(postings.FileID(tgt)) {
@@ -350,9 +342,9 @@ func TestIterSeekGE(t *testing.T) {
 		prev = it.ID()
 	}
 
-	// Iter on an absent term is a nil iterator, no error.
-	if abs, err := r.Iter("absent"); err != nil || abs != nil {
-		t.Fatalf("Iter(absent) = %v, %v; want nil, nil", abs, err)
+	// Iterator on an absent term is nil, and no fault is recorded.
+	if abs := r.Iterator("absent"); abs != nil || r.Err() != nil {
+		t.Fatalf("Iterator(absent) = %v, Err %v; want nil, nil", abs, r.Err())
 	}
 	// Streaming decodes no blocks.
 	if n := r.BlockDecodes(); n != 0 {
@@ -399,6 +391,33 @@ func TestWindowAllocationsConstant(t *testing.T) {
 	}
 	if small, large := allocs(100), allocs(10_000); small != large || large != 0 {
 		t.Errorf("Window allocates %.0f times over 100 blocks, %.0f over 10 000; want 0 for both", small, large)
+	}
+}
+
+// TestWriteAllocationsConstant: Write encodes each block straight into the
+// segment's one block buffer, so writing 8 000 terms allocates no more
+// than writing 1 000, bar the few extra growths of that buffer and the
+// dictionary's.
+func TestWriteAllocationsConstant(t *testing.T) {
+	allocs := func(terms int) float64 {
+		ix := index.New(terms)
+		ix.SetPositional()
+		for k := 0; k < terms; k++ {
+			ids := []postings.FileID{1, 2, 4, 8, 9}
+			runs := make([][]uint32, len(ids))
+			for i := range runs {
+				runs[i] = []uint32{uint32(k % 1000), uint32(1000 + k)}
+			}
+			ix.MergeTerm(fmt.Sprintf("t%05d", k), postings.FromSortedIDPositions(ids, runs))
+		}
+		return testing.AllocsPerRun(3, func() {
+			if err := Write(io.Discard, ix); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1_000), allocs(8_000); large > small+32 {
+		t.Errorf("Write allocates %.0f times for 1 000 terms, %.0f for 8 000; want at most 32 more", small, large)
 	}
 }
 

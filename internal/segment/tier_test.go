@@ -64,7 +64,7 @@ func TestCountsDecodesNoPositions(t *testing.T) {
 		t.Fatal("second Counts did not come from the cache")
 	}
 	it := r.Iterator("even")
-	if _, streamed := it.(*Iter); streamed {
+	if _, streamed := it.(*postings.BlockIterator); streamed {
 		t.Fatal("Iterator streamed the raw block although a counts-only entry is cached")
 	}
 	if d := r.BlockDecodes(); d != 1 {

@@ -2,7 +2,6 @@ package segment
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 
 	"desksearch/internal/index"
@@ -11,9 +10,9 @@ import (
 
 // Write serializes ix as a DSIX v11 lazy segment (see the package comment
 // and docs/FORMAT.md for the layout). The term dictionary is emitted in
-// sorted order with one checksummed posting block per term, each block
-// prefixed by a skip table; a reader can open the result in O(dictionary)
-// and decode blocks on demand.
+// sorted order with one checksummed posting block per term, each encoded
+// once by postings.AppendBlock straight into the block region; a reader
+// can open the result in O(dictionary) and decode blocks on demand.
 func Write(w io.Writer, ix *index.Index) error {
 	flags := byte(0)
 	if ix.Positional() {
@@ -38,11 +37,7 @@ func Write(w io.Writer, ix *index.Index) error {
 			continue // defensive: the index never stores empty lists
 		}
 		start := len(blocks)
-		var err error
-		blocks, err = appendBlock(blocks, l, ix.Positional())
-		if err != nil {
-			return fmt.Errorf("segment: term %q: %w", term, err)
-		}
+		blocks = postings.AppendBlock(blocks, l, ix.Positional())
 		dict = append(dict, dictEnt{
 			term: term,
 			df:   l.Len(),
@@ -95,55 +90,4 @@ func Write(w io.Writer, ix *index.Index) error {
 		}
 	}
 	return nil
-}
-
-// appendBlock appends one term's posting block to dst: the skip table,
-// then the standard posting-list encoding. Skip entries are recovered by
-// re-scanning the encoding's ID section — entry k records ids[k*skipInterval]
-// and the offset just past its varint, both delta-coded, so a seek resumes
-// decoding at posting k*skipInterval+1.
-func appendBlock(dst []byte, l *postings.List, positional bool) ([]byte, error) {
-	var enc []byte
-	if positional {
-		enc = l.EncodePositional(nil)
-	} else {
-		enc = l.Encode(nil)
-	}
-
-	count, n := binary.Uvarint(enc)
-	if n <= 0 || count != uint64(l.Len()) {
-		return nil, fmt.Errorf("re-scan of fresh encoding failed") // unreachable
-	}
-	type skip struct {
-		id  uint64
-		off int
-	}
-	skips := make([]skip, 0, maxSkips(l.Len()))
-	off := n
-	var prev uint64
-	for i := uint64(0); i < count; i++ {
-		delta, n := binary.Uvarint(enc[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("re-scan of fresh encoding failed") // unreachable
-		}
-		off += n
-		if i == 0 {
-			prev = delta
-		} else {
-			prev += delta
-		}
-		if i > 0 && i%skipInterval == 0 {
-			skips = append(skips, skip{id: prev, off: off})
-		}
-	}
-
-	dst = binary.AppendUvarint(dst, uint64(len(skips)))
-	var prevID uint64
-	var prevOff int
-	for _, s := range skips {
-		dst = binary.AppendUvarint(dst, s.id-prevID)
-		dst = binary.AppendUvarint(dst, uint64(s.off-prevOff))
-		prevID, prevOff = s.id, s.off
-	}
-	return append(dst, enc...), nil
 }
