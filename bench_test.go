@@ -493,10 +493,11 @@ func topkCatalog(b testing.TB) (*Catalog, string) {
 	return topkCat, topkQ
 }
 
-// BenchmarkTopKQuery compares the old full-sort retrieval (Search: every
-// partition materializes and sorts its entire hit list) against the v2
-// bounded-heap path at page sizes 10 and 100. The hits-per-query metric
-// reports how much work the full sort does per request.
+// BenchmarkTopKQuery compares unlimited retrieval (every partition sorts
+// all its candidates and every hit is named) against bounded top-k
+// selection at page sizes 10 and 100. The hits-per-query metric reports
+// how much work the full sort does per request, and allocs/op what the
+// selection path allocates.
 func BenchmarkTopKQuery(b *testing.B) {
 	cat, q := topkCatalog(b)
 	ctx := context.Background()
@@ -509,6 +510,7 @@ func BenchmarkTopKQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("full-sort", func(b *testing.B) {
+		b.ReportAllocs()
 		req := Query{Expr: expr} // no limit: every partition sorts its full hit list
 		for i := 0; i < b.N; i++ {
 			if _, err := cat.Query(ctx, req); err != nil {
@@ -519,6 +521,7 @@ func BenchmarkTopKQuery(b *testing.B) {
 	})
 	for _, limit := range []int{10, 100} {
 		b.Run(fmt.Sprintf("limit-%d", limit), func(b *testing.B) {
+			b.ReportAllocs()
 			req := Query{Expr: expr, Limit: limit}
 			for i := 0; i < b.N; i++ {
 				if _, err := cat.Query(ctx, req); err != nil {
@@ -528,6 +531,7 @@ func BenchmarkTopKQuery(b *testing.B) {
 		})
 	}
 	b.Run("limit-10-tf", func(b *testing.B) {
+		b.ReportAllocs()
 		req := Query{Expr: expr, Limit: 10, Ranking: RankTF}
 		for i := 0; i < b.N; i++ {
 			if _, err := cat.Query(ctx, req); err != nil {
@@ -552,6 +556,7 @@ func BenchmarkBM25Query(b *testing.B) {
 		b.Fatal(err) // warm the universes
 	}
 	b.Run("limit-10", func(b *testing.B) {
+		b.ReportAllocs()
 		req := Query{Expr: expr, Limit: 10, Ranking: RankBM25}
 		for i := 0; i < b.N; i++ {
 			if _, err := cat.Query(ctx, req); err != nil {
@@ -560,6 +565,7 @@ func BenchmarkBM25Query(b *testing.B) {
 		}
 	})
 	b.Run("full-sort", func(b *testing.B) {
+		b.ReportAllocs()
 		req := Query{Expr: expr, Ranking: RankBM25}
 		for i := 0; i < b.N; i++ {
 			if _, err := cat.Query(ctx, req); err != nil {

@@ -244,8 +244,8 @@ type Query struct {
 	// paths skip re-parsing. Takes precedence over Text.
 	Expr *Expr
 	// Limit caps the returned hits; 0 means unlimited. With a limit, each
-	// partition retains only its local top Limit+Offset hits in a bounded
-	// heap instead of materializing and sorting its entire hit list.
+	// partition keeps only its local top Limit+Offset candidates, and
+	// only the returned page is given paths and matched terms.
 	Limit int
 	// Offset skips that many ranked hits before the returned page.
 	Offset int
@@ -442,9 +442,9 @@ func (c *Catalog) partitionsLocked() []index.Partition {
 
 // Query evaluates a v2 search request. The query fans out with one
 // goroutine per partition; each keeps only its local top Limit+Offset
-// hits in a bounded min-heap, and the per-partition ranked lists are
-// merged just until the page is full — on multi-partition catalogs a
-// Limit-10 query does a fraction of the work an unlimited one does. ctx
+// candidates in a bounded heap, and the per-partition ranked lists are
+// merged just until the page is full; only the page gets paths and terms,
+// so a Limit-10 query does a fraction of the work an unlimited one does. ctx
 // cancellation is honored between evaluation steps: a canceled context
 // aborts in-flight partitions and returns ctx.Err().
 func (c *Catalog) Query(ctx context.Context, q Query) (*Response, error) {

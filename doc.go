@@ -30,7 +30,8 @@
 //
 // Query is the v2 search API: requests carry pagination (Limit/Offset,
 // answered with bounded per-partition top-k retrieval instead of a full
-// sort), a Ranking mode (distinct-term coordination counts or summed term
+// sort: partitions keep their top candidates, and only the page gets a
+// path and terms), a Ranking mode (distinct-term coordination counts or summed term
 // frequencies), and an optional path-prefix filter; responses carry the
 // page of hits with matched-term metadata, the total match count, and
 // per-partition timings. The context cancels or bounds the query.

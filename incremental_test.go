@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"desksearch/internal/postings"
 	"desksearch/internal/shard"
@@ -540,6 +542,87 @@ func TestConcurrentSearchAndCatalogUpdate(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestCatalogViewLockOrder calls every Catalog method that reads under
+// the engine's View concurrently with a loop of updates, under a deadline.
+// Go's RWMutex admits no new reader while a writer waits, so a View
+// callback that takes the read lock again deadlocks as soon as an update
+// queues for the write lock between the two acquisitions; here that fails
+// as a timeout instead of hanging the suite. The updates run for a fixed
+// time rather than a fixed count, so a race-instrumented run takes no
+// longer.
+func TestCatalogViewLockOrder(t *testing.T) {
+	const churn, deadline = 2 * time.Second, 20 * time.Second
+	fs := demoFS(t)
+	cat, err := IndexFS(fs, ".", Options{Implementation: Sequential, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	views := map[string]func() error{
+		"Stats":              func() error { cat.Stats(); return nil },
+		"Lazy":               func() error { cat.Lazy(); return nil },
+		"TotalShards":        func() error { cat.TotalShards(); return nil },
+		"BlockCache":         func() error { cat.BlockCache(); return nil },
+		"SegmentCorruptions": func() error { cat.SegmentCorruptions(); return nil },
+		"Positional":         func() error { cat.Positional(); return nil },
+		"Timings":            func() error { cat.Timings(); return nil },
+		"TopTerms":           func() error { cat.TopTerms(5); return nil },
+		"DirtySegments":      func() error { cat.DirtySegments(); return nil },
+		"Diff":               func() error { _, err := cat.Diff(fs, "."); return err },
+		"SaveDir":            func() error { return cat.SaveDir(dir) },
+	}
+	stop := make(chan struct{})
+	halt := sync.OnceFunc(func() { close(stop) })
+	var wg sync.WaitGroup
+	for name, call := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := call(); err != nil {
+					t.Errorf("%s: %v", name, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer halt()
+		for i, end := 0, time.Now().Add(churn); time.Now().Before(end); i++ {
+			// A changed file every round, so every Update commits
+			// through the engine's write lock.
+			if err := fs.WriteFile("churn/f.txt", []byte(fmt.Sprintf("report revision %d", i))); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := cat.Update(fs, "."); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(deadline):
+		halt()
+		buf := make([]byte, 1<<20)
+		t.Fatalf("View callers and %v of updates did not finish within %v: a View callback re-entered the read lock\n%s",
+			churn, deadline, buf[:runtime.Stack(buf, true)])
+	}
 }
 
 // TestApplyTwiceIsIdempotent: a caller retrying Apply with the same

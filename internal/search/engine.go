@@ -213,40 +213,32 @@ func (e *Engine) fillUniverses() {
 	}
 }
 
-// hitLess is the result order and the API's documented tie-break rule:
-// descending score under exact float64 comparison, then ascending file ID.
-// It is a total order (file IDs are unique, and scores are never NaN),
-// which is what makes bounded top-k retrieval return exactly the prefix a
-// full sort would. Exact float comparison is deterministic here because
-// every ranking accumulates per-document terms in query order within the
-// document's one owning partition, so a sharded catalog computes
-// bit-identical scores to an unsharded one.
-func hitLess(a, b Hit) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	return a.File < b.File
+// compareHits is the result order over hits: compareScored on each hit's
+// score and file.
+func compareHits(a, b Hit) int {
+	return compareScored(scored{score: a.Score, file: a.File}, scored{score: b.Score, file: b.File})
 }
 
 // MergeRankedPage k-way merges already-ranked hit lists from disjoint
 // document partitions into one ranked list, stopping after n hits (n <= 0
-// merges everything). Files live in exactly one partition, so the merge is
-// a disjoint union and only ordering remains; partition counts are small,
-// so a linear scan over the heads beats heap bookkeeping. It is the
-// engine's own per-partition merge, exported for the distributed broker:
-// each worker returns its local top-n merged under the same total order
-// (hitLess), and because top-n of top-n lists equals the global top-n
-// under a total order, merging worker pages here reproduces the
-// single-node page exactly.
+// merges everything). It is the engine's own per-partition merge,
+// exported for the distributed broker: each worker returns its local
+// top-n merged under the same total order, and because top-n of top-n
+// lists equals the global top-n under a total order, merging worker pages
+// here reproduces the single-node page exactly.
 func MergeRankedPage(parts [][]Hit, n int) []Hit {
-	out, _ := mergeRanked(parts, n)
+	out, _ := mergeRanked(parts, n, compareHits)
 	return out
 }
 
-// mergeRanked is MergeRankedPage that also returns, parallel to the merged
-// hits, the index of the list each came from — the owning partition the
-// engine builds a hit's snippet in.
-func mergeRanked(parts [][]Hit, n int) ([]Hit, []int) {
+// mergeRanked k-way merges lists ranked under cmp, stopping after n
+// items (n <= 0 merges everything), and returns, parallel to the merged
+// items, the index of the list each came from — the owning partition the
+// engine names a candidate and builds its snippet in. Items live in
+// exactly one partition, so the merge is a disjoint union and only
+// ordering remains; partition counts are small, so a linear scan over the
+// heads beats heap bookkeeping.
+func mergeRanked[T any](parts [][]T, n int, cmp func(a, b T) int) ([]T, []int) {
 	// n comes from user-supplied Limit+Offset; never allocate past what
 	// the partitions actually hold.
 	avail := 0
@@ -257,7 +249,7 @@ func mergeRanked(parts [][]Hit, n int) ([]Hit, []int) {
 		n = avail
 	}
 	heads := make([]int, len(parts))
-	out := make([]Hit, 0, n)
+	out := make([]T, 0, n)
 	from := make([]int, 0, n)
 	for len(out) < n {
 		best := -1
@@ -265,7 +257,7 @@ func mergeRanked(parts [][]Hit, n int) ([]Hit, []int) {
 			if heads[i] >= len(p) {
 				continue
 			}
-			if best == -1 || hitLess(p[heads[i]], parts[best][heads[best]]) {
+			if best == -1 || cmp(p[heads[i]], parts[best][heads[best]]) < 0 {
 				best = i
 			}
 		}
@@ -348,7 +340,7 @@ type evalEnv struct {
 // expansion. A termNode result may alias the index's live storage: no
 // boolean operator mutates its operands, the result is consumed entirely
 // inside queryOne while Query still holds the engine's read lock (updates
-// commit under the write lock), and the hits handed back to the caller are
+// commit under the write lock), and the candidates handed back are
 // independent structs — so the lookup stays allocation-free on the hot
 // path. A term is a match set here — IDs under OR and NOT and for a
 // single-term query, frequencies never — so it asks the partition for

@@ -57,8 +57,9 @@ type Request struct {
 	// Query is the parsed boolean expression to evaluate.
 	Query *Query
 	// Limit caps the number of hits returned; 0 means unlimited. With a
-	// limit, each partition retains only its local top Limit+Offset hits
-	// in a bounded min-heap instead of sorting its full hit list.
+	// limit, each partition retains only its local top Limit+Offset
+	// candidates in a bounded min-heap instead of sorting every match,
+	// and only the returned page is given paths and terms.
 	Limit int
 	// Offset skips that many hits before the returned page — pagination's
 	// second half. Offset without Limit is honored against the full
@@ -368,7 +369,7 @@ type Response struct {
 
 // partResult is one partition's contribution to a query.
 type partResult struct {
-	hits    []Hit
+	cands   []scored // ranked; every match when the query is unlimited
 	matched int
 	dur     time.Duration
 	// err is the partition's evaluation failure (a phrase query against a
@@ -380,14 +381,16 @@ type partResult struct {
 //
 // With more than one partition the query fans out to one goroutine per
 // partition; each evaluates, scores, and keeps its local top Limit+Offset
-// hits in a bounded min-heap (its full hit list when unbounded), and the
-// per-partition ranked lists are k-way merged only until the page is
-// full. Snippets are built after the merge, for the page's hits alone,
-// each in its owning partition. Cancellation is honored between
-// evaluation steps: a context canceled mid-fan-out aborts the in-flight
-// partitions at their next step boundary and Query returns ctx.Err() with
-// no goroutines left behind. A panic anywhere in the evaluation fails the
-// query with CodeInternal and releases the engine's lock.
+// candidates — score, file and matched-term mask, no path — in a bounded
+// min-heap (every match when unbounded), and the per-partition ranked
+// lists are k-way merged only until the page is full. Only the page's
+// candidates become Hits with a path and terms, and snippets are built
+// for those alone, each in its owning partition. Cancellation is honored
+// between evaluation steps: a context canceled mid-fan-out aborts the
+// in-flight partitions at their next step boundary and Query returns
+// ctx.Err() with no goroutines left behind. A panic anywhere in the
+// evaluation fails the query with CodeInternal and releases the engine's
+// lock.
 func (e *Engine) Query(ctx context.Context, req Request) (_ *Response, err error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -453,13 +456,13 @@ func (e *Engine) Query(ctx context.Context, req Request) (_ *Response, err error
 	}
 
 	resp := &Response{Partitions: make([]PartitionStat, len(parts)), DF: local}
-	ranked := make([][]Hit, len(parts))
+	ranked := make([][]scored, len(parts))
 	for i, p := range parts {
 		resp.Total += p.matched
 		resp.Partitions[i] = PartitionStat{Partition: i, Matched: p.matched, Duration: p.dur}
-		ranked[i] = p.hits
+		ranked[i] = p.cands
 	}
-	merged, owners := mergeRanked(ranked, k)
+	merged, owners := mergeRanked(ranked, k, compareScored)
 	if req.Offset > 0 {
 		if req.Offset >= len(merged) {
 			merged, owners = nil, nil
@@ -470,13 +473,31 @@ func (e *Engine) Query(ctx context.Context, req Request) (_ *Response, err error
 	if req.Limit > 0 && len(merged) > req.Limit {
 		merged, owners = merged[:req.Limit], owners[:req.Limit]
 	}
-	if req.Snippets && len(merged) > 0 {
-		if err := e.snippetPage(ctx, req.Query, expansions, merged, owners, marks); err != nil {
+	resp.Hits = e.pageHits(req.Query, merged)
+	if req.Snippets && len(resp.Hits) > 0 {
+		if err := e.snippetPage(ctx, req.Query, expansions, resp.Hits, owners, marks); err != nil {
 			return nil, err
 		}
 	}
-	resp.Hits = merged
 	return resp, nil
+}
+
+// pageHits turns the page's candidates into Hits, each with its path and
+// the score labels — the positive terms, then the canonical prefix
+// operators — its mask selects. It is the one place a candidate is named.
+func (e *Engine) pageHits(q *Query, page []scored) []Hit {
+	if len(page) == 0 {
+		return nil
+	}
+	labels := slices.Clip(q.positive) // an append must not write into q
+	for _, ord := range q.scorePrefixes {
+		labels = append(labels, q.prefixes[ord]+"*")
+	}
+	hits := make([]Hit, len(page))
+	for i, c := range page {
+		hits[i] = Hit{File: c.file, Path: e.files.Path(c.file), Score: c.score, Terms: termsFromMask(labels, c.mask)}
+	}
+	return hits
 }
 
 // snippetPage builds the Snippets of page, the returned hits only, each in
@@ -508,18 +529,11 @@ func (e *Engine) snippetPage(ctx context.Context, q *Query, expansions [][]*post
 	return e.corruptedSince(marks)
 }
 
-// scored is a hit plus the bitmask of positive query terms it matched
-// (bit i = positive term i, first 64 terms); the mask is expanded to
-// Hit.Terms only for the hits that survive top-k selection.
-type scored struct {
-	hit  Hit
-	mask uint64
-}
-
 // queryOne evaluates req against a single partition: match, score, filter,
-// and retain the local top k (all hits when k == 0), ranked. exp is the
-// partition's prefix expansion unions (nil without prefix operators) and bm
-// the request's global BM25 statistics (nil for other rankings).
+// and retain the local top k candidates (all of them when k == 0), ranked.
+// exp is the partition's prefix expansion unions (nil without prefix
+// operators) and bm the request's global BM25 statistics (nil for other
+// rankings).
 func (e *Engine) queryOne(ctx context.Context, ix index.Partition, universe *postings.List, req Request, k int, exp []*postings.List, bm *bm25Stats) partResult {
 	start := time.Now()
 	// Phrase queries and snippets are rejected on position-free partitions
@@ -595,13 +609,11 @@ func (e *Engine) queryOne(ctx context.Context, ix index.Partition, universe *pos
 	// and feed a bounded heap (or collect everything when unbounded).
 	res := partResult{}
 	heap := newTopK(k)
-	var all []scored
 	for i, id := range matched.IDs() {
 		if i&1023 == 0 && ctx.Err() != nil {
 			return partResult{dur: time.Since(start)}
 		}
-		path := e.files.Path(id)
-		if req.PathPrefix != "" && !strings.HasPrefix(path, req.PathPrefix) {
+		if req.PathPrefix != "" && !strings.HasPrefix(e.files.Path(id), req.PathPrefix) {
 			continue
 		}
 		res.matched++
@@ -614,7 +626,7 @@ func (e *Engine) queryOne(ctx context.Context, ix index.Partition, universe *pos
 		skipped := false
 		for si := range scorers {
 			if wand && heap.full() {
-				if (score+rem[si])*wandSlack <= heap.worst().Score {
+				if (score+rem[si])*wandSlack <= heap.worst().score {
 					skipped = true
 					break
 				}
@@ -646,32 +658,17 @@ func (e *Engine) queryOne(ctx context.Context, ix index.Partition, universe *pos
 		if skipped {
 			continue
 		}
-		s := scored{hit: Hit{File: id, Path: path, Score: score}, mask: mask}
+		s := scored{score: score, file: id, mask: mask}
 		if k > 0 {
 			heap.consider(s)
 		} else {
-			all = append(all, s)
+			res.cands = append(res.cands, s)
 		}
 	}
 	if k > 0 {
-		all = heap.ranked()
+		res.cands = heap.ranked()
 	} else {
-		sortScored(all)
-	}
-	if len(all) > 0 {
-		labels := req.Query.positive
-		if len(req.Query.scorePrefixes) > 0 {
-			labels = make([]string, 0, len(req.Query.positive)+len(req.Query.scorePrefixes))
-			labels = append(labels, req.Query.positive...)
-			for _, ord := range req.Query.scorePrefixes {
-				labels = append(labels, req.Query.prefixes[ord]+"*")
-			}
-		}
-		res.hits = make([]Hit, len(all))
-		for i, s := range all {
-			res.hits[i] = s.hit
-			res.hits[i].Terms = termsFromMask(labels, s.mask)
-		}
+		sortScored(res.cands)
 	}
 	res.dur = time.Since(start)
 	return res

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,7 +41,9 @@ func bigFixture(n, r int) (*index.FileTable, *index.Index, []*index.Index) {
 
 // TestQueryPagedMatchesSearch: every (limit, offset) page must be exactly
 // the corresponding slice of the unlimited, full-sort result, over both a
-// single index and a replica fan-out.
+// single index and a replica fan-out, under every ranking — so BM25's WAND
+// skip against the candidate heap's worst score is held to the full sort —
+// and under a path filter.
 func TestQueryPagedMatchesSearch(t *testing.T) {
 	files, single, replicas := bigFixture(240, 4)
 	for _, engines := range []struct {
@@ -50,43 +54,51 @@ func TestQueryPagedMatchesSearch(t *testing.T) {
 		{"replicas", NewEngine(files, index.Partitions(replicas)...)},
 	} {
 		e := engines.e
-		for _, qs := range []string{"alpha", "beta OR gamma", "alpha -delta", "beta OR gamma OR epsilon"} {
-			q := MustParse(qs)
-			fullResp, err := e.Query(context.Background(), Request{Query: q})
-			if err != nil {
-				t.Fatal(err)
-			}
-			full := fullResp.Hits
-			for _, page := range []struct{ limit, offset int }{
-				{10, 0}, {1, 0}, {7, 3}, {10, len(full) - 5}, {10, len(full) + 5}, {len(full) + 10, 0}, {0, 4},
+		for _, rank := range []Ranking{RankCount, RankTF, RankBM25} {
+			for _, qc := range []struct{ q, pathPrefix string }{
+				{"alpha", ""}, {"beta OR gamma", ""}, {"alpha -delta", ""}, {"beta OR gamma OR epsilon", ""},
+				{"beta OR gamma OR epsilon", "dir1/"},
 			} {
-				resp, err := e.Query(context.Background(), Request{Query: q, Limit: page.limit, Offset: page.offset})
+				name := fmt.Sprintf("%s %v %q prefix %q", engines.name, rank, qc.q, qc.pathPrefix)
+				base := Request{Query: MustParse(qc.q), Ranking: rank, PathPrefix: qc.pathPrefix}
+				fullResp, err := e.Query(context.Background(), base)
 				if err != nil {
-					t.Fatalf("%s %q limit=%d offset=%d: %v", engines.name, qs, page.limit, page.offset, err)
+					t.Fatal(err)
 				}
-				want := full
-				if page.offset > 0 {
-					if page.offset >= len(want) {
-						want = nil
-					} else {
-						want = want[page.offset:]
+				full := fullResp.Hits
+				for _, page := range []struct{ limit, offset int }{
+					{10, 0}, {1, 0}, {7, 3}, {10, len(full) - 5}, {10, len(full) + 5}, {len(full) + 10, 0}, {0, 4},
+				} {
+					req := base
+					req.Limit, req.Offset = page.limit, page.offset
+					resp, err := e.Query(context.Background(), req)
+					if err != nil {
+						t.Fatalf("%s limit=%d offset=%d: %v", name, page.limit, page.offset, err)
 					}
-				}
-				if page.limit > 0 && len(want) > page.limit {
-					want = want[:page.limit]
-				}
-				if len(resp.Hits) != len(want) {
-					t.Fatalf("%s %q limit=%d offset=%d: got %d hits, want %d",
-						engines.name, qs, page.limit, page.offset, len(resp.Hits), len(want))
-				}
-				for i := range want {
-					if !reflect.DeepEqual(resp.Hits[i], want[i]) {
-						t.Errorf("%s %q limit=%d offset=%d hit %d: got %+v, want %+v",
-							engines.name, qs, page.limit, page.offset, i, resp.Hits[i], want[i])
+					want := full
+					if page.offset > 0 {
+						if page.offset >= len(want) {
+							want = nil
+						} else {
+							want = want[page.offset:]
+						}
 					}
-				}
-				if resp.Total != len(full) {
-					t.Errorf("%s %q: Total = %d, want %d", engines.name, qs, resp.Total, len(full))
+					if page.limit > 0 && len(want) > page.limit {
+						want = want[:page.limit]
+					}
+					if len(resp.Hits) != len(want) {
+						t.Fatalf("%s limit=%d offset=%d: got %d hits, want %d",
+							name, page.limit, page.offset, len(resp.Hits), len(want))
+					}
+					for i := range want {
+						if !reflect.DeepEqual(resp.Hits[i], want[i]) {
+							t.Errorf("%s limit=%d offset=%d hit %d: got %+v, want %+v",
+								name, page.limit, page.offset, i, resp.Hits[i], want[i])
+						}
+					}
+					if resp.Total != len(full) {
+						t.Errorf("%s: Total = %d, want %d", name, resp.Total, len(full))
+					}
 				}
 			}
 		}
@@ -306,34 +318,55 @@ func TestQueryCancelPrompt(t *testing.T) {
 	}
 }
 
+// TestTopK holds the candidate heap to a reference full sort written out
+// from the documented order: random scores, all ties (coordination ranking
+// of a pure AND, where the File tie-break decides every slot), and k > n.
 func TestTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(200)
-		k := rng.Intn(20) + 1
+	reference := func(cands []scored) []scored {
+		out := slices.Clone(cands)
+		sort.Slice(out, func(i, j int) bool {
+			if out[i].score != out[j].score {
+				return out[i].score > out[j].score
+			}
+			return out[i].file < out[j].file
+		})
+		return out
+	}
+	check := func(name string, n, k int, score func(i int) float64) {
+		t.Helper()
 		all := make([]scored, n)
 		for i := range all {
-			all[i] = scored{hit: Hit{File: postings.FileID(i), Score: float64(rng.Intn(10))}}
+			all[i] = scored{score: score(i), file: postings.FileID(i), mask: rng.Uint64()}
+		}
+		want := reference(all)
+		shuffled := slices.Clone(all)
+		rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if sortScored(shuffled); !reflect.DeepEqual(shuffled, want) {
+			t.Fatalf("%s (n=%d): sortScored = %v, want %v", name, n, shuffled, want)
 		}
 		heap := newTopK(k)
 		for _, s := range rng.Perm(n) {
 			heap.consider(all[s])
 		}
-		got := heap.ranked()
-		want := append([]scored(nil), all...)
-		sortScored(want)
 		if len(want) > k {
 			want = want[:k]
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (n=%d k=%d): topK = %v, want %v", trial, n, k, got, want)
+		if got := heap.ranked(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s (n=%d k=%d): topK = %v, want %v", name, n, k, got, want)
 		}
 	}
+	for trial := 0; trial < 50; trial++ {
+		check(fmt.Sprintf("random trial %d", trial), rng.Intn(200), rng.Intn(20)+1,
+			func(int) float64 { return float64(rng.Intn(10)) })
+	}
+	check("all ties", 150, 10, func(int) float64 { return 2 })
+	check("k > n", 7, 20, func(int) float64 { return float64(rng.Intn(3)) })
 	// k = 0 collects nothing.
 	zero := newTopK(0)
-	zero.consider(scored{hit: Hit{File: 1, Score: 1}})
+	zero.consider(scored{score: 1, file: 1})
 	if len(zero.ranked()) != 0 {
-		t.Error("topK(0) retained a hit")
+		t.Error("topK(0) retained a candidate")
 	}
 }
 
