@@ -309,19 +309,29 @@ func coldOpenDir(b *testing.B) string {
 
 // BenchmarkColdOpen measures catalog cold start from a saved 4-shard
 // directory: LoadDir decodes and materializes every posting list up
-// front, OpenDir reads only the term dictionaries and maps posting data
-// for on-demand decode (DSIX v10). The gap is the lazy backend's reason
-// to exist; bench/ gates it as open_ms of query-lazy against query-heap.
+// front and is timed with the first query after it, which fills the NOT
+// universes from the partitions' kept document sets; OpenDir reads only
+// the term dictionaries and maps posting data for on-demand decode. The
+// gap is the lazy backend's reason to exist; bench/ gates it as open_ms of
+// query-lazy against query-heap.
 func BenchmarkColdOpen(b *testing.B) {
 	dir := coldOpenDir(b)
+	_, q := topkCatalog(b)
+	ctx := context.Background()
 	b.Run("load-dir", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := LoadDir(dir); err != nil {
+			cat, err := LoadDir(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := cat.Query(ctx, Query{Text: q, Limit: 10}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("open-dir", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			cat, err := OpenDir(dir)
 			if err != nil {
@@ -378,10 +388,13 @@ var churnOptions = Options{Implementation: ReplicatedSearch, Extractors: 4, Upda
 
 // BenchmarkIncrementalUpdate measures Catalog.Update absorbing a churned
 // tree in place: diff, parallel re-extraction of only the changed files,
-// and batched per-partition commit.
+// and batched per-partition commit. one-file-then-query times a one-file
+// Update together with the query after it, which refills the NOT universes
+// the update dropped.
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	for _, pct := range churnLevels {
 		b.Run(fmt.Sprintf("churn-%d", pct), func(b *testing.B) {
+			b.ReportAllocs()
 			fs, paths := churnCorpus(b)
 			cat, err := IndexFS(fs, ".", churnOptions)
 			if err != nil {
@@ -402,6 +415,28 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 			}
 		})
 	}
+	b.Run("one-file-then-query", func(b *testing.B) {
+		b.ReportAllocs()
+		fs, paths := churnCorpus(b)
+		cat, err := IndexFS(fs, ".", churnOptions)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx := context.Background()
+		q := Query{Text: "churned revision", Limit: 10}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			churn(b, fs, paths, 1, i)
+			b.StartTimer()
+			if _, err := cat.Update(fs, "."); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := cat.Query(ctx, q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkFullRebuild is the baseline the incremental path must beat at
@@ -600,30 +635,47 @@ func BenchmarkSuggest(b *testing.B) {
 
 // BenchmarkSnippets measures what snippet assembly adds to a positional
 // query: the same request with and without the per-hit window
-// reconstruction (anchor scan, dictionary pass, highlight spans).
+// reconstruction (anchor scan, dictionary pass, highlight spans), on the
+// catalog as built and on the same catalog saved and loaded back, whose
+// lists LoadDir lays out in dictionary order.
 func BenchmarkSnippets(b *testing.B) {
-	cat, phrase := phraseCatalog(b)
+	built, phrase := phraseCatalog(b)
+	dir := b.TempDir()
+	if err := built.SaveDir(dir); err != nil {
+		b.Fatal(err)
+	}
+	loaded, err := LoadDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
 	ctx := context.Background()
 	word := strings.Fields(strings.Trim(phrase, `"`))[0]
-	if _, err := cat.Query(ctx, Query{Text: word, Limit: 1}); err != nil {
-		b.Fatal(err) // warm the universes
+	for _, c := range []struct {
+		name string
+		cat  *Catalog
+	}{{"built", built}, {"loaded", loaded}} {
+		if _, err := c.cat.Query(ctx, Query{Text: word, Limit: 1}); err != nil {
+			b.Fatal(err) // warm the universes
+		}
+		b.Run(c.name+"/with-snippets", func(b *testing.B) {
+			b.ReportAllocs()
+			req := Query{Text: word, Limit: 10, Snippets: true}
+			for i := 0; i < b.N; i++ {
+				if _, err := c.cat.Query(ctx, req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/without", func(b *testing.B) {
+			b.ReportAllocs()
+			req := Query{Text: word, Limit: 10}
+			for i := 0; i < b.N; i++ {
+				if _, err := c.cat.Query(ctx, req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.Run("with-snippets", func(b *testing.B) {
-		req := Query{Text: word, Limit: 10, Snippets: true}
-		for i := 0; i < b.N; i++ {
-			if _, err := cat.Query(ctx, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("without", func(b *testing.B) {
-		req := Query{Text: word, Limit: 10}
-		for i := 0; i < b.N; i++ {
-			if _, err := cat.Query(ctx, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // ---- positional / phrase benchmarks ----

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -242,8 +243,87 @@ func TestUpdateMatchesRebuildProperty(t *testing.T) {
 				if gs, ws := cat.Stats(), rebuilt.Stats(); gs.Files != ws.Files {
 					t.Fatalf("round %d: Files %d vs rebuild %d", round, gs.Files, ws.Files)
 				}
+				checkPartitionsMatchRebuild(t, fmt.Sprintf("round %d", round), cat, rebuilt)
 			}
 		})
+	}
+}
+
+// checkPartitionsMatchRebuild holds every partition of an updated catalog
+// to a rebuild of the same tree. The two number files differently, so they
+// are compared by path: a partition's Docs names the files its lists hold
+// and no others, the partitions split the rebuild's files between them,
+// and a partition's TermsFrom("") walk is, in ascending order, every term
+// the rebuild holds for those files with its document frequency among
+// them.
+func checkPartitionsMatchRebuild(t *testing.T, at string, cat, rebuilt *Catalog) {
+	t.Helper()
+	holders := map[string][]string{} // rebuild: term → paths holding it
+	var rebuiltDocs []string
+	rebuilt.engine.View(func() {
+		files := rebuilt.result.Files
+		for _, p := range rebuilt.partitionsLocked() {
+			for _, id := range p.Docs().IDs() {
+				rebuiltDocs = append(rebuiltDocs, files.Path(id))
+			}
+			p.TermsFrom("", func(term string, _ int) bool {
+				for _, id := range p.Lookup(term).IDs() {
+					holders[term] = append(holders[term], files.Path(id))
+				}
+				return true
+			})
+		}
+	})
+	var gotDocs []string
+	cat.engine.View(func() {
+		files := cat.result.Files
+		for i, p := range cat.partitionsLocked() {
+			docs := map[string]bool{}
+			for _, id := range p.Docs().IDs() {
+				docs[files.Path(id)] = true
+				gotDocs = append(gotDocs, files.Path(id))
+			}
+			type termDF struct {
+				term string
+				df   int
+			}
+			var walked, want []termDF
+			held := map[string]bool{}
+			p.TermsFrom("", func(term string, df int) bool {
+				walked = append(walked, termDF{term, df})
+				for _, id := range p.Lookup(term).IDs() {
+					held[files.Path(id)] = true
+				}
+				return true
+			})
+			if !reflect.DeepEqual(held, docs) {
+				t.Fatalf("%s: partition %d: Docs %v, its lists hold %v", at, i, docs, held)
+			}
+			terms := make([]string, 0, len(holders))
+			for term := range holders {
+				terms = append(terms, term)
+			}
+			sort.Strings(terms)
+			for _, term := range terms {
+				df := 0
+				for _, path := range holders[term] {
+					if docs[path] {
+						df++
+					}
+				}
+				if df > 0 {
+					want = append(want, termDF{term, df})
+				}
+			}
+			if !reflect.DeepEqual(walked, want) {
+				t.Fatalf("%s: partition %d walks %v, rebuild %v", at, i, walked, want)
+			}
+		}
+	})
+	sort.Strings(gotDocs)
+	sort.Strings(rebuiltDocs)
+	if !slices.Equal(gotDocs, rebuiltDocs) {
+		t.Fatalf("%s: partitions hold %v, rebuild %v", at, gotDocs, rebuiltDocs)
 	}
 }
 

@@ -3,6 +3,7 @@ package index
 import (
 	"cmp"
 	"slices"
+	"strings"
 	"sync"
 
 	"desksearch/internal/postings"
@@ -158,18 +159,31 @@ func (b *Builder) seal(blk loggedBlock) {
 // logged by both kinds of block keeps frequencies only — each positional
 // entry counting its run's length — as List.Merge demotes a positional
 // list merged with a counted one.
+//
+// The terms are sorted once, here, and each term's columns are allocated
+// and its list header placed in that order, so that a walk of the
+// dictionary reads memory front to back.
 func (b *Builder) Index() *Index {
 	if b.unordered {
 		slices.SortStableFunc(b.blocks, func(x, y loggedBlock) int { return cmp.Compare(x.id, y.id) })
 	}
-	cols := make([]column, len(b.totals))
-	for i, t := range b.totals {
-		cols[i] = newColumn(t)
+	order := make([]uint32, len(b.names)) // ordinals in dictionary order
+	for i := range order {
+		order[i] = uint32(i)
 	}
+	slices.SortFunc(order, func(x, y uint32) int { return strings.Compare(b.names[x], b.names[y]) })
+	cols := make([]column, len(b.totals))
+	for _, o := range order {
+		cols[o] = newColumn(b.totals[o])
+	}
+	var docs []postings.FileID
 	for i, blk := range b.blocks {
 		// A list can end in this block's file only if the block before,
 		// which the sort put next to it, logged the same file.
 		again := i > 0 && b.blocks[i-1].id == blk.id
+		if !again {
+			docs = append(docs, blk.id)
+		}
 		if !blk.positional {
 			for _, e := range blk.entries {
 				cols[e.term].addCount(blk.id, e.val, again)
@@ -182,13 +196,13 @@ func (b *Builder) Index() *Index {
 			from = e.val
 		}
 	}
-	ix := New(len(b.names))
-	ix.positional = b.positional
-	for i, name := range b.names {
-		l := cols[i].list()
-		ix.terms[name] = l
-		ix.nPostings += int64(l.Len())
+	terms := make([]string, len(order))
+	slab := make([]postings.List, len(order))
+	for k, o := range order {
+		terms[k] = b.names[o]
+		slab[k] = cols[o].list()
 	}
+	ix := NewOrdered(terms, slab, docs, b.positional)
 	*b = Builder{positional: b.positional}
 	return ix
 }
@@ -259,8 +273,8 @@ func (c *column) addCount(id postings.FileID, n uint32, again bool) {
 
 // list hands the columns to a posting list, copied to their length when a
 // file logged twice left them room.
-func (c *column) list() *postings.List {
-	return postings.FromColumns(exact(c.ids), exact(c.vals), exact(c.pos))
+func (c *column) list() postings.List {
+	return *postings.FromColumns(exact(c.ids), exact(c.vals), exact(c.pos))
 }
 
 // exact returns s with no spare capacity.

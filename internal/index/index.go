@@ -11,8 +11,9 @@
 package index
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
-	"sync"
 
 	"desksearch/internal/postings"
 )
@@ -134,8 +135,15 @@ func (t *FileTable) Paths() []string { return t.paths }
 // duplicate-free term blocks by a Builder. It is not safe for concurrent
 // mutation; use Shared for Implementation 1, or one Builder per updater
 // for Implementations 2 and 3.
+//
+// Beside the map it keeps, through every mutator, the dictionary order —
+// keys ascending and each term's list parallel to them, so a walk costs
+// no hash lookup and takes no lock — and the set of files it holds.
 type Index struct {
 	terms map[string]*postings.List
+	keys  []string
+	lists []*postings.List
+	docs  docSet
 	// nPostings counts (term, file) pairs for Stats.
 	nPostings int64
 	// positional records that this index was built (or loaded) with
@@ -143,22 +151,33 @@ type Index struct {
 	// the codec writes (a flags bit — see docs/FORMAT.md) and whether
 	// incremental updates re-extract changed files positionally.
 	positional bool
-
-	// sortMu guards the lazily built sorted dictionary cache backing
-	// Range/Window/Terms/TermsFrom: the ascending term list plus, parallel to
-	// it, each term's posting-list pointer — so a dictionary walk costs
-	// no per-term hash lookup. Concurrent readers may race to build it
-	// (the engine's read lock admits many queries at once); mutators
-	// that change the term set, or swap a term's list pointer
-	// (RemoveFiles), drop it. nil sorted means stale.
-	sortMu      sync.Mutex
-	sorted      []string
-	sortedLists []*postings.List
 }
 
 // New returns an empty index sized for about capacity terms.
 func New(capacity int) *Index {
 	return &Index{terms: make(map[string]*postings.List, capacity)}
+}
+
+// NewOrdered returns the index of terms, strictly ascending, and the
+// non-empty lists of slab parallel to them, which hold postings for
+// exactly the files docs lists. It takes terms as its dictionary order and
+// slab's elements as its lists; the caller must use neither afterwards.
+// Builder.Index and a segment's Materialize build indices this way.
+func NewOrdered(terms []string, slab []postings.List, docs []postings.FileID, positional bool) *Index {
+	ix := &Index{
+		terms:      make(map[string]*postings.List, len(terms)),
+		keys:       terms,
+		lists:      make([]*postings.List, len(slab)),
+		positional: positional,
+	}
+	for i := range slab {
+		l := &slab[i]
+		ix.terms[terms[i]] = l
+		ix.lists[i] = l
+		ix.nPostings += int64(l.Len())
+	}
+	ix.docs.add(docs)
+	return ix
 }
 
 // Positional reports whether the index carries per-posting token positions
@@ -200,77 +219,32 @@ func (ix *Index) DocFreq(term string) int {
 }
 
 // NumTerms returns the number of distinct terms.
-func (ix *Index) NumTerms() int { return len(ix.terms) }
+func (ix *Index) NumTerms() int { return len(ix.keys) }
 
 // NumPostings returns the number of (term, file) pairs.
 func (ix *Index) NumPostings() int64 { return ix.nPostings }
 
-// invalidateSortedOnGrowth drops the sorted-term cache if the term count
-// no longer matches before — the count captured when a mutator started.
-// Mutators that only rewrite posting lists of existing terms keep the
-// cache; ones that add or drop terms invalidate it.
-func (ix *Index) invalidateSortedOnGrowth(before int) {
-	if len(ix.terms) == before {
-		return
-	}
-	ix.invalidateSorted()
-}
-
-// invalidateSorted drops the sorted dictionary cache unconditionally.
-func (ix *Index) invalidateSorted() {
-	ix.sortMu.Lock()
-	ix.sorted, ix.sortedLists = nil, nil
-	ix.sortMu.Unlock()
-}
-
-// sortedDict returns the ascending term list and, parallel to it, each
-// term's posting-list pointer, building both on first use after an
-// invalidation. List pointers are stable between invalidations (in-place
-// mutators keep them; RemoveFiles, the one mutator that swaps a list,
-// invalidates), so iterating the pair avoids a hash lookup per term —
-// the cost that dominates full-dictionary scans. Safe for concurrent
-// readers; callers must not modify the returned slices.
-func (ix *Index) sortedDict() ([]string, []*postings.List) {
-	ix.sortMu.Lock()
-	defer ix.sortMu.Unlock()
-	if ix.sorted == nil {
-		keys := make([]string, 0, len(ix.terms))
-		for term := range ix.terms {
-			keys = append(keys, term)
-		}
-		sort.Strings(keys)
-		lists := make([]*postings.List, len(keys))
-		for i, term := range keys {
-			lists[i] = ix.terms[term]
-		}
-		ix.sorted, ix.sortedLists = keys, lists
-	}
-	return ix.sorted, ix.sortedLists
-}
-
 // Range calls f for every (term, postings) pair in ascending term order
-// until f returns false — the whole-index walk sharding copies lists by.
-// Sorted order is a documented guarantee, as for Terms and TermsFrom, so
-// the walk is deterministic across runs. The index must not gain or lose
-// terms during Range.
+// until f returns false — the whole-index walk sharding and the segment
+// writer copy lists by. Sorted order is a documented guarantee, as for
+// Terms and TermsFrom, so the walk is deterministic across runs. The
+// index must not be mutated during Range.
 func (ix *Index) Range(f func(term string, l *postings.List) bool) {
-	terms, lists := ix.sortedDict()
-	for i, term := range terms {
-		if !f(term, lists[i]) {
+	for i, term := range ix.keys {
+		if !f(term, ix.lists[i]) {
 			return
 		}
 	}
 }
 
 // Window emits every occurrence, at a position in [lo[i], hi[i]], of any
-// term in file files[i] (see Partition). It walks the sorted dictionary's
-// parallel slices, not the map, and lets each list skip itself
+// term in file files[i] (see Partition). It walks the lists in dictionary
+// order, not the map, and lets each list skip itself
 // (postings.List.Window): a list whose IDs miss the files' range costs
 // two comparisons.
 func (ix *Index) Window(files []postings.FileID, lo, hi []uint32, emit func(i int, term string, pos uint32)) {
-	terms, lists := ix.sortedDict()
-	for t, l := range lists {
-		term := terms[t]
+	for t, l := range ix.lists {
+		term := ix.keys[t]
 		l.Window(files, lo, hi, func(i int, pos uint32) { emit(i, term, pos) })
 	}
 }
@@ -278,95 +252,106 @@ func (ix *Index) Window(files []postings.FileID, lo, hi []uint32, emit func(i in
 // TermsFrom calls yield for every term >= from in ascending order with its
 // document frequency, until yield returns false — the dictionary-range
 // primitive of the Partition interface. The seek is a binary search over
-// the sorted term cache.
+// the ascending keys.
 func (ix *Index) TermsFrom(from string, yield func(term string, df int) bool) {
-	terms, lists := ix.sortedDict()
-	i := sort.SearchStrings(terms, from)
-	for ; i < len(terms); i++ {
-		if !yield(terms[i], lists[i].Len()) {
+	for i := sort.SearchStrings(ix.keys, from); i < len(ix.keys); i++ {
+		if !yield(ix.keys[i], ix.lists[i].Len()) {
 			return
 		}
 	}
 }
 
 // Terms appends all terms to dst in ascending order and returns it.
-func (ix *Index) Terms(dst []string) []string {
-	terms, _ := ix.sortedDict()
-	return append(dst, terms...)
-}
+func (ix *Index) Terms(dst []string) []string { return append(dst, ix.keys...) }
 
-// Docs returns the set of files this index holds postings for, as a fresh
-// pure-ID list (term frequencies are never copied — NOT evaluation, the
-// consumer, reads only IDs). It is one pass over the postings that marks
-// each held ID, then one over the marks: its allocations do not grow with
-// the number of terms.
-func (ix *Index) Docs() *postings.List {
-	n := 0 // one past the largest held ID
-	for _, l := range ix.terms {
-		if ids := l.IDs(); len(ids) > 0 {
-			n = max(n, int(ids[len(ids)-1])+1)
-		}
-	}
-	held := make([]bool, n)
-	for _, l := range ix.terms {
-		for _, id := range l.IDs() {
-			held[id] = true
-		}
-	}
-	ids := make([]postings.FileID, 0, n)
-	for id, h := range held {
-		if h {
-			ids = append(ids, postings.FileID(id))
-		}
-	}
-	return postings.FromSortedIDs(ids)
-}
+// Docs returns a fresh copy of the set of files this index holds postings
+// for, as a pure-ID list (term frequencies are never copied — NOT
+// evaluation, the consumer, reads only IDs). The index keeps the set
+// through every mutator, so Docs reads no posting.
+func (ix *Index) Docs() *postings.List { return ix.docs.list() }
 
 // termOverhead is what one term costs the index beside its posting
-// storage and its string's bytes: the postings.List struct (72 B, in an
-// 80-byte size class) and the term's map slot (a string header and a list
-// pointer, 24 B, about 40 at the map's average load).
-const termOverhead = 80 + 40
+// storage and its string's bytes: its postings.List header (72 B, in the
+// slab Builder.Index or Materialize allocates), its slots in the two
+// dictionary-order slices (a string header and a list pointer, 24 B) and
+// its map slot (the same 24 B, about 40 at the map's average load).
+const termOverhead = 72 + 24 + 40
 
 // ResidentBytes estimates the index's heap footprint: per term, its
 // string's bytes, termOverhead and what its list reports of its own
-// storage (postings.List.HeapBytes). An observability estimate, not an
-// allocator measurement.
+// storage (postings.List.HeapBytes), and the document set's bitmap. An
+// observability estimate, not an allocator measurement.
 func (ix *Index) ResidentBytes() int64 {
-	var b int64
-	for term, l := range ix.terms {
-		b += int64(len(term)) + termOverhead + l.HeapBytes()
+	b := 8 * int64(cap(ix.docs))
+	for i, term := range ix.keys {
+		b += int64(len(term)) + termOverhead + ix.lists[i].HeapBytes()
 	}
 	return b
 }
 
 // Join destructively merges other into ix ("Join Forces"): every posting
 // list of other is united with ix's, and ix adopts the lists of terms it
-// lacks. other must not be used afterwards.
+// lacks, merged into its dictionary order in one pass. Their headers are
+// copied into a slab of ix's own, so they do not keep alive other's slab,
+// mostly headers of lists merged away. other must not be used afterwards.
 func (ix *Index) Join(other *Index) {
 	if other == nil {
 		return
 	}
 	ix.positional = ix.positional || other.positional
-	for term, l := range other.terms {
-		ix.MergeTerm(term, l)
+	ix.docs.union(other.docs)
+	fresh := 0
+	for i, term := range other.keys {
+		l := other.lists[i]
+		if existing, ok := ix.terms[term]; ok {
+			before := existing.Len()
+			existing.Merge(l)
+			ix.nPostings += int64(existing.Len() - before)
+			other.lists[i] = nil // merged: not a new term
+			continue
+		}
+		ix.nPostings += int64(l.Len())
+		fresh++
 	}
+	if fresh == 0 {
+		return
+	}
+	keys := make([]string, 0, len(ix.keys)+fresh)
+	lists := make([]*postings.List, 0, cap(keys))
+	slab := make([]postings.List, 0, fresh)
+	at := 0 // ix's terms before at are in keys
+	for j, term := range other.keys {
+		if other.lists[j] == nil {
+			continue
+		}
+		next := at + sort.SearchStrings(ix.keys[at:], term)
+		keys, lists = append(keys, ix.keys[at:next]...), append(lists, ix.lists[at:next]...)
+		slab = append(slab, *other.lists[j])
+		l := &slab[len(slab)-1]
+		ix.terms[term] = l
+		keys, lists, at = append(keys, term), append(lists, l), next
+	}
+	ix.keys, ix.lists = append(keys, ix.keys[at:]...), append(lists, ix.lists[at:]...)
 }
 
 // MergeTerm unions l into term's posting list and takes l: a term the
-// index lacks adopts l as its list, so loading a decoded list copies none
-// of it, and the caller must not use l afterwards. Sharding uses MergeTerm
-// to route a whole posting sublist between indices in one merge, where
-// re-adding each file's block would cost a term lookup per posting.
+// index lacks adopts l as its list, inserted at its place in the
+// dictionary order, and the caller must not use l afterwards. Sharding
+// uses MergeTerm to route a whole posting sublist between indices in one
+// merge, where re-adding each file's block would cost a term lookup per
+// posting; fed in ascending term order, each insert is an append.
 func (ix *Index) MergeTerm(term string, l *postings.List) {
 	if l == nil || l.Len() == 0 {
 		return
 	}
+	ix.docs.add(l.IDs())
 	existing, ok := ix.terms[term]
 	if !ok {
 		ix.terms[term] = l
 		ix.nPostings += int64(l.Len())
-		ix.invalidateSorted()
+		i, _ := slices.BinarySearch(ix.keys, term)
+		ix.keys = slices.Insert(ix.keys, i, term)
+		ix.lists = slices.Insert(ix.lists, i, l)
 		return
 	}
 	before := existing.Len()
@@ -386,4 +371,43 @@ func (ix *Index) Equal(other *Index) bool {
 		}
 	}
 	return true
+}
+
+// docSet is the set of files an index holds postings for: a bitmap with a
+// bit per FileID from 0 to the largest member.
+type docSet []uint64
+
+// add puts ids, in any order, in the set.
+func (s *docSet) add(ids []postings.FileID) {
+	for _, id := range ids {
+		if n := int(id/64) + 1; n > len(*s) {
+			*s = append(*s, make(docSet, n-len(*s))...)
+		}
+		(*s)[id/64] |= 1 << (id % 64)
+	}
+}
+
+// union puts every member of o in the set.
+func (s *docSet) union(o docSet) {
+	if len(o) > len(*s) {
+		*s = append(*s, make(docSet, len(o)-len(*s))...)
+	}
+	for i, w := range o {
+		(*s)[i] |= w
+	}
+}
+
+// list returns the members as a fresh ascending pure-ID list.
+func (s docSet) list() *postings.List {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	ids := make([]postings.FileID, 0, n)
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			ids = append(ids, postings.FileID(i*64+bits.TrailingZeros64(w)))
+		}
+	}
+	return postings.FromColumns(ids, nil, nil)
 }

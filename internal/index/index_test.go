@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -239,206 +238,6 @@ func TestParallelJoinEqualsSequentialJoin(t *testing.T) {
 				t.Fatalf("posting count diverged: %d vs %d", got.NumPostings(), want.NumPostings())
 			}
 		}
-	}
-}
-
-// TestDictionaryMatchesMapModel runs seeded sequences of every dictionary
-// mutator against a plain term → file-IDs map and, after each step,
-// compares every read: Lookup and DocFreq of present and absent terms, the
-// counts, Docs, and the ascending walks of TermsFrom and Range. Reading the
-// walks between mutations builds the sorted cache each time, so a mutator
-// that leaves it stale — RemoveFiles swaps list pointers without changing
-// the term count — shows up as a walk that disagrees with the model.
-func TestDictionaryMatchesMapModel(t *testing.T) {
-	vocab := make([]string, 40)
-	for i := range vocab {
-		vocab[i] = fmt.Sprintf("t%02d", i)
-	}
-	absent := []string{"", "t", "t40", "zz"}
-	for seed := int64(1); seed <= 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		positional := seed%2 == 0
-		ix := New(rng.Intn(64))
-		model := map[string][]postings.FileID{}
-		next := postings.FileID(0) // every ID below it has been issued
-		// terms picks 1..8 distinct words, as a duplicate-free block holds.
-		terms := func() []string {
-			picked := rng.Perm(len(vocab))[:1+rng.Intn(8)]
-			out := make([]string, len(picked))
-			for i, p := range picked {
-				out[i] = vocab[p]
-			}
-			return out
-		}
-		// add logs a block under a fresh ID into dst, whose index is then
-		// joined into ix.
-		add := func(dst *Builder, terms []string) {
-			id := next
-			next++
-			positions := make([][]uint32, len(terms))
-			for i, term := range terms {
-				positions[i] = []uint32{uint32(i)}
-				model[term] = union(model[term], id)
-			}
-			if positional {
-				dst.AddBlockPositional(id, terms, positions)
-			} else {
-				dst.AddBlock(id, terms, nil)
-			}
-		}
-		for step := 0; step < 60; step++ {
-			var op string
-			switch r := rng.Intn(10); {
-			case r < 4:
-				op = "AddBlock"
-				one := NewBuilder(positional)
-				add(one, terms())
-				ix.Join(one.Index())
-			case r < 6:
-				op = "MergeTerm"
-				term := vocab[rng.Intn(len(vocab))]
-				l := &postings.List{}
-				for k := rng.Intn(4); k >= 0; k-- {
-					// An issued ID, or a fresh one.
-					id := postings.FileID(rng.Intn(int(next) + 1))
-					if id == next {
-						next++
-					}
-					if positional {
-						l.Merge(postings.FromSortedIDPositions([]postings.FileID{id}, [][]uint32{{0}}))
-					} else {
-						l.Add(id)
-					}
-					model[term] = union(model[term], id)
-				}
-				ix.MergeTerm(term, l)
-			case r < 8:
-				op = "RemoveFiles"
-				var victims []postings.FileID
-				for k := rng.Intn(6); k >= 0; k-- {
-					victims = append(victims, postings.FileID(rng.Intn(int(next)+2)))
-				}
-				want := 0
-				for term, ids := range model {
-					kept := ids[:0:0]
-					for _, id := range ids {
-						if slices.Contains(victims, id) {
-							want++
-						} else {
-							kept = append(kept, id)
-						}
-					}
-					if len(kept) == 0 {
-						delete(model, term)
-					} else {
-						model[term] = kept
-					}
-				}
-				if got := ix.RemoveFiles(postings.FromIDs(victims)); got != want {
-					t.Fatalf("seed %d step %d: RemoveFiles removed %d postings, model %d", seed, step, got, want)
-				}
-			default:
-				op = "Join"
-				other := NewBuilder(positional)
-				for k := rng.Intn(4); k >= 0; k-- {
-					add(other, terms())
-				}
-				ix.Join(other.Index())
-			}
-			checkAgainstModel(t, fmt.Sprintf("seed %d step %d (%s)", seed, step, op), ix, model, absent)
-		}
-	}
-}
-
-// union returns ids with id added, ascending and duplicate-free.
-func union(ids []postings.FileID, id postings.FileID) []postings.FileID {
-	i, found := slices.BinarySearch(ids, id)
-	if found {
-		return ids
-	}
-	return slices.Insert(slices.Clone(ids), i, id)
-}
-
-func checkAgainstModel(t *testing.T, at string, ix *Index, model map[string][]postings.FileID, absent []string) {
-	t.Helper()
-	keys := make([]string, 0, len(model))
-	postingsWant := int64(0)
-	var docs []postings.FileID
-	for term, ids := range model {
-		keys = append(keys, term)
-		postingsWant += int64(len(ids))
-		for _, id := range ids {
-			docs = union(docs, id)
-		}
-		if l := ix.Lookup(term); l == nil || !slices.Equal(l.IDs(), ids) {
-			t.Fatalf("%s: Lookup(%q) = %v, model %v", at, term, l, ids)
-		}
-		if df := ix.DocFreq(term); df != len(ids) {
-			t.Fatalf("%s: DocFreq(%q) = %d, model %d", at, term, df, len(ids))
-		}
-	}
-	sort.Strings(keys)
-	for _, term := range absent {
-		if l := ix.Lookup(term); l != nil || ix.DocFreq(term) != 0 {
-			t.Fatalf("%s: absent term %q found", at, term)
-		}
-	}
-	if ix.NumTerms() != len(model) || ix.NumPostings() != postingsWant {
-		t.Fatalf("%s: %d terms, %d postings; model %d, %d", at, ix.NumTerms(), ix.NumPostings(), len(model), postingsWant)
-	}
-	if got := ix.Docs().IDs(); !slices.Equal(got, docs) {
-		t.Fatalf("%s: Docs = %v, model %v", at, got, docs)
-	}
-	var walked []string
-	ix.TermsFrom("", func(term string, df int) bool {
-		if df != len(model[term]) {
-			t.Fatalf("%s: TermsFrom df(%q) = %d, model %d", at, term, df, len(model[term]))
-		}
-		walked = append(walked, term)
-		return true
-	})
-	if !slices.Equal(walked, keys) {
-		t.Fatalf("%s: TermsFrom walked %v, model %v", at, walked, keys)
-	}
-	walked = walked[:0]
-	ix.TermsFrom("t2", func(term string, _ int) bool {
-		walked = append(walked, term)
-		return true
-	})
-	if want := keys[sort.SearchStrings(keys, "t2"):]; !slices.Equal(walked, want) {
-		t.Fatalf("%s: TermsFrom(\"t2\") walked %v, model %v", at, walked, want)
-	}
-	walked = walked[:0]
-	ix.Range(func(term string, l *postings.List) bool {
-		if !slices.Equal(l.IDs(), model[term]) {
-			t.Fatalf("%s: Range list of %q = %v, model %v", at, term, l.IDs(), model[term])
-		}
-		walked = append(walked, term)
-		return true
-	})
-	if !slices.Equal(walked, keys) {
-		t.Fatalf("%s: Range walked %v, model %v", at, walked, keys)
-	}
-}
-
-// TestDocsAllocsIndependentOfTerms: Docs marks the held IDs in one pass
-// over the postings, so 100 terms and 10 000 terms over the same 100 files
-// cost the same number of allocations — no per-term list or merge.
-func TestDocsAllocsIndependentOfTerms(t *testing.T) {
-	const files = 100
-	allocs := func(terms int) float64 {
-		ix := New(terms)
-		for i := 0; i < terms; i++ {
-			a, b := postings.FileID(i%files), postings.FileID((i+1)%files)
-			ix.MergeTerm(fmt.Sprintf("t%05d", i), postings.FromIDs([]postings.FileID{a, b}))
-		}
-		if got := ix.Docs().Len(); got != files {
-			t.Fatalf("%d terms: Docs holds %d files, want %d", terms, got, files)
-		}
-		return testing.AllocsPerRun(10, func() { ix.Docs() })
-	}
-	if few, many := allocs(100), allocs(10_000); few != many {
-		t.Fatalf("Docs allocates %v times over 100 terms and %v over 10 000", few, many)
 	}
 }
 

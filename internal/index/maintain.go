@@ -16,30 +16,39 @@ import (
 // list that holds no victim is left as it is.
 //
 // The index has no file → terms direction, so removal walks the whole
-// dictionary once per batch, against one bitmap of the victims' IDs
-// (postings.Mark, the batch's one allocation). Beyond that walk it costs
-// the postings of the lists whose ID range straddles a victim: each is
+// dictionary once per batch, in order, against one bitmap of the victims'
+// IDs (postings.Mark, the batch's one allocation), and closes the gaps
+// emptied terms leave in the same pass. Beyond that walk it costs the
+// postings of the lists whose ID range straddles a victim: each is
 // scanned once against the marks (List.Remove), and a list wholly below
 // or above the victims' range costs two comparisons. Removing files this
 // index does not hold — routine when a catalog's partitions are scanned
-// in parallel and only one owns the file — costs no more than that.
+// in parallel and only one owns the file — costs no more than that. No
+// victim holds a posting afterwards, so each leaves the document set. An
+// emptied term's list header is reset but stays in its slab.
 func (ix *Index) RemoveFiles(victims *postings.List) int {
 	if victims == nil || victims.Len() == 0 {
 		return 0
 	}
 	marks := postings.Mark(victims.IDs()...)
-	defer ix.invalidateSortedOnGrowth(len(ix.terms))
-	removed := 0
-	for term, l := range ix.terms {
+	removed, w := 0, 0
+	for i, l := range ix.lists {
 		n := l.Remove(&marks)
-		if n == 0 {
-			// Most terms in most updates: the list stays as it is.
+		removed += n
+		if n > 0 && l.Len() == 0 {
+			delete(ix.terms, ix.keys[i])
+			*l = postings.List{}
 			continue
 		}
-		removed += n
-		if l.Len() == 0 {
-			// Deleting during range is defined.
-			delete(ix.terms, term)
+		ix.keys[w], ix.lists[w] = ix.keys[i], l
+		w++
+	}
+	clear(ix.keys[w:])
+	clear(ix.lists[w:])
+	ix.keys, ix.lists = ix.keys[:w], ix.lists[:w]
+	for _, id := range victims.IDs() {
+		if int(id/64) < len(ix.docs) {
+			ix.docs[id/64] &^= 1 << (id % 64)
 		}
 	}
 	ix.nPostings -= int64(removed)
@@ -61,8 +70,8 @@ func (ix *Index) TopTerms(n int) []TermCount {
 		return nil
 	}
 	all := make([]TermCount, 0, ix.NumTerms())
-	for term, l := range ix.terms {
-		all = append(all, TermCount{Term: term, Files: l.Len()})
+	for i, term := range ix.keys {
+		all = append(all, TermCount{Term: term, Files: ix.lists[i].Len()})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Files != all[j].Files {

@@ -80,9 +80,10 @@ type Partition interface {
 	Positional() bool
 
 	// Docs returns the set of files this partition holds postings for, as
-	// a fresh pure-ID list — the complement base NOT evaluation unions
-	// into a universe. On a lazy backend it comes from the segment's
-	// persisted doc set, not from decoding postings.
+	// a fresh pure-ID list the caller owns — the complement base NOT
+	// evaluation unions into a universe. The partition keeps the set (a
+	// heap index through its mutators, a lazy segment as its persisted doc
+	// set), so Docs copies it and reads no posting.
 	Docs() *postings.List
 
 	// ResidentBytes estimates the partition's current heap footprint:

@@ -111,23 +111,33 @@ func (b *Block) Parse(blk []byte, df int, positional bool) error {
 // frequencies (Decode), leaving a positional block's positions section
 // unread. Any other byte left over is a fault.
 func (b *Block) Decode(positions bool) (*List, error) {
+	l := new(List)
+	if err := b.DecodeInto(l, positions); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// DecodeInto is Decode into a list the caller provides — an element of a
+// slab of lists, say — whatever l held. After an error l is not to be
+// read.
+func (b *Block) DecodeInto(l *List, positions bool) error {
 	var (
-		l   *List
 		n   int
 		err error
 	)
 	if positions {
-		l, n, err = DecodePositional(b.enc)
+		*l, n, err = decodePositional(b.enc)
 	} else {
-		l, n, err = Decode(b.enc)
+		*l, n, err = decode(b.enc)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if stopsEarly := b.positional && !positions; n != len(b.enc) && !stopsEarly {
-		return nil, fmt.Errorf("postings: %d trailing block bytes", len(b.enc)-n)
+		return fmt.Errorf("postings: %d trailing block bytes", len(b.enc)-n)
 	}
-	return l, nil
+	return nil
 }
 
 // BlockIterator streams a block's postings off its bytes without decoding

@@ -100,14 +100,25 @@ func (l *List) EncodePositional(dst []byte) []byte {
 // section: handed a positional encoding it returns the IDs and
 // frequencies and leaves the positions section unread, which is what lets
 // a reader that needs no positions skip the largest part of a block.
-func Decode(buf []byte) (*List, int, error) {
-	ids, off, err := decodeIDs(buf)
+func Decode(buf []byte) (*List, int, error) { return onHeap(decode(buf)) }
+
+// onHeap returns a decode's list as a pointer, or its error.
+func onHeap(l List, n int, err error) (*List, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	l := &List{ids: ids}
+	return &l, n, nil
+}
+
+// decode is Decode returning the list by value, for Block.DecodeInto.
+func decode(buf []byte) (List, int, error) {
+	ids, off, err := decodeIDs(buf)
+	if err != nil {
+		return List{}, 0, err
+	}
+	l := List{ids: ids}
 	if off >= len(buf) {
-		return nil, 0, fmt.Errorf("postings: missing frequency marker")
+		return List{}, 0, fmt.Errorf("postings: missing frequency marker")
 	}
 	marker := buf[off]
 	off++
@@ -115,11 +126,11 @@ func Decode(buf []byte) (*List, int, error) {
 	case listBoolean:
 	case listCounted:
 		if l.vals, off, err = decodeFreqs(buf, off, len(ids)); err != nil {
-			return nil, 0, err
+			return List{}, 0, err
 		}
 		l.normalize()
 	default:
-		return nil, 0, fmt.Errorf("postings: unknown frequency marker %d", marker)
+		return List{}, 0, fmt.Errorf("postings: unknown frequency marker %d", marker)
 	}
 	return l, off, nil
 }
@@ -188,25 +199,28 @@ func decodeIDs(buf []byte) ([]FileID, int, error) {
 // the first is a duplicate), bounded, and capped against the buffer so a
 // corrupt frequency section cannot force an absurd allocation.
 //
-// The decode fills the list's columns directly: the IDs, one run end per
-// posting and one flat slice of every position, so a decoded list costs
-// four allocations (those three and the list) and four bytes per ID, run
-// end and position, however many postings it has. The frequency section
-// is read twice — once to size the position column, once as the run
-// lengths while the positions stream — instead of being materialized: a
-// positional list derives its frequencies from its runs.
-func DecodePositional(buf []byte) (*List, int, error) {
+// The decode fills the list's columns directly: the IDs, then one run end
+// per posting and every position back to back, both in one allocation, so
+// a decoded list costs three allocations (those two and the list) and four
+// bytes per ID, run end and position, however many postings it has. The
+// frequency section is read twice — once to size the position column, once
+// as the run lengths while the positions stream — instead of being
+// materialized: a positional list derives its frequencies from its runs.
+func DecodePositional(buf []byte) (*List, int, error) { return onHeap(decodePositional(buf)) }
+
+// decodePositional is DecodePositional returning the list by value.
+func decodePositional(buf []byte) (List, int, error) {
 	ids, off, err := decodeIDs(buf)
 	if err != nil {
-		return nil, 0, err
+		return List{}, 0, err
 	}
 	if off >= len(buf) {
-		return nil, 0, fmt.Errorf("postings: missing frequency marker")
+		return List{}, 0, fmt.Errorf("postings: missing frequency marker")
 	}
 	marker := buf[off]
 	off++
 	if marker != listBoolean && marker != listCounted {
-		return nil, 0, fmt.Errorf("postings: unknown frequency marker %d", marker)
+		return List{}, 0, fmt.Errorf("postings: unknown frequency marker %d", marker)
 	}
 	freqOff := off
 	total := uint64(len(ids))
@@ -215,39 +229,41 @@ func DecodePositional(buf []byte) (*List, int, error) {
 		for i := range ids {
 			c, n := binary.Uvarint(buf[off:])
 			if n <= 0 {
-				return nil, 0, fmt.Errorf("postings: corrupt frequency at %d", i)
+				return List{}, 0, fmt.Errorf("postings: corrupt frequency at %d", i)
 			}
 			if c > 0xFFFF_FFFE {
-				return nil, 0, fmt.Errorf("postings: frequency %d overflows at %d", c, i)
+				return List{}, 0, fmt.Errorf("postings: frequency %d overflows at %d", c, i)
 			}
 			off += n
 			total += c + 1 // at most len(buf) postings of at most 2^32: no overflow
 		}
 	}
 	if off >= len(buf) {
-		return nil, 0, fmt.Errorf("postings: missing positions marker")
+		return List{}, 0, fmt.Errorf("postings: missing positions marker")
 	}
 	posMarker := buf[off]
 	off++
 	switch posMarker {
 	case posAbsent:
-		l := &List{ids: ids}
+		l := List{ids: ids}
 		if marker == listCounted {
 			if l.vals, _, err = decodeFreqs(buf, freqOff, len(ids)); err != nil {
-				return nil, 0, err
+				return List{}, 0, err
 			}
 			l.normalize()
 		}
 		return l, off, nil
 	case posPresent:
 	default:
-		return nil, 0, fmt.Errorf("postings: unknown positions marker %d", posMarker)
+		return List{}, 0, fmt.Errorf("postings: unknown positions marker %d", posMarker)
 	}
 	if total > uint64(len(buf)-off) {
-		return nil, 0, fmt.Errorf("postings: position count %d exceeds buffer", total)
+		return List{}, 0, fmt.Errorf("postings: position count %d exceeds buffer", total)
 	}
-	flat := make([]uint32, 0, total)
-	ends := make([]uint32, len(ids))
+	// One allocation, capped so that an append to either column moves it.
+	cols := make([]uint32, len(ids)+int(total))
+	ends := cols[:len(ids):len(ids)]
+	flat := cols[len(ids):len(ids)]
 	for i := range ids {
 		count := 1
 		if marker == listCounted {
@@ -259,25 +275,25 @@ func DecodePositional(buf []byte) (*List, int, error) {
 		for k := 0; k < count; k++ {
 			delta, n := binary.Uvarint(buf[off:])
 			if n <= 0 {
-				return nil, 0, fmt.Errorf("postings: corrupt position at posting %d", i)
+				return List{}, 0, fmt.Errorf("postings: corrupt position at posting %d", i)
 			}
 			off += n
 			v := delta
 			if k > 0 {
 				if delta == 0 {
-					return nil, 0, fmt.Errorf("postings: zero position delta at posting %d (duplicate position)", i)
+					return List{}, 0, fmt.Errorf("postings: zero position delta at posting %d (duplicate position)", i)
 				}
 				v = prev + delta
 			}
 			if delta > 0xFFFF_FFFF || v > 0xFFFF_FFFF {
-				return nil, 0, fmt.Errorf("postings: position %d overflows at posting %d", v, i)
+				return List{}, 0, fmt.Errorf("postings: position %d overflows at posting %d", v, i)
 			}
 			flat = append(flat, uint32(v))
 			prev = v
 		}
 		ends[i] = uint32(len(flat))
 	}
-	return &List{ids: ids, vals: ends, pos: flat}, off, nil
+	return List{ids: ids, vals: ends, pos: flat}, off, nil
 }
 
 // hasMultiOccurrence reports whether any posting of a positional list

@@ -44,8 +44,8 @@ type Hit struct {
 }
 
 // Engine executes queries over one or more indices sharing a file table —
-// unjoined replicas, the shards of a shard.Set, or a worker's subset of a
-// saved directory; all partition the corpus by document, which is all the
+// the partitions of a shard.Set, or a worker's subset of a saved
+// directory; all partition the corpus by document, which is all the
 // engine relies on. It is the paper's Implementation 3 made whole: "the
 // search can work with multiple indices in parallel".
 //

@@ -5,12 +5,13 @@
 // Queries are boolean: terms combine with implicit AND, the OR and NOT
 // keywords, parentheses, and quoted phrases ("annual report"), which match
 // only consecutive occurrences and need an index built with token
-// positions. Execution runs against one index or fans out in parallel over
-// the replica indices that Implementation 3 leaves unjoined. Because every
-// file's term block lands in exactly one replica, any per-file predicate —
+// positions. Execution fans out in parallel over a catalog's partitions —
+// the hash-routed partitions every build yields (shard.ShardFor), one or
+// many, or a worker's subset of a saved directory. Because every file's
+// term block lands in exactly one partition, any per-file predicate —
 // phrase adjacency included, since a file's positions live together with
-// its postings — evaluates correctly replica-by-replica; the final result
-// is the union of per-replica results.
+// its postings — evaluates correctly partition by partition; the final
+// result is the union of per-partition results.
 package search
 
 import (

@@ -543,19 +543,24 @@ func (r *Reader) Verify() error {
 // Materialize fully decodes the segment into a heap index — the eager
 // loading path (shard.LoadDir) applied to a segment file, and the bridge
 // that keeps directories loadable by every API that predates lazy open.
+// The verified dictionary is the index's dictionary order, each block is
+// decoded into its term's element of one slab of lists, and the index
+// adopts the persisted document set OpenDir answers NOT from.
 func (r *Reader) Materialize() (*index.Index, error) {
-	ix := index.New(len(r.entries))
-	if r.positional {
-		ix.SetPositional()
-	}
+	terms := make([]string, len(r.entries))
+	slab := make([]postings.List, len(r.entries))
+	var b postings.Block
 	for ord := range r.entries {
-		l, err := r.decodeBlock(ord, r.positional)
-		if err != nil {
+		e := &r.entries[ord]
+		if err := r.block(e, &b); err != nil {
 			return nil, err
 		}
-		ix.MergeTerm(r.entries[ord].term, l)
+		if err := b.DecodeInto(&slab[ord], r.positional); err != nil {
+			return nil, r.fault(e, err)
+		}
+		terms[ord] = e.term
 	}
-	return ix, nil
+	return index.NewOrdered(terms, slab, r.docs.IDs(), r.positional), nil
 }
 
 // cursor is a bounds-checked sequential reader over a byte slice; the

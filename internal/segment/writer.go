@@ -9,44 +9,34 @@ import (
 )
 
 // Write serializes ix as a DSIX v11 lazy segment (see the package comment
-// and docs/FORMAT.md for the layout). The term dictionary is emitted in
-// sorted order with one checksummed posting block per term, each encoded
-// once by postings.AppendBlock straight into the block region; a reader
-// can open the result in O(dictionary) and decode blocks on demand.
+// and docs/FORMAT.md for the layout). It walks the index's own dictionary
+// order (index.Index.Range) once, encoding each term's checksummed posting
+// block straight into the block region (postings.AppendBlock) and its
+// dictionary entry beside it, and writes the document set the index
+// keeps; a reader can open the result in O(dictionary) and decode blocks
+// on demand.
 func Write(w io.Writer, ix *index.Index) error {
 	flags := byte(0)
 	if ix.Positional() {
 		flags |= flagPositional
 	}
 
-	// Posting blocks, buffered in term order. Segments are per-shard, so
-	// the buffer is bounded by shard size — same budget the eager writer
-	// already spends on its frame payload.
-	terms := ix.Terms(nil)
-	type dictEnt struct {
-		term string
-		df   int
-		blen int
-		sum  uint32
-	}
-	dict := make([]dictEnt, 0, len(terms))
-	var blocks []byte
-	for _, term := range terms {
-		l := ix.Lookup(term)
-		if l == nil || l.Len() == 0 {
-			continue // defensive: the index never stores empty lists
-		}
+	// Posting blocks and their dictionary entries, buffered in term order.
+	// Segments are per-shard, so the buffers are bounded by shard size.
+	var blocks, ents []byte
+	ix.Range(func(term string, l *postings.List) bool {
 		start := len(blocks)
 		blocks = postings.AppendBlock(blocks, l, ix.Positional())
-		dict = append(dict, dictEnt{
-			term: term,
-			df:   l.Len(),
-			blen: len(blocks) - start,
-			sum:  index.Checksum(blocks[start:]),
-		})
-	}
+		ents = binary.AppendUvarint(ents, uint64(len(term)))
+		ents = append(ents, term...)
+		ents = binary.AppendUvarint(ents, uint64(l.Len()))
+		ents = binary.AppendUvarint(ents, uint64(len(blocks)-start))
+		ents = binary.LittleEndian.AppendUint32(ents, index.Checksum(blocks[start:]))
+		return true
+	})
 
-	// Dictionary region.
+	// Dictionary region: the document set, the block region's length and
+	// the term count ahead of the entries.
 	var buf []byte
 	docs := ix.Docs().IDs()
 	buf = binary.AppendUvarint(buf, uint64(len(docs)))
@@ -60,14 +50,7 @@ func Write(w io.Writer, ix *index.Index) error {
 		prev = id
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(blocks)))
-	buf = binary.AppendUvarint(buf, uint64(len(dict)))
-	for _, e := range dict {
-		buf = binary.AppendUvarint(buf, uint64(len(e.term)))
-		buf = append(buf, e.term...)
-		buf = binary.AppendUvarint(buf, uint64(e.df))
-		buf = binary.AppendUvarint(buf, uint64(e.blen))
-		buf = binary.LittleEndian.AppendUint32(buf, e.sum)
-	}
+	buf = binary.AppendUvarint(buf, uint64(ix.NumTerms()))
 
 	// Header + dictionary + their checksum, then the blocks. The checksum
 	// covers everything Open parses eagerly, so a reader verifies before
@@ -77,14 +60,15 @@ func Write(w io.Writer, ix *index.Index) error {
 	hdr = append(hdr, segMagic...)
 	hdr = binary.LittleEndian.AppendUint16(hdr, index.Version)
 	hdr = append(hdr, index.KindSegment, flags)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(buf)))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(buf)+len(ents)))
 
 	h := index.NewChecksum()
 	h.Write(hdr)
 	h.Write(buf)
+	h.Write(ents)
 	sum := binary.LittleEndian.AppendUint32(nil, h.Sum32())
 
-	for _, part := range [][]byte{hdr, buf, sum, blocks} {
+	for _, part := range [][]byte{hdr, buf, ents, sum, blocks} {
 		if _, err := w.Write(part); err != nil {
 			return err
 		}

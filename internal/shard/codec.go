@@ -283,7 +283,7 @@ func LoadDir(dir string) (*Set, error) {
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
-			shards[i], errs[i] = loadSegmentFile(filepath.Join(dir, name), m.sums[i])
+			shards[i], errs[i] = loadSegmentFile(filepath.Join(dir, name), m.sums[i], m.files.Len())
 		}(i, name)
 	}
 	wg.Wait()
@@ -312,8 +312,10 @@ func LoadDir(dir string) (*Set, error) {
 
 // loadSegmentFile eagerly loads one segment: the file is opened in place
 // over the already-read bytes and fully materialized — the eager path
-// through the lazy format.
-func loadSegmentFile(path string, wantSum uint32) (*index.Index, error) {
+// through the lazy format. Like OpenDir it refuses a segment holding a
+// file past the manifest's table of files, before the index sizes its
+// document set by the largest one.
+func loadSegmentFile(path string, wantSum uint32, files int) (*index.Index, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -326,5 +328,8 @@ func loadSegmentFile(path string, wantSum uint32) (*index.Index, error) {
 		return nil, err
 	}
 	defer r.Close()
+	if last, ok := r.LastDoc(); ok && int(last) >= files {
+		return nil, fmt.Errorf("file ID %d is past the manifest's file table (%d files)", last, files)
+	}
 	return r.Materialize()
 }

@@ -223,3 +223,24 @@ func TestSaveDirRefusesTooManyPartitions(t *testing.T) {
 		t.Errorf("refused save left %d entries behind, first %q", len(entries), entries[0].Name())
 	}
 }
+
+// TestLoadDirRefusesFileBeyondTable: a directory whose manifest and
+// segments agree on their checksums but whose segment holds a file past
+// the manifest's table — written that way, not damaged — fails LoadDir
+// as it fails OpenDir, naming the ID, before the loaded index sizes its
+// document set by that file.
+func TestLoadDirRefusesFileBeyondTable(t *testing.T) {
+	files := index.NewFileTable()
+	files.Add("a.txt", 1, 1)
+	files.Add("b.txt", 1, 1)
+	b := index.NewBuilder(false)
+	b.AddBlock(1, []string{"kept"}, nil)
+	b.AddBlock(1000, []string{"stray"}, nil)
+	dir := t.TempDir()
+	if err := SaveDir(dir, New(files, []*index.Index{b.Index()})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadDir(dir); err == nil || !strings.Contains(err.Error(), "file ID 1000 is past the manifest's file table (2 files)") {
+		t.Fatalf("LoadDir: %v; want the file past the table named", err)
+	}
+}

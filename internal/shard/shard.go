@@ -187,7 +187,13 @@ func Distribute(files *index.FileTable, sources []*index.Index, n int) *Set {
 			var mine []postings.FileID
 			var mineCounts []uint32
 			var minePos [][]uint32
-			for _, src := range sources {
+			for k, src := range sources {
+				// Each source's walk is ascending, so MergeTerm appends;
+				// a later source's terms join dst in one merge.
+				part := dst
+				if k > 0 {
+					part = index.New(src.NumTerms() / n)
+				}
 				src.Range(func(term string, l *postings.List) bool {
 					mine, mineCounts, minePos = mine[:0], mineCounts[:0], minePos[:0]
 					withPos := l.HasPositions()
@@ -207,13 +213,16 @@ func Distribute(files *index.FileTable, sources []*index.Index, n int) *Set {
 						// and positions, for positional sources — travel
 						// with their postings.
 						if withPos {
-							dst.MergeTerm(term, postings.FromSortedIDPositions(mine, minePos))
+							part.MergeTerm(term, postings.FromSortedIDPositions(mine, minePos))
 						} else {
-							dst.MergeTerm(term, postings.FromSortedIDCounts(mine, mineCounts))
+							part.MergeTerm(term, postings.FromSortedIDCounts(mine, mineCounts))
 						}
 					}
 					return true
 				})
+				if part != dst {
+					dst.Join(part)
+				}
 			}
 			shards[s] = dst
 		}(int32(s))
