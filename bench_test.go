@@ -388,9 +388,11 @@ var churnOptions = Options{Implementation: ReplicatedSearch, Extractors: 4, Upda
 
 // BenchmarkIncrementalUpdate measures Catalog.Update absorbing a churned
 // tree in place: diff, parallel re-extraction of only the changed files,
-// and batched per-partition commit. one-file-then-query times a one-file
-// Update together with the query after it, which refills the NOT universes
-// the update dropped.
+// and a commit at each changed file's owning partition. one-file-then-query
+// times a one-file Update together with the query after it, which refills
+// the NOT universes the update dropped; one-file-positional times a
+// one-file Update of a positional 4-shard catalog, where a modified file's
+// postings land mid-list and move every later posting's positions.
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	for _, pct := range churnLevels {
 		b.Run(fmt.Sprintf("churn-%d", pct), func(b *testing.B) {
@@ -433,6 +435,23 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := cat.Query(ctx, q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("one-file-positional", func(b *testing.B) {
+		b.ReportAllocs()
+		fs, paths := churnCorpus(b)
+		cat, err := IndexFS(fs, ".", Options{Positions: true, Shards: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			churn(b, fs, paths, 1, i)
+			b.StartTimer()
+			if _, err := cat.Update(fs, "."); err != nil {
 				b.Fatal(err)
 			}
 		}

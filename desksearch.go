@@ -376,10 +376,9 @@ type Stats struct {
 }
 
 // Catalog is a built or loaded index, a set of hash-routed document
-// partitions, ready to answer queries. A version 11 directory saved before
-// every build was hash-routed may hold unrouted partitions, one per
-// replica; it loads and serves alike, and for its sake an update removes
-// a file's old postings from every partition, not only the file's own.
+// partitions, ready to answer queries. A directory whose segments are not
+// routed by shard.ShardFor is refused at open, so an update changes a
+// file's own partition and no other.
 //
 // A catalog is safe for concurrent Query calls, and Query is safe
 // against a concurrent Update/Apply: incremental updates commit under the

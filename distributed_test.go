@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"desksearch/internal/index"
@@ -232,9 +233,9 @@ func TestGlobalDFShapeMismatch(t *testing.T) {
 
 // saveUnrouted saves the files under fsys's root as a directory whose n
 // partitions split the files by FileID mod n, not by shard.ShardFor: the
-// shape of a version 11 directory saved from a replicated build before
-// every build was hash-routed, where a replica held whatever files its
-// updater took. It returns the directory and the saved file table.
+// shape of a directory saved from a replicated build before every build
+// was hash-routed, where a replica held whatever files its updater took.
+// It returns the directory and the saved file table.
 func saveUnrouted(t *testing.T, fsys vfs.FS, n int) (string, *index.FileTable) {
 	t.Helper()
 	seq, err := IndexFS(fsys, ".", Options{Implementation: Sequential})
@@ -274,13 +275,60 @@ func saveUnrouted(t *testing.T, fsys vfs.FS, n int) (string, *index.FileTable) {
 	return dir, files
 }
 
-// TestOpenDirShardsReplicaSaved: a directory whose partitions follow no
-// hash routing (saveUnrouted) still opens as disjoint worker subsets, one
-// per segment. Each answers NOT for the documents it holds, and the worker
-// serving shard 0 also for the term-free files, so together the subsets
-// answer every negated query with exactly the whole directory's files and
-// Total, each file once, and the same per-partition match counts.
-func TestOpenDirShardsReplicaSaved(t *testing.T) {
+// TestOpenRefusesUnroutedDir: a directory whose segments split the files
+// by another rule than shard.ShardFor (saveUnrouted) is refused by every
+// open — LoadDir, OpenDir, and OpenDirShards of one segment holding a
+// stray file — naming the segment and the file and saying to rebuild,
+// because an update would look for a file's postings at its owner alone.
+func TestOpenRefusesUnroutedDir(t *testing.T) {
+	const n = 3
+	dir, files := saveUnrouted(t, corpusFS(t, 60), n)
+	// stray[i] is the first file segment i holds that ShardFor routes
+	// elsewhere; a whole-directory open reports the lowest such segment.
+	stray := map[int]postings.FileID{}
+	first, last := n, -1
+	for id := postings.FileID(0); int(id) < files.Len(); id++ {
+		i := int(id) % n
+		if _, ok := stray[i]; !ok && shard.ShardFor(id, n) != i {
+			stray[i] = id
+			first, last = min(first, i), max(last, i)
+		}
+	}
+	if last < 0 {
+		t.Fatal("no segment holds a stray file")
+	}
+	refused := func(label string, err error, i int) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s opened an unrouted directory", label)
+		}
+		for _, want := range []string{shard.SegmentName(i), fmt.Sprintf("file ID %d ", stray[i]), "rebuild the index"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: %v; want it to name %q", label, err, want)
+			}
+		}
+	}
+	_, err := LoadDir(dir)
+	refused("LoadDir", err, first)
+	lazy, err := OpenDir(dir)
+	if err == nil {
+		lazy.Close()
+	}
+	refused("OpenDir", err, first)
+	sub, err := OpenDirShards(dir, []int{last})
+	if err == nil {
+		sub.Close()
+	}
+	refused(fmt.Sprintf("OpenDirShards(%d)", last), err, last)
+}
+
+// TestOpenDirShardsTermFreeFiles: a routed directory holding term-free
+// files opens as one worker subset per segment. Each answers NOT for the
+// documents it holds, and the worker serving shard 0 also for the
+// term-free files, so together the subsets answer every negated query
+// with exactly the whole directory's files and Total, each file once, and
+// the same per-partition match counts.
+func TestOpenDirShardsTermFreeFiles(t *testing.T) {
 	fs := corpusFS(t, 90)
 	termFree := []string{"dir9/empty.txt", "dir9/punctuation.txt", "dir9/blank.txt"}
 	for i, body := range []string{"", "!!! --- ???", "\n\t \n"} {
@@ -288,7 +336,14 @@ func TestOpenDirShardsReplicaSaved(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dir, _ := saveUnrouted(t, fs, 3)
+	built, err := IndexFS(fs, ".", Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := built.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
 	whole, err := OpenDirShards(dir, nil)
 	if err != nil {
 		t.Fatalf("whole-directory open: %v", err)

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"desksearch/internal/postings"
-	"desksearch/internal/shard"
 	"desksearch/internal/vfs"
 )
 
@@ -490,71 +489,6 @@ func TestUnshardedSaveDirIsIncremental(t *testing.T) {
 	if len(changed) != 2 || changed[0] != "manifest.dsix" {
 		t.Errorf("changed files = %v, want the manifest and one segment", changed)
 	}
-}
-
-// TestUnroutedDirUpdateMatchesRebuild: in a directory whose partitions
-// follow no hash routing (saveUnrouted), a file's postings may sit outside
-// the partition shard.ShardFor routes it to. Update must still drop them
-// wherever they are: a modify moves the file's postings to that partition,
-// dirtying both segments, a delete leaves no trace, and the catalog, and
-// the directory saved back and reloaded, answer like a rebuild.
-func TestUnroutedDirUpdateMatchesRebuild(t *testing.T) {
-	const n = 3
-	fs := corpusFS(t, 60)
-	dir, files := saveUnrouted(t, fs, n)
-	cat, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var strays []postings.FileID
-	for id := postings.FileID(0); int(id) < files.Len() && len(strays) < 2; id++ {
-		if shard.ShardFor(id, n) != int(id)%n {
-			strays = append(strays, id)
-		}
-	}
-	if len(strays) < 2 {
-		t.Fatalf("only %d files outside their routed partition", len(strays))
-	}
-	modified, deleted := strays[0], strays[1]
-	if err := fs.WriteFile(files.Path(modified), []byte("zebra crossing")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Remove(files.Path(deleted)); err != nil {
-		t.Fatal(err)
-	}
-	if st, err := cat.Update(fs, "."); err != nil || st.Modified != 1 || st.Deleted != 1 {
-		t.Fatalf("Update = %+v, %v; want one modified and one deleted file", st, err)
-	}
-	dirty := map[int]bool{int(modified) % n: true, shard.ShardFor(modified, n): true, int(deleted) % n: true}
-	if got := cat.DirtySegments(); got != len(dirty) {
-		t.Fatalf("DirtySegments() = %d, want %d: the partitions that held the two files and the modified file's owner", got, len(dirty))
-	}
-
-	rebuilt, err := IndexFS(fs, ".", Options{Shards: n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []string{"zebra", "-report", "annual report", "flour OR -milk", "-(quarterly budget)"}
-	for _, w := range []string{"report", "quarterly", "draft", "milk", "flour", "budget", "search", "thread"} {
-		queries = append(queries, w)
-	}
-	check := func(label string, got *Catalog) {
-		t.Helper()
-		for _, q := range queries {
-			if g, w := resultSet(t, got, q), resultSet(t, rebuilt, q); !reflect.DeepEqual(g, w) {
-				t.Fatalf("%s %q:\nupdated %v\nrebuild %v", label, q, g, w)
-			}
-		}
-	}
-	check("updated", cat)
-	if err := cat.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("saved and reloaded", reloaded)
 }
 
 // TestConcurrentSearchAndCatalogUpdate races queries against incremental

@@ -9,13 +9,13 @@
 //     producing a Changeset of added, modified, and deleted files.
 //  2. Extract — re-extract the added and modified files with a pool of
 //     Stage-2 extractors, one per worker, in parallel.
-//  3. Commit — apply the changeset in place: one batched posting scan per
-//     partition removes deleted and modified files (partitions are
-//     independent, so the scans run in parallel), tombstoned FileIDs are
-//     retired, new files register fresh IDs, and each new term block is
-//     routed to its owning partition by the same FNV FileID split
-//     internal/shard uses, staged there with the changeset's other blocks
-//     and joined in one merge per touched posting list.
+//  3. Commit — apply the changeset in place: tombstoned FileIDs are
+//     retired and new files register fresh IDs, and every change goes to
+//     the one partition that owns its file by the FNV FileID split
+//     internal/shard routes builds and checks directories by. Each owner
+//     with work, in parallel, removes its deleted and modified files in
+//     one batched posting scan, then joins its fresh term blocks in one
+//     merge per touched posting list; no other partition is touched.
 //
 // Diff and Extract only read; Commit mutates and must run with queries
 // excluded (search.Engine.Maintain does exactly that for the public
@@ -241,23 +241,21 @@ func (s Stats) String() string {
 // Commit applies the plan to t in place and returns what changed.
 //
 // The caller must exclude concurrent queries (search.Engine.Maintain);
-// Commit itself parallelizes the removal scans — partitions are
-// independent — but mutates the file table single-threaded.
+// Commit mutates the file table single-threaded and the partitions in
+// parallel, one goroutine per partition with work.
 //
-// Removal scans every partition rather than only the hash-owning one:
-// every build routes by the FNV split, but a version 11 directory saved
-// before that held unjoined ReplicatedSearch replicas in the pipeline's
-// distribution order, and membership is the only owner test that holds
-// for both. Each partition marks the victims' FileIDs in a bitmap
-// (postings.Mark) and walks its dictionary once: a list wholly outside
-// the marked range is skipped after two comparisons, and any other is
-// scanned once against the marks, so the batch costs the dictionaries
-// plus the postings of the lists the marked range straddles, not
-// victims × lists. New blocks — for added and modified files alike — are
-// routed by shard.ShardFor, the rule every build routes by, so shard sets
-// keep their invariant and older replicas stay document-disjoint (the old
-// copy of a modified file is gone from every partition before the new
-// block lands in exactly one).
+// The partitions are t's ShardFor-routed shards — every build routes by
+// the FNV split, and every open refuses a directory that does not — so a
+// file's postings live at its owner, ShardFor(id, n), and nowhere else.
+// One pass over the changeset does the file-table bookkeeping and puts
+// each deleted or modified file's ID and each fresh term block under its
+// owner; then every owner with work removes its victims and only then
+// joins its fresh blocks. The order matters: a modified file keeps its
+// FileID, so removing after the join would delete the fresh postings.
+// Removal marks the owner's victims in a bitmap (postings.Mark) and walks
+// its dictionary once: a list wholly outside the marked range is skipped
+// after two comparisons, and any other is scanned once against the marks.
+// A partition no change routes to is not touched.
 //
 // Commit is idempotent and safe on stale changesets: before applying, the
 // plan is normalized against the live file table — an add whose path is
@@ -269,11 +267,14 @@ func (p *Plan) Commit(t Target) Stats {
 	var st Stats
 	n := len(t.Partitions)
 
-	type step struct {
-		c   Change
-		pos int // position in the original changeset, the key into p.blocks
-	}
-	steps := make([]step, 0, len(p.Changeset.Changes))
+	// File-table bookkeeping, with each change routed to its owner. Files
+	// whose re-extraction failed are left pending rather than finalized:
+	// a failed modify keeps its stale size and stamp (so the next Diff
+	// still sees the file as changed and retries) but records zero tokens
+	// — its old postings go, which is what a rebuild skipping an
+	// unreadable file would show — and a failed add is not registered at
+	// all (the next Diff re-adds it).
+	work := make([]ownerWork, n)
 	for i, c := range p.Changeset.Changes {
 		switch c.Op {
 		case OpAdd:
@@ -285,104 +286,83 @@ func (p *Plan) Commit(t Target) Stats {
 				continue
 			}
 		}
-		steps = append(steps, step{c: c, pos: i})
-	}
-
-	// Phase 1: batched removal of deleted and modified files, one scan per
-	// partition, in parallel.
-	var victimIDs []postings.FileID
-	for _, s := range steps {
-		if s.c.Op == OpModify || s.c.Op == OpDelete {
-			victimIDs = append(victimIDs, s.c.ID)
-		}
-	}
-	if len(victimIDs) > 0 {
-		victims := postings.FromIDs(victimIDs)
-		removed := make([]int, n)
-		var wg sync.WaitGroup
-		for i, ix := range t.Partitions {
-			wg.Add(1)
-			go func(i int, ix *index.Index) {
-				defer wg.Done()
-				removed[i] = ix.RemoveFiles(victims)
-			}(i, ix)
-		}
-		wg.Wait()
-		for i, r := range removed {
-			st.PostingsRemoved += int64(r)
-			if r > 0 && t.OnDirty != nil {
-				t.OnDirty(i)
-			}
-		}
-	}
-
-	// Phase 2: file-table bookkeeping and en-bloc insertion of the fresh
-	// term blocks, each routed to its FNV-owning partition. Files whose
-	// re-extraction failed are left pending rather than finalized: a
-	// failed modify keeps its stale size and stamp (so the next Diff still
-	// sees the file as changed and retries) but records zero tokens — its
-	// old postings are gone, which is what a rebuild skipping an
-	// unreadable file would show — and a failed add is not registered at
-	// all (the next Diff re-adds it).
-	//
-	// A modified file keeps its FileID, so its postings land mid-list, and
-	// a positional list moves the positions of every later posting on an
-	// insert there. The blocks are therefore staged in one index.Builder per
-	// partition, built, and joined into it once: each touched list takes
-	// one linear merge per commit, not one insert per file. Partitions are
-	// independent, so they stage and join in parallel.
-	staged := make([][]staging, n)
-	for _, s := range steps {
-		c := s.c
 		switch c.Op {
 		case OpDelete:
+			w := &work[shard.ShardFor(c.ID, n)]
+			w.victims = append(w.victims, c.ID)
 			t.Files.Tombstone(c.ID)
 			st.Deleted++
 		case OpModify:
-			block, ok := p.blocks[s.pos]
+			w := &work[shard.ShardFor(c.ID, n)]
+			w.victims = append(w.victims, c.ID)
+			block, ok := p.blocks[i]
 			if !ok {
 				t.Files.SetTokens(c.ID, 0)
 				continue
 			}
 			t.Files.SetMeta(c.ID, c.Size, c.ModTime)
 			t.Files.SetTokens(c.ID, block.Tokens)
-			stage(staged, c.ID, block, &st)
+			w.stage(c.ID, block, &st)
 			st.Modified++
 		case OpAdd:
-			block, ok := p.blocks[s.pos]
+			block, ok := p.blocks[i]
 			if !ok {
 				continue
 			}
 			id := t.Files.Add(c.Path, c.Size, c.ModTime)
 			t.Files.SetTokens(id, block.Tokens)
-			stage(staged, id, block, &st)
+			work[shard.ShardFor(id, n)].stage(id, block, &st)
 			st.Added++
 		}
 	}
+
+	// One fan-out over the owners with work. A modified file keeps its
+	// FileID, so its postings land mid-list, and a positional list moves
+	// the positions of every later posting on an insert there: an owner's
+	// fresh blocks are therefore staged in one index.Builder, built, and
+	// joined once, so each touched list takes one linear merge per commit,
+	// not one insert per file.
+	removed := make([]int, n)
 	var wg sync.WaitGroup
-	for owner, blocks := range staged {
-		if len(blocks) == 0 {
+	for owner := range work {
+		w := &work[owner]
+		if len(w.victims) == 0 && len(w.blocks) == 0 {
 			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ix := t.Partitions[owner]
+			removed[owner] = ix.RemoveFiles(postings.FromIDs(w.victims))
+			if len(w.blocks) == 0 {
+				return
+			}
 			fresh := index.NewBuilder(false) // Join keeps the partition's kind
-			for _, b := range blocks {
+			for _, b := range w.blocks {
 				if b.block.Positions != nil {
 					fresh.AddBlockPositional(b.id, b.block.Terms, b.block.Positions)
 				} else {
 					fresh.AddBlock(b.id, b.block.Terms, b.block.Counts)
 				}
 			}
-			t.Partitions[owner].Join(fresh.Index())
+			ix.Join(fresh.Index())
 		}()
-		if t.OnDirty != nil {
+	}
+	wg.Wait()
+	for owner, r := range removed {
+		st.PostingsRemoved += int64(r)
+		if (r > 0 || len(work[owner].blocks) > 0) && t.OnDirty != nil {
 			t.OnDirty(owner)
 		}
 	}
-	wg.Wait()
 	return st
+}
+
+// ownerWork is what a commit does at one partition: the files to remove
+// from it and the fresh term blocks to join into it.
+type ownerWork struct {
+	victims []postings.FileID
+	blocks  []staging
 }
 
 // staging is a fresh term block waiting for its partition's join.
@@ -391,15 +371,14 @@ type staging struct {
 	block extract.TermBlock
 }
 
-// stage queues a fresh term block for id's owning partition. A positional
+// stage queues a fresh term block for the owner's join. A positional
 // block goes in through the positional insertion path (a positional
 // catalog re-extracts positionally, so updates keep phrase queries
 // answerable).
-func stage(staged [][]staging, id postings.FileID, block extract.TermBlock, st *Stats) {
+func (w *ownerWork) stage(id postings.FileID, block extract.TermBlock, st *Stats) {
 	if len(block.Terms) == 0 {
 		return
 	}
-	owner := shard.ShardFor(id, len(staged))
-	staged[owner] = append(staged[owner], staging{id, block})
+	w.blocks = append(w.blocks, staging{id, block})
 	st.PostingsAdded += int64(len(block.Terms))
 }

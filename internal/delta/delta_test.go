@@ -280,6 +280,52 @@ func TestCommitDirtyTracking(t *testing.T) {
 	}
 }
 
+// TestCommitTouchesOnlyTheOwner: a one-file modify and a one-file delete
+// reach the file's ShardFor owner and no other partition. Every other
+// partition of the target is nil, so a commit that removed or joined
+// anywhere else would panic.
+func TestCommitTouchesOnlyTheOwner(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		change func(fs *vfs.MemFS) error
+		want   Stats
+	}{
+		{"modify", func(fs *vfs.MemFS) error { return fs.WriteFile("docs/a.txt", []byte("alpha rewritten")) },
+			Stats{Modified: 1, PostingsRemoved: 2, PostingsAdded: 2}},
+		{"delete", func(fs *vfs.MemFS) error { return fs.Remove("docs/a.txt") },
+			Stats{Deleted: 1, PostingsRemoved: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 4
+			fs := seedFS(t)
+			res := build(t, fs, n)
+			if err := tc.change(fs); err != nil {
+				t.Fatal(err)
+			}
+			id, _ := res.Files.Lookup("docs/a.txt")
+			owner := shard.ShardFor(id, n)
+			parts := make([]*index.Index, n)
+			parts[owner] = res.Indexes()[owner]
+			cs, err := Diff(fs, ".", res.Files)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dirty []int
+			st := Extract(fs, cs, extract.Options{Tokenize: tokenize.Default}, 1).Commit(Target{
+				Files:      res.Files,
+				Partitions: parts,
+				OnDirty:    func(i int) { dirty = append(dirty, i) },
+			})
+			if st != tc.want {
+				t.Errorf("stats = %+v, want %+v", st, tc.want)
+			}
+			if !reflect.DeepEqual(dirty, []int{owner}) {
+				t.Errorf("dirtied %v, want only the owner %d", dirty, owner)
+			}
+		})
+	}
+}
+
 func TestEmptyChangesetCommitIsNoop(t *testing.T) {
 	fs := seedFS(t)
 	res := build(t, fs, 2)

@@ -22,9 +22,8 @@ import (
 // postings of the lists whose ID range straddles a victim: each is
 // scanned once against the marks (List.Remove), and a list wholly below
 // or above the victims' range costs two comparisons. Removing files this
-// index does not hold — routine when a catalog's partitions are scanned
-// in parallel and only one owns the file — costs no more than that. No
-// victim holds a posting afterwards, so each leaves the document set. An
+// index does not hold costs no more than that. No victim holds a posting
+// afterwards, so each leaves the document set. An
 // emptied term's list header is reset but stays in its slab.
 func (ix *Index) RemoveFiles(victims *postings.List) int {
 	if victims == nil || victims.Len() == 0 {

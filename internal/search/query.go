@@ -16,6 +16,7 @@ package search
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"desksearch/internal/tokenize"
@@ -164,60 +165,46 @@ func Parse(text string) (*Query, error) {
 	if !p.done() {
 		return nil, fmt.Errorf("search: unexpected %q", p.peek().text)
 	}
-	q := &Query{root: root, prefixes: p.prefixes, hasPhrase: containsPhrase(root)}
-	collectPositive(root, false, &q.positive)
-	collectScorePrefixes(root, false, q)
+	q := &Query{root: root, prefixes: p.prefixes}
+	q.collect(root, false)
 	return q, nil
 }
 
-// collectScorePrefixes fills q.scorePrefixes with the ordinals of the
-// distinct non-negated prefixes, in order of first appearance — the prefix
-// analog of collectPositive's dedup.
-func collectScorePrefixes(n node, negated bool, q *Query) {
-	switch v := n.(type) {
-	case prefixNode:
-		if negated {
-			return
+// collect fills q.positive, q.scorePrefixes and q.hasPhrase in one walk of
+// the tree under n, negated when an odd number of NOTs encloses it:
+// positive terms and non-negated prefixes keep their first appearance
+// only, and a phrase anywhere, negated or not, sets hasPhrase.
+func (q *Query) collect(n node, negated bool) {
+	addTerm := func(term string) {
+		if !negated && !slices.Contains(q.positive, term) {
+			q.positive = append(q.positive, term)
 		}
-		for _, ord := range q.scorePrefixes {
-			if q.prefixes[ord] == v.prefix {
-				return
-			}
-		}
-		q.scorePrefixes = append(q.scorePrefixes, v.ord)
-	case andNode:
-		for _, k := range v.kids {
-			collectScorePrefixes(k, negated, q)
-		}
-	case orNode:
-		for _, k := range v.kids {
-			collectScorePrefixes(k, negated, q)
-		}
-	case notNode:
-		collectScorePrefixes(v.kid, !negated, q)
 	}
-}
-
-func containsPhrase(n node) bool {
 	switch v := n.(type) {
+	case termNode:
+		addTerm(v.term)
 	case phraseNode:
-		return true
+		q.hasPhrase = true
+		// Every phrase term is contained in every hit, so the terms rank
+		// and report like plain positive terms.
+		for _, t := range v.terms {
+			addTerm(t)
+		}
+	case prefixNode:
+		if !negated && !slices.ContainsFunc(q.scorePrefixes, func(ord int) bool { return q.prefixes[ord] == v.prefix }) {
+			q.scorePrefixes = append(q.scorePrefixes, v.ord)
+		}
 	case andNode:
 		for _, k := range v.kids {
-			if containsPhrase(k) {
-				return true
-			}
+			q.collect(k, negated)
 		}
 	case orNode:
 		for _, k := range v.kids {
-			if containsPhrase(k) {
-				return true
-			}
+			q.collect(k, negated)
 		}
 	case notNode:
-		return containsPhrase(v.kid)
+		q.collect(v.kid, !negated)
 	}
-	return false
 }
 
 // MustParse is Parse for known-good queries in examples and tests.
@@ -227,41 +214,6 @@ func MustParse(text string) *Query {
 		panic(err)
 	}
 	return q
-}
-
-func collectPositive(n node, negated bool, out *[]string) {
-	addTerm := func(term string) {
-		for _, seen := range *out {
-			if seen == term {
-				return
-			}
-		}
-		*out = append(*out, term)
-	}
-	switch v := n.(type) {
-	case termNode:
-		if !negated {
-			addTerm(v.term)
-		}
-	case phraseNode:
-		// Every phrase term is contained in every hit, so the terms rank
-		// and report like plain positive terms.
-		if !negated {
-			for _, t := range v.terms {
-				addTerm(t)
-			}
-		}
-	case andNode:
-		for _, k := range v.kids {
-			collectPositive(k, negated, out)
-		}
-	case orNode:
-		for _, k := range v.kids {
-			collectPositive(k, negated, out)
-		}
-	case notNode:
-		collectPositive(v.kid, !negated, out)
-	}
 }
 
 type tokKind int

@@ -458,17 +458,6 @@ func (r *Reader) Positional() bool { return r.positional }
 // reader's own copy is never handed out.
 func (r *Reader) Docs() *postings.List { return r.docs.Clone() }
 
-// LastDoc returns the largest file ID in the segment's persisted doc-ID
-// set, verified at open, and false when the set is empty. It copies
-// nothing: it is how an open holds the segment to the file table beside it.
-func (r *Reader) LastDoc() (postings.FileID, bool) {
-	ids := r.docs.IDs()
-	if len(ids) == 0 {
-		return 0, false
-	}
-	return ids[len(ids)-1], true
-}
-
 // ResidentBytes estimates the reader's heap footprint: the in-memory
 // dictionary and doc set plus this reader's share of the block cache.
 // The mmap'd file itself is page cache, not heap, and is not counted.

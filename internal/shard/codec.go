@@ -283,7 +283,7 @@ func LoadDir(dir string) (*Set, error) {
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
-			shards[i], errs[i] = loadSegmentFile(filepath.Join(dir, name), m.sums[i], m.files.Len())
+			shards[i], errs[i] = loadSegmentFile(filepath.Join(dir, name), m.sums[i], i, len(m.names), m.files.Len())
 		}(i, name)
 	}
 	wg.Wait()
@@ -310,12 +310,11 @@ func LoadDir(dir string) (*Set, error) {
 	return set, nil
 }
 
-// loadSegmentFile eagerly loads one segment: the file is opened in place
-// over the already-read bytes and fully materialized — the eager path
-// through the lazy format. Like OpenDir it refuses a segment holding a
-// file past the manifest's table of files, before the index sizes its
-// document set by the largest one.
-func loadSegmentFile(path string, wantSum uint32, files int) (*index.Index, error) {
+// loadSegmentFile eagerly loads segment i of n: the file is opened in
+// place over the already-read bytes and fully materialized — the eager
+// path through the lazy format. Like OpenDir it admits the segment first,
+// before the index sizes its document set by the largest file.
+func loadSegmentFile(path string, wantSum uint32, i, n, files int) (*index.Index, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -328,8 +327,28 @@ func loadSegmentFile(path string, wantSum uint32, files int) (*index.Index, erro
 		return nil, err
 	}
 	defer r.Close()
-	if last, ok := r.LastDoc(); ok && int(last) >= files {
-		return nil, fmt.Errorf("file ID %d is past the manifest's file table (%d files)", last, files)
+	if err := admit(r, i, n, files); err != nil {
+		return nil, err
 	}
 	return r.Materialize()
+}
+
+// admit holds segment i of a directory of n to the two rules every reader
+// relies on, over the segment's persisted document set (O(documents), no
+// posting byte): each file it holds is inside the manifest's table of
+// files, and ShardFor routes each to shard i. The first catches a segment
+// saved after its manifest, which OpenDir's unverified segment checksums
+// would let through to panic the first query that resolves the file's
+// path; the second, a directory whose segments split the files by some
+// other rule, where an update would miss a file's postings at its owner.
+func admit(r *segment.Reader, i, n, files int) error {
+	for _, id := range r.Docs().IDs() {
+		if int(id) >= files {
+			return fmt.Errorf("file ID %d is past the manifest's file table (%d files)", id, files)
+		}
+		if owner := ShardFor(id, n); owner != i {
+			return fmt.Errorf("file ID %d routes to shard %d of %d, not to this segment's shard %d; rebuild the index", id, owner, n, i)
+		}
+	}
+	return nil
 }

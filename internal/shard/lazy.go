@@ -44,8 +44,9 @@ type LazySet struct {
 // itself: the dictionary region is checksum-verified at open, and every
 // posting block is checked against its dictionary checksum on every read
 // the cache does not serve. What ties a segment to the manifest is one
-// O(1) check per segment: a segment whose doc-ID set holds a FileID past
-// the manifest's file table — a segment saved after its manifest — is
+// O(documents) check per segment over its persisted doc-ID set: a segment
+// holding a FileID past the manifest's file table — a segment saved after
+// its manifest — or a FileID that ShardFor routes to another shard is
 // refused at open, naming the segment and the ID.
 func OpenDir(dir string, cacheBytes int64) (*LazySet, error) {
 	return OpenDirShards(dir, cacheBytes, nil)
@@ -56,10 +57,9 @@ func OpenDir(dir string, cacheBytes int64) (*LazySet, error) {
 // dictionaries are read and mapped, so a worker's startup cost and
 // footprint track its share of the corpus, not the whole directory.
 // shardIDs lists global shard numbers (duplicates collapse, order does not
-// matter); nil or empty opens every shard, identically to OpenDir. No
-// routing rule is assumed: the segments of a directory are
-// document-disjoint, so each reader answers for the documents it holds,
-// whether a hash or the build's replicas put them there.
+// matter); nil or empty opens every shard, identically to OpenDir. Each
+// opened segment is held to ShardFor against the directory's full shard
+// count, so a subset serves exactly the files routed to its shards.
 func OpenDirShards(dir string, cacheBytes int64, shardIDs []int) (*LazySet, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -89,12 +89,9 @@ func OpenDirShards(dir string, cacheBytes int64, shardIDs []int) (*LazySet, erro
 			return nil, fmt.Errorf("shard: segment %s: %w", m.names[id], err)
 		}
 		s.readers[i] = r
-		// The manifest's segment checksums go unread here, so nothing else
-		// catches a segment newer than its manifest; a file it holds past
-		// the table would panic the first query that resolves its path.
-		if last, ok := r.LastDoc(); ok && int(last) >= m.files.Len() {
+		if err := admit(r, id, total, m.files.Len()); err != nil {
 			s.Close()
-			return nil, fmt.Errorf("shard: segment %s: file ID %d is past the manifest's file table (%d files)", m.names[id], last, m.files.Len())
+			return nil, fmt.Errorf("shard: segment %s: %w", m.names[id], err)
 		}
 	}
 	return s, nil

@@ -9,9 +9,11 @@
 // fixes the rule — core.Run sends every term block to the ShardFor shard of
 // its file, a hash of the FileID, the standard document-partitioning rule
 // of parallel search engines — so a Set is every build's output, and it
-// takes updates where the build put them. Serving needs no rule at all: any
-// saved directory opens as worker subsets, each segment answering for its
-// own documents.
+// takes updates where the build put them. A saved directory keeps the
+// rule: LoadDir and OpenDir refuse a segment holding a file ShardFor routes
+// elsewhere, so any directory opens as worker subsets, each segment
+// answering for its own documents, and an update finds a file at its
+// owner.
 package shard
 
 import (
@@ -52,9 +54,9 @@ type Set struct {
 }
 
 // New returns a set over the given partitions without copying them. The
-// caller guarantees the partitions are document-disjoint — the one thing
-// every reader of a saved directory assumes — as the ShardFor-routed
-// partitions of core.Run and of Distribute are.
+// caller guarantees that partition i holds exactly the files ShardFor
+// routes to i — every reader of a saved directory checks it, and an update
+// relies on it — as the partitions of core.Run and of Distribute do.
 func New(files *index.FileTable, shards []*index.Index) *Set {
 	return &Set{files: files, shards: shards}
 }
