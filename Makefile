@@ -79,12 +79,13 @@ docs-check:
 	$(GO) run ./cmd/docscheck
 
 # Ten seconds of fuzzing on each decoder that reads bytes this process did
-# not write — a worker's partial at the broker, a segment file's header and
-# dictionary at open, its posting blocks under a lazy reader (both decode
-# tiers and the streaming iterator) and the snippet window pass that reads
-# them in place — on the phrase walk's per-file position check against
-# a naive scan (cursor arithmetic at both ends of the uint32 range), and on
-# the positional posting list's operations (inserts, merges, removal,
+# not write — a worker's partial at the broker, query text from /search, a
+# manifest's payload and a segment file's header and dictionary at open,
+# its posting blocks under a lazy reader (both decode tiers and the
+# streaming iterator) and the snippet window pass that reads them in place
+# — on the phrase walk's per-file position check against a naive scan
+# (cursor arithmetic at both ends of the uint32 range), and on the
+# positional posting list's operations (inserts, merges, removal,
 # demotion, windows, the codec round trip), on the index builder (blocks
 # of both kinds in any order) and on a batch removal from a built index
 # (victims held by no list, past the largest posting, adjacent, every file)
@@ -92,6 +93,8 @@ docs-check:
 # allocation or a wrong answer, short enough to run on every push.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPartialDecode -fuzztime=10s ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/search/
+	$(GO) test -run='^$$' -fuzz=FuzzManifestOpen -fuzztime=10s ./internal/shard/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentOpen -fuzztime=10s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz=FuzzBlockDecode -fuzztime=10s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz=FuzzWindowDecode -fuzztime=10s ./internal/segment/

@@ -1,7 +1,6 @@
 package desksearch
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -175,14 +174,12 @@ func TestGoldenSkipTableBytes(t *testing.T) {
 	}
 }
 
-// dsixFrame hand-writes a correctly checksummed DSIX frame of any version.
-func dsixFrame(t *testing.T, version uint16, body func(*bufio.Writer) error) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := index.EncodeFrame(&buf, version, body); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// dsixFrame hand-writes a correctly checksummed DSIX frame of any version:
+// magic, version, payload (kind and flags first) and the CRC-32C trailer.
+func dsixFrame(version uint16, payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint16([]byte("DSIX"), version)
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, index.Checksum(b))
 }
 
 // fnv1 is the 64-bit FNV-1 checksum every file of DSIX versions 9 and 10
@@ -194,19 +191,10 @@ func fnv1(b []byte) []byte {
 }
 
 // v9Frame hand-writes a frame as version 9 wrote it: magic, version, the
-// body, and a u64 FNV-1 trailer over everything before it.
-func v9Frame(t *testing.T, body func(*bufio.Writer) error) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	bw.WriteString("DSIX\x09\x00")
-	if err := body(bw); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return append(buf.Bytes(), fnv1(buf.Bytes())...)
+// payload, and a u64 FNV-1 trailer over everything before it.
+func v9Frame(payload []byte) []byte {
+	b := append([]byte("DSIX\x09\x00"), payload...)
+	return append(b, fnv1(b)...)
 }
 
 // v10Segment hand-writes the version 10 shard segment of one term in file
@@ -223,26 +211,15 @@ func v10Segment() []byte {
 	return append(img, block...)
 }
 
-// writeManifestBody writes a manifest frame's kind, flags and payload: files
+// manifestPayload is a manifest frame's kind, flags and payload: files
 // and one segment entry whose whole-file checksum is sum.
-func writeManifestBody(bw *bufio.Writer, files *index.FileTable, sum []byte) error {
-	if _, err := bw.Write([]byte{index.KindManifest, 0}); err != nil { // kind, flags
-		return err
-	}
-	if err := index.WriteFileTable(bw, files); err != nil {
-		return err
-	}
-	if err := index.WriteDocLengths(bw, files); err != nil {
-		return err
-	}
-	if err := index.WriteUvarint(bw, 1); err != nil {
-		return err
-	}
-	if err := index.WriteString(bw, shard.SegmentName(0)); err != nil {
-		return err
-	}
-	_, err := bw.Write(sum)
-	return err
+func manifestPayload(files *index.FileTable, sum []byte) []byte {
+	b := []byte{index.KindManifest, 0} // kind, flags
+	b = index.AppendFileTable(b, files)
+	b = index.AppendDocLengths(b, files)
+	b = binary.AppendUvarint(b, 1)
+	b = index.AppendString(b, shard.SegmentName(0))
+	return append(b, sum...)
 }
 
 // TestRetiredVersionsRejected feeds every open path well-formed files of
@@ -254,10 +231,7 @@ func writeManifestBody(bw *bufio.Writer, files *index.FileTable, sum []byte) err
 // ones with advice to rebuild; none may return a catalog.
 func TestRetiredVersionsRejected(t *testing.T) {
 	// Zero files and zero terms: a plausible payload in every old layout.
-	empty := func(bw *bufio.Writer) error {
-		_, err := bw.Write([]byte{0, 0})
-		return err
-	}
+	empty := []byte{0, 0}
 	type input struct {
 		name string
 		dir  map[string][]byte // fed to LoadDir, OpenDir and OpenDirShards
@@ -267,7 +241,7 @@ func TestRetiredVersionsRejected(t *testing.T) {
 	for v := uint16(1); v < index.Version; v++ {
 		inputs = append(inputs, input{
 			name: fmt.Sprintf("v%d", v),
-			dir:  map[string][]byte{shard.ManifestName: dsixFrame(t, v, empty)},
+			dir:  map[string][]byte{shard.ManifestName: dsixFrame(v, empty)},
 			want: []string{fmt.Sprintf("DSIX version %d,", v), "rebuild the index"},
 		})
 	}
@@ -275,32 +249,19 @@ func TestRetiredVersionsRejected(t *testing.T) {
 	// A v7-style segment under a valid manifest that vouches for its bytes.
 	files := index.NewFileTable()
 	files.Add("a.txt", 1, 1)
-	segment := dsixFrame(t, 7, func(bw *bufio.Writer) error { // one term, one posting
-		if err := index.WriteUvarint(bw, 1); err != nil {
-			return err
-		}
-		if err := index.WriteString(bw, "quarterly"); err != nil {
-			return err
-		}
-		_, err := bw.Write(postings.FromSortedIDs([]postings.FileID{0}).Encode(nil))
-		return err
-	})
+	segment := dsixFrame(7, append(index.AppendString([]byte{1}, "quarterly"), // one term, one posting
+		postings.FromSortedIDs([]postings.FileID{0}).Encode(nil)...))
 	manifestFor := func(segment []byte) []byte {
-		return dsixFrame(t, index.Version, func(bw *bufio.Writer) error {
-			return writeManifestBody(bw, files, binary.LittleEndian.AppendUint32(nil, index.Checksum(segment)))
-		})
+		return dsixFrame(index.Version, manifestPayload(files, binary.LittleEndian.AppendUint32(nil, index.Checksum(segment))))
 	}
 	manifest := manifestFor(segment)
 	// The directory versions 9 and 10 saved: a v9 manifest with an FNV-1
 	// trailer pinning the v10 segment's bytes with FNV-1.
 	v10 := v10Segment()
-	v9Manifest := v9Frame(t, func(bw *bufio.Writer) error { return writeManifestBody(bw, files, fnv1(v10)) })
+	v9Manifest := v9Frame(manifestPayload(files, fnv1(v10)))
 	// What Catalog.Save used to write: a v9 frame of kind 0, here with a
 	// payload no reader could parse — it must be refused before that matters.
-	singleFile := v9Frame(t, func(bw *bufio.Writer) error {
-		_, err := bw.Write([]byte{0, 1, 0xde, 0xad}) // kind, flags (positional), payload
-		return err
-	})
+	singleFile := v9Frame([]byte{0, 1, 0xde, 0xad}) // kind, flags (positional), payload
 	inputs = append(inputs,
 		input{
 			name: "v7-segment",
@@ -319,7 +280,7 @@ func TestRetiredVersionsRejected(t *testing.T) {
 		},
 		input{
 			name: "v12",
-			dir:  map[string][]byte{shard.ManifestName: dsixFrame(t, 12, empty)},
+			dir:  map[string][]byte{shard.ManifestName: dsixFrame(12, empty)},
 			want: []string{"DSIX version 12,", "newer than this build"},
 		},
 		input{

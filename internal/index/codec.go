@@ -1,13 +1,10 @@
 package index
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash"
 	"hash/crc32"
-	"io"
 
 	"desksearch/internal/postings"
 )
@@ -19,17 +16,18 @@ import (
 // compares the version and kind constants below against the spec).
 //
 // A catalog persists as a directory of version 11 files, told apart by the
-// kind byte after the version. The manifest is a frame, written and read
-// here,
+// kind byte after the version. Every file starts with the header
+// AppendHeader writes and CheckHeader checks,
 //
-//	magic "DSIX" | u16 version 11 | u8 kind 2 | u8 flags | payload |
-//	u32 CRC-32C of everything above
+//	magic "DSIX" | u16 version 11 | u8 kind | u8 flags
 //
-// whose payload is the file table | doc-length section | segment directory
-// (flags 0; internal/shard writes it over this package's exported frame
-// helpers). Shard segments (kind 1) use the lazy layout of internal/segment,
-// which is not a single-checksum frame. Every checksum in every file is
-// Checksum's CRC-32C.
+// and every region after it is built by appending to a byte slice and read
+// through one Cursor. The manifest (kind 2) is a frame — header, payload,
+// and the u32 CRC-32C of both (SealFrame, OpenFrame) — whose payload
+// (internal/shard) is the file table | doc-length section | segment
+// directory. Shard segments (kind 1) use the lazy layout of
+// internal/segment, which is not a single-checksum frame. Every checksum
+// in every file is Checksum's CRC-32C.
 //
 // The file table is
 //
@@ -44,7 +42,10 @@ import (
 // with advice to rebuild.
 
 const (
-	codecMagic = "DSIX"
+	magic = "DSIX"
+	// HeaderLen is the length of the header every DSIX file starts with:
+	// magic, version, kind, flags.
+	HeaderLen = 4 + 2 + 1 + 1
 	// Version is the one live DSIX version, of the manifest and of the
 	// shard segment alike.
 	Version = 11
@@ -56,8 +57,9 @@ const (
 	// (each file's token length, which BM25 ranking normalizes by) and the
 	// segment directory (internal/shard).
 	KindManifest = 2
-	// maxCount bounds file counts against corrupt headers.
-	maxCount = 1 << 31
+	// maxString caps a length-prefixed string: a path, a term, a segment
+	// name.
+	maxString = 1 << 20
 )
 
 // castagnoli selects CRC-32C, which hash/crc32 computes in hardware on
@@ -96,211 +98,252 @@ func KindError(found, want byte) error {
 	return fmt.Errorf("index: DSIX kind %d (%s), want kind %d (%s)", found, name(found), want, name(want))
 }
 
-// EncodeFrame writes a DSIX frame to w: magic, version, the payload written
-// by body, and the checksum trailer over everything before it.
-func EncodeFrame(w io.Writer, version uint16, body func(*bufio.Writer) error) error {
-	h := NewChecksum()
-	bw := bufio.NewWriter(io.MultiWriter(w, h))
-	if _, err := bw.WriteString(codecMagic); err != nil {
-		return err
-	}
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], version)
-	if _, err := bw.Write(b[:]); err != nil {
-		return err
-	}
-	if err := body(bw); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, h.Sum32()))
-	return err
+// AppendHeader appends the header of a live-version DSIX file of kind with
+// flags.
+func AppendHeader(dst []byte, kind, flags byte) []byte {
+	dst = append(dst, magic...)
+	dst = binary.LittleEndian.AppendUint16(dst, Version)
+	return append(dst, kind, flags)
 }
 
-// DecodeFrame verifies data's checksum trailer, magic, version, and kind —
-// in that order, so nothing is parsed before the checksum holds — and
-// returns a reader positioned after the flags byte, the full payload slice,
-// and the flags for the caller to validate.
-func DecodeFrame(data []byte, kind byte) (*bytes.Reader, []byte, byte, error) {
-	const versionEnd = len(codecMagic) + 2
-	if len(data) < versionEnd+4 {
-		return nil, nil, 0, fmt.Errorf("index: truncated (%d bytes)", len(data))
+// CheckHeader checks the header b starts with — magic, version, kind, in
+// that order — and returns its flags for the caller to validate.
+func CheckHeader(b []byte, kind byte) (byte, error) {
+	if len(b) < HeaderLen {
+		return 0, fmt.Errorf("index: truncated (%d bytes)", len(b))
 	}
-	payload, trailer := data[:len(data)-4], data[len(data)-4:]
-	want := binary.LittleEndian.Uint32(trailer)
-	if got := Checksum(payload); got != want {
+	if m := b[:len(magic)]; string(m) != magic {
+		return 0, fmt.Errorf("index: bad magic %q", m)
+	}
+	if v := binary.LittleEndian.Uint16(b[len(magic):]); v != Version {
+		return 0, VersionError(v)
+	}
+	if got := b[HeaderLen-2]; got != kind {
+		return 0, KindError(got, kind)
+	}
+	return b[HeaderLen-1], nil
+}
+
+// SealFrame appends the checksum trailer to frame, a header and its
+// payload, and returns the file's bytes.
+func SealFrame(frame []byte) []byte {
+	return binary.LittleEndian.AppendUint32(frame, Checksum(frame))
+}
+
+// OpenFrame verifies data's checksum trailer and then its header — in that
+// order, so nothing is parsed before the checksum holds — and returns the
+// flags for the caller to validate and a Cursor over the payload.
+func OpenFrame(data []byte, kind byte) (*Cursor, byte, error) {
+	if len(data) < HeaderLen+4 {
+		return nil, 0, fmt.Errorf("index: truncated (%d bytes)", len(data))
+	}
+	frame, trailer := data[:len(data)-4], data[len(data)-4:]
+	if want, got := binary.LittleEndian.Uint32(trailer), Checksum(frame); got != want {
 		// A file of another version (a retired manifest has an FNV-1
 		// trailer) or a segment (no trailer at all) lands here rather than
-		// at the checks below; peeking the header, without trusting
+		// at the check below; peeking the header, without trusting
 		// anything in it, turns a baffling checksum complaint into the
 		// mismatch it actually is.
-		if string(data[:len(codecMagic)]) == codecMagic {
-			if v := binary.LittleEndian.Uint16(data[len(codecMagic):]); v != Version {
-				return nil, nil, 0, VersionError(v)
-			}
-			if got := data[versionEnd]; got != kind {
-				return nil, nil, 0, KindError(got, kind)
+		if string(frame[:len(magic)]) == magic {
+			if _, err := CheckHeader(frame, kind); err != nil {
+				return nil, 0, err
 			}
 		}
-		return nil, nil, 0, fmt.Errorf("index: checksum mismatch: file %#x, computed %#x", want, got)
+		return nil, 0, fmt.Errorf("index: checksum mismatch: file %#x, computed %#x", want, got)
 	}
-	if magic := payload[:len(codecMagic)]; string(magic) != codecMagic {
-		return nil, nil, 0, fmt.Errorf("index: bad magic %q", magic)
-	}
-	if v := binary.LittleEndian.Uint16(payload[len(codecMagic):]); v != Version {
-		return nil, nil, 0, VersionError(v)
-	}
-	if len(payload) < versionEnd+2 {
-		return nil, nil, 0, fmt.Errorf("index: truncated before the frame kind and flags")
-	}
-	if got := payload[versionEnd]; got != kind {
-		return nil, nil, 0, KindError(got, kind)
-	}
-	return bytes.NewReader(payload[versionEnd+2:]), payload, payload[versionEnd+1], nil
-}
-
-// WriteUvarint writes v in varint form.
-func WriteUvarint(bw *bufio.Writer, v uint64) error {
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], v)
-	_, err := bw.Write(scratch[:n])
-	return err
-}
-
-// WriteString writes a length-prefixed string.
-func WriteString(bw *bufio.Writer, s string) error {
-	if err := WriteUvarint(bw, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := bw.WriteString(s)
-	return err
-}
-
-// ReadString reads a length-prefixed string.
-func ReadString(br *bytes.Reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
+	flags, err := CheckHeader(frame, kind)
 	if err != nil {
-		return "", err
+		return nil, 0, err
 	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("absurd string length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+	return NewCursor(frame[HeaderLen:]), flags, nil
 }
 
-// fileLiveFlag marks a live (non-tombstoned) file-table entry on disk.
-const fileLiveFlag = 1
+// AppendString appends a length-prefixed string.
+func AppendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
 
-// WriteFileTable writes the file-table payload section, tombstones
+// Cursor is a bounds-checked sequential reader over a region of a DSIX
+// file: a manifest payload, a segment dictionary. Its first failure sticks
+// in Err and every read after it returns a zero value, so a parser reads a
+// run of fields and checks once.
+type Cursor struct {
+	b   []byte
+	off int
+	err error
+}
+
+// NewCursor returns a Cursor at the start of b.
+func NewCursor(b []byte) *Cursor { return &Cursor{b: b} }
+
+// Err returns the first failure, or nil.
+func (c *Cursor) Err() error { return c.err }
+
+// Left returns how many bytes remain unread.
+func (c *Cursor) Left() int { return len(c.b) - c.off }
+
+func (c *Cursor) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format, args...)
+	}
+}
+
+// Uvarint reads a uvarint.
+func (c *Cursor) Uvarint() uint64 {
+	if c.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(c.b[c.off:])
+	if n <= 0 {
+		c.fail("corrupt uvarint at offset %d", c.off)
+		return 0
+	}
+	c.off += n
+	return v
+}
+
+// take returns the next n bytes, or nil once the cursor has failed.
+func (c *Cursor) take(n uint64, what string) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if uint64(c.Left()) < n {
+		c.fail("%s overruns buffer at offset %d", what, c.off)
+		return nil
+	}
+	c.off += int(n)
+	return c.b[c.off-int(n) : c.off]
+}
+
+// U32 reads a little-endian u32.
+func (c *Cursor) U32() uint32 {
+	if b := c.take(4, "u32"); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+// Byte reads one byte.
+func (c *Cursor) Byte() byte {
+	if b := c.take(1, "byte"); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+// Str reads a length-prefixed string of at most 1 MiB.
+func (c *Cursor) Str() string {
+	n := c.Uvarint()
+	if n > maxString {
+		c.fail("absurd string length %d", n)
+	}
+	return string(c.take(n, "string"))
+}
+
+// Count reads the uvarint count of a run of entries of at least entryLen
+// bytes each and fails when the bytes left could not hold them: no count
+// sizes an allocation before the bytes that would back it bound it.
+func (c *Cursor) Count(what string, entryLen int) int {
+	n := c.Uvarint()
+	if c.err == nil && n > uint64(c.Left()/entryLen) {
+		c.fail("absurd %s count %d", what, n)
+		return 0
+	}
+	return int(n)
+}
+
+// IDs reads an ID section (postings.DecodeIDs): a count, then the
+// delta-coded IDs.
+func (c *Cursor) IDs() []postings.FileID {
+	if c.err != nil {
+		return nil
+	}
+	ids, n, err := postings.DecodeIDs(c.b[c.off:])
+	if err != nil {
+		c.err = err
+		return nil
+	}
+	c.off += n
+	return ids
+}
+
+const (
+	// fileLiveFlag marks a live (non-tombstoned) file-table entry on disk.
+	fileLiveFlag = 1
+	// minFileEntry is the smallest file-table entry: an empty path's
+	// length, a size and an mtime of one byte each, and the flags.
+	minFileEntry = 4
+)
+
+// AppendFileTable appends the file-table payload section, tombstones
 // included: retired FileIDs must survive a save/load cycle so that posting
 // IDs stay aligned and deleted files stay deleted.
-func WriteFileTable(bw *bufio.Writer, files *FileTable) error {
-	if err := WriteUvarint(bw, uint64(files.Len())); err != nil {
-		return err
-	}
+func AppendFileTable(dst []byte, files *FileTable) []byte {
+	dst = binary.AppendUvarint(dst, uint64(files.Len()))
 	for id, path := range files.Paths() {
 		fid := postings.FileID(id)
-		if err := WriteString(bw, path); err != nil {
-			return err
-		}
-		if err := WriteUvarint(bw, uint64(files.Size(fid))); err != nil {
-			return err
-		}
-		if err := WriteUvarint(bw, uint64(files.ModTime(fid))); err != nil {
-			return err
-		}
+		dst = AppendString(dst, path)
+		dst = binary.AppendUvarint(dst, uint64(files.Size(fid)))
+		dst = binary.AppendUvarint(dst, uint64(files.ModTime(fid)))
 		var flags byte
 		if files.Live(fid) {
 			flags |= fileLiveFlag
 		}
-		if err := bw.WriteByte(flags); err != nil {
-			return err
-		}
+		dst = append(dst, flags)
 	}
-	return nil
-}
-
-// WriteDocLengths writes the doc-length payload section of a frame: the
-// table's per-file token lengths, tombstoned slots included so the section
-// stays parallel to the file table.
-//
-//	uvarint fileCount | fileCount × uvarint tokens
-//
-// The repeated fileCount must match the file table's; readers treat a
-// mismatch as corruption.
-func WriteDocLengths(bw *bufio.Writer, files *FileTable) error {
-	if err := WriteUvarint(bw, uint64(files.Len())); err != nil {
-		return err
-	}
-	for id := range files.Len() {
-		if err := WriteUvarint(bw, uint64(files.Tokens(postings.FileID(id)))); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadDocLengths reads the doc-length payload section into files, which
-// must be the table read immediately before it.
-func ReadDocLengths(br *bytes.Reader, files *FileTable) error {
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return fmt.Errorf("index: reading doc-length count: %w", err)
-	}
-	if count != uint64(files.Len()) {
-		return fmt.Errorf("index: doc-length count %d does not match %d files", count, files.Len())
-	}
-	for id := range files.Len() {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("index: file %d doc length: %w", id, err)
-		}
-		if n > 1<<32-1 {
-			return fmt.Errorf("index: absurd doc length %d for file %d", n, id)
-		}
-		files.SetTokens(postings.FileID(id), uint32(n))
-	}
-	return nil
+	return dst
 }
 
 // ReadFileTable reads the file-table payload section; token lengths stay
 // zero until ReadDocLengths fills them in from the section that follows.
-func ReadFileTable(br *bytes.Reader) (*FileTable, error) {
-	fileCount, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("index: reading file count: %w", err)
-	}
-	if fileCount > maxCount {
-		return nil, fmt.Errorf("index: absurd file count %d", fileCount)
-	}
+func ReadFileTable(c *Cursor) (*FileTable, error) {
+	n := c.Count("file", minFileEntry)
 	files := NewFileTable()
-	for i := uint64(0); i < fileCount; i++ {
-		path, err := ReadString(br)
-		if err != nil {
-			return nil, fmt.Errorf("index: file %d path: %w", i, err)
-		}
-		size, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("index: file %d size: %w", i, err)
-		}
-		mtime, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("index: file %d mtime: %w", i, err)
-		}
-		flags, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("index: file %d flags: %w", i, err)
-		}
+	for i := 0; i < n && c.Err() == nil; i++ {
+		path, size, mtime, flags := c.Str(), c.Uvarint(), c.Uvarint(), c.Byte()
 		id := files.Add(path, int64(size), int64(mtime))
 		if flags&fileLiveFlag == 0 {
 			files.Tombstone(id)
 		}
 	}
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("index: file table: %w", err)
+	}
 	return files, nil
+}
+
+// AppendDocLengths appends the doc-length payload section: the table's
+// per-file token lengths, tombstoned slots included so the section stays
+// parallel to the file table.
+//
+//	uvarint fileCount | fileCount × uvarint tokens
+//
+// The repeated fileCount must match the file table's; readers treat a
+// mismatch as corruption.
+func AppendDocLengths(dst []byte, files *FileTable) []byte {
+	dst = binary.AppendUvarint(dst, uint64(files.Len()))
+	for id := range files.Len() {
+		dst = binary.AppendUvarint(dst, uint64(files.Tokens(postings.FileID(id))))
+	}
+	return dst
+}
+
+// ReadDocLengths reads the doc-length payload section into files, which
+// must be the table read immediately before it.
+func ReadDocLengths(c *Cursor, files *FileTable) error {
+	if n := c.Uvarint(); c.Err() == nil && n != uint64(files.Len()) {
+		return fmt.Errorf("index: doc-length count %d does not match %d files", n, files.Len())
+	}
+	for id := range files.Len() {
+		n := c.Uvarint()
+		if n > 1<<32-1 {
+			return fmt.Errorf("index: absurd doc length %d for file %d", n, id)
+		}
+		files.SetTokens(postings.FileID(id), uint32(n))
+	}
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("index: doc lengths: %w", err)
+	}
+	return nil
 }

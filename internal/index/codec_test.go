@@ -1,10 +1,7 @@
 package index
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -23,51 +20,35 @@ func buildFileTable(nFiles int) *FileTable {
 	return ft
 }
 
-// saveTables writes ft as the head of a manifest frame — kind, zero flags,
+// savedTables is ft as the head of a manifest frame — kind, zero flags,
 // file table, doc-length section — which is every payload section this
 // package still encodes (internal/shard appends the segment directory, and
 // posting lists live in internal/segment's files, whose round trips and
 // corruption checks are that package's TestRoundTrip, TestMaterializeEqualsSource,
 // TestCorruptionEveryByte and TestTruncationRejected).
-func saveTables(w io.Writer, ft *FileTable) error {
-	return EncodeFrame(w, Version, func(bw *bufio.Writer) error {
-		if _, err := bw.Write([]byte{KindManifest, 0}); err != nil {
-			return err
-		}
-		if err := WriteFileTable(bw, ft); err != nil {
-			return err
-		}
-		return WriteDocLengths(bw, ft)
-	})
+func savedTables(ft *FileTable) []byte {
+	b := AppendHeader(nil, KindManifest, 0)
+	b = AppendFileTable(b, ft)
+	return SealFrame(AppendDocLengths(b, ft))
 }
 
-// loadTables reads what saveTables wrote.
+// loadTables reads what savedTables wrote.
 func loadTables(data []byte) (*FileTable, error) {
-	br, _, _, err := DecodeFrame(data, KindManifest)
+	c, _, err := OpenFrame(data, KindManifest)
 	if err != nil {
 		return nil, err
 	}
-	ft, err := ReadFileTable(br)
+	ft, err := ReadFileTable(c)
 	if err != nil {
 		return nil, err
 	}
-	if err := ReadDocLengths(br, ft); err != nil {
+	if err := ReadDocLengths(c, ft); err != nil {
 		return nil, err
 	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("%d trailing payload bytes", br.Len())
+	if c.Left() != 0 {
+		return nil, fmt.Errorf("%d trailing payload bytes", c.Left())
 	}
 	return ft, nil
-}
-
-// savedTables is saveTables into memory.
-func savedTables(t *testing.T, ft *FileTable) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := saveTables(&buf, ft); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // sameTables compares every persisted field of two file tables.
@@ -87,7 +68,7 @@ func sameTables(a, b *FileTable) bool {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ft := buildFileTable(50)
-	loaded, err := loadTables(savedTables(t, ft))
+	loaded, err := loadTables(savedTables(ft))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +88,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestSaveLoadEmpty(t *testing.T) {
-	ft, err := loadTables(savedTables(t, NewFileTable()))
+	ft, err := loadTables(savedTables(NewFileTable()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +103,7 @@ func TestSaveLoadQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ft := buildFileTable(1 + rng.Intn(20))
 		ft.Tombstone(postings.FileID(rng.Intn(ft.Len())))
-		got, err := loadTables(savedTables(t, ft))
+		got, err := loadTables(savedTables(ft))
 		return err == nil && sameTables(got, ft)
 	}, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -136,7 +117,7 @@ func TestSaveLoadQuick(t *testing.T) {
 // parsed.
 func TestLoadRejectsCorruption(t *testing.T) {
 	ft := buildFileTable(20)
-	pristine := savedTables(t, ft)
+	pristine := savedTables(ft)
 	for pos := range pristine {
 		for bit := range 8 {
 			corrupt := append([]byte(nil), pristine...)
@@ -172,7 +153,7 @@ func TestChecksumKnownAnswer(t *testing.T) {
 
 func TestLoadRejectsTruncation(t *testing.T) {
 	ft := buildFileTable(10)
-	data := savedTables(t, ft)
+	data := savedTables(ft)
 	for _, n := range []int{0, 3, 7, 10, len(data) / 2, len(data) - 1} {
 		if _, err := loadTables(data[:n]); err == nil {
 			t.Errorf("truncation to %d bytes not detected", n)
@@ -185,14 +166,3 @@ func TestLoadRejectsWrongMagicAndVersion(t *testing.T) {
 		t.Error("bad magic accepted")
 	}
 }
-
-func TestSavePropagatesWriteErrors(t *testing.T) {
-	ft := buildFileTable(10)
-	if err := saveTables(failWriter{}, ft); err == nil {
-		t.Error("save to failing writer succeeded")
-	}
-}
-
-type failWriter struct{}
-
-func (failWriter) Write(p []byte) (int, error) { return 0, fmt.Errorf("full disk") }

@@ -1,8 +1,8 @@
 package index
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -17,7 +17,7 @@ func TestDocLengthSaveLoadRoundTrip(t *testing.T) {
 	ft := buildFileTable(40)
 	ft.Tombstone(postings.FileID(7)) // tombstoned slots keep their length
 
-	data := savedTables(t, ft)
+	data := savedTables(ft)
 	loaded, err := loadTables(data)
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func TestDocLengthSaveLoadRoundTrip(t *testing.T) {
 	if loaded.LiveTokens() != ft.LiveTokens() {
 		t.Errorf("LiveTokens = %d, want %d", loaded.LiveTokens(), ft.LiveTokens())
 	}
-	if again := savedTables(t, loaded); !bytes.Equal(again, data) {
+	if again := savedTables(loaded); !bytes.Equal(again, data) {
 		t.Error("re-saved frame differs from the original")
 	}
 }
@@ -45,28 +45,12 @@ func docLengthFrame(t *testing.T, lengthCount int) []byte {
 	ft := NewFileTable()
 	ft.Add("a.txt", 1, 1)
 	ft.Add("b.txt", 2, 2)
-	var buf bytes.Buffer
-	err := EncodeFrame(&buf, Version, func(bw *bufio.Writer) error {
-		if _, err := bw.Write([]byte{KindManifest, 0}); err != nil {
-			return err
-		}
-		if err := WriteFileTable(bw, ft); err != nil {
-			return err
-		}
-		if err := WriteUvarint(bw, uint64(lengthCount)); err != nil {
-			return err
-		}
-		for i := 0; i < lengthCount; i++ {
-			if err := WriteUvarint(bw, 5); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	b := AppendFileTable(AppendHeader(nil, KindManifest, 0), ft)
+	b = binary.AppendUvarint(b, uint64(lengthCount))
+	for i := 0; i < lengthCount; i++ {
+		b = binary.AppendUvarint(b, 5)
 	}
-	return buf.Bytes()
+	return SealFrame(b)
 }
 
 func TestDocLengthCountMismatchRejected(t *testing.T) {
@@ -81,7 +65,7 @@ func TestDocLengthCountMismatchRejected(t *testing.T) {
 // doc-length section included — fail the checksum or the parser.
 func TestDocLengthCorruptionRejected(t *testing.T) {
 	ft := buildFileTable(15)
-	pristine := savedTables(t, ft)
+	pristine := savedTables(ft)
 	for _, pos := range []int{0, 4, 6, 7, len(pristine) / 3, len(pristine) / 2, len(pristine) - 1} {
 		corrupt := append([]byte(nil), pristine...)
 		corrupt[pos] ^= 0x40

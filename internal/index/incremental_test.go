@@ -186,7 +186,7 @@ func TestSaveLoadPreservesTombstones(t *testing.T) {
 	c := ft.Add("c.txt", 30, 300)
 	ft.Tombstone(b)
 
-	got, err := loadTables(savedTables(t, ft))
+	got, err := loadTables(savedTables(ft))
 	if err != nil {
 		t.Fatal(err)
 	}

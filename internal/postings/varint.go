@@ -31,9 +31,17 @@ const (
 // frequency-1 bias makes the overwhelmingly common single-occurrence
 // posting cost one zero byte.
 func (l *List) Encode(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(l.ids)))
+	return l.encodeFreqs(AppendIDs(dst, l.ids))
+}
+
+// AppendIDs appends the ID section every encoding starts with — a uvarint
+// count, then the first ID and the uvarint gaps between consecutive ones —
+// for ids ascending and duplicate-free. A segment's document set is one
+// too; DecodeIDs reads it back.
+func AppendIDs(dst []byte, ids []FileID) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ids)))
 	prev := FileID(0)
-	for i, id := range l.ids {
+	for i, id := range ids {
 		delta := uint64(id - prev)
 		if i == 0 {
 			delta = uint64(id)
@@ -41,7 +49,7 @@ func (l *List) Encode(dst []byte) []byte {
 		dst = binary.AppendUvarint(dst, delta)
 		prev = id
 	}
-	return l.encodeFreqs(dst)
+	return dst
 }
 
 // encodeFreqs appends the frequency section. A positional list derives its
@@ -112,7 +120,7 @@ func onHeap(l List, n int, err error) (*List, int, error) {
 
 // decode is Decode returning the list by value, for Block.DecodeInto.
 func decode(buf []byte) (List, int, error) {
-	ids, off, err := decodeIDs(buf)
+	ids, off, err := DecodeIDs(buf)
 	if err != nil {
 		return List{}, 0, err
 	}
@@ -154,15 +162,16 @@ func decodeFreqs(buf []byte, off, n int) ([]uint32, int, error) {
 	return vals, off, nil
 }
 
-// decodeIDs parses the count and the delta-coded ID section every
-// encoding starts with, returning the IDs and the offset of the frequency
-// marker.
-func decodeIDs(buf []byte) ([]FileID, int, error) {
+// DecodeIDs parses an ID section AppendIDs wrote at the start of buf,
+// returning the IDs and the offset just past them (in a list encoding, of
+// the frequency marker). The count is held to the bytes that could back
+// it, and a zero gap or an ID past the FileID range is corruption.
+func DecodeIDs(buf []byte) ([]FileID, int, error) {
 	count, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("postings: corrupt count")
 	}
-	if count > uint64(len(buf)) { // each posting takes ≥1 byte
+	if count > uint64(len(buf)-n) { // each ID takes ≥1 byte after the count
 		return nil, 0, fmt.Errorf("postings: count %d exceeds buffer", count)
 	}
 	off := n
@@ -210,7 +219,7 @@ func DecodePositional(buf []byte) (*List, int, error) { return onHeap(decodePosi
 
 // decodePositional is DecodePositional returning the list by value.
 func decodePositional(buf []byte) (List, int, error) {
-	ids, off, err := decodeIDs(buf)
+	ids, off, err := DecodeIDs(buf)
 	if err != nil {
 		return List{}, 0, err
 	}

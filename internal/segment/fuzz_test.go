@@ -228,8 +228,7 @@ func FuzzWindowDecode(f *testing.F) {
 // segmentImage frames dict and blocks as a segment file whose header and
 // dictionary checksum are right, whatever the dictionary holds.
 func segmentImage(flags byte, dict, blocks []byte) []byte {
-	img := append([]byte(segMagic), 0, 0, index.KindSegment, flags)
-	binary.LittleEndian.PutUint16(img[4:], index.Version)
+	img := index.AppendHeader(nil, index.KindSegment, flags)
 	img = binary.LittleEndian.AppendUint64(img, uint64(len(dict)))
 	img = append(img, dict...)
 	img = binary.LittleEndian.AppendUint32(img, index.Checksum(img))
@@ -238,8 +237,8 @@ func segmentImage(flags byte, dict, blocks []byte) []byte {
 
 // FuzzSegmentOpen feeds arbitrary dictionary bytes — what a segment whose
 // dictionary checksum someone recomputed would hold — and block bytes
-// through Open and, when it accepts them, Verify. Neither may panic or
-// allocate out of proportion to the file: every count Open sizes an
+// through Open and, when it accepts them, Materialize. Neither may panic
+// or allocate out of proportion to the file: every count Open sizes an
 // allocation by is one the dictionary's own bytes must back.
 func FuzzSegmentOpen(f *testing.F) {
 	var img bytes.Buffer
@@ -255,11 +254,15 @@ func FuzzSegmentOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, flags byte, dict, blocks []byte) {
 		file := segmentImage(flags, dict, blocks)
 		// The dictionary's IDs and entries cost a few words each, and each
-		// takes at least a byte of it; Verify decodes the blocks, whose
-		// budget is FuzzBlockDecode's.
+		// takes at least a byte of it; Materialize decodes the blocks, whose
+		// budget is FuzzBlockDecode's. It also sizes the document set by the
+		// largest file ID, which LoadDir holds to the manifest's file table
+		// first (shard's admit) and this test to the file's size.
 		allocLimit(t, uint64(64*len(file)+1<<16), func() {
 			if r, err := OpenBytes("fuzz", file, nil); err == nil {
-				r.Verify()
+				if ids := r.docs.IDs(); len(ids) == 0 || int(ids[len(ids)-1]) < 8*len(file) {
+					r.Materialize()
+				}
 				r.Close()
 			}
 		})

@@ -9,7 +9,7 @@
 //
 //	magic "DSIX" | u16 version = 11 | u8 kind = 1 | u8 flags | u64 dictLen
 //	dictionary region (dictLen bytes):
-//	    uvarint docCount | docCount delta-coded doc IDs
+//	    doc-ID set: uvarint docCount | docCount delta-coded doc IDs
 //	    uvarint blocksLen
 //	    uvarint termCount
 //	    termCount × { string term (strictly ascending) | uvarint df |
@@ -18,12 +18,16 @@
 //	posting-block region (blocksLen bytes): termCount blocks, contiguous,
 //	    in term order — term i's offset is the sum of the blockLens before it
 //
-// A posting block's bytes — its skip table and the posting-list encoding
-// after it, positional iff flags bit 0 — are internal/postings' to write
-// and read: Write appends each with postings.AppendBlock, and every read
-// verifies the block's checksum and hands it to postings.Block.Parse.
-// This package owns the header, the dictionary, the block checksums, the
-// cache and the corruption accounting.
+// The DSIX header is internal/index's to write and check
+// (index.AppendHeader, index.CheckHeader), as it is for the manifest, and
+// the dictionary is built by appending and read through index.Cursor; the
+// doc-ID set is a posting list's ID section (postings.AppendIDs,
+// postings.DecodeIDs). A posting block's bytes — its skip table and the
+// posting-list encoding after it, positional iff flags bit 0 — are
+// internal/postings' to write and read: Write appends each with
+// postings.AppendBlock, and every read verifies the block's checksum and
+// hands it to postings.Block.Parse. This package owns the dictionary's
+// entries, the block checksums, the cache and the corruption accounting.
 //
 // Every sum is index.Checksum's CRC-32C. Opening a segment reads and
 // verifies only the header and dictionary — O(dictionary + docs), never
@@ -70,20 +74,16 @@ import (
 )
 
 const (
-	segMagic = "DSIX" // shared with internal/index's frame magic
-
-	// headerLen is the fixed prefix: magic, version, kind, flags, dictLen.
-	headerLen = 4 + 2 + 1 + 1 + 8
+	// headerLen is the fixed prefix: the DSIX header and the u64 dictLen.
+	headerLen = index.HeaderLen + 8
 
 	// flagPositional marks a segment whose posting blocks use the
 	// positional encoding. All other flag bits must be zero.
 	flagPositional = 1
 
-	// maxCount bounds doc/term/posting counts against corrupt headers,
-	// matching internal/index's cap.
+	// maxCount bounds a term's document frequency against a corrupt
+	// dictionary.
 	maxCount = 1 << 31
-	// maxTermLen matches the codec's string cap.
-	maxTermLen = 1 << 20
 	// minEntryLen is the smallest encoded dictionary entry: a term length,
 	// df and blockLen of one byte each, and the u32 blockSum.
 	minEntryLen = 3 + 4
@@ -137,7 +137,7 @@ func OpenBytes(name string, data []byte, cache *Cache) (*Reader, error) {
 }
 
 // Open opens path as a segment, verifying the header and dictionary
-// (never the posting blocks — Verify does that on demand; each block is
+// (never the posting blocks — Materialize checks every one; each block is
 // also checked against its dictionary checksum on every read the cache
 // does not serve). cache, which may be shared across the readers of a
 // directory, bounds decoded posting blocks; nil disables caching.
@@ -162,20 +162,14 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segment: %s: %w", path, err)
 	}
-	if string(hdr[:4]) != segMagic {
-		return nil, fmt.Errorf("segment: %s: bad magic %q", path, hdr[:4])
+	flags, err := index.CheckHeader(hdr, index.KindSegment)
+	if err != nil {
+		return nil, fmt.Errorf("segment: %s: %w", path, err)
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != index.Version {
-		return nil, fmt.Errorf("segment: %s: %w", path, index.VersionError(v))
-	}
-	if hdr[6] != index.KindSegment {
-		return nil, fmt.Errorf("segment: %s: %w", path, index.KindError(hdr[6], index.KindSegment))
-	}
-	flags := hdr[7]
 	if flags&^byte(flagPositional) != 0 {
 		return nil, fmt.Errorf("segment: %s: unknown flags %#x", path, flags)
 	}
-	dictLen := binary.LittleEndian.Uint64(hdr[8:16])
+	dictLen := binary.LittleEndian.Uint64(hdr[index.HeaderLen:])
 	if dictLen > uint64(src.size-headerLen-4) {
 		return nil, fmt.Errorf("segment: %s: dictionary length %d exceeds file", path, dictLen)
 	}
@@ -203,72 +197,52 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 		blocksOff:  headerLen + int64(dictLen) + 4,
 		cache:      cache,
 	}
-	c := &cursor{b: region[headerLen:]}
+	c := index.NewCursor(region[headerLen:])
 
-	// Doc-ID set: the partition's NOT-universe base, delta-coded like a
-	// posting-list ID section. Each ID takes at least a byte, so the count
-	// the allocation is sized by is held to the bytes that could back it;
-	// the entries below are held the same way.
-	docCount := c.uvarint()
-	if docCount > maxCount || docCount > uint64(c.left()) {
-		return nil, fmt.Errorf("segment: %s: absurd doc count %d", path, docCount)
-	}
-	ids := make([]postings.FileID, 0, docCount)
-	var prev uint64
-	for i := uint64(0); i < docCount; i++ {
-		delta := c.uvarint()
-		id := prev + delta
-		if i == 0 {
-			id = delta
-		} else if delta == 0 {
-			return nil, fmt.Errorf("segment: %s: duplicate doc id %d", path, id)
-		}
-		if id > 0xFFFF_FFFF {
-			return nil, fmt.Errorf("segment: %s: doc id %d overflows FileID", path, id)
-		}
-		ids = append(ids, postings.FileID(id))
-		prev = id
+	// Doc-ID set: the partition's NOT-universe base, an ID section like a
+	// posting list's (postings.DecodeIDs holds its count to the bytes that
+	// could back it; the entries below are held the same way).
+	ids := c.IDs()
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("segment: %s: document set: %w", path, err)
 	}
 	r.docs = postings.FromSortedIDs(ids)
 
-	blocksLen := c.uvarint()
+	blocksLen := c.Uvarint()
 	if got := uint64(src.size - r.blocksOff); blocksLen != got {
 		return nil, fmt.Errorf("segment: %s: block region is %d bytes, dictionary says %d", path, got, blocksLen)
 	}
-	termCount := c.uvarint()
-	if termCount > maxCount || termCount > uint64(c.left()/minEntryLen) {
-		return nil, fmt.Errorf("segment: %s: absurd term count %d", path, termCount)
-	}
+	termCount := c.Count("term", minEntryLen)
 	r.entries = make([]entry, 0, termCount)
 	var off int64
 	prevTerm := ""
-	for i := uint64(0); i < termCount; i++ {
-		term := c.str()
-		if c.err != nil {
-			return nil, fmt.Errorf("segment: %s: term %d: %w", path, i, c.err)
+	for i := range termCount {
+		term := c.Str()
+		if err := c.Err(); err != nil {
+			return nil, fmt.Errorf("segment: %s: term %d: %w", path, i, err)
 		}
 		if i > 0 && term <= prevTerm {
 			return nil, fmt.Errorf("segment: %s: term %q out of order after %q", path, term, prevTerm)
 		}
 		prevTerm = term
-		df := c.uvarint()
+		df := c.Uvarint()
 		if df == 0 || df > maxCount {
 			return nil, fmt.Errorf("segment: %s: term %q: absurd document frequency %d", path, term, df)
 		}
-		blen := c.uvarint()
+		blen := c.Uvarint()
 		if blen > blocksLen || uint64(off)+blen > blocksLen {
 			return nil, fmt.Errorf("segment: %s: term %q: block overruns region", path, term)
 		}
-		sum := c.u32()
+		sum := c.U32()
 		r.entries = append(r.entries, entry{term: term, df: int(df), off: off, blen: int64(blen), sum: sum})
 		off += int64(blen)
 		r.nPostings += int64(df)
 	}
-	if c.err != nil {
-		return nil, fmt.Errorf("segment: %s: dictionary: %w", path, c.err)
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("segment: %s: dictionary: %w", path, err)
 	}
-	if c.off != len(c.b) {
-		return nil, fmt.Errorf("segment: %s: %d trailing dictionary bytes", path, len(c.b)-c.off)
+	if c.Left() != 0 {
+		return nil, fmt.Errorf("segment: %s: %d trailing dictionary bytes", path, c.Left())
 	}
 	if uint64(off) != blocksLen {
 		return nil, fmt.Errorf("segment: %s: blocks cover %d of %d region bytes", path, off, blocksLen)
@@ -515,20 +489,6 @@ func (r *Reader) block(e *entry, b *postings.Block) error {
 	return nil
 }
 
-// Verify checks the whole segment: every posting block's checksum and
-// decodability against its dictionary entry. Open already verified the
-// header and dictionary. It is the eager integrity pass for callers that
-// cannot tolerate lazily discovered corruption (and for corruption tests);
-// it decodes every block, so it costs what an eager load does.
-func (r *Reader) Verify() error {
-	for ord := range r.entries {
-		if _, err := r.decodeBlock(ord, r.positional); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Materialize fully decodes the segment into a heap index — the eager
 // loading path (shard.LoadDir) applied to a segment file, and the bridge
 // that keeps directories loadable by every API that predates lazy open.
@@ -550,59 +510,4 @@ func (r *Reader) Materialize() (*index.Index, error) {
 		terms[ord] = e.term
 	}
 	return index.NewOrdered(terms, slab, r.docs.IDs(), r.positional), nil
-}
-
-// cursor is a bounds-checked sequential reader over a byte slice; the
-// first failure sticks in err and subsequent reads return zero values.
-type cursor struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (c *cursor) uvarint() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(c.b[c.off:])
-	if n <= 0 {
-		c.err = fmt.Errorf("corrupt uvarint at offset %d", c.off)
-		return 0
-	}
-	c.off += n
-	return v
-}
-
-func (c *cursor) u32() uint32 {
-	if c.err != nil {
-		return 0
-	}
-	if len(c.b)-c.off < 4 {
-		c.err = fmt.Errorf("truncated u32 at offset %d", c.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.b[c.off:])
-	c.off += 4
-	return v
-}
-
-// left returns how many bytes remain unread.
-func (c *cursor) left() int { return len(c.b) - c.off }
-
-func (c *cursor) str() string {
-	n := c.uvarint()
-	if c.err != nil {
-		return ""
-	}
-	if n > maxTermLen {
-		c.err = fmt.Errorf("absurd string length %d", n)
-		return ""
-	}
-	if uint64(len(c.b)-c.off) < n {
-		c.err = fmt.Errorf("string overruns buffer at offset %d", c.off)
-		return ""
-	}
-	s := string(c.b[c.off : c.off+int(n)])
-	c.off += int(n)
-	return s
 }

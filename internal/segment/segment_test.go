@@ -156,8 +156,8 @@ func TestRoundTrip(t *testing.T) {
 				}
 			}
 
-			if err := r.Verify(); err != nil {
-				t.Errorf("Verify() = %v", err)
+			if _, err := r.Materialize(); err != nil {
+				t.Errorf("Materialize() = %v", err)
 			}
 		})
 	}
@@ -221,7 +221,7 @@ func TestMaterializeEqualsSource(t *testing.T) {
 
 // TestCorruptionEveryByte flips each bit of the segment in turn, then
 // inverts a 4-byte burst at every offset, and requires that either Open or
-// Verify rejects the file. Every byte lies in exactly one CRC-32C-covered
+// Materialize rejects the file. Every byte lies in exactly one CRC-32C-covered
 // region, and CRC-32C detects every error burst of up to 32 bits, so no
 // such corruption can go unnoticed once the postings are actually read.
 func TestCorruptionEveryByte(t *testing.T) {
@@ -236,7 +236,7 @@ func TestCorruptionEveryByte(t *testing.T) {
 		if err != nil {
 			return true // rejected at open: good
 		}
-		err = r.Verify()
+		_, err = r.Materialize()
 		r.Close()
 		return err != nil
 	}
@@ -245,7 +245,7 @@ func TestCorruptionEveryByte(t *testing.T) {
 			mut := bytes.Clone(orig)
 			mut[i] ^= 1 << bit
 			if !rejected(mut) {
-				t.Fatalf("flipping bit %d of byte %d of %d went undetected by Open and Verify", bit, i, len(orig))
+				t.Fatalf("flipping bit %d of byte %d of %d went undetected by Open and Materialize", bit, i, len(orig))
 			}
 		}
 		mut := bytes.Clone(orig)
@@ -253,7 +253,7 @@ func TestCorruptionEveryByte(t *testing.T) {
 			mut[k] ^= 0xff
 		}
 		if !rejected(mut) {
-			t.Fatalf("a 4-byte burst at byte %d of %d went undetected by Open and Verify", i, len(orig))
+			t.Fatalf("a 4-byte burst at byte %d of %d went undetected by Open and Materialize", i, len(orig))
 		}
 	}
 }
@@ -273,7 +273,7 @@ func TestTruncationRejected(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		err = r.Verify()
+		_, err = r.Materialize()
 		r.Close()
 		if err == nil {
 			t.Fatalf("truncation to %d of %d bytes went undetected", n, len(orig))

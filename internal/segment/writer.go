@@ -27,51 +27,33 @@ func Write(w io.Writer, ix *index.Index) error {
 	ix.Range(func(term string, l *postings.List) bool {
 		start := len(blocks)
 		blocks = postings.AppendBlock(blocks, l, ix.Positional())
-		ents = binary.AppendUvarint(ents, uint64(len(term)))
-		ents = append(ents, term...)
+		ents = index.AppendString(ents, term)
 		ents = binary.AppendUvarint(ents, uint64(l.Len()))
 		ents = binary.AppendUvarint(ents, uint64(len(blocks)-start))
 		ents = binary.LittleEndian.AppendUint32(ents, index.Checksum(blocks[start:]))
 		return true
 	})
 
-	// Dictionary region: the document set, the block region's length and
-	// the term count ahead of the entries.
-	var buf []byte
+	// The header, then the dictionary region: the document set (an ID
+	// section, postings.AppendIDs), the block region's length and the term
+	// count ahead of the entries. The checksum after it covers everything
+	// Open parses eagerly, so a reader verifies before trusting a single
+	// dictionary byte — the frame's checksum-first rule scoped down to the
+	// eagerly read region.
 	docs := ix.Docs().IDs()
-	buf = binary.AppendUvarint(buf, uint64(len(docs)))
-	prev := postings.FileID(0)
-	for i, id := range docs {
-		delta := uint64(id - prev)
-		if i == 0 {
-			delta = uint64(id)
-		}
-		buf = binary.AppendUvarint(buf, delta)
-		prev = id
+	size := headerLen + binary.MaxVarintLen32*len(docs) + 3*binary.MaxVarintLen64 + len(ents) + 4
+	dict := index.AppendHeader(make([]byte, 0, size), index.KindSegment, flags)
+	dict = binary.LittleEndian.AppendUint64(dict, 0) // dictLen, set below
+	dict = postings.AppendIDs(dict, docs)
+	dict = binary.AppendUvarint(dict, uint64(len(blocks)))
+	dict = binary.AppendUvarint(dict, uint64(ix.NumTerms()))
+	dict = append(dict, ents...)
+	binary.LittleEndian.PutUint64(dict[index.HeaderLen:], uint64(len(dict)-headerLen))
+	dict = binary.LittleEndian.AppendUint32(dict, index.Checksum(dict))
+
+	if _, err := w.Write(dict); err != nil {
+		return err
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(blocks)))
-	buf = binary.AppendUvarint(buf, uint64(ix.NumTerms()))
-
-	// Header + dictionary + their checksum, then the blocks. The checksum
-	// covers everything Open parses eagerly, so a reader verifies before
-	// trusting a single dictionary byte — the frame codec's checksum-first
-	// rule scoped down to the eagerly read region.
-	hdr := make([]byte, 0, headerLen)
-	hdr = append(hdr, segMagic...)
-	hdr = binary.LittleEndian.AppendUint16(hdr, index.Version)
-	hdr = append(hdr, index.KindSegment, flags)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(buf)+len(ents)))
-
-	h := index.NewChecksum()
-	h.Write(hdr)
-	h.Write(buf)
-	h.Write(ents)
-	sum := binary.LittleEndian.AppendUint32(nil, h.Sum32())
-
-	for _, part := range [][]byte{hdr, buf, ents, sum, blocks} {
-		if _, err := w.Write(part); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(blocks)
+	return err
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -19,9 +18,9 @@ import (
 //	shard-0000.dsix DSIX version 11 kind 1 (lazy segment; internal/segment)
 //	shard-0001.dsix ...
 //
-// The manifest payload, inside the standard DSIX frame, is
+// The manifest is a DSIX frame whose header has kind 2 and flags 0 and
+// whose payload is
 //
-//	u8 kind (manifest) | u8 flags
 //	file table (shared by all shards)
 //	doc-length section (the token lengths BM25 needs, once per set)
 //	uvarint shardCount
@@ -34,6 +33,8 @@ import (
 // bytes, so a segment that was swapped with another (internally valid)
 // one, regenerated, or truncated is rejected before its postings are
 // trusted. Segments are written and read with one goroutine per shard.
+// The manifest is built and read with internal/index's codec: its
+// appenders and SealFrame, and the Cursor OpenFrame returns.
 
 // ManifestName is the manifest's file name inside a sharded index directory.
 const ManifestName = "manifest.dsix"
@@ -117,24 +118,27 @@ func SaveDir(dir string, s *Set) error {
 	return nil
 }
 
-// removeStaleSegments deletes segment files a previous save with more
-// shards left behind — the new manifest no longer references them, so they
-// would otherwise linger on disk forever — along with staging leftovers of
-// a crashed earlier save. Removal failures are ignored — stale files are
-// dead weight, not a correctness hazard.
+// removeStaleSegments deletes every segment file the new manifest of n
+// segments does not name — a previous save with more shards left them
+// behind, and nothing would otherwise ever remove them — along with
+// staging leftovers of a crashed earlier save. Removal failures are
+// ignored — stale files are dead weight, not a correctness hazard.
 func removeStaleSegments(dir string, n int) {
 	if leftovers, err := filepath.Glob(filepath.Join(dir, "*.dsix.tmp")); err == nil {
 		for _, path := range leftovers {
 			os.Remove(path)
 		}
 	}
-	stale, err := filepath.Glob(filepath.Join(dir, "shard-*.dsix"))
+	named := make(map[string]bool, n)
+	for i := range n {
+		named[SegmentName(i)] = true
+	}
+	segments, err := filepath.Glob(filepath.Join(dir, "shard-*.dsix"))
 	if err != nil {
 		return
 	}
-	for _, path := range stale {
-		var i int
-		if _, err := fmt.Sscanf(filepath.Base(path), "shard-%04d.dsix", &i); err == nil && i >= n {
+	for _, path := range segments {
+		if !named[filepath.Base(path)] {
 			os.Remove(path)
 		}
 	}
@@ -158,41 +162,18 @@ func saveSegmentFile(path string, ix *index.Index) (uint32, error) {
 	return h.Sum32(), nil
 }
 
+// saveManifest builds the manifest frame in memory and writes it to path
+// once.
 func saveManifest(path string, s *Set, sums []uint32) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("shard: %w", err)
+	b := index.AppendHeader(nil, index.KindManifest, 0)
+	b = index.AppendFileTable(b, s.files)
+	b = index.AppendDocLengths(b, s.files)
+	b = binary.AppendUvarint(b, uint64(s.Len()))
+	for i := range s.shards {
+		b = index.AppendString(b, SegmentName(i))
+		b = binary.LittleEndian.AppendUint32(b, sums[i])
 	}
-	err = index.EncodeFrame(f, index.Version, func(bw *bufio.Writer) error {
-		if _, err := bw.Write([]byte{index.KindManifest, 0}); err != nil { // kind, flags
-			return err
-		}
-		if err := index.WriteFileTable(bw, s.files); err != nil {
-			return err
-		}
-		if err := index.WriteDocLengths(bw, s.files); err != nil {
-			return err
-		}
-		if err := index.WriteUvarint(bw, uint64(s.Len())); err != nil {
-			return err
-		}
-		var b [4]byte
-		for i := range s.shards {
-			if err := index.WriteString(bw, SegmentName(i)); err != nil {
-				return err
-			}
-			binary.LittleEndian.PutUint32(b[:], sums[i])
-			if _, err := bw.Write(b[:]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("shard: manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(path, index.SealFrame(b), 0o666); err != nil {
 		return fmt.Errorf("shard: manifest: %w", err)
 	}
 	return nil
@@ -206,22 +187,22 @@ type manifest struct {
 }
 
 func parseManifest(data []byte) (*manifest, error) {
-	br, _, flags, err := index.DecodeFrame(data, index.KindManifest)
+	c, flags, err := index.OpenFrame(data, index.KindManifest)
 	if err != nil {
 		return nil, fmt.Errorf("shard: manifest: %w", err)
 	}
 	if flags != 0 {
 		return nil, fmt.Errorf("shard: manifest: unknown flags %#x", flags)
 	}
-	files, err := index.ReadFileTable(br)
+	files, err := index.ReadFileTable(c)
 	if err != nil {
 		return nil, fmt.Errorf("shard: manifest: %w", err)
 	}
-	if err := index.ReadDocLengths(br, files); err != nil {
+	if err := index.ReadDocLengths(c, files); err != nil {
 		return nil, fmt.Errorf("shard: manifest: %w", err)
 	}
-	shardCount, err := binary.ReadUvarint(br)
-	if err != nil {
+	shardCount := c.Count("shard", 1+1+4) // an entry: a name of a byte or more, behind its length, and a u32 sum
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("shard: manifest: reading shard count: %w", err)
 	}
 	if shardCount == 0 || shardCount > MaxShards {
@@ -232,12 +213,12 @@ func parseManifest(data []byte) (*manifest, error) {
 		names: make([]string, shardCount),
 		sums:  make([]uint32, shardCount),
 	}
-	sumBuf := make([]byte, 4)
 	seen := make(map[string]bool, shardCount)
 	for i := range m.names {
-		name, err := index.ReadString(br)
-		if err != nil {
-			return nil, fmt.Errorf("shard: manifest: segment %d name: %w", i, err)
+		name := c.Str()
+		m.sums[i] = c.U32()
+		if err := c.Err(); err != nil {
+			return nil, fmt.Errorf("shard: manifest: segment %d: %w", i, err)
 		}
 		// Segment names are opaque manifest data; refuse anything that
 		// would escape the index directory, and a segment named twice:
@@ -251,13 +232,9 @@ func parseManifest(data []byte) (*manifest, error) {
 		}
 		seen[name] = true
 		m.names[i] = name
-		if _, err := io.ReadFull(br, sumBuf); err != nil {
-			return nil, fmt.Errorf("shard: manifest: segment %d checksum: %w", i, err)
-		}
-		m.sums[i] = binary.LittleEndian.Uint32(sumBuf)
 	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("shard: manifest: %d trailing payload bytes", br.Len())
+	if c.Left() != 0 {
+		return nil, fmt.Errorf("shard: manifest: %d trailing payload bytes", c.Left())
 	}
 	return m, nil
 }

@@ -10,7 +10,7 @@ import (
 	"desksearch/internal/index"
 )
 
-func buildSet(t *testing.T, n int) (*Set, *index.Index) {
+func buildSet(t testing.TB, n int) (*Set, *index.Index) {
 	t.Helper()
 	files, ix, _ := buildCorpus(t)
 	return Distribute(files, []*index.Index{ix}, n), ix
@@ -183,17 +183,22 @@ func TestLoadRejectsSegmentFile(t *testing.T) {
 	}
 }
 
+// TestSaveDirRemovesStaleSegments: a re-save deletes every segment file
+// its manifest does not name, one numbered past four digits included.
 func TestSaveDirRemovesStaleSegments(t *testing.T) {
 	dir := t.TempDir()
 	four, _ := buildSet(t, 4)
 	if err := SaveDir(dir, four); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(filepath.Join(dir, SegmentName(10000)), []byte("stale"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	two, _ := buildSet(t, 2)
 	if err := SaveDir(dir, two); err != nil {
 		t.Fatal(err)
 	}
-	for i := 2; i < 4; i++ {
+	for _, i := range []int{2, 3, 10000} {
 		if _, err := os.Stat(filepath.Join(dir, SegmentName(i))); !os.IsNotExist(err) {
 			t.Errorf("stale %s survived re-save", SegmentName(i))
 		}

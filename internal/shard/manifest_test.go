@@ -1,11 +1,10 @@
 package shard
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
@@ -69,34 +68,15 @@ func TestManifestDuplicateSegmentRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	err = index.EncodeFrame(&buf, index.Version, func(bw *bufio.Writer) error {
-		if _, err := bw.Write([]byte{index.KindManifest, 0}); err != nil {
-			return err
-		}
-		if err := index.WriteFileTable(bw, set.Files()); err != nil {
-			return err
-		}
-		if err := index.WriteDocLengths(bw, set.Files()); err != nil {
-			return err
-		}
-		if err := index.WriteUvarint(bw, 2); err != nil {
-			return err
-		}
-		for range 2 {
-			if err := index.WriteString(bw, SegmentName(0)); err != nil {
-				return err
-			}
-			if err := binary.Write(bw, binary.LittleEndian, index.Checksum(seg)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	b := index.AppendHeader(nil, index.KindManifest, 0)
+	b = index.AppendFileTable(b, set.Files())
+	b = index.AppendDocLengths(b, set.Files())
+	b = binary.AppendUvarint(b, 2)
+	for range 2 {
+		b = index.AppendString(b, SegmentName(0))
+		b = binary.LittleEndian.AppendUint32(b, index.Checksum(seg))
 	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), index.SealFrame(b), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadDir(dir); err == nil || !strings.Contains(err.Error(), "listed twice") {
@@ -110,15 +90,59 @@ func TestManifestDuplicateSegmentRejected(t *testing.T) {
 // TestManifestUnknownFlagsRejected: a manifest has no posting lists, so its
 // flags byte must be zero; a checksummed frame with any bit set is refused.
 func TestManifestUnknownFlagsRejected(t *testing.T) {
-	var buf bytes.Buffer
-	err := index.EncodeFrame(&buf, index.Version, func(bw *bufio.Writer) error {
-		_, err := bw.Write([]byte{index.KindManifest, 0x4})
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := parseManifest(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "flags") {
+	frame := index.SealFrame(index.AppendHeader(nil, index.KindManifest, 0x4))
+	if _, err := parseManifest(frame); err == nil || !strings.Contains(err.Error(), "flags") {
 		t.Errorf("unknown flags: err = %v", err)
+	}
+}
+
+// FuzzManifestOpen feeds arbitrary payload bytes behind a valid header and
+// a recomputed trailer — a manifest whose checksum someone recomputed —
+// through parseManifest. It may not panic or allocate out of proportion to
+// the input: every count it sizes an allocation by is one the payload's
+// own bytes must back. The second seed is a 17-byte manifest claiming
+// 65 536 segments.
+func FuzzManifestOpen(f *testing.F) {
+	set, _ := buildSet(f, 3)
+	dir := f.TempDir()
+	if err := SaveDir(dir, set); err != nil {
+		f.Fatal(err)
+	}
+	saved, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saved[index.HeaderLen : len(saved)-4])
+	f.Add([]byte{0, 0, 0x80, 0x80, 0x04}) // no files, no lengths, 65 536 segments
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		frame := index.SealFrame(append(index.AppendHeader(nil, index.KindManifest, 0), payload...))
+		allocLimit(t, uint64(64*len(frame)+1<<16), func() { parseManifest(frame) })
+	})
+}
+
+// allocatedBytes reads the process's cumulative heap allocation.
+func allocatedBytes() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// allocLimit fails t when run, repeated up to five times, never stays
+// within limit bytes of heap allocation. The count is the whole process's,
+// and the fuzzing engine allocates beside us now and then: an overrun that
+// is ours repeats.
+func allocLimit(t *testing.T, limit uint64, run func()) {
+	t.Helper()
+	for try := 1; ; try++ {
+		before := allocatedBytes()
+		run()
+		grown := allocatedBytes() - before
+		if grown <= limit {
+			return
+		}
+		if try == 5 {
+			t.Fatalf("allocated %d bytes, limit %d", grown, limit)
+		}
 	}
 }
