@@ -729,7 +729,7 @@ func phraseCatalog(b *testing.B) (*Catalog, string) {
 		if err != nil {
 			panic(err)
 		}
-		toks := tokenize.Terms(data, tokenize.Default)
+		toks := tokenize.Terms(data)
 		mid := len(toks) / 2
 		phraseCat = cat
 		phraseText = fmt.Sprintf("%q", toks[mid]+" "+toks[mid+1])

@@ -38,7 +38,6 @@ import (
 	"desksearch"
 	"desksearch/internal/core"
 	"desksearch/internal/extract"
-	"desksearch/internal/tokenize"
 	"desksearch/internal/vfs"
 )
 
@@ -79,9 +78,7 @@ func main() {
 	}
 
 	if *stages {
-		st, err := core.MeasureStages(vfs.NewOSFS(*root), ".", extract.Options{
-			Tokenize: tokenize.Default, Formats: *formats, Positions: *pos,
-		})
+		st, err := core.MeasureStages(vfs.NewOSFS(*root), ".", extract.Options{Formats: *formats, Positions: *pos})
 		if err != nil {
 			fatal(err)
 		}

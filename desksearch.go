@@ -15,7 +15,6 @@ import (
 	"desksearch/internal/index"
 	"desksearch/internal/search"
 	"desksearch/internal/shard"
-	"desksearch/internal/tokenize"
 	"desksearch/internal/vfs"
 )
 
@@ -47,10 +46,6 @@ type Options struct {
 	// Formats enables document-format extraction (HTML, WP markup) before
 	// tokenization.
 	Formats bool
-	// Stopwords, when non-empty, excludes the listed words from the index.
-	Stopwords []string
-	// MinTermLen drops terms shorter than this many bytes (0 = keep all).
-	MinTermLen int
 	// Shards, when positive, partitions the catalog into that many
 	// document shards, searched with parallel fan-out and saved with
 	// SaveDir as a manifest plus one segment file per shard. At most
@@ -84,7 +79,6 @@ func (o Options) validate() error {
 		{"Extractors", o.Extractors},
 		{"Updaters", o.Updaters},
 		{"Joiners", o.Joiners},
-		{"MinTermLen", o.MinTermLen},
 		{"Shards", o.Shards},
 	} {
 		if f.value < 0 {
@@ -103,15 +97,8 @@ func (o Options) coreConfig() (core.Config, error) {
 		Updaters:   o.Updaters,
 		Joiners:    o.Joiners,
 		Shards:     o.Shards,
+		Extract:    extract.Options{Formats: o.Formats, Positions: o.Positions},
 	}
-	tok := tokenize.Default
-	if o.MinTermLen > 0 {
-		tok.MinLen = o.MinTermLen
-	}
-	if len(o.Stopwords) > 0 {
-		tok.Stopwords = tokenize.NewStopSet(o.Stopwords)
-	}
-	cfg.Extract = extract.Options{Tokenize: tok, Formats: o.Formats, Positions: o.Positions}
 
 	switch o.Implementation {
 	case Auto:
@@ -684,8 +671,6 @@ func loadedOptions(opts []Options) (Options, core.Config, error) {
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	// coreConfig always bases extraction on tokenize.Default, so the zero
-	// Options value yields the pipeline's default extraction.
 	cfg, err := o.coreConfig()
 	return o, cfg, err
 }
@@ -717,9 +702,8 @@ func (c *Catalog) SaveDir(dir string) error {
 // and verifying all segments in parallel. Queries fan out over the loaded
 // shards. A loaded catalog remembers its directory: after an incremental
 // Update, SaveDir back to it rewrites only the segments the update
-// dirtied. Build options are not persisted, so a catalog built with
-// non-default extraction (Formats, Stopwords, MinTermLen) must be given the
-// same Options again here or updates will re-extract changed files
+// dirtied. Formats is not persisted, so a catalog built with it must be
+// given it again here or updates will re-extract changed files
 // differently than the original build did.
 func LoadDir(dir string, opt ...Options) (*Catalog, error) {
 	_, cfg, err := loadedOptions(opt)

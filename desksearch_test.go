@@ -126,20 +126,6 @@ func TestFormatsOption(t *testing.T) {
 	}
 }
 
-func TestStopwordsAndMinTermLen(t *testing.T) {
-	cat, err := IndexFS(demoFS(t), ".", Options{Stopwords: []string{"report"}, MinTermLen: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits := queryAll(t, cat, "report"); len(hits) != 0 {
-		t.Errorf("stopword indexed: %v", hits)
-	}
-	// MinTermLen 3 drops "wp" (2 bytes).
-	if hits := queryAll(t, cat, "wp"); len(hits) != 0 {
-		t.Errorf("short term indexed: %v", hits)
-	}
-}
-
 func TestStats(t *testing.T) {
 	cat, err := IndexFS(demoFS(t), ".", Options{Implementation: Sequential})
 	if err != nil {

@@ -16,7 +16,6 @@ import (
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
 	"desksearch/internal/shard"
-	"desksearch/internal/tokenize"
 	"desksearch/internal/vfs"
 )
 
@@ -309,7 +308,7 @@ type injectedError struct{}
 func (*injectedError) Error() string { return "injected read failure" }
 
 func TestMeasureStages(t *testing.T) {
-	st, err := MeasureStages(corpusFS(t), ".", extract.Options{Tokenize: tokenize.Default})
+	st, err := MeasureStages(corpusFS(t), ".", extract.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,7 @@ func TestGeneratedContentIsIndexable(t *testing.T) {
 			t.Fatal(err)
 		}
 		text := docfmt.Extract(f.Path, data)
-		terms := tokenize.Terms(text, tokenize.Default)
+		terms := tokenize.Terms(text)
 		if len(terms) == 0 {
 			t.Fatalf("%s produced no terms", f.Path)
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 func terms(data []byte) []string {
-	return tokenize.Terms(data, tokenize.Default)
+	return tokenize.Terms(data)
 }
 
 func TestByExtension(t *testing.T) {

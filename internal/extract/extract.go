@@ -52,8 +52,6 @@ type TermBlock struct {
 
 // Options configure an Extractor.
 type Options struct {
-	// Tokenize controls term recognition.
-	Tokenize tokenize.Options
 	// Formats enables document-format extraction (HTML/WP stripping) before
 	// tokenization. The paper's corpus was pre-extracted plain text, so the
 	// pipeline default is off; cmd/indexgen enables it for real desktops.
@@ -61,10 +59,9 @@ type Options struct {
 	// Positions records each term occurrence's token position (the ordinal
 	// among the file's emitted terms) in TermBlock.Positions, growing the
 	// per-block payload so the index can answer quoted phrase queries.
-	// Positions are ordinals among *emitted* terms: terms dropped by
-	// stopword or length filters do not advance the counter, so a phrase
-	// matches across a dropped word — the usual contract of
-	// stopword-stripped positional indexes.
+	// Positions are ordinals among *emitted* terms: a run the scanner
+	// drops (longer than tokenize.MaxTermLen) does not advance the
+	// counter, so a phrase matches across it.
 	Positions bool
 }
 
@@ -104,7 +101,7 @@ func (e *Extractor) File(path string, id postings.FileID) (TermBlock, error) {
 		return TermBlock{}, err
 	}
 	e.seen.Reset()
-	tokenize.ScanBytes(data, e.opts.Tokenize, e.seen.Add)
+	tokenize.ScanBytes(data, e.seen.Add)
 	block := TermBlock{File: id, Tokens: e.seen.Total()}
 	if e.opts.Positions {
 		block.Terms, block.Positions = e.seen.Positions()
@@ -123,7 +120,7 @@ func (e *Extractor) ScanOnly(path string) (int, error) {
 		return 0, err
 	}
 	n := 0
-	tokenize.ScanBytes(data, e.opts.Tokenize, func([]byte) { n++ })
+	tokenize.ScanBytes(data, func([]byte) { n++ })
 	return n, nil
 }
 

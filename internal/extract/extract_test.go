@@ -40,7 +40,7 @@ func sorted(ss []string) []string {
 }
 
 func TestFileDeduplicates(t *testing.T) {
-	e := New(testFS(t), Options{Tokenize: tokenize.Default})
+	e := New(testFS(t), Options{})
 	block, err := e.File("plain.txt", 7)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestFileDeduplicates(t *testing.T) {
 }
 
 func TestFileEmpty(t *testing.T) {
-	e := New(testFS(t), Options{Tokenize: tokenize.Default})
+	e := New(testFS(t), Options{})
 	block, err := e.File("empty.txt", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestFileEmpty(t *testing.T) {
 func TestFileReuseDoesNotLeakTerms(t *testing.T) {
 	// The internal hash set is reused; terms from file A must not appear in
 	// file B's block.
-	e := New(testFS(t), Options{Tokenize: tokenize.Default})
+	e := New(testFS(t), Options{})
 	if _, err := e.File("plain.txt", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestFileReuseDoesNotLeakTerms(t *testing.T) {
 }
 
 func TestFileWithFormats(t *testing.T) {
-	e := New(testFS(t), Options{Tokenize: tokenize.Default, Formats: true})
+	e := New(testFS(t), Options{Formats: true})
 	block, err := e.File("page.html", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestFileWithFormats(t *testing.T) {
 
 func TestFileWithoutFormatsIndexesMarkup(t *testing.T) {
 	// Formats off (the paper's setup): markup is scanned literally.
-	e := New(testFS(t), Options{Tokenize: tokenize.Default})
+	e := New(testFS(t), Options{})
 	block, err := e.File("page.html", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -120,14 +120,14 @@ func TestFileWithoutFormatsIndexesMarkup(t *testing.T) {
 }
 
 func TestFileMissing(t *testing.T) {
-	e := New(testFS(t), Options{Tokenize: tokenize.Default})
+	e := New(testFS(t), Options{})
 	if _, err := e.File("nope.txt", 0); !errors.Is(err, vfs.ErrNotExist) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestScanOnlyCountsOccurrences(t *testing.T) {
-	e := New(testFS(t), Options{Tokenize: tokenize.Default})
+	e := New(testFS(t), Options{})
 	n, err := e.ScanOnly("plain.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func BenchmarkFile(b *testing.B) {
 		body = append(body, "lorem ipsum dolor sit amet consectetur adipiscing elit sed do "...)
 	}
 	fs.WriteFile("doc.txt", body)
-	e := New(fs, Options{Tokenize: tokenize.Default})
+	e := New(fs, Options{})
 	b.SetBytes(int64(len(body)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -175,7 +175,7 @@ func BenchmarkFile(b *testing.B) {
 // duplicate-free term block.
 func TestFileCounts(t *testing.T) {
 	fs := testFS(t)
-	e := New(fs, Options{Tokenize: tokenize.Default})
+	e := New(fs, Options{})
 	block, err := e.File("plain.txt", 7)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestFileCounts(t *testing.T) {
 // (len of the position run).
 func TestFilePositions(t *testing.T) {
 	fs := testFS(t)
-	e := New(fs, Options{Tokenize: tokenize.Default, Positions: true})
+	e := New(fs, Options{Positions: true})
 	block, err := e.File("plain.txt", 7)
 	if err != nil {
 		t.Fatal(err)
@@ -222,35 +222,36 @@ func TestFilePositions(t *testing.T) {
 	}
 }
 
-// TestFilePositionsSkipDropped: dropped terms (stopwords) do not advance
-// the position counter, so phrases still match across them.
+// TestFilePositionsSkipDropped: a dropped run (longer than
+// tokenize.MaxTermLen) does not advance the position counter, so phrases
+// still match across it.
 func TestFilePositionsSkipDropped(t *testing.T) {
-	fs := testFS(t)
-	tok := tokenize.Default
-	tok.Stopwords = tokenize.NewStopSet([]string{"the", "and"})
-	e := New(fs, Options{Tokenize: tok, Positions: true})
-	block, err := e.File("plain.txt", 7)
+	fs := vfs.NewMemFS()
+	long := strings.Repeat("x", tokenize.MaxTermLen+1)
+	if err := fs.WriteFile("long.txt", []byte("cat "+long+" dog "+long+long+" cat")); err != nil {
+		t.Fatal(err)
+	}
+	e := New(fs, Options{Positions: true})
+	block, err := e.File("long.txt", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// "the cat and the dog and the cat" minus stopwords → cat dog cat.
+	// The two over-long runs are dropped → cat dog cat.
 	want := map[string][]uint32{"cat": {0, 2}, "dog": {1}}
 	if len(block.Terms) != len(want) {
 		t.Fatalf("terms = %v", block.Terms)
 	}
 	for i, term := range block.Terms {
-		w := want[term]
-		for k := range w {
-			if block.Positions[i][k] != w[k] {
-				t.Fatalf("positions(%q) = %v, want %v", term, block.Positions[i], w)
-			}
+		if !reflect.DeepEqual(block.Positions[i], want[term]) {
+			t.Fatalf("positions(%q) = %v, want %v", term, block.Positions[i], want[term])
 		}
 	}
 }
 
 // genText writes about n tokens drawn from vocab — random case, random
-// separators, and now and then a digit run, a one-letter word, a stopword
-// or a run longer than any MaxLen in use — and, with fresh > 0, that many
+// separators, and now and then a digit run, a one-letter word, a common
+// short word, or a run of 64 to 76 bytes (tokenize.MaxTermLen and over) —
+// and, with fresh > 0, that many
 // words no earlier file contained.
 func genText(rng *rand.Rand, n int, vocab []string, fresh int) []byte {
 	const seps = " \n\t.,;-_<>/"
@@ -267,7 +268,7 @@ func genText(rng *rand.Rand, n int, vocab []string, fresh int) []byte {
 		case r == 2:
 			w = []string{"the", "And", "OF"}[rng.Intn(3)]
 		case r == 3 && rng.Intn(4) == 0:
-			w = strings.Repeat("long", 17+rng.Intn(3))
+			w = strings.Repeat("long", 16+rng.Intn(4))
 		default:
 			w = vocab[rng.Intn(len(vocab))]
 		}
@@ -285,9 +286,9 @@ func genText(rng *rand.Rand, n int, vocab []string, fresh int) []byte {
 }
 
 // wantBlock is the naive reference: tokenize.Terms and a Go map.
-func wantBlock(data []byte, opts tokenize.Options) (order []string, positions map[string][]uint32) {
+func wantBlock(data []byte) (order []string, positions map[string][]uint32) {
 	positions = map[string][]uint32{}
-	for pos, term := range tokenize.Terms(data, opts) {
+	for pos, term := range tokenize.Terms(data) {
 		if _, seen := positions[term]; !seen {
 			order = append(order, term)
 		}
@@ -312,78 +313,70 @@ func cloneBlock(b TermBlock) TermBlock {
 // reuses its table, its ordinal sequence and the scanner its scratch, and
 // none of that may reach a block already handed out.
 func TestReusedExtractorMatchesNaive(t *testing.T) {
-	stop := tokenize.NewStopSet([]string{"the", "and", "of"})
-	optSets := []tokenize.Options{
-		tokenize.Default,
-		{MinLen: 2, MaxLen: 10, Stopwords: stop},
-		{MinLen: 3, DropDigits: true},
-	}
 	vocab := make([]string, 400)
 	for i := range vocab {
 		vocab[i] = fmt.Sprintf("w%dq%d", i, i*i)
 	}
-	for oi, tok := range optSets {
-		for _, positional := range []bool{true, false} {
-			rng := rand.New(rand.NewSource(int64(19 + oi)))
-			fs := vfs.NewMemFS()
-			e := New(fs, Options{Tokenize: tok, Positions: positional})
-			type kept struct{ block, copy TermBlock }
-			var history []kept
-			for file := 0; file < 260; file++ {
-				n, fresh := rng.Intn(400), 0
-				switch {
-				case file%37 == 5:
-					n = 0 // empty file
-				case file%50 == 20:
-					// More new terms than the table has free slots,
-					// once early and again when it is full of stale ones.
-					n, fresh = 3000, 5000
-				}
-				data := genText(rng, n, vocab, fresh)
-				name := fmt.Sprintf("f%d.txt", file)
-				if err := fs.WriteFile(name, data); err != nil {
-					t.Fatal(err)
-				}
-				block, err := e.File(name, postings.FileID(file))
-				if err != nil {
-					t.Fatal(err)
-				}
-				order, want := wantBlock(data, tok)
-				if !slices.Equal(block.Terms, order) {
-					t.Fatalf("opts %d positional=%v file %d: %d terms, want %d in first-occurrence order", oi, positional, file, len(block.Terms), len(order))
-				}
-				tokens := uint32(0)
-				for i, term := range block.Terms {
-					tokens += uint32(len(want[term]))
-					if !positional {
-						if block.Counts[i] != uint32(len(want[term])) {
-							t.Fatalf("file %d: count(%q) = %d, want %d", file, term, block.Counts[i], len(want[term]))
-						}
-						continue
+	for _, positional := range []bool{true, false} {
+		rng := rand.New(rand.NewSource(19))
+		fs := vfs.NewMemFS()
+		e := New(fs, Options{Positions: positional})
+		type kept struct{ block, copy TermBlock }
+		var history []kept
+		for file := 0; file < 260; file++ {
+			n, fresh := rng.Intn(400), 0
+			switch {
+			case file%37 == 5:
+				n = 0 // empty file
+			case file%50 == 20:
+				// More new terms than the table has free slots,
+				// once early and again when it is full of stale ones.
+				n, fresh = 3000, 5000
+			}
+			data := genText(rng, n, vocab, fresh)
+			name := fmt.Sprintf("f%d.txt", file)
+			if err := fs.WriteFile(name, data); err != nil {
+				t.Fatal(err)
+			}
+			block, err := e.File(name, postings.FileID(file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			order, want := wantBlock(data)
+			if !slices.Equal(block.Terms, order) {
+				t.Fatalf("positional=%v file %d: %d terms, want %d in first-occurrence order", positional, file, len(block.Terms), len(order))
+			}
+			tokens := uint32(0)
+			for i, term := range block.Terms {
+				tokens += uint32(len(want[term]))
+				if !positional {
+					if block.Counts[i] != uint32(len(want[term])) {
+						t.Fatalf("file %d: count(%q) = %d, want %d", file, term, block.Counts[i], len(want[term]))
 					}
-					p := block.Positions[i]
-					if !reflect.DeepEqual(p, want[term]) {
-						t.Fatalf("file %d: positions(%q) = %v, want %v", file, term, p, want[term])
-					}
-					if cap(p) != len(p) {
-						t.Fatalf("file %d: positions(%q) has cap %d, len %d", file, term, cap(p), len(p))
-					}
-					for k := 1; k < len(p); k++ {
-						if p[k] <= p[k-1] {
-							t.Fatalf("file %d: positions(%q) not strictly ascending: %v", file, term, p)
-						}
+					continue
+				}
+				p := block.Positions[i]
+				if !reflect.DeepEqual(p, want[term]) {
+					t.Fatalf("file %d: positions(%q) = %v, want %v", file, term, p, want[term])
+				}
+				if cap(p) != len(p) {
+					t.Fatalf("file %d: positions(%q) has cap %d, len %d", file, term, cap(p), len(p))
+				}
+				for k := 1; k < len(p); k++ {
+					if p[k] <= p[k-1] {
+						t.Fatalf("file %d: positions(%q) not strictly ascending: %v", file, term, p)
 					}
 				}
-				if block.Tokens != tokens {
-					t.Fatalf("file %d: Tokens = %d, want %d", file, block.Tokens, tokens)
-				}
-				if positional == (block.Counts != nil) || positional != (block.Positions != nil) {
-					t.Fatalf("file %d: positional=%v but Counts=%v Positions=%v", file, positional, block.Counts != nil, block.Positions != nil)
-				}
-				history = append(history, kept{block, cloneBlock(block)})
-				if k := file - 100; k >= 0 && !reflect.DeepEqual(history[k].block, history[k].copy) {
-					t.Fatalf("opts %d positional=%v: block of file %d changed while files %d..%d were extracted", oi, positional, k, k+1, file)
-				}
+			}
+			if block.Tokens != tokens {
+				t.Fatalf("file %d: Tokens = %d, want %d", file, block.Tokens, tokens)
+			}
+			if positional == (block.Counts != nil) || positional != (block.Positions != nil) {
+				t.Fatalf("file %d: positional=%v but Counts=%v Positions=%v", file, positional, block.Counts != nil, block.Positions != nil)
+			}
+			history = append(history, kept{block, cloneBlock(block)})
+			if k := file - 100; k >= 0 && !reflect.DeepEqual(history[k].block, history[k].copy) {
+				t.Fatalf("positional=%v: block of file %d changed while files %d..%d were extracted", positional, k, k+1, file)
 			}
 		}
 	}
@@ -406,7 +399,7 @@ func TestFileAllocationsConstant(t *testing.T) {
 		}
 	}
 	for _, positional := range []bool{true, false} {
-		e := New(fs, Options{Tokenize: tokenize.Default, Positions: positional})
+		e := New(fs, Options{Positions: positional})
 		measure := func(name string) float64 {
 			return testing.AllocsPerRun(5, func() {
 				if _, err := e.File(name, 0); err != nil {

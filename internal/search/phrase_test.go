@@ -7,7 +7,6 @@ import (
 	"desksearch/internal/extract"
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
-	"desksearch/internal/tokenize"
 	"desksearch/internal/vfs"
 )
 
@@ -68,7 +67,7 @@ func positionalEngine(t *testing.T, files map[string]string, parts int) *Engine 
 	fs := vfs.NewMemFS()
 	table := index.NewFileTable()
 	indices := newBuilders(parts, true)
-	ex := extract.New(fs, extract.Options{Tokenize: tokenize.Default, Positions: true})
+	ex := extract.New(fs, extract.Options{Positions: true})
 	i := 0
 	for name, content := range files {
 		if err := fs.WriteFile(name, []byte(content)); err != nil {

@@ -261,10 +261,10 @@ func lex(text string) ([]token, error) {
 			if j >= len(text) {
 				return nil, fmt.Errorf("search: unterminated phrase (missing closing '\"')")
 			}
-			// The quoted text normalizes through the index's tokenizer, so
-			// "Annual-Report!" queries the terms annual, report — exactly
-			// what extraction indexed.
-			terms := tokenize.Terms([]byte(text[i+1:j]), tokenize.Default)
+			// The quoted text normalizes through the scanner extraction
+			// runs, so "Annual-Report!" queries the terms annual, report —
+			// exactly what was indexed.
+			terms := tokenize.Terms([]byte(text[i+1 : j]))
 			if len(terms) == 0 {
 				return nil, fmt.Errorf("search: phrase %q contains no searchable term", text[i:j+1])
 			}
@@ -291,7 +291,7 @@ func lex(text string) ([]token, error) {
 					// term and must stay a single term: expansion matches
 					// whole dictionary entries, so a multi-term word
 					// ("e-mail*") has no well-defined prefix semantics.
-					terms := tokenize.Terms([]byte(strings.TrimRight(word, "*")), tokenize.Default)
+					terms := tokenize.Terms([]byte(strings.TrimRight(word, "*")))
 					switch {
 					case len(terms) == 0:
 						return nil, fmt.Errorf("search: prefix %q contains no searchable term", word)
@@ -301,9 +301,9 @@ func lex(text string) ([]token, error) {
 					toks = append(toks, token{kind: tokPrefix, text: terms[0]})
 					continue
 				}
-				// Normalize through the index's own tokenizer; one word
+				// Normalize through the scanner extraction runs; one word
 				// of query text may carry several index terms ("e-mail").
-				terms := tokenize.Terms([]byte(word), tokenize.Default)
+				terms := tokenize.Terms([]byte(word))
 				if len(terms) == 0 {
 					return nil, fmt.Errorf("search: %q contains no searchable term", word)
 				}

@@ -35,7 +35,7 @@ type Suggestion struct {
 // Partition guarantee) makes the result deterministic across backends and
 // runs. A panic fails it with CodeInternal, as in Query.
 func (e *Engine) Suggest(ctx context.Context, prefix string, n int) (_ []Suggestion, err error) {
-	terms := tokenize.Terms([]byte(strings.TrimRight(prefix, "*")), tokenize.Default)
+	terms := tokenize.Terms([]byte(strings.TrimRight(prefix, "*")))
 	switch {
 	case len(terms) == 0:
 		return nil, fmt.Errorf("search: suggest prefix %q contains no searchable term", prefix)

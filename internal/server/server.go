@@ -43,6 +43,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"sort"
 	"strings"
@@ -528,7 +529,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	switch mode {
 	case "", "update":
 		if s.update == nil {
-			writeError(w, http.StatusNotImplemented, "reload disabled: no update source configured")
+			writeError(w, http.StatusNotImplemented, "%v", errNoUpdate)
 			return
 		}
 		start := time.Now()
@@ -568,10 +569,18 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// errNoUpdate is what a reload answers on a server built without
+// Config.Update.
+var errNoUpdate = errors.New("reload disabled: no update source configured")
+
 // Reload runs the incremental update source and, when anything changed,
 // prunes cache entries orphaned by the generation bump. Safe to call
-// directly (the watch loop does); concurrent reloads serialize.
+// directly (the watch loop does); concurrent reloads serialize. Without an
+// update source it returns an error and changes nothing.
 func (s *Server) Reload() (desksearch.UpdateStats, error) {
+	if s.update == nil {
+		return desksearch.UpdateStats{}, errNoUpdate
+	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	st, err := s.update()
@@ -612,7 +621,12 @@ func (s *Server) fullReload() error {
 // Watch polls the update source every interval until ctx is done — the
 // daemon's -watch mode. Each tick runs the same reload path as /reload,
 // so changes picked up by polling invalidate the cache identically.
+// Without an update source there is nothing to poll, and Watch returns at
+// once.
 func (s *Server) Watch(ctx context.Context, interval time.Duration) {
+	if s.update == nil {
+		return
+	}
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {

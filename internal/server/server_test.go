@@ -334,6 +334,21 @@ func TestReloadDisabled(t *testing.T) {
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("status %d, want 501", resp.StatusCode)
 	}
+	if _, err := srv.Reload(); err == nil || !strings.Contains(err.Error(), "no update source") {
+		t.Errorf("Reload without an update source = %v, want a no-update-source error", err)
+	}
+	// Watch has nothing to poll: it returns at once, before its first
+	// tick, with a context that is never done.
+	done := make(chan struct{})
+	go func() {
+		srv.Watch(context.Background(), time.Millisecond)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Watch without an update source did not return")
+	}
 }
 
 func TestHealthzAndStats(t *testing.T) {

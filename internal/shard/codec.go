@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"desksearch/internal/index"
@@ -121,25 +122,25 @@ func SaveDir(dir string, s *Set) error {
 // removeStaleSegments deletes every segment file the new manifest of n
 // segments does not name — a previous save with more shards left them
 // behind, and nothing would otherwise ever remove them — along with
-// staging leftovers of a crashed earlier save. Removal failures are
+// staging leftovers of a crashed earlier save. It lists dir once and
+// matches base names only, so a directory path that reads as a glob
+// pattern ("idx[1]") changes nothing. Listing and removal failures are
 // ignored — stale files are dead weight, not a correctness hazard.
 func removeStaleSegments(dir string, n int) {
-	if leftovers, err := filepath.Glob(filepath.Join(dir, "*.dsix.tmp")); err == nil {
-		for _, path := range leftovers {
-			os.Remove(path)
-		}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
 	}
 	named := make(map[string]bool, n)
 	for i := range n {
 		named[SegmentName(i)] = true
 	}
-	segments, err := filepath.Glob(filepath.Join(dir, "shard-*.dsix"))
-	if err != nil {
-		return
-	}
-	for _, path := range segments {
-		if !named[filepath.Base(path)] {
-			os.Remove(path)
+	for _, e := range entries {
+		name := e.Name()
+		leftover := strings.HasSuffix(name, ".dsix.tmp")
+		stale := strings.HasPrefix(name, "shard-") && strings.HasSuffix(name, ".dsix") && !named[name]
+		if leftover || stale {
+			os.Remove(filepath.Join(dir, name))
 		}
 	}
 }

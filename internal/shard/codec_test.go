@@ -186,29 +186,37 @@ func TestLoadRejectsSegmentFile(t *testing.T) {
 // TestSaveDirRemovesStaleSegments: a re-save deletes every segment file
 // its manifest does not name, one numbered past four digits included.
 func TestSaveDirRemovesStaleSegments(t *testing.T) {
-	dir := t.TempDir()
-	four, _ := buildSet(t, 4)
-	if err := SaveDir(dir, four); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, SegmentName(10000)), []byte("stale"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	two, _ := buildSet(t, 2)
-	if err := SaveDir(dir, two); err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{2, 3, 10000} {
-		if _, err := os.Stat(filepath.Join(dir, SegmentName(i))); !os.IsNotExist(err) {
-			t.Errorf("stale %s survived re-save", SegmentName(i))
+	// The second and third directory names read as glob patterns — one
+	// that matches nothing and one that is malformed — which a cleanup
+	// globbing under the directory path would never clear.
+	for _, name := range []string{"idx", "idx[1]", "idx[x"} {
+		dir := filepath.Join(t.TempDir(), name)
+		four, _ := buildSet(t, 4)
+		if err := SaveDir(dir, four); err != nil {
+			t.Fatal(err)
 		}
-	}
-	loaded, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 2 {
-		t.Errorf("loaded %d shards, want 2", loaded.Len())
+		stale := []string{SegmentName(10000), SegmentName(7) + ".tmp"}
+		for _, f := range stale {
+			if err := os.WriteFile(filepath.Join(dir, f), []byte("stale"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		two, _ := buildSet(t, 2)
+		if err := SaveDir(dir, two); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range append(stale, SegmentName(2), SegmentName(3)) {
+			if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
+				t.Errorf("%s: stale %s survived re-save", name, f)
+			}
+		}
+		loaded, err := LoadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.Len() != 2 {
+			t.Errorf("%s: loaded %d shards, want 2", name, loaded.Len())
+		}
 	}
 }
 

@@ -2,28 +2,16 @@
 // Stage 2 (term extraction).
 //
 // A term is a maximal run of ASCII letters and digits; letters are folded to
-// lower case so that "Index" and "index" hit the same posting list. The
-// scanner works over a byte slice: extractors read whole files.
+// lower case so that "Index" and "index" hit the same posting list, and a
+// run longer than MaxTermLen bytes is dropped whole. That is the one rule:
+// the build, an update's re-extraction and the query parser all scan by it,
+// so a query term is always spelled as the index spells it. The scanner
+// works over a byte slice: extractors read whole files.
 package tokenize
 
-// Options configure the scanner.
-type Options struct {
-	// MinLen drops terms shorter than this many bytes. Zero means 1.
-	MinLen int
-	// MaxLen truncates recognition: terms longer than MaxLen bytes are
-	// dropped entirely (they are almost never useful search terms).
-	// Zero means no limit.
-	MaxLen int
-	// Stopwords, when non-nil, drops the listed (lower-case) terms.
-	Stopwords *StopSet
-	// KeepDigits controls whether runs of digits count as term characters.
-	// The paper's benchmark is prose text; digits default to on because
-	// desktop documents contain part numbers, dates, and the like.
-	DropDigits bool
-}
-
-// Default are the options used by the index generator when none are given.
-var Default = Options{MinLen: 1, MaxLen: 64}
+// MaxTermLen is the longest run the scanner emits; a longer run of term
+// bytes is dropped entirely (it is almost never a useful search term).
+const MaxTermLen = 64
 
 var isTermByte [256]bool
 var toLower [256]byte
@@ -50,26 +38,20 @@ func init() {
 // is a view — of data itself, or, when the term had upper-case letters, of
 // a scratch buffer the next term overwrites — valid only until emit
 // returns; emit must copy what it keeps and must not modify it.
-func ScanBytes(data []byte, opts Options, emit func(term []byte)) {
-	minLen := opts.MinLen
-	if minLen < 1 {
-		minLen = 1
-	}
-	digitOK := !opts.DropDigits
+func ScanBytes(data []byte, emit func(term []byte)) {
 	var scratch []byte
 	i := 0
 	n := len(data)
 	for i < n {
-		c := data[i]
-		if !isTermByte[c] || (!digitOK && c >= '0' && c <= '9') {
+		if !isTermByte[data[i]] {
 			i++
 			continue
 		}
 		start := i
 		lower := true
 		for i < n {
-			c = data[i]
-			if !isTermByte[c] || (!digitOK && c >= '0' && c <= '9') {
+			c := data[i]
+			if !isTermByte[c] {
 				break
 			}
 			if c >= 'A' && c <= 'Z' {
@@ -77,37 +59,26 @@ func ScanBytes(data []byte, opts Options, emit func(term []byte)) {
 			}
 			i++
 		}
-		length := i - start
-		if length < minLen || (opts.MaxLen > 0 && length > opts.MaxLen) {
+		if i-start > MaxTermLen {
 			continue
 		}
 		term := data[start:i]
 		if !lower {
-			if cap(scratch) < length {
-				scratch = make([]byte, max(64, 2*length))
+			if scratch == nil {
+				scratch = make([]byte, MaxTermLen)
 			}
-			scratch = scratch[:length]
 			for j, c := range term {
 				scratch[j] = toLower[c]
 			}
-			term = scratch
-		}
-		if opts.Stopwords != nil && opts.Stopwords.ContainsBytes(term) {
-			continue
+			term = scratch[:len(term)]
 		}
 		emit(term)
 	}
 }
 
-// Scan is ScanBytes with each term copied into a fresh string, which emit
-// may retain.
-func Scan(data []byte, opts Options, emit func(term string)) {
-	ScanBytes(data, opts, func(term []byte) { emit(string(term)) })
-}
-
 // Terms returns all terms in data, in order of appearance (with duplicates).
-func Terms(data []byte, opts Options) []string {
+func Terms(data []byte) []string {
 	var out []string
-	Scan(data, opts, func(t string) { out = append(out, t) })
+	ScanBytes(data, func(t []byte) { out = append(out, string(t)) })
 	return out
 }

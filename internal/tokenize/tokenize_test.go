@@ -11,100 +11,73 @@ import (
 func TestScanBasic(t *testing.T) {
 	tests := []struct {
 		in   string
-		opts Options
 		want []string
 	}{
-		{"hello world", Default, []string{"hello", "world"}},
-		{"", Default, nil},
-		{"   \t\n  ", Default, nil},
-		{"Hello, World!", Default, []string{"hello", "world"}},
-		{"foo-bar_baz", Default, []string{"foo", "bar", "baz"}},
-		{"x", Default, []string{"x"}},
-		{"a1b2", Default, []string{"a1b2"}},
-		{"2010 report", Default, []string{"2010", "report"}},
-		{"ALL CAPS", Default, []string{"all", "caps"}},
-		{"MixedCase Words", Default, []string{"mixedcase", "words"}},
-		{"trailing term", Default, []string{"trailing", "term"}},
-		{"ümlaut naïve", Default, []string{"mlaut", "na", "ve"}}, // non-ASCII split
+		{"hello world", []string{"hello", "world"}},
+		{"", nil},
+		{"   \t\n  ", nil},
+		{"Hello, World!", []string{"hello", "world"}},
+		{"foo-bar_baz", []string{"foo", "bar", "baz"}},
+		{"x", []string{"x"}},
+		{"a1b2", []string{"a1b2"}},
+		{"2010 report", []string{"2010", "report"}},
+		{"ALL CAPS", []string{"all", "caps"}},
+		{"MixedCase Words", []string{"mixedcase", "words"}},
+		{"trailing term", []string{"trailing", "term"}},
+		{"ümlaut naïve", []string{"mlaut", "na", "ve"}}, // non-ASCII split
 	}
 	for _, tc := range tests {
-		got := Terms([]byte(tc.in), tc.opts)
+		got := Terms([]byte(tc.in))
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("Terms(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}
 }
 
-func TestScanMinLen(t *testing.T) {
-	got := Terms([]byte("a bb ccc dddd"), Options{MinLen: 3})
-	want := []string{"ccc", "dddd"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("MinLen=3: got %q, want %q", got, want)
-	}
-}
-
+// TestScanMaxLen: a run of exactly MaxTermLen bytes is a term; one byte
+// more and the whole run is dropped, not truncated.
 func TestScanMaxLen(t *testing.T) {
-	got := Terms([]byte("short "+strings.Repeat("x", 100)+" end"), Options{MaxLen: 10})
-	want := []string{"short", "end"}
+	atMax := strings.Repeat("x", MaxTermLen)
+	over := strings.Repeat("Y", MaxTermLen+1)
+	got := Terms([]byte("short " + atMax + " " + over + " " + strings.ToUpper(atMax) + " end"))
+	want := []string{"short", atMax, atMax, "end"}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("MaxLen=10: got %q, want %q", got, want)
+		t.Errorf("got %q, want %q", got, want)
 	}
 }
 
-func TestScanDropDigits(t *testing.T) {
-	got := Terms([]byte("abc123def 456 xyz"), Options{DropDigits: true})
-	want := []string{"abc", "def", "xyz"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("DropDigits: got %q, want %q", got, want)
+// TestScanBytesAllocFree: a scan hands emit views, so over lower-case text
+// it allocates nothing, and over mixed-case text only the one scratch
+// buffer folded terms share.
+func TestScanBytesAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		text      string
+		maxAllocs float64
+	}{
+		{"the index of the files and a search over them ", 0},
+		{"The Index of the FILES and a Search over them ", 1},
+	} {
+		data := bytes.Repeat([]byte(tc.text), 100)
+		emitted := 0
+		allocs := testing.AllocsPerRun(10, func() {
+			ScanBytes(data, func([]byte) { emitted++ })
+		})
+		if allocs > tc.maxAllocs {
+			t.Errorf("ScanBytes over %q allocated %v times per call, want at most %v", tc.text, allocs, tc.maxAllocs)
+		}
+		if want := 11 * 1000; emitted != want {
+			t.Errorf("emitted %d terms over 11 calls, want %d", emitted, want)
+		}
 	}
 }
 
-func TestScanStopwords(t *testing.T) {
-	stop := NewStopSet([]string{"the", "of"})
-	got := Terms([]byte("The index of the files"), Options{Stopwords: stop})
-	want := []string{"index", "files"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("stopwords: got %q, want %q", got, want)
-	}
-}
-
-func TestStopSet(t *testing.T) {
-	s := NewStopSet(EnglishStopwords)
-	if !s.ContainsBytes([]byte("the")) || s.ContainsBytes([]byte("zebra")) {
-		t.Error("StopSet membership wrong")
-	}
-	text := []byte(strings.Join(EnglishStopwords, " ") + " zebra")
-	if got := Terms(text, Options{Stopwords: s}); !reflect.DeepEqual(got, []string{"zebra"}) {
-		t.Errorf("every English stopword should be dropped, got %q", got)
-	}
-}
-
-// TestScanBytesStopwordsAllocFree: the stopword probe looks a byte view up
-// without copying it, so a scan over lower-case text allocates nothing,
-// whether a term is dropped or emitted.
-func TestScanBytesStopwordsAllocFree(t *testing.T) {
-	data := bytes.Repeat([]byte("the index of the files and a search over them "), 100)
-	opts := Options{Stopwords: NewStopSet(EnglishStopwords)}
-	emitted := 0
-	allocs := testing.AllocsPerRun(10, func() {
-		ScanBytes(data, opts, func([]byte) { emitted++ })
-	})
-	if allocs != 0 {
-		t.Errorf("ScanBytes with a StopSet allocated %v times per call, want 0", allocs)
-	}
-	if want := 11 * 500; emitted != want {
-		t.Errorf("emitted %d terms over 11 calls, want %d", emitted, want)
-	}
-}
-
-// Property: scanning emits only lower-case ASCII alphanumeric terms within
-// the configured length bounds.
+// Property: scanning emits only lower-case ASCII alphanumeric terms of 1 to
+// MaxTermLen bytes.
 func TestScanEmitsCanonicalTerms(t *testing.T) {
-	opts := Options{MinLen: 2, MaxLen: 16}
 	if err := quick.Check(func(data []byte) bool {
 		ok := true
-		Scan(data, opts, func(term string) {
-			if len(term) < 2 || len(term) > 16 {
+		ScanBytes(data, func(term []byte) {
+			if len(term) < 1 || len(term) > MaxTermLen {
 				ok = false
 			}
 			for i := 0; i < len(term); i++ {
@@ -124,9 +97,9 @@ func TestScanEmitsCanonicalTerms(t *testing.T) {
 // yields the same terms.
 func TestScanIdempotent(t *testing.T) {
 	if err := quick.Check(func(data []byte) bool {
-		first := Terms(data, Default)
+		first := Terms(data)
 		rejoined := strings.Join(first, " ")
-		second := Terms([]byte(rejoined), Default)
+		second := Terms([]byte(rejoined))
 		return reflect.DeepEqual(first, second)
 	}, nil); err != nil {
 		t.Error(err)
@@ -137,12 +110,11 @@ func TestScanIdempotent(t *testing.T) {
 // duration of the call — a window of data for an all-lower-case term, the
 // folded copy otherwise — and data itself is never written to.
 func TestScanBytesViews(t *testing.T) {
-	data := []byte("alpha BETA gamma Delta9 THE the")
+	data := []byte("alpha BETA gamma Delta9")
 	orig := string(data)
-	opts := Options{Stopwords: NewStopSet([]string{"the"})}
 	var got []string
 	var views [][]byte
-	ScanBytes(data, opts, func(term []byte) {
+	ScanBytes(data, func(term []byte) {
 		got = append(got, string(term))
 		views = append(views, term)
 	})
@@ -171,7 +143,7 @@ func TestScanLargeInputTermCount(t *testing.T) {
 		sb.WriteByte(byte('a' + i%26))
 		sb.WriteByte(' ')
 	}
-	terms := Terms([]byte(sb.String()), Default)
+	terms := Terms([]byte(sb.String()))
 	if len(terms) != 10000 {
 		t.Errorf("got %d terms, want 10000", len(terms))
 	}
@@ -183,6 +155,48 @@ func BenchmarkScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ScanBytes(data, Default, func([]byte) {})
+		ScanBytes(data, func([]byte) {})
 	}
+}
+
+// naiveTerms is the scanner's rule written the slow way: split on every
+// byte outside [A-Za-z0-9], lower-case each field, drop fields longer than
+// MaxTermLen.
+func naiveTerms(data []byte) []string {
+	var out []string
+	var field []byte
+	flush := func() {
+		if len(field) > 0 && len(field) <= MaxTermLen {
+			out = append(out, string(bytes.ToLower(field)))
+		}
+		field = field[:0]
+	}
+	for _, c := range data {
+		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' {
+			field = append(field, c)
+		} else {
+			flush()
+		}
+	}
+	flush()
+	return out
+}
+
+// FuzzScan holds ScanBytes to naiveTerms on arbitrary bytes, non-ASCII ones
+// included, and checks that data is never written to.
+func FuzzScan(f *testing.F) {
+	f.Add([]byte("Hello, World! a1b2 2010"))
+	f.Add([]byte("ümlaut naïve \xff\x80Z"))
+	f.Add([]byte(strings.Repeat("a", MaxTermLen) + " " + strings.Repeat("B", MaxTermLen+1) + "c"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		orig := string(data)
+		var got []string
+		ScanBytes(data, func(term []byte) { got = append(got, string(term)) })
+		if want := naiveTerms(data); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ScanBytes(%q) = %q, want %q", data, got, want)
+		}
+		if string(data) != orig {
+			t.Fatalf("input modified: %q, was %q", data, orig)
+		}
+	})
 }

@@ -55,7 +55,7 @@ func naivePhraseScan(t *testing.T, fs *vfs.MemFS, phrase []string) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		toks := tokenize.Terms(data, tokenize.Default)
+		toks := tokenize.Terms(data)
 		for i := 0; i+len(phrase) <= len(toks); i++ {
 			match := true
 			for k, w := range phrase {

@@ -343,7 +343,6 @@ func TestOptionsValidateNegatives(t *testing.T) {
 		"Extractors": {Extractors: -2},
 		"Updaters":   {Updaters: -3},
 		"Joiners":    {Joiners: -4},
-		"MinTermLen": {MinTermLen: -5},
 	} {
 		_, err := IndexFS(fs, ".", opt)
 		if err == nil {
