@@ -89,10 +89,13 @@ docs-check:
 # demotion, windows, the codec round trip), on the index builder (blocks
 # of both kinds in any order) and on a batch removal from a built index
 # (victims held by no list, past the largest posting, adjacent, every file)
-# against map models, and on the term scanner (arbitrary bytes, non-ASCII
-# included) against a naive split-fold-drop reference: long enough to
-# shake out a panic, an unbounded allocation or a wrong answer, short
-# enough to run on every push.
+# against map models, on the term scanner (arbitrary bytes, non-ASCII
+# included) against a naive split-fold-drop reference, and on whole
+# requests (a query tree, its text, ranking and page, drawn from the
+# fuzzer's bytes over one of eight seeded corpora) against the reference
+# every serving shape is held to (oracle_test.go): long enough to shake
+# out a panic, an unbounded allocation or a wrong answer, short enough to
+# run on every push.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPartialDecode -fuzztime=10s ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/search/
@@ -105,6 +108,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzBuild -fuzztime=10s ./internal/index/
 	$(GO) test -run='^$$' -fuzz=FuzzRemoveFiles -fuzztime=10s ./internal/index/
 	$(GO) test -run='^$$' -fuzz=FuzzScan -fuzztime=10s ./internal/tokenize/
+	$(GO) test -run='^$$' -fuzz=FuzzQueryOracle -fuzztime=10s .
 
 # The size figures ROADMAP's State paragraph and every CHANGES entry
 # restate: Go lines outside the nested bench/ module split into product and

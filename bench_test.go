@@ -148,23 +148,15 @@ func BenchmarkAblationParallelSearch(b *testing.B) {
 	query := search.MustParse(fmt.Sprintf("%s OR %s OR (%s -%s)", vocab[0], vocab[1], vocab[2], vocab[3]))
 
 	singleEngine := search.NewEngine(res.Files, joined)
-	multiSeq := search.NewEngine(res.Files, index.Partitions(res.Indexes())...)
-	multiSeq.Parallel = false
 	multiPar := search.NewEngine(res.Files, index.Partitions(res.Indexes())...)
 
 	// Warm the per-engine universes outside the timed region.
 	engineSearch(b, singleEngine, query)
-	engineSearch(b, multiSeq, query)
 	engineSearch(b, multiPar, query)
 
 	b.Run("joined-single", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			engineSearch(b, singleEngine, query)
-		}
-	})
-	b.Run("replicas-sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			engineSearch(b, multiSeq, query)
 		}
 	})
 	b.Run("replicas-parallel", func(b *testing.B) {

@@ -165,10 +165,11 @@ func TestTermFreeInvariant(t *testing.T) {
 	}
 }
 
-// TestUpdateMatchesRebuildProperty is the acceptance property: a catalog
-// driven through random churn with Catalog.Update must answer every query
-// exactly like a catalog freshly built from the final tree — across
-// pipeline implementations and partition shapes.
+// TestUpdateMatchesRebuildProperty holds the partitions of a catalog
+// driven through random churn with Catalog.Update to those of a catalog
+// freshly built from the final tree (checkPartitionsMatchRebuild) —
+// across pipeline implementations and partition shapes. What the updated
+// catalog answers is held to the reference by TestEveryShapeMatchesOracle.
 func TestUpdateMatchesRebuildProperty(t *testing.T) {
 	configs := []Options{
 		{Implementation: Sequential},
@@ -177,10 +178,6 @@ func TestUpdateMatchesRebuildProperty(t *testing.T) {
 		{Implementation: SharedIndex, Extractors: 3, Shards: 3},
 	}
 	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
-	queries := []string{
-		"alpha", "beta OR gamma", "delta -alpha", "-zeta",
-		"(alpha OR beta) -gamma", "eta theta", "-alpha -beta",
-	}
 	content := func(rng *rand.Rand) string {
 		n := 1 + rng.Intn(5)
 		words := make([]string, n)
@@ -231,13 +228,6 @@ func TestUpdateMatchesRebuildProperty(t *testing.T) {
 				rebuilt, err := IndexFS(fs, ".", opt)
 				if err != nil {
 					t.Fatal(err)
-				}
-				for _, q := range queries {
-					got := resultSet(t, cat, q)
-					want := resultSet(t, rebuilt, q)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("round %d %q:\nincremental %v\nrebuild     %v", round, q, got, want)
-					}
 				}
 				if gs, ws := cat.Stats(), rebuilt.Stats(); gs.Files != ws.Files {
 					t.Fatalf("round %d: Files %d vs rebuild %d", round, gs.Files, ws.Files)

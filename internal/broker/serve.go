@@ -264,10 +264,13 @@ func firstError(errs []error) error {
 }
 
 // suggest is the broker's server.Backend.Suggest. Each worker returns its
-// local top-n; summing document-disjoint per-term counts gives exact
-// global frequencies for every term that surfaces. A term ranked below
-// every worker's local cutoff can be missed — the classic distributed
-// top-k approximation, acceptable for autocomplete.
+// local top n, and the broker sums the counts it receives per term and
+// keeps the top n of the sums. That is an approximation, and not only at
+// the cutoff: a worker that cuts a term contributes nothing for it, so a
+// term can be missing or carry too small a count. Say worker A's top 2
+// are rea (3 files) and reb (3), and worker B holds rea (1), rec (2) and
+// red (2). B's top 2 cut rea, so the broker answers rea with 3 files
+// where a node answers 4. Exact counts would cost the fleet another round.
 func (b *Broker) suggest(ctx context.Context, prefix string, n int) (*server.SuggestResponse, error) {
 	path := "/suggest?q=" + url.QueryEscape(prefix) + "&n=" + strconv.Itoa(n)
 	resps := make([]server.SuggestResponse, len(b.groups))

@@ -35,8 +35,8 @@ type Hit struct {
 	// Terms lists the positive query terms the file contains, in the
 	// query's term order, followed by matched prefix operators rendered in
 	// their canonical "repor*" form — the matched-term metadata of the v2
-	// API. Only the first 64 positive terms of a query are tracked; nil
-	// when none matched (pure NOT queries).
+	// API. Only the first 64 of these labels, terms then prefixes, are
+	// tracked; nil when none matched (pure NOT queries).
 	Terms []string `json:"terms,omitempty"`
 	// Snippet is the hit's context window, present only when the request
 	// set Snippets and the file yielded one (see Snippet). nil otherwise.
@@ -63,9 +63,6 @@ type Engine struct {
 	// shards[i] is the global shard number of indices[i]: the identity for
 	// a whole catalog, the directory's numbers for a worker's subset.
 	shards []int
-	// Parallel fans query evaluation out with one goroutine per index.
-	// Off, partitions are searched sequentially (the ablation baseline).
-	Parallel bool
 
 	// mu guards the indices, the file table, and the universe cache:
 	// queries hold it shared, Maintain holds it exclusively.
@@ -93,7 +90,7 @@ func NewEngine(files *index.FileTable, parts ...index.Partition) *Engine {
 // shard numbers, shardIDs[i] for parts[i]: a distributed worker's share of
 // a saved directory. nil shardIDs means 0..len(parts)-1.
 func NewSubsetEngine(files *index.FileTable, shardIDs []int, parts ...index.Partition) *Engine {
-	return &Engine{files: files, indices: parts, shards: orIdentity(shardIDs, len(parts)), Parallel: true}
+	return &Engine{files: files, indices: parts, shards: orIdentity(shardIDs, len(parts))}
 }
 
 // orIdentity returns ids, or 0..n-1 when ids is nil.

@@ -118,7 +118,6 @@ func TestBM25ShardsMatchSingleExactly(t *testing.T) {
 	files, single, shards := bm25Fixture()
 	se := NewEngine(files, single)
 	re := NewEngine(files, index.Partitions(shards)...)
-	re.Parallel = true
 
 	for _, qs := range []string{"cat", "dog", "cat OR dog", "the AND NOT dog", "c* OR dog", "th*"} {
 		q := MustParse(qs)

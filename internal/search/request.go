@@ -247,36 +247,30 @@ func (e *Engine) corruptedSince(marks []uint64) error {
 }
 
 // eachPartition calls fn once per partition and returns when every call
-// has: on one goroutine each when the engine is Parallel and has several
-// partitions, otherwise in partition order, stopping once ctx is done.
-// A panic in fn fails the query, not the process: it is recovered where
-// it was raised and returned as a QueryError with CodeInternal, the first
-// in partition order when several partitions panic (the in-order path
-// stops at the first). The caller holds e.mu.
+// has: on one goroutine each when the engine has several partitions,
+// inline when it has one, unless ctx is already done. A panic in fn fails
+// the query, not the process: it is recovered where it was raised and
+// returned as a QueryError with CodeInternal, the first in partition
+// order when several partitions panic. The caller holds e.mu.
 func (e *Engine) eachPartition(ctx context.Context, fn func(i int, ix index.Partition)) error {
-	if e.Parallel && len(e.indices) > 1 {
-		errs := make([]error, len(e.indices))
-		var wg sync.WaitGroup
-		for i, ix := range e.indices {
-			wg.Add(1)
-			go func(i int, ix index.Partition) {
-				defer wg.Done()
-				errs[i] = callPartition(fn, i, ix)
-			}(i, ix)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i, ix := range e.indices {
+	if len(e.indices) == 1 {
 		if ctx.Err() != nil {
 			return nil
 		}
-		if err := callPartition(fn, i, ix); err != nil {
+		return callPartition(fn, 0, e.indices[0])
+	}
+	errs := make([]error, len(e.indices))
+	var wg sync.WaitGroup
+	for i, ix := range e.indices {
+		wg.Add(1)
+		go func(i int, ix index.Partition) {
+			defer wg.Done()
+			errs[i] = callPartition(fn, i, ix)
+		}(i, ix)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}

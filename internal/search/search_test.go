@@ -211,20 +211,6 @@ func TestReplicasMatchSingle(t *testing.T) {
 	}
 }
 
-func TestSequentialEqualsParallel(t *testing.T) {
-	files, _, replicas := fixture()
-	par := NewEngine(files, index.Partitions(replicas)...)
-	seq := NewEngine(files, index.Partitions(replicas)...)
-	seq.Parallel = false
-	for _, q := range []string{"cat", "NOT dog", "cat OR fish"} {
-		a, _ := searchString(par, q)
-		b, _ := searchString(seq, q)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%q: parallel and sequential disagree", q)
-		}
-	}
-}
-
 // panicky is a partition whose every read of the term "boom" panics.
 type panicky struct{ *index.Index }
 
@@ -242,29 +228,29 @@ func (p panicky) Iterator(term string) index.PostingIterator {
 }
 
 // TestPartitionPanicFailsOneQuery: a panic while one partition evaluates
-// fails that query with CodeInternal, on the parallel and the in-order
-// path alike, and the engine answers the next query as before.
+// fails that query with CodeInternal, on the fanned-out path (several
+// partitions) and the inline one (one) alike, and the engine answers the
+// next query as before.
 func TestPartitionPanicFailsOneQuery(t *testing.T) {
-	files, _, replicas := fixture()
+	files, single, replicas := fixture()
 	want, err := searchString(NewEngine(files, index.Partitions(replicas)...), "cat OR fish")
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := index.Partitions(replicas)
-	parts[1] = panicky{replicas[1]}
-	for _, parallel := range []bool{true, false} {
+	fanned := index.Partitions(replicas)
+	fanned[1] = panicky{replicas[1]}
+	for _, parts := range [][]index.Partition{fanned, {panicky{single}}} {
 		e := NewEngine(files, parts...)
-		e.Parallel = parallel
 		for _, q := range []string{"boom", "cat OR boom", "fish -boom"} {
 			_, err := searchString(e, q)
 			var qe *QueryError
 			if !errors.As(err, &qe) || qe.Code != CodeInternal || !errors.Is(err, ErrInternal) {
-				t.Fatalf("parallel=%v %q: error %v, want a QueryError with code %s", parallel, q, err, CodeInternal)
+				t.Fatalf("%d partitions %q: error %v, want a QueryError with code %s", len(parts), q, err, CodeInternal)
 			}
 		}
 		got, err := searchString(e, "cat OR fish")
 		if err != nil || !reflect.DeepEqual(ids(got), ids(want)) {
-			t.Fatalf("parallel=%v: next query answered %v, %v; want %v", parallel, ids(got), err, ids(want))
+			t.Fatalf("%d partitions: next query answered %v, %v; want %v", len(parts), ids(got), err, ids(want))
 		}
 	}
 }

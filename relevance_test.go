@@ -2,12 +2,17 @@ package desksearch
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"desksearch/internal/postings"
+	"desksearch/internal/shard"
 	"desksearch/internal/vfs"
 )
 
@@ -235,6 +240,37 @@ func TestPrefixQueryPublicAPI(t *testing.T) {
 	// negated prefix behaves like the negated term.
 	if want := queryAll(t, cat, "milk AND NOT report"); fmt.Sprint(paths(resp.Hits)) != fmt.Sprint(paths(want)) {
 		t.Errorf("milk AND NOT repor* = %v, want %v", paths(resp.Hits), paths(want))
+	}
+}
+
+// TestPrefixCapIsPerPartition pins the one answer that depends on the
+// catalog's shape: Query.MaxPrefixTerms counts a prefix's expansions per
+// partition, so "p*" over three files holding "pa", "pb" and "pc" fails
+// with ErrPrefixTooBroad on one shard and answers on three, under a cap
+// of the most p-terms any one of the three shards holds.
+func TestPrefixCapIsPerPartition(t *testing.T) {
+	fs := vfs.NewMemFS()
+	perShard := map[int]int{}
+	for id, term := range []string{"pa", "pb", "pc"} {
+		if err := fs.WriteFile(fmt.Sprintf("f%d.txt", id), []byte(term)); err != nil {
+			t.Fatal(err)
+		}
+		perShard[shard.ShardFor(postings.FileID(id), 3)]++
+	}
+	limit := slices.Max(slices.Collect(maps.Values(perShard)))
+	if limit == 3 {
+		t.Fatal("fixture: all three files route to one shard of three")
+	}
+	q := Query{Text: "p*", MaxPrefixTerms: limit}
+	for shards, fails := range map[int]bool{1: true, 3: false} {
+		cat, err := IndexFS(fs, ".", Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := cat.Query(context.Background(), q)
+		if fails != errors.Is(err, ErrPrefixTooBroad) || !fails && resp.Total != 3 {
+			t.Errorf("%d shards, cap %d: %+v, %v; want prefix_too_broad %v", shards, limit, resp, err, fails)
+		}
 	}
 }
 
