@@ -30,7 +30,6 @@ import (
 	"desksearch/internal/shard"
 	"desksearch/internal/tokenize"
 	"desksearch/internal/vfs"
-	"desksearch/internal/walk"
 )
 
 // ---- shared fixtures ----
@@ -351,7 +350,7 @@ func churnCorpus(b *testing.B) (*vfs.MemFS, []string) {
 	if _, err := corpus.Generate(corpus.PaperSpec().Scale(1.0/128), fs); err != nil {
 		b.Fatal(err)
 	}
-	refs, err := walk.List(fs, ".")
+	refs, err := core.ListFiles(fs, ".")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -713,7 +712,7 @@ func phraseCatalog(b *testing.B) (*Catalog, string) {
 		if err != nil {
 			panic(err)
 		}
-		refs, err := walk.List(fs, ".")
+		refs, err := core.ListFiles(fs, ".")
 		if err != nil {
 			panic(err)
 		}

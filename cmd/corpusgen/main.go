@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"desksearch/internal/corpus"
-	"desksearch/internal/vfs"
 )
 
 func main() {
@@ -44,10 +43,7 @@ func main() {
 		return
 	}
 
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
-	}
-	stats, err := corpus.Generate(spec, vfs.NewOSFS(*out))
+	stats, err := corpus.Generate(spec, corpus.Dir(*out))
 	if err != nil {
 		fatal(err)
 	}

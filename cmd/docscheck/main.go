@@ -2,9 +2,10 @@
 // version and kind constants in internal/index/codec.go agree with
 // docs/FORMAT.md, that docs/ARCHITECTURE.md's package map names exactly
 // the packages under internal/, that every directory and internal
-// identifier the top-level docs name exists, and that every package under
-// internal/ has an importer, so no document silently rots and no package
-// outlives its last reader.
+// identifier the top-level docs name exists, that every package under
+// internal/ has an importer, and that the public API names no internal
+// type, so no document silently rots, no package outlives its last reader
+// and no exported signature is closed to callers outside the module.
 //
 // Checks:
 //
@@ -30,7 +31,11 @@
 //     or docs/FORMAT.md whose pkg is a directory under internal/ names a
 //     top-level identifier declared in that package (_test.go files count,
 //     so the docs may cite tests). Only exported-looking names are read:
-//     `walk.list_ms` is a metric, not a selector.
+//     `walk.list_ms` is a metric, not a selector;
+//  10. no exported function, or exported method of an exported type, in
+//     the root package's non-test files takes or returns a type named
+//     through a desksearch/internal/... import, which a caller outside the
+//     module could not name (a root alias such as Hit is a root name).
 //
 // Usage (normally via `make docs-check`, from the repository root):
 //
@@ -332,6 +337,67 @@ func checkIdents(docs map[string]string, root fs.FS) ([]string, error) {
 	return slices.Sorted(maps.Keys(found)), nil
 }
 
+// checkSignatures returns, sorted, one finding per parameter or result of
+// an exported function or method in root's top-level non-test .go files
+// whose type names a package imported from desksearch/internal/.
+func checkSignatures(root fs.FS) ([]string, error) {
+	srcs, err := fs.Glob(root, "*.go")
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	for _, p := range srcs {
+		if strings.HasSuffix(p, "_test.go") {
+			continue
+		}
+		src, err := fs.ReadFile(root, p)
+		if err != nil {
+			return nil, err
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		internal := map[string]string{} // the name a file uses → import path
+		for _, imp := range f.Imports {
+			if ip := strings.Trim(imp.Path.Value, `"`); strings.HasPrefix(ip, internalPrefix) {
+				name := path.Base(ip)
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				internal[name] = ip
+			}
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() || fn.Recv != nil && !exportedType(fn.Recv.List[0].Type) {
+				continue
+			}
+			ast.Inspect(fn.Type, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && internal[x.Name] != "" {
+						problems = append(problems, fmt.Sprintf("%s: exported %s names %s.%s from %s, which a caller outside the module cannot name",
+							fset.Position(sel.Pos()), fn.Name.Name, x.Name, sel.Sel.Name, internal[x.Name]))
+					}
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(problems)
+	return problems, nil
+}
+
+// exportedType reports whether a receiver type, T or *T, is exported.
+func exportedType(t ast.Expr) bool {
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	id, ok := t.(*ast.Ident)
+	return !ok || id.IsExported()
+}
+
 func main() {
 	codecPath := flag.String("codec", "internal/index/codec.go", "codec source file declaring the version and kind constants")
 	specPath := flag.String("spec", "docs/FORMAT.md", "format specification to check against")
@@ -376,6 +442,11 @@ func main() {
 		fatal(err)
 	}
 	problems = append(problems, undeclared...)
+	closed, err := checkSignatures(os.DirFS("."))
+	if err != nil {
+		fatal(err)
+	}
+	problems = append(problems, closed...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "docscheck:", p)
@@ -383,7 +454,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s) — the docs have drifted from the code\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: ok — %s and %s agree on every version and frame kind; %s maps every package under internal/; every directory and internal identifier the docs name exists; every internal package has an importer\n", *codecPath, *specPath, archPath)
+	fmt.Printf("docscheck: ok — %s and %s agree on every version and frame kind; %s maps every package under internal/; every directory and internal identifier the docs name exists; every internal package has an importer; no exported signature names an internal type\n", *codecPath, *specPath, archPath)
 }
 
 func fatal(err error) {

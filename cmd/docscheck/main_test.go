@@ -135,6 +135,30 @@ func TestCheckImporters(t *testing.T) {
 	}
 }
 
+// TestCheckSignatures: an exported signature of the root package may name
+// a root alias of an internal type but not the internal type itself, under
+// its package name or an import alias; unexported functions, methods of
+// unexported types and tests are not the API.
+func TestCheckSignatures(t *testing.T) {
+	const imports = "package desksearch\n\nimport (\n\t\"io/fs\"\n\n\tix \"desksearch/internal/index\"\n\t\"desksearch/internal/vfs\"\n)\n\n"
+	for _, tc := range []struct{ name, src, want string }{
+		{"public types and aliases", "type Hit = ix.Hit\n\nfunc IndexFS(fsys fs.FS) (Hit, error)\n\n" +
+			"func walk(fsys vfs.FS) {}\n\nfunc (p *part) Index() *ix.Index\n", ""},
+		{"internal parameter", "func IndexFS(fsys vfs.FS, root string) error\n", "desksearch.go:10:19: exported IndexFS names vfs.FS from desksearch/internal/vfs"},
+		{"aliased internal result of a method", "func (c *Catalog) Parts() (n int, parts []*ix.Index)\n", "exported Parts names ix.Index from desksearch/internal/index"},
+	} {
+		tree := fstest.MapFS{
+			"desksearch.go":      {Data: []byte(imports + tc.src)},
+			"desksearch_test.go": {Data: []byte(imports + "func Helper(fsys vfs.FS) {}\n")},
+		}
+		got, err := checkSignatures(tree)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		wantOne(t, tc.name, got, tc.want)
+	}
+}
+
 // wantOne fails unless got is empty when want is "", or holds exactly one
 // finding containing want.
 func wantOne(t *testing.T, name string, got []string, want string) {

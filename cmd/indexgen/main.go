@@ -38,7 +38,6 @@ import (
 	"desksearch"
 	"desksearch/internal/core"
 	"desksearch/internal/extract"
-	"desksearch/internal/vfs"
 )
 
 func main() {
@@ -78,7 +77,7 @@ func main() {
 	}
 
 	if *stages {
-		st, err := core.MeasureStages(vfs.NewOSFS(*root), ".", extract.Options{Formats: *formats, Positions: *pos})
+		st, err := core.MeasureStages(os.DirFS(*root), ".", extract.Options{Formats: *formats, Positions: *pos})
 		if err != nil {
 			fatal(err)
 		}

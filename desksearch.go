@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -15,7 +17,6 @@ import (
 	"desksearch/internal/index"
 	"desksearch/internal/search"
 	"desksearch/internal/shard"
-	"desksearch/internal/vfs"
 )
 
 // Implementation selects one of the paper's parallel designs.
@@ -389,15 +390,16 @@ type Catalog struct {
 // writable catalog.
 var ErrReadOnly = errors.New("desksearch: lazily opened catalog is read-only (use LoadDir to load it eagerly)")
 
-// IndexDir indexes every file under dir on the host filesystem.
+// IndexDir indexes the host directory dir: IndexFS over os.DirFS(dir).
 func IndexDir(dir string, opt Options) (*Catalog, error) {
-	return IndexFS(vfs.NewOSFS(dir), ".", opt)
+	return IndexFS(os.DirFS(dir), ".", opt)
 }
 
-// IndexFS indexes every file under root in the given filesystem. It is the
-// hook for in-memory corpora (internal/vfs.MemFS) used by the examples and
-// benchmarks.
-func IndexFS(fsys vfs.FS, root string, opt Options) (*Catalog, error) {
+// IndexFS indexes the regular files under root ("." for all) in fsys, any
+// fs.FS: os.DirFS, fstest.MapFS, an archive. A symbolic link to a regular
+// file is indexed with its target's content; a link to a directory, a
+// named pipe, a device or a socket is not.
+func IndexFS(fsys fs.FS, root string, opt Options) (*Catalog, error) {
 	cfg, err := opt.coreConfig()
 	if err != nil {
 		return nil, err
@@ -797,7 +799,7 @@ type UpdateStats struct {
 // Diff walks fsys from root and returns the changes since the catalog was
 // built or last updated, without applying anything. Size and modification
 // stamps decide whether a file changed; nothing is read or re-extracted.
-func (c *Catalog) Diff(fsys vfs.FS, root string) (*Changeset, error) {
+func (c *Catalog) Diff(fsys fs.FS, root string) (*Changeset, error) {
 	var cs *Changeset
 	var err error
 	c.engine.View(func() {
@@ -812,7 +814,7 @@ func (c *Catalog) Diff(fsys vfs.FS, root string) (*Changeset, error) {
 // and new files register fresh FileIDs, each term block routed to its
 // owning partition by the same FNV FileID split sharding uses. Queries are
 // excluded only during the in-memory commit, not during extraction.
-func (c *Catalog) Apply(fsys vfs.FS, cs *Changeset) (UpdateStats, error) {
+func (c *Catalog) Apply(fsys fs.FS, cs *Changeset) (UpdateStats, error) {
 	c.updateMu.Lock()
 	defer c.updateMu.Unlock()
 	if c.lazy != nil {
@@ -824,7 +826,7 @@ func (c *Catalog) Apply(fsys vfs.FS, cs *Changeset) (UpdateStats, error) {
 // Update diffs the catalog against the tree under root and applies the
 // resulting changeset: Diff followed by Apply in one step. It returns what
 // changed; an up-to-date catalog returns zero stats and does no work.
-func (c *Catalog) Update(fsys vfs.FS, root string) (UpdateStats, error) {
+func (c *Catalog) Update(fsys fs.FS, root string) (UpdateStats, error) {
 	c.updateMu.Lock()
 	defer c.updateMu.Unlock()
 	if c.lazy != nil {
@@ -837,13 +839,13 @@ func (c *Catalog) Update(fsys vfs.FS, root string) (UpdateStats, error) {
 	return c.applyLocked(fsys, cs)
 }
 
-// UpdateDir is Update over a host directory, the incremental counterpart
-// of IndexDir.
+// UpdateDir is Update over os.DirFS(dir), the incremental counterpart of
+// IndexDir. A linked file changes when its target's size or time does.
 func (c *Catalog) UpdateDir(dir string) (UpdateStats, error) {
-	return c.Update(vfs.NewOSFS(dir), ".")
+	return c.Update(os.DirFS(dir), ".")
 }
 
-func (c *Catalog) applyLocked(fsys vfs.FS, cs *Changeset) (UpdateStats, error) {
+func (c *Catalog) applyLocked(fsys fs.FS, cs *Changeset) (UpdateStats, error) {
 	if cs.Empty() {
 		return UpdateStats{}, nil
 	}

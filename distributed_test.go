@@ -3,6 +3,7 @@ package desksearch
 import (
 	"context"
 	"fmt"
+	"io/fs"
 	"math"
 	"sort"
 	"strings"
@@ -11,7 +12,6 @@ import (
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
 	"desksearch/internal/shard"
-	"desksearch/internal/vfs"
 )
 
 // openSubset opens a shard subset of dir or fails the test.
@@ -236,7 +236,7 @@ func TestGlobalDFShapeMismatch(t *testing.T) {
 // shape of a directory saved from a replicated build before every build
 // was hash-routed, where a replica held whatever files its updater took.
 // It returns the directory and the saved file table.
-func saveUnrouted(t *testing.T, fsys vfs.FS, n int) (string, *index.FileTable) {
+func saveUnrouted(t *testing.T, fsys fs.FS, n int) (string, *index.FileTable) {
 	t.Helper()
 	seq, err := IndexFS(fsys, ".", Options{Implementation: Sequential})
 	if err != nil {

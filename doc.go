@@ -28,6 +28,13 @@
 //		fmt.Println(h.Path, h.Terms)
 //	}
 //
+// IndexDir is IndexFS over os.DirFS(dir); IndexFS, Catalog.Update, Diff
+// and Apply take any io/fs file system, an in-memory fstest.MapFS
+// included. A build indexes regular files: a symbolic link to a file
+// counts, with its target's size and modification time, a link to a
+// directory is not followed, and named pipes, devices and sockets are
+// left out.
+//
 // Query is the v2 search API: requests carry pagination (Limit/Offset,
 // answered with bounded per-partition top-k retrieval instead of a full
 // sort: partitions keep their top candidates, and only the page gets a

@@ -17,7 +17,6 @@ import (
 
 	"desksearch"
 	"desksearch/internal/corpus"
-	"desksearch/internal/vfs"
 )
 
 func main() {
@@ -32,7 +31,7 @@ func main() {
 	spec := corpus.PaperSpec().Scale(1.0 / 512)
 	spec.HTMLFraction = 0.15
 	spec.WPFraction = 0.10
-	stats, err := corpus.Generate(spec, vfs.NewOSFS(dir))
+	stats, err := corpus.Generate(spec, corpus.Dir(dir))
 	if err != nil {
 		log.Fatal(err)
 	}

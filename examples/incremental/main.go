@@ -20,17 +20,20 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"testing/fstest"
+	"time"
 
 	"desksearch"
-	"desksearch/internal/vfs"
 )
 
 func main() {
-	fs := vfs.NewMemFS()
+	// The tree lives in memory. Update sees an edit by its size and
+	// modification time, so every write stamps a later time.
+	fs := fstest.MapFS{}
+	clock := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 	write := func(name, content string) {
-		if err := fs.WriteFile(name, []byte(content)); err != nil {
-			log.Fatal(err)
-		}
+		clock = clock.Add(time.Second)
+		fs[name] = &fstest.MapFile{Data: []byte(content), ModTime: clock}
 	}
 	write("inbox/1.txt", "meeting notes budget review")
 	write("inbox/2.txt", "lunch plans")
@@ -63,9 +66,7 @@ func main() {
 
 	// The user deletes a file: Update tombstones its FileID and drops its
 	// postings in place — no re-walk of the unchanged files.
-	if err := fs.Remove("projects/plan.txt"); err != nil {
-		log.Fatal(err)
-	}
+	delete(fs, "projects/plan.txt")
 	st, err := cat.Update(fs, ".")
 	if err != nil {
 		log.Fatal(err)

@@ -10,25 +10,20 @@ import (
 	"fmt"
 	"log"
 	"strings"
+	"testing/fstest"
 
 	"desksearch"
-	"desksearch/internal/vfs"
 )
 
 func main() {
-	// A miniature "home directory".
-	fs := vfs.NewMemFS()
-	files := map[string]string{
-		"docs/thesis-draft.txt": "thesis draft: parallel index generation for desktop search",
-		"docs/thesis-final.txt": "thesis final: parallel index generation for desktop search",
-		"mail/inbox.txt":        "lunch tomorrow? also the search demo crashed again",
-		"mail/sent.txt":         "fixed the demo, the index rebuild was racing the search",
-		"notes/shopping.txt":    "milk eggs flour",
-	}
-	for name, content := range files {
-		if err := fs.WriteFile(name, []byte(content)); err != nil {
-			log.Fatal(err)
-		}
+	// A miniature "home directory": any fs.FS serves, here an in-memory
+	// one (os.DirFS would index a real directory).
+	fs := fstest.MapFS{
+		"docs/thesis-draft.txt": {Data: []byte("thesis draft: parallel index generation for desktop search")},
+		"docs/thesis-final.txt": {Data: []byte("thesis final: parallel index generation for desktop search")},
+		"mail/inbox.txt":        {Data: []byte("lunch tomorrow? also the search demo crashed again")},
+		"mail/sent.txt":         {Data: []byte("fixed the demo, the index rebuild was racing the search")},
+		"notes/shopping.txt":    {Data: []byte("milk eggs flour")},
 	}
 
 	// Index with the paper's Implementation 3 (replicated indices,

@@ -675,17 +675,12 @@ func TestApplyTwiceIsIdempotent(t *testing.T) {
 
 func TestUpdateDirOnHostFS(t *testing.T) {
 	dir := t.TempDir()
-	fs := vfs.NewOSFS(dir)
-	if err := fs.WriteFile("a/one.txt", []byte("desktop search rules")); err != nil {
-		t.Fatal(err)
-	}
+	writeHostFile(t, dir, "a/one.txt", "desktop search rules")
 	cat, err := IndexDir(dir, Options{Implementation: Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.WriteFile("a/two.txt", []byte("brand new document")); err != nil {
-		t.Fatal(err)
-	}
+	writeHostFile(t, dir, "a/two.txt", "brand new document")
 	st, err := cat.UpdateDir(dir)
 	if err != nil {
 		t.Fatal(err)

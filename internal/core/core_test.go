@@ -261,7 +261,7 @@ func TestRunInvalidConfig(t *testing.T) {
 func TestSkippedFilesAreReportedNotFatal(t *testing.T) {
 	// A file that vanishes between walk and read: emulate with an FS
 	// wrapper that fails reads for one path.
-	fs := failingFS{FS: corpusFS(t), failPath: "large-0.txt"}
+	fs := failingFS{MemFS: corpusFS(t), failPath: "large-0.txt"}
 	res, err := Run(fs, ".", Config{Implementation: SharedIndex, Extractors: 4, Updaters: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestSkippedFilesAreReportedNotFatal(t *testing.T) {
 }
 
 func TestSkippedFilesSequential(t *testing.T) {
-	fs := failingFS{FS: corpusFS(t), failPath: "large-1.txt"}
+	fs := failingFS{MemFS: corpusFS(t), failPath: "large-1.txt"}
 	res, err := Run(fs, ".", Config{Implementation: Sequential})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestSkippedFilesSequential(t *testing.T) {
 }
 
 type failingFS struct {
-	vfs.FS
+	*vfs.MemFS
 	failPath string
 }
 
@@ -298,7 +298,7 @@ func (f failingFS) ReadFile(name string) ([]byte, error) {
 	if name == f.failPath {
 		return nil, errInjected
 	}
-	return f.FS.ReadFile(name)
+	return f.MemFS.ReadFile(name)
 }
 
 var errInjected = &injectedError{}
@@ -365,7 +365,7 @@ func routedReference(t *testing.T, ref *index.Index, n int) []*index.Index {
 // routes to i (so the saved bytes cannot depend on the build path).
 func TestShardedRunsAgreeWithReference(t *testing.T) {
 	ref := joined(reference(t))
-	fs := failingFS{FS: corpusFS(t), failPath: "large-0.txt"}
+	fs := failingFS{MemFS: corpusFS(t), failPath: "large-0.txt"}
 	tuples := []Config{
 		{Implementation: Sequential},
 		{Implementation: SharedIndex, Extractors: 3},
@@ -454,7 +454,7 @@ func TestConfigValidateBoundsShards(t *testing.T) {
 
 // readerFS records, for each file read, the goroutine that read it.
 type readerFS struct {
-	vfs.FS
+	*vfs.MemFS
 	mu     sync.Mutex
 	reader map[string]uint64
 }
@@ -463,7 +463,7 @@ func (f *readerFS) ReadFile(name string) ([]byte, error) {
 	f.mu.Lock()
 	f.reader[name] = goroutineID()
 	f.mu.Unlock()
-	return f.FS.ReadFile(name)
+	return f.MemFS.ReadFile(name)
 }
 
 // goroutineID parses the calling goroutine's ID from the header of its
@@ -490,7 +490,7 @@ func TestRoundRobinDealing(t *testing.T) {
 		{Implementation: ReplicatedSearch, Extractors: x, Updaters: 2, Shards: 4},
 		{Implementation: SharedIndex, Extractors: x, Updaters: 1},
 	} {
-		fs := &readerFS{FS: corpusFS(t), reader: map[string]uint64{}}
+		fs := &readerFS{MemFS: corpusFS(t), reader: map[string]uint64{}}
 		res, err := Run(fs, ".", cfg)
 		if err != nil {
 			t.Fatal(err)

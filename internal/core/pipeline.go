@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io/fs"
 	"sync"
 	"time"
 
@@ -9,8 +10,6 @@ import (
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
 	"desksearch/internal/shard"
-	"desksearch/internal/vfs"
-	"desksearch/internal/walk"
 )
 
 // Timings breaks a run down by pipeline phase.
@@ -56,14 +55,40 @@ type Result struct {
 // Indexes returns the partitions of the run's output.
 func (r *Result) Indexes() []*index.Index { return r.Set.Shards() }
 
-// job is one unit of Stage 2 work: a file and its pre-assigned ID.
-type job struct {
-	ref walk.FileRef
-	id  postings.FileID
+// FileRef names one file to index, with the size and modification time
+// (Unix nanoseconds) the file table records and an update compares.
+type FileRef struct {
+	Path    string
+	Size    int64
+	ModTime int64
+}
+
+// ListFiles is Stage 1, filename generation: the regular files under root
+// ("." for all) in fsys, depth-first, each directory's entries by name —
+// the order that numbers FileIDs. A symbolic link is listed when fs.Stat
+// says it names a regular file, with its target's size and time; a link to
+// a directory is not followed, so the walk has no cycles. Named pipes,
+// devices, sockets and entries that vanish mid-walk are not listed.
+func ListFiles(fsys fs.FS, root string) ([]FileRef, error) {
+	var out []FileRef
+	err := fs.WalkDir(fsys, root, func(name string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err == nil && info.Mode()&fs.ModeSymlink != 0 {
+			info, err = fs.Stat(fsys, name)
+		}
+		if err == nil && info.Mode().IsRegular() {
+			out = append(out, FileRef{Path: name, Size: info.Size(), ModTime: info.ModTime().UnixNano()})
+		}
+		return nil
+	})
+	return out, err
 }
 
 // Run executes the configured pipeline over the files under root in fsys.
-func Run(fsys vfs.FS, root string, cfg Config) (*Result, error) {
+func Run(fsys fs.FS, root string, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -74,16 +99,15 @@ func Run(fsys vfs.FS, root string, cfg Config) (*Result, error) {
 
 	// Stage 1: filename generation — one thread, completing before
 	// extraction starts (the paper's design decision).
-	files, err := walk.List(fsys, root)
+	files, err := ListFiles(fsys, root)
 	if err != nil {
 		return nil, fmt.Errorf("core: filename generation: %w", err)
 	}
-	table := index.NewFileTable()
-	jobs := make([]job, len(files))
-	for i, f := range files {
-		jobs[i] = job{ref: f, id: table.Add(f.Path, f.Size, f.ModTime)}
+	// A fresh table numbers the files in list order: file i has FileID i.
+	res.Files = index.NewFileTable()
+	for _, f := range files {
+		res.Files.Add(f.Path, f.Size, f.ModTime)
 	}
-	res.Files = table
 	res.Timings.FilenameGen = time.Since(startTotal)
 
 	// Stages 2+3. Whichever implementation runs, the sinks are the
@@ -96,7 +120,7 @@ func Run(fsys vfs.FS, root string, cfg Config) (*Result, error) {
 	if n == 0 {
 		n = cfg.Replicas()
 	}
-	parts := runPipeline(fsys, cfg, jobs, n, res)
+	parts := runPipeline(fsys, cfg, files, n, res)
 	res.Timings.ExtractUpdate = time.Since(start23)
 
 	if cfg.Implementation == ReplicatedJoin && cfg.Shards == 0 {
@@ -108,7 +132,7 @@ func Run(fsys vfs.FS, root string, cfg Config) (*Result, error) {
 		}
 		res.Timings.Join = time.Since(startJoin)
 	}
-	res.Set = shard.New(table, parts)
+	res.Set = shard.New(res.Files, parts)
 	res.Timings.Total = time.Since(startTotal)
 	return res, nil
 }
@@ -140,7 +164,7 @@ func (r router) feed(block extract.TermBlock) {
 // goroutines and, when cfg.Updaters > 0, separate updater goroutines fed
 // through a bounded buffer, and returns the n partitions they filled.
 //
-// Stage 1's list is dealt round-robin: extractor w owns jobs w, w+x,
+// Stage 1's list is dealt round-robin: extractor w owns files w, w+x,
 // w+2x, … of it, a private vector read with no synchronization at all.
 //
 // The implementation decides who inserts, and that alone decides the
@@ -153,7 +177,7 @@ func (r router) feed(block extract.TermBlock) {
 // the one extractor, or updater u for the partitions s ≡ u (mod y), fed
 // through a lane of its own. Each owner builds its partitions as soon as
 // its input ends.
-func runPipeline(fsys vfs.FS, cfg Config, jobs []job, n int, res *Result) []*index.Index {
+func runPipeline(fsys fs.FS, cfg Config, files []FileRef, n int, res *Result) []*index.Index {
 	locked := cfg.Implementation == SharedIndex || (cfg.Updaters == 0 && cfg.Extractors > 1)
 	r := make(router, n)
 	for i := range r {
@@ -176,16 +200,15 @@ func runPipeline(fsys vfs.FS, cfg Config, jobs []job, n int, res *Result) []*ind
 	}
 
 	var skippedMu sync.Mutex
-	// dealt runs extractor w over its share of the jobs, handing every
+	// dealt runs extractor w over its share of the files, handing every
 	// block to out.
 	dealt := func(w int, out func(extract.TermBlock)) {
 		ex := extract.New(fsys, cfg.Extract)
-		for i := w; i < len(jobs); i += cfg.Extractors {
-			j := jobs[i]
-			block, err := ex.File(j.ref.Path, j.id)
+		for i := w; i < len(files); i += cfg.Extractors {
+			block, err := ex.File(files[i].Path, postings.FileID(i))
 			if err != nil {
 				skippedMu.Lock()
-				res.SkippedFiles = append(res.SkippedFiles, Skipped{Path: j.ref.Path, Err: err})
+				res.SkippedFiles = append(res.SkippedFiles, Skipped{Path: files[i].Path, Err: err})
 				skippedMu.Unlock()
 				continue
 			}

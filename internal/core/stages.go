@@ -2,13 +2,12 @@ package core
 
 import (
 	"fmt"
+	"io/fs"
 	"time"
 
 	"desksearch/internal/extract"
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
-	"desksearch/internal/vfs"
-	"desksearch/internal/walk"
 )
 
 // StageTimes holds the paper's Table 1 measurements: the isolated
@@ -33,11 +32,11 @@ type StageTimes struct {
 
 // MeasureStages reproduces the paper's Table 1 methodology on a live
 // filesystem: each stage runs sequentially and in isolation.
-func MeasureStages(fsys vfs.FS, root string, opts extract.Options) (StageTimes, error) {
+func MeasureStages(fsys fs.FS, root string, opts extract.Options) (StageTimes, error) {
 	var st StageTimes
 
 	start := time.Now()
-	files, err := walk.List(fsys, root)
+	files, err := ListFiles(fsys, root)
 	if err != nil {
 		return st, fmt.Errorf("core: stage 1: %w", err)
 	}

@@ -9,7 +9,7 @@
 //
 // Two products are offered from the same Spec and seed:
 //
-//   - Generate materializes real files (into any vfs.WriteFS);
+//   - Generate materializes real files (through any Writer);
 //   - Describe lays out the same files (paths, sizes, formats) without
 //     writing any content.
 package corpus
@@ -18,8 +18,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"desksearch/internal/vfs"
+	"os"
+	"path/filepath"
 )
 
 // Spec describes a synthetic corpus. The zero value is not useful; start
@@ -246,9 +246,29 @@ func filePath(spec Spec, i int, format string) string {
 	return fmt.Sprintf("%sfile-%06d.%s", path, n, format)
 }
 
-// Generate materializes the corpus into fs. It returns the same layout as
+// Writer is where Generate puts the corpus: vfs.MemFS in memory, Dir on
+// disk.
+type Writer interface {
+	// WriteFile creates or replaces the named file (slash-separated, relative
+	// to the corpus root), creating parent directories as needed.
+	WriteFile(name string, data []byte) error
+}
+
+// Dir is a Writer into a host directory.
+type Dir string
+
+// WriteFile implements Writer.
+func (d Dir) WriteFile(name string, data []byte) error {
+	p := filepath.Join(string(d), filepath.FromSlash(name))
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(p, data, 0o644)
+}
+
+// Generate writes the corpus through w. It returns the same layout as
 // Describe.
-func Generate(spec Spec, fs vfs.WriteFS) (Stats, error) {
+func Generate(spec Spec, w Writer) (Stats, error) {
 	spec = spec.normalize()
 	stats := Describe(spec)
 	vocab := BuildVocabulary(spec)
@@ -259,7 +279,7 @@ func Generate(spec Spec, fs vfs.WriteFS) (Stats, error) {
 	for i := range stats.Files {
 		f := &stats.Files[i]
 		data := renderFile(f, vocab, zipf, rng)
-		if err := fs.WriteFile(f.Path, data); err != nil {
+		if err := w.WriteFile(f.Path, data); err != nil {
 			return stats, fmt.Errorf("corpus: writing %s: %w", f.Path, err)
 		}
 	}

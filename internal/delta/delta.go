@@ -24,14 +24,15 @@ package delta
 
 import (
 	"fmt"
+	"io/fs"
 	"sync"
+	"sync/atomic"
 
+	"desksearch/internal/core"
 	"desksearch/internal/extract"
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
 	"desksearch/internal/shard"
-	"desksearch/internal/vfs"
-	"desksearch/internal/walk"
 )
 
 // Op is the kind of a file-level change.
@@ -110,8 +111,8 @@ func (cs *Changeset) String() string {
 // Diff walks fsys from root and compares the tree against the indexed
 // state in files. It performs Stage 1's traversal plus one map lookup per
 // file; nothing is read or extracted yet.
-func Diff(fsys vfs.FS, root string, files *index.FileTable) (*Changeset, error) {
-	refs, err := walk.List(fsys, root)
+func Diff(fsys fs.FS, root string, files *index.FileTable) (*Changeset, error) {
+	refs, err := core.ListFiles(fsys, root)
 	if err != nil {
 		return nil, fmt.Errorf("delta: diff traversal: %w", err)
 	}
@@ -149,68 +150,42 @@ type Plan struct {
 	// the next Diff sees them as still-pending changes and retries.
 	blocks map[int]extract.TermBlock
 	// Skipped lists the files whose extraction failed.
-	Skipped []Skipped
-}
-
-// Skipped records a changed file that could not be re-extracted.
-type Skipped struct {
-	Path string
-	Err  error
+	Skipped []core.Skipped
 }
 
 // Extract re-extracts the plan's added and modified files with workers
 // parallel Stage-2 extractors and returns the resulting plan. Each worker
-// owns one extract.Extractor (they are single-owner by design), fed
-// through a shared channel like the pipeline's extraction stage.
-func Extract(fsys vfs.FS, cs *Changeset, opts extract.Options, workers int) *Plan {
+// owns one extract.Extractor (they are single-owner by design) and takes
+// the next file not yet taken, so a large file holds up one worker only.
+func Extract(fsys fs.FS, cs *Changeset, opts extract.Options, workers int) *Plan {
 	plan := &Plan{Changeset: cs, blocks: make(map[int]extract.TermBlock)}
 	var todo []int
 	for i, c := range cs.Changes {
-		if c.Op == OpAdd || c.Op == OpModify {
+		if c.Op != OpDelete {
 			todo = append(todo, i)
 		}
 	}
-	if len(todo) == 0 {
-		return plan
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-
-	type extracted struct {
-		pos   int
-		block extract.TermBlock
-		err   error
-	}
-	jobs := make(chan int, len(todo))
-	for _, i := range todo {
-		jobs <- i
-	}
-	close(jobs)
-	results := make(chan extracted, len(todo))
+	blocks := make([]extract.TermBlock, len(todo))
+	errs := make([]error, len(todo))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range max(1, min(workers, len(todo))) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			ex := extract.New(fsys, opts)
-			for i := range jobs {
-				block, err := ex.File(cs.Changes[i].Path, 0)
-				results <- extracted{pos: i, block: block, err: err}
+			for k := int(next.Add(1) - 1); k < len(todo); k = int(next.Add(1) - 1) {
+				blocks[k], errs[k] = ex.File(cs.Changes[todo[k]].Path, 0)
 			}
 		}()
 	}
 	wg.Wait()
-	close(results)
-	for r := range results {
-		if r.err != nil {
-			plan.Skipped = append(plan.Skipped, Skipped{Path: cs.Changes[r.pos].Path, Err: r.err})
-			continue
+	for k, i := range todo {
+		if errs[k] != nil {
+			plan.Skipped = append(plan.Skipped, core.Skipped{Path: cs.Changes[i].Path, Err: errs[k]})
+		} else {
+			plan.blocks[i] = blocks[k]
 		}
-		plan.blocks[r.pos] = r.block
 	}
 	return plan
 }

@@ -3,6 +3,7 @@ package delta
 import (
 	"context"
 	"fmt"
+	"io/fs"
 	"reflect"
 	"sort"
 	"sync"
@@ -34,9 +35,9 @@ func seedFS(t *testing.T) *vfs.MemFS {
 	return fs
 }
 
-func build(t *testing.T, fs vfs.FS, shards int) *core.Result {
+func build(t *testing.T, fsys fs.FS, shards int) *core.Result {
 	t.Helper()
-	res, err := core.Run(fs, ".", core.Config{Implementation: core.Sequential, Shards: shards})
+	res, err := core.Run(fsys, ".", core.Config{Implementation: core.Sequential, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,13 +132,13 @@ func TestDiffDetectsSameSizeEdit(t *testing.T) {
 }
 
 // applyAll is the full update path as the catalog drives it.
-func applyAll(t *testing.T, fs vfs.FS, res *core.Result) Stats {
+func applyAll(t *testing.T, fsys fs.FS, res *core.Result) Stats {
 	t.Helper()
-	cs, err := Diff(fs, ".", res.Files)
+	cs, err := Diff(fsys, ".", res.Files)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := Extract(fs, cs, extract.Options{}, 3)
+	plan := Extract(fsys, cs, extract.Options{}, 3)
 	if len(plan.Skipped) != 0 {
 		t.Fatalf("unexpected skips: %v", plan.Skipped)
 	}
@@ -341,7 +342,7 @@ func TestEmptyChangesetCommitIsNoop(t *testing.T) {
 // flakyFS fails ReadFile for chosen paths, simulating files locked or
 // unreadable at the instant an update runs.
 type flakyFS struct {
-	vfs.FS
+	*vfs.MemFS
 	mu   sync.Mutex
 	fail map[string]bool
 }
@@ -362,7 +363,7 @@ func (f *flakyFS) ReadFile(name string) ([]byte, error) {
 	if bad {
 		return nil, fmt.Errorf("flaky: %s is locked", name)
 	}
-	return f.FS.ReadFile(name)
+	return f.MemFS.ReadFile(name)
 }
 
 // TestFailedModifyExtractionRetries: a modified file whose re-extraction
@@ -370,7 +371,7 @@ func (f *flakyFS) ReadFile(name string) ([]byte, error) {
 // Update retries it instead of silently losing it forever.
 func TestFailedModifyExtractionRetries(t *testing.T) {
 	mem := seedFS(t)
-	fs := &flakyFS{FS: mem}
+	fs := &flakyFS{MemFS: mem}
 	res := build(t, fs, 2)
 
 	mem.WriteFile("docs/a.txt", []byte("updated alpha content"))
@@ -422,7 +423,7 @@ func TestFailedModifyExtractionRetries(t *testing.T) {
 // not registered, so the next Update sees it as still-new and retries.
 func TestFailedAddExtractionRetries(t *testing.T) {
 	mem := seedFS(t)
-	fs := &flakyFS{FS: mem}
+	fs := &flakyFS{MemFS: mem}
 	res := build(t, fs, 2)
 
 	mem.WriteFile("docs/new.txt", []byte("omega content"))

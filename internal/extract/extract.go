@@ -11,11 +11,11 @@ package extract
 
 import (
 	"fmt"
+	"io/fs"
 
 	"desksearch/internal/docfmt"
 	"desksearch/internal/postings"
 	"desksearch/internal/tokenize"
-	"desksearch/internal/vfs"
 )
 
 // TermBlock is the unit of work passed from term extractors to index
@@ -70,19 +70,19 @@ type Options struct {
 // key string of every term an earlier file already contained — so an
 // Extractor must not be shared.
 type Extractor struct {
-	fs   vfs.FS
+	fsys fs.FS
 	opts Options
 	seen *counter
 }
 
-// New returns an Extractor reading from fs.
-func New(fs vfs.FS, opts Options) *Extractor {
-	return &Extractor{fs: fs, opts: opts, seen: newCounter(1024, opts.Positions)}
+// New returns an Extractor reading from fsys.
+func New(fsys fs.FS, opts Options) *Extractor {
+	return &Extractor{fsys: fsys, opts: opts, seen: newCounter(1024, opts.Positions)}
 }
 
 // text reads the named file and, with Options.Formats, strips its markup.
 func (e *Extractor) text(path string) ([]byte, error) {
-	data, err := e.fs.ReadFile(path)
+	data, err := fs.ReadFile(e.fsys, path)
 	if err != nil {
 		return nil, fmt.Errorf("extract: %s: %w", path, err)
 	}
@@ -129,7 +129,7 @@ func (e *Extractor) ScanOnly(path string) (int, error) {
 // (Table 1, "read files"). It returns a checksum-free byte count; the body
 // is touched so the read cannot be optimized away.
 func (e *Extractor) ReadOnly(path string) (int64, error) {
-	data, err := e.fs.ReadFile(path)
+	data, err := fs.ReadFile(e.fsys, path)
 	if err != nil {
 		return 0, fmt.Errorf("extract: %s: %w", path, err)
 	}

@@ -3,6 +3,7 @@ package extract
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -121,7 +122,7 @@ func TestFileWithoutFormatsIndexesMarkup(t *testing.T) {
 
 func TestFileMissing(t *testing.T) {
 	e := New(testFS(t), Options{})
-	if _, err := e.File("nope.txt", 0); !errors.Is(err, vfs.ErrNotExist) {
+	if _, err := e.File("nope.txt", 0); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("err = %v", err)
 	}
 }

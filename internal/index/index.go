@@ -45,7 +45,7 @@ func NewFileTable() *FileTable {
 }
 
 // Add appends a live file and returns its ID. mtime is the modification
-// stamp change detection compares (vfs.DirEntry.ModTime).
+// time change detection compares, in Unix nanoseconds (core.FileRef.ModTime).
 func (t *FileTable) Add(path string, size, mtime int64) postings.FileID {
 	id := postings.FileID(len(t.paths))
 	t.paths = append(t.paths, path)

@@ -8,35 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"desksearch/internal/core"
 	"desksearch/internal/tokenize"
 	"desksearch/internal/vfs"
-	"desksearch/internal/walk"
 )
-
-// phraseVocab is deliberately tiny so random phrases repeat across files
-// and every query has both matches and near-misses (right words, wrong
-// order or gap).
-var phraseVocab = []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
-
-// phraseCorpusFS generates nFiles random token streams over phraseVocab.
-func phraseCorpusFS(t *testing.T, rng *rand.Rand, nFiles int) (*vfs.MemFS, map[string][]string) {
-	t.Helper()
-	fs := vfs.NewMemFS()
-	tokens := make(map[string][]string, nFiles)
-	for f := 0; f < nFiles; f++ {
-		n := 20 + rng.Intn(40)
-		words := make([]string, n)
-		for i := range words {
-			words[i] = phraseVocab[rng.Intn(len(phraseVocab))]
-		}
-		name := fmt.Sprintf("dir%d/f%03d.txt", f%3, f)
-		if err := fs.WriteFile(name, []byte(strings.Join(words, " "))); err != nil {
-			t.Fatal(err)
-		}
-		tokens[name] = words
-	}
-	return fs, tokens
-}
 
 // naivePhraseScan returns the files whose extracted token stream contains
 // the phrase at consecutive positions — the specification the positional
@@ -45,12 +20,8 @@ func phraseCorpusFS(t *testing.T, rng *rand.Rand, nFiles int) (*vfs.MemFS, map[s
 // tokenizer and nothing else.
 func naivePhraseScan(t *testing.T, fs *vfs.MemFS, phrase []string) []string {
 	t.Helper()
-	refs, err := walk.List(fs, ".")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out []string
-	for _, ref := range refs {
+	for _, ref := range mustList(t, fs) {
 		data, err := fs.ReadFile(ref.Path)
 		if err != nil {
 			t.Fatal(err)
@@ -86,144 +57,6 @@ func queryPaths(t *testing.T, cat *Catalog, query string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// randomPhrase samples 2–3 consecutive tokens from a random file, so most
-// sampled phrases actually occur somewhere.
-func randomPhrase(rng *rand.Rand, tokens map[string][]string, names []string) []string {
-	words := tokens[names[rng.Intn(len(names))]]
-	n := 2 + rng.Intn(2)
-	start := rng.Intn(len(words) - n)
-	return append([]string(nil), words[start:start+n]...)
-}
-
-// TestPhraseMatchesNaiveScan is the acceptance property: quoted phrase
-// queries return exactly the files a naive scan of the extracted token
-// streams finds, across batch, sharded, persisted, and incrementally
-// updated catalogs.
-func TestPhraseMatchesNaiveScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	fs, tokens := phraseCorpusFS(t, rng, 36)
-	names := make([]string, 0, len(tokens))
-	for name := range tokens {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	batch, err := IndexFS(fs, ".", Options{Positions: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := IndexFS(fs, ".", Options{Positions: true, Shards: 3,
-		Implementation: ReplicatedSearch, Extractors: 3, Updaters: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cats := map[string]*Catalog{"batch": batch, "sharded": sharded}
-
-	// Persistence round trips: a one-segment directory and a sharded one.
-	for kind, cat := range map[string]*Catalog{"loaded": batch, "loaded-dir": sharded} {
-		dir := t.TempDir()
-		if err := cat.SaveDir(dir); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cats[kind] = loaded
-	}
-
-	for q := 0; q < 25; q++ {
-		phrase := randomPhrase(rng, tokens, names)
-		query := `"` + strings.Join(phrase, " ") + `"`
-		want := naivePhraseScan(t, fs, phrase)
-		for kind, cat := range cats {
-			if got := queryPaths(t, cat, query); !equalStrings(got, want) {
-				t.Errorf("%s: %s → %v, want %v", kind, query, got, want)
-			}
-		}
-		// Phrase composed with negation: boolean algebra must hold on top
-		// of the positional match set.
-		neg := phraseVocab[rng.Intn(len(phraseVocab))]
-		negQuery := query + " -" + neg
-		wantNeg := withoutFilesContaining(want, tokens, neg)
-		for kind, cat := range cats {
-			if got := queryPaths(t, cat, negQuery); !equalStrings(got, wantNeg) {
-				t.Errorf("%s: %s → %v, want %v", kind, negQuery, got, wantNeg)
-			}
-		}
-	}
-}
-
-// TestPhraseSurvivesIncrementalUpdate pins the delta pipeline: files
-// added and modified through Catalog.Update must answer phrase queries
-// exactly like a fresh positional build of the same tree.
-func TestPhraseSurvivesIncrementalUpdate(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	fs, tokens := phraseCorpusFS(t, rng, 30)
-	names := make([]string, 0, len(tokens))
-	for name := range tokens {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	// Build on the full tree, then churn it: delete some files, modify
-	// others, add new ones — all through the incremental path.
-	cat, err := IndexFS(fs, ".", Options{Positions: true, Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		fs.Remove(names[i*3])
-	}
-	for i := 0; i < 5; i++ {
-		name := names[i*4+1]
-		n := 15 + rng.Intn(30)
-		words := make([]string, n)
-		for k := range words {
-			words[k] = phraseVocab[rng.Intn(len(phraseVocab))]
-		}
-		if err := fs.WriteFile(name, []byte(strings.Join(words, " "))); err != nil {
-			t.Fatal(err)
-		}
-		tokens[name] = words
-	}
-	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("new/n%02d.txt", i)
-		n := 10 + rng.Intn(20)
-		words := make([]string, n)
-		for k := range words {
-			words[k] = phraseVocab[rng.Intn(len(phraseVocab))]
-		}
-		if err := fs.WriteFile(name, []byte(strings.Join(words, " "))); err != nil {
-			t.Fatal(err)
-		}
-		tokens[name] = words
-	}
-	if _, err := cat.Update(fs, "."); err != nil {
-		t.Fatal(err)
-	}
-
-	fresh, err := IndexFS(fs, ".", Options{Positions: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveNames := make([]string, 0, len(tokens))
-	for _, ref := range mustList(t, fs) {
-		liveNames = append(liveNames, ref.Path)
-	}
-	for q := 0; q < 20; q++ {
-		phrase := randomPhrase(rng, tokens, liveNames)
-		query := `"` + strings.Join(phrase, " ") + `"`
-		want := naivePhraseScan(t, fs, phrase)
-		if got := queryPaths(t, cat, query); !equalStrings(got, want) {
-			t.Errorf("updated: %s → %v, want %v", query, got, want)
-		}
-		if got := queryPaths(t, fresh, query); !equalStrings(got, want) {
-			t.Errorf("fresh: %s → %v, want %v", query, got, want)
-		}
-	}
 }
 
 func TestPhraseWithoutPositionsErrors(t *testing.T) {
@@ -308,30 +141,13 @@ func TestPositionsNotRetrofittedOnLoad(t *testing.T) {
 	}
 }
 
-func mustList(t *testing.T, fs *vfs.MemFS) []walk.FileRef {
+func mustList(t *testing.T, fs *vfs.MemFS) []core.FileRef {
 	t.Helper()
-	refs, err := walk.List(fs, ".")
+	refs, err := core.ListFiles(fs, ".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return refs
-}
-
-func withoutFilesContaining(files []string, tokens map[string][]string, word string) []string {
-	var out []string
-	for _, f := range files {
-		has := false
-		for _, w := range tokens[f] {
-			if w == word {
-				has = true
-				break
-			}
-		}
-		if !has {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 func equalStrings(a, b []string) bool {
