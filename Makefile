@@ -93,7 +93,9 @@ docs-check:
 # of both kinds in any order) and on a batch removal from a built index
 # (victims held by no list, past the largest posting, adjacent, every file)
 # against map models, on the term scanner (arbitrary bytes, non-ASCII
-# included) against a naive split-fold-drop reference, and on whole
+# included, every hash it emits checked) and the extractor's term blocks
+# (terms, counts, position runs, token totals; counted and positional)
+# against a naive split-fold-drop reference, and on whole
 # requests (a query tree, its text, ranking and page, drawn from the
 # fuzzer's bytes over one of eight seeded corpora) against the reference
 # every serving shape is held to (oracle_test.go): long enough to shake
@@ -111,6 +113,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzBuild -fuzztime=10s ./internal/index/
 	$(GO) test -run='^$$' -fuzz=FuzzRemoveFiles -fuzztime=10s ./internal/index/
 	$(GO) test -run='^$$' -fuzz=FuzzScan -fuzztime=10s ./internal/tokenize/
+	$(GO) test -run='^$$' -fuzz=FuzzFile -fuzztime=10s ./internal/extract/
 	$(GO) test -run='^$$' -fuzz=FuzzQueryOracle -fuzztime=10s .
 
 # The size figures ROADMAP's State paragraph and every CHANGES entry

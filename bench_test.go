@@ -909,14 +909,26 @@ func BenchmarkWANDTopK(b *testing.B) {
 
 // ---- facade benchmark ----
 
+// BenchmarkIndexFS times a whole build through the facade: "auto" with
+// the default options, and "positions-4shards" in the shape the bench/
+// module builds its catalogs (Positions on, four shards), where Stage 2
+// and Stage 3 carry every position.
 func BenchmarkIndexFS(b *testing.B) {
 	fs := liveCorpus(b)
-	b.Run("auto", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := IndexFS(fs, ".", Options{}); err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name string
+		opts Options
+	}{
+		{"auto", Options{}},
+		{"positions-4shards", Options{Positions: true, Shards: 4}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := IndexFS(fs, ".", bc.opts); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }

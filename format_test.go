@@ -140,13 +140,14 @@ func skipIndex(kind string) *index.Index {
 			}
 			bld.AddBlock(id, terms, counts)
 		case "positional":
-			runs := make([][]uint32, len(terms))
-			for i := range runs {
+			var ends, pos []uint32
+			for i := range terms {
 				for k := 0; k <= (f+i)%3; k++ {
-					runs[i] = append(runs[i], uint32(f*k*k*70+i))
+					pos = append(pos, uint32(f*k*k*70+i))
 				}
+				ends = append(ends, uint32(len(pos)))
 			}
-			bld.AddBlockPositional(id, terms, runs)
+			bld.AddBlockPositional(id, terms, ends, pos)
 		}
 	}
 	return bld.Index()

@@ -141,7 +141,7 @@ func Run(fsys fs.FS, root string, cfg Config) (*Result, error) {
 // it, index.Shared where several do.
 type sink interface {
 	AddBlock(id postings.FileID, terms []string, counts []uint32)
-	AddBlockPositional(id postings.FileID, terms []string, positions [][]uint32)
+	AddBlockPositional(id postings.FileID, terms []string, ends, pos []uint32)
 	Index() *index.Index
 }
 
@@ -153,8 +153,8 @@ type router []sink
 // recorded.
 func (r router) feed(block extract.TermBlock) {
 	s := r[shard.ShardFor(block.File, len(r))]
-	if block.Positions != nil {
-		s.AddBlockPositional(block.File, block.Terms, block.Positions)
+	if block.Ends != nil {
+		s.AddBlockPositional(block.File, block.Terms, block.Ends, block.Pos)
 		return
 	}
 	s.AddBlock(block.File, block.Terms, block.Counts)

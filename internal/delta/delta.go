@@ -314,8 +314,8 @@ func (p *Plan) Commit(t Target) Stats {
 			}
 			fresh := index.NewBuilder(false) // Join keeps the partition's kind
 			for _, b := range w.blocks {
-				if b.block.Positions != nil {
-					fresh.AddBlockPositional(b.id, b.block.Terms, b.block.Positions)
+				if b.block.Ends != nil {
+					fresh.AddBlockPositional(b.id, b.block.Terms, b.block.Ends, b.block.Pos)
 				} else {
 					fresh.AddBlock(b.id, b.block.Terms, b.block.Counts)
 				}

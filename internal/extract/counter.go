@@ -1,7 +1,5 @@
 package extract
 
-import "desksearch/internal/fnv"
-
 const (
 	// counterInitialSlots must be a power of two so the probe mask works.
 	counterInitialSlots = 16
@@ -28,9 +26,11 @@ const (
 //   - entries carry the epoch (file) that last saw them, so Reset is a
 //     counter increment, and a term met in an earlier file keeps its key
 //     string — every block an extractor emits shares one string per term;
+//   - the probe starts from the hash the scanner computed as it read the
+//     term, so a term's bytes are walked once before the comparison;
 //   - positions are not gathered per term while scanning: the counter
-//     records which term each token was, and Positions cuts one buffer
-//     into per-term windows afterwards.
+//     records which term each token was, and Positions lays them out in
+//     one buffer, term by term, afterwards.
 type counter struct {
 	entries []counterEntry
 	n       int    // occupied slots: the current file's terms and stale ones
@@ -49,7 +49,7 @@ type counter struct {
 
 type counterEntry struct {
 	key   string
-	hash  uint32 // fnv.Hash32 of key: probes compare it first, grow reuses it
+	hash  uint32 // FNV-1 of key: probes compare it first, grow reuses it
 	epoch uint32 // file that last saw the term; 0 = empty slot
 	ord   uint32 // index in live, valid while epoch is current
 	count uint32 // occurrences in that file
@@ -81,14 +81,15 @@ func (c *counter) Reset() {
 	c.live, c.seq, c.total = c.live[:0], c.seq[:0], 0
 }
 
-// Add records one occurrence of term, which is only read: the view may be
-// reused by the caller as soon as Add returns.
-func (c *counter) Add(term []byte) {
+// Add records one occurrence of term, whose FNV-1 hash is hash (the
+// scanner computes it as it classifies the bytes, tokenize.ScanBytes). The
+// term is only read: the view may be reused by the caller as soon as Add
+// returns.
+func (c *counter) Add(term []byte, hash uint32) {
 	mask := uint32(len(c.entries) - 1)
-	h := fnv.Hash32Bytes(term)
-	i := h & mask
+	i := hash & mask
 	e := &c.entries[i]
-	for e.epoch != 0 && (e.hash != h || e.key != string(term)) {
+	for e.epoch != 0 && (e.hash != hash || e.key != string(term)) {
 		i = (i + 1) & mask
 		e = &c.entries[i]
 	}
@@ -96,10 +97,10 @@ func (c *counter) Add(term []byte) {
 		if e.epoch == 0 {
 			if (c.n+1)*counterMaxLoadDen > len(c.entries)*counterMaxLoadNum {
 				c.grow()
-				c.Add(term)
+				c.Add(term, hash)
 				return
 			}
-			e.key, e.hash = string(term), h
+			e.key, e.hash = string(term), hash
 			c.n++
 		}
 		e.epoch, e.ord, e.count = c.epoch, uint32(len(c.live)), 0
@@ -125,27 +126,28 @@ func (c *counter) Counts() (terms []string, counts []uint32) {
 }
 
 // Positions returns the current file's distinct terms in first-occurrence
-// order and, parallel to them, each term's ascending token positions. The
-// position lists are exact-capacity windows of one freshly allocated
-// buffer: the caller owns them all, and appending to one reallocates it
-// rather than overrunning its neighbour. Only for a positional counter.
-func (c *counter) Positions() (terms []string, positions [][]uint32) {
+// order and their ascending token positions as two flat columns: pos holds
+// every position, term by term, and ends[i] is where the run of terms[i]
+// ends in it (it starts where the run before ends). One counting-sort pass
+// fills pos: ends first holds each run's start and is advanced as the
+// run's positions are written, so it ends as the runs' ends. All three
+// slices are freshly allocated and the caller's to keep. Only for a
+// positional counter.
+func (c *counter) Positions() (terms []string, ends, pos []uint32) {
 	terms = make([]string, len(c.live))
-	positions = make([][]uint32, len(c.live))
-	flat := make([]uint32, len(c.seq))
+	ends = make([]uint32, len(c.live))
+	pos = make([]uint32, len(c.seq))
 	start := uint32(0)
 	for ord, i := range c.live {
 		e := &c.entries[i]
-		end := start + e.count
-		terms[ord], positions[ord] = e.key, flat[start:start:end]
-		start = end
+		terms[ord], ends[ord] = e.key, start
+		start += e.count
 	}
-	// Each window was cut empty with its term's count as capacity, so
-	// these appends fill it exactly and never reallocate.
-	for pos, ord := range c.seq {
-		positions[ord] = append(positions[ord], uint32(pos))
+	for p, ord := range c.seq {
+		pos[ends[ord]] = uint32(p)
+		ends[ord]++
 	}
-	return terms, positions
+	return terms, ends, pos
 }
 
 // grow doubles the table. Stale entries move along with the live ones;

@@ -5,11 +5,13 @@ import (
 	"reflect"
 	"testing"
 	"unsafe"
+
+	"desksearch/internal/fnv"
 )
 
 func addAll(c *counter, words ...string) {
 	for _, w := range words {
-		c.Add([]byte(w))
+		c.Add([]byte(w), fnv.Hash32Bytes([]byte(w)))
 	}
 }
 
@@ -26,9 +28,9 @@ func TestCounterBasics(t *testing.T) {
 	// The view is only read, and copied on first sight: reusing the
 	// caller's buffer must not change a recorded key.
 	buf := []byte("emu")
-	c.Add(buf)
+	c.Add(buf, fnv.Hash32Bytes(buf))
 	copy(buf, "gnu")
-	c.Add(buf)
+	c.Add(buf, fnv.Hash32Bytes(buf))
 	if terms, _ := c.Counts(); !reflect.DeepEqual(terms, []string{"cat", "dog", "emu", "gnu"}) {
 		t.Errorf("terms after buffer reuse = %v", terms)
 	}
@@ -74,49 +76,48 @@ func TestCounterGrowAndReset(t *testing.T) {
 	}
 }
 
+// runs cuts a positional block's flat columns back into per-term runs.
+func runs(ends, pos []uint32) [][]uint32 {
+	out := make([][]uint32, len(ends))
+	from := uint32(0)
+	for i, end := range ends {
+		out[i], from = pos[from:end], end
+	}
+	return out
+}
+
 // TestCounterAddAt: a positional counter records each occurrence's token
-// position; Positions hands them out as exact-capacity windows of one
-// buffer, surviving growth in mid-file and a Reset.
+// position; Positions lays them out as flat columns, term by term in
+// first-occurrence order, surviving growth in mid-file and a Reset.
 func TestCounterAddAt(t *testing.T) {
 	c := newCounter(2, true)
 	addAll(c, "a", "b", "a", "c", "a", "b")
-	terms, positions := c.Positions()
+	terms, ends, pos := c.Positions()
 	if !reflect.DeepEqual(terms, []string{"a", "b", "c"}) ||
-		!reflect.DeepEqual(positions, [][]uint32{{0, 2, 4}, {1, 5}, {3}}) {
-		t.Fatalf("Positions = %v / %v", terms, positions)
+		!reflect.DeepEqual(ends, []uint32{3, 5, 6}) || !reflect.DeepEqual(pos, []uint32{0, 2, 4, 1, 5, 3}) {
+		t.Fatalf("Positions = %v / %v / %v", terms, ends, pos)
 	}
-	for i, p := range positions {
-		if cap(p) != len(p) {
-			t.Errorf("positions[%d]: cap %d != len %d", i, cap(p), len(p))
-		}
-	}
-	// The windows tile one buffer in term order.
-	if unsafe.Add(unsafe.Pointer(&positions[0][2]), 4) != unsafe.Pointer(&positions[1][0]) {
-		t.Error("position windows are not adjacent in one buffer")
-	}
-	// Appending to a window must reallocate, not run into its neighbour.
-	_ = append(positions[0], 99)
-	if positions[1][0] != 1 {
-		t.Error("append to one window overwrote the next")
+	if cap(ends) != len(ends) || cap(pos) != len(pos) {
+		t.Errorf("columns have spare capacity: ends %d/%d, pos %d/%d", len(ends), cap(ends), len(pos), cap(pos))
 	}
 	// Growth in mid-file keeps ordinals and positions.
 	for i := 0; i < 500; i++ {
 		addAll(c, fmt.Sprintf("grow%03d", i%100))
 	}
-	terms, positions = c.Positions()
-	if len(terms) != 103 || len(positions) != 103 || c.Total() != 506 {
-		t.Fatalf("after growth: %d terms, %d position lists, total %d", len(terms), len(positions), c.Total())
+	terms, ends, pos = c.Positions()
+	if len(terms) != 103 || len(ends) != 103 || len(pos) != 506 || c.Total() != 506 {
+		t.Fatalf("after growth: %d terms, %d ends, %d positions, total %d", len(terms), len(ends), len(pos), c.Total())
 	}
-	if !reflect.DeepEqual(positions[0], []uint32{0, 2, 4}) || !reflect.DeepEqual(positions[3], []uint32{6, 106, 206, 306, 406}) {
-		t.Errorf("after growth: a = %v, grow000 = %v", positions[0], positions[3])
+	if r := runs(ends, pos); !reflect.DeepEqual(r[0], []uint32{0, 2, 4}) || !reflect.DeepEqual(r[3], []uint32{6, 106, 206, 306, 406}) {
+		t.Errorf("after growth: a = %v, grow000 = %v", r[0], r[3])
 	}
 	c.Reset()
 	addAll(c, "z", "a")
-	after, afterPos := c.Positions()
-	if !reflect.DeepEqual(after, []string{"z", "a"}) || !reflect.DeepEqual(afterPos, [][]uint32{{0}, {1}}) {
-		t.Fatalf("after Reset: %v / %v", after, afterPos)
+	after, afterEnds, afterPos := c.Positions()
+	if !reflect.DeepEqual(after, []string{"z", "a"}) || !reflect.DeepEqual(afterEnds, []uint32{1, 2}) || !reflect.DeepEqual(afterPos, []uint32{0, 1}) {
+		t.Fatalf("after Reset: %v / %v / %v", after, afterEnds, afterPos)
 	}
-	if !reflect.DeepEqual(positions[0], []uint32{0, 2, 4}) {
+	if !reflect.DeepEqual(pos[:3], []uint32{0, 2, 4}) || ends[0] != 3 {
 		t.Error("the earlier file's positions changed after Reset")
 	}
 }

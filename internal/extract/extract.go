@@ -21,32 +21,34 @@ import (
 // TermBlock is the unit of work passed from term extractors to index
 // updaters: one file's distinct terms and, parallel to them, how many
 // times each occurred in the file (the term frequency TF ranking scores
-// with).
+// with) or, for a positional block, where.
 //
 // Ownership: a block's slices are allocated for it and pass to whoever
 // receives the block — the extractor keeps no reference and never writes
 // to them again; the term strings are immutable and shared between the
-// blocks of one extractor. The Positions lists are exact-capacity windows
-// of a single buffer. Stage 3 (index.Builder) copies each run into its
-// own log, so that buffer dies with the block; holders may sort a window
-// in place but must never append to one.
+// blocks of one extractor. Stage 3 (index.Builder.AddBlockPositional)
+// adopts Pos as its own log of the block's positions rather than copying
+// it, so a holder that hands the block on must not write to Pos again.
 type TermBlock struct {
 	File postings.FileID
 	// Terms are the file's distinct terms in order of first occurrence.
 	Terms []string
 	// Counts[i] is the number of occurrences of Terms[i]; nil means every
-	// term occurred exactly once. Counts is nil whenever Positions is set —
-	// the occurrence count is then len(Positions[i]).
+	// term occurred exactly once. Counts is nil whenever Ends is set — the
+	// occurrence count is then the length of the term's run.
 	Counts []uint32
-	// Positions[i] lists the ascending token positions (emission ordinals
-	// of the tokenizer, counting only emitted terms) at which Terms[i]
-	// occurs in the file. nil unless the extractor runs with
-	// Options.Positions — the payload phrase search needs.
-	Positions [][]uint32
+	// Ends and Pos are a positional block's token positions (emission
+	// ordinals of the tokenizer, counting only emitted terms) in two flat
+	// columns, the shape of a positional posting list's: Pos holds every
+	// position, term by term in the order of Terms, each term's run
+	// ascending, and Ends[i] is where the run of Terms[i] ends in Pos (it
+	// starts at Ends[i-1], or 0). Both are nil unless the extractor runs
+	// with Options.Positions — the payload phrase search needs.
+	Ends, Pos []uint32
 	// Tokens is the file's token length: the total number of emitted term
-	// occurrences, duplicates included (the sum of Counts, or of the
-	// Positions list lengths). BM25 normalizes scores by it; the file table
-	// persists it as the DSIX manifest's doc-length section.
+	// occurrences, duplicates included (the sum of Counts, or len(Pos)).
+	// BM25 normalizes scores by it; the file table persists it as the
+	// DSIX manifest's doc-length section.
 	Tokens uint32
 }
 
@@ -57,8 +59,9 @@ type Options struct {
 	// pipeline default is off; cmd/indexgen enables it for real desktops.
 	Formats bool
 	// Positions records each term occurrence's token position (the ordinal
-	// among the file's emitted terms) in TermBlock.Positions, growing the
-	// per-block payload so the index can answer quoted phrase queries.
+	// among the file's emitted terms) in TermBlock.Ends and TermBlock.Pos,
+	// growing the per-block payload so the index can answer quoted phrase
+	// queries.
 	// Positions are ordinals among *emitted* terms: a run the scanner
 	// drops (longer than tokenize.MaxTermLen) does not advance the
 	// counter, so a phrase matches across it.
@@ -104,7 +107,7 @@ func (e *Extractor) File(path string, id postings.FileID) (TermBlock, error) {
 	tokenize.ScanBytes(data, e.seen.Add)
 	block := TermBlock{File: id, Tokens: e.seen.Total()}
 	if e.opts.Positions {
-		block.Terms, block.Positions = e.seen.Positions()
+		block.Terms, block.Ends, block.Pos = e.seen.Positions()
 	} else {
 		block.Terms, block.Counts = e.seen.Counts()
 	}
@@ -120,7 +123,7 @@ func (e *Extractor) ScanOnly(path string) (int, error) {
 		return 0, err
 	}
 	n := 0
-	tokenize.ScanBytes(data, func([]byte) { n++ })
+	tokenize.ScanBytes(data, func([]byte, uint32) { n++ })
 	return n, nil
 }
 

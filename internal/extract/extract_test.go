@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -162,13 +163,21 @@ func BenchmarkFile(b *testing.B) {
 		body = append(body, "lorem ipsum dolor sit amet consectetur adipiscing elit sed do "...)
 	}
 	fs.WriteFile("doc.txt", body)
-	e := New(fs, Options{})
-	b.SetBytes(int64(len(body)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.File("doc.txt", 0); err != nil {
-			b.Fatal(err)
+	for _, positional := range []bool{false, true} {
+		name := "counted"
+		if positional {
+			name = "positional"
 		}
+		b.Run(name, func(b *testing.B) {
+			e := New(fs, Options{Positions: positional})
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := e.File("doc.txt", 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -205,21 +214,16 @@ func TestFilePositions(t *testing.T) {
 	if block.Counts != nil {
 		t.Error("positional block also carries counts")
 	}
-	if len(block.Positions) != len(block.Terms) {
-		t.Fatalf("positions %d != terms %d", len(block.Positions), len(block.Terms))
+	// "the cat and the dog and the cat" → ordinals 0..7, laid out term by
+	// term in first-occurrence order.
+	if want := []string{"the", "cat", "and", "dog"}; !reflect.DeepEqual(block.Terms, want) {
+		t.Fatalf("Terms = %v, want %v", block.Terms, want)
 	}
-	// "the cat and the dog and the cat" → ordinals 0..7.
-	want := map[string][]uint32{"the": {0, 3, 6}, "cat": {1, 7}, "and": {2, 5}, "dog": {4}}
-	for i, term := range block.Terms {
-		w := want[term]
-		if len(block.Positions[i]) != len(w) {
-			t.Fatalf("positions(%q) = %v, want %v", term, block.Positions[i], w)
-		}
-		for k := range w {
-			if block.Positions[i][k] != w[k] {
-				t.Fatalf("positions(%q) = %v, want %v", term, block.Positions[i], w)
-			}
-		}
+	if want := []uint32{3, 5, 7, 8}; !reflect.DeepEqual(block.Ends, want) {
+		t.Errorf("Ends = %v, want %v", block.Ends, want)
+	}
+	if want := []uint32{0, 3, 6, 1, 7, 2, 5, 4}; !reflect.DeepEqual(block.Pos, want) {
+		t.Errorf("Pos = %v, want %v", block.Pos, want)
 	}
 }
 
@@ -238,14 +242,9 @@ func TestFilePositionsSkipDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The two over-long runs are dropped → cat dog cat.
-	want := map[string][]uint32{"cat": {0, 2}, "dog": {1}}
-	if len(block.Terms) != len(want) {
-		t.Fatalf("terms = %v", block.Terms)
-	}
-	for i, term := range block.Terms {
-		if !reflect.DeepEqual(block.Positions[i], want[term]) {
-			t.Fatalf("positions(%q) = %v, want %v", term, block.Positions[i], want[term])
-		}
+	if !reflect.DeepEqual(block.Terms, []string{"cat", "dog"}) ||
+		!reflect.DeepEqual(block.Ends, []uint32{2, 3}) || !reflect.DeepEqual(block.Pos, []uint32{0, 2, 1}) {
+		t.Fatalf("block = %v / %v / %v, want [cat dog] / [2 3] / [0 2 1]", block.Terms, block.Ends, block.Pos)
 	}
 }
 
@@ -286,29 +285,83 @@ func genText(rng *rand.Rand, n int, vocab []string, fresh int) []byte {
 	return buf
 }
 
-// wantBlock is the naive reference: tokenize.Terms and a Go map.
-func wantBlock(data []byte) (order []string, positions map[string][]uint32) {
-	positions = map[string][]uint32{}
-	for pos, term := range tokenize.Terms(data) {
-		if _, seen := positions[term]; !seen {
-			order = append(order, term)
+// naiveTerms is the scanner's rule written the slow way: split on every
+// byte outside [A-Za-z0-9], lower-case each field, drop fields longer than
+// tokenize.MaxTermLen.
+func naiveTerms(data []byte) []string {
+	var out []string
+	for _, f := range bytes.FieldsFunc(data, func(r rune) bool {
+		return !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9')
+	}) {
+		if len(f) <= tokenize.MaxTermLen {
+			out = append(out, strings.ToLower(string(f)))
 		}
-		positions[term] = append(positions[term], uint32(pos))
 	}
-	return order, positions
+	return out
+}
+
+// wantBlock is the naive reference: naiveTerms and a Go map, laid out as
+// the block's columns — the distinct terms in first-occurrence order,
+// their counts, their runs term by term in Pos ending at Ends — with the
+// token total.
+func wantBlock(data []byte) (want TermBlock) {
+	runs := map[string][]uint32{}
+	words := naiveTerms(data)
+	for p, term := range words {
+		if _, seen := runs[term]; !seen {
+			want.Terms = append(want.Terms, term)
+		}
+		runs[term] = append(runs[term], uint32(p))
+	}
+	for _, term := range want.Terms {
+		want.Counts = append(want.Counts, uint32(len(runs[term])))
+		want.Pos = append(want.Pos, runs[term]...)
+		want.Ends = append(want.Ends, uint32(len(want.Pos)))
+	}
+	want.Tokens = uint32(len(words))
+	return want
+}
+
+// checkBlock fails t unless block is want, the reference wantBlock lays
+// out, as an extractor with Options.Positions set to positional must
+// return it: counts or runs, never both, and every slice exact-size.
+func checkBlock(t *testing.T, block, want TermBlock, positional bool) {
+	t.Helper()
+	if positional {
+		want.Counts = nil
+	} else {
+		want.Ends, want.Pos = nil, nil
+	}
+	// An empty file's block holds empty, non-nil columns: their kind is
+	// still readable.
+	if len(want.Terms) == 0 {
+		want.Terms = []string{}
+		if positional {
+			want.Ends, want.Pos = []uint32{}, []uint32{}
+		} else {
+			want.Counts = []uint32{}
+		}
+	}
+	want.File = block.File
+	if !reflect.DeepEqual(block, want) {
+		t.Fatalf("positional=%v: block\n%v\nwant\n%v", positional, block, want)
+	}
+	for _, col := range [][]uint32{block.Counts, block.Ends, block.Pos} {
+		if cap(col) != len(col) {
+			t.Fatalf("positional=%v: a column has cap %d, len %d", positional, cap(col), len(col))
+		}
+	}
 }
 
 func cloneBlock(b TermBlock) TermBlock {
 	c := b
-	c.Terms, c.Counts, c.Positions = slices.Clone(b.Terms), slices.Clone(b.Counts), slices.Clone(b.Positions)
-	for i, p := range c.Positions {
-		c.Positions[i] = slices.Clone(p)
-	}
+	c.Terms, c.Counts = slices.Clone(b.Terms), slices.Clone(b.Counts)
+	c.Ends, c.Pos = slices.Clone(b.Ends), slices.Clone(b.Pos)
 	return c
 }
 
 // TestReusedExtractorMatchesNaive: one Extractor, reused for a few hundred
-// random files, yields for every file what a fresh map over tokenize.Terms
+// random files, yields for every file what a fresh map over naiveTerms
 // yields — terms in first-occurrence order, positions (or counts), Tokens —
 // and a block is still what it was a hundred files later: the extractor
 // reuses its table, its ordinal sequence and the scanner its scratch, and
@@ -343,38 +396,7 @@ func TestReusedExtractorMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			order, want := wantBlock(data)
-			if !slices.Equal(block.Terms, order) {
-				t.Fatalf("positional=%v file %d: %d terms, want %d in first-occurrence order", positional, file, len(block.Terms), len(order))
-			}
-			tokens := uint32(0)
-			for i, term := range block.Terms {
-				tokens += uint32(len(want[term]))
-				if !positional {
-					if block.Counts[i] != uint32(len(want[term])) {
-						t.Fatalf("file %d: count(%q) = %d, want %d", file, term, block.Counts[i], len(want[term]))
-					}
-					continue
-				}
-				p := block.Positions[i]
-				if !reflect.DeepEqual(p, want[term]) {
-					t.Fatalf("file %d: positions(%q) = %v, want %v", file, term, p, want[term])
-				}
-				if cap(p) != len(p) {
-					t.Fatalf("file %d: positions(%q) has cap %d, len %d", file, term, cap(p), len(p))
-				}
-				for k := 1; k < len(p); k++ {
-					if p[k] <= p[k-1] {
-						t.Fatalf("file %d: positions(%q) not strictly ascending: %v", file, term, p)
-					}
-				}
-			}
-			if block.Tokens != tokens {
-				t.Fatalf("file %d: Tokens = %d, want %d", file, block.Tokens, tokens)
-			}
-			if positional == (block.Counts != nil) || positional != (block.Positions != nil) {
-				t.Fatalf("file %d: positional=%v but Counts=%v Positions=%v", file, positional, block.Counts != nil, block.Positions != nil)
-			}
+			checkBlock(t, block, wantBlock(data), positional)
 			history = append(history, kept{block, cloneBlock(block)})
 			if k := file - 100; k >= 0 && !reflect.DeepEqual(history[k].block, history[k].copy) {
 				t.Fatalf("positional=%v: block of file %d changed while files %d..%d were extracted", positional, k, k+1, file)
@@ -414,4 +436,37 @@ func TestFileAllocationsConstant(t *testing.T) {
 			t.Errorf("positional=%v: %v allocations for 100 tokens, %v for 100000; want equal and <= 6", positional, small, large)
 		}
 	}
+}
+
+// FuzzFile holds Extractor.File to wantBlock on arbitrary bytes: terms in
+// first-occurrence order, counts, Ends/Pos runs and Tokens, counted and
+// positional. One extractor reads the input's two halves and then the
+// whole, so a table reused across files — stale entries, kept key
+// strings, a reset ordinal sequence — is what is checked.
+func FuzzFile(f *testing.F) {
+	f.Add([]byte("The cat AND the Dog and THE cat"))
+	f.Add([]byte("2010 report r2d2 2010 REPORT 0x1F 007"))
+	f.Add([]byte("ümlaut naïve \xff\x80Zed zed\x00ZED \xc3\xa9t\xc3\xa9"))
+	f.Add([]byte(strings.Repeat("a", tokenize.MaxTermLen) + " b " + strings.Repeat("a", tokenize.MaxTermLen+1) + " b " +
+		strings.Repeat("Q", tokenize.MaxTermLen) + "," + strings.Repeat("q", tokenize.MaxTermLen)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fsys := vfs.NewMemFS()
+		half := len(data) / 2
+		files := map[string][]byte{"a": data[:half], "b": data[half:], "ab": data}
+		for name, body := range files {
+			if err := fsys.WriteFile(name, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, positional := range []bool{false, true} {
+			e := New(fsys, Options{Positions: positional})
+			for id, name := range []string{"a", "b", "ab"} {
+				block, err := e.File(name, postings.FileID(id))
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkBlock(t, block, wantBlock(files[name]), positional)
+			}
+		}
+	})
 }

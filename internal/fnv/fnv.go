@@ -4,25 +4,28 @@
 // what the paper uses it for: it keys the extractor's per-file
 // duplicate-elimination table (internal/extract) and routes files to shards
 // (shard.ShardFor). (Persisted bytes are checksummed with CRC-32C, by
-// index.Checksum.) Unlike the standard library's hash/fnv, it has an
-// allocation-free one-shot byte-slice form, which is what the hot
-// extraction path needs.
+// index.Checksum.) The hash has one definition, Offset32 and Step32: the
+// term scanner (tokenize.ScanBytes) folds them into its own byte loop, so
+// a term's hash is ready when its last byte is classified, and
+// Hash32Bytes applies them to a whole slice.
 package fnv
 
-const (
-	offset32 = 2166136261
-	prime32  = 16777619
-)
+// Offset32 is FNV-1's 32-bit offset basis: the hash of no bytes.
+const Offset32 = 2166136261
 
-// Hash32Bytes returns the FNV-1 32-bit hash of b.
+const prime32 = 16777619
+
+// Step32 extends the FNV-1 hash h by the byte c.
 //
 // FNV-1 multiplies before XORing each byte; it is the variant named by the
 // paper ("FNV1 hash function [3]").
+func Step32(h uint32, c byte) uint32 { return h*prime32 ^ uint32(c) }
+
+// Hash32Bytes returns the FNV-1 32-bit hash of b.
 func Hash32Bytes(b []byte) uint32 {
-	h := uint32(offset32)
+	h := uint32(Offset32)
 	for _, c := range b {
-		h *= prime32
-		h ^= uint32(c)
+		h = Step32(h, c)
 	}
 	return h
 }

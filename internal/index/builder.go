@@ -10,14 +10,14 @@ import (
 )
 
 // Builder is Stage 3: it takes a build's term blocks and inverts them into
-// an Index in bulk. A block costs one dictionary lookup per term and two
-// exact-size copies — a (term, run end or frequency) entry per term, and
-// the block's position runs back to back — so no posting list is touched
-// while blocks arrive. Index then sorts the blocks by file ID, sizes every
-// term's columns exactly from the totals the log kept, and fills them in
-// ID order: each list is written once, front to back, and has no spare
-// capacity. Blocks may therefore arrive in any order, as they do from
-// several extractors.
+// an Index in bulk. A block costs one dictionary lookup per term and one
+// exact-size copy, a (term, run end or frequency) entry per term; a
+// positional block's runs stay in the buffer they came in. So no posting
+// list is touched while blocks arrive. Index then sorts the blocks by file
+// ID, sizes every term's columns exactly from the totals the log kept, and
+// fills them in ID order: each list is written once, front to back, and
+// has no spare capacity. Blocks may therefore arrive in any order, as they
+// do from several extractors.
 //
 // A Builder has one owner; Shared puts one behind a lock.
 type Builder struct {
@@ -51,9 +51,9 @@ const (
 // positions, else the term's frequency.
 type logEntry struct{ term, val uint32 }
 
-// loggedBlock is one block as the log keeps it: an entry per term and,
-// for a positional block, the runs the entries end in, each slice
-// allocated at its final size.
+// loggedBlock is one block as the log keeps it: an entry per term,
+// allocated at its final size, and, for a positional block, the runs the
+// entries end in — the block's own position buffer, adopted.
 type loggedBlock struct {
 	id         postings.FileID
 	positional bool
@@ -83,41 +83,39 @@ func (b *Builder) AddBlock(id postings.FileID, terms []string, counts []uint32) 
 }
 
 // AddBlockPositional logs a file's duplicate-free term block with the
-// per-term occurrence positions extracted alongside it
-// (extract.TermBlock.Positions): positions[i] lists the ascending token
-// positions of terms[i] in the file, and the frequency is the run's
-// length. The runs are copied into one buffer the builder allocates for
-// the block, so the block's own buffer dies with the block. An empty run
-// logs nothing; a non-ascending one is sorted and its repeats dropped,
-// since the codec delta-codes runs with strictly positive gaps. Marks the
-// index positional.
-func (b *Builder) AddBlockPositional(id postings.FileID, terms []string, positions [][]uint32) {
+// per-term occurrence positions extracted alongside it, in the block's two
+// flat columns (extract.TermBlock.Ends and Pos): pos holds the ascending
+// token positions of each term in turn, the run of terms[i] ending at
+// ends[i], and the frequency is the run's length. The builder adopts pos
+// as its log of the block's positions, so the caller must not use it
+// again. An empty run logs nothing; a non-ascending one is sorted and its
+// repeats dropped, since the codec delta-codes runs with strictly
+// positive gaps, and the runs after it move down over the room that
+// freed — in pos, in place. Marks the index positional.
+func (b *Builder) AddBlockPositional(id postings.FileID, terms []string, ends, pos []uint32) {
 	b.positional = true
-	total := 0
-	for _, run := range positions {
-		total += len(run)
-	}
-	blk := loggedBlock{
-		id:         id,
-		positional: true,
-		entries:    make([]logEntry, 0, len(terms)),
-		pos:        make([]uint32, 0, total),
-	}
+	blk := loggedBlock{id: id, positional: true, entries: make([]logEntry, 0, len(terms))}
+	var from, to uint32 // where the next run starts in pos as given, and as logged
 	for i, term := range terms {
-		if len(positions[i]) == 0 {
+		run := pos[from:ends[i]]
+		if to < from {
+			run = pos[to : to+uint32(copy(pos[to:], run))]
+		}
+		from = ends[i]
+		if !ascending(run) {
+			run = sortRun(run)
+		}
+		if len(run) == 0 {
 			continue
 		}
-		at := len(blk.pos)
-		blk.pos = append(blk.pos, positions[i]...)
-		if run := blk.pos[at:]; !ascending(run) {
-			blk.pos = blk.pos[:at+len(sortRun(run))]
-		}
-		n, kind := len(blk.pos)-at, kindPositional
-		if n > 1 {
+		to += uint32(len(run))
+		kind := kindPositional
+		if len(run) > 1 {
 			kind |= kindHeavy
 		}
-		blk.entries = append(blk.entries, logEntry{b.note(term, kind, n), uint32(len(blk.pos))})
+		blk.entries = append(blk.entries, logEntry{b.note(term, kind, len(run)), to})
 	}
+	blk.pos = pos[:to]
 	b.seal(blk)
 }
 
@@ -320,10 +318,11 @@ func (s *Shared) AddBlock(id postings.FileID, terms []string, counts []uint32) {
 	s.mu.Unlock()
 }
 
-// AddBlockPositional logs a positional term block under the lock.
-func (s *Shared) AddBlockPositional(id postings.FileID, terms []string, positions [][]uint32) {
+// AddBlockPositional logs a positional term block under the lock,
+// adopting pos as Builder.AddBlockPositional does.
+func (s *Shared) AddBlockPositional(id postings.FileID, terms []string, ends, pos []uint32) {
 	s.mu.Lock()
-	s.b.AddBlockPositional(id, terms, positions)
+	s.b.AddBlockPositional(id, terms, ends, pos)
 	s.mu.Unlock()
 }
 

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"desksearch/internal/postings"
 )
@@ -18,7 +19,7 @@ func TestBuilderOrderings(t *testing.T) {
 	build := func(order ...postings.FileID) *Index {
 		b := NewBuilder(false)
 		for _, id := range order {
-			b.AddBlockPositional(id, []string{"t"}, [][]uint32{slices.Clone(runs[id])})
+			b.AddBlockPositional(id, []string{"t"}, []uint32{uint32(len(runs[id]))}, slices.Clone(runs[id]))
 		}
 		return b.Index()
 	}
@@ -42,14 +43,45 @@ func TestBuilderOrderings(t *testing.T) {
 // its repeats.
 func TestBuilderDuplicateIDUnionsPositions(t *testing.T) {
 	b := NewBuilder(false)
-	b.AddBlockPositional(4, []string{"t"}, [][]uint32{{5, 1}})
-	b.AddBlockPositional(4, []string{"t"}, [][]uint32{{3, 5, 9, 9}})
+	b.AddBlockPositional(4, []string{"t"}, []uint32{2}, []uint32{5, 1})
+	b.AddBlockPositional(4, []string{"t"}, []uint32{4}, []uint32{3, 5, 9, 9})
 	l := b.Index().Lookup("t")
 	if l.Len() != 1 {
 		t.Fatalf("len = %d", l.Len())
 	}
 	if got := l.PositionsAt(0); !reflect.DeepEqual(got, []uint32{1, 3, 5, 9}) {
 		t.Fatalf("merged positions = %v", got)
+	}
+}
+
+// TestBuilderAdoptsPositions: a positional block's runs are logged in the
+// buffer they came in, not copied; a block with an empty run and an
+// unsorted, repeated run in the middle is compacted in that buffer and
+// builds the same index as its cleaned input.
+func TestBuilderAdoptsPositions(t *testing.T) {
+	cleanPos := []uint32{0, 4, 1, 3, 9, 7, 8}
+	clean := NewBuilder(true)
+	clean.AddBlockPositional(1, []string{"a", "c", "d"}, []uint32{2, 5, 7}, cleanPos)
+	if logged := clean.blocks[0].pos; unsafe.SliceData(logged) != unsafe.SliceData(cleanPos) || len(logged) != 7 {
+		t.Fatal("a clean block's positions were copied, not adopted")
+	}
+	if !slices.Equal(cleanPos, []uint32{0, 4, 1, 3, 9, 7, 8}) {
+		t.Fatalf("a clean block's positions were rewritten: %v", cleanPos)
+	}
+
+	// b's run is empty and c's is {9, 3, 3, 1}.
+	dirtyPos := []uint32{0, 4, 9, 3, 3, 1, 7, 8}
+	dirty := NewBuilder(true)
+	dirty.AddBlockPositional(1, []string{"a", "b", "c", "d"}, []uint32{2, 2, 6, 8}, dirtyPos)
+	logged := dirty.blocks[0].pos
+	if unsafe.SliceData(logged) != unsafe.SliceData(dirtyPos) {
+		t.Fatal("a block needing compaction was copied, not compacted in place")
+	}
+	if !slices.Equal(logged, []uint32{0, 4, 1, 3, 9, 7, 8}) {
+		t.Fatalf("logged positions %v, want the cleaned runs back to back", logged)
+	}
+	if !dirty.Index().Equal(clean.Index()) {
+		t.Fatal("a block with an empty and an unsorted, repeated run built another index than its cleaned input")
 	}
 }
 
@@ -155,7 +187,12 @@ func runBuild(program []byte) (*Builder, map[string]*buildModel, bool) {
 				m.runs[id] = slices.Compact(slices.Sorted(slices.Values(append(m.runs[id], run...))))
 				m.sum[id] += uint32(len(run))
 			}
-			b.AddBlockPositional(id, terms, runs)
+			var ends, pos []uint32
+			for _, run := range runs {
+				pos = append(pos, run...)
+				ends = append(ends, uint32(len(pos)))
+			}
+			b.AddBlockPositional(id, terms, ends, pos)
 			continue
 		}
 		var counts []uint32

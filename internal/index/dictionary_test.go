@@ -51,13 +51,13 @@ func TestDictionaryMatchesMapModel(t *testing.T) {
 		add := func(dst *index.Builder, terms []string) {
 			id := next
 			next++
-			positions := make([][]uint32, len(terms))
+			ends, pos := make([]uint32, len(terms)), make([]uint32, len(terms))
 			for i, term := range terms {
-				positions[i] = []uint32{uint32(i)}
+				ends[i], pos[i] = uint32(i+1), uint32(i)
 				model[term] = union(model[term], id)
 			}
 			if positional {
-				dst.AddBlockPositional(id, terms, positions)
+				dst.AddBlockPositional(id, terms, ends, pos)
 			} else {
 				dst.AddBlock(id, terms, nil)
 			}
@@ -274,7 +274,7 @@ func TestDocsAllocsIndependentOfTerms(t *testing.T) {
 		for _, id := range ids {
 			terms := []string{"common", fmt.Sprintf("w%d", rng.Intn(20)), fmt.Sprintf("f%d", id)}
 			if positional {
-				b.AddBlockPositional(id, terms, [][]uint32{{0}, {1}, {2}})
+				b.AddBlockPositional(id, terms, []uint32{1, 2, 3}, []uint32{0, 1, 2})
 			} else {
 				b.AddBlock(id, terms, nil)
 			}

@@ -107,9 +107,9 @@ func TestRemoveFilesMatchesSequentialRemoves(t *testing.T) {
 // update allocates nothing per list, touched or not.
 func TestRemoveFilesKeepsUntouchedLists(t *testing.T) {
 	bld := NewBuilder(true)
-	bld.AddBlockPositional(0, []string{"a", "b"}, [][]uint32{{0}, {1}})
-	bld.AddBlockPositional(1, []string{"b", "c"}, [][]uint32{{0}, {1}})
-	bld.AddBlockPositional(2, []string{"c", "d"}, [][]uint32{{0, 2}, {1}})
+	bld.AddBlockPositional(0, []string{"a", "b"}, []uint32{1, 2}, []uint32{0, 1})
+	bld.AddBlockPositional(1, []string{"b", "c"}, []uint32{1, 2}, []uint32{0, 1})
+	bld.AddBlockPositional(2, []string{"c", "d"}, []uint32{2, 3}, []uint32{0, 2, 1})
 	ix := bld.Index()
 	before := map[string]*postings.List{}
 	for _, term := range []string{"a", "b", "c", "d"} {

@@ -93,7 +93,7 @@ func TestJoinMergesPostings(t *testing.T) {
 
 func TestJoinPropagatesPositional(t *testing.T) {
 	a, bld := New(0), NewBuilder(false)
-	bld.AddBlockPositional(1, []string{"cat", "dog"}, [][]uint32{{0, 2}, {1}})
+	bld.AddBlockPositional(1, []string{"cat", "dog"}, []uint32{2, 3}, []uint32{0, 2, 1})
 	b := bld.Index()
 	a.Join(b)
 	if !a.Positional() {

@@ -2,6 +2,7 @@ package search
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"desksearch/internal/extract"
@@ -78,7 +79,7 @@ func positionalEngine(t *testing.T, files map[string]string, parts int) *Engine 
 		if err != nil {
 			t.Fatal(err)
 		}
-		indices[i%parts].AddBlockPositional(block.File, block.Terms, block.Positions)
+		indices[i%parts].AddBlockPositional(block.File, block.Terms, block.Ends, block.Pos)
 		i++
 	}
 	return NewEngine(table, index.Partitions(buildAll(indices))...)
@@ -212,7 +213,8 @@ func TestPhraseWalkAllocationsConstant(t *testing.T) {
 			for r := uint32(0); r < uint32(reps); r++ {
 				xs, zs, ys = append(xs, 3*r), append(zs, 3*r+1), append(ys, 3*r+2)
 			}
-			bld.AddBlockPositional(postings.FileID(f), []string{"x", "z", "y"}, [][]uint32{xs, zs, ys})
+			ends := []uint32{uint32(reps), uint32(2 * reps), uint32(3 * reps)}
+			bld.AddBlockPositional(postings.FileID(f), []string{"x", "z", "y"}, ends, slices.Concat(xs, zs, ys))
 		}
 		ix := bld.Index()
 		return testing.AllocsPerRun(20, func() {

@@ -334,11 +334,12 @@ func positionalParts(docs [][]string, n int) (*index.FileTable, []*index.Index) 
 			}
 			pos[tok] = append(pos[tok], uint32(p))
 		}
-		positions := make([][]uint32, len(terms))
-		for j, term := range terms {
-			positions[j] = pos[term]
+		var ends, flat []uint32
+		for _, term := range terms {
+			flat = append(flat, pos[term]...)
+			ends = append(ends, uint32(len(flat)))
 		}
-		ixs[i%n].AddBlockPositional(id, terms, positions)
+		ixs[i%n].AddBlockPositional(id, terms, ends, flat)
 	}
 	return files, buildAll(ixs)
 }

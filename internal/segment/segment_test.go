@@ -32,18 +32,16 @@ func buildIndex(t testing.TB, nFiles int, positional bool) *index.Index {
 		}
 		terms = append(terms, fmt.Sprintf("w%03d", rng.Intn(50)))
 		if positional {
-			pos := make([][]uint32, len(terms))
+			var ends, pos []uint32
 			p := uint32(0)
-			for i := range terms {
-				n := 1 + rng.Intn(3)
-				run := make([]uint32, 0, n)
-				for k := 0; k < n; k++ {
+			for range terms {
+				for k := 1 + rng.Intn(3); k > 0; k-- {
 					p += uint32(1 + rng.Intn(5))
-					run = append(run, p)
+					pos = append(pos, p)
 				}
-				pos[i] = run
+				ends = append(ends, uint32(len(pos)))
 			}
-			bld.AddBlockPositional(id, terms, pos)
+			bld.AddBlockPositional(id, terms, ends, pos)
 		} else {
 			counts := make([]uint32, len(terms))
 			for i := range counts {

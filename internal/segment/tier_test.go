@@ -212,20 +212,20 @@ func TestCacheBytesMatchHeap(t *testing.T) {
 	const terms = 4000
 	for f := 0; f < 64; f++ {
 		var names []string
-		var pos [][]uint32
+		var ends, pos []uint32
 		for k := 0; k < terms; k++ {
 			// Term k is in 1 + k%16 of the 64 files, twice in some.
 			if f%(64/(1+k%16)) != 0 {
 				continue
 			}
 			names = append(names, fmt.Sprintf("t%04d", k))
-			run := []uint32{uint32(len(names))}
+			pos = append(pos, uint32(len(names)))
 			if (f+k)%3 == 0 {
-				run = append(run, run[0]+1000)
+				pos = append(pos, uint32(len(names))+1000)
 			}
-			pos = append(pos, run)
+			ends = append(ends, uint32(len(pos)))
 		}
-		bld.AddBlockPositional(postings.FileID(f), names, pos)
+		bld.AddBlockPositional(postings.FileID(f), names, ends, pos)
 	}
 	ix := bld.Index()
 	var buf bytes.Buffer

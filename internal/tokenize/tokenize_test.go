@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"desksearch/internal/fnv"
 )
 
 func TestScanBasic(t *testing.T) {
@@ -60,7 +62,7 @@ func TestScanBytesAllocFree(t *testing.T) {
 		data := bytes.Repeat([]byte(tc.text), 100)
 		emitted := 0
 		allocs := testing.AllocsPerRun(10, func() {
-			ScanBytes(data, func([]byte) { emitted++ })
+			ScanBytes(data, func([]byte, uint32) { emitted++ })
 		})
 		if allocs > tc.maxAllocs {
 			t.Errorf("ScanBytes over %q allocated %v times per call, want at most %v", tc.text, allocs, tc.maxAllocs)
@@ -76,7 +78,7 @@ func TestScanBytesAllocFree(t *testing.T) {
 func TestScanEmitsCanonicalTerms(t *testing.T) {
 	if err := quick.Check(func(data []byte) bool {
 		ok := true
-		ScanBytes(data, func(term []byte) {
+		ScanBytes(data, func(term []byte, _ uint32) {
 			if len(term) < 1 || len(term) > MaxTermLen {
 				ok = false
 			}
@@ -114,7 +116,7 @@ func TestScanBytesViews(t *testing.T) {
 	orig := string(data)
 	var got []string
 	var views [][]byte
-	ScanBytes(data, func(term []byte) {
+	ScanBytes(data, func(term []byte, _ uint32) {
 		got = append(got, string(term))
 		views = append(views, term)
 	})
@@ -155,7 +157,7 @@ func BenchmarkScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ScanBytes(data, func([]byte) {})
+		ScanBytes(data, func([]byte, uint32) {})
 	}
 }
 
@@ -183,7 +185,8 @@ func naiveTerms(data []byte) []string {
 }
 
 // FuzzScan holds ScanBytes to naiveTerms on arbitrary bytes, non-ASCII ones
-// included, and checks that data is never written to.
+// included, holds every hash it emits to fnv.Hash32Bytes of the term, and
+// checks that data is never written to.
 func FuzzScan(f *testing.F) {
 	f.Add([]byte("Hello, World! a1b2 2010"))
 	f.Add([]byte("ümlaut naïve \xff\x80Z"))
@@ -191,7 +194,12 @@ func FuzzScan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		orig := string(data)
 		var got []string
-		ScanBytes(data, func(term []byte) { got = append(got, string(term)) })
+		ScanBytes(data, func(term []byte, hash uint32) {
+			if want := fnv.Hash32Bytes(term); hash != want {
+				t.Fatalf("ScanBytes(%q): term %q hashed %#x, want %#x", data, term, hash, want)
+			}
+			got = append(got, string(term))
+		})
 		if want := naiveTerms(data); !reflect.DeepEqual(got, want) {
 			t.Fatalf("ScanBytes(%q) = %q, want %q", data, got, want)
 		}
