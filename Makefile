@@ -9,7 +9,7 @@ STATICCHECK_VERSION ?= 2025.1
 # govulncheck version, matching .github/workflows/ci.yml.
 GOVULNCHECK_VERSION ?= latest
 
-.PHONY: build test vet fmt lint vuln bench bench-selftest docs-check fuzz count ci
+.PHONY: build test vet fmt lint vuln bench bench-selftest docs-check fuzz examples count ci
 
 build:
 	$(GO) build ./...
@@ -116,6 +116,15 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFile -fuzztime=10s ./internal/extract/
 	$(GO) test -run='^$$' -fuzz=FuzzQueryOracle -fuzztime=10s .
 
+# Runs every program under examples/ and fails on the first non-zero exit.
+# Each finishes in seconds; desktopsearch also checks that its sequential
+# and parallel builds, and its reloaded index, agree on a query's total.
+examples:
+	@for d in examples/*; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
+
 # The size figures ROADMAP's State paragraph and every CHANGES entry
 # restate: Go lines outside the nested bench/ module split into product and
 # test code, package and command counts, and the facade's length.
@@ -126,4 +135,4 @@ count:
 	@echo "commands:                         $$(find cmd -mindepth 1 -maxdepth 1 -type d | wc -l)"
 	@echo "desksearch.go lines:              $$(wc -l < desksearch.go)"
 
-ci: build bench-selftest vet fmt lint vuln docs-check test fuzz bench
+ci: build bench-selftest vet fmt lint vuln docs-check test examples fuzz bench

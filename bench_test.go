@@ -2,16 +2,17 @@ package desksearch
 
 // The paper's evaluation, run live on the machine running the benchmark:
 //
-//   - BenchmarkLiveImplementations  — Tables 2–4 analogue with real goroutines
+//   - BenchmarkLiveTuples — Tables 2–4 analogue with real goroutines, over
+//     the one design kept (Implementation 3)
 //
-// and the ablations for the design knobs that remain live:
+// and the ablation for the design knob that remains live:
 //
-//   - BenchmarkAblationJoin           — single-threaded vs parallel reduction join (§2.3)
 //   - BenchmarkAblationParallelSearch — multi-index parallel query (§5, future work)
 //
-// The designs the paper measured and rejected (other dealing rules, work
-// stealing, per-term insertion, a concurrent Stage 1) are not kept, so
-// they have no ablation.
+// The designs the paper measured and rejected (a shared locked index,
+// replicas joined at the end, other dealing rules, work stealing,
+// per-term insertion, a concurrent Stage 1) are not kept, so they have no
+// ablation; docs/ARCHITECTURE.md records their last measurement.
 
 import (
 	"context"
@@ -25,7 +26,6 @@ import (
 	"desksearch/internal/core"
 	"desksearch/internal/corpus"
 	"desksearch/internal/index"
-	"desksearch/internal/postings"
 	"desksearch/internal/search"
 	"desksearch/internal/shard"
 	"desksearch/internal/tokenize"
@@ -55,77 +55,22 @@ func liveCorpus(b *testing.B) *vfs.MemFS {
 
 // ---- live host runs ----
 
-func BenchmarkLiveImplementations(b *testing.B) {
+// BenchmarkLiveTuples runs the sequential baseline (1, 0) and the
+// parallel tuples (x, 1) and (x, 2), x one less than the CPU count but at
+// least 2.
+func BenchmarkLiveTuples(b *testing.B) {
 	fs := liveCorpus(b)
-	x := runtime.NumCPU() - 1
-	if x < 2 {
-		x = 2
-	}
-	configs := []core.Config{
-		{Implementation: core.Sequential},
-		{Implementation: core.SharedIndex, Extractors: x, Updaters: 1},
-		{Implementation: core.ReplicatedJoin, Extractors: x, Updaters: 2, Joiners: 1},
-		{Implementation: core.ReplicatedSearch, Extractors: x, Updaters: 2},
-	}
-	for _, cfg := range configs {
-		b.Run(cfg.Implementation.String(), func(b *testing.B) {
+	x := max(runtime.NumCPU()-1, 2)
+	for _, cfg := range []core.Config{
+		{Extractors: 1},
+		{Extractors: x, Updaters: 1},
+		{Extractors: x, Updaters: 2},
+	} {
+		b.Run(cfg.Tuple(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Run(fs, ".", cfg); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// ---- Ablation A3: join strategies (§2.3) ----
-
-func buildReplicas(b *testing.B, n int) []*index.Index {
-	b.Helper()
-	fs := liveCorpus(b)
-	res, err := core.Run(fs, ".", core.Config{
-		Implementation: core.ReplicatedSearch, Extractors: 4, Updaters: n,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res.Indexes()
-}
-
-// copyIndexes deep-copies replicas: a join consumes its inputs, and
-// MergeTerm takes the list it is handed.
-func copyIndexes(source []*index.Index) []*index.Index {
-	out := make([]*index.Index, len(source))
-	for i, r := range source {
-		c := index.New(r.NumTerms())
-		r.Range(func(term string, l *postings.List) bool {
-			c.MergeTerm(term, l.Clone())
-			return true
-		})
-		out[i] = c
-	}
-	return out
-}
-
-func BenchmarkAblationJoin(b *testing.B) {
-	const replicas = 8
-	source := buildReplicas(b, replicas)
-	clone := func() []*index.Index { return copyIndexes(source) }
-	b.Run("single-joiner", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			rs := clone()
-			b.StartTimer()
-			index.JoinAll(rs)
-		}
-	})
-	for _, z := range []int{2, 4} {
-		b.Run(fmt.Sprintf("parallel-%d", z), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				rs := clone()
-				b.StartTimer()
-				index.ParallelJoin(rs, z)
 			}
 		})
 	}
@@ -136,17 +81,20 @@ func BenchmarkAblationJoin(b *testing.B) {
 func BenchmarkAblationParallelSearch(b *testing.B) {
 	fs := liveCorpus(b)
 	res, err := core.Run(fs, ".", core.Config{
-		Implementation: core.ReplicatedSearch, Extractors: 4, Updaters: 4,
+		Extractors: 4, Updaters: 4,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	joined := index.JoinAll(copyIndexes(res.Indexes()))
+	one, err := core.Run(fs, ".", core.Config{Extractors: 4, Updaters: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	vocab := corpus.BuildVocabulary(corpus.PaperSpec().Scale(1.0 / 128))
 	query := search.MustParse(fmt.Sprintf("%s OR %s OR (%s -%s)", vocab[0], vocab[1], vocab[2], vocab[3]))
 
-	singleEngine := search.NewEngine(res.Files, joined)
+	singleEngine := search.NewEngine(one.Files, index.Partitions(one.Indexes())...)
 	multiPar := search.NewEngine(res.Files, index.Partitions(res.Indexes())...)
 
 	// Warm the per-engine universes outside the timed region.
@@ -182,7 +130,7 @@ var shardCounts = []int{1, 2, 4, 8}
 func buildShards(b *testing.B, n int) *core.Result {
 	b.Helper()
 	res, err := core.Run(liveCorpus(b), ".", core.Config{
-		Implementation: core.ReplicatedSearch, Extractors: 4, Updaters: 4, Shards: n,
+		Extractors: 4, Updaters: 4, Shards: n,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -191,7 +139,7 @@ func buildShards(b *testing.B, n int) *core.Result {
 }
 
 // BenchmarkShardedBuild measures end-to-end index construction into a
-// 4-shard catalog: a fixed (4, 4, 0) tuple, one owning updater per shard,
+// 4-shard catalog: a fixed (4, 4) tuple, one owning updater per shard,
 // and the path users get — the facade with its machine-sized default
 // tuple, positions on. The gated number is bench/'s build_mb_per_s.
 func BenchmarkShardedBuild(b *testing.B) {
@@ -200,7 +148,7 @@ func BenchmarkShardedBuild(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := core.Run(fs, ".", core.Config{
-				Implementation: core.ReplicatedSearch, Extractors: 4, Updaters: 4, Shards: 4,
+				Extractors: 4, Updaters: 4, Shards: 4,
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -375,7 +323,7 @@ func churn(b *testing.B, fs *vfs.MemFS, paths []string, k, round int) {
 	}
 }
 
-var churnOptions = Options{Implementation: ReplicatedSearch, Extractors: 4, Updaters: 2, Shards: 4}
+var churnOptions = Options{Extractors: 4, Updaters: 2, Shards: 4}
 
 // BenchmarkIncrementalUpdate measures Catalog.Update absorbing a churned
 // tree in place: diff, parallel re-extraction of only the changed files,
@@ -526,7 +474,7 @@ func topkCatalog(b testing.TB) (*Catalog, string) {
 			panic(err)
 		}
 		cat, err := IndexFS(fs, ".", Options{
-			Implementation: ReplicatedSearch, Extractors: 4, Updaters: 4, Shards: 4,
+			Extractors: 4, Updaters: 4, Shards: 4,
 		})
 		if err != nil {
 			panic(err)
@@ -706,7 +654,7 @@ func phraseCatalog(b *testing.B) (*Catalog, string) {
 			panic(err)
 		}
 		cat, err := IndexFS(fs, ".", Options{
-			Implementation: ReplicatedSearch, Extractors: 4, Updaters: 4,
+			Extractors: 4, Updaters: 4,
 			Shards: 4, Positions: true,
 		})
 		if err != nil {
@@ -771,7 +719,7 @@ func BenchmarkPositionalBuild(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := IndexFS(fs, ".", Options{
-					Implementation: ReplicatedSearch, Extractors: 4, Updaters: 4,
+					Extractors: 4, Updaters: 4,
 					Positions: positional,
 				}); err != nil {
 					b.Fatal(err)

@@ -1,10 +1,11 @@
-// Command indexgen builds an inverted index over a directory tree with any
-// of the paper's pipeline implementations and reports stage timings.
+// Command indexgen builds an inverted index over a directory tree with the
+// paper's pipeline (Implementation 3: partitions with one owner each) and
+// reports stage timings.
 //
 // Usage:
 //
-//	indexgen -root DIR [-impl seq|shared|join|nojoin] [-x N -y N -z N]
-//	         [-shards N] [-formats] [-positions] [-save DIR] [-stages]
+//	indexgen -root DIR [-x N -y N] [-shards N] [-formats] [-positions]
+//	         [-save DIR] [-stages]
 //	indexgen -root DIR -update -save DIR [-formats] [-x N]
 //
 // With -positions every term occurrence's token position is recorded,
@@ -12,11 +13,16 @@
 // larger index; the saved files record it in a flags bit (docs/FORMAT.md)
 // and -update re-extracts positionally without restating the flag.
 //
+// -x and -y are the paper's thread tuple: x term extractors and y index
+// updaters. -x 0 means one per CPU, and -y 2 when -y is 0 too; -x 1 -y 0
+// is the sequential baseline, and several extractors with -y 0 run one
+// updater.
+//
 // -save DIR writes the index into the directory DIR: a checksummed
 // manifest plus one segment file per partition. Every build is
 // partitioned by a hash of each file's ID: into the N document shards of
-// -shards N, otherwise one per replica (-impl nojoin's y, or x when y is
-// 0) or one. An existing regular file at DIR is a usage error.
+// -shards N, otherwise one per updater, or one when there are none. An
+// existing regular file at DIR is a usage error.
 //
 // With -update the catalog saved under -save is loaded, diffed against
 // the live tree under -root, patched in place — added, modified, and
@@ -43,11 +49,9 @@ import (
 func main() {
 	var (
 		root    = flag.String("root", "", "directory to index (required)")
-		impl    = flag.String("impl", "nojoin", "implementation: seq, shared (impl 1), join (impl 2), nojoin (impl 3)")
-		x       = flag.Int("x", 0, "term-extraction threads (0 = auto)")
-		y       = flag.Int("y", 0, "index-update threads")
-		z       = flag.Int("z", 0, "index-join threads (join only)")
-		shards  = flag.Int("shards", 0, "partition the index into N document shards (0 = one per replica)")
+		x       = flag.Int("x", 0, "term-extraction threads (0 = one per CPU)")
+		y       = flag.Int("y", 0, "index-update threads, each owning its partitions (0 = 2 when -x is 0; none when -x is 1; else 1)")
+		shards  = flag.Int("shards", 0, "partition the index into N document shards (0 = one per updater)")
 		formats = flag.Bool("formats", false, "strip HTML/WP markup before indexing")
 		pos     = flag.Bool("positions", false, "record token positions (enables quoted phrase queries; larger index)")
 		save    = flag.String("save", "", "write the built index into this directory (manifest + one segment per partition)")
@@ -88,31 +92,25 @@ func main() {
 		return
 	}
 
-	implementation, err := parseImpl(*impl)
-	if err != nil {
-		fatal(err)
-	}
 	cat, err := desksearch.IndexDir(*root, desksearch.Options{
-		Implementation: implementation,
-		Extractors:     *x,
-		Updaters:       *y,
-		Joiners:        *z,
-		Shards:         *shards,
-		Formats:        *formats,
-		Positions:      *pos,
+		Extractors: *x,
+		Updaters:   *y,
+		Shards:     *shards,
+		Formats:    *formats,
+		Positions:  *pos,
 	})
 	if err != nil {
 		fatal(err)
 	}
 
 	s := cat.Stats()
-	// The fourth value, a shard phase, is always 0: sharding happens inside
-	// extract+update.
-	fGen, eu, join, _, total := cat.Timings()
+	// The join and shard phases are always 0: no build joins, and sharding
+	// happens inside extract+update.
+	fGen, eu, _, _, total := cat.Timings()
 	fmt.Printf("indexed %d files: %d terms, %d postings (%d partitions, %d skipped)\n",
 		s.Files, s.Terms, s.Postings, cat.Indices(), s.Skipped)
-	fmt.Printf("filename generation: %.3fs   extract+update: %.3fs   join: %.3fs   total: %.3fs\n",
-		fGen, eu, join, total)
+	fmt.Printf("filename generation: %.3fs   extract+update: %.3fs   total: %.3fs\n",
+		fGen, eu, total)
 
 	if *save != "" {
 		if err := cat.SaveDir(*save); err != nil {
@@ -164,21 +162,6 @@ func runUpdate(root, saveDir string, opt desksearch.Options) {
 	fmt.Printf("rewrote %d/%d segments + manifest\n", dirty, cat.Indices())
 	fmt.Printf("load: %.3fs   update: %.3fs   save: %.3fs\n",
 		loaded.Seconds(), updated.Seconds(), saved.Seconds())
-}
-
-func parseImpl(name string) (desksearch.Implementation, error) {
-	switch name {
-	case "seq", "sequential":
-		return desksearch.Sequential, nil
-	case "shared", "impl1", "1":
-		return desksearch.SharedIndex, nil
-	case "join", "impl2", "2":
-		return desksearch.ReplicatedJoin, nil
-	case "nojoin", "impl3", "3":
-		return desksearch.ReplicatedSearch, nil
-	default:
-		return 0, fmt.Errorf("unknown implementation %q (want seq, shared, join, or nojoin)", name)
-	}
 }
 
 func fatal(err error) {

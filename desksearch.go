@@ -19,41 +19,25 @@ import (
 	"desksearch/internal/shard"
 )
 
-// Implementation selects one of the paper's parallel designs.
-type Implementation int
-
-const (
-	// Auto picks ReplicatedSearch with a machine-sized thread
-	// configuration — the paper's overall winner.
-	Auto Implementation = iota
-	// Sequential runs single-threaded (the paper's baseline).
-	Sequential
-	// SharedIndex is the paper's Implementation 1.
-	SharedIndex
-	// ReplicatedJoin is the paper's Implementation 2.
-	ReplicatedJoin
-	// ReplicatedSearch is the paper's Implementation 3.
-	ReplicatedSearch
-)
-
 // Options configure index construction. The zero value auto-configures for
 // the host machine.
 type Options struct {
-	// Implementation selects the parallel design.
-	Implementation Implementation
-	// Extractors, Updaters, and Joiners are the paper's (x, y, z) thread
-	// tuple. All zero means auto-size from the CPU count.
-	Extractors, Updaters, Joiners int
+	// Extractors and Updaters are the paper's (x, y) thread tuple for its
+	// Implementation 3: x goroutines extract terms and y update the
+	// partitions, each partition filled by exactly one updater. A zero
+	// Extractors means one per CPU, and Updaters 2 when it is zero too.
+	// (1, 0) is the sequential baseline; with several extractors, a zero
+	// Updaters runs one updater.
+	Extractors, Updaters int
 	// Formats enables document-format extraction (HTML, WP markup) before
 	// tokenization.
 	Formats bool
 	// Shards, when positive, partitions the catalog into that many
 	// document shards, searched with parallel fan-out and saved with
 	// SaveDir as a manifest plus one segment file per shard. At most
-	// 65 536, the most segments one index directory holds. Zero leaves the
-	// count to the implementation: one per replica for ReplicatedSearch
-	// and Auto, one for the others. Either way a file's shard is a hash of
-	// its ID.
+	// 65 536, the most segments one index directory holds. Zero means one
+	// per updater, or one when there are none. Either way a file's shard
+	// is a hash of its ID.
 	Shards int
 	// Positions records each term occurrence's token position in the
 	// index, enabling quoted phrase queries ("annual report") at the cost
@@ -79,7 +63,6 @@ func (o Options) validate() error {
 	}{
 		{"Extractors", o.Extractors},
 		{"Updaters", o.Updaters},
-		{"Joiners", o.Joiners},
 		{"Shards", o.Shards},
 	} {
 		if f.value < 0 {
@@ -96,32 +79,16 @@ func (o Options) coreConfig() (core.Config, error) {
 	cfg := core.Config{
 		Extractors: o.Extractors,
 		Updaters:   o.Updaters,
-		Joiners:    o.Joiners,
 		Shards:     o.Shards,
 		Extract:    extract.Options{Formats: o.Formats, Positions: o.Positions},
 	}
-
-	switch o.Implementation {
-	case Auto:
-		cfg.Implementation = core.ReplicatedSearch
-		if cfg.Extractors == 0 {
-			auto := core.Auto(runtime.NumCPU())
-			cfg.Extractors, cfg.Updaters = auto.Extractors, auto.Updaters
+	// Only the fields left zero are sized for the machine.
+	if cfg.Extractors == 0 {
+		auto := core.Auto(runtime.NumCPU())
+		cfg.Extractors = auto.Extractors
+		if cfg.Updaters == 0 {
+			cfg.Updaters = auto.Updaters
 		}
-	case Sequential:
-		cfg.Implementation = core.Sequential
-	case SharedIndex:
-		cfg.Implementation = core.SharedIndex
-	case ReplicatedJoin:
-		cfg.Implementation = core.ReplicatedJoin
-	case ReplicatedSearch:
-		cfg.Implementation = core.ReplicatedSearch
-	default:
-		return core.Config{}, fmt.Errorf("desksearch: unknown implementation %d", int(o.Implementation))
-	}
-	if cfg.Implementation != core.Sequential && cfg.Extractors == 0 {
-		auto := core.Default(cfg.Implementation, runtime.NumCPU())
-		cfg.Extractors, cfg.Updaters = auto.Extractors, auto.Updaters
 	}
 	return cfg, nil
 }
@@ -380,6 +347,10 @@ type Catalog struct {
 	// the mutating surface (SaveDir, Apply, Update) returns ErrReadOnly,
 	// and Close must be called to release the mappings.
 	lazy *shard.LazySet
+	// workers sizes an update's re-extraction pool: the extractor count
+	// the options asked for, which the build itself caps at its file
+	// count. Guarded by updateMu.
+	workers int
 	// updateMu serializes Update/Apply against each other; the engine's
 	// read-write lock already serializes them against queries.
 	updateMu sync.Mutex
@@ -408,13 +379,14 @@ func IndexFS(fsys fs.FS, root string, opt Options) (*Catalog, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newCatalog(res), nil
+	return newCatalog(res, cfg.Extractors), nil
 }
 
-func newCatalog(res *core.Result) *Catalog {
+func newCatalog(res *core.Result, workers int) *Catalog {
 	return &Catalog{
-		result: res,
-		engine: search.NewEngine(res.Files, index.Partitions(res.Indexes())...),
+		result:  res,
+		engine:  search.NewEngine(res.Files, index.Partitions(res.Indexes())...),
+		workers: workers,
 	}
 }
 
@@ -524,6 +496,7 @@ func (c *Catalog) Swap(other *Catalog) {
 	c.updateMu.Lock()
 	defer c.updateMu.Unlock()
 	res, lz := other.result, other.lazy
+	c.workers = other.workers
 	var old *shard.LazySet
 	c.engine.Swap(res.Files, other.partitionsLocked(), other.engine.ShardIDs(), func() {
 		old = c.lazy
@@ -636,15 +609,16 @@ func (c *Catalog) Positional() bool {
 }
 
 // Timings returns the pipeline phase durations of the build, in seconds:
-// filename generation, extraction+update, join, shard and total. shard is
-// always 0 — every build routes term blocks to their shards inside
-// extraction+update — and stays in the signature for existing callers.
+// filename generation, extraction+update, join, shard and total. join and
+// shard are always 0 — no build joins, and every build routes term blocks
+// to their shards inside extraction+update — and stay in the signature
+// for existing callers.
 func (c *Catalog) Timings() (filenameGen, extractUpdate, join, shard, total float64) {
 	var t core.Timings
 	c.engine.View(func() {
 		t = c.result.Timings
 	})
-	return t.FilenameGen.Seconds(), t.ExtractUpdate.Seconds(), t.Join.Seconds(), 0, t.Total.Seconds()
+	return t.FilenameGen.Seconds(), t.ExtractUpdate.Seconds(), 0, 0, t.Total.Seconds()
 }
 
 // TermCount is a term with the number of files containing it.
@@ -723,12 +697,7 @@ func LoadDir(dir string, opt ...Options) (*Catalog, error) {
 	// positional — only re-extracted files would ever carry positions,
 	// leaving the index half-positional. Rebuild to change it.
 	cfg.Extract.Positions = set.Positional()
-	return newCatalog(&core.Result{
-		Implementation: core.ReplicatedSearch,
-		Config:         cfg,
-		Files:          set.Files(),
-		Set:            set,
-	}), nil
+	return newCatalog(&core.Result{Config: cfg, Files: set.Files(), Set: set}, cfg.Extractors), nil
 }
 
 // OpenDir opens a sharded catalog directory lazily: only the manifest and
@@ -771,13 +740,9 @@ func OpenDirShards(dir string, shardIDs []int, opt ...Options) (*Catalog, error)
 		return nil, err
 	}
 	cfg.Extract.Positions = set.Positional()
-	res := &core.Result{
-		Implementation: core.ReplicatedSearch,
-		Config:         cfg,
-		Files:          set.Files(),
-	}
+	res := &core.Result{Config: cfg, Files: set.Files()}
 	engine := search.NewSubsetEngine(set.Files(), set.ShardIDs(), set.Partitions()...)
-	return &Catalog{result: res, engine: engine, lazy: set}, nil
+	return &Catalog{result: res, engine: engine, lazy: set, workers: cfg.Extractors}, nil
 }
 
 // Changeset is a tree diff computed by Catalog.Diff and consumed by
@@ -849,7 +814,7 @@ func (c *Catalog) applyLocked(fsys fs.FS, cs *Changeset) (UpdateStats, error) {
 	if cs.Empty() {
 		return UpdateStats{}, nil
 	}
-	plan := delta.Extract(fsys, cs, c.result.Config.Extract, c.updateWorkers())
+	plan := delta.Extract(fsys, cs, c.result.Config.Extract, c.workers)
 	set := c.result.Set
 	target := delta.Target{Files: c.result.Files, Partitions: set.Shards(), OnDirty: set.MarkDirty}
 	var st delta.Stats
@@ -857,16 +822,6 @@ func (c *Catalog) applyLocked(fsys fs.FS, cs *Changeset) (UpdateStats, error) {
 		st = plan.Commit(target)
 	})
 	return UpdateStats{Stats: st, SkippedFiles: len(plan.Skipped)}, nil
-}
-
-// updateWorkers sizes the re-extraction pool: the build's extractor count
-// when known (a loaded catalog has none), otherwise the count a default
-// build would use.
-func (c *Catalog) updateWorkers() int {
-	if x := c.result.Config.Extractors; x > 0 {
-		return x
-	}
-	return core.Default(core.ReplicatedSearch, runtime.NumCPU()).Extractors
 }
 
 // DirtySegments reports how many segment files the next SaveDir back to

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -81,7 +82,7 @@ func TestIndexFSAndSearch(t *testing.T) {
 }
 
 func TestSearchBooleanOperators(t *testing.T) {
-	cat, err := IndexFS(demoFS(t), ".", Options{Implementation: ReplicatedSearch, Extractors: 3, Updaters: 2})
+	cat, err := IndexFS(demoFS(t), ".", Options{Extractors: 3, Updaters: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,28 +93,6 @@ func TestSearchBooleanOperators(t *testing.T) {
 	}
 	if cat.Indices() != 2 {
 		t.Errorf("Indices = %d, want 2 replicas", cat.Indices())
-	}
-}
-
-func TestAllImplementationsAnswerIdentically(t *testing.T) {
-	queries := []string{"milk", "report -quarterly", "milk OR report", "quarterly (final OR draft)"}
-	var reference [][]string
-	for _, impl := range []Implementation{Sequential, SharedIndex, ReplicatedJoin, ReplicatedSearch} {
-		cat, err := IndexFS(demoFS(t), ".", Options{Implementation: impl, Extractors: 3, Updaters: 2, Joiners: 1})
-		if err != nil {
-			t.Fatalf("%d: %v", impl, err)
-		}
-		var answers [][]string
-		for _, q := range queries {
-			answers = append(answers, paths(queryAll(t, cat, q)))
-		}
-		if reference == nil {
-			reference = answers
-			continue
-		}
-		if !reflect.DeepEqual(answers, reference) {
-			t.Errorf("implementation %d answers differ: %v vs %v", impl, answers, reference)
-		}
 	}
 }
 
@@ -140,7 +119,7 @@ func TestFormatsOption(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	cat, err := IndexFS(demoFS(t), ".", Options{Implementation: Sequential})
+	cat, err := IndexFS(demoFS(t), ".", Options{Extractors: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +140,8 @@ func TestStats(t *testing.T) {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	for _, impl := range []Implementation{SharedIndex, ReplicatedSearch} {
-		cat, err := IndexFS(demoFS(t), ".", Options{Implementation: impl, Extractors: 3, Updaters: 2})
+	for _, opt := range []Options{{Extractors: 3, Updaters: 1}, {Extractors: 3, Updaters: 2}} {
+		cat, err := IndexFS(demoFS(t), ".", opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +157,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			a := queryAll(t, cat, q)
 			b := queryAll(t, loaded, q)
 			if !reflect.DeepEqual(paths(a), paths(b)) {
-				t.Errorf("impl %d %q: %v vs %v", impl, q, paths(a), paths(b))
+				t.Errorf("%+v %q: %v vs %v", opt, q, paths(a), paths(b))
 			}
 		}
 		// Saving a replica catalog must leave it queryable (nothing is joined).
@@ -204,7 +183,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 func TestIndexDirOnHostFS(t *testing.T) {
 	dir := t.TempDir()
 	writeHostFile(t, dir, "a/hello.txt", "hello desktop search")
-	cat, err := IndexDir(dir, Options{Implementation: Sequential})
+	cat, err := IndexDir(dir, Options{Extractors: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +194,6 @@ func TestIndexDirOnHostFS(t *testing.T) {
 }
 
 func TestInvalidOptions(t *testing.T) {
-	if _, err := IndexFS(demoFS(t), ".", Options{Implementation: Implementation(42)}); err == nil {
-		t.Error("bad implementation accepted")
-	}
 	if _, err := IndexFS(demoFS(t), "missing", Options{}); err == nil {
 		t.Error("missing root accepted")
 	}
@@ -228,16 +204,28 @@ func TestAutoConfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Auto uses ReplicatedSearch with ≥2 replicas on any multicore host.
-	if cat.Indices() < 1 {
-		t.Errorf("Indices = %d", cat.Indices())
+	// Zero options run core.Auto's tuple: two updaters, two partitions.
+	if cat.Indices() != 2 {
+		t.Errorf("Indices = %d, want 2", cat.Indices())
+	}
+}
+
+// TestUpdatersAloneKeepTheirCount: only the zero fields are sized for the
+// machine, so Updaters set without Extractors keeps its value.
+func TestUpdatersAloneKeepTheirCount(t *testing.T) {
+	cat, err := IndexFS(demoFS(t), ".", Options{Updaters: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cat.Indices() != 4 {
+		t.Errorf("Indices = %d, want one partition per updater, 4", cat.Indices())
 	}
 }
 
 // TestBuiltListsHaveNoSpareCapacity: a build sizes every posting list's
 // columns exactly, so each list's storage is four bytes per ID, per
 // frequency or run end it keeps, and per position — none spare — whichever
-// design built it, sharded or not.
+// tuple built it, sharded or not.
 func TestBuiltListsHaveNoSpareCapacity(t *testing.T) {
 	fs := vfs.NewMemFS()
 	spec := corpus.SmallSpec()
@@ -248,9 +236,9 @@ func TestBuiltListsHaveNoSpareCapacity(t *testing.T) {
 	for _, opt := range []Options{
 		{},
 		{Positions: true, Shards: 4},
-		{Implementation: Sequential, Positions: true},
-		{Implementation: SharedIndex, Extractors: 3, Updaters: 1},
-		{Implementation: ReplicatedSearch, Extractors: 3, Positions: true, Shards: 2},
+		{Extractors: 1, Positions: true},
+		{Extractors: 3, Updaters: 1},
+		{Extractors: 3, Positions: true, Shards: 2},
 	} {
 		cat, err := IndexFS(fs, ".", opt)
 		if err != nil {
@@ -280,8 +268,8 @@ func TestBuiltListsHaveNoSpareCapacity(t *testing.T) {
 }
 
 // TestLoadedCatalogUpdatesLikeABuild: a LoadDir catalog has no build tuple,
-// so its updates re-extract with as many workers as a default build has
-// extractors — the one tuple rule, core.Default.
+// so its updates re-extract with as many workers as a default build asks
+// for, one per CPU — not the count the build capped to its eight files.
 func TestLoadedCatalogUpdatesLikeABuild(t *testing.T) {
 	cat, err := IndexFS(demoFS(t), ".", Options{Shards: 2})
 	if err != nil {
@@ -295,24 +283,24 @@ func TestLoadedCatalogUpdatesLikeABuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := loaded.updateWorkers(), cat.updateWorkers(); got != want {
-		t.Errorf("a loaded catalog updates with %d workers, a built one with %d", got, want)
+	if got, want := loaded.workers, cat.workers; got != want || want != runtime.NumCPU() {
+		t.Errorf("a loaded catalog updates with %d workers, a built one with %d, want %d", got, want, runtime.NumCPU())
 	}
 }
 
 func TestTopTerms(t *testing.T) {
-	for _, impl := range []Implementation{Sequential, ReplicatedSearch} {
-		cat, err := IndexFS(demoFS(t), ".", Options{Implementation: impl, Extractors: 3, Updaters: 2})
+	for _, opt := range []Options{{Extractors: 1}, {Extractors: 3, Updaters: 2}} {
+		cat, err := IndexFS(demoFS(t), ".", opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		top := cat.TopTerms(3)
 		if len(top) != 3 {
-			t.Fatalf("impl %d: TopTerms = %v", impl, top)
+			t.Fatalf("%+v: TopTerms = %v", opt, top)
 		}
 		// "report" appears in 5 files; "milk" in 3.
 		if top[0].Term != "report" || top[0].Files != 5 {
-			t.Errorf("impl %d: top term = %+v, want report/5", impl, top[0])
+			t.Errorf("%+v: top term = %+v, want report/5", opt, top[0])
 		}
 		if cat.TopTerms(0) != nil {
 			t.Error("TopTerms(0) should be nil")
@@ -325,7 +313,7 @@ func TestTopTerms(t *testing.T) {
 }
 
 func TestSearchParseError(t *testing.T) {
-	cat, err := IndexFS(demoFS(t), ".", Options{Implementation: Sequential})
+	cat, err := IndexFS(demoFS(t), ".", Options{Extractors: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,37 +322,13 @@ func TestSearchParseError(t *testing.T) {
 	}
 }
 
-// TestShardedBuildsAgreeAcrossImplementations runs every pipeline design
-// with shards on and checks they all answer like the unsharded sequential
-// build.
-func TestShardedBuildsAgreeAcrossImplementations(t *testing.T) {
-	reference, err := IndexFS(demoFS(t), ".", Options{Implementation: Sequential})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []string{"report", "milk OR flour", "quarterly -draft"}
-	for _, impl := range []Implementation{Sequential, SharedIndex, ReplicatedJoin, ReplicatedSearch} {
-		cat, err := IndexFS(demoFS(t), ".", Options{Implementation: impl, Extractors: 3, Updaters: 2, Shards: 4})
-		if err != nil {
-			t.Fatalf("impl %d: %v", impl, err)
-		}
-		for _, q := range queries {
-			a := queryAll(t, reference, q)
-			b := queryAll(t, cat, q)
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("impl %d %q: %v vs %v", impl, q, a, b)
-			}
-		}
-	}
-}
-
 func TestSaveDirLoadDirRoundTrip(t *testing.T) {
 	cases := []Options{
-		{Implementation: Sequential, Shards: 4},
-		{Implementation: ReplicatedSearch, Extractors: 3, Updaters: 2, Shards: 2},
+		{Extractors: 1, Shards: 4},
+		{Extractors: 3, Updaters: 2, Shards: 2},
 		// Unsharded catalogs save their partitions as shards.
-		{Implementation: ReplicatedSearch, Extractors: 3, Updaters: 2},
-		{Implementation: Sequential},
+		{Extractors: 3, Updaters: 2},
+		{Extractors: 1},
 	}
 	for _, opt := range cases {
 		cat, err := IndexFS(demoFS(t), ".", opt)

@@ -238,7 +238,7 @@ func TestGlobalDFShapeMismatch(t *testing.T) {
 // It returns the directory and the saved file table.
 func saveUnrouted(t *testing.T, fsys fs.FS, n int) (string, *index.FileTable) {
 	t.Helper()
-	seq, err := IndexFS(fsys, ".", Options{Implementation: Sequential})
+	seq, err := IndexFS(fsys, ".", Options{Extractors: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,15 +4,14 @@
 //
 // The package builds an inverted index — for every term, the files that
 // contain it — over a directory tree, using the paper's three-stage
-// pipeline (filename generation, term extraction, index update) and its
-// three parallel designs:
-//
-//   - SharedIndex: one index, locked on update (the paper's
-//     Implementation 1);
-//   - ReplicatedJoin: one private index per updater, merged at the end by
-//     the "Join Forces" pattern (Implementation 2);
-//   - ReplicatedSearch: private indices left unjoined, searched in
-//     parallel (Implementation 3 — the winner on high core counts).
+// pipeline (filename generation, term extraction, index update) in the
+// design that won on high core counts, its Implementation 3: partitions
+// filled each by exactly one updater, never joined, searched in parallel.
+// Options.Extractors and Options.Updaters are the paper's thread tuple
+// (x, y); (1, 0) is the sequential baseline, and zero options size the
+// tuple for the machine. The paper's other two designs, one lock-guarded
+// shared index and replicas joined at the end, tie with it on four cores
+// and lose on 32; docs/ARCHITECTURE.md keeps their measurements.
 //
 // # Quick start
 //
@@ -62,13 +61,12 @@
 //
 // Every catalog is partitioned into document shards: every posting of a
 // given file lives in exactly one shard, chosen by an FNV-1 hash of its
-// FileID. Options.Shards sets their number; left at 0, ReplicatedSearch
-// (and Auto) has one per replica and the other designs one. The shards
-// are Stage 3's sinks: every term block is routed to its file's shard as
-// it leaves Stage 2, under every implementation, so no build pays a
-// redistribution pass. Queries fan out with one goroutine per shard and
-// merge the per-shard ranked hits, so a sharded catalog answers exactly
-// like the equivalent single index.
+// FileID. Options.Shards sets their number; left at 0, there is one per
+// updater, or one when there are none. The shards are Stage 3's sinks:
+// every term block is routed to its file's shard as it leaves Stage 2, so
+// no build pays a redistribution pass. Queries fan out with one goroutine
+// per shard and merge the per-shard ranked hits, so a sharded catalog
+// answers exactly like the equivalent single index.
 //
 // # Persistence
 //

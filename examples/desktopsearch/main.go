@@ -1,7 +1,7 @@
 // Desktopsearch: the full workflow of a desktop search tool on a real
-// directory — generate a realistic mixed-format corpus on disk, compare
-// the paper's three pipeline implementations on it, persist the index,
-// reload it, and answer queries.
+// directory — generate a realistic mixed-format corpus on disk, index it
+// with the sequential baseline and with the paper's parallel pipeline,
+// persist the index, reload it, and answer queries.
 //
 // Run with:
 //
@@ -38,14 +38,15 @@ func main() {
 	fmt.Printf("corpus: %d files, %.1f MB under %s\n\n",
 		len(stats.Files), float64(stats.TotalBytes)/(1<<20), dir)
 
-	// Index the same tree with all three implementations; they must agree.
-	impls := []struct {
+	// Index the same tree sequentially, (x, y) = (1, 0), and in parallel
+	// with four extractors and two updaters, each owning one partition;
+	// the two builds must agree.
+	builds := []struct {
 		name string
-		impl desksearch.Implementation
+		opt  desksearch.Options
 	}{
-		{"Implementation 1 (shared, locked index)", desksearch.SharedIndex},
-		{"Implementation 2 (replicate + join)", desksearch.ReplicatedJoin},
-		{"Implementation 3 (replicate, no join)", desksearch.ReplicatedSearch},
+		{"sequential (1, 0)", desksearch.Options{Extractors: 1, Formats: true}},
+		{"parallel (4, 2)", desksearch.Options{Extractors: 4, Updaters: 2, Formats: true}},
 	}
 	// Query the corpus's three most frequent words (the generator draws
 	// terms Zipf-distributed, so low vocabulary ranks dominate).
@@ -62,32 +63,28 @@ func main() {
 	ctx := context.Background()
 	var firstCount = -1
 	var keep *desksearch.Catalog
-	for _, tc := range impls {
-		cat, err := desksearch.IndexDir(dir, desksearch.Options{
-			Implementation: tc.impl,
-			Extractors:     4, Updaters: 2, Joiners: 1,
-			Formats: true,
-		})
+	for _, tc := range builds {
+		cat, err := desksearch.IndexDir(dir, tc.opt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, eu, join, _, total := cat.Timings()
+		_, eu, _, _, total := cat.Timings()
 		resp, err := cat.Query(ctx, page)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-42s %4d hits   extract+update %6.3fs  join %6.3fs  total %6.3fs\n",
-			tc.name, resp.Total, eu, join, total)
+		fmt.Printf("%-18s %4d hits   %d partitions   extract+update %6.3fs  total %6.3fs\n",
+			tc.name, resp.Total, cat.Indices(), eu, total)
 		if firstCount < 0 {
 			firstCount = resp.Total
 		} else if resp.Total != firstCount {
-			log.Fatalf("implementations disagree: %d vs %d hits", resp.Total, firstCount)
+			log.Fatalf("builds disagree: %d vs %d hits", resp.Total, firstCount)
 		}
 		keep = cat
 	}
 
 	// Persist and reload, as a desktop tool does between sessions. The
-	// unjoined replicas are hash-routed shards, saved one segment each.
+	// partitions are hash-routed shards, saved one segment each.
 	idxDir := filepath.Join(dir, "desksearch.idx")
 	if err := keep.SaveDir(idxDir); err != nil {
 		log.Fatal(err)
@@ -103,4 +100,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("reloaded index answers %q with %d hits (expected %d)\n", query, resp.Total, firstCount)
+	if resp.Total != firstCount {
+		log.Fatalf("reloaded index disagrees: %d vs %d hits", resp.Total, firstCount)
+	}
 }

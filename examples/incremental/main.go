@@ -39,7 +39,7 @@ func main() {
 	write("inbox/2.txt", "lunch plans")
 	write("projects/plan.txt", "project plan budget draft")
 
-	opts := desksearch.Options{Implementation: desksearch.Sequential, Shards: 2}
+	opts := desksearch.Options{Extractors: 1, Shards: 2}
 	cat, err := desksearch.IndexFS(fs, ".", opts)
 	if err != nil {
 		log.Fatal(err)

@@ -26,8 +26,8 @@ func main() {
 		"notes/shopping.txt":    {Data: []byte("milk eggs flour")},
 	}
 
-	// Index with the paper's Implementation 3 (replicated indices,
-	// searched in parallel) — desksearch.Options{} auto-sizes it.
+	// Index with the paper's Implementation 3 (partitions with one owner
+	// each, searched in parallel) — desksearch.Options{} auto-sizes it.
 	cat, err := desksearch.IndexFS(fs, ".", desksearch.Options{})
 	if err != nil {
 		log.Fatal(err)

@@ -36,7 +36,7 @@ func resultSet(t *testing.T, cat *Catalog, query string) []string {
 
 func TestUpdateNotQueryRegression(t *testing.T) {
 	fs := demoFS(t)
-	cat, err := IndexFS(fs, ".", Options{Implementation: Sequential, Shards: 2})
+	cat, err := IndexFS(fs, ".", Options{Extractors: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +110,16 @@ func checkTermFree(t *testing.T, label string, cat *Catalog) {
 // are all punctuation, an unreadable one, and one whose re-extraction
 // failed on update.
 func TestTermFreeInvariant(t *testing.T) {
-	for _, impl := range []Implementation{Sequential, SharedIndex, ReplicatedJoin, ReplicatedSearch} {
+	// Four tuples, labelled impl1–impl4: the sequential baseline, one
+	// owner for every partition, one extractor feeding two owners, and two
+	// extractors feeding two.
+	for _, tc := range []struct {
+		label string
+		x, y  int
+	}{{"impl1", 1, 0}, {"impl2", 2, 1}, {"impl3", 1, 2}, {"impl4", 2, 2}} {
 		for _, shards := range []int{0, 3} {
-			opt := Options{Implementation: impl, Extractors: 2, Updaters: 2, Shards: shards}
-			t.Run(fmt.Sprintf("impl%d-shards%d", impl, shards), func(t *testing.T) {
+			opt := Options{Extractors: tc.x, Updaters: tc.y, Shards: shards}
+			t.Run(fmt.Sprintf("%s-shards%d", tc.label, shards), func(t *testing.T) {
 				mem := demoFS(t)
 				for name, body := range map[string]string{"misc/empty.txt": "", "misc/dashes.txt": "--- !!!", "misc/locked.txt": "locked away"} {
 					if err := mem.WriteFile(name, []byte(body)); err != nil {
@@ -168,14 +174,14 @@ func TestTermFreeInvariant(t *testing.T) {
 // TestUpdateMatchesRebuildProperty holds the partitions of a catalog
 // driven through random churn with Catalog.Update to those of a catalog
 // freshly built from the final tree (checkPartitionsMatchRebuild) —
-// across pipeline implementations and partition shapes. What the updated
+// across thread tuples and partition shapes. What the updated
 // catalog answers is held to the reference by TestEveryShapeMatchesOracle.
 func TestUpdateMatchesRebuildProperty(t *testing.T) {
 	configs := []Options{
-		{Implementation: Sequential},
-		{Implementation: Sequential, Shards: 4},
-		{Implementation: ReplicatedSearch, Extractors: 3, Updaters: 2},
-		{Implementation: SharedIndex, Extractors: 3, Shards: 3},
+		{Extractors: 1},
+		{Extractors: 1, Shards: 4},
+		{Extractors: 3, Updaters: 2},
+		{Extractors: 3, Shards: 3},
 	}
 	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
 	content := func(rng *rand.Rand) string {
@@ -349,7 +355,7 @@ func fnvSum(data []byte) uint64 {
 // dirty segments plus the manifest may change on disk.
 func TestSaveDirUpdateRoundTrip(t *testing.T) {
 	fs := demoFS(t)
-	cat, err := IndexFS(fs, ".", Options{Implementation: Sequential, Shards: 4})
+	cat, err := IndexFS(fs, ".", Options{Extractors: 1, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +422,7 @@ func TestSaveDirUpdateRoundTrip(t *testing.T) {
 	}
 
 	// And the reloaded result must equal a fresh build of the final tree.
-	rebuilt, err := IndexFS(fs, ".", Options{Implementation: Sequential, Shards: 4})
+	rebuilt, err := IndexFS(fs, ".", Options{Extractors: 1, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +491,7 @@ func TestUnshardedSaveDirIsIncremental(t *testing.T) {
 // updates at the public API level; meaningful under -race.
 func TestConcurrentSearchAndCatalogUpdate(t *testing.T) {
 	fs := demoFS(t)
-	cat, err := IndexFS(fs, ".", Options{Implementation: Sequential, Shards: 2})
+	cat, err := IndexFS(fs, ".", Options{Extractors: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +565,7 @@ func TestConcurrentSearchAndCatalogUpdate(t *testing.T) {
 func TestCatalogViewLockOrder(t *testing.T) {
 	const churn, deadline = 2 * time.Second, 20 * time.Second
 	fs := demoFS(t)
-	cat, err := IndexFS(fs, ".", Options{Implementation: Sequential, Shards: 2})
+	cat, err := IndexFS(fs, ".", Options{Extractors: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,7 +639,7 @@ func TestCatalogViewLockOrder(t *testing.T) {
 // changeset must not duplicate files or postings.
 func TestApplyTwiceIsIdempotent(t *testing.T) {
 	fs := demoFS(t)
-	cat, err := IndexFS(fs, ".", Options{Implementation: Sequential, Shards: 2})
+	cat, err := IndexFS(fs, ".", Options{Extractors: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +667,7 @@ func TestApplyTwiceIsIdempotent(t *testing.T) {
 	if twice := cat.Stats(); twice != once {
 		t.Errorf("stats changed on double apply: %+v vs %+v", twice, once)
 	}
-	rebuilt, err := IndexFS(fs, ".", Options{Implementation: Sequential, Shards: 2})
+	rebuilt, err := IndexFS(fs, ".", Options{Extractors: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -676,7 +682,7 @@ func TestApplyTwiceIsIdempotent(t *testing.T) {
 func TestUpdateDirOnHostFS(t *testing.T) {
 	dir := t.TempDir()
 	writeHostFile(t, dir, "a/one.txt", "desktop search rules")
-	cat, err := IndexDir(dir, Options{Implementation: Sequential})
+	cat, err := IndexDir(dir, Options{Extractors: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,42 +42,30 @@ func corpusFS(t *testing.T) *vfs.MemFS {
 // the whole index.
 func reference(t *testing.T) *Result {
 	t.Helper()
-	res, err := Run(corpusFS(t), ".", Config{Implementation: Sequential})
+	res, err := Run(corpusFS(t), ".", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-func TestImplementationString(t *testing.T) {
-	if Sequential.String() != "Sequential" ||
-		SharedIndex.String() != "Implementation 1" ||
-		ReplicatedJoin.String() != "Implementation 2" ||
-		ReplicatedSearch.String() != "Implementation 3" {
-		t.Error("Implementation names wrong")
-	}
-	if !strings.Contains(Implementation(9).String(), "9") {
-		t.Error("unknown implementation name")
-	}
-}
-
 func TestConfigTuple(t *testing.T) {
 	c := Config{Extractors: 3, Updaters: 1}
-	if c.Tuple() != "(3, 1, 0)" {
+	if c.Tuple() != "(3, 1)" {
 		t.Errorf("Tuple = %q", c.Tuple())
 	}
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := Config{Implementation: SharedIndex, Extractors: 2}
+	good := Config{Extractors: 2}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
-	if err := (Config{Implementation: Implementation(42)}).Validate(); err == nil {
-		t.Error("bad implementation accepted")
-	}
 	if err := (Config{Extractors: -1}).Validate(); err == nil {
 		t.Error("negative extractors accepted")
+	}
+	if err := (Config{Updaters: -1}).Validate(); err == nil {
+		t.Error("negative updaters accepted")
 	}
 }
 
@@ -86,45 +74,46 @@ func TestConfigReplicas(t *testing.T) {
 		cfg  Config
 		want int
 	}{
-		{Config{Implementation: Sequential}, 1},
-		{Config{Implementation: SharedIndex, Extractors: 4, Updaters: 2}, 1},
-		{Config{Implementation: ReplicatedJoin, Extractors: 4, Updaters: 2}, 2},
-		{Config{Implementation: ReplicatedJoin, Extractors: 4}, 4},
-		{Config{Implementation: ReplicatedSearch, Extractors: 3, Updaters: 0}, 3},
+		{Config{}, 1},
+		{Config{Extractors: 1}, 1},
+		{Config{Extractors: 1, Updaters: 3}, 3},
+		{Config{Extractors: 4, Updaters: 2}, 2},
+		{Config{Extractors: 3, Updaters: 0}, 1},
+		{Config{Extractors: 3, Updaters: 2, Shards: 5}, 2},
 	}
 	for _, tc := range tests {
 		if got := tc.cfg.Replicas(); got != tc.want {
-			t.Errorf("%s %s Replicas = %d, want %d", tc.cfg.Implementation, tc.cfg.Tuple(), got, tc.want)
+			t.Errorf("%s Replicas = %d, want %d", tc.cfg.Tuple(), got, tc.want)
 		}
 	}
 }
 
 func TestDefaultConfigs(t *testing.T) {
-	seq := Default(Sequential, 8)
-	if seq.Extractors != 1 || seq.Updaters != 0 {
-		t.Errorf("sequential default = %s", seq.Tuple())
-	}
-	par := Default(SharedIndex, 8)
+	par := Default(ReplicatedSearch, 8)
 	if par.Extractors != 8 || par.Updaters != 1 {
 		t.Errorf("parallel default = %s", par.Tuple())
 	}
-	tiny := Default(SharedIndex, 0)
+	tiny := Default(ReplicatedSearch, 0)
 	if tiny.Extractors < 1 {
 		t.Errorf("degenerate cores gave %s", tiny.Tuple())
 	}
-	// Auto is Implementation 3 with Default's extractors and at least two
-	// updaters.
-	for cores, want := range map[int]string{1: "(1, 2, 0)", 2: "(2, 2, 0)", 8: "(8, 2, 0)"} {
-		auto := Auto(cores)
-		if auto.Implementation != ReplicatedSearch || auto.Tuple() != want {
-			t.Errorf("Auto(%d) = %v %s, want Implementation 3 %s", cores, auto.Implementation, auto.Tuple(), want)
+	// Auto is Default's extractors and two updaters.
+	for cores, want := range map[int]string{1: "(1, 2)", 2: "(2, 2)", 8: "(8, 2)"} {
+		if auto := Auto(cores); auto.Tuple() != want {
+			t.Errorf("Auto(%d) = %s, want %s", cores, auto.Tuple(), want)
 		}
 	}
 }
 
-// joined returns the run's partitions joined into one index. It consumes
-// them.
-func joined(res *Result) *index.Index { return index.JoinAll(res.Indexes()) }
+// joined returns the run's partitions folded into the first with
+// Index.Join. It consumes them.
+func joined(res *Result) *index.Index {
+	parts := res.Indexes()
+	for _, p := range parts[1:] {
+		parts[0].Join(p)
+	}
+	return parts[0]
+}
 
 func TestSequentialRun(t *testing.T) {
 	res := reference(t)
@@ -146,52 +135,45 @@ func TestSequentialRun(t *testing.T) {
 }
 
 // TestAllImplementationsAgree is the central correctness property: every
-// implementation, under many thread configurations, produces exactly the
-// reference index (after joining partitions where needed).
+// thread tuple produces exactly the reference index once its partitions
+// are joined.
 func TestAllImplementationsAgree(t *testing.T) {
 	want := joined(reference(t))
 	configs := []Config{
-		{Implementation: SharedIndex, Extractors: 1},
-		{Implementation: SharedIndex, Extractors: 4},
-		{Implementation: SharedIndex, Extractors: 3, Updaters: 1},
-		{Implementation: SharedIndex, Extractors: 3, Updaters: 2},
-		{Implementation: SharedIndex, Extractors: 8, Updaters: 4, Buffer: 2},
-		{Implementation: ReplicatedJoin, Extractors: 3, Updaters: 0},
-		{Implementation: ReplicatedJoin, Extractors: 3, Updaters: 5, Joiners: 1},
-		{Implementation: ReplicatedJoin, Extractors: 6, Updaters: 2, Joiners: 3},
-		{Implementation: ReplicatedJoin, Extractors: 2, Updaters: 4, Joiners: 2},
-		{Implementation: ReplicatedSearch, Extractors: 3, Updaters: 2},
-		{Implementation: ReplicatedSearch, Extractors: 4},
-		{Implementation: ReplicatedJoin, Extractors: 4},
+		{Extractors: 1},
+		{Extractors: 4},
+		{Extractors: 3, Updaters: 1},
+		{Extractors: 3, Updaters: 2},
+		{Extractors: 8, Updaters: 4},
+		{Extractors: 3, Updaters: 5},
+		{Extractors: 6, Updaters: 2},
+		{Extractors: 2, Updaters: 4},
+		{Extractors: 1, Updaters: 3},
 	}
 	for _, cfg := range configs {
 		res, err := Run(corpusFS(t), ".", cfg)
 		if err != nil {
-			t.Fatalf("%v %s: %v", cfg.Implementation, cfg.Tuple(), err)
+			t.Fatalf("%s: %v", cfg.Tuple(), err)
 		}
 		if !joined(res).Equal(want) {
-			t.Errorf("%v %s: index differs from sequential reference",
-				cfg.Implementation, cfg.Tuple())
+			t.Errorf("%s: index differs from sequential reference", cfg.Tuple())
 		}
 		if len(res.SkippedFiles) != 0 {
-			t.Errorf("%v %s: skipped %d files", cfg.Implementation, cfg.Tuple(), len(res.SkippedFiles))
+			t.Errorf("%s: skipped %d files", cfg.Tuple(), len(res.SkippedFiles))
 		}
 	}
 }
 
 // TestRandomConfigsAgreeWithReference drives the pipeline with randomized
-// configurations (implementation, thread counts, buffer size) and checks
-// every run produces the reference index.
+// thread tuples and shard counts and checks every run produces the
+// reference index.
 func TestRandomConfigsAgreeWithReference(t *testing.T) {
 	want := joined(reference(t))
-	if err := quick.Check(func(implRaw, x, y, z, buf uint8) bool {
-		impls := []Implementation{SharedIndex, ReplicatedJoin, ReplicatedSearch}
+	if err := quick.Check(func(x, y, n uint8) bool {
 		cfg := Config{
-			Implementation: impls[int(implRaw)%len(impls)],
-			Extractors:     int(x%6) + 1,
-			Updaters:       int(y % 5),
-			Joiners:        int(z % 4),
-			Buffer:         int(buf % 16),
+			Extractors: int(x%6) + 1,
+			Updaters:   int(y % 5),
+			Shards:     int(n % 6),
 		}
 		res, err := Run(corpusFS(t), ".", cfg)
 		if err != nil {
@@ -204,12 +186,9 @@ func TestRandomConfigsAgreeWithReference(t *testing.T) {
 }
 
 func TestReplicatedSearchKeepsReplicas(t *testing.T) {
-	res, err := Run(corpusFS(t), ".", Config{Implementation: ReplicatedSearch, Extractors: 4, Updaters: 3})
+	res, err := Run(corpusFS(t), ".", Config{Extractors: 4, Updaters: 3})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Timings.Join != 0 {
-		t.Error("ReplicatedSearch should not join")
 	}
 	if res.Set.Len() != 3 {
 		t.Errorf("got %d partitions, want one per replica, 3", res.Set.Len())
@@ -224,7 +203,7 @@ func TestReplicatedSearchKeepsReplicas(t *testing.T) {
 }
 
 func TestReplicatedSearchSingleReplicaIsIndex(t *testing.T) {
-	res, err := Run(corpusFS(t), ".", Config{Implementation: ReplicatedSearch, Extractors: 1})
+	res, err := Run(corpusFS(t), ".", Config{Extractors: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,16 +212,18 @@ func TestReplicatedSearchSingleReplicaIsIndex(t *testing.T) {
 	}
 }
 
-func TestReplicatedJoinTimesJoinPhase(t *testing.T) {
-	res, err := Run(corpusFS(t), ".", Config{Implementation: ReplicatedJoin, Extractors: 4, Updaters: 4, Joiners: 2})
+// TestRunCapsTuple: an extractor past the file count and an updater past
+// the partition count are not started, and Result.Config says so.
+func TestRunCapsTuple(t *testing.T) {
+	res, err := Run(corpusFS(t), ".", Config{Extractors: 200, Updaters: 8, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Timings.Join <= 0 {
-		t.Errorf("join phase not timed: %+v", res.Timings)
+	if got := res.Config.Tuple(); got != "(120, 4)" {
+		t.Errorf("Result.Config = %s, want (120, 4)", got)
 	}
-	if res.Set.Len() != 1 {
-		t.Errorf("join yielded %d partitions, want 1", res.Set.Len())
+	if !joined(res).Equal(joined(reference(t))) {
+		t.Error("capped run differs from sequential reference")
 	}
 }
 
@@ -253,7 +234,7 @@ func TestRunMissingRoot(t *testing.T) {
 }
 
 func TestRunInvalidConfig(t *testing.T) {
-	if _, err := Run(corpusFS(t), ".", Config{Implementation: Implementation(77)}); err == nil {
+	if _, err := Run(corpusFS(t), ".", Config{Updaters: -1}); err == nil {
 		t.Error("invalid config not rejected")
 	}
 }
@@ -262,7 +243,7 @@ func TestSkippedFilesAreReportedNotFatal(t *testing.T) {
 	// A file that vanishes between walk and read: emulate with an FS
 	// wrapper that fails reads for one path.
 	fs := failingFS{MemFS: corpusFS(t), failPath: "large-0.txt"}
-	res, err := Run(fs, ".", Config{Implementation: SharedIndex, Extractors: 4, Updaters: 1})
+	res, err := Run(fs, ".", Config{Extractors: 4, Updaters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +261,7 @@ func TestSkippedFilesAreReportedNotFatal(t *testing.T) {
 
 func TestSkippedFilesSequential(t *testing.T) {
 	fs := failingFS{MemFS: corpusFS(t), failPath: "large-1.txt"}
-	res, err := Run(fs, ".", Config{Implementation: Sequential})
+	res, err := Run(fs, ".", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,42 +338,32 @@ func routedReference(t *testing.T, ref *index.Index, n int) []*index.Index {
 }
 
 // TestShardedRunsAgreeWithReference checks every run's output across
-// implementation, thread tuple and Config.Shards, 0 included: whichever
-// goroutines inserted — one thread, extractors into locked partitions, or
-// owning updaters behind lanes — the set has Config.Shards partitions, or
-// when that is 0 one per replica for ReplicatedSearch and one otherwise,
-// and partition i equals the reference's postings that shard.ShardFor
-// routes to i (so the saved bytes cannot depend on the build path).
+// thread tuple and Config.Shards, 0 included: whichever goroutine owned a
+// partition — the one extractor, or an updater behind its lane — the set
+// has Config.Shards partitions, or when that is 0 one per updater (one
+// when there are none), and partition i equals the reference's postings
+// that shard.ShardFor routes to i (so the saved bytes cannot depend on the
+// build path).
 func TestShardedRunsAgreeWithReference(t *testing.T) {
 	ref := joined(reference(t))
 	fs := failingFS{MemFS: corpusFS(t), failPath: "large-0.txt"}
 	tuples := []Config{
-		{Implementation: Sequential},
-		{Implementation: SharedIndex, Extractors: 3},
-		{Implementation: SharedIndex, Extractors: 3, Updaters: 2},
-		{Implementation: ReplicatedJoin, Extractors: 3},
-		{Implementation: ReplicatedJoin, Extractors: 4, Updaters: 3, Joiners: 2},
-		{Implementation: ReplicatedSearch, Extractors: 3},
-		{Implementation: ReplicatedSearch, Extractors: 1},
-		{Implementation: ReplicatedSearch, Extractors: 1, Updaters: 2},
-		{Implementation: ReplicatedSearch, Extractors: 4, Updaters: 4},
-		{Implementation: ReplicatedSearch, Extractors: 4, Updaters: 3, Buffer: 2},
-		{Implementation: ReplicatedSearch, Extractors: 2, Updaters: 5},
+		{},
+		{Extractors: 3},
+		{Extractors: 3, Updaters: 2},
+		{Extractors: 1, Updaters: 2},
+		{Extractors: 4, Updaters: 4},
+		{Extractors: 4, Updaters: 3},
+		{Extractors: 2, Updaters: 5},
 	}
 	wants := map[int][]*index.Index{}
 	for _, n := range []int{0, 1, 4, 8} {
 		for _, cfg := range tuples {
 			cfg.Shards = n
-			name := fmt.Sprintf("%v %s shards=%d", cfg.Implementation, cfg.Tuple(), n)
+			name := fmt.Sprintf("%s shards=%d", cfg.Tuple(), n)
 			parts := n
 			if n == 0 {
-				parts = 1
-				if cfg.Implementation == ReplicatedSearch {
-					parts = cfg.Updaters
-					if parts == 0 {
-						parts = cfg.Extractors
-					}
-				}
+				parts = max(cfg.Updaters, 1)
 			}
 			if wants[parts] == nil {
 				wants[parts] = routedReference(t, ref, parts)
@@ -403,9 +374,6 @@ func TestShardedRunsAgreeWithReference(t *testing.T) {
 			}
 			if res.Set.Len() != parts {
 				t.Fatalf("%s: %d partitions, want %d", name, res.Set.Len(), parts)
-			}
-			if n > 0 && res.Timings.Join != 0 {
-				t.Errorf("%s: sharded run timed a join phase: %+v", name, res.Timings)
 			}
 			if len(res.SkippedFiles) != 0 {
 				t.Errorf("%s: skipped %d files", name, len(res.SkippedFiles))
@@ -440,10 +408,10 @@ func TestConfigValidateRejectsNegativeShards(t *testing.T) {
 // TestConfigValidateBoundsShards: a shard count LoadDir would refuse to
 // read back is refused before anything is built, naming the limit.
 func TestConfigValidateBoundsShards(t *testing.T) {
-	if err := (Config{Implementation: ReplicatedSearch, Shards: shard.MaxShards}).Validate(); err != nil {
+	if err := (Config{Shards: shard.MaxShards}).Validate(); err != nil {
 		t.Errorf("shard count at the limit rejected: %v", err)
 	}
-	err := (Config{Implementation: ReplicatedSearch, Shards: shard.MaxShards + 1}).Validate()
+	err := (Config{Shards: shard.MaxShards + 1}).Validate()
 	if err == nil {
 		t.Fatal("shard count above the limit accepted")
 	}
@@ -480,15 +448,15 @@ func goroutineID() uint64 {
 
 // TestRoundRobinDealing pins the Stage 1→2 dealing rule: job i goes to
 // extractor i mod x, whatever happens to the blocks afterwards. It
-// watches which goroutine read each file: under every design, there are x
+// watches which goroutine read each file: under every tuple, there are x
 // readers, and the files one reader read are exactly those whose IDs are
 // ≡ w (mod x) for some w.
 func TestRoundRobinDealing(t *testing.T) {
 	const x = 3
 	for _, cfg := range []Config{
-		{Implementation: ReplicatedSearch, Extractors: x},
-		{Implementation: ReplicatedSearch, Extractors: x, Updaters: 2, Shards: 4},
-		{Implementation: SharedIndex, Extractors: x, Updaters: 1},
+		{Extractors: x},
+		{Extractors: x, Updaters: 2, Shards: 4},
+		{Extractors: x, Updaters: 1},
 	} {
 		fs := &readerFS{MemFS: corpusFS(t), reader: map[string]uint64{}}
 		res, err := Run(fs, ".", cfg)
@@ -496,7 +464,7 @@ func TestRoundRobinDealing(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(fs.reader) != res.Files.Len() {
-			t.Fatalf("%v %s: read %d files of %d", cfg.Implementation, cfg.Tuple(), len(fs.reader), res.Files.Len())
+			t.Fatalf("%s: read %d files of %d", cfg.Tuple(), len(fs.reader), res.Files.Len())
 		}
 		read := map[uint64][]postings.FileID{}
 		for path, g := range fs.reader {
@@ -504,7 +472,7 @@ func TestRoundRobinDealing(t *testing.T) {
 			read[g] = append(read[g], id)
 		}
 		if len(read) != x {
-			t.Fatalf("%v %s: %d goroutines read files, want %d extractors", cfg.Implementation, cfg.Tuple(), len(read), x)
+			t.Fatalf("%s: %d goroutines read files, want %d extractors", cfg.Tuple(), len(read), x)
 		}
 		for _, got := range read {
 			slices.Sort(got)
@@ -513,7 +481,7 @@ func TestRoundRobinDealing(t *testing.T) {
 				want = append(want, id)
 			}
 			if !slices.Equal(got, want) {
-				t.Errorf("%v %s: one extractor read files %v, want %v", cfg.Implementation, cfg.Tuple(), got, want)
+				t.Errorf("%s: one extractor read files %v, want %v", cfg.Tuple(), got, want)
 			}
 		}
 	}

@@ -20,8 +20,6 @@ type Timings struct {
 	// ExtractUpdate is the overlapped wall time of Stages 2 and 3, which
 	// route every term block to its partition as they go.
 	ExtractUpdate time.Duration
-	// Join is the final replica merge (ReplicatedJoin only).
-	Join time.Duration
 	// Total is end-to-end wall time.
 	Total time.Duration
 }
@@ -36,15 +34,14 @@ type Skipped struct {
 
 // Result is the outcome of a pipeline run.
 type Result struct {
-	// Implementation and Config echo the run parameters (normalized).
-	Implementation Implementation
-	Config         Config
+	// Config echoes the tuple the run executed: normalized, with x capped
+	// at the file count and y at the partition count.
+	Config Config
 	// Files maps FileIDs to paths.
 	Files *index.FileTable
 	// Set is the run's output, partitions over Files each holding exactly
 	// the files shard.ShardFor routes to it: Config.Shards of them when
-	// set, otherwise one per replica for ReplicatedSearch and one for the
-	// other designs.
+	// set, otherwise Config.Replicas.
 	Set *shard.Set
 	// Timings is the phase breakdown.
 	Timings Timings
@@ -94,7 +91,7 @@ func Run(fsys fs.FS, root string, cfg Config) (*Result, error) {
 	}
 	cfg = cfg.normalized()
 
-	res := &Result{Implementation: cfg.Implementation, Config: cfg}
+	res := &Result{}
 	startTotal := time.Now()
 
 	// Stage 1: filename generation — one thread, completing before
@@ -110,87 +107,57 @@ func Run(fsys fs.FS, root string, cfg Config) (*Result, error) {
 	}
 	res.Timings.FilenameGen = time.Since(startTotal)
 
-	// Stages 2+3. Whichever implementation runs, the sinks are the
-	// partitions, and every term block is hash-routed to its file's
-	// partition as it crosses the Stage 2→3 boundary, so nothing is
-	// redistributed afterwards. Only ReplicatedJoin without Config.Shards
-	// joins its replicas, into the one partition it yields.
-	start23 := time.Now()
+	// An extractor past the file count gets no file, and an updater past
+	// the partition count owns nothing: neither is started, and neither
+	// gets a lane.
 	n := cfg.Shards
 	if n == 0 {
 		n = cfg.Replicas()
 	}
-	parts := runPipeline(fsys, cfg, files, n, res)
-	res.Timings.ExtractUpdate = time.Since(start23)
+	cfg.Extractors = min(cfg.Extractors, max(len(files), 1))
+	cfg.Updaters = min(cfg.Updaters, n)
+	res.Config = cfg
 
-	if cfg.Implementation == ReplicatedJoin && cfg.Shards == 0 {
-		startJoin := time.Now()
-		if cfg.Joiners > 1 {
-			parts = []*index.Index{index.ParallelJoin(parts, cfg.Joiners)}
-		} else {
-			parts = []*index.Index{index.JoinAll(parts)}
-		}
-		res.Timings.Join = time.Since(startJoin)
-	}
-	res.Set = shard.New(res.Files, parts)
+	// Stages 2+3: every term block is hash-routed to its file's partition
+	// as it crosses the Stage 2→3 boundary, so nothing is redistributed
+	// or joined afterwards.
+	start23 := time.Now()
+	res.Set = shard.New(res.Files, runPipeline(fsys, cfg, files, n, res))
+	res.Timings.ExtractUpdate = time.Since(start23)
 	res.Timings.Total = time.Since(startTotal)
 	return res, nil
 }
 
-// sink is one partition's builder: index.Builder where one goroutine feeds
-// it, index.Shared where several do.
-type sink interface {
-	AddBlock(id postings.FileID, terms []string, counts []uint32)
-	AddBlockPositional(id postings.FileID, terms []string, ends, pos []uint32)
-	Index() *index.Index
-}
+// router holds a run's partition builders, in partition order.
+type router []*index.Builder
 
-// router holds a run's partition sinks, in partition order.
-type router []sink
-
-// feed hands block to the sink of its file's partition, through the
+// feed hands block to the builder of its file's partition, through the
 // positional or plain insertion path depending on what the extractor
 // recorded.
 func (r router) feed(block extract.TermBlock) {
-	s := r[shard.ShardFor(block.File, len(r))]
+	b := r[shard.ShardFor(block.File, len(r))]
 	if block.Ends != nil {
-		s.AddBlockPositional(block.File, block.Terms, block.Ends, block.Pos)
+		b.AddBlockPositional(block.File, block.Terms, block.Ends, block.Pos)
 		return
 	}
-	s.AddBlock(block.File, block.Terms, block.Counts)
+	b.AddBlock(block.File, block.Terms, block.Counts)
 }
 
-// runPipeline executes Stages 2 and 3 with cfg.Extractors extraction
-// goroutines and, when cfg.Updaters > 0, separate updater goroutines fed
-// through a bounded buffer, and returns the n partitions they filled.
+// runPipeline executes Stages 2 and 3 and returns the n partitions they
+// filled. Every partition has one owner that logs its blocks without
+// locks and builds it as soon as its input ends (Implementation 3 with a
+// routing rule): the one extractor when cfg.Updaters is 0, otherwise
+// updater u for the partitions s ≡ u (mod y), fed through a lane of its
+// own.
 //
 // Stage 1's list is dealt round-robin: extractor w owns files w, w+x,
 // w+2x, … of it, a private vector read with no synchronization at all.
-//
-// The implementation decides who inserts, and that alone decides the
-// lanes. Where several goroutines can feed one partition — SharedIndex,
-// or extractors updating directly (y = 0, x > 1) — every partition's
-// builder is locked per block (Implementation 1, striped n ways),
-// SharedIndex's updaters drain one shared channel, and the partitions are
-// built once every goroutine is done. Otherwise every partition has one
-// owner that logs without locks (Implementation 3 with a routing rule):
-// the one extractor, or updater u for the partitions s ≡ u (mod y), fed
-// through a lane of its own. Each owner builds its partitions as soon as
-// its input ends.
 func runPipeline(fsys fs.FS, cfg Config, files []FileRef, n int, res *Result) []*index.Index {
-	locked := cfg.Implementation == SharedIndex || (cfg.Updaters == 0 && cfg.Extractors > 1)
 	r := make(router, n)
 	for i := range r {
-		if locked {
-			r[i] = index.NewShared(cfg.Extract.Positions)
-		} else {
-			r[i] = index.NewBuilder(cfg.Extract.Positions)
-		}
+		r[i] = index.NewBuilder(cfg.Extract.Positions)
 	}
 	owners := max(cfg.Updaters, 1)
-	if locked {
-		owners = 1
-	}
 	parts := make([]*index.Index, n)
 	// seal builds the partitions s ≡ owner (mod owners).
 	seal := func(owner int) {
@@ -220,57 +187,43 @@ func runPipeline(fsys fs.FS, cfg Config, files []FileRef, n int, res *Result) []
 	}
 
 	if cfg.Updaters == 0 {
-		// Extractors update the partitions directly.
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Extractors; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				dealt(w, r.feed)
-				if !locked {
-					seal(w)
-				}
-			}(w)
-		}
-		wg.Wait()
-	} else {
-		// Extractors feed updaters through bounded lanes of cfg.Buffer
-		// blocks each.
-		lanes := make([]chan extract.TermBlock, owners)
-		for i := range lanes {
-			lanes[i] = make(chan extract.TermBlock, cfg.Buffer)
-		}
-		var extractors sync.WaitGroup
-		for w := 0; w < cfg.Extractors; w++ {
-			extractors.Add(1)
-			go func(w int) {
-				defer extractors.Done()
-				dealt(w, func(block extract.TermBlock) {
-					lanes[shard.ShardFor(block.File, n)%owners] <- block
-				})
-			}(w)
-		}
-		var updaters sync.WaitGroup
-		for u := 0; u < cfg.Updaters; u++ {
-			updaters.Add(1)
-			go func(u int) {
-				defer updaters.Done()
-				for block := range lanes[u%owners] {
-					r.feed(block)
-				}
-				if !locked {
-					seal(u)
-				}
-			}(u)
-		}
-		extractors.Wait()
-		for _, lane := range lanes {
-			close(lane)
-		}
-		updaters.Wait()
-	}
-	if locked {
+		// The one extractor updates the partitions itself.
+		dealt(0, r.feed)
 		seal(0)
+		return parts
 	}
+	// A lane feeds one owner, so a burst of blocks routed to it must fit
+	// there or stall every extractor while the other owners idle: it
+	// holds 32 blocks per extractor.
+	lanes := make([]chan extract.TermBlock, owners)
+	for i := range lanes {
+		lanes[i] = make(chan extract.TermBlock, 32*cfg.Extractors)
+	}
+	var extractors sync.WaitGroup
+	for w := 0; w < cfg.Extractors; w++ {
+		extractors.Add(1)
+		go func(w int) {
+			defer extractors.Done()
+			dealt(w, func(block extract.TermBlock) {
+				lanes[shard.ShardFor(block.File, n)%owners] <- block
+			})
+		}(w)
+	}
+	var updaters sync.WaitGroup
+	for u := range lanes {
+		updaters.Add(1)
+		go func(u int) {
+			defer updaters.Done()
+			for block := range lanes[u] {
+				r.feed(block)
+			}
+			seal(u)
+		}(u)
+	}
+	extractors.Wait()
+	for _, lane := range lanes {
+		close(lane)
+	}
+	updaters.Wait()
 	return parts
 }

@@ -37,7 +37,7 @@ func seedFS(t *testing.T) *vfs.MemFS {
 
 func build(t *testing.T, fsys fs.FS, shards int) *core.Result {
 	t.Helper()
-	res, err := core.Run(fsys, ".", core.Config{Implementation: core.Sequential, Shards: shards})
+	res, err := core.Run(fsys, ".", core.Config{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"strings"
-	"sync"
 
 	"desksearch/internal/postings"
 )
@@ -19,7 +18,7 @@ import (
 // has no spare capacity. Blocks may therefore arrive in any order, as they
 // do from several extractors.
 //
-// A Builder has one owner; Shared puts one behind a lock.
+// A Builder has one owner: it takes no lock.
 type Builder struct {
 	positional bool
 	ords       map[string]uint32 // term → its ordinal, an index into names
@@ -298,34 +297,3 @@ func sortRun(run []uint32) []uint32 {
 	slices.Sort(run)
 	return slices.Compact(run)
 }
-
-// Shared is a Builder behind a mutex: the paper's Implementation 1 ("use a
-// single shared index and lock it on update"). Every updater thread logs
-// its blocks under the lock, the coarse-grained critical section whose
-// contention the paper measures; Index builds once they are all done.
-type Shared struct {
-	mu sync.Mutex
-	b  *Builder
-}
-
-// NewShared returns a locked builder; positional is NewBuilder's.
-func NewShared(positional bool) *Shared { return &Shared{b: NewBuilder(positional)} }
-
-// AddBlock logs a term block under the lock.
-func (s *Shared) AddBlock(id postings.FileID, terms []string, counts []uint32) {
-	s.mu.Lock()
-	s.b.AddBlock(id, terms, counts)
-	s.mu.Unlock()
-}
-
-// AddBlockPositional logs a positional term block under the lock,
-// adopting pos as Builder.AddBlockPositional does.
-func (s *Shared) AddBlockPositional(id postings.FileID, terms []string, ends, pos []uint32) {
-	s.mu.Lock()
-	s.b.AddBlockPositional(id, terms, ends, pos)
-	s.mu.Unlock()
-}
-
-// Index builds the index. Call only after every updater has finished (the
-// pipeline's barrier guarantees this).
-func (s *Shared) Index() *Index { return s.b.Index() }

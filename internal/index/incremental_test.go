@@ -154,7 +154,7 @@ func TestTopTermsAcrossMatchesJoin(t *testing.T) {
 		bld[i%len(bld)].AddBlock(postings.FileID(i), terms, nil)
 	}
 	parts := []*Index{bld[0].Index(), bld[1].Index(), bld[2].Index()}
-	// The join is built from the same blocks: JoinAll would consume parts.
+	// The join is built from the same blocks: Join would consume parts.
 	for i, terms := range blocks {
 		bld[0].AddBlock(postings.FileID(i), terms, nil)
 	}

@@ -1,7 +1,7 @@
-// Package index implements the inverted index of the desktop search engine
-// and the paper's three interaction disciplines with it: exclusive
-// single-threaded updates, lock-guarded shared updates (Implementation 1),
-// and replica indices merged by "Join Forces" (Implementations 2 and 3).
+// Package index implements the inverted index of the desktop search engine:
+// each partition filled by one owner's Builder, without locks, and merged
+// into another index by "Join Forces" (Index.Join) where an update or a
+// shard merge needs one.
 //
 // The index is a Go map from each term to a posting list of the files
 // containing it. The paper's Section 3 decision is how it is filled: en
@@ -133,8 +133,7 @@ func (t *FileTable) Paths() []string { return t.paths }
 
 // Index is an inverted index: a map from term to posting list, built from
 // duplicate-free term blocks by a Builder. It is not safe for concurrent
-// mutation; use Shared for Implementation 1, or one Builder per updater
-// for Implementations 2 and 3.
+// mutation: every partition has one owner.
 //
 // Beside the map it keeps, through every mutator, the dictionary order —
 // keys ascending and each term's list parallel to them, so a walk costs

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -195,85 +194,11 @@ func TestJoinEqualsSequentialReference(t *testing.T) {
 		for i, b := range builders {
 			replicas[i] = b.Index()
 		}
-		got := JoinAll(replicas)
-		return got.Equal(want)
+		for _, r := range replicas[1:] {
+			replicas[0].Join(r)
+		}
+		return replicas[0].Equal(want)
 	}, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestParallelJoinEqualsSequentialJoin(t *testing.T) {
-	for _, nReplicas := range []int{1, 2, 3, 5, 8, 16} {
-		for _, workers := range []int{1, 2, 4} {
-			rng := rand.New(rand.NewSource(int64(nReplicas*100 + workers)))
-			blocks := randomBlocks(rng, 60, 30)
-			want := referenceIndex(blocks)
-
-			build := func() []*Index {
-				builders := make([]*Builder, nReplicas)
-				for i := range builders {
-					builders[i] = NewBuilder(false)
-				}
-				i := 0
-				ids := make([]postings.FileID, 0, len(blocks))
-				for id := range blocks {
-					ids = append(ids, id)
-				}
-				sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-				for _, id := range ids {
-					builders[i%nReplicas].AddBlock(id, blocks[id], nil)
-					i++
-				}
-				replicas := make([]*Index, nReplicas)
-				for i, b := range builders {
-					replicas[i] = b.Index()
-				}
-				return replicas
-			}
-			got := ParallelJoin(build(), workers)
-			if !got.Equal(want) {
-				t.Fatalf("ParallelJoin(%d replicas, %d workers) diverged", nReplicas, workers)
-			}
-			if got.NumPostings() != want.NumPostings() {
-				t.Fatalf("posting count diverged: %d vs %d", got.NumPostings(), want.NumPostings())
-			}
-		}
-	}
-}
-
-func TestJoinAllEmpty(t *testing.T) {
-	if ix := JoinAll(nil); ix.NumTerms() != 0 {
-		t.Error("JoinAll(nil) not empty")
-	}
-	if ix := ParallelJoin(nil, 4); ix.NumTerms() != 0 {
-		t.Error("ParallelJoin(nil) not empty")
-	}
-}
-
-func TestSharedConcurrentAddBlock(t *testing.T) {
-	s := NewShared(false)
-	const workers = 8
-	const filesPerWorker = 50
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for f := 0; f < filesPerWorker; f++ {
-				id := postings.FileID(w*filesPerWorker + f)
-				s.AddBlock(id, []string{"common", fmt.Sprintf("w%d", w), fmt.Sprintf("f%d", f)}, nil)
-			}
-		}(w)
-	}
-	wg.Wait()
-	ix := s.Index()
-	if got := ix.Lookup("common").Len(); got != workers*filesPerWorker {
-		t.Errorf("common has %d postings, want %d", got, workers*filesPerWorker)
-	}
-	// Per-worker terms appear in exactly filesPerWorker files.
-	for w := 0; w < workers; w++ {
-		if got := ix.Lookup(fmt.Sprintf("w%d", w)).Len(); got != filesPerWorker {
-			t.Errorf("w%d has %d postings", w, got)
-		}
 	}
 }

@@ -78,10 +78,9 @@ type Engine struct {
 }
 
 // NewEngine returns an engine over the given partitions — heap indices,
-// lazy segment readers, or a mix — as global shards 0..len(parts)-1. For a
-// joined or shared index pass exactly one; for Implementation 3 or a shard
-// set pass every partition. (A []*index.Index converts via
-// index.Partitions.)
+// lazy segment readers, or a mix — as global shards 0..len(parts)-1: one
+// for a single index, every partition of a shard set. (A []*index.Index
+// converts via index.Partitions.)
 func NewEngine(files *index.FileTable, parts ...index.Partition) *Engine {
 	return NewSubsetEngine(files, nil, parts...)
 }

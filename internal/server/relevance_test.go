@@ -281,7 +281,7 @@ func TestWireBodiesPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cat, err := desksearch.IndexFS(fs, ".", desksearch.Options{Implementation: desksearch.Sequential, Positions: true})
+	cat, err := desksearch.IndexFS(fs, ".", desksearch.Options{Extractors: 1, Positions: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 			t.Fatal(err)
 		}
 	}
-	cat, err := desksearch.IndexFS(fs, ".", desksearch.Options{Implementation: desksearch.Sequential, Shards: 2})
+	cat, err := desksearch.IndexFS(fs, ".", desksearch.Options{Extractors: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestFullReloadSwapsCatalog(t *testing.T) {
 	var f *fixture
 	f = newFixture(t, Config{
 		Rebuild: func() (*desksearch.Catalog, error) {
-			return desksearch.IndexFS(f.fs, ".", desksearch.Options{Implementation: desksearch.Sequential, Shards: 2})
+			return desksearch.IndexFS(f.fs, ".", desksearch.Options{Extractors: 1, Shards: 2})
 		},
 	})
 	var before SearchResponse
@@ -319,7 +319,7 @@ func TestReloadDisabled(t *testing.T) {
 	if err := fs.WriteFile("a.txt", []byte("alpha")); err != nil {
 		t.Fatal(err)
 	}
-	cat, err := desksearch.IndexFS(fs, ".", desksearch.Options{Implementation: desksearch.Sequential})
+	cat, err := desksearch.IndexFS(fs, ".", desksearch.Options{Extractors: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -610,12 +610,12 @@ func brokerShape(name, base string) oracleShape {
 	}}
 }
 
-// oracleDesigns names the values of desksearch.Implementation.
-var oracleDesigns = []string{"Auto", "Sequential", "SharedIndex", "ReplicatedJoin", "ReplicatedSearch"}
+// autoTuple reports whether opt leaves the thread tuple to the machine.
+func autoTuple(opt desksearch.Options) bool { return opt.Extractors == 0 && opt.Updaters == 0 }
 
 // buildShapes builds oc's corpus under every option set and, for each n
-// in saves, saves the default design's n-shard build (which opts must
-// hold) into dirs[n] and loads it back as one more shape.
+// in saves, saves the default tuple's n-shard build (which opts must hold)
+// into dirs[n] and loads it back as one more shape.
 func buildShapes(t testing.TB, oc *oracleCorpus, opts []desksearch.Options, saves ...int) (shapes []oracleShape, dirs map[int]string) {
 	dirs = map[int]string{}
 	for _, opt := range opts {
@@ -626,8 +626,12 @@ func buildShapes(t testing.TB, oc *oracleCorpus, opts []desksearch.Options, save
 		if n := opt.Shards; n > 0 && (cat.Indices() != n || cat.TotalShards() != n) {
 			t.Fatalf("%+v: %d partitions of %d", opt, cat.Indices(), cat.TotalShards())
 		}
-		shapes = append(shapes, catalogShape(fmt.Sprintf("IndexFS %s, %d shards", oracleDesigns[opt.Implementation], opt.Shards), cat))
-		if slices.Contains(saves, opt.Shards) && opt.Implementation == desksearch.Auto {
+		tuple := fmt.Sprintf("(%d, %d)", opt.Extractors, opt.Updaters)
+		if autoTuple(opt) {
+			tuple = "auto"
+		}
+		shapes = append(shapes, catalogShape(fmt.Sprintf("IndexFS %s, %d shards", tuple, opt.Shards), cat))
+		if slices.Contains(saves, opt.Shards) && autoTuple(opt) {
 			dirs[opt.Shards] = t.TempDir()
 			if err := cat.SaveDir(dirs[opt.Shards]); err != nil {
 				t.Fatal(err)
@@ -764,16 +768,17 @@ func checkShape(t testing.TB, r *ref, s oracleShape, reqs ...oracleReq) {
 }
 
 // oracleBuilds are the build shapes: IndexFS with 1–5 shards under the
-// default design, and the paper's other three designs.
+// default tuple, the sequential baseline (1, 0), one owner for three
+// partitions (3, 1), and two owners for two (3, 2).
 var oracleBuilds = []desksearch.Options{
 	{Positions: true, Shards: 1},
 	{Positions: true, Shards: 2},
 	{Positions: true, Shards: 3},
 	{Positions: true, Shards: 4},
 	{Positions: true, Shards: 5},
-	{Positions: true, Implementation: desksearch.Sequential},
-	{Positions: true, Implementation: desksearch.SharedIndex, Extractors: 3, Shards: 3},
-	{Positions: true, Implementation: desksearch.ReplicatedJoin, Extractors: 3, Updaters: 2, Joiners: 1},
+	{Positions: true, Extractors: 1},
+	{Positions: true, Extractors: 3, Shards: 3},
+	{Positions: true, Extractors: 3, Updaters: 2},
 }
 
 // TestEveryShapeMatchesOracle holds every serving shape to the reference

@@ -42,7 +42,7 @@ func syntheticFS(t testing.TB, n int) *vfs.MemFS {
 func shardedCatalog(t testing.TB, fs *vfs.MemFS, shards int) *Catalog {
 	t.Helper()
 	cat, err := IndexFS(fs, ".", Options{
-		Implementation: ReplicatedSearch, Extractors: 4, Updaters: 2, Shards: shards,
+		Extractors: 4, Updaters: 2, Shards: shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +342,6 @@ func TestOptionsValidateNegatives(t *testing.T) {
 		"Shards":     {Shards: -1},
 		"Extractors": {Extractors: -2},
 		"Updaters":   {Updaters: -3},
-		"Joiners":    {Joiners: -4},
 	} {
 		_, err := IndexFS(fs, ".", opt)
 		if err == nil {
@@ -360,7 +359,7 @@ func TestOptionsValidateNegatives(t *testing.T) {
 // used to report counts shared terms once per shard.
 func TestStatsExactTerms(t *testing.T) {
 	fs := demoFS(t)
-	seq, err := IndexFS(fs, ".", Options{Implementation: Sequential})
+	seq, err := IndexFS(fs, ".", Options{Extractors: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +556,7 @@ func TestNormalizeKeyInjective(t *testing.T) {
 // no-op update leaves it alone (so caches stay warm across empty polls).
 func TestGenerationAdvancesOnCommit(t *testing.T) {
 	fs := demoFS(t)
-	cat, err := IndexFS(fs, ".", Options{Implementation: Sequential, Shards: 2})
+	cat, err := IndexFS(fs, ".", Options{Extractors: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +583,7 @@ func TestGenerationAdvancesOnCommit(t *testing.T) {
 // race-free (run with -race).
 func TestCatalogSwap(t *testing.T) {
 	fs := demoFS(t)
-	cat, err := IndexFS(fs, ".", Options{Implementation: Sequential, Shards: 2})
+	cat, err := IndexFS(fs, ".", Options{Extractors: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +614,7 @@ func TestCatalogSwap(t *testing.T) {
 	if err := fs.WriteFile("swapped.txt", []byte("omega omega")); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := IndexFS(fs, ".", Options{Implementation: Sequential, Shards: 4})
+	fresh, err := IndexFS(fs, ".", Options{Extractors: 1, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -15,142 +13,6 @@ import (
 	"desksearch/internal/shard"
 	"desksearch/internal/vfs"
 )
-
-// bm25FS generates a deterministic corpus with skewed term frequencies and
-// widely varying document lengths — the regime where BM25's IDF weighting
-// and length normalization actually discriminate.
-func bm25FS(t *testing.T) *vfs.MemFS {
-	t.Helper()
-	fs := vfs.NewMemFS()
-	vocab := []string{
-		"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta",
-		"theta", "iota", "kappa", "lambda", "report", "reposition",
-	}
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 24; i++ {
-		n := 3 + rng.Intn(60) // token lengths from 3 to 62
-		words := make([]string, n)
-		for j := range words {
-			// Skew: low vocabulary indices appear far more often.
-			k := rng.Intn(len(vocab))
-			if rng.Intn(2) == 0 {
-				k = rng.Intn(4)
-			}
-			words[j] = vocab[k]
-		}
-		name := fmt.Sprintf("dir%d/doc%02d.txt", i%3, i)
-		if err := fs.WriteFile(name, []byte(strings.Join(words, " "))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return fs
-}
-
-var bm25Queries = []string{
-	"alpha",
-	"report",
-	"alpha OR kappa",
-	"alpha AND beta AND NOT gamma",
-	"repo*",
-	"alpha OR rep*",
-	"a* OR b*",
-}
-
-// bm25Scores runs q BM25-ranked and returns the ordered (path, score-bits)
-// rendering of the full hit list, so two catalogs compare bit-for-bit.
-func bm25Scores(t *testing.T, cat *Catalog, q string) []string {
-	t.Helper()
-	resp, err := cat.Query(context.Background(), Query{Text: q, Ranking: RankBM25})
-	if err != nil {
-		t.Fatalf("Query(%q): %v", q, err)
-	}
-	out := make([]string, len(resp.Hits))
-	for i, h := range resp.Hits {
-		out[i] = fmt.Sprintf("%s:%016x", h.Path, math.Float64bits(h.Score))
-	}
-	return out
-}
-
-func assertBM25Identical(t *testing.T, stage string, flat, sharded *Catalog) {
-	t.Helper()
-	for _, q := range bm25Queries {
-		a := bm25Scores(t, flat, q)
-		b := bm25Scores(t, sharded, q)
-		if len(a) == 0 {
-			t.Errorf("%s: %q matched nothing — fixture too weak", stage, q)
-		}
-		if fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Errorf("%s: %q diverges\n  unsharded: %v\n  sharded:   %v", stage, q, a, b)
-		}
-	}
-}
-
-// TestBM25ShardInvariance is the acceptance property for the v3 relevance
-// work: a sharded catalog's BM25 scores are byte-for-byte (Float64bits)
-// the unsharded catalog's scores, through every catalog lifecycle — fresh
-// build, persisted round-trip, and incremental update.
-func TestBM25ShardInvariance(t *testing.T) {
-	fs := bm25FS(t)
-	flat, err := IndexFS(fs, ".", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := IndexFS(fs, ".", Options{Implementation: ReplicatedSearch, Shards: 4, Extractors: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBM25Identical(t, "fresh", flat, sharded)
-
-	// Persisted round-trip: sharded catalogs through SaveDir/LoadDir.
-	dir := t.TempDir()
-	if err := sharded.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBM25Identical(t, "persisted", flat, loaded)
-
-	// Incremental update: mutate the corpus (add, modify, delete) and
-	// apply the same changeset to the flat and the loaded sharded catalog.
-	if err := fs.WriteFile("dir0/new.txt", []byte("alpha alpha report kappa")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile("dir0/doc00.txt", []byte("beta beta beta reposition")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Remove("dir1/doc01.txt"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := flat.Update(fs, "."); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loaded.Update(fs, "."); err != nil {
-		t.Fatal(err)
-	}
-	assertBM25Identical(t, "updated", flat, loaded)
-}
-
-// TestBM25SurvivesUnshardedRoundTrip: a catalog built without Shards saves
-// its own indices as the directory's segments, and the manifest preserves
-// document lengths, so its round trip scores identically too.
-func TestBM25SurvivesUnshardedRoundTrip(t *testing.T) {
-	fs := bm25FS(t)
-	cat, err := IndexFS(fs, ".", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := cat.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBM25Identical(t, "unsharded", cat, loaded)
-}
 
 // TestSuggestPublicAPI exercises Catalog.Suggest end to end: document-
 // frequency ranking with ties broken alphabetically, and the n cap.
