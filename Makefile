@@ -90,9 +90,11 @@ docs-check:
 # (cursor arithmetic at both ends of the uint32 range), and on the
 # positional posting list's operations (inserts, merges, removal,
 # demotion, windows, the codec round trip), on the index builder (blocks
-# of both kinds in any order) and on a batch removal from a built index
+# of both kinds in any order), on a batch removal from a built index
 # (victims held by no list, past the largest posting, adjacent, every file)
-# against map models, on the term scanner (arbitrary bytes, non-ASCII
+# and on sequences of the dictionary's mutators and a segment round trip
+# over terms with colliding FNV-1 hashes (the term table kept through
+# each) against map models, on the term scanner (arbitrary bytes, non-ASCII
 # included, every hash it emits checked) and the extractor's term blocks
 # (terms, counts, position runs, token totals; counted and positional)
 # against a naive split-fold-drop reference, and on whole
@@ -112,6 +114,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPositionalList -fuzztime=10s ./internal/postings/
 	$(GO) test -run='^$$' -fuzz=FuzzBuild -fuzztime=10s ./internal/index/
 	$(GO) test -run='^$$' -fuzz=FuzzRemoveFiles -fuzztime=10s ./internal/index/
+	$(GO) test -run='^$$' -fuzz=FuzzDictionary -fuzztime=10s ./internal/index/
 	$(GO) test -run='^$$' -fuzz=FuzzScan -fuzztime=10s ./internal/tokenize/
 	$(GO) test -run='^$$' -fuzz=FuzzFile -fuzztime=10s ./internal/extract/
 	$(GO) test -run='^$$' -fuzz=FuzzQueryOracle -fuzztime=10s .

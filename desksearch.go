@@ -452,10 +452,10 @@ func (c *Catalog) Suggest(ctx context.Context, prefix string, n int) ([]Suggesti
 // Stats summarizes the catalog. Files counts live files only: a file
 // deleted by an incremental update keeps its FileID slot as a tombstone
 // but no longer counts. Terms is exact for every catalog shape: distinct
-// terms are counted once across partitions with the same single-pass
-// counter TopTerms aggregates with, not summed per partition. Postings
-// sum per partition (partitions are document-disjoint) and, like Terms,
-// come from the dictionaries alone: no posting block is decoded.
+// terms are counted once across partitions, by the merge of their
+// ascending dictionaries TopTerms also uses, not summed per partition.
+// Postings sum per partition (partitions are document-disjoint) and, like
+// Terms, come from the dictionaries alone: no posting block is decoded.
 func (c *Catalog) Stats() Stats {
 	var out Stats
 	c.engine.View(func() {

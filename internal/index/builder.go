@@ -21,8 +21,8 @@ import (
 // A Builder has one owner: it takes no lock.
 type Builder struct {
 	positional bool
-	ords       map[string]uint32 // term → its ordinal, an index into names
-	names      []string
+	names      []string  // the logged terms, each once, in arrival order
+	table      termTable // term → its ordinal, an index into names
 	// totals is parallel to names. It is apart from them, and small, so
 	// that the per-entry update stays in cache.
 	totals []termTotals
@@ -31,6 +31,10 @@ type Builder struct {
 	// larger file ID, so Index must sort.
 	unordered bool
 }
+
+// builderInitialSlots sizes a Builder's term table when its first term
+// arrives: room for 1 792 terms before it first grows.
+const builderInitialSlots = 1 << 11
 
 // termTotals is what the log holds of one term: the sizes of its columns.
 type termTotals struct {
@@ -121,13 +125,14 @@ func (b *Builder) AddBlockPositional(id postings.FileID, terms []string, ends, p
 // note adds one entry of kind, with npos positions, to term's totals and
 // returns the term's ordinal.
 func (b *Builder) note(term string, kind uint8, npos int) uint32 {
-	o, ok := b.ords[term]
-	if !ok {
-		if b.ords == nil {
-			b.ords = make(map[string]uint32, 1<<10)
+	h := hashTerm(term)
+	o := b.table.find(b.names, term, h)
+	if o < 0 {
+		if b.table.slots == nil {
+			b.table.slots = make([]termSlot, builderInitialSlots)
 		}
-		o = uint32(len(b.names))
-		b.ords[term] = o
+		o = len(b.names)
+		b.table.insert(h, o)
 		b.names = append(b.names, term)
 		b.totals = append(b.totals, termTotals{})
 	}
@@ -135,7 +140,7 @@ func (b *Builder) note(term string, kind uint8, npos int) uint32 {
 	t.postings++
 	t.positions += uint32(npos)
 	t.kinds |= kind
-	return o
+	return uint32(o)
 }
 
 // seal records a block; one that logged nothing is dropped.
@@ -157,21 +162,27 @@ func (b *Builder) seal(blk loggedBlock) {
 // entry counting its run's length — as List.Merge demotes a positional
 // list merged with a counted one.
 //
-// The terms are sorted once, here, and each term's columns are allocated
-// and its list header placed in that order, so that a walk of the
-// dictionary reads memory front to back.
+// The terms are sorted once, here, by their first eight bytes read as a
+// big-endian integer and by the whole strings only where those tie, and
+// each term's columns are allocated and its list header placed in that
+// order, so that a walk of the dictionary reads memory front to back.
 func (b *Builder) Index() *Index {
 	if b.unordered {
 		slices.SortStableFunc(b.blocks, func(x, y loggedBlock) int { return cmp.Compare(x.id, y.id) })
 	}
-	order := make([]uint32, len(b.names)) // ordinals in dictionary order
-	for i := range order {
-		order[i] = uint32(i)
+	order := make([]sortKey, len(b.names)) // ordinals in dictionary order
+	for o, term := range b.names {
+		order[o] = sortKey{prefix8(term), uint32(o)}
 	}
-	slices.SortFunc(order, func(x, y uint32) int { return strings.Compare(b.names[x], b.names[y]) })
+	slices.SortFunc(order, func(x, y sortKey) int {
+		if c := cmp.Compare(x.prefix, y.prefix); c != 0 {
+			return c
+		}
+		return strings.Compare(b.names[x.ord], b.names[y.ord])
+	})
 	cols := make([]column, len(b.totals))
-	for _, o := range order {
-		cols[o] = newColumn(b.totals[o])
+	for _, k := range order {
+		cols[k.ord] = newColumn(b.totals[k.ord])
 	}
 	var docs []postings.FileID
 	for i, blk := range b.blocks {
@@ -195,13 +206,34 @@ func (b *Builder) Index() *Index {
 	}
 	terms := make([]string, len(order))
 	slab := make([]postings.List, len(order))
-	for k, o := range order {
-		terms[k] = b.names[o]
-		slab[k] = cols[o].list()
+	for i, k := range order {
+		terms[i] = b.names[k.ord]
+		slab[i] = cols[k.ord].list()
 	}
 	ix := NewOrdered(terms, slab, docs, b.positional)
 	*b = Builder{positional: b.positional}
 	return ix
+}
+
+// sortKey is a term's ordinal with its first eight bytes, big-endian and
+// zero-padded: ordering the keys orders the terms wherever they differ in
+// those bytes.
+type sortKey struct {
+	prefix uint64
+	ord    uint32
+}
+
+// prefix8 returns term's first eight bytes as a big-endian integer, the
+// missing bytes of a shorter term read as zero.
+func prefix8(term string) uint64 {
+	var k uint64
+	for i := 0; i < 8; i++ {
+		k <<= 8
+		if i < len(term) {
+			k |= uint64(term[i])
+		}
+	}
+	return k
 }
 
 // column is one term's posting list while Index fills it: columns of the

@@ -322,3 +322,166 @@ func TestDocsAllocsIndependentOfTerms(t *testing.T) {
 		t.Fatalf("Docs allocates %v times over 100 terms and %v over 10 000", few, many)
 	}
 }
+
+// fuzzVocab is FuzzDictionary's vocabulary: two pairs of terms with equal
+// FNV-1 hashes (m5jttwr and xhknl3g hash to 0x22059808, 8x23n1h and
+// zqqkclt to 0x496001e5) among terms that hash apart, so a probe must
+// tell the members of a pair apart by their bytes.
+var fuzzVocab = []string{
+	"m5jttwr", "xhknl3g", "8x23n1h", "zqqkclt",
+	"a", "b", "ba", "m5jttw", "m5jttwrx", "t00", "t01", "t02", "xhknl3", "zz", "zzz", "9",
+}
+
+// dictOps reads a FuzzDictionary program: bytes past the end read as 0.
+type dictOps struct {
+	b []byte
+	i int
+}
+
+func (r *dictOps) next() int {
+	if r.i >= len(r.b) {
+		return 0
+	}
+	r.i++
+	return int(r.b[r.i-1])
+}
+
+// terms reads a duplicate-free block: fuzzVocab's terms whose bits are set
+// in a two-byte mask, or the first term when none is.
+func (r *dictOps) terms() []string {
+	mask := r.next() | r.next()<<8
+	var out []string
+	for k, term := range fuzzVocab {
+		if mask&(1<<k) != 0 {
+			out = append(out, term)
+		}
+	}
+	if out == nil {
+		out = fuzzVocab[:1]
+	}
+	return out
+}
+
+// FuzzDictionary runs TestDictionaryMatchesMapModel's mutators — a
+// one-block Join, MergeTerm, RemoveFiles, a many-block Join, and a
+// segment Write and Materialize — in the order, and on the blocks,
+// merged lists and victims, that the program's bytes choose, over
+// fuzzVocab. After every step it holds every read to the model, and every
+// vocabulary term the model lacks to being absent, so a term table a
+// mutation leaves stale, or a probe that stops at the wrong member of a
+// colliding pair, is searched for and not only seeded.
+//
+// The program's first byte's low bit makes the index positional and its
+// second sizes index.New. Each step is then an op byte (mod 5) and its
+// operands: a block is a two-byte term mask; MergeTerm a term byte, a
+// count byte (mod 4, plus 1) and that many ID bytes; RemoveFiles a count
+// byte (mod 6, plus 1) and that many ID bytes; Join a count byte (mod 4,
+// plus 1) and that many blocks. An ID byte picks an issued ID, or a fresh
+// one when it is the number of IDs issued; RemoveFiles' may name IDs past
+// both.
+func FuzzDictionary(f *testing.F) {
+	// Both members of each pair, then one removed, then rejoined.
+	f.Add([]byte{0, 0, 0, 0x0f, 0, 0, 0x05, 0, 2, 1, 1, 3, 0, 0x02, 0, 0x08, 0})
+	// Positional: merges of the pairs' absent partners, a round trip, a
+	// removal of every file.
+	f.Add([]byte{1, 4, 1, 1, 0, 1, 0, 0x01, 0, 1, 3, 1, 0, 4, 2, 5, 0, 1, 2, 3, 4, 5, 0, 0x0a, 0})
+	// Terms around the pair members' bytes, grown past the initial table.
+	f.Add([]byte{0, 0, 3, 3, 0xf0, 0xff, 0xff, 0x0f, 0x33, 0x33, 0xcc, 0xcc, 1, 15, 0, 0})
+	f.Fuzz(func(t *testing.T, program []byte) {
+		r := &dictOps{b: program}
+		positional := r.next()%2 == 1
+		ix := index.New(r.next())
+		if positional {
+			ix.SetPositional()
+		}
+		model := map[string][]postings.FileID{}
+		next := postings.FileID(0) // every ID below it has been issued
+		id := func() postings.FileID {
+			v := postings.FileID(r.next()) % (next + 1)
+			if v == next {
+				next++
+			}
+			return v
+		}
+		add := func(dst *index.Builder, terms []string) {
+			fresh := next
+			next++
+			ends, pos := make([]uint32, len(terms)), make([]uint32, len(terms))
+			for i, term := range terms {
+				ends[i], pos[i] = uint32(i+1), uint32(i)
+				model[term] = union(model[term], fresh)
+			}
+			if positional {
+				dst.AddBlockPositional(fresh, terms, ends, pos)
+			} else {
+				dst.AddBlock(fresh, terms, nil)
+			}
+		}
+		for step := 0; r.i < len(r.b) && step < 64; step++ {
+			var op string
+			switch r.next() % 5 {
+			case 0:
+				op = "AddBlock"
+				one := index.NewBuilder(positional)
+				add(one, r.terms())
+				ix.Join(one.Index())
+			case 1:
+				op = "MergeTerm"
+				term := fuzzVocab[r.next()%len(fuzzVocab)]
+				l := &postings.List{}
+				for k := r.next()%4 + 1; k > 0; k-- {
+					v := id()
+					if positional {
+						l.Merge(postings.FromSortedIDPositions([]postings.FileID{v}, [][]uint32{{0}}))
+					} else {
+						l.Add(v)
+					}
+					model[term] = union(model[term], v)
+				}
+				ix.MergeTerm(term, l)
+			case 2:
+				op = "RemoveFiles"
+				var victims []postings.FileID
+				for k := r.next()%6 + 1; k > 0; k-- {
+					victims = append(victims, postings.FileID(r.next()))
+				}
+				want := 0
+				for term, ids := range model {
+					kept := ids[:0:0]
+					for _, v := range ids {
+						if slices.Contains(victims, v) {
+							want++
+						} else {
+							kept = append(kept, v)
+						}
+					}
+					if len(kept) == 0 {
+						delete(model, term)
+					} else {
+						model[term] = kept
+					}
+				}
+				if got := ix.RemoveFiles(postings.FromIDs(victims)); got != want {
+					t.Fatalf("step %d: RemoveFiles removed %d postings, model %d", step, got, want)
+				}
+			case 3:
+				op = "Join"
+				other := index.NewBuilder(positional)
+				for k := r.next()%4 + 1; k > 0; k-- {
+					add(other, r.terms())
+				}
+				ix.Join(other.Index())
+			default:
+				op = "Write and Materialize"
+				ix = roundTrip(t, ix)
+			}
+			absent := []string{"", "m5jttwrr", "zqqkcl"}
+			for _, term := range fuzzVocab {
+				if _, ok := model[term]; !ok {
+					absent = append(absent, term)
+				}
+			}
+			checkAgainstModel(t, fmt.Sprintf("step %d (%s)", step, op), ix, model, absent, positional)
+		}
+	})
+}

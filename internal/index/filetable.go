@@ -1,0 +1,116 @@
+package index
+
+import "desksearch/internal/postings"
+
+// FileTable maps FileIDs to file paths. Stage 1 builds it before extraction
+// starts; batch builds never mutate it afterwards, so it is safely shared by
+// all replicas and query threads. Incremental maintenance (internal/delta)
+// does mutate it — registering new files and tombstoning deleted ones — and
+// must do so under the search engine's maintenance lock.
+//
+// FileIDs are never reused: a deleted file keeps its slot as a tombstone
+// (Live reports false) and a re-created path gets a fresh ID. That keeps
+// every posting list ever written valid and makes removal idempotent.
+type FileTable struct {
+	paths  []string
+	sizes  []int64
+	mtimes []int64
+	// tokens[id] is the file's token length (total emitted term
+	// occurrences) — the document length BM25 normalizes by.
+	tokens []uint32
+	dead   []bool // tombstones; nil-safe via Live
+	nDead  int
+	byPath map[string]postings.FileID // live paths only
+}
+
+// NewFileTable returns an empty table.
+func NewFileTable() *FileTable {
+	return &FileTable{byPath: make(map[string]postings.FileID)}
+}
+
+// Add appends a live file and returns its ID. mtime is the modification
+// time change detection compares, in Unix nanoseconds (core.FileRef.ModTime).
+func (t *FileTable) Add(path string, size, mtime int64) postings.FileID {
+	id := postings.FileID(len(t.paths))
+	t.paths = append(t.paths, path)
+	t.sizes = append(t.sizes, size)
+	t.mtimes = append(t.mtimes, mtime)
+	t.tokens = append(t.tokens, 0)
+	t.dead = append(t.dead, false)
+	t.byPath[path] = id
+	return id
+}
+
+// Path returns the path for id.
+func (t *FileTable) Path(id postings.FileID) string { return t.paths[id] }
+
+// Size returns the recorded byte size for id.
+func (t *FileTable) Size(id postings.FileID) int64 { return t.sizes[id] }
+
+// ModTime returns the recorded modification stamp for id.
+func (t *FileTable) ModTime(id postings.FileID) int64 { return t.mtimes[id] }
+
+// SetMeta updates the recorded size and modification stamp for id, the
+// bookkeeping half of re-indexing a modified file.
+func (t *FileTable) SetMeta(id postings.FileID, size, mtime int64) {
+	t.sizes[id] = size
+	t.mtimes[id] = mtime
+}
+
+// SetTokens records id's token length (extract.TermBlock.Tokens).
+// Concurrent extractors may call it for distinct IDs — each write lands in
+// its own preallocated slot, so no lock is needed during a build.
+func (t *FileTable) SetTokens(id postings.FileID, n uint32) {
+	t.tokens[id] = n
+}
+
+// Tokens returns the recorded token length for id. It is 0 exactly for the
+// files no partition holds a posting for — the term-free files, which a
+// NOT query's complement must still find (search.Engine).
+func (t *FileTable) Tokens(id postings.FileID) uint32 { return t.tokens[id] }
+
+// LiveTokens sums the token lengths of all live files — the corpus size
+// BM25's average document length derives from.
+func (t *FileTable) LiveTokens() uint64 {
+	var sum uint64
+	for id, n := range t.tokens {
+		if !t.dead[id] {
+			sum += uint64(n)
+		}
+	}
+	return sum
+}
+
+// Live reports whether id is a live file (not tombstoned).
+func (t *FileTable) Live(id postings.FileID) bool { return !t.dead[id] }
+
+// Tombstone marks id deleted, freeing its path for re-registration under a
+// new ID. Tombstoning an already-dead ID is a no-op.
+func (t *FileTable) Tombstone(id postings.FileID) {
+	if t.dead[id] {
+		return
+	}
+	t.dead[id] = true
+	t.nDead++
+	if cur, ok := t.byPath[t.paths[id]]; ok && cur == id {
+		delete(t.byPath, t.paths[id])
+	}
+}
+
+// Lookup returns the live file registered under path, if any. Tombstoned
+// files are not found: a deleted-then-recreated path is a new file.
+func (t *FileTable) Lookup(path string) (postings.FileID, bool) {
+	id, ok := t.byPath[path]
+	return id, ok
+}
+
+// Len returns the number of table slots, tombstones included — the
+// exclusive upper bound of every FileID ever issued.
+func (t *FileTable) Len() int { return len(t.paths) }
+
+// LiveCount returns the number of live (non-tombstoned) files.
+func (t *FileTable) LiveCount() int { return len(t.paths) - t.nDead }
+
+// Paths returns all paths indexed by FileID, tombstoned slots included.
+// Callers must not modify the returned slice.
+func (t *FileTable) Paths() []string { return t.paths }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -170,9 +171,50 @@ func TestTopTermsAcrossMatchesJoin(t *testing.T) {
 	if TopTermsAcross(Partitions(parts), 0) != nil || TopTermsAcross(nil, 3) != nil {
 		t.Error("degenerate TopTermsAcross not nil")
 	}
-	// Single partition takes the direct path.
-	if got := TopTermsAcross(Partitions(parts[:1]), 2); !reflect.DeepEqual(got, parts[0].TopTerms(2)) {
-		t.Errorf("single-partition path diverged: %v", got)
+	// One partition: files 0 and 3 hold common, file 0 rare.
+	if got, want := TopTermsAcross(Partitions(parts[:1]), 2), []TermCount{{"common", 2}, {"rare", 1}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("one partition: TopTermsAcross = %v, want %v", got, want)
+	}
+}
+
+// TestTermAggregationAllocsIndependentOfTerms: DistinctTermsAcross and
+// TopTermsAcross merge the partitions' ascending walks and keep no table
+// of terms, so four partitions of 100 terms and of 10 000 terms cost them
+// the same number of allocations — and the merge counts each term once,
+// however many partitions hold it.
+func TestTermAggregationAllocsIndependentOfTerms(t *testing.T) {
+	build := func(terms int) []Partition {
+		parts := make([]*Index, 4)
+		for p := range parts {
+			b := NewBuilder(false)
+			// Partition p holds the terms i with i%4 != p: each term is
+			// in three partitions, one file each.
+			for i := 0; i < terms; i++ {
+				if i%4 != p {
+					b.AddBlock(postings.FileID(i*4+p), []string{fmt.Sprintf("t%05d", i)}, nil)
+				}
+			}
+			parts[p] = b.Index()
+		}
+		return Partitions(parts)
+	}
+	allocs := func(terms int) (distinct, top float64) {
+		parts := build(terms)
+		if got := DistinctTermsAcross(parts); got != terms {
+			t.Fatalf("%d terms: DistinctTermsAcross = %d", terms, got)
+		}
+		if got := TopTermsAcross(parts, 2); len(got) != 2 || got[0] != (TermCount{"t00000", 3}) || got[1] != (TermCount{"t00001", 3}) {
+			t.Fatalf("%d terms: TopTermsAcross = %v", terms, got)
+		}
+		distinct = testing.AllocsPerRun(5, func() { DistinctTermsAcross(parts) })
+		top = testing.AllocsPerRun(5, func() { TopTermsAcross(parts, 5) })
+		return distinct, top
+	}
+	fewDistinct, fewTop := allocs(100)
+	manyDistinct, manyTop := allocs(10_000)
+	if fewDistinct != manyDistinct || fewTop != manyTop {
+		t.Fatalf("allocations over 100 terms: DistinctTermsAcross %v, TopTermsAcross %v; over 10 000: %v, %v",
+			fewDistinct, fewTop, manyDistinct, manyTop)
 	}
 }
 

@@ -1,7 +1,9 @@
 package index
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"desksearch/internal/postings"
 )
@@ -18,13 +20,15 @@ import (
 // The index has no file → terms direction, so removal walks the whole
 // dictionary once per batch, in order, against one bitmap of the victims'
 // IDs (postings.Mark, the batch's one allocation), and closes the gaps
-// emptied terms leave in the same pass. Beyond that walk it costs the
-// postings of the lists whose ID range straddles a victim: each is
-// scanned once against the marks (List.Remove), and a list wholly below
-// or above the victims' range costs two comparisons. Removing files this
-// index does not hold costs no more than that. No victim holds a posting
-// afterwards, so each leaves the document set. An
-// emptied term's list header is reset but stays in its slab.
+// emptied terms leave in the same pass; if it dropped a term, it then
+// rebuilds the term table, in its own array unless the fewer terms call
+// for a smaller one. Beyond that walk it costs the postings of the lists
+// whose ID range straddles a victim: each is scanned once against the
+// marks (List.Remove), and a list wholly below or above the victims'
+// range costs two comparisons. Removing files this index does not hold
+// costs no more than that. No victim holds a posting afterwards, so each
+// leaves the document set. An emptied term's list header is reset but
+// stays in its slab.
 func (ix *Index) RemoveFiles(victims *postings.List) int {
 	if victims == nil || victims.Len() == 0 {
 		return 0
@@ -35,16 +39,18 @@ func (ix *Index) RemoveFiles(victims *postings.List) int {
 		n := l.Remove(&marks)
 		removed += n
 		if n > 0 && l.Len() == 0 {
-			delete(ix.terms, ix.keys[i])
 			*l = postings.List{}
 			continue
 		}
 		ix.keys[w], ix.lists[w] = ix.keys[i], l
 		w++
 	}
-	clear(ix.keys[w:])
-	clear(ix.lists[w:])
-	ix.keys, ix.lists = ix.keys[:w], ix.lists[:w]
+	if w < len(ix.keys) {
+		clear(ix.keys[w:])
+		clear(ix.lists[w:])
+		ix.keys, ix.lists = ix.keys[:w], ix.lists[:w]
+		ix.table.build(ix.keys)
+	}
 	for _, id := range victims.IDs() {
 		if int(id/64) < len(ix.docs) {
 			ix.docs[id/64] &^= 1 << (id % 64)
@@ -63,84 +69,131 @@ type TermCount struct {
 
 // TopTerms returns the n most frequent terms by document count, most
 // frequent first (ties broken alphabetically, so the result is
-// deterministic).
-func (ix *Index) TopTerms(n int) []TermCount {
-	if n <= 0 {
-		return nil
+// deterministic): TopTermsAcross over the one partition.
+func (ix *Index) TopTerms(n int) []TermCount { return TopTermsAcross([]Partition{ix}, n) }
+
+// termDocCounts calls yield for every distinct term of a set of
+// document-disjoint partitions, in ascending order, with its document
+// count over all of them, until yield returns false. Each file lives in
+// exactly one partition, so per-partition document counts add. It merges
+// the partitions' ascending TermsFrom walks, each read a batch at a time
+// into a buffer of its own: the cost is a pass over each dictionary, a
+// seek per batch and a comparison of the walks' current terms per term,
+// with no table of terms beside them, and no posting list is cloned,
+// merged, joined, or (on a lazy backend) even decoded.
+func termDocCounts(parts []Partition, yield func(term string, df int) bool) {
+	walks := make([]termWalk, len(parts))
+	for i, p := range parts {
+		w := &walks[i]
+		w.p, w.buf, w.yield = p, make([]TermCount, 0, termWalkBatch), w.add
+		w.fill()
 	}
-	all := make([]TermCount, 0, ix.NumTerms())
-	for i, term := range ix.keys {
-		all = append(all, TermCount{Term: term, Files: ix.lists[i].Len()})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Files != all[j].Files {
-			return all[i].Files > all[j].Files
+	for {
+		least, any := "", false
+		for i := range walks {
+			if w := &walks[i]; w.i < len(w.buf) && (!any || w.buf[w.i].Term < least) {
+				least, any = w.buf[w.i].Term, true
+			}
 		}
-		return all[i].Term < all[j].Term
-	})
-	if len(all) > n {
-		all = all[:n]
+		if !any {
+			return
+		}
+		df := 0
+		for i := range walks {
+			if w := &walks[i]; w.i < len(w.buf) && w.buf[w.i].Term == least {
+				df += w.buf[w.i].Files
+				if w.i++; w.i == len(w.buf) {
+					w.fill()
+				}
+			}
+		}
+		if !yield(least, df) {
+			return
+		}
 	}
-	return all
 }
 
-// termDocCounts aggregates per-term document counts over a set of
-// document-disjoint partitions in one pass: each file lives in exactly one
-// partition, so per-partition document counts add, and the cost is a pass
-// over each partition's term dictionary plus a counter per distinct term —
-// no posting list is cloned, merged, joined, or (on a lazy backend) even
-// decoded.
-func termDocCounts(parts []Partition) map[string]int {
-	counts := make(map[string]int)
-	for _, p := range parts {
-		p.TermsFrom("", func(term string, df int) bool {
-			counts[term] += df
-			return true
-		})
+// termWalkBatch is how many terms a termWalk reads per seek.
+const termWalkBatch = 256
+
+// termWalk is one partition's ascending dictionary walk: buf[i:] holds the
+// terms read and not yet merged, and the walk is over when it is empty.
+type termWalk struct {
+	p   Partition
+	buf []TermCount
+	i   int
+	// yield is w.add, bound once so that a batch's TermsFrom allocates
+	// no closure; last is the term the batch resumes after, skipped while
+	// skip holds.
+	yield func(term string, df int) bool
+	last  string
+	skip  bool
+}
+
+// fill reads the batch of terms after the last one read.
+func (w *termWalk) fill() {
+	w.skip = len(w.buf) > 0
+	if w.skip {
+		w.last = w.buf[len(w.buf)-1].Term
 	}
-	return counts
+	w.buf, w.i = w.buf[:0], 0
+	w.p.TermsFrom(w.last, w.yield)
+}
+
+// add takes one term of a batch.
+func (w *termWalk) add(term string, df int) bool {
+	if w.skip {
+		w.skip = false
+		if term == w.last {
+			return true
+		}
+	}
+	w.buf = append(w.buf, TermCount{Term: term, Files: df})
+	return len(w.buf) < cap(w.buf)
 }
 
 // DistinctTermsAcross returns the exact number of distinct terms over a set
 // of document-disjoint partitions — not the per-partition sum, which counts
-// a term once per partition it appears in. Like termDocCounts it is one
-// pass over each partition's term dictionary, but with a value-free set,
-// since only the cardinality is wanted.
+// a term once per partition it appears in — by counting the terms of
+// termDocCounts' merged walk.
 func DistinctTermsAcross(parts []Partition) int {
 	if len(parts) == 1 {
 		return parts[0].NumTerms()
 	}
-	seen := make(map[string]struct{})
-	for _, p := range parts {
-		p.TermsFrom("", func(term string, _ int) bool {
-			seen[term] = struct{}{}
-			return true
-		})
-	}
-	return len(seen)
+	n := 0
+	termDocCounts(parts, func(string, int) bool {
+		n++
+		return true
+	})
+	return n
 }
 
 // TopTermsAcross returns the n most frequent terms by document count over a
 // set of document-disjoint partitions (replicas or shards), most frequent
-// first with ties broken alphabetically, using the same single-pass counter
-// as DistinctTermsAcross.
+// first with ties broken alphabetically, from termDocCounts' merged walk.
+// It keeps the n best terms met so far in order, so its memory grows with
+// n and not with the dictionaries.
 func TopTermsAcross(parts []Partition, n int) []TermCount {
 	if n <= 0 || len(parts) == 0 {
 		return nil
 	}
-	counts := termDocCounts(parts)
-	all := make([]TermCount, 0, len(counts))
-	for term, files := range counts {
-		all = append(all, TermCount{Term: term, Files: files})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Files != all[j].Files {
-			return all[i].Files > all[j].Files
+	var top []TermCount
+	termDocCounts(parts, func(term string, df int) bool {
+		tc := TermCount{Term: term, Files: df}
+		if len(top) == n && compareCounts(tc, top[n-1]) > 0 {
+			return true
 		}
-		return all[i].Term < all[j].Term
+		i, _ := slices.BinarySearchFunc(top, tc, compareCounts)
+		top = slices.Insert(top[:min(len(top), n-1)], i, tc)
+		return true
 	})
-	if len(all) > n {
-		all = all[:n]
+	return top
+}
+
+// compareCounts orders term counts by descending files, then by term.
+func compareCounts(a, b TermCount) int {
+	if a.Files != b.Files {
+		return cmp.Compare(b.Files, a.Files)
 	}
-	return all
+	return strings.Compare(a.Term, b.Term)
 }
