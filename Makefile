@@ -100,9 +100,11 @@ docs-check:
 # against a naive split-fold-drop reference, and on whole
 # requests (a query tree, its text, ranking and page, drawn from the
 # fuzzer's bytes over one of eight seeded corpora) against the reference
-# every serving shape is held to (oracle_test.go): long enough to shake
-# out a panic, an unbounded allocation or a wrong answer, short enough to
-# run on every push.
+# every serving shape is held to (oracle_test.go), and on the build itself
+# (a thread tuple with x clamped to 1..8 and y to 0..8, 1-5 shards, plain
+# or positional, over one of eight seeded corpora) against the sequential
+# baseline's saved bytes: long enough to shake out a panic, an unbounded
+# allocation or a wrong answer, short enough to run on every push.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPartialDecode -fuzztime=10s ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/search/
@@ -118,6 +120,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzScan -fuzztime=10s ./internal/tokenize/
 	$(GO) test -run='^$$' -fuzz=FuzzFile -fuzztime=10s ./internal/extract/
 	$(GO) test -run='^$$' -fuzz=FuzzQueryOracle -fuzztime=10s .
+	$(GO) test -run='^$$' -fuzz=FuzzBuildTuples -fuzztime=10s .
 
 # Runs every program under examples/ and fails on the first non-zero exit.
 # Each finishes in seconds; desktopsearch also checks that its sequential

@@ -472,8 +472,15 @@ func (c *Catalog) Stats() Stats {
 	return out
 }
 
+// Files counts the catalog's live files, Stats' Files without the
+// dictionary walks Stats makes for its other fields.
+func (c *Catalog) Files() (n int) {
+	c.engine.View(func() { n = c.result.Files.LiveCount() })
+	return n
+}
+
 // Indices reports how many partitions answer queries: the shard count of
-// the build (Options.Shards, or the implementation's own count) or of the
+// the build (Options.Shards, or with Shards 0 one per updater) or of the
 // directory opened, or for a subset catalog (OpenDirShards) the shards it
 // serves.
 func (c *Catalog) Indices() int { return c.engine.Indices() }
@@ -625,11 +632,10 @@ func (c *Catalog) Timings() (filenameGen, extractUpdate, join, shard, total floa
 type TermCount = index.TermCount
 
 // TopTerms returns the catalog's n most frequent terms by document count.
-// For partitioned catalogs (replicas or shards) the per-partition counts
-// are summed directly — partitions are document-disjoint, so document
-// frequencies add — without cloning or joining any index: the cost is one
-// pass over each partition's term map plus a counter per distinct term,
-// not a materialized copy of the whole catalog.
+// Partitions are document-disjoint, so document frequencies add: one merge
+// of the partitions' ascending dictionary walks sums each term's counts,
+// and only the n best terms met so far are kept, in order. No index is
+// cloned or joined.
 func (c *Catalog) TopTerms(n int) []TermCount {
 	if n <= 0 {
 		return nil

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io/fs"
-	"math"
-	"sort"
 	"strings"
 	"testing"
 
@@ -101,114 +99,6 @@ func TestOpenDirShardsSubset(t *testing.T) {
 				t.Fatalf("%q: %s served by both subsets", q.Text, h.Path)
 			}
 			seen[h.Path] = true
-		}
-	}
-}
-
-// TestDistributedBM25Identity proves the df pre-aggregation protocol at
-// the API level: summing the subsets' integer document-frequency vectors
-// and handing the total back through Query.GlobalDF makes the merged
-// subset results bit-identical to the whole directory's — scores, order,
-// and ties included. This is the invariant the HTTP broker transports.
-func TestDistributedBM25Identity(t *testing.T) {
-	fs := corpusFS(t, 150)
-	built, err := IndexFS(fs, ".", Options{Positions: true, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := built.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	opt := Options{Positions: true}
-	whole, err := OpenDir(dir, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer whole.Close()
-	subsets := []*Catalog{
-		openSubset(t, dir, []int{0, 2}, opt),
-		openSubset(t, dir, []int{1, 3}, opt),
-	}
-
-	queries := []Query{
-		{Text: "report", Ranking: RankBM25},
-		{Text: "quarterly OR annual", Ranking: RankBM25, Limit: 25},
-		{Text: "repor* budget", Ranking: RankBM25, Limit: 10},
-		{Text: `"annual report" -draft`, Ranking: RankBM25, Limit: 40},
-		{Text: "rev* OR milk", Ranking: RankBM25, Limit: 15, Offset: 5},
-	}
-	for _, q := range queries {
-		// Phase one: gather and sum the local df vectors. The whole
-		// catalog's own vector must equal the sum — dfs are integers and
-		// partitions are document-disjoint.
-		sum, err := subsets[0].DocFreqs(context.Background(), q)
-		if err != nil {
-			t.Fatalf("%q df: %v", q.Text, err)
-		}
-		for _, sub := range subsets[1:] {
-			df, err := sub.DocFreqs(context.Background(), q)
-			if err != nil {
-				t.Fatalf("%q df: %v", q.Text, err)
-			}
-			if !sum.Add(df) {
-				t.Fatalf("%q: df vectors disagree in shape", q.Text)
-			}
-		}
-		wdf, err := whole.DocFreqs(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(*sum) != fmt.Sprint(*wdf) {
-			t.Fatalf("%q: summed subset dfs %+v != whole dfs %+v", q.Text, *sum, *wdf)
-		}
-
-		// Phase two: evaluate each subset under the global statistics and
-		// k-way merge the partials by (score desc, file asc) — the
-		// engine's total order.
-		k := q.Limit + q.Offset
-		var partial []Hit
-		for _, sub := range subsets {
-			sq := q
-			sq.Offset = 0
-			sq.Limit = k // limit+offset candidates; broker applies offset post-merge
-			sq.GlobalDF = sum
-			r, err := sub.Query(context.Background(), sq)
-			if err != nil {
-				t.Fatalf("%q subset query: %v", q.Text, err)
-			}
-			partial = append(partial, r.Hits...)
-		}
-		sort.Slice(partial, func(i, j int) bool {
-			if partial[i].Score != partial[j].Score {
-				return partial[i].Score > partial[j].Score
-			}
-			return partial[i].File < partial[j].File
-		})
-		if q.Offset < len(partial) {
-			partial = partial[q.Offset:]
-		} else {
-			partial = nil
-		}
-		if k > 0 && len(partial) > q.Limit {
-			partial = partial[:q.Limit]
-		}
-
-		rw, err := whole.Query(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(partial) != len(rw.Hits) {
-			t.Fatalf("%q: merged %d hits, whole %d", q.Text, len(partial), len(rw.Hits))
-		}
-		for i := range partial {
-			if partial[i].Path != rw.Hits[i].Path {
-				t.Fatalf("%q: hit %d path %q vs %q", q.Text, i, partial[i].Path, rw.Hits[i].Path)
-			}
-			if math.Float64bits(partial[i].Score) != math.Float64bits(rw.Hits[i].Score) {
-				t.Fatalf("%q: hit %d (%s) score bits %x vs %x", q.Text, i,
-					partial[i].Path, math.Float64bits(partial[i].Score), math.Float64bits(rw.Hits[i].Score))
-			}
 		}
 	}
 }

@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -117,94 +115,6 @@ func getJSON[T any](t *testing.T, rawURL string) (int, T) {
 		t.Fatalf("GET %s: decode: %v", rawURL, err)
 	}
 	return resp.StatusCode, out
-}
-
-// TestBrokerEqualsSingleNode is the distributed-serving property test: a
-// broker over two shard-subset workers must answer every query shape —
-// boolean, phrase, prefix, all three rankings, snippets, paging, path
-// filters — byte-for-byte like a single node over the whole directory:
-// same totals, same order, bit-identical scores, same snippets, and the
-// same per-partition match counts.
-func TestBrokerEqualsSingleNode(t *testing.T) {
-	dir := buildDir(t, 150, true)
-	single := startSingle(t, dir)
-	// Interleaved subsets, to prove partition identity is global.
-	w1 := startWorker(t, dir, []int{0, 2})
-	w2 := startWorker(t, dir, []int{1, 3})
-	_, bts := newTestBroker(t, [][]string{{w1.URL}, {w2.URL}}, 0)
-
-	cases := []url.Values{
-		{"q": {"report"}},
-		{"q": {"quarterly report -draft"}, "rank": {"tf"}, "limit": {"20"}},
-		{"q": {"milk OR flour"}, "rank": {"count"}, "limit": {"50"}},
-		{"q": {`"annual report"`}, "rank": {"bm25"}, "limit": {"15"}, "snippets": {"true"}},
-		{"q": {"repor*"}, "rank": {"bm25"}, "limit": {"25"}},
-		{"q": {"flour OR -report"}, "limit": {"60"}},
-		{"q": {"report"}, "rank": {"bm25"}, "limit": {"10"}, "offset": {"5"}, "snippets": {"true"}},
-		{"q": {"report"}, "prefix": {"dir2/"}, "rank": {"bm25"}, "limit": {"30"}},
-		{"q": {"rev* forecast"}, "rank": {"bm25"}, "limit": {"15"}, "snippets": {"true"}},
-		{"q": {`"annual report" -flour`}, "rank": {"tf"}, "limit": {"35"}},
-	}
-	for _, params := range cases {
-		label := params.Encode()
-		s1, want := getJSON[server.SearchResponse](t, single.URL+"/search?"+label)
-		s2, got := getJSON[server.SearchResponse](t, bts.URL+"/search?"+label)
-		if s1 != http.StatusOK || s2 != http.StatusOK {
-			t.Fatalf("%s: status single=%d broker=%d", label, s1, s2)
-		}
-		if got.Query != want.Query {
-			t.Fatalf("%s: canonical query %q vs %q", label, got.Query, want.Query)
-		}
-		if got.Total != want.Total {
-			t.Fatalf("%s: Total %d vs single-node %d", label, got.Total, want.Total)
-		}
-		if len(got.Hits) != len(want.Hits) {
-			t.Fatalf("%s: %d hits vs single-node %d", label, len(got.Hits), len(want.Hits))
-		}
-		for i := range want.Hits {
-			h1, h2 := want.Hits[i], got.Hits[i]
-			if h1.Path != h2.Path {
-				t.Fatalf("%s: hit %d path %q vs %q", label, i, h2.Path, h1.Path)
-			}
-			if math.Float64bits(h1.Score) != math.Float64bits(h2.Score) {
-				t.Fatalf("%s: hit %d (%s) score bits %x vs %x", label, i, h1.Path,
-					math.Float64bits(h2.Score), math.Float64bits(h1.Score))
-			}
-			if fmt.Sprint(h1.Terms) != fmt.Sprint(h2.Terms) {
-				t.Fatalf("%s: hit %d terms %v vs %v", label, i, h2.Terms, h1.Terms)
-			}
-			if (h1.Snippet == nil) != (h2.Snippet == nil) {
-				t.Fatalf("%s: hit %d snippet presence %v vs %v", label, i, h2.Snippet != nil, h1.Snippet != nil)
-			}
-			if h1.Snippet != nil && (h1.Snippet.Text != h2.Snippet.Text ||
-				fmt.Sprint(h1.Snippet.Highlights) != fmt.Sprint(h2.Snippet.Highlights)) {
-				t.Fatalf("%s: hit %d snippet %+v vs %+v", label, i, h2.Snippet, h1.Snippet)
-			}
-		}
-		// Per-partition match counts, keyed by global shard number, agree
-		// with the single node's local partitions.
-		wantMatched := make(map[int]int)
-		for _, p := range want.Partitions {
-			wantMatched[p.Partition] = p.Matched
-		}
-		for _, p := range got.Partitions {
-			if p.Matched != wantMatched[p.Partition] {
-				t.Fatalf("%s: shard %d matched %d, single-node %d",
-					label, p.Partition, p.Matched, wantMatched[p.Partition])
-			}
-		}
-	}
-
-	// Suggestions: n exceeds the vocabulary, so the distributed merge is
-	// exact and must match the single node term for term.
-	s1, wantSug := getJSON[server.SuggestResponse](t, single.URL+"/suggest?q=re&n=50")
-	s2, gotSug := getJSON[server.SuggestResponse](t, bts.URL+"/suggest?q=re&n=50")
-	if s1 != http.StatusOK || s2 != http.StatusOK {
-		t.Fatalf("suggest status single=%d broker=%d", s1, s2)
-	}
-	if fmt.Sprint(wantSug.Suggestions) != fmt.Sprint(gotSug.Suggestions) {
-		t.Fatalf("suggest: broker %v vs single-node %v", gotSug.Suggestions, wantSug.Suggestions)
-	}
 }
 
 // TestFrontDoorSameOnNodeAndBroker: a node and a broker over the same

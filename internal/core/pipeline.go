@@ -131,11 +131,15 @@ func Run(fsys fs.FS, root string, cfg Config) (*Result, error) {
 // router holds a run's partition builders, in partition order.
 type router []*index.Builder
 
-// feed hands block to the builder of its file's partition, through the
-// positional or plain insertion path depending on what the extractor
-// recorded.
+// feed hands block to the builder of its file's partition.
 func (r router) feed(block extract.TermBlock) {
-	b := r[shard.ShardFor(block.File, len(r))]
+	AddBlock(r[shard.ShardFor(block.File, len(r))], block)
+}
+
+// AddBlock hands block to b through the positional or plain insertion
+// path, whichever the extractor recorded: the one dispatch from a term
+// block to a builder, for a build and an update alike.
+func AddBlock(b *index.Builder, block extract.TermBlock) {
 	if block.Ends != nil {
 		b.AddBlockPositional(block.File, block.Terms, block.Ends, block.Pos)
 		return

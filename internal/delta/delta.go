@@ -313,12 +313,8 @@ func (p *Plan) Commit(t Target) Stats {
 				return
 			}
 			fresh := index.NewBuilder(false) // Join keeps the partition's kind
-			for _, b := range w.blocks {
-				if b.block.Ends != nil {
-					fresh.AddBlockPositional(b.id, b.block.Terms, b.block.Ends, b.block.Pos)
-				} else {
-					fresh.AddBlock(b.id, b.block.Terms, b.block.Counts)
-				}
+			for _, block := range w.blocks {
+				core.AddBlock(fresh, block)
 			}
 			ix.Join(fresh.Index())
 		}()
@@ -337,23 +333,17 @@ func (p *Plan) Commit(t Target) Stats {
 // from it and the fresh term blocks to join into it.
 type ownerWork struct {
 	victims []postings.FileID
-	blocks  []staging
+	blocks  []extract.TermBlock
 }
 
-// staging is a fresh term block waiting for its partition's join.
-type staging struct {
-	id    postings.FileID
-	block extract.TermBlock
-}
-
-// stage queues a fresh term block for the owner's join. A positional
-// block goes in through the positional insertion path (a positional
-// catalog re-extracts positionally, so updates keep phrase queries
-// answerable).
+// stage queues a fresh term block for the owner's join under its file's
+// ID, which the extraction that made it ran before the commit numbered
+// added files.
 func (w *ownerWork) stage(id postings.FileID, block extract.TermBlock, st *Stats) {
 	if len(block.Terms) == 0 {
 		return
 	}
-	w.blocks = append(w.blocks, staging{id, block})
+	block.File = id
+	w.blocks = append(w.blocks, block)
 	st.PostingsAdded += int64(len(block.Terms))
 }

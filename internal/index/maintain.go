@@ -169,10 +169,10 @@ func DistinctTermsAcross(parts []Partition) int {
 }
 
 // TopTermsAcross returns the n most frequent terms by document count over a
-// set of document-disjoint partitions (replicas or shards), most frequent
-// first with ties broken alphabetically, from termDocCounts' merged walk.
-// It keeps the n best terms met so far in order, so its memory grows with
-// n and not with the dictionaries.
+// set of document-disjoint partitions, most frequent first with ties
+// broken alphabetically, from termDocCounts' merged walk. It keeps the n
+// best terms met so far in order, so its memory grows with n and not with
+// the dictionaries.
 func TopTermsAcross(parts []Partition, n int) []TermCount {
 	if n <= 0 || len(parts) == 0 {
 		return nil

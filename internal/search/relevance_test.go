@@ -13,24 +13,23 @@ import (
 )
 
 // bm25Fixture builds a three-file corpus with known term frequencies and
-// document lengths, as a single index and as two document-disjoint shards:
+// document lengths:
 //
 //	f0 (4 tokens): cat cat the the
 //	f1 (2 tokens): cat dog
 //	f2 (6 tokens): dog dog dog the the the
-func bm25Fixture() (*index.FileTable, *index.Index, []*index.Index) {
+func bm25Fixture() (*index.FileTable, *index.Index) {
 	files := index.NewFileTable()
-	single, shards := index.NewBuilder(false), newBuilders(2, false)
-	add := func(path string, shard int, terms []string, counts []uint32, tokens uint32) {
+	bld := index.NewBuilder(false)
+	add := func(path string, terms []string, counts []uint32, tokens uint32) {
 		id := files.Add(path, int64(tokens), 1)
 		files.SetTokens(id, tokens)
-		single.AddBlock(id, terms, counts)
-		shards[shard].AddBlock(id, terms, counts)
+		bld.AddBlock(id, terms, counts)
 	}
-	add("f0", 0, []string{"cat", "the"}, []uint32{2, 2}, 4)
-	add("f1", 1, []string{"cat", "dog"}, []uint32{1, 1}, 2)
-	add("f2", 0, []string{"dog", "the"}, []uint32{3, 3}, 6)
-	return files, single.Index(), buildAll(shards)
+	add("f0", []string{"cat", "the"}, []uint32{2, 2}, 4)
+	add("f1", []string{"cat", "dog"}, []uint32{1, 1}, 2)
+	add("f2", []string{"dog", "the"}, []uint32{3, 3}, 6)
+	return files, bld.Index()
 }
 
 // refIDF and refScore restate the BM25 formula independently of bm25.go so
@@ -46,7 +45,7 @@ func refScore(idf float64, tf, dl uint32, avgdl float64) float64 {
 }
 
 func TestBM25HandComputed(t *testing.T) {
-	files, single, _ := bm25Fixture()
+	files, single := bm25Fixture()
 	e := NewEngine(files, single)
 
 	// N = 3 live files, 12 live tokens, avgdl = 4.
@@ -105,38 +104,6 @@ func TestBM25StatsFinite(t *testing.T) {
 						}
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestBM25ShardsMatchSingleExactly: the core invariant — BM25 scores from
-// a sharded engine are bit-for-bit the scores from the same corpus in one
-// partition, because document frequencies aggregate globally before the
-// fan-out and each document accumulates in its one owning partition.
-func TestBM25ShardsMatchSingleExactly(t *testing.T) {
-	files, single, shards := bm25Fixture()
-	se := NewEngine(files, single)
-	re := NewEngine(files, index.Partitions(shards)...)
-
-	for _, qs := range []string{"cat", "dog", "cat OR dog", "the AND NOT dog", "c* OR dog", "th*"} {
-		q := MustParse(qs)
-		a, err := se.Query(context.Background(), Request{Query: q, Ranking: RankBM25})
-		if err != nil {
-			t.Fatalf("%q single: %v", qs, err)
-		}
-		b, err := re.Query(context.Background(), Request{Query: q, Ranking: RankBM25})
-		if err != nil {
-			t.Fatalf("%q sharded: %v", qs, err)
-		}
-		if len(a.Hits) != len(b.Hits) {
-			t.Fatalf("%q: %d vs %d hits", qs, len(a.Hits), len(b.Hits))
-		}
-		for i := range a.Hits {
-			if a.Hits[i].File != b.Hits[i].File ||
-				math.Float64bits(a.Hits[i].Score) != math.Float64bits(b.Hits[i].Score) {
-				t.Errorf("%q hit %d: single (%d, %v) vs sharded (%d, %v)",
-					qs, i, a.Hits[i].File, a.Hits[i].Score, b.Hits[i].File, b.Hits[i].Score)
 			}
 		}
 	}

@@ -109,12 +109,11 @@ type InternalSearchRequest struct {
 
 // handleWorkerMeta serves GET /internal/meta.
 func (s *Server) handleWorkerMeta(w http.ResponseWriter, r *http.Request) {
-	cs, gen := s.catalogStats()
 	WriteJSON(w, http.StatusOK, WorkerMeta{
 		Shards:      s.cat.PartitionIDs(),
 		TotalShards: s.cat.TotalShards(),
-		Files:       cs.Files,
-		Generation:  gen,
+		Files:       s.cat.Files(),
+		Generation:  s.cat.Generation(),
 		Positional:  s.cat.Positional(),
 	})
 }

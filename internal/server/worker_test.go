@@ -183,6 +183,36 @@ func TestWorkerSearchWithGlobalDF(t *testing.T) {
 	}
 }
 
+// TestWorkerMetaCountsLiveFiles: /internal/meta reports the live file
+// count /stats does, before and after an update that adds and deletes
+// files.
+func TestWorkerMetaCountsLiveFiles(t *testing.T) {
+	fx := newFixture(t, Config{Worker: true})
+	check := func(want int) {
+		t.Helper()
+		var meta WorkerMeta
+		var st StatsResponse
+		fx.get(t, "/internal/meta", &meta)
+		fx.get(t, "/stats", &st)
+		if meta.Files != want || st.Files != want {
+			t.Fatalf("/internal/meta files %d, /stats files %d; want %d", meta.Files, st.Files, want)
+		}
+	}
+	check(3)
+	for _, name := range []string{"docs/a.txt", "notes/b.txt"} {
+		if err := fx.fs.WriteFile(name, []byte("alpha delta")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fx.fs.Remove("notes/todo.txt"); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := fx.cat.Update(fx.fs, "."); err != nil || st.Added != 2 || st.Deleted != 1 {
+		t.Fatalf("Update = %+v, %v; want 2 added, 1 deleted", st, err)
+	}
+	check(4)
+}
+
 // TestWorkerRoutesGated: without Config.Worker the internal surface does
 // not exist.
 func TestWorkerRoutesGated(t *testing.T) {

@@ -84,142 +84,6 @@ func equalResponses(t *testing.T, label string, r1, r2 *Response) {
 	}
 }
 
-// TestLazyBackendEquality is the refactor's property test: every query
-// shape, with and without snippets, against heap-loaded and lazily opened
-// views of the same saved catalog, must answer identically down to the
-// score bits — across catalogs saved fresh, sharded, and positional. One
-// lazy view has room for every block; the other's cache holds a handful,
-// so the same stream evicts, re-decodes and upgrades counts-only entries
-// to full ones under it, and must not answer differently for that.
-func TestLazyBackendEquality(t *testing.T) {
-	queries := []Query{
-		{Text: "report"},
-		{Text: "report", Ranking: RankBM25, Limit: 10},
-		{Text: "quarterly report -draft"},
-		{Text: "quarterly report -draft", Ranking: RankTF, Limit: 10},
-		{Text: "milk OR flour", Ranking: RankTF},
-		{Text: "milk OR flour OR repor*", Ranking: RankBM25, Limit: 12},
-		{Text: "-draft", Limit: 10},
-		{Text: "repor*", Ranking: RankBM25, Limit: 25},
-		{Text: "repor*", Ranking: RankTF},
-		{Text: "(annual OR quarterly) report", Ranking: RankBM25, Limit: 10, Offset: 5},
-		{Text: `"annual report"`, Ranking: RankBM25, Limit: 20},
-		{Text: `"annual report" -flour`, Ranking: RankCount},
-		{Text: `"annual report" OR pancake`, Ranking: RankTF, Limit: 10},
-		{Text: "report", PathPrefix: "dir2/", Ranking: RankBM25, Limit: 50},
-		{Text: "rev* forecast", Ranking: RankBM25, Limit: 15},
-		{Text: "report -nonexistentterm", Limit: 30, Ranking: RankTF},
-	}
-	for _, tc := range []struct {
-		name   string
-		shards int
-	}{
-		{"single", 0},
-		{"sharded", 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fs := corpusFS(t, 120)
-			opt := Options{Positions: true, Shards: tc.shards}
-			built, err := IndexFS(fs, ".", opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := t.TempDir()
-			if err := built.SaveDir(dir); err != nil {
-				t.Fatal(err)
-			}
-			heap, err := LoadDir(dir, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lazy, err := OpenDir(dir, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer lazy.Close()
-			if !lazy.Lazy() || heap.Lazy() {
-				t.Fatalf("Lazy() = %v/%v, want true/false", lazy.Lazy(), heap.Lazy())
-			}
-			const tightBudget = 8 << 10
-			tightOpt := opt
-			tightOpt.BlockCacheBytes = tightBudget
-			tight, err := OpenDir(dir, tightOpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tight.Close()
-
-			// Two rounds: the second meets what the first left in the
-			// caches — full entries where it wants counts, counts-only
-			// entries where it wants positions, and under the tight budget
-			// mostly neither.
-			for round := 0; round < 2; round++ {
-				for _, q := range queries {
-					for _, snippets := range []bool{false, true} {
-						if snippets && q.Limit == 0 {
-							continue // snippets need a page
-						}
-						q.Snippets = snippets
-						label := fmt.Sprintf("round %d %q rank=%s snippets=%v", round, q.Text, q.Ranking, snippets)
-						rh, err := heap.Query(context.Background(), q)
-						if err != nil {
-							t.Fatalf("%s heap: %v", label, err)
-						}
-						for _, view := range []struct {
-							name string
-							cat  *Catalog
-						}{{"lazy", lazy}, {"tight", tight}} {
-							rl, err := view.cat.Query(context.Background(), q)
-							if err != nil {
-								t.Fatalf("%s %s: %v", label, view.name, err)
-							}
-							equalResponses(t, label+" "+view.name, rh, rl)
-						}
-					}
-				}
-			}
-			roomyBlocks, roomyPositions := lazyDecodes(lazy)
-			tightBlocks, tightPositions := lazyDecodes(tight)
-			if tightBlocks <= roomyBlocks || tightPositions <= roomyPositions {
-				t.Fatalf("the %d-byte cache decoded %d blocks (%d with positions), the roomy one %d (%d): nothing was evicted",
-					tightBudget, tightBlocks, tightPositions, roomyBlocks, roomyPositions)
-			}
-			if roomyPositions == 0 || roomyPositions == roomyBlocks {
-				t.Fatalf("roomy cache: %d of %d decodes read positions; the stream should exercise both tiers", roomyPositions, roomyBlocks)
-			}
-			if _, used, _ := tight.BlockCache(); used > tightBudget {
-				t.Fatalf("tight cache holds %d bytes, budget %d", used, tightBudget)
-			}
-
-			// Suggestions are dictionary walks — must agree exactly too.
-			sh, err := heap.Suggest(context.Background(), "repor", 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sl, err := lazy.Suggest(context.Background(), "repor", 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(sh) != fmt.Sprint(sl) {
-				t.Fatalf("Suggest: heap %v vs lazy %v", sh, sl)
-			}
-
-			// Catalog statistics agree (terms exactly; postings exactly).
-			hs, ls := heap.Stats(), lazy.Stats()
-			if hs.Files != ls.Files || hs.Terms != ls.Terms || hs.Postings != ls.Postings {
-				t.Fatalf("Stats: heap %+v vs lazy %+v", hs, ls)
-			}
-			if heap.TotalShards() != lazy.TotalShards() || heap.Indices() != lazy.Indices() {
-				t.Fatalf("shape: heap %d shards/%d indices vs lazy %d/%d",
-					heap.TotalShards(), heap.Indices(), lazy.TotalShards(), lazy.Indices())
-			}
-			if fmt.Sprint(heap.TopTerms(8)) != fmt.Sprint(lazy.TopTerms(8)) {
-				t.Fatalf("TopTerms: heap %v vs lazy %v", heap.TopTerms(8), lazy.TopTerms(8))
-			}
-		})
-	}
-}
-
 // lazyDecodes sums the block-decode counters of a lazy catalog's readers:
 // every decode, and those that read a positions section.
 func lazyDecodes(c *Catalog) (blocks, positions uint64) {

@@ -79,6 +79,66 @@ func TestPositionFreeQueriesDecodeNoPositions(t *testing.T) {
 	}
 }
 
+// TestTightBlockCacheRedecodes runs one query stream twice over a saved
+// directory opened with the default block cache and with one of 8 KiB.
+// The second round meets what the first left cached: full entries where
+// it wants counts, counts-only entries where it wants positions, and
+// under the small budget mostly neither. So the small cache evicts and
+// decodes more blocks, and more positions sections, than the roomy one,
+// and holds no more than its budget; the roomy one decodes both tiers.
+// What either view answers is held to the reference by
+// TestEveryShapeMatchesOracle, whose OpenDir rows run a default and a
+// 4 KiB cache.
+func TestTightBlockCacheRedecodes(t *testing.T) {
+	roomy, dir := savedLazy(t, 120, 4)
+	const budget = 8 << 10
+	tight, err := OpenDir(dir, Options{Positions: true, BlockCacheBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tight.Close()
+	queries := []Query{
+		{Text: "report"},
+		{Text: "report", Ranking: RankBM25, Limit: 10},
+		{Text: "quarterly report -draft", Ranking: RankTF, Limit: 10},
+		{Text: "milk OR flour OR repor*", Ranking: RankBM25, Limit: 12},
+		{Text: "-draft", Limit: 10},
+		{Text: "repor*", Ranking: RankTF},
+		{Text: "(annual OR quarterly) report", Ranking: RankBM25, Limit: 10, Offset: 5},
+		{Text: `"annual report"`, Ranking: RankBM25, Limit: 20},
+		{Text: `"annual report" OR pancake`, Ranking: RankTF, Limit: 10},
+		{Text: "report", PathPrefix: "dir2/", Ranking: RankBM25, Limit: 50},
+		{Text: "rev* forecast", Ranking: RankBM25, Limit: 15},
+	}
+	for round := 0; round < 2; round++ {
+		for _, q := range queries {
+			for _, snippets := range []bool{false, true} {
+				if snippets && q.Limit == 0 {
+					continue // snippets need a page
+				}
+				q.Snippets = snippets
+				for _, cat := range []*Catalog{roomy, tight} {
+					if _, err := cat.Query(context.Background(), q); err != nil {
+						t.Fatalf("round %d %q snippets=%v: %v", round, q.Text, snippets, err)
+					}
+				}
+			}
+		}
+	}
+	roomyBlocks, roomyPositions := lazyDecodes(roomy)
+	tightBlocks, tightPositions := lazyDecodes(tight)
+	if tightBlocks <= roomyBlocks || tightPositions <= roomyPositions {
+		t.Fatalf("the %d-byte cache decoded %d blocks (%d with positions), the roomy one %d (%d): nothing was evicted",
+			budget, tightBlocks, tightPositions, roomyBlocks, roomyPositions)
+	}
+	if roomyPositions == 0 || roomyPositions == roomyBlocks {
+		t.Fatalf("roomy cache: %d of %d decodes read positions; the stream should exercise both tiers", roomyPositions, roomyBlocks)
+	}
+	if _, used, _ := tight.BlockCache(); used > budget {
+		t.Fatalf("tight cache holds %d bytes, budget %d", used, budget)
+	}
+}
+
 // TestPrefixSnippetHighlightsMatchedToken keeps the one reader of an
 // expansion's positions working: with snippets on, a prefix query's window
 // is anchored on a token the prefix matched, that token is highlighted,

@@ -12,9 +12,11 @@ package desksearch_test
 // shares still shows.
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"maps"
 	"math"
 	"math/rand"
@@ -165,7 +167,7 @@ func (n *qnode) labels() (terms, prefixes []string) {
 
 // oracleReq is one request: the tree, the text the engine parses, the
 // retrieval controls, what to ask Suggest and TopTerms beside it, and the
-// reference's answers to all three.
+// reference's answers to all three, with the FileIDs of every match.
 type oracleReq struct {
 	tree              *qnode
 	text              string
@@ -176,6 +178,7 @@ type oracleReq struct {
 	suggest           string
 	suggestN, topTerm int
 	want              *desksearch.Response
+	matched           []int
 	wantSuggest       []desksearch.Suggestion
 	wantTop           []desksearch.Suggestion
 }
@@ -191,8 +194,8 @@ func (q oracleReq) query() desksearch.Query {
 }
 
 // answer answers q by definition: the page, the total, and the BM25
-// statistics the scores come from.
-func (r *ref) answer(q oracleReq) *desksearch.Response {
+// statistics the scores come from, with the FileIDs of every match.
+func (r *ref) answer(q oracleReq) (*desksearch.Response, []int) {
 	terms, prefixes := q.tree.labels()
 	labels := append(slices.Clone(terms), prefixes...)
 	// tf of label i in a file; a prefix counts every token it starts.
@@ -272,7 +275,20 @@ func (r *ref) answer(q oracleReq) *desksearch.Response {
 	for _, o := range order {
 		resp.Hits = append(resp.Hits, hits[o])
 	}
-	return resp
+	return resp, ids
+}
+
+// shard is the shard of an n-shard catalog that counts FileID id among
+// its matches: the one holding the file's postings, FNV-1 over the ID's
+// four little-endian bytes modulo n, or shard 0 for a file with no term,
+// whose postings no shard holds.
+func (r *ref) shard(id, n int) int {
+	if len(r.files[id].toks) == 0 {
+		return 0
+	}
+	h := fnv.New32()
+	h.Write([]byte{byte(id), byte(id >> 8), byte(id >> 16), byte(id >> 24)})
+	return int(h.Sum32() % uint32(n))
 }
 
 // snippet is the window of refRadius tokens each side of the earliest
@@ -461,6 +477,35 @@ func genTree(c chooser, words []string, phrases [][]string, depth int) *qnode {
 	return n
 }
 
+// canonical renders the tree in the canonical form a /search response
+// echoes: terms bare but the keywords quoted, a prefix with its '*', a
+// phrase's words quoted, AND and OR their operands joined in parentheses,
+// NOT as (NOT x).
+func (n *qnode) canonical() string {
+	switch n.op {
+	case 't':
+		if slices.Contains([]string{"and", "or", "not"}, n.words[0]) {
+			return `"` + n.words[0] + `"`
+		}
+		return n.words[0]
+	case 'p':
+		return n.words[0] + "*"
+	case 'q':
+		return `"` + strings.Join(n.words, " ") + `"`
+	case '!':
+		return "(NOT " + n.kids[0].canonical() + ")"
+	}
+	parts := make([]string, len(n.kids))
+	for i, k := range n.kids {
+		parts[i] = k.canonical()
+	}
+	sep := " AND "
+	if n.op == '|' {
+		sep = " OR "
+	}
+	return "(" + strings.Join(parts, sep) + ")"
+}
+
 // text writes the tree as query text, varying what the grammar lets
 // vary: case, keyword spelling, "-" for NOT, and trailing punctuation.
 func (n *qnode) text(c chooser) string {
@@ -518,39 +563,63 @@ func (r *ref) genRequest(c chooser) oracleReq {
 	if c.Intn(3) > 0 {
 		q.limit, q.snippets = 1+c.Intn(15), c.Intn(2) == 0
 	}
-	if c.Intn(3) == 0 {
+	switch c.Intn(6) {
+	case 0, 1:
 		q.offset = c.Intn(20)
+	case 2:
+		q.offset = len(r.files) + c.Intn(3) // past every match
 	}
 	if c.Intn(6) == 0 {
 		q.pathPrefix = pick(c, "a", "a/", "B/", "d0/")
 	}
 	w := pick(c, words...)
 	q.suggest, q.suggestN, q.topTerm = w[:1+c.Intn(len(w))], c.Intn(12), 1+c.Intn(8)
-	q.want, q.wantSuggest, q.wantTop = r.answer(q), r.suggest(q.suggest, q.suggestN), r.suggest("", q.topTerm)
+	q.want, q.matched = r.answer(q)
+	q.wantSuggest, q.wantTop = r.suggest(q.suggest, q.suggestN), r.suggest("", q.topTerm)
 	return q
 }
 
 // ---- the shapes ----
 
-// oracleShape is one way of serving the corpus. cat is set for the shapes
-// that are one catalog, whose suggestions and statistics are checked too.
+// oracleShape is one way of serving the corpus from a directory or build
+// of shards shards. ask answers a request with Partitions numbered by
+// shard. suggest, when set, answers Suggest. cat is set for the shapes
+// that are one catalog, whose top terms and statistics are checked too.
 type oracleShape struct {
-	name string
-	ask  func(q oracleReq) (*desksearch.Response, error)
-	cat  *desksearch.Catalog
+	name    string
+	shards  int
+	ask     func(q oracleReq) (*desksearch.Response, error)
+	suggest func(prefix string, n int) ([]desksearch.Suggestion, error)
+	cat     *desksearch.Catalog
 }
 
 func catalogShape(name string, cat *desksearch.Catalog) oracleShape {
-	return oracleShape{name: name, cat: cat, ask: func(q oracleReq) (*desksearch.Response, error) {
-		return cat.Query(context.Background(), q.query())
-	}}
+	return oracleShape{name: name, shards: cat.TotalShards(), cat: cat,
+		ask: func(q oracleReq) (*desksearch.Response, error) { return queryByShard(cat, q.query()) },
+		suggest: func(prefix string, n int) ([]desksearch.Suggestion, error) {
+			return cat.Suggest(context.Background(), prefix, n)
+		}}
+}
+
+// queryByShard asks cat and numbers the response's Partitions by shard,
+// where the engine numbers them by their place in the catalog.
+func queryByShard(cat *desksearch.Catalog, q desksearch.Query) (*desksearch.Response, error) {
+	resp, err := cat.Query(context.Background(), q)
+	if err != nil {
+		return nil, err
+	}
+	ids := cat.PartitionIDs()
+	for i := range resp.Partitions {
+		resp.Partitions[i].Partition = ids[resp.Partitions[i].Partition]
+	}
+	return resp, nil
 }
 
 // subsetShape serves the corpus from worker subsets of one directory the
 // way a broker does, in process: summed DocFreqs as GlobalDF, each
 // subset's top limit+offset, search.MergeRankedPage, then the page.
 func subsetShape(name string, subs ...*desksearch.Catalog) oracleShape {
-	return oracleShape{name: name, ask: func(q oracleReq) (*desksearch.Response, error) {
+	return oracleShape{name: name, shards: subs[0].TotalShards(), ask: func(q oracleReq) (*desksearch.Response, error) {
 		ctx := context.Background()
 		resp := &desksearch.Response{}
 		for i := 0; q.rank == desksearch.RankBM25 && i < len(subs); i++ {
@@ -572,12 +641,13 @@ func subsetShape(name string, subs ...*desksearch.Catalog) oracleShape {
 		for _, sub := range subs {
 			sq := q.query()
 			sq.Limit, sq.Offset, sq.GlobalDF = k, 0, resp.DF
-			r, err := sub.Query(ctx, sq)
+			r, err := queryByShard(sub, sq)
 			if err != nil {
 				return nil, err
 			}
 			parts = append(parts, r.Hits)
 			resp.Total += r.Total
+			resp.Partitions = append(resp.Partitions, r.Partitions...)
 		}
 		resp.Hits = search.MergeRankedPage(parts, k)
 		resp.Hits = resp.Hits[min(q.offset, len(resp.Hits)):]
@@ -588,25 +658,44 @@ func subsetShape(name string, subs ...*desksearch.Catalog) oracleShape {
 	}}
 }
 
-// brokerShape asks a broker's /search over HTTP; limit 0 becomes the
-// front door's cap of 1000, above any corpus here. Its /suggest is left
-// out: summing the workers' local top n can miss a term or undercount it
-// (see the broker's suggest).
-func brokerShape(name, base string) oracleShape {
-	return oracleShape{name: name, ask: func(q oracleReq) (*desksearch.Response, error) {
-		params := url.Values{"q": {q.text}, "rank": {q.rank.String()}, "limit": {strconv.Itoa(q.limit)},
-			"offset": {strconv.Itoa(q.offset)}, "snippets": {strconv.FormatBool(q.snippets)}, "prefix": {q.pathPrefix}}
-		resp, err := http.Get(base + "/search?" + params.Encode())
+// brokerShape asks the /search and /suggest of a broker over a directory
+// of shards shards, and requires /search to echo the query's canonical
+// form. A limit of 0 becomes the front door's cap of 1000, above any
+// corpus here.
+func brokerShape(name, base string, shards int) oracleShape {
+	get := func(path string, params url.Values, body any) error {
+		resp, err := http.Get(base + path + "?" + params.Encode())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("/search: %s", resp.Status)
+			return fmt.Errorf("%s: %s", path, resp.Status)
 		}
+		return json.NewDecoder(resp.Body).Decode(body)
+	}
+	return oracleShape{name: name, shards: shards, ask: func(q oracleReq) (*desksearch.Response, error) {
 		var body server.SearchResponse
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		return &desksearch.Response{Hits: body.Hits, Total: body.Total}, err
+		if err := get("/search", url.Values{"q": {q.text}, "rank": {q.rank.String()}, "limit": {strconv.Itoa(q.limit)},
+			"offset": {strconv.Itoa(q.offset)}, "snippets": {strconv.FormatBool(q.snippets)}, "prefix": {q.pathPrefix}}, &body); err != nil {
+			return nil, err
+		}
+		if want := q.tree.canonical(); body.Query != want {
+			return nil, fmt.Errorf("/search echoes %q, want %q", body.Query, want)
+		}
+		resp := &desksearch.Response{Hits: body.Hits, Total: body.Total}
+		for _, p := range body.Partitions {
+			resp.Partitions = append(resp.Partitions, desksearch.PartitionTiming{Partition: p.Partition, Matched: p.Matched})
+		}
+		return resp, nil
+	}, suggest: func(prefix string, n int) ([]desksearch.Suggestion, error) {
+		params := url.Values{"q": {prefix}}
+		if n > 0 {
+			params.Set("n", strconv.Itoa(n))
+		}
+		var body server.SuggestResponse
+		err := get("/suggest", params, &body)
+		return body.Suggestions, err
 	}}
 }
 
@@ -692,7 +781,7 @@ func serveDir(t testing.TB, dir string) ([]oracleShape, func()) {
 			catalogShape("OpenDir", open(nil, none)),
 			catalogShape("OpenDir, 4 KiB block cache", open(nil, desksearch.Options{BlockCacheBytes: 4 << 10})),
 			subsetShape("OpenDirShards {0,2},{1},{3}", open([]int{0, 2}, none), open([]int{1}, none), open([]int{3}, none)),
-			brokerShape("broker", serve(b.Handler())),
+			brokerShape("broker", serve(b.Handler()), 4),
 		}, func() {
 			for _, c := range closers {
 				c()
@@ -715,9 +804,10 @@ func render(hits []desksearch.Hit) []string {
 	return out
 }
 
-// checkShape holds one shape to the reference on every request, and a
-// one-catalog shape's suggestions, top terms, statistics and block cache
-// budget too.
+// checkShape holds one shape to the reference on every request — the
+// page, the total, the statistics, each partition's matches and the
+// suggestions — and a one-catalog shape's top terms, statistics and block
+// cache budget too.
 func checkShape(t testing.TB, r *ref, s oracleShape, reqs ...oracleReq) {
 	t.Helper()
 	for _, q := range reqs {
@@ -735,12 +825,32 @@ func checkShape(t testing.TB, r *ref, s oracleShape, reqs ...oracleReq) {
 		if got.DF != nil && fmt.Sprint(*got.DF) != fmt.Sprint(*want.DF) {
 			t.Fatalf("%s: %v: DocFreqs %+v, want %+v", s.name, q, *got.DF, *want.DF)
 		}
+		sum := 0
+		for _, p := range got.Partitions {
+			n := 0
+			for _, id := range q.matched {
+				if r.shard(id, s.shards) == p.Partition {
+					n++
+				}
+			}
+			if p.Matched != n {
+				t.Fatalf("%s: %v: shard %d matched %d, want %d", s.name, q, p.Partition, p.Matched, n)
+			}
+			sum += n
+		}
+		if sum != want.Total {
+			t.Fatalf("%s: %v: partitions match %d, want %d", s.name, q, sum, want.Total)
+		}
+		// Summing the local top n of several catalogs is exact when fewer
+		// than n terms start with the prefix: then no list was cut.
+		if s.suggest != nil && (s.cat != nil || len(q.wantSuggest) < cmp.Or(q.suggestN, 10)) {
+			sug, err := s.suggest(q.suggest, q.suggestN)
+			if err != nil || fmt.Sprint(sug) != fmt.Sprint(q.wantSuggest) {
+				t.Fatalf("%s: Suggest(%q, %d) = %v, %v; want %v", s.name, q.suggest, q.suggestN, sug, err, q.wantSuggest)
+			}
+		}
 		if s.cat == nil {
 			continue
-		}
-		sug, err := s.cat.Suggest(context.Background(), q.suggest, q.suggestN)
-		if err != nil || fmt.Sprint(sug) != fmt.Sprint(q.wantSuggest) {
-			t.Fatalf("%s: Suggest(%q, %d) = %v, %v; want %v", s.name, q.suggest, q.suggestN, sug, err, q.wantSuggest)
 		}
 		if got := s.cat.TopTerms(q.topTerm); fmt.Sprint(got) != fmt.Sprint(q.wantTop) {
 			t.Fatalf("%s: TopTerms(%d) = %v, want %v", s.name, q.topTerm, got, q.wantTop)
@@ -768,8 +878,9 @@ func checkShape(t testing.TB, r *ref, s oracleShape, reqs ...oracleReq) {
 }
 
 // oracleBuilds are the build shapes: IndexFS with 1–5 shards under the
-// default tuple, the sequential baseline (1, 0), one owner for three
-// partitions (3, 1), and two owners for two (3, 2).
+// default tuple, and the sequential baseline (1, 0). Another tuple builds
+// the same partitions (TestBuildIsAFunctionOfTheCorpus), so it would
+// answer the same.
 var oracleBuilds = []desksearch.Options{
 	{Positions: true, Shards: 1},
 	{Positions: true, Shards: 2},
@@ -777,8 +888,6 @@ var oracleBuilds = []desksearch.Options{
 	{Positions: true, Shards: 4},
 	{Positions: true, Shards: 5},
 	{Positions: true, Extractors: 1},
-	{Positions: true, Extractors: 3, Shards: 3},
-	{Positions: true, Extractors: 3, Updaters: 2},
 }
 
 // TestEveryShapeMatchesOracle holds every serving shape to the reference

