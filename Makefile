@@ -86,8 +86,11 @@ docs-check:
 # manifest's payload and a segment file's header and dictionary at open,
 # its posting blocks under a lazy reader (both decode tiers and the
 # streaming iterator) and the snippet window pass that reads them in place
-# — on the phrase walk's per-file position check against a naive scan
-# (cursor arithmetic at both ends of the uint32 range), and on the
+# — on an opened segment's dictionary columns (lookups, document
+# frequencies and ascending walks from terms, prefixes and absent probes)
+# against a sorted-slice model, on the phrase walk's per-file position
+# check against a naive scan (cursor arithmetic at both ends of the uint32
+# range), and on the
 # positional posting list's operations (inserts, merges, removal,
 # demotion, windows, the codec round trip), on the index builder (blocks
 # of both kinds in any order), on a batch removal from a built index
@@ -112,6 +115,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentOpen -fuzztime=10s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz=FuzzBlockDecode -fuzztime=10s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz=FuzzWindowDecode -fuzztime=10s ./internal/segment/
+	$(GO) test -run='^$$' -fuzz=FuzzSegmentDictionary -fuzztime=10s ./internal/segment/
 	$(GO) test -run='^$$' -fuzz=FuzzPhraseWalk -fuzztime=10s ./internal/search/
 	$(GO) test -run='^$$' -fuzz=FuzzPositionalList -fuzztime=10s ./internal/postings/
 	$(GO) test -run='^$$' -fuzz=FuzzBuild -fuzztime=10s ./internal/index/

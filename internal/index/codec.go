@@ -233,12 +233,17 @@ func (c *Cursor) Byte() byte {
 }
 
 // Str reads a length-prefixed string of at most 1 MiB.
-func (c *Cursor) Str() string {
+func (c *Cursor) Str() string { return string(c.StrBytes()) }
+
+// StrBytes reads what Str reads without copying it: the bytes alias the
+// region, so a caller that keeps them past it copies them (a segment's
+// dictionary appends every term to one arena).
+func (c *Cursor) StrBytes() []byte {
 	n := c.Uvarint()
 	if n > maxString {
 		c.fail("absurd string length %d", n)
 	}
-	return string(c.take(n, "string"))
+	return c.take(n, "string")
 }
 
 // Count reads the uvarint count of a run of entries of at least entryLen

@@ -21,13 +21,18 @@ func blockReader(blk []byte, df int) *Reader {
 		path:       "fuzz",
 		src:        newByteSource(blk),
 		positional: true,
-		entries:    []entry{{term: "t", df: df, blen: int64(len(blk)), sum: index.Checksum(blk)}},
+		names:      "t",
+		ends:       []uint32{1},
+		offs:       []int64{0, int64(len(blk))},
+		dfs:        []uint32{uint32(df)},
+		sums:       []uint32{index.Checksum(blk)},
 	}
 }
 
-// rawBlock returns a copy of e's posting block as r's file holds it.
-func rawBlock(f *testing.F, r *Reader, e *entry) []byte {
-	blk, err := r.src.slice(r.blocksOff+e.off, e.blen)
+// rawBlock returns a copy of term ord's posting block as r's file holds
+// it.
+func rawBlock(f *testing.F, r *Reader, ord int) []byte {
+	blk, err := r.src.slice(r.blocksOff+r.offs[ord], r.offs[ord+1]-r.offs[ord])
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -80,8 +85,8 @@ func FuzzBlockDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, term := range []string{"common", "even", "rare", "w007"} {
-		e := r.entries[r.find(term)]
-		f.Add(rawBlock(f, r, &e), e.df)
+		ord := r.find(term)
+		f.Add(rawBlock(f, r, ord), int(r.dfs[ord]))
 	}
 	f.Add([]byte{0, 1, 5, 0, 0}, 1)                   // one boolean posting, positions absent
 	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f}, 7) // a count far past the block
@@ -168,12 +173,12 @@ func FuzzWindowDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	e := r.entries[r.find("common")] // 300 postings: a skip table
-	skipped := rawBlock(f, r, &e)
+	ord := r.find("common") // 300 postings: a skip table
+	skipped := rawBlock(f, r, ord)
 	window := func(file byte, lo uint32, width byte) []byte {
 		return append(binary.LittleEndian.AppendUint32([]byte{file}, lo), width)
 	}
-	f.Add(skipped, e.df,
+	f.Add(skipped, int(r.dfs[ord]),
 		slices.Concat(window(3, 0, 40), window(90, 10, 255), window(150, 0, 255)))
 	boolean := postings.FromSortedIDPositions([]postings.FileID{1, 5, 9}, [][]uint32{{3}, {7}, {2}})
 	f.Add(windowBlock(boolean), 3, slices.Concat(window(1, 0, 10), window(3, 5, 5), window(3, 0, 255)))
@@ -253,8 +258,9 @@ func FuzzSegmentOpen(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, flags byte, dict, blocks []byte) {
 		file := segmentImage(flags, dict, blocks)
-		// The dictionary's IDs and entries cost a few words each, and each
-		// takes at least a byte of it; Materialize decodes the blocks, whose
+		// The dictionary's IDs cost a few words each and its entries 20 B of
+		// columns beside their terms' bytes, and each takes at least a byte
+		// of it (an entry seven); Materialize decodes the blocks, whose
 		// budget is FuzzBlockDecode's. It also sizes the document set by the
 		// largest file ID, which LoadDir holds to the manifest's file table
 		// first (shard's admit) and this test to the file's size.

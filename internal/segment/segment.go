@@ -31,9 +31,15 @@
 //
 // Every sum is index.Checksum's CRC-32C. Opening a segment reads and
 // verifies only the header and dictionary — O(dictionary + docs), never
-// O(postings). Posting blocks are mmap'd on linux (mmap_linux.go) or pread
-// on demand elsewhere, verified against their dictionary checksum and
-// decoded lazily per term into a bounded shared cache. The Reader
+// O(postings) — and keeps the dictionary on the heap as columns without
+// pointers: every term back to back in one string, and four flat arrays
+// of term ends, block offsets, document frequencies and block checksums,
+// 20 B plus the term's bytes an entry, none of it scanned by the
+// collector and none of it aliasing the file, so a term handed out
+// survives Close's unmap. Posting blocks are mmap'd on linux
+// (mmap_linux.go) or pread on demand elsewhere, verified against their
+// dictionary checksum and decoded lazily per term into a bounded shared
+// cache. The Reader
 // implements index.Partition, so the whole query stack — boolean, phrase,
 // prefix, BM25, snippets, suggestions — runs on a lazily opened catalog
 // bit-identically to a heap-loaded one.
@@ -63,9 +69,12 @@
 package segment
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -89,15 +98,6 @@ const (
 	minEntryLen = 3 + 4
 )
 
-// entry is one in-memory term-dictionary entry.
-type entry struct {
-	term string
-	df   int
-	off  int64 // into the block region (derived: blocks are contiguous)
-	blen int64
-	sum  uint32 // index.Checksum of the block bytes
-}
-
 // Reader is an open segment: the verified dictionary in memory, the
 // posting blocks on disk. It implements index.Partition. Methods are safe
 // for concurrent use; the segment file must not change underneath it.
@@ -105,10 +105,22 @@ type Reader struct {
 	path       string
 	src        *source
 	positional bool
-	entries    []entry
-	docs       *postings.List // the partition's persisted doc-ID set
-	nPostings  int64
-	blocksOff  int64 // file offset of the block region
+
+	// The dictionary, one column per field, indexed by term ordinal:
+	// term i is names[ends[i-1]:ends[i]] (names[:ends[0]] for the first),
+	// its posting block is bytes [offs[i], offs[i+1]) of the block region
+	// (blocks are contiguous, so offs has one entry more than there are
+	// terms), dfs[i] is its document frequency and sums[i] its block's
+	// index.Checksum.
+	names string
+	ends  []uint32
+	offs  []int64
+	dfs   []uint32
+	sums  []uint32
+
+	docs      *postings.List // the partition's persisted doc-ID set
+	nPostings int64
+	blocksOff int64 // file offset of the block region
 
 	cache *Cache
 	// decodes counts posting-block decodes of either tier (cache misses) —
@@ -173,6 +185,10 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 	if dictLen > uint64(src.size-headerLen-4) {
 		return nil, fmt.Errorf("segment: %s: dictionary length %d exceeds file", path, dictLen)
 	}
+	if dictLen > math.MaxUint32 {
+		// The term ends are u32 offsets into the terms' arena.
+		return nil, fmt.Errorf("segment: %s: dictionary of %d bytes exceeds 4 GiB", path, dictLen)
+	}
 
 	// Checksum-first for everything trusted at open: the header and
 	// dictionary are verified before a byte of them is parsed. Posting
@@ -201,41 +217,52 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 
 	// Doc-ID set: the partition's NOT-universe base, an ID section like a
 	// posting list's (postings.DecodeIDs holds its count to the bytes that
-	// could back it; the entries below are held the same way).
+	// could back it; the entries below are held the same way). The list
+	// adopts the decoded IDs, which ascend strictly.
 	ids := c.IDs()
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("segment: %s: document set: %w", path, err)
 	}
-	r.docs = postings.FromSortedIDs(ids)
+	r.docs = postings.FromColumns(ids, nil, nil)
 
 	blocksLen := c.Uvarint()
 	if got := uint64(src.size - r.blocksOff); blocksLen != got {
 		return nil, fmt.Errorf("segment: %s: block region is %d bytes, dictionary says %d", path, got, blocksLen)
 	}
 	termCount := c.Count("term", minEntryLen)
-	r.entries = make([]entry, 0, termCount)
-	var off int64
-	prevTerm := ""
+	// Every entry takes minEntryLen bytes beside its term's, so the bytes
+	// left bound the terms' total and the arena is one allocation however
+	// many terms there are.
+	var names strings.Builder
+	names.Grow(c.Left() - minEntryLen*termCount)
+	r.ends = make([]uint32, termCount)
+	r.offs = make([]int64, termCount+1)
+	r.dfs = make([]uint32, termCount)
+	r.sums = make([]uint32, termCount)
+	var prev []byte
 	for i := range termCount {
-		term := c.Str()
+		term := c.StrBytes()
 		if err := c.Err(); err != nil {
 			return nil, fmt.Errorf("segment: %s: term %d: %w", path, i, err)
 		}
-		if i > 0 && term <= prevTerm {
-			return nil, fmt.Errorf("segment: %s: term %q out of order after %q", path, term, prevTerm)
+		if i > 0 && bytes.Compare(term, prev) <= 0 {
+			return nil, fmt.Errorf("segment: %s: term %q out of order after %q", path, term, prev)
 		}
-		prevTerm = term
+		prev = term
 		df := c.Uvarint()
 		if df == 0 || df > maxCount {
 			return nil, fmt.Errorf("segment: %s: term %q: absurd document frequency %d", path, term, df)
 		}
 		blen := c.Uvarint()
+		off := r.offs[i]
 		if blen > blocksLen || uint64(off)+blen > blocksLen {
 			return nil, fmt.Errorf("segment: %s: term %q: block overruns region", path, term)
 		}
-		sum := c.U32()
-		r.entries = append(r.entries, entry{term: term, df: int(df), off: off, blen: int64(blen), sum: sum})
-		off += int64(blen)
+		names.Write(term)
+		r.ends[i] = uint32(names.Len())
+		r.offs[i+1] = off + int64(blen)
+		r.dfs[i] = uint32(df)
+		r.sums[i] = c.U32()
 		r.nPostings += int64(df)
 	}
 	if err := c.Err(); err != nil {
@@ -244,9 +271,10 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 	if c.Left() != 0 {
 		return nil, fmt.Errorf("segment: %s: %d trailing dictionary bytes", path, c.Left())
 	}
-	if uint64(off) != blocksLen {
+	if off := r.offs[termCount]; uint64(off) != blocksLen {
 		return nil, fmt.Errorf("segment: %s: blocks cover %d of %d region bytes", path, off, blocksLen)
 	}
+	r.names = names.String()
 	return r, nil
 }
 
@@ -293,10 +321,23 @@ func (r *Reader) noteCorruption(err error) {
 	r.corruptions.Add(1)
 }
 
+// term returns dictionary term ord, a substring of the arena.
+func (r *Reader) term(ord int) string {
+	start := uint32(0)
+	if ord > 0 {
+		start = r.ends[ord-1]
+	}
+	return r.names[start:r.ends[ord]]
+}
+
+// search returns the ordinal of the first dictionary term >= term.
+func (r *Reader) search(term string) int {
+	return sort.Search(len(r.ends), func(k int) bool { return r.term(k) >= term })
+}
+
 // find returns the ordinal of term in the dictionary, or -1.
 func (r *Reader) find(term string) int {
-	i := sort.Search(len(r.entries), func(k int) bool { return r.entries[k].term >= term })
-	if i < len(r.entries) && r.entries[i].term == term {
+	if i := r.search(term); i < len(r.ends) && r.term(i) == term {
 		return i
 	}
 	return -1
@@ -360,7 +401,7 @@ func (r *Reader) Iterator(term string) index.PostingIterator {
 		}
 	}
 	var b postings.Block
-	if err := r.block(&r.entries[ord], &b); err != nil {
+	if err := r.block(ord, &b); err != nil {
 		r.noteCorruption(err)
 		return nil
 	}
@@ -370,16 +411,16 @@ func (r *Reader) Iterator(term string) index.PostingIterator {
 // DocFreq answers from the dictionary alone — no block is touched.
 func (r *Reader) DocFreq(term string) int {
 	if ord := r.find(term); ord >= 0 {
-		return r.entries[ord].df
+		return int(r.dfs[ord])
 	}
 	return 0
 }
 
-// TermsFrom walks the sorted dictionary from the first term >= from.
+// TermsFrom walks the sorted dictionary from the first term >= from. The
+// terms it yields are substrings of the reader's one arena.
 func (r *Reader) TermsFrom(from string, yield func(term string, df int) bool) {
-	i := sort.Search(len(r.entries), func(k int) bool { return r.entries[k].term >= from })
-	for ; i < len(r.entries); i++ {
-		if !yield(r.entries[i].term, r.entries[i].df) {
+	for i := r.search(from); i < len(r.ends); i++ {
+		if !yield(r.term(i), int(r.dfs[i])) {
 			return
 		}
 	}
@@ -398,27 +439,28 @@ func (r *Reader) Window(files []postings.FileID, lo, hi []uint32, emit func(i in
 		return
 	}
 	var b postings.Block
-	for ord := range r.entries {
-		if err := r.windowBlock(&r.entries[ord], &b, files, lo, hi, emit); err != nil {
+	for ord := range r.ends {
+		if err := r.windowBlock(ord, &b, files, lo, hi, emit); err != nil {
 			r.noteCorruption(err)
 		}
 	}
 }
 
-// windowBlock verifies e's block into b and emits its term's occurrences
-// in the windows.
-func (r *Reader) windowBlock(e *entry, b *postings.Block, files []postings.FileID, lo, hi []uint32, emit func(i int, term string, pos uint32)) error {
-	if err := r.block(e, b); err != nil {
+// windowBlock verifies term ord's block into b and emits the term's
+// occurrences in the windows.
+func (r *Reader) windowBlock(ord int, b *postings.Block, files []postings.FileID, lo, hi []uint32, emit func(i int, term string, pos uint32)) error {
+	if err := r.block(ord, b); err != nil {
 		return err
 	}
-	if err := b.Window(files, lo, hi, func(i int, pos uint32) { emit(i, e.term, pos) }); err != nil {
-		return r.fault(e, err)
+	term := r.term(ord)
+	if err := b.Window(files, lo, hi, func(i int, pos uint32) { emit(i, term, pos) }); err != nil {
+		return r.fault(ord, err)
 	}
 	return nil
 }
 
 // NumTerms returns the number of dictionary terms.
-func (r *Reader) NumTerms() int { return len(r.entries) }
+func (r *Reader) NumTerms() int { return len(r.ends) }
 
 // NumPostings returns the segment's (term, file) pair count, summed from
 // the dictionary's document frequencies.
@@ -432,14 +474,12 @@ func (r *Reader) Positional() bool { return r.positional }
 // reader's own copy is never handed out.
 func (r *Reader) Docs() *postings.List { return r.docs.Clone() }
 
-// ResidentBytes estimates the reader's heap footprint: the in-memory
-// dictionary and doc set plus this reader's share of the block cache.
-// The mmap'd file itself is page cache, not heap, and is not counted.
+// ResidentBytes estimates the reader's heap footprint: the dictionary's
+// columns (the term arena, then 20 B a term and one block offset more)
+// and the doc set, plus this reader's share of the block cache. The
+// mmap'd file itself is page cache, not heap, and is not counted.
 func (r *Reader) ResidentBytes() int64 {
-	b := int64(r.docs.Len()) * 4
-	for i := range r.entries {
-		b += int64(len(r.entries[i].term)) + 48
-	}
+	b := int64(len(r.names)) + 20*int64(len(r.ends)) + 8 + 4*int64(r.docs.Len())
 	return b + r.cached.Load()
 }
 
@@ -448,14 +488,13 @@ func (r *Reader) ResidentBytes() int64 {
 // block ends with its frequency section; the verification before it — the
 // checksum over every byte of the block, the skip table — is the same.
 func (r *Reader) decodeBlock(ord int, pos bool) (*postings.List, error) {
-	e := &r.entries[ord]
 	var b postings.Block
-	if err := r.block(e, &b); err != nil {
+	if err := r.block(ord, &b); err != nil {
 		return nil, err
 	}
 	l, err := b.Decode(pos)
 	if err != nil {
-		return nil, r.fault(e, err)
+		return nil, r.fault(ord, err)
 	}
 	r.decodes.Add(1)
 	if pos {
@@ -465,26 +504,27 @@ func (r *Reader) decodeBlock(ord int, pos bool) (*postings.List, error) {
 }
 
 // fault names the segment and term a block error belongs to.
-func (r *Reader) fault(e *entry, err error) error {
-	return fmt.Errorf("segment: %s: term %q: %w", r.path, e.term, err)
+func (r *Reader) fault(ord int, err error) error {
+	return fmt.Errorf("segment: %s: term %q: %w", r.path, r.term(ord), err)
 }
 
-// block sets b to e's posting block, read, checked against the checksum
-// the dictionary holds for it and parsed against its df
+// block sets b to term ord's posting block, read, checked against the
+// checksum the dictionary holds for it and parsed against its df
 // (postings.Block.Parse). Every read of a block that is not served from
 // the cache — either decode tier, a streaming iterator, the window pass —
 // starts here: no byte of a block is parsed before the whole block has
 // verified.
-func (r *Reader) block(e *entry, b *postings.Block) error {
-	blk, err := r.src.slice(r.blocksOff+e.off, e.blen)
+func (r *Reader) block(ord int, b *postings.Block) error {
+	off := r.offs[ord]
+	blk, err := r.src.slice(r.blocksOff+off, r.offs[ord+1]-off)
 	if err != nil {
-		return r.fault(e, err)
+		return r.fault(ord, err)
 	}
-	if got := index.Checksum(blk); got != e.sum {
-		return r.fault(e, fmt.Errorf("block checksum mismatch: dictionary %#x, computed %#x", e.sum, got))
+	if got, want := index.Checksum(blk), r.sums[ord]; got != want {
+		return r.fault(ord, fmt.Errorf("block checksum mismatch: dictionary %#x, computed %#x", want, got))
 	}
-	if err := b.Parse(blk, e.df, r.positional); err != nil {
-		return r.fault(e, err)
+	if err := b.Parse(blk, int(r.dfs[ord]), r.positional); err != nil {
+		return r.fault(ord, err)
 	}
 	return nil
 }
@@ -492,22 +532,22 @@ func (r *Reader) block(e *entry, b *postings.Block) error {
 // Materialize fully decodes the segment into a heap index — the eager
 // loading path (shard.LoadDir) applied to a segment file, and the bridge
 // that keeps directories loadable by every API that predates lazy open.
-// The verified dictionary is the index's dictionary order, each block is
-// decoded into its term's element of one slab of lists, and the index
-// adopts the persisted document set OpenDir answers NOT from.
+// The verified dictionary is the index's dictionary order, its keys
+// substrings of the reader's arena, each block is decoded into its term's
+// element of one slab of lists, and the index adopts the persisted
+// document set OpenDir answers NOT from.
 func (r *Reader) Materialize() (*index.Index, error) {
-	terms := make([]string, len(r.entries))
-	slab := make([]postings.List, len(r.entries))
+	terms := make([]string, len(r.ends))
+	slab := make([]postings.List, len(r.ends))
 	var b postings.Block
-	for ord := range r.entries {
-		e := &r.entries[ord]
-		if err := r.block(e, &b); err != nil {
+	for ord := range r.ends {
+		if err := r.block(ord, &b); err != nil {
 			return nil, err
 		}
 		if err := b.DecodeInto(&slab[ord], r.positional); err != nil {
-			return nil, r.fault(e, err)
+			return nil, r.fault(ord, err)
 		}
-		terms[ord] = e.term
+		terms[ord] = r.term(ord)
 	}
 	return index.NewOrdered(terms, slab, r.docs.IDs(), r.positional), nil
 }

@@ -127,9 +127,8 @@ func TestCountsVerifiesLikeLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	ord := clean.find("even")
-	e := clean.entries[ord]
-	start := int(clean.blocksOff + e.off)
-	for i := start; i < start+int(e.blen); i++ {
+	start, end := int(clean.blocksOff+clean.offs[ord]), int(clean.blocksOff+clean.offs[ord+1])
+	for i := start; i < end; i++ {
 		img := append([]byte(nil), pristine...)
 		img[i] ^= 0x41
 		r, err := OpenBytes("flipped", img, nil)
