@@ -423,10 +423,11 @@ func (c *Catalog) Query(ctx context.Context, q Query) (*Response, error) {
 // (worker catalogs are document-disjoint, so frequencies add exactly),
 // and passes the total back through Query.GlobalDF — after which every
 // worker scores with corpus-global statistics and the merged result is
-// bit-identical to a single-node evaluation. A BM25 Query reports the
-// same local vector in Response.DF, read under the evaluation's own view
-// of the index, so a broker that kept sums from earlier queries can check
-// them against the answer instead of asking first. Term frequencies are
+// bit-identical to a single-node evaluation. Every Query, whatever its
+// ranking, reports the same local vector in Response.DF, read under the
+// evaluation's own view of the index, so a broker can keep sums from
+// earlier answers and check them against the next instead of asking
+// first. Term frequencies are
 // answered from the term dictionaries (no posting blocks are decoded);
 // prefix operators are expanded under the same cap as evaluation, so an
 // over-broad prefix fails here first.

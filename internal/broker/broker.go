@@ -35,11 +35,17 @@
 //     the first answer wins. Requests are read-only and idempotent, so
 //     the duplicate work is pure insurance against stragglers.
 //
+// An attempt gets a goroutine of its own only when another can race it:
+// a group of one replica is called on the goroutine that asked, and the
+// last group of a scatter runs there too (see doGroup and eachGroup).
+//
 // Workers answer query traffic in one binary layout (server.Partial), and
 // BM25 over several groups is verify-then-return: the broker scatters with
 // corpus-wide statistics from a small table it never invalidates, and
 // returns a page only after the workers' own statistics, carried in their
-// partials, confirm the ones it sent (see query and dfTable).
+// partials, confirm the ones it sent (see query and dfTable). Every
+// partial carries them, whatever the ranking, and the table learns from
+// each.
 //
 // Only deterministic worker rejections (HTTP 4xx: parse errors, unknown
 // rankings, over-broad prefixes) stop a request early — a replica would

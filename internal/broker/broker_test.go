@@ -404,3 +404,55 @@ func TestBrokerDeterministicErrors(t *testing.T) {
 		t.Fatalf("unknown ranking = %d, want 400", status)
 	}
 }
+
+// TestBrokerLoneReplicaFailures: a group of one replica is called on the
+// goroutine that asked, and settles by the same rules as a raced one. Its
+// 4xx reaches the client with the worker's status and code; a replica
+// whose listener is gone is a 502, and /stats shows it unhealthy.
+func TestBrokerLoneReplicaFailures(t *testing.T) {
+	dir := buildDir(t, 30, false) // no positions: phrase queries are 400s
+	w02 := startWorker(t, dir, []int{0, 2})
+	w13 := startWorker(t, dir, []int{1, 3})
+	b, bts := newTestBroker(t, [][]string{{w02.URL}, {w13.URL}}, 0)
+
+	status, body := getJSON[map[string]any](t, bts.URL+`/search?q=%22annual+report%22&limit=5`)
+	if status != http.StatusBadRequest || body["code"] != string(desksearch.CodeNoPositions) {
+		t.Fatalf("phrase query on a positionless fleet = %d %v, want 400 with code %q", status, body, desksearch.CodeNoPositions)
+	}
+
+	w13.Close()
+	status, body = getJSON[map[string]any](t, bts.URL+"/search?q=report&limit=5")
+	if status != http.StatusBadGateway {
+		t.Fatalf("/search with a closed lone replica = %d %v, want 502", status, body)
+	}
+	if b.failovers.Load() != 0 || b.hedges.Load() != 0 {
+		t.Fatalf("failovers=%d hedges=%d with no replica to turn to, want 0 and 0", b.failovers.Load(), b.hedges.Load())
+	}
+	_, st := getJSON[StatsResponse](t, bts.URL+"/stats")
+	for _, g := range st.Groups {
+		for _, r := range g.Replicas {
+			if want := r.URL != w13.URL; r.Healthy != want {
+				t.Fatalf("/stats shows %s healthy=%v, want %v", r.URL, r.Healthy, want)
+			}
+		}
+	}
+}
+
+// TestBrokerFailoverIsNoHedgeWin: the replica that answers after a
+// failover won no race, so hedge_wins counts only hedged attempts that
+// beat their primary.
+func TestBrokerFailoverIsNoHedgeWin(t *testing.T) {
+	dir := buildDir(t, 30, false)
+	w1, w2 := startWorker(t, dir, nil), startWorker(t, dir, nil)
+	b, bts := newTestBroker(t, [][]string{{w1.URL, w2.URL}}, 0)
+	w1.Close()
+	for i := 0; i < 4; i++ { // rotation guarantees the dead one leads once
+		if status, _ := getJSON[server.SearchResponse](t, bts.URL+"/search?q=report&limit=5"); status != http.StatusOK {
+			t.Fatalf("round %d: status %d", i, status)
+		}
+	}
+	if b.failovers.Load() == 0 || b.hedges.Load() != 0 || b.hedgeWins.Load() != 0 {
+		t.Fatalf("failovers=%d hedges=%d hedge_wins=%d, want >0, 0, 0",
+			b.failovers.Load(), b.hedges.Load(), b.hedgeWins.Load())
+	}
+}

@@ -342,3 +342,86 @@ func TestDFTableIsBounded(t *testing.T) {
 		t.Fatal("lookup of an unknown term answered")
 	}
 }
+
+// countDF serves inner and counts the /internal/df rounds it answers.
+func countDF(t *testing.T, inner http.Handler, rounds *atomic.Int64) string {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/internal/df" {
+			rounds.Add(1)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// sameAsSingle asks the broker and a single node the same request and
+// requires the same status, total, paths and score bits.
+func sameAsSingle(t *testing.T, broker, single, path string) {
+	t.Helper()
+	ns, want := getJSON[server.SearchResponse](t, single+path)
+	bs, got := getJSON[server.SearchResponse](t, broker+path)
+	if bs != ns || bs != http.StatusOK {
+		t.Fatalf("%s: broker status %d, single node %d", path, bs, ns)
+	}
+	if got.Total != want.Total || len(got.Hits) != len(want.Hits) || len(want.Hits) == 0 {
+		t.Fatalf("%s: broker total %d, %d hits; single node %d, %d", path, got.Total, len(got.Hits), want.Total, len(want.Hits))
+	}
+	for i := range want.Hits {
+		if got.Hits[i].Path != want.Hits[i].Path || math.Float64bits(got.Hits[i].Score) != math.Float64bits(want.Hits[i].Score) {
+			t.Fatalf("%s: hit %d: broker %s %x, single node %s %x", path, i,
+				got.Hits[i].Path, math.Float64bits(got.Hits[i].Score),
+				want.Hits[i].Path, math.Float64bits(want.Hits[i].Score))
+		}
+	}
+}
+
+// TestBrokerLearnsDFFromEveryPartial: every partial carries its worker's
+// local vector whatever the ranking, so an AND, OR, NOT, phrase or prefix
+// query teaches a fresh broker's df table the statistics of its positive
+// keys. A BM25 query over those keys is then a table hit — no /internal/df
+// round — and still scores bit for bit like a single node. Vectors that do
+// not sum (the groups disagree on Docs) teach nothing and fail nothing.
+func TestBrokerLearnsDFFromEveryPartial(t *testing.T) {
+	dir := buildDir(t, 60, true)
+	single := startSingle(t, dir).URL
+	var rounds atomic.Int64
+	groups := [][]string{
+		{countDF(t, workerHandler(t, dir, []int{0, 2}), &rounds)},
+		{countDF(t, workerHandler(t, dir, []int{1, 3}), &rounds)},
+	}
+	for _, tc := range []struct{ name, first, bm25 string }{
+		{"and", "annual+report", "annual+report"},
+		{"or", "budget+OR+forecast", "budget+forecast"},
+		{"not", "report+-draft", "report"},
+		{"phrase", "%22annual+report%22", "annual+OR+report"},
+		{"prefix", "repor*+-milk", "repor*"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, bts := newTestBroker(t, groups, 0)
+			sameAsSingle(t, bts.URL, single, "/search?q="+tc.first+"&limit=10")
+			before := rounds.Load()
+			sameAsSingle(t, bts.URL, single, "/search?q="+tc.bm25+"&rank=bm25&limit=10")
+			if got := rounds.Load() - before; got != 0 {
+				t.Fatalf("the BM25 query after %q sent %d /internal/df request(s), want 0", tc.first, got)
+			}
+			if b.dfHits.Load() != 1 || b.dfMisses.Load() != 0 || b.dfStale.Load() != 0 {
+				t.Fatalf("df hits=%d misses=%d stale=%d, want 1/0/0",
+					b.dfHits.Load(), b.dfMisses.Load(), b.dfStale.Load())
+			}
+		})
+	}
+
+	t.Run("docs disagree", func(t *testing.T) {
+		skewed := rewritePartials(t, workerHandler(t, dir, []int{1, 3}), func(p *server.Partial) []byte {
+			p.DF.Docs++
+			return server.AppendPartial(nil, p)
+		})
+		b, bts := newTestBroker(t, [][]string{{groups[0][0]}, {skewed.URL}}, 0)
+		sameAsSingle(t, bts.URL, single, "/search?q=annual+report&limit=10")
+		if b.df.lookup(nil, nil) != nil {
+			t.Fatal("vectors that disagree on Docs were stored in the df table")
+		}
+	})
+}

@@ -7,14 +7,19 @@ import (
 )
 
 // maxDFEntries bounds the table; a full table is emptied, not grown or
-// evicted from — it refills from the next queries' /internal/df rounds.
+// evicted from — it refills from the next queries' partials.
 const maxDFEntries = 4096
 
 // dfTable is the broker's memory of corpus-wide BM25 statistics: the
 // document and token counts, and a document frequency per term and per
-// prefix operator, as last summed over every group. A query whose keys are
-// all present is scattered with these numbers at once instead of asking
-// the workers for them first.
+// prefix operator, as last summed over every group. A BM25 query whose
+// keys are all present is scattered with these numbers at once instead of
+// asking the workers for them first.
+//
+// It learns from every multi-group scatter, whatever the ranking: each
+// partial carries its worker's local vector for the query's keys, and a
+// clean sum of them is stored. A BM25 miss stores what its /internal/df
+// round summed, and a stale hit what the re-issue was scored with.
 //
 // Nothing invalidates an entry. Every partial carries its worker's own
 // vector for the query, read under the same view of the index as the

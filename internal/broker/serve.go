@@ -87,6 +87,13 @@ var errIndexChanging = errors.New("the index changed twice while the query ran; 
 //
 // So a table hit costs one round trip, a miss two, a stale entry two, and
 // no page is returned unverified.
+//
+// Every partial carries its worker's vector whatever the ranking, so the
+// table learns from every query over more than one group: after an AND,
+// phrase or tf scatter the broker stores the sum, and a BM25 query over
+// the same terms that follows is a hit. Such a sum is stored only when it
+// comes out clean; one that does not fails nothing, since no page was
+// scored with it.
 func (b *Broker) query(ctx context.Context, req desksearch.Query) (*server.SearchResponse, error) {
 	k := req.Limit + req.Offset
 	in := server.InternalSearchRequest{
@@ -97,10 +104,13 @@ func (b *Broker) query(ctx context.Context, req desksearch.Query) (*server.Searc
 		Snippets:       req.Snippets,
 		MaxPrefixTerms: req.MaxPrefixTerms,
 	}
-	verify := req.Ranking == search.RankBM25 && len(b.groups) > 1
+	learn := len(b.groups) > 1
+	verify := learn && req.Ranking == search.RankBM25
 	var terms, prefixes []string
-	if verify {
+	if learn {
 		terms, prefixes = req.Expr.DFKeys()
+	}
+	if verify {
 		if in.DF = b.df.lookup(terms, prefixes); in.DF != nil {
 			b.dfHits.Add(1)
 		} else {
@@ -116,6 +126,11 @@ func (b *Broker) query(ctx context.Context, req desksearch.Query) (*server.Searc
 	partials, err := b.scatter(ctx, &in)
 	if err != nil {
 		return nil, err
+	}
+	if learn && !verify {
+		if sum, err := sumDF(partials); err == nil {
+			b.df.store(terms, prefixes, sum)
+		}
 	}
 	for reissued := false; verify; reissued = true {
 		sum, err := sumDF(partials)
@@ -191,26 +206,39 @@ func (b *Broker) gatherDF(ctx context.Context, canonical string, maxPrefixTerms 
 // their partials in group order.
 func (b *Broker) gatherPartials(ctx context.Context, method, path string, body []byte) ([]*server.Partial, error) {
 	partials := make([]*server.Partial, len(b.groups))
-	errs := make([]error, len(b.groups))
-	var wg sync.WaitGroup
-	for gi, g := range b.groups {
-		wg.Add(1)
-		go func(gi int, g *group) {
-			defer wg.Done()
-			errs[gi] = b.doGroup(ctx, g, method, path, body, func(data []byte) (err error) {
-				partials[gi], err = server.DecodePartial(data)
-				return err
-			})
-			if errs[gi] == nil {
-				g.generation.Store(partials[gi].Generation)
-			}
-		}(gi, g)
-	}
-	wg.Wait()
+	errs := b.eachGroup(func(gi int, g *group) error {
+		err := b.doGroup(ctx, g, method, path, body, func(data []byte) (err error) {
+			partials[gi], err = server.DecodePartial(data)
+			return err
+		})
+		if err == nil {
+			g.generation.Store(partials[gi].Generation)
+		}
+		return err
+	})
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}
 	return partials, nil
+}
+
+// eachGroup runs fn for every group at once and returns their errors in
+// group order. The last group runs on the calling goroutine, which would
+// otherwise only wait: a fleet of one group starts no goroutine at all.
+func (b *Broker) eachGroup(fn func(gi int, g *group) error) []error {
+	errs := make([]error, len(b.groups))
+	last := len(b.groups) - 1
+	var wg sync.WaitGroup
+	for gi, g := range b.groups[:last] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[gi] = fn(gi, g)
+		}()
+	}
+	errs[last] = fn(last, b.groups[last])
+	wg.Wait()
+	return errs
 }
 
 // sumDF adds the local vectors the groups' partials carry into the
@@ -274,18 +302,11 @@ func firstError(errs []error) error {
 func (b *Broker) suggest(ctx context.Context, prefix string, n int) (*server.SuggestResponse, error) {
 	path := "/suggest?q=" + url.QueryEscape(prefix) + "&n=" + strconv.Itoa(n)
 	resps := make([]server.SuggestResponse, len(b.groups))
-	errs := make([]error, len(b.groups))
-	var wg sync.WaitGroup
-	for gi, g := range b.groups {
-		wg.Add(1)
-		go func(gi int, g *group) {
-			defer wg.Done()
-			errs[gi] = b.doGroup(ctx, g, http.MethodGet, path, nil, func(data []byte) error {
-				return json.Unmarshal(data, &resps[gi])
-			})
-		}(gi, g)
-	}
-	wg.Wait()
+	errs := b.eachGroup(func(gi int, g *group) error {
+		return b.doGroup(ctx, g, http.MethodGet, path, nil, func(data []byte) error {
+			return json.Unmarshal(data, &resps[gi])
+		})
+	})
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}

@@ -137,12 +137,81 @@ func (b *Broker) probeHealth(ctx context.Context, base string) bool {
 	return status == http.StatusOK
 }
 
+// attempt is one finished request to one replica of a group.
+type attempt struct {
+	idx    int  // the replica's place in the group's candidate order
+	hedge  bool // started by the hedge timer, not as the primary or a failover
+	status int
+	body   *bytes.Buffer
+	err    error
+	took   time.Duration
+}
+
+// call sends one attempt to r under ctx and tells the worker, through
+// timeout=, the budget ctx leaves it.
+func (b *Broker) call(ctx context.Context, r *replica, method, path string, body []byte) attempt {
+	url := r.url + path
+	if deadline, ok := ctx.Deadline(); ok {
+		sep := "?"
+		if strings.Contains(path, "?") {
+			sep = "&"
+		}
+		// Nanoseconds keep the value ASCII (time.Duration prints µ); an
+		// already-spent budget still has to parse as positive.
+		left := max(time.Until(deadline), time.Nanosecond)
+		url += sep + "timeout=" + strconv.FormatInt(left.Nanoseconds(), 10) + "ns"
+	}
+	start := time.Now()
+	status, respBody, err := b.do(ctx, method, url, body)
+	return attempt{status: status, body: respBody, err: err, took: time.Since(start)}
+}
+
+// settle classifies a finished attempt against replica r, for the lone
+// and the racing path alike, and releases its body. A 200 feeds the
+// group's latency window, counts a hedge win when a hedged attempt beat
+// the primary, and is decoded; a 4xx is the request's fault and becomes a
+// WorkerError. Either ends the group's request (done), with err nil only
+// for a body that decoded. Anything else — a 5xx or a connection error —
+// is a retryable failure, returned as err with done false; a connection
+// error also delists r until the health loop clears it. A timeout is just
+// slowness and a cancellation is the caller's doing: neither says the
+// replica is down.
+func (b *Broker) settle(g *group, r *replica, a attempt, decode func([]byte) error) (done bool, err error) {
+	if a.err != nil {
+		if !errors.Is(a.err, context.DeadlineExceeded) && !errors.Is(a.err, context.Canceled) {
+			r.healthy.Store(false)
+		}
+		return false, fmt.Errorf("%s: %w", r.url, a.err)
+	}
+	defer server.PutBuffer(a.body)
+	switch {
+	case a.status == http.StatusOK:
+		g.window.Observe(a.took)
+		if a.hedge {
+			b.hedgeWins.Add(1)
+		}
+		if err := decode(a.body.Bytes()); err != nil {
+			return true, fmt.Errorf("broker: %s: malformed response: %w", r.url, err)
+		}
+		return true, nil
+	case a.status >= 400 && a.status < 500:
+		msg, code := decodeErrorBody(a.body.Bytes())
+		return true, &WorkerError{Status: a.status, Message: msg, Code: code}
+	default:
+		msg, _ := decodeErrorBody(a.body.Bytes())
+		return false, fmt.Errorf("%s: HTTP %d: %s", r.url, a.status, msg)
+	}
+}
+
 // doGroup runs one request against a replica group with rotation,
 // failover, and hedging, and hands the winning 200 response's body to
 // decode, which must keep no slice of it.
 //
-// The primary attempt goes to the group's next healthy replica. Two
-// things bring the next replica into play: a retryable failure
+// A group of one replica has nothing to race: its attempt runs on the
+// calling goroutine, under the caller's context, and settles there.
+//
+// Otherwise the primary attempt goes to the group's next healthy replica.
+// Two things bring the next replica into play: a retryable failure
 // (connection error, per-attempt timeout, 5xx) starts it immediately —
 // the failover path — and the hedge timer starts it speculatively while
 // the primary is merely slow. Whichever outstanding attempt answers 200
@@ -151,30 +220,30 @@ func (b *Broker) probeHealth(ctx context.Context, base string) bool {
 // request that is broken, not the replica.
 //
 // Every attempt but the last is bounded by the group's attempt timeout, so
-// a hung replica leaves time to fail over. The last candidate has nobody
-// to fail over to: cutting it short could only turn a slow answer into an
-// error, so it runs to the request's own deadline. Either way the worker
-// is told the attempt's remaining budget (timeout=), and stops evaluating
-// when the broker has stopped listening.
+// a hung replica leaves time to fail over. The last candidate — a lone
+// replica's only one — has nobody to fail over to: cutting it short could
+// only turn a slow answer into an error, so it runs to the request's own
+// deadline. Either way the worker is told the attempt's remaining budget
+// (timeout=), and stops evaluating when the broker has stopped listening.
 func (b *Broker) doGroup(ctx context.Context, g *group, method, path string, body []byte, decode func([]byte) error) error {
 	cands := g.candidates()
+	if len(cands) == 1 {
+		done, err := b.settle(g, cands[0], b.call(ctx, cands[0], method, path, body), decode)
+		switch {
+		case done:
+			return err
+		case ctx.Err() != nil:
+			return ctx.Err()
+		default:
+			return fmt.Errorf("broker: all 1 replica(s) failed, last: %w", err)
+		}
+	}
+
 	gctx, gcancel := context.WithCancel(ctx)
 	defer gcancel()
-
-	type result struct {
-		idx    int
-		status int
-		body   *bytes.Buffer
-		err    error
-		took   time.Duration
-	}
-	results := make(chan result, len(cands))
+	results := make(chan attempt, len(cands))
 	hedgeAfter, attemptTO := b.policy(g.window.Snapshot())
-	sep := "?"
-	if strings.Contains(path, "?") {
-		sep = "&"
-	}
-	launch := func(i int) {
+	launch := func(i int, hedge bool) {
 		go func() {
 			actx := gctx
 			if i < len(cands)-1 {
@@ -182,25 +251,17 @@ func (b *Broker) doGroup(ctx context.Context, g *group, method, path string, bod
 				actx, acancel = context.WithTimeout(gctx, attemptTO)
 				defer acancel()
 			}
-			url := cands[i].url + path
-			if deadline, ok := actx.Deadline(); ok {
-				// Nanoseconds keep the value ASCII (time.Duration prints µ);
-				// an already-spent budget still has to parse as positive.
-				left := max(time.Until(deadline), time.Nanosecond)
-				url += sep + "timeout=" + strconv.FormatInt(left.Nanoseconds(), 10) + "ns"
-			}
-			start := time.Now()
-			status, respBody, err := b.do(actx, method, url, body)
-			results <- result{idx: i, status: status, body: respBody, err: err, took: time.Since(start)}
+			a := b.call(actx, cands[i], method, path, body)
+			a.idx, a.hedge = i, hedge
+			results <- a
 		}()
 	}
-	launch(0)
+	launch(0, false)
 	inflight, next := 1, 1
 
 	hedge := time.NewTimer(hedgeAfter)
 	defer hedge.Stop()
 
-	var lastErr error
 	for {
 		select {
 		case <-ctx.Done():
@@ -208,52 +269,24 @@ func (b *Broker) doGroup(ctx context.Context, g *group, method, path string, bod
 		case <-hedge.C:
 			if next < len(cands) {
 				b.hedges.Add(1)
-				launch(next)
+				launch(next, true)
 				next++
 				inflight++
 			}
-		case res := <-results:
+		case a := <-results:
 			inflight--
-			switch {
-			case res.err == nil && res.status == http.StatusOK:
-				g.window.Observe(res.took)
-				if res.idx > 0 {
-					b.hedgeWins.Add(1)
-				}
-				err := decode(res.body.Bytes())
-				server.PutBuffer(res.body)
-				if err != nil {
-					return fmt.Errorf("broker: %s: malformed response: %w", cands[res.idx].url, err)
-				}
-				return nil
-			case res.err == nil && res.status >= 400 && res.status < 500:
-				msg, code := decodeErrorBody(res.body.Bytes())
-				server.PutBuffer(res.body)
-				return &WorkerError{Status: res.status, Message: msg, Code: code}
-			default:
-				err := res.err
-				if err == nil {
-					msg, _ := decodeErrorBody(res.body.Bytes())
-					server.PutBuffer(res.body)
-					err = fmt.Errorf("HTTP %d: %s", res.status, msg)
-				}
-				lastErr = fmt.Errorf("%s: %w", cands[res.idx].url, err)
-				// A connection-level failure delists the replica until the
-				// health loop clears it; a timeout is just slowness and a
-				// cancellation is the caller's doing — neither says the
-				// replica is down.
-				if res.err != nil && !errors.Is(res.err, context.DeadlineExceeded) && !errors.Is(res.err, context.Canceled) {
-					cands[res.idx].healthy.Store(false)
-				}
-				if next < len(cands) {
-					b.failovers.Add(1)
-					b.logf("broker: failing over from %s: %v", cands[res.idx].url, err)
-					launch(next)
-					next++
-					inflight++
-				} else if inflight == 0 {
-					return fmt.Errorf("broker: all %d replica(s) failed, last: %w", len(cands), lastErr)
-				}
+			done, err := b.settle(g, cands[a.idx], a, decode)
+			if done {
+				return err
+			}
+			if next < len(cands) {
+				b.failovers.Add(1)
+				b.logf("broker: failing over from %v", err)
+				launch(next, false)
+				next++
+				inflight++
+			} else if inflight == 0 {
+				return fmt.Errorf("broker: all %d replica(s) failed, last: %w", len(cands), err)
 			}
 		}
 	}

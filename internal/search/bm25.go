@@ -76,17 +76,23 @@ func (s *bm25Stats) maxScore(idf float64, maxTF uint32) float64 {
 // the term dictionaries — a lazy partition decodes no posting block for
 // it), per scoring prefix operator the summed size of its expansion
 // unions. expansions are the per-partition prefix expansion unions (nil
-// when the query has none). The caller must hold the engine's read lock.
-func (e *Engine) localDF(q *Query, expansions [][]*postings.List) *DocFreqs {
+// when the query has none). parts, when non-nil, are the partitions'
+// finished evaluations: one that carries its term counts (partResult.df)
+// is not asked again. The caller must hold the engine's read lock.
+func (e *Engine) localDF(q *Query, expansions [][]*postings.List, parts []partResult) *DocFreqs {
 	df := &DocFreqs{
 		Docs:     e.files.LiveCount(),
 		Tokens:   e.files.LiveTokens(),
 		Terms:    make([]int, len(q.positive)),
 		Prefixes: make([]int, len(q.scorePrefixes)),
 	}
-	for i, term := range q.positive {
-		for _, ix := range e.indices {
-			df.Terms[i] += ix.DocFreq(term)
+	for p, ix := range e.indices {
+		for i, term := range q.positive {
+			if parts != nil && parts[p].df != nil {
+				df.Terms[i] += parts[p].df[i]
+			} else {
+				df.Terms[i] += ix.DocFreq(term)
+			}
 		}
 	}
 	for j, ord := range q.scorePrefixes {

@@ -178,7 +178,7 @@ func (d *DocFreqs) negative() bool {
 // scoring prefix operator, the summed size of its expansion unions. It is
 // what a distributed broker sums across workers for BM25 — cheap enough to
 // run as a separate round-trip before the query itself, and the same
-// vector a BM25 Query reports in Response.DF. Expansion obeys the same
+// vector every Query reports in Response.DF. Expansion obeys the same
 // prefix-expansion cap as evaluation — maxPrefixTerms, with 0 meaning the
 // MaxPrefixTerms default — so an over-broad prefix fails here, before any
 // worker evaluates anything. A panic fails it with CodeInternal, as in
@@ -201,7 +201,7 @@ func (e *Engine) DocFreqs(ctx context.Context, q *Query, maxPrefixTerms int) (_ 
 	if err := e.corruptedSince(marks); err != nil {
 		return nil, err
 	}
-	return e.localDF(q, expansions), nil
+	return e.localDF(q, expansions, nil), nil
 }
 
 // verifier is what a partition that verifies its posting data as it reads
@@ -352,8 +352,8 @@ type Response struct {
 	// partition order.
 	Partitions []PartitionStat
 	// DF is the engine's own document-frequency vector for the query, read
-	// under the same view of the index as the evaluation; nil unless the
-	// request ranked by BM25. Without Request.GlobalDF it is what the scores
+	// under the same view of the index as the evaluation, whatever the
+	// ranking. Under BM25 without Request.GlobalDF it is what the scores
 	// were computed from. With it, it is this engine's share of those
 	// statistics: a broker sums the shares of its workers and, when the sum
 	// equals the vector it sent, knows the page is the one a single node
@@ -369,6 +369,11 @@ type partResult struct {
 	// err is the partition's evaluation failure (a phrase query against a
 	// partition without positions); it fails the whole query.
 	err error
+	// df is the partition's document frequency per positive term, read off
+	// the scorers' iterators so that a ranking other than BM25 reports
+	// Response.DF without probing the dictionaries again; nil under BM25
+	// and where no document matched.
+	df []int
 }
 
 // Query evaluates req over every partition and returns the requested page.
@@ -407,10 +412,12 @@ func (e *Engine) Query(ctx context.Context, req Request) (_ *Response, err error
 	if err != nil {
 		return nil, err
 	}
+	// BM25 needs the local vector before it scores; the other rankings
+	// read it off their scorers after evaluation (see partResult.df).
 	var bm *bm25Stats
 	var local *DocFreqs
 	if req.Ranking == RankBM25 {
-		local = e.localDF(req.Query, expansions)
+		local = e.localDF(req.Query, expansions, nil)
 		df := local
 		if req.GlobalDF != nil {
 			df = req.GlobalDF
@@ -449,6 +456,9 @@ func (e *Engine) Query(ctx context.Context, req Request) (_ *Response, err error
 		}
 	}
 
+	if local == nil {
+		local = e.localDF(req.Query, expansions, parts)
+	}
 	resp := &Response{Partitions: make([]PartitionStat, len(parts)), DF: local}
 	ranked := make([][]scored, len(parts))
 	for i, p := range parts {
@@ -568,6 +578,15 @@ func (e *Engine) queryOne(ctx context.Context, ix index.Partition, universe *pos
 		}
 		scorers = append(scorers, sc)
 	}
+	var df []int
+	if bm == nil {
+		df = make([]int, len(req.Query.positive))
+		for ti, sc := range scorers {
+			if sc.it != nil {
+				df[ti] = sc.it.Len()
+			}
+		}
+	}
 	for pi, ord := range req.Query.scorePrefixes {
 		sc := scorer{it: postings.NewIterator(exp[ord]), bit: len(req.Query.positive) + pi}
 		if bm != nil {
@@ -601,7 +620,7 @@ func (e *Engine) queryOne(ctx context.Context, ix index.Partition, universe *pos
 
 	// Selection pass: walk the match list, filter by path prefix, score,
 	// and feed a bounded heap (or collect everything when unbounded).
-	res := partResult{}
+	res := partResult{df: df}
 	heap := newTopK(k)
 	for i, id := range matched.IDs() {
 		if i&1023 == 0 && ctx.Err() != nil {

@@ -24,10 +24,10 @@ type Partial struct {
 	// Generation is the worker's catalog generation for this evaluation.
 	Generation uint64
 	// DF is the worker's own document-frequency vector for the query, read
-	// under the same view of the index as the evaluation (Response.DF);
-	// zero unless the request ranked by bm25. The broker sums these across
-	// groups and returns a page only when the sum equals the vector the
-	// page was scored with.
+	// under the same view of the index as the evaluation (Response.DF),
+	// whatever the ranking. The broker sums these across groups, returns a
+	// BM25 page only when the sum equals the vector the page was scored
+	// with, and stores the sum in its df table.
 	DF desksearch.DocFreqs
 	// Partitions reports per-partition match counts and evaluation times,
 	// keyed by global shard number.

@@ -166,6 +166,18 @@ func FuzzPartialDecode(f *testing.F) {
 	// The checked-in corpus (testdata/fuzz/FuzzPartialDecode) holds the
 	// shapes the unit tests reject; this seed follows the layout if it moves.
 	f.Add(AppendPartial(nil, samplePartial()))
+	// The common partial: a tf answer, whole-number scores, with the df
+	// block filled as every ranking fills it.
+	f.Add(AppendPartial(nil, &Partial{
+		Total:      3,
+		Generation: 2,
+		DF:         desksearch.DocFreqs{Docs: 6, Tokens: 24, Terms: []int{2, 1}},
+		Partitions: []PartitionStat{{Partition: 0, Matched: 2, DurationUS: 12.5}, {Partition: 2, Matched: 1, DurationUS: 3}},
+		Hits: []desksearch.Hit{
+			{File: 4, Path: "docs/report.txt", Score: 3, Terms: []string{"report", "alpha"}},
+			{File: 1, Path: "docs/minutes.txt", Score: 2, Terms: []string{"report", "alpha"}},
+		},
+	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodePartial(data)
 		if err != nil {

@@ -41,14 +41,15 @@
 //	  hit.snippet    1 byte      0 = none; 1 = { text bytes, highlights
 //	                             uvarint n then n x { start, end uvarint } }
 //
-// The df block is all zeros unless the request ranked by bm25 (or is a
-// /internal/df call). It is read under the same view of the index as the
-// evaluation, and it is the worker's own vector even when the request
-// carried the broker's: the broker sums the blocks of every group and
-// returns a page only when the sum equals what the page was scored with
-// (verify-then-return, see broker.query). A partial must fill its body
-// exactly; the decoder checks every count against the bytes left, so a
-// truncated or forged one is an error, not an allocation.
+// The df block is filled whatever the ranking. It is read under the same
+// view of the index as the evaluation, and it is the worker's own vector
+// even when the request carried the broker's: the broker sums the blocks
+// of every group, returns a BM25 page only when the sum equals what the
+// page was scored with (verify-then-return, see broker.query), and keeps
+// the sums of other rankings for the BM25 queries that follow. A partial
+// must fill its body exactly; the decoder checks every count against the
+// bytes left, so a truncated or forged one is an error, not an
+// allocation.
 //
 // Worker search responses bypass the public result cache. The broker has
 // its own view of result identity (generation vector across workers), and
@@ -219,11 +220,9 @@ func (s *Server) handleWorkerSearch(w http.ResponseWriter, r *http.Request) {
 	out := Partial{
 		Total:      resp.Total,
 		Generation: gen,
+		DF:         *resp.DF,
 		Hits:       resp.Hits,
 		Partitions: wirePartitions(resp.Partitions, ids),
-	}
-	if resp.DF != nil {
-		out.DF = *resp.DF
 	}
 	writePartial(w, &out)
 }

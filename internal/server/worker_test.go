@@ -97,6 +97,13 @@ func TestWorkerEndpoints(t *testing.T) {
 	if out.DF.Docs != local.Docs || out.DF.Tokens != local.Tokens || fmt.Sprint(out.DF.Terms) != fmt.Sprint(local.Terms) {
 		t.Fatalf("partial df = %+v, /internal/df = %+v", out.DF, local)
 	}
+	// Whatever the ranking.
+	if status, out = postSearch(t, fx.ts.URL, InternalSearchRequest{Query: "report forecast", Rank: "tf", Limit: 10}); status != http.StatusOK {
+		t.Fatalf("/internal/search tf status %d", status)
+	}
+	if fmt.Sprint(out.DF) != fmt.Sprint(df) {
+		t.Fatalf("tf partial df = %+v, /internal/df = %+v", out.DF, df)
+	}
 	for _, p := range out.Partitions {
 		if p.Partition != 0 && p.Partition != 2 {
 			t.Fatalf("partition stat uses local index %d, want global shard numbers 0/2", p.Partition)
