@@ -19,10 +19,6 @@ import (
 // broker consumes exactly what the server package serves.
 type WorkerMetaView = server.WorkerMeta
 
-// maxResponseBytes bounds how much of a worker response the broker will
-// buffer — a malfunctioning worker must not balloon the broker's heap.
-const maxResponseBytes = 64 << 20
-
 // httpDoer is the slice of *http.Client the broker uses; tests substitute
 // their own.
 type httpDoer interface {
@@ -84,7 +80,7 @@ func (b *Broker) do(ctx context.Context, method, url string, body []byte) (statu
 	}
 	defer resp.Body.Close()
 	buf := server.GetBuffer()
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBytes)); err != nil {
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, server.MaxBodyBytes)); err != nil {
 		server.PutBuffer(buf)
 		return 0, nil, err
 	}

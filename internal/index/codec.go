@@ -2,9 +2,12 @@ package index
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
+	"math"
+	"strconv"
 
 	"desksearch/internal/postings"
 )
@@ -165,9 +168,11 @@ func AppendString(dst []byte, s string) []byte {
 }
 
 // Cursor is a bounds-checked sequential reader over a region of a DSIX
-// file: a manifest payload, a segment dictionary. Its first failure sticks
-// in Err and every read after it returns a zero value, so a parser reads a
-// run of fields and checks once.
+// file — a manifest payload, a segment dictionary — or over a worker's
+// partial (internal/server), bytes from another process that it trusts no
+// more than a file's. Its first failure sticks in Err and every read after
+// it returns a zero value, so a parser reads a run of fields and checks
+// once.
 type Cursor struct {
 	b   []byte
 	off int
@@ -194,6 +199,10 @@ func (c *Cursor) Uvarint() uint64 {
 	if c.err != nil {
 		return 0
 	}
+	if c.off < len(c.b) && c.b[c.off] < 0x80 { // one byte: most counts and lengths
+		c.off++
+		return uint64(c.b[c.off-1])
+	}
 	v, n := binary.Uvarint(c.b[c.off:])
 	if n <= 0 {
 		c.fail("corrupt uvarint at offset %d", c.off)
@@ -201,6 +210,16 @@ func (c *Cursor) Uvarint() uint64 {
 	}
 	c.off += n
 	return v
+}
+
+// Int reads a uvarint that must fit a non-negative int.
+func (c *Cursor) Int() int {
+	v := c.Uvarint()
+	if v > math.MaxInt {
+		c.fail("absurd int %d at offset %d", v, c.off)
+		return 0
+	}
+	return int(v)
 }
 
 // take returns the next n bytes, or nil once the cursor has failed.
@@ -220,6 +239,14 @@ func (c *Cursor) take(n uint64, what string) []byte {
 func (c *Cursor) U32() uint32 {
 	if b := c.take(4, "u32"); b != nil {
 		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+// U64 reads a little-endian u64.
+func (c *Cursor) U64() uint64 {
+	if b := c.take(8, "u64"); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
 	return 0
 }
@@ -252,7 +279,10 @@ func (c *Cursor) StrBytes() []byte {
 func (c *Cursor) Count(what string, entryLen int) int {
 	n := c.Uvarint()
 	if c.err == nil && n > uint64(c.Left()/entryLen) {
-		c.fail("absurd %s count %d", what, n)
+		// Not through fmt: a forged count is the hostile input a reader
+		// meets most, and rejecting it should cost a fixed few allocations,
+		// not whatever fmt's pooled state costs when the pool is empty.
+		c.err = errors.New("absurd " + what + " count " + strconv.FormatUint(n, 10))
 		return 0
 	}
 	return int(n)

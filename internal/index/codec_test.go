@@ -1,8 +1,11 @@
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -164,5 +167,134 @@ func TestLoadRejectsTruncation(t *testing.T) {
 func TestLoadRejectsWrongMagicAndVersion(t *testing.T) {
 	if _, err := loadTables([]byte("BOGUS-format-data-long-enough-000000")); err == nil {
 		t.Error("bad magic accepted")
+	}
+}
+
+// TestCursorFailureSticks: the first failure is the one Err reports, and
+// every read after it returns zero, even where bytes are left that would
+// have read cleanly.
+func TestCursorFailureSticks(t *testing.T) {
+	c := NewCursor([]byte{7, 0xaa, 0xbb})
+	if v := c.Uvarint(); v != 7 || c.Err() != nil {
+		t.Fatalf("Uvarint = %d, %v; want 7, nil", v, c.Err())
+	}
+	if v := c.U32(); v != 0 || c.Err() == nil {
+		t.Fatalf("U32 over 2 bytes = %d, %v; want 0 and a failure", v, c.Err())
+	}
+	first := c.Err()
+	if !strings.Contains(first.Error(), "u32 overruns") {
+		t.Fatalf("first failure %q does not name the u32", first)
+	}
+	if v := c.Byte(); v != 0 {
+		t.Errorf("Byte after a failure = %#x, want 0", v)
+	}
+	if v := c.Uvarint(); v != 0 {
+		t.Errorf("Uvarint after a failure = %d, want 0", v)
+	}
+	if v := c.Int(); v != 0 {
+		t.Errorf("Int after a failure = %d, want 0", v)
+	}
+	if v := c.U64(); v != 0 {
+		t.Errorf("U64 after a failure = %d, want 0", v)
+	}
+	if v := c.StrBytes(); v != nil {
+		t.Errorf("StrBytes after a failure = %q, want nil", v)
+	}
+	if v := c.Count("entry", 1); v != 0 {
+		t.Errorf("Count after a failure = %d, want 0", v)
+	}
+	if v := c.IDs(); v != nil {
+		t.Errorf("IDs after a failure = %v, want nil", v)
+	}
+	if c.Err() != first {
+		t.Errorf("Err changed from %q to %q", first, c.Err())
+	}
+}
+
+// TestCursorCount: a count is refused when the bytes left cannot hold that
+// many entries of the given least size, and accepted when they just can.
+func TestCursorCount(t *testing.T) {
+	region := func(count uint64, left int) []byte {
+		return append(binary.AppendUvarint(nil, count), make([]byte, left)...)
+	}
+	if c := NewCursor(region(3, 6)); c.Count("entry", 2) != 3 || c.Err() != nil {
+		t.Errorf("3 entries of 2 bytes in 6: %v", c.Err())
+	}
+	c := NewCursor(region(3, 5))
+	if n := c.Count("entry", 2); n != 0 || c.Err() == nil || !strings.Contains(c.Err().Error(), "absurd entry count 3") {
+		t.Errorf("3 entries of 2 bytes in 5: Count = %d, %v; want 0 and an absurd entry count", n, c.Err())
+	}
+	if c := NewCursor(region(1<<60, 64)); c.Count("entry", 1) != 0 || c.Err() == nil {
+		t.Error("a count of 2^60 over 64 bytes was accepted")
+	}
+}
+
+// TestCursorFixedWidth: U32 and U64 read little-endian and fail one byte
+// short.
+func TestCursorFixedWidth(t *testing.T) {
+	b := binary.LittleEndian.AppendUint64(nil, 0x0102030405060708)
+	if c := NewCursor(b); c.U64() != 0x0102030405060708 || c.Left() != 0 || c.Err() != nil {
+		t.Errorf("U64 misread %x", b)
+	}
+	if c := NewCursor(b[:4]); c.U32() != 0x05060708 || c.Err() != nil {
+		t.Errorf("U32 misread %x", b[:4])
+	}
+	if c := NewCursor(b[:7]); c.U64() != 0 || c.Err() == nil {
+		t.Error("U64 over 7 bytes did not fail")
+	}
+	if c := NewCursor(b[:3]); c.U32() != 0 || c.Err() == nil {
+		t.Error("U32 over 3 bytes did not fail")
+	}
+}
+
+// TestCursorUvarint: one-byte and longer uvarints read alike, the largest
+// uint64 reads, and a uvarint past 64 bits or cut short fails.
+func TestCursorUvarint(t *testing.T) {
+	for _, v := range []uint64{0, 1, 0x7f, 0x80, 300, 1 << 35, math.MaxUint64} {
+		c := NewCursor(binary.AppendUvarint(nil, v))
+		if got := c.Uvarint(); got != v || c.Left() != 0 || c.Err() != nil {
+			t.Errorf("Uvarint(%d) = %d, left %d, %v", v, got, c.Left(), c.Err())
+		}
+	}
+	bad := map[string][]byte{
+		"65 bits":   {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+		"11 bytes":  {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00},
+		"cut short": {0x80, 0x80},
+		"empty":     {},
+	}
+	for name, b := range bad {
+		if c := NewCursor(b); c.Uvarint() != 0 || c.Err() == nil {
+			t.Errorf("%s: uvarint %x accepted", name, b)
+		}
+	}
+}
+
+// TestCursorInt: Int takes every non-negative int and refuses a uvarint
+// above math.MaxInt.
+func TestCursorInt(t *testing.T) {
+	if c := NewCursor(binary.AppendUvarint(nil, math.MaxInt)); c.Int() != math.MaxInt || c.Err() != nil {
+		t.Errorf("Int(MaxInt) failed: %v", c.Err())
+	}
+	if c := NewCursor(binary.AppendUvarint(nil, math.MaxInt+1)); c.Int() != 0 || c.Err() == nil {
+		t.Error("Int accepted MaxInt+1")
+	}
+}
+
+// TestCursorStrBytes: a string aliases the region rather than copying it,
+// and a length over maxString is refused even when the bytes are there.
+func TestCursorStrBytes(t *testing.T) {
+	b := append(AppendString(nil, "abc"), 'x')
+	c := NewCursor(b)
+	got := c.StrBytes()
+	if string(got) != "abc" || &got[0] != &b[1] || c.Left() != 1 {
+		t.Errorf("StrBytes = %q (aliasing %v), left %d", got, len(got) > 0 && &got[0] == &b[1], c.Left())
+	}
+	long := AppendString(nil, strings.Repeat("a", maxString))
+	if c := NewCursor(long); len(c.StrBytes()) != maxString || c.Err() != nil {
+		t.Errorf("a %d-byte string was refused: %v", maxString, c.Err())
+	}
+	c = NewCursor(AppendString(nil, strings.Repeat("a", maxString+1)))
+	if got := c.StrBytes(); got != nil || c.Err() == nil || !strings.Contains(c.Err().Error(), "absurd string length") {
+		t.Errorf("a %d-byte string read as %d bytes, %v", maxString+1, len(got), c.Err())
 	}
 }

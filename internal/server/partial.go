@@ -3,20 +3,21 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
+	"fmt"
 	"math"
 	"sync"
 
 	"desksearch"
+	"desksearch/internal/index"
 	"desksearch/internal/postings"
 )
 
 // Partial is a worker's answer to POST /internal/search: its local top-k
 // page in the form the broker's merge takes, plus what the broker needs to
 // check the statistics the page was scored under. It travels in the binary
-// layout AppendPartial writes (tabulated in worker.go's header), never as
-// JSON: scores are raw Float64bits, and nothing on the broker's per-query
-// path goes through reflection.
+// layout AppendPartial writes (tabulated in docs/ARCHITECTURE.md, "The
+// partial"), never as JSON: scores are raw Float64bits, and nothing on the
+// broker's per-query path goes through reflection.
 type Partial struct {
 	// Total counts this worker's matches (its partitions' share of the
 	// corpus-wide total; workers are document-disjoint, so totals add).
@@ -64,17 +65,17 @@ func AppendPartial(dst []byte, p *Partial) []byte {
 		h := &p.Hits[i]
 		dst = binary.AppendUvarint(dst, uint64(h.File))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(h.Score))
-		dst = appendString(dst, h.Path)
+		dst = index.AppendString(dst, h.Path)
 		dst = binary.AppendUvarint(dst, uint64(len(h.Terms)))
 		for _, t := range h.Terms {
-			dst = appendString(dst, t)
+			dst = index.AppendString(dst, t)
 		}
 		if h.Snippet == nil {
 			dst = append(dst, 0)
 			continue
 		}
 		dst = append(dst, 1)
-		dst = appendString(dst, h.Snippet.Text)
+		dst = index.AppendString(dst, h.Snippet.Text)
 		dst = binary.AppendUvarint(dst, uint64(len(h.Snippet.Highlights)))
 		for _, sp := range h.Snippet.Highlights {
 			dst = binary.AppendUvarint(dst, uint64(sp.Start))
@@ -92,170 +93,99 @@ func appendCounts(dst []byte, v []int) []byte {
 	return dst
 }
 
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-var errMalformedPartial = errors.New("malformed partial")
-
 // DecodePartial parses one partial, which must fill data exactly. data
-// comes from another process, so every count is checked against the bytes
-// left before anything is allocated for it, and a truncated, overlong or
-// wrong-version input is an error, never a panic. The result does not
-// alias data: every string in it is a slice of one copy made up front,
-// which keeps the allocations proportional to the hits, not to their
-// fields.
+// comes from another process, so it is read through index.Cursor, the
+// reader of every DSIX region: every count is checked against the bytes
+// left before anything is allocated for it, a string is capped at 1 MiB,
+// and a truncated, overlong or wrong-version input is an error, never a
+// panic. The result does not alias data: every string in it is a slice of
+// one copy made up front, which keeps the allocations proportional to the
+// hits, not to their fields.
 func DecodePartial(data []byte) (*Partial, error) {
-	r := partialReader{s: string(data)}
-	if r.byte() != partialVersion {
-		return nil, errMalformedPartial
+	s := string(data)
+	c := index.NewCursor(data)
+	// str reads a string as the slice of s that holds its bytes.
+	str := func() string {
+		b := c.StrBytes()
+		end := len(data) - c.Left()
+		return s[end-len(b) : end]
+	}
+	if v := c.Byte(); v != partialVersion {
+		return nil, malformedPartial{fmt.Errorf("version %d, want %d", v, partialVersion)}
 	}
 	p := &Partial{}
-	p.Total = r.int()
-	p.Generation = r.uvarint()
-	p.DF.Docs = r.int()
-	p.DF.Tokens = r.uvarint()
-	p.DF.Terms = r.counts()
-	p.DF.Prefixes = r.counts()
-	if n := r.count(10); n > 0 {
+	p.Total = c.Int()
+	p.Generation = c.Uvarint()
+	p.DF.Docs = c.Int()
+	p.DF.Tokens = c.Uvarint()
+	p.DF.Terms = readCounts(c, "df term")
+	p.DF.Prefixes = readCounts(c, "df prefix")
+	if n := c.Count("partition", 10); n > 0 {
 		p.Partitions = make([]PartitionStat, n)
 		for i := range p.Partitions {
-			p.Partitions[i] = PartitionStat{Partition: r.int(), Matched: r.int(), DurationUS: math.Float64frombits(r.fixed64())}
+			p.Partitions[i] = PartitionStat{Partition: c.Int(), Matched: c.Int(), DurationUS: math.Float64frombits(c.U64())}
 		}
 	}
-	p.Hits = make([]desksearch.Hit, r.count(12))
+	p.Hits = make([]desksearch.Hit, c.Count("hit", 12))
 	for i := range p.Hits {
 		h := &p.Hits[i]
-		file := r.uvarint()
+		file := c.Uvarint()
 		if file > math.MaxUint32 {
-			r.fail()
+			return nil, malformedPartial{fmt.Errorf("hit %d: file ID %d overflows 32 bits", i, file)}
 		}
 		h.File = postings.FileID(file)
-		h.Score = math.Float64frombits(r.fixed64())
-		h.Path = r.str()
-		if n := r.count(1); n > 0 {
+		h.Score = math.Float64frombits(c.U64())
+		h.Path = str()
+		if n := c.Count("hit term", 1); n > 0 {
 			h.Terms = make([]string, n)
 			for j := range h.Terms {
-				h.Terms[j] = r.str()
+				h.Terms[j] = str()
 			}
 		}
-		switch r.byte() {
+		switch flag := c.Byte(); flag {
 		case 0:
 		case 1:
-			sn := &desksearch.Snippet{Text: r.str()}
-			if n := r.count(2); n > 0 {
+			sn := &desksearch.Snippet{Text: str()}
+			if n := c.Count("highlight", 2); n > 0 {
 				sn.Highlights = make([]desksearch.Span, n)
 				for j := range sn.Highlights {
-					sn.Highlights[j] = desksearch.Span{Start: r.int(), End: r.int()}
+					sn.Highlights[j] = desksearch.Span{Start: c.Int(), End: c.Int()}
 				}
 			}
 			h.Snippet = sn
 		default:
-			r.fail()
-		}
-		if r.failed {
-			return nil, errMalformedPartial
+			return nil, malformedPartial{fmt.Errorf("hit %d: snippet flag %d", i, flag)}
 		}
 	}
-	if r.failed || r.off != len(r.s) {
-		return nil, errMalformedPartial
+	if err := c.Err(); err != nil {
+		return nil, malformedPartial{err}
+	}
+	if n := c.Left(); n != 0 {
+		return nil, malformedPartial{fmt.Errorf("%d trailing bytes", n)}
 	}
 	return p, nil
 }
 
-// partialReader walks a partial's bytes. The first read past the end or
-// out of range sets failed and moves off to the end, so every later read
-// fails too and returns zero — a zero count, so no loop runs on — and the
-// caller reports one error at the end.
-type partialReader struct {
-	s      string
-	off    int
-	failed bool
-}
+// malformedPartial is DecodePartial's one error: what was wrong, under one
+// prefix. The prefix is added only when the message is read, so rejecting
+// a forged partial costs one allocation beyond the Cursor's own failure
+// (TestPartialCountsBoundedByInput).
+type malformedPartial struct{ err error }
 
-func (r *partialReader) fail() {
-	r.failed = true
-	r.off = len(r.s)
-}
+func (e malformedPartial) Error() string { return "malformed partial: " + e.err.Error() }
+func (e malformedPartial) Unwrap() error { return e.err }
 
-func (r *partialReader) byte() byte {
-	if r.off >= len(r.s) {
-		r.fail()
-		return 0xff
-	}
-	b := r.s[r.off]
-	r.off++
-	return b
-}
-
-func (r *partialReader) uvarint() uint64 {
-	var v uint64
-	for shift := uint(0); shift < 64 && r.off < len(r.s); shift += 7 {
-		b := r.s[r.off]
-		r.off++
-		if b < 0x80 {
-			if shift == 63 && b > 1 {
-				break // overflows 64 bits
-			}
-			return v | uint64(b)<<shift
-		}
-		v |= uint64(b&0x7f) << shift
-	}
-	r.fail()
-	return 0
-}
-
-// int reads a uvarint that must fit a non-negative int.
-func (r *partialReader) int() int {
-	v := r.uvarint()
-	if v > math.MaxInt {
-		r.fail()
-		return 0
-	}
-	return int(v)
-}
-
-// count reads an element count whose elements take at least minBytes
-// each, and fails when that many cannot fit in what is left — so a forged
-// count cannot make the decoder allocate more than the input's own size.
-func (r *partialReader) count(minBytes int) int {
-	n := r.uvarint()
-	if n > uint64(len(r.s)-r.off)/uint64(minBytes) {
-		r.fail()
-		return 0
-	}
-	return int(n)
-}
-
-func (r *partialReader) counts() []int {
-	n := r.count(1)
+// readCounts reads a df vector: a count, then that many ints.
+func readCounts(c *index.Cursor, what string) []int {
+	n := c.Count(what, 1)
 	if n == 0 {
 		return nil
 	}
 	out := make([]int, n)
 	for i := range out {
-		out[i] = r.int()
+		out[i] = c.Int()
 	}
 	return out
-}
-
-func (r *partialReader) fixed64() uint64 {
-	if len(r.s)-r.off < 8 {
-		r.fail()
-		return 0
-	}
-	s := r.s[r.off : r.off+8]
-	r.off += 8
-	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
-}
-
-func (r *partialReader) str() string {
-	n := r.count(1)
-	s := r.s[r.off : r.off+n]
-	r.off += n
-	return s
 }
 
 // maxPooledBuffer is the largest buffer PutBuffer keeps. Partials and

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/hex"
 	"fmt"
 	"math"
 	"reflect"
@@ -60,6 +61,25 @@ func TestPartialRoundTrip(t *testing.T) {
 	}
 	if empty.Total != 0 || len(empty.Hits) != 0 || len(empty.Partitions) != 0 || len(empty.DF.Terms) != 0 {
 		t.Fatalf("empty partial decoded as %+v", empty)
+	}
+}
+
+// partialGolden is AppendPartial(nil, samplePartial()) in hex. A change to
+// the layout changes these bytes, and must bump partialVersion with them
+// so that a broker and a worker built from different commits refuse each
+// other instead of misreading each other.
+const partialGolden = "01d209079c068080808080200303009b0601290200d804000000000050544002fa04fca9" +
+	"f1d24d62503f0400333333333333d33f05612e74787402067265706f7274067265706f722a01" +
+	"1474686520616e6e75616c207265706f7274206f6602040a0b11ffffffff0f01000000000000" +
+	"00166469722fc3bc6ec3af636f6465206e616d652e7478740101780009000000000000084000" +
+	"000100000a000000000000f07f09706c61696e2e7478740000"
+
+func TestPartialGoldenBytes(t *testing.T) {
+	if partialVersion != 1 {
+		t.Fatalf("partialVersion is %d: record the new layout's bytes here", partialVersion)
+	}
+	if got := hex.EncodeToString(AppendPartial(nil, samplePartial())); got != partialGolden {
+		t.Fatalf("the partial's bytes moved without a version bump:\n got %s\nwant %s", got, partialGolden)
 	}
 }
 
@@ -156,6 +176,33 @@ func TestPartialDecodeAllocatesPerHit(t *testing.T) {
 	// highlights slice.
 	if rich := allocs(build(hits, true)); rich > 3*hits+6 {
 		t.Errorf("decoding %d rich hits allocates %.0f times, want <= %d (3 per hit)", hits, rich, 3*hits+6)
+	}
+}
+
+// BenchmarkDecodePartial decodes the broker's common partial: a 20-hit
+// BM25 page with matched terms and a df block.
+func BenchmarkDecodePartial(b *testing.B) {
+	p := &Partial{
+		Total:      412,
+		Generation: 3,
+		DF:         desksearch.DocFreqs{Docs: 5000, Tokens: 1 << 22, Terms: []int{311, 57}, Prefixes: []int{902}},
+		Partitions: []PartitionStat{{Partition: 0, Matched: 205, DurationUS: 61.5}, {Partition: 2, Matched: 207, DurationUS: 58.25}},
+	}
+	for i := 0; i < 20; i++ {
+		p.Hits = append(p.Hits, desksearch.Hit{
+			File:  postings.FileID(i * 37),
+			Path:  fmt.Sprintf("corpus/dir%02d/file%04d.txt", i%7, i*37),
+			Score: 12.5 / float64(i+1),
+			Terms: []string{"annual", "report"},
+		})
+	}
+	data := AppendPartial(nil, p)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	for b.Loop() {
+		if _, err := DecodePartial(data); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -14,42 +14,16 @@
 //	                       partial
 //
 // A partial (Partial, AppendPartial, DecodePartial in partial.go) is the
-// one shape a worker answers a broker's query traffic in. Scores are the
-// 8 raw bytes of math.Float64bits, so the invariant the broker maintains —
-// distributed results bit-identical to a single-node evaluation — hinges on
-// no library's float formatting, and decoding one costs the broker no
-// reflection. Layout, in order; "uvarint" is encoding/binary's, "bytes" a
-// uvarint length followed by that many raw bytes, "f64" the IEEE-754 bits,
-// little-endian:
-//
-//	field            encoding    meaning
-//	version          1 byte      partialVersion (1); anything else is refused
-//	total            uvarint     this worker's match count
-//	generation       uvarint     the worker's catalog generation
-//	df.docs          uvarint     live documents in the corpus (manifest-wide)
-//	df.tokens        uvarint     their summed token length
-//	df.terms         uvarint n   then n x uvarint: the worker's LOCAL document
-//	                             frequency per positive query term
-//	df.prefixes      uvarint n   then n x uvarint: the same per scoring prefix
-//	partitions       uvarint n   then n x { shard uvarint, matched uvarint,
-//	                             duration_us f64 }
-//	hits             uvarint n   then n x hit, in merged rank order
-//	  hit.file       uvarint     directory-wide document ID (merge tie-break)
-//	  hit.score      f64
-//	  hit.path       bytes
-//	  hit.terms      uvarint n   then n x bytes
-//	  hit.snippet    1 byte      0 = none; 1 = { text bytes, highlights
-//	                             uvarint n then n x { start, end uvarint } }
-//
-// The df block is filled whatever the ranking. It is read under the same
-// view of the index as the evaluation, and it is the worker's own vector
-// even when the request carried the broker's: the broker sums the blocks
-// of every group, returns a BM25 page only when the sum equals what the
-// page was scored with (verify-then-return, see broker.query), and keeps
-// the sums of other rankings for the BM25 queries that follow. A partial
-// must fill its body exactly; the decoder checks every count against the
-// bytes left, so a truncated or forged one is an error, not an
-// allocation.
+// one shape a worker answers a broker's query traffic in: binary, with
+// scores as the 8 raw bytes of math.Float64bits, so the invariant the
+// broker maintains — distributed results bit-identical to a single-node
+// evaluation — hinges on no library's float formatting. Its layout is
+// tabulated once, in docs/ARCHITECTURE.md ("The partial"). The df block
+// is filled whatever the ranking, and it is the worker's own vector even
+// when the request carried the broker's: the broker sums the blocks of
+// every group, returns a BM25 page only when the sum equals what the page
+// was scored with (verify-then-return, see broker.query), and keeps the
+// sums of other rankings for the BM25 queries that follow.
 //
 // Worker search responses bypass the public result cache. The broker has
 // its own view of result identity (generation vector across workers), and
@@ -58,12 +32,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 
 	"desksearch"
 )
+
+// MaxBodyBytes bounds a body on the broker-worker hop, request and
+// response alike, so neither side's heap is the other's to balloon.
+const MaxBodyBytes = 64 << 20
 
 // WorkerMeta is the JSON shape of GET /internal/meta: the worker's place
 // in the directory's shard topology plus the capability flags a broker
@@ -165,11 +145,15 @@ func writePartial(w http.ResponseWriter, p *Partial) {
 func (s *Server) handleWorkerSearch(w http.ResponseWriter, r *http.Request) {
 	var in InternalSearchRequest
 	buf := GetBuffer()
-	_, err := buf.ReadFrom(r.Body)
+	err := readBody(w, r, buf)
 	if err == nil {
 		err = json.Unmarshal(buf.Bytes(), &in) // copies what it keeps
 	}
 	PutBuffer(buf)
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooLarge.Limit)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
@@ -225,4 +209,15 @@ func (s *Server) handleWorkerSearch(w http.ResponseWriter, r *http.Request) {
 		Partitions: wirePartitions(resp.Partitions, ids),
 	}
 	writePartial(w, &out)
+}
+
+// readBody reads r's body into buf, up to MaxBodyBytes: a body declared
+// longer is refused unread, and one sent without a length is cut off at
+// the byte past the cap.
+func readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) error {
+	if r.ContentLength > MaxBodyBytes {
+		return &http.MaxBytesError{Limit: MaxBodyBytes}
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	return err
 }

@@ -134,6 +134,38 @@ func TestWorkerEndpoints(t *testing.T) {
 	}
 }
 
+// TestWorkerSearchBodyBounded: a scatter request one byte over
+// MaxBodyBytes is a 413 with the usual JSON error, and reaches no
+// evaluation. Its body is generated as it is read, and the declared
+// length refuses it before a byte of it is.
+func TestWorkerSearchBodyBounded(t *testing.T) {
+	fx, _ := workerFixture(t)
+	before := fx.srv.door.Queries.Load()
+	req := httptest.NewRequest(http.MethodPost, "/internal/search", io.LimitReader(zeros{}, MaxBodyBytes+1))
+	req.ContentLength = MaxBodyBytes + 1
+	rec := httptest.NewRecorder()
+	fx.srv.Handler().ServeHTTP(rec, req)
+	var e errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusRequestEntityTooLarge || e.Error == "" {
+		t.Fatalf("status %d, body %q (%v); want 413 and a JSON error", rec.Code, rec.Body.Bytes(), err)
+	}
+	if after := fx.srv.door.Queries.Load(); after != before {
+		t.Fatalf("an over-cap request moved Queries from %d to %d", before, after)
+	}
+	// One the cap admits still evaluates.
+	if status, _ := postSearch(t, fx.ts.URL, InternalSearchRequest{Query: "report"}); status != http.StatusOK {
+		t.Fatalf("a small request after the refusal: status %d", status)
+	}
+}
+
+// zeros reads as an endless run of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
 // TestWorkerSearchWithGlobalDF: scoring under broker-supplied statistics
 // changes the BM25 idf inputs, and a mis-shaped vector is a 400.
 func TestWorkerSearchWithGlobalDF(t *testing.T) {
