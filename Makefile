@@ -86,7 +86,7 @@ docs-check:
 # manifest's payload and a segment file's header and dictionary at open,
 # its posting blocks under a lazy reader (both decode tiers and the
 # streaming iterator) and the snippet window pass that reads them in place
-# — on an opened segment's dictionary columns (lookups, document
+# — on an opened segment's dictionary copy and restart index (lookups, document
 # frequencies and ascending walks from terms, prefixes and absent probes)
 # against a sorted-slice model, on the phrase walk's per-file position
 # check against a naive scan (cursor arithmetic at both ends of the uint32

@@ -2,7 +2,6 @@ package index
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
@@ -173,6 +172,11 @@ func AppendString(dst []byte, s string) []byte {
 // more than a file's. Its first failure sticks in Err and every read after
 // it returns a zero value, so a parser reads a run of fields and checks
 // once.
+//
+// Uvarint, take and the fixed-width reads built on it are small enough
+// for the compiler to inline: a failure only records what failed, and the
+// message is formatted when the error is read. A failure also empties the
+// cursor, so the reads after it find no bytes and need not test Err.
 type Cursor struct {
 	b   []byte
 	off int
@@ -185,59 +189,81 @@ func NewCursor(b []byte) *Cursor { return &Cursor{b: b} }
 // Err returns the first failure, or nil.
 func (c *Cursor) Err() error { return c.err }
 
-// Left returns how many bytes remain unread.
+// Left returns how many bytes remain unread: none once the cursor has
+// failed.
 func (c *Cursor) Left() int { return len(c.b) - c.off }
 
-func (c *Cursor) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf(format, args...)
-	}
+// noValue marks a cursorError with no value to report.
+const noValue = math.MaxUint64
+
+// cursorError is a Cursor's failure: what failed, the value read unless
+// it is noValue, and the offset. Its message is built with strconv when
+// it is read, never through fmt: a forged field is the hostile input a
+// reader meets most, and rejecting it should cost a fixed few
+// allocations, not whatever fmt's pooled state costs when the pool is
+// empty.
+type cursorError struct {
+	what string
+	v    uint64
+	at   int
 }
 
-// Uvarint reads a uvarint.
-func (c *Cursor) Uvarint() uint64 {
-	if c.err != nil {
-		return 0
+func (e *cursorError) Error() string {
+	msg := e.what
+	if e.v != noValue {
+		msg += " " + strconv.FormatUint(e.v, 10)
 	}
-	if c.off < len(c.b) && c.b[c.off] < 0x80 { // one byte: most counts and lengths
-		c.off++
-		return uint64(c.b[c.off-1])
+	return msg + " at offset " + strconv.Itoa(e.at)
+}
+
+// fail records the first failure and empties the cursor.
+func (c *Cursor) fail(what string, v uint64) {
+	if c.err == nil {
+		c.err = &cursorError{what, v, c.off}
 	}
-	v, n := binary.Uvarint(c.b[c.off:])
-	if n <= 0 {
-		c.fail("corrupt uvarint at offset %d", c.off)
-		return 0
+	c.b, c.off = nil, 0
+}
+
+// Uvarint reads a uvarint: at most ten bytes, the tenth 0 or 1.
+func (c *Cursor) Uvarint() (v uint64) {
+	for i, b := range c.b[c.off:] {
+		v |= uint64(b&0x7f) << (7 * i)
+		if b < 0x80 || i == binary.MaxVarintLen64-1 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				break
+			}
+			c.off += i + 1
+			return v
+		}
 	}
-	c.off += n
-	return v
+	c.fail("corrupt uvarint", noValue)
+	return 0
 }
 
 // Int reads a uvarint that must fit a non-negative int.
 func (c *Cursor) Int() int {
 	v := c.Uvarint()
 	if v > math.MaxInt {
-		c.fail("absurd int %d at offset %d", v, c.off)
+		c.fail("absurd int", v)
 		return 0
 	}
 	return int(v)
 }
 
-// take returns the next n bytes, or nil once the cursor has failed.
+// take returns the next n bytes, or nil and a failure named what when
+// fewer are left.
 func (c *Cursor) take(n uint64, what string) []byte {
-	if c.err != nil {
-		return nil
+	if rest := c.b[c.off:]; n <= uint64(len(rest)) {
+		c.off += int(n)
+		return rest[:n]
 	}
-	if uint64(c.Left()) < n {
-		c.fail("%s overruns buffer at offset %d", what, c.off)
-		return nil
-	}
-	c.off += int(n)
-	return c.b[c.off-int(n) : c.off]
+	c.fail(what, noValue)
+	return nil
 }
 
 // U32 reads a little-endian u32.
 func (c *Cursor) U32() uint32 {
-	if b := c.take(4, "u32"); b != nil {
+	if b := c.take(4, "u32 overruns buffer"); b != nil {
 		return binary.LittleEndian.Uint32(b)
 	}
 	return 0
@@ -245,7 +271,7 @@ func (c *Cursor) U32() uint32 {
 
 // U64 reads a little-endian u64.
 func (c *Cursor) U64() uint64 {
-	if b := c.take(8, "u64"); b != nil {
+	if b := c.take(8, "u64 overruns buffer"); b != nil {
 		return binary.LittleEndian.Uint64(b)
 	}
 	return 0
@@ -253,7 +279,7 @@ func (c *Cursor) U64() uint64 {
 
 // Byte reads one byte.
 func (c *Cursor) Byte() byte {
-	if b := c.take(1, "byte"); b != nil {
+	if b := c.take(1, "byte overruns buffer"); b != nil {
 		return b[0]
 	}
 	return 0
@@ -264,13 +290,14 @@ func (c *Cursor) Str() string { return string(c.StrBytes()) }
 
 // StrBytes reads what Str reads without copying it: the bytes alias the
 // region, so a caller that keeps them past it copies them (a segment's
-// dictionary appends every term to one arena).
+// dictionary copies its entries whole).
 func (c *Cursor) StrBytes() []byte {
 	n := c.Uvarint()
 	if n > maxString {
-		c.fail("absurd string length %d", n)
+		c.fail("absurd string length", n)
+		return nil
 	}
-	return c.take(n, "string")
+	return c.take(n, "string overruns buffer")
 }
 
 // Count reads the uvarint count of a run of entries of at least entryLen
@@ -278,11 +305,8 @@ func (c *Cursor) StrBytes() []byte {
 // sizes an allocation before the bytes that would back it bound it.
 func (c *Cursor) Count(what string, entryLen int) int {
 	n := c.Uvarint()
-	if c.err == nil && n > uint64(c.Left()/entryLen) {
-		// Not through fmt: a forged count is the hostile input a reader
-		// meets most, and rejecting it should cost a fixed few allocations,
-		// not whatever fmt's pooled state costs when the pool is empty.
-		c.err = errors.New("absurd " + what + " count " + strconv.FormatUint(n, 10))
+	if n > uint64(c.Left()/entryLen) {
+		c.fail("absurd "+what+" count", n)
 		return 0
 	}
 	return int(n)
@@ -296,7 +320,7 @@ func (c *Cursor) IDs() []postings.FileID {
 	}
 	ids, n, err := postings.DecodeIDs(c.b[c.off:])
 	if err != nil {
-		c.err = err
+		c.err, c.b, c.off = err, nil, 0
 		return nil
 	}
 	c.off += n

@@ -298,3 +298,30 @@ func TestCursorStrBytes(t *testing.T) {
 		t.Errorf("a %d-byte string read as %d bytes, %v", maxString+1, len(got), c.Err())
 	}
 }
+
+// TestCursorFailureAllocations: a rejection costs one allocation, the
+// error, plus one for Count's message, whatever the read and under the
+// race detector too; the message is built only when it is read.
+func TestCursorFailureAllocations(t *testing.T) {
+	over := binary.AppendUvarint(nil, 1<<60)
+	cases := map[string]struct {
+		b     []byte
+		read  func(c *Cursor)
+		alloc float64
+	}{
+		"uvarint": {[]byte{0x80}, func(c *Cursor) { c.Uvarint() }, 1},
+		"int":     {binary.AppendUvarint(nil, math.MaxInt+1), func(c *Cursor) { c.Int() }, 1},
+		"u32":     {[]byte{1, 2}, func(c *Cursor) { c.U32() }, 1},
+		"string":  {AppendString(nil, "abc")[:2], func(c *Cursor) { c.StrBytes() }, 1},
+		"count":   {over, func(c *Cursor) { c.Count("entry", 1) }, 2},
+	}
+	for name, tc := range cases {
+		var c Cursor
+		if allocs := testing.AllocsPerRun(200, func() {
+			c = Cursor{b: tc.b}
+			tc.read(&c)
+		}); allocs != tc.alloc || c.Err() == nil {
+			t.Errorf("%s: a rejection took %.2f allocations (want %.0f), Err %v", name, allocs, tc.alloc, c.Err())
+		}
+	}
+}

@@ -399,32 +399,27 @@ func (env *evalEnv) evalOr(v orNode) (*postings.List, error) {
 // the intersection through a list-backed iterator.
 func (env *evalEnv) evalAnd(v andNode) (*postings.List, error) {
 	// Resolve the kids left to right, stopping at the first provably
-	// empty one. Term kids answer from the dictionary (DocFreq) and
-	// prefix kids from the precomputed expansions, so ordering them
-	// costs no posting data; the walk-with-early-exit preserves the old
-	// evaluator's observable behavior — kids after an empty one are
-	// never evaluated.
-	type leg struct {
-		term   string // term kid; iterator created after ordering
-		isTerm bool
-		l      *postings.List // non-term kid: already-evaluated match set
-		n      int            // match-count estimate (df / list length)
-	}
-	legs := make([]leg, 0, len(v.kids))
+	// empty one. A term kid's iterator is its one dictionary probe: it
+	// knows its document frequency (Len) before reading a posting, so
+	// ordering the legs costs no posting data, and a nil one is an absent
+	// term (or a corrupt block, which the partition counted; Query fails
+	// on its way out). Prefix kids answer from the precomputed
+	// expansions. The walk-with-early-exit preserves the old evaluator's
+	// observable behavior — kids after an empty one are never evaluated.
+	its := make([]index.PostingIterator, 0, len(v.kids))
 	for _, k := range v.kids {
+		var it index.PostingIterator
 		switch kv := k.(type) {
 		case termNode:
-			n := env.ix.DocFreq(kv.term)
-			if n == 0 {
+			if it = env.ix.Iterator(kv.term); it == nil {
 				return &postings.List{}, nil
 			}
-			legs = append(legs, leg{term: kv.term, isTerm: true, n: n})
 		case prefixNode:
 			l := env.prefixes[kv.ord]
 			if l.Len() == 0 {
 				return &postings.List{}, nil
 			}
-			legs = append(legs, leg{l: l, n: l.Len()})
+			it = postings.NewIterator(l)
 		default:
 			r, err := env.eval(k)
 			if err != nil {
@@ -433,28 +428,14 @@ func (env *evalEnv) evalAnd(v andNode) (*postings.List, error) {
 			if r.Len() == 0 {
 				return &postings.List{}, nil
 			}
-			legs = append(legs, leg{l: r, n: r.Len()})
+			it = postings.NewIterator(r)
 		}
+		its = append(its, it)
 	}
 	// Ascending document frequency: the most selective leg drives, so
 	// every other leg is asked for at most that many seeks — on skewed
 	// rare∧common intersections the dense list is sampled, not walked.
-	sort.SliceStable(legs, func(i, j int) bool { return legs[i].n < legs[j].n })
-	its := make([]index.PostingIterator, len(legs))
-	for i, g := range legs {
-		if !g.isTerm {
-			its[i] = postings.NewIterator(g.l)
-			continue
-		}
-		it := env.ix.Iterator(g.term)
-		if it == nil {
-			// DocFreq saw the term but the iterator did not: the block
-			// is corrupt, and corrupt means absent, as for Lookup. The
-			// partition counted the fault, so Query fails on its way out.
-			return &postings.List{}, nil
-		}
-		its[i] = it
-	}
+	sort.SliceStable(its, func(i, j int) bool { return its[i].Len() < its[j].Len() })
 	out := &postings.List{}
 	if !its[0].Next() {
 		return out, nil

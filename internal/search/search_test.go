@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -496,6 +498,66 @@ func TestMergeRanked(t *testing.T) {
 	for _, tc := range cases {
 		if got := MergeRankedPage(tc.parts, 0); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: unbounded merge = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// probeCounter is a Partition that counts its dictionary probes.
+type probeCounter struct {
+	index.Partition
+	iterators, docFreqs *atomic.Int64
+}
+
+func (p probeCounter) Iterator(term string) index.PostingIterator {
+	p.iterators.Add(1)
+	return p.Partition.Iterator(term)
+}
+
+func (p probeCounter) DocFreq(term string) int {
+	p.docFreqs.Add(1)
+	return p.Partition.DocFreq(term)
+}
+
+// TestAndProbesEachTermOnce: a k-term AND finds each term in a partition's
+// dictionary once — k Iterator calls and no DocFreq — and stops at the
+// first absent term, probing none after it.
+func TestAndProbesEachTermOnce(t *testing.T) {
+	docs := make([][]string, 12)
+	for i := range docs {
+		docs[i] = []string{"a", "b", "c", "d"}[:1+i%4]
+		docs[i] = append(docs[i], "d", "c")
+	}
+	_, ixs := positionalParts(docs, 3)
+	for _, tc := range []struct {
+		query  string
+		probes int64
+	}{
+		{"a b", 2}, {"d b c", 3}, {"a b c d", 4},
+		{"a zz b", 2}, // zz is absent: b is never probed
+	} {
+		q := MustParse(tc.query)
+		for p, ix := range ixs {
+			var iterators, docFreqs atomic.Int64
+			env := &evalEnv{ctx: context.Background(), ix: probeCounter{ix, &iterators, &docFreqs}}
+			got, err := env.eval(q.root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []postings.FileID
+			for i, doc := range docs {
+				if i%len(ixs) == p && !slices.ContainsFunc(strings.Fields(tc.query), func(term string) bool {
+					return !slices.Contains(doc, term)
+				}) {
+					want = append(want, postings.FileID(i))
+				}
+			}
+			if !slices.Equal(got.IDs(), want) {
+				t.Fatalf("%q, partition %d: %v, want %v", tc.query, p, got.IDs(), want)
+			}
+			if iterators.Load() != tc.probes || docFreqs.Load() != 0 {
+				t.Errorf("%q, partition %d: %d Iterator and %d DocFreq calls, want %d and 0",
+					tc.query, p, iterators.Load(), docFreqs.Load(), tc.probes)
+			}
 		}
 	}
 }

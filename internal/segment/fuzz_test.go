@@ -12,31 +12,53 @@ import (
 	"desksearch/internal/postings"
 )
 
-// blockReader returns a positional reader whose dictionary has one term
-// with document frequency df and blk, whatever it holds, as that term's
-// posting block — checksum and all, so verification passes and the
-// decoders meet the bytes.
-func blockReader(blk []byte, df int) *Reader {
-	return &Reader{
-		path:       "fuzz",
-		src:        newByteSource(blk),
-		positional: true,
-		names:      "t",
-		ends:       []uint32{1},
-		offs:       []int64{0, int64(len(blk))},
-		dfs:        []uint32{uint32(df)},
-		sums:       []uint32{index.Checksum(blk)},
+// blockReader returns a positional reader whose dictionary has one term,
+// "t", with document frequency df and blk, whatever it holds, as that
+// term's posting block — checksum and all, so verification passes and
+// the decoders meet the bytes. Open makes it, from an image with an
+// empty document set.
+func blockReader(t *testing.T, blk []byte, df int) *Reader {
+	dict := []byte{0} // no documents
+	dict = binary.AppendUvarint(dict, uint64(len(blk)))
+	dict = binary.AppendUvarint(dict, 1) // one term
+	dict = index.AppendString(dict, "t")
+	dict = binary.AppendUvarint(dict, uint64(df))
+	dict = binary.AppendUvarint(dict, uint64(len(blk)))
+	dict = binary.LittleEndian.AppendUint32(dict, index.Checksum(blk))
+	r, err := OpenBytes("fuzz", segmentImage(flagPositional, dict, blk), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return r
 }
 
+// at returns dictionary entry ord, decoded forward from its restart.
+func (r *Reader) at(ord int) entry {
+	c := r.cursor(ord / restartEvery)
+	for range ord % restartEvery {
+		c.next()
+	}
+	return *c.next()
+}
+
+// find returns the ordinal of term in the dictionary, or -1.
+func (r *Reader) find(term string) int {
+	ord, _ := r.lookup(term)
+	return ord
+}
+
+// term returns dictionary term ord.
+func (r *Reader) term(ord int) string { return r.at(ord).term }
+
 // rawBlock returns a copy of term ord's posting block as r's file holds
-// it.
-func rawBlock(f *testing.F, r *Reader, ord int) []byte {
-	blk, err := r.src.slice(r.blocksOff+r.offs[ord], r.offs[ord+1]-r.offs[ord])
+// it, and the term's document frequency.
+func rawBlock(f *testing.F, r *Reader, ord int) ([]byte, int) {
+	e := r.at(ord)
+	blk, err := r.src.slice(r.blocksOff+e.off, e.size)
 	if err != nil {
 		f.Fatal(err)
 	}
-	return bytes.Clone(blk)
+	return bytes.Clone(blk), e.df
 }
 
 // allocatedBytes reads the process's cumulative heap allocation.
@@ -85,8 +107,8 @@ func FuzzBlockDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, term := range []string{"common", "even", "rare", "w007"} {
-		ord := r.find(term)
-		f.Add(rawBlock(f, r, ord), int(r.dfs[ord]))
+		blk, df := rawBlock(f, r, r.find(term))
+		f.Add(blk, df)
 	}
 	f.Add([]byte{0, 1, 5, 0, 0}, 1)                   // one boolean posting, positions absent
 	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f}, 7) // a count far past the block
@@ -96,12 +118,13 @@ func FuzzBlockDecode(f *testing.F) {
 		if df < 1 || df > maxCount {
 			return // Open refuses such a dictionary entry
 		}
-		r := blockReader(blk, df)
+		r := blockReader(t, blk, df)
+		e0 := r.at(0)
 		var counts, full *postings.List
 		var cerr, ferr error
 		run := func() {
-			counts, cerr = r.decodeBlock(0, false)
-			full, ferr = r.decodeBlock(0, true)
+			counts, cerr = r.decodeBlock(&e0, false)
+			full, ferr = r.decodeBlock(&e0, true)
 			if it := r.Iterator("t"); it != nil {
 				for it.Next() {
 					it.Count()
@@ -173,12 +196,11 @@ func FuzzWindowDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	ord := r.find("common") // 300 postings: a skip table
-	skipped := rawBlock(f, r, ord)
+	skipped, df := rawBlock(f, r, r.find("common")) // 300 postings: a skip table
 	window := func(file byte, lo uint32, width byte) []byte {
 		return append(binary.LittleEndian.AppendUint32([]byte{file}, lo), width)
 	}
-	f.Add(skipped, int(r.dfs[ord]),
+	f.Add(skipped, df,
 		slices.Concat(window(3, 0, 40), window(90, 10, 255), window(150, 0, 255)))
 	boolean := postings.FromSortedIDPositions([]postings.FileID{1, 5, 9}, [][]uint32{{3}, {7}, {2}})
 	f.Add(windowBlock(boolean), 3, slices.Concat(window(1, 0, 10), window(3, 5, 5), window(3, 0, 255)))
@@ -194,7 +216,8 @@ func FuzzWindowDecode(f *testing.F) {
 			return // Open refuses such a dictionary entry
 		}
 		files, lo, hi := fuzzWindows(spec)
-		r := blockReader(blk, df)
+		r := blockReader(t, blk, df)
+		e0 := r.at(0)
 		var got []uint64
 		r.Window(files, lo, hi, func(i int, term string, pos uint32) {
 			got = append(got, uint64(i)<<32|uint64(pos))
@@ -213,7 +236,7 @@ func FuzzWindowDecode(f *testing.F) {
 			}
 		}
 
-		l, err := r.decodeBlock(0, true)
+		l, err := r.decodeBlock(&e0, true)
 		if err != nil {
 			return
 		}

@@ -31,18 +31,19 @@
 //
 // Every sum is index.Checksum's CRC-32C. Opening a segment reads and
 // verifies only the header and dictionary — O(dictionary + docs), never
-// O(postings) — and keeps the dictionary on the heap as columns without
-// pointers: every term back to back in one string, and four flat arrays
-// of term ends, block offsets, document frequencies and block checksums,
-// 20 B plus the term's bytes an entry, none of it scanned by the
-// collector and none of it aliasing the file, so a term handed out
-// survives Close's unmap. Posting blocks are mmap'd on linux
+// O(postings) — and keeps the dictionary's entries on the heap as they
+// are on disk: one copy of their verified bytes, never aliasing the file,
+// so a term handed out survives Close's unmap. The walk that checks every
+// entry also builds a sparse restart index — every restartEvery-th
+// entry's position in the copy, its block's offset and its term's first
+// eight bytes packed into a uint64 — so a lookup binary-searches the
+// packed keys, compares whole terms only on a tie and decodes at most a
+// restart group's entries. Posting blocks are mmap'd on linux
 // (mmap_linux.go) or pread on demand elsewhere, verified against their
 // dictionary checksum and decoded lazily per term into a bounded shared
-// cache. The Reader
-// implements index.Partition, so the whole query stack — boolean, phrase,
-// prefix, BM25, snippets, suggestions — runs on a lazily opened catalog
-// bit-identically to a heap-loaded one.
+// cache. The Reader implements index.Partition, so the whole query stack
+// — boolean, phrase, prefix, BM25, snippets, suggestions — runs on a
+// lazily opened catalog bit-identically to a heap-loaded one.
 //
 // A block is decoded as far as its caller reads. The posting-list encoding
 // puts IDs first, frequencies second and positions last, and positions
@@ -73,7 +74,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -96,6 +96,11 @@ const (
 	// minEntryLen is the smallest encoded dictionary entry: a term length,
 	// df and blockLen of one byte each, and the u32 blockSum.
 	minEntryLen = 3 + 4
+	// restartEvery is the restart index's stride: entry g*restartEvery
+	// is restart g, and a lookup reads at most the entries of one group
+	// after the binary search. At 8 the index costs 2.5 B an entry;
+	// BenchmarkSegmentFind ran about 10% slower at 16 and no faster at 4.
+	restartEvery = 8
 )
 
 // Reader is an open segment: the verified dictionary in memory, the
@@ -106,17 +111,19 @@ type Reader struct {
 	src        *source
 	positional bool
 
-	// The dictionary, one column per field, indexed by term ordinal:
-	// term i is names[ends[i-1]:ends[i]] (names[:ends[0]] for the first),
-	// its posting block is bytes [offs[i], offs[i+1]) of the block region
-	// (blocks are contiguous, so offs has one entry more than there are
-	// terms), dfs[i] is its document frequency and sums[i] its block's
-	// index.Checksum.
-	names string
-	ends  []uint32
-	offs  []int64
-	dfs   []uint32
-	sums  []uint32
+	// The dictionary: the verified entries, copied once out of the file,
+	// each still { string term | uvarint df | uvarint blockLen |
+	// u32 blockSum }, and the restart index over them. Restart g is entry
+	// g*restartEvery: it starts at dict[rpos[g]], its posting block at
+	// offset roff[g] of the block region (blocks are contiguous, so an
+	// entry's offset is its restart's plus the blockLens between them),
+	// and keys[g] is its term's first 8 bytes, big-endian and zero-padded,
+	// which ascend (not strictly) as the terms do.
+	dict   string
+	keys   []uint64
+	rpos   []uint32
+	roff   []int64
+	nTerms int
 
 	docs      *postings.List // the partition's persisted doc-ID set
 	nPostings int64
@@ -186,7 +193,7 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 		return nil, fmt.Errorf("segment: %s: dictionary length %d exceeds file", path, dictLen)
 	}
 	if dictLen > math.MaxUint32 {
-		// The term ends are u32 offsets into the terms' arena.
+		// The restart index holds u32 positions in the entries' copy.
 		return nil, fmt.Errorf("segment: %s: dictionary of %d bytes exceeds 4 GiB", path, dictLen)
 	}
 
@@ -230,17 +237,15 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 		return nil, fmt.Errorf("segment: %s: block region is %d bytes, dictionary says %d", path, got, blocksLen)
 	}
 	termCount := c.Count("term", minEntryLen)
-	// Every entry takes minEntryLen bytes beside its term's, so the bytes
-	// left bound the terms' total and the arena is one allocation however
-	// many terms there are.
-	var names strings.Builder
-	names.Grow(c.Left() - minEntryLen*termCount)
-	r.ends = make([]uint32, termCount)
-	r.offs = make([]int64, termCount+1)
-	r.dfs = make([]uint32, termCount)
-	r.sums = make([]uint32, termCount)
+	groups := (termCount + restartEvery - 1) / restartEvery
+	r.keys = make([]uint64, groups)
+	r.rpos = make([]uint32, groups)
+	r.roff = make([]int64, groups)
+	entries := c.Left() // the entries run to the region's end
 	var prev []byte
+	off := uint64(0)
 	for i := range termCount {
+		pos := entries - c.Left()
 		term := c.StrBytes()
 		if err := c.Err(); err != nil {
 			return nil, fmt.Errorf("segment: %s: term %d: %w", path, i, err)
@@ -254,15 +259,15 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 			return nil, fmt.Errorf("segment: %s: term %q: absurd document frequency %d", path, term, df)
 		}
 		blen := c.Uvarint()
-		off := r.offs[i]
-		if blen > blocksLen || uint64(off)+blen > blocksLen {
+		if blen > blocksLen || off+blen > blocksLen {
 			return nil, fmt.Errorf("segment: %s: term %q: block overruns region", path, term)
 		}
-		names.Write(term)
-		r.ends[i] = uint32(names.Len())
-		r.offs[i+1] = off + int64(blen)
-		r.dfs[i] = uint32(df)
-		r.sums[i] = c.U32()
+		c.U32() // blockSum, read from the copy when the block is
+		if i%restartEvery == 0 {
+			g := i / restartEvery
+			r.keys[g], r.rpos[g], r.roff[g] = prefixKey(term), uint32(pos), int64(off)
+		}
+		off += blen
 		r.nPostings += int64(df)
 	}
 	if err := c.Err(); err != nil {
@@ -271,10 +276,11 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 	if c.Left() != 0 {
 		return nil, fmt.Errorf("segment: %s: %d trailing dictionary bytes", path, c.Left())
 	}
-	if off := r.offs[termCount]; uint64(off) != blocksLen {
+	if off != blocksLen {
 		return nil, fmt.Errorf("segment: %s: blocks cover %d of %d region bytes", path, off, blocksLen)
 	}
-	r.names = names.String()
+	r.dict = string(region[len(region)-entries:])
+	r.nTerms = termCount
 	return r, nil
 }
 
@@ -321,26 +327,121 @@ func (r *Reader) noteCorruption(err error) {
 	r.corruptions.Add(1)
 }
 
-// term returns dictionary term ord, a substring of the arena.
-func (r *Reader) term(ord int) string {
-	start := uint32(0)
-	if ord > 0 {
-		start = r.ends[ord-1]
-	}
-	return r.names[start:r.ends[ord]]
+// entry is one dictionary entry, decoded from the copy.
+type entry struct {
+	term string // a substring of the copy
+	df   int
+	off  int64 // the posting block's offset in the block region
+	size int64 // and its length
+	sum  uint32
 }
 
-// search returns the ordinal of the first dictionary term >= term.
-func (r *Reader) search(term string) int {
-	return sort.Search(len(r.ends), func(k int) bool { return r.term(k) >= term })
+// prefixKey packs s's first 8 bytes big-endian, zero-padded: a < b gives
+// prefixKey(a) <= prefixKey(b), so unequal keys order their terms and
+// equal ones leave it to the terms.
+func prefixKey[T string | []byte](s T) uint64 {
+	var k uint64
+	for i := range 8 {
+		k <<= 8
+		if i < len(s) {
+			k |= uint64(s[i])
+		}
+	}
+	return k
 }
 
-// find returns the ordinal of term in the dictionary, or -1.
-func (r *Reader) find(term string) int {
-	if i := r.search(term); i < len(r.ends) && r.term(i) == term {
-		return i
+// uvarintAt decodes the uvarint at s[pos] and returns it with the position
+// after it. Open verified every entry, so it checks nothing.
+func uvarintAt(s string, pos int) (uint64, int) {
+	var v uint64
+	for shift := uint(0); ; shift += 7 {
+		b := s[pos]
+		pos++
+		if b < 0x80 {
+			return v | uint64(b)<<shift, pos
+		}
+		v |= uint64(b&0x7f) << shift
 	}
-	return -1
+}
+
+// dictCursor reads the dictionary copy's entries in order: the next one
+// starts at dict[pos], and its posting block where e's ends. Open
+// verified every entry, so it checks nothing.
+type dictCursor struct {
+	dict string
+	pos  int
+	e    entry // the entry next decoded last
+}
+
+// cursor returns a dictCursor at restart g.
+func (r *Reader) cursor(g int) dictCursor {
+	return dictCursor{dict: r.dict, pos: int(r.rpos[g]), e: entry{off: r.roff[g]}}
+}
+
+// term returns the term of the entry at the cursor, without moving it.
+func (c *dictCursor) term() string {
+	n, p := uvarintAt(c.dict, c.pos)
+	return c.dict[p : p+int(n)]
+}
+
+// next decodes the entry at the cursor and moves past it. The entry is
+// the cursor's own, overwritten by the next call.
+func (c *dictCursor) next() *entry {
+	n, p := uvarintAt(c.dict, c.pos)
+	c.e.term = c.dict[p : p+int(n)]
+	df, p := uvarintAt(c.dict, p+int(n))
+	size, p := uvarintAt(c.dict, p)
+	d := c.dict[p : p+4]
+	c.e.off += c.e.size
+	c.e.df, c.e.size = int(df), int64(size)
+	c.e.sum = uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24
+	c.pos = p + 4
+	return &c.e
+}
+
+// seek returns the ordinal of the first entry whose term is >= term, and a
+// cursor at it; ord is NumTerms when every term is smaller. It
+// binary-searches the restarts for the last one <= term, comparing whole
+// terms only where the keys tie, and steps forward from there: past the
+// group's last entry is the next restart, which is > term.
+func (r *Reader) seek(term string) (ord int, c dictCursor) {
+	key := prefixKey(term)
+	lo, hi := 0, len(r.keys) // the first restart > term is in [lo, hi]
+	for lo < hi {
+		g := int(uint(lo+hi) >> 1)
+		if k := r.keys[g]; k < key || k == key && r.restartTerm(g) <= term {
+			lo = g + 1
+		} else {
+			hi = g
+		}
+	}
+	if lo == 0 {
+		lo = 1 // term sorts before every restart: step from entry 0
+	}
+	if lo > len(r.keys) {
+		return 0, dictCursor{} // no terms
+	}
+	ord, c = (lo-1)*restartEvery, r.cursor(lo-1)
+	for ; ord < r.nTerms && c.term() < term; ord++ {
+		c.next()
+	}
+	return ord, c
+}
+
+// restartTerm returns restart g's term.
+func (r *Reader) restartTerm(g int) string {
+	c := r.cursor(g)
+	return c.term()
+}
+
+// lookup returns term's ordinal and entry, or -1.
+func (r *Reader) lookup(term string) (int, entry) {
+	if ord, c := r.seek(term); ord < r.nTerms {
+		if e := c.next(); e.term == term {
+			return ord, *e
+		}
+	}
+	return -1, entry{}
 }
 
 // Lookup returns the full posting list for term — with positions on a
@@ -361,7 +462,7 @@ func (r *Reader) Counts(term string) *postings.List { return r.list(term, false)
 // decoded so far: a counts-only entry answers Counts and Iterator, and
 // the first Lookup of that term decodes the block in full and replaces it.
 func (r *Reader) list(term string, pos bool) *postings.List {
-	ord := r.find(term)
+	ord, e := r.lookup(term)
 	if ord < 0 {
 		return nil
 	}
@@ -370,7 +471,7 @@ func (r *Reader) list(term string, pos bool) *postings.List {
 			return l
 		}
 	}
-	l, err := r.decodeBlock(ord, pos)
+	l, err := r.decodeBlock(&e, pos)
 	if err != nil {
 		r.noteCorruption(err)
 		return nil
@@ -391,7 +492,7 @@ func (r *Reader) list(term string, pos bool) *postings.List {
 // visits a fraction of the postings reads a fraction of the block and
 // BlockDecodes stays untouched.
 func (r *Reader) Iterator(term string) index.PostingIterator {
-	ord := r.find(term)
+	ord, e := r.lookup(term)
 	if ord < 0 {
 		return nil
 	}
@@ -401,7 +502,7 @@ func (r *Reader) Iterator(term string) index.PostingIterator {
 		}
 	}
 	var b postings.Block
-	if err := r.block(ord, &b); err != nil {
+	if err := r.block(&e, &b); err != nil {
 		r.noteCorruption(err)
 		return nil
 	}
@@ -410,17 +511,15 @@ func (r *Reader) Iterator(term string) index.PostingIterator {
 
 // DocFreq answers from the dictionary alone — no block is touched.
 func (r *Reader) DocFreq(term string) int {
-	if ord := r.find(term); ord >= 0 {
-		return int(r.dfs[ord])
-	}
-	return 0
+	_, e := r.lookup(term)
+	return e.df
 }
 
 // TermsFrom walks the sorted dictionary from the first term >= from. The
-// terms it yields are substrings of the reader's one arena.
+// terms it yields are substrings of the dictionary's one copy.
 func (r *Reader) TermsFrom(from string, yield func(term string, df int) bool) {
-	for i := r.search(from); i < len(r.ends); i++ {
-		if !yield(r.term(i), int(r.dfs[i])) {
+	for ord, c := r.seek(from); ord < r.nTerms; ord++ {
+		if e := c.next(); !yield(e.term, e.df) {
 			return
 		}
 	}
@@ -439,28 +538,28 @@ func (r *Reader) Window(files []postings.FileID, lo, hi []uint32, emit func(i in
 		return
 	}
 	var b postings.Block
-	for ord := range r.ends {
-		if err := r.windowBlock(ord, &b, files, lo, hi, emit); err != nil {
+	c := dictCursor{dict: r.dict}
+	for range r.nTerms {
+		if err := r.windowBlock(c.next(), &b, files, lo, hi, emit); err != nil {
 			r.noteCorruption(err)
 		}
 	}
 }
 
-// windowBlock verifies term ord's block into b and emits the term's
-// occurrences in the windows.
-func (r *Reader) windowBlock(ord int, b *postings.Block, files []postings.FileID, lo, hi []uint32, emit func(i int, term string, pos uint32)) error {
-	if err := r.block(ord, b); err != nil {
+// windowBlock verifies e's block into b and emits the term's occurrences
+// in the windows.
+func (r *Reader) windowBlock(e *entry, b *postings.Block, files []postings.FileID, lo, hi []uint32, emit func(i int, term string, pos uint32)) error {
+	if err := r.block(e, b); err != nil {
 		return err
 	}
-	term := r.term(ord)
-	if err := b.Window(files, lo, hi, func(i int, pos uint32) { emit(i, term, pos) }); err != nil {
-		return r.fault(ord, err)
+	if err := b.Window(files, lo, hi, func(i int, pos uint32) { emit(i, e.term, pos) }); err != nil {
+		return r.fault(e, err)
 	}
 	return nil
 }
 
 // NumTerms returns the number of dictionary terms.
-func (r *Reader) NumTerms() int { return len(r.ends) }
+func (r *Reader) NumTerms() int { return r.nTerms }
 
 // NumPostings returns the segment's (term, file) pair count, summed from
 // the dictionary's document frequencies.
@@ -475,26 +574,26 @@ func (r *Reader) Positional() bool { return r.positional }
 func (r *Reader) Docs() *postings.List { return r.docs.Clone() }
 
 // ResidentBytes estimates the reader's heap footprint: the dictionary's
-// columns (the term arena, then 20 B a term and one block offset more)
-// and the doc set, plus this reader's share of the block cache. The
-// mmap'd file itself is page cache, not heap, and is not counted.
+// copy, 20 B a restart and the doc set, plus this reader's share of the
+// block cache. The mmap'd file itself is page cache, not heap, and is not
+// counted.
 func (r *Reader) ResidentBytes() int64 {
-	b := int64(len(r.names)) + 20*int64(len(r.ends)) + 8 + 4*int64(r.docs.Len())
+	b := int64(len(r.dict)) + 20*int64(len(r.keys)) + 4*int64(r.docs.Len())
 	return b + r.cached.Load()
 }
 
-// decodeBlock reads, verifies, and decodes term ordinal ord's posting
-// block, bypassing the cache. Without pos the decode of a positional
+// decodeBlock reads, verifies, and decodes e's posting block, bypassing
+// the cache. Without pos the decode of a positional
 // block ends with its frequency section; the verification before it — the
 // checksum over every byte of the block, the skip table — is the same.
-func (r *Reader) decodeBlock(ord int, pos bool) (*postings.List, error) {
+func (r *Reader) decodeBlock(e *entry, pos bool) (*postings.List, error) {
 	var b postings.Block
-	if err := r.block(ord, &b); err != nil {
+	if err := r.block(e, &b); err != nil {
 		return nil, err
 	}
 	l, err := b.Decode(pos)
 	if err != nil {
-		return nil, r.fault(ord, err)
+		return nil, r.fault(e, err)
 	}
 	r.decodes.Add(1)
 	if pos {
@@ -504,27 +603,26 @@ func (r *Reader) decodeBlock(ord int, pos bool) (*postings.List, error) {
 }
 
 // fault names the segment and term a block error belongs to.
-func (r *Reader) fault(ord int, err error) error {
-	return fmt.Errorf("segment: %s: term %q: %w", r.path, r.term(ord), err)
+func (r *Reader) fault(e *entry, err error) error {
+	return fmt.Errorf("segment: %s: term %q: %w", r.path, e.term, err)
 }
 
-// block sets b to term ord's posting block, read, checked against the
+// block sets b to e's posting block, read, checked against the
 // checksum the dictionary holds for it and parsed against its df
 // (postings.Block.Parse). Every read of a block that is not served from
 // the cache — either decode tier, a streaming iterator, the window pass —
 // starts here: no byte of a block is parsed before the whole block has
 // verified.
-func (r *Reader) block(ord int, b *postings.Block) error {
-	off := r.offs[ord]
-	blk, err := r.src.slice(r.blocksOff+off, r.offs[ord+1]-off)
+func (r *Reader) block(e *entry, b *postings.Block) error {
+	blk, err := r.src.slice(r.blocksOff+e.off, e.size)
 	if err != nil {
-		return r.fault(ord, err)
+		return r.fault(e, err)
 	}
-	if got, want := index.Checksum(blk), r.sums[ord]; got != want {
-		return r.fault(ord, fmt.Errorf("block checksum mismatch: dictionary %#x, computed %#x", want, got))
+	if got := index.Checksum(blk); got != e.sum {
+		return r.fault(e, fmt.Errorf("block checksum mismatch: dictionary %#x, computed %#x", e.sum, got))
 	}
-	if err := b.Parse(blk, int(r.dfs[ord]), r.positional); err != nil {
-		return r.fault(ord, err)
+	if err := b.Parse(blk, e.df, r.positional); err != nil {
+		return r.fault(e, err)
 	}
 	return nil
 }
@@ -533,21 +631,33 @@ func (r *Reader) block(ord int, b *postings.Block) error {
 // loading path (shard.LoadDir) applied to a segment file, and the bridge
 // that keeps directories loadable by every API that predates lazy open.
 // The verified dictionary is the index's dictionary order, its keys
-// substrings of the reader's arena, each block is decoded into its term's
-// element of one slab of lists, and the index adopts the persisted
-// document set OpenDir answers NOT from.
+// substrings of one arena holding only the terms' bytes (not of the
+// reader's copy, which the index would otherwise keep alive), each block
+// is decoded into its term's element of one slab of lists, and the index
+// adopts the persisted document set OpenDir answers NOT from.
 func (r *Reader) Materialize() (*index.Index, error) {
-	terms := make([]string, len(r.ends))
-	slab := make([]postings.List, len(r.ends))
+	// Every entry takes minEntryLen bytes beside its term's, which bounds
+	// the arena.
+	var arena strings.Builder
+	arena.Grow(len(r.dict) - minEntryLen*r.nTerms)
+	c := dictCursor{dict: r.dict}
+	for range r.nTerms {
+		arena.WriteString(c.next().term)
+	}
+	names := arena.String()
+	terms := make([]string, r.nTerms)
+	slab := make([]postings.List, r.nTerms)
 	var b postings.Block
-	for ord := range r.ends {
-		if err := r.block(ord, &b); err != nil {
+	c = dictCursor{dict: r.dict}
+	for ord := range slab {
+		e := c.next()
+		if err := r.block(e, &b); err != nil {
 			return nil, err
 		}
 		if err := b.DecodeInto(&slab[ord], r.positional); err != nil {
-			return nil, r.fault(ord, err)
+			return nil, r.fault(e, err)
 		}
-		terms[ord] = r.term(ord)
+		terms[ord], names = names[:len(e.term)], names[len(e.term):]
 	}
 	return index.NewOrdered(terms, slab, r.docs.IDs(), r.positional), nil
 }

@@ -126,8 +126,8 @@ func TestCountsVerifiesLikeLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ord := clean.find("even")
-	start, end := int(clean.blocksOff+clean.offs[ord]), int(clean.blocksOff+clean.offs[ord+1])
+	e := clean.at(clean.find("even"))
+	start, end := int(clean.blocksOff+e.off), int(clean.blocksOff+e.off+e.size)
 	for i := start; i < end; i++ {
 		img := append([]byte(nil), pristine...)
 		img[i] ^= 0x41
