@@ -73,7 +73,9 @@ bench-selftest:
 # names every directory under internal/, and none that is gone; every
 # cmd/, internal/ or examples/ directory that README.md, doc.go or
 # docs/ARCHITECTURE.md names exists; every backticked internal pkg.Name
-# they or docs/FORMAT.md cite is declared; every directory under
+# they or docs/FORMAT.md cite is declared, and every backticked Type.Member
+# of an exported root type (Options.Positions, Hit.Score) names a field or
+# method of it or of the internal type it aliases; every directory under
 # internal/ is imported by a non-test .go file outside it (bench/ included);
 # and no exported function or method of package desksearch takes or returns
 # a type named through a desksearch/internal/... import (a root alias such

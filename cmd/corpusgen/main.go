@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	corpusgen -out DIR [-scale F] [-seed N] [-html F] [-wp F]
+//	corpusgen -out DIR [-scale F] [-seed N]
 //	corpusgen -describe [-scale F]
 package main
 
@@ -22,8 +22,6 @@ func main() {
 		describe = flag.Bool("describe", false, "print corpus statistics without writing files")
 		scale    = flag.Float64("scale", 1.0/64, "scale factor relative to the paper's 869 MB benchmark")
 		seed     = flag.Int64("seed", 0, "generation seed (0 = the spec default)")
-		html     = flag.Float64("html", 0, "fraction of files written as HTML")
-		wp       = flag.Float64("wp", 0, "fraction of files written as WP markup")
 	)
 	flag.Parse()
 	if *out == "" && !*describe {
@@ -35,8 +33,6 @@ func main() {
 	if *seed != 0 {
 		spec.Seed = *seed
 	}
-	spec.HTMLFraction = *html
-	spec.WPFraction = *wp
 
 	if *describe {
 		report(corpus.Describe(spec))

@@ -2,9 +2,10 @@
 // version and kind constants in internal/index/codec.go agree with
 // docs/FORMAT.md, that docs/ARCHITECTURE.md's package map names exactly
 // the packages under internal/, that every directory and internal
-// identifier the top-level docs name exists, that every package under
-// internal/ has an importer, and that the public API names no internal
-// type, so no document silently rots, no package outlives its last reader
+// identifier the top-level docs name exists, as does every field or method
+// they cite of a root type, that every package under internal/ has an
+// importer, and that the public API names no internal type, so no
+// document silently rots, no package outlives its last reader
 // and no exported signature is closed to callers outside the module.
 //
 // Checks:
@@ -35,7 +36,14 @@
 //  10. no exported function, or exported method of an exported type, in
 //     the root package's non-test files takes or returns a type named
 //     through a desksearch/internal/... import, which a caller outside the
-//     module could not name (a root alias such as Hit is a root name).
+//     module could not name (a root alias such as Hit is a root name);
+//  11. every backticked Type.Member in the documents check 9 reads, whose
+//     Type is an exported type declared in the root package's non-test
+//     files, names a field or method of that type: its own, one promoted
+//     from an embedded type, or, for an alias of a type under internal/
+//     (Hit = search.Hit), one of the aliased type's. A citation of a
+//     same-named internal type is qualified (`extract.Options.Positions`),
+//     which this check does not read.
 //
 // Usage (normally via `make docs-check`, from the repository root):
 //
@@ -288,20 +296,8 @@ var (
 // (document name → text) whose pkg is a package under root's internal/
 // that declares no top-level Name in any of its .go files.
 func checkIdents(docs map[string]string, root fs.FS) ([]string, error) {
-	srcs, err := fs.Glob(root, "internal/*/*.go")
-	if err != nil {
-		return nil, err
-	}
 	packages, declared := map[string]bool{}, map[string]bool{} // "index"; "index.Index"
-	for _, p := range srcs {
-		src, err := fs.ReadFile(root, p)
-		if err != nil {
-			return nil, err
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), p, src, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
+	err := parseFiles(root, "internal/*/*.go", true, func(p string, _ *token.FileSet, f *ast.File) {
 		pkg := path.Base(path.Dir(p))
 		packages[pkg] = true
 		for _, decl := range f.Decls {
@@ -323,6 +319,9 @@ func checkIdents(docs map[string]string, root fs.FS) ([]string, error) {
 				}
 			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	found := map[string]bool{}
 	for doc, text := range docs {
@@ -337,38 +336,132 @@ func checkIdents(docs map[string]string, root fs.FS) ([]string, error) {
 	return slices.Sorted(maps.Keys(found)), nil
 }
 
-// checkSignatures returns, sorted, one finding per parameter or result of
-// an exported function or method in root's top-level non-test .go files
-// whose type names a package imported from desksearch/internal/.
-func checkSignatures(root fs.FS) ([]string, error) {
-	srcs, err := fs.Glob(root, "*.go")
-	if err != nil {
-		return nil, err
+// memberRe matches a Type.Member in a backticked span that is not the tail
+// of a path or a longer selector (search.Request.Validate).
+var memberRe = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./])([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)`)
+
+// checkMembers returns, sorted, one finding per backticked Type.Member in
+// docs (document name → text) whose Type is an exported type declared in
+// root's top-level non-test .go files and has no field or method Member.
+// A type has its own fields and methods, and the members of the types it
+// aliases or embeds, declared at the root or in a package under internal/.
+func checkMembers(docs map[string]string, root fs.FS) ([]string, error) {
+	exported := map[string]bool{} // the root's exported type names
+	members := map[string]bool{}  // "pkg.Type.Member"; pkg "." is the root
+	from := map[string][]string{} // "pkg.Type" → the types whose members it has too; "?" is outside the module
+	collect := func(p string, _ *token.FileSet, f *ast.File) {
+		pkg := path.Base(path.Dir(p))
+		internal := internalImports(f)
+		// ref keys the named type t refers to; "" for a type literal.
+		ref := func(t ast.Expr) string {
+			if star, ok := t.(*ast.StarExpr); ok {
+				t = star.X
+			}
+			switch t := t.(type) {
+			case *ast.Ident:
+				return pkg + "." + t.Name
+			case *ast.SelectorExpr:
+				if x, ok := t.X.(*ast.Ident); ok && internal[x.Name] != "" {
+					return path.Base(internal[x.Name]) + "." + t.Sel.Name
+				}
+				return "?"
+			}
+			return ""
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
+				members[ref(fn.Recv.List[0].Type)+"."+fn.Name.Name] = true
+			}
+			gen, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gen.Specs {
+				spec, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				key := pkg + "." + spec.Name.Name
+				exported[spec.Name.Name] = exported[spec.Name.Name] || pkg == "." && spec.Name.IsExported()
+				var fields []*ast.Field
+				embeds := true // whether an unnamed field is an embedded one, its type's name a member
+				switch t := spec.Type.(type) {
+				case *ast.StructType:
+					fields = t.Fields.List
+				case *ast.InterfaceType:
+					fields = t.Methods.List
+				default: // an alias or defined type takes on its target's members
+					fields, embeds = []*ast.Field{{Type: spec.Type}}, false
+				}
+				for _, field := range fields {
+					for _, n := range field.Names {
+						members[key+"."+n.Name] = true
+					}
+					if target := ref(field.Type); len(field.Names) == 0 && target != "" {
+						from[key] = append(from[key], target)
+						if i := strings.LastIndexByte(target, '.'); embeds && i >= 0 {
+							members[key+target[i:]] = true
+						}
+					}
+				}
+			}
+		}
 	}
-	var problems []string
+	for _, pattern := range []string{"*.go", "internal/*/*.go"} {
+		if err := parseFiles(root, pattern, false, collect); err != nil {
+			return nil, err
+		}
+	}
+	var has func(key, member string, depth int) bool // depth bounds a cycle of embedded pointers
+	has = func(key, member string, depth int) bool {
+		return key == "?" || members[key+"."+member] || depth < 8 &&
+			slices.ContainsFunc(from[key], func(f string) bool { return has(f, member, depth+1) })
+	}
+	found := map[string]bool{}
+	for doc, text := range docs {
+		for _, span := range spanRe.FindAllStringSubmatch(text, -1) {
+			for _, m := range memberRe.FindAllStringSubmatch(span[1], -1) {
+				if exported[m[1]] && !has(".."+m[1], m[2], 0) {
+					found[fmt.Sprintf("%s: names %s.%s, but desksearch.%s has no field or method %s", doc, m[1], m[2], m[1], m[2])] = true
+				}
+			}
+		}
+	}
+	return slices.Sorted(maps.Keys(found)), nil
+}
+
+// parseFiles parses each .go file of root that matches pattern — _test.go
+// files only with tests — and hands it to fn.
+func parseFiles(root fs.FS, pattern string, tests bool, fn func(p string, fset *token.FileSet, f *ast.File)) error {
+	srcs, err := fs.Glob(root, pattern)
+	if err != nil {
+		return err
+	}
 	for _, p := range srcs {
-		if strings.HasSuffix(p, "_test.go") {
+		if !tests && strings.HasSuffix(p, "_test.go") {
 			continue
 		}
 		src, err := fs.ReadFile(root, p)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		internal := map[string]string{} // the name a file uses → import path
-		for _, imp := range f.Imports {
-			if ip := strings.Trim(imp.Path.Value, `"`); strings.HasPrefix(ip, internalPrefix) {
-				name := path.Base(ip)
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
-				internal[name] = ip
-			}
-		}
+		fn(p, fset, f)
+	}
+	return nil
+}
+
+// checkSignatures returns, sorted, one finding per parameter or result of
+// an exported function or method in root's top-level non-test .go files
+// whose type names a package imported from desksearch/internal/.
+func checkSignatures(root fs.FS) ([]string, error) {
+	var problems []string
+	err := parseFiles(root, "*.go", false, func(_ string, fset *token.FileSet, f *ast.File) {
+		internal := internalImports(f)
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || !fn.Name.IsExported() || fn.Recv != nil && !exportedType(fn.Recv.List[0].Type) {
@@ -384,9 +477,25 @@ func checkSignatures(root fs.FS) ([]string, error) {
 				return true
 			})
 		}
-	}
+	})
 	sort.Strings(problems)
-	return problems, nil
+	return problems, err
+}
+
+// internalImports maps the name f uses for each package it imports from
+// under internal/ to that package's import path.
+func internalImports(f *ast.File) map[string]string {
+	internal := map[string]string{}
+	for _, imp := range f.Imports {
+		if ip := strings.Trim(imp.Path.Value, `"`); strings.HasPrefix(ip, internalPrefix) {
+			name := path.Base(ip)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			internal[name] = ip
+		}
+	}
+	return internal
 }
 
 // exportedType reports whether a receiver type, T or *T, is exported.
@@ -442,6 +551,11 @@ func main() {
 		fatal(err)
 	}
 	problems = append(problems, undeclared...)
+	unknown, err := checkMembers(identDocs, os.DirFS("."))
+	if err != nil {
+		fatal(err)
+	}
+	problems = append(problems, unknown...)
 	closed, err := checkSignatures(os.DirFS("."))
 	if err != nil {
 		fatal(err)
@@ -454,7 +568,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s) — the docs have drifted from the code\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: ok — %s and %s agree on every version and frame kind; %s maps every package under internal/; every directory and internal identifier the docs name exists; every internal package has an importer; no exported signature names an internal type\n", *codecPath, *specPath, archPath)
+	fmt.Printf("docscheck: ok — %s and %s agree on every version and frame kind; %s maps every package under internal/; every directory, internal identifier and root type member the docs name exists; every internal package has an importer; no exported signature names an internal type\n", *codecPath, *specPath, archPath)
 }
 
 func fatal(err error) {

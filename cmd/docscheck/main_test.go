@@ -159,6 +159,34 @@ func TestCheckSignatures(t *testing.T) {
 	}
 }
 
+// TestCheckMembers: a backticked Type.Member citing an exported root type
+// must name one of its fields or methods — its own, one promoted from an
+// embedded type, or the aliased internal type's — and a member declared
+// only in a test file does not count.
+func TestCheckMembers(t *testing.T) {
+	tree := fstest.MapFS{
+		"desksearch.go": {Data: []byte("package desksearch\n\nimport (\n\t\"time\"\n\n\ts \"desksearch/internal/search\"\n)\n\n" +
+			"type Options struct {\n\tShards int\n\t*s.Base\n}\n\ntype Catalog struct{ lazy bool }\n\n" +
+			"func (c *Catalog) Query() {}\n\ntype Hit = s.Hit\n\ntype Timer = time.Timer\n\ntype view struct{ Gone int }\n")},
+		"desksearch_test.go":          {Data: []byte("package desksearch\n\nfunc (c *Catalog) Probe() {}\n")},
+		"internal/search/search.go":   {Data: []byte("package search\n\ntype Base struct{ Limit int }\n\ntype Hit struct{ Path string }\n\nfunc (h Hit) Score() float64 { return 0 }\n")},
+		"internal/extract/extract.go": {Data: []byte("package extract\n\ntype Options struct{ Positions bool }\n")},
+	}
+	for _, tc := range []struct{ name, doc, want string }{
+		{"declared", "`Options.Shards`, `Catalog.Query`, `Catalog.lazy`, `Options.Limit`, `Options.Base`, `Hit.Path`, `Hit.Score()` and `Timer.Reset`.\n", ""},
+		{"stale field", "Build with `Options.Colors`.\n", "README.md: names Options.Colors, but desksearch.Options has no field or method Colors"},
+		{"stale alias member", "`Hit.File` is the ID.\n", "names Hit.File, but desksearch.Hit has no field or method File"},
+		{"test-only method", "`Catalog.Probe` looks.\n", "names Catalog.Probe"},
+		{"not a root type member", "Options.Colors in prose; `extract.Options.Colors`, `view.Gone`, `README.md`, `Query.Gone`.\n", ""},
+	} {
+		got, err := checkMembers(map[string]string{"README.md": tc.doc}, tree)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		wantOne(t, tc.name, got, tc.want)
+	}
+}
+
 // wantOne fails unless got is empty when want is "", or holds exactly one
 // finding containing want.
 func wantOne(t *testing.T, name string, got []string, want string) {

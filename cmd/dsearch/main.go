@@ -4,11 +4,13 @@
 // Usage:
 //
 //	dsearch -index DIR [-lazy]  QUERY...
-//	dsearch -root DIR [-shards N] [-formats]  QUERY...
+//	dsearch -root DIR [-shards N] [-positions]  QUERY...
 //
 // -index names an index directory (a manifest plus segments, as written by
-// indexgen -save DIR); a regular file there is a usage error. -shards
-// partitions an on-the-fly index for parallel fan-out search. -lazy opens
+// indexgen -save DIR); a regular file there is a usage error. -root
+// indexes every regular file under DIR by the one scanner rule (ASCII
+// letters and digits, lower-cased; markup is text like any other), and
+// -shards partitions that on-the-fly index for parallel fan-out search. -lazy opens
 // the index in place (OpenDir) instead of materializing it: posting blocks
 // decode on first touch only, so a selective query over a large index
 // starts answering without paying the full load. Results are bit-identical
@@ -53,7 +55,6 @@ func main() {
 		indexPath = flag.String("index", "", "read a saved index from this directory")
 		root      = flag.String("root", "", "index this directory before searching")
 		shards    = flag.Int("shards", 0, "with -root, partition the index into N document shards")
-		formats   = flag.Bool("formats", false, "strip HTML/WP markup while indexing")
 		pos       = flag.Bool("positions", false, "with -root, record token positions so quoted phrase queries work")
 		lazy      = flag.Bool("lazy", false, "with -index DIR, serve the index in place without materializing it (decode only the posting blocks the query touches)")
 		limit     = flag.Int("n", 20, "maximum results to return (0 = all)")
@@ -93,7 +94,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dsearch: -lazy requires -index DIR (an on-the-fly index is already in memory)")
 			os.Exit(2)
 		}
-		cat, err = desksearch.IndexDir(*root, desksearch.Options{Formats: *formats, Shards: *shards, Positions: *pos})
+		cat, err = desksearch.IndexDir(*root, desksearch.Options{Shards: *shards, Positions: *pos})
 	}
 	if err != nil {
 		fatal(err)

@@ -4,15 +4,16 @@
 //
 // Usage:
 //
-//	dsearchd -root DIR [-shards N] [-formats] [flags]
+//	dsearchd -root DIR [-shards N] [flags]
 //	dsearchd -index DIR [-root DIR] [flags]
 //	dsearchd -index DIR -lazy [flags]
 //	dsearchd -index DIR -worker [-shards 0,2] [flags]
 //	dsearchd -broker -workers URLS [flags]
 //
-// -root builds the index at startup; -index loads a saved one (the
-// directory written by indexgen -save; a regular file is a usage error).
-// With both, the saved index is loaded and then kept in step with DIR:
+// -root builds the index at startup, scanning every regular file's bytes
+// by the one scanner rule (markup is text like any other); -index loads a
+// saved one (the directory written by indexgen -save; a regular file is a
+// usage error). With both, the saved index is loaded and then kept in step with DIR:
 // -watch polls it on an interval, and POST /reload updates on demand —
 // both run the incremental delta pipeline and atomically invalidate the
 // query cache, so no request is ever answered from a stale generation.
@@ -84,7 +85,6 @@ func main() {
 		indexPath    = flag.String("index", "", "load a saved index from this directory")
 		root         = flag.String("root", "", "directory to index at startup (and to watch for changes)")
 		shards       = flag.String("shards", "", "with -root, partition the index into N document shards; with -worker, the comma-separated list of shard numbers to serve (empty = all)")
-		formats      = flag.Bool("formats", false, "strip HTML/WP markup while indexing")
 		lazy         = flag.Bool("lazy", false, "with -index DIR, serve segment files lazily (mmap + on-demand decode) instead of loading them into memory; the catalog is read-only")
 		watch        = flag.Duration("watch", 0, "poll -root for changes on this interval (0 = off)")
 		cacheEntries = flag.Int("cache-entries", 1024, "query cache entry bound (negative disables the cache)")
@@ -158,7 +158,6 @@ func main() {
 	}
 
 	opts := desksearch.Options{
-		Formats:         *formats,
 		Shards:          shardCount,
 		BlockCacheBytes: *blockCache,
 	}

@@ -4,9 +4,9 @@
 //
 // Usage:
 //
-//	indexgen -root DIR [-x N -y N] [-shards N] [-formats] [-positions]
-//	         [-save DIR] [-stages]
-//	indexgen -root DIR -update -save DIR [-formats] [-x N]
+//	indexgen -root DIR [-x N -y N] [-shards N] [-positions] [-save DIR]
+//	         [-stages]
+//	indexgen -root DIR -update -save DIR [-x N]
 //
 // With -positions every term occurrence's token position is recorded,
 // enabling quoted phrase queries ('"annual report"') at the cost of a
@@ -27,8 +27,10 @@
 // With -update the catalog saved under -save is loaded, diffed against
 // the live tree under -root, patched in place — added, modified, and
 // deleted files only, no full rebuild — and written back, rewriting only
-// the segment files the changeset dirtied plus the manifest. Pass the same -formats (and optionally -x) the build
-// used: extraction options are not persisted in the catalog.
+// the segment files the changeset dirtied plus the manifest. Every file is
+// extracted by the one scanner rule, and the segments record whether the
+// build kept positions, so changed files are re-extracted as the build
+// extracted them; -x only sizes the re-extraction pool.
 //
 // With -stages it instead reproduces the paper's Table 1 methodology on
 // the live directory: isolated sequential timings of filename generation,
@@ -48,15 +50,14 @@ import (
 
 func main() {
 	var (
-		root    = flag.String("root", "", "directory to index (required)")
-		x       = flag.Int("x", 0, "term-extraction threads (0 = one per CPU)")
-		y       = flag.Int("y", 0, "index-update threads, each owning its partitions (0 = 2 when -x is 0; none when -x is 1; else 1)")
-		shards  = flag.Int("shards", 0, "partition the index into N document shards (0 = one per updater)")
-		formats = flag.Bool("formats", false, "strip HTML/WP markup before indexing")
-		pos     = flag.Bool("positions", false, "record token positions (enables quoted phrase queries; larger index)")
-		save    = flag.String("save", "", "write the built index into this directory (manifest + one segment per partition)")
-		stages  = flag.Bool("stages", false, "measure isolated sequential stage times (paper Table 1) and exit")
-		update  = flag.Bool("update", false, "incrementally update the saved catalog under -save against -root instead of rebuilding")
+		root   = flag.String("root", "", "directory to index (required)")
+		x      = flag.Int("x", 0, "term-extraction threads (0 = one per CPU)")
+		y      = flag.Int("y", 0, "index-update threads, each owning its partitions (0 = 2 when -x is 0; none when -x is 1; else 1)")
+		shards = flag.Int("shards", 0, "partition the index into N document shards (0 = one per updater)")
+		pos    = flag.Bool("positions", false, "record token positions (enables quoted phrase queries; larger index)")
+		save   = flag.String("save", "", "write the built index into this directory (manifest + one segment per partition)")
+		stages = flag.Bool("stages", false, "measure isolated sequential stage times (paper Table 1) and exit")
+		update = flag.Bool("update", false, "incrementally update the saved catalog under -save against -root instead of rebuilding")
 	)
 	flag.Parse()
 	if *root == "" {
@@ -72,16 +73,14 @@ func main() {
 		if *save == "" {
 			fatal(fmt.Errorf("-update needs -save DIR naming the saved catalog"))
 		}
-		// Build options are not persisted in the catalog, so the update
-		// must be told the original extraction flags to re-extract changed
-		// files the same way. Positions are the exception: the segments'
-		// flags record them, so LoadDir re-enables them automatically.
-		runUpdate(*root, *save, desksearch.Options{Formats: *formats, Extractors: *x, Positions: *pos})
+		// The segments' flags record positions, so LoadDir re-enables
+		// them without -positions.
+		runUpdate(*root, *save, desksearch.Options{Extractors: *x, Positions: *pos})
 		return
 	}
 
 	if *stages {
-		st, err := core.MeasureStages(os.DirFS(*root), ".", extract.Options{Formats: *formats, Positions: *pos})
+		st, err := core.MeasureStages(os.DirFS(*root), ".", extract.Options{Positions: *pos})
 		if err != nil {
 			fatal(err)
 		}
@@ -96,7 +95,6 @@ func main() {
 		Extractors: *x,
 		Updaters:   *y,
 		Shards:     *shards,
-		Formats:    *formats,
 		Positions:  *pos,
 	})
 	if err != nil {

@@ -29,9 +29,6 @@ type Options struct {
 	// (1, 0) is the sequential baseline; with several extractors, a zero
 	// Updaters runs one updater.
 	Extractors, Updaters int
-	// Formats enables document-format extraction (HTML, WP markup) before
-	// tokenization.
-	Formats bool
 	// Shards, when positive, partitions the catalog into that many
 	// document shards, searched with parallel fan-out and saved with
 	// SaveDir as a manifest plus one segment file per shard. At most
@@ -80,7 +77,7 @@ func (o Options) coreConfig() (core.Config, error) {
 		Extractors: o.Extractors,
 		Updaters:   o.Updaters,
 		Shards:     o.Shards,
-		Extract:    extract.Options{Formats: o.Formats, Positions: o.Positions},
+		Extract:    extract.Options{Positions: o.Positions},
 	}
 	// Only the fields left zero are sized for the machine.
 	if cfg.Extractors == 0 {
@@ -685,9 +682,7 @@ func (c *Catalog) SaveDir(dir string) error {
 // and verifying all segments in parallel. Queries fan out over the loaded
 // shards. A loaded catalog remembers its directory: after an incremental
 // Update, SaveDir back to it rewrites only the segments the update
-// dirtied. Formats is not persisted, so a catalog built with it must be
-// given it again here or updates will re-extract changed files
-// differently than the original build did.
+// dirtied.
 func LoadDir(dir string, opt ...Options) (*Catalog, error) {
 	_, cfg, err := loadedOptions(opt)
 	if err != nil {

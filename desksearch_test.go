@@ -96,25 +96,38 @@ func TestSearchBooleanOperators(t *testing.T) {
 	}
 }
 
-func TestFormatsOption(t *testing.T) {
-	with, err := IndexFS(demoFS(t), ".", Options{Formats: true})
+// TestMarkupIsIndexed: there is one extraction rule, so a page's markup
+// is indexed beside its text, and an Update re-extracts a changed page
+// exactly as a fresh build of the new tree extracts it.
+func TestMarkupIsIndexed(t *testing.T) {
+	fs := demoFS(t)
+	cat, err := IndexFS(fs, ".", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits := queryAll(t, with, "allergy")
-	if len(hits) != 1 || hits[0].Path != "misc/page.html" {
-		t.Errorf("formats on: allergy → %v", hits)
+	for _, q := range []string{"allergy", "body", "html"} {
+		if got := paths(queryAll(t, cat, q)); !reflect.DeepEqual(got, []string{"misc/page.html"}) {
+			t.Errorf("%s → %v, want the page", q, got)
+		}
 	}
-	// Markup terms must not be indexed with Formats on.
-	if hits := queryAll(t, with, "body"); len(hits) != 0 {
-		t.Errorf("markup leaked: %v", hits)
+	page := "<html><head><title>menu</title></head><body>milk free pancakes</body></html>"
+	if err := fs.WriteFile("misc/page.html", []byte(page)); err != nil {
+		t.Fatal(err)
 	}
-	without, err := IndexFS(demoFS(t), ".", Options{})
+	if st, err := cat.Update(fs, "."); err != nil || st.Modified != 1 {
+		t.Fatalf("Update = %+v, %v; want one modified file", st, err)
+	}
+	fresh, err := IndexFS(fs, ".", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := queryAll(t, without, "body"); len(hits) == 0 {
-		t.Error("formats off should index raw markup")
+	for _, q := range []string{"allergy", "body", "html", "title", "menu", "milk", "pancakes -html", "report OR head"} {
+		for _, rank := range []Ranking{RankCount, RankTF, RankBM25} {
+			got, want := rankedSet(t, cat, q, rank), rankedSet(t, fresh, q, rank)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%q (%v) after Update → %v, fresh build → %v", q, rank, got, want)
+			}
+		}
 	}
 }
 
@@ -228,7 +241,7 @@ func TestUpdatersAloneKeepTheirCount(t *testing.T) {
 // tuple built it, sharded or not.
 func TestBuiltListsHaveNoSpareCapacity(t *testing.T) {
 	fs := vfs.NewMemFS()
-	spec := corpus.SmallSpec()
+	spec := corpus.PaperSpec().Scale(1.0 / 128)
 	spec.Files, spec.TotalBytes = 60, 1<<19
 	if _, err := corpus.Generate(spec, fs); err != nil {
 		t.Fatal(err)

@@ -1,5 +1,5 @@
 // Desktopsearch: the full workflow of a desktop search tool on a real
-// directory — generate a realistic mixed-format corpus on disk, index it
+// directory — generate a realistic plain-text corpus on disk, index it
 // with the sequential baseline and with the paper's parallel pipeline,
 // persist the index, reload it, and answer queries.
 //
@@ -26,11 +26,9 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// A scaled-down version of the paper's benchmark, with HTML and WP
-	// files mixed in to exercise format extraction.
+	// A scaled-down version of the paper's benchmark: plain text, as the
+	// paper's extracted corpus was.
 	spec := corpus.PaperSpec().Scale(1.0 / 512)
-	spec.HTMLFraction = 0.15
-	spec.WPFraction = 0.10
 	stats, err := corpus.Generate(spec, corpus.Dir(dir))
 	if err != nil {
 		log.Fatal(err)
@@ -45,8 +43,8 @@ func main() {
 		name string
 		opt  desksearch.Options
 	}{
-		{"sequential (1, 0)", desksearch.Options{Extractors: 1, Formats: true}},
-		{"parallel (4, 2)", desksearch.Options{Extractors: 4, Updaters: 2, Formats: true}},
+		{"sequential (1, 0)", desksearch.Options{Extractors: 1}},
+		{"parallel (4, 2)", desksearch.Options{Extractors: 4, Updaters: 2}},
 	}
 	// Query the corpus's three most frequent words (the generator draws
 	// terms Zipf-distributed, so low vocabulary ranks dominate).
@@ -91,7 +89,7 @@ func main() {
 	}
 	fmt.Printf("\nindex persisted: %s/ (manifest + %d segments)\n", idxDir, keep.Indices())
 
-	loaded, err := desksearch.LoadDir(idxDir, desksearch.Options{Formats: true})
+	loaded, err := desksearch.LoadDir(idxDir)
 	if err != nil {
 		log.Fatal(err)
 	}

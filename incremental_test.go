@@ -25,9 +25,18 @@ import (
 // order within a score band may not.
 func resultSet(t *testing.T, cat *Catalog, query string) []string {
 	t.Helper()
-	hits := queryAll(t, cat, query)
-	out := make([]string, len(hits))
-	for i, h := range hits {
+	return rankedSet(t, cat, query, RankCount)
+}
+
+// rankedSet is resultSet under the given ranking.
+func rankedSet(t *testing.T, cat *Catalog, query string, rank Ranking) []string {
+	t.Helper()
+	resp, err := cat.Query(context.Background(), Query{Text: query, Ranking: rank})
+	if err != nil {
+		t.Fatalf("Query(%q): %v", query, err)
+	}
+	out := make([]string, len(resp.Hits))
+	for i, h := range resp.Hits {
 		out[i] = fmt.Sprintf("%s=%g", h.Path, h.Score)
 	}
 	sort.Strings(out)

@@ -26,10 +26,9 @@ func corpusFS(t *testing.T) *vfs.MemFS {
 	t.Helper()
 	if testCorpusFS == nil {
 		fs := vfs.NewMemFS()
-		spec := corpus.SmallSpec()
+		spec := corpus.PaperSpec().Scale(1.0 / 128)
 		spec.Files = 120
 		spec.TotalBytes = 1 << 20
-		spec.HTMLFraction, spec.WPFraction = 0, 0
 		if _, err := corpus.Generate(spec, fs); err != nil {
 			t.Fatal(err)
 		}

@@ -97,7 +97,7 @@ func TestListMissingRoot(t *testing.T) {
 
 func TestListOnCorpusCountsMatchSpec(t *testing.T) {
 	mem := vfs.NewMemFS()
-	stats, err := corpus.Generate(corpus.SmallSpec(), mem)
+	stats, err := corpus.Generate(corpus.PaperSpec().Scale(1.0/128), mem)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@
 // Two products are offered from the same Spec and seed:
 //
 //   - Generate materializes real files (through any Writer);
-//   - Describe lays out the same files (paths, sizes, formats) without
-//     writing any content.
+//   - Describe lays out the same files (paths and sizes) without writing
+//     any content.
 package corpus
 
 import (
@@ -23,7 +23,7 @@ import (
 )
 
 // Spec describes a synthetic corpus. The zero value is not useful; start
-// from PaperSpec or SmallSpec and adjust.
+// from PaperSpec (Scale it for tests) and adjust.
 type Spec struct {
 	// Files is the total number of files, including the large ones.
 	Files int
@@ -44,9 +44,6 @@ type Spec struct {
 	FilesPerDir int
 	// DirFanout is the number of subdirectories per directory level.
 	DirFanout int
-	// HTMLFraction and WPFraction of files are written in those formats
-	// (exercising internal/docfmt); the rest are plain text.
-	HTMLFraction, WPFraction float64
 	// Seed makes generation deterministic.
 	Seed int64
 }
@@ -66,19 +63,8 @@ func PaperSpec() Spec {
 		MaxTermLen:         12,
 		FilesPerDir:        64,
 		DirFanout:          8,
-		HTMLFraction:       0.0, // the paper pre-extracted everything to plain text
-		WPFraction:         0.0,
 		Seed:               20100511, // the report's publication date
 	}
-}
-
-// SmallSpec returns a laptop-test-sized corpus (≈400 files, ≈6 MB) with the
-// same proportions and a format mix that exercises docfmt.
-func SmallSpec() Spec {
-	s := PaperSpec().Scale(1.0 / 128)
-	s.HTMLFraction = 0.10
-	s.WPFraction = 0.10
-	return s
 }
 
 // Scale returns a copy of s with file count and byte volume scaled by f.
@@ -149,8 +135,6 @@ type FileStat struct {
 	Path string
 	// Size is the file's byte length.
 	Size int64
-	// Format is the docfmt extension used ("txt", "html", "wp").
-	Format string
 }
 
 // Stats is the layout of a corpus: its files and their total size.
@@ -165,31 +149,25 @@ type Stats struct {
 func Describe(spec Spec) Stats {
 	spec = spec.normalize()
 	rng := rand.New(rand.NewSource(spec.Seed))
-	sizes, formats := layoutSizes(spec, rng)
+	sizes := layoutSizes(spec, rng)
 	stats := Stats{Spec: spec, Files: make([]FileStat, len(sizes))}
 	for i, size := range sizes {
-		stats.Files[i] = FileStat{
-			Path:   filePath(spec, i, formats[i]),
-			Size:   size,
-			Format: formats[i],
-		}
+		stats.Files[i] = FileStat{Path: filePath(spec, i), Size: size}
 		stats.TotalBytes += size
 	}
 	return stats
 }
 
-// layoutSizes draws the per-file sizes and formats. Index 0..LargeFiles-1
-// are the large files; the rest are small files with exponential spread.
-func layoutSizes(spec Spec, rng *rand.Rand) (sizes []int64, formats []string) {
-	sizes = make([]int64, spec.Files)
-	formats = make([]string, spec.Files)
+// layoutSizes draws the per-file sizes. Index 0..LargeFiles-1 are the
+// large files; the rest are small files with exponential spread.
+func layoutSizes(spec Spec, rng *rand.Rand) []int64 {
+	sizes := make([]int64, spec.Files)
 	largeTotal := int64(float64(spec.TotalBytes) * spec.LargeBytesFraction)
 	smallTotal := spec.TotalBytes - largeTotal
 	smallFiles := spec.Files - spec.LargeFiles
 
 	for i := 0; i < spec.LargeFiles; i++ {
 		sizes[i] = largeTotal / int64(spec.LargeFiles)
-		formats[i] = "txt" // the paper's large files are plain text
 	}
 	if smallFiles > 0 {
 		weights := make([]float64, smallFiles)
@@ -208,30 +186,18 @@ func layoutSizes(spec Spec, rng *rand.Rand) (sizes []int64, formats []string) {
 				size = 64
 			}
 			sizes[spec.LargeFiles+i] = size
-			formats[spec.LargeFiles+i] = drawFormat(spec, rng)
 		}
 	}
-	return sizes, formats
-}
-
-func drawFormat(spec Spec, rng *rand.Rand) string {
-	r := rng.Float64()
-	switch {
-	case r < spec.HTMLFraction:
-		return "html"
-	case r < spec.HTMLFraction+spec.WPFraction:
-		return "wp"
-	default:
-		return "txt"
-	}
+	return sizes
 }
 
 // filePath places file i in the directory tree. Large files sit at the
 // root, like the paper's five big extractions; small files are spread over
-// a DirFanout-ary tree with FilesPerDir files per leaf.
-func filePath(spec Spec, i int, format string) string {
+// a DirFanout-ary tree with FilesPerDir files per leaf. Every file is
+// plain text, as the paper's extracted corpus was.
+func filePath(spec Spec, i int) string {
 	if i < spec.LargeFiles {
-		return fmt.Sprintf("large-%d.%s", i, format)
+		return fmt.Sprintf("large-%d.txt", i)
 	}
 	n := i - spec.LargeFiles
 	dir := n / spec.FilesPerDir
@@ -243,7 +209,7 @@ func filePath(spec Spec, i int, format string) string {
 			break
 		}
 	}
-	return fmt.Sprintf("%sfile-%06d.%s", path, n, format)
+	return fmt.Sprintf("%sfile-%06d.txt", path, n)
 }
 
 // Writer is where Generate puts the corpus: vfs.MemFS in memory, Dir on
@@ -278,7 +244,7 @@ func Generate(spec Spec, w Writer) (Stats, error) {
 	zipf := rand.NewZipf(rng, spec.ZipfS, 1, uint64(spec.VocabSize-1))
 	for i := range stats.Files {
 		f := &stats.Files[i]
-		data := renderFile(f, vocab, zipf, rng)
+		data := renderFile(f.Size, vocab, zipf)
 		if err := w.WriteFile(f.Path, data); err != nil {
 			return stats, fmt.Errorf("corpus: writing %s: %w", f.Path, err)
 		}
@@ -315,20 +281,13 @@ func randomWord(rng *rand.Rand, minLen, maxLen int) string {
 	return string(b)
 }
 
-// renderFile produces the file body: Zipf-drawn words separated by spaces
-// with occasional newlines, wrapped according to the file's format.
-func renderFile(f *FileStat, vocab []string, zipf *rand.Zipf, rng *rand.Rand) []byte {
-	budget := int(f.Size)
+// renderFile produces a file body of about size bytes: Zipf-drawn words
+// separated by spaces with occasional newlines.
+func renderFile(size int64, vocab []string, zipf *rand.Zipf) []byte {
+	budget := int(size)
 	body := make([]byte, 0, budget+16)
-	var overhead int
-	switch f.Format {
-	case "html":
-		overhead = len(htmlHeader) + len(htmlFooter)
-	case "wp":
-		overhead = len(wpHeader)
-	}
 	col := 0
-	for len(body)+overhead < budget {
+	for len(body) < budget {
 		w := vocab[zipf.Uint64()]
 		body = append(body, w...)
 		col += len(w) + 1
@@ -339,25 +298,5 @@ func renderFile(f *FileStat, vocab []string, zipf *rand.Zipf, rng *rand.Rand) []
 			body = append(body, ' ')
 		}
 	}
-	switch f.Format {
-	case "html":
-		out := make([]byte, 0, len(body)+overhead)
-		out = append(out, htmlHeader...)
-		out = append(out, body...)
-		out = append(out, htmlFooter...)
-		return out
-	case "wp":
-		out := make([]byte, 0, len(body)+overhead)
-		out = append(out, wpHeader...)
-		out = append(out, body...)
-		return out
-	default:
-		return body
-	}
+	return body
 }
-
-const (
-	htmlHeader = "<!DOCTYPE html><html><body><p>\n"
-	htmlFooter = "</p></body></html>\n"
-	wpHeader   = ".wp 1.0\n.pp\n"
-)

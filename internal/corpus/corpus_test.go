@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"desksearch/internal/docfmt"
 	"desksearch/internal/tokenize"
 	"desksearch/internal/vfs"
 )
@@ -22,8 +21,6 @@ func testSpec() Spec {
 		MaxTermLen:         10,
 		FilesPerDir:        8,
 		DirFanout:          4,
-		HTMLFraction:       0.15,
-		WPFraction:         0.15,
 		Seed:               42,
 	}
 }
@@ -93,7 +90,7 @@ func TestFilePathsUniqueAndTreeShaped(t *testing.T) {
 		if !strings.Contains(f.Path, "/") {
 			t.Errorf("small file %s not in a directory", f.Path)
 		}
-		if !strings.HasSuffix(f.Path, ".txt") && !strings.HasSuffix(f.Path, ".html") && !strings.HasSuffix(f.Path, ".wp") {
+		if !strings.HasSuffix(f.Path, ".txt") {
 			t.Errorf("unexpected extension: %s", f.Path)
 		}
 	}
@@ -116,7 +113,7 @@ func TestGenerateMatchesDescribe(t *testing.T) {
 		}
 	}
 	// Every described file exists with approximately the described size
-	// (format wrappers may shift by a few bytes).
+	// (the last word may run past it).
 	for _, f := range gen.Files {
 		data, err := fs.ReadFile(f.Path)
 		if err != nil {
@@ -152,15 +149,12 @@ func TestGeneratedContentIsIndexable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		text := docfmt.Extract(f.Path, data)
-		terms := tokenize.Terms(text)
+		terms := tokenize.Terms(data)
 		if len(terms) == 0 {
 			t.Fatalf("%s produced no terms", f.Path)
 		}
-		// Every term must come from the vocabulary (formats may split a
-		// trailing truncated word; allow the last term to be arbitrary).
-		for _, term := range terms[:len(terms)-1] {
-			if !vocabSet[term] && !isFormatArtifact(term) {
+		for _, term := range terms {
+			if !vocabSet[term] {
 				t.Fatalf("%s: term %q not in vocabulary", f.Path, term)
 			}
 		}
@@ -169,16 +163,6 @@ func TestGeneratedContentIsIndexable(t *testing.T) {
 	if checked < 10 {
 		t.Fatalf("only %d files checked", checked)
 	}
-}
-
-// isFormatArtifact reports format-wrapper tokens ("1", "0" from ".wp 1.0",
-// "p" from HTML structure) that legitimately appear outside the vocabulary.
-func isFormatArtifact(term string) bool {
-	switch term {
-	case "0", "1", "p", "wp", "pp", "doctype", "html", "body":
-		return true
-	}
-	return false
 }
 
 func TestVocabularyUniqueAndWellFormed(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io/fs"
 
-	"desksearch/internal/docfmt"
 	"desksearch/internal/postings"
 	"desksearch/internal/tokenize"
 )
@@ -54,10 +53,6 @@ type TermBlock struct {
 
 // Options configure an Extractor.
 type Options struct {
-	// Formats enables document-format extraction (HTML/WP stripping) before
-	// tokenization. The paper's corpus was pre-extracted plain text, so the
-	// pipeline default is off; cmd/indexgen enables it for real desktops.
-	Formats bool
 	// Positions records each term occurrence's token position (the ordinal
 	// among the file's emitted terms) in TermBlock.Ends and TermBlock.Pos,
 	// growing the per-block payload so the index can answer quoted phrase
@@ -83,14 +78,11 @@ func New(fsys fs.FS, opts Options) *Extractor {
 	return &Extractor{fsys: fsys, opts: opts, seen: newCounter(1024, opts.Positions)}
 }
 
-// text reads the named file and, with Options.Formats, strips its markup.
-func (e *Extractor) text(path string) ([]byte, error) {
+// read returns the named file's bytes.
+func (e *Extractor) read(path string) ([]byte, error) {
 	data, err := fs.ReadFile(e.fsys, path)
 	if err != nil {
 		return nil, fmt.Errorf("extract: %s: %w", path, err)
-	}
-	if e.opts.Formats {
-		data = docfmt.Extract(path, data)
 	}
 	return data, nil
 }
@@ -99,7 +91,7 @@ func (e *Extractor) text(path string) ([]byte, error) {
 // each term's occurrences as the duplicates collapse. It allocates the
 // block's slices and nothing per token.
 func (e *Extractor) File(path string, id postings.FileID) (TermBlock, error) {
-	data, err := e.text(path)
+	data, err := e.read(path)
 	if err != nil {
 		return TermBlock{}, err
 	}
@@ -118,7 +110,7 @@ func (e *Extractor) File(path string, id postings.FileID) (TermBlock, error) {
 // paper's "empty scanner plus extraction" measurement (Table 1, "read files
 // and extract terms"). It returns the number of term occurrences seen.
 func (e *Extractor) ScanOnly(path string) (int, error) {
-	data, err := e.text(path)
+	data, err := e.read(path)
 	if err != nil {
 		return 0, err
 	}
@@ -132,9 +124,9 @@ func (e *Extractor) ScanOnly(path string) (int, error) {
 // (Table 1, "read files"). It returns a checksum-free byte count; the body
 // is touched so the read cannot be optimized away.
 func (e *Extractor) ReadOnly(path string) (int64, error) {
-	data, err := fs.ReadFile(e.fsys, path)
+	data, err := e.read(path)
 	if err != nil {
-		return 0, fmt.Errorf("extract: %s: %w", path, err)
+		return 0, err
 	}
 	var sink byte
 	for _, b := range data {

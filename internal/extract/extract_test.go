@@ -85,8 +85,10 @@ func TestFileReuseDoesNotLeakTerms(t *testing.T) {
 	}
 }
 
-func TestFileWithFormats(t *testing.T) {
-	e := New(testFS(t), Options{Formats: true})
+func TestFileIndexesMarkup(t *testing.T) {
+	// There is one extraction rule: a file's bytes go to the scanner as
+	// they are, so markup is indexed beside the text it wraps.
+	e := New(testFS(t), Options{})
 	block, err := e.File("page.html", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -95,29 +97,10 @@ func TestFileWithFormats(t *testing.T) {
 	for _, term := range block.Terms {
 		terms[term] = true
 	}
-	if !terms["web"] || !terms["words"] {
-		t.Errorf("content terms missing: %v", block.Terms)
-	}
-	if terms["hidden"] || terms["script"] {
-		t.Errorf("markup leaked into terms: %v", block.Terms)
-	}
-}
-
-func TestFileWithoutFormatsIndexesMarkup(t *testing.T) {
-	// Formats off (the paper's setup): markup is scanned literally.
-	e := New(testFS(t), Options{})
-	block, err := e.File("page.html", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, term := range block.Terms {
-		if term == "script" {
-			found = true
+	for _, want := range []string{"web", "words", "html", "script", "hidden"} {
+		if !terms[want] {
+			t.Errorf("term %q missing: %v", want, block.Terms)
 		}
-	}
-	if !found {
-		t.Error("markup should be indexed when Formats is off")
 	}
 }
 

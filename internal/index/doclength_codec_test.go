@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"desksearch/internal/postings"
@@ -95,5 +97,74 @@ func TestFileTableTokenBookkeeping(t *testing.T) {
 	}
 	if ft.Tokens(ids[1]) != 20 {
 		t.Errorf("Tokens = %d, want 20", ft.Tokens(ids[1]))
+	}
+}
+
+// TestLiveTokensMatchesLoop: the running live-token sum equals a loop over
+// every slot after any sequence of Add, SetTokens (re-sets of live and
+// dead IDs included) and Tombstone, and so does the sum of the table
+// reloaded from its saved sections, where ReadDocLengths sets the lengths
+// of slots already tombstoned.
+func TestLiveTokensMatchesLoop(t *testing.T) {
+	loop := func(ft *FileTable) uint64 {
+		var sum uint64
+		for id := range ft.Len() {
+			if ft.Live(postings.FileID(id)) {
+				sum += uint64(ft.Tokens(postings.FileID(id)))
+			}
+		}
+		return sum
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ft := NewFileTable()
+		for step := range 1 + rng.Intn(60) {
+			switch op := rng.Intn(4); {
+			case op == 0 || ft.Len() == 0:
+				ft.Add(fmt.Sprintf("f%d", step), 1, 1)
+			case op == 1:
+				ft.Tombstone(postings.FileID(rng.Intn(ft.Len())))
+			default:
+				n := uint32(rng.Intn(50))
+				if rng.Intn(8) == 0 {
+					n = 1<<32 - 1 - uint32(rng.Intn(4))
+				}
+				ft.SetTokens(postings.FileID(rng.Intn(ft.Len())), n)
+			}
+			if got, want := ft.LiveTokens(), loop(ft); got != want {
+				t.Fatalf("seed %d step %d: LiveTokens = %d, loop = %d", seed, step, got, want)
+			}
+		}
+		loaded, err := loadTables(savedTables(ft))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := loaded.LiveTokens(), loop(ft); got != want {
+			t.Fatalf("seed %d: reloaded LiveTokens = %d, loop = %d", seed, got, want)
+		}
+	}
+}
+
+// TestLiveTokensConcurrentSetTokens: extractors set the token lengths of
+// distinct files at once, as a build's do; the live sum sees every one.
+func TestLiveTokensConcurrentSetTokens(t *testing.T) {
+	ft := buildFileTable(400)
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := w; id < ft.Len(); id += 4 {
+				ft.SetTokens(postings.FileID(id), uint32(id%7))
+			}
+		}()
+	}
+	wg.Wait()
+	var want uint64
+	for id := range ft.Len() {
+		want += uint64(id % 7)
+	}
+	if got := ft.LiveTokens(); got != want {
+		t.Errorf("LiveTokens = %d, want %d", got, want)
 	}
 }

@@ -1,6 +1,10 @@
 package index
 
-import "desksearch/internal/postings"
+import (
+	"sync/atomic"
+
+	"desksearch/internal/postings"
+)
 
 // FileTable maps FileIDs to file paths. Stage 1 builds it before extraction
 // starts; batch builds never mutate it afterwards, so it is safely shared by
@@ -18,8 +22,12 @@ type FileTable struct {
 	// tokens[id] is the file's token length (total emitted term
 	// occurrences) — the document length BM25 normalizes by.
 	tokens []uint32
-	dead   []bool // tombstones; nil-safe via Live
+	dead   []bool // tombstones: dead[id] once Tombstone(id) ran
 	nDead  int
+	// live is the sum of tokens over the live slots, kept as SetTokens and
+	// Tombstone change them so LiveTokens is one load per query. Atomic
+	// because concurrent extractors call SetTokens for distinct IDs.
+	live   atomic.Uint64
 	byPath map[string]postings.FileID // live paths only
 }
 
@@ -59,9 +67,14 @@ func (t *FileTable) SetMeta(id postings.FileID, size, mtime int64) {
 
 // SetTokens records id's token length (extract.TermBlock.Tokens).
 // Concurrent extractors may call it for distinct IDs — each write lands in
-// its own preallocated slot, so no lock is needed during a build.
+// its own preallocated slot and the live sum is atomic, so no lock is
+// needed during a build.
 func (t *FileTable) SetTokens(id postings.FileID, n uint32) {
+	old := t.tokens[id]
 	t.tokens[id] = n
+	if !t.dead[id] {
+		t.live.Add(uint64(n) - uint64(old)) // wraps to a subtraction when n < old
+	}
 }
 
 // Tokens returns the recorded token length for id. It is 0 exactly for the
@@ -69,17 +82,9 @@ func (t *FileTable) SetTokens(id postings.FileID, n uint32) {
 // NOT query's complement must still find (search.Engine).
 func (t *FileTable) Tokens(id postings.FileID) uint32 { return t.tokens[id] }
 
-// LiveTokens sums the token lengths of all live files — the corpus size
-// BM25's average document length derives from.
-func (t *FileTable) LiveTokens() uint64 {
-	var sum uint64
-	for id, n := range t.tokens {
-		if !t.dead[id] {
-			sum += uint64(n)
-		}
-	}
-	return sum
-}
+// LiveTokens returns the sum of the token lengths of all live files — the
+// corpus size BM25's average document length derives from.
+func (t *FileTable) LiveTokens() uint64 { return t.live.Load() }
 
 // Live reports whether id is a live file (not tombstoned).
 func (t *FileTable) Live(id postings.FileID) bool { return !t.dead[id] }
@@ -92,6 +97,7 @@ func (t *FileTable) Tombstone(id postings.FileID) {
 	}
 	t.dead[id] = true
 	t.nDead++
+	t.live.Add(-uint64(t.tokens[id]))
 	if cur, ok := t.byPath[t.paths[id]]; ok && cur == id {
 		delete(t.byPath, t.paths[id])
 	}
