@@ -729,7 +729,7 @@ func BenchmarkPositionalBuild(b *testing.B) {
 	}
 }
 
-// ---- streaming evaluation: selective AND and WAND top-k ----
+// ---- streaming evaluation: selective AND, OR and NOT, and WAND top-k ----
 
 var (
 	skewOnce  sync.Once
@@ -805,6 +805,7 @@ func benchSkewQuery(b *testing.B, req Query, terms []string) {
 		b.Fatal(err)
 	}
 	b.Run("eager", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := eager.Query(ctx, req); err != nil {
 				b.Fatal(err)
@@ -812,6 +813,7 @@ func benchSkewQuery(b *testing.B, req Query, terms []string) {
 		}
 	})
 	b.Run("lazy", func(b *testing.B) {
+		b.ReportAllocs()
 		start := lazyBlockDecodes(lazy)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -853,6 +855,21 @@ func BenchmarkSelectiveAND(b *testing.B) {
 // blocks where full-list evaluation decodes them all.
 func BenchmarkWANDTopK(b *testing.B) {
 	benchSkewQuery(b, Query{Text: "rare common", Ranking: RankBM25, Limit: 10}, []string{"rare", "common"})
+}
+
+// BenchmarkSelectiveOR measures the streaming disjunction on the same
+// corpus: "rare OR common" matches every document, each leg is walked once
+// by the root's cursor, and the page of ten is kept as the matches stream
+// by, with no union list built.
+func BenchmarkSelectiveOR(b *testing.B) {
+	benchSkewQuery(b, Query{Text: "rare OR common", Limit: 10}, []string{"rare", "common"})
+}
+
+// BenchmarkSelectiveNOT measures an AND with a NOT leg: "common -rare"
+// drives from the common term and passes over each candidate the rare
+// term's exclusion leg lands on, with no complement list built.
+func BenchmarkSelectiveNOT(b *testing.B) {
+	benchSkewQuery(b, Query{Text: "common -rare", Limit: 10}, []string{"rare", "common"})
 }
 
 // ---- facade benchmark ----

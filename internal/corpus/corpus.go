@@ -133,11 +133,16 @@ func (s Spec) normalize() Spec {
 type FileStat struct {
 	// Path is the slash-separated file path within the corpus root.
 	Path string
-	// Size is the file's byte length.
+	// Size is the file's described size. Generate writes whole words,
+	// each followed by a space or a newline, until the content reaches
+	// it, so a written file runs past Size by up to one word and its
+	// separator.
 	Size int64
 }
 
-// Stats is the layout of a corpus: its files and their total size.
+// Stats is the layout of a corpus: its files and their total described
+// size. TotalBytes sums the files' Size, so the bytes Generate writes may
+// exceed it by up to one word and its separator per file.
 type Stats struct {
 	Spec       Spec
 	Files      []FileStat
@@ -233,7 +238,8 @@ func (d Dir) WriteFile(name string, data []byte) error {
 }
 
 // Generate writes the corpus through w. It returns the same layout as
-// Describe.
+// Describe: described sizes, which each written file may run past by up
+// to one word (see FileStat.Size).
 func Generate(spec Spec, w Writer) (Stats, error) {
 	spec = spec.normalize()
 	stats := Describe(spec)

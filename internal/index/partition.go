@@ -26,10 +26,9 @@ type Partition interface {
 	// Counts returns term's IDs and frequencies, or nil if absent, and
 	// promises nothing about positions: a heap index hands out its own
 	// list, a lazy segment stops decoding where the block's positions
-	// section starts and never reads it. Every consumer of a match set or
-	// a frequency — a term under OR or NOT, a single-term query, a prefix
-	// expansion — asks here, so a query decodes what it reads. Shared
-	// storage, like Lookup's.
+	// section starts and never reads it. A prefix expansion, which sums
+	// its terms' frequencies into one list, asks here, so it decodes what
+	// it reads. Shared storage, like Lookup's.
 	Counts(term string) *postings.List
 
 	// Iterator returns a streaming cursor over term's postings, or nil

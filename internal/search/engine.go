@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"slices"
-	"sort"
 	"sync"
 
 	"desksearch/internal/index"
@@ -327,145 +326,258 @@ type evalEnv struct {
 	prefixes []*postings.List
 }
 
-// eval computes the posting list of files satisfying n within one index,
-// checking ctx between evaluation steps: a canceled context makes the
-// remaining steps return empty lists immediately, so an in-flight
-// partition aborts at the next node boundary. The only evaluation error is
-// a phrase over an index without positions (ErrNoPositions), which
-// propagates up unwrapped; over-broad prefixes fail earlier, during
-// expansion. A termNode result may alias the index's live storage: no
-// boolean operator mutates its operands, the result is consumed entirely
-// inside queryOne while Query still holds the engine's read lock (updates
-// commit under the write lock), and the candidates handed back are
-// independent structs — so the lookup stays allocation-free on the hot
-// path. A term is a match set here — IDs under OR and NOT and for a
-// single-term query, frequencies never — so it asks the partition for
-// Counts, not Lookup: a lazy segment then decodes no position.
+// eval computes the posting list of files satisfying n within one index —
+// a sub-tree that joins a cursor as one leg (see operand). A phrase is its
+// walk; anything else is drained from its own cursor, so an OR, an AND or
+// a NOT builds its list by adding IDs in ascending order and never merges
+// or copies a term's postings. The only evaluation error is a phrase over
+// an index without positions (ErrNoPositions), which propagates up
+// unwrapped; over-broad prefixes fail earlier, during expansion. A
+// canceled context makes the remaining steps return empty lists
+// immediately, so an in-flight partition aborts at the next node
+// boundary.
 func (env *evalEnv) eval(n node) (*postings.List, error) {
+	out := &postings.List{}
 	if env.ctx.Err() != nil {
-		return &postings.List{}, nil
+		return out, nil
 	}
-	switch v := n.(type) {
-	case termNode:
-		l := env.ix.Counts(v.term)
-		if l == nil {
-			return &postings.List{}, nil
-		}
-		return l, nil
-	case prefixNode:
-		return env.prefixes[v.ord], nil
-	case phraseNode:
+	if v, ok := n.(phraseNode); ok {
 		return evalPhrase(env.ix, v.terms)
+	}
+	c, err := env.open(n)
+	if err != nil {
+		return nil, err
+	}
+	for c.next() {
+		out.Add(c.id)
+	}
+	return out, nil
+}
+
+// cursor streams the files that satisfy one query node, in ascending ID
+// order, document-at-a-time over the node's legs. Under AND — a lone term
+// or sub-tree is an AND of one leg — the rarest leg drives and every other
+// leg leapfrogs to it with SeekGE, and a candidate that an exclusion leg
+// (a NOT kid) lands on is passed over. Under OR the match is the smallest
+// ID any leg stands on. After a true next, every AND leg stands on id and
+// every OR leg on id or past it (on reports which), so a scorer that
+// shares a leg reads its Count where the cursor left it.
+type cursor struct {
+	ctx  context.Context
+	legs []leg
+	excl []index.PostingIterator
+	or   bool
+	// id is the current match, valid after a true next.
+	id postings.FileID
+	// started records the first next of an OR cursor, which places every
+	// leg on its first posting.
+	started bool
+	steps   int
+}
+
+// leg is one input of a cursor. A leg a term or prefix kid opened carries
+// its name, so a scorer of the same term or prefix shares the leg instead
+// of finding the term again; an OR keeps such a leg for a term absent
+// from the partition, with a nil it, done from the start. id and done
+// track an OR leg: the ID it stands on, and whether it is exhausted.
+type leg struct {
+	it     index.PostingIterator
+	term   string // "" for a sub-tree or the universe
+	prefix bool   // term is a prefix operator's text
+	id     postings.FileID
+	done   bool
+}
+
+// open resolves n's legs into a cursor, or returns nil when n provably
+// matches nothing in the partition. Kids resolve left to right: a term
+// kid's Iterator is its one dictionary probe, which knows the term's
+// document frequency before a posting is read and is nil for an absent
+// term (or a corrupt block, which the partition counted; Query fails on
+// its way out); a prefix kid reads its precomputed expansion; any other
+// kid is evaluated to a list. An AND stops at its first empty leg and
+// resolves nothing after it, so a phrase kid behind an absent term is
+// never walked. A NOT kid of an AND becomes an exclusion leg, and an AND
+// with no other leg — a NOT alone, "-a -b" — drives from the partition's
+// universe. A term or prefix that repeats among a node's kids opens one
+// leg.
+func (env *evalEnv) open(n node) (*cursor, error) {
+	kids := []node{n}
+	or := false
+	switch v := n.(type) {
 	case andNode:
-		return env.evalAnd(v)
+		kids = v.kids
 	case orNode:
-		return env.evalOr(v)
-	case notNode:
-		r, err := env.eval(v.kid)
-		if err != nil {
-			return nil, err
-		}
-		return postings.Difference(env.universe, r), nil
-	default:
-		return &postings.List{}, nil
+		kids, or = v.kids, true
 	}
-}
-
-// evalOr unions an OR node's kids, exactly as before the iterator
-// redesign: OR consumes whole match sets, so it materializes its kids.
-func (env *evalEnv) evalOr(v orNode) (*postings.List, error) {
-	acc := &postings.List{}
-	for _, k := range v.kids {
-		if env.ctx.Err() != nil {
-			return acc, nil
-		}
-		r, err := env.eval(k)
-		if err != nil {
-			return nil, err
-		}
-		// WithoutCounts keeps the union a pure ID merge: a kid may be
-		// a live counted term list, and match sets never read
-		// frequencies (ranking walks the term lists via iterators).
-		acc.Merge(r.WithoutCounts())
-	}
-	return acc, nil
-}
-
-// evalAnd intersects an AND node's kids with streaming iterators instead
-// of materializing every kid's posting list: term kids never decode
-// their blocks on a lazy backend — SeekGE rides the per-block skip
-// tables — and in-memory lists gallop. Complex kids (phrase, OR, NOT,
-// parenthesized groups) evaluate to lists exactly as before and join
-// the intersection through a list-backed iterator.
-func (env *evalEnv) evalAnd(v andNode) (*postings.List, error) {
-	// Resolve the kids left to right, stopping at the first provably
-	// empty one. A term kid's iterator is its one dictionary probe: it
-	// knows its document frequency (Len) before reading a posting, so
-	// ordering the legs costs no posting data, and a nil one is an absent
-	// term (or a corrupt block, which the partition counted; Query fails
-	// on its way out). Prefix kids answer from the precomputed
-	// expansions. The walk-with-early-exit preserves the old evaluator's
-	// observable behavior — kids after an empty one are never evaluated.
-	its := make([]index.PostingIterator, 0, len(v.kids))
-	for _, k := range v.kids {
-		var it index.PostingIterator
-		switch kv := k.(type) {
-		case termNode:
-			if it = env.ix.Iterator(kv.term); it == nil {
-				return &postings.List{}, nil
-			}
-		case prefixNode:
-			l := env.prefixes[kv.ord]
-			if l.Len() == 0 {
-				return &postings.List{}, nil
-			}
-			it = postings.NewIterator(l)
-		default:
-			r, err := env.eval(k)
+	c := &cursor{ctx: env.ctx, or: or, legs: make([]leg, 0, len(kids))}
+	live := 0
+	for _, k := range kids {
+		if v, ok := k.(notNode); ok && !c.or {
+			it, err := env.operand(v.kid)
 			if err != nil {
 				return nil, err
 			}
-			if r.Len() == 0 {
-				return &postings.List{}, nil
+			if it != nil {
+				c.excl = append(c.excl, it)
 			}
-			it = postings.NewIterator(r)
+			continue
 		}
-		its = append(its, it)
-	}
-	// Ascending document frequency: the most selective leg drives, so
-	// every other leg is asked for at most that many seeks — on skewed
-	// rare∧common intersections the dense list is sampled, not walked.
-	sort.SliceStable(its, func(i, j int) bool { return its[i].Len() < its[j].Len() })
-	out := &postings.List{}
-	if !its[0].Next() {
-		return out, nil
-	}
-	id := its[0].ID()
-	steps := 0
-outer:
-	for {
-		if steps++; steps&1023 == 0 && env.ctx.Err() != nil {
-			return out, nil
+		l := leg{}
+		switch v := k.(type) {
+		case termNode:
+			l.term = v.term
+		case prefixNode:
+			l.term, l.prefix = v.prefix, true
 		}
-		for _, it := range its[1:] {
-			if !it.SeekGE(id) {
-				break outer
+		if l.term != "" && c.named(l.term, l.prefix) != nil {
+			continue
+		}
+		it, err := env.operand(k)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case it != nil:
+			l.it = it
+			live++
+		case !c.or:
+			return nil, nil
+		case l.term == "":
+			continue
+		default:
+			l.done = true
+		}
+		c.legs = append(c.legs, l)
+	}
+	if !c.or && live == 0 && env.universe.Len() > 0 {
+		c.legs = append(c.legs, leg{it: postings.NewIterator(env.universe)})
+		live++
+	}
+	if live == 0 {
+		return nil, nil
+	}
+	if !c.or {
+		// Ascending document frequency: the most selective leg drives, so
+		// every other leg is asked for at most that many seeks — on skewed
+		// rare∧common intersections the dense list is sampled, not walked.
+		slices.SortStableFunc(c.legs, func(a, b leg) int { return a.it.Len() - b.it.Len() })
+	}
+	return c, nil
+}
+
+// operand opens n as one leg: a term's streaming iterator, an iterator
+// over a prefix operator's expansion, or one over an evaluated sub-tree.
+// It is nil when n matches nothing in the partition.
+func (env *evalEnv) operand(n node) (index.PostingIterator, error) {
+	var l *postings.List
+	switch v := n.(type) {
+	case termNode:
+		return env.ix.Iterator(v.term), nil
+	case prefixNode:
+		l = env.prefixes[v.ord]
+	default:
+		var err error
+		if l, err = env.eval(n); err != nil {
+			return nil, err
+		}
+	}
+	if l.Len() == 0 {
+		return nil, nil
+	}
+	return postings.NewIterator(l), nil
+}
+
+// named returns the leg c opened for a term (or, with prefix set, a prefix
+// operator's text), or nil when no kid named it.
+func (c *cursor) named(term string, prefix bool) *leg {
+	for i := range c.legs {
+		if l := &c.legs[i]; l.term == term && l.prefix == prefix {
+			return l
+		}
+	}
+	return nil
+}
+
+// on reports whether l, one of c's legs, stands on the current match.
+func (c *cursor) on(l *leg) bool { return !c.or || !l.done && l.id == c.id }
+
+// next advances to the next match, reporting false when there is none —
+// or when the context is canceled, which the caller checks. A nil cursor
+// matches nothing. Once next has reported false it must not be called
+// again.
+func (c *cursor) next() bool {
+	if c == nil {
+		return false
+	}
+	if c.or {
+		return c.nextOr()
+	}
+	lead := c.legs[0].it
+	if !lead.Next() {
+		return false
+	}
+	id := lead.ID()
+candidate:
+	for !c.canceled() {
+		for _, l := range c.legs[1:] {
+			if !l.it.SeekGE(id) {
+				return false
 			}
-			if got := it.ID(); got != id {
-				// Leapfrog: the mismatching leg overshot, so hand its
-				// position back to the driver as the next candidate.
-				if !its[0].SeekGE(got) {
-					break outer
+			if got := l.it.ID(); got != id {
+				// Leapfrog: the mismatching leg overshot, so its position
+				// is the driver's next candidate.
+				if !lead.SeekGE(got) {
+					return false
 				}
-				id = its[0].ID()
-				continue outer
+				id = lead.ID()
+				continue candidate
 			}
 		}
-		out.Add(id)
-		if !its[0].Next() {
-			break
+		for _, it := range c.excl {
+			if it.SeekGE(id) && it.ID() == id {
+				if !lead.Next() {
+					return false
+				}
+				id = lead.ID()
+				continue candidate
+			}
 		}
-		id = its[0].ID()
+		c.id = id
+		return true
 	}
-	return out, nil
+	return false
+}
+
+// nextOr steps the legs that stood on the last match and takes the
+// smallest ID a leg stands on.
+func (c *cursor) nextOr() bool {
+	if c.canceled() {
+		return false
+	}
+	found := false
+	var id postings.FileID
+	for i := range c.legs {
+		l := &c.legs[i]
+		if l.done {
+			continue
+		}
+		if !c.started || l.id == c.id {
+			if !l.it.Next() {
+				l.done = true
+				continue
+			}
+			l.id = l.it.ID()
+		}
+		if !found || l.id < id {
+			id, found = l.id, true
+		}
+	}
+	c.id, c.started = id, true
+	return found
+}
+
+// canceled counts a cursor step and checks the context every 1024 steps.
+func (c *cursor) canceled() bool {
+	c.steps++
+	return c.steps&1023 == 0 && c.ctx.Err() != nil
 }

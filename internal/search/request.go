@@ -533,48 +533,57 @@ func (e *Engine) snippetPage(ctx context.Context, q *Query, expansions [][]*post
 	return e.corruptedSince(marks)
 }
 
-// queryOne evaluates req against a single partition: match, score, filter,
-// and retain the local top k candidates (all of them when k == 0), ranked.
-// exp is the partition's prefix expansion unions (nil without prefix
-// operators) and bm the request's global BM25 statistics (nil for other
-// rankings).
+// queryOne evaluates req against a single partition in one pass: the
+// root's cursor yields each match in ascending ID order, and the match is
+// filtered, scored and offered to the local top k (every match is kept
+// when k == 0) where it stands, with no match list in between. exp is the
+// partition's prefix expansion unions (nil without prefix operators) and
+// bm the request's global BM25 statistics (nil for other rankings).
 func (e *Engine) queryOne(ctx context.Context, ix index.Partition, universe *postings.List, req Request, k int, exp []*postings.List, bm *bm25Stats) partResult {
 	start := time.Now()
 	// Phrase queries and snippets are rejected on position-free partitions
-	// before evaluation, not inside it: AND's empty-accumulator
-	// short-circuit could otherwise skip the phrase node, making the error
-	// appear and disappear with term order. (evalPhrase still checks per
-	// term list, which covers partially positional lists inside a
-	// positional index.)
+	// before evaluation, not inside it: AND's empty-leg short-circuit could
+	// otherwise skip the phrase node, making the error appear and
+	// disappear with term order. (evalPhrase still checks per term list,
+	// which covers partially positional lists inside a positional index.)
 	if (req.Query.hasPhrase || req.Snippets) && !ix.Positional() {
 		return partResult{err: errNoPositions, dur: time.Since(start)}
 	}
 	env := &evalEnv{ctx: ctx, ix: ix, universe: universe, prefixes: exp}
-	matched, err := env.eval(req.Query.root)
+	root, err := env.open(req.Query.root)
 	if err != nil {
 		return partResult{err: err, dur: time.Since(start)}
 	}
-	if ctx.Err() != nil || matched.Len() == 0 {
+	if root == nil || ctx.Err() != nil {
 		return partResult{dur: time.Since(start)}
 	}
 
-	// Scoring walks the match list once, document-at-a-time, seeking one
-	// streaming iterator per positive term — then per scored prefix
-	// pseudo-term — forward through the match set. The accumulation order
-	// (positive terms in query order, then prefixes in scorePrefixes
-	// order) is part of the API's determinism contract: BM25 adds float
-	// terms in this exact sequence, so any partitioning of the corpus —
-	// and either storage backend — produces bit-identical scores.
+	// One scorer per positive term, then per scored prefix pseudo-term. A
+	// term or prefix that is a leg of the root shares the leg: the cursor
+	// has already placed it, so scoring reads its Count where it stands
+	// and the term is not found again. Any other — a term only inside a
+	// phrase or a nested group — opens its own iterator and seeks it
+	// forward through the matches. The accumulation order (positive terms
+	// in query order, then prefixes in scorePrefixes order) is part of the
+	// API's determinism contract: BM25 adds float terms in this exact
+	// sequence, so any partitioning of the corpus — and either storage
+	// backend — produces bit-identical scores.
 	type scorer struct {
 		it  index.PostingIterator // nil when the term is absent here
+		leg *leg                  // the root leg it shares, if any
 		idf float64
 		bit int
 	}
 	scorers := make([]scorer, 0, len(req.Query.positive)+len(req.Query.scorePrefixes))
 	for ti, term := range req.Query.positive {
-		sc := scorer{it: ix.Iterator(term), bit: ti}
+		sc := scorer{bit: ti}
 		if bm != nil {
 			sc.idf = bm.idfTerm[ti]
+		}
+		if l := root.named(term, false); l != nil {
+			sc.it, sc.leg = l.it, l
+		} else {
+			sc.it = ix.Iterator(term)
 		}
 		scorers = append(scorers, sc)
 	}
@@ -588,9 +597,14 @@ func (e *Engine) queryOne(ctx context.Context, ix index.Partition, universe *pos
 		}
 	}
 	for pi, ord := range req.Query.scorePrefixes {
-		sc := scorer{it: postings.NewIterator(exp[ord]), bit: len(req.Query.positive) + pi}
+		sc := scorer{bit: len(req.Query.positive) + pi}
 		if bm != nil {
 			sc.idf = bm.idfPrefix[pi]
+		}
+		if l := root.named(req.Query.prefixes[ord], true); l != nil {
+			sc.it, sc.leg = l.it, l
+		} else {
+			sc.it = postings.NewIterator(exp[ord])
 		}
 		scorers = append(scorers, sc)
 	}
@@ -618,14 +632,14 @@ func (e *Engine) queryOne(ctx context.Context, ix index.Partition, universe *pos
 		}
 	}
 
-	// Selection pass: walk the match list, filter by path prefix, score,
-	// and feed a bounded heap (or collect everything when unbounded).
+	// Selection: filter each match by path prefix, score it, and feed a
+	// bounded heap (or collect everything when unbounded). A count is
+	// read only when the ranking adds it up: under RankCount a lazy
+	// block's frequency section is never located.
 	res := partResult{df: df}
 	heap := newTopK(k)
-	for i, id := range matched.IDs() {
-		if i&1023 == 0 && ctx.Err() != nil {
-			return partResult{dur: time.Since(start)}
-		}
+	for root.next() {
+		id := root.id
 		if req.PathPrefix != "" && !strings.HasPrefix(e.files.Path(id), req.PathPrefix) {
 			continue
 		}
@@ -645,22 +659,24 @@ func (e *Engine) queryOne(ctx context.Context, ix index.Partition, universe *pos
 				}
 			}
 			sc := &scorers[si]
-			if sc.it == nil {
+			switch {
+			case sc.it == nil:
+				continue
+			case sc.leg != nil:
+				if !root.on(sc.leg) {
+					continue
+				}
+			case !sc.it.SeekGE(id):
+				sc.it = nil // exhausted; no later match can hit it
+				continue
+			case sc.it.ID() != id:
 				continue
 			}
-			if !sc.it.SeekGE(id) {
-				sc.it = nil // exhausted; no later match-set ID can hit it
-				continue
-			}
-			if sc.it.ID() != id {
-				continue
-			}
-			count := sc.it.Count()
 			switch req.Ranking {
 			case RankBM25:
-				score += bm.score(sc.idf, count, dl)
+				score += bm.score(sc.idf, sc.it.Count(), dl)
 			case RankTF:
-				score += float64(count)
+				score += float64(sc.it.Count())
 			default:
 				score++
 			}
@@ -677,6 +693,9 @@ func (e *Engine) queryOne(ctx context.Context, ix index.Partition, universe *pos
 		} else {
 			res.cands = append(res.cands, s)
 		}
+	}
+	if ctx.Err() != nil {
+		return partResult{dur: time.Since(start)}
 	}
 	if k > 0 {
 		res.cands = heap.ranked()

@@ -402,3 +402,47 @@ func TestMergePage(t *testing.T) {
 		t.Errorf("full-page merge = %v, unbounded merge = %v", got, want)
 	}
 }
+
+// TestOnePassAllocatesIndependentOfMatches: with Limit 10, a root that is
+// a term, an AND, an OR or an AND with a NOT leg allocates the same number
+// of times over a partition where it matches about 100 files as over one
+// where it matches about 5 000, under every ranking: the root's cursor
+// feeds the bounded heap directly and no match list is built.
+func TestOnePassAllocatesIndependentOfMatches(t *testing.T) {
+	engine := func(n int) *Engine {
+		files := index.NewFileTable()
+		bld := index.NewBuilder(false)
+		for i := 0; i < n; i++ {
+			terms, counts := []string{"a"}, []uint32{uint32(i%3 + 1)}
+			if i%2 == 0 {
+				terms, counts = append(terms, "b"), append(counts, 2)
+			}
+			if i%4 == 0 {
+				terms, counts = append(terms, "c"), append(counts, 1)
+			}
+			id := files.Add(fmt.Sprintf("f%05d", i), 1, 1)
+			files.SetTokens(id, uint32(len(terms)+i%5))
+			bld.AddBlock(id, terms, counts)
+		}
+		return NewEngine(files, bld.Index())
+	}
+	small, large := engine(200), engine(10_000)
+	for _, text := range []string{"a", "a b", "a OR b", "a -c"} {
+		for _, rank := range []Ranking{RankCount, RankTF, RankBM25} {
+			req := Request{Query: MustParse(text), Limit: 10, Ranking: rank}
+			allocs := func(e *Engine) float64 {
+				if _, err := e.Query(context.Background(), req); err != nil { // fill the universe cache
+					t.Fatal(err)
+				}
+				return testing.AllocsPerRun(10, func() {
+					if _, err := e.Query(context.Background(), req); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if s, l := allocs(small), allocs(large); s != l {
+				t.Errorf("%q %v: %.0f allocations over ~100 matches, %.0f over ~5 000; want the same", text, rank, s, l)
+			}
+		}
+	}
+}

@@ -3,10 +3,11 @@ package search
 import (
 	"context"
 	"errors"
+	"maps"
 	"reflect"
 	"slices"
 	"sort"
-	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -502,62 +503,109 @@ func TestMergeRanked(t *testing.T) {
 	}
 }
 
-// probeCounter is a Partition that counts its dictionary probes.
+// probeCounter is a Partition that counts its dictionary probes, per
+// method and term ("Iterator a").
 type probeCounter struct {
 	index.Partition
-	iterators, docFreqs *atomic.Int64
+	mu    *sync.Mutex
+	calls map[string]int
+}
+
+func (p probeCounter) note(method, term string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.calls[method+" "+term]++
 }
 
 func (p probeCounter) Iterator(term string) index.PostingIterator {
-	p.iterators.Add(1)
+	p.note("Iterator", term)
 	return p.Partition.Iterator(term)
 }
 
+func (p probeCounter) Counts(term string) *postings.List {
+	p.note("Counts", term)
+	return p.Partition.Counts(term)
+}
+
+func (p probeCounter) Lookup(term string) *postings.List {
+	p.note("Lookup", term)
+	return p.Partition.Lookup(term)
+}
+
 func (p probeCounter) DocFreq(term string) int {
-	p.docFreqs.Add(1)
+	p.note("DocFreq", term)
 	return p.Partition.DocFreq(term)
 }
 
-// TestAndProbesEachTermOnce: a k-term AND finds each term in a partition's
-// dictionary once — k Iterator calls and no DocFreq — and stops at the
-// first absent term, probing none after it.
-func TestAndProbesEachTermOnce(t *testing.T) {
+// TestQueryProbesEachTermOnce: through Engine.Query, a term a root leg
+// opens is found once per partition — one Iterator call, which both
+// matches and scores it — and never through Counts, Lookup or DocFreq;
+// BM25 adds localDF's one DocFreq per positive term. An AND stops at its
+// first absent term and probes none after it.
+func TestQueryProbesEachTermOnce(t *testing.T) {
 	docs := make([][]string, 12)
 	for i := range docs {
 		docs[i] = []string{"a", "b", "c", "d"}[:1+i%4]
 		docs[i] = append(docs[i], "d", "c")
 	}
-	_, ixs := positionalParts(docs, 3)
+	files, ixs := positionalParts(docs, 3) // every term is in every partition
+	has := func(doc []string, term string) bool { return slices.Contains(doc, term) }
 	for _, tc := range []struct {
-		query  string
-		probes int64
+		query    string
+		positive []string
+		negative []string
+		match    func(doc []string) bool
 	}{
-		{"a b", 2}, {"d b c", 3}, {"a b c d", 4},
-		{"a zz b", 2}, // zz is absent: b is never probed
+		{"a", []string{"a"}, nil, func(d []string) bool { return has(d, "a") }},
+		{"a b", []string{"a", "b"}, nil, func(d []string) bool { return has(d, "a") && has(d, "b") }},
+		{"a b c d", []string{"a", "b", "c", "d"}, nil, func(d []string) bool { return has(d, "a") && has(d, "b") }},
+		{"a OR b OR c", []string{"a", "b", "c"}, nil, func(d []string) bool { return true }},
+		{"b -c", []string{"b"}, []string{"c"}, func(d []string) bool { return false }},
+		{"c -b", []string{"c"}, []string{"b"}, func(d []string) bool { return !has(d, "b") }},
 	} {
-		q := MustParse(tc.query)
-		for p, ix := range ixs {
-			var iterators, docFreqs atomic.Int64
-			env := &evalEnv{ctx: context.Background(), ix: probeCounter{ix, &iterators, &docFreqs}}
-			got, err := env.eval(q.root)
+		for _, rank := range []Ranking{RankCount, RankBM25} {
+			counters := make([]probeCounter, len(ixs))
+			parts := make([]index.Partition, len(ixs))
+			for i, ix := range ixs {
+				counters[i] = probeCounter{ix, &sync.Mutex{}, map[string]int{}}
+				parts[i] = counters[i]
+			}
+			resp, err := NewEngine(files, parts...).Query(context.Background(), Request{Query: MustParse(tc.query), Ranking: rank, Limit: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want []postings.FileID
-			for i, doc := range docs {
-				if i%len(ixs) == p && !slices.ContainsFunc(strings.Fields(tc.query), func(term string) bool {
-					return !slices.Contains(doc, term)
-				}) {
-					want = append(want, postings.FileID(i))
+			want := 0
+			for _, doc := range docs {
+				if tc.match(doc) {
+					want++
 				}
 			}
-			if !slices.Equal(got.IDs(), want) {
-				t.Fatalf("%q, partition %d: %v, want %v", tc.query, p, got.IDs(), want)
+			if resp.Total != want {
+				t.Errorf("%q %v: total %d, want %d", tc.query, rank, resp.Total, want)
 			}
-			if iterators.Load() != tc.probes || docFreqs.Load() != 0 {
-				t.Errorf("%q, partition %d: %d Iterator and %d DocFreq calls, want %d and 0",
-					tc.query, p, iterators.Load(), docFreqs.Load(), tc.probes)
+			for p, c := range counters {
+				wantCalls := map[string]int{}
+				for _, term := range slices.Concat(tc.positive, tc.negative) {
+					wantCalls["Iterator "+term] = 1
+				}
+				if rank == RankBM25 {
+					for _, term := range tc.positive {
+						wantCalls["DocFreq "+term] = 1
+					}
+				}
+				if !maps.Equal(c.calls, wantCalls) {
+					t.Errorf("%q %v, partition %d: probes %v, want %v", tc.query, rank, p, c.calls, wantCalls)
+				}
 			}
 		}
+	}
+
+	// zz is absent: the AND stops there, and b is never found.
+	c := probeCounter{ixs[0], &sync.Mutex{}, map[string]int{}}
+	if _, err := NewEngine(files, c).Query(context.Background(), Request{Query: MustParse("a zz b")}); err != nil {
+		t.Fatal(err)
+	}
+	if c.calls["Iterator a"] != 1 || c.calls["Iterator zz"] != 1 || c.calls["Iterator b"] != 0 {
+		t.Errorf("a zz b: probes %v, want one Iterator each for a and zz and none for b", c.calls)
 	}
 }

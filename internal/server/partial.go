@@ -99,13 +99,15 @@ func appendCounts(dst []byte, v []int) []byte {
 // left before anything is allocated for it, a string is capped at 1 MiB,
 // and a truncated, overlong or wrong-version input is an error, never a
 // panic. The result does not alias data: every string in it is a slice of
-// one copy made up front, which keeps the allocations proportional to the
-// hits, not to their fields.
+// one copy made up front, and every hit's Terms a window of one slab, so a
+// page without snippets decodes in the same number of allocations
+// whatever its hit count; each snippet costs its own two.
 func DecodePartial(data []byte) (*Partial, error) {
 	s := string(data)
 	c := index.NewCursor(data)
-	// str reads a string as the slice of s that holds its bytes.
-	str := func() string {
+	// str reads a string from c, a cursor over a suffix of data, as the
+	// slice of s that holds its bytes.
+	str := func(c *index.Cursor) string {
 		b := c.StrBytes()
 		end := len(data) - c.Left()
 		return s[end-len(b) : end]
@@ -127,6 +129,11 @@ func DecodePartial(data []byte) (*Partial, error) {
 		}
 	}
 	p.Hits = make([]desksearch.Hit, c.Count("hit", 12))
+	// Every hit's terms are cut from one slab, filled once their total is
+	// known: termsAt[i] is where hit i's term count starts, 0 for a hit
+	// without terms (offset 0 holds the version byte).
+	var termsAt []int
+	nTerms := 0
 	for i := range p.Hits {
 		h := &p.Hits[i]
 		file := c.Uvarint()
@@ -135,17 +142,21 @@ func DecodePartial(data []byte) (*Partial, error) {
 		}
 		h.File = postings.FileID(file)
 		h.Score = math.Float64frombits(c.U64())
-		h.Path = str()
+		h.Path = str(c)
+		at := len(data) - c.Left()
 		if n := c.Count("hit term", 1); n > 0 {
-			h.Terms = make([]string, n)
-			for j := range h.Terms {
-				h.Terms[j] = str()
+			if termsAt == nil {
+				termsAt = make([]int, len(p.Hits))
+			}
+			termsAt[i], nTerms = at, nTerms+n
+			for range n {
+				c.StrBytes()
 			}
 		}
 		switch flag := c.Byte(); flag {
 		case 0:
 		case 1:
-			sn := &desksearch.Snippet{Text: str()}
+			sn := &desksearch.Snippet{Text: str(c)}
 			if n := c.Count("highlight", 2); n > 0 {
 				sn.Highlights = make([]desksearch.Span, n)
 				for j := range sn.Highlights {
@@ -162,6 +173,20 @@ func DecodePartial(data []byte) (*Partial, error) {
 	}
 	if n := c.Left(); n != 0 {
 		return nil, malformedPartial{fmt.Errorf("%d trailing bytes", n)}
+	}
+	slab := make([]string, nTerms)
+	for i, at := range termsAt {
+		if at == 0 {
+			continue
+		}
+		// Read the hit's terms again, where the first pass checked them.
+		tc := index.NewCursor(data[at:])
+		n := tc.Count("hit term", 1)
+		h := &p.Hits[i]
+		h.Terms, slab = slab[:n:n], slab[n:]
+		for j := range h.Terms {
+			h.Terms[j] = str(tc)
+		}
 	}
 	return p, nil
 }

@@ -138,8 +138,8 @@ func TestPartialCountsBoundedByInput(t *testing.T) {
 
 // TestPartialDecodeAllocatesPerHit pins the decoder's allocation shape:
 // proportional to the hits (one slice of them, one copy of the bytes every
-// string points into, then a terms slice and a snippet per hit that has
-// them), not to the fields — the JSON decoder this replaced allocated
+// string points into, one slab for every hit's terms, then a snippet per
+// hit that has one), not to the fields — the JSON decoder this replaced allocated
 // every path, term and snippet string separately, on top of its own
 // bookkeeping.
 func TestPartialDecodeAllocatesPerHit(t *testing.T) {
@@ -176,6 +176,40 @@ func TestPartialDecodeAllocatesPerHit(t *testing.T) {
 	// highlights slice.
 	if rich := allocs(build(hits, true)); rich > 3*hits+6 {
 		t.Errorf("decoding %d rich hits allocates %.0f times, want <= %d (3 per hit)", hits, rich, 3*hits+6)
+	}
+}
+
+// TestPartialDecodeTermsShareOneSlab: a page of hits with matched terms and
+// no snippets decodes in the same number of allocations at 1, 20 and 200
+// hits, because every hit's Terms is a window of one slab.
+func TestPartialDecodeTermsShareOneSlab(t *testing.T) {
+	allocs := make(map[int]float64)
+	for _, hits := range []int{1, 20, 200} {
+		p := &Partial{Total: hits, DF: desksearch.DocFreqs{Docs: 900, Terms: []int{311, 57}}}
+		for i := 0; i < hits; i++ {
+			p.Hits = append(p.Hits, desksearch.Hit{
+				File:  postings.FileID(i),
+				Path:  fmt.Sprintf("dir%d/file%03d.txt", i%5, i),
+				Score: float64(hits - i),
+				Terms: []string{"annual", "report"}[:1+i%2],
+			})
+		}
+		data := AppendPartial(nil, p)
+		got, err := DecodePartial(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Fatalf("%d hits: decoded %+v, want %+v", hits, got, p)
+		}
+		allocs[hits] = testing.AllocsPerRun(20, func() {
+			if _, err := DecodePartial(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[1] != allocs[20] || allocs[1] != allocs[200] {
+		t.Errorf("decoding 1, 20 and 200 hits allocates %.0f, %.0f and %.0f times, want one count", allocs[1], allocs[20], allocs[200])
 	}
 }
 

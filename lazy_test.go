@@ -191,6 +191,13 @@ func TestLazyEvaluationDecodesFewerBlocks(t *testing.T) {
 	if andCost != 0 || wandCost != 0 {
 		t.Errorf("streaming evaluation decoded %d (AND) / %d (BM25) blocks, want 0: boolean and scoring paths must not materialize posting lists", andCost, wandCost)
 	}
+	// A lone term, an OR and an AND with a NOT leg stream their terms as
+	// root legs too.
+	for _, text := range []string{"milk", "milk OR report", "milk -report"} {
+		if n := run(text, Query{Text: text, Limit: 10}); n != 0 {
+			t.Errorf("%q decoded %d blocks, want 0", text, n)
+		}
+	}
 }
 
 func TestLazyCatalogIsReadOnly(t *testing.T) {
