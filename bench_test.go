@@ -570,24 +570,41 @@ func BenchmarkBM25Query(b *testing.B) {
 
 // BenchmarkSuggest measures autocomplete: one term-dictionary scan per
 // partition, df aggregation, and the ranked truncation, for a short
-// (broad) and a longer (narrow) prefix.
+// (broad) and a longer (narrow) prefix, on the catalog as built (heap)
+// and on the same catalog saved and opened in place (lazy), whose
+// dictionary walk copies out each term it yields.
 func BenchmarkSuggest(b *testing.B) {
-	cat, _ := topkCatalog(b)
+	built, _ := topkCatalog(b)
+	dir := b.TempDir()
+	if err := built.SaveDir(dir); err != nil {
+		b.Fatal(err)
+	}
+	lazy, err := OpenDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lazy.Close()
 	ctx := context.Background()
 	vocab := corpus.BuildVocabulary(corpus.PaperSpec().Scale(1.0 / 32))
 	long := vocab[0]
 	short := long[:1]
-	for _, tc := range []struct{ name, prefix string }{
-		{"short-prefix", short},
-		{"long-prefix", long},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cat.Suggest(ctx, tc.prefix, 10); err != nil {
-					b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		cat  *Catalog
+	}{{"heap", built}, {"lazy", lazy}} {
+		for _, tc := range []struct{ name, prefix string }{
+			{"short-prefix", short},
+			{"long-prefix", long},
+		} {
+			b.Run(c.name+"/"+tc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := c.cat.Suggest(ctx, tc.prefix, 10); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

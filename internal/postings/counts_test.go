@@ -65,21 +65,6 @@ func TestMergeSumsCounts(t *testing.T) {
 	}
 }
 
-func TestDifferencePreservesCounts(t *testing.T) {
-	a := FromSortedIDCounts([]FileID{1, 2, 3, 4}, []uint32{5, 1, 7, 1})
-	out := Difference(a, FromSortedIDs([]FileID{2, 4}))
-	want := FromSortedIDCounts([]FileID{1, 3}, []uint32{5, 7})
-	if !out.Equal(want) {
-		t.Errorf("difference = %v / %v", out.IDs(), out.vals)
-	}
-	// Survivors all at frequency 1 normalize back to the implicit form.
-	b := FromSortedIDCounts([]FileID{1, 2, 3}, []uint32{1, 9, 1})
-	out2 := Difference(b, FromSortedIDs([]FileID{2}))
-	if out2.vals != nil {
-		t.Error("all-ones survivors kept explicit counts")
-	}
-}
-
 func TestEncodeDecodeCounts(t *testing.T) {
 	cases := []*List{
 		{},

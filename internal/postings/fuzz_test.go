@@ -118,16 +118,6 @@ func (m *listModel) mergeCounted(o *listModel) {
 	}
 }
 
-func (m *listModel) difference(o *listModel) {
-	for _, id := range o.ids() {
-		delete(m.runs, id)
-		delete(m.freq, id)
-	}
-	if m.len() == 0 {
-		*m = *emptyModel()
-	}
-}
-
 func (m *listModel) equal(o *listModel) bool {
 	if m.len() == 0 || o.len() == 0 {
 		return m.len() == o.len()
@@ -209,7 +199,6 @@ const (
 	opInsertRun = iota // id, run length-1, positions
 	opAddN             // id, n-1
 	opMerge
-	opDifference
 	opMergeCounted
 	opClone
 	opWindow    // file mask (2 bytes), lo, hi
@@ -220,7 +209,7 @@ const (
 // FuzzPositionalList runs programs of list operations on two lists and
 // holds both, after every step, to a map model: one-posting positional
 // lists merged in, in any order and with duplicate IDs and unsorted,
-// repeated positions; Merge, Difference and MergeCounted between them;
+// repeated positions; Merge and MergeCounted between them;
 // demotion through AddN; Clone and Equal; Window; and the
 // EncodePositional/DecodePositional round trip, whose decode the program
 // then keeps mutating.
@@ -233,8 +222,8 @@ func FuzzPositionalList(f *testing.F) {
 	// An overlapping merge of positional lists, then a demoting one.
 	f.Add(slices.Concat(add(0, 1, 5), add(0, 3, 2, 9), add(0, 5, 1), add(1, 3, 4, 9), add(1, 4, 0),
 		[]byte{opMerge, 0, opAddN, 1, 6, 2, opMerge, 1, opMergeCounted, 0}))
-	// A Difference that empties the list, which then turns positional again.
-	f.Add(slices.Concat(add(0, 2, 8), add(1, 2, 3), []byte{opDifference, 0}, add(0, 7, 1, 2),
+	// Two runs of one file merged, then a clone and a window to the top.
+	f.Add(slices.Concat(add(0, 2, 8), add(1, 2, 3), []byte{opMerge, 0}, add(0, 7, 1, 2),
 		[]byte{opClone, 0, opWindow, 0, 0x80, 0, 0, 255}))
 	f.Fuzz(func(t *testing.T, program []byte) {
 		lists := [2]*List{{}, {}}
@@ -261,9 +250,6 @@ func FuzzPositionalList(f *testing.F) {
 			case opMerge:
 				m.merge(l, om, o)
 				l.Merge(o)
-			case opDifference:
-				m.difference(om)
-				lists[x] = Difference(l, o)
 			case opMergeCounted:
 				m.mergeCounted(om)
 				l.MergeCounted(o)

@@ -59,24 +59,7 @@ func TestMergeMixedDemotesToCounts(t *testing.T) {
 	}
 }
 
-func TestDifferencePreservesPositions(t *testing.T) {
-	a := positional(map[FileID][]uint32{1: {0}, 2: {1, 2}, 3: {5}})
-	rest := Difference(a, FromIDs([]FileID{2}))
-	if !rest.HasPositions() {
-		t.Fatal("difference dropped positions")
-	}
-	want := positional(map[FileID][]uint32{1: {0}, 3: {5}})
-	if !rest.Equal(want) {
-		t.Fatalf("difference = %v", rest.IDs())
-	}
-	// Removing everything yields a canonical empty list.
-	empty := Difference(a, FromIDs([]FileID{1, 2, 3}))
-	if empty.Len() != 0 || empty.HasPositions() {
-		t.Fatal("empty difference is not canonical")
-	}
-}
-
-func TestCloneAndWithoutCountsPositional(t *testing.T) {
+func TestClonePositional(t *testing.T) {
 	a := positional(map[FileID][]uint32{1: {0, 2}})
 	c := a.Clone()
 	if !c.Equal(a) {
@@ -85,10 +68,6 @@ func TestCloneAndWithoutCountsPositional(t *testing.T) {
 	c.Merge(positional(map[FileID][]uint32{1: {7}}))
 	if a.CountAt(0) != 2 {
 		t.Fatal("mutating the clone changed the original")
-	}
-	v := a.WithoutCounts()
-	if v.HasPositions() || v.CountAt(0) != 1 {
-		t.Fatal("WithoutCounts view still carries payload")
 	}
 }
 

@@ -525,19 +525,6 @@ func (l *List) MergeCounted(other *List) *List {
 	return l.Merge(other)
 }
 
-// WithoutCounts returns a frequency- and position-free view of the list:
-// same IDs, every frequency 1. The view shares the ID storage and must be
-// treated as read-only; lists already in the implicit all-ones form return
-// themselves. Set-algebra pipelines (query match sets) use it so
-// frequencies and positions are not copied through operators that never
-// read them.
-func (l *List) WithoutCounts() *List {
-	if l.vals == nil && l.pos == nil {
-		return l
-	}
-	return &List{ids: l.ids}
-}
-
 // Clone returns an independent copy of the list.
 func (l *List) Clone() *List {
 	return &List{ids: slices.Clone(l.ids), vals: slices.Clone(l.vals), pos: slices.Clone(l.pos)}
@@ -669,20 +656,4 @@ func (l *List) keep(r, k, w int, wp uint32) (int, uint32) {
 		copy(l.vals[w:], l.vals[r:k])
 	}
 	return w + k - r, wp
-}
-
-// Difference returns the postings in a but not in b (boolean AND NOT),
-// keeping a's frequencies — and, for a positional a, its positions — for
-// the survivors. It marks the IDs of b that fall within a's range, so the
-// bitmap never spans more than a does, and runs List.Remove on a copy of
-// a: the result owns its columns, and a is left as it was.
-func Difference(a, b *List) *List {
-	out := a.Clone()
-	if n := len(a.ids); n > 0 {
-		in := b.ids[Gallop(b.ids, 0, a.ids[0]):]
-		in = in[:sort.Search(len(in), func(i int) bool { return in[i] > a.ids[n-1] })]
-		marks := Mark(in...)
-		out.Remove(&marks)
-	}
-	return out
 }

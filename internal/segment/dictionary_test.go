@@ -2,6 +2,7 @@ package segment
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -88,8 +89,9 @@ func TestReaderResidentBytesMatchesHeap(t *testing.T) {
 
 // TestDictionaryAllocations pins what the dictionary costs in
 // allocations: opening a segment makes as many for 10 000 terms as for
-// 100 (each column is one), and DocFreq and a full TermsFrom walk make
-// none.
+// 100 (each restart column is one), DocFreq makes none, and a full
+// TermsFrom walk exactly one per term it yields, the heap copy of the
+// term.
 func TestDictionaryAllocations(t *testing.T) {
 	var opens []float64
 	var r *Reader
@@ -112,21 +114,23 @@ func TestDictionaryAllocations(t *testing.T) {
 	walked := 0
 	if a := testing.AllocsPerRun(10, func() {
 		r.TermsFrom("", func(string, int) bool { walked++; return true })
-	}); a != 0 {
-		t.Fatalf("a full TermsFrom walk made %.1f allocations", a)
+	}); a != float64(r.NumTerms()) {
+		t.Fatalf("a full TermsFrom walk made %.1f allocations, want one a term, %d", a, r.NumTerms())
 	}
 	if walked != 11*r.NumTerms() {
 		t.Fatalf("walked %d terms in 11 walks of %d", walked, r.NumTerms())
 	}
 }
 
-// TestDictionarySurvivesUnmap holds the dictionary to its own memory: on a
-// segment opened from a file (mapped, on linux), the terms TermsFrom
-// yielded before Close, and what DocFreq and TermsFrom answer after it,
-// stay intact once the mapping is gone.
-func TestDictionarySurvivesUnmap(t *testing.T) {
+// TestClosedReaderReadsNothing pins what Close leaves of a segment opened
+// from a file (mapped, on linux): the terms TermsFrom yielded before it
+// are heap copies and stay intact once the mapping is gone, and every
+// read after it reports its term absent, or fails, without touching the
+// mapping — a touch would fault the process — and records the closed
+// read, one fault a read, for Err and Corruptions.
+func TestClosedReaderReadsNothing(t *testing.T) {
 	ix := buildIndex(t, 300, true)
-	r, err := Open(writeSegment(t, ix), nil)
+	r, err := Open(writeSegment(t, ix), NewCache(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,22 +149,55 @@ func TestDictionarySurvivesUnmap(t *testing.T) {
 		})
 		return out
 	}
+	files := []postings.FileID{0, 1, 2}
+	lo, hi := []uint32{0, 0, 0}, []uint32{100, 100, 100}
+	window := func() (n int) {
+		r.Window(files, lo, hi, func(int, string, uint32) { n++ })
+		return n
+	}
 	want := walk(ix, "")
 	yielded := walk(r, "")
+	const term = "common"
+	if r.Lookup(term) == nil || window() == 0 {
+		t.Fatalf("before Close: Lookup(%q) or the window pass found nothing", term)
+	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(yielded, want) {
 		t.Fatalf("terms yielded before Close read %v after it, want %v", yielded, want)
 	}
-	for _, e := range want {
-		if df := r.DocFreq(e.term); df != e.df {
-			t.Fatalf("DocFreq(%q) after Close = %d, want %d", e.term, df, e.df)
+	if r.Corruptions() != 0 {
+		t.Fatalf("%d faults before any read after Close", r.Corruptions())
+	}
+	reads := []struct {
+		name     string
+		answered func() bool
+	}{
+		{"DocFreq", func() bool { return r.DocFreq(term) != 0 }},
+		{"TermsFrom", func() bool { return len(walk(r, "")) != 0 }},
+		{"Iterator", func() bool { return r.Iterator(term) != nil }},
+		{"Lookup", func() bool { return r.Lookup(term) != nil }},
+		{"Counts", func() bool { return r.Counts(term) != nil }},
+		{"Window", func() bool { return window() != 0 }},
+		{"Materialize", func() bool {
+			m, err := r.Materialize()
+			return m != nil || !errors.Is(err, errClosed)
+		}},
+	}
+	for i, rd := range reads {
+		if rd.answered() {
+			t.Fatalf("%s after Close answered from the closed segment", rd.name)
+		}
+		if got := r.Corruptions(); got != uint64(i+1) {
+			t.Fatalf("after %s, %d faults recorded, want %d", rd.name, got, i+1)
 		}
 	}
-	mid := want[len(want)/2].term
-	if got := walk(r, mid); !slices.Equal(got, walk(ix, mid)) {
-		t.Fatalf("TermsFrom(%q) after Close = %v", mid, got)
+	if err := r.Err(); !errors.Is(err, errClosed) || !strings.Contains(err.Error(), "read of closed segment") {
+		t.Fatalf("Err() = %v, want the read of a closed segment", err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("a second Close: %v", err)
 	}
 }
 

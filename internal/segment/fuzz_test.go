@@ -47,8 +47,8 @@ func (r *Reader) find(term string) int {
 	return ord
 }
 
-// term returns dictionary term ord.
-func (r *Reader) term(ord int) string { return r.at(ord).term }
+// term returns dictionary term ord, copied out of the dictionary.
+func (r *Reader) term(ord int) string { return string(r.at(ord).term) }
 
 // rawBlock returns a copy of term ord's posting block as r's file holds
 // it, and the term's document frequency.

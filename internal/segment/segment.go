@@ -31,14 +31,17 @@
 //
 // Every sum is index.Checksum's CRC-32C. Opening a segment reads and
 // verifies only the header and dictionary — O(dictionary + docs), never
-// O(postings) — and keeps the dictionary's entries on the heap as they
-// are on disk: one copy of their verified bytes, never aliasing the file,
-// so a term handed out survives Close's unmap. The walk that checks every
-// entry also builds a sparse restart index — every restartEvery-th
-// entry's position in the copy, its block's offset and its term's first
+// O(postings) — and reads the dictionary's entries in place, where the
+// file holds them: the heap keeps only a sparse restart index, built by
+// the walk that checks every entry — every restartEvery-th entry's
+// position in the dictionary, its block's offset and its term's first
 // eight bytes packed into a uint64 — so a lookup binary-searches the
 // packed keys, compares whole terms only on a tie and decodes at most a
-// restart group's entries. Posting blocks are mmap'd on linux
+// restart group's entries, allocating nothing. Every term the Reader
+// hands out (TermsFrom, Window, Materialize) is a heap copy, so it
+// outlives Close's unmap; after Close every read reports its term absent
+// and records the closed read for Err, never touching the mapping.
+// Posting blocks are mmap'd on linux
 // (mmap_linux.go) or pread on demand elsewhere, verified against their
 // dictionary checksum and decoded lazily per term into a bounded shared
 // cache. The Reader implements index.Partition, so the whole query stack
@@ -103,27 +106,32 @@ const (
 	restartEvery = 8
 )
 
-// Reader is an open segment: the verified dictionary in memory, the
-// posting blocks on disk. It implements index.Partition. Methods are safe
+// Reader is an open segment: the verified dictionary read in place, with
+// a restart index over it on the heap, and the posting blocks on disk. It
+// implements index.Partition. Methods are safe
 // for concurrent use; the segment file must not change underneath it.
 type Reader struct {
 	path       string
 	src        *source
 	positional bool
 
-	// The dictionary: the verified entries, copied once out of the file,
-	// each still { string term | uvarint df | uvarint blockLen |
+	// The dictionary: the verified entries where the source holds them
+	// (the mapping, the caller's image, or on the fallback the bytes open
+	// read), each { string term | uvarint df | uvarint blockLen |
 	// u32 blockSum }, and the restart index over them. Restart g is entry
 	// g*restartEvery: it starts at dict[rpos[g]], its posting block at
 	// offset roff[g] of the block region (blocks are contiguous, so an
 	// entry's offset is its restart's plus the blockLens between them),
 	// and keys[g] is its term's first 8 bytes, big-endian and zero-padded,
 	// which ascend (not strictly) as the terms do.
-	dict   string
+	dict   []byte
 	keys   []uint64
 	rpos   []uint32
 	roff   []int64
 	nTerms int
+	// heldDict is what dict costs the heap: the bytes open read into
+	// memory itself (the positioned-read fallback), else 0.
+	heldDict int64
 
 	docs      *postings.List // the partition's persisted doc-ID set
 	nPostings int64
@@ -193,7 +201,7 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 		return nil, fmt.Errorf("segment: %s: dictionary length %d exceeds file", path, dictLen)
 	}
 	if dictLen > math.MaxUint32 {
-		// The restart index holds u32 positions in the entries' copy.
+		// The restart index holds u32 positions in the dictionary.
 		return nil, fmt.Errorf("segment: %s: dictionary of %d bytes exceeds 4 GiB", path, dictLen)
 	}
 
@@ -262,7 +270,7 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 		if blen > blocksLen || off+blen > blocksLen {
 			return nil, fmt.Errorf("segment: %s: term %q: block overruns region", path, term)
 		}
-		c.U32() // blockSum, read from the copy when the block is
+		c.U32() // blockSum, read in place when the block is
 		if i%restartEvery == 0 {
 			g := i / restartEvery
 			r.keys[g], r.rpos[g], r.roff[g] = prefixKey(term), uint32(pos), int64(off)
@@ -279,19 +287,37 @@ func open(path string, src *source, cache *Cache) (*Reader, error) {
 	if off != blocksLen {
 		return nil, fmt.Errorf("segment: %s: blocks cover %d of %d region bytes", path, off, blocksLen)
 	}
-	r.dict = string(region[len(region)-entries:])
+	r.dict = region[len(region)-entries:]
+	if src.data == nil {
+		r.heldDict = int64(cap(region))
+	}
 	r.nTerms = termCount
 	return r, nil
 }
 
-// Close releases the mapping or file handle. Posting lists already decoded
-// remain valid (decodes copy, never alias the mapping), but further
-// lookups of uncached terms will fail.
+// Close marks the reader closed and then releases the mapping or file
+// handle. Posting lists and terms already handed out remain valid (both
+// are copies, never views of the mapping). Every later read reports its
+// term absent and records the read of a closed segment for Err and
+// Corruptions, without touching the mapping. Close must not race a read:
+// a catalog drains its queries first.
 func (r *Reader) Close() error {
 	if r.cache != nil {
 		r.cache.dropOwner(r)
 	}
 	return r.src.Close()
+}
+
+// checkOpen returns nil while the reader is open. After Close it records
+// the read that asked as a fault and returns it: every read checks it
+// before it touches the dictionary.
+func (r *Reader) checkOpen() error {
+	if !r.src.closed.Load() {
+		return nil
+	}
+	err := fmt.Errorf("segment: %s: %w", r.path, errClosed)
+	r.noteCorruption(err)
+	return err
 }
 
 // BlockDecodes returns how many posting-block decodes the reader has
@@ -303,16 +329,17 @@ func (r *Reader) BlockDecodes() uint64 { return r.decodes.Load() }
 // no positions must leave it where it was.
 func (r *Reader) PositionDecodes() uint64 { return r.posDecodes.Load() }
 
-// Err returns the first posting-block corruption a lazy read ran into
-// (Lookup, Counts and Iterator have no error return; they report the term
-// absent and record the fault here), or nil.
+// Err returns the first posting-block corruption, or read after Close, a
+// lazy read ran into (Lookup, Counts and Iterator have no error return;
+// they report the term absent and record the fault here), or nil.
 func (r *Reader) Err() error {
 	r.corruptMu.Lock()
 	defer r.corruptMu.Unlock()
 	return r.corrupt
 }
 
-// Corruptions returns how many reads have failed verification so far. A
+// Corruptions returns how many reads have failed verification, or come
+// after Close, so far. A
 // corrupt block is never cached, so every read of it counts again: a
 // caller that sees the count move across an evaluation knows the
 // evaluation ran over an incomplete partition.
@@ -327,9 +354,9 @@ func (r *Reader) noteCorruption(err error) {
 	r.corruptions.Add(1)
 }
 
-// entry is one dictionary entry, decoded from the copy.
+// entry is one dictionary entry, decoded in place.
 type entry struct {
-	term string // a substring of the copy
+	term []byte // a view of the dictionary, valid until Close
 	df   int
 	off  int64 // the posting block's offset in the block region
 	size int64 // and its length
@@ -352,7 +379,7 @@ func prefixKey[T string | []byte](s T) uint64 {
 
 // uvarintAt decodes the uvarint at s[pos] and returns it with the position
 // after it. Open verified every entry, so it checks nothing.
-func uvarintAt(s string, pos int) (uint64, int) {
+func uvarintAt(s []byte, pos int) (uint64, int) {
 	var v uint64
 	for shift := uint(0); ; shift += 7 {
 		b := s[pos]
@@ -364,11 +391,12 @@ func uvarintAt(s string, pos int) (uint64, int) {
 	}
 }
 
-// dictCursor reads the dictionary copy's entries in order: the next one
-// starts at dict[pos], and its posting block where e's ends. Open
-// verified every entry, so it checks nothing.
+// dictCursor reads the dictionary's entries in order, in place: the next
+// one starts at dict[pos], and its posting block where e's ends. Open
+// verified every entry, so it checks nothing; the caller checked that the
+// reader is open.
 type dictCursor struct {
-	dict string
+	dict []byte
 	pos  int
 	e    entry // the entry next decoded last
 }
@@ -379,7 +407,7 @@ func (r *Reader) cursor(g int) dictCursor {
 }
 
 // term returns the term of the entry at the cursor, without moving it.
-func (c *dictCursor) term() string {
+func (c *dictCursor) term() []byte {
 	n, p := uvarintAt(c.dict, c.pos)
 	return c.dict[p : p+int(n)]
 }
@@ -409,7 +437,7 @@ func (r *Reader) seek(term string) (ord int, c dictCursor) {
 	lo, hi := 0, len(r.keys) // the first restart > term is in [lo, hi]
 	for lo < hi {
 		g := int(uint(lo+hi) >> 1)
-		if k := r.keys[g]; k < key || k == key && r.restartTerm(g) <= term {
+		if k := r.keys[g]; k < key || k == key && string(r.restartTerm(g)) <= term {
 			lo = g + 1
 		} else {
 			hi = g
@@ -422,22 +450,26 @@ func (r *Reader) seek(term string) (ord int, c dictCursor) {
 		return 0, dictCursor{} // no terms
 	}
 	ord, c = (lo-1)*restartEvery, r.cursor(lo-1)
-	for ; ord < r.nTerms && c.term() < term; ord++ {
+	for ; ord < r.nTerms && string(c.term()) < term; ord++ {
 		c.next()
 	}
 	return ord, c
 }
 
 // restartTerm returns restart g's term.
-func (r *Reader) restartTerm(g int) string {
+func (r *Reader) restartTerm(g int) []byte {
 	c := r.cursor(g)
 	return c.term()
 }
 
-// lookup returns term's ordinal and entry, or -1.
+// lookup returns term's ordinal and entry, or -1, also when the reader
+// is closed.
 func (r *Reader) lookup(term string) (int, entry) {
+	if r.checkOpen() != nil {
+		return -1, entry{}
+	}
 	if ord, c := r.seek(term); ord < r.nTerms {
-		if e := c.next(); e.term == term {
+		if e := c.next(); string(e.term) == term {
 			return ord, *e
 		}
 	}
@@ -515,11 +547,15 @@ func (r *Reader) DocFreq(term string) int {
 	return e.df
 }
 
-// TermsFrom walks the sorted dictionary from the first term >= from. The
-// terms it yields are substrings of the dictionary's one copy.
+// TermsFrom walks the sorted dictionary from the first term >= from. It
+// reads the entries in place and yields each term as a heap copy, one
+// allocation a term, so the term outlives Close.
 func (r *Reader) TermsFrom(from string, yield func(term string, df int) bool) {
+	if r.checkOpen() != nil {
+		return
+	}
 	for ord, c := r.seek(from); ord < r.nTerms; ord++ {
-		if e := c.next(); !yield(e.term, e.df) {
+		if e := c.next(); !yield(string(e.term), e.df) {
 			return
 		}
 	}
@@ -531,10 +567,11 @@ func (r *Reader) TermsFrom(from string, yield func(term string, df int) bool) {
 // uncached read — checksum, skip table, posting count — and then read in
 // place by postings.Block.Window, which allocates nothing and stops
 // where the windows end. The pass neither reads nor fills the block
-// cache and decodes no list, so BlockDecodes does not move. A block that
-// fails is skipped with the fault recorded, as for Lookup.
+// cache and decodes no list, so BlockDecodes does not move; a term is
+// copied to the heap once, when it first emits. A block that fails is
+// skipped with the fault recorded, as for Lookup.
 func (r *Reader) Window(files []postings.FileID, lo, hi []uint32, emit func(i int, term string, pos uint32)) {
-	if !r.positional || len(files) == 0 {
+	if !r.positional || len(files) == 0 || r.checkOpen() != nil {
 		return
 	}
 	var b postings.Block
@@ -547,12 +584,18 @@ func (r *Reader) Window(files []postings.FileID, lo, hi []uint32, emit func(i in
 }
 
 // windowBlock verifies e's block into b and emits the term's occurrences
-// in the windows.
+// in the windows, copying the term on the first.
 func (r *Reader) windowBlock(e *entry, b *postings.Block, files []postings.FileID, lo, hi []uint32, emit func(i int, term string, pos uint32)) error {
 	if err := r.block(e, b); err != nil {
 		return err
 	}
-	if err := b.Window(files, lo, hi, func(i int, pos uint32) { emit(i, e.term, pos) }); err != nil {
+	var term string
+	if err := b.Window(files, lo, hi, func(i int, pos uint32) {
+		if term == "" {
+			term = string(e.term)
+		}
+		emit(i, term, pos)
+	}); err != nil {
 		return r.fault(e, err)
 	}
 	return nil
@@ -573,12 +616,13 @@ func (r *Reader) Positional() bool { return r.positional }
 // reader's own copy is never handed out.
 func (r *Reader) Docs() *postings.List { return r.docs.Clone() }
 
-// ResidentBytes estimates the reader's heap footprint: the dictionary's
-// copy, 20 B a restart and the doc set, plus this reader's share of the
-// block cache. The mmap'd file itself is page cache, not heap, and is not
-// counted.
+// ResidentBytes estimates the reader's heap footprint: 20 B a restart and
+// the doc set, the dictionary only where open read it into memory itself
+// (the positioned-read fallback), plus this reader's share of the block
+// cache. The mmap'd file itself is page cache, not heap, and is not
+// counted, nor is an image OpenBytes was handed.
 func (r *Reader) ResidentBytes() int64 {
-	b := int64(len(r.dict)) + 20*int64(len(r.keys)) + 4*int64(r.docs.Len())
+	b := r.heldDict + 20*int64(len(r.keys)) + 4*int64(r.docs.Len())
 	return b + r.cached.Load()
 }
 
@@ -631,18 +675,21 @@ func (r *Reader) block(e *entry, b *postings.Block) error {
 // loading path (shard.LoadDir) applied to a segment file, and the bridge
 // that keeps directories loadable by every API that predates lazy open.
 // The verified dictionary is the index's dictionary order, its keys
-// substrings of one arena holding only the terms' bytes (not of the
-// reader's copy, which the index would otherwise keep alive), each block
-// is decoded into its term's element of one slab of lists, and the index
-// adopts the persisted document set OpenDir answers NOT from.
+// substrings of one heap arena holding only the terms' bytes (never views
+// of the mapping, which Close unmaps), each block is decoded into its
+// term's element of one slab of lists, and the index adopts the persisted
+// document set OpenDir answers NOT from.
 func (r *Reader) Materialize() (*index.Index, error) {
+	if err := r.checkOpen(); err != nil {
+		return nil, err
+	}
 	// Every entry takes minEntryLen bytes beside its term's, which bounds
 	// the arena.
 	var arena strings.Builder
 	arena.Grow(len(r.dict) - minEntryLen*r.nTerms)
 	c := dictCursor{dict: r.dict}
 	for range r.nTerms {
-		arena.WriteString(c.next().term)
+		arena.Write(c.next().term)
 	}
 	names := arena.String()
 	terms := make([]string, r.nTerms)

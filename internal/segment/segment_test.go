@@ -351,13 +351,14 @@ func TestIterSeekGE(t *testing.T) {
 }
 
 // TestWindowAllocationsConstant: the window pass over a segment allocates
-// the same number of times, none, whether it reads 100 blocks or 10 000,
-// and it neither decodes a list nor touches the block cache.
+// exactly once per distinct term that emits, the heap copy of that term,
+// and never for a block it walks past, whether it reads 100 blocks or
+// 10 000; it neither decodes a list nor touches the block cache.
 func TestWindowAllocationsConstant(t *testing.T) {
 	files := []postings.FileID{1, 4, 8, 20} // 20 is absent
 	lo := []uint32{0, 5, 990, 0}
 	hi := []uint32{10, 50, 1010, 100}
-	allocs := func(terms int) float64 {
+	for _, terms := range []int{100, 10_000} {
 		ix := index.New(terms)
 		ix.SetPositional()
 		for k := 0; k < terms; k++ {
@@ -373,22 +374,22 @@ func TestWindowAllocationsConstant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer r.Close()
-		emitted := 0
-		n := testing.AllocsPerRun(5, func() {
-			r.Window(files, lo, hi, func(int, string, uint32) { emitted++ })
-		})
-		if emitted == 0 {
-			t.Fatalf("%d terms: nothing emitted; the count is vacuous", terms)
+		emitting := map[string]bool{}
+		r.Window(files, lo, hi, func(_ int, term string, _ uint32) { emitting[term] = true })
+		if len(emitting) == 0 || len(emitting) == terms {
+			t.Fatalf("%d terms: %d emit; the count cannot tell a copy per term from one per block", terms, len(emitting))
 		}
+		n := testing.AllocsPerRun(5, func() {
+			r.Window(files, lo, hi, func(int, string, uint32) {})
+		})
 		if r.BlockDecodes() != 0 || cache.Bytes() != 0 || r.Corruptions() != 0 {
 			t.Fatalf("%d terms: the window pass decoded %d blocks, cached %d bytes, found %d faults; want none",
 				terms, r.BlockDecodes(), cache.Bytes(), r.Corruptions())
 		}
-		return n
-	}
-	if small, large := allocs(100), allocs(10_000); small != large || large != 0 {
-		t.Errorf("Window allocates %.0f times over 100 blocks, %.0f over 10 000; want 0 for both", small, large)
+		if n != float64(len(emitting)) {
+			t.Errorf("%d terms: Window allocates %.0f times; want %d, one per emitting term", terms, n, len(emitting))
+		}
+		r.Close()
 	}
 }
 

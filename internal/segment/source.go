@@ -5,7 +5,11 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 )
+
+// errClosed is the fault a read of a closed segment records.
+var errClosed = errors.New("read of closed segment")
 
 // errNoMmap reports that memory mapping is unavailable — the platform has
 // no support or the file cannot be mapped. openSource treats it, like any
@@ -16,16 +20,20 @@ var errNoMmap = errors.New("segment: memory mapping unavailable")
 // mapping where the platform supports one (linux — mmap_linux.go), a
 // pread-per-request file handle elsewhere. Decoders never retain returned
 // slices (postings.Decode copies), so mapped reads are zero-copy and the
-// fallback's allocations are short-lived.
+// fallback's allocations are short-lived. The one slice kept is the
+// dictionary's, which the Reader reads in place until closed is set.
 type source struct {
 	size int64
 
 	data  []byte       // the mapping; nil in fallback mode
 	unmap func() error // releases data; nil in fallback mode
 
-	mu     sync.Mutex // guards f and closed in fallback mode
-	f      *os.File   // open handle in fallback mode; nil when mapped
-	closed bool
+	// closed is set by Close before it unmaps or closes anything; every
+	// read, the Reader's of the dictionary too, checks it first.
+	closed atomic.Bool
+
+	mu sync.Mutex // guards f in fallback mode
+	f  *os.File   // open handle in fallback mode; nil when mapped
 }
 
 // newByteSource wraps an in-memory file image — the eager loading path,
@@ -59,6 +67,9 @@ func openSource(path string) (*source, error) {
 // slice returns n bytes at offset off. Mapped sources return a window into
 // the mapping; fallback sources allocate and pread.
 func (s *source) slice(off, n int64) ([]byte, error) {
+	if s.closed.Load() {
+		return nil, errClosed
+	}
 	if off < 0 || n < 0 || off > s.size || n > s.size-off {
 		return nil, fmt.Errorf("range [%d, %d) outside %d-byte file", off, off+n, s.size)
 	}
@@ -67,9 +78,6 @@ func (s *source) slice(off, n int64) ([]byte, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("read of closed segment")
-	}
 	buf := make([]byte, n)
 	if _, err := s.f.ReadAt(buf, off); err != nil {
 		return nil, err
@@ -77,17 +85,21 @@ func (s *source) slice(off, n int64) ([]byte, error) {
 	return buf, nil
 }
 
+// Close marks the source closed, then releases the mapping or the file
+// handle; a second Close does nothing.
 func (s *source) Close() error {
+	if s.closed.Swap(true) {
+		return nil
+	}
 	if s.unmap != nil {
 		unmap := s.unmap
 		s.unmap, s.data = nil, nil
 		return unmap()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.f == nil {
+	if s.f == nil {
 		return nil
 	}
-	s.closed = true
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.f.Close()
 }

@@ -125,6 +125,40 @@ func TestOpenDirIsLazy(t *testing.T) {
 	}
 }
 
+// TestQueryAfterCloseFails: a query over a closed lazy catalog fails with
+// a typed error naming the closed read, never an empty page, and never
+// reads the unmapped segments.
+func TestQueryAfterCloseFails(t *testing.T) {
+	built, err := IndexFS(corpusFS(t, 40), ".", Options{Shards: 2, Positions: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := built.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := OpenDir(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, text := range []string{"report", "-report", `"annual report"`} {
+		if resp, err := cat.Query(ctx, Query{Text: text}); err != nil || resp.Total == 0 {
+			t.Fatalf("%q before Close answered (%v, %v), want hits", text, resp, err)
+		}
+	}
+	if err := cat.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{"report", "-report", `"annual report"`} {
+		resp, err := cat.Query(ctx, Query{Text: text})
+		var qe *QueryError
+		if !errors.As(err, &qe) || qe.Code != CodeSegmentCorrupt || !strings.Contains(err.Error(), "read of closed segment") {
+			t.Fatalf("%q after Close answered (%v, %v), want a QueryError naming the closed read", text, resp, err)
+		}
+	}
+}
+
 // TestLazyEvaluationDecodesFewerBlocks pins the streaming evaluator's
 // cost claim: a selective AND and a BM25 top-k on a lazy catalog must
 // decode strictly fewer posting blocks than the full traversal the
