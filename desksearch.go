@@ -704,7 +704,9 @@ func LoadDir(dir string, opt ...Options) (*Catalog, error) {
 
 // OpenDir opens a sharded catalog directory lazily: only the manifest and
 // each segment's term dictionary are read up front — never the posting
-// data — so cold start is proportional to the vocabulary, not the corpus.
+// data — so cold start is proportional to the vocabulary, not the corpus,
+// and the segments' dictionary walks are split over the cores, one
+// goroutine a segment (a one-segment directory gains nothing from that).
 // Queries then page posting blocks in on demand (memory-mapped on linux,
 // positioned reads elsewhere), verify them against their per-block
 // checksums, and keep hot terms in a bounded cache shared across shards.

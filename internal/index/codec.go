@@ -356,9 +356,11 @@ func AppendFileTable(dst []byte, files *FileTable) []byte {
 
 // ReadFileTable reads the file-table payload section; token lengths stay
 // zero until ReadDocLengths fills them in from the section that follows.
+// The table is sized once by the section's count, which Count holds to
+// the bytes that could back it.
 func ReadFileTable(c *Cursor) (*FileTable, error) {
 	n := c.Count("file", minFileEntry)
-	files := NewFileTable()
+	files := newFileTable(n)
 	for i := 0; i < n && c.Err() == nil; i++ {
 		path, size, mtime, flags := c.Str(), c.Uvarint(), c.Uvarint(), c.Byte()
 		id := files.Add(path, int64(size), int64(mtime))

@@ -325,3 +325,23 @@ func TestCursorFailureAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestReadFileTableAllocations: a parse sizes the table once from the
+// section's count. Beyond one string per path it makes the five columns,
+// the table itself and what a map presized for every path costs.
+func TestReadFileTableAllocations(t *testing.T) {
+	const files = 10_000
+	ft := buildFileTable(files)
+	b := AppendFileTable(nil, ft)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := ReadFileTable(NewCursor(b)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// 5 columns, the table, and 34 for the presized map on go1.24 (its
+	// header, directory and tables); columns and a map grown by
+	// doubling made 171.
+	if extra := allocs - files; extra > 48 {
+		t.Errorf("ReadFileTable of %d files made %.0f allocations beyond one a path, want at most 48", files, extra)
+	}
+}

@@ -32,8 +32,19 @@ type FileTable struct {
 }
 
 // NewFileTable returns an empty table.
-func NewFileTable() *FileTable {
-	return &FileTable{byPath: make(map[string]postings.FileID)}
+func NewFileTable() *FileTable { return newFileTable(0) }
+
+// newFileTable returns an empty table with room for n files: its columns
+// and path map are sized once, so n Adds neither grow a slice nor rehash.
+func newFileTable(n int) *FileTable {
+	return &FileTable{
+		paths:  make([]string, 0, n),
+		sizes:  make([]int64, 0, n),
+		mtimes: make([]int64, 0, n),
+		tokens: make([]uint32, 0, n),
+		dead:   make([]bool, 0, n),
+		byPath: make(map[string]postings.FileID, n),
+	}
 }
 
 // Add appends a live file and returns its ID. mtime is the modification

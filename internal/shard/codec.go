@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"desksearch/internal/index"
 	"desksearch/internal/segment"
@@ -33,7 +32,8 @@ import (
 // manifest's per-segment checksums additionally pin the exact segment
 // bytes, so a segment that was swapped with another (internally valid)
 // one, regenerated, or truncated is rejected before its postings are
-// trusted. Segments are written and read with one goroutine per shard.
+// trusted. Segments are written, loaded and opened with one goroutine per
+// segment (fanOut).
 // The manifest is built and read with internal/index's codec: its
 // appenders and SealFrame, and the Cursor OpenFrame returns.
 
@@ -76,33 +76,27 @@ func SaveDir(dir string, s *Set) error {
 	}
 	const stage = ".tmp"
 	sums := make([]uint32, s.Len())
-	written := make([]bool, s.Len())
-	errs := make([]error, s.Len())
 	clean := s.cleanSums(dir)
-	var wg sync.WaitGroup
-	for i, ix := range s.shards {
+	err := fanOut(s.Len(), func(i int) error {
 		if clean[i] != nil {
 			sums[i] = *clean[i]
-			continue
+			return nil
 		}
-		written[i] = true
-		wg.Add(1)
-		go func(i int, ix *index.Index) {
-			defer wg.Done()
-			sums[i], errs[i] = saveSegmentFile(filepath.Join(dir, SegmentName(i)+stage), ix)
-		}(i, ix)
-	}
-	wg.Wait()
-	for i, err := range errs {
+		sum, err := saveSegmentFile(filepath.Join(dir, SegmentName(i)+stage), s.shards[i])
 		if err != nil {
 			return fmt.Errorf("shard: segment %d: %w", i, err)
 		}
+		sums[i] = sum
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if err := saveManifest(filepath.Join(dir, ManifestName+stage), s, sums); err != nil {
 		return err
 	}
 	for i := 0; i < s.Len(); i++ {
-		if !written[i] {
+		if clean[i] != nil {
 			continue
 		}
 		name := filepath.Join(dir, SegmentName(i))
@@ -242,9 +236,10 @@ func parseManifest(data []byte) (*manifest, error) {
 
 // LoadDir reads a sharded index directory written by SaveDir: the manifest
 // first (checksum-verified before anything in it is trusted), then every
-// segment concurrently, one goroutine per shard, each segment checked
+// segment concurrently, one goroutine per segment, each segment checked
 // against the manifest's whole-file checksum and then fully decoded,
-// which checks its dictionary and every posting block.
+// which checks its dictionary and every posting block. A failure names
+// the failing segment of the lowest shard number.
 func LoadDir(dir string) (*Set, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -255,20 +250,16 @@ func LoadDir(dir string) (*Set, error) {
 		return nil, err
 	}
 	shards := make([]*index.Index, len(m.names))
-	errs := make([]error, len(m.names))
-	var wg sync.WaitGroup
-	for i, name := range m.names {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			shards[i], errs[i] = loadSegmentFile(filepath.Join(dir, name), m.sums[i], i, len(m.names), m.files.Len())
-		}(i, name)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	err = fanOut(len(m.names), func(i int) error {
+		ix, err := loadSegmentFile(filepath.Join(dir, m.names[i]), m.sums[i], i, len(m.names), m.files.Len())
 		if err != nil {
-			return nil, fmt.Errorf("shard: segment %s: %w", m.names[i], err)
+			return fmt.Errorf("shard: segment %s: %w", m.names[i], err)
 		}
+		shards[i] = ix
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	set := New(m.files, shards)
 	// Remember where the segments live and their checksums, so a later

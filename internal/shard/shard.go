@@ -14,6 +14,10 @@
 // elsewhere, so any directory opens as worker subsets, each segment
 // answering for its own documents, and an update finds a file at its
 // owner.
+//
+// Distribute, SaveDir, LoadDir and the lazy OpenDir and OpenDirShards each
+// run their per-shard work on one goroutine per shard, through one helper
+// (fanOut), and report a failure in shard order.
 package shard
 
 import (
@@ -177,58 +181,78 @@ func Distribute(files *index.FileTable, sources []*index.Index, n int) *Set {
 		positional = positional || src.Positional()
 	}
 	shards := make([]*index.Index, n)
-	var wg sync.WaitGroup
-	for s := range shards {
-		wg.Add(1)
-		go func(s int32) {
-			defer wg.Done()
-			dst := index.New(totalTerms / n)
-			if positional {
-				dst.SetPositional()
+	fanOut(n, func(i int) error {
+		s := int32(i)
+		dst := index.New(totalTerms / n)
+		if positional {
+			dst.SetPositional()
+		}
+		var mine []postings.FileID
+		var mineCounts []uint32
+		var minePos [][]uint32
+		for k, src := range sources {
+			// Each source's walk is ascending, so MergeTerm appends;
+			// a later source's terms join dst in one merge.
+			part := dst
+			if k > 0 {
+				part = index.New(src.NumTerms() / n)
 			}
-			var mine []postings.FileID
-			var mineCounts []uint32
-			var minePos [][]uint32
-			for k, src := range sources {
-				// Each source's walk is ascending, so MergeTerm appends;
-				// a later source's terms join dst in one merge.
-				part := dst
-				if k > 0 {
-					part = index.New(src.NumTerms() / n)
-				}
-				src.Range(func(term string, l *postings.List) bool {
-					mine, mineCounts, minePos = mine[:0], mineCounts[:0], minePos[:0]
-					withPos := l.HasPositions()
-					for i, id := range l.IDs() {
-						if assign[id] == s {
-							mine = append(mine, id)
-							if withPos {
-								minePos = append(minePos, l.PositionsAt(i))
-							} else {
-								mineCounts = append(mineCounts, l.CountAt(i))
-							}
-						}
-					}
-					if len(mine) > 0 {
-						// Filtering an ascending list keeps it ascending,
-						// so the sort-free constructors apply; frequencies —
-						// and positions, for positional sources — travel
-						// with their postings.
+			src.Range(func(term string, l *postings.List) bool {
+				mine, mineCounts, minePos = mine[:0], mineCounts[:0], minePos[:0]
+				withPos := l.HasPositions()
+				for i, id := range l.IDs() {
+					if assign[id] == s {
+						mine = append(mine, id)
 						if withPos {
-							part.MergeTerm(term, postings.FromSortedIDPositions(mine, minePos))
+							minePos = append(minePos, l.PositionsAt(i))
 						} else {
-							part.MergeTerm(term, postings.FromSortedIDCounts(mine, mineCounts))
+							mineCounts = append(mineCounts, l.CountAt(i))
 						}
 					}
-					return true
-				})
-				if part != dst {
-					dst.Join(part)
 				}
+				if len(mine) > 0 {
+					// Filtering an ascending list keeps it ascending,
+					// so the sort-free constructors apply; frequencies —
+					// and positions, for positional sources — travel
+					// with their postings.
+					if withPos {
+						part.MergeTerm(term, postings.FromSortedIDPositions(mine, minePos))
+					} else {
+						part.MergeTerm(term, postings.FromSortedIDCounts(mine, mineCounts))
+					}
+				}
+				return true
+			})
+			if part != dst {
+				dst.Join(part)
 			}
-			shards[s] = dst
-		}(int32(s))
+		}
+		shards[s] = dst
+		return nil
+	})
+	return New(files, shards)
+}
+
+// fanOut runs do(i) for every i in [0, n), each call on its own goroutine,
+// and returns once every call has: with the error of the lowest i whose
+// call failed, or nil, however the calls finished. There is no bound: a
+// set's shards are few and uneven, and one goroutine each balances them
+// over the cores better than a pool of GOMAXPROCS workers would.
+func fanOut(n int, do func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			errs[i] = do(i)
+		}()
 	}
 	wg.Wait()
-	return New(files, shards)
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

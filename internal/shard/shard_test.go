@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"desksearch/internal/index"
@@ -134,4 +136,48 @@ func TestDistributeClampsShardCount(t *testing.T) {
 		t.Fatalf("Len = %d, want 1", set.Len())
 	}
 	checkPartition(t, set, ix, false)
+}
+
+// TestFanOut: every index in [0, n) runs exactly once, and when several
+// calls fail the caller gets the lowest index's error, even when a higher
+// one fails first.
+func TestFanOut(t *testing.T) {
+	for _, n := range []int{0, 1, 4, 64} {
+		runs := make([]atomic.Int32, n)
+		if err := fanOut(n, func(i int) error {
+			runs[i].Add(1)
+			return nil
+		}); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for i := range runs {
+			if got := runs[i].Load(); got != 1 {
+				t.Errorf("n=%d: index %d ran %d times", n, i, got)
+			}
+		}
+		if n < 2 {
+			continue
+		}
+		// Every odd index fails; the lowest of them waits until the
+		// highest has failed, so the errors arrive out of order.
+		lowest, highest := 1, n-1-n%2
+		last := make(chan struct{})
+		err := fanOut(n, func(i int) error {
+			if i%2 == 0 {
+				return nil
+			}
+			switch i {
+			case lowest:
+				if lowest != highest {
+					<-last
+				}
+			case highest:
+				defer close(last)
+			}
+			return fmt.Errorf("call %d failed", i)
+		})
+		if want := fmt.Sprintf("call %d failed", lowest); err == nil || err.Error() != want {
+			t.Errorf("n=%d: got %v, want %q", n, err, want)
+		}
+	}
 }
