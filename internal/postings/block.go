@@ -58,7 +58,7 @@ type Block struct {
 // flags do. It allocates nothing, and b is filled in place so that a pass
 // over many blocks can reuse one; after an error b is not to be read.
 func (b *Block) Parse(blk []byte, df int, positional bool) error {
-	skipN, off := binary.Uvarint(blk)
+	skipN, off := uvarint(blk, 0)
 	if off <= 0 {
 		return fmt.Errorf("postings: corrupt skip table")
 	}
@@ -71,12 +71,12 @@ func (b *Block) Parse(blk []byte, df int, positional bool) error {
 	table, firstOff, lastOff := off, 0, 0
 	var id uint64
 	for k := uint64(0); k < skipN; k++ {
-		idDelta, n := binary.Uvarint(blk[off:])
+		idDelta, n := uvarint(blk, off)
 		if n <= 0 {
 			return fmt.Errorf("postings: corrupt skip table")
 		}
 		off += n
-		offDelta, n := binary.Uvarint(blk[off:])
+		offDelta, n := uvarint(blk, off)
 		if n <= 0 {
 			return fmt.Errorf("postings: corrupt skip table")
 		}
@@ -91,7 +91,7 @@ func (b *Block) Parse(blk []byte, df int, positional bool) error {
 		}
 	}
 	enc := blk[off:]
-	count, start := binary.Uvarint(enc)
+	count, start := uvarint(enc, 0)
 	if start <= 0 {
 		return fmt.Errorf("postings: corrupt count")
 	}
@@ -217,11 +217,11 @@ func (it *BlockIterator) SeekGE(id FileID) bool {
 	// varint) and jump to the last one passed when it is ahead of the
 	// cursor: the target then lies within skipInterval postings.
 	for len(it.skips) > 0 {
-		idDelta, n := binary.Uvarint(it.skips)
+		idDelta, n := uvarint(it.skips, 0)
 		if it.skipID+idDelta >= uint64(id) {
 			break
 		}
-		offDelta, m := binary.Uvarint(it.skips[n:])
+		offDelta, m := uvarint(it.skips, n)
 		it.skips = it.skips[n+m:]
 		it.skipID += idDelta
 		it.skipOff += int(offDelta)
@@ -299,7 +299,7 @@ func (it *BlockIterator) Count() uint32 {
 		return 1
 	}
 	for cur := it.idx - 1; it.cIdx <= cur; it.cIdx++ {
-		v, n := binary.Uvarint(it.b.enc[it.cOff:])
+		v, n := uvarint(it.b.enc, it.cOff)
 		if n <= 0 || v > 0xFFFF_FFFE {
 			it.fail(fmt.Errorf("postings: corrupt frequency at %d", it.cIdx))
 			return 1

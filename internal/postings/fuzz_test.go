@@ -225,6 +225,15 @@ func FuzzPositionalList(f *testing.F) {
 	// Two runs of one file merged, then a clone and a window to the top.
 	f.Add(slices.Concat(add(0, 2, 8), add(1, 2, 3), []byte{opMerge, 0}, add(0, 7, 1, 2),
 		[]byte{opClone, 0, opWindow, 0, 0x80, 0, 0, 255}))
+	// Runs the position decode reads a word at a time: 16 one-byte
+	// deltas ending the encoding, 8 then a two-byte delta (7 to 135), and
+	// a run reaching the top of the position range.
+	f.Add(slices.Concat(add(0, 5, 0, 1, 2, 3), add(0, 5, 4, 5, 6, 7), add(0, 5, 8, 9, 10, 11),
+		add(0, 5, 12, 13, 14, 15), []byte{opRoundTrip, 0, opWindow, 0, 0x20, 0, 3, 12}))
+	f.Add(slices.Concat(add(0, 5, 0, 1, 2, 3), add(0, 5, 4, 5, 6, 7), add(0, 5, 135, 249), add(0, 9, 8),
+		[]byte{opRoundTrip, 0}))
+	f.Add(slices.Concat(add(0, 2, 250, 251, 252, 253), add(0, 2, 254, 255, 1, 2), add(0, 2, 3, 4, 5, 6),
+		[]byte{opRoundTrip, 0}))
 	f.Fuzz(func(t *testing.T, program []byte) {
 		lists := [2]*List{{}, {}}
 		models := [2]*listModel{emptyModel(), emptyModel()}

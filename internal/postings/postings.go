@@ -13,6 +13,12 @@
 // frequency 1 (boolean-only corpora, NOT universes, intermediate query
 // results) carries no count storage at all, so the frequency feature costs
 // nothing until a build actually records real counts.
+//
+// The encoded form (docs/FORMAT.md) is read in one way: every varint any
+// decoder, iterator or window pass reads goes through one inlined kernel,
+// uvarint, and a position run decodes a little-endian word of one-byte
+// deltas at a time (decodeRun). A lazy segment pays this read on every
+// block it does not find in its cache, LoadDir on every list it loads.
 package postings
 
 import (

@@ -3,6 +3,7 @@ package postings
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Frequency-section markers following the delta-coded IDs: listBoolean
@@ -149,7 +150,7 @@ func decode(buf []byte) (List, int, error) {
 func decodeFreqs(buf []byte, off, n int) ([]uint32, int, error) {
 	vals := make([]uint32, n)
 	for i := range vals {
-		c, m := binary.Uvarint(buf[off:])
+		c, m := uvarint(buf, off)
 		if m <= 0 {
 			return nil, 0, fmt.Errorf("postings: corrupt frequency at %d", i)
 		}
@@ -167,7 +168,7 @@ func decodeFreqs(buf []byte, off, n int) ([]uint32, int, error) {
 // the frequency marker). The count is held to the bytes that could back
 // it, and a zero gap or an ID past the FileID range is corruption.
 func DecodeIDs(buf []byte) ([]FileID, int, error) {
-	count, n := binary.Uvarint(buf)
+	count, n := uvarint(buf, 0)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("postings: corrupt count")
 	}
@@ -175,28 +176,23 @@ func DecodeIDs(buf []byte) ([]FileID, int, error) {
 		return nil, 0, fmt.Errorf("postings: count %d exceeds buffer", count)
 	}
 	off := n
-	ids := make([]FileID, 0, count)
+	ids := make([]FileID, count)
 	var prev uint64
-	for i := uint64(0); i < count; i++ {
-		delta, n := binary.Uvarint(buf[off:])
+	for i := range ids {
+		delta, n := uvarint(buf, off)
 		if n <= 0 {
 			return nil, 0, fmt.Errorf("postings: corrupt delta at %d", i)
 		}
 		off += n
-		var id uint64
-		if i == 0 {
-			id = delta
-		} else {
-			id = prev + delta
-			if delta == 0 {
-				return nil, 0, fmt.Errorf("postings: zero delta at %d (duplicate id)", i)
-			}
+		id := prev + delta
+		if i > 0 && delta == 0 {
+			return nil, 0, fmt.Errorf("postings: zero delta at %d (duplicate id)", i)
 		}
 		// A delta past the ID range would wrap the sum into it.
 		if delta > 0xFFFF_FFFF || id > 0xFFFF_FFFF {
 			return nil, 0, fmt.Errorf("postings: id %d overflows FileID", id)
 		}
-		ids = append(ids, FileID(id))
+		ids[i] = FileID(id)
 		prev = id
 	}
 	return ids, off, nil
@@ -215,6 +211,12 @@ func DecodeIDs(buf []byte) ([]FileID, int, error) {
 // frequency section is read twice — once to size the position column, once
 // as the run lengths while the positions stream — instead of being
 // materialized: a positional list derives its frequencies from its runs.
+//
+// Every varint goes through the package's one kernel, uvarint, and each
+// position run is read a little-endian word at a time, its one- and
+// two-byte deltas summed straight into the column (decodeRun): a lazy
+// segment's phrase walk and snippet anchors pay this decode on every
+// block-cache miss, and LoadDir pays it for every list.
 func DecodePositional(buf []byte) (*List, int, error) { return onHeap(decodePositional(buf)) }
 
 // decodePositional is DecodePositional returning the list by value.
@@ -236,7 +238,7 @@ func decodePositional(buf []byte) (List, int, error) {
 	if marker == listCounted {
 		total = 0
 		for i := range ids {
-			c, n := binary.Uvarint(buf[off:])
+			c, n := uvarint(buf, off)
 			if n <= 0 {
 				return List{}, 0, fmt.Errorf("postings: corrupt frequency at %d", i)
 			}
@@ -272,37 +274,136 @@ func decodePositional(buf []byte) (List, int, error) {
 	// One allocation, capped so that an append to either column moves it.
 	cols := make([]uint32, len(ids)+int(total))
 	ends := cols[:len(ids):len(ids)]
-	flat := cols[len(ids):len(ids)]
+	flat := cols[len(ids):]
+	end := 0
 	for i := range ids {
-		count := 1
+		start := end
+		end++
 		if marker == listCounted {
-			c, n := binary.Uvarint(buf[freqOff:]) // validated by the sizing pass
+			c, n := uvarint(buf, freqOff) // validated by the sizing pass
 			freqOff += n
-			count = int(c) + 1
+			end += int(c)
 		}
-		var prev uint64
-		for k := 0; k < count; k++ {
-			delta, n := binary.Uvarint(buf[off:])
-			if n <= 0 {
-				return List{}, 0, fmt.Errorf("postings: corrupt position at posting %d", i)
-			}
-			off += n
-			v := delta
-			if k > 0 {
-				if delta == 0 {
-					return List{}, 0, fmt.Errorf("postings: zero position delta at posting %d (duplicate position)", i)
-				}
-				v = prev + delta
-			}
-			if delta > 0xFFFF_FFFF || v > 0xFFFF_FFFF {
-				return List{}, 0, fmt.Errorf("postings: position %d overflows at posting %d", v, i)
-			}
-			flat = append(flat, uint32(v))
-			prev = v
+		if off, err = decodeRun(buf, off, flat, start, end, i); err != nil {
+			return List{}, 0, err
 		}
-		ends[i] = uint32(len(flat))
+		ends[i] = uint32(end)
 	}
 	return List{ids: ids, vals: ends, pos: flat}, off, nil
+}
+
+// decodeRun decodes posting i's run of delta-coded positions (the first
+// absolute) at off into pos[start:end], writing each by index into the
+// list's position column, and returns the offset past them.
+//
+// It reads a little-endian word at a time. The word's lanes before its
+// first continuation bit — all eight, in a dense file's run — are
+// one-byte deltas, kept up to the run's end. All eight lanes' sums are
+// written without a branch, past the kept ones too (the steps and runs
+// decoded after them overwrite those slots), and a two-byte delta that
+// follows the kept lanes within the word joins the step: in the largest
+// blocks of the benchmark corpus three deltas in four take one byte and
+// nearly all the rest two. A has-zero-byte test finds a zero delta (a
+// duplicate) in a kept lane other than a run's first, whose delta is the
+// absolute position, and no sum can leave the uint32 range while prev
+// stays wordRoom below its top. What the word step does not take — a
+// longer varint, a zero delta, the last words of buf or of the column, a
+// run too near the top — is read by the scalar step, one varint through
+// uvarint, so every fault is found and reported there, whatever the word
+// held.
+func decodeRun(buf []byte, off int, pos []uint32, start, end, i int) (int, error) {
+	const (
+		lanes, high = 0x0101_0101_0101_0101, 0x8080_8080_8080_8080
+		wordRoom    = 7*0x7f + 0x3fff // the most one word step adds
+	)
+	var prev uint64
+	for k := start; k < end; {
+		if off+8 <= len(buf) && k+8 <= len(pos) && prev <= 0xFFFF_FFFF-wordRoom {
+			x := binary.LittleEndian.Uint64(buf[off:])
+			m := min(bits.TrailingZeros64(x&high)>>3, end-k) // kept one-byte lanes
+			first := uint64(0)
+			if k == start {
+				first = 1 // a run's first delta may be 0
+			}
+			if ((x|first)-lanes)&high&(1<<(8*m)-1) == 0 {
+				r, p := pos[k:k+8:k+8], prev
+				p += x & 0xff
+				r[0] = uint32(p)
+				p += x >> 8 & 0xff
+				r[1] = uint32(p)
+				p += x >> 16 & 0xff
+				r[2] = uint32(p)
+				p += x >> 24 & 0xff
+				r[3] = uint32(p)
+				p += x >> 32 & 0xff
+				r[4] = uint32(p)
+				p += x >> 40 & 0xff
+				r[5] = uint32(p)
+				p += x >> 48 & 0xff
+				r[6] = uint32(p)
+				p += x >> 56
+				r[7] = uint32(p)
+				// prev plus the kept lanes, summed in 16-bit lanes.
+				t := x & (1<<(8*m) - 1)
+				t = t&0x00ff_00ff_00ff_00ff + t>>8&0x00ff_00ff_00ff_00ff
+				p, n := prev+t*0x0001_0001_0001_0001>>48, m
+				if j := k + m; m < 7 && j < end && x>>(8*m)&0x8080 == 0x80 {
+					y := x >> (8 * m)
+					if d := y&0x7f | y>>1&0x3f80; d != 0 || j == start {
+						p += d
+						pos[j] = uint32(p)
+						m, n = m+1, n+2
+					}
+				}
+				if m > 0 {
+					prev, off, k = p, off+n, k+m
+					continue
+				}
+			}
+		}
+		delta, n := uvarint(buf, off)
+		if n <= 0 {
+			return 0, fmt.Errorf("postings: corrupt position at posting %d", i)
+		}
+		off += n
+		if k > start && delta == 0 {
+			return 0, fmt.Errorf("postings: zero position delta at posting %d (duplicate position)", i)
+		}
+		v := prev + delta
+		if delta > 0xFFFF_FFFF || v > 0xFFFF_FFFF {
+			return 0, fmt.Errorf("postings: position %d overflows at posting %d", v, i)
+		}
+		pos[k] = uint32(v)
+		prev = v
+		k++
+	}
+	return off, nil
+}
+
+// uvarint decodes the uvarint at buf[off:], off <= len(buf), as
+// binary.Uvarint does: its value and byte count, or a count <= 0 for a
+// varint that runs off buf or overflows 64 bits. It is the one varint
+// read of every posting decoder. A one-byte varint — most IDs,
+// frequencies and position deltas — returns at once; any other takes the
+// loop, whose second pass ends a two-byte one.
+//
+// It is written to fit the inliner's budget (cost 64 of 80), so every
+// decoder's step compiles in place: a fallback that called binary.Uvarint
+// would cost 57 of the 80 on its own, and no kernel making that call
+// inlined.
+func uvarint(buf []byte, off int) (v uint64, n int) {
+	if off < len(buf) && buf[off] < 0x80 {
+		return uint64(buf[off]), 1
+	}
+	for _, b := range buf[off:] {
+		v |= uint64(b&0x7f) << (7 * n)
+		if n++; b < 0x80 && (n < binary.MaxVarintLen64 || b < 2) {
+			return v, n
+		} else if n == binary.MaxVarintLen64 {
+			return 0, -n
+		}
+	}
+	return 0, 0
 }
 
 // hasMultiOccurrence reports whether any posting of a positional list

@@ -108,7 +108,7 @@ func (b *Block) Window(files []FileID, lo, hi []uint32, emit func(i int, pos uin
 	case listBoolean:
 	case listCounted:
 		for j := uint64(0); j < count; j++ {
-			c, n := binary.Uvarint(buf[off:])
+			c, n := uvarint(buf, off)
 			if n <= 0 {
 				return fmt.Errorf("postings: corrupt frequency at %d", j)
 			}
@@ -141,7 +141,7 @@ func (b *Block) Window(files []FileID, lo, hi []uint32, emit func(i int, pos uin
 		idOff, id, _ = nextID(buf, idOff, uint64(j), id)
 		run := uint64(1)
 		if marker == listCounted {
-			c, n := binary.Uvarint(buf[freqOff:])
+			c, n := uvarint(buf, freqOff)
 			freqOff += n
 			run = c + 1
 		}
@@ -156,7 +156,7 @@ func (b *Block) Window(files []FileID, lo, hi []uint32, emit func(i int, pos uin
 		skip = 0
 		var p uint64
 		for k := uint64(0); k < run; k++ {
-			delta, n := binary.Uvarint(buf[off:])
+			delta, n := uvarint(buf, off)
 			if n <= 0 {
 				return fmt.Errorf("postings: corrupt position at posting %d", j)
 			}
@@ -187,9 +187,11 @@ func (b *Block) Window(files []FileID, lo, hi []uint32, emit func(i int, pos uin
 // j-1's ID (0 before the first), and returns the offset past it, the ID,
 // and whether the varint is whole and the ID ascends within range, as
 // the decoders require. It is the one ID step of every in-place read: the
-// window pass's and BlockIterator's.
+// window pass's and BlockIterator's. Its varint is the kernel's (uvarint),
+// compiled in place; nextID itself is over the inliner's budget, one call
+// a posting.
 func nextID(buf []byte, off int, j, prev uint64) (int, uint64, bool) {
-	delta, n := binary.Uvarint(buf[off:])
+	delta, n := uvarint(buf, off)
 	id := prev + delta
 	return off + n, id, n > 0 && (j == 0 || delta > 0) && delta <= 0xFFFF_FFFF && id <= 0xFFFF_FFFF
 }
@@ -197,7 +199,10 @@ func nextID(buf []byte, off int, j, prev uint64) (int, uint64, bool) {
 // skipUvarints returns the offset just past the n uvarints starting at off.
 // A uvarint ends at its one byte below 0x80, so while more than eight ends
 // remain it counts them a word at a time: skipping the position runs
-// before a page's file is most of the window pass on a long list.
+// before a page's file is most of the window pass on a long list. It is
+// the one posting read that decodes no value, so the only one that does
+// not go through uvarint; decodeRun reads the same words for their
+// values.
 func skipUvarints(buf []byte, off int, n uint64) (int, error) {
 	for off+8 <= len(buf) {
 		ends := uint64(bits.OnesCount64(^binary.LittleEndian.Uint64(buf[off:]) & 0x8080_8080_8080_8080))

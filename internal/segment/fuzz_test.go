@@ -113,6 +113,9 @@ func FuzzBlockDecode(f *testing.F) {
 	f.Add([]byte{0, 1, 5, 0, 0}, 1)                   // one boolean posting, positions absent
 	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f}, 7) // a count far past the block
 	f.Add([]byte{0xff, 0xff, 0xff, 0x07}, 1<<31)      // a skip count far past the block
+	for _, w := range wordBlocks() {
+		f.Add(w.blk, w.df)
+	}
 
 	f.Fuzz(func(t *testing.T, blk []byte, df int) {
 		if df < 1 || df > maxCount {
@@ -151,6 +154,39 @@ func FuzzBlockDecode(f *testing.F) {
 			t.Fatal("counts tier and full decode disagree on IDs or frequencies")
 		}
 	})
+}
+
+// wordBlocks returns the blocks at the boundaries of the position
+// decode's word-at-a-time path, each with its df: a run of 16 one-byte
+// deltas whose second word ends on the block's last byte; the same with a
+// zero delta in lane 3 of its first word (the run's start) and of its
+// second (inside the run); and a run of 8 one-byte deltas then a two-byte
+// one cut before its second byte.
+func wordBlocks() []struct {
+	blk []byte
+	df  int
+} {
+	run := make([]uint32, 16)
+	for k := range run {
+		run[k] = uint32(k)
+	}
+	w16 := windowBlock(postings.FromSortedIDPositions([]postings.FileID{3, 9}, [][]uint32{{5, 300}, run}))
+	zeroAt := func(i int) []byte {
+		blk := bytes.Clone(w16)
+		blk[i] = 0
+		return blk
+	}
+	cut := windowBlock(postings.FromSortedIDPositions([]postings.FileID{3},
+		[][]uint32{{1, 2, 3, 4, 5, 6, 7, 8, 9, 300}}))
+	return []struct {
+		blk []byte
+		df  int
+	}{
+		{w16, 2},
+		{zeroAt(len(w16) - 13), 2},
+		{zeroAt(len(w16) - 5), 2},
+		{cut[:len(cut)-1], 1},
+	}
 }
 
 // fuzzWindows reads up to eight windows from spec, six bytes each: a gap
@@ -210,6 +246,10 @@ func FuzzWindowDecode(f *testing.F) {
 	f.Add(windowBlock(counted), 3, slices.Concat(window(1, 0, 2), window(2, 0, 255)))
 	top := postings.FromSortedIDPositions([]postings.FileID{2}, [][]uint32{{math.MaxUint32 - 3, math.MaxUint32}})
 	f.Add(windowBlock(top), 1, window(2, math.MaxUint32-5, 255))
+
+	for _, w := range wordBlocks() {
+		f.Add(w.blk, w.df, slices.Concat(window(3, 0, 255), window(5, 4, 9)))
+	}
 
 	f.Fuzz(func(t *testing.T, blk []byte, df int, spec []byte) {
 		if df < 1 || df > maxCount {
