@@ -72,13 +72,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: dsearch (-index DIR | -root DIR) [-top N] QUERY...")
 		os.Exit(2)
 	}
-	if err := checkIndexDir(*indexPath); err != nil {
-		fmt.Fprintln(os.Stderr, "dsearch:", err)
-		os.Exit(2)
-	}
 
-	// Ranking names are the wire values the daemon accepts too; the legacy
-	// integer forms keep old scripts working.
+	// Ranking names are the wire values the daemon accepts too.
 	ranking, err := desksearch.ParseRanking(*rank)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsearch: unknown -rank %q (want count, tf, or bm25)\n", *rank)
@@ -202,16 +197,6 @@ func highlightSnippet(sn *desksearch.Snippet) string {
 	}
 	b.WriteString(sn.Text[last:])
 	return b.String()
-}
-
-// checkIndexDir rejects an -index path that is a regular file: an index is
-// a directory, and a file there is most likely a single-file index an
-// earlier version wrote.
-func checkIndexDir(path string) error {
-	if info, err := os.Stat(path); err == nil && !info.IsDir() {
-		return fmt.Errorf("-index %s is a regular file; an index is a directory (manifest.dsix + segments): rebuild it with indexgen -save DIR", path)
-	}
-	return nil
 }
 
 // loadIndex reads the index directory at path, in place when lazy.

@@ -119,10 +119,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: dsearchd (-root DIR | -index DIR | -broker -workers URLS) [flags]")
 		os.Exit(2)
 	}
-	if err := checkIndexDir(*indexPath); err != nil {
-		fmt.Fprintln(os.Stderr, "dsearchd:", err)
-		os.Exit(2)
-	}
 	if *watch > 0 && *root == "" {
 		fmt.Fprintln(os.Stderr, "dsearchd: -watch needs -root to poll")
 		os.Exit(2)
@@ -322,16 +318,6 @@ func parseWorkerGroups(v string) [][]string {
 		}
 	}
 	return groups
-}
-
-// checkIndexDir rejects an -index path that is a regular file: an index is
-// a directory, and a file there is most likely a single-file index an
-// earlier version wrote.
-func checkIndexDir(path string) error {
-	if info, err := os.Stat(path); err == nil && !info.IsDir() {
-		return fmt.Errorf("-index %s is a regular file; an index is a directory (manifest.dsix + segments): rebuild it with indexgen -save DIR", path)
-	}
-	return nil
 }
 
 // rebuildOptions returns the options /reload?mode=full rebuilds cat with:

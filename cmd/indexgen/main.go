@@ -64,10 +64,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := checkSaveDir(*save); err != nil {
-		fmt.Fprintln(os.Stderr, "indexgen:", err)
-		os.Exit(2)
-	}
 
 	if *update {
 		if *save == "" {
@@ -116,16 +112,6 @@ func main() {
 		}
 		fmt.Printf("index saved to %s/ (manifest + %d segments)\n", *save, cat.Indices())
 	}
-}
-
-// checkSaveDir rejects a -save target that exists as a regular file: an
-// index is saved as a directory, and a file there is most likely a
-// single-file index an earlier version wrote.
-func checkSaveDir(path string) error {
-	if info, err := os.Stat(path); err == nil && !info.IsDir() {
-		return fmt.Errorf("-save %s is a regular file; an index is saved as a directory (manifest.dsix + segments): name a directory", path)
-	}
-	return nil
 }
 
 // runUpdate loads the catalog under saveDir, applies the changes found

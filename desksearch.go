@@ -7,7 +7,6 @@ import (
 	"io/fs"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -158,23 +157,16 @@ const (
 )
 
 // ParseRanking resolves a ranking's wire name ("count", "tf", "bm25",
-// case-insensitively) to its Ranking value. The pre-v3 integer forms ("0",
-// "1") still parse, so clients built against the numeric wire format keep
-// working; anything else is an error naming the accepted values.
+// case-insensitively) to its Ranking value; anything else is an error
+// naming the accepted values.
 func ParseRanking(s string) (Ranking, error) {
 	switch strings.ToLower(s) {
-	case "count", "coordination":
+	case "count":
 		return RankCount, nil
 	case "tf":
 		return RankTF, nil
 	case "bm25":
 		return RankBM25, nil
-	}
-	if n, err := strconv.Atoi(s); err == nil {
-		switch r := Ranking(n); r {
-		case RankCount, RankTF, RankBM25:
-			return r, nil
-		}
 	}
 	return 0, fmt.Errorf("desksearch: unknown ranking %q (want count, tf, or bm25)", s)
 }

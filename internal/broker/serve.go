@@ -96,34 +96,28 @@ var errIndexChanging = errors.New("the index changed twice while the query ran; 
 // scored with it.
 func (b *Broker) query(ctx context.Context, req desksearch.Query) (*server.SearchResponse, error) {
 	k := req.Limit + req.Offset
-	in := server.InternalSearchRequest{
-		Query:          req.Expr.String(),
-		Limit:          k,
-		Rank:           req.Ranking.String(),
-		PathPrefix:     req.PathPrefix,
-		Snippets:       req.Snippets,
-		MaxPrefixTerms: req.MaxPrefixTerms,
-	}
+	params := server.WorkerParams(req)
 	learn := len(b.groups) > 1
 	verify := learn && req.Ranking == search.RankBM25
 	var terms, prefixes []string
 	if learn {
 		terms, prefixes = req.Expr.DFKeys()
 	}
+	var df *search.DocFreqs
 	if verify {
-		if in.DF = b.df.lookup(terms, prefixes); in.DF != nil {
+		if df = b.df.lookup(terms, prefixes); df != nil {
 			b.dfHits.Add(1)
 		} else {
 			b.dfMisses.Add(1)
 			var err error
-			if in.DF, err = b.gatherDF(ctx, in.Query, req.MaxPrefixTerms); err != nil {
+			if df, err = b.gatherDF(ctx, params); err != nil {
 				return nil, err
 			}
-			b.df.store(terms, prefixes, in.DF)
+			b.df.store(terms, prefixes, df)
 		}
 	}
 
-	partials, err := b.scatter(ctx, &in)
+	partials, err := b.scatter(ctx, params, df)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +131,7 @@ func (b *Broker) query(ctx context.Context, req desksearch.Query) (*server.Searc
 		if err != nil {
 			return nil, err
 		}
-		if equalDF(sum, in.DF) {
+		if equalDF(sum, df) {
 			break
 		}
 		b.dfStale.Add(1)
@@ -145,8 +139,8 @@ func (b *Broker) query(ctx context.Context, req desksearch.Query) (*server.Searc
 		if reissued {
 			return nil, errIndexChanging
 		}
-		in.DF = sum
-		if partials, err = b.scatter(ctx, &in); err != nil {
+		df = sum
+		if partials, err = b.scatter(ctx, params, df); err != nil {
 			return nil, err
 		}
 	}
@@ -177,25 +171,23 @@ func (b *Broker) query(ctx context.Context, req desksearch.Query) (*server.Searc
 	return &server.SearchResponse{Generation: gen, Total: total, Hits: merged, Partitions: partStats}, nil
 }
 
-// scatter posts in to every group's /internal/search.
-func (b *Broker) scatter(ctx context.Context, in *server.InternalSearchRequest) ([]*server.Partial, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return nil, err
+// scatter posts the query's parameters, rendered once by WorkerParams, to
+// every group's /internal/search, with df as the body when it is set; a
+// re-scatter changes only the body.
+func (b *Broker) scatter(ctx context.Context, params string, df *search.DocFreqs) ([]*server.Partial, error) {
+	var body []byte
+	if df != nil {
+		body = server.AppendSearchBody(nil, df)
 	}
-	return b.gatherPartials(ctx, http.MethodPost, "/internal/search", body)
+	return b.gatherPartials(ctx, http.MethodPost, "/internal/search?"+params, body)
 }
 
 // gatherDF asks every group for its local document-frequency vector and
-// sums them into the corpus-wide one. The client's prefix-expansion cap
-// rides along so the round rejects an over-broad prefix at the same
+// sums them into the corpus-wide one. The query's parameters are the
+// scatter's, so the round rejects an over-broad prefix at the same
 // threshold the search would.
-func (b *Broker) gatherDF(ctx context.Context, canonical string, maxPrefixTerms int) (*search.DocFreqs, error) {
-	path := "/internal/df?q=" + url.QueryEscape(canonical)
-	if maxPrefixTerms > 0 {
-		path += "&max_prefix_terms=" + strconv.Itoa(maxPrefixTerms)
-	}
-	partials, err := b.gatherPartials(ctx, http.MethodGet, path, nil)
+func (b *Broker) gatherDF(ctx context.Context, params string) (*search.DocFreqs, error) {
+	partials, err := b.gatherPartials(ctx, http.MethodGet, "/internal/df?"+params, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -72,7 +72,7 @@ func (b *Broker) do(ctx context.Context, method, url string, body []byte) (statu
 		return 0, nil, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", "application/octet-stream")
 	}
 	resp, err := b.client.Do(req)
 	if err != nil {

@@ -37,7 +37,8 @@ const (
 )
 
 // String returns the ranking's wire name — the value the HTTP rank=
-// parameter, the worker request body and the dsearch -rank flag carry.
+// parameter (on /search and on the broker's worker requests alike) and
+// the dsearch -rank flag carry.
 func (r Ranking) String() string {
 	switch r {
 	case RankCount:
@@ -130,21 +131,19 @@ func (r *Request) Validate() error {
 // element-wise to the vector of the whole corpus — the invariant the
 // distributed broker's statistics ride. Docs and Tokens are
 // corpus-wide properties of the shared file table, identical on every
-// worker of one catalog; a broker verifies rather than sums them. The json
-// tags are the vector's form in a worker request body (the df field of
-// POST /internal/search).
+// worker of one catalog; a broker verifies rather than sums them.
 type DocFreqs struct {
 	// Docs is the number of live documents (BM25's N).
-	Docs int `json:"docs"`
+	Docs int
 	// Tokens is the summed token length of the live documents; Tokens/Docs
 	// is BM25's average document length.
-	Tokens uint64 `json:"tokens"`
+	Tokens uint64
 	// Terms[i] is the document frequency of the query's i-th positive
 	// term, summed over this engine's partitions.
-	Terms []int `json:"terms"`
+	Terms []int
 	// Prefixes[j] is the document frequency of the query's j-th scoring
 	// prefix operator — the total size of its expansion unions.
-	Prefixes []int `json:"prefixes"`
+	Prefixes []int
 }
 
 // Add accumulates other into d element-wise: document frequencies sum

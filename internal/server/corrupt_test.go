@@ -78,7 +78,7 @@ func TestCorruptSegmentIs500(t *testing.T) {
 			t.Fatalf("%s: code %q, want %q", path, er.Code, desksearch.CodeSegmentCorrupt)
 		}
 	}
-	if status, _ := postSearch(t, ts.URL, InternalSearchRequest{Query: "zzz", Rank: "count", Limit: 5}); status != http.StatusInternalServerError {
+	if status, _ := postSearch(t, ts.URL, "q=zzz&rank=count&limit=5", nil); status != http.StatusInternalServerError {
 		t.Fatalf("/internal/search over the corrupt block: status %d, want 500", status)
 	}
 	var sr SearchResponse

@@ -177,69 +177,90 @@ func (d *FrontDoor) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-// parseSearchQuery maps /search's URL parameters (q, limit, offset, rank,
-// snippets, prefix, max_prefix_terms) onto a desksearch.Query. Every error
-// it returns is the client's mistake and maps to 400. maxLimit caps the
-// limit parameter and replaces an unbounded limit=0.
+// parseSearchQuery reads /search's parameters (readQuery) under the front
+// door's limit policy: 10 when limit is absent, and maxLimit in place of
+// an unbounded 0 or anything larger.
 func parseSearchQuery(params url.Values, maxLimit int) (desksearch.Query, error) {
+	req, err := readQuery(params)
+	if params.Get("limit") == "" {
+		req.Limit = 10
+	}
+	if req.Limit == 0 || req.Limit > maxLimit {
+		req.Limit = maxLimit
+	}
+	return req, err
+}
+
+// readQuery maps a query's URL parameters (q, limit, offset, rank,
+// snippets, prefix, max_prefix_terms) onto a desksearch.Query, as they
+// are: /search, GET /internal/df and POST /internal/search all read their
+// query through it, and WorkerParams writes what it reads. An absent
+// limit is 0. Every error it returns is the client's mistake and maps to
+// 400.
+func readQuery(params url.Values) (desksearch.Query, error) {
 	var req desksearch.Query
 	req.Text = params.Get("q")
 	if req.Text == "" {
 		return req, fmt.Errorf("missing q parameter")
 	}
-	req.Limit = 10
-	if v := params.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return req, fmt.Errorf("invalid limit %q", v)
-		}
-		req.Limit = n
+	var err error
+	if req.Limit, err = intParam(params, "limit"); err != nil {
+		return req, err
 	}
-	if req.Limit == 0 || req.Limit > maxLimit {
-		req.Limit = maxLimit
-	}
-	if v := params.Get("offset"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return req, fmt.Errorf("invalid offset %q", v)
-		}
-		req.Offset = n
+	if req.Offset, err = intParam(params, "offset"); err != nil {
+		return req, err
 	}
 	if v := params.Get("rank"); v != "" {
-		// ParseRanking resolves the wire names (count, tf, bm25) and the
-		// legacy integer forms; anything else is the client's mistake, so
-		// it maps to 400, never 500.
-		rank, err := desksearch.ParseRanking(v)
-		if err != nil {
+		// ParseRanking resolves the wire names (count, tf, bm25); anything
+		// else is the client's mistake, so it maps to 400, never 500.
+		if req.Ranking, err = desksearch.ParseRanking(v); err != nil {
 			return req, err
 		}
-		req.Ranking = rank
 	}
 	if v := params.Get("snippets"); v != "" {
-		on, err := strconv.ParseBool(v)
-		if err != nil {
+		if req.Snippets, err = strconv.ParseBool(v); err != nil {
 			return req, fmt.Errorf("invalid snippets %q (want a boolean)", v)
 		}
-		req.Snippets = on
 	}
 	req.PathPrefix = params.Get("prefix")
-	var err error
-	req.MaxPrefixTerms, err = parseMaxPrefixTerms(params)
+	req.MaxPrefixTerms, err = intParam(params, "max_prefix_terms")
 	return req, err
 }
 
-// parseMaxPrefixTerms reads the max_prefix_terms parameter /search and
-// /internal/df share; absent means 0, the default cap.
-func parseMaxPrefixTerms(params url.Values) (int, error) {
-	v := params.Get("max_prefix_terms")
+// intParam reads a non-negative integer parameter; absent is 0.
+func intParam(params url.Values, name string) (int, error) {
+	v := params.Get(name)
 	if v == "" {
 		return 0, nil
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid max_prefix_terms %q", v)
+		return 0, fmt.Errorf("invalid %s %q", name, v)
 	}
 	return n, nil
+}
+
+// WorkerParams renders a normalized query as the URL parameters readQuery
+// reads back: the canonical text, limit+offset as the limit (a broker
+// merges every worker's top limit+offset and pages the merge itself), no
+// offset, and every other control that is not its zero value. A broker
+// renders each query once and sends the string to /internal/df and
+// /internal/search alike.
+func WorkerParams(q desksearch.Query) string {
+	p := "q=" + url.QueryEscape(q.Expr.String()) + "&limit=" + strconv.Itoa(q.Limit+q.Offset)
+	if q.Ranking != desksearch.RankCount {
+		p += "&rank=" + q.Ranking.String()
+	}
+	if q.Snippets {
+		p += "&snippets=true"
+	}
+	if q.PathPrefix != "" {
+		p += "&prefix=" + url.QueryEscape(q.PathPrefix)
+	}
+	if q.MaxPrefixTerms > 0 {
+		p += "&max_prefix_terms=" + strconv.Itoa(q.MaxPrefixTerms)
+	}
+	return p
 }
 
 // parseTimeout resolves a request's timeout parameter against a ceiling:

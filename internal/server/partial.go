@@ -50,10 +50,7 @@ func AppendPartial(dst []byte, p *Partial) []byte {
 	dst = append(dst, partialVersion)
 	dst = binary.AppendUvarint(dst, uint64(p.Total))
 	dst = binary.AppendUvarint(dst, p.Generation)
-	dst = binary.AppendUvarint(dst, uint64(p.DF.Docs))
-	dst = binary.AppendUvarint(dst, p.DF.Tokens)
-	dst = appendCounts(dst, p.DF.Terms)
-	dst = appendCounts(dst, p.DF.Prefixes)
+	dst = appendDF(dst, &p.DF)
 	dst = binary.AppendUvarint(dst, uint64(len(p.Partitions)))
 	for _, ps := range p.Partitions {
 		dst = binary.AppendUvarint(dst, uint64(ps.Partition))
@@ -83,6 +80,16 @@ func AppendPartial(dst []byte, p *Partial) []byte {
 		}
 	}
 	return dst
+}
+
+// appendDF appends a df block: docs, tokens, then the term and the prefix
+// counts. A partial carries one, and so does a POST /internal/search body
+// (AppendSearchBody); readDF reads both.
+func appendDF(dst []byte, df *desksearch.DocFreqs) []byte {
+	dst = binary.AppendUvarint(dst, uint64(df.Docs))
+	dst = binary.AppendUvarint(dst, df.Tokens)
+	dst = appendCounts(dst, df.Terms)
+	return appendCounts(dst, df.Prefixes)
 }
 
 func appendCounts(dst []byte, v []int) []byte {
@@ -118,10 +125,7 @@ func DecodePartial(data []byte) (*Partial, error) {
 	p := &Partial{}
 	p.Total = c.Int()
 	p.Generation = c.Uvarint()
-	p.DF.Docs = c.Int()
-	p.DF.Tokens = c.Uvarint()
-	p.DF.Terms = readCounts(c, "df term")
-	p.DF.Prefixes = readCounts(c, "df prefix")
+	p.DF = readDF(c)
 	if n := c.Count("partition", 10); n > 0 {
 		p.Partitions = make([]PartitionStat, n)
 		for i := range p.Partitions {
@@ -199,6 +203,11 @@ type malformedPartial struct{ err error }
 
 func (e malformedPartial) Error() string { return "malformed partial: " + e.err.Error() }
 func (e malformedPartial) Unwrap() error { return e.err }
+
+// readDF reads the df block appendDF writes.
+func readDF(c *index.Cursor) desksearch.DocFreqs {
+	return desksearch.DocFreqs{Docs: c.Int(), Tokens: c.Uvarint(), Terms: readCounts(c, "df term"), Prefixes: readCounts(c, "df prefix")}
+}
 
 // readCounts reads a df vector: a count, then that many ints.
 func readCounts(c *index.Cursor, what string) []int {

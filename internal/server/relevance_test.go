@@ -62,14 +62,6 @@ func TestBM25OverHTTP(t *testing.T) {
 			t.Errorf("%s: BM25 score %v not positive", h.Path, h.Score)
 		}
 	}
-	// The legacy integer wire form still selects the same ranking.
-	var legacy SearchResponse
-	if code := f.get(t, "/search?q=report&rank=2", &legacy); code != http.StatusOK {
-		t.Fatalf("rank=2 status %d", code)
-	}
-	if len(legacy.Hits) != len(sr.Hits) || legacy.Hits[0].Score != sr.Hits[0].Score {
-		t.Errorf("rank=2 disagrees with rank=bm25: %+v vs %+v", legacy.Hits, sr.Hits)
-	}
 }
 
 func TestPrefixQueryOverHTTP(t *testing.T) {

@@ -14,8 +14,7 @@
 //	                     q=repor* — phrase queries and snippets need a
 //	                     catalog built with positions and otherwise fail
 //	                     with 400). rank accepts the wire names count,
-//	                     tf, and bm25 (legacy integers still parse);
-//	                     unknown names fail with 400.
+//	                     tf, and bm25; anything else fails with 400.
 //	GET  /suggest?q=...  autocomplete: indexed terms with the given
 //	                     prefix, ranked by document frequency (n caps
 //	                     the count, default 10)

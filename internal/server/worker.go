@@ -8,10 +8,17 @@
 //	                       for a query, as a partial with no page — what a
 //	                       broker asks when its df table does not know the
 //	                       query's terms
-//	POST /internal/search  evaluate a query (JSON request), optionally
-//	                       under broker-supplied global document
-//	                       frequencies, and return the local top-k as a
-//	                       partial
+//	POST /internal/search  evaluate a query, optionally under
+//	                       broker-supplied global document frequencies,
+//	                       and return the local top-k as a partial
+//
+// Both query routes read their query from /search's URL parameters,
+// through the front door's own readQuery, and a broker renders them once
+// per query (WorkerParams). The one thing /search has no parameter for,
+// the broker's corpus-wide statistics, is POST /internal/search's body:
+// the partial's version byte, then the partial's df block
+// (AppendSearchBody). No body means the worker scores with its own. A
+// worker never clamps the limit it is sent.
 //
 // A partial (Partial, AppendPartial, DecodePartial in partial.go) is the
 // one shape a worker answers a broker's query traffic in: binary, with
@@ -34,11 +41,13 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"time"
 
 	"desksearch"
+	"desksearch/internal/index"
 )
 
 // MaxBodyBytes bounds a body on the broker-worker hop, request and
@@ -63,31 +72,6 @@ type WorkerMeta struct {
 	Positional bool `json:"positional"`
 }
 
-// InternalSearchRequest is the JSON body of POST /internal/search.
-type InternalSearchRequest struct {
-	// Query is the canonical query text (the broker sends its normalized
-	// parse's String form, which re-parses to itself).
-	Query string `json:"query"`
-	// Limit caps the returned hits — the broker sends the user's
-	// limit+offset so its merge has enough candidates from every worker,
-	// and applies the offset itself after merging. Zero means unlimited.
-	Limit int `json:"limit"`
-	// Rank is the ranking's wire name (count, tf, bm25); empty means count.
-	Rank string `json:"rank,omitempty"`
-	// PathPrefix restricts hits to paths under it.
-	PathPrefix string `json:"path_prefix,omitempty"`
-	// Snippets asks for per-hit context windows.
-	Snippets bool `json:"snippets,omitempty"`
-	// MaxPrefixTerms caps prefix-operator expansion per partition
-	// (desksearch.Query.MaxPrefixTerms); zero applies the default. The
-	// broker forwards the client's cap so every worker rejects an
-	// over-broad prefix at the same threshold a single node would.
-	MaxPrefixTerms int `json:"max_prefix_terms,omitempty"`
-	// DF, when present with bm25, carries the broker's pre-aggregated
-	// corpus-global document frequencies (desksearch.Query.GlobalDF).
-	DF *desksearch.DocFreqs `json:"df,omitempty"`
-}
-
 // handleWorkerMeta serves GET /internal/meta.
 func (s *Server) handleWorkerMeta(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, WorkerMeta{
@@ -99,26 +83,13 @@ func (s *Server) handleWorkerMeta(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleWorkerDF serves GET /internal/df?q=...: the local vector a broker
-// sums when its df table cannot supply a query's statistics.
+// handleWorkerDF serves GET /internal/df: the local vector a broker sums
+// when its df table cannot supply a query's statistics.
 func (s *Server) handleWorkerDF(w http.ResponseWriter, r *http.Request) {
-	params := r.URL.Query()
-	query := desksearch.Query{Text: params.Get("q")}
-	if query.Text == "" {
-		writeError(w, http.StatusBadRequest, "missing q parameter")
+	query, ctx, cancel, ok := s.workerQuery(w, r)
+	if !ok {
 		return
 	}
-	var err error
-	if query.MaxPrefixTerms, err = parseMaxPrefixTerms(params); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	timeout, err := parseTimeout(params, s.door.Timeout)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	gen := s.cat.Generation()
 	df, err := s.cat.DocFreqs(ctx, query) // parses and validates; both are 400s
@@ -141,13 +112,14 @@ func writePartial(w http.ResponseWriter, p *Partial) {
 
 // handleWorkerSearch serves POST /internal/search: evaluate under the
 // broker's statistics (or, with none attached, the worker's own) and
-// answer with the local top-k as a binary Partial.
+// answer with the local top-k as a binary Partial. The body is read
+// first, so an over-cap one is refused before any other work.
 func (s *Server) handleWorkerSearch(w http.ResponseWriter, r *http.Request) {
-	var in InternalSearchRequest
 	buf := GetBuffer()
 	err := readBody(w, r, buf)
+	var df *desksearch.DocFreqs
 	if err == nil {
-		err = json.Unmarshal(buf.Bytes(), &in) // copies what it keeps
+		df, err = readSearchBody(buf.Bytes()) // copies what it keeps
 	}
 	PutBuffer(buf)
 	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
@@ -158,35 +130,16 @@ func (s *Server) handleWorkerSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
-	if in.Query == "" {
-		writeError(w, http.StatusBadRequest, "missing query")
+	req, ctx, cancel, ok := s.workerQuery(w, r)
+	if !ok {
 		return
 	}
-	req := desksearch.Query{
-		Text:           in.Query,
-		Limit:          in.Limit,
-		PathPrefix:     in.PathPrefix,
-		Snippets:       in.Snippets,
-		MaxPrefixTerms: in.MaxPrefixTerms,
-		GlobalDF:       in.DF,
-	}
-	if in.Rank != "" {
-		if req.Ranking, err = desksearch.ParseRanking(in.Rank); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
+	defer cancel()
+	req.GlobalDF = df
 	if req, err = req.Normalize(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	timeout, err := parseTimeout(r.URL.Query(), s.door.Timeout)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
 
 	gen := s.cat.Generation()
 	s.door.Queries.Add(1)
@@ -209,6 +162,52 @@ func (s *Server) handleWorkerSearch(w http.ResponseWriter, r *http.Request) {
 		Partitions: wirePartitions(resp.Partitions, ids),
 	}
 	writePartial(w, &out)
+}
+
+// workerQuery reads a query route's query (readQuery) and timeout from r's
+// URL and returns the query with a context bounded by that timeout. On a
+// mistake in either it answers 400 and reports false.
+func (s *Server) workerQuery(w http.ResponseWriter, r *http.Request) (desksearch.Query, context.Context, context.CancelFunc, bool) {
+	params := r.URL.Query()
+	q, err := readQuery(params)
+	var timeout time.Duration
+	if err == nil {
+		timeout, err = parseTimeout(params, s.door.Timeout)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return q, nil, nil, false
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	return q, ctx, cancel, true
+}
+
+// AppendSearchBody appends the POST /internal/search body that carries
+// df, a broker's corpus-wide statistics: the partial's version byte, then
+// its df block. A broker from a commit with another layout is refused on
+// the first byte.
+func AppendSearchBody(dst []byte, df *desksearch.DocFreqs) []byte {
+	return appendDF(append(dst, partialVersion), df)
+}
+
+// readSearchBody reads what AppendSearchBody writes, through index.Cursor
+// as DecodePartial reads a partial; an empty body is no statistics.
+func readSearchBody(body []byte) (*desksearch.DocFreqs, error) {
+	if len(body) == 0 {
+		return nil, nil
+	}
+	if body[0] != partialVersion {
+		return nil, fmt.Errorf("first byte %q; want a df block in the partial layout, version %d", body[0], partialVersion)
+	}
+	c := index.NewCursor(body[1:])
+	df := readDF(c)
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	if n := c.Left(); n != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", n)
+	}
+	return &df, nil
 }
 
 // readBody reads r's body into buf, up to MaxBodyBytes: a body declared

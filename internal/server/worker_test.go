@@ -8,6 +8,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
+	"strings"
 	"testing"
 
 	"desksearch"
@@ -79,7 +82,7 @@ func TestWorkerEndpoints(t *testing.T) {
 		t.Fatalf("df.Terms = %v, want one count per positive term", df.Terms)
 	}
 
-	status, out := postSearch(t, fx.ts.URL, InternalSearchRequest{Query: "report", Rank: "bm25", Limit: 10})
+	status, out := postSearch(t, fx.ts.URL, "q=report&rank=bm25&limit=10", nil)
 	if status != http.StatusOK {
 		t.Fatalf("/internal/search status %d", status)
 	}
@@ -98,7 +101,7 @@ func TestWorkerEndpoints(t *testing.T) {
 		t.Fatalf("partial df = %+v, /internal/df = %+v", out.DF, local)
 	}
 	// Whatever the ranking.
-	if status, out = postSearch(t, fx.ts.URL, InternalSearchRequest{Query: "report forecast", Rank: "tf", Limit: 10}); status != http.StatusOK {
+	if status, out = postSearch(t, fx.ts.URL, "q=report+forecast&rank=tf&limit=10", nil); status != http.StatusOK {
 		t.Fatalf("/internal/search tf status %d", status)
 	}
 	if fmt.Sprint(out.DF) != fmt.Sprint(df) {
@@ -153,7 +156,7 @@ func TestWorkerSearchBodyBounded(t *testing.T) {
 		t.Fatalf("an over-cap request moved Queries from %d to %d", before, after)
 	}
 	// One the cap admits still evaluates.
-	if status, _ := postSearch(t, fx.ts.URL, InternalSearchRequest{Query: "report"}); status != http.StatusOK {
+	if status, _ := postSearch(t, fx.ts.URL, "q=report", nil); status != http.StatusOK {
 		t.Fatalf("a small request after the refusal: status %d", status)
 	}
 }
@@ -171,14 +174,13 @@ func (zeros) Read(p []byte) (int, error) {
 func TestWorkerSearchWithGlobalDF(t *testing.T) {
 	fx, _ := workerFixture(t)
 
-	post := func(req InternalSearchRequest) (int, *Partial) { return postSearch(t, fx.ts.URL, req) }
+	post := func(df *desksearch.DocFreqs) (int, *Partial) {
+		return postSearch(t, fx.ts.URL, "q=report&rank=bm25&limit=5", df)
+	}
 
 	// A df vector matching the query shape is accepted; corpus-global
 	// values equal to the local ones reproduce the local scores.
-	status, out := post(InternalSearchRequest{
-		Query: "report", Rank: "bm25", Limit: 5,
-		DF: &desksearch.DocFreqs{Docs: 6, Tokens: 24, Terms: []int{4}},
-	})
+	status, out := post(&desksearch.DocFreqs{Docs: 6, Tokens: 24, Terms: []int{4}})
 	if status != http.StatusOK {
 		t.Fatalf("well-shaped GlobalDF rejected: %d", status)
 	}
@@ -189,29 +191,25 @@ func TestWorkerSearchWithGlobalDF(t *testing.T) {
 	}
 
 	// Wrong arity for the query → deterministic client error.
-	status, _ = post(InternalSearchRequest{
-		Query: "report", Rank: "bm25", Limit: 5,
-		DF: &desksearch.DocFreqs{Docs: 6, Tokens: 24, Terms: []int{4, 9}},
-	})
+	status, _ = post(&desksearch.DocFreqs{Docs: 6, Tokens: 24, Terms: []int{4, 9}})
 	if status != http.StatusBadRequest {
 		t.Fatalf("mis-shaped GlobalDF = %d, want 400", status)
 	}
 
 	// A negative count would score NaN → client error, not a 200 partial.
+	// The df block writes counts as uvarints, so a negative one is the
+	// two's-complement value, which overflows int on the way back in.
 	for _, df := range []*desksearch.DocFreqs{
 		{Docs: 6, Tokens: 24, Terms: []int{-1}},
 		{Docs: -6, Tokens: 24, Terms: []int{4}},
 	} {
-		if status, _ = post(InternalSearchRequest{Query: "report", Rank: "bm25", Limit: 5, DF: df}); status != http.StatusBadRequest {
+		if status, _ = post(df); status != http.StatusBadRequest {
 			t.Fatalf("negative GlobalDF %+v = %d, want 400", df, status)
 		}
 	}
 	// A frequency above Docs is what a stale broker table sends after
 	// deletions; it is scored (finitely), and verify-then-return fixes it.
-	status, out = post(InternalSearchRequest{
-		Query: "report", Rank: "bm25", Limit: 5,
-		DF: &desksearch.DocFreqs{Docs: 6, Tokens: 24, Terms: []int{9}},
-	})
+	status, out = post(&desksearch.DocFreqs{Docs: 6, Tokens: 24, Terms: []int{9}})
 	if status != http.StatusOK {
 		t.Fatalf("GlobalDF above Docs = %d, want 200", status)
 	}
@@ -219,6 +217,96 @@ func TestWorkerSearchWithGlobalDF(t *testing.T) {
 		if math.IsNaN(h.Score) || math.IsInf(h.Score, 0) {
 			t.Fatalf("hit %s: score %v under GlobalDF above Docs", h.Path, h.Score)
 		}
+	}
+}
+
+// TestWorkerSearchBodyMalformed: a body that is not exactly one df block
+// behind the partial's version byte is a 400 naming what is wrong, and
+// reaches no evaluation. The body is read before the URL, so the JSON
+// request a broker from before the binary body sent, with its query in
+// the body and none in the URL, is refused on its first byte with a
+// message that names the layout, not with "missing q parameter".
+func TestWorkerSearchBodyMalformed(t *testing.T) {
+	fx, _ := workerFixture(t)
+	good := AppendSearchBody(nil, &desksearch.DocFreqs{Docs: 6, Tokens: 24, Terms: []int{4}})
+	for _, tc := range []struct {
+		name, body, want string
+	}{
+		{"json", `{"query":"report","limit":5,"rank":"bm25","df":{"docs":6,"tokens":24,"terms":[4]}}`, "first byte '{'; want a df block in the partial layout, version 1"},
+		{"other version", "\x02" + string(good[1:]), "partial layout"},
+		{"version only", "\x01", "invalid request body"},
+		{"truncated", string(good[:len(good)-1]), "invalid request body"},
+		{"trailing byte", string(good) + "\x00", "trailing bytes"},
+	} {
+		before := fx.srv.door.Queries.Load()
+		resp, err := http.Post(fx.ts.URL+"/internal/search", "application/octet-stream", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
+			t.Errorf("%s: status %d, error %q (%v); want 400 naming %q", tc.name, resp.StatusCode, e.Error, err, tc.want)
+		}
+		if after := fx.srv.door.Queries.Load(); after != before {
+			t.Errorf("%s: a refused body moved Queries from %d to %d", tc.name, before, after)
+		}
+	}
+}
+
+// TestWorkerParamsRoundTrip holds the two ends of the hop to each other:
+// the query a worker reads back from a broker's rendered parameters has
+// the cache key of the request the broker rendered, with limit+offset as
+// its limit and no offset, and the df block a body carries reads back as
+// the vector written.
+func TestWorkerParamsRoundTrip(t *testing.T) {
+	var queries []desksearch.Query
+	for _, prefix := range []string{"", "docs/", "a&b=c", "100%", "a+b c", "nul\x00byte", "\xff\xfe", "résumé/", "?q=x&limit=1#f"} {
+		for _, rank := range []desksearch.Ranking{desksearch.RankCount, desksearch.RankTF, desksearch.RankBM25} {
+			queries = append(queries, desksearch.Query{Text: `"annual report" OR repor* -draft`, Limit: 7, Offset: 3, Ranking: rank, PathPrefix: prefix})
+		}
+	}
+	queries = append(queries,
+		desksearch.Query{Text: "report", Limit: 1},
+		desksearch.Query{Text: "(a OR b) c", Limit: 10, Snippets: true, Ranking: desksearch.RankBM25},
+		desksearch.Query{Text: "x* y*", Limit: 1000, Offset: 990, MaxPrefixTerms: 5},
+		desksearch.Query{Text: "NOT draft", Limit: 2, Snippets: true, MaxPrefixTerms: 1, PathPrefix: "&=%+ \x00é"},
+	)
+	for _, q := range queries {
+		q, err := q.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		params, err := url.ParseQuery(WorkerParams(q))
+		if err != nil {
+			t.Fatalf("%+v: rendered parameters do not parse: %v", q, err)
+		}
+		back, err := readQuery(params)
+		if err == nil {
+			back, err = back.Normalize()
+		}
+		if err != nil {
+			t.Fatalf("%+v: worker refused the rendered parameters: %v", q, err)
+		}
+		want := q
+		want.Limit, want.Offset = q.Limit+q.Offset, 0
+		if got, w := back.CacheKey(), want.CacheKey(); got != w {
+			t.Errorf("round trip of %q:\n got %q\nwant %q", WorkerParams(q), got, w)
+		}
+	}
+	for _, df := range []*desksearch.DocFreqs{
+		{},
+		{Docs: 6, Tokens: 24, Terms: []int{4}},
+		{Docs: 1 << 40, Tokens: 1<<64 - 1, Terms: []int{0, 1 << 40, 3}, Prefixes: []int{9, 0}},
+	} {
+		back, err := readSearchBody(AppendSearchBody(nil, df))
+		if err != nil || !reflect.DeepEqual(back, df) {
+			t.Errorf("df %+v read back as %+v, %v", df, back, err)
+		}
+	}
+	if df, err := readSearchBody(nil); df != nil || err != nil {
+		t.Errorf("an empty body read as %+v, %v; want no statistics", df, err)
 	}
 }
 
@@ -266,12 +354,16 @@ func TestWorkerRoutesGated(t *testing.T) {
 	}
 }
 
-// postSearch posts req to a worker's /internal/search and decodes the
+// postSearch posts a query's URL parameters to a worker's
+// /internal/search, with df as the body when it is set, and decodes the
 // partial a 200 carries.
-func postSearch(t *testing.T, base string, req InternalSearchRequest) (int, *Partial) {
+func postSearch(t *testing.T, base, params string, df *desksearch.DocFreqs) (int, *Partial) {
 	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(base+"/internal/search", "application/json", bytes.NewReader(body))
+	var body []byte
+	if df != nil {
+		body = AppendSearchBody(nil, df)
+	}
+	resp, err := http.Post(base+"/internal/search?"+params, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,13 +144,13 @@ func TestParseRankingWire(t *testing.T) {
 	}{
 		{"count", RankCount, true},
 		{"COUNT", RankCount, true},
-		{"coordination", RankCount, true},
+		{"coordination", 0, false},
 		{"tf", RankTF, true},
 		{"bm25", RankBM25, true},
 		{"BM25", RankBM25, true},
-		{"0", RankCount, true},
-		{"1", RankTF, true},
-		{"2", RankBM25, true},
+		{"0", 0, false},
+		{"1", 0, false},
+		{"2", 0, false},
 		{"3", 0, false},
 		{"-1", 0, false},
 		{"bm", 0, false},
