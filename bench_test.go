@@ -611,8 +611,9 @@ func BenchmarkSuggest(b *testing.B) {
 // BenchmarkSnippets measures what snippet assembly adds to a positional
 // query: the same request with and without the per-hit window
 // reconstruction (anchor scan, dictionary pass, highlight spans), on the
-// catalog as built and on the same catalog saved and loaded back, whose
-// lists LoadDir lays out in dictionary order.
+// catalog as built, on the same catalog saved and loaded back, whose
+// lists LoadDir lays out in dictionary order, and on the saved directory
+// opened lazily, whose window pass reads every posting block in place.
 func BenchmarkSnippets(b *testing.B) {
 	built, phrase := phraseCatalog(b)
 	dir := b.TempDir()
@@ -623,12 +624,17 @@ func BenchmarkSnippets(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	lazy, err := OpenDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lazy.Close()
 	ctx := context.Background()
 	word := strings.Fields(strings.Trim(phrase, `"`))[0]
 	for _, c := range []struct {
 		name string
 		cat  *Catalog
-	}{{"built", built}, {"loaded", loaded}} {
+	}{{"built", built}, {"loaded", loaded}, {"lazy", lazy}} {
 		if _, err := c.cat.Query(ctx, Query{Text: word, Limit: 1}); err != nil {
 			b.Fatal(err) // warm the universes
 		}

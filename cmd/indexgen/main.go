@@ -21,8 +21,9 @@
 // -save DIR writes the index into the directory DIR: a checksummed
 // manifest plus one segment file per partition. Every build is
 // partitioned by a hash of each file's ID: into the N document shards of
-// -shards N, otherwise one per updater, or one when there are none. An
-// existing regular file at DIR is a usage error.
+// -shards N, otherwise one per updater, or one when there are none. DIR
+// must be missing or a directory: anything else is a usage error, reported
+// before the build starts.
 //
 // With -update the catalog saved under -save is loaded, diffed against
 // the live tree under -root, patched in place — added, modified, and
@@ -38,8 +39,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"time"
 
@@ -62,6 +65,10 @@ func main() {
 	flag.Parse()
 	if *root == "" {
 		flag.Usage()
+		os.Exit(2)
+	}
+	if err := checkSaveTarget(*save); err != nil {
+		fmt.Fprintln(os.Stderr, "indexgen:", err)
 		os.Exit(2)
 	}
 
@@ -112,6 +119,25 @@ func main() {
 		}
 		fmt.Printf("index saved to %s/ (manifest + %d segments)\n", *save, cat.Indices())
 	}
+}
+
+// checkSaveTarget refuses a -save path that is neither missing nor a
+// directory (or a link to one), before any index is built: SaveDir would
+// only fail on it once the build's work was done.
+func checkSaveTarget(path string) error {
+	if path == "" {
+		return nil
+	}
+	info, err := os.Stat(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return nil
+	case err != nil:
+		return fmt.Errorf("-save %s: %w", path, err)
+	case !info.IsDir():
+		return fmt.Errorf("-save %s: not a directory; -save names the directory an index is saved into", path)
+	}
+	return nil
 }
 
 // runUpdate loads the catalog under saveDir, applies the changes found

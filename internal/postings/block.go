@@ -188,21 +188,7 @@ func (b *Block) Iterator(onFault func(error)) *BlockIterator {
 
 // Next advances to the next posting, returning false at the end of the
 // list or on corruption.
-func (it *BlockIterator) Next() bool {
-	if it.err != nil || it.idx >= it.b.count {
-		it.valid = false
-		return false
-	}
-	off, id, ok := nextID(it.b.enc, it.off, uint64(it.idx), it.prev)
-	if !ok {
-		it.fail(fmt.Errorf("postings: corrupt, repeated or overflowing id at %d", it.idx))
-		return false
-	}
-	it.off, it.prev = off, id
-	it.idx++
-	it.valid = true
-	return true
-}
+func (it *BlockIterator) Next() bool { return it.walk(0) }
 
 // SeekGE positions the iterator at the first posting with ID >= id —
 // never moving backwards — and reports whether one exists.
@@ -230,11 +216,36 @@ func (it *BlockIterator) SeekGE(id FileID) bool {
 	if idx := it.skipped*skipInterval + 1; it.skipped > 0 && idx > it.idx {
 		it.prev, it.off, it.idx, it.valid = it.skipID, it.skipOff, idx, true
 	}
-	for it.Next() {
-		if it.prev >= uint64(id) {
+	return it.walk(uint64(id))
+}
+
+// walk reads postings on from the cursor, at least one, to the first
+// whose ID is >= target and reports whether there is one. Each takes the
+// ID step in place: a one- or two-byte delta (shortUvarint), anything
+// else through nextID.
+func (it *BlockIterator) walk(target uint64) bool {
+	if it.err != nil {
+		it.valid = false
+		return false
+	}
+	buf, off, id := it.b.enc, it.off, it.prev
+	for idx := it.idx; idx < it.b.count; {
+		if d, n := shortUvarint(buf, off); n > 0 && d > 0 && id+d <= 0xFFFF_FFFF {
+			off, id = off+n, id+d
+		} else {
+			var ok bool
+			if off, id, ok = nextID(buf, off, uint64(idx), id); !ok {
+				it.fail(fmt.Errorf("postings: corrupt, repeated or overflowing id at %d", idx))
+				return false
+			}
+		}
+		idx++
+		if id >= target {
+			it.off, it.prev, it.idx, it.valid = off, id, idx, true
 			return true
 		}
 	}
+	it.off, it.prev, it.idx, it.valid = off, id, it.b.count, false
 	return false
 }
 

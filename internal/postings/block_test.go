@@ -50,3 +50,43 @@ func TestParseBlockRejects(t *testing.T) {
 		}
 	}
 }
+
+// sinkCount keeps the benchmarks' sums live.
+var sinkCount uint32
+
+// BenchmarkBlockIterator streams a counted block of 5 000 postings, their
+// ID gaps one and two bytes wide, through Next and Count, and seeks it
+// in strides of 7 IDs, reporting the time per posting of the block beside
+// the allocations.
+func BenchmarkBlockIterator(b *testing.B) {
+	ids := make([]FileID, 5000)
+	counts := make([]uint32, len(ids))
+	id := FileID(0)
+	for i := range ids {
+		id += 1 + FileID(i%3*97) // gaps of 1, 98 and 195
+		ids[i], counts[i] = id, 1+uint32(i%4)
+	}
+	var blk Block
+	if err := blk.Parse(AppendBlock(nil, FromSortedIDCounts(ids, counts), false), len(ids), false); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("next", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			for it := blk.Iterator(nil); it.Next(); {
+				sinkCount += it.Count()
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids)), "ns/posting")
+	})
+	b.Run("seek", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			it := blk.Iterator(nil)
+			for t := FileID(0); it.SeekGE(t); t = it.ID() + 7 {
+				sinkCount += it.Count()
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids)), "ns/posting")
+	})
+}

@@ -49,55 +49,104 @@ func windowRun(run []uint32, i int, lo, hi uint32, emit func(i int, pos uint32))
 	}
 }
 
+// windowMatches is how many asked-for postings a block's window pass
+// keeps on its stack: a page's files, one posting each at most.
+const windowMatches = 16
+
 // Window is List.Window over the list the block's full decode would
 // return, read in place: it allocates nothing and parses only what the
-// windows reach. It reads the ID section, merged against files, and stops
-// there when no posting is asked for; otherwise it reads the frequency
-// section, then walks the position runs up to the last asked-for posting,
-// skipping the others' bytes and decoding an asked-for run only up to its
-// window's end. What it parses it validates as DecodePositional does, so
-// whenever Decode(true) accepts the block, Window emits exactly what
-// List.Window over the decoded list emits; a fault in what it reads is its
-// error. Bytes it does not reach are not checked: the caller verifies the
-// block (a segment block's checksum) before parsing it. A block without
-// positions emits nothing.
+// windows reach, each section once. The ID section, merged against files
+// (both ascend, so files advance linearly), records each asked-for
+// posting's index and file in a fixed array on the stack, and the pass
+// stops there when none is asked for. The frequency section, every
+// frequency validated, sums the runs between asked-for postings into the
+// position varints to skip before each. The positions section then skips
+// to each asked-for run and decodes it only up to its window's end. An
+// ID takes the one- and two-byte step in place (shortUvarint), a longer
+// varint nextID. A block asking for more than windowMatches postings — a
+// page of more files than that — reads the positions by re-walking the
+// two sections (windowRewalk). What it parses it validates as
+// DecodePositional does, so whenever Decode(true) accepts the block,
+// Window emits exactly what List.Window over the decoded list emits; a
+// fault in what it reads is its error. Bytes it does not reach are not
+// checked: the caller verifies the block (a segment block's checksum)
+// before parsing it. A block without positions emits nothing.
 func (b *Block) Window(files []FileID, lo, hi []uint32, emit func(i int, pos uint32)) error {
 	if !b.positional || len(files) == 0 {
 		return nil
 	}
-	buf, count, start := b.enc, uint64(b.count), b.start
+	// Most blocks of a dictionary pass hold none of a page's files: they
+	// end at the first posting not below them.
+	j, off, id, fi, err := b.mergeIDs(files, 0, b.start, 0, 0)
+	if err != nil || j == b.count || id != uint64(files[fi]) {
+		return err
+	}
+	return b.windowFrom(files, lo, hi, emit, j, off, id, fi)
+}
 
-	// The ID section, merged against files: last becomes the index of the
-	// last posting a window asks for, and off the frequency marker's.
-	final := uint64(files[len(files)-1])
-	last := -1
-	off, id := start, uint64(0)
-	for j, fi := uint64(0), 0; j < count; j++ {
-		var ok bool
-		if off, id, ok = nextID(buf, off, j, id); !ok {
-			return fmt.Errorf("postings: corrupt, repeated or overflowing id at %d", j)
+// mergeIDs reads the ID section from posting j, at off after ID id,
+// merged against files from fi on, up to the first posting whose ID is
+// one of files or past them all: it returns that posting's index, the
+// offset past its varint, its ID and the index of its file (the last file
+// when the ID is past them all), or count when the section ends first.
+func (b *Block) mergeIDs(files []FileID, j, off int, id uint64, fi int) (int, int, uint64, int, error) {
+	buf, f := b.enc, uint64(files[fi])
+	for ; j < b.count; j++ {
+		if d, n := shortUvarint(buf, off); n > 0 && d > 0 && id+d <= 0xFFFF_FFFF {
+			off, id = off+n, id+d
+		} else {
+			var ok bool
+			if off, id, ok = nextID(buf, off, uint64(j), id); !ok {
+				return 0, 0, 0, 0, fmt.Errorf("postings: corrupt, repeated or overflowing id at %d", j)
+			}
 		}
-		if id < uint64(files[fi]) {
+		if id < f {
 			continue
 		}
-		if id > final {
-			if last < 0 {
-				return nil
-			}
-			var err error
-			if off, err = skipUvarints(buf, off, count-j-1); err != nil {
-				return err
-			}
+		for fi < len(files)-1 && id > f {
+			fi++
+			f = uint64(files[fi])
+		}
+		if id >= f {
 			break
 		}
-		if fi = Gallop(files, fi, FileID(id)); files[fi] == FileID(id) {
-			last = int(j)
+	}
+	return j, off, id, fi, nil
+}
+
+// windowFrom is Window from its first asked-for posting j, files[fi], whose
+// ID varint ends at off.
+func (b *Block) windowFrom(files []FileID, lo, hi []uint32, emit func(i int, pos uint32), j, off int, id uint64, fi int) error {
+	buf, count := b.enc, b.count
+
+	// The rest of the ID section. match[m] is the m-th asked-for posting:
+	// its index j and file index fi, then (from the frequency section)
+	// the position varints between it and the one before, and its run's
+	// length.
+	var match [windowMatches]struct {
+		j, fi     int
+		skip, run uint64
+	}
+	nm, last := 0, 0
+	for j < count && id == uint64(files[fi]) {
+		if nm < windowMatches {
+			match[nm].j, match[nm].fi = j, fi
+		}
+		nm, last = nm+1, j
+		var err error
+		if j, off, id, fi, err = b.mergeIDs(files, j+1, off, id, fi); err != nil {
+			return err
 		}
 	}
-	if last < 0 {
-		return nil
+	if j < count { // an ID past the last file: skip the section's rest
+		var err error
+		if off, err = skipUvarints(buf, off, uint64(count-j-1)); err != nil {
+			return err
+		}
 	}
 
+	// The frequency section, every entry validated; a boolean list's runs
+	// are all one long.
 	if off >= len(buf) {
 		return fmt.Errorf("postings: missing frequency marker")
 	}
@@ -106,8 +155,14 @@ func (b *Block) Window(files []FileID, lo, hi []uint32, emit func(i int, pos uin
 	freqOff := off
 	switch marker {
 	case listBoolean:
+		prev := -1
+		for m := range min(nm, windowMatches) {
+			match[m].skip, match[m].run = uint64(match[m].j-prev-1), 1
+			prev = match[m].j
+		}
 	case listCounted:
-		for j := uint64(0); j < count; j++ {
+		m, since := 0, uint64(0)
+		for j := 0; j < count; j++ {
 			c, n := uvarint(buf, off)
 			if n <= 0 {
 				return fmt.Errorf("postings: corrupt frequency at %d", j)
@@ -116,6 +171,12 @@ func (b *Block) Window(files []FileID, lo, hi []uint32, emit func(i int, pos uin
 				return fmt.Errorf("postings: frequency %d overflows at %d", c, j)
 			}
 			off += n
+			if m < windowMatches && m < nm && match[m].j == j {
+				match[m].skip, match[m].run = since, c+1
+				m, since = m+1, 0
+			} else {
+				since += c + 1
+			}
 		}
 	default:
 		return fmt.Errorf("postings: unknown frequency marker %d", marker)
@@ -131,12 +192,32 @@ func (b *Block) Window(files []FileID, lo, hi []uint32, emit func(i int, pos uin
 		return fmt.Errorf("postings: unknown positions marker %d", buf[off])
 	}
 	off++
+	if nm > windowMatches {
+		return b.windowRewalk(buf, off, freqOff, marker, last, files, lo, hi, emit)
+	}
 
-	// The runs up to the last asked-for posting, with the ID and frequency
-	// sections re-read in step (both validated above). skip counts the
-	// position varints of the runs passed over since the last asked-for
-	// one, skipped in one go.
-	idOff, id, fi, skip := start, uint64(0), 0, uint64(0)
+	// The positions section: rest counts the varints left of the run
+	// before, where its window ended.
+	rest := uint64(0)
+	for _, mt := range match[:nm] {
+		var err error
+		if off, err = skipUvarints(buf, off, rest+mt.skip); err != nil {
+			return err
+		}
+		if off, rest, err = windowPositions(buf, off, mt.run, mt.j, mt.fi, lo[mt.fi], hi[mt.fi], emit); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// windowRewalk is Window's positions pass for a block asking for more
+// postings than Window keeps: it re-reads the ID and frequency sections,
+// both validated by then, from the block's start and from freqOff, in
+// step with the position runs at off, up to posting last, galloping
+// through files for each posting.
+func (b *Block) windowRewalk(buf []byte, off, freqOff int, marker byte, last int, files []FileID, lo, hi []uint32, emit func(i int, pos uint32)) error {
+	idOff, id, fi, skip := b.start, uint64(0), 0, uint64(0)
 	for j := 0; j <= last; j++ {
 		idOff, id, _ = nextID(buf, idOff, uint64(j), id)
 		run := uint64(1)
@@ -153,43 +234,69 @@ func (b *Block) Window(files []FileID, lo, hi []uint32, emit func(i int, pos uin
 		if off, err = skipUvarints(buf, off, skip); err != nil {
 			return err
 		}
-		skip = 0
-		var p uint64
-		for k := uint64(0); k < run; k++ {
-			delta, n := uvarint(buf, off)
-			if n <= 0 {
-				return fmt.Errorf("postings: corrupt position at posting %d", j)
-			}
-			off += n
-			if k > 0 && delta == 0 {
-				return fmt.Errorf("postings: zero position delta at posting %d (duplicate position)", j)
-			}
-			if delta > 0xFFFF_FFFF || p+delta > 0xFFFF_FFFF {
-				return fmt.Errorf("postings: position overflows at posting %d", j)
-			}
-			p += delta
-			if p > uint64(hi[fi]) {
-				if j == last {
-					return nil
-				}
-				skip = run - k - 1
-				break
-			}
-			if p >= uint64(lo[fi]) {
-				emit(fi, uint32(p))
-			}
+		if off, skip, err = windowPositions(buf, off, run, j, fi, lo[fi], hi[fi], emit); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// windowPositions emits, as file i's, the positions in [lo, hi] of
+// posting j's run of n delta-coded positions at off. It stops at the
+// first position past hi and returns the offset it read to and how many
+// of the run's varints lie past it.
+func windowPositions(buf []byte, off int, n uint64, j, i int, lo, hi uint32, emit func(i int, pos uint32)) (int, uint64, error) {
+	var p uint64
+	for k := uint64(0); k < n; k++ {
+		delta, m := uvarint(buf, off)
+		if m <= 0 {
+			return 0, 0, fmt.Errorf("postings: corrupt position at posting %d", j)
+		}
+		off += m
+		if k > 0 && delta == 0 {
+			return 0, 0, fmt.Errorf("postings: zero position delta at posting %d (duplicate position)", j)
+		}
+		if delta > 0xFFFF_FFFF || p+delta > 0xFFFF_FFFF {
+			return 0, 0, fmt.Errorf("postings: position overflows at posting %d", j)
+		}
+		p += delta
+		if p > uint64(hi) {
+			return off, n - k - 1, nil
+		}
+		if p >= uint64(lo) {
+			emit(i, uint32(p))
+		}
+	}
+	return off, 0, nil
+}
+
+// shortUvarint decodes the uvarint at buf[off:] when it takes one or two
+// bytes and another byte follows it, as every ID varint of a well-formed
+// encoding has (its frequency marker comes after): its value and byte
+// count, or a count of 0. It is the hand-placed half of the ID step that
+// Window's ID pass and BlockIterator's walk take per posting, small
+// enough to compile in place; a delta it does not take — a longer varint,
+// a zero, one that would carry the ID past FileID's range, the end of
+// buf — goes through nextID, which reports the fault.
+func shortUvarint(buf []byte, off int) (uint64, int) {
+	if off+1 < len(buf) {
+		if b0 := buf[off]; b0 < 0x80 {
+			return uint64(b0), 1
+		} else if b1 := buf[off+1]; b1 < 0x80 {
+			return uint64(b0&0x7f) | uint64(b1)<<7, 2
+		}
+	}
+	return 0, 0
+}
+
 // nextID decodes posting j's ID-section varint at off, prev being posting
 // j-1's ID (0 before the first), and returns the offset past it, the ID,
 // and whether the varint is whole and the ID ascends within range, as
-// the decoders require. It is the one ID step of every in-place read: the
-// window pass's and BlockIterator's. Its varint is the kernel's (uvarint),
-// compiled in place; nextID itself is over the inliner's budget, one call
-// a posting.
+// the decoders require. It is the full ID step: the fallback of the
+// hand-placed one (shortUvarint) and the step of Window's re-walk. Its
+// varint is the kernel's (uvarint), compiled in place; nextID itself is
+// over the inliner's budget, which is why the per-posting loops try
+// shortUvarint first.
 func nextID(buf []byte, off int, j, prev uint64) (int, uint64, bool) {
 	delta, n := uvarint(buf, off)
 	id := prev + delta

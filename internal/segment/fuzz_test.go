@@ -251,6 +251,52 @@ func FuzzWindowDecode(f *testing.F) {
 		f.Add(w.blk, w.df, slices.Concat(window(3, 0, 255), window(5, 4, 9)))
 	}
 
+	// The pass's ID step: two-byte deltas (195, 200), then a delta padded
+	// to three bytes, which the one- and two-byte step hands to the full
+	// one; a zero first delta (file 0), sound, and a zero second, a fault.
+	// Files past 255 are reached by the gaps between windows.
+	twoByte := postings.FromSortedIDPositions([]postings.FileID{5, 200, 400}, [][]uint32{{1, 2}, {3}, {4, 9}})
+	f.Add(windowBlock(twoByte), 3, slices.Concat(window(200, 0, 255), window(199, 0, 255)))
+	padded := windowBlock(postings.FromSortedIDPositions([]postings.FileID{1, 6, 9}, [][]uint32{{2}, {4}, {8}}))
+	padded = slices.Concat(padded[:4], []byte{0x83, 0x80, 0}, padded[5:]) // posting 2's delta, 3
+	f.Add(padded, 3, slices.Concat(window(6, 0, 255), window(2, 0, 255)))
+	zeroFirst := postings.FromSortedIDPositions([]postings.FileID{0, 4}, [][]uint32{{7}, {1, 3}})
+	f.Add(windowBlock(zeroFirst), 2, slices.Concat(window(0, 0, 255), window(3, 0, 255)))
+	zeroSecond := windowBlock(postings.FromSortedIDPositions([]postings.FileID{2, 3, 7}, [][]uint32{{1}, {2}, {3}}))
+	zeroSecond[3] = 0 // posting 1's delta
+	f.Add(zeroSecond, 3, slices.Concat(window(2, 0, 255), window(4, 0, 255)))
+	// A two-byte frequency (a run of 200) ahead of a later match.
+	long := make([]uint32, 200)
+	for k := range long {
+		long[k] = uint32(3 * k)
+	}
+	f.Add(windowBlock(postings.FromSortedIDPositions([]postings.FileID{4, 8}, [][]uint32{long, {5}})), 2,
+		slices.Concat(window(4, 100, 50), window(3, 0, 255)))
+	// Twenty boolean postings, matches on the first and the last posting
+	// and one between.
+	ids := make([]postings.FileID, 20)
+	runs := make([][]uint32, len(ids))
+	for i := range ids {
+		ids[i], runs[i] = postings.FileID(2+i), []uint32{uint32(i)}
+	}
+	boolean20 := windowBlock(postings.FromSortedIDPositions(ids, runs))
+	f.Add(boolean20, 20, slices.Concat(window(2, 0, 255), window(10, 0, 255), window(7, 0, 255)))
+	// Counted runs of two: the first asked-for run's window ends mid-run,
+	// ahead of a later match.
+	for i := range runs {
+		runs[i] = []uint32{uint32(i), uint32(i + 5)}
+	}
+	counted20 := windowBlock(postings.FromSortedIDPositions(ids, runs))
+	f.Add(counted20, 20, slices.Concat(window(4, 0, 3), window(12, 0, 255)))
+	// Eight matches, the most fuzzWindows asks for (a page of more files
+	// than the pass keeps, its re-walk, is TestBlockWindowMatchesList's
+	// and TestWindowMatchesNaiveOracle's).
+	eight := slices.Concat(window(2, 0, 255), window(1, 0, 3))
+	for range 6 {
+		eight = append(eight, window(1, 1, 255)...)
+	}
+	f.Add(counted20, 20, eight)
+
 	f.Fuzz(func(t *testing.T, blk []byte, df int, spec []byte) {
 		if df < 1 || df > maxCount {
 			return // Open refuses such a dictionary entry

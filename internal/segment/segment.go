@@ -55,7 +55,8 @@
 // everything (postings.Block.Decode). Iterator streams the raw bytes and
 // decodes nothing up front (postings.BlockIterator), and Window — the
 // snippet pass — reads every block in place for the runs of a page's files
-// (postings.Block.Window) and bypasses the cache entirely. All of them
+// (postings.Block.Window, which reads each of a block's sections once)
+// and bypasses the cache entirely. All of them
 // verify the block's checksum and skip table first, every time the block
 // is not served from the cache. The Cache keeps one entry per block at the
 // richest tier decoded so far — a counts-only entry answers Counts and

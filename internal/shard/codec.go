@@ -32,8 +32,8 @@ import (
 // manifest's per-segment checksums additionally pin the exact segment
 // bytes, so a segment that was swapped with another (internally valid)
 // one, regenerated, or truncated is rejected before its postings are
-// trusted. Segments are written, loaded and opened with one goroutine per
-// segment (fanOut).
+// trusted. Segments are written, loaded and opened concurrently, on at
+// most GOMAXPROCS goroutines (fanOut).
 // The manifest is built and read with internal/index's codec: its
 // appenders and SealFrame, and the Cursor OpenFrame returns.
 

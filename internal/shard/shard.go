@@ -16,13 +16,15 @@
 // owner.
 //
 // Distribute, SaveDir, LoadDir and the lazy OpenDir and OpenDirShards each
-// run their per-shard work on one goroutine per shard, through one helper
-// (fanOut), and report a failure in shard order.
+// run their per-shard work on at most GOMAXPROCS goroutines, through one
+// helper (fanOut), and report a failure in shard order.
 package shard
 
 import (
 	"encoding/binary"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"desksearch/internal/fnv"
 	"desksearch/internal/index"
@@ -233,19 +235,29 @@ func Distribute(files *index.FileTable, sources []*index.Index, n int) *Set {
 	return New(files, shards)
 }
 
-// fanOut runs do(i) for every i in [0, n), each call on its own goroutine,
-// and returns once every call has: with the error of the lowest i whose
-// call failed, or nil, however the calls finished. There is no bound: a
-// set's shards are few and uneven, and one goroutine each balances them
-// over the cores better than a pool of GOMAXPROCS workers would.
+// fanOut runs do(i) for every i in [0, n) on at most GOMAXPROCS
+// goroutines (fanOutN) and returns once every call has: with the error of
+// the lowest i whose call failed, or nil, however the calls finished.
 func fanOut(n int, do func(i int) error) error {
+	return fanOutN(runtime.GOMAXPROCS(0), n, do)
+}
+
+// fanOutN is fanOut on at most workers goroutines, each taking the next
+// index not yet taken until none is left, so a set's uneven shards still
+// spread over the cores and a directory of thousands of segments starts
+// no more goroutines than there are cores.
+func fanOutN(workers, n int, do func(i int) error) error {
 	errs := make([]error, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := range n {
+	workers = min(workers, n)
+	wg.Add(workers)
+	for range workers {
 		go func() {
 			defer wg.Done()
-			errs[i] = do(i)
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = do(i)
+			}
 		}()
 	}
 	wg.Wait()
