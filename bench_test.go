@@ -183,8 +183,33 @@ func BenchmarkShardedSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedSave measures parallel segment writing (one goroutine per
-// shard) across shard counts.
+// BenchmarkQueryFanOut measures the fan-out's own share of a query: a
+// one-term page of ten over a 4-partition heap catalog, where each
+// partition's evaluation is short enough that starting its work on the
+// fan-out's workers is a visible part of the whole. allocs/op counts
+// what the fan-out adds per query.
+func BenchmarkQueryFanOut(b *testing.B) {
+	cat, err := IndexFS(liveCorpus(b), ".", Options{Shards: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	vocab := corpus.BuildVocabulary(corpus.PaperSpec().Scale(1.0 / 128))
+	req := Query{Text: vocab[len(vocab)/8], Limit: 10}
+	ctx := context.Background()
+	if _, err := cat.Query(ctx, req); err != nil { // warm the universes
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cat.Query(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShardedSave measures parallel segment writing (one fan-out task
+// per shard) across shard counts.
 func BenchmarkShardedSave(b *testing.B) {
 	for _, n := range shardCounts {
 		b.Run(fmt.Sprintf("shards-%d", n), func(b *testing.B) {
@@ -614,8 +639,12 @@ func BenchmarkSuggest(b *testing.B) {
 // catalog as built, on the same catalog saved and loaded back, whose
 // lists LoadDir lays out in dictionary order, and on the saved directory
 // opened lazily, whose window pass reads every posting block in place.
+// The request is the bench's snippet op: a BM25 page of ten over several
+// words, so the page's files spread over the ID range and each block's
+// window pass runs as it does for a served page, not only over the
+// lowest IDs a count-ranked page of one word would hold.
 func BenchmarkSnippets(b *testing.B) {
-	built, phrase := phraseCatalog(b)
+	built, _ := phraseCatalog(b)
 	dir := b.TempDir()
 	if err := built.SaveDir(dir); err != nil {
 		b.Fatal(err)
@@ -630,17 +659,22 @@ func BenchmarkSnippets(b *testing.B) {
 	}
 	defer lazy.Close()
 	ctx := context.Background()
-	word := strings.Fields(strings.Trim(phrase, `"`))[0]
+	vocab := corpus.BuildVocabulary(corpus.PaperSpec().Scale(1.0 / 64))
+	words := strings.Join([]string{vocab[1], vocab[4], vocab[9]}, " ")
 	for _, c := range []struct {
 		name string
 		cat  *Catalog
 	}{{"built", built}, {"loaded", loaded}, {"lazy", lazy}} {
-		if _, err := c.cat.Query(ctx, Query{Text: word, Limit: 1}); err != nil {
-			b.Fatal(err) // warm the universes
+		warm, err := c.cat.Query(ctx, Query{Text: words, Limit: 1}) // warm the universes
+		if err != nil {
+			b.Fatal(err)
+		}
+		if warm.Total < 10 {
+			b.Fatalf("%q matches %d files, fewer than a page", words, warm.Total)
 		}
 		b.Run(c.name+"/with-snippets", func(b *testing.B) {
 			b.ReportAllocs()
-			req := Query{Text: word, Limit: 10, Snippets: true}
+			req := Query{Text: words, Limit: 10, Ranking: RankBM25, Snippets: true}
 			for i := 0; i < b.N; i++ {
 				if _, err := c.cat.Query(ctx, req); err != nil {
 					b.Fatal(err)
@@ -649,7 +683,7 @@ func BenchmarkSnippets(b *testing.B) {
 		})
 		b.Run(c.name+"/without", func(b *testing.B) {
 			b.ReportAllocs()
-			req := Query{Text: word, Limit: 10}
+			req := Query{Text: words, Limit: 10, Ranking: RankBM25}
 			for i := 0; i < b.N; i++ {
 				if _, err := c.cat.Query(ctx, req); err != nil {
 					b.Fatal(err)

@@ -389,8 +389,9 @@ func (c *Catalog) partitionsLocked() []index.Partition {
 	return index.Partitions(c.result.Indexes())
 }
 
-// Query evaluates a v2 search request. The query fans out with one
-// goroutine per partition; each keeps only its local top Limit+Offset
+// Query evaluates a v2 search request. The query fans out over the
+// partitions on the calling goroutine and the process's fixed set of
+// fan-out workers; each partition keeps only its local top Limit+Offset
 // candidates in a bounded heap, and the per-partition ranked lists are
 // merged just until the page is full; only the page gets paths and terms,
 // so a Limit-10 query does a fraction of the work an unlimited one does. ctx
@@ -697,8 +698,9 @@ func LoadDir(dir string, opt ...Options) (*Catalog, error) {
 // OpenDir opens a sharded catalog directory lazily: only the manifest and
 // each segment's term dictionary are read up front — never the posting
 // data — so cold start is proportional to the vocabulary, not the corpus,
-// and the segments' dictionary walks are split over the cores, one
-// goroutine a segment (a one-segment directory gains nothing from that).
+// and the segments' dictionary walks are split over the cores through the
+// same fan-out queries use (a one-segment directory gains nothing from
+// that).
 // Queries then page posting blocks in on demand (memory-mapped on linux,
 // positioned reads elsewhere), verify them against their per-block
 // checksums, and keep hot terms in a bounded cache shared across shards.

@@ -64,9 +64,10 @@
 // FileID. Options.Shards sets their number; left at 0, there is one per
 // updater, or one when there are none. The shards are Stage 3's sinks:
 // every term block is routed to its file's shard as it leaves Stage 2, so
-// no build pays a redistribution pass. Queries fan out with one goroutine
-// per shard and merge the per-shard ranked hits, so a sharded catalog
-// answers exactly like the equivalent single index.
+// no build pays a redistribution pass. Queries fan out over the shards on
+// a fixed set of long-lived workers, one per core, and merge the per-shard
+// ranked hits, so a sharded catalog answers exactly like the equivalent
+// single index.
 //
 // # Persistence
 //

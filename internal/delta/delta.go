@@ -30,6 +30,7 @@ import (
 
 	"desksearch/internal/core"
 	"desksearch/internal/extract"
+	"desksearch/internal/fanout"
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
 	"desksearch/internal/shard"
@@ -217,7 +218,7 @@ func (s Stats) String() string {
 //
 // The caller must exclude concurrent queries (search.Engine.Maintain);
 // Commit mutates the file table single-threaded and the partitions in
-// parallel, one goroutine per partition with work.
+// parallel, one fanout.Run task per partition.
 //
 // The partitions are t's ShardFor-routed shards — every build routes by
 // the FNV split, and every open refuses a directory that does not — so a
@@ -298,28 +299,23 @@ func (p *Plan) Commit(t Target) Stats {
 	// joined once, so each touched list takes one linear merge per commit,
 	// not one insert per file.
 	removed := make([]int, n)
-	var wg sync.WaitGroup
-	for owner := range work {
+	fanout.Run(n, func(owner int) error {
 		w := &work[owner]
 		if len(w.victims) == 0 && len(w.blocks) == 0 {
-			continue
+			return nil
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ix := t.Partitions[owner]
-			removed[owner] = ix.RemoveFiles(postings.FromIDs(w.victims))
-			if len(w.blocks) == 0 {
-				return
-			}
-			fresh := index.NewBuilder(false) // Join keeps the partition's kind
-			for _, block := range w.blocks {
-				core.AddBlock(fresh, block)
-			}
-			ix.Join(fresh.Index())
-		}()
-	}
-	wg.Wait()
+		ix := t.Partitions[owner]
+		removed[owner] = ix.RemoveFiles(postings.FromIDs(w.victims))
+		if len(w.blocks) == 0 {
+			return nil
+		}
+		fresh := index.NewBuilder(false) // Join keeps the partition's kind
+		for _, block := range w.blocks {
+			core.AddBlock(fresh, block)
+		}
+		ix.Join(fresh.Index())
+		return nil
+	})
 	for owner, r := range removed {
 		st.PostingsRemoved += int64(r)
 		if (r > 0 || len(work[owner].blocks) > 0) && t.OnDirty != nil {

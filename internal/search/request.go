@@ -7,9 +7,9 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
+	"desksearch/internal/fanout"
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
 )
@@ -246,34 +246,19 @@ func (e *Engine) corruptedSince(marks []uint64) error {
 }
 
 // eachPartition calls fn once per partition and returns when every call
-// has: on one goroutine each when the engine has several partitions,
-// inline when it has one, unless ctx is already done. A panic in fn fails
-// the query, not the process: it is recovered where it was raised and
-// returned as a QueryError with CodeInternal, the first in partition
-// order when several partitions panic. The caller holds e.mu.
+// has: through fanout.Run, on the calling goroutine and the process's
+// fan-out workers when the engine has several partitions, inline when it
+// has one, unless ctx is already done. A panic in fn fails the query, not
+// the process: it is recovered where it was raised and returned as a
+// QueryError with CodeInternal, the first in partition order when several
+// partitions panic. The caller holds e.mu.
 func (e *Engine) eachPartition(ctx context.Context, fn func(i int, ix index.Partition)) error {
-	if len(e.indices) == 1 {
-		if ctx.Err() != nil {
-			return nil
-		}
-		return callPartition(fn, 0, e.indices[0])
+	if len(e.indices) == 1 && ctx.Err() != nil {
+		return nil
 	}
-	errs := make([]error, len(e.indices))
-	var wg sync.WaitGroup
-	for i, ix := range e.indices {
-		wg.Add(1)
-		go func(i int, ix index.Partition) {
-			defer wg.Done()
-			errs[i] = callPartition(fn, i, ix)
-		}(i, ix)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return fanout.Run(len(e.indices), func(i int) error {
+		return callPartition(fn, i, e.indices[i])
+	})
 }
 
 // callPartition calls fn(i, ix) and turns a panic in it into the query's
@@ -303,7 +288,7 @@ func recoverInternal(err *error) {
 // maxPrefixTerms cap; the result is nil when q has none. positions asks
 // for unions that carry positions (see expandPrefixes). On failure it
 // reports the first failing partition in partition order, so the reported
-// prefix does not vary with goroutine scheduling.
+// prefix does not vary with scheduling.
 func (e *Engine) expandAll(ctx context.Context, q *Query, maxPrefixTerms int, positions bool) ([][]*postings.List, error) {
 	if len(q.prefixes) == 0 {
 		return nil, nil
@@ -377,8 +362,9 @@ type partResult struct {
 
 // Query evaluates req over every partition and returns the requested page.
 //
-// With more than one partition the query fans out to one goroutine per
-// partition; each evaluates, scores, and keeps its local top Limit+Offset
+// With more than one partition the query fans out over the partitions on
+// the calling goroutine and the process's fan-out workers (fanout.Run);
+// each partition evaluates, scores, and keeps its local top Limit+Offset
 // candidates — score, file and matched-term mask, no path — in a bounded
 // min-heap (every match when unbounded), and the per-partition ranked
 // lists are k-way merged only until the page is full. Only the page's
@@ -386,7 +372,7 @@ type partResult struct {
 // for those alone, each in its owning partition. Cancellation is honored
 // between evaluation steps: a context canceled mid-fan-out aborts the
 // in-flight partitions at their next step boundary and Query returns
-// ctx.Err() with no goroutines left behind. A panic anywhere in the
+// ctx.Err() once every partition has stopped. A panic anywhere in the
 // evaluation fails the query with CodeInternal and releases the engine's
 // lock.
 func (e *Engine) Query(ctx context.Context, req Request) (_ *Response, err error) {

@@ -258,6 +258,50 @@ func TestPartitionPanicFailsOneQuery(t *testing.T) {
 	}
 }
 
+// TestPartitionPanicFailsOnlyItsQuery: partitions that panic on the
+// fan-out's workers and on its callers fail only the queries that read
+// "boom", each with CodeInternal, while queries racing them on the same
+// engine answer in full, and the next query answers as before.
+func TestPartitionPanicFailsOnlyItsQuery(t *testing.T) {
+	files, _, replicas := fixture()
+	want, err := searchString(NewEngine(files, index.Partitions(replicas)...), "cat OR fish")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([]index.Partition, len(replicas))
+	for i, r := range replicas {
+		parts[i] = panicky{r}
+	}
+	e := NewEngine(files, parts...)
+	var wg sync.WaitGroup
+	for c := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				if (c+i)%2 == 0 {
+					_, err := searchString(e, "cat OR boom")
+					var qe *QueryError
+					if !errors.As(err, &qe) || qe.Code != CodeInternal {
+						t.Errorf("client %d: a query reading boom failed with %v, want code %s", c, err, CodeInternal)
+						return
+					}
+					continue
+				}
+				got, err := searchString(e, "cat OR fish")
+				if err != nil || !reflect.DeepEqual(ids(got), ids(want)) {
+					t.Errorf("client %d: a query beside a panicking one answered %v, %v; want %v", c, ids(got), err, ids(want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, err := searchString(e, "cat OR fish"); err != nil || !reflect.DeepEqual(ids(got), ids(want)) {
+		t.Fatalf("next query answered %v, %v; want %v", ids(got), err, ids(want))
+	}
+}
+
 // outsidePanicky is a partition that panics in the reads the engine makes
 // on the request goroutine, outside the per-partition fan-out: DocFreq of
 // "boom" (BM25 statistics), the dictionary walk from "boom" (Suggest), and

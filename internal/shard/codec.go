@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"desksearch/internal/fanout"
 	"desksearch/internal/index"
 	"desksearch/internal/segment"
 )
@@ -32,8 +33,8 @@ import (
 // manifest's per-segment checksums additionally pin the exact segment
 // bytes, so a segment that was swapped with another (internally valid)
 // one, regenerated, or truncated is rejected before its postings are
-// trusted. Segments are written, loaded and opened concurrently, on at
-// most GOMAXPROCS goroutines (fanOut).
+// trusted. Segments are written, loaded and opened concurrently, through
+// fanout.Run.
 // The manifest is built and read with internal/index's codec: its
 // appenders and SealFrame, and the Cursor OpenFrame returns.
 
@@ -49,7 +50,7 @@ const MaxShards = 1 << 16
 func SegmentName(i int) string { return fmt.Sprintf("shard-%04d.dsix", i) }
 
 // SaveDir writes s under dir as a manifest plus one segment file per shard.
-// Segments are written concurrently, one goroutine per shard, each hashing
+// Segments are written concurrently (fanout.Run), each hashing
 // its own file as it streams out. All files are staged under temporary
 // names and renamed into place only after every write has succeeded —
 // segments first, manifest last — so a crash during the data writes leaves
@@ -77,7 +78,7 @@ func SaveDir(dir string, s *Set) error {
 	const stage = ".tmp"
 	sums := make([]uint32, s.Len())
 	clean := s.cleanSums(dir)
-	err := fanOut(s.Len(), func(i int) error {
+	err := fanout.Run(s.Len(), func(i int) error {
 		if clean[i] != nil {
 			sums[i] = *clean[i]
 			return nil
@@ -236,7 +237,7 @@ func parseManifest(data []byte) (*manifest, error) {
 
 // LoadDir reads a sharded index directory written by SaveDir: the manifest
 // first (checksum-verified before anything in it is trusted), then every
-// segment concurrently, one goroutine per segment, each segment checked
+// segment concurrently (fanout.Run), each segment checked
 // against the manifest's whole-file checksum and then fully decoded,
 // which checks its dictionary and every posting block. A failure names
 // the failing segment of the lowest shard number.
@@ -250,7 +251,7 @@ func LoadDir(dir string) (*Set, error) {
 		return nil, err
 	}
 	shards := make([]*index.Index, len(m.names))
-	err = fanOut(len(m.names), func(i int) error {
+	err = fanout.Run(len(m.names), func(i int) error {
 		ix, err := loadSegmentFile(filepath.Join(dir, m.names[i]), m.sums[i], i, len(m.names), m.files.Len())
 		if err != nil {
 			return fmt.Errorf("shard: segment %s: %w", m.names[i], err)

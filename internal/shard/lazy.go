@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"desksearch/internal/fanout"
 	"desksearch/internal/index"
 	"desksearch/internal/segment"
 )
@@ -37,7 +38,7 @@ type LazySet struct {
 // on disk, mmap'd where the platform allows, decoded per term on demand
 // into a cache bounded by cacheBytes (non-positive means
 // segment.DefaultCacheBytes, shared across all shards). The segments are
-// opened concurrently, one goroutine each, so the dictionary walks are
+// opened concurrently (fanout.Run), so the dictionary walks are
 // split over the cores: open time is the manifest parse plus the slowest
 // segment's walk where there are as many cores as segments, and a
 // one-segment directory opens no faster than one walk.
@@ -62,7 +63,7 @@ func OpenDir(dir string, cacheBytes int64) (*LazySet, error) {
 // footprint track its share of the corpus, not the whole directory.
 // shardIDs lists global shard numbers (duplicates collapse, order does not
 // matter); nil or empty opens every shard, identically to OpenDir. Each
-// named segment is opened and admitted on its own goroutine — held to
+// named segment is opened and admitted concurrently (fanout.Run) — held to
 // ShardFor against the directory's full shard count, so a subset serves
 // exactly the files routed to its shards. When any segment fails, every
 // reader already opened is closed and the error names the failing segment
@@ -89,7 +90,7 @@ func OpenDirShards(dir string, cacheBytes int64, shardIDs []int) (*LazySet, erro
 		ids:     ids,
 		total:   total,
 	}
-	err = fanOut(len(ids), func(i int) error {
+	err = fanout.Run(len(ids), func(i int) error {
 		name := m.names[ids[i]]
 		r, err := segment.Open(filepath.Join(dir, name), cache)
 		if err == nil {

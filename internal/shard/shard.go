@@ -16,16 +16,15 @@
 // owner.
 //
 // Distribute, SaveDir, LoadDir and the lazy OpenDir and OpenDirShards each
-// run their per-shard work on at most GOMAXPROCS goroutines, through one
-// helper (fanOut), and report a failure in shard order.
+// run their per-shard work through fanout.Run, on the calling goroutine and
+// the process's fan-out workers, and report a failure in shard order.
 package shard
 
 import (
 	"encoding/binary"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
+	"desksearch/internal/fanout"
 	"desksearch/internal/fnv"
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
@@ -163,9 +162,8 @@ func ShardFor(id postings.FileID, n int) int {
 // Distribute re-shards already-built indices: it builds an n-shard set from
 // any document-disjoint sources (a single index, the partitions of another
 // set), routing every posting to ShardFor of its file. No build needs it —
-// core.Run routes at insert. One
-// goroutine per destination shard scans the sources — which are only read —
-// so shard construction parallelizes without locks; each file's shard is
+// core.Run routes at insert. Each destination shard scans the sources —
+// which are only read — in its own fanout.Run task, so shard construction parallelizes without locks; each file's shard is
 // hashed once up front (every FileID comes from files, so the table covers
 // them all) and the per-posting work in the scans is a table lookup.
 func Distribute(files *index.FileTable, sources []*index.Index, n int) *Set {
@@ -183,7 +181,7 @@ func Distribute(files *index.FileTable, sources []*index.Index, n int) *Set {
 		positional = positional || src.Positional()
 	}
 	shards := make([]*index.Index, n)
-	fanOut(n, func(i int) error {
+	fanout.Run(n, func(i int) error {
 		s := int32(i)
 		dst := index.New(totalTerms / n)
 		if positional {
@@ -233,38 +231,4 @@ func Distribute(files *index.FileTable, sources []*index.Index, n int) *Set {
 		return nil
 	})
 	return New(files, shards)
-}
-
-// fanOut runs do(i) for every i in [0, n) on at most GOMAXPROCS
-// goroutines (fanOutN) and returns once every call has: with the error of
-// the lowest i whose call failed, or nil, however the calls finished.
-func fanOut(n int, do func(i int) error) error {
-	return fanOutN(runtime.GOMAXPROCS(0), n, do)
-}
-
-// fanOutN is fanOut on at most workers goroutines, each taking the next
-// index not yet taken until none is left, so a set's uneven shards still
-// spread over the cores and a directory of thousands of segments starts
-// no more goroutines than there are cores.
-func fanOutN(workers, n int, do func(i int) error) error {
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workers = min(workers, n)
-	wg.Add(workers)
-	for range workers {
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				errs[i] = do(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

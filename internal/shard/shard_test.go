@@ -1,11 +1,7 @@
 package shard
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
@@ -131,46 +127,6 @@ func TestDistributeMultipleSources(t *testing.T) {
 	checkPartition(t, set, ix, true)
 }
 
-// TestFanOutBound: with a bound of 3 over 16 tasks, every task runs
-// exactly once and never more than 3 run at once. The first three wait
-// until all three are in flight, so the peak is exactly the bound.
-func TestFanOutBound(t *testing.T) {
-	const bound, n = 3, 16
-	var inFlight, peak atomic.Int32
-	runs := make([]atomic.Int32, n)
-	full := make(chan struct{})
-	fill := sync.OnceFunc(func() { close(full) })
-	err := fanOutN(bound, n, func(i int) error {
-		now := inFlight.Add(1)
-		defer inFlight.Add(-1)
-		for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
-		}
-		if now == bound && i < bound {
-			fill()
-		}
-		if i < bound {
-			select {
-			case <-full:
-			case <-time.After(10 * time.Second):
-				return fmt.Errorf("task %d: the first %d tasks never ran at once", i, bound)
-			}
-		}
-		runs[i].Add(1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := peak.Load(); got != bound {
-		t.Errorf("peak in flight %d, want %d", got, bound)
-	}
-	for i := range runs {
-		if got := runs[i].Load(); got != 1 {
-			t.Errorf("task %d ran %d times", i, got)
-		}
-	}
-}
-
 func TestDistributeClampsShardCount(t *testing.T) {
 	files, ix, _ := buildCorpus(t)
 	set := Distribute(files, []*index.Index{ix}, 0)
@@ -178,49 +134,4 @@ func TestDistributeClampsShardCount(t *testing.T) {
 		t.Fatalf("Len = %d, want 1", set.Len())
 	}
 	checkPartition(t, set, ix, false)
-}
-
-// TestFanOut: every index in [0, n) runs exactly once, and when several
-// calls fail the caller gets the lowest index's error, even when a higher
-// one fails first. The failing calls run on three workers: the lowest
-// holds one until the highest, taken by another, has failed.
-func TestFanOut(t *testing.T) {
-	for _, n := range []int{0, 1, 4, 64} {
-		runs := make([]atomic.Int32, n)
-		if err := fanOut(n, func(i int) error {
-			runs[i].Add(1)
-			return nil
-		}); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		for i := range runs {
-			if got := runs[i].Load(); got != 1 {
-				t.Errorf("n=%d: index %d ran %d times", n, i, got)
-			}
-		}
-		if n < 2 {
-			continue
-		}
-		// Every odd index fails; the lowest of them waits until the
-		// highest has failed, so the errors arrive out of order.
-		lowest, highest := 1, n-1-n%2
-		last := make(chan struct{})
-		err := fanOutN(3, n, func(i int) error {
-			if i%2 == 0 {
-				return nil
-			}
-			switch i {
-			case lowest:
-				if lowest != highest {
-					<-last
-				}
-			case highest:
-				defer close(last)
-			}
-			return fmt.Errorf("call %d failed", i)
-		})
-		if want := fmt.Sprintf("call %d failed", lowest); err == nil || err.Error() != want {
-			t.Errorf("n=%d: got %v, want %q", n, err, want)
-		}
-	}
 }

@@ -84,6 +84,27 @@ func TestTopKAllocatesLessThanFullResult(t *testing.T) {
 	}
 }
 
+// TestQueryFanOutAllocations pins what a warmed one-term query on four
+// shards allocates. Its fan-out runs on the process's long-lived workers
+// and costs one job and one closure, however many partitions, so a
+// partition that costs a goroutine or a closure of its own shows here.
+func TestQueryFanOutAllocations(t *testing.T) {
+	cat := shardedCatalog(t, syntheticFS(t, 300), 4)
+	ctx := context.Background()
+	req := Query{Text: "alpha", Limit: 10}
+	if _, err := cat.Query(ctx, req); err != nil { // warm universes
+		t.Fatal(err)
+	}
+	const want = 58
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := cat.Query(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}); got != want {
+		t.Errorf("a 4-shard one-term query allocates %.0f times, want %d", got, want)
+	}
+}
+
 func TestQueryCancellation(t *testing.T) {
 	fs := syntheticFS(t, 300)
 	cat := shardedCatalog(t, fs, 4)
