@@ -593,11 +593,12 @@ func BenchmarkBM25Query(b *testing.B) {
 	})
 }
 
-// BenchmarkSuggest measures autocomplete: one term-dictionary scan per
-// partition, df aggregation, and the ranked truncation, for a short
-// (broad) and a longer (narrow) prefix, on the catalog as built (heap)
-// and on the same catalog saved and opened in place (lazy), whose
-// dictionary walk copies out each term it yields.
+// BenchmarkSuggest measures autocomplete: one merge of the partitions'
+// dictionary cursors over the prefix's range, keeping the n best terms,
+// for a one-letter (broad), a two-letter — the bench suggest op's shape —
+// and a whole-word (narrow) prefix, on the catalog as built (heap) and on
+// the same catalog saved and opened in place (lazy), whose dictionary
+// cursor copies out each term it yields.
 func BenchmarkSuggest(b *testing.B) {
 	built, _ := topkCatalog(b)
 	dir := b.TempDir()
@@ -612,13 +613,13 @@ func BenchmarkSuggest(b *testing.B) {
 	ctx := context.Background()
 	vocab := corpus.BuildVocabulary(corpus.PaperSpec().Scale(1.0 / 32))
 	long := vocab[0]
-	short := long[:1]
 	for _, c := range []struct {
 		name string
 		cat  *Catalog
 	}{{"heap", built}, {"lazy", lazy}} {
 		for _, tc := range []struct{ name, prefix string }{
-			{"short-prefix", short},
+			{"short-prefix", long[:1]},
+			{"two-letter-prefix", long[:min(2, len(long))]},
 			{"long-prefix", long},
 		} {
 			b.Run(c.name+"/"+tc.name, func(b *testing.B) {

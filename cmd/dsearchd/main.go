@@ -96,7 +96,6 @@ func main() {
 		worker       = flag.Bool("worker", false, "serve the distributed-serving worker endpoints (/internal/*)")
 		brokerMode   = flag.Bool("broker", false, "run as a scatter-gather broker over -workers instead of serving an index")
 		workers      = flag.String("workers", "", "with -broker, the worker topology: comma-separated replica groups of |-separated URLs")
-		hedge        = flag.Duration("hedge", 0, "with -broker, fixed hedged-request delay (0 = adaptive, p95 of recent group latencies)")
 		healthEvery  = flag.Duration("health-interval", 2*time.Second, "with -broker, worker health poll interval")
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/")
 	)
@@ -111,7 +110,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dsearchd: -broker serves no index of its own; it conflicts with -index, -root, -worker, and -lazy")
 			os.Exit(2)
 		}
-		runBroker(*addr, *workers, *timeout, *hedge, *healthEvery, *drain, *maxLimit, *pprofOn)
+		runBroker(*addr, *workers, *timeout, *healthEvery, *drain, *maxLimit, *pprofOn)
 		return
 	}
 
@@ -205,14 +204,13 @@ func main() {
 
 // runBroker brings up the scatter-gather front end and blocks until
 // shutdown.
-func runBroker(addr, workers string, timeout, hedge, healthEvery, drain time.Duration, maxLimit int, pprofOn bool) {
+func runBroker(addr, workers string, timeout, healthEvery, drain time.Duration, maxLimit int, pprofOn bool) {
 	groups := parseWorkerGroups(workers)
 	b, err := broker.New(broker.Config{
-		Groups:     groups,
-		Timeout:    timeout,
-		MaxLimit:   maxLimit,
-		HedgeAfter: hedge,
-		Logf:       log.Printf,
+		Groups:   groups,
+		Timeout:  timeout,
+		MaxLimit: maxLimit,
+		Logf:     log.Printf,
 	})
 	if err != nil {
 		log.Fatalf("dsearchd: %v", err)

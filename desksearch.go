@@ -295,8 +295,8 @@ type Span = search.Span
 type Snippet = search.Snippet
 
 // Suggestion is one autocomplete candidate: an indexed term and the number
-// of files containing it.
-type Suggestion = search.Suggestion
+// of files containing it, a TermCount like TopTerms' entries.
+type Suggestion = index.TermCount
 
 // PartitionTiming is one partition's share of a query's work: its match
 // count and evaluation wall time.
@@ -434,8 +434,9 @@ func (c *Catalog) DocFreqs(ctx context.Context, q Query) (*DocFreqs, error) {
 // descending document frequency, ties broken alphabetically. The prefix
 // normalizes like query text (a trailing '*' is tolerated, so "Repor*"
 // suggests like "repor") and must yield a single term. n <= 0 applies a
-// default of 10. Suggestions reflect the catalog's committed state: the
-// call takes the same read lock queries do.
+// default of 10. The ranking is TopTerms' over the terms the prefix
+// starts. Suggestions reflect the catalog's committed state: the call
+// takes the same read lock queries do.
 func (c *Catalog) Suggest(ctx context.Context, prefix string, n int) ([]Suggestion, error) {
 	return c.engine.Suggest(ctx, prefix, n)
 }
@@ -632,7 +633,7 @@ func (c *Catalog) TopTerms(n int) []TermCount {
 		return nil
 	}
 	var out []TermCount
-	c.engine.View(func() { out = index.TopTermsAcross(c.partitionsLocked(), n) })
+	c.engine.View(func() { out = index.TopTermsAcross(c.partitionsLocked(), "", n) })
 	return out
 }
 

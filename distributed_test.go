@@ -137,7 +137,8 @@ func saveUnrouted(t *testing.T, fsys fs.FS, n int) (string, *index.FileTable) {
 	for i := range parts {
 		parts[i] = index.New(0)
 	}
-	for _, term := range ix.Terms(nil) {
+	w := ix.TermsFrom("")
+	for term, _, ok := w.Next(); ok; term, _, ok = w.Next() {
 		l := ix.Lookup(term)
 		ids, counts := make([][]postings.FileID, n), make([][]uint32, n)
 		for j, id := range l.IDs() {

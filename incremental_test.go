@@ -270,12 +270,12 @@ func checkPartitionsMatchRebuild(t *testing.T, at string, cat, rebuilt *Catalog)
 			for _, id := range p.Docs().IDs() {
 				rebuiltDocs = append(rebuiltDocs, files.Path(id))
 			}
-			p.TermsFrom("", func(term string, _ int) bool {
+			w := p.TermsFrom("")
+			for term, _, ok := w.Next(); ok; term, _, ok = w.Next() {
 				for _, id := range p.Lookup(term).IDs() {
 					holders[term] = append(holders[term], files.Path(id))
 				}
-				return true
-			})
+			}
 		}
 	})
 	var gotDocs []string
@@ -293,13 +293,13 @@ func checkPartitionsMatchRebuild(t *testing.T, at string, cat, rebuilt *Catalog)
 			}
 			var walked, want []termDF
 			held := map[string]bool{}
-			p.TermsFrom("", func(term string, df int) bool {
+			w := p.TermsFrom("")
+			for term, df, ok := w.Next(); ok; term, df, ok = w.Next() {
 				walked = append(walked, termDF{term, df})
 				for _, id := range p.Lookup(term).IDs() {
 					held[files.Path(id)] = true
 				}
-				return true
-			})
+			}
 			if !reflect.DeepEqual(held, docs) {
 				t.Fatalf("%s: partition %d: Docs %v, its lists hold %v", at, i, docs, held)
 			}

@@ -30,8 +30,8 @@
 //     has no per-attempt timeout — there is nobody left to fail over to —
 //     and runs to the request's deadline;
 //   - hedging: if the primary has not answered after the group's hedge
-//     delay — the 95th percentile of its recent latencies, or a fixed
-//     -hedge value — the same request is issued to the next replica and
+//     delay — the 95th percentile of its recent latencies, floored at
+//     MinHedgeDelay — the same request is issued to the next replica and
 //     the first answer wins. Requests are read-only and idempotent, so
 //     the duplicate work is pure insurance against stragglers.
 //
@@ -84,12 +84,6 @@ type Config struct {
 	// sends to /internal/search, so deep pages are safe whatever the
 	// workers' own -max-limit; only /suggest's n is clamped worker-side.
 	MaxLimit int
-	// HedgeAfter, when positive, is a fixed delay before a straggling
-	// worker request is hedged to the next replica. Zero selects the
-	// adaptive policy: the group's observed p95 latency (floored at
-	// MinHedgeDelay), so hedges fire for genuine stragglers rather than
-	// on every slightly slow request.
-	HedgeAfter time.Duration
 	// Logf, when non-nil, receives one line per replica health transition
 	// and per failover.
 	Logf func(format string, args ...any)
@@ -130,9 +124,11 @@ type group struct {
 type Broker struct {
 	groups []*group
 	client httpDoer
-	hedge  time.Duration
-	logf   func(string, ...any)
-	start  time.Time
+	// hedge, when positive, pins the hedge delay in place of the
+	// adaptive policy's; only tests set it.
+	hedge time.Duration
+	logf  func(string, ...any)
+	start time.Time
 
 	// door serves /search and /suggest — the node's own front door over
 	// this broker's scatter-gather — and owns the request timeout ceiling
@@ -167,7 +163,6 @@ func New(cfg Config) (*Broker, error) {
 	b := &Broker{
 		groups: make([]*group, len(cfg.Groups)),
 		client: newHTTPClient(),
-		hedge:  cfg.HedgeAfter,
 		logf:   cfg.Logf,
 		start:  time.Now(),
 		reg:    metrics.NewRegistry(),

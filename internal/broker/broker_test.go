@@ -87,13 +87,15 @@ func startSingle(t *testing.T, dir string) *httptest.Server {
 }
 
 // newTestBroker builds a broker over the groups, verifies topology, and
-// serves it over loopback HTTP.
+// serves it over loopback HTTP. A positive hedgeAfter pins the hedge
+// delay in place of the adaptive policy's.
 func newTestBroker(t *testing.T, groups [][]string, hedgeAfter time.Duration) (*Broker, *httptest.Server) {
 	t.Helper()
-	b, err := New(Config{Groups: groups, HedgeAfter: hedgeAfter})
+	b, err := New(Config{Groups: groups})
 	if err != nil {
 		t.Fatal(err)
 	}
+	b.hedge = hedgeAfter
 	if err := b.CheckTopology(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +179,7 @@ func TestFrontDoorSameOnNodeAndBroker(t *testing.T) {
 		"/search?q=nosuchterm",                 // no hits is [], not null
 		"/suggest?q=re&n=5000",                 // n above the cap is clamped, not refused
 		"/suggest?q=zz",                        // no suggestions is [], not null
+		"/suggest?q=Re%2A",                     // the prefix echoed normalized
 	} {
 		ns, nb := get(single.URL, path)
 		bs, bb := get(bts.URL, path)
@@ -184,6 +187,9 @@ func TestFrontDoorSameOnNodeAndBroker(t *testing.T) {
 		if ns != http.StatusOK || bs != ns || bb != nb {
 			t.Errorf("%s:\n  node   %d %s  broker %d %s", path, ns, nb, bs, bb)
 		}
+	}
+	if _, sr := getJSON[server.SuggestResponse](t, bts.URL+"/suggest?q=Re%2A"); sr.Prefix != "re" || len(sr.Suggestions) == 0 {
+		t.Errorf("broker /suggest?q=Re*: prefix %q, %d suggestions; want \"re\" and some", sr.Prefix, len(sr.Suggestions))
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"desksearch"
+	"desksearch/internal/index"
 	"desksearch/internal/search"
 	"desksearch/internal/server"
 )
@@ -311,16 +312,11 @@ func (b *Broker) suggest(ctx context.Context, prefix string, n int) (*server.Sug
 			counts[sg.Term] += sg.Files
 		}
 	}
-	merged := make([]search.Suggestion, 0, len(counts))
+	merged := make([]desksearch.Suggestion, 0, len(counts))
 	for term, files := range counts {
-		merged = append(merged, search.Suggestion{Term: term, Files: files})
+		merged = append(merged, desksearch.Suggestion{Term: term, Files: files})
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Files != merged[j].Files {
-			return merged[i].Files > merged[j].Files
-		}
-		return merged[i].Term < merged[j].Term
-	})
+	slices.SortFunc(merged, index.CompareTermCounts)
 	if len(merged) > n {
 		merged = merged[:n]
 	}

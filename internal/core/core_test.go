@@ -321,7 +321,8 @@ func routedReference(t *testing.T, ref *index.Index, n int) []*index.Index {
 	for i := range parts {
 		parts[i] = index.New(0)
 	}
-	for _, term := range ref.Terms(nil) {
+	w := ref.TermsFrom("")
+	for term, _, ok := w.Next(); ok; term, _, ok = w.Next() {
 		l := ref.Lookup(term)
 		ids, counts := make([][]postings.FileID, n), make([][]uint32, n)
 		for j, id := range l.IDs() {

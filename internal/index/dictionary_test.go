@@ -189,21 +189,21 @@ func checkAgainstModel(t *testing.T, at string, ix *index.Index, model map[strin
 		t.Fatalf("%s: Docs = %v, model %v", at, got, docs)
 	}
 	var walked []string
-	ix.TermsFrom("", func(term string, df int) bool {
+	w := ix.TermsFrom("")
+	for term, df, ok := w.Next(); ok; term, df, ok = w.Next() {
 		if df != len(model[term]) {
 			t.Fatalf("%s: TermsFrom df(%q) = %d, model %d", at, term, df, len(model[term]))
 		}
 		walked = append(walked, term)
-		return true
-	})
+	}
 	if !slices.Equal(walked, keys) {
 		t.Fatalf("%s: TermsFrom walked %v, model %v", at, walked, keys)
 	}
 	walked = walked[:0]
-	ix.TermsFrom("t2", func(term string, _ int) bool {
+	w = ix.TermsFrom("t2")
+	for term, _, ok := w.Next(); ok; term, _, ok = w.Next() {
 		walked = append(walked, term)
-		return true
-	})
+	}
 	if want := keys[sort.SearchStrings(keys, "t2"):]; !slices.Equal(walked, want) {
 		t.Fatalf("%s: TermsFrom(\"t2\") walked %v, model %v", at, walked, want)
 	}

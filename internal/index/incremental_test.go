@@ -162,17 +162,17 @@ func TestTopTermsAcrossMatchesJoin(t *testing.T) {
 	joined := bld[0].Index()
 
 	for _, n := range []int{1, 3, 10} {
-		got := TopTermsAcross(Partitions(parts), n)
-		want := joined.TopTerms(n)
+		got := TopTermsAcross(Partitions(parts), "", n)
+		want := TopTermsAcross([]Partition{joined}, "", n)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("n=%d: TopTermsAcross = %v, join = %v", n, got, want)
 		}
 	}
-	if TopTermsAcross(Partitions(parts), 0) != nil || TopTermsAcross(nil, 3) != nil {
+	if TopTermsAcross(Partitions(parts), "", 0) != nil || TopTermsAcross(nil, "", 3) != nil {
 		t.Error("degenerate TopTermsAcross not nil")
 	}
 	// One partition: files 0 and 3 hold common, file 0 rare.
-	if got, want := TopTermsAcross(Partitions(parts[:1]), 2), []TermCount{{"common", 2}, {"rare", 1}}; !reflect.DeepEqual(got, want) {
+	if got, want := TopTermsAcross(Partitions(parts[:1]), "", 2), []TermCount{{"common", 2}, {"rare", 1}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("one partition: TopTermsAcross = %v, want %v", got, want)
 	}
 }
@@ -180,8 +180,9 @@ func TestTopTermsAcrossMatchesJoin(t *testing.T) {
 // TestTermAggregationAllocsIndependentOfTerms: DistinctTermsAcross and
 // TopTermsAcross merge the partitions' ascending walks and keep no table
 // of terms, so four partitions of 100 terms and of 10 000 terms cost them
-// the same number of allocations — and the merge counts each term once,
-// however many partitions hold it.
+// the same number of allocations, as do prefixes matching 100 and 10 000
+// terms — and the merge counts each term once, however many partitions
+// hold it.
 func TestTermAggregationAllocsIndependentOfTerms(t *testing.T) {
 	build := func(terms int) []Partition {
 		parts := make([]*Index, 4)
@@ -203,11 +204,11 @@ func TestTermAggregationAllocsIndependentOfTerms(t *testing.T) {
 		if got := DistinctTermsAcross(parts); got != terms {
 			t.Fatalf("%d terms: DistinctTermsAcross = %d", terms, got)
 		}
-		if got := TopTermsAcross(parts, 2); len(got) != 2 || got[0] != (TermCount{"t00000", 3}) || got[1] != (TermCount{"t00001", 3}) {
+		if got := TopTermsAcross(parts, "", 2); len(got) != 2 || got[0] != (TermCount{"t00000", 3}) || got[1] != (TermCount{"t00001", 3}) {
 			t.Fatalf("%d terms: TopTermsAcross = %v", terms, got)
 		}
 		distinct = testing.AllocsPerRun(5, func() { DistinctTermsAcross(parts) })
-		top = testing.AllocsPerRun(5, func() { TopTermsAcross(parts, 5) })
+		top = testing.AllocsPerRun(5, func() { TopTermsAcross(parts, "", 5) })
 		return distinct, top
 	}
 	fewDistinct, fewTop := allocs(100)
@@ -215,6 +216,18 @@ func TestTermAggregationAllocsIndependentOfTerms(t *testing.T) {
 	if fewDistinct != manyDistinct || fewTop != manyTop {
 		t.Fatalf("allocations over 100 terms: DistinctTermsAcross %v, TopTermsAcross %v; over 10 000: %v, %v",
 			fewDistinct, fewTop, manyDistinct, manyTop)
+	}
+	// Over a prefix, the merge walks only the terms that carry it, and
+	// keeps no more of them: over 10 000 terms, "t000" matches 100 of them
+	// and "t" all, at the same cost.
+	parts := build(10_000)
+	if got := TopTermsAcross(parts, "t0001", 2); len(got) != 2 || got[0] != (TermCount{"t00010", 3}) || got[1] != (TermCount{"t00011", 3}) {
+		t.Fatalf("TopTermsAcross over t0001 = %v", got)
+	}
+	narrow := testing.AllocsPerRun(5, func() { TopTermsAcross(parts, "t000", 5) })
+	broad := testing.AllocsPerRun(5, func() { TopTermsAcross(parts, "t", 5) })
+	if narrow != broad {
+		t.Fatalf("allocations of TopTermsAcross over 100 matching terms: %v; over 10 000: %v", narrow, broad)
 	}
 }
 

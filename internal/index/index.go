@@ -128,8 +128,8 @@ func (ix *Index) NumPostings() int64 { return ix.nPostings }
 // Range calls f for every (term, postings) pair in ascending term order
 // until f returns false — the whole-index walk sharding and the segment
 // writer copy lists by. Sorted order is a documented guarantee, as for
-// Terms and TermsFrom, so the walk is deterministic across runs. The
-// index must not be mutated during Range.
+// TermsFrom, so the walk is deterministic across runs. The index must not
+// be mutated during Range.
 func (ix *Index) Range(f func(term string, l *postings.List) bool) {
 	for i, term := range ix.keys {
 		if !f(term, ix.lists[i]) {
@@ -149,20 +149,28 @@ func (ix *Index) Window(files []postings.FileID, lo, hi []uint32, emit func(i in
 	}
 }
 
-// TermsFrom calls yield for every term >= from in ascending order with its
-// document frequency, until yield returns false — the dictionary-range
-// primitive of the Partition interface. The seek is a binary search over
-// the ascending keys.
-func (ix *Index) TermsFrom(from string, yield func(term string, df int) bool) {
-	for i := sort.SearchStrings(ix.keys, from); i < len(ix.keys); i++ {
-		if !yield(ix.keys[i], ix.lists[i].Len()) {
-			return
-		}
-	}
+// TermsFrom returns a cursor over every term >= from in ascending order
+// with its document frequency — the dictionary walk of the Partition
+// interface. The seek is a binary search over the ascending keys.
+func (ix *Index) TermsFrom(from string) TermWalk {
+	i := sort.SearchStrings(ix.keys, from)
+	return &termCursor{keys: ix.keys[i:], lists: ix.lists[i:]}
 }
 
-// Terms appends all terms to dst in ascending order and returns it.
-func (ix *Index) Terms(dst []string) []string { return append(dst, ix.keys...) }
+// termCursor is the heap index's TermWalk: the terms left and their lists.
+type termCursor struct {
+	keys  []string
+	lists []*postings.List
+}
+
+func (c *termCursor) Next() (string, int, bool) {
+	if len(c.keys) == 0 {
+		return "", 0, false
+	}
+	term, l := c.keys[0], c.lists[0]
+	c.keys, c.lists = c.keys[1:], c.lists[1:]
+	return term, l.Len(), true
+}
 
 // Docs returns a fresh copy of the set of files this index holds postings
 // for, as a pure-ID list (term frequencies are never copied — NOT

@@ -64,7 +64,7 @@ func TestRangeAndTerms(t *testing.T) {
 	if !reflect.DeepEqual(seen, []string{"a", "b", "c"}) {
 		t.Errorf("Range saw %v", seen)
 	}
-	terms := ix.Terms(nil)
+	terms := termsFrom(ix, "")
 	sort.Strings(terms)
 	if !reflect.DeepEqual(terms, []string{"a", "b", "c"}) {
 		t.Errorf("Terms = %v", terms)

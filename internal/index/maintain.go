@@ -62,49 +62,41 @@ func (ix *Index) RemoveFiles(victims *postings.List) int {
 
 // TermCount is a term with its document frequency.
 type TermCount struct {
-	Term string
+	Term string `json:"term"`
 	// Files is the number of files containing the term.
-	Files int
+	Files int `json:"files"`
 }
 
-// TopTerms returns the n most frequent terms by document count, most
-// frequent first (ties broken alphabetically, so the result is
-// deterministic): TopTermsAcross over the one partition.
-func (ix *Index) TopTerms(n int) []TermCount { return TopTermsAcross([]Partition{ix}, n) }
-
-// termDocCounts calls yield for every distinct term of a set of
-// document-disjoint partitions, in ascending order, with its document
-// count over all of them, until yield returns false. Each file lives in
-// exactly one partition, so per-partition document counts add. It merges
-// the partitions' ascending TermsFrom walks, each read a batch at a time
-// into a buffer of its own: the cost is a pass over each dictionary, a
-// seek per batch and a comparison of the walks' current terms per term,
-// with no table of terms beside them, and no posting list is cloned,
-// merged, joined, or (on a lazy backend) even decoded.
-func termDocCounts(parts []Partition, yield func(term string, df int) bool) {
-	walks := make([]termWalk, len(parts))
+// termDocCounts calls yield for every distinct term starting with prefix
+// of a set of document-disjoint partitions, in ascending order, with its
+// document count over all of them, until yield returns false. Each file
+// lives in exactly one partition, so per-partition document counts add. It
+// merges the partitions' TermsFrom(prefix) cursors, each ending at its
+// first term without the prefix: the cost is a pass over each matching
+// range and a comparison of the cursors' current terms per term, with no
+// table of terms beside them, and no posting list is cloned, merged,
+// joined, or (on a lazy backend) even decoded.
+func termDocCounts(parts []Partition, prefix string, yield func(term string, df int) bool) {
+	heads := make([]termHead, len(parts))
 	for i, p := range parts {
-		w := &walks[i]
-		w.p, w.buf, w.yield = p, make([]TermCount, 0, termWalkBatch), w.add
-		w.fill()
+		heads[i].w = p.TermsFrom(prefix)
+		heads[i].next(prefix)
 	}
 	for {
 		least, any := "", false
-		for i := range walks {
-			if w := &walks[i]; w.i < len(w.buf) && (!any || w.buf[w.i].Term < least) {
-				least, any = w.buf[w.i].Term, true
+		for i := range heads {
+			if h := &heads[i]; h.ok && (!any || h.term < least) {
+				least, any = h.term, true
 			}
 		}
 		if !any {
 			return
 		}
 		df := 0
-		for i := range walks {
-			if w := &walks[i]; w.i < len(w.buf) && w.buf[w.i].Term == least {
-				df += w.buf[w.i].Files
-				if w.i++; w.i == len(w.buf) {
-					w.fill()
-				}
+		for i := range heads {
+			if h := &heads[i]; h.ok && h.term == least {
+				df += h.df
+				h.next(prefix)
 			}
 		}
 		if !yield(least, df) {
@@ -113,43 +105,18 @@ func termDocCounts(parts []Partition, yield func(term string, df int) bool) {
 	}
 }
 
-// termWalkBatch is how many terms a termWalk reads per seek.
-const termWalkBatch = 256
-
-// termWalk is one partition's ascending dictionary walk: buf[i:] holds the
-// terms read and not yet merged, and the walk is over when it is empty.
-type termWalk struct {
-	p   Partition
-	buf []TermCount
-	i   int
-	// yield is w.add, bound once so that a batch's TermsFrom allocates
-	// no closure; last is the term the batch resumes after, skipped while
-	// skip holds.
-	yield func(term string, df int) bool
-	last  string
-	skip  bool
+// termHead is one partition's cursor in termDocCounts' merge and the term
+// it is at; ok is false once the cursor has passed the prefix's range.
+type termHead struct {
+	w    TermWalk
+	term string
+	df   int
+	ok   bool
 }
 
-// fill reads the batch of terms after the last one read.
-func (w *termWalk) fill() {
-	w.skip = len(w.buf) > 0
-	if w.skip {
-		w.last = w.buf[len(w.buf)-1].Term
-	}
-	w.buf, w.i = w.buf[:0], 0
-	w.p.TermsFrom(w.last, w.yield)
-}
-
-// add takes one term of a batch.
-func (w *termWalk) add(term string, df int) bool {
-	if w.skip {
-		w.skip = false
-		if term == w.last {
-			return true
-		}
-	}
-	w.buf = append(w.buf, TermCount{Term: term, Files: df})
-	return len(w.buf) < cap(w.buf)
+func (h *termHead) next(prefix string) {
+	h.term, h.df, h.ok = h.w.Next()
+	h.ok = h.ok && strings.HasPrefix(h.term, prefix)
 }
 
 // DistinctTermsAcross returns the exact number of distinct terms over a set
@@ -161,37 +128,40 @@ func DistinctTermsAcross(parts []Partition) int {
 		return parts[0].NumTerms()
 	}
 	n := 0
-	termDocCounts(parts, func(string, int) bool {
+	termDocCounts(parts, "", func(string, int) bool {
 		n++
 		return true
 	})
 	return n
 }
 
-// TopTermsAcross returns the n most frequent terms by document count over a
-// set of document-disjoint partitions, most frequent first with ties
-// broken alphabetically, from termDocCounts' merged walk. It keeps the n
-// best terms met so far in order, so its memory grows with n and not with
-// the dictionaries.
-func TopTermsAcross(parts []Partition, n int) []TermCount {
+// TopTermsAcross returns the n most frequent terms starting with prefix
+// by document count over a set of document-disjoint partitions, ordered by
+// CompareTermCounts, from termDocCounts' merged walk: prefix "" ranks the
+// whole dictionary, a word's first letters its completions. It keeps the
+// n best terms met so far in order, so its memory grows with n and not
+// with the dictionaries.
+func TopTermsAcross(parts []Partition, prefix string, n int) []TermCount {
 	if n <= 0 || len(parts) == 0 {
 		return nil
 	}
 	var top []TermCount
-	termDocCounts(parts, func(term string, df int) bool {
+	termDocCounts(parts, prefix, func(term string, df int) bool {
 		tc := TermCount{Term: term, Files: df}
-		if len(top) == n && compareCounts(tc, top[n-1]) > 0 {
+		if len(top) == n && CompareTermCounts(tc, top[n-1]) > 0 {
 			return true
 		}
-		i, _ := slices.BinarySearchFunc(top, tc, compareCounts)
+		i, _ := slices.BinarySearchFunc(top, tc, CompareTermCounts)
 		top = slices.Insert(top[:min(len(top), n-1)], i, tc)
 		return true
 	})
 	return top
 }
 
-// compareCounts orders term counts by descending files, then by term.
-func compareCounts(a, b TermCount) int {
+// CompareTermCounts orders term counts by descending files, then by term:
+// the one order of every ranked term list (TopTerms, suggestions, and a
+// broker's merge of its workers' suggestions).
+func CompareTermCounts(a, b TermCount) int {
 	if a.Files != b.Files {
 		return cmp.Compare(b.Files, a.Files)
 	}

@@ -106,15 +106,15 @@ func TestTopTerms(t *testing.T) {
 	bld.AddBlock(1, []string{"common", "medium"}, nil)
 	bld.AddBlock(2, []string{"common"}, nil)
 	ix := bld.Index()
-	top := ix.TopTerms(2)
+	top := TopTermsAcross([]Partition{ix}, "", 2)
 	want := []TermCount{{Term: "common", Files: 3}, {Term: "medium", Files: 2}}
 	if !reflect.DeepEqual(top, want) {
 		t.Errorf("TopTerms = %v, want %v", top, want)
 	}
-	if got := ix.TopTerms(0); got != nil {
+	if got := TopTermsAcross([]Partition{ix}, "", 0); got != nil {
 		t.Errorf("TopTerms(0) = %v", got)
 	}
-	if got := ix.TopTerms(100); len(got) != 3 {
+	if got := TopTermsAcross([]Partition{ix}, "", 100); len(got) != 3 {
 		t.Errorf("TopTerms(100) returned %d", len(got))
 	}
 }
@@ -123,7 +123,7 @@ func TestTopTermsDeterministicTies(t *testing.T) {
 	bld := NewBuilder(false)
 	bld.AddBlock(0, []string{"zebra", "apple", "mango"}, nil)
 	ix := bld.Index()
-	top := ix.TopTerms(3)
+	top := TopTermsAcross([]Partition{ix}, "", 3)
 	if top[0].Term != "apple" || top[1].Term != "mango" || top[2].Term != "zebra" {
 		t.Errorf("tie order not alphabetical: %v", top)
 	}

@@ -48,14 +48,16 @@ type Partition interface {
 	// block — the difference BM25's document-frequency aggregation rides.
 	DocFreq(term string) int
 
-	// TermsFrom calls yield for every dictionary term >= from in
-	// ascending byte order, with the term's document frequency, until
-	// yield returns false. Prefix expansion seeks to the prefix and stops
-	// at the first non-matching term, so a broad dictionary costs only
-	// the matched range. TermsFrom("") walks the whole dictionary; no
-	// posting is read, so a caller that needs the postings themselves
-	// asks Lookup per term, or Window for the tokens around a page's hits.
-	TermsFrom(from string, yield func(term string, df int) bool)
+	// TermsFrom returns a cursor over every dictionary term >= from, in
+	// ascending byte order, each with its document frequency. Prefix
+	// expansion and suggestions seek to the prefix and stop at the first
+	// non-matching term, so a broad dictionary costs only the matched
+	// range. TermsFrom("") walks the whole dictionary; no posting is
+	// read, so a caller that needs the postings themselves asks Lookup
+	// per term, or Window for the tokens around a page's hits. The cursor
+	// is valid while the partition is open and unmutated, as an
+	// Iterator is.
+	TermsFrom(from string) TermWalk
 
 	// Window calls emit(i, term, pos) for every occurrence, at a position
 	// in [lo[i], hi[i]], of any term in file files[i]: files strictly
@@ -90,6 +92,13 @@ type Partition interface {
 	// a lazy segment. It is an estimate for observability (/stats), not
 	// an accounting guarantee.
 	ResidentBytes() int64
+}
+
+// TermWalk is a partition's ascending dictionary walk (Partition.TermsFrom).
+type TermWalk interface {
+	// Next returns the next term and its document frequency; ok is false
+	// once the walk is over, and stays false.
+	Next() (term string, df int, ok bool)
 }
 
 // PostingIterator is a forward-only streaming cursor over one term's

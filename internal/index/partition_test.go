@@ -10,7 +10,7 @@ import (
 )
 
 // TestSortedTermIteration pins the Partition iteration contract the lazy
-// backend relies on: Terms, Range, and TermsFrom walk the dictionary in
+// backend relies on: Range and TermsFrom walk the dictionary in
 // ascending order, across interleaved mutation and removal, so prefix
 // expansion and suggestions are deterministic on every backend.
 func TestSortedTermIteration(t *testing.T) {
@@ -25,14 +25,14 @@ func TestSortedTermIteration(t *testing.T) {
 		want[term] = true
 
 		if i%37 == 0 { // interleave iteration with mutation
-			terms := ix.Terms(nil)
+			terms := termsFrom(ix, "")
 			if !sort.StringsAreSorted(terms) {
 				t.Fatalf("Terms unsorted after %d adds: %v", i+1, terms)
 			}
 		}
 	}
 
-	terms := ix.Terms(nil)
+	terms := termsFrom(ix, "")
 	if len(terms) != len(want) {
 		t.Fatalf("Terms has %d entries, want %d", len(terms), len(want))
 	}
@@ -53,18 +53,17 @@ func TestSortedTermIteration(t *testing.T) {
 	// is not itself a term.
 	mid := terms[len(terms)/2]
 	var fromMid []string
-	ix.TermsFrom(mid, func(term string, df int) bool {
+	w := ix.TermsFrom(mid)
+	for term, df, ok := w.Next(); ok; term, df, ok = w.Next() {
 		if df != ix.DocFreq(term) {
 			t.Fatalf("TermsFrom df for %q = %d, want %d", term, df, ix.DocFreq(term))
 		}
 		fromMid = append(fromMid, term)
-		return true
-	})
+	}
 	if fmt.Sprint(fromMid) != fmt.Sprint(terms[len(terms)/2:]) {
 		t.Fatalf("TermsFrom(%q) = %v, want suffix %v", mid, fromMid, terms[len(terms)/2:])
 	}
-	var first string
-	ix.TermsFrom("t", func(term string, df int) bool { first = term; return false })
+	first, _, _ := ix.TermsFrom("t").Next()
 	if first != terms[0] {
 		t.Fatalf("TermsFrom(\"t\") starts at %q, want %q", first, terms[0])
 	}
@@ -72,7 +71,7 @@ func TestSortedTermIteration(t *testing.T) {
 	// Removal keeps iteration sorted and drops emptied terms.
 	all := ix.Docs().IDs()
 	ix.RemoveFiles(postings.FromSortedIDs(all[:len(all)/2]))
-	after := ix.Terms(nil)
+	after := termsFrom(ix, "")
 	if !sort.StringsAreSorted(after) {
 		t.Fatalf("Terms unsorted after RemoveFiles: %v", after)
 	}
@@ -106,4 +105,14 @@ func TestPartitionsAdapter(t *testing.T) {
 	if parts[0].Docs().Len() != 1 {
 		t.Fatal("mutating the returned Docs list leaked into the index")
 	}
+}
+
+// termsFrom returns the terms p's TermsFrom(from) cursor walks, in order.
+func termsFrom(p Partition, from string) []string {
+	var out []string
+	w := p.TermsFrom(from)
+	for term, _, ok := w.Next(); ok; term, _, ok = w.Next() {
+		out = append(out, term)
+	}
+	return out
 }

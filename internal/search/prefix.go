@@ -64,26 +64,17 @@ func expandPrefixes(ix index.Partition, q *Query, maxTerms int, positions bool) 
 	for i, p := range q.prefixes {
 		u := &postings.List{}
 		matches := 0
-		var broad error
-		ix.TermsFrom(p, func(term string, _ int) bool {
-			if !strings.HasPrefix(term, p) {
-				return false
-			}
-			matches++
-			if matches > limit {
-				broad = &QueryError{Code: CodePrefixTooBroad, Err: fmt.Errorf("%w: %q matches over %d terms in one partition (lengthen the prefix or raise the cap)",
+		w := ix.TermsFrom(p)
+		for term, _, ok := w.Next(); ok && strings.HasPrefix(term, p); term, _, ok = w.Next() {
+			if matches++; matches > limit {
+				return nil, &QueryError{Code: CodePrefixTooBroad, Err: fmt.Errorf("%w: %q matches over %d terms in one partition (lengthen the prefix or raise the cap)",
 					ErrPrefixTooBroad, p+"*", limit)}
-				return false
 			}
 			if positions {
 				u.Merge(ix.Lookup(term))
 			} else {
 				u.MergeCounted(ix.Counts(term))
 			}
-			return true
-		})
-		if broad != nil {
-			return nil, broad
 		}
 		out[i] = u
 	}

@@ -255,7 +255,7 @@ func TestSuggest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// df: app=3, apple=2, apply=2 — ties break ascending by term.
-	want := []Suggestion{{"app", 3}, {"apple", 2}, {"apply", 2}}
+	want := []index.TermCount{{Term: "app", Files: 3}, {Term: "apple", Files: 2}, {Term: "apply", Files: 2}}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("Suggest(ap) = %v, want %v", got, want)
 	}

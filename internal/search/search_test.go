@@ -304,8 +304,8 @@ func TestPartitionPanicFailsOnlyItsQuery(t *testing.T) {
 
 // outsidePanicky is a partition that panics in the reads the engine makes
 // on the request goroutine, outside the per-partition fan-out: DocFreq of
-// "boom" (BM25 statistics), the dictionary walk from "boom" (Suggest), and
-// Docs (the NOT universes) while docsPanic is set.
+// "boom" (BM25 statistics), the step of a dictionary cursor from "boom"
+// (Suggest), and Docs (the NOT universes) while docsPanic is set.
 type outsidePanicky struct {
 	*index.Index
 	docsPanic *atomic.Bool
@@ -318,12 +318,17 @@ func (p outsidePanicky) DocFreq(term string) int {
 	return p.Index.DocFreq(term)
 }
 
-func (p outsidePanicky) TermsFrom(from string, yield func(term string, df int) bool) {
+func (p outsidePanicky) TermsFrom(from string) index.TermWalk {
 	if from == "boom" {
-		panic("walk from boom")
+		return panickyWalk{}
 	}
-	p.Index.TermsFrom(from, yield)
+	return p.Index.TermsFrom(from)
 }
+
+// panickyWalk is a dictionary cursor that panics when it is stepped.
+type panickyWalk struct{}
+
+func (panickyWalk) Next() (string, int, bool) { panic("walk from boom") }
 
 func (p outsidePanicky) Docs() *postings.List {
 	if p.docsPanic.Load() {

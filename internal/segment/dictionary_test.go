@@ -97,8 +97,8 @@ func TestReaderResidentBytesMatchesHeap(t *testing.T) {
 // TestDictionaryAllocations pins what the dictionary costs in
 // allocations: opening a segment makes as many for 10 000 terms as for
 // 100 (each restart column is one), DocFreq makes none, and a full
-// TermsFrom walk exactly one per term it yields, the heap copy of the
-// term.
+// TermsFrom walk one for its cursor and exactly one per term it yields,
+// the heap copy of the term.
 func TestDictionaryAllocations(t *testing.T) {
 	var opens []float64
 	var r *Reader
@@ -120,9 +120,12 @@ func TestDictionaryAllocations(t *testing.T) {
 	}
 	walked := 0
 	if a := testing.AllocsPerRun(10, func() {
-		r.TermsFrom("", func(string, int) bool { walked++; return true })
-	}); a != float64(r.NumTerms()) {
-		t.Fatalf("a full TermsFrom walk made %.1f allocations, want one a term, %d", a, r.NumTerms())
+		w := r.TermsFrom("")
+		for _, _, ok := w.Next(); ok; _, _, ok = w.Next() {
+			walked++
+		}
+	}); a != float64(1+r.NumTerms()) {
+		t.Fatalf("a full TermsFrom walk made %.1f allocations, want the cursor and one a term, %d", a, 1+r.NumTerms())
 	}
 	if walked != 11*r.NumTerms() {
 		t.Fatalf("walked %d terms in 11 walks of %d", walked, r.NumTerms())
@@ -150,10 +153,10 @@ func TestClosedReaderReadsNothing(t *testing.T) {
 	}
 	walk := func(p index.Partition, from string) []termDF {
 		var out []termDF
-		p.TermsFrom(from, func(term string, df int) bool {
+		w := p.TermsFrom(from)
+		for term, df, ok := w.Next(); ok; term, df, ok = w.Next() {
 			out = append(out, termDF{term, df})
-			return true
-		})
+		}
 		return out
 	}
 	files := []postings.FileID{0, 1, 2}
@@ -164,6 +167,7 @@ func TestClosedReaderReadsNothing(t *testing.T) {
 	}
 	want := walk(ix, "")
 	yielded := walk(r, "")
+	early := r.TermsFrom("")
 	const term = "common"
 	if r.Lookup(term) == nil || window() == 0 {
 		t.Fatalf("before Close: Lookup(%q) or the window pass found nothing", term)
@@ -191,6 +195,10 @@ func TestClosedReaderReadsNothing(t *testing.T) {
 			m, err := r.Materialize()
 			return m != nil || !errors.Is(err, errClosed)
 		}},
+		{"a TermsFrom cursor opened before Close", func() bool {
+			_, _, ok := early.Next()
+			return ok
+		}},
 	}
 	for i, rd := range reads {
 		if rd.answered() {
@@ -212,8 +220,9 @@ func TestClosedReaderReadsNothing(t *testing.T) {
 // (split at 0xff, any other byte allowed in a term) with Write, opens it
 // and holds the dictionary to a sorted-slice model: find, DocFreq and a
 // TermsFrom walk for every term, every proper prefix of one, one past
-// each, "", a term past the last and the fuzzer's own probes, and each
-// term's block length through Counts.
+// each, "", a term past the last and the fuzzer's own probes, each
+// term's block length through Counts, and TopTermsAcross's walk bounded
+// by each of prefixBounds.
 func FuzzSegmentDictionary(f *testing.F) {
 	f.Add([]byte("apple\xffapp\xffbanana\xffb\xffbananas"), []byte("ap\xffbz\xffapples"))
 	f.Add([]byte("\x00\xff\x00\x00\xffa\x00\xffa"), []byte("\xff\x00\x01"))
@@ -268,15 +277,27 @@ func FuzzSegmentDictionary(f *testing.F) {
 				t.Fatalf("DocFreq(%q) = %d, want %d", p, got, wantDF)
 			}
 			next := i
-			r.TermsFrom(p, func(term string, df int) bool {
+			w := r.TermsFrom(p)
+			for term, df, ok := w.Next(); ok; term, df, ok = w.Next() {
 				if next >= len(vocab) || term != vocab[next] || df != vocabDF(next) {
 					t.Fatalf("TermsFrom(%q): yielded (%q, %d) at model ordinal %d", p, term, df, next)
 				}
 				next++
-				return true
-			})
+			}
 			if next != len(vocab) {
 				t.Fatalf("TermsFrom(%q) stopped at model ordinal %d of %d", p, next, len(vocab))
+			}
+		}
+		for _, p := range prefixBounds(vocab) {
+			var want []index.TermCount
+			for i, term := range vocab {
+				if strings.HasPrefix(term, p) {
+					want = append(want, index.TermCount{Term: term, Files: vocabDF(i)})
+				}
+			}
+			slices.SortFunc(want, index.CompareTermCounts)
+			if got := index.TopTermsAcross([]index.Partition{r}, p, len(vocab)); !slices.Equal(got, want) {
+				t.Fatalf("TopTermsAcross over %q = %v, model %v", p, got, want)
 			}
 		}
 	})

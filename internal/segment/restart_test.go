@@ -56,7 +56,9 @@ func drain(it index.PostingIterator) []uint64 {
 // the lookup's whole-term tie-break decides. Every term, every proper
 // prefix of one, each term followed by a zero byte, "" and a probe past
 // the last term go through DocFreq, TermsFrom, Counts, Lookup and
-// Iterator, and Window's pass over every entry emits what the heap's does.
+// Iterator, TopTermsAcross's walk bounded by each of prefixBounds ranks
+// what the heap's does, and Window's pass over every entry emits what the
+// heap's does.
 func TestRestartBoundaries(t *testing.T) {
 	vocabs := map[string][]string{}
 	for _, n := range []int{1, 7, 8, 9, 16, 17} {
@@ -89,10 +91,10 @@ func TestRestartBoundaries(t *testing.T) {
 			}
 			terms := func(p index.Partition, from string) []string {
 				var out []string
-				p.TermsFrom(from, func(term string, df int) bool {
+				w := p.TermsFrom(from)
+				for term, df, ok := w.Next(); ok; term, df, ok = w.Next() {
 					out = append(out, fmt.Sprintf("%q:%d", term, df))
-					return true
-				})
+				}
 				return out
 			}
 			for _, p := range probes {
@@ -110,6 +112,14 @@ func TestRestartBoundaries(t *testing.T) {
 				}
 				if got, want := drain(r.Iterator(p)), drain(ix.Iterator(p)); !slices.Equal(got, want) {
 					t.Fatalf("Iterator(%q) yields %v, want %v", p, got, want)
+				}
+			}
+			for _, p := range prefixBounds(vocab) {
+				top := func(part index.Partition) []index.TermCount {
+					return index.TopTermsAcross([]index.Partition{part}, p, len(vocab))
+				}
+				if got, want := top(r), top(ix); !slices.Equal(got, want) {
+					t.Fatalf("TopTermsAcross over %q = %v, want %v", p, got, want)
 				}
 			}
 			var files []postings.FileID
@@ -132,6 +142,27 @@ func TestRestartBoundaries(t *testing.T) {
 			}
 		})
 	}
+}
+
+// prefixBounds returns the prefixes a bounded dictionary walk over the
+// ascending vocab is held to: "", the longest prefix of the terms on both
+// sides of the first restart boundary (entries restartEvery-1 and
+// restartEvery, whose matching range straddles it; "shared prefixes"
+// makes it "abcdefgh"), and one past the last term, which nothing carries.
+func prefixBounds(vocab []string) []string {
+	bounds := []string{""}
+	if len(vocab) > restartEvery {
+		a, b := vocab[restartEvery-1], vocab[restartEvery]
+		n := 0
+		for n < len(a) && n < len(b) && a[n] == b[n] {
+			n++
+		}
+		bounds = append(bounds, a[:n])
+	}
+	if len(vocab) > 0 {
+		bounds = append(bounds, vocab[len(vocab)-1]+"\x00")
+	}
+	return bounds
 }
 
 // rawEntry is one dictionary entry as Write encodes it.

@@ -548,18 +548,39 @@ func (r *Reader) DocFreq(term string) int {
 	return e.df
 }
 
-// TermsFrom walks the sorted dictionary from the first term >= from. It
-// reads the entries in place and yields each term as a heap copy, one
-// allocation a term, so the term outlives Close.
-func (r *Reader) TermsFrom(from string, yield func(term string, df int) bool) {
-	if r.checkOpen() != nil {
-		return
+// TermsFrom returns a cursor over the sorted dictionary from the first
+// term >= from. It reads the entries in place and hands out each term as a
+// heap copy, one allocation a term, so the term outlives Close. On a
+// closed reader the cursor yields nothing, and the read is recorded.
+func (r *Reader) TermsFrom(from string) index.TermWalk {
+	w := &termCursor{r: r, ord: r.nTerms}
+	if r.checkOpen() == nil {
+		var c dictCursor
+		w.ord, c = r.seek(from)
+		w.pos = c.pos
 	}
-	for ord, c := r.seek(from); ord < r.nTerms; ord++ {
-		if e := c.next(); !yield(string(e.term), e.df) {
-			return
-		}
+	return w
+}
+
+// termCursor is a Reader's index.TermWalk: entry ord is next, at
+// dict[pos]. It keeps no dictCursor, whose block offsets a walk of terms
+// does not read, so it costs 24 bytes.
+type termCursor struct {
+	r        *Reader
+	ord, pos int
+}
+
+// Next checks that the reader is still open before it reads the mapping:
+// a cursor that outlives Close ends there, recording the read once.
+func (w *termCursor) Next() (string, int, bool) {
+	if w.ord >= w.r.nTerms || w.r.checkOpen() != nil {
+		w.ord = w.r.nTerms
+		return "", 0, false
 	}
+	c := dictCursor{dict: w.r.dict, pos: w.pos}
+	e := c.next()
+	w.ord, w.pos = w.ord+1, c.pos
+	return string(e.term), e.df, true
 }
 
 // Window makes one pass over the posting blocks in dictionary order and

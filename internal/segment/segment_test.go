@@ -69,6 +69,16 @@ func writeSegment(t *testing.T, ix *index.Index) string {
 	return path
 }
 
+// termsFrom returns the terms p's TermsFrom(from) cursor walks, in order.
+func termsFrom(p index.Partition, from string) []string {
+	var out []string
+	w := p.TermsFrom(from)
+	for term, _, ok := w.Next(); ok; term, _, ok = w.Next() {
+		out = append(out, term)
+	}
+	return out
+}
+
 func listsEqual(a, b *postings.List) bool {
 	if (a == nil) != (b == nil) {
 		return false
@@ -117,7 +127,7 @@ func TestRoundTrip(t *testing.T) {
 			if r.NumPostings() != ix.NumPostings() {
 				t.Errorf("NumPostings() = %d, want %d", r.NumPostings(), ix.NumPostings())
 			}
-			for _, term := range append(ix.Terms(nil), "absent") {
+			for _, term := range append(termsFrom(ix, ""), "absent") {
 				if !listsEqual(r.Lookup(term), ix.Lookup(term)) {
 					t.Errorf("Lookup(%q) differs from heap index", term)
 				}
@@ -142,9 +152,7 @@ func TestRoundTrip(t *testing.T) {
 			}
 
 			// Sorted dictionary iteration matches the heap index's.
-			var rTerms, ixTerms []string
-			r.TermsFrom("", func(term string, df int) bool { rTerms = append(rTerms, term); return true })
-			ix.TermsFrom("", func(term string, df int) bool { ixTerms = append(ixTerms, term); return true })
+			rTerms, ixTerms := termsFrom(r, ""), termsFrom(ix, "")
 			if len(rTerms) != len(ixTerms) {
 				t.Fatalf("TermsFrom yields %d terms, want %d", len(rTerms), len(ixTerms))
 			}
@@ -173,7 +181,7 @@ func TestOpenDecodesNoBlocks(t *testing.T) {
 	}
 	// Dictionary-only operations stay at zero.
 	r.DocFreq("common")
-	r.TermsFrom("", func(string, int) bool { return true })
+	termsFrom(r, "")
 	r.Docs()
 	if n := r.BlockDecodes(); n != 0 {
 		t.Fatalf("dictionary operations decoded %d blocks, want 0", n)
@@ -209,7 +217,7 @@ func TestMaterializeEqualsSource(t *testing.T) {
 			t.Fatalf("materialized shape (%d terms, %d postings, pos=%v) != source (%d, %d, %v)",
 				m.NumTerms(), m.NumPostings(), m.Positional(), ix.NumTerms(), ix.NumPostings(), positional)
 		}
-		for _, term := range ix.Terms(nil) {
+		for _, term := range termsFrom(ix, "") {
 			if !listsEqual(m.Lookup(term), ix.Lookup(term)) {
 				t.Fatalf("materialized Lookup(%q) differs from source", term)
 			}
@@ -428,7 +436,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	for _, term := range ix.Terms(nil) {
+	for _, term := range termsFrom(ix, "") {
 		if r.Lookup(term) == nil {
 			t.Fatalf("Lookup(%q) = nil", term)
 		}
@@ -437,7 +445,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("cache holds %d bytes, budget 2048", cache.Bytes())
 	}
 	// Evicted entries re-decode correctly.
-	for _, term := range ix.Terms(nil) {
+	for _, term := range termsFrom(ix, "") {
 		if !listsEqual(r.Lookup(term), ix.Lookup(term)) {
 			t.Fatalf("post-eviction Lookup(%q) differs", term)
 		}

@@ -236,7 +236,7 @@ func TestCacheBytesMatchHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := ix.Terms(nil)
+	names := termsFrom(ix, "")
 
 	heap := func() uint64 {
 		runtime.GC()

@@ -292,6 +292,8 @@ func TestWireBodiesPinned(t *testing.T) {
 			`"partitions":[{"partition":0,"matched":0,"duration_us":0}]}`,
 		"/suggest?q=r":   `{"prefix":"r","generation":0,"took_ms":0,"suggestions":[{"term":"report","files":2}]}`,
 		"/suggest?q=zzz": `{"prefix":"zzz","generation":0,"took_ms":0,"suggestions":[]}`,
+		// The prefix echoed is the normalized one the suggestions complete.
+		"/suggest?q=Repor%2A": `{"prefix":"repor","generation":0,"took_ms":0,"suggestions":[{"term":"report","files":2}]}`,
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

@@ -45,7 +45,6 @@ import (
 	"errors"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,6 +52,7 @@ import (
 	"desksearch"
 	"desksearch/internal/cache"
 	"desksearch/internal/metrics"
+	"desksearch/internal/search"
 	"desksearch/internal/timing"
 )
 
@@ -412,13 +412,17 @@ type SuggestResponse struct {
 
 // suggest is the node's Backend.Suggest.
 func (s *Server) suggest(ctx context.Context, prefix string, n int) (*SuggestResponse, error) {
+	p, err := search.SuggestPrefix(prefix)
+	if err != nil {
+		return nil, err
+	}
 	gen := s.cat.Generation()
 	sugs, err := s.cat.Suggest(ctx, prefix, n)
 	if err != nil {
 		return nil, err
 	}
 	return &SuggestResponse{
-		Prefix:      strings.TrimRight(prefix, "*"),
+		Prefix:      p,
 		Generation:  gen,
 		Suggestions: sugs,
 	}, nil

@@ -287,10 +287,10 @@ func flipLastBlock(t *testing.T, path string) (term string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.TermsFrom("", func(name string, _ int) bool {
+	w := r.TermsFrom("")
+	for name, _, ok := w.Next(); ok; name, _, ok = w.Next() {
 		term = name
-		return true
-	})
+	}
 	r.Close()
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -76,7 +76,8 @@ func sortWindowHits(hs []windowHit) {
 // through Lookup and filtered by file and window.
 func naiveWindow(p index.Partition, files []postings.FileID, lo, hi []uint32) []windowHit {
 	var out []windowHit
-	p.TermsFrom("", func(term string, _ int) bool {
+	w := p.TermsFrom("")
+	for term, _, ok := w.Next(); ok; term, _, ok = w.Next() {
 		l := p.Lookup(term)
 		for i, f := range files {
 			k := slices.Index(l.IDs(), f)
@@ -89,8 +90,7 @@ func naiveWindow(p index.Partition, files []postings.FileID, lo, hi []uint32) []
 				}
 			}
 		}
-		return true
-	})
+	}
 	sortWindowHits(out)
 	return out
 }
