@@ -77,9 +77,11 @@ bench-selftest:
 # of an exported root type (Options.Positions, Hit.Score) names a field or
 # method of it or of the internal type it aliases; every directory under
 # internal/ is imported by a non-test .go file outside it (bench/ included);
-# and no exported function or method of package desksearch takes or returns
+# no exported function or method of package desksearch takes or returns
 # a type named through a desksearch/internal/... import (a root alias such
-# as Changeset or Hit is a public name).
+# as Changeset or Hit is a public name); and every backticked -flag in
+# README.md, doc.go or docs/ARCHITECTURE.md is defined by a command under
+# cmd/ or by bench/main.go.
 docs-check:
 	$(GO) run ./cmd/docscheck
 

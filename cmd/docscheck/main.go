@@ -3,10 +3,11 @@
 // docs/FORMAT.md, that docs/ARCHITECTURE.md's package map names exactly
 // the packages under internal/, that every directory and internal
 // identifier the top-level docs name exists, as does every field or method
-// they cite of a root type, that every package under internal/ has an
-// importer, and that the public API names no internal type, so no
-// document silently rots, no package outlives its last reader
-// and no exported signature is closed to callers outside the module.
+// they cite of a root type and every command-line flag, that every package
+// under internal/ has an importer, and that the public API names no
+// internal type, so no document silently rots, no package outlives its
+// last reader and no exported signature is closed to callers outside the
+// module.
 //
 // Checks:
 //
@@ -43,7 +44,13 @@
 //     from an embedded type, or, for an alias of a type under internal/
 //     (Hit = search.Hit), one of the aliased type's. A citation of a
 //     same-named internal type is qualified (`extract.Options.Positions`),
-//     which this check does not read.
+//     which this check does not read;
+//  12. every backticked -flag in README.md, doc.go or docs/ARCHITECTURE.md
+//     names a flag that a flag.* call (the Var forms included) defines in a
+//     main package under cmd/ or in bench/main.go. A span is read as a
+//     flag when it is one flag alone or followed by one value (`-shards`,
+//     `-watch 30s`); query text (`-a -b`), a lone `-` and the -name=value
+//     form, which the docs use only for go test's flags, are not.
 //
 // Usage (normally via `make docs-check`, from the repository root):
 //
@@ -430,6 +437,64 @@ func checkMembers(docs map[string]string, root fs.FS) ([]string, error) {
 	return slices.Sorted(maps.Keys(found)), nil
 }
 
+// flagSpanRe matches a backticked span that cites one flag: -name alone
+// or followed by one value that is not itself a flag.
+var flagSpanRe = regexp.MustCompile(`^-([a-z][a-z0-9-]*)(?: [^\s-]\S*)?$`)
+
+// flagFuncs are the flag package's functions that define a flag; the name
+// is the first string literal among their arguments.
+var flagFuncs = map[string]bool{
+	"Bool": true, "BoolFunc": true, "BoolVar": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "Int64": true, "Int64Var": true,
+	"IntVar": true, "String": true, "StringVar": true, "TextVar": true, "Uint": true,
+	"Uint64": true, "Uint64Var": true, "UintVar": true, "Var": true,
+}
+
+// checkFlags returns, sorted, one finding per backticked flag in docs
+// (document name → text) that no flag.* call in root's main packages under
+// cmd/, or in bench/main.go, defines.
+func checkFlags(docs map[string]string, root fs.FS) ([]string, error) {
+	defined := map[string]bool{}
+	collect := func(_ string, _ *token.FileSet, f *ast.File) {
+		if f.Name.Name != "main" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && flagFuncs[sel.Sel.Name] {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "flag" {
+					for _, arg := range call.Args {
+						if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+							if name, err := strconv.Unquote(lit.Value); err == nil {
+								defined[name] = true
+							}
+							break
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, pattern := range []string{"cmd/*/*.go", "bench/main.go"} {
+		if err := parseFiles(root, pattern, false, collect); err != nil {
+			return nil, err
+		}
+	}
+	found := map[string]bool{}
+	for doc, text := range docs {
+		for _, span := range spanRe.FindAllStringSubmatch(text, -1) {
+			if m := flagSpanRe.FindStringSubmatch(span[1]); m != nil && !defined[m[1]] {
+				found[fmt.Sprintf("%s: cites -%s, which no command defines", doc, m[1])] = true
+			}
+		}
+	}
+	return slices.Sorted(maps.Keys(found)), nil
+}
+
 // parseFiles parses each .go file of root that matches pattern — _test.go
 // files only with tests — and hands it to fn.
 func parseFiles(root fs.FS, pattern string, tests bool, fn func(p string, fset *token.FileSet, f *ast.File)) error {
@@ -556,6 +621,11 @@ func main() {
 		fatal(err)
 	}
 	problems = append(problems, unknown...)
+	undefined, err := checkFlags(docs, os.DirFS("."))
+	if err != nil {
+		fatal(err)
+	}
+	problems = append(problems, undefined...)
 	closed, err := checkSignatures(os.DirFS("."))
 	if err != nil {
 		fatal(err)
@@ -568,7 +638,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s) — the docs have drifted from the code\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: ok — %s and %s agree on every version and frame kind; %s maps every package under internal/; every directory, internal identifier and root type member the docs name exists; every internal package has an importer; no exported signature names an internal type\n", *codecPath, *specPath, archPath)
+	fmt.Printf("docscheck: ok — %s and %s agree on every version and frame kind; %s maps every package under internal/; every directory, internal identifier, root type member and flag the docs name exists; every internal package has an importer; no exported signature names an internal type\n", *codecPath, *specPath, archPath)
 }
 
 func fatal(err error) {

@@ -198,3 +198,30 @@ func wantOne(t *testing.T, name string, got []string, want string) {
 		t.Errorf("%s: findings %q, want one containing %q", name, got, want)
 	}
 }
+
+// TestCheckFlags: a backticked flag must be defined by a flag.* call in a
+// main package under cmd/ or in bench/main.go; a flag defined only in a
+// test file or outside a main package does not count, and a span that is
+// not one flag is not read.
+func TestCheckFlags(t *testing.T) {
+	tree := fstest.MapFS{
+		"cmd/tool/main.go": {Data: []byte("package main\n\nimport (\n\t\"flag\"\n\t\"time\"\n)\n\nvar every time.Duration\n\nfunc main() {\n" +
+			"\tflag.String(\"root\", \"\", \"usage\")\n\tflag.DurationVar(&every, \"watch\", 0, \"usage\")\n\tflag.Parse()\n}\n")},
+		"cmd/tool/main_test.go": {Data: []byte("package main\n\nimport \"flag\"\n\nvar _ = flag.Bool(\"verbose\", false, \"\")\n")},
+		"cmd/tool/lib.go":       {Data: []byte("package lib\n\nimport \"flag\"\n\nvar _ = flag.Bool(\"quiet\", false, \"\")\n")},
+		"bench/main.go":         {Data: []byte("package main\n\nimport \"flag\"\n\nvar _ = flag.Bool(\"smoke\", false, \"\")\n")},
+	}
+	for _, tc := range []struct{ name, doc, want string }{
+		{"defined", "`-root`, `-watch 30s` and `-smoke`.\n", ""},
+		{"undefined", "Paint it with `-colors`.\n", "README.md: cites -colors, which no command defines"},
+		{"defined only in a test", "`-verbose` talks.\n", "cites -verbose"},
+		{"defined outside a main package", "`-quiet` hushes.\n", "cites -quiet"},
+		{"not a flag", "`-`, `-a -b`, `-shuffle=on`, `go test -quiet`, `quarterly -draft` and -quiet in prose.\n", ""},
+	} {
+		got, err := checkFlags(map[string]string{"README.md": tc.doc}, tree)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		wantOne(t, tc.name, got, tc.want)
+	}
+}

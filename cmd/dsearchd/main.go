@@ -15,8 +15,9 @@
 // saved one (the directory written by indexgen -save; a regular file is a
 // usage error). With both, the saved index is loaded and then kept in step with DIR:
 // -watch polls it on an interval, and POST /reload updates on demand —
-// both run the incremental delta pipeline and atomically invalidate the
-// query cache, so no request is ever answered from a stale generation.
+// both run the incremental delta pipeline, whose commit is atomic, so
+// every request that starts after a reload returns answers from the new
+// generation.
 //
 // -lazy serves the directory without materializing it: startup reads
 // only the term dictionaries, and posting data is mapped and decoded per
@@ -55,6 +56,10 @@
 // opt-in because the profiling surface exposes internals that do not
 // belong on a production listener by default.
 //
+// -timeout and -max-limit are ceilings on every request in both node and
+// broker mode; 0 means the default (10s, 1000) and a negative value is a
+// usage error.
+//
 // On SIGINT/SIGTERM the daemon stops accepting connections and drains
 // in-flight requests for up to -drain before exiting.
 package main
@@ -81,26 +86,28 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", "127.0.0.1:7700", "listen address")
-		indexPath    = flag.String("index", "", "load a saved index from this directory")
-		root         = flag.String("root", "", "directory to index at startup (and to watch for changes)")
-		shards       = flag.String("shards", "", "with -root, partition the index into N document shards; with -worker, the comma-separated list of shard numbers to serve (empty = all)")
-		lazy         = flag.Bool("lazy", false, "with -index DIR, serve segment files lazily (mmap + on-demand decode) instead of loading them into memory; the catalog is read-only")
-		watch        = flag.Duration("watch", 0, "poll -root for changes on this interval (0 = off)")
-		cacheEntries = flag.Int("cache-entries", 1024, "query cache entry bound (negative disables the cache)")
-		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "query cache byte budget")
-		blockCache   = flag.Int64("block-cache-bytes", 0, "posting-block cache byte budget for lazy catalogs (0 = built-in default)")
-		timeout      = flag.Duration("timeout", 10*time.Second, "per-request query timeout ceiling")
-		maxLimit     = flag.Int("max-limit", 1000, "cap on the per-request limit parameter")
-		drain        = flag.Duration("drain", 5*time.Second, "in-flight request drain budget on shutdown")
-		worker       = flag.Bool("worker", false, "serve the distributed-serving worker endpoints (/internal/*)")
-		brokerMode   = flag.Bool("broker", false, "run as a scatter-gather broker over -workers instead of serving an index")
-		workers      = flag.String("workers", "", "with -broker, the worker topology: comma-separated replica groups of |-separated URLs")
-		healthEvery  = flag.Duration("health-interval", 2*time.Second, "with -broker, worker health poll interval")
-		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/")
+		addr        = flag.String("addr", "127.0.0.1:7700", "listen address")
+		indexPath   = flag.String("index", "", "load a saved index from this directory")
+		root        = flag.String("root", "", "directory to index at startup (and to watch for changes)")
+		shards      = flag.String("shards", "", "with -root, partition the index into N document shards; with -worker, the comma-separated list of shard numbers to serve (empty = all)")
+		lazy        = flag.Bool("lazy", false, "with -index DIR, serve segment files lazily (mmap + on-demand decode) instead of loading them into memory; the catalog is read-only")
+		watch       = flag.Duration("watch", 0, "poll -root for changes on this interval (0 = off)")
+		blockCache  = flag.Int64("block-cache-bytes", 0, "posting-block cache byte budget for lazy catalogs (0 = built-in default)")
+		timeout     = flag.Duration("timeout", 10*time.Second, "per-request query timeout ceiling (0 = default)")
+		maxLimit    = flag.Int("max-limit", 1000, "cap on the per-request limit parameter (0 = default)")
+		drain       = flag.Duration("drain", 5*time.Second, "in-flight request drain budget on shutdown")
+		worker      = flag.Bool("worker", false, "serve the distributed-serving worker endpoints (/internal/*)")
+		brokerMode  = flag.Bool("broker", false, "run as a scatter-gather broker over -workers instead of serving an index")
+		workers     = flag.String("workers", "", "with -broker, the worker topology: comma-separated replica groups of |-separated URLs")
+		healthEvery = flag.Duration("health-interval", 2*time.Second, "with -broker, worker health poll interval")
+		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/")
 	)
 	flag.Parse()
 
+	if err := checkCeilings(*timeout, *maxLimit); err != nil {
+		fmt.Fprintf(os.Stderr, "dsearchd: %v\n", err)
+		os.Exit(2)
+	}
 	if *brokerMode {
 		switch {
 		case *workers == "":
@@ -178,13 +185,11 @@ func main() {
 	}
 
 	cfg := server.Config{
-		Catalog:      cat,
-		CacheEntries: *cacheEntries,
-		CacheBytes:   *cacheBytes,
-		Timeout:      *timeout,
-		MaxLimit:     *maxLimit,
-		Logf:         log.Printf,
-		Worker:       *worker,
+		Catalog:  cat,
+		Timeout:  *timeout,
+		MaxLimit: *maxLimit,
+		Logf:     log.Printf,
+		Worker:   *worker,
 	}
 	if *root != "" {
 		dir, rebuild := *root, rebuildOptions(cat, opts)
@@ -274,6 +279,19 @@ func serveHTTP(ctx context.Context, addr string, h http.Handler, drain time.Dura
 			log.Printf("dsearchd: shutdown: %v", err)
 		}
 	}
+}
+
+// checkCeilings refuses a negative -timeout or -max-limit: either would
+// pass through to the front door and fail every request (a 504 before
+// evaluation starts, a 400 naming the limit). 0 keeps meaning the default.
+func checkCeilings(timeout time.Duration, maxLimit int) error {
+	switch {
+	case timeout < 0:
+		return fmt.Errorf("-timeout %s is negative (0 means the default)", timeout)
+	case maxLimit < 0:
+		return fmt.Errorf("-max-limit %d is negative (0 means the default)", maxLimit)
+	}
+	return nil
 }
 
 // parseShardsFlag resolves the two readings of -shards: a shard count for

@@ -3,7 +3,9 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"desksearch"
 )
@@ -44,5 +46,29 @@ func TestRebuildKeepsLoadedShape(t *testing.T) {
 	// An explicit -shards count wins over the loaded one.
 	if got := rebuildOptions(loaded, desksearch.Options{Shards: 2}).Shards; got != 2 {
 		t.Errorf("rebuild with -shards 2: %d shards", got)
+	}
+}
+
+// TestCheckCeilings: a negative -timeout or -max-limit would fail every
+// request, so startup refuses it, naming the flag; 0 means the default.
+func TestCheckCeilings(t *testing.T) {
+	for _, tc := range []struct {
+		timeout  time.Duration
+		maxLimit int
+		want     string // a substring of the error; "" for none
+	}{
+		{10 * time.Second, 1000, ""},
+		{0, 0, ""},
+		{time.Nanosecond, 1, ""},
+		{-time.Second, 1000, "-timeout -1s"},
+		{-time.Nanosecond, 0, "-timeout -1ns"},
+		{10 * time.Second, -5, "-max-limit -5"},
+		{0, -1, "-max-limit -1"},
+		{-time.Second, -5, "-timeout"},
+	} {
+		err := checkCeilings(tc.timeout, tc.maxLimit)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("checkCeilings(%s, %d) = %v, want an error containing %q (\"\" for none)", tc.timeout, tc.maxLimit, err, tc.want)
+		}
 	}
 }

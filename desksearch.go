@@ -207,8 +207,8 @@ type Query struct {
 	// operator ("repor*") may expand to before the request fails with
 	// ErrPrefixTooBroad (code prefix_too_broad); 0 applies the default of
 	// 1024. The cap is per operator and per partition, bounds both
-	// evaluation and DocFreqs, and is part of the cache key — the same
-	// text under a different cap is a different request.
+	// evaluation and DocFreqs, and the same text under a different cap is
+	// a different request.
 	MaxPrefixTerms int
 	// GlobalDF, when non-nil with RankBM25, supplies the corpus-wide
 	// document-frequency statistics to score with instead of aggregating
@@ -219,8 +219,8 @@ type Query struct {
 	// with exactly the statistics the whole corpus would have produced,
 	// keeping BM25 scores bit-identical to a single-node evaluation. The
 	// vector must come from DocFreqs on the same normalized query.
-	// Ignored by the other rankings; not part of the cache key (transports
-	// attach it per request, after normalization).
+	// Ignored by the other rankings; transports attach it per request,
+	// after normalization.
 	GlobalDF *DocFreqs
 }
 
@@ -250,7 +250,7 @@ func (q Query) request() (search.Request, error) {
 // populated. Invalid requests (unparseable text, negative limit or offset,
 // a limit plus offset past int, unknown ranking, snippets without a limit,
 // a negative count in GlobalDF) are rejected here, at the edge — before
-// they can occupy a cache slot or cross a network hop.
+// they reach evaluation or cross a network hop.
 func (q Query) Normalize() (Query, error) {
 	req, err := q.request()
 	if err == nil {
@@ -261,24 +261,6 @@ func (q Query) Normalize() (Query, error) {
 	}
 	q.Expr = req.Query
 	return q, nil
-}
-
-// CacheKey returns the canonical key identifying a normalized request (Expr
-// set): the parsed expression rendered in canonical form — so "cat  dog",
-// "cat AND dog", and "(cat) dog" collapse to one key — joined with the
-// retrieval controls that change the response. Two requests with equal
-// keys evaluated at the same catalog generation produce identical
-// responses, which is what makes the key safe to cache on.
-func (q Query) CacheKey() string {
-	// PathPrefix is the one free-form field (an HTTP ?prefix= parameter can
-	// carry any byte, the \x00 field separator included), so it is
-	// length-prefixed AND kept last: the key stays injective in its fields
-	// no matter what the prefix contains, and no future field appended
-	// after the fixed-form ones can be impersonated by a crafted prefix.
-	// The ranking is keyed by wire name, not integer, so the key survives
-	// any renumbering of the enum.
-	return fmt.Sprintf("%s\x00limit=%d\x00offset=%d\x00rank=%s\x00snippets=%t\x00maxprefix=%d\x00prefix=%d:%s",
-		q.Expr.String(), q.Limit, q.Offset, q.Ranking, q.Snippets, q.MaxPrefixTerms, len(q.PathPrefix), q.PathPrefix)
 }
 
 // Hit is one search hit of the Query API. Its fields — and those of the
@@ -480,9 +462,8 @@ func (c *Catalog) Indices() int { return c.engine.Indices() }
 // Generation returns the catalog's mutation generation: a counter that
 // advances every time an update commits (Apply, Update, UpdateDir) or the
 // contents are replaced (Swap). Queries observing the same generation ran
-// against the same index state, so (generation, normalized query) is a
-// safe result-cache key — a cache entry tagged with an older generation
-// can never masquerade as current.
+// against the same index state: a server reports it with every answer
+// and keys its /stats memo on it, and a broker sums its workers'.
 func (c *Catalog) Generation() uint64 { return c.engine.Generation() }
 
 // Swap atomically replaces c's contents with other's — the full-reload

@@ -81,12 +81,11 @@
 // # Serving
 //
 // cmd/dsearchd serves a catalog over HTTP as a long-running daemon:
-// /search, /stats, /healthz, and /reload endpoints, per-request timeouts
-// through context cancellation, a bounded LRU result cache keyed on the
-// normalized query and the catalog Generation (so reloads atomically
-// invalidate stale results), single-flight de-duplication of identical
-// concurrent queries, and a -watch mode that polls the indexed root
-// through the incremental delta pipeline. Catalog.Swap supports full
+// /search, /stats, /healthz, and /reload endpoints, every query evaluated
+// under its request's own deadline through context cancellation, each
+// answer labelled with the catalog Generation it was read at (a reload's
+// commit advances it atomically), and a -watch mode that polls the indexed
+// root through the incremental delta pipeline. Catalog.Swap supports full
 // rebuilds cut over atomically under load. With -broker the same daemon
 // fronts a fleet of -worker daemons instead of a catalog; /search and
 // /suggest are one front door (internal/server.FrontDoor) that a node and

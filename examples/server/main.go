@@ -3,9 +3,9 @@
 // watch.
 //
 // The example is self-driving: it writes a miniature corpus to a temp
-// directory, starts the HTTP server on a loopback port, issues the same
-// requests the README shows with curl, edits the corpus, reloads, and
-// shows the cache dropping the stale result — then shuts down. Run with:
+// directory, starts the HTTP server on a loopback port, issues requests
+// like the README's curl examples, edits the corpus, reloads, and shows
+// the generation advancing and the new total — then shuts down. Run with:
 //
 //	go run ./examples/server
 package main
@@ -72,19 +72,23 @@ func main() {
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("dsearchd-style server on %s\n\n", base)
 
-	// The README's curl requests, verbatim.
-	show("GET /search?q=search+-crashed", get(base+"/search?q=search+-crashed"))
-	show("GET /search?q=search+-crashed   (repeat: served from cache)", get(base+"/search?q=search+-crashed"))
+	const query = "/search?q=search+-crashed"
+	before := show("GET "+query, get(base+query))
 	show("GET /healthz", get(base+"/healthz"))
 
 	// Edit the corpus and reload: the daemon re-diffs the tree through
-	// the delta pipeline and the stale cached result stops being served.
+	// the delta pipeline, the commit advances the catalog's generation,
+	// and the next query answers from the new state.
 	if err := os.WriteFile(filepath.Join(root, "mail/sent.txt"),
-		[]byte("fixed the crashed demo, the search index was racing"), 0o644); err != nil {
+		[]byte("fixed the demo: the search index was racing"), 0o644); err != nil {
 		log.Fatal(err)
 	}
 	show("POST /reload   (after writing mail/sent.txt)", post(base+"/reload"))
-	show("GET /search?q=search+-crashed   (fresh generation, not cached)", get(base+"/search?q=search+-crashed"))
+	after := show("GET "+query+"   (after the reload)", get(base+query))
+	fmt.Printf("generation %v → %v, total %v → %v\n\n", before["generation"], after["generation"], before["total"], after["total"])
+	if after["generation"] == before["generation"] || after["total"] != before["total"].(float64)+1 {
+		log.Fatal("the reload did not reach /search")
+	}
 	show("GET /stats", get(base+"/stats"))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -118,12 +122,14 @@ func post(url string) []byte {
 	return body
 }
 
-// show pretty-prints one JSON response under its request line.
-func show(req string, body []byte) {
+// show pretty-prints one JSON response under its request line and
+// returns it decoded.
+func show(req string, body []byte) map[string]any {
 	var buf map[string]any
 	if err := json.Unmarshal(body, &buf); err != nil {
 		log.Fatalf("%s: %v\n%s", req, err, body)
 	}
 	pretty, _ := json.MarshalIndent(buf, "  ", "  ")
 	fmt.Printf("%s\n  %s\n\n", req, pretty)
+	return buf
 }

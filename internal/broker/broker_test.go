@@ -65,7 +65,7 @@ func startWorker(t *testing.T, dir string, shards []int) *httptest.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cat.Close() })
-	srv := server.New(server.Config{Catalog: cat, Worker: true, CacheEntries: -1})
+	srv := server.New(server.Config{Catalog: cat, Worker: true})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts
@@ -80,7 +80,7 @@ func startSingle(t *testing.T, dir string) *httptest.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cat.Close() })
-	srv := server.New(server.Config{Catalog: cat, CacheEntries: -1})
+	srv := server.New(server.Config{Catalog: cat})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts
@@ -162,7 +162,7 @@ func TestFrontDoorSameOnNodeAndBroker(t *testing.T) {
 		"/suggest?q=re&n=0",                    // zero n
 		"/suggest?q=re&n=x",                    // bad n
 		"/suggest?q=two+words",                 // multi-term prefix: a worker's rejection
-		// limit+offset overflows int: refused before the cache and any scatter
+		// limit+offset overflows int: refused before evaluation and any scatter
 		"/search?q=report&limit=10&offset=9223372036854775800",
 	} {
 		ns, nb := get(single.URL, path)
@@ -191,6 +191,24 @@ func TestFrontDoorSameOnNodeAndBroker(t *testing.T) {
 	if _, sr := getJSON[server.SuggestResponse](t, bts.URL+"/suggest?q=Re%2A"); sr.Prefix != "re" || len(sr.Suggestions) == 0 {
 		t.Errorf("broker /suggest?q=Re*: prefix %q, %d suggestions; want \"re\" and some", sr.Prefix, len(sr.Suggestions))
 	}
+
+	// A request whose own deadline has passed is admitted, reaches the
+	// backend under that deadline and fails there: 504 from both, each
+	// counting one query error.
+	type errorCount struct {
+		QueryErrors uint64 `json:"query_errors"`
+	}
+	const expired = "/search?q=report&timeout=1ns"
+	for _, base := range []string{single.URL, bts.URL} {
+		_, before := getJSON[errorCount](t, base+"/stats")
+		status, body := get(base, expired)
+		if want := `{"error":"query timed out after 1ns"}` + "\n"; status != http.StatusGatewayTimeout || body != want {
+			t.Errorf("%s%s: %d %q, want 504 %q", base, expired, status, body, want)
+		}
+		if _, after := getJSON[errorCount](t, base+"/stats"); after.QueryErrors != before.QueryErrors+1 {
+			t.Errorf("%s: query_errors %d → %d, want one more", base, before.QueryErrors, after.QueryErrors)
+		}
+	}
 }
 
 // TestBrokerHedgedRequests: with one replica artificially stalled, the
@@ -211,7 +229,7 @@ func TestBrokerHedgedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cat.Close() })
-	inner := server.New(server.Config{Catalog: cat, Worker: true, CacheEntries: -1}).Handler()
+	inner := server.New(server.Config{Catalog: cat, Worker: true}).Handler()
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if stall.Load() && r.URL.Path == "/internal/search" {
 			// Drain the body first: the server only notices the broker

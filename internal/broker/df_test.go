@@ -101,7 +101,7 @@ func TestBrokerDetectsStaleDF(t *testing.T) {
 	}
 	t.Cleanup(func() { cat13.Close() })
 	w13 := httptest.NewServer(server.New(server.Config{
-		Catalog: cat13, Worker: true, CacheEntries: -1,
+		Catalog: cat13, Worker: true,
 		Rebuild: func() (*desksearch.Catalog, error) { return desksearch.OpenDirShards(after, []int{1, 3}) },
 	}).Handler())
 	t.Cleanup(w13.Close)
@@ -198,7 +198,7 @@ func workerHandler(t *testing.T, dir string, shards []int) http.Handler {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cat.Close() })
-	return server.New(server.Config{Catalog: cat, Worker: true, CacheEntries: -1}).Handler()
+	return server.New(server.Config{Catalog: cat, Worker: true}).Handler()
 }
 
 // TestBrokerNeverReturnsUnverifiedPage: a worker whose document

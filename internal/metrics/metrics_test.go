@@ -78,14 +78,14 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 
 func TestGaugeAndFuncMetrics(t *testing.T) {
 	r := NewRegistry()
-	var hits float64 = 7
-	r.NewCounterFunc("ds_cache_hits_total", "Cache hits.", func() float64 { return hits })
+	var reloads float64 = 7
+	r.NewCounterFunc("ds_reloads_total", "Completed reloads.", func() float64 { return reloads })
 	r.NewGaugeFunc("ds_generation", "Reload generation.", func() float64 { return 3 })
 
 	out := render(r)
 	for _, line := range []string{
-		"# TYPE ds_cache_hits_total counter",
-		"ds_cache_hits_total 7",
+		"# TYPE ds_reloads_total counter",
+		"ds_reloads_total 7",
 		"# TYPE ds_generation gauge",
 		"ds_generation 3",
 	} {
@@ -94,8 +94,8 @@ func TestGaugeAndFuncMetrics(t *testing.T) {
 		}
 	}
 	// Func metrics sample at scrape time: a later change must show up.
-	hits = 9
-	if !strings.Contains(render(r), "ds_cache_hits_total 9\n") {
+	reloads = 9
+	if !strings.Contains(render(r), "ds_reloads_total 9\n") {
 		t.Errorf("func counter did not re-sample:\n%s", render(r))
 	}
 }

@@ -133,8 +133,7 @@ func (e *Engine) Maintain(f func()) {
 // Generation returns the engine's mutation generation: a counter that
 // advances every time an update commits (Maintain) or the partition set is
 // replaced (Swap). Two queries that observe the same generation ran
-// against the same index state, which is what makes the generation a safe
-// component of a result-cache key.
+// against the same index state.
 func (e *Engine) Generation() uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

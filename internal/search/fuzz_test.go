@@ -12,9 +12,9 @@ import (
 //
 //  1. Parse never panics — it returns a query or an error;
 //  2. the canonical form is a fixed point: rendering a parsed query and
-//     parsing it again yields the same canonical form. Cache keys
-//     (Query.Normalize) and the server's result cache depend on this
-//     stability.
+//     parsing it again yields the same canonical form. A broker sends
+//     its workers the canonical text (server.WorkerParams), which they
+//     parse again, so the hop depends on this stability.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"cat",

@@ -148,8 +148,7 @@ func TestConcurrentSearchAndUpdate(t *testing.T) {
 
 // TestSwapReplacesPartitions covers the engine's full-reload hook: after
 // Swap, queries answer only from the new partitions, the NOT universes
-// are rebuilt, and the generation has advanced (so result caches keyed on
-// it drop the old state).
+// are rebuilt, and the generation has advanced.
 func TestSwapReplacesPartitions(t *testing.T) {
 	files, ix := maintFixture()
 	e := NewEngine(files, ix)

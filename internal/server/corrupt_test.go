@@ -63,7 +63,7 @@ func corruptCatalog(t *testing.T) (*vfs.MemFS, *desksearch.Catalog) {
 // off the block keep answering 200.
 func TestCorruptSegmentIs500(t *testing.T) {
 	_, cat := corruptCatalog(t)
-	ts := httptest.NewServer(New(Config{Catalog: cat, Worker: true, CacheEntries: -1}).Handler())
+	ts := httptest.NewServer(New(Config{Catalog: cat, Worker: true}).Handler())
 	t.Cleanup(ts.Close)
 
 	var er struct {
@@ -110,7 +110,7 @@ func TestCorruptSegmentDegradesHealth(t *testing.T) {
 	rebuild := func() (*desksearch.Catalog, error) {
 		return desksearch.IndexFS(fs, ".", desksearch.Options{Positions: true})
 	}
-	ts := httptest.NewServer(New(Config{Catalog: cat, Rebuild: rebuild, CacheEntries: -1}).Handler())
+	ts := httptest.NewServer(New(Config{Catalog: cat, Rebuild: rebuild}).Handler())
 	t.Cleanup(ts.Close)
 
 	var hz struct {

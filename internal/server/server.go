@@ -1,9 +1,8 @@
 // Package server implements dsearchd's HTTP layer: a resident query broker
 // over a desksearch.Catalog, in the spirit of the parallel web search
 // engines of the related work — the catalog is loaded once and stays
-// memory-resident across requests, queries fan out over its partitions,
-// and a bounded LRU cache with single-flight de-duplication absorbs
-// repeated and concurrent identical queries.
+// memory-resident across requests, and queries fan out over its
+// partitions.
 //
 // Endpoints:
 //
@@ -18,14 +17,14 @@
 //	GET  /suggest?q=...  autocomplete: indexed terms with the given
 //	                     prefix, ranked by document frequency (n caps
 //	                     the count, default 10)
-//	GET  /stats          catalog, server, and cache counters
+//	GET  /stats          catalog and server counters
 //	GET  /healthz        liveness probe: 503 "degraded" once a query
 //	                     has read a corrupt segment block
 //	GET  /metrics        the same counters plus per-endpoint latency
 //	                     histograms in Prometheus text format (see
 //	                     metrics.go and internal/metrics)
 //	POST /reload         run an incremental update (or a full rebuild
-//	                     with ?mode=full) and invalidate the cache
+//	                     with ?mode=full)
 //
 // /search and /suggest are served by the FrontDoor (frontdoor.go), the one
 // copy of the public query surface — parsing, validation, error bodies,
@@ -33,11 +32,10 @@
 // (internal/broker) both stand behind; the Server supplies only how a
 // normalized query and a suggest are answered from its catalog.
 //
-// Results are cached keyed on (catalog generation, normalized query).
+// Every query is evaluated against the catalog under its request's own
+// context, so its deadline or a client's disconnect stops the evaluation.
 // Reloads commit through the catalog's maintenance path, which advances
-// the generation — so the instant a reload completes, every cached result
-// from before it stops being served, even ones stored by queries that
-// were still in flight while the reload committed.
+// the generation a response reports.
 package server
 
 import (
@@ -50,7 +48,6 @@ import (
 	"time"
 
 	"desksearch"
-	"desksearch/internal/cache"
 	"desksearch/internal/metrics"
 	"desksearch/internal/search"
 	"desksearch/internal/timing"
@@ -67,11 +64,9 @@ type Config struct {
 	// Rebuild builds a replacement catalog from scratch; /reload?mode=full
 	// swaps it in atomically. nil disables full reloads.
 	Rebuild func() (*desksearch.Catalog, error)
-	// CacheEntries and CacheBytes bound the query-result cache; zero
-	// values fall back to 1024 entries and 64 MiB. A negative
-	// CacheEntries disables caching entirely.
+	// CacheEntries is ignored: the server keeps no result cache. It stays
+	// only because the benchmark module still sets it.
 	CacheEntries int
-	CacheBytes   int64
 	// Timeout bounds each request's query evaluation; zero falls back to
 	// 10 s. A request's own timeout parameter may shorten but never
 	// exceed it.
@@ -95,7 +90,6 @@ type Server struct {
 	cat     *desksearch.Catalog
 	update  func() (desksearch.UpdateStats, error)
 	rebuild func() (*desksearch.Catalog, error)
-	cache   *cache.Cache[*desksearch.Response]
 	logf    func(string, ...any)
 	start   time.Time
 	worker  bool
@@ -105,13 +99,12 @@ type Server struct {
 	door *FrontDoor
 
 	// partMu guards partTimings: one sliding window of evaluation wall
-	// times per global partition ID, fed by every fresh (uncached) query
-	// and summarized in /stats.
+	// times per global partition ID, fed by every query and summarized in
+	// /stats.
 	partMu      sync.Mutex
 	partTimings map[int]*timing.Window
 
-	// reloadMu serializes /reload and Watch ticks, so overlapping reloads
-	// cannot interleave their prune steps.
+	// reloadMu serializes /reload and Watch ticks.
 	reloadMu sync.Mutex
 
 	// statsMu guards the per-generation memo of Catalog.Stats: the exact
@@ -136,17 +129,6 @@ func New(cfg Config) *Server {
 	if cfg.Catalog == nil {
 		panic("server: Config.Catalog is required")
 	}
-	entries, bytes := cfg.CacheEntries, cfg.CacheBytes
-	if entries == 0 {
-		entries = 1024
-	}
-	if bytes == 0 {
-		bytes = 64 << 20
-	}
-	var c *cache.Cache[*desksearch.Response]
-	if entries > 0 {
-		c = cache.New[*desksearch.Response](entries, bytes)
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -155,7 +137,6 @@ func New(cfg Config) *Server {
 		cat:         cfg.Catalog,
 		update:      cfg.Update,
 		rebuild:     cfg.Rebuild,
-		cache:       c,
 		logf:        logf,
 		start:       time.Now(),
 		worker:      cfg.Worker,
@@ -194,7 +175,7 @@ func globalID(ids []int, local int) int {
 	return local
 }
 
-// observePartitions feeds one fresh evaluation's per-partition wall times
+// observePartitions feeds one evaluation's per-partition wall times
 // into the server's sliding windows, keyed by global partition ID, so
 // /stats summarizes them. ids is the catalog's PartitionIDs, which the
 // caller reads once per request.
@@ -259,10 +240,6 @@ type SearchResponse struct {
 	Query string `json:"query"`
 	// Generation identifies the catalog state that produced the result.
 	Generation uint64 `json:"generation"`
-	// Cached reports whether the result came from the cache or a shared
-	// in-flight evaluation — in either case no partition was evaluated
-	// for this request.
-	Cached bool `json:"cached"`
 	// TookMS is the server-side handling time in milliseconds.
 	TookMS float64 `json:"took_ms"`
 	// Total counts matches across the whole catalog.
@@ -271,8 +248,6 @@ type SearchResponse struct {
 	// array, never null.
 	Hits []desksearch.Hit `json:"hits"`
 	// Partitions reports per-partition match counts and evaluation times.
-	// For a cached response these are the timings of the original
-	// evaluation, not of this request.
 	Partitions []PartitionStat `json:"partitions"`
 }
 
@@ -305,6 +280,8 @@ type StatsResponse struct {
 	QueryErrors uint64 `json:"query_errors"`
 	Reloads     uint64 `json:"reloads"`
 
+	// Cache is never set: the server keeps no result cache. It stays only
+	// because the benchmark module still reads it.
 	Cache *CacheStats `json:"cache,omitempty"`
 
 	// BlockCache reports a lazy catalog's posting-block cache: the byte
@@ -313,12 +290,11 @@ type StatsResponse struct {
 	BlockCache *BlockCacheStats `json:"block_cache,omitempty"`
 
 	// PartitionTimings summarizes recent per-partition evaluation wall
-	// times (a sliding window of the last few hundred fresh queries),
+	// times (a sliding window of the last few hundred queries),
 	// keyed by global partition ID — shard numbers for a worker serving a
 	// subset — where evaluation time goes inside this node. (A broker sets
 	// its hedge delays and attempt timeouts from its own window of
-	// round-trip times, not from this.) Absent until the first uncached
-	// query.
+	// round-trip times, not from this.) Absent until the first query.
 	PartitionTimings []PartitionTimingStat `json:"partition_timings,omitempty"`
 
 	// Worker, when present, describes the worker's place in a distributed
@@ -350,7 +326,7 @@ type WorkerStats struct {
 	TotalShards int `json:"total_shards"`
 }
 
-// CacheStats is the cache block of /stats.
+// CacheStats is the type of StatsResponse.Cache, which is never set.
 type CacheStats struct {
 	Entries   int    `json:"entries"`
 	Bytes     int64  `json:"bytes"`
@@ -375,23 +351,19 @@ type ReloadResponse struct {
 	SkippedFiles    int   `json:"skipped_files"`
 }
 
-// search is the node's Backend.Search: answer from the catalog, through
-// the result cache when enabled.
+// search is the node's Backend.Search: evaluate q against the catalog
+// under the request's context.
 func (s *Server) search(ctx context.Context, q desksearch.Query) (*SearchResponse, error) {
-	// The generation is read before evaluation: if a reload commits while
-	// this query runs, the result is stored under the pre-reload
-	// generation and post-reload requests can never see it.
+	// The generation is read before evaluation, so a reload committing
+	// while the query runs never labels a pre-reload answer as newer.
 	gen := s.cat.Generation()
-	resp, cached, err := s.cachedQuery(ctx, gen, q)
+	resp, err := s.cat.Query(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	if !cached {
-		s.observePartitions(resp.Partitions, s.cat.PartitionIDs())
-	}
+	s.observePartitions(resp.Partitions, s.cat.PartitionIDs())
 	return &SearchResponse{
 		Generation: gen,
-		Cached:     cached,
 		Total:      resp.Total,
 		Hits:       resp.Hits,
 		Partitions: wirePartitions(resp.Partitions, nil),
@@ -426,28 +398,6 @@ func (s *Server) suggest(ctx context.Context, prefix string, n int) (*SuggestRes
 		Generation:  gen,
 		Suggestions: sugs,
 	}, nil
-}
-
-// cachedQuery evaluates req through the cache (when enabled), de-duplicated
-// against identical in-flight queries at the same generation. The caller's
-// ctx governs only its own wait: the shared evaluation runs under a
-// server-owned context bounded by the server's timeout ceiling, so one
-// impatient or disconnected client can neither fail the flight for every
-// coalesced request behind it nor hold a follower past its own deadline.
-func (s *Server) cachedQuery(ctx context.Context, gen uint64, req desksearch.Query) (*desksearch.Response, bool, error) {
-	if s.cache == nil {
-		resp, err := s.cat.Query(ctx, req)
-		return resp, false, err
-	}
-	return s.cache.Do(ctx, gen, req.CacheKey(), func() (*desksearch.Response, int64, error) {
-		evalCtx, cancel := context.WithTimeout(context.Background(), s.door.Timeout)
-		defer cancel()
-		resp, err := s.cat.Query(evalCtx, req)
-		if err != nil {
-			return nil, 0, err
-		}
-		return resp, responseSize(resp), nil
-	})
 }
 
 // catalogStats returns Catalog.Stats memoized per generation. A snapshot
@@ -488,17 +438,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Queries:        s.door.Queries.Load(),
 		QueryErrors:    s.door.QueryErrors.Load(),
 		Reloads:        s.reloads.Load(),
-	}
-	if s.cache != nil {
-		st := s.cache.Stats()
-		out.Cache = &CacheStats{
-			Entries:   st.Entries,
-			Bytes:     st.Bytes,
-			Hits:      st.Hits,
-			Misses:    st.Misses,
-			Coalesced: st.Coalesced,
-			Evictions: st.Evictions,
-		}
 	}
 	if budget, used, ok := s.cat.BlockCache(); ok {
 		out.BlockCache = &BlockCacheStats{BudgetBytes: budget, UsedBytes: used}
@@ -576,10 +515,10 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 // Config.Update.
 var errNoUpdate = errors.New("reload disabled: no update source configured")
 
-// Reload runs the incremental update source and, when anything changed,
-// prunes cache entries orphaned by the generation bump. Safe to call
-// directly (the watch loop does); concurrent reloads serialize. Without an
-// update source it returns an error and changes nothing.
+// Reload runs the incremental update source, which advances the
+// generation when anything changed. Safe to call directly (the watch loop
+// does); concurrent reloads serialize. Without an update source it returns
+// an error and changes nothing.
 func (s *Server) Reload() (desksearch.UpdateStats, error) {
 	if s.update == nil {
 		return desksearch.UpdateStats{}, errNoUpdate
@@ -591,12 +530,6 @@ func (s *Server) Reload() (desksearch.UpdateStats, error) {
 		return st, err
 	}
 	s.reloads.Add(1)
-	if s.cache != nil {
-		// An empty changeset does not advance the generation, so pruning
-		// to the current generation is a no-op then and a cleanup after
-		// real changes.
-		s.cache.Prune(s.cat.Generation())
-	}
 	if st.Added+st.Modified+st.Deleted > 0 {
 		s.logf("reload: +%d ~%d -%d files (generation %d)",
 			st.Added, st.Modified, st.Deleted, s.cat.Generation())
@@ -614,16 +547,12 @@ func (s *Server) fullReload() error {
 	}
 	s.cat.Swap(fresh)
 	s.reloads.Add(1)
-	if s.cache != nil {
-		s.cache.Prune(s.cat.Generation())
-	}
 	s.logf("full reload complete (generation %d)", s.cat.Generation())
 	return nil
 }
 
 // Watch polls the update source every interval until ctx is done — the
-// daemon's -watch mode. Each tick runs the same reload path as /reload,
-// so changes picked up by polling invalidate the cache identically.
+// daemon's -watch mode. Each tick runs the same reload path as /reload.
 // Without an update source there is nothing to poll, and Watch returns at
 // once.
 func (s *Server) Watch(ctx context.Context, interval time.Duration) {
@@ -642,22 +571,4 @@ func (s *Server) Watch(ctx context.Context, interval time.Duration) {
 			}
 		}
 	}
-}
-
-// responseSize approximates a response's JSON footprint for the cache's
-// byte budget: string payloads plus a fixed per-hit and per-partition
-// overhead for the numeric fields and framing.
-func responseSize(r *desksearch.Response) int64 {
-	size := int64(64)
-	for _, h := range r.Hits {
-		size += int64(len(h.Path)) + 32
-		for _, t := range h.Terms {
-			size += int64(len(t)) + 4
-		}
-		if h.Snippet != nil {
-			size += int64(len(h.Snippet.Text)) + 16 + int64(len(h.Snippet.Highlights))*24
-		}
-	}
-	size += int64(len(r.Partitions)) * 48
-	return size
 }

@@ -149,9 +149,6 @@ func TestSearchEndpoint(t *testing.T) {
 	if sr.Query != "(report AND (NOT draft))" {
 		t.Errorf("canonical query = %q", sr.Query)
 	}
-	if sr.Cached {
-		t.Error("first query reported cached")
-	}
 	if len(sr.Partitions) != 2 {
 		t.Errorf("partitions = %+v, want 2 entries", sr.Partitions)
 	}
@@ -192,66 +189,16 @@ func TestSearchValidation(t *testing.T) {
 	}
 }
 
-// TestCacheHitSkipsEvaluation is the acceptance criterion: a repeated
-// query must be answered from the cache — visible both as the response's
-// cached flag and as a hit in /stats — without re-evaluating partitions.
-func TestCacheHitSkipsEvaluation(t *testing.T) {
-	f := newFixture(t, Config{})
-	var first, second SearchResponse
-	f.get(t, "/search?q=alpha", &first)
-	f.get(t, "/search?q=alpha", &second)
-	if first.Cached {
-		t.Error("first query cached")
-	}
-	if !second.Cached {
-		t.Fatal("second identical query not served from cache")
-	}
-	// Equivalent spellings normalize to the same key.
-	var third SearchResponse
-	f.get(t, "/search?q=alpha+AND+alpha", &third)
-	_ = third // "alpha AND alpha" parses to a different tree; just must not error
-	var norm SearchResponse
-	f.get(t, "/search?q=++alpha++", &norm)
-	if !norm.Cached {
-		t.Error("whitespace variant missed the cache")
-	}
-
-	var st StatsResponse
-	f.get(t, "/stats", &st)
-	if st.Cache == nil || st.Cache.Hits < 2 {
-		t.Fatalf("cache stats = %+v, want >= 2 hits", st.Cache)
-	}
-	if st.Queries < 3 {
-		t.Errorf("queries counter = %d", st.Queries)
-	}
-}
-
-func TestCacheDisabled(t *testing.T) {
-	f := newFixture(t, Config{CacheEntries: -1})
-	var a, b SearchResponse
-	f.get(t, "/search?q=alpha", &a)
-	f.get(t, "/search?q=alpha", &b)
-	if a.Cached || b.Cached {
-		t.Error("cache disabled but a response claimed to be cached")
-	}
-	var st StatsResponse
-	f.get(t, "/stats", &st)
-	if st.Cache != nil {
-		t.Error("stats reported a cache block with caching disabled")
-	}
-}
-
-// TestReloadInvalidatesCache pins the staleness guarantee end to end: a
-// cached result must stop being served the moment a reload that changed
-// the corpus completes.
-func TestReloadInvalidatesCache(t *testing.T) {
+// TestReloadAdvancesGeneration pins the staleness guarantee end to end:
+// the moment a reload that changed the corpus completes, /search answers
+// from the new generation, and a reload that changed nothing keeps it.
+func TestReloadAdvancesGeneration(t *testing.T) {
 	f := newFixture(t, Config{})
 	var before SearchResponse
 	f.get(t, "/search?q=gamma", &before)
 	if before.Total != 1 {
 		t.Fatalf("seed corpus: gamma total = %d", before.Total)
 	}
-	f.get(t, "/search?q=gamma", &before) // now cached
 
 	if err := f.fs.WriteFile("docs/new.txt", []byte("gamma gamma delta")); err != nil {
 		t.Fatal(err)
@@ -269,22 +216,22 @@ func TestReloadInvalidatesCache(t *testing.T) {
 
 	var after SearchResponse
 	f.get(t, "/search?q=gamma", &after)
-	if after.Cached {
-		t.Fatal("post-reload query served from the pre-reload cache")
+	if after.Generation != rr.Generation {
+		t.Fatalf("post-reload query answered at generation %d, reload committed %d", after.Generation, rr.Generation)
 	}
 	if after.Total != 2 {
 		t.Fatalf("post-reload gamma total = %d, want 2", after.Total)
 	}
 
-	// A no-op reload keeps the generation, so the cache stays warm.
-	f.get(t, "/search?q=gamma", &after)
+	// A no-op reload keeps the generation.
 	if code := f.post(t, "/reload", &rr); code != http.StatusOK {
 		t.Fatalf("no-op reload status %d", code)
 	}
-	var warm SearchResponse
-	f.get(t, "/search?q=gamma", &warm)
-	if !warm.Cached {
-		t.Error("no-op reload needlessly invalidated the cache")
+	var same SearchResponse
+	f.get(t, "/search?q=gamma", &same)
+	if rr.Generation != after.Generation || same.Generation != after.Generation || same.Total != 2 {
+		t.Errorf("no-op reload: generation %d, query at %d with total %d; want generation %d, total 2",
+			rr.Generation, same.Generation, same.Total, after.Generation)
 	}
 }
 
@@ -463,9 +410,7 @@ func TestSearchDuringReloadRace(t *testing.T) {
 	wg.Wait()
 
 	// The deleted file's terms must be gone the moment the last reload
-	// returned — no stale generation may answer. (A cached result is fine
-	// if a concurrent worker already cached the post-reload answer; what
-	// may never happen is a pre-reload generation serving hits.)
+	// returned — no stale generation may answer.
 	var sr SearchResponse
 	f.get(t, "/search?q=churn", &sr)
 	if sr.Total != 0 {
@@ -506,37 +451,5 @@ func TestWatchPicksUpChanges(t *testing.T) {
 			t.Fatal("watch never picked up the new file")
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestConcurrentIdenticalQueriesCoalesce asserts the single-flight path:
-// many concurrent identical queries against a cold cache must not each
-// evaluate the index.
-func TestConcurrentIdenticalQueriesCoalesce(t *testing.T) {
-	f := newFixture(t, Config{})
-	const n = 24
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Get(f.ts.URL + "/search?q=alpha+OR+beta+OR+gamma")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			resp.Body.Close()
-		}()
-	}
-	wg.Wait()
-	var st StatsResponse
-	f.get(t, "/stats", &st)
-	if st.Cache == nil {
-		t.Fatal("no cache stats")
-	}
-	// Every request either hit the stored entry, shared the in-flight
-	// computation, or was the one leader per generation that ran it.
-	if got := st.Cache.Hits + st.Cache.Coalesced; got < n-1 {
-		t.Errorf("hits+coalesced = %d, want >= %d", got, n-1)
 	}
 }

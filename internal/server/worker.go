@@ -31,11 +31,6 @@
 // every group, returns a BM25 page only when the sum equals what the page
 // was scored with (verify-then-return, see broker.query), and keeps the
 // sums of other rankings for the BM25 queries that follow.
-//
-// Worker search responses bypass the public result cache. The broker has
-// its own view of result identity (generation vector across workers), and
-// a worker's partial under broker-supplied global statistics is not the
-// same value the public /search would cache for that query text.
 package server
 
 import (

@@ -47,7 +47,7 @@ func workerFixture(t *testing.T) (*fixture, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cat.Close() })
-	srv := New(Config{Catalog: cat, Worker: true, CacheEntries: -1})
+	srv := New(Config{Catalog: cat, Worker: true})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return &fixture{cat: cat, srv: srv, ts: ts}, dir
@@ -113,7 +113,7 @@ func TestWorkerEndpoints(t *testing.T) {
 		}
 	}
 
-	// The uncached evaluation fed the per-partition timing windows, and
+	// The evaluation fed the per-partition timing windows, and
 	// /stats reports them by global shard number, alongside the worker
 	// and block-cache blocks.
 	var st StatsResponse
@@ -125,7 +125,7 @@ func TestWorkerEndpoints(t *testing.T) {
 		t.Fatalf("stats.BlockCache = %+v, want the configured 1MiB budget", st.BlockCache)
 	}
 	if len(st.PartitionTimings) == 0 {
-		t.Fatal("stats.PartitionTimings empty after an uncached query")
+		t.Fatal("stats.PartitionTimings empty after a query")
 	}
 	for _, pt := range st.PartitionTimings {
 		if pt.Partition != 0 && pt.Partition != 2 {
@@ -255,11 +255,25 @@ func TestWorkerSearchBodyMalformed(t *testing.T) {
 	}
 }
 
+// requestKey is what identifies a normalized query's answer: its
+// canonical expression and every retrieval control that changes the page.
+type requestKey struct {
+	expr                          string
+	limit, offset, maxPrefixTerms int
+	ranking                       desksearch.Ranking
+	snippets                      bool
+	pathPrefix                    string
+}
+
+func keyOf(q desksearch.Query) requestKey {
+	return requestKey{q.Expr.String(), q.Limit, q.Offset, q.MaxPrefixTerms, q.Ranking, q.Snippets, q.PathPrefix}
+}
+
 // TestWorkerParamsRoundTrip holds the two ends of the hop to each other:
 // the query a worker reads back from a broker's rendered parameters has
-// the cache key of the request the broker rendered, with limit+offset as
-// its limit and no offset, and the df block a body carries reads back as
-// the vector written.
+// the key of the request the broker rendered, with limit+offset as its
+// limit and no offset, and the df block a body carries reads back as the
+// vector written.
 func TestWorkerParamsRoundTrip(t *testing.T) {
 	var queries []desksearch.Query
 	for _, prefix := range []string{"", "docs/", "a&b=c", "100%", "a+b c", "nul\x00byte", "\xff\xfe", "résumé/", "?q=x&limit=1#f"} {
@@ -291,8 +305,8 @@ func TestWorkerParamsRoundTrip(t *testing.T) {
 		}
 		want := q
 		want.Limit, want.Offset = q.Limit+q.Offset, 0
-		if got, w := back.CacheKey(), want.CacheKey(); got != w {
-			t.Errorf("round trip of %q:\n got %q\nwant %q", WorkerParams(q), got, w)
+		if got, w := keyOf(back), keyOf(want); got != w {
+			t.Errorf("round trip of %q:\n got %#v\nwant %#v", WorkerParams(q), got, w)
 		}
 	}
 	for _, df := range []*desksearch.DocFreqs{

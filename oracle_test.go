@@ -767,7 +767,7 @@ func serveDir(t testing.TB, dir string) ([]oracleShape, func()) {
 		return ts.URL
 	}
 	worker := func(ids ...int) string {
-		return serve(server.New(server.Config{Catalog: open(ids, desksearch.Options{}), Worker: true, CacheEntries: -1}).Handler())
+		return serve(server.New(server.Config{Catalog: open(ids, desksearch.Options{}), Worker: true}).Handler())
 	}
 	b, err := broker.New(broker.Config{Groups: [][]string{{worker(0, 2)}, {worker(1, 3)}}})
 	if err == nil {

@@ -374,19 +374,32 @@ func TestQueryDefaults(t *testing.T) {
 	}
 }
 
-// normalizedKey is the daemon's cached /search path in two lines: normalize
-// the request, then key it.
-func normalizedKey(q Query) (string, error) {
-	q, err := q.Normalize()
-	if err != nil {
-		return "", err
-	}
-	return q.CacheKey(), nil
+// requestKey is what identifies a normalized request's answer: its
+// canonical expression and every retrieval control that changes the page.
+type requestKey struct {
+	expr                          string
+	limit, offset, maxPrefixTerms int
+	ranking                       Ranking
+	snippets                      bool
+	pathPrefix                    string
 }
 
-// TestQueryNormalize covers the daemon's cache key: equivalent spellings
-// collapse to one key, different retrieval controls do not, and invalid
-// requests are rejected before they can occupy a cache slot.
+func keyOf(q Query) requestKey {
+	return requestKey{q.Expr.String(), q.Limit, q.Offset, q.MaxPrefixTerms, q.Ranking, q.Snippets, q.PathPrefix}
+}
+
+// normalizedKey normalizes the request, then keys it.
+func normalizedKey(q Query) (requestKey, error) {
+	q, err := q.Normalize()
+	if err != nil {
+		return requestKey{}, err
+	}
+	return keyOf(q), nil
+}
+
+// TestQueryNormalize covers Normalize: equivalent spellings collapse to
+// one key, different retrieval controls do not, and invalid requests are
+// rejected before they reach evaluation.
 func TestQueryNormalize(t *testing.T) {
 	base, err := Query{Text: "cat dog"}.Normalize()
 	if err != nil {
@@ -395,14 +408,14 @@ func TestQueryNormalize(t *testing.T) {
 	if base.Expr == nil {
 		t.Fatal("Normalize did not populate Expr")
 	}
-	key := base.CacheKey()
+	key := keyOf(base)
 	for _, same := range []string{"cat AND dog", "  cat   dog ", "(cat dog)", "Cat Dog!"} {
 		k, err := normalizedKey(Query{Text: same})
 		if err != nil {
 			t.Fatalf("%q: %v", same, err)
 		}
 		if k != key {
-			t.Errorf("%q normalized to %q, want %q", same, k, key)
+			t.Errorf("%q normalized to %#v, want %#v", same, k, key)
 		}
 	}
 	for name, other := range map[string]Query{
@@ -450,12 +463,11 @@ func TestQueryNormalize(t *testing.T) {
 	}
 }
 
-// TestNormalizeKeyInjective is the regression test for the cache-key
-// hardening: PathPrefix is the one free-form field (an HTTP ?prefix=
-// parameter can carry any byte, the \x00 separator included), so it is
-// length-prefixed in the key. Every pair of distinct requests below must
-// produce distinct keys — before the fix, a prefix containing the raw
-// separator could impersonate the key structure around it.
+// TestNormalizeKeyInjective: Normalize keeps distinct requests distinct.
+// PathPrefix is the one free-form field (an HTTP ?prefix= parameter can
+// carry any byte, \x00 included), so the rows below craft prefixes that
+// spell other fields, beside phrase, prefix-operator, ranking, snippet
+// and cap variants of one query; every pair must key apart.
 func TestNormalizeKeyInjective(t *testing.T) {
 	requests := []Query{
 		{Text: "cat dog"},
@@ -480,42 +492,22 @@ func TestNormalizeKeyInjective(t *testing.T) {
 		{Text: "cat dog", PathPrefix: "p\x00maxprefix=64"},            // crafted prefix can't fake the cap
 		{Text: "cat dog", MaxPrefixTerms: 64, PathPrefix: "p"},
 	}
-	keys := map[string]int{}
+	keys := map[requestKey]int{}
 	for i, q := range requests {
 		key, err := normalizedKey(q)
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 		if prev, dup := keys[key]; dup {
-			t.Errorf("requests %d and %d collided on key %q", prev, i, key)
+			t.Errorf("requests %d and %d collided on key %#v", prev, i, key)
 		}
 		keys[key] = i
 	}
-	// The prefix field must be length-delimited, not merely separated.
-	key, err := normalizedKey(Query{Text: "cat", PathPrefix: "docs/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(key, "prefix=5:docs/") {
-		t.Errorf("key %q does not length-prefix the PathPrefix field", key)
-	}
-	// The ranking is keyed by wire name (survives enum renumbering) and
-	// the snippet flag is always present.
-	if !strings.Contains(key, "rank=count") || !strings.Contains(key, "snippets=false") {
-		t.Errorf("key %q does not carry the rank name and snippet flag", key)
-	}
-	key, err = normalizedKey(Query{Text: "cat", Ranking: RankBM25, Snippets: true, Limit: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(key, "rank=bm25") || !strings.Contains(key, "snippets=true") {
-		t.Errorf("key %q does not carry rank=bm25 and snippets=true", key)
-	}
 }
 
-// TestGenerationAdvancesOnCommit pins the cache-key contract: building a
+// TestGenerationAdvancesOnCommit pins the generation contract: building a
 // catalog starts a generation, every committed change advances it, and a
-// no-op update leaves it alone (so caches stay warm across empty polls).
+// no-op update leaves it alone.
 func TestGenerationAdvancesOnCommit(t *testing.T) {
 	fs := demoFS(t)
 	cat, err := IndexFS(fs, ".", Options{Extractors: 1, Shards: 2})
