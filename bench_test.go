@@ -187,7 +187,10 @@ func BenchmarkShardedSearch(b *testing.B) {
 // one-term page of ten over a 4-partition heap catalog, where each
 // partition's evaluation is short enough that starting its work on the
 // fan-out's workers is a visible part of the whole. allocs/op counts
-// what the fan-out adds per query.
+// what the fan-out adds per query. The one-caller arm is a desktop
+// user's queries, one at a time; the parallel arm is a loaded server's,
+// GOMAXPROCS callers whose fan-outs overlap and already fill the
+// processors.
 func BenchmarkQueryFanOut(b *testing.B) {
 	cat, err := IndexFS(liveCorpus(b), ".", Options{Shards: 4})
 	if err != nil {
@@ -199,13 +202,25 @@ func BenchmarkQueryFanOut(b *testing.B) {
 	if _, err := cat.Query(ctx, req); err != nil { // warm the universes
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cat.Query(ctx, req); err != nil {
-			b.Fatal(err)
+	b.Run("callers=1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cat.Query(ctx, req); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("callers=GOMAXPROCS", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, err := cat.Query(ctx, req); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
 }
 
 // BenchmarkShardedSave measures parallel segment writing (one fan-out task

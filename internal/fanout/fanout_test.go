@@ -2,10 +2,13 @@ package fanout
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 )
 
 // stop ends p's workers once the queue is drained.
@@ -162,4 +165,113 @@ func TestConcurrentRuns(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPollOnlyWhileQuiet: a worker that finishes a job polls the queue
+// while Runs come one at a time, parks at once for quietFor after two
+// Runs overlap, and polls again once that window has passed. The pool
+// has no workers: the test takes the offers itself, and it reads the
+// decision at times it chooses, so nothing waits on a clock.
+func TestPollOnlyWhileQuiet(t *testing.T) {
+	p := &pool{queue: make(chan *job, 1)}
+	nop := func(int) error { return nil }
+
+	// Serial Runs only: a worker finishing at any time polls.
+	for range 3 {
+		if err := p.run(2, nop); err != nil {
+			t.Fatal(err)
+		}
+		if j, ok := p.take(); !ok || j.n != 2 {
+			t.Fatalf("take = %v, %v; want the offered job", j, ok)
+		}
+	}
+	if !p.quiet(0) {
+		t.Error("serial Runs left the pool busy")
+	}
+	if got := p.polls.Load(); got != 3 {
+		t.Errorf("%d polls after three serial Runs, want 3", got)
+	}
+
+	// Two overlapping Runs: the first's tasks wait until the second's
+	// first task has run, and the second starts once the first has
+	// offered its job.
+	second := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- p.run(2, func(int) error {
+			<-second
+			return nil
+		})
+	}()
+	for len(p.queue) == 0 {
+		runtime.Gosched()
+	}
+	if err := p.run(2, func(i int) error {
+		if i == 0 {
+			close(second)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	busyUntil := time.Duration(p.quietFrom.Load())
+	if overlap := busyUntil - quietFor; overlap <= 0 || p.quiet(overlap) || p.quiet(busyUntil-1) {
+		t.Errorf("a worker finishing within quietFor of the overlap at %v polls", overlap)
+	}
+	if !p.quiet(busyUntil) {
+		t.Error("a worker finishing quietFor after an overlap parks")
+	}
+
+	// take asks quiet: in a busy pool it parks, taking the queued job
+	// without a poll.
+	p.quietFrom.Store(math.MaxInt64)
+	polls := p.polls.Load()
+	if _, ok := p.take(); !ok {
+		t.Fatal("queue closed")
+	}
+	if got := p.polls.Load(); got != polls {
+		t.Error("take polled in a busy pool")
+	}
+}
+
+// TestCounts: a Run counts the offers it queued, and a worker the indices
+// it ran, or a wasted wake when the job's caller had claimed them all.
+func TestCounts(t *testing.T) {
+	p := &pool{queue: make(chan *job, 1)}
+	nop := func(int) error { return nil }
+	if err := p.run(3, nop); err != nil { // one offer; the caller runs all three
+		t.Fatal(err)
+	}
+	p.work(<-p.queue)
+	j := &job{n: 2, do: nop}
+	j.wg.Add(2)
+	p.work(j)
+	if got, want := p.counts(), (Counts{Offers: 1, WastedWakes: 1, WorkerIndices: 2}); got != want {
+		t.Errorf("counts %+v, want %+v", got, want)
+	}
+}
+
+// TestRunReleasesItsClosure: once Run returns, an offer no worker has
+// taken yet keeps nothing the job's closure captured alive.
+func TestRunReleasesItsClosure(t *testing.T) {
+	p := &pool{queue: make(chan *job, 1)} // no worker: the offer stays queued
+	captured := new([1 << 10]byte)
+	w := weak.Make(captured)
+	if err := p.run(2, func(i int) error {
+		captured[i]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.queue) != 1 {
+		t.Fatal("the job's offer is not queued")
+	}
+	runtime.GC()
+	if w.Value() != nil {
+		t.Error("a queued offer keeps its Run's closure alive after Run returned")
+	}
+	runtime.KeepAlive(p) // the queue, and the offer in it, outlive the collection
 }

@@ -1,6 +1,10 @@
 package server
 
-import "time"
+import (
+	"time"
+
+	"desksearch/internal/fanout"
+)
 
 // registerMetrics adds the node's own families to the /metrics registry,
 // after the front door's (requests, latency histograms, queries, query
@@ -37,4 +41,15 @@ func (s *Server) registerMetrics() {
 		})
 	reg.NewCounterFunc("ds_segment_corruptions_total", "Posting-block reads of a lazy catalog that failed verification; each failed its query (0 for heap catalogs).",
 		func() float64 { return float64(s.cat.SegmentCorruptions()) })
+
+	// The process's fan-out pool, shared by every query: where partitions
+	// ran, and what waking and polling its workers cost.
+	reg.NewCounterFunc("ds_fanout_offers_total", "Fan-out jobs offered to the pool's workers, one per worker a job could use.",
+		func() float64 { return float64(fanout.Totals().Offers) })
+	reg.NewCounterFunc("ds_fanout_wasted_wakes_total", "Fan-out offers a worker took after the job's indices were all claimed.",
+		func() float64 { return float64(fanout.Totals().WastedWakes) })
+	reg.NewCounterFunc("ds_fanout_worker_indices_total", "Fan-out indices (partitions, segments) run on pool workers rather than on the caller.",
+		func() float64 { return float64(fanout.Totals().WorkerIndices) })
+	reg.NewCounterFunc("ds_fanout_polls_total", "Times a fan-out worker polled the queue after a job instead of parking at once.",
+		func() float64 { return float64(fanout.Totals().Polls) })
 }

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // scrape fetches /metrics and parses every sample line into a map from
@@ -60,6 +62,10 @@ func TestMetricsAdvanceUnderLoad(t *testing.T) {
 		"ds_reloads_total",
 		"ds_generation",
 		"ds_block_cache_used_bytes",
+		"ds_fanout_offers_total",
+		"ds_fanout_wasted_wakes_total",
+		"ds_fanout_worker_indices_total",
+		"ds_fanout_polls_total",
 	} {
 		if _, ok := before[series]; !ok {
 			t.Errorf("series %q missing from first scrape", series)
@@ -116,6 +122,30 @@ func TestMetricsAdvanceUnderLoad(t *testing.T) {
 	if after[`ds_search_duration_seconds_bucket{le="+Inf"}`] != after[`ds_search_duration_seconds_count`] {
 		t.Errorf("+Inf bucket %v != count %v",
 			after[`ds_search_duration_seconds_bucket{le="+Inf"}`], after[`ds_search_duration_seconds_count`])
+	}
+
+	// The fixture's two partitions fan out on the process's pool: the
+	// queries offered jobs, and a worker takes each offer, running an
+	// index or finding them all claimed, and then polls, the queries
+	// having come one at a time. A worker takes its offer on its own
+	// schedule, so the scrape repeats until both have moved.
+	if after["ds_fanout_offers_total"] == before["ds_fanout_offers_total"] {
+		t.Error("ds_fanout_offers_total did not advance")
+	}
+	taken := func(m map[string]float64) float64 {
+		return m["ds_fanout_worker_indices_total"] + m["ds_fanout_wasted_wakes_total"]
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if taken(after) > taken(before) && after["ds_fanout_polls_total"] > before["ds_fanout_polls_total"] {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("no offer taken and polled after: worker indices + wasted wakes %v → %v, polls %v → %v",
+				taken(before), taken(after), before["ds_fanout_polls_total"], after["ds_fanout_polls_total"])
+			break
+		}
+		runtime.Gosched()
+		after = scrape(t, f.ts.URL)
 	}
 
 	// A reload advances the reload counter at scrape time.
