@@ -110,8 +110,11 @@ docs-check:
 # every serving shape is held to (oracle_test.go), and on the build itself
 # (a thread tuple with x clamped to 1..8 and y to 0..8, 1-5 shards, plain
 # or positional, over one of eight seeded corpora) against the sequential
-# baseline's saved bytes: long enough to shake out a panic, an unbounded
-# allocation or a wrong answer, short enough to run on every push.
+# baseline's saved bytes, and on an update under such a tuple (one churn
+# round of adds, modifies and deletes drawn from the fuzzer's bytes)
+# against a rebuild of the tree it leaves: long enough to shake out a
+# panic, an unbounded allocation or a wrong answer, short enough to run on
+# every push.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPartialDecode -fuzztime=10s ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/search/
@@ -129,6 +132,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFile -fuzztime=10s ./internal/extract/
 	$(GO) test -run='^$$' -fuzz=FuzzQueryOracle -fuzztime=10s .
 	$(GO) test -run='^$$' -fuzz=FuzzBuildTuples -fuzztime=10s .
+	$(GO) test -run='^$$' -fuzz=FuzzUpdateTuples -fuzztime=10s .
 
 # Runs every program under examples/ and fails on the first non-zero exit.
 # Each finishes in seconds; desktopsearch also checks that its sequential

@@ -14,6 +14,7 @@ import (
 	"desksearch/internal/delta"
 	"desksearch/internal/extract"
 	"desksearch/internal/index"
+	"desksearch/internal/postings"
 	"desksearch/internal/search"
 	"desksearch/internal/shard"
 )
@@ -297,7 +298,8 @@ type Stats struct {
 	Terms int
 	// Postings is the number of (term, file) pairs.
 	Postings int64
-	// Skipped is the number of unreadable files that were skipped.
+	// Skipped is the number of live files the catalog could not read:
+	// registered pending, without postings, until an update reads them.
 	Skipped int
 }
 
@@ -318,10 +320,6 @@ type Catalog struct {
 	// the mutating surface (SaveDir, Apply, Update) returns ErrReadOnly,
 	// and Close must be called to release the mappings.
 	lazy *shard.LazySet
-	// workers sizes an update's re-extraction pool: the extractor count
-	// the options asked for, which the build itself caps at its file
-	// count. Guarded by updateMu.
-	workers int
 	// updateMu serializes Update/Apply against each other; the engine's
 	// read-write lock already serializes them against queries.
 	updateMu sync.Mutex
@@ -350,15 +348,14 @@ func IndexFS(fsys fs.FS, root string, opt Options) (*Catalog, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newCatalog(res, cfg.Extractors), nil
+	// Updates run at the catalog's tuple: like a loaded catalog, keep the
+	// extractor count asked for, not the build's cap at its file count.
+	res.Config.Extractors = cfg.Extractors
+	return newCatalog(res), nil
 }
 
-func newCatalog(res *core.Result, workers int) *Catalog {
-	return &Catalog{
-		result:  res,
-		engine:  search.NewEngine(res.Files, index.Partitions(res.Indexes())...),
-		workers: workers,
-	}
+func newCatalog(res *core.Result) *Catalog {
+	return &Catalog{result: res, engine: search.NewEngine(res.Files, index.Partitions(res.Indexes())...)}
 }
 
 // partitionsLocked returns the catalog's query partitions. Callers must
@@ -434,13 +431,15 @@ func (c *Catalog) Stats() Stats {
 	var out Stats
 	c.engine.View(func() {
 		parts := c.partitionsLocked()
-		out = Stats{
-			Files:   c.result.Files.LiveCount(),
-			Terms:   index.DistinctTermsAcross(parts),
-			Skipped: len(c.result.SkippedFiles),
-		}
+		files := c.result.Files
+		out = Stats{Files: files.LiveCount(), Terms: index.DistinctTermsAcross(parts)}
 		for _, p := range parts {
 			out.Postings += p.NumPostings()
+		}
+		for id := range postings.FileID(files.Len()) {
+			if files.Live(id) && files.Pending(id) {
+				out.Skipped++
+			}
 		}
 	})
 	return out
@@ -476,7 +475,6 @@ func (c *Catalog) Swap(other *Catalog) {
 	c.updateMu.Lock()
 	defer c.updateMu.Unlock()
 	res, lz := other.result, other.lazy
-	c.workers = other.workers
 	var old *shard.LazySet
 	c.engine.Swap(res.Files, other.partitionsLocked(), other.engine.ShardIDs(), func() {
 		old = c.lazy
@@ -674,7 +672,7 @@ func LoadDir(dir string, opt ...Options) (*Catalog, error) {
 	// positional — only re-extracted files would ever carry positions,
 	// leaving the index half-positional. Rebuild to change it.
 	cfg.Extract.Positions = set.Positional()
-	return newCatalog(&core.Result{Config: cfg, Files: set.Files(), Set: set}, cfg.Extractors), nil
+	return newCatalog(&core.Result{Config: cfg, Files: set.Files(), Set: set}), nil
 }
 
 // OpenDir opens a sharded catalog directory lazily: only the manifest and
@@ -722,7 +720,7 @@ func OpenDirShards(dir string, shardIDs []int, opt ...Options) (*Catalog, error)
 	cfg.Extract.Positions = set.Positional()
 	res := &core.Result{Config: cfg, Files: set.Files()}
 	engine := search.NewSubsetEngine(set.Files(), set.ShardIDs(), set.Partitions()...)
-	return &Catalog{result: res, engine: engine, lazy: set, workers: cfg.Extractors}, nil
+	return &Catalog{result: res, engine: engine, lazy: set}, nil
 }
 
 // Changeset is a tree diff computed by Catalog.Diff and consumed by
@@ -736,8 +734,10 @@ type UpdateStats struct {
 	// and the (term, file) pairs the update dropped and inserted
 	// (PostingsRemoved, PostingsAdded).
 	delta.Stats
-	// SkippedFiles counts changed files that could not be re-extracted;
-	// like the batch pipeline, they stay registered without postings.
+	// SkippedFiles counts the changed files the update could not read: an
+	// add, not registered, or a modify, left pending without postings (a
+	// file already pending is not counted again). The next update retries
+	// both.
 	SkippedFiles int
 }
 
@@ -753,12 +753,13 @@ func (c *Catalog) Diff(fsys fs.FS, root string) (*Changeset, error) {
 	return cs, err
 }
 
-// Apply re-extracts the changeset's added and modified files in parallel
-// and commits the changes to the catalog in place: deleted files are
-// tombstoned and their postings dropped, modified files are re-indexed,
-// and new files register fresh FileIDs, each term block routed to its
-// owning partition by the same FNV FileID split sharding uses. Queries are
-// excluded only during the in-memory commit, not during extraction.
+// Apply runs the build's pipeline over the changeset's added and modified
+// files, at the catalog's tuple, and commits the changes to the catalog in
+// place: deleted files are tombstoned and their postings dropped, modified
+// files are re-indexed, and new files register fresh FileIDs, each routed
+// to its owning partition by the same FNV FileID split sharding uses.
+// Queries are excluded only during removal and join, not during
+// extraction or while the owners seal their fresh partitions.
 func (c *Catalog) Apply(fsys fs.FS, cs *Changeset) (UpdateStats, error) {
 	c.updateMu.Lock()
 	defer c.updateMu.Unlock()
@@ -794,7 +795,7 @@ func (c *Catalog) applyLocked(fsys fs.FS, cs *Changeset) (UpdateStats, error) {
 	if cs.Empty() {
 		return UpdateStats{}, nil
 	}
-	plan := delta.Extract(fsys, cs, c.result.Config.Extract, c.workers)
+	plan := delta.Prepare(fsys, cs, c.result)
 	set := c.result.Set
 	target := delta.Target{Files: c.result.Files, Partitions: set.Shards(), OnDirty: set.MarkDirty}
 	var st delta.Stats

@@ -281,8 +281,8 @@ func TestBuiltListsHaveNoSpareCapacity(t *testing.T) {
 }
 
 // TestLoadedCatalogUpdatesLikeABuild: a LoadDir catalog has no build tuple,
-// so its updates re-extract with as many workers as a default build asks
-// for, one per CPU — not the count the build capped to its eight files.
+// so its updates run with as many extractors as a default build asks for,
+// one per CPU — not the count the build capped to its eight files.
 func TestLoadedCatalogUpdatesLikeABuild(t *testing.T) {
 	cat, err := IndexFS(demoFS(t), ".", Options{Shards: 2})
 	if err != nil {
@@ -296,7 +296,7 @@ func TestLoadedCatalogUpdatesLikeABuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := loaded.workers, cat.workers; got != want || want != runtime.NumCPU() {
+	if got, want := loaded.result.Config.Extractors, cat.result.Config.Extractors; got != want || want != runtime.NumCPU() {
 		t.Errorf("a loaded catalog updates with %d workers, a built one with %d, want %d", got, want, runtime.NumCPU())
 	}
 }

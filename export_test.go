@@ -22,3 +22,10 @@ func SamePartitions(a, b *Catalog) bool {
 	}
 	return true
 }
+
+// CheckPartitionsMatchRebuild is checkPartitionsMatchRebuild: every
+// partition of the updated cat held, by path, to a rebuild of its tree.
+func CheckPartitionsMatchRebuild(t *testing.T, at string, cat, rebuilt *Catalog) {
+	t.Helper()
+	checkPartitionsMatchRebuild(t, at, cat, rebuilt)
+}

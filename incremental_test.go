@@ -180,6 +180,147 @@ func TestTermFreeInvariant(t *testing.T) {
 	}
 }
 
+// TestBuildSkipIsRetried: a file the build could not read is registered
+// pending, so once it reads, the next Update indexes it as a modification,
+// on the built catalog and on one loaded from its saved directory alike.
+// Stats.Skipped counts the pending files: one until the retry, through
+// SaveDir and LoadDir, and none after it.
+func TestBuildSkipIsRetried(t *testing.T) {
+	mem := demoFS(t)
+	if err := mem.WriteFile("misc/locked.txt", []byte("unlocked secrets")); err != nil {
+		t.Fatal(err)
+	}
+	fs := lockedFS{MemFS: mem, locked: map[string]bool{"misc/locked.txt": true}}
+	cat, err := IndexFS(fs, ".", Options{Extractors: 2, Updaters: 2, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := cat.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(fs.locked, "misc/locked.txt")
+	for _, tc := range []struct {
+		label string
+		cat   *Catalog
+	}{{"built", cat}, {"loaded", loaded}} {
+		if s := tc.cat.Stats(); s.Skipped != 1 {
+			t.Fatalf("%s: Skipped = %d before the retry, want 1", tc.label, s.Skipped)
+		}
+		st, err := tc.cat.Update(fs, ".")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Added != 0 || st.Modified != 1 || st.Deleted != 0 || st.SkippedFiles != 0 {
+			t.Fatalf("%s: retry = %+v, want the one pending file modified", tc.label, st)
+		}
+		if got := resultSet(t, tc.cat, "secrets"); len(got) != 1 || !strings.HasPrefix(got[0], "misc/locked.txt=") {
+			t.Errorf("%s: secrets after the retry = %v", tc.label, got)
+		}
+		if s := tc.cat.Stats(); s.Skipped != 0 {
+			t.Errorf("%s: Skipped = %d after the retry, want 0", tc.label, s.Skipped)
+		}
+		if st, err := tc.cat.Update(fs, "."); err != nil || st != (UpdateStats{}) {
+			t.Errorf("%s: second Update = %+v, %v; want nothing to do", tc.label, st, err)
+		}
+		checkTermFree(t, tc.label, tc.cat)
+	}
+}
+
+// flakyReadFS is a MemFS whose reads of a path fail while its count in
+// fails is positive, one failure per read; a negative count fails forever.
+type flakyReadFS struct {
+	*vfs.MemFS
+	mu    sync.Mutex
+	fails map[string]int
+}
+
+func (f *flakyReadFS) ReadFile(name string) ([]byte, error) {
+	f.mu.Lock()
+	n := f.fails[name]
+	if n > 0 {
+		f.fails[name] = n - 1
+	}
+	f.mu.Unlock()
+	if n != 0 {
+		return nil, fmt.Errorf("%s is locked", name)
+	}
+	return f.MemFS.ReadFile(name)
+}
+
+// TestFailedAddIsNotRegistered: an add whose read fails is dropped from
+// its update and the others renumbered, so the file table grows by exactly
+// the adds registered. One that fails on its first read only is
+// registered by the next Update, once; one that always fails leaves the
+// table as it was through any number of Updates.
+func TestFailedAddIsNotRegistered(t *testing.T) {
+	mem := demoFS(t)
+	fs := &flakyReadFS{MemFS: mem, fails: map[string]int{}}
+	cat, err := IndexFS(fs, ".", Options{Extractors: 2, Updaters: 2, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	length := func() int {
+		var n int
+		cat.engine.View(func() { n = cat.result.Files.Len() })
+		return n
+	}
+	// The flaky add lists before the healthy one, which the dropped add
+	// leaves to be renumbered.
+	for name, body := range map[string]string{"misc/a-flaky.txt": "flaky words", "misc/b-fresh.txt": "fresh words"} {
+		if err := mem.WriteFile(name, []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.fails["misc/a-flaky.txt"] = 1
+	want := length()
+	// The first update registers the healthy add and skips the flaky one,
+	// the second registers the flaky one, and the third has nothing to do.
+	for i, wantStats := range [][2]int{{1, 1}, {1, 0}, {0, 0}} {
+		st, err := cat.Update(fs, ".")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += st.Added
+		if st.Added != wantStats[0] || st.SkippedFiles != wantStats[1] || st.Modified != 0 {
+			t.Fatalf("update %d = %+v, want %d added and %d skipped", i, st, wantStats[0], wantStats[1])
+		}
+		if got := length(); got != want {
+			t.Fatalf("update %d: file table holds %d slots, want %d", i, got, want)
+		}
+	}
+	for _, q := range []string{"flaky", "fresh"} {
+		if got := resultSet(t, cat, q); len(got) != 1 {
+			t.Errorf("%q = %v, want one file", q, got)
+		}
+	}
+	checkTermFree(t, "flaky add", cat)
+
+	if err := mem.WriteFile("misc/c-locked.txt", []byte("never read")); err != nil {
+		t.Fatal(err)
+	}
+	fs.fails["misc/c-locked.txt"] = -1
+	for i := range 5 {
+		st, err := cat.Update(fs, ".")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Added != 0 || st.SkippedFiles != 1 {
+			t.Fatalf("locked update %d = %+v, want the one add skipped", i, st)
+		}
+		if got := length(); got != want {
+			t.Fatalf("locked update %d: file table holds %d slots, want %d", i, got, want)
+		}
+	}
+	if s := cat.Stats(); s.Skipped != 0 {
+		t.Errorf("Skipped = %d; an add that failed is not registered, so not counted", s.Skipped)
+	}
+}
+
 // TestUpdateMatchesRebuildProperty holds the partitions of a catalog
 // driven through random churn with Catalog.Update to those of a catalog
 // freshly built from the final tree (checkPartitionsMatchRebuild) —

@@ -7,11 +7,14 @@
 // extractor updates the index itself (the sequential baseline); with y ≥ 1
 // extractors pass term blocks to updaters through bounded lanes.
 //
-// Every run yields one kind of output, a shard.Set: each term block goes
-// to the shard.ShardFor partition of its file as it leaves Stage 2, so a
-// routing rule, not the history of the build, says which partition holds
-// a document. Each partition has exactly one owner that inserts into it,
-// without locks, and nothing is joined afterwards. The paper's other two
+// Pipeline is Stages 2 and 3, the one path from files to partitions: a
+// build (Run) runs it over a listed tree, an update (internal/delta) over a
+// numbered changeset at the catalog's tuple. Each term block goes to the
+// shard.ShardFor partition of its file as it leaves Stage 2, so a routing
+// rule, not the history of the build, says which partition holds a
+// document. Each partition has exactly one owner that inserts into it,
+// without locks, and seals it when its input ends; an update joins each
+// sealed partition into the live one of its number. The paper's other two
 // designs — one lock-guarded shared index (Implementation 1) and replicas
 // joined at the end (Implementation 2) — tie with it on four cores and
 // lose on 32; docs/ARCHITECTURE.md records the measurements, not the code.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io/fs"
 	"sync"
@@ -37,7 +38,9 @@ type Result struct {
 	// Config echoes the tuple the run executed: normalized, with x capped
 	// at the file count and y at the partition count.
 	Config Config
-	// Files maps FileIDs to paths.
+	// Files maps FileIDs to paths. A file the run could not read is
+	// registered pending (index.FileTable.MarkPending), so the next
+	// update retries it.
 	Files *index.FileTable
 	// Set is the run's output, partitions over Files each holding exactly
 	// the files shard.ShardFor routes to it: Config.Shards of them when
@@ -53,11 +56,14 @@ type Result struct {
 func (r *Result) Indexes() []*index.Index { return r.Set.Shards() }
 
 // FileRef names one file to index, with the size and modification time
-// (Unix nanoseconds) the file table records and an update compares.
+// (Unix nanoseconds) the file table records and an update compares, and
+// the FileID the pipeline files its postings under, which ListFiles leaves
+// to the caller's numbering.
 type FileRef struct {
 	Path    string
 	Size    int64
 	ModTime int64
+	ID      postings.FileID
 }
 
 // ListFiles is Stage 1, filename generation: the regular files under root
@@ -102,44 +108,50 @@ func Run(fsys fs.FS, root string, cfg Config) (*Result, error) {
 	}
 	// A fresh table numbers the files in list order: file i has FileID i.
 	res.Files = index.NewFileTable()
-	for _, f := range files {
-		res.Files.Add(f.Path, f.Size, f.ModTime)
+	for i, f := range files {
+		files[i].ID = res.Files.Add(f.Path, f.Size, f.ModTime)
 	}
 	res.Timings.FilenameGen = time.Since(startTotal)
 
-	// An extractor past the file count gets no file, and an updater past
-	// the partition count owns nothing: neither is started, and neither
-	// gets a lane.
-	n := cfg.Shards
-	if n == 0 {
-		n = cfg.Replicas()
-	}
-	cfg.Extractors = min(cfg.Extractors, max(len(files), 1))
-	cfg.Updaters = min(cfg.Updaters, n)
-	res.Config = cfg
-
+	n := cmp.Or(cfg.Shards, cfg.Replicas())
 	// Stages 2+3: every term block is hash-routed to its file's partition
 	// as it crosses the Stage 2→3 boundary, so nothing is redistributed
 	// or joined afterwards.
 	start23 := time.Now()
-	res.Set = shard.New(res.Files, runPipeline(fsys, cfg, files, n, res))
+	out := Pipeline(fsys, cfg, files, n)
+	for k, f := range files {
+		res.Files.SetTokens(f.ID, out.Tokens[k])
+		if err := out.Errs[k]; err != nil {
+			res.Files.MarkPending(f.ID)
+			res.SkippedFiles = append(res.SkippedFiles, Skipped{Path: f.Path, Err: err})
+		}
+	}
+	res.Config = out.Config
+	res.Set = shard.New(res.Files, out.Parts)
 	res.Timings.ExtractUpdate = time.Since(start23)
 	res.Timings.Total = time.Since(startTotal)
 	return res, nil
 }
 
+// Output is what Stages 2 and 3 made of a list of files.
+type Output struct {
+	// Config is the tuple the pipeline ran, capped like Result.Config.
+	Config Config
+	// Parts holds the sealed partitions, partition s the files routed to s.
+	Parts []*index.Index
+	// Tokens and Errs hold each file's token length and read error, in
+	// list order: a file not read has an error and no tokens.
+	Tokens []uint32
+	Errs   []error
+}
+
 // router holds a run's partition builders, in partition order.
 type router []*index.Builder
 
-// feed hands block to the builder of its file's partition.
+// feed hands block to the builder of its file's partition, through the
+// positional or plain insertion path, whichever the extractor recorded.
 func (r router) feed(block extract.TermBlock) {
-	AddBlock(r[shard.ShardFor(block.File, len(r))], block)
-}
-
-// AddBlock hands block to b through the positional or plain insertion
-// path, whichever the extractor recorded: the one dispatch from a term
-// block to a builder, for a build and an update alike.
-func AddBlock(b *index.Builder, block extract.TermBlock) {
+	b := r[shard.ShardFor(block.File, len(r))]
 	if block.Ends != nil {
 		b.AddBlockPositional(block.File, block.Terms, block.Ends, block.Pos)
 		return
@@ -147,54 +159,52 @@ func AddBlock(b *index.Builder, block extract.TermBlock) {
 	b.AddBlock(block.File, block.Terms, block.Counts)
 }
 
-// runPipeline executes Stages 2 and 3 and returns the n partitions they
-// filled. Every partition has one owner that logs its blocks without
-// locks and builds it as soon as its input ends (Implementation 3 with a
-// routing rule): the one extractor when cfg.Updaters is 0, otherwise
-// updater u for the partitions s ≡ u (mod y), fed through a lane of its
-// own.
-//
-// Stage 1's list is dealt round-robin: extractor w owns files w, w+x,
-// w+2x, … of it, a private vector read with no synchronization at all.
-func runPipeline(fsys fs.FS, cfg Config, files []FileRef, n int, res *Result) []*index.Index {
+// Pipeline runs Stages 2 and 3 over files into n partitions, each file
+// under its FileRef.ID, and hands back what the caller's file table
+// records; it writes none. Every partition has one owner that logs its
+// blocks without locks and builds it as soon as its input ends
+// (Implementation 3 with a routing rule): the one extractor when
+// cfg.Updaters is 0, otherwise updater u for the partitions s ≡ u (mod y),
+// fed through a lane of its own. An extractor past the file count or an
+// updater past the partition count is not started. The list is dealt
+// round-robin: extractor w owns files w, w+x, w+2x, … of it, a private
+// vector read with no synchronization at all.
+func Pipeline(fsys fs.FS, cfg Config, files []FileRef, n int) Output {
+	cfg = cfg.normalized()
+	cfg.Extractors = min(cfg.Extractors, max(len(files), 1))
+	cfg.Updaters = min(cfg.Updaters, n)
+	out := Output{Config: cfg, Parts: make([]*index.Index, n), Tokens: make([]uint32, len(files)), Errs: make([]error, len(files))}
 	r := make(router, n)
 	for i := range r {
 		r[i] = index.NewBuilder(cfg.Extract.Positions)
 	}
 	owners := max(cfg.Updaters, 1)
-	parts := make([]*index.Index, n)
 	// seal builds the partitions s ≡ owner (mod owners).
 	seal := func(owner int) {
 		for s := owner; s < n; s += owners {
-			parts[s] = r[s].Index()
+			out.Parts[s] = r[s].Index()
 		}
 	}
 
-	var skippedMu sync.Mutex
 	// dealt runs extractor w over its share of the files, handing every
-	// block to out.
-	dealt := func(w int, out func(extract.TermBlock)) {
+	// block to feed; it alone writes those files' slots of out.
+	dealt := func(w int, feed func(extract.TermBlock)) {
 		ex := extract.New(fsys, cfg.Extract)
-		for i := w; i < len(files); i += cfg.Extractors {
-			block, err := ex.File(files[i].Path, postings.FileID(i))
+		for k := w; k < len(files); k += cfg.Extractors {
+			block, err := ex.File(files[k].Path, files[k].ID)
 			if err != nil {
-				skippedMu.Lock()
-				res.SkippedFiles = append(res.SkippedFiles, Skipped{Path: files[i].Path, Err: err})
-				skippedMu.Unlock()
+				out.Errs[k] = err
 				continue
 			}
-			// Each file is extracted exactly once, so concurrent
-			// extractors write disjoint token-length slots.
-			res.Files.SetTokens(block.File, block.Tokens)
-			out(block)
+			out.Tokens[k] = block.Tokens
+			feed(block)
 		}
 	}
-
 	if cfg.Updaters == 0 {
 		// The one extractor updates the partitions itself.
 		dealt(0, r.feed)
 		seal(0)
-		return parts
+		return out
 	}
 	// A lane feeds one owner, so a burst of blocks routed to it must fit
 	// there or stall every extractor while the other owners idle: it
@@ -229,5 +239,5 @@ func runPipeline(fsys fs.FS, cfg Config, files []FileRef, n int, res *Result) []
 		close(lane)
 	}
 	updaters.Wait()
-	return parts
+	return out
 }

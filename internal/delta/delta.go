@@ -2,34 +2,37 @@
 // keeping a built index in step with a living file tree without the full
 // rebuild the paper's batch pipeline performs.
 //
-// An update runs in three phases, mirroring the pipeline's stages:
+// An update is the build run over a changeset, in three steps:
 //
 //  1. Diff — walk the tree (Stage 1's traversal) and compare every file
 //     against the index's FileTable by path, size, and modification stamp,
-//     producing a Changeset of added, modified, and deleted files.
-//  2. Extract — re-extract the added and modified files with a pool of
-//     Stage-2 extractors, one per worker, in parallel.
-//  3. Commit — apply the changeset in place: tombstoned FileIDs are
-//     retired and new files register fresh IDs, and every change goes to
-//     the one partition that owns its file by the FNV FileID split
-//     internal/shard routes builds and checks directories by. Each owner
-//     with work, in parallel, removes its deleted and modified files in
-//     one batched posting scan, then joins its fresh term blocks in one
-//     merge per touched posting list; no other partition is touched.
+//     producing a Changeset of added, modified, and deleted files. A file
+//     the index holds pending (index.FileTable.Pending) is reported
+//     modified, so an unreadable file is retried.
+//  2. Prepare — number the changeset against the file table (modified
+//     files keep their FileIDs, added files take the next ones in
+//     traversal order) and run the build's own Stages 2 and 3
+//     (core.Pipeline) over the added and modified files at the catalog's
+//     tuple. Each partition's owner seals a fresh partition of the
+//     changed files it owns, routed by the FNV FileID split internal/shard
+//     routes builds and checks directories by.
+//  3. Commit — swap the changes in: register, update and tombstone the
+//     file-table entries, then at each partition with work remove its
+//     deleted and modified files in one batched posting scan and join its
+//     fresh partition in one merge per touched posting list. No other
+//     partition is touched.
 //
-// Diff and Extract only read; Commit mutates and must run with queries
-// excluded (search.Engine.Maintain does exactly that for the public
-// Catalog API).
+// Diff and Prepare only read the index; Commit mutates it and must run with
+// queries excluded (search.Engine.Maintain does exactly that for the
+// public Catalog API). Prepare and Commit must not be separated by another
+// commit to the same index.
 package delta
 
 import (
 	"fmt"
 	"io/fs"
-	"sync"
-	"sync/atomic"
 
 	"desksearch/internal/core"
-	"desksearch/internal/extract"
 	"desksearch/internal/fanout"
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
@@ -68,9 +71,8 @@ func (o Op) String() string {
 type Change struct {
 	Op   Op
 	Path string
-	// ID is the file's existing FileID for OpModify and OpDelete. OpAdd
-	// changes have no ID until commit time: FileIDs are never reused, and
-	// only the commit phase may grow the file table.
+	// ID is the file's existing FileID for OpModify and OpDelete. An
+	// OpAdd has none: Prepare numbers it, and only Commit grows the table.
 	ID postings.FileID
 	// Size and ModTime are the live tree's values (zero for OpDelete).
 	Size    int64
@@ -141,54 +143,82 @@ func Diff(fsys fs.FS, root string, files *index.FileTable) (*Changeset, error) {
 	return cs, nil
 }
 
-// Plan is a changeset with the term blocks of its added and modified files
-// already extracted, ready to commit.
+// Plan is a numbered changeset whose added and modified files the
+// pipeline has already read into sealed fresh partitions, ready to commit.
 type Plan struct {
-	Changeset *Changeset
-	// blocks maps a change's position in Changeset.Changes to its extracted
-	// duplicate-free term block (terms plus occurrence counts). Unreadable
-	// files have no entry; Commit leaves their indexed state positioned so
-	// the next Diff sees them as still-pending changes and retries.
-	blocks map[int]extract.TermBlock
-	// Skipped lists the files whose extraction failed.
+	// base is the file table's length when the plan was numbered: a file
+	// in read with an ID at or past it is an add.
+	base    postings.FileID
+	deleted []postings.FileID
+	// read lists the modified files and then the added ones, each under
+	// the FileID it commits under; out is what the pipeline made of them.
+	read []core.FileRef
+	out  core.Output
+	// Skipped lists the files the plan could not read: the adds it dropped
+	// and the modified files it leaves pending, less those already pending
+	// (index.FileTable.Pending).
 	Skipped []core.Skipped
 }
 
-// Extract re-extracts the plan's added and modified files with workers
-// parallel Stage-2 extractors and returns the resulting plan. Each worker
-// owns one extract.Extractor (they are single-owner by design) and takes
-// the next file not yet taken, so a large file holds up one worker only.
-func Extract(fsys fs.FS, cs *Changeset, opts extract.Options, workers int) *Plan {
-	plan := &Plan{Changeset: cs, blocks: make(map[int]extract.TermBlock)}
-	var todo []int
-	for i, c := range cs.Changes {
-		if c.Op != OpDelete {
-			todo = append(todo, i)
-		}
-	}
-	blocks := make([]extract.TermBlock, len(todo))
-	errs := make([]error, len(todo))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range max(1, min(workers, len(todo))) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ex := extract.New(fsys, opts)
-			for k := int(next.Add(1) - 1); k < len(todo); k = int(next.Add(1) - 1) {
-				blocks[k], errs[k] = ex.File(cs.Changes[todo[k]].Path, 0)
+// Prepare numbers cs against res's file table and runs the build's
+// Stages 2 and 3 over its added and modified files at res's tuple, into as
+// many fresh partitions as res.Set has; it writes nothing of res.
+//
+// A stale changeset (re-applied, or computed before an intervening
+// update) is normalized first: an add whose path is registered becomes a
+// modify of that file, and a change to a retired FileID is dropped.
+// Modified files keep their IDs, and added files take Files.Len()+k in
+// traversal order. A failed add is not registered, so the next Diff
+// re-adds it: when any add fails, Prepare drops the failed adds,
+// renumbers and runs the pipeline again, keeping the table's IDs dense.
+func Prepare(fsys fs.FS, cs *Changeset, res *core.Result) *Plan {
+	files := res.Files
+	p := &Plan{base: postings.FileID(files.Len())}
+	var added []core.FileRef
+	for _, c := range cs.Changes {
+		if c.Op == OpAdd {
+			if id, ok := files.Lookup(c.Path); ok {
+				c.Op, c.ID = OpModify, id
 			}
-		}()
-	}
-	wg.Wait()
-	for k, i := range todo {
-		if errs[k] != nil {
-			plan.Skipped = append(plan.Skipped, core.Skipped{Path: cs.Changes[i].Path, Err: errs[k]})
-		} else {
-			plan.blocks[i] = blocks[k]
+		} else if !files.Live(c.ID) {
+			continue
+		}
+		ref := core.FileRef{Path: c.Path, Size: c.Size, ModTime: c.ModTime, ID: c.ID}
+		switch c.Op {
+		case OpDelete:
+			p.deleted = append(p.deleted, c.ID)
+		case OpModify:
+			p.read = append(p.read, ref)
+		case OpAdd:
+			added = append(added, ref)
 		}
 	}
-	return plan
+	modified := len(p.read)
+	for {
+		for k := range added {
+			added[k].ID = p.base + postings.FileID(k)
+		}
+		p.read = append(p.read[:modified], added...)
+		p.out = core.Pipeline(fsys, res.Config, p.read, res.Set.Len())
+		kept := added[:0]
+		for k, f := range added {
+			if err := p.out.Errs[modified+k]; err != nil {
+				p.Skipped = append(p.Skipped, core.Skipped{Path: f.Path, Err: err})
+			} else {
+				kept = append(kept, f)
+			}
+		}
+		if len(kept) == len(added) {
+			break
+		}
+		added = kept
+	}
+	for k, err := range p.out.Errs[:modified] {
+		if err != nil && !files.Pending(p.read[k].ID) {
+			p.Skipped = append(p.Skipped, core.Skipped{Path: p.read[k].Path, Err: err})
+		}
+	}
+	return p
 }
 
 // Target is the mutable index state a plan commits into: the shared file
@@ -214,132 +244,73 @@ func (s Stats) String() string {
 		s.Added, s.Modified, s.Deleted, s.PostingsRemoved, s.PostingsAdded)
 }
 
-// Commit applies the plan to t in place and returns what changed.
-//
-// The caller must exclude concurrent queries (search.Engine.Maintain);
-// Commit mutates the file table single-threaded and the partitions in
-// parallel, one fanout.Run task per partition.
-//
-// The partitions are t's ShardFor-routed shards — every build routes by
-// the FNV split, and every open refuses a directory that does not — so a
-// file's postings live at its owner, ShardFor(id, n), and nowhere else.
-// One pass over the changeset does the file-table bookkeeping and puts
-// each deleted or modified file's ID and each fresh term block under its
-// owner; then every owner with work removes its victims and only then
-// joins its fresh blocks. The order matters: a modified file keeps its
+// Commit swaps the plan into t, the index it was prepared against, and
+// returns what changed. The caller must exclude concurrent queries
+// (search.Engine.Maintain). No term block is inserted here: Commit writes
+// the file table, then, one fanout.Run task per partition with work,
+// removes the owner's deleted and modified files in one batch and joins
+// its fresh partition. The order matters: a modified file keeps its
 // FileID, so removing after the join would delete the fresh postings.
-// Removal marks the owner's victims in a bitmap (postings.Mark) and walks
-// its dictionary once: a list wholly outside the marked range is skipped
-// after two comparisons, and any other is scanned once against the marks.
-// A partition no change routes to is not touched.
-//
-// Commit is idempotent and safe on stale changesets: before applying, the
-// plan is normalized against the live file table — an add whose path is
-// already registered becomes a modify of that file, and modifies or
-// deletes of an already-retired FileID are dropped — so re-applying a
-// changeset (or one computed before an intervening update) cannot
-// duplicate table entries or attach postings to tombstones.
+// Every build routes by the FNV split, and every open refuses a directory
+// that does not, so a file's postings live at ShardFor(id, n) and nowhere
+// else: a partition no change routes to is not touched, and an empty
+// fresh partition is not joined. A modified file whose read failed is
+// marked pending (index.FileTable.MarkPending): its old postings go, as a
+// rebuild skipping an unreadable file would show, and the next Diff
+// reports it again.
 func (p *Plan) Commit(t Target) Stats {
 	var st Stats
 	n := len(t.Partitions)
-
-	// File-table bookkeeping, with each change routed to its owner. Files
-	// whose re-extraction failed are left pending rather than finalized:
-	// a failed modify keeps its stale size and stamp (so the next Diff
-	// still sees the file as changed and retries) but records zero tokens
-	// — its old postings go, which is what a rebuild skipping an
-	// unreadable file would show — and a failed add is not registered at
-	// all (the next Diff re-adds it).
-	work := make([]ownerWork, n)
-	for i, c := range p.Changeset.Changes {
-		switch c.Op {
-		case OpAdd:
-			if id, ok := t.Files.Lookup(c.Path); ok {
-				c.Op, c.ID = OpModify, id
+	victims := make([][]postings.FileID, n)
+	victim := func(id postings.FileID) {
+		owner := shard.ShardFor(id, n)
+		victims[owner] = append(victims[owner], id)
+	}
+	for _, id := range p.deleted {
+		t.Files.Tombstone(id)
+		victim(id)
+		st.Deleted++
+	}
+	for k, f := range p.read {
+		switch {
+		case p.out.Errs[k] != nil:
+			t.Files.MarkPending(f.ID)
+		case f.ID >= p.base:
+			if id := t.Files.Add(f.Path, f.Size, f.ModTime); id != f.ID {
+				panic(fmt.Sprintf("delta: %s prepared as file %d, registered as %d", f.Path, f.ID, id))
 			}
-		case OpModify, OpDelete:
-			if !t.Files.Live(c.ID) {
-				continue
-			}
-		}
-		switch c.Op {
-		case OpDelete:
-			w := &work[shard.ShardFor(c.ID, n)]
-			w.victims = append(w.victims, c.ID)
-			t.Files.Tombstone(c.ID)
-			st.Deleted++
-		case OpModify:
-			w := &work[shard.ShardFor(c.ID, n)]
-			w.victims = append(w.victims, c.ID)
-			block, ok := p.blocks[i]
-			if !ok {
-				t.Files.SetTokens(c.ID, 0)
-				continue
-			}
-			t.Files.SetMeta(c.ID, c.Size, c.ModTime)
-			t.Files.SetTokens(c.ID, block.Tokens)
-			w.stage(c.ID, block, &st)
-			st.Modified++
-		case OpAdd:
-			block, ok := p.blocks[i]
-			if !ok {
-				continue
-			}
-			id := t.Files.Add(c.Path, c.Size, c.ModTime)
-			t.Files.SetTokens(id, block.Tokens)
-			work[shard.ShardFor(id, n)].stage(id, block, &st)
+			t.Files.SetTokens(f.ID, p.out.Tokens[k])
 			st.Added++
+			continue
+		default:
+			t.Files.SetMeta(f.ID, f.Size, f.ModTime)
+			t.Files.SetTokens(f.ID, p.out.Tokens[k])
+			st.Modified++
 		}
+		victim(f.ID)
 	}
 
-	// One fan-out over the owners with work. A modified file keeps its
-	// FileID, so its postings land mid-list, and a positional list moves
-	// the positions of every later posting on an insert there: an owner's
-	// fresh blocks are therefore staged in one index.Builder, built, and
-	// joined once, so each touched list takes one linear merge per commit,
-	// not one insert per file.
-	removed := make([]int, n)
+	// One fan-out over the owners with work; a join consumes its fresh
+	// partition, so the postings it adds are counted first.
+	added, removed := make([]int64, n), make([]int, n)
+	for owner, fresh := range p.out.Parts {
+		added[owner] = fresh.NumPostings()
+	}
 	fanout.Run(n, func(owner int) error {
-		w := &work[owner]
-		if len(w.victims) == 0 && len(w.blocks) == 0 {
-			return nil
+		if len(victims[owner]) > 0 {
+			removed[owner] = t.Partitions[owner].RemoveFiles(postings.FromIDs(victims[owner]))
 		}
-		ix := t.Partitions[owner]
-		removed[owner] = ix.RemoveFiles(postings.FromIDs(w.victims))
-		if len(w.blocks) == 0 {
-			return nil
+		if added[owner] > 0 {
+			t.Partitions[owner].Join(p.out.Parts[owner])
 		}
-		fresh := index.NewBuilder(false) // Join keeps the partition's kind
-		for _, block := range w.blocks {
-			core.AddBlock(fresh, block)
-		}
-		ix.Join(fresh.Index())
 		return nil
 	})
 	for owner, r := range removed {
 		st.PostingsRemoved += int64(r)
-		if (r > 0 || len(work[owner].blocks) > 0) && t.OnDirty != nil {
+		st.PostingsAdded += added[owner]
+		if (r > 0 || added[owner] > 0) && t.OnDirty != nil {
 			t.OnDirty(owner)
 		}
 	}
 	return st
-}
-
-// ownerWork is what a commit does at one partition: the files to remove
-// from it and the fresh term blocks to join into it.
-type ownerWork struct {
-	victims []postings.FileID
-	blocks  []extract.TermBlock
-}
-
-// stage queues a fresh term block for the owner's join under its file's
-// ID, which the extraction that made it ran before the commit numbered
-// added files.
-func (w *ownerWork) stage(id postings.FileID, block extract.TermBlock, st *Stats) {
-	if len(block.Terms) == 0 {
-		return
-	}
-	block.File = id
-	w.blocks = append(w.blocks, block)
-	st.PostingsAdded += int64(len(block.Terms))
 }

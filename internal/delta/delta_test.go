@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"desksearch/internal/core"
-	"desksearch/internal/extract"
 	"desksearch/internal/index"
 	"desksearch/internal/postings"
 	"desksearch/internal/search"
@@ -138,7 +137,7 @@ func applyAll(t *testing.T, fsys fs.FS, res *core.Result) Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := Extract(fsys, cs, extract.Options{}, 3)
+	plan := Prepare(fsys, cs, res)
 	if len(plan.Skipped) != 0 {
 		t.Fatalf("unexpected skips: %v", plan.Skipped)
 	}
@@ -263,7 +262,7 @@ func TestCommitDirtyTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := Extract(fs, cs, extract.Options{}, 2)
+	plan := Prepare(fs, cs, res)
 	dirty := map[int]bool{}
 	plan.Commit(Target{
 		Files:      res.Files,
@@ -311,7 +310,7 @@ func TestCommitTouchesOnlyTheOwner(t *testing.T) {
 				t.Fatal(err)
 			}
 			var dirty []int
-			st := Extract(fs, cs, extract.Options{}, 1).Commit(Target{
+			st := Prepare(fs, cs, res).Commit(Target{
 				Files:      res.Files,
 				Partitions: parts,
 				OnDirty:    func(i int) { dirty = append(dirty, i) },
@@ -381,7 +380,7 @@ func TestFailedModifyExtractionRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := Extract(fs, cs, extract.Options{}, 2)
+	plan := Prepare(fs, cs, res)
 	if len(plan.Skipped) != 1 {
 		t.Fatalf("skipped = %v, want the locked file", plan.Skipped)
 	}
@@ -429,7 +428,7 @@ func TestFailedAddExtractionRetries(t *testing.T) {
 	mem.WriteFile("docs/new.txt", []byte("omega content"))
 	fs.setFail("docs/new.txt", true)
 	cs, _ := Diff(fs, ".", res.Files)
-	plan := Extract(fs, cs, extract.Options{}, 2)
+	plan := Prepare(fs, cs, res)
 	plan.Commit(Target{Files: res.Files, Partitions: res.Indexes()})
 	if _, ok := res.Files.Lookup("docs/new.txt"); ok {
 		t.Fatal("failed add was registered anyway")
@@ -459,7 +458,7 @@ func TestCommitIsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	apply := func() Stats {
-		plan := Extract(fs, cs, extract.Options{}, 2)
+		plan := Prepare(fs, cs, res)
 		return plan.Commit(Target{Files: res.Files, Partitions: res.Indexes()})
 	}
 	apply()

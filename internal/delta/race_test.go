@@ -5,14 +5,14 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
-	"desksearch/internal/extract"
 	"desksearch/internal/index"
 	"desksearch/internal/search"
 )
 
 // TestApplyDuringConcurrentQuery exercises the exact interleaving the
-// daemon's -watch mode lives on: full Diff → Extract → Commit cycles
+// daemon's -watch mode lives on: full Diff → Prepare → Commit cycles
 // applied through the engine's maintenance lock while queries hammer the
 // same partitions. Under -race it proves the commit phase never lets a
 // query observe a half-applied changeset or a posting list being mutated
@@ -66,7 +66,7 @@ func TestApplyDuringConcurrentQuery(t *testing.T) {
 		if cs.Empty() {
 			return
 		}
-		plan := Extract(fs, cs, extract.Options{}, 2)
+		plan := Prepare(fs, cs, res)
 		if len(plan.Skipped) != 0 {
 			t.Fatalf("extraction skipped files: %+v", plan.Skipped)
 		}
@@ -103,5 +103,44 @@ func TestApplyDuringConcurrentQuery(t *testing.T) {
 	}
 	if engine.Generation() == 0 {
 		t.Error("maintenance commits did not advance the engine generation")
+	}
+}
+
+// TestPrepareRunsBesideReaders: an update's unlocked step — numbering, the
+// pipeline and every owner's seal — runs to completion while a reader
+// holds the engine's read lock, and leaves the live index as it was; only
+// Commit, under the write lock, changes what queries see.
+func TestPrepareRunsBesideReaders(t *testing.T) {
+	fs := seedFS(t)
+	res := build(t, fs, 3)
+	engine := search.NewEngine(res.Files, index.Partitions(res.Indexes())...)
+	for name, body := range map[string]string{"docs/a.txt": "alpha rewritten", "docs/new.txt": "zeta alpha"} {
+		if err := fs.WriteFile(name, []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs, err := Diff(fs, ".", res.Files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared := make(chan *Plan)
+	var plan *Plan
+	engine.View(func() {
+		go func() { prepared <- Prepare(fs, cs, res) }()
+		select {
+		case plan = <-prepared:
+		case <-time.After(time.Minute):
+			t.Fatal("Prepare did not finish while a reader held the engine")
+		}
+	})
+	if n := res.Files.Len(); n != 4 {
+		t.Errorf("Prepare grew the live file table to %d slots", n)
+	}
+	if hits := searchAll(t, engine, "zeta OR rewritten"); len(hits) != 0 {
+		t.Errorf("Prepare changed what queries see: %+v", hits)
+	}
+	engine.Maintain(func() { plan.Commit(Target{Files: res.Files, Partitions: res.Indexes()}) })
+	if hits := searchAll(t, engine, "zeta OR rewritten"); len(hits) != 2 {
+		t.Errorf("after Commit: %+v, want both changed files", hits)
 	}
 }

@@ -25,8 +25,8 @@ type FileTable struct {
 	dead   []bool // tombstones: dead[id] once Tombstone(id) ran
 	nDead  int
 	// live is the sum of tokens over the live slots, kept as SetTokens and
-	// Tombstone change them so LiveTokens is one load per query. Atomic
-	// because concurrent extractors call SetTokens for distinct IDs.
+	// Tombstone change them so LiveTokens is one load per query; atomic,
+	// so SetTokens of distinct IDs may run concurrently.
 	live   atomic.Uint64
 	byPath map[string]postings.FileID // live paths only
 }
@@ -76,10 +76,22 @@ func (t *FileTable) SetMeta(id postings.FileID, size, mtime int64) {
 	t.mtimes[id] = mtime
 }
 
-// SetTokens records id's token length (extract.TermBlock.Tokens).
-// Concurrent extractors may call it for distinct IDs — each write lands in
-// its own preallocated slot and the live sum is atomic, so no lock is
-// needed during a build.
+// pendingSize is no listing's size; a manifest's uvarint carries it as 2⁶⁴−1.
+const pendingSize = -1
+
+// MarkPending records id as registered but not indexed, its read having
+// failed: no tokens, and a size no listing produces, so the next update's
+// diff reports it changed and retries it.
+func (t *FileTable) MarkPending(id postings.FileID) {
+	t.sizes[id] = pendingSize
+	t.SetTokens(id, 0)
+}
+
+// Pending reports whether id was marked pending and not indexed since.
+func (t *FileTable) Pending(id postings.FileID) bool { return t.sizes[id] == pendingSize }
+
+// SetTokens records id's token length (extract.TermBlock.Tokens). Calls
+// for distinct IDs may run concurrently.
 func (t *FileTable) SetTokens(id postings.FileID, n uint32) {
 	old := t.tokens[id]
 	t.tokens[id] = n

@@ -128,3 +128,33 @@ func FuzzBuildTuples(f *testing.F) {
 		checkSameBuilds(t, fmt.Sprintf("seed %d, %d shards, positions=%v", seed&7, 1+shards%5, positions), tuples, cats)
 	})
 }
+
+// FuzzUpdateTuples holds one update under a tuple the fuzzer picks to a
+// (1, 0) rebuild of the tree it leaves, over one of eight seeded oracle
+// corpora: the catalog is built under the tuple (x clamped to 1..8, y to
+// 0..8, 1–5 shards, plain or positional), one churn round of adds,
+// modifies and deletes drawn from the fuzzer's bytes is applied with
+// Update, which runs at the catalog's tuple, and every partition is held
+// to the rebuild's by path.
+func FuzzUpdateTuples(f *testing.F) {
+	f.Add(int64(0), uint8(1), uint8(1), uint8(2), true, []byte{1, 1, 0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 2, 5, 0, 3, 9, 1, 4, 0, 2, 7})
+	f.Add(int64(5), uint8(7), uint8(8), uint8(4), false, []byte{3, 2, 7, 1, 4, 1, 5, 2, 6, 3, 7, 0, 9, 8, 1, 1, 30, 5, 4, 3, 2, 1, 0, 2, 11})
+	f.Fuzz(func(t *testing.T, seed int64, x, y, shards uint8, positions bool, churn []byte) {
+		oc := newOracleCorpus(t, rand.New(rand.NewSource(seed&7)), 30)
+		n := 1 + int(shards%5)
+		tuple := [2]int{1 + int(x%8), int(y % 9)}
+		cat, err := desksearch.IndexFS(oc.fs, ".", tupleOptions(tuple, n, positions))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oc.churn(t, &byteChooser{b: churn})
+		if _, err := cat.Update(oc.fs, "."); err != nil {
+			t.Fatal(err)
+		}
+		rebuilt, err := desksearch.IndexFS(oc.fs, ".", tupleOptions([2]int{1, 0}, n, positions))
+		if err != nil {
+			t.Fatal(err)
+		}
+		desksearch.CheckPartitionsMatchRebuild(t, fmt.Sprintf("seed %d, %v, %d shards, positions=%v", seed&7, tuple, n, positions), cat, rebuilt)
+	})
+}
